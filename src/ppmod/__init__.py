@@ -36,9 +36,8 @@ from .tower import (FpLabel, TowerRing, Triple, all_labels, build_tower,
                     left_projectives, natural_embedding, redundancy_table,
                     t_module, verify_hom_bounds)
 from .tube import (Arrow, FormalPath, NormalPath, SymbolicTube,
-                   TranslationQuiver, ZERO, build_generalized_tube,
-                   build_ray_tube, hom_dimension, normalize_path,
-                   parse_tube_descriptor)
+                   TranslationQuiver, ZERO, build_ray_tube, hom_dimension,
+                   normalize_path, parse_tube_descriptor)
 from .realize import (RealizedTube, realize_in_tower, stage_bimodule,
                       verify_bimodule_idempotents, verify_pushout_pullback)
 from .ziegler import (PointSet, ZieglerPoint, closure, is_closed,

@@ -28,8 +28,8 @@ from .probes import (NOT_SHORT_WITNESS, SHORT_WITHIN_BOUND, interval_probe,
 from .realize import realize_in_tower, verify_bimodule_idempotents
 from .tower import all_labels, build_tower, classify, construct_label, f0, f1
 from .tube import SymbolicTube, FormalPath, ZERO, all_paths_from, \
-    build_ray_tube, hom_dimension, normal_path_arrows, normal_path_target, \
-    normalize_path
+    build_ray_tube, hom_dimension, mesh_rule_failures, normal_path_arrows, \
+    normal_path_target, normalize_path
 from .ziegler import (PointSet, adic, closure, fin_len, is_closed,
                       point_closure, points, prufer, qpoint,
                       random_point_set)
@@ -352,10 +352,14 @@ def suite_mesh(seed: int = 0) -> SuiteResult:
     bad = []
     paths = 0
     tubes = 0
+    rules = 0
     for m in (1, 2, 3):
         for lengths in itertools.product((0, 1, 2), repeat=m):
             tubes += 1
             q = build_ray_tube(m, lengths, 6)
+            n_rules, failed = mesh_rule_failures(q)
+            rules += n_rules
+            bad.extend(("rule", m, lengths, mu) for mu in failed)
             for v in q.vertices():
                 for word in all_paths_from(q, v, 8):
                     paths += 1
@@ -390,6 +394,11 @@ def suite_mesh(seed: int = 0) -> SuiteResult:
              "horizon 6)",
              f"paths\t{paths} formal paths of length <= 8 normalized "
              "order-independently",
+             f"certificate\t{rules} mesh rules rewrite mu;lam to zero or to "
+             "a composable lam';mu' with the same ends; mu;lam has no "
+             "self-overlap (no critical pairs) and each rewrite removes one "
+             "mu-before-lam inversion, so rewriting is confluent at every "
+             "length",
              "shapes\tnormal forms are lambda-walks then mu-climbs; "
              "same-ray dimension matches floor((j-1)/m)+1"]
     if bad:

@@ -10,7 +10,12 @@ mod m), 0 <= k <= n_i, and stages j >= 1 capped by a horizon.  Arrows are
 Mesh rewriting orients the relations so that lambda segments precede mu
 segments (diagram order); every nonzero path normalizes to a coefficient
 with a lambda-walk followed by a mu-climb, and both walks are uniquely
-determined by their lengths, so the normal form is canonical.
+determined by their lengths, so the normal form is canonical.  In diagram
+order the rules are
+
+    mu(i,k,j) ; lam(i,k,j+1)     ->  lam(i,k,j) ; mu(i,k+1,j)       k < n_i
+    mu(i,n_i,j) ; lam(i,n_i,j+1) ->  lam(i,n_i,j) ; mu(i+1,0,j-1)   j >= 2
+    mu(i,n_i,1) ; lam(i,n_i,2)   ->  0
 
 The rim relation is implemented in its type-correct form
 
@@ -20,18 +25,29 @@ derived from the almost split sequence at the rim (the printed index
 pattern of the source text is not composable as stated; normalization
 would flag any path on which another orientation disagrees, and the
 confluence suite checks order independence exhaustively).
+
+A TranslationQuiver compiles these formulas once, at construction, into
+lookup tables: the outgoing arrows of each vertex, the target of each
+arrow and the right-hand side of the rule for each mu arrow.  Everything
+else reads the tables, and input that is not in them raises ValueError.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 Vertex = tuple  # (i, k, j)
 
+# The largest vertex count sum(n_i + 1) * horizon a quiver may have; its
+# tables are built eagerly, a few hundred bytes per vertex.
+MAX_VERTICES = 100_000
 
-@dataclass(frozen=True)
-class Arrow:
+STRATEGIES = ("leftmost", "rightmost", "random")
+
+
+class Arrow(NamedTuple):
     kind: str  # "mu" | "lam"
     i: int
     k: int
@@ -57,62 +73,81 @@ class TranslationQuiver:
         if len(self.ray_lengths) != m or any(x < 0 for x in self.ray_lengths):
             raise ValueError("need one nonnegative ray length per ray")
         self.horizon = horizon
+        size = sum(n + 1 for n in self.ray_lengths) * horizon
+        if size > MAX_VERTICES:
+            raise ValueError(f"tube has {size} vertices, more than the limit "
+                             f"of {MAX_VERTICES}")
+        self._compile()
+
+    def _compile(self):
+        """Build the tables from the arrow formulas and mesh rules of the
+        module docstring; nothing else evaluates them."""
+        m, horizon = self.m, self.horizon
+        out = {}     # vertex -> (outgoing mu or None, outgoing lam or None)
+        target = {}  # arrow -> its target, in vertex order, mu before lam
+        for i, n in enumerate(self.ray_lengths):
+            for k in range(n + 1):
+                for j in range(1, horizon + 1):
+                    mu = lam = None
+                    if j < horizon:
+                        mu = Arrow("mu", i, k, j)
+                        target[mu] = (i, k, j + 1)
+                    if k < n:
+                        lam = Arrow("lam", i, k, j)
+                        target[lam] = (i, k + 1, j)
+                    elif j >= 2:
+                        lam = Arrow("lam", i, k, j)
+                        target[lam] = ((i + 1) % m, 0, j - 1)
+                    out[(i, k, j)] = (mu, lam)
+        rhs = {}     # mu arrow -> (lam', mu') or ZERO
+        for (i, k, j), (mu, lam) in out.items():
+            if mu is None:
+                continue
+            if k < self.ray_lengths[i]:
+                rhs[mu] = (lam, out[(i, k + 1, j)][0])
+            elif j == 1:
+                rhs[mu] = ZERO
+            else:
+                rhs[mu] = (lam, out[((i + 1) % m, 0, j - 1)][0])
+        self._out, self._target, self._rhs = out, target, rhs
 
     def n_of(self, i: int) -> int:
         return self.ray_lengths[i % self.m]
 
     def vertices(self) -> list[Vertex]:
-        out = []
-        for i in range(self.m):
-            for k in range(self.n_of(i) + 1):
-                for j in range(1, self.horizon + 1):
-                    out.append((i, k, j))
-        return out
+        return list(self._out)
 
     def is_vertex(self, v: Vertex) -> bool:
-        i, k, j = v
-        return 0 <= i < self.m and 0 <= k <= self.n_of(i) and \
-            1 <= j <= self.horizon
+        return v in self._out
+
+    def _outgoing(self, v: Vertex):
+        try:
+            return self._out[v]
+        except KeyError:
+            raise ValueError(f"{v} is not a vertex of the quiver") from None
 
     def source(self, a: Arrow) -> Vertex:
-        return (a.i % self.m, a.k, a.j)
+        if a not in self._target:
+            raise ValueError(f"{a} is not an arrow of the quiver")
+        return (a.i, a.k, a.j)
 
     def target(self, a: Arrow) -> Vertex:
-        i = a.i % self.m
-        if a.kind == "mu":
-            return (i, a.k, a.j + 1)
-        if a.k < self.n_of(i):
-            return (i, a.k + 1, a.j)
-        return ((i + 1) % self.m, 0, a.j - 1)
+        try:
+            return self._target[a]
+        except KeyError:
+            raise ValueError(f"{a} is not an arrow of the quiver") from None
 
     def valid_arrow(self, a: Arrow) -> bool:
-        if a.kind not in ("mu", "lam"):
-            return False
-        src = self.source(a)
-        if not self.is_vertex(src):
-            return False
-        if a.kind == "lam" and a.k == self.n_of(a.i) and a.j < 2:
-            return False
-        return self.is_vertex(self.target(a))
+        return a in self._target
 
     def arrows(self) -> list[Arrow]:
-        out = []
-        for (i, k, j) in self.vertices():
-            mu = Arrow("mu", i, k, j)
-            if self.valid_arrow(mu):
-                out.append(mu)
-            lam = Arrow("lam", i, k, j)
-            if self.valid_arrow(lam):
-                out.append(lam)
-        return out
+        return list(self._target)
 
     def out_lam(self, v: Vertex) -> Arrow | None:
-        a = Arrow("lam", v[0], v[1], v[2])
-        return a if self.valid_arrow(a) else None
+        return self._outgoing(v)[1]
 
     def out_mu(self, v: Vertex) -> Arrow | None:
-        a = Arrow("mu", v[0], v[1], v[2])
-        return a if self.valid_arrow(a) else None
+        return self._outgoing(v)[0]
 
     def dot(self) -> str:
         """Graphviz export; mesh relations annotate the mu-arrows."""
@@ -123,10 +158,10 @@ class TranslationQuiver:
             s, t = self.source(a), self.target(a)
             attrs = [f'label="{a}"']
             if a.kind == "mu":
-                rel = _mesh_rhs(self, a)
+                rel = self._rhs[a]
                 if rel == ZERO:
                     attrs.append('comment="lam o mu = 0"')
-                elif rel is not None:
+                else:
                     attrs.append(f'comment="lam o mu = {rel[1]} o {rel[0]}"')
             lines.append(f'  "S{s}" -> "S{t}" [{", ".join(attrs)}];')
         lines.append("}")
@@ -150,6 +185,31 @@ def parse_tube_descriptor(text: str) -> TranslationQuiver:
     nstr = kv["n"].strip("[]")
     lengths = [int(x) for x in nstr.split(",") if x != ""]
     return TranslationQuiver(m, lengths, int(kv["horizon"]))
+
+
+def mesh_rule_failures(q: TranslationQuiver) -> tuple[int, list[Arrow]]:
+    """Critical-pair certificate for the compiled rules: the number of
+    rules, and the mu arrows whose rule does not rewrite the path mu;lam
+    to ZERO or to a composable lam';mu' with the same source and target.
+
+    With no failures rewriting is confluent on words of every length: the
+    left side mu;lam cannot overlap itself, so there are no critical pairs
+    (Knuth-Bendix), and each rewrite removes one mu-before-lam inversion,
+    so rewriting terminates (Newman's lemma)."""
+    bad = []
+    for mu, rhs in q._rhs.items():
+        lam = q.out_lam(q.target(mu))
+        if lam is None:
+            bad.append(mu)
+        elif rhs is not ZERO:
+            lam2, mu2 = rhs
+            if not (q.valid_arrow(lam2) and q.valid_arrow(mu2)
+                    and (lam2.kind, mu2.kind) == ("lam", "mu")
+                    and q.source(lam2) == q.source(mu)
+                    and q.target(lam2) == q.source(mu2)
+                    and q.target(mu2) == q.target(lam)):
+                bad.append(mu)
+    return len(q._rhs), bad
 
 
 # -- formal paths and normalization -----------------------------------------
@@ -190,12 +250,12 @@ def path_of(q: TranslationQuiver, arrows, coeff: int = 1) -> FormalPath:
     arrows = tuple(arrows)
     if not arrows:
         raise ValueError("use identity_path for empty words")
-    for a, b in zip(arrows, arrows[1:]):
-        if q.target(a) != q.source(b):
-            raise ValueError(f"non-composable at {a} ; {b}")
     for a in arrows:
         if not q.valid_arrow(a):
             raise ValueError(f"invalid arrow {a}")
+    for a, b in zip(arrows, arrows[1:]):
+        if q.target(a) != q.source(b):
+            raise ValueError(f"non-composable at {a} ; {b}")
     return FormalPath(coeff, q.source(arrows[0]), arrows)
 
 
@@ -205,84 +265,82 @@ def identity_path(q: TranslationQuiver, v: Vertex, coeff: int = 1) -> FormalPath
     return FormalPath(coeff, v, ())
 
 
-def _mesh_rhs(q: TranslationQuiver, mu: Arrow):
-    """Rewrite of [mu ; lam-at-target] in diagram order: the pair
-    (lam', mu') it equals, or ZERO at the rim base."""
-    i, k, j = mu.i % q.m, mu.k, mu.j
-    if k < q.n_of(i):
-        return (Arrow("lam", i, k, j), Arrow("mu", i, k + 1, j))
-    if j == 1:
-        return ZERO
-    return (Arrow("lam", i, k, j), Arrow("mu", (i + 1) % q.m, 0, j - 1))
-
-
 def normalize_path(q: TranslationQuiver, p: FormalPath,
                    strategy: str = "leftmost", seed: int = 0):
     """Rewrite to the canonical NormalPath (or ZERO) using the mesh rules;
     the strategy picks which redex to contract so confluence is testable."""
-    rng = random.Random(seed)
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    rng = None
+    rhs_of = q._rhs
     word = list(p.arrows)
+    # "m" or "l" per arrow; a redex is an occurrence of "ml"
+    kinds = "".join([a.kind[0] for a in word])
     while True:
-        redexes = [t for t in range(len(word) - 1)
-                   if word[t].kind == "mu" and word[t + 1].kind == "lam"]
-        if not redexes:
-            break
         if strategy == "leftmost":
-            t = redexes[0]
+            t = kinds.find("ml")
         elif strategy == "rightmost":
-            t = redexes[-1]
-        elif strategy == "random":
-            t = rng.choice(redexes)
+            t = kinds.rfind("ml")
         else:
-            raise ValueError("unknown strategy")
-        rhs = _mesh_rhs(q, word[t])
-        if rhs == ZERO:
+            redexes = [t for t in range(len(kinds) - 1)
+                       if kinds.startswith("ml", t)]
+            if not redexes:
+                break
+            if rng is None:
+                rng = random.Random(seed)
+            t = rng.choice(redexes)
+        if t < 0:
+            break
+        try:
+            rhs = rhs_of[word[t]]
+        except KeyError:
+            raise ValueError(f"{word[t]} is not an arrow of the "
+                             "quiver") from None
+        if rhs is ZERO:
             return ZERO
         word[t], word[t + 1] = rhs
-    nlam = sum(1 for a in word if a.kind == "lam")
-    nmu = len(word) - nlam
-    return NormalPath(p.coeff, p.start, nlam, nmu)
-
-
-def normal_path_target(q: TranslationQuiver, np: NormalPath) -> Vertex:
-    v = np.start
-    for _ in range(np.lam_steps):
-        a = q.out_lam(v)
-        if a is None:
-            raise ValueError("normal path leaves the quiver (lambda walk)")
-        v = q.target(a)
-    for _ in range(np.mu_steps):
-        a = q.out_mu(v)
-        if a is None:
-            raise ValueError("normal path leaves the quiver (mu climb)")
-        v = q.target(a)
-    return v
+        kinds = f"{kinds[:t]}lm{kinds[t + 2:]}"
+    nlam = kinds.count("l")
+    return NormalPath(p.coeff, p.start, nlam, len(kinds) - nlam)
 
 
 def normal_path_arrows(q: TranslationQuiver, np: NormalPath) -> list[Arrow]:
-    out = []
+    """The arrows of a normal path: its lambda-walk, then its mu-climb."""
+    if not q.is_vertex(np.start):
+        raise ValueError(f"{np.start} is not a vertex of the quiver")
+    out, target = q._out, q._target
+    arrows = []
     v = np.start
-    for _ in range(np.lam_steps):
-        a = q.out_lam(v)
-        out.append(a)
-        v = q.target(a)
-    for _ in range(np.mu_steps):
-        a = q.out_mu(v)
-        out.append(a)
-        v = q.target(a)
-    return out
+    for side, steps, walk in ((1, np.lam_steps, "lambda walk"),
+                              (0, np.mu_steps, "mu climb")):
+        for _ in range(steps):
+            a = out[v][side]
+            if a is None:
+                raise ValueError(f"normal path leaves the quiver ({walk})")
+            arrows.append(a)
+            v = target[a]
+    return arrows
+
+
+def normal_path_target(q: TranslationQuiver, np: NormalPath) -> Vertex:
+    arrows = normal_path_arrows(q, np)
+    return q.target(arrows[-1]) if arrows else np.start
 
 
 def all_paths_from(q: TranslationQuiver, v: Vertex, max_len: int):
     """All composable arrow words from v up to the given length."""
+    if not q.is_vertex(v):
+        raise ValueError(f"{v} is not a vertex of the quiver")
+    out, target = q._out, q._target
     frontier = [((), v)]
     for _ in range(max_len):
         nxt = []
         for word, end in frontier:
-            for a in (q.out_mu(end), q.out_lam(end)):
+            for a in out[end]:
                 if a is not None:
-                    yield word + (a,)
-                    nxt.append((word + (a,), q.target(a)))
+                    word_a = word + (a,)
+                    yield word_a
+                    nxt.append((word_a, target[a]))
         frontier = nxt
 
 
@@ -416,7 +474,3 @@ class SymbolicTube:
                     acc = comp
                 out[s][t] = acc
         return out
-
-
-def build_generalized_tube(q: TranslationQuiver) -> SymbolicTube:
-    return SymbolicTube(q)

@@ -66,6 +66,19 @@ def test_tube_dot_output():
     assert lines[0].startswith("digraph")
 
 
+def test_tube_over_size_limit_exits_2(monkeypatch, capsys):
+    from ppmod import tube
+
+    def refuse(self):
+        pytest.fail("an over-limit tube reached table compilation")
+
+    monkeypatch.setattr(tube.TranslationQuiver, "_compile", refuse)
+    rc = main(["tube", "--tube", "m=1 n=[0] horizon=1000000000",
+               "--hom-dim", "0,0,1->0,0,3"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"limit of {tube.MAX_VERTICES}" in err
+
 def test_scenario_file_run(tmp_path):
     scn = tmp_path / "scenario.txt"
     scn.write_text(

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppmod.tube import (Arrow, FormalPath, NormalPath, SymbolicTube, ZERO,
                         all_paths_from, build_ray_tube, hom_dimension,
@@ -201,3 +203,131 @@ def test_dot_export_contains_relations():
     dot = q.dot()
     assert dot.startswith("digraph")
     assert "lam o mu = 0" in dot
+
+
+def test_unknown_strategy_rejected_without_redex():
+    q = build_ray_tube(1, (0,), 4)
+    with pytest.raises(ValueError, match="unknown strategy"):
+        normalize_path(q, identity_path(q, (0, 0, 2)), "bogus")
+
+
+def test_arrow_on_ray_outside_range_is_invalid():
+    q = build_ray_tube(2, (1, 0), 6)
+    a = Arrow("mu", 5, 0, 1)
+    assert not q.valid_arrow(a)
+    assert a not in q.arrows()
+    with pytest.raises(ValueError):
+        path_of(q, [a])
+
+
+def test_target_of_missing_rim_arrow_raises():
+    q = build_ray_tube(2, (1, 0), 6)
+    a = Arrow("lam", 0, 1, 1)   # rim descent from stage 1 does not exist
+    assert not q.valid_arrow(a)
+    with pytest.raises(ValueError):
+        q.target(a)
+
+
+def test_path_of_checks_validity_before_composability():
+    q = build_ray_tube(2, (1, 0), 6)
+    # the pair is not composable, and its second arrow is not an arrow
+    with pytest.raises(ValueError, match="invalid arrow"):
+        path_of(q, [Arrow("mu", 0, 0, 1), Arrow("mu", 5, 0, 1)])
+
+
+# -- an independent reference for the compiled tables ------------------------
+#
+# Written from the arrow formulas and rewriting rules of the tube module's
+# docstring, on plain tuples, without the quiver's tables.
+
+
+def _ref_out(m, n, horizon, v):
+    """(mu, lam) leaving v, each as ((kind, i, k, j), target) or None."""
+    i, k, j = v
+    mu = (("mu", i, k, j), (i, k, j + 1)) if j < horizon else None
+    if k < n[i]:
+        lam = (("lam", i, k, j), (i, k + 1, j))
+    elif j >= 2:
+        lam = (("lam", i, k, j), ((i + 1) % m, 0, j - 1))
+    else:
+        lam = None
+    return mu, lam
+
+
+def _ref_normalize(m, n, word):
+    """Leftmost rewriting; ZERO or (lam_steps, mu_steps)."""
+    word = list(word)
+    while True:
+        redex = next((t for t in range(len(word) - 1)
+                      if word[t][0] == "mu" and word[t + 1][0] == "lam"),
+                     None)
+        if redex is None:
+            lam = sum(1 for a in word if a[0] == "lam")
+            return lam, len(word) - lam
+        _, i, k, j = word[redex]
+        if k < n[i]:
+            word[redex:redex + 2] = [("lam", i, k, j), ("mu", i, k + 1, j)]
+        elif j == 1:
+            return ZERO
+        else:
+            word[redex:redex + 2] = [("lam", i, k, j),
+                                     ("mu", (i + 1) % m, 0, j - 1)]
+
+
+@st.composite
+def _tube_and_word(draw):
+    m = draw(st.integers(1, 3))
+    n = tuple(draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)))
+    horizon = draw(st.integers(2, 7))
+    i = draw(st.integers(0, m - 1))
+    start = (i, draw(st.integers(0, n[i])), draw(st.integers(1, horizon)))
+    word, v = [], start
+    for _ in range(draw(st.integers(0, 10))):
+        steps = [s for s in _ref_out(m, n, horizon, v) if s is not None]
+        if not steps:
+            break
+        arrow, v = draw(st.sampled_from(steps))
+        word.append(arrow)
+    return m, n, horizon, start, word, draw(st.integers(0, 999))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tube_and_word())
+def test_compiled_tables_match_reference(case):
+    m, n, horizon, start, word, seed = case
+    q = build_ray_tube(m, n, horizon)
+    ref_vertices = [(i, k, j) for i in range(m) for k in range(n[i] + 1)
+                    for j in range(1, horizon + 1)]
+    assert q.vertices() == ref_vertices
+    ref_arrows = []
+    for v in ref_vertices:
+        mu, lam = _ref_out(m, n, horizon, v)
+        for got, ref in ((q.out_mu(v), mu), (q.out_lam(v), lam)):
+            if ref is None:
+                assert got is None
+            else:
+                assert got == Arrow(*ref[0])
+                assert q.target(got) == ref[1]
+                ref_arrows.append(ref[0])
+    assert q.arrows() == [Arrow(*a) for a in ref_arrows]
+
+    path = FormalPath(1, start, tuple(Arrow(*a) for a in word))
+    if word:
+        assert path_of(q, path.arrows) == path
+    expected = _ref_normalize(m, n, word)
+    if expected != ZERO:
+        expected = NormalPath(1, start, *expected)
+    for strategy in ("leftmost", "rightmost", "random"):
+        assert normalize_path(q, path, strategy, seed) == expected
+
+
+def test_mesh_rule_certificate_flags_a_broken_rule():
+    from ppmod.tube import mesh_rule_failures
+    q = build_ray_tube(2, (1, 0), 6)
+    count, failed = mesh_rule_failures(q)
+    assert count == sum(1 for a in q.arrows() if a.kind == "mu")
+    assert failed == []
+    mu = q.out_mu((0, 0, 2))
+    lam, _ = q._rhs[mu]
+    q._rhs[mu] = (lam, q.out_mu((0, 0, 2)))   # wrong climb after lam
+    assert mesh_rule_failures(q) == (count, [mu])
