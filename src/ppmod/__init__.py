@@ -14,12 +14,10 @@ from .algebra import (FDAlgebra, QuiverPresentation, algebra_from_quiver,
                       kronecker_algebra, truncated_dvr)
 from .modules import (Module, ModuleMap, Presentation, cokernel, direct_sum,
                       free_module, hom_space, identity_map, iso_test, k_dual,
-                      k_dual_map, module_generators, presentation_of,
-                      quotient_module, regular_module, submodule, zero_map,
-                      zero_module)
+                      module_generators, presentation_of, quotient_module,
+                      regular_module, submodule, zero_map, zero_module)
 from .decompose import (Decomposition, RadicalCalculus, decompose,
-                        hom_subspace, is_indecomposable, radical_power,
-                        radical_subspace)
+                        hom_subspace, is_indecomposable, radical_subspace)
 from .ppformula import (FreeRealization, PpFormula, PpPair, annihilator,
                         bottom, divisibility, dual, pp_meet, pp_sum,
                         pp_type_generator, pp_type_generator_of_element,

@@ -13,7 +13,6 @@ import argparse
 import json
 import shlex
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .algebra import kronecker_algebra, truncated_dvr
@@ -81,8 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coefficient field: a prime p or 'rational'")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--parallel", action="store_true",
-                   help="run scenario lines concurrently (buffered output)")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("suite", help="run acceptance suites")
@@ -268,15 +265,8 @@ def execute(args) -> tuple[int, list[str]]:
 def run_scenario(path: str, parser, base_args) -> tuple[int, list[str]]:
     with open(path) as fh:
         raw = fh.readlines()
-    jobs = []
-    for lineno, line in enumerate(raw, 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        jobs.append((lineno, stripped))
 
-    def one(job):
-        lineno, text = job
+    def one(lineno, text):
         try:
             argv = shlex.split(text)
             sub_args = parser.parse_args(
@@ -293,14 +283,13 @@ def run_scenario(path: str, parser, base_args) -> tuple[int, list[str]]:
         except ValueError as exc:
             return 2, [f"# line {lineno}: {exc}"]
 
-    if base_args.parallel:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(one, jobs))
-    else:
-        results = [one(j) for j in jobs]
     code = 0
     out = []
-    for (lineno, text), (rc, lines) in zip(jobs, results):
+    for lineno, line in enumerate(raw, 1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        rc, lines = one(lineno, text)
         out.append(f"## {text}")
         out.extend(lines)
         code = max(code, rc)

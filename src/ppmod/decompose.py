@@ -22,7 +22,8 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .linalg import Matrix, Subspace, subspace_meet, subspace_sum
+from .linalg import (Matrix, Subspace, combination, span_elements,
+                     subspace_meet, subspace_sum)
 from .modules import (Module, ModuleMap, hom_space, identity_map,
                       iso_test, submodule)
 
@@ -102,30 +103,23 @@ def _el_is_nilpotent(mat: Matrix, dim: int) -> bool:
 
 
 def _end_certify_local_finite(m: Module, basis: list[ModuleMap]):
-    """Enumerate End(M) over a finite field.  Returns (True, rad_dim) when
-    local, or (False, splitter) with a non-nilpotent non-invertible element."""
+    """Enumerate End(M) over a finite field.  Returns (True, rad) with a
+    coefficient basis of the radical (the nilpotents) when local, or
+    (False, splitter) with a non-nilpotent non-invertible element."""
     f = m.algebra.field
-    els = list(f.elements())
-    nilpotent_rows = []
-    count_nilpotent = 0
-    for combo in itertools.product(els, repeat=len(basis)):
-        mat = Matrix.zero(f, m.dim, m.dim)
-        for c, h in zip(combo, basis):
-            if c != f.zero():
-                mat = mat + h.mat.scale(c)
+    nilpotent = []
+    for coeffs, mat in span_elements([h.mat for h in basis],
+                                     Matrix.zero(f, m.dim, m.dim)):
         if mat.rank() == m.dim:
             continue
-        if _el_is_nilpotent(mat, m.dim):
-            count_nilpotent += 1
-            nilpotent_rows.append(list(combo))
-            continue
-        return False, ModuleMap(m, m, mat, check=False)
-    rad = Matrix.from_rows(f, nilpotent_rows).row_space() if nilpotent_rows \
-        else Matrix(f, 0, len(basis), [])
+        if not _el_is_nilpotent(mat, m.dim):
+            return False, ModuleMap(m, m, mat, check=False)
+        nilpotent.append(coeffs)
+    rad = Matrix.from_rows(f, nilpotent).row_space()
     # non-invertibles must form a linear subspace for a local ring
-    if f.p is not None and f.p ** rad.rows != count_nilpotent:
+    if f.p ** rad.rows != len(nilpotent):
         raise RuntimeError("endomorphism nilpotents do not form a subspace")
-    return True, rad.rows
+    return True, rad.data
 
 
 def _end_radical_dickson(basis: list[ModuleMap]) -> list[list]:
@@ -156,13 +150,10 @@ def _min_poly_coeffs(mat: Matrix, f) -> list:
 
 
 def _eval_poly_coeffs(coeffs, mat: Matrix, f) -> Matrix:
-    out = Matrix.zero(f, mat.rows, mat.rows)
-    power = Matrix.identity(f, mat.rows)
-    for c in coeffs:
-        if c != f.zero():
-            out = out + power.scale(c)
-        power = power * mat
-    return out
+    powers = [Matrix.identity(f, mat.rows)]
+    for _ in coeffs[1:]:
+        powers.append(powers[-1] * mat)
+    return combination(coeffs, powers)
 
 
 def _end_certify_local_rational(m: Module, basis: list[ModuleMap]):
@@ -173,25 +164,23 @@ def _end_certify_local_rational(m: Module, basis: list[ModuleMap]):
     primitive element with irreducible minimal polynomial of full degree.
     """
     f = m.algebra.field
-    rad_dim = len(_end_radical_dickson(basis))
-    top_dim = len(basis) - rad_dim
+    rad = _end_radical_dickson(basis)
+    top_dim = len(basis) - len(rad)
     if top_dim == 1:
-        return True, rad_dim
+        return True, rad
     from fractions import Fraction
     from sympy import Poly, Rational, Symbol, div, invert
     t = Symbol("t")
     rng = random.Random(7)
     for attempt in range(60):
         coeffs = [f.of(rng.randint(-3, 3)) for _ in range(len(basis))]
-        mat = Matrix.zero(f, m.dim, m.dim)
-        for c, h in zip(coeffs, basis):
-            mat = mat + h.mat.scale(c)
+        mat = combination(coeffs, [h.mat for h in basis])
         rel = _min_poly_coeffs(mat, f)
         poly = Poly([Rational(str(c)) for c in reversed(rel)], t)
         factors = poly.factor_list()[1]
         if len(factors) == 1 and factors[0][1] == 1 \
                 and factors[0][0].degree() == top_dim:
-            return True, rad_dim
+            return True, rad
         if len(factors) > 1:
             # CRT idempotent: e = rest * (rest^{-1} mod g1), so e = 1 mod g1
             # and e = 0 mod rest; nontrivial idempotent of QQ[mat]
@@ -210,26 +199,26 @@ def _end_certify_local_rational(m: Module, basis: list[ModuleMap]):
     raise RuntimeError("cannot certify local endomorphism ring over QQ")
 
 
-def _find_splitter(m: Module, basis: list[ModuleMap], rng: random.Random):
-    """A Fitting split, searching basis elements, sums, products, then a
-    seeded random sample."""
-    candidates: list[ModuleMap] = list(basis)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            candidates.append(basis[i] + basis[j])
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            if i != j:
-                candidates.append(ModuleMap(
-                    m, m, basis[i].mat * basis[j].mat, check=False))
-    f = m.algebra.field
-    pool = list(f.elements()) if f.p is not None else [f.of(v) for v in (-2, -1, 0, 1, 2)]
+def _splitter_candidates(m: Module, basis: list[ModuleMap],
+                         rng: random.Random):
+    """Basis elements, pairwise sums, pairwise products, then 512 seeded
+    random combinations over the finite field, each made when it is
+    reached (rng is drawn only for the random ones)."""
+    yield from basis
+    for a, b in itertools.combinations(basis, 2):
+        yield a + b
+    for a, b in itertools.permutations(basis, 2):
+        yield ModuleMap(m, m, a.mat * b.mat, check=False)
+    pool = list(m.algebra.field.elements())
+    mats = [h.mat for h in basis]
     for _ in range(512):
-        mat = Matrix.zero(f, m.dim, m.dim)
-        for h in basis:
-            mat = mat + h.mat.scale(rng.choice(pool))
-        candidates.append(ModuleMap(m, m, mat, check=False))
-    for cand in candidates:
+        coeffs = [rng.choice(pool) for _ in mats]
+        yield ModuleMap(m, m, combination(coeffs, mats), check=False)
+
+
+def _find_splitter(m: Module, basis: list[ModuleMap], rng: random.Random):
+    """The Fitting split of the first candidate that has one, or None."""
+    for cand in _splitter_candidates(m, basis, rng):
         split = _fitting_split(m, cand)
         if split is not None:
             return split
@@ -244,24 +233,20 @@ def _split_indecomposable(m: Module, rng: random.Random):
     f = m.algebra.field
     if len(ends) == 1:
         return [(m, identity_map(m), identity_map(m), 1, 0)]
-    enumerable = f.p is not None and f.p ** len(ends) <= _ENUM_LIMIT
-    if enumerable:
-        ok, info = _end_certify_local_finite(m, ends)
-        if ok:
-            return [(m, identity_map(m), identity_map(m), len(ends), info)]
-        split = _fitting_split(m, info)
+    if f.p is not None and f.p ** len(ends) > _ENUM_LIMIT:
+        split = _find_splitter(m, ends, rng)
+        if split is None:
+            raise RuntimeError(
+                "no splitting endomorphism found and End too large to "
+                "certify; not expected on the supported universes")
     else:
-        if f.p is None:
-            ok, info = _end_certify_local_rational(m, ends)
-            if ok:
-                return [(m, identity_map(m), identity_map(m), len(ends), info)]
-            split = _fitting_split(m, info)
-        else:
-            split = _find_splitter(m, ends, rng)
-            if split is None:
-                raise RuntimeError(
-                    "no splitting endomorphism found and End too large to "
-                    "certify; not expected on the supported universes")
+        certify = _end_certify_local_rational if f.p is None \
+            else _end_certify_local_finite
+        local, info = certify(m, ends)
+        if local:
+            return [(m, identity_map(m), identity_map(m), len(ends),
+                     len(info))]
+        split = _fitting_split(m, info)
     if split is None:
         raise RuntimeError("splitter produced no Fitting decomposition")
     parts = _split_by_subspaces(m, list(split))
@@ -319,35 +304,18 @@ def _rad_of_local_end(m: Module) -> list[Matrix]:
     the nilpotents; QQ: the trace-form radical)."""
     ends = hom_space(m, m)
     f = m.algebra.field
-    if len(ends) == 1:
+    if len(ends) <= 1:
         return []
-    if f.p is not None:
+    if f.p is None:
+        rad = _end_radical_dickson(ends)
+    else:
         if f.p ** len(ends) > _ENUM_LIMIT:
             raise RuntimeError("End too large to enumerate")
-        rows = []
-        for combo in itertools.product(list(f.elements()), repeat=len(ends)):
-            mat = Matrix.zero(f, m.dim, m.dim)
-            for c, h in zip(combo, ends):
-                if c != f.zero():
-                    mat = mat + h.mat.scale(c)
-            if mat.rank() < m.dim:
-                if not _el_is_nilpotent(mat, m.dim):
-                    raise ValueError("End(M) is not local")
-                rows.append([x for r in mat.data for x in r])
-        if not rows:
-            return []
-        basis = Matrix.from_rows(f, rows).row_space()
-        return [Matrix(f, m.dim, m.dim,
-                       [v[i * m.dim:(i + 1) * m.dim] for i in range(m.dim)])
-                for v in basis.data]
-    combos = _end_radical_dickson(ends)
-    out = []
-    for row in combos:
-        mat = Matrix.zero(f, m.dim, m.dim)
-        for c, h in zip(row, ends):
-            mat = mat + h.mat.scale(c)
-        out.append(mat)
-    return out
+        local, rad = _end_certify_local_finite(m, ends)
+        if not local:
+            raise ValueError("End(M) is not local")
+    mats = [h.mat for h in ends]
+    return [combination(coeffs, mats) for coeffs in rad]
 
 
 def radical_subspace(m: Module, n: Module, seed: int = 0) -> Subspace:
@@ -448,8 +416,3 @@ class RadicalCalculus:
                 return t
             prev = cur
         return None
-
-
-def radical_power(m: Module, n: Module, t: int, universe: list[Module],
-                  seed: int = 0) -> Subspace:
-    return RadicalCalculus(universe, seed).rad_power(m, n, t)

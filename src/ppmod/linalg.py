@@ -249,6 +249,59 @@ class Matrix:
         return self.rows == self.cols and self.rank() == self.rows
 
 
+# -- spans of a few matrices ---------------------------------------------
+
+
+def combination(coeffs, mats) -> Matrix:
+    """sum_i coeffs[i] * mats[i] for a non-empty list of same-shape
+    matrices (zero coefficients are skipped)."""
+    first = mats[0]
+    f = first.field
+    z = f.zero()
+    acc = [[z] * first.cols for _ in range(first.rows)]
+    for c, m in zip(coeffs, mats):
+        if (m.rows, m.cols) != (first.rows, first.cols):
+            raise ValueError("shape mismatch in combination")
+        if c != z:
+            acc = [[x + c * y for x, y in zip(ra, rm)]
+                   for ra, rm in zip(acc, m.data)]
+    if f.p is not None:
+        acc = [[x % f.p for x in r] for r in acc]
+    return Matrix(f, first.rows, first.cols, acc)
+
+
+def span_elements(mats, zero: Matrix):
+    """Every element of the span of mats over GF(p), as (coeffs, matrix),
+    in itertools.product(range(p), repeat=len(mats)) order; zero is the
+    zero matrix of the common shape (the whole span when mats is empty).
+
+    Lexicographic order changes a digit either from c to c + 1 or, on a
+    carry, from p - 1 to 0; both add mats[j] once, so each step costs about
+    one matrix addition instead of a rebuild from the coefficients."""
+    f = zero.field
+    p = f.p
+    if p is None:
+        raise TypeError("the span over the rationals is not enumerable")
+    rows, cols = zero.rows, zero.cols
+    if any((m.rows, m.cols) != (rows, cols) for m in mats):
+        raise ValueError("shape mismatch in span_elements")
+    steps = [m.data for m in mats]
+    coeffs = [0] * len(mats)
+    acc = zero.data
+    while True:
+        yield tuple(coeffs), Matrix(f, rows, cols, acc)
+        j = len(mats) - 1
+        while j >= 0:
+            acc = tuple(tuple((x + y) % p for x, y in zip(ra, rm))
+                        for ra, rm in zip(acc, steps[j]))
+            coeffs[j] = (coeffs[j] + 1) % p
+            if coeffs[j]:
+                break
+            j -= 1
+        if j < 0:
+            return
+
+
 # -- GF(2) packed kernels ----------------------------------------------
 
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 import itertools
 
 from .algebra import FDAlgebra
-from .linalg import Matrix, Subspace, subspace_leq, subspace_sum
+from .linalg import (Matrix, Subspace, combination, span_elements,
+                     subspace_leq, subspace_sum)
 
 _module_serial = itertools.count()
 
@@ -63,12 +64,7 @@ class Module:
         hit = self._act_cache.get(el)
         if hit is not None:
             return hit
-        f = self.algebra.field
-        z = f.zero()
-        out = Matrix.zero(f, self.dim, self.dim)
-        for c, m in zip(el, self.action):
-            if c != z:
-                out = out + (m if c == f.one() else m.scale(c))
+        out = combination(el, self.action)
         self._act_cache[el] = out
         return out
 
@@ -80,8 +76,10 @@ class Module:
     def elements(self):
         """All module elements as row vectors (finite fields only)."""
         f = self.algebra.field
-        for combo in itertools.product(list(f.elements()), repeat=self.dim):
-            yield combo
+        units = Matrix.identity(f, self.dim).data
+        rows = [Matrix(f, 1, self.dim, [u]) for u in units]
+        for vec, _ in span_elements(rows, Matrix.zero(f, 1, self.dim)):
+            yield vec
 
     def __repr__(self):
         lab = self.label or f"M{self.serial}"
@@ -258,10 +256,6 @@ def hom_dim(m: Module, n: Module) -> int:
     return len(hom_space(m, n))
 
 
-def end_ring(m: Module) -> list[ModuleMap]:
-    return hom_space(m, m)
-
-
 # -- duals -----------------------------------------------------------------
 
 
@@ -270,12 +264,6 @@ def k_dual(m: Module) -> Module:
     algebra (right modules over A.op are left A-modules)."""
     return Module(m.algebra.op, m.dim, [a.transpose() for a in m.action],
                   label=(m.label + "*") if m.label else "", check=False)
-
-
-def k_dual_map(f: ModuleMap) -> ModuleMap:
-    """Dual map between the dual modules (direction reverses)."""
-    return ModuleMap(k_dual(f.target), k_dual(f.source), f.mat.transpose(),
-                     check=False)
 
 
 # -- direct sums, submodules, quotients -------------------------------------
@@ -414,13 +402,9 @@ def iso_test(m: Module, n: Module, rng=None, tries: int = 64) -> ModuleMap | Non
             h = basis[i] + basis[j]
             if h.is_iso():
                 return h
+    mats = [h.mat for h in basis]
     if f.p is not None and f.p ** len(basis) <= 1 << 12:
-        els = list(f.elements())
-        for combo in itertools.product(els, repeat=len(basis)):
-            mat = Matrix.zero(f, m.dim, n.dim)
-            for c, h in zip(combo, basis):
-                if c != f.zero():
-                    mat = mat + h.mat.scale(c)
+        for _, mat in span_elements(mats, Matrix.zero(f, m.dim, n.dim)):
             if mat.rank() == m.dim:
                 return ModuleMap(m, n, mat, check=False)
         return None
@@ -428,9 +412,7 @@ def iso_test(m: Module, n: Module, rng=None, tries: int = 64) -> ModuleMap | Non
     rng = rng or random.Random(0)
     pool = list(f.elements()) if f.p is not None else [f.of(v) for v in (-2, -1, 0, 1, 2, 3)]
     for _ in range(tries):
-        mat = Matrix.zero(f, m.dim, n.dim)
-        for h in basis:
-            mat = mat + h.mat.scale(rng.choice(pool))
+        mat = combination([rng.choice(pool) for _ in mats], mats)
         if mat.rank() == m.dim:
             return ModuleMap(m, n, mat, check=False)
     return None

@@ -8,8 +8,6 @@ each step is a single packed XOR.
 
 from __future__ import annotations
 
-import itertools
-
 from .linalg import Subspace
 from .modules import Module
 from .ppformula import PpFormula
@@ -85,34 +83,4 @@ def subspace_int_set(s: Subspace) -> set[int]:
             b >>= 1
             i += 1
         out.add(v)
-    return out
-
-
-def brute_eval_slow(phi: PpFormula, module: Module) -> set[tuple]:
-    """Field-generic witness enumeration (small finite cases only)."""
-    f = module.algebra.field
-    d = module.dim
-    n, l, m = phi.n, phi.l, phi.m
-    els = list(f.elements())
-    out = set()
-    for xs in itertools.product(els, repeat=n * d):
-        xt = [xs[i * d:(i + 1) * d] for i in range(n)]
-        ok = False
-        for ys in itertools.product(els, repeat=l * d):
-            yt = [ys[i * d:(i + 1) * d] for i in range(l)]
-            good = True
-            for e in range(m):
-                acc = [f.zero()] * d
-                for v in range(n + l):
-                    vec = xt[v] if v < n else yt[v - n]
-                    img = module.apply(vec, phi.hmat[v][e])
-                    acc = [f.add(a, b) for a, b in zip(acc, img)]
-                if any(a != f.zero() for a in acc):
-                    good = False
-                    break
-            if good:
-                ok = True
-                break
-        if ok:
-            out.add(tuple(xs))
     return out

@@ -17,8 +17,8 @@ syntactically.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import threading
 from dataclasses import dataclass
 
 from .algebra import FDAlgebra
@@ -30,7 +30,7 @@ RIGHT = "right"
 LEFT = "left"
 
 _counter = itertools.count()
-_cache_lock = threading.Lock()
+PRESENTATION_CACHE_SIZE = 256
 
 
 class PpFormula:
@@ -79,8 +79,7 @@ class PpFormula:
         concatenated component by component)."""
         if module.algebra is not self.effective_algebra:
             raise ValueError("module is on the wrong side or algebra")
-        with _cache_lock:
-            hit = self._eval_cache.get(module.serial)
+        hit = self._eval_cache.get(module.serial)
         if hit is not None:
             return hit
         f = self.algebra.field
@@ -104,8 +103,7 @@ class PpFormula:
             sols = big.left_kernel()
             proj = sols.take_cols(range(self.n * d))
             result = Subspace.from_matrix(self.n * d, proj)
-        with _cache_lock:
-            self._eval_cache[module.serial] = result
+        self._eval_cache[module.serial] = result
         return result
 
     # -- free realization and implication ------------------------------
@@ -312,12 +310,14 @@ def pp_type_generator(pres: Presentation, tup, side: str = RIGHT) -> PpFormula:
     return PpFormula(nominal, side, n, s, rows)
 
 
-def pp_type_generator_of_element(module: Module, vec, side: str = RIGHT,
-                                 _pres_cache: dict = {}) -> PpFormula:
+@functools.lru_cache(maxsize=PRESENTATION_CACHE_SIZE)
+def _cached_presentation(module: Module) -> Presentation:
+    return presentation_of(module)
+
+
+def pp_type_generator_of_element(module: Module, vec, side: str = RIGHT
+                                 ) -> PpFormula:
     """Generator of the pp-type of a single element of a module (the
-    module's presentation is computed once and cached on its serial)."""
-    pres = _pres_cache.get(module.serial)
-    if pres is None:
-        pres = presentation_of(module)
-        _pres_cache[module.serial] = pres
+    presentations of the last PRESENTATION_CACHE_SIZE modules are kept)."""
+    pres = _cached_presentation(module)
     return pp_type_generator(pres, (tuple(vec),), side=side)

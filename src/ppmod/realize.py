@@ -83,10 +83,6 @@ def verify_pushout_pullback(top: ModuleMap, left: ModuleMap,
     }
 
 
-def is_bicartesian(top, left, right, bottom) -> bool:
-    return verify_pushout_pullback(top, left, right, bottom)["bicartesian"]
-
-
 @dataclass
 class RealizedTube:
     """Ladder of stage modules and maps in a tower, all squares verified."""

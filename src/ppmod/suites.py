@@ -17,7 +17,7 @@ from .catalog import (dvr_chain_module, dvr_universe, kronecker_preprojective,
                       kronecker_universe, random_quotient_of_free)
 from .decompose import RadicalCalculus, decompose
 from .fields import GF
-from .linalg import Matrix, subspace_leq
+from .linalg import Matrix, span_elements, subspace_leq
 from .modules import (ModuleMap, direct_sum, hom_space, iso_test, k_dual)
 from .oracles import brute_eval_f2, subspace_int_set
 from .ppformula import (LEFT, PpFormula, PpPair, annihilator, bottom,
@@ -29,7 +29,7 @@ from .realize import realize_in_tower, verify_bimodule_idempotents
 from .tower import all_labels, build_tower, classify, construct_label, f0, f1
 from .tube import SymbolicTube, FormalPath, ZERO, all_paths_from, \
     build_ray_tube, hom_dimension, mesh_rule_failures, normal_path_arrows, \
-    normal_path_target, normalize_path
+    normalize_path
 from .ziegler import (PointSet, adic, closure, fin_len, is_closed,
                       point_closure, points, prufer, qpoint,
                       random_point_set)
@@ -377,7 +377,7 @@ def suite_mesh(seed: int = 0) -> SuiteResult:
                     kinds = [a.kind for a in arrows]
                     if kinds != sorted(kinds):
                         bad.append(("shape", m, lengths, v))
-                    end = normal_path_target(q, ref)
+                    end = q.target(arrows[-1]) if arrows else ref.start
                     if end[:2] == v[:2]:
                         # ray-to-ray: the lambda descent is whole rim loops
                         lam_end_stage = end[2] - ref.mu_steps
@@ -462,13 +462,11 @@ def suite_short_probes(seed: int = 0) -> SuiteResult:
 # -- criterion 8 ---------------------------------------------------------------
 
 
-@_timed
-def suite_radical(seed: int = 0) -> SuiteResult:
-    """Structural radical membership agrees with the strict pp-type
-    increase criterion, by full enumeration; radical powers stabilize."""
+def radical_universes() -> dict[str, list]:
+    """The declared GF(2) universes of the radical suite."""
     dvr3 = truncated_dvr(3, F2)
     kron = kronecker_algebra(F2)
-    universes = {
+    return {
         "chain": [dvr_chain_module(dvr3, 1), dvr_chain_module(dvr3, 2),
                   dvr_chain_module(dvr3, 3),
                   direct_sum([dvr_chain_module(dvr3, 1),
@@ -480,6 +478,13 @@ def suite_radical(seed: int = 0) -> SuiteResult:
                          kronecker_regular(kron, 0, 1),
                          kronecker_regular(kron, 1, 1)],
     }
+
+
+@_timed
+def suite_radical(seed: int = 0) -> SuiteResult:
+    """Structural radical membership agrees with the strict pp-type
+    increase criterion, by full enumeration; radical powers stabilize."""
+    universes = radical_universes()
     bad = []
     maps_checked = 0
     gen_cache: dict = {}
@@ -496,12 +501,9 @@ def suite_radical(seed: int = 0) -> SuiteResult:
             if a.dim > 4 or b.dim > 4:
                 continue
             rad = calc.rad(a, b)
-            homs = hom_space(a, b)
-            for bits in range(1 << len(homs)):
-                mat = Matrix.zero(F2, a.dim, b.dim)
-                for i in range(len(homs)):
-                    if (bits >> i) & 1:
-                        mat = mat + homs[i].mat
+            homs = [h.mat for h in hom_space(a, b)]
+            for coeffs, mat in span_elements(homs,
+                                             Matrix.zero(F2, a.dim, b.dim)):
                 fmap = ModuleMap(a, b, mat, check=False)
                 maps_checked += 1
                 vec = [x for row in mat.data for x in row]
@@ -516,7 +518,7 @@ def suite_radical(seed: int = 0) -> SuiteResult:
                         criterion = False
                         break
                 if structural != criterion:
-                    bad.append((name, a.label, b.label, bits))
+                    bad.append((name, a.label, b.label, coeffs))
             exp = calc.stabilization_exponent(a, b, t_max=10)
             if exp is None:
                 bad.append((name, a.label, b.label, "no stabilization"))
@@ -624,7 +626,3 @@ SUITES = {
 }
 
 CRITERIA_ORDER = list(SUITES)
-
-
-def run_all(seed: int = 0) -> list[SuiteResult]:
-    return [SUITES[name](seed) for name in CRITERIA_ORDER]

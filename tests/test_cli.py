@@ -91,17 +91,6 @@ def test_scenario_file_run(tmp_path):
     assert rc == 0
 
 
-def test_scenario_parallel_matches_serial(tmp_path, capsys):
-    scn = tmp_path / "scenario.txt"
-    scn.write_text("ziegler points --n 1\nziegler points --n 2\n")
-    rc1 = main(["run", str(scn)])
-    out1 = capsys.readouterr().out
-    rc2 = main(["--parallel", "run", str(scn)])
-    out2 = capsys.readouterr().out
-    assert rc1 == rc2 == 0
-    assert out1 == out2
-
-
 def test_scenario_parse_error_exit_code(tmp_path, capsys):
     scn = tmp_path / "bad.txt"
     scn.write_text("classify --N nope\n")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,8 +8,12 @@ from ppmod.algebra import truncated_dvr
 from ppmod.linalg import Matrix, subspace_leq
 from ppmod.modules import (direct_sum, hom_space, identity_map, iso_test,
                            zero_module)
-from ppmod.decompose import (RadicalCalculus, decompose, hom_subspace,
+from ppmod.decompose import (RadicalCalculus, _find_splitter,
+                             _fitting_split, _rad_of_local_end,
+                             _splitter_candidates, decompose, hom_subspace,
                              is_indecomposable, radical_subspace)
+from ppmod.linalg import Subspace
+from ppmod.suites import radical_universes
 from ppmod.catalog import (dvr_chain_module, dvr_universe,
                            kronecker_preprojective, kronecker_regular,
                            random_quotient_of_free)
@@ -194,3 +199,65 @@ def test_radical_power_descending_chain(dvr3):
         cur = calc.rad_power(v3, v3, t)
         assert subspace_leq(cur, prev)
         prev = cur
+
+
+class _NoDraws(random.Random):
+    def choice(self, seq):
+        raise AssertionError("random candidate drawn")
+
+
+def test_find_splitter_draws_nothing_when_basis_splits(dvr3):
+    v1 = dvr_chain_module(dvr3, 1)
+    m, _, _ = direct_sum([v1, v1])
+    ends = hom_space(m, m)
+    assert _fitting_split(m, ends[0]) is not None
+    split = _find_splitter(m, ends, _NoDraws())
+    assert split is not None and split[0].dim + split[1].dim == m.dim
+
+
+def test_splitter_candidates_keep_the_eager_order(dvr3):
+    m, _, _ = direct_sum([dvr_chain_module(dvr3, 1),
+                          dvr_chain_module(dvr3, 2)])
+    basis = hom_space(m, m)
+    rng = random.Random(5)
+    eager = [h.mat for h in basis]
+    eager += [(a + b).mat for a, b in itertools.combinations(basis, 2)]
+    eager += [a.mat * b.mat for a, b in itertools.permutations(basis, 2)]
+    for _ in range(512):
+        mat = Matrix.zero(F2, m.dim, m.dim)
+        for h in basis:
+            mat = mat + h.mat.scale(rng.choice([0, 1]))
+        eager.append(mat)
+    lazy = _splitter_candidates(m, basis, random.Random(5))
+    assert [c.mat for c in lazy] == eager
+
+
+def _vectorized(f, amb, mats):
+    if not mats:
+        return Subspace.zero(f, amb)
+    return Subspace.from_matrix(amb, Matrix.from_rows(
+        f, [[x for r in mat.data for x in r] for mat in mats]))
+
+
+@pytest.mark.parametrize("name", sorted(radical_universes()))
+def test_rad_of_local_end_spans_the_nilpotents(name):
+    for m in radical_universes()[name]:
+        for s in decompose(m).summands:
+            u = s.module
+            ends = hom_space(u, u)
+            nilpotent = []
+            for combo in itertools.product((0, 1), repeat=len(ends)):
+                mat = Matrix.zero(F2, u.dim, u.dim)
+                for c, h in zip(combo, ends):
+                    if c:
+                        mat = mat + h.mat
+                power = Matrix.identity(F2, u.dim)
+                for _ in range(u.dim):
+                    power = power * mat
+                if power.is_zero():
+                    nilpotent.append(mat)
+            rad = _rad_of_local_end(u)
+            assert len(rad) == s.end_rad_dim
+            amb = u.dim * u.dim
+            assert _vectorized(F2, amb, rad) == \
+                _vectorized(F2, amb, nilpotent)

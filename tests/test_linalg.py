@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppmod.fields import GF, QQ
-from ppmod.linalg import (Matrix, Subspace, kernel, subspace_leq,
-                          subspace_meet, subspace_sum)
+from ppmod.linalg import (Matrix, Subspace, combination, kernel,
+                          span_elements, subspace_leq, subspace_meet,
+                          subspace_sum)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -161,3 +162,33 @@ def test_zero_dim_edge_cases():
     assert kernel(z).dim == 3
     zz = Matrix(F2, 2, 0, [(), ()])
     assert kernel(zz).dim == 0
+
+
+@st.composite
+def span_input(draw):
+    """A field GF(2) or GF(3), a shape up to 3x3 and k = 0..4 matrices."""
+    f = draw(st.sampled_from([F2, F3]))
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    k = draw(st.integers(0, 4))
+    entries = st.lists(st.lists(st.integers(0, f.p - 1), min_size=cols,
+                                max_size=cols), min_size=rows, max_size=rows)
+    mats = [Matrix(f, rows, cols, draw(entries)) for _ in range(k)]
+    return f, rows, cols, mats
+
+
+@settings(max_examples=150, deadline=None)
+@given(span_input())
+def test_span_elements_matches_product_rebuild(inp):
+    f, rows, cols, mats = inp
+    zero = Matrix.zero(f, rows, cols)
+    expected = []
+    for combo in itertools.product(list(f.elements()), repeat=len(mats)):
+        mat = zero
+        for c, m in zip(combo, mats):
+            if c != f.zero():
+                mat = mat + m.scale(c)
+        expected.append((combo, mat))
+    got = list(span_elements(mats, zero))
+    assert got == expected
+    if mats:
+        assert all(combination(c, mats) == m for c, m in expected)
