@@ -83,6 +83,10 @@ class FDAlgebra:
     def el_from_label(self, label: str):
         if label in ("1", "one", "unit"):
             return self.unit
+        if label not in self.labels:
+            valid = ", ".join(dict.fromkeys(("1",) + self.labels))
+            raise ValueError(f"unknown ring element {label!r} of {self.name}"
+                             f" (valid: {valid})")
         return self.basis_el(self.labels.index(label))
 
     def el_str(self, v) -> str:

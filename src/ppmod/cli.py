@@ -34,17 +34,18 @@ from .ziegler import (CLOSURE_ASSUMPTION, closure, is_closed, parse_point_set,
 
 
 def _algebra_from_spec(spec: str, field):
-    parts = spec.split(":")
-    if parts[0] == "dvr":
-        n = int(parts[1])
-        return truncated_dvr(n, field), n
-    if parts[0] == "kronecker":
+    kind, *nums = spec.split(":")
+    arity = {"dvr": 1, "kronecker": 0, "tower": 2}.get(kind)
+    if len(nums) != arity or not all(x.isdecimal() for x in nums):
+        raise ValueError(f"unknown algebra spec {spec!r} "
+                         "(use dvr:N, kronecker, tower:N:n)")
+    nums = [int(x) for x in nums]
+    if kind == "dvr":
+        return truncated_dvr(nums[0], field), nums[0]
+    if kind == "kronecker":
         return kronecker_algebra(field), None
-    if parts[0] == "tower":
-        tower = build_tower(int(parts[1]), int(parts[2]), field)
-        return tower.top, tower.N
-    raise ValueError(f"unknown algebra spec {spec!r} "
-                     "(use dvr:N, kronecker, tower:N:n)")
+    tower = build_tower(*nums, field)
+    return tower.top, tower.N
 
 
 def _module_from_literal(alg, text: str):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .linalg import (Matrix, Subspace, combination, span_elements,
                      subspace_meet, subspace_sum)
 from .modules import (Module, ModuleMap, hom_space, identity_map,
-                      iso_test, submodule)
+                      indecomposable_iso, submodule)
 
 _ENUM_LIMIT = 1 << 14
 
@@ -36,7 +36,11 @@ class Summand:
     inject: ModuleMap      # module -> parent
     project: ModuleMap     # parent -> module
     end_dim: int
-    end_rad_dim: int
+    rad: list[Matrix]      # basis of rad End(module)
+
+    @property
+    def end_rad_dim(self) -> int:
+        return len(self.rad)
 
     @property
     def idempotent(self) -> ModuleMap:
@@ -226,13 +230,14 @@ def _find_splitter(m: Module, basis: list[ModuleMap], rng: random.Random):
 
 
 def _split_indecomposable(m: Module, rng: random.Random):
-    """[(module, inj, proj, end_dim, end_rad_dim)] of indecomposables."""
+    """[(module, inj, proj, end_dim, rad)] of indecomposables, rad a basis
+    of rad End(module)."""
     if m.dim == 0:
         return []
     ends = hom_space(m, m)
     f = m.algebra.field
     if len(ends) == 1:
-        return [(m, identity_map(m), identity_map(m), 1, 0)]
+        return [(m, identity_map(m), identity_map(m), 1, [])]
     if f.p is not None and f.p ** len(ends) > _ENUM_LIMIT:
         split = _find_splitter(m, ends, rng)
         if split is None:
@@ -244,16 +249,17 @@ def _split_indecomposable(m: Module, rng: random.Random):
             else _end_certify_local_finite
         local, info = certify(m, ends)
         if local:
+            mats = [h.mat for h in ends]
             return [(m, identity_map(m), identity_map(m), len(ends),
-                     len(info))]
+                     [combination(c, mats) for c in info])]
         split = _fitting_split(m, info)
     if split is None:
         raise RuntimeError("splitter produced no Fitting decomposition")
     parts = _split_by_subspaces(m, list(split))
     out = []
     for sub, inj, proj in parts:
-        for (u, inj2, proj2, ed, erd) in _split_indecomposable(sub, rng):
-            out.append((u, inj2.then(inj), proj.then(proj2), ed, erd))
+        for (u, inj2, proj2, ed, rad) in _split_indecomposable(sub, rng):
+            out.append((u, inj2.then(inj), proj.then(proj2), ed, rad))
     return out
 
 
@@ -262,18 +268,15 @@ def decompose(m: Module, seed: int = 0) -> Decomposition:
     idempotents and multiplicities.  Deterministic for a fixed seed."""
     rng = random.Random(seed)
     raw = _split_indecomposable(m, rng)
-    summands = [Summand(u, inj, proj, ed, erd) for u, inj, proj, ed, erd in raw]
+    summands = [Summand(*part) for part in raw]
     decomp = Decomposition(m, summands)
     classes: list[tuple[Summand, int, list[int]]] = []
     for i, s in enumerate(summands):
-        placed = False
         for ci, (rep, mult, idx) in enumerate(classes):
-            if s.module.dim == rep.module.dim and \
-                    iso_test(s.module, rep.module) is not None:
+            if indecomposable_iso(s.module, rep.module) is not None:
                 classes[ci] = (rep, mult + 1, idx + [i])
-                placed = True
                 break
-        if not placed:
+        else:
             classes.append((s, 1, [i]))
     decomp.classes = classes
     return decomp
@@ -299,25 +302,6 @@ def hom_subspace(m: Module, n: Module) -> Subspace:
     return Subspace.from_matrix(amb, Matrix.from_rows(f, rows))
 
 
-def _rad_of_local_end(m: Module) -> list[Matrix]:
-    """Basis of rad End(M) for M with certified local End (finite field:
-    the nilpotents; QQ: the trace-form radical)."""
-    ends = hom_space(m, m)
-    f = m.algebra.field
-    if len(ends) <= 1:
-        return []
-    if f.p is None:
-        rad = _end_radical_dickson(ends)
-    else:
-        if f.p ** len(ends) > _ENUM_LIMIT:
-            raise RuntimeError("End too large to enumerate")
-        local, rad = _end_certify_local_finite(m, ends)
-        if not local:
-            raise ValueError("End(M) is not local")
-    mats = [h.mat for h in ends]
-    return [combination(coeffs, mats) for coeffs in rad]
-
-
 def radical_subspace(m: Module, n: Module, seed: int = 0) -> Subspace:
     """rad(M, N) as a subspace of vectorized Hom(M, N), assembled blockwise
     from the decompositions: the full hom space between non-isomorphic
@@ -332,11 +316,11 @@ def radical_subspace(m: Module, n: Module, seed: int = 0) -> Subspace:
     for sm in dm.summands:
         for sn in dn.summands:
             u, v = sm.module, sn.module
-            iso = iso_test(u, v) if u.dim == v.dim else None
+            iso = indecomposable_iso(u, v)
             if iso is None:
                 block = [h.mat for h in hom_space(u, v)]
             else:
-                block = [r * iso.mat for r in _rad_of_local_end(u)]
+                block = [r * iso.mat for r in sm.rad]
             for bm in block:
                 full = sm.project.mat * bm * sn.inject.mat
                 rows.append([x for r in full.data for x in r])
@@ -374,8 +358,8 @@ class RadicalCalculus:
         mids: list[Module] = []
         for m in universe:
             for rep, _, _ in decompose(m, seed).classes:
-                if not any(rep.module.dim == u.dim and
-                           iso_test(rep.module, u) is not None for u in mids):
+                if not any(indecomposable_iso(rep.module, u) is not None
+                           for u in mids):
                     mids.append(rep.module)
         self.intermediates = mids
         self._rad_cache: dict = {}

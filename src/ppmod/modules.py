@@ -379,43 +379,51 @@ def cokernel(f: ModuleMap) -> tuple[Module, ModuleMap]:
 # -- isomorphism testing -----------------------------------------------------
 
 
-def iso_test(m: Module, n: Module, rng=None, tries: int = 64) -> ModuleMap | None:
-    """An isomorphism M -> N, or None.
+def indecomposable_iso(m: Module, n: Module) -> ModuleMap | None:
+    """The first element of the hom_space basis that is an isomorphism
+    M -> N, or None.
 
-    Over GF(2) with a small hom space this is exhaustive (a definitive
-    answer); otherwise basis elements, pairwise sums and seeded random
-    combinations are tried.
+    Certified when M or N is indecomposable.  Then End(M) is local, and if
+    g: N -> M is an isomorphism, f: M -> N is one exactly when f.g is a
+    unit of End(M).  So the non-isomorphisms are the preimage of
+    rad End(M) under the linear bijection f -> f.g, a proper subspace of
+    Hom(M, N), and no basis of Hom(M, N) lies inside it.
+    """
+    if m.dim != n.dim:
+        return None
+    return next((h for h in hom_space(m, n) if h.is_iso()), None)
+
+
+def iso_test(m: Module, n: Module) -> ModuleMap | None:
+    """An isomorphism M -> N, or None when M and N are not isomorphic.
+
+    The hom basis is scanned first (complete when a side is
+    indecomposable, see indecomposable_iso).  Otherwise both modules are
+    decomposed and their Krull-Schmidt summands matched, the isomorphism
+    assembled from the matched pairs.  The answer is certified either way;
+    an error from decompose propagates rather than becoming None.
     """
     if m.dim != n.dim:
         return None
     if m.dim == 0:
         return zero_map(m, n)
     basis = hom_space(m, n)
-    if not basis:
-        return None
-    f = m.algebra.field
-    for h in basis:
-        if h.is_iso():
-            return h
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            h = basis[i] + basis[j]
-            if h.is_iso():
-                return h
-    mats = [h.mat for h in basis]
-    if f.p is not None and f.p ** len(basis) <= 1 << 12:
-        for _, mat in span_elements(mats, Matrix.zero(f, m.dim, n.dim)):
-            if mat.rank() == m.dim:
-                return ModuleMap(m, n, mat, check=False)
-        return None
-    import random
-    rng = rng or random.Random(0)
-    pool = list(f.elements()) if f.p is not None else [f.of(v) for v in (-2, -1, 0, 1, 2, 3)]
-    for _ in range(tries):
-        mat = combination([rng.choice(pool) for _ in mats], mats)
-        if mat.rank() == m.dim:
-            return ModuleMap(m, n, mat, check=False)
-    return None
+    iso = next((h for h in basis if h.is_iso()), None)
+    if iso is not None or not basis:
+        return iso
+    from .decompose import decompose  # decompose imports this module
+    free = decompose(n).summands
+    mat = Matrix.zero(m.algebra.field, m.dim, n.dim)
+    for sm in decompose(m).summands:
+        for i, sn in enumerate(free):
+            h = indecomposable_iso(sm.module, sn.module)
+            if h is not None:
+                mat = mat + sm.project.mat * h.mat * sn.inject.mat
+                del free[i]
+                break
+        else:
+            return None
+    return ModuleMap(m, n, mat, check=False)
 
 
 # -- presentations -----------------------------------------------------------

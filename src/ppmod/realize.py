@@ -403,7 +403,7 @@ def verify_bimodule_idempotents(rt: RealizedTube) -> dict:
     for rep, mult, _ in d.classes:
         matched = None
         for name, p in projs:
-            if rep.module.dim == p.dim and iso_test(rep.module, p) is not None:
+            if iso_test(rep.module, p) is not None:
                 matched = name
                 break
         if matched is None:

@@ -266,12 +266,15 @@ def identity_path(q: TranslationQuiver, v: Vertex, coeff: int = 1) -> FormalPath
 
 
 def normalize_path(q: TranslationQuiver, p: FormalPath,
-                   strategy: str = "leftmost", seed: int = 0):
+                   strategy: str = "leftmost",
+                   rng: random.Random | None = None):
     """Rewrite to the canonical NormalPath (or ZERO) using the mesh rules;
-    the strategy picks which redex to contract so confluence is testable."""
+    the strategy picks which redex to contract so confluence is testable.
+    "random" draws its redexes from rng, which it requires."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    rng = None
+    if strategy == "random" and rng is None:
+        raise ValueError('strategy "random" needs an rng')
     rhs_of = q._rhs
     word = list(p.arrows)
     # "m" or "l" per arrow; a redex is an occurrence of "ml"
@@ -286,8 +289,6 @@ def normalize_path(q: TranslationQuiver, p: FormalPath,
                        if kinds.startswith("ml", t)]
             if not redexes:
                 break
-            if rng is None:
-                rng = random.Random(seed)
             t = rng.choice(redexes)
         if t < 0:
             break

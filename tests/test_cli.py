@@ -79,6 +79,26 @@ def test_tube_over_size_limit_exits_2(monkeypatch, capsys):
     assert rc == 2
     assert f"limit of {tube.MAX_VERTICES}" in err
 
+@pytest.mark.parametrize("spec", ["tower:2", "dvr:", "dvr", "dvr:x",
+                                  "dvr:-1", "dvr:3:4", "kronecker:1",
+                                  "tower:2:1:1", "tower:a:1"])
+def test_malformed_algebra_spec_exits_2(spec):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ppmod.cli", "pp", "dual", "--algebra", spec,
+         "--formula", "x1 = 0"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "dvr:N, kronecker, tower:N:n" in proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
+
+
+def test_unknown_ring_element_is_named(capsys):
+    rc = main(["pp", "dual", "--algebra", "dvr:3", "--formula", "x1*q = 0"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "unknown ring element 'q'" in err
+    assert "valid: 1, x, x^2" in err
+
+
 def test_scenario_file_run(tmp_path):
     scn = tmp_path / "scenario.txt"
     scn.write_text(

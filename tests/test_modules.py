@@ -2,16 +2,17 @@ import itertools
 
 import pytest
 
-from ppmod.fields import GF
-from ppmod.linalg import Matrix, Subspace
+from ppmod.fields import GF, QQ
+from ppmod.linalg import Matrix, Subspace, span_elements
 from ppmod.modules import (Module, ModuleMap, direct_sum, hom_dim, hom_space,
                            identity_map, iso_test, k_dual, kernel_subspace,
                            module_generators, presentation_of,
                            quotient_module, regular_module, submodule,
                            zero_module)
-from ppmod.catalog import (dvr_chain_module, kronecker_preprojective,
-                           kronecker_regular)
-from ppmod.algebra import truncated_dvr
+from ppmod.catalog import (dvr_chain_module, dvr_universe,
+                           kronecker_preinjective, kronecker_preprojective,
+                           kronecker_regular, kronecker_universe)
+from ppmod.algebra import kronecker_algebra, truncated_dvr
 
 F2 = GF(2)
 
@@ -137,3 +138,65 @@ def test_iso_test_distinguishes_regulars(kron):
     r1 = kronecker_regular(kron, 1, 1)
     assert iso_test(r0, r1) is None
     assert iso_test(r0, kronecker_regular(kron, 0, 1)) is not None
+
+
+def test_iso_test_finds_isomorphism_between_large_kronecker_sums(kron):
+    # dim 14, End dim 27: no basis element of End(M) is invertible, and a
+    # sampled search missed the isomorphisms (only ~1/128 of End is)
+    parts = [kronecker_preprojective(kron, 0), kronecker_preprojective(kron, 1),
+             kronecker_regular(kron, F2.of(0), 1),
+             kronecker_regular(kron, F2.of(1), 1),
+             kronecker_regular(kron, "inf", 1),
+             kronecker_preinjective(kron, 0), kronecker_preinjective(kron, 1)]
+    m, _, _ = direct_sum(parts)
+    n, _, _ = direct_sum(parts[::-1])
+    assert hom_dim(m, m) == 27
+    for target in (m, n):
+        iso = iso_test(m, target)
+        assert iso is not None and iso.is_iso()
+        assert iso.intertwines()
+
+
+def _has_full_rank_map(m, n):
+    zero = Matrix.zero(m.algebra.field, m.dim, n.dim)
+    return any(mat.rank() == m.dim for _, mat in
+               span_elements([h.mat for h in hom_space(m, n)], zero))
+
+
+def test_iso_test_matches_exhaustive_search_over_gf2():
+    """Every unordered same-dimension pair (no subsampling) from
+    dvr_universe(k[x]/(x^3), 3), kronecker_universe(kron, 2) and the direct
+    sums of two of their members up to dim 4, with Hom dim <= 12."""
+    checked = found = 0
+    for alg, universe in ((truncated_dvr(3, F2), dvr_universe),
+                          (kronecker_algebra(F2), kronecker_universe)):
+        base = universe(alg, 3 if universe is dvr_universe else 2)
+        mods = base + [direct_sum([a, b])[0] for a, b in
+                       itertools.combinations_with_replacement(base, 2)
+                       if a.dim + b.dim <= 4]
+        for a, b in itertools.combinations_with_replacement(mods, 2):
+            if a.dim != b.dim or hom_dim(a, b) > 12:
+                continue
+            iso = iso_test(a, b)
+            assert (iso is not None) == _has_full_rank_map(a, b)
+            if iso is not None:
+                assert iso.is_iso() and iso.intertwines()
+                found += 1
+            checked += 1
+    assert checked > 300 and found > 50
+
+
+def test_iso_test_matches_summands_over_qq():
+    kq = kronecker_algebra(QQ)
+    parts = [kronecker_preprojective(kq, 0),
+             kronecker_regular(kq, QQ.of(0), 1),
+             kronecker_regular(kq, QQ.of(1), 1)]
+    m, _, _ = direct_sum(parts)
+    n, _, _ = direct_sum(parts[::-1])
+    # the basis scan alone finds nothing, so Krull-Schmidt matching decides
+    assert not any(h.is_iso() for h in hom_space(m, n))
+    iso = iso_test(m, n)
+    assert iso is not None and iso.is_iso() and iso.intertwines()
+    other, _, _ = direct_sum([kronecker_regular(kq, QQ.of(2), 1),
+                              parts[1], parts[0]])
+    assert iso_test(m, other) is None

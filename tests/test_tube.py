@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -63,7 +64,6 @@ def test_identity_path_normalizes_to_itself():
 
 
 def test_confluence_exhaustive_small():
-    import random
     rng = random.Random(5)
     for m, lengths in [(1, (0,)), (1, (1,)), (2, (1, 0))]:
         q = build_ray_tube(m, lengths, 5)
@@ -72,7 +72,7 @@ def test_confluence_exhaustive_small():
                 p = FormalPath(1, v, word)
                 ref = normalize_path(q, p, "leftmost")
                 assert normalize_path(q, p, "rightmost") == ref
-                assert normalize_path(q, p, "random", seed=rng.randint(0, 99)) == ref
+                assert normalize_path(q, p, "random", rng) == ref
 
 
 def test_normal_form_shape_is_lam_then_mu():
@@ -211,6 +211,12 @@ def test_unknown_strategy_rejected_without_redex():
         normalize_path(q, identity_path(q, (0, 0, 2)), "bogus")
 
 
+def test_random_strategy_requires_rng():
+    q = build_ray_tube(1, (0,), 4)
+    with pytest.raises(ValueError, match="needs an rng"):
+        normalize_path(q, identity_path(q, (0, 0, 2)), "random")
+
+
 def test_arrow_on_ray_outside_range_is_invalid():
     q = build_ray_tube(2, (1, 0), 6)
     a = Arrow("mu", 5, 0, 1)
@@ -318,7 +324,8 @@ def test_compiled_tables_match_reference(case):
     if expected != ZERO:
         expected = NormalPath(1, start, *expected)
     for strategy in ("leftmost", "rightmost", "random"):
-        assert normalize_path(q, path, strategy, seed) == expected
+        assert normalize_path(q, path, strategy,
+                              random.Random(seed)) == expected
 
 
 def test_mesh_rule_certificate_flags_a_broken_rule():
