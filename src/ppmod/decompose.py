@@ -308,10 +308,13 @@ def radical_subspace(m: Module, n: Module, seed: int = 0) -> Subspace:
     indecomposables, the maximal ideal of End between isomorphic ones."""
     if m.algebra is not n.algebra:
         raise ValueError("modules over different algebras")
-    f = m.algebra.field
-    amb = m.dim * n.dim
-    dm = decompose(m, seed)
-    dn = decompose(n, seed)
+    return _radical_of(decompose(m, seed), decompose(n, seed))
+
+
+def _radical_of(dm: Decomposition, dn: Decomposition) -> Subspace:
+    """radical_subspace(dm.module, dn.module) from their decompositions."""
+    f = dm.module.algebra.field
+    amb = dm.module.dim * dn.module.dim
     rows: list[list] = []
     for sm in dm.summands:
         for sn in dn.summands:
@@ -355,9 +358,10 @@ class RadicalCalculus:
         if not universe:
             raise ValueError("universe must be non-empty")
         self.seed = seed
+        self._decomposition: dict[int, Decomposition] = {}
         mids: list[Module] = []
         for m in universe:
-            for rep, _, _ in decompose(m, seed).classes:
+            for rep, _, _ in self._decomposed(m).classes:
                 if not any(indecomposable_iso(rep.module, u) is not None
                            for u in mids):
                     mids.append(rep.module)
@@ -365,10 +369,20 @@ class RadicalCalculus:
         self._rad_cache: dict = {}
         self._pow_cache: dict = {}
 
+    def _decomposed(self, m: Module) -> Decomposition:
+        """decompose(m, seed), computed once per module."""
+        hit = self._decomposition.get(m.serial)
+        if hit is None:
+            hit = self._decomposition[m.serial] = decompose(m, self.seed)
+        return hit
+
     def rad(self, m: Module, n: Module) -> Subspace:
+        if m.algebra is not n.algebra:
+            raise ValueError("modules over different algebras")
         key = (m.serial, n.serial)
         if key not in self._rad_cache:
-            self._rad_cache[key] = radical_subspace(m, n, self.seed)
+            self._rad_cache[key] = _radical_of(self._decomposed(m),
+                                               self._decomposed(n))
         return self._rad_cache[key]
 
     def rad_power(self, m: Module, n: Module, t: int) -> Subspace:

@@ -2,8 +2,8 @@
 
 Field elements are plain Python values (ints reduced mod p, or
 fractions.Fraction); a Field object bundles the arithmetic so matrix code
-stays field-generic.  GF(2) additionally enables bit-packed fast paths in
-the linear algebra kernels.
+stays field-generic.  Over GF(2) matrices are stored differently: each row
+is one packed int (see ppmod.linalg), and `is_f2` selects that storage.
 """
 
 from __future__ import annotations

@@ -2,8 +2,14 @@
 
 Everything is dense and exact; instances in scope stay well below 200x200.
 Subspaces of k^d are kept in reduced row-echelon form, so set equality is
-structural equality and subspaces are hashable.  Over GF(2) the elimination
-kernels run on bit-packed integer rows.
+structural equality and subspaces are hashable.
+
+Storage depends on the field.  Over GF(2) a matrix holds its rows only as
+packed ints (bit j = column j): products XOR rows, sums XOR rows, and
+elimination runs on the ints.  Over GF(p) and QQ the rows are tuples of
+field elements.  `Matrix.data`, the rows as tuples of field elements, is
+available for every field; over GF(2) it is unpacked on first use and
+cached.
 """
 
 from __future__ import annotations
@@ -14,9 +20,12 @@ from .fields import Field
 
 
 class Matrix:
-    """Immutable rows x cols matrix over an exact field (row-major)."""
+    """Immutable rows x cols matrix over an exact field (row-major).
 
-    __slots__ = ("field", "rows", "cols", "data")
+    `packed` holds the rows as ints over GF(2) and is None otherwise;
+    `data` holds them as tuples of field elements."""
+
+    __slots__ = ("field", "rows", "cols", "packed", "data")
 
     def __init__(self, field: Field, rows: int, cols: int, data):
         self.field = field
@@ -25,7 +34,20 @@ class Matrix:
         d = tuple(tuple(r) for r in data)
         if len(d) != rows or any(len(r) != cols for r in d):
             raise ValueError("matrix data does not match shape")
-        self.data = d
+        if field.is_f2:
+            self.packed = tuple(_pack(r) for r in d)
+        else:
+            self.packed = None
+            self.data = d
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: `data` of a GF(2) matrix before
+        # its first use
+        if name != "data" or self.packed is None:
+            raise AttributeError(name)
+        cols = self.cols
+        self.data = tuple(_unpack(r, cols) for r in self.packed)
+        return self.data
 
     # -- constructors -------------------------------------------------
 
@@ -41,16 +63,35 @@ class Matrix:
         return Matrix.from_rows(field, [[field.of(x) for x in r] for r in data])
 
     @staticmethod
+    def from_packed(field: Field, rows: int, cols: int, packed) -> "Matrix":
+        """A GF(2) matrix from its packed rows (a tuple of ints < 2^cols)."""
+        m = object.__new__(Matrix)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m.packed = packed
+        return m
+
+    @staticmethod
     def zero(field: Field, rows: int, cols: int) -> "Matrix":
+        if field.is_f2:
+            return Matrix.from_packed(field, rows, cols, (0,) * rows)
         z = field.zero()
         return Matrix(field, rows, cols, [[z] * cols for _ in range(rows)])
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
+        if field.is_f2:
+            return Matrix.from_packed(field, n, n,
+                                      tuple(1 << i for i in range(n)))
         z, o = field.zero(), field.one()
         return Matrix(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
 
     # -- basics -------------------------------------------------------
+
+    def _stored(self):
+        """The rows as stored: packed ints over GF(2), tuples otherwise."""
+        return self.data if self.packed is None else self.packed
 
     def __eq__(self, other):
         return (
@@ -58,11 +99,11 @@ class Matrix:
             and self.field == other.field
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self._stored() == other._stored()
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, self._stored()))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.data})"
@@ -75,6 +116,8 @@ class Matrix:
         return self.data[i]
 
     def is_zero(self) -> bool:
+        if self.packed is not None:
+            return not any(self.packed)
         z = self.field.zero()
         return all(x == z for r in self.data for x in r)
 
@@ -84,6 +127,9 @@ class Matrix:
         f = self.field
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add")
+        if self.packed is not None:
+            return Matrix.from_packed(f, self.rows, self.cols, tuple(
+                a ^ b for a, b in zip(self.packed, other.packed)))
         return Matrix(f, self.rows, self.cols,
                       [[f.add(a, b) for a, b in zip(ra, rb)]
                        for ra, rb in zip(self.data, other.data)])
@@ -92,17 +138,24 @@ class Matrix:
         f = self.field
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in sub")
+        if self.packed is not None:  # -1 = 1 in GF(2)
+            return Matrix.from_packed(f, self.rows, self.cols, tuple(
+                a ^ b for a, b in zip(self.packed, other.packed)))
         return Matrix(f, self.rows, self.cols,
                       [[f.sub(a, b) for a, b in zip(ra, rb)]
                        for ra, rb in zip(self.data, other.data)])
 
     def __neg__(self) -> "Matrix":
+        if self.packed is not None:
+            return self
         f = self.field
         return Matrix(f, self.rows, self.cols,
                       [[f.neg(a) for a in r] for r in self.data])
 
     def scale(self, c) -> "Matrix":
         f = self.field
+        if self.packed is not None:
+            return self if c & 1 else Matrix.zero(f, self.rows, self.cols)
         return Matrix(f, self.rows, self.cols,
                       [[f.mul(c, a) for a in r] for r in self.data])
 
@@ -110,16 +163,19 @@ class Matrix:
         f = self.field
         if self.cols != other.rows:
             raise ValueError("shape mismatch in mul")
-        if f.is_f2:
-            pk = _pack_rows(other.data)
+        if self.packed is not None:
+            # row i of the product: XOR of the rows of other picked by the
+            # set bits of row i of self
+            rows_b = other.packed
             out = []
-            for r in self.data:
+            for r in self.packed:
                 acc = 0
-                for j, a in enumerate(r):
-                    if a:
-                        acc ^= pk[j]
-                out.append(_unpack_row(acc, other.cols))
-            return Matrix(f, self.rows, other.cols, out)
+                while r:
+                    low = r & -r
+                    acc ^= rows_b[low.bit_length() - 1]
+                    r ^= low
+                out.append(acc)
+            return Matrix.from_packed(f, self.rows, other.cols, tuple(out))
         z = f.zero()
         ot = list(zip(*other.data)) if other.data else [()] * other.cols
         out = []
@@ -135,26 +191,60 @@ class Matrix:
         return Matrix(f, self.rows, other.cols, out)
 
     def transpose(self) -> "Matrix":
+        if self.packed is not None:
+            out = [0] * self.cols
+            for i, r in enumerate(self.packed):
+                bit = 1 << i
+                while r:
+                    low = r & -r
+                    out[low.bit_length() - 1] |= bit
+                    r ^= low
+            return Matrix.from_packed(self.field, self.cols, self.rows,
+                                      tuple(out))
         return Matrix(self.field, self.cols, self.rows, list(zip(*self.data)) if self.data else [[] for _ in range(self.cols)])
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
+        if self.packed is not None:
+            shift = self.cols
+            return Matrix.from_packed(
+                self.field, self.rows, self.cols + other.cols,
+                tuple(a | (b << shift) for a, b in zip(self.packed, other.packed)))
         return Matrix(self.field, self.rows, self.cols + other.cols,
                       [list(a) + list(b) for a, b in zip(self.data, other.data)])
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("col mismatch in vstack")
+        if self.packed is not None:
+            return Matrix.from_packed(self.field, self.rows + other.rows,
+                                      self.cols, self.packed + other.packed)
         return Matrix(self.field, self.rows + other.rows, self.cols,
                       list(self.data) + list(other.data))
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
-        return Matrix.from_rows(self.field,
-                                [[self.data[i][j] for j in col_idx] for i in row_idx]
-                                ) if row_idx else Matrix(self.field, 0, len(col_idx), [])
+        return self.take_rows(row_idx).take_cols(col_idx)
+
+    def take_rows(self, row_idx) -> "Matrix":
+        row_idx = list(row_idx)
+        if self.packed is not None:
+            return Matrix.from_packed(self.field, len(row_idx), self.cols,
+                                      tuple(self.packed[i] for i in row_idx))
+        return Matrix(self.field, len(row_idx), self.cols,
+                      [self.data[i] for i in row_idx])
 
     def take_cols(self, col_idx) -> "Matrix":
+        col_idx = list(col_idx)
+        if self.packed is not None:
+            out = []
+            for r in self.packed:
+                acc = 0
+                for k, j in enumerate(col_idx):
+                    acc |= ((r >> j) & 1) << k
+                out.append(acc)
+            return Matrix.from_packed(self.field, self.rows, len(col_idx),
+                                      tuple(out))
         return Matrix(self.field, self.rows, len(col_idx),
                       [[r[j] for j in col_idx] for r in self.data])
 
@@ -163,11 +253,11 @@ class Matrix:
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form (zero rows dropped) and pivot columns."""
         f = self.field
-        if f.is_f2:
-            packed = _rref_f2(_pack_rows(self.data), self.cols)
-            rows = [_unpack_row(r, self.cols) for r, _ in packed]
-            pivots = tuple(p for _, p in packed)
-            return Matrix(f, len(rows), self.cols, rows), pivots
+        if self.packed is not None:
+            red = _rref_f2(self.packed)
+            return (Matrix.from_packed(f, len(red), self.cols,
+                                       tuple(r for r, _ in red)),
+                    tuple(p for _, p in red))
         rows = [list(r) for r in self.data]
         pivots: list[int] = []
         rank = 0
@@ -195,8 +285,10 @@ class Matrix:
 
     def right_kernel(self) -> "Matrix":
         """Canonical basis (RREF) of {v : A v^T = 0}, one row per basis vector."""
-        r, pivots = self.rref()
         f = self.field
+        if self.packed is not None:
+            return right_kernel_packed_f2(self.packed, self.cols, f)
+        r, pivots = self.rref()
         free = [j for j in range(self.cols) if j not in pivots]
         basis = []
         piv_of = {p: i for i, p in enumerate(pivots)}
@@ -230,6 +322,12 @@ class Matrix:
         r, pivots = aug.rref()
         if any(p >= self.cols for p in pivots):
             return None
+        if r.packed is not None:
+            # row p of X is the right-hand part of the row with pivot p
+            out = [0] * self.cols
+            for row, p in zip(r.packed, pivots):
+                out[p] = row >> self.cols
+            return Matrix.from_packed(f, self.cols, b.cols, tuple(out))
         z = f.zero()
         out = [[z] * b.cols for _ in range(self.cols)]
         for i, p in enumerate(pivots):
@@ -249,6 +347,19 @@ class Matrix:
         return self.rows == self.cols and self.rank() == self.rows
 
 
+def block_diagonal(field: Field, mats) -> Matrix:
+    """The block-diagonal matrix with the given blocks in order."""
+    cols = sum(m.cols for m in mats)
+    out = Matrix.zero(field, 0, cols)
+    left = 0
+    for m in mats:
+        right = cols - left - m.cols
+        out = out.vstack(Matrix.zero(field, m.rows, left).hstack(m)
+                         .hstack(Matrix.zero(field, m.rows, right)))
+        left += m.cols
+    return out
+
+
 # -- spans of a few matrices ---------------------------------------------
 
 
@@ -257,11 +368,17 @@ def combination(coeffs, mats) -> Matrix:
     matrices (zero coefficients are skipped)."""
     first = mats[0]
     f = first.field
+    if any((m.rows, m.cols) != (first.rows, first.cols) for m in mats):
+        raise ValueError("shape mismatch in combination")
+    if first.packed is not None:
+        acc = (0,) * first.rows
+        for c, m in zip(coeffs, mats):
+            if c & 1:
+                acc = tuple(x ^ y for x, y in zip(acc, m.packed))
+        return Matrix.from_packed(f, first.rows, first.cols, acc)
     z = f.zero()
     acc = [[z] * first.cols for _ in range(first.rows)]
     for c, m in zip(coeffs, mats):
-        if (m.rows, m.cols) != (first.rows, first.cols):
-            raise ValueError("shape mismatch in combination")
         if c != z:
             acc = [[x + c * y for x, y in zip(ra, rm)]
                    for ra, rm in zip(acc, m.data)]
@@ -276,24 +393,20 @@ def span_elements(mats, zero: Matrix):
     zero matrix of the common shape (the whole span when mats is empty).
 
     Lexicographic order changes a digit either from c to c + 1 or, on a
-    carry, from p - 1 to 0; both add mats[j] once, so each step costs about
-    one matrix addition instead of a rebuild from the coefficients."""
-    f = zero.field
-    p = f.p
+    carry, from p - 1 to 0; both add mats[j] once, so each step costs one
+    matrix addition instead of a rebuild from the coefficients."""
+    p = zero.field.p
     if p is None:
         raise TypeError("the span over the rationals is not enumerable")
-    rows, cols = zero.rows, zero.cols
-    if any((m.rows, m.cols) != (rows, cols) for m in mats):
+    if any((m.rows, m.cols) != (zero.rows, zero.cols) for m in mats):
         raise ValueError("shape mismatch in span_elements")
-    steps = [m.data for m in mats]
     coeffs = [0] * len(mats)
-    acc = zero.data
+    acc = zero
     while True:
-        yield tuple(coeffs), Matrix(f, rows, cols, acc)
+        yield tuple(coeffs), acc
         j = len(mats) - 1
         while j >= 0:
-            acc = tuple(tuple((x + y) % p for x, y in zip(ra, rm))
-                        for ra, rm in zip(acc, steps[j]))
+            acc = acc + mats[j]
             coeffs[j] = (coeffs[j] + 1) % p
             if coeffs[j]:
                 break
@@ -302,46 +415,42 @@ def span_elements(mats, zero: Matrix):
             return
 
 
-# -- GF(2) packed kernels ----------------------------------------------
+# -- GF(2) packed rows ---------------------------------------------------
 
 
-def _pack_rows(data) -> list[int]:
-    out = []
-    for r in data:
-        acc = 0
-        for j, x in enumerate(r):
-            if x:
-                acc |= 1 << j
-        out.append(acc)
-    return out
+def _pack(row) -> int:
+    acc = 0
+    for j, x in enumerate(row):
+        if x & 1:
+            acc |= 1 << j
+    return acc
 
 
-def _unpack_row(r: int, cols: int) -> list[int]:
-    return [(r >> j) & 1 for j in range(cols)]
+def _unpack(r: int, cols: int) -> tuple[int, ...]:
+    return tuple([(r >> j) & 1 for j in range(cols)])
 
 
-def _rref_f2(rows: list[int], cols: int) -> list[tuple[int, int]]:
-    """Incremental RREF over GF(2); returns [(row_bits, pivot_col)] sorted."""
-    pivots: list[tuple[int, int]] = []  # (pivot_col, row)
+def _rref_f2(rows) -> list[tuple[int, int]]:
+    """Incremental RREF over GF(2); returns [(row_bits, pivot_col)] sorted
+    by pivot, the pivot of a row being its lowest set bit."""
+    pivots: dict[int, int] = {}  # pivot bit -> its fully reduced row
     for r in rows:
-        for p, pr in pivots:
-            if (r >> p) & 1:
+        for pbit, pr in pivots.items():
+            if r & pbit:
                 r ^= pr
         if r:
-            p = (r & -r).bit_length() - 1
-            for i, (q, qr) in enumerate(pivots):
-                if (qr >> p) & 1:
-                    pivots[i] = (q, qr ^ r)
-            pivots.append((p, r))
-    pivots.sort()
-    return [(r, p) for p, r in pivots]
+            low = r & -r
+            for pbit, pr in pivots.items():
+                if pr & low:
+                    pivots[pbit] = pr ^ r
+            pivots[low] = r
+    return [(pivots[b], b.bit_length() - 1) for b in sorted(pivots)]
 
 
-def right_kernel_packed_f2(rows: list[int], cols: int, field: Field) -> "Matrix":
+def right_kernel_packed_f2(rows, cols: int, field: Field) -> Matrix:
     """Canonical kernel basis of a GF(2) system given as packed rows."""
-    red = _rref_f2(rows, cols)
-    pivcols = [p for _, p in red]
-    pivset = set(pivcols)
+    red = _rref_f2(rows)
+    pivset = {p for _, p in red}
     basis = []
     for j in range(cols):
         if j in pivset:
@@ -351,9 +460,9 @@ def right_kernel_packed_f2(rows: list[int], cols: int, field: Field) -> "Matrix"
             if (row >> j) & 1:
                 v |= 1 << p
         basis.append(v)
-    canon = _rref_f2(basis, cols)
-    return Matrix(field, len(canon), cols,
-                  [_unpack_row(r, cols) for r, _ in canon])
+    canon = _rref_f2(basis)
+    return Matrix.from_packed(field, len(canon), cols,
+                              tuple(r for r, _ in canon))
 
 
 # -- subspaces -----------------------------------------------------------
@@ -376,7 +485,7 @@ class Subspace:
 
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":
-        return Subspace(ambient, Matrix(field, 0, ambient, []))
+        return Subspace(ambient, Matrix.zero(field, 0, ambient))
 
     @staticmethod
     def full(field: Field, ambient: int) -> "Subspace":
@@ -390,17 +499,39 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot column of each basis row."""
+        b = self.basis
+        if b.packed is not None:
+            return tuple((r & -r).bit_length() - 1 for r in b.packed)
+        z = self.field.zero()
+        return tuple(next(j for j, x in enumerate(row) if x != z)
+                     for row in b.data)
+
     def contains_vector(self, v) -> bool:
-        f = self.field
-        v = list(v)
+        v = tuple(v)
         if len(v) != self.ambient:
             raise ValueError("vector has wrong length")
-        for row in self.basis.data:
-            p = next(j for j, x in enumerate(row) if x != f.zero())
-            if v[p] != f.zero():
+        return self._contains_row(v if self.basis.packed is None
+                                  else _pack(v))
+
+    def _contains_row(self, v) -> bool:
+        """Membership of v, given the way the basis stores its rows."""
+        if self.basis.packed is not None:
+            # clear each basis row's pivot bit (its lowest set bit) in turn
+            for r in self.basis.packed:
+                if v & r & -r:
+                    v ^= r
+            return not v
+        f = self.field
+        z = f.zero()
+        v = list(v)
+        for p, row in zip(self.pivots, self.basis.data):
+            if v[p] != z:
                 c = v[p]
                 v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        return all(x == f.zero() for x in v)
+        return all(x == z for x in v)
 
     def key(self):
         """Deterministic sort key (echelon-lexicographic)."""
@@ -428,7 +559,7 @@ def subspace_meet(u: Subspace, w: Subspace) -> Subspace:
 def subspace_leq(u: Subspace, w: Subspace) -> bool:
     if u.ambient != w.ambient:
         raise ValueError("ambient dimension mismatch")
-    return all(w.contains_vector(r) for r in u.basis.data)
+    return all(w._contains_row(r) for r in u.basis._stored())
 
 
 def kernel(a: Matrix) -> Subspace:

@@ -17,8 +17,8 @@ from __future__ import annotations
 import itertools
 
 from .algebra import FDAlgebra
-from .linalg import (Matrix, Subspace, combination, span_elements,
-                     subspace_leq, subspace_sum)
+from .linalg import (Matrix, Subspace, block_diagonal, combination,
+                     span_elements, subspace_leq)
 
 _module_serial = itertools.count()
 
@@ -161,20 +161,11 @@ def zero_module(algebra: FDAlgebra) -> Module:
 
 def free_module(algebra: FDAlgebra, rank: int, label: str = "") -> Module:
     """R^rank with basis e_i (x) b_t, coordinates blocked by generator."""
-    reg = algebra.right_regular_action()
     f = algebra.field
-    d = algebra.dim * rank
-    action = []
-    for j in range(algebra.dim):
-        m = Matrix.zero(f, d, d)
-        data = [list(r) for r in m.data]
-        for blk in range(rank):
-            for a in range(algebra.dim):
-                for b in range(algebra.dim):
-                    data[blk * algebra.dim + a][blk * algebra.dim + b] = reg[j].data[a][b]
-        action.append(Matrix(f, d, d, data))
-    return Module(algebra, d, action, label=label or f"{algebra.name}^{rank}",
-                  check=False)
+    action = [block_diagonal(f, [reg] * rank)
+              for reg in algebra.right_regular_action()]
+    return Module(algebra, algebra.dim * rank, action,
+                  label=label or f"{algebra.name}^{rank}", check=False)
 
 
 def regular_module(algebra: FDAlgebra) -> Module:
@@ -194,62 +185,56 @@ def hom_space(m: Module, n: Module) -> list[ModuleMap]:
         return []
     nunk = dm * dn
     if f.is_f2:
-        from .linalg import right_kernel_packed_f2
-        ker = right_kernel_packed_f2(_hom_rows_f2(m, n), nunk, f)
-        maps = []
-        for v in ker.data:
-            mat = Matrix(f, dm, dn, [v[i * dn:(i + 1) * dn] for i in range(dm)])
-            maps.append(ModuleMap(m, n, mat, check=False))
-        return maps
-    else:
-        data = []
-        for bi in range(m.algebra.dim):
-            am, an = m.action[bi], n.action[bi]
-            for r in range(dm):
-                for c in range(dn):
-                    row = [f.zero()] * nunk
-                    for s in range(dm):
-                        if am.data[r][s] != f.zero():
-                            row[s * dn + c] = f.add(row[s * dn + c], am.data[r][s])
-                    for t in range(dn):
-                        if an.data[t][c] != f.zero():
-                            row[r * dn + t] = f.sub(row[r * dn + t], an.data[t][c])
-                    data.append(row)
-        a = Matrix(f, len(data), nunk, data)
-    ker = a.right_kernel()
-    maps = []
-    for v in ker.data:
-        mat = Matrix(f, dm, dn, [v[i * dn:(i + 1) * dn] for i in range(dm)])
-        maps.append(ModuleMap(m, n, mat, check=False))
-    return maps
-
-
-def _hom_rows_f2(m: Module, n: Module) -> list[int]:
-    """Packed constraint rows for the intertwining system over GF(2)."""
-    dm, dn = m.dim, n.dim
-    rows = []
+        rows = _hom_rows_f2(m, n)
+        ker = Matrix.from_packed(f, len(rows), nunk, rows).right_kernel()
+        mask = (1 << dn) - 1
+        return [ModuleMap(m, n, Matrix.from_packed(
+                    f, dm, dn, tuple((v >> (i * dn)) & mask
+                                     for i in range(dm))), check=False)
+                for v in ker.packed]
+    data = []
     for bi in range(m.algebra.dim):
         am, an = m.action[bi], n.action[bi]
-        spread = []
         for r in range(dm):
+            for c in range(dn):
+                row = [f.zero()] * nunk
+                for s in range(dm):
+                    if am.data[r][s] != f.zero():
+                        row[s * dn + c] = f.add(row[s * dn + c], am.data[r][s])
+                for t in range(dn):
+                    if an.data[t][c] != f.zero():
+                        row[r * dn + t] = f.sub(row[r * dn + t], an.data[t][c])
+                data.append(row)
+    ker = Matrix(f, len(data), nunk, data).right_kernel()
+    return [ModuleMap(m, n, Matrix(f, dm, dn, [v[i * dn:(i + 1) * dn]
+                                               for i in range(dm)]),
+                      check=False)
+            for v in ker.data]
+
+
+def _hom_rows_f2(m: Module, n: Module) -> tuple[int, ...]:
+    """Packed constraint rows of the intertwining system over GF(2): the
+    unknown F[s][c] is bit s * dn + c, and row (a, r, c) says
+    (rho_M(a) F - F rho_N(a))[r][c] = 0."""
+    dm, dn = m.dim, n.dim
+    rows = []
+    for am, an in zip(m.action, n.action):
+        # spread[r]: bit s * dn for every s with am[r][s] = 1
+        spread = []
+        for r in am.packed:
             acc = 0
-            for s in range(dm):
-                if am.data[r][s]:
-                    acc |= 1 << (s * dn)
+            while r:
+                low = r & -r
+                acc |= 1 << ((low.bit_length() - 1) * dn)
+                r ^= low
             spread.append(acc)
-        colmask = []
-        for c in range(dn):
-            acc = 0
-            for t in range(dn):
-                if an.data[t][c]:
-                    acc |= 1 << t
-            colmask.append(acc)
+        colmask = an.transpose().packed  # colmask[c]: bits t, an[t][c] = 1
         for r in range(dm):
             base = spread[r]
             shift = r * dn
             for c in range(dn):
                 rows.append((base << c) ^ (colmask[c] << shift))
-    return rows
+    return tuple(rows)
 
 
 def hom_dim(m: Module, n: Module) -> int:
@@ -278,32 +263,17 @@ def direct_sum(mods: list[Module], label: str = "") -> tuple[Module, list[Module
     if any(m.algebra is not alg for m in mods):
         raise ValueError("summands over different algebras")
     total = sum(m.dim for m in mods)
-    action = []
-    for j in range(alg.dim):
-        data = [[f.zero()] * total for _ in range(total)]
-        off = 0
-        for m in mods:
-            a = m.action[j]
-            for r in range(m.dim):
-                for c in range(m.dim):
-                    data[off + r][off + c] = a.data[r][c]
-            off += m.dim
-        action.append(Matrix(f, total, total, data))
+    action = [block_diagonal(f, [m.action[j] for m in mods])
+              for j in range(alg.dim)]
     s = Module(alg, total, action,
                label=label or "+".join(m.label or "?" for m in mods), check=False)
+    ident = Matrix.identity(f, total)
     injs, projs = [], []
     off = 0
     for m in mods:
-        inj = Matrix.zero(f, m.dim, total)
-        d = [list(r) for r in inj.data]
-        for i in range(m.dim):
-            d[i][off + i] = f.one()
-        injs.append(ModuleMap(m, s, Matrix(f, m.dim, total, d), check=False))
-        proj = Matrix.zero(f, total, m.dim)
-        d = [list(r) for r in proj.data]
-        for i in range(m.dim):
-            d[off + i][i] = f.one()
-        projs.append(ModuleMap(s, m, Matrix(f, total, m.dim, d), check=False))
+        block = range(off, off + m.dim)
+        injs.append(ModuleMap(m, s, ident.take_rows(block), check=False))
+        projs.append(ModuleMap(s, m, ident.take_cols(block), check=False))
         off += m.dim
     return s, injs, projs
 
@@ -318,15 +288,9 @@ def submodule(m: Module, s: Subspace, label: str = "",
     """The submodule on an invariant subspace, with its inclusion."""
     if check and not is_invariant(m, s):
         raise ValueError("subspace is not invariant under the action")
-    f = m.algebra.field
     b = s.basis
-    pivots = [next(j for j, x in enumerate(row) if x != f.zero()) for row in b.data]
-    action = []
-    for a in m.action:
-        img = b * a
-        # coefficients over the RREF basis are read off at the pivot columns
-        coeffs = img.take_cols(pivots)
-        action.append(coeffs)
+    # coefficients over the RREF basis are read off at the pivot columns
+    action = [(b * a).take_cols(s.pivots) for a in m.action]
     u = Module(m.algebra, s.dim, action, label=label, check=False)
     return u, ModuleMap(u, m, b, check=False)
 
@@ -338,29 +302,16 @@ def quotient_module(m: Module, s: Subspace, label: str = "",
         raise ValueError("subspace is not invariant under the action")
     f = m.algebra.field
     d = m.dim
-    b = s.basis
-    pivots = [next(j for j, x in enumerate(row) if x != f.zero()) for row in b.data]
+    pivots = s.pivots
     nonpivots = [j for j in range(d) if j not in pivots]
-    qd = len(nonpivots)
-    # reduction mod s followed by selecting non-pivot coordinates
-    proj_rows = []
-    for t in range(d):
-        v = [f.zero()] * d
-        v[t] = f.one()
-        for p, row in zip(pivots, b.data):
-            if v[p] != f.zero():
-                c = v[p]
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        proj_rows.append([v[j] for j in nonpivots])
-    proj = Matrix(f, d, qd, proj_rows)
-    sect_rows = []
-    for j in nonpivots:
-        v = [f.zero()] * d
-        v[j] = f.one()
-        sect_rows.append(v)
-    sect = Matrix(f, qd, d, sect_rows)
+    # reduction mod s, then the non-pivot coordinates: e_t stays e_t for a
+    # non-pivot t and becomes e_t - (basis row with pivot t) for a pivot t
+    ident = Matrix.identity(f, d)
+    proj = ident.take_cols(nonpivots) - \
+        ident.take_cols(pivots) * s.basis.take_cols(nonpivots)
+    sect = ident.take_rows(nonpivots)
     action = [sect * a * proj for a in m.action]
-    q = Module(m.algebra, qd, action, label=label, check=False)
+    q = Module(m.algebra, len(nonpivots), action, label=label, check=False)
     return q, ModuleMap(m, q, proj, check=False)
 
 
@@ -478,24 +429,28 @@ class Presentation:
         return [[rel[i] for rel in self.relations] for i in range(self.ngens)]
 
 
-def _module_span(m: Module, vectors) -> Subspace:
-    """Smallest action-invariant subspace containing the vectors."""
+def _module_span(m: Module, vectors, start: Subspace | None = None) -> Subspace:
+    """Smallest action-invariant subspace containing the vectors and the
+    invariant subspace start (zero if omitted).
+
+    A worklist: each round adds the pending vectors to the span, and the
+    basis rows at the new pivot columns (a basis of what the round added)
+    are pushed through every action matrix to give the next pending
+    vectors.  So every action is applied to every new basis vector
+    exactly once."""
     f = m.algebra.field
-    s = Subspace.zero(f, m.dim) if m.dim else Subspace.zero(f, 0)
-    frontier = [tuple(v) for v in vectors]
-    while frontier:
-        mat = Matrix.from_rows(f, [list(v) for v in frontier]) if frontier else None
-        new = subspace_sum(s, Subspace.from_matrix(m.dim, mat))
-        if new.dim == s.dim:
-            break
-        s = new
-        frontier = []
-        for row in s.basis.data:
-            for a in m.action:
-                w = tuple((Matrix.from_rows(f, [list(row)]) * a).data[0])
-                if not s.contains_vector(w):
-                    frontier.append(w)
-    return s
+    span = Subspace.zero(f, m.dim) if start is None else start
+    pending = Matrix(f, len(vectors), m.dim, vectors)
+    while pending.rows:
+        grown = Subspace.from_matrix(m.dim, span.basis.vstack(pending))
+        old = set(span.pivots)
+        fresh = grown.basis.take_rows(
+            i for i, p in enumerate(grown.pivots) if p not in old)
+        span = grown
+        pending = Matrix.zero(f, 0, m.dim)
+        for a in m.action:
+            pending = pending.vstack(fresh * a)
+    return span
 
 
 def module_generators(m: Module) -> list[tuple]:
@@ -507,7 +462,7 @@ def module_generators(m: Module) -> list[tuple]:
         v = tuple(f.one() if j == i else f.zero() for j in range(m.dim))
         if not span.contains_vector(v):
             gens.append(v)
-            span = _module_span(m, [b for b in span.basis.data] + [v])
+            span = _module_span(m, [v], span)
     return gens
 
 
@@ -551,7 +506,7 @@ def presentation_of(m: Module) -> Presentation:
     for row in ker.basis.data:
         if not span.contains_vector(row):
             rel_vecs.append(tuple(row))
-            span = _module_span(free, [r for r in span.basis.data] + [list(row)])
+            span = _module_span(free, [row], span)
     relations = []
     for v in rel_vecs:
         relations.append(tuple(tuple(v[i * alg.dim:(i + 1) * alg.dim])

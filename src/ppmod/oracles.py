@@ -33,10 +33,7 @@ def brute_eval_f2(phi: PpFormula, module: Module) -> set[int]:
         for r in range(d):
             acc = 0
             for e in range(m):
-                row = acts[e].data[r]
-                for c in range(d):
-                    if row[c]:
-                        acc |= 1 << (e * d + c)
+                acc |= acts[e].packed[r] << (e * d)
             deltas.append(acc)
     xdim, ydim = n * d, l * d
     found = set()
@@ -65,13 +62,7 @@ def brute_eval_f2(phi: PpFormula, module: Module) -> set[int]:
 
 def subspace_int_set(s: Subspace) -> set[int]:
     """All vectors of a GF(2) subspace, packed as ints."""
-    rows = []
-    for r in s.basis.data:
-        acc = 0
-        for j, x in enumerate(r):
-            if x:
-                acc |= 1 << j
-        rows.append(acc)
+    rows = s.basis.packed
     out = set()
     for bits in range(1 << len(rows)):
         v = 0

@@ -90,16 +90,11 @@ class PpFormula:
         elif self.m == 0:
             result = Subspace.full(f, self.n * d)
         else:
-            blocks = [[module.act(self.hmat[v][e]) for e in range(self.m)]
-                      for v in range(nvars)]
-            data = []
-            for v in range(nvars):
-                for r in range(d):
-                    row = []
-                    for e in range(self.m):
-                        row.extend(blocks[v][e].data[r])
-                    data.append(row)
-            big = Matrix(f, nvars * d, self.m * d, data)
+            # block (v, e) of the system is the action of hmat[v][e]
+            big = functools.reduce(Matrix.vstack, (
+                functools.reduce(Matrix.hstack, (
+                    module.act(self.hmat[v][e]) for e in range(self.m)))
+                for v in range(nvars)))
             sols = big.left_kernel()
             proj = sols.take_cols(range(self.n * d))
             result = Subspace.from_matrix(self.n * d, proj)

@@ -103,7 +103,7 @@ class TowerRing:
             if l.dim != i + 1:
                 raise AssertionError("bimodule dimension drifted")
         n = self.height
-        if self.top.dim != self.N + n * (n + 3) // 2:
+        if self.top.dim != tower_dimension(self.N, n):
             raise AssertionError("tower dimension formula violated")
         for lvl in range(1, n + 1):
             alg = self.algebras[lvl]
@@ -146,6 +146,11 @@ class TowerRing:
         v = [z] * alg_i.dim
         v[alg_i.dim - 1] = self.field.one()
         return self.embed_el(tuple(v), i, level)
+
+
+def tower_dimension(N: int, height: int) -> int:
+    """Dimension of the top ring R_height of the tower of horizon N."""
+    return N + height * (height + 3) // 2
 
 
 def build_tower(N: int, height: int, field: Field) -> TowerRing:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +92,33 @@ def test_malformed_algebra_spec_exits_2(spec):
     assert "Traceback" not in proc.stderr + proc.stdout
 
 
+@pytest.mark.parametrize("spec", ["dvr:25", "dvr:100000000000",
+                                  "tower:23:1", "tower:1:6",
+                                  "tower:2:100000"])
+def test_algebra_over_size_limit_exits_2(spec, monkeypatch, capsys):
+    from ppmod import cli
+
+    def refuse(*args):
+        pytest.fail("an over-limit algebra was built")
+
+    monkeypatch.setattr(cli, "truncated_dvr", refuse)
+    monkeypatch.setattr(cli, "build_tower", refuse)
+    rc = main(["pp", "dual", "--algebra", spec, "--formula", "x1 = 0"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"limit of {cli.MAX_ALGEBRA_DIM}" in err
+
+
+def test_algebra_at_size_limit_is_built(monkeypatch):
+    from ppmod import cli
+    built = []
+    monkeypatch.setattr(cli, "truncated_dvr",
+                        lambda n, field: built.append(n) or "algebra")
+    assert cli._algebra_from_spec(f"dvr:{cli.MAX_ALGEBRA_DIM}", None) == \
+        ("algebra", cli.MAX_ALGEBRA_DIM)
+    assert built == [cli.MAX_ALGEBRA_DIM]
+
+
 def test_unknown_ring_element_is_named(capsys):
     rc = main(["pp", "dual", "--algebra", "dvr:3", "--formula", "x1*q = 0"])
     err = capsys.readouterr().err
@@ -132,3 +160,21 @@ def test_entrypoint_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "FinLen(*)" in proc.stdout
+
+
+GOLDEN = Path(__file__).parent / "golden"
+SCENARIO = Path(__file__).parent.parent / "scripts" / "example_scenario.txt"
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("scenario_field_2.txt", ["--field", "2", "run", str(SCENARIO)]),
+    ("scenario_field_3.txt", ["--field", "3", "run", str(SCENARIO)]),
+    ("scenario_field_rational.txt",
+     ["--field", "rational", "run", str(SCENARIO)]),
+    ("tube_dot.txt", ["tube", "--tube", "m=2 n=[1,0] horizon=6", "--dot"]),
+])
+def test_cli_output_matches_golden(golden, argv, capsys):
+    """stdout is byte-identical to the recorded output in tests/golden/."""
+    rc = main(argv)
+    assert rc == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()

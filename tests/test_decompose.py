@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -260,3 +261,22 @@ def test_summand_rad_spans_the_nilpotents(name):
             rad = _vectorized(F2, amb, s.rad)
             assert rad.dim == s.end_rad_dim  # s.rad is a basis
             assert rad == _vectorized(F2, amb, nilpotent)
+
+
+def test_radical_calculus_decomposes_each_module_once(monkeypatch):
+    # the package's own `decompose` name is the function, not the module
+    dec = importlib.import_module("ppmod.decompose")
+    calls: dict[int, int] = {}
+    real = dec.decompose
+
+    def counting(m, seed=0):
+        calls[m.serial] = calls.get(m.serial, 0) + 1
+        return real(m, seed)
+
+    monkeypatch.setattr(dec, "decompose", counting)
+    for universe in radical_universes().values():
+        calc = RadicalCalculus(universe)
+        for a, b in itertools.product(universe, repeat=2):
+            for t in (1, 2, 3):
+                calc.rad_power(a, b, t)
+    assert calls and max(calls.values()) == 1

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +157,17 @@ def test_solve_right_consistency():
     assert x is not None and (a * x) == b
 
 
+def test_f2_packed_rows_and_element_rows_agree():
+    # bit j of a packed row is column j
+    a = Matrix(F2, 2, 3, [[1, 0, 1], [0, 1, 1]])
+    b = Matrix.from_packed(F2, 2, 3, (0b101, 0b110))
+    assert a.packed == b.packed == (0b101, 0b110)
+    assert a == b and hash(a) == hash(b)
+    assert b.data == ((1, 0, 1), (0, 1, 1))
+    assert a != Matrix.from_packed(F2, 2, 3, (0b101, 0b111))
+    assert Matrix.from_int_rows(F3, [[1, 0, 1], [0, 1, 1]]).packed is None
+
+
 def test_zero_dim_edge_cases():
     z = Matrix(F2, 0, 3, [])
     assert z.transpose().rows == 3 and z.transpose().cols == 0
@@ -192,3 +204,103 @@ def test_span_elements_matches_product_rebuild(inp):
     assert got == expected
     if mats:
         assert all(combination(c, mats) == m for c, m in expected)
+
+
+# -- sympy DomainMatrix oracle ----------------------------------------------
+
+ORACLE_FIELDS = [F2, F3, GF(5), QQ]
+
+
+def to_domain_matrix(mat: Matrix):
+    from sympy import GF as SymGF, QQ as SymQQ
+    from sympy.polys.matrices import DomainMatrix
+    f = mat.field
+    dom = SymQQ if f.p is None else SymGF(f.p)
+    if f.p is None:
+        rows = [[dom(x.numerator, x.denominator) for x in r] for r in mat.data]
+    else:
+        rows = [[dom(int(x)) for x in r] for r in mat.data]
+    return DomainMatrix(rows, (mat.rows, mat.cols), dom)
+
+
+def from_domain_rows(rows, f):
+    if f.p is None:
+        return [[QQ.of(0) + Fraction(int(x.numerator), int(x.denominator))
+                 for x in r] for r in rows]
+    return [[int(x) % f.p for x in r] for r in rows]
+
+
+def oracle_rref_rows(dm, f):
+    """Nonzero rows of the reduced echelon form, as lists of ppmod values."""
+    red, pivots = dm.rref()
+    return from_domain_rows(red.to_list()[:len(pivots)], f), tuple(pivots)
+
+
+def oracle_kernel_rows(dm, f):
+    """Reduced echelon basis of {v : dm v = 0}."""
+    cols = dm.shape[1]
+    ns = dm.nullspace()
+    if ns.shape[0] == 0 or ns.shape[1] != cols:
+        return []
+    return oracle_rref_rows(ns, f)[0]
+
+
+def field_matrix(f, rows, cols):
+    if f.p is None:
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    else:
+        entry = st.integers(0, f.p - 1)
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(
+        lambda d: Matrix(f, rows, cols, [[f.of(0) + x for x in r]
+                                         for r in d]))
+
+
+@st.composite
+def oracle_input(draw):
+    """A field, an a x b matrix A (a, b in 0..5, so 0 x n, n x 0 and 0 x 0
+    occur), B of the same shape, C of shape b x k, a right-hand side of
+    shape a x k (often A times something, so solvable systems occur) and a
+    vector of length b."""
+    f = draw(st.sampled_from(ORACLE_FIELDS))
+    a, b, k = (draw(st.integers(0, 5)) for _ in range(3))
+    mat_a = draw(field_matrix(f, a, b))
+    mat_b = draw(field_matrix(f, a, b))
+    mat_c = draw(field_matrix(f, b, k))
+    rhs = mat_a * mat_c if draw(st.booleans()) \
+        else draw(field_matrix(f, a, k))
+    vec = draw(field_matrix(f, 1, b))
+    if b and draw(st.booleans()):  # a vector of the row space
+        vec = draw(field_matrix(f, 1, a)) * mat_a if a else vec
+    return f, mat_a, mat_b, mat_c, rhs, vec.data[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_input())
+def test_linalg_matches_sympy_domain_matrix(inp):
+    f, a, b, c, rhs, vec = inp
+    da = to_domain_matrix(a)
+    red, pivots = a.rref()
+    assert ([list(r) for r in red.data], pivots) == oracle_rref_rows(da, f)
+    assert (red.rows, red.cols) == (len(pivots), a.cols)
+    assert a.rank() == da.rank()
+    assert [list(r) for r in a.right_kernel().data] == \
+        oracle_kernel_rows(da, f)
+    assert [list(r) for r in a.left_kernel().data] == \
+        oracle_kernel_rows(da.transpose(), f)
+    prod = a * c
+    assert (prod.rows, prod.cols) == (a.rows, c.cols)
+    assert [list(r) for r in prod.data] == \
+        from_domain_rows(da.matmul(to_domain_matrix(c)).to_list(), f)
+    assert [list(r) for r in (a + b).data] == \
+        from_domain_rows((da + to_domain_matrix(b)).to_list(), f)
+    solvable = da.rank() == da.hstack(to_domain_matrix(rhs)).rank()
+    x = a.solve_right(rhs)
+    assert (x is not None) == solvable
+    if x is not None:
+        assert (x.rows, x.cols) == (a.cols, rhs.cols)
+        assert [list(r) for r in rhs.data] == from_domain_rows(
+            da.matmul(to_domain_matrix(x)).to_list(), f)
+    span = Subspace(a.cols, red)
+    dv = to_domain_matrix(Matrix(f, 1, a.cols, [vec]))
+    assert span.contains_vector(vec) == (da.vstack(dv).rank() == da.rank())
