@@ -50,10 +50,6 @@ class FDAlgebra:
         f = self.field
         return tuple(f.add(a, b) for a, b in zip(u, v))
 
-    def sub_el(self, u, v):
-        f = self.field
-        return tuple(f.sub(a, b) for a, b in zip(u, v))
-
     def neg_el(self, u):
         f = self.field
         return tuple(f.neg(a) for a in u)
@@ -88,18 +84,6 @@ class FDAlgebra:
             raise ValueError(f"unknown ring element {label!r} of {self.name}"
                              f" (valid: {valid})")
         return self.basis_el(self.labels.index(label))
-
-    def el_str(self, v) -> str:
-        f = self.field
-        terms = []
-        for c, lab in zip(v, self.labels):
-            if c == f.zero():
-                continue
-            if c == f.one():
-                terms.append(lab)
-            else:
-                terms.append(f"{c}*{lab}")
-        return " + ".join(terms) if terms else "0"
 
     # -- structure ------------------------------------------------------
 

@@ -11,7 +11,7 @@ import itertools
 import random
 
 from .algebra import FDAlgebra
-from .linalg import Matrix
+from .linalg import Matrix, block
 from .modules import Module, direct_sum, free_module, quotient_module, _module_span
 
 CATALOG_VERSION = "1"
@@ -26,15 +26,18 @@ def dvr_chain_module(alg: FDAlgebra, j: int) -> Module:
     if not (1 <= j <= N):
         raise ValueError(f"chain length {j} outside 1..{N}")
     f = alg.field
-    shift = Matrix.from_rows(
-        f, [[f.one() if c == r + 1 else f.zero() for c in range(j)]
-            for r in range(j)])
+    shift = _shift(f, j)
     action = []
     power = Matrix.identity(f, j)
     for i in range(N):
         action.append(power)
         power = power * shift
     return Module(alg, j, action, label=f"V/m^{j}", check=False)
+
+
+def _shift(f, n: int) -> Matrix:
+    """The n x n nilpotent shift, e_r -> e_{r+1} on row vectors."""
+    return Matrix.identity(f, n + 1).submatrix(range(1, n + 1), range(n))
 
 
 def dvr_universe(alg: FDAlgebra, dim_cap: int) -> list[Module]:
@@ -73,22 +76,7 @@ def kronecker_rep(alg: FDAlgebra, d1: int, d2: int, amat, bmat,
     f = alg.field
     d = d1 + d2
     z = Matrix.zero(f, d, d)
-
-    def block(mat11=None, mat22=None, mat12=None):
-        data = [[f.zero()] * d for _ in range(d)]
-        if mat11 is not None:
-            for r in range(d1):
-                for c in range(d1):
-                    data[r][c] = mat11.data[r][c]
-        if mat22 is not None:
-            for r in range(d2):
-                for c in range(d2):
-                    data[d1 + r][d1 + c] = mat22.data[r][c]
-        if mat12 is not None:
-            for r in range(d1):
-                for c in range(d2):
-                    data[r][d1 + c] = mat12.data[r][c]
-        return Matrix(f, d, d, data)
+    bands = [d1, d2]
 
     amat = amat if isinstance(amat, Matrix) else Matrix.from_int_rows(f, amat)
     bmat = bmat if isinstance(bmat, Matrix) else Matrix.from_int_rows(f, bmat)
@@ -96,32 +84,26 @@ def kronecker_rep(alg: FDAlgebra, d1: int, d2: int, amat, bmat,
         raise ValueError("arrow matrices must be d1 x d2")
     action = [z] * alg.dim
     lab = {name: i for i, name in enumerate(alg.labels)}
-    action[lab["e1"]] = block(mat11=Matrix.identity(f, d1))
-    action[lab["e2"]] = block(mat22=Matrix.identity(f, d2))
-    action[lab["a"]] = block(mat12=amat)
-    action[lab["b"]] = block(mat12=bmat)
+    action[lab["e1"]] = block(f, bands, bands, {(0, 0): Matrix.identity(f, d1)})
+    action[lab["e2"]] = block(f, bands, bands, {(1, 1): Matrix.identity(f, d2)})
+    action[lab["a"]] = block(f, bands, bands, {(0, 1): amat})
+    action[lab["b"]] = block(f, bands, bands, {(0, 1): bmat})
     return Module(alg, d, action, label=label, check=False)
 
 
 def kronecker_preprojective(alg: FDAlgebra, i: int) -> Module:
     """Preprojective of dimension vector (i, i+1); PP(0) and PP(1) are the
     indecomposable projectives at vertices 2 and 1."""
-    f = alg.field
-    a = [[f.one() if c == r else f.zero() for c in range(i + 1)] for r in range(i)]
-    b = [[f.one() if c == r + 1 else f.zero() for c in range(i + 1)] for r in range(i)]
-    return kronecker_rep(alg, i, i + 1, Matrix.from_rows(f, a) if i else Matrix(f, 0, i + 1, []),
-                         Matrix.from_rows(f, b) if i else Matrix(f, 0, i + 1, []),
-                         label=f"PP({i})")
+    ident = Matrix.identity(alg.field, i + 1)
+    return kronecker_rep(alg, i, i + 1, ident.take_rows(range(i)),
+                         ident.take_rows(range(1, i + 1)), label=f"PP({i})")
 
 
 def kronecker_preinjective(alg: FDAlgebra, i: int) -> Module:
     """Preinjective of dimension vector (i+1, i)."""
-    f = alg.field
-    a = [[f.one() if c == r else f.zero() for c in range(i)] for r in range(i + 1)]
-    b = [[f.one() if c == r - 1 else f.zero() for c in range(i)] for r in range(i + 1)]
-    return kronecker_rep(alg, i + 1, i,
-                         Matrix.from_rows(f, a), Matrix.from_rows(f, b),
-                         label=f"PI({i})")
+    ident = Matrix.identity(alg.field, i + 1)
+    return kronecker_rep(alg, i + 1, i, ident.take_cols(range(i)),
+                         ident.take_cols(range(1, i + 1)), label=f"PI({i})")
 
 
 def kronecker_regular(alg: FDAlgebra, lam, n: int) -> Module:
@@ -129,8 +111,7 @@ def kronecker_regular(alg: FDAlgebra, lam, n: int) -> Module:
     or the string 'inf')."""
     f = alg.field
     ident = Matrix.identity(f, n)
-    shift = Matrix.from_rows(
-        f, [[f.one() if c == r + 1 else f.zero() for c in range(n)] for r in range(n)])
+    shift = _shift(f, n)
     if lam == "inf":
         return kronecker_rep(alg, n, n, shift, ident, label=f"R(inf)[{n}]")
     jordan = shift + ident.scale(lam)

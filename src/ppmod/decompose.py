@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 
 from .linalg import (Matrix, Subspace, combination, span_elements,
-                     subspace_meet, subspace_sum)
+                     subspace_meet, subspace_sum, vectorized)
 from .modules import (Module, ModuleMap, hom_space, identity_map,
                       indecomposable_iso, submodule)
 
@@ -127,25 +127,22 @@ def _end_certify_local_finite(m: Module, basis: list[ModuleMap]):
 
 
 def _end_radical_dickson(basis: list[ModuleMap]) -> list[list]:
-    """Radical of End over QQ via the trace form (characteristic 0)."""
-    f = basis[0].mat.field
-    n = len(basis)
-    gram = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            prod = basis[i].mat * basis[j].mat
-            row.append(sum((prod.data[t][t] for t in range(prod.rows)), f.zero()))
-        gram.append(row)
-    return Matrix.from_rows(f, gram).right_kernel().data
+    """Radical of End over QQ via the trace form (characteristic 0).
+
+    The Gram matrix of the form is one product: tr(B_i B_j) is the dot
+    product of vec(B_i) with vec(B_j^T)."""
+    mats = [h.mat for h in basis]
+    f, d = mats[0].field, mats[0].rows
+    gram = vectorized(f, mats, d * d) * \
+        vectorized(f, [b.transpose() for b in mats], d * d).transpose()
+    return gram.right_kernel().data
 
 
 def _min_poly_coeffs(mat: Matrix, f) -> list:
     """Coefficients c_0..c_d of the minimal polynomial (sum c_i t^i = 0)."""
     powers = [Matrix.identity(f, mat.rows)]
     while True:
-        rows = [[x for r in p.data for x in r] for p in powers]
-        mrows = Matrix.from_rows(f, rows)
+        mrows = vectorized(f, powers, mat.rows * mat.cols)
         if mrows.rank() < len(powers):
             break
         powers.append(powers[-1] * mat)
@@ -293,13 +290,9 @@ def is_indecomposable(m: Module) -> bool:
 
 def hom_subspace(m: Module, n: Module) -> Subspace:
     """Hom(M, N) as a subspace of the vectorized map space k^{dM.dN}."""
-    basis = hom_space(m, n)
     amb = m.dim * n.dim
-    f = m.algebra.field
-    if not basis:
-        return Subspace.zero(f, amb)
-    rows = [[x for r in h.mat.data for x in r] for h in basis]
-    return Subspace.from_matrix(amb, Matrix.from_rows(f, rows))
+    return Subspace.from_matrix(amb, vectorized(
+        m.algebra.field, [h.mat for h in hom_space(m, n)], amb))
 
 
 def radical_subspace(m: Module, n: Module, seed: int = 0) -> Subspace:
@@ -315,7 +308,7 @@ def _radical_of(dm: Decomposition, dn: Decomposition) -> Subspace:
     """radical_subspace(dm.module, dn.module) from their decompositions."""
     f = dm.module.algebra.field
     amb = dm.module.dim * dn.module.dim
-    rows: list[list] = []
+    maps: list[Matrix] = []
     for sm in dm.summands:
         for sn in dn.summands:
             u, v = sm.module, sn.module
@@ -324,31 +317,20 @@ def _radical_of(dm: Decomposition, dn: Decomposition) -> Subspace:
                 block = [h.mat for h in hom_space(u, v)]
             else:
                 block = [r * iso.mat for r in sm.rad]
-            for bm in block:
-                full = sm.project.mat * bm * sn.inject.mat
-                rows.append([x for r in full.data for x in r])
-    if not rows:
-        return Subspace.zero(f, amb)
-    return Subspace.from_matrix(amb, Matrix.from_rows(f, rows))
+            maps += [sm.project.mat * bm * sn.inject.mat for bm in block]
+    return Subspace.from_matrix(amb, vectorized(f, maps, amb))
 
 
 def compose_subspaces(m: Module, c: Module, n: Module,
                       left: Subspace, right: Subspace) -> Subspace:
     """Span of {g . f} for f in a subspace of Hom(M,C), g in Hom(C,N)."""
-    f = m.algebra.field
     amb = m.dim * n.dim
-    rows = []
-    for fr in left.basis.data:
-        fm = Matrix(f, m.dim, c.dim,
-                    [fr[i * c.dim:(i + 1) * c.dim] for i in range(m.dim)])
-        for gr in right.basis.data:
-            gm = Matrix(f, c.dim, n.dim,
-                        [gr[i * n.dim:(i + 1) * n.dim] for i in range(c.dim)])
-            prod = fm * gm
-            rows.append([x for r in prod.data for x in r])
-    if not rows:
-        return Subspace.zero(f, amb)
-    return Subspace.from_matrix(amb, Matrix.from_rows(f, rows))
+    fs = [left.basis.take_rows((i,)).reshape(m.dim, c.dim)
+          for i in range(left.dim)]
+    gs = [right.basis.take_rows((j,)).reshape(c.dim, n.dim)
+          for j in range(right.dim)]
+    return Subspace.from_matrix(
+        amb, vectorized(m.algebra.field, [a * b for a in fs for b in gs], amb))
 
 
 class RadicalCalculus:

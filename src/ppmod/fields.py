@@ -2,8 +2,8 @@
 
 Field elements are plain Python values (ints reduced mod p, or
 fractions.Fraction); a Field object bundles the arithmetic so matrix code
-stays field-generic.  Over GF(2) matrices are stored differently: each row
-is one packed int (see ppmod.linalg), and `is_f2` selects that storage.
+stays field-generic.  How a matrix stores its entries is decided in
+ppmod.linalg alone.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ class Field:
     def of(self, n: int):
         """Image of the integer n in the field."""
         raise NotImplementedError
-
-    @property
-    def is_f2(self) -> bool:
-        return self.p == 2
 
     def elements(self):
         """Iterate all field elements (finite fields only)."""

@@ -10,6 +10,12 @@ elimination runs on the ints.  Over GF(p) and QQ the rows are tuples of
 field elements.  `Matrix.data`, the rows as tuples of field elements, is
 available for every field; over GF(2) it is unpacked on first use and
 cached.
+
+No other module knows how a matrix stores its rows.  They build, flatten
+and cut matrices with `block`, `Matrix.reshape`, `vectorized`, the row and
+column selections and the stacks, take hom spaces from `intertwiners`, and
+read `.data` only for output, coefficient rows and vectors.  A change of
+storage is therefore confined to this file.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ class Matrix:
         d = tuple(tuple(r) for r in data)
         if len(d) != rows or any(len(r) != cols for r in d):
             raise ValueError("matrix data does not match shape")
-        if field.is_f2:
+        if field.p == 2:
             self.packed = tuple(_pack(r) for r in d)
         else:
             self.packed = None
@@ -74,18 +80,25 @@ class Matrix:
 
     @staticmethod
     def zero(field: Field, rows: int, cols: int) -> "Matrix":
-        if field.is_f2:
+        if field.p == 2:
             return Matrix.from_packed(field, rows, cols, (0,) * rows)
         z = field.zero()
         return Matrix(field, rows, cols, [[z] * cols for _ in range(rows)])
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        if field.is_f2:
+        if field.p == 2:
             return Matrix.from_packed(field, n, n,
                                       tuple(1 << i for i in range(n)))
         z, o = field.zero(), field.one()
         return Matrix(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
+
+    @staticmethod
+    def _of_stored(field: Field, rows: int, cols: int, stored) -> "Matrix":
+        """A matrix from rows in the field's storage (see _stored)."""
+        if field.p == 2:
+            return Matrix.from_packed(field, rows, cols, stored)
+        return Matrix(field, rows, cols, stored)
 
     # -- basics -------------------------------------------------------
 
@@ -217,22 +230,16 @@ class Matrix:
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("col mismatch in vstack")
-        if self.packed is not None:
-            return Matrix.from_packed(self.field, self.rows + other.rows,
-                                      self.cols, self.packed + other.packed)
-        return Matrix(self.field, self.rows + other.rows, self.cols,
-                      list(self.data) + list(other.data))
+        return Matrix._of_stored(self.field, self.rows + other.rows,
+                                 self.cols, self._stored() + other._stored())
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
         return self.take_rows(row_idx).take_cols(col_idx)
 
     def take_rows(self, row_idx) -> "Matrix":
-        row_idx = list(row_idx)
-        if self.packed is not None:
-            return Matrix.from_packed(self.field, len(row_idx), self.cols,
-                                      tuple(self.packed[i] for i in row_idx))
-        return Matrix(self.field, len(row_idx), self.cols,
-                      [self.data[i] for i in row_idx])
+        stored = self._stored()
+        rows = tuple(stored[i] for i in row_idx)
+        return Matrix._of_stored(self.field, len(rows), self.cols, rows)
 
     def take_cols(self, col_idx) -> "Matrix":
         col_idx = list(col_idx)
@@ -247,6 +254,23 @@ class Matrix:
                                       tuple(out))
         return Matrix(self.field, self.rows, len(col_idx),
                       [[r[j] for j in col_idx] for r in self.data])
+
+    def reshape(self, rows: int, cols: int) -> "Matrix":
+        """The same entries, read in row-major order, as a rows x cols
+        matrix; reshape(1, r * c) is the vectorization."""
+        if rows * cols != self.rows * self.cols:
+            raise ValueError("reshape changes the number of entries")
+        f = self.field
+        if self.packed is not None:
+            flat = 0
+            for i, r in enumerate(self.packed):
+                flat |= r << (i * self.cols)
+            mask = (1 << cols) - 1
+            return Matrix.from_packed(f, rows, cols, tuple(
+                (flat >> (i * cols)) & mask for i in range(rows)))
+        flat = [x for r in self.data for x in r]
+        return Matrix(f, rows, cols,
+                      [flat[i * cols:(i + 1) * cols] for i in range(rows)])
 
     # -- elimination ----------------------------------------------------
 
@@ -343,21 +367,112 @@ class Matrix:
             raise ValueError("matrix not invertible")
         return x
 
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
+
+def block(field: Field, heights, widths, blocks) -> Matrix:
+    """The block matrix with row bands of the given heights and column
+    bands of the given widths: blocks[(i, j)] fills band (i, j), and every
+    band without an entry in blocks is zero."""
+    for (i, j), m in blocks.items():
+        if (m.rows, m.cols) != (heights[i], widths[j]):
+            raise ValueError(f"block ({i}, {j}) is {m.rows}x{m.cols}, its "
+                             f"band {heights[i]}x{widths[j]}")
+    rows, cols = sum(heights), sum(widths)
+    out = []
+    if field.p == 2:
+        offs = [sum(widths[:j]) for j in range(len(widths))]
+        for i, h in enumerate(heights):
+            band = [0] * h
+            for j, off in enumerate(offs):
+                m = blocks.get((i, j))
+                if m is not None:
+                    band = [a | (b << off) for a, b in zip(band, m.packed)]
+            out.extend(band)
+        return Matrix.from_packed(field, rows, cols, tuple(out))
+    z = field.zero()
+    for i, h in enumerate(heights):
+        band = [[] for _ in range(h)]
+        for j, w in enumerate(widths):
+            m = blocks.get((i, j))
+            if m is None:
+                for r in band:
+                    r.extend([z] * w)
+            else:
+                for r, src in zip(band, m.data):
+                    r.extend(src)
+        out.extend(band)
+    return Matrix(field, rows, cols, out)
 
 
 def block_diagonal(field: Field, mats) -> Matrix:
     """The block-diagonal matrix with the given blocks in order."""
-    cols = sum(m.cols for m in mats)
-    out = Matrix.zero(field, 0, cols)
-    left = 0
-    for m in mats:
-        right = cols - left - m.cols
-        out = out.vstack(Matrix.zero(field, m.rows, left).hstack(m)
-                         .hstack(Matrix.zero(field, m.rows, right)))
-        left += m.cols
-    return out
+    return block(field, [m.rows for m in mats], [m.cols for m in mats],
+                 {(i, i): m for i, m in enumerate(mats)})
+
+
+def vectorized(field: Field, mats, width: int) -> Matrix:
+    """One row per matrix, its entries in row-major order; every matrix
+    has width entries (a 0 x width matrix for an empty list)."""
+    return Matrix._of_stored(field, len(mats), width, tuple(
+        m.reshape(1, width)._stored()[0] for m in mats))
+
+
+def intertwiners(lefts, rights, dm: int, dn: int) -> list[Matrix]:
+    """The canonical basis of {F (dm x dn) : A F = F B for every pair
+    (A, B) of lefts and rights}: the reduced echelon basis of the
+    solutions, each vectorized row-major, reshaped back to dm x dn."""
+    if not lefts or len(lefts) != len(rights):
+        raise ValueError("need one or more (left, right) pairs")
+    f = lefts[0].field
+    if dm == 0 or dn == 0:
+        return []
+    nunk = dm * dn
+    if f.p == 2:
+        ker = right_kernel_packed_f2(_intertwining_rows_f2(lefts, rights,
+                                                           dm, dn), nunk, f)
+        mask = (1 << dn) - 1
+        return [Matrix.from_packed(f, dm, dn, tuple(
+                    (v >> (i * dn)) & mask for i in range(dm)))
+                for v in ker.packed]
+    z = f.zero()
+    data = []
+    for am, an in zip(lefts, rights):
+        for r in range(dm):
+            for c in range(dn):
+                row = [z] * nunk
+                for s in range(dm):
+                    if am.data[r][s] != z:
+                        row[s * dn + c] = f.add(row[s * dn + c], am.data[r][s])
+                for t in range(dn):
+                    if an.data[t][c] != z:
+                        row[r * dn + t] = f.sub(row[r * dn + t], an.data[t][c])
+                data.append(row)
+    ker = Matrix(f, len(data), nunk, data).right_kernel()
+    return [Matrix(f, dm, dn, [v[i * dn:(i + 1) * dn] for i in range(dm)])
+            for v in ker.data]
+
+
+def _intertwining_rows_f2(lefts, rights, dm: int, dn: int) -> tuple[int, ...]:
+    """Packed rows of the intertwining system over GF(2): the unknown
+    F[s][c] is bit s * dn + c, and row (pair, r, c) says
+    (A F - F B)[r][c] = 0."""
+    rows = []
+    for am, an in zip(lefts, rights):
+        # spread[r]: bit s * dn for every s with am[r][s] = 1
+        spread = []
+        for r in am.packed:
+            acc = 0
+            while r:
+                low = r & -r
+                acc |= 1 << ((low.bit_length() - 1) * dn)
+                r ^= low
+            spread.append(acc)
+        colmask = an.transpose().packed  # colmask[c]: bits t, an[t][c] = 1
+        for r in range(dm):
+            base = spread[r]
+            shift = r * dn
+            for c in range(dn):
+                rows.append((base << c) ^ (colmask[c] << shift))
+    return tuple(rows)
 
 
 # -- spans of a few matrices ---------------------------------------------

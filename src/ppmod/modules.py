@@ -17,8 +17,8 @@ from __future__ import annotations
 import itertools
 
 from .algebra import FDAlgebra
-from .linalg import (Matrix, Subspace, block_diagonal, combination,
-                     span_elements, subspace_leq)
+from .linalg import (Matrix, Subspace, block, block_diagonal, combination,
+                     intertwiners, span_elements, subspace_leq)
 
 _module_serial = itertools.count()
 
@@ -76,8 +76,8 @@ class Module:
     def elements(self):
         """All module elements as row vectors (finite fields only)."""
         f = self.algebra.field
-        units = Matrix.identity(f, self.dim).data
-        rows = [Matrix(f, 1, self.dim, [u]) for u in units]
+        ident = Matrix.identity(f, self.dim)
+        rows = [ident.take_rows((i,)) for i in range(self.dim)]
         for vec, _ in span_elements(rows, Matrix.zero(f, 1, self.dim)):
             yield vec
 
@@ -179,62 +179,8 @@ def hom_space(m: Module, n: Module) -> list[ModuleMap]:
     """Canonical (echelon) basis of Hom(M, N)."""
     if m.algebra is not n.algebra:
         raise ValueError("modules over different algebras")
-    f = m.algebra.field
-    dm, dn = m.dim, n.dim
-    if dm == 0 or dn == 0:
-        return []
-    nunk = dm * dn
-    if f.is_f2:
-        rows = _hom_rows_f2(m, n)
-        ker = Matrix.from_packed(f, len(rows), nunk, rows).right_kernel()
-        mask = (1 << dn) - 1
-        return [ModuleMap(m, n, Matrix.from_packed(
-                    f, dm, dn, tuple((v >> (i * dn)) & mask
-                                     for i in range(dm))), check=False)
-                for v in ker.packed]
-    data = []
-    for bi in range(m.algebra.dim):
-        am, an = m.action[bi], n.action[bi]
-        for r in range(dm):
-            for c in range(dn):
-                row = [f.zero()] * nunk
-                for s in range(dm):
-                    if am.data[r][s] != f.zero():
-                        row[s * dn + c] = f.add(row[s * dn + c], am.data[r][s])
-                for t in range(dn):
-                    if an.data[t][c] != f.zero():
-                        row[r * dn + t] = f.sub(row[r * dn + t], an.data[t][c])
-                data.append(row)
-    ker = Matrix(f, len(data), nunk, data).right_kernel()
-    return [ModuleMap(m, n, Matrix(f, dm, dn, [v[i * dn:(i + 1) * dn]
-                                               for i in range(dm)]),
-                      check=False)
-            for v in ker.data]
-
-
-def _hom_rows_f2(m: Module, n: Module) -> tuple[int, ...]:
-    """Packed constraint rows of the intertwining system over GF(2): the
-    unknown F[s][c] is bit s * dn + c, and row (a, r, c) says
-    (rho_M(a) F - F rho_N(a))[r][c] = 0."""
-    dm, dn = m.dim, n.dim
-    rows = []
-    for am, an in zip(m.action, n.action):
-        # spread[r]: bit s * dn for every s with am[r][s] = 1
-        spread = []
-        for r in am.packed:
-            acc = 0
-            while r:
-                low = r & -r
-                acc |= 1 << ((low.bit_length() - 1) * dn)
-                r ^= low
-            spread.append(acc)
-        colmask = an.transpose().packed  # colmask[c]: bits t, an[t][c] = 1
-        for r in range(dm):
-            base = spread[r]
-            shift = r * dn
-            for c in range(dn):
-                rows.append((base << c) ^ (colmask[c] << shift))
-    return tuple(rows)
+    return [ModuleMap(m, n, mat, check=False)
+            for mat in intertwiners(m.action, n.action, m.dim, n.dim)]
 
 
 def hom_dim(m: Module, n: Module) -> int:
@@ -410,23 +356,13 @@ class Presentation:
         """Algebra coefficients r_1..r_s with sum g_i . r_i = vec, or None."""
         alg = self.algebra
         f = alg.field
-        rows = []
-        for i in range(self.ngens):
-            for t in range(alg.dim):
-                w = [f.zero()] * self.free.dim
-                w[i * alg.dim + t] = f.one()
-                rows.append(list(self.proj(w)))
-        a = Matrix(f, len(rows), self.module.dim, rows)
-        sol = a.solve_left(Matrix.from_rows(f, [list(vec)]))
+        # row i * dim A + t of the projection is the image of e_i (x) b_t
+        sol = self.proj.mat.solve_left(Matrix.from_rows(f, [list(vec)]))
         if sol is None:
             return None
         coeffs = sol.data[0]
         return [tuple(coeffs[i * alg.dim:(i + 1) * alg.dim])
                 for i in range(self.ngens)]
-
-    def relation_matrix(self):
-        """Relations as an ngens x m matrix over the algebra."""
-        return [[rel[i] for rel in self.relations] for i in range(self.ngens)]
 
 
 def _module_span(m: Module, vectors, start: Subspace | None = None) -> Subspace:
@@ -492,13 +428,13 @@ def presentation_of(m: Module) -> Presentation:
     gens = module_generators(m)
     s = len(gens)
     free = free_module(alg, s)
-    # free cover matrix: e_i (x) b_t -> g_i . b_t
-    rows = []
-    for g in gens:
-        gm = Matrix.from_rows(f, [list(g)])
-        for t in range(alg.dim):
-            rows.append(list((gm * m.action[t]).data[0]))
-    cover = ModuleMap(free, m, Matrix(f, free.dim, m.dim, rows), check=False)
+    # free cover matrix: e_i (x) b_t -> g_i . b_t.  Row i of
+    # G [rho(b_0) | ... | rho(b_last)] is g_i . b_0, ..., g_i . b_last side
+    # by side, so the row-major reshape puts g_i . b_t at row i * dim A + t.
+    actions = block(f, [m.dim], [m.dim] * alg.dim,
+                    {(0, t): a for t, a in enumerate(m.action)})
+    images = Matrix(f, s, m.dim, gens) * actions
+    cover = ModuleMap(free, m, images.reshape(free.dim, m.dim), check=False)
     ker = kernel_subspace(cover)
     # module generators of the kernel
     rel_vecs = []

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .catalog import dvr_chain_module
 from .decompose import decompose
 from .errors import HorizonExceeded, SquareFailed
-from .linalg import Matrix
+from .linalg import Matrix, block, vectorized
 from .modules import Module, ModuleMap, direct_sum, iso_test
 from .tower import (TowerRing, build_tower, f0, f0_map, f1, f1_map,
                     left_projectives, natural_embedding)
@@ -29,22 +29,18 @@ from .tube import Arrow, TranslationQuiver, ZERO
 
 def chain_inclusion(alg, j: int) -> ModuleMap:
     """V/m^j -> V/m^{j+1}, the image being the maximal submodule."""
-    f = alg.field
     src = dvr_chain_module(alg, j)
     tgt = dvr_chain_module(alg, j + 1)
-    data = [[f.one() if c == r + 1 else f.zero() for c in range(j + 1)]
-            for r in range(j)]
-    return ModuleMap(src, tgt, Matrix(f, j, j + 1, data), check=True)
+    mat = Matrix.identity(alg.field, j + 1).take_rows(range(1, j + 1))
+    return ModuleMap(src, tgt, mat, check=True)
 
 
 def chain_quotient(alg, j: int) -> ModuleMap:
     """V/m^{j+1} -> V/m^j, killing the socle of the source."""
-    f = alg.field
     src = dvr_chain_module(alg, j + 1)
     tgt = dvr_chain_module(alg, j)
-    data = [[f.one() if c == r else f.zero() for c in range(j)]
-            for r in range(j + 1)]
-    return ModuleMap(src, tgt, Matrix(f, j + 1, j, data), check=True)
+    mat = Matrix.identity(alg.field, j + 1).take_cols(range(j))
+    return ModuleMap(src, tgt, mat, check=True)
 
 
 def verify_pushout_pullback(top: ModuleMap, left: ModuleMap,
@@ -140,12 +136,6 @@ def realize_in_tower(tower: TowerRing, stages: int) -> RealizedTube:
     n = tower.height
     alg0 = tower.algebras[0]
     rt = RealizedTube(tower, stages)
-
-    def lift_f0(mod_map, from_level):
-        out = mod_map
-        for lvl in range(from_level + 1, n + 1):
-            out = f0_map(tower, lvl, out)
-        return out
 
     for j in range(1, stages + 2):
         base = dvr_chain_module(alg0, j)
@@ -313,18 +303,16 @@ def stage_bimodule(rt: RealizedTube):
     offs = [sum(dims[:i]) for i in range(len(dims))]
     total = sum(dims)
 
-    def embed_block(mat: Matrix, bi: int, bj: int) -> Matrix:
-        data = [[f.zero()] * total for _ in range(total)]
-        for r in range(mat.rows):
-            for c in range(mat.cols):
-                data[offs[bi] + r][offs[bj] + c] = mat.data[r][c]
-        return Matrix(f, total, total, data)
+    def place(mat: Matrix, row: int, col: int) -> Matrix:
+        """mat in a total x total zero matrix, its corner at (row, col)."""
+        return block(f, [row, mat.rows, total - row - mat.rows],
+                     [col, mat.cols, total - col - mat.cols], {(1, 1): mat})
 
     # level 0: powers of x on the first block
     b0 = left_tower.algebras[0]
     power = Matrix.identity(f, rt.M[J].dim)
     for t in range(b0.dim):
-        lam[t] = embed_block(power, 0, 0)
+        lam[t] = place(power, 0, 0)
         power = power * xmult.mat
 
     # Delta_0: the bimodule generator goes to beta_1 = alpha^1 o u_1
@@ -334,43 +322,23 @@ def stage_bimodule(rt: RealizedTube):
 
     done = b0.dim
     for lvl in range(1, n + 1):
-        blvl = left_tower.algebras[lvl]
         l_bim = left_tower.bimodules[lvl - 1]
-        sub_total = offs[lvl] + dims[lvl]
         # bimodule basis elements act through Delta_{lvl-1}
         for t in range(l_bim.dim):
-            dm = deltas[lvl - 1][t]
-            data = [[f.zero()] * total for _ in range(total)]
-            for r in range(dm.rows):
-                for c in range(dm.cols):
-                    data[r][offs[lvl] + c] = dm.data[r][c]
-            lam[done + t] = Matrix(f, total, total, data)
+            lam[done + t] = place(deltas[lvl - 1][t], 0, offs[lvl])
         # the extension idempotent projects onto the new block
-        proj = embed_block(Matrix.identity(f, dims[lvl]), lvl, lvl)
-        lam[done + l_bim.dim] = proj
+        lam[done + l_bim.dim] = place(Matrix.identity(f, dims[lvl]),
+                                      offs[lvl], offs[lvl])
         done += l_bim.dim + 1
         if lvl < n:
-            nxt_alpha = rt.alpha[(lvl + 1, 1)]
-            new_deltas = []
-            # basis of L_lvl in flatten order: [hom slot | lower bimodule]
-            idmap = nxt_alpha.mat  # P^lvl -> P^{lvl+1}
-            first = Matrix.zero(f, offs[lvl] + dims[lvl], rt.P[(lvl + 1, 1)].dim)
-            d = [list(r) for r in first.data]
-            for r in range(dims[lvl]):
-                for c in range(rt.P[(lvl + 1, 1)].dim):
-                    d[offs[lvl] + r][c] = idmap.data[r][c]
-            new_deltas.append(Matrix(f, offs[lvl] + dims[lvl],
-                                     rt.P[(lvl + 1, 1)].dim, d))
-            for t in range(l_bim.dim):
-                comp = deltas[lvl - 1][t] * nxt_alpha.mat
-                pad = [[f.zero()] * rt.P[(lvl + 1, 1)].dim
-                       for _ in range(offs[lvl] + dims[lvl])]
-                for r in range(comp.rows):
-                    for c in range(comp.cols):
-                        pad[r][c] = comp.data[r][c]
-                new_deltas.append(Matrix(f, offs[lvl] + dims[lvl],
-                                         rt.P[(lvl + 1, 1)].dim, pad))
-            deltas.append(new_deltas)
+            # basis of L_lvl in flatten order: [hom slot | lower bimodule];
+            # each Delta_lvl map sends X_lvl = [X_{lvl-1} | P^lvl] to
+            # P^{lvl+1}
+            nxt = rt.alpha[(lvl + 1, 1)].mat  # P^lvl -> P^{lvl+1}
+            heights, widths = [offs[lvl], dims[lvl]], [nxt.cols]
+            deltas.append([block(f, heights, widths, {(1, 0): nxt})] +
+                          [block(f, heights, widths, {(0, 0): dm * nxt})
+                           for dm in deltas[lvl - 1]])
 
     top = left_tower.top
     if done != top.dim:
@@ -384,8 +352,7 @@ def stage_bimodule(rt: RealizedTube):
     for t in range(top.dim):
         ModuleMap(x_mod, x_mod, action[t], check=True)
     # ring embedding: the left action matrices are linearly independent
-    rows = [[x for r in mat.data for x in r] for mat in action]
-    if Matrix.from_rows(f, rows).rank() != top.dim:
+    if vectorized(f, action, total * total).rank() != top.dim:
         raise AssertionError("left tower does not embed into the endomorphisms")
     return left_tower, left_mod, x_mod
 

@@ -504,8 +504,8 @@ def suite_radical(seed: int = 0) -> SuiteResult:
                                              Matrix.zero(F2, a.dim, b.dim)):
                 fmap = ModuleMap(a, b, mat, check=False)
                 maps_checked += 1
-                vec = [x for row in mat.data for x in row]
-                structural = rad.contains_vector(vec)
+                structural = rad.contains_vector(
+                    mat.reshape(1, a.dim * b.dim).row(0))
                 criterion = True
                 for el in a.elements():
                     if all(c == F2.zero() for c in el):

@@ -22,7 +22,7 @@ from .catalog import dvr_chain_module
 from .decompose import decompose
 from .errors import HorizonExceeded, UnclassifiedSummand
 from .fields import Field
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, block, vectorized
 from .modules import (Module, ModuleMap, hom_space, iso_test,
                       regular_module, submodule, _module_span)
 
@@ -184,29 +184,19 @@ class Triple:
         """The module over R_level on coordinates [M_0 | M_1]."""
         tower, lvl = self.tower, self.level
         alg = tower.algebras[lvl]
-        base = tower.algebras[lvl - 1]
         l_dim = tower.bimodules[lvl - 1].dim
         f = tower.field
-        d = self.m0 + self.m1.dim
-        action = []
-        for bidx in range(alg.dim):
-            data = [[f.zero()] * d for _ in range(d)]
-            if bidx < base.dim:
-                a = self.m1.action[bidx]
-                for r in range(self.m1.dim):
-                    for c in range(self.m1.dim):
-                        data[self.m0 + r][self.m0 + c] = a.data[r][c]
-            elif bidx < base.dim + l_dim:
-                j = bidx - base.dim
-                for r in range(self.m0):
-                    row = self.gamma[r].data[j]
-                    for c in range(self.m1.dim):
-                        data[r][self.m0 + c] = row[c]
-            else:
-                for r in range(self.m0):
-                    data[r][r] = f.one()
-            action.append(Matrix(f, d, d, data))
-        return Module(alg, d, action, check=False)
+        d1 = self.m1.dim
+        bands = [self.m0, d1]
+        # row r of the vectorized gammas holds gamma[r]'s rows side by side
+        gam = vectorized(f, self.gamma, l_dim * d1)
+        action = [block(f, bands, bands, {(1, 1): a}) for a in self.m1.action]
+        action += [block(f, bands, bands,
+                         {(0, 1): gam.take_cols(range(j * d1, (j + 1) * d1))})
+                   for j in range(l_dim)]
+        action.append(block(f, bands, bands,
+                            {(0, 0): Matrix.identity(f, self.m0)}))
+        return Module(alg, self.m0 + d1, action, check=False)
 
     @staticmethod
     def from_module(tower: TowerRing, level: int, x: Module) -> "Triple":
@@ -217,31 +207,24 @@ class Triple:
         if x.algebra is not alg:
             raise ValueError("module is not over the expected tower level")
         f = tower.field
-        eps = [f.zero()] * alg.dim
-        eps[alg.dim - 1] = f.one()
-        e_mat = x.act(tuple(eps))
-        s0 = Subspace.from_matrix(x.dim, e_mat.row_space())
-        one_minus = x.act(alg.unit) - e_mat
-        s1 = Subspace.from_matrix(x.dim, one_minus.row_space())
-        m1_action = []
-        b1 = s1.basis
-        pivots = [next(j for j, v in enumerate(row) if v != f.zero())
-                  for row in b1.data]
-        for bidx in range(base.dim):
-            big = x.act(tower.embed_el(base.basis_el(bidx), level - 1, level))
-            img = b1 * big
-            m1_action.append(img.take_cols(pivots))
+        e_mat = x.act(alg.basis_el(alg.dim - 1))
+        s0 = Subspace.from_matrix(x.dim, e_mat)
+        s1 = Subspace.from_matrix(x.dim, x.act(alg.unit) - e_mat)
+        b1, pivots = s1.basis, s1.pivots
+        m1_action = [
+            (b1 * x.act(tower.embed_el(base.basis_el(bidx), level - 1,
+                                       level))).take_cols(pivots)
+            for bidx in range(base.dim)]
         m1 = Module(base, s1.dim, m1_action, check=False)
-        gamma = []
-        for r in range(s0.dim):
-            v = Matrix.from_rows(f, [list(s0.basis.data[r])])
-            rows = []
-            for j in range(l_dim):
-                el = [f.zero()] * alg.dim
-                el[base.dim + j] = f.one()
-                img = (v * x.act(tuple(el))).data[0]
-                rows.append([img[p] for p in pivots])
-            gamma.append(Matrix(f, l_dim, s1.dim, rows))
+        # row r of imgs is s0 row r pushed through each bimodule basis
+        # element, side by side: gamma[r] vectorized
+        acts = block(f, [x.dim], [x.dim] * l_dim,
+                     {(0, j): x.act(alg.basis_el(base.dim + j))
+                      for j in range(l_dim)})
+        imgs = (s0.basis * acts).take_cols(
+            [j * x.dim + p for j in range(l_dim) for p in pivots])
+        gamma = [imgs.take_rows((r,)).reshape(l_dim, s1.dim)
+                 for r in range(s0.dim)]
         return Triple(tower, level, s0.dim, m1, gamma)
 
 
@@ -292,38 +275,19 @@ def f1_map(tower: TowerRing, level: int, fmap: ModuleMap) -> ModuleMap:
     """Block action on (Hom(L, X), X): post-composition on the hom part."""
     l_mod = tower.bimodules[level - 1]
     f = tower.field
-    hx = hom_space(l_mod, fmap.source)
-    hy = hom_space(l_mod, fmap.target)
-    # express h . f over the target hom basis; when the target hom space
-    # vanishes every composite is zero and the hom block is empty
-    if hy:
-        basis_rows = [[x for r in h.mat.data for x in r] for h in hy]
-        basis_mat = Matrix.from_rows(f, basis_rows)
-    coeff_rows = []
-    for h in hx:
-        if not hy:
-            comp = h.mat * fmap.mat
-            if not comp.is_zero():
-                raise ValueError("nonzero composite outside the hom space")
-            coeff_rows.append([])
-            continue
-        comp = h.mat * fmap.mat
-        vec = Matrix.from_rows(f, [[x for r in comp.data for x in r]])
-        sol = basis_mat.solve_left(vec)
-        if sol is None:
-            raise ValueError("composition left the hom space span")
-        coeff_rows.append(list(sol.data[0]))
+    hx = [h.mat for h in hom_space(l_mod, fmap.source)]
+    hy = [h.mat for h in hom_space(l_mod, fmap.target)]
+    # h . f over the target hom basis, one row of coefficients per h
+    width = l_mod.dim * fmap.target.dim
+    coeffs = vectorized(f, hy, width).solve_left(
+        vectorized(f, [h * fmap.mat for h in hx], width))
+    if coeffs is None:
+        raise ValueError("composition left the hom space span")
     sx = f1(tower, level, fmap.source)
     sy = f1(tower, level, fmap.target)
-    dx, dy = sx.dim, sy.dim
-    data = [[f.zero()] * dy for _ in range(dx)]
-    for r in range(len(hx)):
-        for c in range(len(hy)):
-            data[r][c] = coeff_rows[r][c]
-    for r in range(fmap.source.dim):
-        for c in range(fmap.target.dim):
-            data[len(hx) + r][len(hy) + c] = fmap.mat.data[r][c]
-    return ModuleMap(sx, sy, Matrix(f, dx, dy, data), check=False)
+    mat = block(f, [len(hx), fmap.source.dim], [len(hy), fmap.target.dim],
+                {(0, 0): coeffs, (1, 1): fmap.mat})
+    return ModuleMap(sx, sy, mat, check=False)
 
 
 def forget(tower: TowerRing, level: int, x: Module) -> Module:
@@ -335,12 +299,9 @@ def natural_embedding(tower: TowerRing, level: int, m: Module) -> ModuleMap:
     """The canonical embedding (0, id): F0 M -> F1 M."""
     src = f0(tower, level, m)
     tgt = f1(tower, level, m)
-    f = tower.field
-    h = tgt.dim - m.dim
-    data = [[f.zero()] * tgt.dim for _ in range(m.dim)]
-    for r in range(m.dim):
-        data[r][h + r] = f.one()
-    return ModuleMap(src, tgt, Matrix(f, m.dim, tgt.dim, data), check=True)
+    mat = Matrix.identity(tower.field, tgt.dim).take_rows(
+        range(tgt.dim - m.dim, tgt.dim))
+    return ModuleMap(src, tgt, mat, check=True)
 
 
 def t_module(tower: TowerRing, m: int) -> Module:
@@ -376,10 +337,6 @@ class FpLabel:
         if kind == "T" and self.a == 0 and self.b == 0:
             return f"T({idx})"
         return f"F0^{self.a} F1^{self.b} {kind}({idx})"
-
-    @property
-    def base_level(self) -> int:
-        return self.base[1] if self.base[0] == "T" else 0
 
 
 def canonical_label(lab: FpLabel) -> FpLabel:

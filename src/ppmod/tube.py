@@ -380,13 +380,6 @@ class SymbolicTube:
 
     quiver: TranslationQuiver
 
-    def stage_objects(self, j: int) -> list[Vertex]:
-        return [(i, 0, j) for i in range(self.quiver.m)]
-
-    def p_objects(self, l: int, j: int = 1) -> list[Vertex | None]:
-        return [(i, l, j) if l <= self.quiver.n_of(i) else None
-                for i in range(self.quiver.m)]
-
     def _stage_check(self, j: int, top: int):
         if not (1 <= j and top <= self.quiver.horizon):
             raise ValueError("stage outside the quiver horizon")

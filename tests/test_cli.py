@@ -172,6 +172,14 @@ SCENARIO = Path(__file__).parent.parent / "scripts" / "example_scenario.txt"
     ("scenario_field_rational.txt",
      ["--field", "rational", "run", str(SCENARIO)]),
     ("tube_dot.txt", ["tube", "--tube", "m=2 n=[1,0] horizon=6", "--dot"]),
+] + [
+    (f"realize_h2_field_{f}.txt",
+     ["--field", f, "realize", "--N", "6", "--height", "2", "--stages", "3"])
+    for f in ("2", "3", "rational")
+] + [
+    (f"classify_field_{f}.txt",
+     ["--field", f, "classify", "--N", "3", "--n", "2", "--dim-cap", "10"])
+    for f in ("2", "3", "rational")
 ])
 def test_cli_output_matches_golden(golden, argv, capsys):
     """stdout is byte-identical to the recorded output in tests/golden/."""

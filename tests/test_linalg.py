@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppmod.fields import GF, QQ
-from ppmod.linalg import (Matrix, Subspace, combination, kernel,
-                          span_elements, subspace_leq, subspace_meet,
-                          subspace_sum)
+from ppmod.linalg import (Matrix, Subspace, block, combination,
+                          intertwiners, kernel, span_elements, subspace_leq,
+                          subspace_meet, subspace_sum, vectorized)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -304,3 +304,135 @@ def test_linalg_matches_sympy_domain_matrix(inp):
     span = Subspace(a.cols, red)
     dv = to_domain_matrix(Matrix(f, 1, a.cols, [vec]))
     assert span.contains_vector(vec) == (da.vstack(dv).rank() == da.rank())
+
+
+# -- storage-agnostic assembly: reshape, vectorized, block, intertwiners ----
+
+ASSEMBLY_FIELDS = [F2, F3, QQ]
+
+
+@st.composite
+def reshape_input(draw):
+    """A matrix of shape up to 4x4 (0-size shapes included) and a second
+    shape with the same number of entries."""
+    f = draw(st.sampled_from(ASSEMBLY_FIELDS))
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    mat = draw(field_matrix(f, rows, cols))
+    n = rows * cols
+    if n:
+        r2 = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        shape = (r2, n // r2)
+    else:
+        shape = draw(st.sampled_from([(0, 0), (0, 3), (3, 0)]))
+    return mat, shape
+
+
+@settings(max_examples=150, deadline=None)
+@given(reshape_input())
+def test_reshape_is_row_major_and_round_trips(inp):
+    mat, (r2, c2) = inp
+    flat = [x for row in mat.data for x in row]
+    out = mat.reshape(r2, c2)
+    assert (out.rows, out.cols) == (r2, c2)
+    assert [x for row in out.data for x in row] == flat
+    assert out.reshape(mat.rows, mat.cols) == mat
+    doubled = mat.scale(mat.field.of(2))
+    vec = vectorized(mat.field, [mat, doubled], mat.rows * mat.cols)
+    assert [list(r) for r in vec.data] == \
+        [flat, [x for row in doubled.data for x in row]]
+    with pytest.raises(ValueError):
+        mat.reshape(r2 + 1, c2 + 1)
+
+
+def test_vectorized_of_no_matrices_is_empty():
+    for f in ASSEMBLY_FIELDS:
+        v = vectorized(f, [], 6)
+        assert (v.rows, v.cols) == (0, 6)
+
+
+@st.composite
+def block_input(draw):
+    """Band heights and widths (0..3 bands of sizes 0..3) and blocks on a
+    random subset of the bands."""
+    f = draw(st.sampled_from(ASSEMBLY_FIELDS))
+    heights = draw(st.lists(st.integers(0, 3), min_size=0, max_size=3))
+    widths = draw(st.lists(st.integers(0, 3), min_size=0, max_size=3))
+    blocks = {}
+    for i, h in enumerate(heights):
+        for j, w in enumerate(widths):
+            if draw(st.booleans()):
+                blocks[(i, j)] = draw(field_matrix(f, h, w))
+    return f, heights, widths, blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_input())
+def test_block_matches_elementwise_assembly(inp):
+    f, heights, widths, blocks = inp
+    rows, cols = sum(heights), sum(widths)
+    expected = [[f.zero()] * cols for _ in range(rows)]
+    for (i, j), m in blocks.items():
+        r0, c0 = sum(heights[:i]), sum(widths[:j])
+        for r in range(m.rows):
+            for c in range(m.cols):
+                expected[r0 + r][c0 + c] = m.data[r][c]
+    out = block(f, heights, widths, blocks)
+    assert (out.rows, out.cols) == (rows, cols)
+    assert [list(r) for r in out.data] == expected
+    if heights and widths:
+        wrong = Matrix.zero(f, heights[0] + 1, widths[0])
+        with pytest.raises(ValueError):
+            block(f, heights, widths, {**blocks, (0, 0): wrong})
+
+
+def kronecker_system(pairs, dm, dn):
+    """The rows of A F - F B = 0 in the row-major unknowns of F, built
+    entry by entry: A kron I - I kron B^T for each pair."""
+    f = pairs[0][0].field
+    rows = []
+    for a, b in pairs:
+        for r in range(dm):
+            for c in range(dn):
+                row = [f.zero()] * (dm * dn)
+                for s in range(dm):
+                    for t in range(dn):
+                        x = f.zero()
+                        if t == c:
+                            x = f.add(x, a.data[r][s])
+                        if s == r:
+                            x = f.sub(x, b.data[t][c])
+                        row[s * dn + t] = x
+                rows.append(row)
+    return Matrix(f, len(rows), dm * dn, rows)
+
+
+@st.composite
+def intertwiner_input(draw):
+    """1..3 pairs (A, B) with A dm x dm and B dn x dn (dm, dn in 0..3);
+    often B = A, so that nonzero intertwiners occur over every field."""
+    f = draw(st.sampled_from(ASSEMBLY_FIELDS))
+    dm, dn = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    same = dm == dn and draw(st.booleans())
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(field_matrix(f, dm, dm))
+        pairs.append((a, a if same else draw(field_matrix(f, dn, dn))))
+    return pairs, dm, dn
+
+
+@settings(max_examples=150, deadline=None)
+@given(intertwiner_input())
+def test_intertwiners_match_sympy_kronecker_nullspace(inp):
+    pairs, dm, dn = inp
+    f = pairs[0][0].field
+    basis = intertwiners([a for a, _ in pairs], [b for _, b in pairs],
+                         dm, dn)
+    system = kronecker_system(pairs, dm, dn)
+    oracle = oracle_kernel_rows(to_domain_matrix(system), f)
+    assert len(basis) == len(oracle)
+    for m in basis:
+        assert (m.rows, m.cols) == (dm, dn)
+        assert all(a * m == m * b for a, b in pairs)
+    vec = vectorized(f, basis, dm * dn)
+    assert vec.rref()[0] == vec
+    assert [list(r) for r in vec.data] == oracle
