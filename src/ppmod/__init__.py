@@ -40,4 +40,5 @@ from .realize import (RealizedTube, realize_in_tower, stage_bimodule,
                       verify_bimodule_idempotents, verify_pushout_pullback)
 from .ziegler import (PointSet, ZieglerPoint, closure, is_closed,
                       parse_point, parse_point_set, point_closure, points)
-from .errors import HorizonExceeded, SquareFailed, UnclassifiedSummand
+from .errors import (HorizonExceeded, SquareFailed, UnclassifiedSummand,
+                     Undecided)

@@ -29,7 +29,7 @@ def dvr_chain_module(alg: FDAlgebra, j: int) -> Module:
     shift = _shift(f, j)
     action = []
     power = Matrix.identity(f, j)
-    for i in range(N):
+    for _ in range(N):
         action.append(power)
         power = power * shift
     return Module(alg, j, action, label=f"V/m^{j}", check=False)

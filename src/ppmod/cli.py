@@ -18,7 +18,7 @@ from . import __version__
 from .algebra import kronecker_algebra, truncated_dvr
 from .catalog import (dvr_chain_module, kronecker_preinjective,
                       kronecker_preprojective, kronecker_regular)
-from .errors import HorizonExceeded
+from .errors import HorizonExceeded, Undecided
 from .fields import field_from_spec
 from .modules import hom_space, regular_module
 from .ppformula import LEFT, RIGHT, PpPair, annihilator, divisibility, dual, \
@@ -291,7 +291,7 @@ def run_scenario(path: str, parser, base_args) -> tuple[int, list[str]]:
             return 2, [f"# line {lineno}: nested scenarios are not allowed"]
         try:
             return execute(sub_args)
-        except HorizonExceeded as exc:
+        except (HorizonExceeded, Undecided) as exc:
             return 2, [str(exc)]
         except ValueError as exc:
             return 2, [f"# line {lineno}: {exc}"]
@@ -317,7 +317,7 @@ def main(argv=None) -> int:
             code, lines = run_scenario(args.file, parser, args)
         else:
             code, lines = execute(args)
-    except HorizonExceeded as exc:
+    except (HorizonExceeded, Undecided) as exc:
         print(str(exc))
         return 2
     except (ValueError, FileNotFoundError) as exc:

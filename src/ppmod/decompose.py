@@ -1,33 +1,47 @@
 """Krull-Schmidt decomposition and the radical of the module category.
 
-Splitting uses Fitting decompositions of endomorphisms (stabilized power,
-then M = ker f^d (+) im f^d).  A leaf is accepted as indecomposable only
-with a certificate that End(M) is local:
+M is split by the Fitting decomposition M = ker f^d (+) im f^d (d >= dim
+M) of the first basis element f of E = End(M) that is neither nilpotent
+nor invertible.  Otherwise one deterministic certificate, for every field
+and size of E, proves E local (M indecomposable) or yields a splitter:
 
-* finite fields, small End: every element of End(M) is enumerated and shown
-  to be nilpotent or invertible (equivalent to locality for
-  finite-dimensional algebras, since a nontrivial idempotent is neither);
-* rationals: the radical is computed from the trace form (valid in
-  characteristic 0) and End/rad is certified a division ring, factoring a
-  primitive element's minimal polynomial when End/rad has dimension > 1.
+* GF(p).  Let N be the two-sided ideal generated by the commutators of a
+  basis.  E/N is commutative, so the Frobenius x -> x^p is F_p-linear on
+  it, and its fixed elements form F_p^r for r the number of local factors
+  of E/N (Berlekamp's count: in a local factor, a fixed x has a residue a
+  in F_p, and x - a is a nilpotent fixed point, hence 0).  A local E has
+  E/rad a finite division ring, hence a field (Wedderburn's little
+  theorem), so N lies in rad E.  Thus E is local iff N is nilpotent (the
+  flag M > MN > MN^2 > ... reaches 0) and the fixed space has dimension
+  1; then rad E is the kernel of x -> x^(p^m) modulo N for p^m >= dim E.
+  If N is nilpotent and r > 1, a fixed x outside F_p + N is a non-scalar
+  element of F_p^r, and x - a for a its value on one factor is neither
+  nilpotent nor invertible.
+* QQ.  rad E is the radical of the trace form (Dickson, characteristic
+  0).  If E/rad is commutative it is a product of number fields, and
+  x_c = sum_i c^i b_i (c = 0, 1, 2, ...) over a basis b of a complement
+  of rad generates it for all but finitely many c: an etale algebra has
+  finitely many proper subalgebras, and the moment curve meets each in
+  fewer than dim E/rad points.  The first x_c whose minimal polynomial is
+  a power of one irreducible of degree dim E/rad proves E/rad = QQ[x_c] a
+  field; two coprime factors give a CRT idempotent, which splits M.
 
-Split candidates beyond the enumerable range are drawn from the hom basis,
-pairwise sums/products and a seeded random sample; on the universes in
-scope a decomposable module always yields a candidate.
+A non-local module that these elements do not split is tried on pairwise
+sums and products of the basis, and Undecided is raised if none splits
+it, so no verdict rests on a size cutoff or a random draw.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import random
 from dataclasses import dataclass, field
 
-from .linalg import (Matrix, Subspace, combination, span_elements,
-                     subspace_meet, subspace_sum, vectorized)
+from .errors import Undecided
+from .linalg import (Matrix, Subspace, combination, subspace_sum,
+                     vectorized)
 from .modules import (Module, ModuleMap, hom_space, identity_map,
                       indecomposable_iso, submodule)
-
-_ENUM_LIMIT = 1 << 14
 
 
 @dataclass
@@ -62,210 +76,190 @@ class Decomposition:
         return [(rep.module, mult) for rep, mult, _ in self.classes]
 
 
-def _power_stable(f: Matrix, dim: int) -> Matrix:
-    g = f
-    k = 1
-    while k < max(dim, 1):
-        g = g * g
-        k *= 2
-    return g
+def _frobenius(x: Matrix, p: int, times: int = 1) -> Matrix:
+    """x^(p^times)."""
+    for _ in range(times):
+        x = functools.reduce(Matrix.__mul__, [x] * p)
+    return x
 
 
-def _fitting_split(m: Module, f: ModuleMap):
-    """(kernel part, image part) of the stabilized power, or None if f is
-    nilpotent or invertible."""
-    g = _power_stable(f.mat, m.dim)
-    img = Subspace.from_matrix(m.dim, g.row_space())
+def _fitting_split(m: Module, x: Matrix):
+    """(kernel part, image part) of x^d for 2^k = d >= dim M, or None if x
+    is nilpotent or invertible.  By Fitting's lemma the two parts are
+    complementary invariant subspaces."""
+    d = 1
+    while d < m.dim:
+        x = x * x
+        d *= 2
+    img = Subspace.from_matrix(m.dim, x.row_space())
     if img.dim == 0 or img.dim == m.dim:
         return None
-    ker = Subspace(m.dim, g.left_kernel())
-    if ker.dim + img.dim != m.dim or subspace_meet(ker, img).dim != 0:
-        return None  # power not yet stable; caller retries with higher power
-    return ker, img
+    return Subspace(m.dim, x.left_kernel()), img
 
 
-def _split_by_subspaces(m: Module, parts: list[Subspace]):
-    """Split M along complementary invariant subspaces; returns
-    [(submodule, inj, proj)] with proj . inj = id."""
-    f = m.algebra.field
-    stacked = parts[0].basis
-    for p in parts[1:]:
-        stacked = stacked.vstack(p.basis)
-    inv = stacked.inverse()
-    out = []
-    off = 0
-    for p in parts:
-        sub, inj = submodule(m, p, check=False)
-        proj_mat = inv.take_cols(range(off, off + p.dim))
-        out.append((sub, inj, ModuleMap(m, sub, proj_mat, check=False)))
-        off += p.dim
-    return out
+def _preimage(images: Matrix, sub: Subspace) -> Matrix:
+    """Echelon basis of {c : c * images lies in sub}.  A row (c, z) of the
+    left kernel of [images; sub] has c * images = -z * sub, and c = 0
+    forces z = 0, so the c parts are independent."""
+    both = images.vstack(sub.basis).left_kernel()
+    return both.take_cols(range(images.rows)).row_space()
 
 
-def _el_is_nilpotent(mat: Matrix, dim: int) -> bool:
-    return _power_stable(mat, dim).is_zero()
-
-
-def _end_certify_local_finite(m: Module, basis: list[ModuleMap]):
-    """Enumerate End(M) over a finite field.  Returns (True, rad) with a
-    coefficient basis of the radical (the nilpotents) when local, or
-    (False, splitter) with a non-nilpotent non-invertible element."""
-    f = m.algebra.field
-    nilpotent = []
-    for coeffs, mat in span_elements([h.mat for h in basis],
-                                     Matrix.zero(f, m.dim, m.dim)):
-        if mat.rank() == m.dim:
+def _commutator_ideal(mats: list[Matrix], coords) -> Subspace:
+    """Coefficient rows of the two-sided ideal of span(mats) generated by
+    the commutators of mats."""
+    ideal = Subspace.zero(mats[0].field, len(mats))
+    todo = [a * b - b * a for a, b in itertools.combinations(mats, 2)]
+    while todo:
+        y = todo.pop()
+        if y.is_zero():
             continue
-        if not _el_is_nilpotent(mat, m.dim):
-            return False, ModuleMap(m, m, mat, check=False)
-        nilpotent.append(coeffs)
-    rad = Matrix.from_rows(f, nilpotent).row_space()
-    # non-invertibles must form a linear subspace for a local ring
-    if f.p ** rad.rows != len(nilpotent):
-        raise RuntimeError("endomorphism nilpotents do not form a subspace")
-    return True, rad.data
+        grown = subspace_sum(ideal, Subspace.from_matrix(len(mats),
+                                                         coords([y])))
+        if grown.dim > ideal.dim:
+            ideal = grown
+            todo += [y * x for x in mats] + [x * y for x in mats]
+    return ideal
 
 
-def _end_radical_dickson(basis: list[ModuleMap]) -> list[list]:
-    """Radical of End over QQ via the trace form (characteristic 0).
-
-    The Gram matrix of the form is one product: tr(B_i B_j) is the dot
-    product of vec(B_i) with vec(B_j^T)."""
-    mats = [h.mat for h in basis]
-    f, d = mats[0].field, mats[0].rows
-    gram = vectorized(f, mats, d * d) * \
-        vectorized(f, [b.transpose() for b in mats], d * d).transpose()
-    return gram.right_kernel().data
-
-
-def _min_poly_coeffs(mat: Matrix, f) -> list:
-    """Coefficients c_0..c_d of the minimal polynomial (sum c_i t^i = 0)."""
-    powers = [Matrix.identity(f, mat.rows)]
-    while True:
-        mrows = vectorized(f, powers, mat.rows * mat.cols)
-        if mrows.rank() < len(powers):
+def _modular_certificate(mats: list[Matrix], coords):
+    """Over GF(p): (rad, ()) with a basis of rad E when E = span(mats) is
+    local, else (None, candidates): the Frobenius-fixed elements minus
+    each scalar."""
+    f, n = mats[0].field, mats[0].rows
+    ideal = _commutator_ideal(mats, coords)
+    fixed = _preimage(coords([_frobenius(x, f.p) - x for x in mats]), ideal)
+    flag = Matrix.identity(f, n)
+    gens = [combination(r, mats) for r in ideal.basis.data]
+    while gens and flag.rows:  # the flag M > MN > MN^2 > ...
+        nxt = functools.reduce(Matrix.vstack,
+                               [flag * y for y in gens]).row_space()
+        if nxt.rows == flag.rows:
             break
-        powers.append(powers[-1] * mat)
-    rel = mrows.left_kernel().data[0]
-    return list(rel)
+        flag = nxt
+    if fixed.rows == ideal.dim + 1 and (not gens or not flag.rows):
+        times = 1
+        while f.p ** times < len(mats):
+            times += 1
+        rad = _preimage(coords([_frobenius(x, f.p, times) for x in mats]),
+                        ideal)
+        return [combination(r, mats) for r in rad.data], ()
+    one = Matrix.identity(f, n)
+    return None, (combination(r, mats) - one.scale(a)
+                  for r in fixed.data for a in f.elements())
 
 
-def _eval_poly_coeffs(coeffs, mat: Matrix, f) -> Matrix:
-    powers = [Matrix.identity(f, mat.rows)]
-    for _ in coeffs[1:]:
-        powers.append(powers[-1] * mat)
-    return combination(coeffs, powers)
-
-
-def _end_certify_local_rational(m: Module, basis: list[ModuleMap]):
-    """Certify End(M) local over QQ, or produce a splitting idempotent.
-
-    The radical comes from the trace form (valid in characteristic 0 on the
-    faithful representation M); End/rad is certified a field by exhibiting a
-    primitive element with irreducible minimal polynomial of full degree.
-    """
-    f = m.algebra.field
-    rad = _end_radical_dickson(basis)
-    top_dim = len(basis) - len(rad)
-    if top_dim == 1:
-        return True, rad
+def _rational_certificate(mats: list[Matrix], coords):
+    """Over QQ: (rad, ()) with a basis of rad E when E = span(mats) is
+    local, else (None, candidates): a CRT idempotent when E/rad is
+    commutative.  The trace form's Gram matrix is one product:
+    tr(B_i B_j) is the dot product of vec(B_i) with vec(B_j^T)."""
     from fractions import Fraction
     from sympy import Poly, Rational, Symbol, div, invert
+    f, n = mats[0].field, mats[0].rows
+    gram = vectorized(f, mats, n * n) * \
+        vectorized(f, [b.transpose() for b in mats], n * n).transpose()
+    radical = Subspace(len(mats), gram.right_kernel())
+    rad = [combination(r, mats) for r in radical.basis.data]
+    top_dim = len(mats) - radical.dim
+    if top_dim == 1:
+        return rad, ()
+    top = [x for i, x in enumerate(mats) if i not in radical.pivots]
+    comms = [a * b - b * a for a, b in itertools.combinations(top, 2)]
+    if not all(radical.contains_vector(r) for r in coords(comms).data):
+        return None, ()
     t = Symbol("t")
-    rng = random.Random(7)
-    for attempt in range(60):
-        coeffs = [f.of(rng.randint(-3, 3)) for _ in range(len(basis))]
-        mat = combination(coeffs, [h.mat for h in basis])
-        rel = _min_poly_coeffs(mat, f)
-        poly = Poly([Rational(str(c)) for c in reversed(rel)], t)
+    for c in itertools.count():
+        x = combination([f.of(c ** i) for i in range(top_dim)], top)
+        powers = [Matrix.identity(f, n)]
+        while vectorized(f, powers, n * n).rank() == len(powers):
+            powers.append(powers[-1] * x)
+        rel = vectorized(f, powers, n * n).left_kernel().data[0]
+        poly = Poly([Rational(str(a)) for a in reversed(rel)], t)
         factors = poly.factor_list()[1]
-        if len(factors) == 1 and factors[0][1] == 1 \
-                and factors[0][0].degree() == top_dim:
-            return True, rad
+        if len(factors) == 1 and factors[0][0].degree() == top_dim:
+            return rad, ()
         if len(factors) > 1:
-            # CRT idempotent: e = rest * (rest^{-1} mod g1), so e = 1 mod g1
-            # and e = 0 mod rest; nontrivial idempotent of QQ[mat]
+            # e = rest * (rest^{-1} mod g1) is 1 mod g1 and 0 mod rest
             g1 = factors[0][0] ** factors[0][1]
             rest = div(poly, g1, t)[0]
-            try:
-                u = invert(rest.as_expr(), g1.as_expr(), t)
-            except Exception:
-                continue
+            u = invert(rest.as_expr(), g1.as_expr(), t)
             e_poly = div(Poly(rest.as_expr() * u, t), poly, t)[1]
-            ecoeffs = [f.of(0) + Fraction(str(c))
-                       for c in reversed(e_poly.all_coeffs())]
-            emat = _eval_poly_coeffs(ecoeffs, mat, f)
-            if not emat.is_zero() and emat != Matrix.identity(f, m.dim):
-                return False, ModuleMap(m, m, emat, check=False)
-    raise RuntimeError("cannot certify local endomorphism ring over QQ")
+            coeffs = [Fraction(str(a)) for a in reversed(e_poly.all_coeffs())]
+            return None, (combination(coeffs, powers),)
 
 
-def _splitter_candidates(m: Module, basis: list[ModuleMap],
-                         rng: random.Random):
-    """Basis elements, pairwise sums, pairwise products, then 512 seeded
-    random combinations over the finite field, each made when it is
-    reached (rng is drawn only for the random ones)."""
-    yield from basis
-    for a, b in itertools.combinations(basis, 2):
-        yield a + b
-    for a, b in itertools.permutations(basis, 2):
-        yield ModuleMap(m, m, a.mat * b.mat, check=False)
-    pool = list(m.algebra.field.elements())
-    mats = [h.mat for h in basis]
-    for _ in range(512):
-        coeffs = [rng.choice(pool) for _ in mats]
-        yield ModuleMap(m, m, combination(coeffs, mats), check=False)
+def _echelon(mats: list[Matrix]):
+    """The echelon basis of span(mats), and the map taking a list of
+    matrices in the span to their coefficient rows in that basis."""
+    f, n = mats[0].field, mats[0].rows
+    echelon, pivots = vectorized(f, mats, n * n).rref()
+
+    def coords(xs):
+        return vectorized(f, xs, n * n).take_cols(pivots)
+
+    return [echelon.take_rows((i,)).reshape(n, n)
+            for i in range(echelon.rows)], coords
 
 
-def _find_splitter(m: Module, basis: list[ModuleMap], rng: random.Random):
-    """The Fitting split of the first candidate that has one, or None."""
-    for cand in _splitter_candidates(m, basis, rng):
-        split = _fitting_split(m, cand)
+def _certify(mats: list[Matrix]):
+    """(rad, ()) with a basis of rad E when the algebra E = span(mats) is
+    local, else (None, structural candidates for a Fitting split)."""
+    certify = _rational_certificate if mats[0].field.p is None \
+        else _modular_certificate
+    return certify(*_echelon(mats))
+
+
+def _split_or_radical(m: Module, mats: list[Matrix]):
+    """(split, None) with complementary invariant subspaces splitting M,
+    or (None, rad) with a basis of rad E when E = End(M), spanned by mats,
+    is local; raises Undecided when neither is found."""
+    for x in mats:
+        split = _fitting_split(m, x)
         if split is not None:
-            return split
-    return None
+            return split, None
+    rad, structural = _certify(mats)
+    if rad is not None:
+        return None, rad
+    candidates = itertools.chain(
+        structural,
+        (a + b for a, b in itertools.combinations(mats, 2)),
+        (a * b for a, b in itertools.permutations(mats, 2)))
+    for x in candidates:
+        split = _fitting_split(m, x)
+        if split is not None:
+            return split, None
+    raise Undecided(f"End of a {m.dim}-dimensional module is neither "
+                    f"certified local nor split by its structural elements, "
+                    f"pairwise sums or products")
 
 
-def _split_indecomposable(m: Module, rng: random.Random):
+def _split_indecomposable(m: Module):
     """[(module, inj, proj, end_dim, rad)] of indecomposables, rad a basis
     of rad End(module)."""
     if m.dim == 0:
         return []
-    ends = hom_space(m, m)
-    f = m.algebra.field
+    ends = [h.mat for h in hom_space(m, m)]
     if len(ends) == 1:
         return [(m, identity_map(m), identity_map(m), 1, [])]
-    if f.p is not None and f.p ** len(ends) > _ENUM_LIMIT:
-        split = _find_splitter(m, ends, rng)
-        if split is None:
-            raise RuntimeError(
-                "no splitting endomorphism found and End too large to "
-                "certify; not expected on the supported universes")
-    else:
-        certify = _end_certify_local_rational if f.p is None \
-            else _end_certify_local_finite
-        local, info = certify(m, ends)
-        if local:
-            mats = [h.mat for h in ends]
-            return [(m, identity_map(m), identity_map(m), len(ends),
-                     [combination(c, mats) for c in info])]
-        split = _fitting_split(m, info)
+    split, rad = _split_or_radical(m, ends)
     if split is None:
-        raise RuntimeError("splitter produced no Fitting decomposition")
-    parts = _split_by_subspaces(m, list(split))
+        return [(m, identity_map(m), identity_map(m), len(ends), rad)]
+    ker, img = split  # complementary: rows of [ker; img] are a basis of M
+    inv = ker.basis.vstack(img.basis).inverse()
     out = []
-    for sub, inj, proj in parts:
-        for (u, inj2, proj2, ed, rad) in _split_indecomposable(sub, rng):
+    for part, cols in ((ker, range(ker.dim)), (img, range(ker.dim, m.dim))):
+        sub, inj = submodule(m, part, check=False)
+        proj = ModuleMap(m, sub, inv.take_cols(cols), check=False)
+        for (u, inj2, proj2, ed, rad) in _split_indecomposable(sub):
             out.append((u, inj2.then(inj), proj.then(proj2), ed, rad))
     return out
 
 
 def decompose(m: Module, seed: int = 0) -> Decomposition:
     """Indecomposable summands with inclusions, projections, splitting
-    idempotents and multiplicities.  Deterministic for a fixed seed."""
-    rng = random.Random(seed)
-    raw = _split_indecomposable(m, rng)
-    summands = [Summand(*part) for part in raw]
+    idempotents and multiplicities.  Deterministic; seed is ignored."""
+    summands = [Summand(*part) for part in _split_indecomposable(m)]
     decomp = Decomposition(m, summands)
     classes: list[tuple[Summand, int, list[int]]] = []
     for i, s in enumerate(summands):
@@ -295,13 +289,13 @@ def hom_subspace(m: Module, n: Module) -> Subspace:
         m.algebra.field, [h.mat for h in hom_space(m, n)], amb))
 
 
-def radical_subspace(m: Module, n: Module, seed: int = 0) -> Subspace:
+def radical_subspace(m: Module, n: Module) -> Subspace:
     """rad(M, N) as a subspace of vectorized Hom(M, N), assembled blockwise
     from the decompositions: the full hom space between non-isomorphic
     indecomposables, the maximal ideal of End between isomorphic ones."""
     if m.algebra is not n.algebra:
         raise ValueError("modules over different algebras")
-    return _radical_of(decompose(m, seed), decompose(n, seed))
+    return _radical_of(decompose(m), decompose(n))
 
 
 def _radical_of(dm: Decomposition, dn: Decomposition) -> Subspace:
@@ -336,10 +330,9 @@ def compose_subspaces(m: Module, c: Module, n: Module,
 class RadicalCalculus:
     """rad^t over a declared finite universe of intermediate objects."""
 
-    def __init__(self, universe: list[Module], seed: int = 0):
+    def __init__(self, universe: list[Module]):
         if not universe:
             raise ValueError("universe must be non-empty")
-        self.seed = seed
         self._decomposition: dict[int, Decomposition] = {}
         mids: list[Module] = []
         for m in universe:
@@ -352,10 +345,10 @@ class RadicalCalculus:
         self._pow_cache: dict = {}
 
     def _decomposed(self, m: Module) -> Decomposition:
-        """decompose(m, seed), computed once per module."""
+        """decompose(m), computed once per module."""
         hit = self._decomposition.get(m.serial)
         if hit is None:
-            hit = self._decomposition[m.serial] = decompose(m, self.seed)
+            hit = self._decomposition[m.serial] = decompose(m)
         return hit
 
     def rad(self, m: Module, n: Module) -> Subspace:

@@ -12,6 +12,17 @@ class HorizonExceeded(Exception):
         return f"{self.code}: {base}" if base else self.code
 
 
+class Undecided(Exception):
+    """A decision procedure found neither a certificate nor a witness for
+    the opposite verdict; the question is reported open, not answered."""
+
+    code = "UNDECIDED"
+
+    def __str__(self):
+        base = super().__str__()
+        return f"{self.code}: {base}" if base else self.code
+
+
 class SquareFailed(Exception):
     """A defining square of a realized tube failed verification."""
 

@@ -19,7 +19,6 @@ class FiniteLattice:
 
     def __init__(self, elements, leq, join, meet, check: bool = True):
         self.elements = list(elements)
-        n = len(self.elements)
         self.leq = tuple(tuple(bool(x) for x in row) for row in leq)
         self.join = tuple(tuple(int(x) for x in row) for row in join)
         self.meet = tuple(tuple(int(x) for x in row) for row in meet)

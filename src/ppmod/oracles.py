@@ -3,12 +3,14 @@
 These deliberately avoid the kernel-and-project route of
 PpFormula.evaluate: membership is decided by enumerating witness tuples.
 Over GF(2) the enumeration walks the witness space in Gray-code order so
-each step is a single packed XOR.
+each step is a single packed XOR.  Locality of an endomorphism ring is
+decided by enumerating all p^dim of its elements, the reference for the
+structural certificate in decompose.
 """
 
 from __future__ import annotations
 
-from .linalg import Subspace
+from .linalg import Matrix, Subspace, span_elements
 from .modules import Module
 from .ppformula import PpFormula
 
@@ -75,3 +77,28 @@ def subspace_int_set(s: Subspace) -> set[int]:
             i += 1
         out.add(v)
     return out
+
+
+def end_local_by_enumeration(mats: list[Matrix]):
+    """Whether the algebra spanned by mats (square, over GF(p)) is local,
+    by enumerating its elements: a finite-dimensional algebra is local iff
+    every element is nilpotent or invertible.  Returns (True, nilpotents)
+    with the echelon coefficient rows spanning the nilpotents, which then
+    form the radical, or (False, None) at the first element that is
+    neither."""
+    f, n = mats[0].field, mats[0].rows
+    nilpotent = []
+    for coeffs, x in span_elements(mats, Matrix.zero(f, n, n)):
+        if x.rank() == n:
+            continue
+        power = x
+        for _ in range(n - 1):
+            power = power * x
+        if not power.is_zero():
+            return False, None
+        nilpotent.append(coeffs)
+    rad = Matrix.from_rows(f, nilpotent).row_space()
+    if f.p ** rad.rows != len(nilpotent):
+        raise AssertionError("the nilpotents of a local algebra form a "
+                             "subspace")
+    return True, rad

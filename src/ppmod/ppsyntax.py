@@ -214,7 +214,6 @@ def _coef_str(alg: FDAlgebra, v) -> str | None:
 
 def format_formula(phi: PpFormula) -> str:
     alg = phi.algebra
-    f = alg.field
     n, l, m = phi.n, phi.l, phi.m
     zero = alg.zero_el()
 

@@ -59,7 +59,6 @@ def verify_pushout_pullback(top: ModuleMap, left: ModuleMap,
     if left.source is not a and left.source.dim != a.dim:
         raise ValueError("square corners disagree")
     commutes = (top.mat * right.mat) == (left.mat * bottom.mat)
-    f = top.mat.field
     first = top.mat.hstack(left.mat)                    # A -> B (+) C
     second = right.mat.vstack(-bottom.mat)              # B (+) C -> D
     inj = first.rank() == a.dim
@@ -228,7 +227,7 @@ def _complete_f_maps(rt: RealizedTube):
 
 
 def _verify_squares(rt: RealizedTube):
-    tower, n, J = rt.tower, rt.tower.height, rt.stages
+    n, J = rt.tower.height, rt.stages
 
     def check(name, top, left, right, bottom):
         res = verify_pushout_pullback(top, left, right, bottom)
@@ -278,13 +277,13 @@ def stage_bimodule(rt: RealizedTube):
     """The stage-J surrogate of the limit bimodule: X = M_J (+) P^1_1 (+)
     ... (+) P^n_1 with its left action of the height-n tower built at
     horizon J, returned as (left tower, module over its opposite algebra,
-    underlying A-module, left action matrices)."""
+    underlying A-module)."""
     tower, n, J = rt.tower, rt.tower.height, rt.stages
     f = tower.field
     left_tower = build_tower(J, n, f)
 
     comps = [rt.M[J]] + [rt.P[(l, 1)] for l in range(1, n + 1)]
-    x_mod, injs, projs = direct_sum(comps, label="stage_bimodule")
+    x_mod = direct_sum(comps, label="stage_bimodule")[0]
 
     # x acts on the M_J component as multiplication by the uniformizer
     # (stages < N guarantees N >= 2, so the x coordinate exists)
@@ -360,7 +359,7 @@ def stage_bimodule(rt: RealizedTube):
 def verify_bimodule_idempotents(rt: RealizedTube) -> dict:
     """Check that the stage bimodule decomposes as projective left modules
     with the dimension-difference multiplicities."""
-    tower, n, J = rt.tower, rt.tower.height, rt.stages
+    n = rt.tower.height
     left_tower, left_mod, _ = stage_bimodule(rt)
     dims = [rt.M[1].dim] + [rt.P[(l, 1)].dim for l in range(1, n + 1)]
     expected = [dims[0]] + [dims[i] - dims[i - 1] for i in range(1, n + 1)]

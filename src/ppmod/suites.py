@@ -182,7 +182,7 @@ def suite_krull_schmidt(seed: int = 0) -> SuiteResult:
             a = random_quotient_of_free(alg, 2, rng, dim_cap=8)
             b = random_quotient_of_free(alg, rng.choice([1, 2]), rng, dim_cap=8)
             s, _, _ = direct_sum([a, b])
-            da, db, ds = decompose(a, seed), decompose(b, seed), decompose(s, seed)
+            da, db, ds = decompose(a), decompose(b), decompose(s)
             merged: list[tuple] = []
             for d in (da, db):
                 for rep, mult, _ in d.classes:
@@ -240,7 +240,7 @@ def suite_classification(seed: int = 0) -> SuiteResult:
             m = random_quotient_of_free(tower.top, rng.choice([1, 2]),
                                         rng, dim_cap=10)
             try:
-                out = classify(tower, m, seed=seed)
+                out = classify(tower, m)
             except Exception as exc:  # UnclassifiedSummand included
                 bad.append((height, repr(exc)))
                 continue
@@ -249,7 +249,7 @@ def suite_classification(seed: int = 0) -> SuiteResult:
                 bad.append((height, "dimension bookkeeping"))
         # hom bounds on every constructible label
         from .tower import verify_hom_bounds
-        ok, rows = verify_hom_bounds(tower, dim_cap=10)
+        ok, _ = verify_hom_bounds(tower, dim_cap=10)
         if not ok:
             bad.append((height, "hom bound"))
         # Hom(F1 L, F0 K) vanishes for all K in range at every level
@@ -460,10 +460,11 @@ def suite_short_probes(seed: int = 0) -> SuiteResult:
 # -- criterion 8 ---------------------------------------------------------------
 
 
-def radical_universes() -> dict[str, list]:
-    """The declared GF(2) universes of the radical suite."""
-    dvr3 = truncated_dvr(3, F2)
-    kron = kronecker_algebra(F2)
+def radical_universes(field=F2) -> dict[str, list]:
+    """The declared universes of the radical suite, over GF(2) unless
+    another field is given."""
+    dvr3 = truncated_dvr(3, field)
+    kron = kronecker_algebra(field)
     return {
         "chain": [dvr_chain_module(dvr3, 1), dvr_chain_module(dvr3, 2),
                   dvr_chain_module(dvr3, 3),
@@ -494,7 +495,7 @@ def suite_radical(seed: int = 0) -> SuiteResult:
         return gen_cache[key]
 
     for name, universe in universes.items():
-        calc = RadicalCalculus(universe, seed)
+        calc = RadicalCalculus(universe)
         for a, b in itertools.product(universe, repeat=2):
             if a.dim > 4 or b.dim > 4:
                 continue

@@ -425,13 +425,13 @@ def identify_indecomposable(tower: TowerRing, level: int,
     return canonical_label(FpLabel(0, inner.b + 1, inner.base))
 
 
-def classify(tower: TowerRing, x: Module, level: int | None = None,
-             seed: int = 0) -> list[tuple[FpLabel, int]]:
+def classify(tower: TowerRing, x: Module,
+             level: int | None = None) -> list[tuple[FpLabel, int]]:
     """Classification of any module at the tower height (or a stated level)
     as a multiset of labels, sorted by label text."""
     lvl = tower.height if level is None else level
     counts: dict[str, tuple[FpLabel, int]] = {}
-    for rep, mult, _ in decompose(x, seed).classes:
+    for rep, mult, _ in decompose(x).classes:
         lab = identify_indecomposable(tower, lvl, rep.module)
         key = str(lab)
         if key in counts:

@@ -186,3 +186,29 @@ def test_cli_output_matches_golden(golden, argv, capsys):
     rc = main(argv)
     assert rc == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--field", "3", "realize", "--N", "10", "--height", "0", "--stages", "9"],
+    ["--field", "7", "realize", "--N", "7", "--height", "0", "--stages", "5"],
+], ids=["gf3-stages9", "gf7-stages5"])
+def test_realize_with_large_local_ends_exits_by_verdict(argv):
+    # the stage modules' End rings are past the old enumeration limit
+    proc = subprocess.run([sys.executable, "-m", "ppmod.cli"] + argv,
+                          capture_output=True, text=True)
+    assert proc.returncode in (0, 1)
+    assert "Traceback" not in proc.stderr + proc.stdout
+    assert "bimodule_multiplicities" in proc.stdout
+
+
+def test_undecided_exits_2(monkeypatch, capsys):
+    from ppmod import realize
+    from ppmod.errors import Undecided
+
+    def undecided(m, seed=0):
+        raise Undecided("End neither certified local nor split")
+
+    monkeypatch.setattr(realize, "decompose", undecided)
+    rc = main(["realize", "--N", "3", "--height", "0", "--stages", "2"])
+    assert rc == 2
+    assert "UNDECIDED: End neither" in capsys.readouterr().out

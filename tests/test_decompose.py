@@ -5,19 +5,21 @@ import random
 import pytest
 
 from ppmod.fields import GF, QQ
-from ppmod.algebra import truncated_dvr
-from ppmod.linalg import Matrix, subspace_leq
+from ppmod.algebra import kronecker_algebra, truncated_dvr
+from ppmod.errors import Undecided
+from ppmod.linalg import Matrix, combination, subspace_leq
 from ppmod.modules import (direct_sum, hom_space, identity_map, iso_test,
                            zero_module)
-from ppmod.decompose import (RadicalCalculus, _find_splitter,
-                             _fitting_split, _splitter_candidates,
+from ppmod.decompose import (RadicalCalculus, _certify, _commutator_ideal,
+                             _echelon, _fitting_split, _split_or_radical,
                              decompose, hom_subspace, is_indecomposable,
                              radical_subspace)
+from ppmod.oracles import end_local_by_enumeration
 from ppmod.linalg import Subspace
 from ppmod.suites import radical_universes
-from ppmod.catalog import (dvr_chain_module, dvr_universe,
+from ppmod.catalog import (dvr_chain_module, dvr_universe, kronecker_rep,
                            kronecker_preprojective, kronecker_regular,
-                           random_quotient_of_free)
+                           kronecker_universe, random_quotient_of_free)
 
 F2 = GF(2)
 
@@ -202,37 +204,6 @@ def test_radical_power_descending_chain(dvr3):
         prev = cur
 
 
-class _NoDraws(random.Random):
-    def choice(self, seq):
-        raise AssertionError("random candidate drawn")
-
-
-def test_find_splitter_draws_nothing_when_basis_splits(dvr3):
-    v1 = dvr_chain_module(dvr3, 1)
-    m, _, _ = direct_sum([v1, v1])
-    ends = hom_space(m, m)
-    assert _fitting_split(m, ends[0]) is not None
-    split = _find_splitter(m, ends, _NoDraws())
-    assert split is not None and split[0].dim + split[1].dim == m.dim
-
-
-def test_splitter_candidates_keep_the_eager_order(dvr3):
-    m, _, _ = direct_sum([dvr_chain_module(dvr3, 1),
-                          dvr_chain_module(dvr3, 2)])
-    basis = hom_space(m, m)
-    rng = random.Random(5)
-    eager = [h.mat for h in basis]
-    eager += [(a + b).mat for a, b in itertools.combinations(basis, 2)]
-    eager += [a.mat * b.mat for a, b in itertools.permutations(basis, 2)]
-    for _ in range(512):
-        mat = Matrix.zero(F2, m.dim, m.dim)
-        for h in basis:
-            mat = mat + h.mat.scale(rng.choice([0, 1]))
-        eager.append(mat)
-    lazy = _splitter_candidates(m, basis, random.Random(5))
-    assert [c.mat for c in lazy] == eager
-
-
 def _vectorized(f, amb, mats):
     if not mats:
         return Subspace.zero(f, amb)
@@ -240,27 +211,29 @@ def _vectorized(f, amb, mats):
         f, [[x for r in mat.data for x in r] for mat in mats]))
 
 
-@pytest.mark.parametrize("name", sorted(radical_universes()))
-def test_summand_rad_spans_the_nilpotents(name):
-    for m in radical_universes()[name]:
+@pytest.mark.parametrize("name, field", [
+    pytest.param(name, field, id=name if field is F2 else f"{name}-GF3")
+    for field in (F2, GF(3)) for name in sorted(radical_universes())])
+def test_summand_rad_spans_the_nilpotents(name, field):
+    for m in radical_universes(field)[name]:
         for s in decompose(m).summands:
             u = s.module
             ends = hom_space(u, u)
             nilpotent = []
-            for combo in itertools.product((0, 1), repeat=len(ends)):
-                mat = Matrix.zero(F2, u.dim, u.dim)
+            for combo in itertools.product(range(field.p),
+                                           repeat=len(ends)):
+                mat = Matrix.zero(field, u.dim, u.dim)
                 for c, h in zip(combo, ends):
-                    if c:
-                        mat = mat + h.mat
-                power = Matrix.identity(F2, u.dim)
+                    mat = mat + h.mat.scale(c)
+                power = Matrix.identity(field, u.dim)
                 for _ in range(u.dim):
                     power = power * mat
                 if power.is_zero():
                     nilpotent.append(mat)
             amb = u.dim * u.dim
-            rad = _vectorized(F2, amb, s.rad)
+            rad = _vectorized(field, amb, s.rad)
             assert rad.dim == s.end_rad_dim  # s.rad is a basis
-            assert rad == _vectorized(F2, amb, nilpotent)
+            assert rad == _vectorized(field, amb, nilpotent)
 
 
 def test_radical_calculus_decomposes_each_module_once(monkeypatch):
@@ -280,3 +253,150 @@ def test_radical_calculus_decomposes_each_module_once(monkeypatch):
             for t in (1, 2, 3):
                 calc.rad_power(a, b, t)
     assert calls and max(calls.values()) == 1
+
+
+# -- the structural local-End certificate ------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_certificate_matches_enumeration(p):
+    """Verdict and radical of the certificate agree with enumerating End
+    on every module with End dimension <= 12 of three universes."""
+    field = GF(p)
+    modules = dvr_universe(truncated_dvr(3, field), 6) + \
+        kronecker_universe(kronecker_algebra(field), 5) + \
+        [m for u in radical_universes(field).values() for m in u]
+    locals_seen = splits_seen = 0
+    for m in modules:
+        ends = [h.mat for h in hom_space(m, m)]
+        if len(ends) > 12:
+            continue
+        local, nilpotents = end_local_by_enumeration(ends)
+        rad, _ = _certify(ends)
+        summands = decompose(m).summands
+        assert (rad is not None) == local == (len(summands) == 1), m.label
+        if local:
+            locals_seen += 1
+            amb = m.dim * m.dim
+            want = _vectorized(field, amb, [combination(c, ends)
+                                            for c in nilpotents.data])
+            assert _vectorized(field, amb, rad) == want
+            assert _vectorized(field, amb, summands[0].rad) == want
+            assert len(summands[0].rad) == want.dim
+        else:
+            splits_seen += 1
+    assert locals_seen >= 10 and splits_seen >= 50
+
+
+@pytest.mark.parametrize("p, j", [(2, 15), (3, 9)])
+def test_end_past_the_old_enumeration_limit_is_certified(p, j):
+    # p^j > 2^14: the enumeration used to give up with a RuntimeError
+    field = GF(p)
+    m = dvr_chain_module(truncated_dvr(j, field), j)
+    d = decompose(m)
+    assert len(d.summands) == 1
+    rad = d.summands[0].rad
+    assert len(rad) == j - 1
+    # rad End(V/m^j) is spanned by x, ..., x^(j-1)
+    assert _vectorized(field, j * j, rad) == \
+        _vectorized(field, j * j, m.action[1:])
+
+
+def _companion_regular(field, coeffs):
+    """Kronecker regular with the companion matrix of the monic
+    t^k + coeffs[k-1] t^(k-1) + ... + coeffs[0] as its second arrow."""
+    k = len(coeffs)
+    comp = Matrix.from_rows(field, [
+        [field.one() if c == r + 1 else field.zero() for c in range(k)]
+        if r < k - 1 else [field.neg(field.of(a)) for a in coeffs]
+        for r in range(k)])
+    return kronecker_rep(kronecker_algebra(field), k, k,
+                         Matrix.identity(field, k), comp)
+
+
+@pytest.mark.parametrize("field, coeffs, rad_dim", [
+    (F2, [1, 1], 0),           # t^2 + t + 1: End = GF(4)
+    (F2, [1, 0, 1, 0], 2),     # (t^2 + t + 1)^2: End/rad = GF(4)
+    (QQ, [1, 0], 0),           # t^2 + 1: End = QQ(i)
+    (QQ, [1, 0, 2, 0], 2),     # (t^2 + 1)^2: End/rad = QQ(i)
+], ids=["GF4", "GF4-squared", "QQi", "QQi-squared"])
+def test_degree_two_top_is_certified_a_field(field, coeffs, rad_dim):
+    m = _companion_regular(field, coeffs)
+    ends = [h.mat for h in hom_space(m, m)]
+    assert len(ends) == len(coeffs)
+    assert all(_fitting_split(m, x) is None for x in ends)
+    rad, _ = _certify(ends)
+    assert rad is not None and len(rad) == rad_dim
+    (s,) = decompose(m).summands
+    assert s.end_dim - s.end_rad_dim == 2
+
+
+@pytest.mark.parametrize("field, basis", [
+    # GF(3) x GF(3): the Frobenius fixes a 2-dimensional space, and a fixed
+    # element minus a scalar splits
+    (GF(3), [[[1, 0], [0, 1]], [[1, 0], [0, 2]]]),
+    # QQ x QQ = QQ[D]/(D^2 - 1): x_0 = I has a minimal polynomial of degree
+    # 1 < 2, x_1 = I + D has t(t - 2), whose CRT idempotent splits
+    (QQ, [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]),
+    # M_2(GF(2)): the commutator ideal is everything, so it is not nilpotent
+    (F2, [[[1, 0], [0, 1]], [[0, 1], [1, 1]], [[0, 1], [0, 0]],
+          [[0, 0], [1, 0]]]),
+], ids=["gf3-diagonal", "qq-swap", "gf2-matrix-ring"])
+def test_non_local_end_that_no_basis_element_splits(field, basis):
+    # End(S + S) of a simple S is given by a basis of units and nilpotents
+    s1 = dvr_chain_module(truncated_dvr(3, field), 1)
+    m, _, _ = direct_sum([s1, s1])
+    mats = [Matrix.from_int_rows(field, rows) for rows in basis]
+    assert all(_fitting_split(m, x) is None for x in mats)
+    rad, structural = _certify(mats)
+    assert rad is None
+    assert any(_fitting_split(m, x) is not None for x in structural)
+    split, rad = _split_or_radical(m, mats)
+    assert rad is None and (split[0].dim, split[1].dim) == (1, 1)
+
+
+def test_quaternion_end_is_undecided():
+    # a noncommutative division ring over QQ: every nonzero element is a
+    # unit, so nothing splits, and a field certificate cannot exist
+    f = QQ
+    i = Matrix.from_int_rows(f, [[0, 1, 0, 0], [-1, 0, 0, 0],
+                                 [0, 0, 0, -1], [0, 0, 1, 0]])
+    j = Matrix.from_int_rows(f, [[0, 0, 1, 0], [0, 0, 0, 1],
+                                 [-1, 0, 0, 0], [0, -1, 0, 0]])
+    mats = [Matrix.identity(f, 4), i, j, i * j]
+    s1 = dvr_chain_module(truncated_dvr(3, f), 1)
+    m, _, _ = direct_sum([s1] * 4)
+    with pytest.raises(Undecided):
+        _split_or_radical(m, mats)
+
+
+def test_commutator_ideal_is_closed_under_multiplication():
+    # a 13-dimensional local algebra of 6 x 6 upper triangular matrices
+    # whose commutators span 8 dimensions and generate a 9-dimensional ideal
+    gens = [Matrix.from_int_rows(F2, rows) for rows in (
+        [[0, 0, 0, 0, 0, 0], [0, 0, 1, 1, 1, 1], [0, 0, 0, 0, 0, 1],
+         [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0]],
+        [[0, 1, 1, 0, 1, 0], [0, 0, 1, 0, 1, 0], [0, 0, 0, 1, 1, 0],
+         [0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0]],
+        [[0, 0, 1, 1, 1, 0], [0, 0, 1, 0, 1, 1], [0, 0, 0, 1, 1, 1],
+         [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0]])]
+    mats = [Matrix.identity(F2, 6)]
+    todo = list(gens)
+    while todo:  # the algebra the generators span with the identity
+        y = todo.pop()
+        if not _vectorized(F2, 36, mats + [y]).dim > len(mats):
+            continue
+        mats.append(y)
+        todo += [y * x for x in mats] + [x * y for x in mats]
+    basis, coords = _echelon(mats)
+    assert len(basis) == 13
+    ideal = _commutator_ideal(basis, coords)
+    commutators = [a * b - b * a for a in basis for b in basis]
+    assert Subspace.from_matrix(13, coords(commutators)).dim == 8
+    assert ideal.dim == 9
+    gens = [combination(r, basis) for r in ideal.basis.data]
+    products = [y * x for y in gens for x in basis] + \
+        [x * y for y in gens for x in basis]
+    assert subspace_leq(Subspace.from_matrix(13, coords(products)), ideal)
+    rad, _ = _certify(mats)
+    assert rad is not None and len(rad) == 12

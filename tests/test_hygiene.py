@@ -1,0 +1,40 @@
+"""Static checks on the package source."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).parent.parent / "src" / "ppmod"
+
+
+def unread_locals(tree: ast.AST):
+    """'function:line: name' for each name a function assigns but never
+    reads (a read in a nested function counts; '_' is exempt)."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored: dict[str, int] = {}
+        read: set[str] = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.id, node.lineno)
+                else:
+                    read.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+        for name, line in stored.items():
+            if name != "_" and name not in read:
+                yield f"{fn.name}:{line}: {name}"
+
+
+def test_unread_locals_are_found():
+    src = "def f(a):\n    b, _ = a\n    c = 1\n    return b\n"
+    assert list(unread_locals(ast.parse(src))) == ["f:3: c"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_local_is_assigned_but_never_read(path):
+    assert list(unread_locals(ast.parse(path.read_text()))) == []
