@@ -8,8 +8,8 @@ indecomposable pure-injectives."""
 __version__ = "0.1.0"
 
 from .fields import GF, QQ, field_from_spec
-from .linalg import (Matrix, Subspace, kernel, row_space, subspace_leq,
-                     subspace_meet, subspace_sum)
+from .linalg import (Matrix, Subspace, kernel, projected_kernel,
+                     subspace_leq, subspace_meet, subspace_sum)
 from .algebra import (FDAlgebra, QuiverPresentation, algebra_from_quiver,
                       kronecker_algebra, truncated_dvr)
 from .modules import (Module, ModuleMap, Presentation, cokernel, direct_sum,

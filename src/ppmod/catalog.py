@@ -25,6 +25,13 @@ def dvr_chain_module(alg: FDAlgebra, j: int) -> Module:
     N = alg.dim
     if not (1 <= j <= N):
         raise ValueError(f"chain length {j} outside 1..{N}")
+    # by associativity, unit b_0 and x b_i = b_{i+1} (0 past x^(N-1))
+    # make b_i = x^i, so the algebra is k[x]/(x^N)
+    powers = [alg.basis_el(i) for i in range(N)] + [alg.zero_el()]
+    if alg.unit != powers[0] or any(alg.table[1][i] != powers[i + 1]
+                                    for i in range(1, N)):
+        raise ValueError(f"chain modules need k[x]/(x^N) on the basis 1, x, "
+                         f"..., x^(N-1); {alg.name} is not")
     f = alg.field
     shift = _shift(f, j)
     action = []
@@ -84,6 +91,9 @@ def kronecker_rep(alg: FDAlgebra, d1: int, d2: int, amat, bmat,
         raise ValueError("arrow matrices must be d1 x d2")
     action = [z] * alg.dim
     lab = {name: i for i, name in enumerate(alg.labels)}
+    if not {"e1", "e2", "a", "b"} <= lab.keys():
+        raise ValueError(f"{alg.name} has no basis elements e1, e2, a, b "
+                         f"of the Kronecker algebra")
     action[lab["e1"]] = block(f, bands, bands, {(0, 0): Matrix.identity(f, d1)})
     action[lab["e2"]] = block(f, bands, bands, {(1, 1): Matrix.identity(f, d2)})
     action[lab["a"]] = block(f, bands, bands, {(0, 1): amat})

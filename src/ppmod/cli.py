@@ -245,6 +245,9 @@ def execute(args) -> tuple[int, list[str]]:
         return 0, lines
 
     if cmd == "probe":
+        if args.max_dim < 3:
+            raise ValueError("probe kronecker compares PP(0) with PP(1), "
+                             "so --max-dim must be at least dim PP(1) = 3")
         alg = kronecker_algebra(field)
         pres = []
         i = 0

@@ -38,8 +38,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import Undecided
-from .linalg import (Matrix, Subspace, combination, subspace_sum,
-                     vectorized)
+from .linalg import (Matrix, Subspace, combination, projected_kernel,
+                     subspace_sum, vectorized)
 from .modules import (Module, ModuleMap, hom_space, identity_map,
                       indecomposable_iso, submodule)
 
@@ -91,18 +91,10 @@ def _fitting_split(m: Module, x: Matrix):
     while d < m.dim:
         x = x * x
         d *= 2
-    img = Subspace.from_matrix(m.dim, x.row_space())
+    img = Subspace(m.dim, x.row_space())
     if img.dim == 0 or img.dim == m.dim:
         return None
     return Subspace(m.dim, x.left_kernel()), img
-
-
-def _preimage(images: Matrix, sub: Subspace) -> Matrix:
-    """Echelon basis of {c : c * images lies in sub}.  A row (c, z) of the
-    left kernel of [images; sub] has c * images = -z * sub, and c = 0
-    forces z = 0, so the c parts are independent."""
-    both = images.vstack(sub.basis).left_kernel()
-    return both.take_cols(range(images.rows)).row_space()
 
 
 def _commutator_ideal(mats: list[Matrix], coords) -> Subspace:
@@ -128,7 +120,9 @@ def _modular_certificate(mats: list[Matrix], coords):
     each scalar."""
     f, n = mats[0].field, mats[0].rows
     ideal = _commutator_ideal(mats, coords)
-    fixed = _preimage(coords([_frobenius(x, f.p) - x for x in mats]), ideal)
+    # coefficient rows c with c (x^p - x) in N: the fixed elements mod N
+    moved = coords([_frobenius(x, f.p) - x for x in mats])
+    fixed = projected_kernel(moved.vstack(ideal.basis), len(mats))
     flag = Matrix.identity(f, n)
     gens = [combination(r, mats) for r in ideal.basis.data]
     while gens and flag.rows:  # the flag M > MN > MN^2 > ...
@@ -141,8 +135,8 @@ def _modular_certificate(mats: list[Matrix], coords):
         times = 1
         while f.p ** times < len(mats):
             times += 1
-        rad = _preimage(coords([_frobenius(x, f.p, times) for x in mats]),
-                        ideal)
+        powers = coords([_frobenius(x, f.p, times) for x in mats])
+        rad = projected_kernel(powers.vstack(ideal.basis), len(mats))
         return [combination(r, mats) for r in rad.data], ()
     one = Matrix.identity(f, n)
     return None, (combination(r, mats) - one.scale(a)

@@ -11,6 +11,13 @@ field elements.  `Matrix.data`, the rows as tuples of field elements, is
 available for every field; over GF(2) it is unpacked on first use and
 cached.
 
+Kernels, hom spaces, pp values, preimages and meets come from
+`projected_kernel`: the first k coordinates of {v : v a = 0}, in RREF.
+Over GF(2) it is one elimination of the rows tagged with their index bits;
+over GF(p) and QQ, where every entry costs a field operation, the wider
+tagged system is slower than reading the solutions off the reduced
+transpose (`_cut_right_kernel`, which right kernels call directly).
+
 No other module knows how a matrix stores its rows.  They build, flatten
 and cut matrices with `block`, `Matrix.reshape`, `vectorized`, the row and
 column selections and the stacks, take hom spaces from `intertwiners`, and
@@ -148,15 +155,7 @@ class Matrix:
                        for ra, rb in zip(self.data, other.data)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        f = self.field
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in sub")
-        if self.packed is not None:  # -1 = 1 in GF(2)
-            return Matrix.from_packed(f, self.rows, self.cols, tuple(
-                a ^ b for a, b in zip(self.packed, other.packed)))
-        return Matrix(f, self.rows, self.cols,
-                      [[f.sub(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.data, other.data)])
+        return self + (-other)
 
     def __neg__(self) -> "Matrix":
         if self.packed is not None:
@@ -309,25 +308,13 @@ class Matrix:
 
     def right_kernel(self) -> "Matrix":
         """Canonical basis (RREF) of {v : A v^T = 0}, one row per basis vector."""
-        f = self.field
-        if self.packed is not None:
-            return right_kernel_packed_f2(self.packed, self.cols, f)
-        r, pivots = self.rref()
-        free = [j for j in range(self.cols) if j not in pivots]
-        basis = []
-        piv_of = {p: i for i, p in enumerate(pivots)}
-        for j in free:
-            v = [f.zero()] * self.cols
-            v[j] = f.one()
-            for p, i in piv_of.items():
-                v[p] = f.neg(r.data[i][j])
-            basis.append(v)
-        m = Matrix(f, len(basis), self.cols, basis)
-        return m.rref()[0]
+        if self.packed is None:
+            return _cut_right_kernel(self, self.cols)
+        return projected_kernel(self.transpose(), self.cols)
 
     def left_kernel(self) -> "Matrix":
         """Canonical basis of {v : v A = 0}."""
-        return self.transpose().right_kernel()
+        return projected_kernel(self, self.rows)
 
     def row_space(self) -> "Matrix":
         return self.rref()[0]
@@ -429,10 +416,7 @@ def intertwiners(lefts, rights, dm: int, dn: int) -> list[Matrix]:
     if f.p == 2:
         ker = right_kernel_packed_f2(_intertwining_rows_f2(lefts, rights,
                                                            dm, dn), nunk, f)
-        mask = (1 << dn) - 1
-        return [Matrix.from_packed(f, dm, dn, tuple(
-                    (v >> (i * dn)) & mask for i in range(dm)))
-                for v in ker.packed]
+        return [ker.take_rows((i,)).reshape(dm, dn) for i in range(ker.rows)]
     z = f.zero()
     data = []
     for am, an in zip(lefts, rights):
@@ -447,8 +431,7 @@ def intertwiners(lefts, rights, dm: int, dn: int) -> list[Matrix]:
                         row[r * dn + t] = f.sub(row[r * dn + t], an.data[t][c])
                 data.append(row)
     ker = Matrix(f, len(data), nunk, data).right_kernel()
-    return [Matrix(f, dm, dn, [v[i * dn:(i + 1) * dn] for i in range(dm)])
-            for v in ker.data]
+    return [ker.take_rows((i,)).reshape(dm, dn) for i in range(ker.rows)]
 
 
 def _intertwining_rows_f2(lefts, rights, dm: int, dn: int) -> tuple[int, ...]:
@@ -564,20 +547,39 @@ def _rref_f2(rows) -> list[tuple[int, int]]:
 
 def right_kernel_packed_f2(rows, cols: int, field: Field) -> Matrix:
     """Canonical kernel basis of a GF(2) system given as packed rows."""
-    red = _rref_f2(rows)
-    pivset = {p for _, p in red}
-    basis = []
-    for j in range(cols):
-        if j in pivset:
-            continue
-        v = 1 << j
-        for row, p in red:
-            if (row >> j) & 1:
-                v |= 1 << p
-        basis.append(v)
-    canon = _rref_f2(basis)
-    return Matrix.from_packed(field, len(canon), cols,
-                              tuple(r for r, _ in canon))
+    return Matrix.from_packed(field, len(rows), cols, rows).right_kernel()
+
+
+def projected_kernel(a: Matrix, k: int) -> Matrix:
+    """Canonical (RREF) basis of the first k coordinates of {v : v a = 0}."""
+    if a.packed is not None:
+        # row i < k tagged with bit a.cols + i: the reduced rows with a tag
+        # pivot have no bit below a.cols, so their tags are the projected
+        # solutions, already reduced; one elimination in all
+        c = a.cols
+        red = _rref_f2([r | (1 << (c + i)) if i < k else r
+                        for i, r in enumerate(a.packed)])
+        tags = tuple(r >> c for r, p in red if p >= c)
+        return Matrix.from_packed(a.field, len(tags), k, tags)
+    # Over GF(p) and QQ every entry of the wider tagged system costs a field
+    # operation (with it the QQ example scenario ran 1.4x slower), so the
+    # solutions are read off the reduced transpose instead.
+    return _cut_right_kernel(a.transpose(), k)
+
+
+def _cut_right_kernel(a: Matrix, k: int) -> Matrix:
+    """The first k coordinates of {v : a v^T = 0} over GF(p) or QQ: one
+    solution per free column of the reduced a, cut, then reduced once."""
+    f = a.field
+    red, pivots = a.rref()
+    sols = []
+    for j in (j for j in range(a.cols) if j not in pivots):
+        v = [f.one() if t == j else f.zero() for t in range(k)]
+        for row, p in zip(red.data, pivots):
+            if p < k:
+                v[p] = f.neg(row[j])
+        sols.append(v)
+    return Matrix(f, len(sols), k, sols).row_space()
 
 
 # -- subspaces -----------------------------------------------------------
@@ -660,15 +662,12 @@ def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
 
 
 def subspace_meet(u: Subspace, w: Subspace) -> Subspace:
+    """The image under U of the preimage of W: the coefficient rows c with
+    c U in W.  Both c and U are in RREF, and so is their product."""
     if u.ambient != w.ambient:
         raise ValueError("ambient dimension mismatch")
-    if u.dim == 0 or w.dim == 0:
-        return Subspace.zero(u.field, u.ambient)
-    stacked = u.basis.vstack(w.basis)
-    combos = stacked.left_kernel()  # rows (a | b): a*U + b*W = 0
-    a_part = combos.take_cols(range(u.dim))
-    inter = a_part * u.basis
-    return Subspace(u.ambient, inter.row_space())
+    coeffs = projected_kernel(u.basis.vstack(w.basis), u.dim)
+    return Subspace(u.ambient, coeffs * u.basis)
 
 
 def subspace_leq(u: Subspace, w: Subspace) -> bool:
@@ -681,6 +680,3 @@ def kernel(a: Matrix) -> Subspace:
     """{v : A v = 0} as a canonical subspace of k^cols."""
     return Subspace(a.cols, a.right_kernel())
 
-
-def row_space(a: Matrix) -> Subspace:
-    return Subspace(a.cols, a.row_space())

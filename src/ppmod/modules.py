@@ -46,9 +46,7 @@ class Module:
 
     def _check_laws(self):
         alg = self.algebra
-        f = alg.field
-        ident = Matrix.identity(f, self.dim)
-        if self.act(alg.unit) != ident:
+        if self.act(alg.unit) != Matrix.identity(alg.field, self.dim):
             raise ValueError("unit does not act as identity")
         for i in range(alg.dim):
             for j in range(alg.dim):
@@ -262,7 +260,7 @@ def quotient_module(m: Module, s: Subspace, label: str = "",
 
 
 def image_subspace(f: ModuleMap) -> Subspace:
-    return Subspace.from_matrix(f.target.dim, f.mat.row_space())
+    return Subspace(f.target.dim, f.mat.row_space())
 
 
 def kernel_subspace(f: ModuleMap) -> Subspace:
@@ -389,17 +387,22 @@ def _module_span(m: Module, vectors, start: Subspace | None = None) -> Subspace:
     return span
 
 
-def module_generators(m: Module) -> list[tuple]:
-    """A small generating set found greedily over the standard basis."""
-    f = m.algebra.field
+def _greedy_generators(m: Module, candidates) -> list[tuple]:
+    """The candidates, in order, that lie outside the submodule generated
+    by the candidates kept before them."""
     gens: list[tuple] = []
-    span = Subspace.zero(f, m.dim)
-    for i in range(m.dim):
-        v = tuple(f.one() if j == i else f.zero() for j in range(m.dim))
+    span = Subspace.zero(m.algebra.field, m.dim)
+    for v in candidates:
         if not span.contains_vector(v):
-            gens.append(v)
+            gens.append(tuple(v))
             span = _module_span(m, [v], span)
     return gens
+
+
+def module_generators(m: Module) -> list[tuple]:
+    """A small generating set found greedily over the standard basis."""
+    return _greedy_generators(m, Matrix.identity(m.algebra.field,
+                                                 m.dim).data)
 
 
 def presentation_from_relations(algebra: FDAlgebra, ngens: int,
@@ -436,16 +439,7 @@ def presentation_of(m: Module) -> Presentation:
     images = Matrix(f, s, m.dim, gens) * actions
     cover = ModuleMap(free, m, images.reshape(free.dim, m.dim), check=False)
     ker = kernel_subspace(cover)
-    # module generators of the kernel
-    rel_vecs = []
-    span = Subspace.zero(f, free.dim)
-    for row in ker.basis.data:
-        if not span.contains_vector(row):
-            rel_vecs.append(tuple(row))
-            span = _module_span(free, [row], span)
-    relations = []
-    for v in rel_vecs:
-        relations.append(tuple(tuple(v[i * alg.dim:(i + 1) * alg.dim])
-                               for i in range(s)))
+    relations = [tuple(v[i * alg.dim:(i + 1) * alg.dim] for i in range(s))
+                 for v in _greedy_generators(free, ker.basis.data)]
     # the cover itself presents m: its kernel is generated by the relations
     return Presentation(alg, s, relations, m, cover, free)

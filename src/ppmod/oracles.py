@@ -1,18 +1,38 @@
 """Independent brute-force oracles used to cross-check the fast paths.
 
 These deliberately avoid the kernel-and-project route of
-PpFormula.evaluate: membership is decided by enumerating witness tuples.
-Over GF(2) the enumeration walks the witness space in Gray-code order so
-each step is a single packed XOR.  Locality of an endomorphism ring is
+PpFormula.evaluate: membership is decided by enumerating witness tuples,
+over any finite field with `brute_eval` and over GF(2) with
+`brute_eval_f2`, which walks the witness space in Gray-code order so each
+step is a single packed XOR.  Locality of an endomorphism ring is
 decided by enumerating all p^dim of its elements, the reference for the
 structural certificate in decompose.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from .linalg import Matrix, Subspace, span_elements
 from .modules import Module
 from .ppformula import PpFormula
+
+
+def brute_eval(phi: PpFormula, module: Module) -> set[tuple]:
+    """All x-tuples (coordinates concatenated) satisfying the formula over
+    a finite field, found by enumerating every (x, y) and testing each
+    equation: coordinate c of condition e is sum_v (x, y)_v . hmat[v][e]."""
+    if module.algebra is not phi.effective_algebra:
+        raise ValueError("module on the wrong side or algebra")
+    f = module.algebra.field
+    d, nvars = module.dim, phi.n + phi.l
+    equations = [[module.act(phi.hmat[v][e]).data[r][c]
+                  for v in range(nvars) for r in range(d)]
+                 for e in range(phi.m) for c in range(d)]
+    return {xy[:phi.n * d]
+            for xy in itertools.product(tuple(f.elements()), repeat=nvars * d)
+            if all(f.of(sum(x * y for x, y in zip(xy, eq))) == f.zero()
+                   for eq in equations)}
 
 
 def brute_eval_f2(phi: PpFormula, module: Module) -> set[int]:

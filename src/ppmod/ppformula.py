@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import FDAlgebra
-from .linalg import Matrix, Subspace
+from .linalg import Subspace, block, projected_kernel
 from .modules import (Module, Presentation, presentation_from_relations,
                       presentation_of)
 
@@ -82,22 +82,12 @@ class PpFormula:
         hit = self._eval_cache.get(module.serial)
         if hit is not None:
             return hit
-        f = self.algebra.field
-        d = module.dim
-        nvars = self.n + self.l
-        if d == 0:
-            result = Subspace.zero(f, 0)
-        elif self.m == 0:
-            result = Subspace.full(f, self.n * d)
-        else:
-            # block (v, e) of the system is the action of hmat[v][e]
-            big = functools.reduce(Matrix.vstack, (
-                functools.reduce(Matrix.hstack, (
-                    module.act(self.hmat[v][e]) for e in range(self.m)))
-                for v in range(nvars)))
-            sols = big.left_kernel()
-            proj = sols.take_cols(range(self.n * d))
-            result = Subspace.from_matrix(self.n * d, proj)
+        d, nvars = module.dim, self.n + self.l
+        # band (v, e) of the system is the action of hmat[v][e]
+        system = block(self.algebra.field, [d] * nvars, [d] * self.m,
+                       {(v, e): module.act(self.hmat[v][e])
+                        for v in range(nvars) for e in range(self.m)})
+        result = Subspace(self.n * d, projected_kernel(system, self.n * d))
         self._eval_cache[module.serial] = result
         return result
 

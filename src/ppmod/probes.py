@@ -56,14 +56,8 @@ class _Vec:
         self.parts = parts
         self.expr = expr
 
-    def key(self):
-        return tuple(p.key() for p in self.parts)
-
     def leq(self, other: "_Vec") -> bool:
         return all(subspace_leq(a, b) for a, b in zip(self.parts, other.parts))
-
-    def eq(self, other: "_Vec") -> bool:
-        return self.key() == other.key()
 
     def total_dim(self) -> int:
         return sum(p.dim for p in self.parts)
@@ -115,10 +109,9 @@ def interval_probe(pair: PpPair, universe: list[Module], budget: int,
     seen: dict = {}
 
     def add(v: _Vec) -> bool:
-        k = v.key()
-        if k in seen:
+        if v.parts in seen:
             return False
-        seen[k] = v
+        seen[v.parts] = v
         return True
 
     add(phi_vec)
@@ -161,7 +154,7 @@ def interval_probe(pair: PpPair, universe: list[Module], budget: int,
     certs = []
     for hi, lo in zip(chain, chain[1:]):
         sep = next(i for i, (a, b) in enumerate(zip(hi.parts, lo.parts))
-                   if a.key() != b.key())
+                   if a != b)
         certs.append(_label(universe[sep]))
     return ProbeReport(
         verdict=verdict, budget=budget,

@@ -31,8 +31,7 @@ from .tube import SymbolicTube, FormalPath, ZERO, all_paths_from, \
     build_ray_tube, hom_dimension, mesh_rule_failures, normal_path_arrows, \
     normalize_path
 from .ziegler import (PointSet, adic, closure, fin_len, is_closed,
-                      point_closure, points, prufer, qpoint,
-                      random_point_set)
+                      point_closure, prufer, qpoint, random_point_set)
 
 F2 = GF(2)
 

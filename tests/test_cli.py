@@ -212,3 +212,38 @@ def test_undecided_exits_2(monkeypatch, capsys):
     rc = main(["realize", "--N", "3", "--height", "0", "--stages", "2"])
     assert rc == 2
     assert "UNDECIDED: End neither" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("max_dim", ["2", "1", "0"])
+def test_probe_without_pp1_exits_2(max_dim):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ppmod.cli", "probe", "kronecker",
+         "--max-dim", max_dim], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "PP(0) with PP(1)" in proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
+
+
+@pytest.mark.parametrize("algebra, module, message", [
+    ("kronecker", "V/m^3", "kronecker is not"),
+    ("tower:2:1", "V/m^4", "k[x]/(x^2)[L0] is not"),
+    ("dvr:3", "PP(0)", "no basis elements e1, e2, a, b"),
+    ("dvr:3", "R(1)[1]", "no basis elements e1, e2, a, b"),
+])
+def test_module_literal_over_the_wrong_algebra_exits_2(algebra, module,
+                                                       message):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ppmod.cli", "pp", "eval", "--algebra",
+         algebra, "--module", module, "--formula", "x1 = 0"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
+def test_module_literal_over_its_algebra_is_evaluated():
+    code, lines = run_cli(["pp", "eval", "--algebra", "kronecker",
+                           "--module", "R(1)[1]", "--formula", "x1*a = 0"])
+    assert code == 0
+    assert "value_dim\t1\tambient 2" in lines

@@ -29,6 +29,22 @@ def unread_locals(tree: ast.AST):
                 yield f"{fn.name}:{line}: {name}"
 
 
+def unread_imports(tree: ast.Module):
+    """'line: name' for each name a module-level import binds that the
+    module never reads (__future__ imports are exempt)."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                              ast.Store)}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            for alias in stmt.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    yield f"{stmt.lineno}: {name}"
+
+
 def test_unread_locals_are_found():
     src = "def f(a):\n    b, _ = a\n    c = 1\n    return b\n"
     assert list(unread_locals(ast.parse(src))) == ["f:3: c"]
@@ -38,3 +54,19 @@ def test_unread_locals_are_found():
                          ids=lambda p: p.name)
 def test_no_local_is_assigned_but_never_read(path):
     assert list(unread_locals(ast.parse(path.read_text()))) == []
+
+
+def test_unread_imports_are_found():
+    src = ("from __future__ import annotations\n"
+           "import os.path\nimport re as regex\n"
+           "from json import dumps, loads\n"
+           "def f():\n    return loads(os.sep)\n")
+    assert list(unread_imports(ast.parse(src))) == ["3: regex", "4: dumps"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_no_module_import_is_unread(path):
+    # __init__.py is exempt: its imports are the package's exports
+    assert list(unread_imports(ast.parse(path.read_text()))) == []

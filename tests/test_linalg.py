@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from ppmod.fields import GF, QQ
 from ppmod.linalg import (Matrix, Subspace, block, combination,
-                          intertwiners, kernel, span_elements, subspace_leq,
-                          subspace_meet, subspace_sum, vectorized)
+                          intertwiners, kernel, projected_kernel,
+                          span_elements, subspace_leq, subspace_meet,
+                          subspace_sum, vectorized)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -245,6 +246,12 @@ def oracle_kernel_rows(dm, f):
     return oracle_rref_rows(ns, f)[0]
 
 
+def oracle_row_space(f, cols, rows):
+    """Reduced echelon basis of the span of rows (lists of ppmod values)."""
+    return oracle_rref_rows(
+        to_domain_matrix(Matrix(f, len(rows), cols, rows)), f)[0]
+
+
 def field_matrix(f, rows, cols):
     if f.p is None:
         entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -260,8 +267,8 @@ def field_matrix(f, rows, cols):
 def oracle_input(draw):
     """A field, an a x b matrix A (a, b in 0..5, so 0 x n, n x 0 and 0 x 0
     occur), B of the same shape, C of shape b x k, a right-hand side of
-    shape a x k (often A times something, so solvable systems occur) and a
-    vector of length b."""
+    shape a x k (often A times something, so solvable systems occur), a
+    vector of length b and a number of leading coordinates 0..a."""
     f = draw(st.sampled_from(ORACLE_FIELDS))
     a, b, k = (draw(st.integers(0, 5)) for _ in range(3))
     mat_a = draw(field_matrix(f, a, b))
@@ -272,13 +279,13 @@ def oracle_input(draw):
     vec = draw(field_matrix(f, 1, b))
     if b and draw(st.booleans()):  # a vector of the row space
         vec = draw(field_matrix(f, 1, a)) * mat_a if a else vec
-    return f, mat_a, mat_b, mat_c, rhs, vec.data[0]
+    return f, mat_a, mat_b, mat_c, rhs, vec.data[0], draw(st.integers(0, a))
 
 
 @settings(max_examples=200, deadline=None)
 @given(oracle_input())
 def test_linalg_matches_sympy_domain_matrix(inp):
-    f, a, b, c, rhs, vec = inp
+    f, a, b, c, rhs, vec, lead = inp
     da = to_domain_matrix(a)
     red, pivots = a.rref()
     assert ([list(r) for r in red.data], pivots) == oracle_rref_rows(da, f)
@@ -304,6 +311,17 @@ def test_linalg_matches_sympy_domain_matrix(inp):
     span = Subspace(a.cols, red)
     dv = to_domain_matrix(Matrix(f, 1, a.cols, [vec]))
     assert span.contains_vector(vec) == (da.vstack(dv).rank() == da.rank())
+    # the first `lead` coordinates of the left kernel, reduced
+    left = oracle_kernel_rows(da.transpose(), f)
+    assert [list(r) for r in projected_kernel(a, lead).data] == \
+        oracle_row_space(f, lead, [r[:lead] for r in left])
+    # the meet of the row spaces of A and B is the common orthogonal
+    # complement of their kernels
+    meet = subspace_meet(span, Subspace(b.cols, b.row_space()))
+    perps = oracle_kernel_rows(da, f) + \
+        oracle_kernel_rows(to_domain_matrix(b), f)
+    assert [list(r) for r in meet.basis.data] == oracle_kernel_rows(
+        to_domain_matrix(Matrix(f, len(perps), a.cols, perps)), f)
 
 
 # -- storage-agnostic assembly: reshape, vectorized, block, intertwiners ----

@@ -286,3 +286,41 @@ def test_kronecker_divisibility_projectives(kron):
     # vertex-2 coordinate
     gen_img = pp_type_generator_of_element(p1, (0, 1, 0))
     assert gen_img.equivalent(div_a)
+
+
+def test_evaluate_matches_witness_enumeration_over_gf3():
+    # every module of dimension <= 2 over k[x]/(x^2) and the Kronecker
+    # algebra, with GF(3) coefficients: the right formulas on the module,
+    # their duals on its k-dual
+    from ppmod.algebra import kronecker_algebra
+    from ppmod.catalog import kronecker_universe
+    from ppmod.linalg import Matrix, span_elements
+    from ppmod.oracles import brute_eval
+    f3 = GF(3)
+
+    def vectors(s):
+        rows = [s.basis.take_rows((i,)) for i in range(s.dim)]
+        return {x.data[0] for _, x in
+                span_elements(rows, Matrix.zero(f3, 1, s.ambient))}
+
+    dvr, kron = truncated_dvr(2, f3), kronecker_algebra(f3)
+    for alg, mods in ((dvr, dvr_universe(dvr, 2)),
+                      (kron, kronecker_universe(kron, 2))):
+        els = [alg.basis_el(i) for i in range(alg.dim)]
+        two = alg.neg_el(alg.unit)  # -1 = 2 in GF(3)
+        forms = [tautology(alg), bottom(alg),
+                 pp_sum(divisibility(alg, els[-1]), annihilator(alg, els[1])),
+                 pp_meet(divisibility(alg, els[1]), annihilator(alg, two)),
+                 PpFormula(alg, RIGHT, 2, 1, [[els[1], alg.zero_el()],
+                                              [alg.zero_el(), alg.unit],
+                                              [alg.zero_el(), two]]),
+                 # x1 + x2 = 0 and x1 a + x2 = 0 tie free coordinates
+                 PpFormula(alg, RIGHT, 2, 0, [[alg.unit], [alg.unit]]),
+                 PpFormula(alg, RIGHT, 2, 0, [[els[1]], [alg.unit]])]
+        forms += [g(alg, a) for a in els for g in (divisibility, annihilator)]
+        for m in mods:
+            assert m.dim <= 2
+            for phi in forms:
+                assert vectors(phi.evaluate(m)) == brute_eval(phi, m)
+                dphi, md = dual(phi), k_dual(m)
+                assert vectors(dphi.evaluate(md)) == brute_eval(dphi, md)
