@@ -31,8 +31,8 @@ from .probes import (INCONCLUSIVE, NOT_SHORT_WITNESS, SHORT_WITHIN_BOUND,
 from .tower import (FpLabel, TowerRing, Triple, all_labels, build_tower,
                     canonical_label, classify, construct_label, f0, f0_map,
                     f1, f1_map, forget, identify_indecomposable,
-                    left_projectives, natural_embedding, redundancy_table,
-                    t_module, verify_hom_bounds)
+                    label_module, left_projectives, lift, natural_embedding,
+                    redundancy_table, t_module, verify_hom_bounds)
 from .tube import (Arrow, FormalPath, NormalPath, SymbolicTube,
                    TranslationQuiver, ZERO, build_ray_tube, hom_dimension,
                    normalize_path, parse_tube_descriptor)

@@ -138,8 +138,7 @@ class Matrix:
     def is_zero(self) -> bool:
         if self.packed is not None:
             return not any(self.packed)
-        z = self.field.zero()
-        return all(x == z for r in self.data for x in r)
+        return not any(any(r) for r in self.data)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -196,7 +195,7 @@ class Matrix:
             for c in ot:
                 acc = z
                 for a, b in zip(r, c):
-                    if a != z and b != z:
+                    if a and b:
                         acc = f.add(acc, f.mul(a, b))
                 row.append(acc)
             out.append(row)
@@ -287,7 +286,7 @@ class Matrix:
         for col in range(self.cols):
             sel = None
             for i in range(rank, len(rows)):
-                if rows[i][col] != f.zero():
+                if rows[i][col]:
                     sel = i
                     break
             if sel is None:
@@ -296,7 +295,7 @@ class Matrix:
             inv = f.inv(rows[rank][col])
             rows[rank] = [f.mul(inv, x) for x in rows[rank]]
             for i in range(len(rows)):
-                if i != rank and rows[i][col] != f.zero():
+                if i != rank and rows[i][col]:
                     c = rows[i][col]
                     rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(rows[i], rows[rank])]
             pivots.append(col)
@@ -424,10 +423,10 @@ def intertwiners(lefts, rights, dm: int, dn: int) -> list[Matrix]:
             for c in range(dn):
                 row = [z] * nunk
                 for s in range(dm):
-                    if am.data[r][s] != z:
+                    if am.data[r][s]:
                         row[s * dn + c] = f.add(row[s * dn + c], am.data[r][s])
                 for t in range(dn):
-                    if an.data[t][c] != z:
+                    if an.data[t][c]:
                         row[r * dn + t] = f.sub(row[r * dn + t], an.data[t][c])
                 data.append(row)
     ker = Matrix(f, len(data), nunk, data).right_kernel()
@@ -477,7 +476,7 @@ def combination(coeffs, mats) -> Matrix:
     z = f.zero()
     acc = [[z] * first.cols for _ in range(first.rows)]
     for c, m in zip(coeffs, mats):
-        if c != z:
+        if c:
             acc = [[x + c * y for x, y in zip(ra, rm)]
                    for ra, rm in zip(acc, m.data)]
     if f.p is not None:
@@ -622,8 +621,7 @@ class Subspace:
         b = self.basis
         if b.packed is not None:
             return tuple((r & -r).bit_length() - 1 for r in b.packed)
-        z = self.field.zero()
-        return tuple(next(j for j, x in enumerate(row) if x != z)
+        return tuple(next(j for j, x in enumerate(row) if x)
                      for row in b.data)
 
     def contains_vector(self, v) -> bool:
@@ -642,13 +640,12 @@ class Subspace:
                     v ^= r
             return not v
         f = self.field
-        z = f.zero()
         v = list(v)
         for p, row in zip(self.pivots, self.basis.data):
-            if v[p] != z:
+            if v[p]:
                 c = v[p]
                 v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        return all(x == z for x in v)
+        return not any(v)
 
     def key(self):
         """Deterministic sort key (echelon-lexicographic)."""

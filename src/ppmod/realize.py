@@ -1,11 +1,15 @@
 """Concrete realization of the ray-tube ladder inside a tower module
 category, with every defining square verified exactly.
 
-Stage objects are M_j = F0^n(V/m^j) and P^l_j = F0^{n-l} F1^l (V/m^j); the
-vertical embeddings are the canonical F0 -> F1 maps, the horizontal maps
-come from the chain inclusions and quotients of the valuation ring.  The
-rim maps f_j: P^n_{j+1} -> M_j are completed from the cokernel of the
-first stage and are uniquely determined by their two defining equations.
+The ladder is one family indexed by depth 0 <= l <= n and stage j: the
+objects P^l_j = F0^{n-l} F1^l (V/m^j), whose depth-0 row is the stage row
+M_j = P^0_j.  Every map is `tower.lift` of a map over the valuation ring
+or over R_l: the horizontal maps psibar^l_j: P^l_j -> P^l_{j+1} (psi_j at
+depth 0) and the epis phi_j: M_{j+1} -> M_j lift the chain inclusions and
+quotients, the level embeddings alpha^l_j: P^{l-1}_j -> P^l_j lift the
+canonical F0 -> F1 maps.  The rim maps f_j: P^n_{j+1} -> M_j are completed
+from the cokernel of the first stage and are uniquely determined by their
+two defining equations.
 
 The single-ray translation quiver Q(1; n) realizes onto this ladder:
 mu-arrows to the horizontal embeddings, level lambdas to the vertical
@@ -21,9 +25,9 @@ from .catalog import dvr_chain_module
 from .decompose import decompose
 from .errors import HorizonExceeded, SquareFailed
 from .linalg import Matrix, block, vectorized
-from .modules import Module, ModuleMap, direct_sum, iso_test
-from .tower import (TowerRing, build_tower, f0, f0_map, f1, f1_map,
-                    left_projectives, natural_embedding)
+from .modules import Module, ModuleMap, direct_sum, identity_map, iso_test
+from .tower import (TowerRing, build_tower, left_projectives, lift,
+                    natural_embedding)
 from .tube import Arrow, TranslationQuiver, ZERO
 
 
@@ -80,24 +84,17 @@ def verify_pushout_pullback(top: ModuleMap, left: ModuleMap,
 
 @dataclass
 class RealizedTube:
-    """Ladder of stage modules and maps in a tower, all squares verified."""
+    """Ladder of stage modules and maps in a tower, all squares verified;
+    depth 0 is the stage row, P^0_j = M_j and psibar^0_j = psi_j."""
 
     tower: TowerRing
     stages: int
-    M: dict = field(default_factory=dict)        # j -> Module
     P: dict = field(default_factory=dict)        # (l, j) -> Module
-    psi: dict = field(default_factory=dict)      # j -> M_j -> M_{j+1}
     phi: dict = field(default_factory=dict)      # j -> M_{j+1} -> M_j
     psibar: dict = field(default_factory=dict)   # (l, j) -> P^l_j -> P^l_{j+1}
-    alpha: dict = field(default_factory=dict)    # (l, j) -> level embedding
+    alpha: dict = field(default_factory=dict)    # (l, j) -> P^{l-1}_j -> P^l_j
     fmaps: dict = field(default_factory=dict)    # j -> P^n_{j+1} -> M_j
     checked_squares: list = field(default_factory=list)
-
-    def object(self, l: int, j: int) -> Module:
-        return self.M[j] if l == 0 else self.P[(l, j)]
-
-    def horizontal(self, l: int, j: int) -> ModuleMap:
-        return self.psi[j] if l == 0 else self.psibar[(l, j)]
 
     def realize_arrow(self, q: TranslationQuiver, a: Arrow) -> ModuleMap:
         """Arrows of the single-ray quiver Q(1; n) as ladder maps."""
@@ -105,7 +102,7 @@ class RealizedTube:
         if q.m != 1 or q.ray_lengths != (n,):
             raise ValueError("the realization covers Q(1; n) for the tower height n")
         if a.kind == "mu":
-            return self.horizontal(a.k, a.j)
+            return self.psibar[(a.k, a.j)]
         if a.k < n:
             return self.alpha[(a.k + 1, a.j)]
         return self.fmaps[a.j - 1]
@@ -115,9 +112,7 @@ class RealizedTube:
         if np == ZERO:
             raise ValueError("zero has no single realization; compare is_zero")
         arrows = normal_path_arrows(q, np)
-        src = self.object(np.start[1], np.start[2])
-        out = ModuleMap(src, src, Matrix.identity(self.tower.field, src.dim),
-                        check=False)
+        out = identity_map(self.P[(np.start[1], np.start[2])])
         for a in arrows:
             out = out.then(self.realize_arrow(q, a))
         return out.scale(self.tower.field.of(np.coeff))
@@ -138,92 +133,43 @@ def realize_in_tower(tower: TowerRing, stages: int) -> RealizedTube:
 
     for j in range(1, stages + 2):
         base = dvr_chain_module(alg0, j)
-        m = base
-        for lvl in range(1, n + 1):
-            m = f0(tower, lvl, m)
-        m.label = f"M{j}"
-        rt.M[j] = m
-        for l in range(1, n + 1):
-            p = base
-            for lvl in range(1, l + 1):
-                p = f1(tower, lvl, p)
-            for lvl in range(l + 1, n + 1):
-                p = f0(tower, lvl, p)
-            p.label = f"P^{l}_{j}"
-            rt.P[(l, j)] = p
+        for l in range(n + 1):
+            p = rt.P[(l, j)] = lift(tower, base, 0, l, n - l)
+            p.label = f"P^{l}_{j}" if l else f"M{j}"
+            if l:
+                eta = natural_embedding(tower, l, lift(tower, base, 0, l - 1, 0))
+                rt.alpha[(l, j)] = ModuleMap(rt.P[(l - 1, j)], p, lift(
+                    tower, eta, l, 0, n - l).mat, check=True)
 
     for j in range(1, stages + 1):
+        rt.phi[j] = ModuleMap(rt.P[(0, j + 1)], rt.P[(0, j)], lift(
+            tower, chain_quotient(alg0, j), 0, 0, n).mat, check=True)
         inc = chain_inclusion(alg0, j)
-        quo = chain_quotient(alg0, j)
-        psi = inc
-        phi = quo
-        for lvl in range(1, n + 1):
-            psi = f0_map(tower, lvl, psi)
-            phi = f0_map(tower, lvl, phi)
-        rt.psi[j] = _rehome(psi, rt.M[j], rt.M[j + 1])
-        rt.phi[j] = _rehome(phi, rt.M[j + 1], rt.M[j])
-        for l in range(1, n + 1):
-            pb = inc
-            for lvl in range(1, l + 1):
-                pb = f1_map(tower, lvl, pb)
-            for lvl in range(l + 1, n + 1):
-                pb = f0_map(tower, lvl, pb)
-            rt.psibar[(l, j)] = _rehome(pb, rt.P[(l, j)], rt.P[(l, j + 1)])
-
-    for j in range(1, stages + 2):
-        base = dvr_chain_module(alg0, j)
-        for l in range(1, n + 1):
-            inner = base
-            for lvl in range(1, l):
-                inner = f1(tower, lvl, inner)
-            eta = natural_embedding(tower, l, inner)
-            up = eta
-            for lvl in range(l + 1, n + 1):
-                up = f0_map(tower, lvl, up)
-            src = rt.M[j] if l == 1 else rt.P[(l - 1, j)]
-            rt.alpha[(l, j)] = _rehome(up, src, rt.P[(l, j)])
+        for l in range(n + 1):
+            rt.psibar[(l, j)] = ModuleMap(rt.P[(l, j)], rt.P[(l, j + 1)], lift(
+                tower, inc, 0, l, n - l).mat, check=True)
 
     _complete_f_maps(rt)
     _verify_squares(rt)
     return rt
 
 
-def _rehome(mod_map: ModuleMap, src: Module, tgt: Module) -> ModuleMap:
-    """Reattach a map to the cached copies of its endpoints (same data)."""
-    if mod_map.source.dim != src.dim or mod_map.target.dim != tgt.dim:
-        raise ValueError("map endpoints disagree with the cached modules")
-    return ModuleMap(src, tgt, mod_map.mat, check=True)
-
-
 def _complete_f_maps(rt: RealizedTube):
     """Solve for the rim maps f_j: P^n_{j+1} -> M_j from
     f_j o psibar^n_j = psi_{j-1} o f_{j-1}  (f_0 := 0 against M_0 = 0)
     and  f_j o (alpha chain at stage j+1) = phi_j."""
-    tower, n = rt.tower, rt.tower.height
-    f = tower.field
-    if n == 0:
-        for j in range(1, rt.stages + 1):
-            rt.fmaps[j] = rt.phi[j]
-        return
+    n = rt.tower.height
     for j in range(1, rt.stages + 1):
-        pnj1 = rt.P[(n, j + 1)]
-        chain = rt.alpha[(1, j + 1)]
-        for l in range(2, n + 1):
+        chain = identity_map(rt.P[(0, j + 1)])
+        for l in range(1, n + 1):
             chain = chain.then(rt.alpha[(l, j + 1)])
-        constraints = [(chain.mat, rt.phi[j].mat)]
-        if j >= 2:
-            prev = rt.fmaps[j - 1]
-            constraints.append((rt.psibar[(n, j)].mat,
-                                prev.mat * rt.psi[j - 1].mat))
-        else:
-            constraints.append((rt.psibar[(n, j)].mat,
-                                Matrix.zero(f, rt.P[(n, j)].dim, rt.M[j].dim)))
-        stacked = constraints[0][0].vstack(constraints[1][0])
-        rhs = constraints[0][1].vstack(constraints[1][1])
-        sol = stacked.solve_right(rhs)
+        rim = rt.fmaps[j - 1].then(rt.psibar[(0, j - 1)]).mat if j >= 2 else \
+            Matrix.zero(rt.tower.field, rt.P[(n, j)].dim, rt.P[(0, j)].dim)
+        sol = chain.mat.vstack(rt.psibar[(n, j)].mat).solve_right(
+            rt.phi[j].mat.vstack(rim))
         if sol is None:
             raise SquareFailed(f"f[{j}]", "rim completion system inconsistent")
-        rt.fmaps[j] = ModuleMap(pnj1, rt.M[j], sol, check=True)
+        rt.fmaps[j] = ModuleMap(rt.P[(n, j + 1)], rt.P[(0, j)], sol, check=True)
 
 
 def _verify_squares(rt: RealizedTube):
@@ -235,38 +181,31 @@ def _verify_squares(rt: RealizedTube):
         if not res["bicartesian"]:
             raise SquareFailed(name, str(res))
 
-    # the degenerate base square (zero corner): exactness of the first stage
-    if not rt.psi[1].is_injective():
+    psi1, phi1 = rt.psibar[(0, 1)], rt.phi[1]
+    # the degenerate base square (zero corner): 0 -> M_1 -> M_2 -> M_1 -> 0
+    # is exact, which also certifies that the cokernel of psi_1 is M_1
+    if not psi1.is_injective():
         raise SquareFailed("tube[1]", "first stage map not injective")
-    if not rt.phi[1].is_surjective() or \
-            not (rt.psi[1].mat * rt.phi[1].mat).is_zero() or \
-            rt.M[2].dim != 2 * rt.M[1].dim:
+    if not phi1.is_surjective() or not (psi1.mat * phi1.mat).is_zero() or \
+            rt.P[(0, 2)].dim != 2 * rt.P[(0, 1)].dim:
         raise SquareFailed("tube[1]", "base sequence not exact")
     rt.checked_squares.append(("tube[1]", True))
     for j in range(1, J):
-        check(f"tube[{j + 1}]",
-              rt.phi[j], rt.psi[j + 1], rt.psi[j], rt.phi[j + 1])
+        check(f"tube[{j + 1}]", rt.phi[j], rt.psibar[(0, j + 1)],
+              rt.psibar[(0, j)], rt.phi[j + 1])
 
     # ladder squares at every depth
     for l in range(1, n + 1):
         for j in range(1, J + 1):
             check(f"ladder[{l},{j}]",
-                  rt.horizontal(l - 1, j), rt.alpha[(l, j)],
+                  rt.psibar[(l - 1, j)], rt.alpha[(l, j)],
                   rt.alpha[(l, j + 1)], rt.psibar[(l, j)])
 
     # rim squares (pushout direction suffices per the completion, but the
     # realization satisfies the full bicartesian property)
     for j in range(2, J + 1):
-        check(f"rim[{j}]",
-              rt.psibar[(n, j)] if n >= 1 else rt.psi[j],
-              rt.fmaps[j - 1], rt.fmaps[j], rt.psi[j - 1])
-
-    # cokernel of the first stage map is the first stage object
-    cok_ok = rt.phi[1].is_surjective() and \
-        (rt.psi[1].mat * rt.phi[1].mat).is_zero() and \
-        rt.M[2].dim - rt.M[1].dim == rt.M[1].dim
-    if not cok_ok:
-        raise SquareFailed("coker[psi_1]", "cokernel is not the stage-1 object")
+        check(f"rim[{j}]", rt.psibar[(n, j)],
+              rt.fmaps[j - 1], rt.fmaps[j], rt.psibar[(0, j - 1)])
     rt.checked_squares.append(("coker[psi_1]", True))
 
 
@@ -282,23 +221,23 @@ def stage_bimodule(rt: RealizedTube):
     f = tower.field
     left_tower = build_tower(J, n, f)
 
-    comps = [rt.M[J]] + [rt.P[(l, 1)] for l in range(1, n + 1)]
+    mj = rt.P[(0, J)]
+    comps = [mj] + [rt.P[(l, 1)] for l in range(1, n + 1)]
     x_mod = direct_sum(comps, label="stage_bimodule")[0]
 
     # x acts on the M_J component as multiplication by the uniformizer
     # (stages < N guarantees N >= 2, so the x coordinate exists)
     shift = dvr_chain_module(tower.algebras[0], J).action[1]
-    xmult = ModuleMap(rt.M[J], rt.M[J], shift, check=True)
+    xmult = ModuleMap(mj, mj, shift, check=True)
 
     # u_1: M_J -> M_1 along the quotients, then into P^1
-    u1 = ModuleMap(rt.M[J], rt.M[J], Matrix.identity(f, rt.M[J].dim),
-                   check=False)
+    u1 = identity_map(mj)
     for j in range(J - 1, 0, -1):
         u1 = u1.then(rt.phi[j])
 
     # recursive left actions: lam[s] for each basis element of the left tower
     lam: dict[int, Matrix] = {}
-    dims = [rt.M[J].dim] + [rt.P[(l, 1)].dim for l in range(1, n + 1)]
+    dims = [c.dim for c in comps]
     offs = [sum(dims[:i]) for i in range(len(dims))]
     total = sum(dims)
 
@@ -309,7 +248,7 @@ def stage_bimodule(rt: RealizedTube):
 
     # level 0: powers of x on the first block
     b0 = left_tower.algebras[0]
-    power = Matrix.identity(f, rt.M[J].dim)
+    power = Matrix.identity(f, mj.dim)
     for t in range(b0.dim):
         lam[t] = place(power, 0, 0)
         power = power * xmult.mat
@@ -361,7 +300,7 @@ def verify_bimodule_idempotents(rt: RealizedTube) -> dict:
     with the dimension-difference multiplicities."""
     n = rt.tower.height
     left_tower, left_mod, _ = stage_bimodule(rt)
-    dims = [rt.M[1].dim] + [rt.P[(l, 1)].dim for l in range(1, n + 1)]
+    dims = [rt.P[(l, 1)].dim for l in range(n + 1)]
     expected = [dims[0]] + [dims[i] - dims[i - 1] for i in range(1, n + 1)]
     projs = left_projectives(left_tower)
     d = decompose(left_mod)

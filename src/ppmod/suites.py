@@ -26,7 +26,8 @@ from .ppformula import (LEFT, PpFormula, PpPair, annihilator, bottom,
 from .probes import (NOT_SHORT_WITNESS, SHORT_WITHIN_BOUND, interval_probe,
                      probe_embedding)
 from .realize import realize_in_tower, verify_bimodule_idempotents
-from .tower import all_labels, build_tower, classify, construct_label, f0, f1
+from .tower import (all_labels, build_tower, classify, construct_label, f0,
+                    f1, label_module)
 from .tube import SymbolicTube, FormalPath, ZERO, all_paths_from, \
     build_ray_tube, hom_dimension, mesh_rule_failures, normal_path_arrows, \
     normalize_path
@@ -256,7 +257,7 @@ def suite_classification(seed: int = 0) -> SuiteResult:
             f1l = f1(tower, lvl, tower.bimodules[lvl - 1])
             below = build_tower(2, lvl - 1, F2)
             for lab in all_labels(below, dim_cap=8):
-                kk = _transport(tower, lvl - 1, lab)
+                kk = label_module(tower, lab, lvl - 1)
                 if hom_space(f1l, f0(tower, lvl, kk)):
                     bad.append((height, f"Hom(F1 L, F0 {lab}) != 0"))
     lines = [f"presentations\t{total} seeded random quotients of projectives "
@@ -267,28 +268,6 @@ def suite_classification(seed: int = 0) -> SuiteResult:
     if bad:
         lines.append(f"failures\t{bad[:4]} ({len(bad)} total)")
     return SuiteResult("classification", not bad, lines)
-
-
-def _transport(dst_tower, level, lab):
-    """Build a lower-level label's module inside a taller tower (the
-    algebra chains of equal-horizon towers agree level by level)."""
-    from .tower import t_module
-    kind, idx = lab.base
-    if kind == "Ind":
-        m = dvr_chain_module(dst_tower.algebras[0], idx)
-        lvl = 0
-    else:
-        m = t_module(dst_tower, idx)
-        lvl = idx
-    for _ in range(lab.b):
-        lvl += 1
-        m = f1(dst_tower, lvl, m)
-    for _ in range(lab.a):
-        lvl += 1
-        m = f0(dst_tower, lvl, m)
-    if lvl != level:
-        raise ValueError("label does not live at the requested level")
-    return m
 
 
 # -- criterion 5 ---------------------------------------------------------------
@@ -303,7 +282,7 @@ def suite_ray_tube(seed: int = 0) -> SuiteResult:
     for m, lengths in [(1, (0,)), (2, (1, 0))]:
         q = build_ray_tube(m, lengths, 7)
         tube = SymbolicTube(q)
-        psi2 = tube.psi_matrix(2)
+        psi2 = tube.psibar_matrix(0, 2)
         if any(psi2[i][i] is None or psi2[i][i].mu_steps != 1
                for i in range(m)):
             bad.append((m, "stage matrix shape"))
@@ -313,10 +292,11 @@ def suite_ray_tube(seed: int = 0) -> SuiteResult:
             if ent is None or ent.lam_steps != q.n_of(i) + 1 or ent.mu_steps:
                 bad.append((m, "rim matrix shape"))
         for j in range(2, 5):
-            if tube.compose(tube.psi_matrix(j), tube.phi_matrix(j)) != \
-                    tube.compose(tube.phi_matrix(j - 1), tube.psi_matrix(j - 1)):
+            psi, prev = tube.psibar_matrix(0, j), tube.psibar_matrix(0, j - 1)
+            if tube.compose(psi, tube.phi_matrix(j)) != \
+                    tube.compose(tube.phi_matrix(j - 1), prev):
                 bad.append((m, f"square at stage {j}"))
-        base = tube.compose(tube.psi_matrix(1), tube.phi_matrix(1))
+        base = tube.compose(tube.psibar_matrix(0, 1), tube.phi_matrix(1))
         if any(x is not None for row in base for x in row):
             bad.append((m, "base square not zero"))
         lines.append(f"symbolic\tQ({m}; {','.join(map(str, lengths))}) ladder "
@@ -328,8 +308,8 @@ def suite_ray_tube(seed: int = 0) -> SuiteResult:
         squares = len(rt.checked_squares)
         if not all(ok for _, ok in rt.checked_squares):
             bad.append((height, "square verification"))
-        cok, _ = cokernel(rt.psi[1])
-        if iso_test(cok, rt.M[1]) is None:
+        cok, _ = cokernel(rt.psibar[(0, 1)])
+        if iso_test(cok, rt.P[(0, 1)]) is None:
             bad.append((height, "coker(psi_1) != M_1"))
         res = verify_bimodule_idempotents(rt)
         if not res["ok"]:
@@ -434,13 +414,12 @@ def suite_short_probes(seed: int = 0) -> SuiteResult:
                    f"{len(rep.chain) - 1} steps")
     tower = build_tower(5, 1, F2)
     rt = realize_in_tower(tower, 3)
-    universe = [rt.M[j] for j in range(1, 5)] + \
-        [rt.P[(1, j)] for j in range(1, 5)]
+    universe = [rt.P[(l, j)] for l in (0, 1) for j in range(1, 5)]
     short_checked = 0
     # the honest interval of the stage-j embedding has about 2j strict
     # steps, so the bound must sit above it for the closure verdict
     for j in (1, 2, 3):
-        for emb2 in (rt.psi[j], rt.psibar[(1, j)]):
+        for emb2 in (rt.psibar[(0, j)], rt.psibar[(1, j)]):
             for r in probe_embedding(emb2, universe, budget=10):
                 short_checked += 1
                 if r.verdict != SHORT_WITHIN_BOUND:

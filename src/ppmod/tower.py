@@ -295,6 +295,15 @@ def forget(tower: TowerRing, level: int, x: Module) -> Module:
     return Triple.from_module(tower, level, x).m1
 
 
+def lift(tower: TowerRing, x, level: int, b: int, a: int):
+    """F0^a F1^b of a module or a map over R_level: F1 at the next b
+    levels, then F0 at the next a levels."""
+    up1, up0 = (f1_map, f0_map) if isinstance(x, ModuleMap) else (f1, f0)
+    for lvl in range(level + 1, level + b + a + 1):
+        x = (up1 if lvl <= level + b else up0)(tower, lvl, x)
+    return x
+
+
 def natural_embedding(tower: TowerRing, level: int, m: Module) -> ModuleMap:
     """The canonical embedding (0, id): F0 M -> F1 M."""
     src = f0(tower, level, m)
@@ -346,31 +355,28 @@ def canonical_label(lab: FpLabel) -> FpLabel:
     return lab
 
 
-def construct_label(tower: TowerRing, lab: FpLabel) -> Module:
-    """Build the module a label denotes, with caching."""
-    key = (lab.a, lab.b, lab.base)
-    hit = tower._label_cache.get(key)
-    if hit is not None:
-        return hit
+def label_module(tower: TowerRing, lab: FpLabel, level: int) -> Module:
+    """The module a label denotes over R_level."""
     kind, idx = lab.base
     if kind == "Ind":
         if not (1 <= idx <= tower.N):
             raise HorizonExceeded(f"Ind({idx}) outside horizon {tower.N}")
-        m = dvr_chain_module(tower.algebras[0], idx)
-        level = 0
+        base, start = dvr_chain_module(tower.algebras[0], idx), 0
     else:
-        m = t_module(tower, idx)
-        level = idx
-    for _ in range(lab.b):
-        level += 1
-        m = f1(tower, level, m)
-    for _ in range(lab.a):
-        level += 1
-        m = f0(tower, level, m)
-    if level != tower.height:
-        raise ValueError("label exponents do not reach the tower height")
-    m.label = str(lab)
-    tower._label_cache[key] = m
+        base, start = t_module(tower, idx), idx
+    if start + lab.b + lab.a != level:
+        raise ValueError(f"label exponents do not reach level {level}")
+    return lift(tower, base, start, lab.b, lab.a)
+
+
+def construct_label(tower: TowerRing, lab: FpLabel) -> Module:
+    """label_module at the tower height, labelled and cached."""
+    key = (lab.a, lab.b, lab.base)
+    m = tower._label_cache.get(key)
+    if m is None:
+        m = label_module(tower, lab, tower.height)
+        m.label = str(lab)
+        tower._label_cache[key] = m
     return m
 
 

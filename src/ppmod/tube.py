@@ -380,63 +380,45 @@ class SymbolicTube:
 
     quiver: TranslationQuiver
 
-    def _stage_check(self, j: int, top: int):
+    def _matrix(self, j: int, top: int, cells: dict):
+        """The m x m matrix of a map between stages j and top: the given
+        {(row, col): path} cells, None elsewhere."""
         if not (1 <= j and top <= self.quiver.horizon):
             raise ValueError("stage outside the quiver horizon")
-
-    def psi_matrix(self, j: int):
-        """Diagonal matrix of stage embeddings mu(i,0)[j]."""
-        self._stage_check(j, j + 1)
         m = self.quiver.m
-        out = [[None] * m for _ in range(m)]
-        for i in range(m):
-            out[i][i] = NormalPath(1, (i, 0, j), 0, 1)
-        return out
+        return [[cells.get((s, t)) for t in range(m)] for s in range(m)]
 
     def phi_matrix(self, j: int):
         """Rim descent from stage j+1 to stage j: the full lambda-chain of
         ray i sits in row i, column (i+1) mod m."""
-        self._stage_check(j, j + 1)
-        m = self.quiver.m
-        out = [[None] * m for _ in range(m)]
-        for i in range(m):
-            out[i][(i + 1) % m] = NormalPath(1, (i, 0, j + 1),
-                                             self.quiver.n_of(i) + 1, 0)
-        return out
+        q = self.quiver
+        return self._matrix(j, j + 1, {
+            (i, (i + 1) % q.m): NormalPath(1, (i, 0, j + 1), q.n_of(i) + 1, 0)
+            for i in range(q.m)})
 
     def alpha_matrix(self, l: int, j: int = 1):
         """Diagonal block embedding into the depth-l objects; zero on rays
         with n_i < l."""
-        self._stage_check(j, j)
-        m = self.quiver.m
-        out = [[None] * m for _ in range(m)]
-        for i in range(m):
-            if l <= self.quiver.n_of(i):
-                out[i][i] = NormalPath(1, (i, l - 1, j), 1, 0)
-        return out
+        q = self.quiver
+        return self._matrix(j, j, {(i, i): NormalPath(1, (i, l - 1, j), 1, 0)
+                                   for i in range(q.m) if l <= q.n_of(i)})
 
     def psibar_matrix(self, l: int, j: int):
-        """Diagonal stage embedding at depth l (zero on exhausted rays)."""
-        self._stage_check(j, j + 1)
-        m = self.quiver.m
-        out = [[None] * m for _ in range(m)]
-        for i in range(m):
-            if l <= self.quiver.n_of(i):
-                out[i][i] = NormalPath(1, (i, l, j), 0, 1)
-        return out
+        """Diagonal stage embedding at depth l (zero on exhausted rays); at
+        depth 0 the stage embeddings mu(i,0)[j]."""
+        q = self.quiver
+        return self._matrix(j, j + 1, {(i, i): NormalPath(1, (i, l, j), 0, 1)
+                                       for i in range(q.m) if l <= q.n_of(i)})
 
     def rim_matrix(self, j: int):
         """The completed rim maps from the deepest objects at stage j+1
         back to the stage-j objects: a single boundary descent on every ray
         of maximal depth."""
-        self._stage_check(j, j + 1)
-        m = self.quiver.m
-        n = max(self.quiver.ray_lengths)
-        out = [[None] * m for _ in range(m)]
-        for i in range(m):
-            if self.quiver.n_of(i) == n:
-                out[i][(i + 1) % m] = NormalPath(1, (i, n, j + 1), 1, 0)
-        return out
+        q = self.quiver
+        n = max(q.ray_lengths)
+        return self._matrix(j, j + 1, {
+            (i, (i + 1) % q.m): NormalPath(1, (i, n, j + 1), 1, 0)
+            for i in range(q.m) if q.n_of(i) == n})
 
     def compose(self, first, second):
         """Matrix composition (first then second) with path normalization;

@@ -113,6 +113,19 @@ def point_from_word(height: int, word, base: str, idx: int = 0) -> ZieglerPoint:
 # -- point sets with cofinite finite-length families -------------------------
 
 
+def _complement(family: tuple) -> tuple:
+    """Finite js <-> cofinite excluding js."""
+    mode, js = family
+    return ("cofinite" if mode == "finite" else "finite", js)
+
+
+def _family_union(a: tuple, b: tuple) -> tuple:
+    (am, ad), (bm, bd) = a, b
+    if am == bm:
+        return (am, ad | bd if am == "finite" else ad & bd)
+    return ("cofinite", ad - bd if am == "cofinite" else bd - ad)
+
+
 @dataclass(frozen=True)
 class PointSet:
     """Finite set of points plus cofinite flags per finite-length family.
@@ -152,9 +165,15 @@ class PointSet:
             if prev and prev[0] == "finite":
                 exc = exc - prev[1]
             fams[pref] = ("cofinite", exc)
-        clean = tuple(sorted((k, m, frozenset(d)) for k, (m, d) in
-                             fams.items() if not (m == "finite" and not d)))
-        return PointSet(height, frozenset(others), clean)
+        return PointSet._clean(height, frozenset(others), fams)
+
+    @staticmethod
+    def _clean(height: int, others: frozenset, fams: dict) -> "PointSet":
+        """The canonical form: families sorted by prefix, empty finite
+        families dropped, so equal sets compare equal."""
+        return PointSet(height, others, tuple(sorted(
+            (k, m, frozenset(d)) for k, (m, d) in fams.items()
+            if not (m == "finite" and not d))))
 
     @staticmethod
     def empty(height: int) -> "PointSet":
@@ -175,67 +194,27 @@ class PointSet:
     def has_infinite_family(self, pref) -> bool:
         return self.family(pref)[0] == "cofinite"
 
-    def issubset(self, other: "PointSet") -> bool:
+    def _merge(self, other: "PointSet", others: frozenset,
+               family_op) -> "PointSet":
         if self.height != other.height:
             raise ValueError("height mismatch")
-        if not self.others <= other.others:
-            return False
-        prefixes = {k for k, _, _ in self.families} | \
-            {k for k, _, _ in other.families}
-        for pref in prefixes:
-            am, ad = self.family(pref)
-            bm, bd = other.family(pref)
-            if am == "finite" and bm == "finite" and not ad <= bd:
-                return False
-            if am == "finite" and bm == "cofinite" and ad & bd:
-                return False
-            if am == "cofinite" and bm == "finite":
-                return False
-            if am == "cofinite" and bm == "cofinite" and not bd <= ad:
-                return False
-        return True
+        prefixes = {k for k, _, _ in self.families + other.families}
+        return PointSet._clean(self.height, others, {
+            pref: family_op(self.family(pref), other.family(pref))
+            for pref in prefixes})
 
     def union(self, other: "PointSet") -> "PointSet":
-        if self.height != other.height:
-            raise ValueError("height mismatch")
-        fams = {}
-        prefixes = {k for k, _, _ in self.families} | \
-            {k for k, _, _ in other.families}
-        for pref in prefixes:
-            am, ad = self.family(pref)
-            bm, bd = other.family(pref)
-            if am == "finite" and bm == "finite":
-                fams[pref] = ("finite", ad | bd)
-            elif am == "cofinite" and bm == "cofinite":
-                fams[pref] = ("cofinite", ad & bd)
-            elif am == "cofinite":
-                fams[pref] = ("cofinite", ad - bd)
-            else:
-                fams[pref] = ("cofinite", bd - ad)
-        clean = tuple(sorted((k, m, frozenset(d)) for k, (m, d) in fams.items()
-                             if not (m == "finite" and not d)))
-        return PointSet(self.height, self.others | other.others, clean)
+        return self._merge(other, self.others | other.others, _family_union)
 
     def intersection(self, other: "PointSet") -> "PointSet":
-        if self.height != other.height:
-            raise ValueError("height mismatch")
-        fams = {}
-        prefixes = {k for k, _, _ in self.families} | \
-            {k for k, _, _ in other.families}
-        for pref in prefixes:
-            am, ad = self.family(pref)
-            bm, bd = other.family(pref)
-            if am == "finite" and bm == "finite":
-                fams[pref] = ("finite", ad & bd)
-            elif am == "cofinite" and bm == "cofinite":
-                fams[pref] = ("cofinite", ad | bd)
-            elif am == "cofinite":
-                fams[pref] = ("finite", bd - ad)
-            else:
-                fams[pref] = ("finite", ad - bd)
-        clean = tuple(sorted((k, m, frozenset(d)) for k, (m, d) in fams.items()
-                             if not (m == "finite" and not d)))
-        return PointSet(self.height, self.others & other.others, clean)
+        # De Morgan inside each family
+        return self._merge(
+            other, self.others & other.others,
+            lambda a, b: _complement(_family_union(_complement(a),
+                                                   _complement(b))))
+
+    def issubset(self, other: "PointSet") -> bool:
+        return self.union(other) == other
 
     def with_points(self, pts) -> "PointSet":
         extra = PointSet.make(self.height, pts)

@@ -89,3 +89,22 @@ def test_rationals_dvr():
     a = truncated_dvr(2, QQ)
     x = a.el_from_label("x")
     assert a.mul_el(x, x) == a.zero_el()
+
+
+
+def test_non_associative_table_rejected():
+    # basis 1, a, b with a a = b, a b = 0, b a = a: the unit law holds,
+    # but (a a) a = a while a (a a) = 0
+    one, a, b, z = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
+    table = [[one, a, b], [a, b, z], [b, a, z]]
+    with pytest.raises(ValueError, match="associativity"):
+        FDAlgebra(F2, ["1", "a", "b"], table, one)
+
+
+@pytest.mark.parametrize("table", [
+    [[(1, 0), (0, 0)], [(0, 1), (0, 0)]],   # 1 a = 0: left unit law fails
+    [[(1, 0), (0, 1)], [(0, 0), (0, 0)]],   # a 1 = 0: right unit law fails
+], ids=["left", "right"])
+def test_unit_law_failure_rejected(table):
+    with pytest.raises(ValueError, match="unit law"):
+        FDAlgebra(F2, ["1", "a"], table, (1, 0))

@@ -45,6 +45,40 @@ def unread_imports(tree: ast.Module):
                     yield f"{stmt.lineno}: {name}"
 
 
+def private_definitions(tree: ast.Module):
+    """(line, name) of each private ('_name', not dunder) module-level
+    function or class and of each private method of a module-level
+    class."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    for stmt in tree.body:
+        if isinstance(stmt, defs) and private(stmt.name):
+            yield stmt.lineno, stmt.name
+        if isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                if isinstance(item, defs[:2]) and private(item.name):
+                    yield item.lineno, item.name
+
+
+def referenced_names(trees) -> set[str]:
+    """Every name read, and every attribute taken, in the given trees."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) or
+            (isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                           ast.Store))}
+
+
+def unused_private(tree: ast.Module, used: set[str]) -> list[str]:
+    """'line: name' for each private definition of tree whose name is not
+    in used (see referenced_names)."""
+    return [f"{line}: {name}" for line, name in private_definitions(tree)
+            if name not in used]
+
+
 def test_unread_locals_are_found():
     src = "def f(a):\n    b, _ = a\n    c = 1\n    return b\n"
     assert list(unread_locals(ast.parse(src))) == ["f:3: c"]
@@ -70,3 +104,27 @@ def test_unread_imports_are_found():
 def test_no_module_import_is_unread(path):
     # __init__.py is exempt: its imports are the package's exports
     assert list(unread_imports(ast.parse(path.read_text()))) == []
+
+
+@pytest.fixture(scope="module")
+def src_names():
+    return referenced_names(ast.parse(p.read_text()) for p in SRC.glob("*.py"))
+
+
+def test_unused_private_code_is_found():
+    src = ("def _gone():\n    pass\n"
+           "def _kept():\n    pass\n"
+           "class _Dead:\n    pass\n"
+           "class C:\n"
+           "    def __init__(self):\n        self._used()\n"
+           "    def _used(self):\n        return _kept()\n"
+           "    def _orphan(self):\n        pass\n")
+    tree = ast.parse(src)
+    assert unused_private(tree, referenced_names([tree])) == ["1: _gone", "5: _Dead",
+                                            "12: _orphan"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_private_code_is_unused(path, src_names):
+    assert unused_private(ast.parse(path.read_text()), src_names) == []

@@ -200,3 +200,12 @@ def test_iso_test_matches_summands_over_qq():
     other, _, _ = direct_sum([kronecker_regular(kq, QQ.of(2), 1),
                               parts[1], parts[0]])
     assert iso_test(m, other) is None
+
+
+@pytest.mark.parametrize("action, message", [
+    ([Matrix.zero(F2, 1, 1)] * 2, "unit"),                   # 1 acts as 0
+    ([Matrix.identity(F2, 1)] * 2, "structure constants"),   # x x = x != 0
+], ids=["unit", "structure-constant"])
+def test_module_laws_are_checked(action, message):
+    with pytest.raises(ValueError, match=message):
+        Module(truncated_dvr(2, F2), 1, action)

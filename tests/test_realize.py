@@ -8,8 +8,8 @@ from ppmod.catalog import dvr_chain_module
 from ppmod.tower import build_tower
 from ppmod.tube import (FormalPath, ZERO, all_paths_from, build_ray_tube,
                         normalize_path)
-from ppmod.realize import (RealizedTube, chain_inclusion, chain_quotient,
-                           realize_in_tower, stage_bimodule,
+from ppmod.realize import (RealizedTube, _verify_squares, chain_inclusion,
+                           chain_quotient, realize_in_tower, stage_bimodule,
                            verify_bimodule_idempotents,
                            verify_pushout_pullback)
 
@@ -56,14 +56,14 @@ def test_realized_ladder_n1(rt_n1):
 
 
 def test_realized_object_dims(rt_n1):
-    assert [rt_n1.M[j].dim for j in (1, 2, 3, 4)] == [1, 2, 3, 4]
+    assert [rt_n1.P[(0, j)].dim for j in (1, 2, 3, 4)] == [1, 2, 3, 4]
     assert [rt_n1.P[(1, j)].dim for j in (1, 2, 3, 4)] == [2, 3, 4, 5]
 
 
 def test_coker_psi1_is_m1(rt_n1):
     from ppmod.modules import cokernel
-    cok, _ = cokernel(rt_n1.psi[1])
-    assert iso_test(cok, rt_n1.M[1]) is not None
+    cok, _ = cokernel(rt_n1.psibar[(0, 1)])
+    assert iso_test(cok, rt_n1.P[(0, 1)]) is not None
 
 
 def test_realization_functoriality_n1(tw_n1, rt_n1):
@@ -81,7 +81,7 @@ def test_realization_functoriality_n1(tw_n1, rt_n1):
                 continue
             p = FormalPath(1, v, word)
             direct = None
-            src = rt_n1.object(v[1], v[2])
+            src = rt_n1.P[(v[1], v[2])]
             direct = ModuleMap(src, src, Matrix.identity(F2, src.dim),
                                check=False)
             for a in word:
@@ -131,4 +131,12 @@ def test_bimodule_idempotents_n2():
 def test_stage_bimodule_left_structure(rt_n1):
     left_tower, left_mod, x_mod = stage_bimodule(rt_n1)
     assert left_tower.N == rt_n1.stages
-    assert left_mod.dim == rt_n1.M[3].dim + rt_n1.P[(1, 1)].dim
+    assert left_mod.dim == rt_n1.P[(0, 3)].dim + rt_n1.P[(1, 1)].dim
+
+
+def test_corrupted_ladder_names_the_failing_square():
+    rt = realize_in_tower(build_tower(5, 1, F2), 3)
+    rt.alpha[(1, 2)] = zero_map(rt.P[(0, 2)], rt.P[(1, 2)])
+    with pytest.raises(SquareFailed) as err:
+        _verify_squares(rt)
+    assert err.value.square_id == "ladder[1,1]"

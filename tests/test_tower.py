@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ppmod.fields import GF
+from ppmod.fields import GF, QQ
 from ppmod.catalog import dvr_chain_module, random_quotient_of_free
 from ppmod.decompose import decompose
 from ppmod.errors import UnclassifiedSummand
@@ -11,7 +11,7 @@ from ppmod.modules import (direct_sum, hom_space, iso_test, zero_module)
 from ppmod.tower import (FpLabel, Triple, all_labels, build_tower,
                          canonical_label, classify, construct_label, f0, f1,
                          f0_map, f1_map, forget, identify_indecomposable,
-                         left_projectives, natural_embedding,
+                         label_module, left_projectives, natural_embedding,
                          redundancy_table, t_module, verify_hom_bounds)
 
 F2 = GF(2)
@@ -212,3 +212,15 @@ def test_f1_map_natural_embedding(tw31):
     lhs = eta1.then(up)
     rhs = f0_map(tw31, 1, inc).then(eta2)
     assert lhs.mat == rhs.mat  # naturality square commutes
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+@pytest.mark.parametrize("h", [0, 1])
+def test_label_module_inside_a_taller_tower(field, h):
+    # equal-horizon towers share their algebra chains level by level
+    tall, short = build_tower(3, 2, field), build_tower(3, h, field)
+    labs = all_labels(short, dim_cap=8)
+    assert len(labs) == (3 if h == 0 else 7)
+    for lab in labs:
+        assert label_module(tall, lab, h).action == \
+            construct_label(short, lab).action

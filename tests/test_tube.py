@@ -140,7 +140,7 @@ def test_single_rim_lambda_dimension():
 def test_symbolic_ladder_shapes():
     q = build_ray_tube(2, (1, 0), 6)
     tube = SymbolicTube(q)
-    psi = tube.psi_matrix(2)
+    psi = tube.psibar_matrix(0, 2)
     assert psi[0][0].mu_steps == 1 and psi[0][0].lam_steps == 0
     assert psi[1][1].mu_steps == 1
     assert psi[0][1] is None and psi[1][0] is None
@@ -158,11 +158,12 @@ def test_symbolic_tube_squares_commute():
         q = build_ray_tube(m, lengths, 7)
         tube = SymbolicTube(q)
         for j in range(2, 5):
-            lhs = tube.compose(tube.psi_matrix(j), tube.phi_matrix(j))
-            rhs = tube.compose(tube.phi_matrix(j - 1), tube.psi_matrix(j - 1))
+            lhs = tube.compose(tube.psibar_matrix(0, j), tube.phi_matrix(j))
+            rhs = tube.compose(tube.phi_matrix(j - 1),
+                               tube.psibar_matrix(0, j - 1))
             assert lhs == rhs
         # the base square composes to zero
-        base = tube.compose(tube.psi_matrix(1), tube.phi_matrix(1))
+        base = tube.compose(tube.psibar_matrix(0, 1), tube.phi_matrix(1))
         assert all(x is None for row in base for x in row)
 
 
@@ -172,9 +173,8 @@ def test_symbolic_ladder_squares_commute():
         tube = SymbolicTube(q)
         for l in range(1, max(lengths) + 1):
             for j in range(1, 4):
-                top = tube.psi_matrix(j) if l == 1 else \
-                    tube.psibar_matrix(l - 1, j)
-                lhs = tube.compose(top, tube.alpha_matrix(l, j + 1))
+                lhs = tube.compose(tube.psibar_matrix(l - 1, j),
+                                   tube.alpha_matrix(l, j + 1))
                 rhs = tube.compose(tube.alpha_matrix(l, j),
                                    tube.psibar_matrix(l, j))
                 assert lhs == rhs

@@ -165,3 +165,19 @@ def test_family_iii_pre_canonical_count():
                    for l in [n - m - p]]
         assert len(triples) == family_iii_raw_count(n)
         assert family_iii_raw_count(n) == (n + 1) * (n + 2) // 2
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 2**32), st.integers(0, 2**32))
+def test_set_algebra_pointwise(n, seed_s, seed_t):
+    s = random_point_set(n, random.Random(seed_s))
+    t = random_point_set(n, random.Random(seed_t))
+    probes = sorted(points(n).others) + \
+        [fin_len(n, p, n - p, j) for p in range(n + 1) for j in range(1, 13)]
+    union, meet = s.union(t), s.intersection(t)
+    for pt in probes:
+        a, b = s.contains(pt), t.contains(pt)
+        assert union.contains(pt) == (a or b)
+        assert meet.contains(pt) == (a and b)
+    assert s.issubset(t) == all(t.contains(pt) for pt in probes
+                                if s.contains(pt))
