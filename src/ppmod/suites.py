@@ -28,8 +28,8 @@ from .probes import (NOT_SHORT_WITNESS, SHORT_WITHIN_BOUND, interval_probe,
 from .realize import realize_in_tower, verify_bimodule_idempotents
 from .tower import (all_labels, build_tower, classify, construct_label, f0,
                     f1, label_module)
-from .tube import SymbolicTube, FormalPath, ZERO, all_paths_from, \
-    build_ray_tube, hom_dimension, mesh_rule_failures, normal_path_arrows, \
+from .tube import SymbolicTube, FormalPath, ZERO, build_ray_tube, \
+    hom_dimension, mesh_rule_failures, mesh_sweep, normal_path_arrows, \
     normalize_path
 from .ziegler import (PointSet, adic, closure, fin_len, is_closed,
                       point_closure, prufer, qpoint, random_point_set)
@@ -322,6 +322,64 @@ def suite_ray_tube(seed: int = 0) -> SuiteResult:
 # -- criterion 6 ---------------------------------------------------------------
 
 
+def mesh_tube_failures(q, rng: random.Random, paths: int = 0):
+    """The mesh checks of one tube: its rule certificate, every path of
+    length <= 8 (leftmost and rightmost normal forms agree, the
+    "random" strategy agrees on every 7th path counting from paths, the
+    leftmost rewritten word is the canonical walk of its normal form, and
+    same-ray normal forms descend whole rim loops) and the same-ray hom
+    dimensions.  Returns the rule count, the new path count and the
+    failures."""
+    m, lengths = q.m, q.ray_lengths
+    n_rules, failed = mesh_rule_failures(q)
+    bad = [("rule", m, lengths, mu) for mu in failed]
+    shapes_of = None  # the start vertex of the normal forms in shapes
+    for v, word, left_word, left, right in mesh_sweep(q, 8):
+        paths += 1
+        if right != left:
+            bad.append(("confluence", m, lengths, v))
+            continue
+        if paths % 7 == 0 and \
+                normalize_path(q, FormalPath(1, v, word), "random", rng) != left:
+            bad.append(("confluence-random", m, lengths, v))
+        if left is ZERO:
+            continue
+        if v is not shapes_of:
+            # normal form -> (its canonical walk, ray form holds)
+            shapes, shapes_of = {}, v
+        shape = shapes.get(left)
+        if shape is None:
+            shape = shapes[left] = _normal_form_shape(q, left)
+        walk, ray_form = shape
+        if left_word != walk:
+            bad.append(("shape", m, lengths, v))
+        if not ray_form:
+            bad.append(("ray-form", m, lengths, v))
+    # the ray-direction dimension count
+    for (i, k, j) in q.vertices():
+        for l in range(j, q.horizon + 1):
+            got = hom_dimension(q, (i, k, j), (i, k, l))
+            if got != (j - 1) // m + 1:
+                bad.append(("hom-dim", m, lengths, (i, k, j, l)))
+    return n_rules, paths, bad
+
+
+def _normal_form_shape(q, nf):
+    """The arrows of a normal form's canonical walk (None if it leaves the
+    quiver), and whether a ray-to-ray normal form descends whole rim loops
+    to a stage >= 1."""
+    try:
+        arrows = tuple(normal_path_arrows(q, nf))
+    except ValueError:   # a broken rule can leave the quiver
+        return None, True
+    end = q.target(arrows[-1]) if arrows else nf.start
+    v = nf.start
+    if end[:2] != v[:2]:
+        return arrows, True
+    lam_end_stage = end[2] - nf.mu_steps
+    return arrows, (v[2] - lam_end_stage) % q.m == 0 and lam_end_stage >= 1
+
+
 @_timed
 def suite_mesh(seed: int = 0) -> SuiteResult:
     """Exhaustive confluence of mesh rewriting and normal-form shapes."""
@@ -333,40 +391,10 @@ def suite_mesh(seed: int = 0) -> SuiteResult:
     for m in (1, 2, 3):
         for lengths in itertools.product((0, 1, 2), repeat=m):
             tubes += 1
-            q = build_ray_tube(m, lengths, 6)
-            n_rules, failed = mesh_rule_failures(q)
+            n_rules, paths, failed = mesh_tube_failures(
+                build_ray_tube(m, lengths, 6), rng, paths)
             rules += n_rules
-            bad.extend(("rule", m, lengths, mu) for mu in failed)
-            for v in q.vertices():
-                for word in all_paths_from(q, v, 8):
-                    paths += 1
-                    p = FormalPath(1, v, word)
-                    ref = normalize_path(q, p, "leftmost")
-                    if normalize_path(q, p, "rightmost") != ref:
-                        bad.append(("confluence", m, lengths, v))
-                        continue
-                    if paths % 7 == 0 and \
-                            normalize_path(q, p, "random", rng) != ref:
-                        bad.append(("confluence-random", m, lengths, v))
-                    if ref == ZERO:
-                        continue
-                    arrows = normal_path_arrows(q, ref)
-                    kinds = [a.kind for a in arrows]
-                    if kinds != sorted(kinds):
-                        bad.append(("shape", m, lengths, v))
-                    end = q.target(arrows[-1]) if arrows else ref.start
-                    if end[:2] == v[:2]:
-                        # ray-to-ray: the lambda descent is whole rim loops
-                        lam_end_stage = end[2] - ref.mu_steps
-                        if (v[2] - lam_end_stage) % m != 0 or \
-                                lam_end_stage < 1:
-                            bad.append(("ray-form", m, lengths, v))
-            # the ray-direction dimension count
-            for (i, k, j) in q.vertices():
-                for l in range(j, q.horizon + 1):
-                    got = hom_dimension(q, (i, k, j), (i, k, l))
-                    if got != (j - 1) // m + 1:
-                        bad.append(("hom-dim", m, lengths, (i, k, j, l)))
+            bad.extend(failed)
     lines = [f"tubes\t{tubes} translation quivers (m <= 3, depths <= 2, "
              "horizon 6)",
              f"paths\t{paths} formal paths of length <= 8 normalized "

@@ -254,16 +254,19 @@ def f0(tower: TowerRing, level: int, m: Module) -> Module:
 
 def f1(tower: TowerRing, level: int, m: Module) -> Module:
     """(Hom(L, M), M, id): the second full and faithful embedding."""
+    return _f1_with_homs(tower, level, m)[0]
+
+
+def _f1_with_homs(tower: TowerRing, level: int, m: Module):
+    """F1(m) and the basis of Hom(L, m) it is built from."""
     if not (1 <= level <= tower.height):
         raise ValueError("level out of range")
     if m.algebra is not tower.algebras[level - 1]:
         raise ValueError("module is not one level below")
-    l_mod = tower.bimodules[level - 1]
-    homs = hom_space(l_mod, m)
-    tri = Triple(tower, level, len(homs), m, [h.mat for h in homs])
-    out = tri.flatten()
+    homs = [h.mat for h in hom_space(tower.bimodules[level - 1], m)]
+    out = Triple(tower, level, len(homs), m, homs).flatten()
     out.label = f"F1({m.label})" if m.label else ""
-    return out
+    return out, homs
 
 
 def f0_map(tower: TowerRing, level: int, fmap: ModuleMap) -> ModuleMap:
@@ -273,18 +276,15 @@ def f0_map(tower: TowerRing, level: int, fmap: ModuleMap) -> ModuleMap:
 
 def f1_map(tower: TowerRing, level: int, fmap: ModuleMap) -> ModuleMap:
     """Block action on (Hom(L, X), X): post-composition on the hom part."""
-    l_mod = tower.bimodules[level - 1]
     f = tower.field
-    hx = [h.mat for h in hom_space(l_mod, fmap.source)]
-    hy = [h.mat for h in hom_space(l_mod, fmap.target)]
+    sx, hx = _f1_with_homs(tower, level, fmap.source)
+    sy, hy = _f1_with_homs(tower, level, fmap.target)
     # h . f over the target hom basis, one row of coefficients per h
-    width = l_mod.dim * fmap.target.dim
+    width = tower.bimodules[level - 1].dim * fmap.target.dim
     coeffs = vectorized(f, hy, width).solve_left(
         vectorized(f, [h * fmap.mat for h in hx], width))
     if coeffs is None:
         raise ValueError("composition left the hom space span")
-    sx = f1(tower, level, fmap.source)
-    sy = f1(tower, level, fmap.target)
     mat = block(f, [len(hx), fmap.source.dim], [len(hy), fmap.target.dim],
                 {(0, 0): coeffs, (1, 1): fmap.mat})
     return ModuleMap(sx, sy, mat, check=False)
@@ -316,6 +316,8 @@ def natural_embedding(tower: TowerRing, level: int, m: Module) -> ModuleMap:
 def t_module(tower: TowerRing, m: int) -> Module:
     """The simple concentrated at the extension vertex of level m; at level
     0 this is the valuation simple (the grammar's T(0) = Ind(1))."""
+    if not (0 <= m <= tower.height):
+        raise ValueError(f"T({m}) outside the tower levels 0..{tower.height}")
     if m == 0:
         return dvr_chain_module(tower.algebras[0], 1)
     alg = tower.algebras[m]

@@ -30,6 +30,21 @@ A TranslationQuiver compiles these formulas once, at construction, into
 lookup tables: the outgoing arrows of each vertex, the target of each
 arrow and the right-hand side of the rule for each mu arrow.  Everything
 else reads the tables, and input that is not in them raises ValueError.
+
+mesh_sweep normalizes every short word of a tube without starting over
+for each word, from two facts about the strategies of normalize_path:
+
+  - leftmost(w;a) first performs exactly the rewrites of leftmost(w),
+    because every redex inside w lies left of the boundary; what is left
+    is to bubble a lam a left through the mu-climb of leftmost(w);
+  - rightmost(a;w) first performs exactly the rewrites of rightmost(w);
+    what is left is to bubble a mu a right through its lambda-walk, which
+    reads only the mu arrows met and the lambda count of rightmost(w).
+
+Each continuation is the same rewrite sequence that normalize_path
+performs on the whole word, not merely a word with the same result, so
+the sweep computes both strategies independently and comparing them still
+tests confluence rather than assuming it.
 """
 
 from __future__ import annotations
@@ -215,7 +230,7 @@ def mesh_rule_failures(q: TranslationQuiver) -> tuple[int, list[Arrow]]:
 # -- formal paths and normalization -----------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FormalPath:
     """A scalar coefficient and a composable arrow word in diagram order
     (first applied first)."""
@@ -231,7 +246,7 @@ class FormalPath:
         return f"{self.coeff}.[{word}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalPath:
     """Canonical form: a lambda-walk of lam_steps followed by a mu-climb of
     mu_steps (both walks are uniquely determined by the source)."""
@@ -285,8 +300,11 @@ def normalize_path(q: TranslationQuiver, p: FormalPath,
         elif strategy == "rightmost":
             t = kinds.rfind("ml")
         else:
-            redexes = [t for t in range(len(kinds) - 1)
-                       if kinds.startswith("ml", t)]
+            redexes = []
+            t = kinds.find("ml")
+            while t >= 0:
+                redexes.append(t)
+                t = kinds.find("ml", t + 1)
             if not redexes:
                 break
             t = rng.choice(redexes)
@@ -343,6 +361,135 @@ def all_paths_from(q: TranslationQuiver, v: Vertex, max_len: int):
                     yield word_a
                     nxt.append((word_a, target[a]))
         frontier = nxt
+
+
+# A rightmost state is a byte: p * 16 + q + 1 for the normal form
+# lam^p ; mu^q, _ZERO_STATE for ZERO, 0 where there is no word.
+_ZERO_STATE = 255
+_CODE_BITS = 9   # a word of length <= 8: its kinds and a leading 1 bit
+
+
+def _rightmost_table(q: TranslationQuiver, max_len: int) -> bytearray:
+    """The rightmost state of every word of length <= max_len, at
+    vertex_index << _CODE_BITS | code.  A word's code has bit t set when
+    its arrow t is a lam, and bit len(word) set as a length marker.
+
+    Built by length: rightmost(a;w) continues rightmost(w), and rewriting
+    reads only the redex's mu arrow and the kinds, so the state of a;w
+    follows from a and the state lam^p ; mu^q of w alone.  A lam a gives
+    lam^(p+1) ; mu^q.  A mu a bubbles right through the p lams along the
+    chain of rule right-hand sides from a, giving lam^p ; mu^(q+1), or
+    ZERO if the chain hits ZERO within p steps.  The words a;w of one
+    length from one vertex form a stride-2 slice of the table, and their
+    states are the slice of w's states at target(a) under a's byte map."""
+    if max_len >= _CODE_BITS:
+        raise ValueError(f"words longer than {_CODE_BITS - 1} arrows have "
+                         "no table code")
+    out, target, rhs = q._out, q._target, q._rhs
+    index = {v: vi << _CODE_BITS for vi, v in enumerate(out)}
+    table = bytearray(len(out) << _CODE_BITS)
+    for base in index.values():
+        table[base + 1] = 1     # the empty word, lam^0 ; mu^0
+    states = [(p, r) for p in range(max_len) for r in range(max_len - p)]
+    maps = {}   # (state shift, bubbling steps before ZERO) -> byte map
+    arrow_map = {}
+    for a in target:
+        # a lam adds one lam and never meets ZERO; a mu adds one mu after
+        # the steps its chain of right-hand sides takes before ZERO
+        shift, steps, mu = 16, max_len, a
+        if a.kind == "mu":
+            shift = 1
+            for step in range(max_len - 1):
+                nxt = rhs[mu]
+                if nxt is ZERO:
+                    steps = step
+                    break
+                mu = nxt[1]
+        key = (shift, steps)
+        if key not in maps:
+            byte_map = bytearray(range(256))
+            for p, r in states:
+                state = p * 16 + r + 1
+                byte_map[state] = state + shift if p <= steps else _ZERO_STATE
+            maps[key] = bytes(byte_map)
+        arrow_map[a] = maps[key]
+    for n in range(max_len):
+        for v, (mu, lam) in out.items():
+            for bit, a in ((0, mu), (1, lam)):
+                if a is None:
+                    continue
+                src = index[target[a]] + (1 << n)
+                dst = index[v] + (2 << n) + bit
+                table[dst:dst + (2 << n):2] = \
+                    table[src:src + (1 << n)].translate(arrow_map[a])
+    return table
+
+
+def mesh_sweep(q: TranslationQuiver, max_len: int):
+    """Every word of length 1..max_len from every vertex, in vertex order
+    and all_paths_from order, as (start, word, leftmost word, leftmost
+    normal form, rightmost normal form): the word after the leftmost
+    rewriting of normalize_path, and the normal forms that its "leftmost"
+    and "rightmost" strategies return (ZERO for a zero path; equal normal
+    forms are one object).
+
+    Both continue the results of shorter words with the same rewrite
+    sequence as normalize_path: leftmost(w;a) first rewrites w exactly as
+    leftmost(w) does, since every redex of w lies left of the boundary,
+    and then bubbles a lam a left through the mu-climb, one rule per step;
+    rightmost normal forms come from _rightmost_table."""
+    table = _rightmost_table(q, max_len)
+    out, target, rhs = q._out, q._target, q._rhs
+    for vi, v in enumerate(out):
+        forms = [None] * 256
+        forms[_ZERO_STATE] = ZERO
+        for state in range(1, 16 * max_len + 2):
+            p, r = divmod(state - 1, 16)
+            if p + r <= max_len:
+                forms[state] = NormalPath(1, v, p, r)
+        # word, end vertex, leftmost word, its state, table index of word
+        frontier = [((), v, (), 1, vi << _CODE_BITS | 1)]
+        step = 1    # 1 << len(word)
+        for depth in range(max_len):
+            extend = depth < max_len - 1
+            nxt = []
+            for word, end, left, state, idx in frontier:
+                mu, lam = out[end]
+                if mu is not None:
+                    word_a, idx_a = word + (mu,), idx + step
+                    if state == _ZERO_STATE:
+                        left_a, state_a = ZERO, state
+                    else:
+                        left_a, state_a = left + (mu,), state + 1
+                    yield (v, word_a, left_a, forms[state_a],
+                           forms[table[idx_a]])
+                    if extend:
+                        nxt.append((word_a, target[mu], left_a, state_a,
+                                    idx_a))
+                if lam is not None:
+                    word_a, idx_a = word + (lam,), idx + 2 * step
+                    left_a, state_a = ZERO, _ZERO_STATE
+                    if state != _ZERO_STATE:
+                        nlam = (state - 1) >> 4
+                        climb = []
+                        first = lam
+                        for a in reversed(left[nlam:]):
+                            new = rhs[a]
+                            if new is ZERO:
+                                break
+                            first, a_new = new
+                            climb.append(a_new)
+                        else:
+                            left_a = left[:nlam] + (first,) + \
+                                tuple(reversed(climb))
+                            state_a = state + 16
+                    yield (v, word_a, left_a, forms[state_a],
+                           forms[table[idx_a]])
+                    if extend:
+                        nxt.append((word_a, target[lam], left_a, state_a,
+                                    idx_a))
+            frontier = nxt
+            step <<= 1
 
 
 def hom_dimension(q: TranslationQuiver, source: Vertex, target: Vertex) -> int:

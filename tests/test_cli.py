@@ -180,6 +180,8 @@ SCENARIO = Path(__file__).parent.parent / "scripts" / "example_scenario.txt"
     (f"classify_field_{f}.txt",
      ["--field", f, "classify", "--N", "3", "--n", "2", "--dim-cap", "10"])
     for f in ("2", "3", "rational")
+] + [
+    ("suite_mesh.txt", ["suite", "mesh"]),
 ])
 def test_cli_output_matches_golden(golden, argv, capsys):
     """stdout is byte-identical to the recorded output in tests/golden/."""

@@ -224,3 +224,31 @@ def test_label_module_inside_a_taller_tower(field, h):
     for lab in labs:
         assert label_module(tall, lab, h).action == \
             construct_label(short, lab).action
+
+
+@pytest.mark.parametrize("m", [-1, 2])
+def test_t_module_outside_tower_levels_raises(tw31, m):
+    # T(2) indexed past algebras[1]; T(-1) silently read algebras[-1]
+    with pytest.raises(ValueError, match="outside the tower levels"):
+        t_module(tw31, m)
+    with pytest.raises(ValueError, match="outside the tower levels"):
+        construct_label(tw31, FpLabel(0, 0, ("T", m)))
+
+
+def test_f1_map_computes_each_hom_space_once(tw31, monkeypatch):
+    import ppmod.tower as tower_mod
+    calls = []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return hom_space(x, y)
+
+    monkeypatch.setattr(tower_mod, "hom_space", counting)
+    a0 = tw31.algebras[0]
+    v1, v2 = dvr_chain_module(a0, 1), dvr_chain_module(a0, 2)
+    inc = [h for h in hom_space(v1, v2) if h.is_injective()][0]
+    up = f1_map(tw31, 1, inc)
+    assert len(calls) == 2   # Hom(L, source) and Hom(L, target)
+    for got, x in ((up.source, v1), (up.target, v2)):
+        assert got.action == f1(tw31, 1, x).action
+    assert up.is_injective()

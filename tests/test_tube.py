@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppmod.suites import mesh_tube_failures
 from ppmod.tube import (Arrow, FormalPath, NormalPath, SymbolicTube, ZERO,
                         all_paths_from, build_ray_tube, hom_dimension,
-                        identity_path, normal_path_arrows, normal_path_target,
-                        normalize_path, parse_tube_descriptor, path_of)
+                        identity_path, mesh_sweep, normal_path_arrows,
+                        normal_path_target, normalize_path,
+                        parse_tube_descriptor, path_of)
 
 
 def test_homogeneous_tube_shape():
@@ -338,3 +340,69 @@ def test_mesh_rule_certificate_flags_a_broken_rule():
     lam, _ = q._rhs[mu]
     q._rhs[mu] = (lam, q.out_mu((0, 0, 2)))   # wrong climb after lam
     assert mesh_rule_failures(q) == (count, [mu])
+
+
+@pytest.mark.parametrize("m, lengths", [
+    (1, (0,)), (1, (2,)), (2, (1, 0)), (2, (2, 2)), (3, (0, 1, 2)),
+    (3, (2, 2, 2))])
+def test_mesh_sweep_matches_normalize_path(m, lengths):
+    q = build_ray_tube(m, lengths, 6)
+    swept = list(mesh_sweep(q, 6))
+    assert [(v, word) for v, word, *_ in swept] == [
+        (v, word) for v in q.vertices() for word in all_paths_from(q, v, 6)]
+    for v, word, left_word, left, right in swept:
+        p = FormalPath(1, v, word)
+        assert left == normalize_path(q, p, "leftmost")
+        assert right == normalize_path(q, p, "rightmost")
+        if left is ZERO:
+            assert left_word is ZERO
+        else:
+            assert list(left_word) == normal_path_arrows(q, left)
+
+
+def test_mesh_sweep_rejects_words_without_a_table_code():
+    with pytest.raises(ValueError, match="no table code"):
+        next(mesh_sweep(build_ray_tube(1, (0,), 6), 9))
+
+
+def test_mesh_tube_check_flags_a_broken_rule():
+    q = build_ray_tube(2, (1, 0), 6)
+    rules, paths, bad = mesh_tube_failures(q, random.Random(0))
+    assert (rules, bad) == (15, [])
+    assert paths == sum(1 for v in q.vertices()
+                        for _ in all_paths_from(q, v, 8))
+    mu = q.out_mu((0, 0, 2))
+    lam, _ = q._rhs[mu]
+    q._rhs[mu] = (lam, q.out_mu((0, 0, 2)))   # wrong climb after lam
+    _, _, bad = mesh_tube_failures(q, random.Random(0))
+    kinds = {kind for kind, *_ in bad}
+    # the sweep itself sees the wrong arrow, not only the rule certificate
+    assert {"rule", "shape"} <= kinds
+
+
+def _random_redexes_by_index(q, p, rng):
+    """normalize_path "random" with the redexes collected by testing every
+    index, as a reference for the rng draws."""
+    word, kinds = list(p.arrows), "".join(a.kind[0] for a in p.arrows)
+    while True:
+        redexes = [t for t in range(len(kinds) - 1)
+                   if kinds.startswith("ml", t)]
+        if not redexes:
+            return
+        t = rng.choice(redexes)
+        rhs = q._rhs[word[t]]
+        if rhs is ZERO:
+            return
+        word[t], word[t + 1] = rhs
+        kinds = f"{kinds[:t]}lm{kinds[t + 2:]}"
+
+
+def test_random_strategy_draws_the_same_rng_stream():
+    q = build_ray_tube(2, (1, 1), 6)
+    got, ref = random.Random(3), random.Random(3)
+    for v in q.vertices():
+        for word in all_paths_from(q, v, 7):
+            p = FormalPath(1, v, word)
+            normalize_path(q, p, "random", got)
+            _random_redexes_by_index(q, p, ref)
+    assert got.getstate() == ref.getstate()
