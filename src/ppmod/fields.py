@@ -1,9 +1,9 @@
 """Exact coefficient fields: prime fields GF(p) and the rationals.
 
 Field elements are plain Python values (ints reduced mod p, or
-fractions.Fraction); a Field object bundles the arithmetic so matrix code
-stays field-generic.  How a matrix stores its entries is decided in
-ppmod.linalg alone.
+fractions.Fraction); a Field object bundles the element arithmetic that
+algebra and module code use.  How a matrix stores its entries, and how it
+eliminates and multiplies them, is decided in ppmod.linalg alone.
 """
 
 from __future__ import annotations
@@ -69,11 +69,6 @@ class PrimeField(Field):
     def neg(self, a):
         return (-a) % self.p
 
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
-
     def elements(self):
         return range(self.p)
 
@@ -110,11 +105,6 @@ class RationalField(Field):
 
     def neg(self, a):
         return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
 
     def elements(self):
         raise TypeError("rationals are not enumerable")

@@ -7,16 +7,21 @@ structural equality and subspaces are hashable.
 Storage depends on the field.  Over GF(2) a matrix holds its rows only as
 packed ints (bit j = column j): products XOR rows, sums XOR rows, and
 elimination runs on the ints.  Over GF(p) and QQ the rows are tuples of
-field elements.  `Matrix.data`, the rows as tuples of field elements, is
-available for every field; over GF(2) it is unpacked on first use and
-cached.
+field elements (ints in range(p), or Fractions).  `Matrix.data`, the rows
+as tuples of field elements, is available for every field; over GF(2) it
+is unpacked on first use and cached.
+
+Over GF(p) and QQ, `rref` and `*` run on plain integer rows and call no
+Field method per entry: over GF(p) with one `% p` per entry computed, over
+QQ on rows scaled to integers by the lcm of their denominators, eliminated
+without fractions (`_rref_qq`); Fractions are built only for the results.
 
 Kernels, hom spaces, pp values, preimages and meets come from
 `projected_kernel`: the first k coordinates of {v : v a = 0}, in RREF.
 Over GF(2) it is one elimination of the rows tagged with their index bits;
-over GF(p) and QQ, where every entry costs a field operation, the wider
-tagged system is slower than reading the solutions off the reduced
-transpose (`_cut_right_kernel`, which right kernels call directly).
+over GF(p) and QQ the wider tagged system is slower than reading the
+solutions off the reduced transpose (`_cut_right_kernel`, which right
+kernels call directly).
 
 No other module knows how a matrix stores its rows.  They build, flatten
 and cut matrices with `block`, `Matrix.reshape`, `vectorized`, the row and
@@ -28,8 +33,12 @@ storage is therefore confined to this file.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
 from .fields import Field
+
+_QQ_ZERO = Fraction(0)
 
 
 class Matrix:
@@ -187,19 +196,18 @@ class Matrix:
                     r ^= low
                 out.append(acc)
             return Matrix.from_packed(f, self.rows, other.cols, tuple(out))
-        z = f.zero()
-        ot = list(zip(*other.data)) if other.data else [()] * other.cols
-        out = []
-        for r in self.data:
-            row = []
-            for c in ot:
-                acc = z
-                for a, b in zip(r, c):
-                    if a and b:
-                        acc = f.add(acc, f.mul(a, b))
-                row.append(acc)
-            out.append(row)
-        return Matrix(f, self.rows, other.cols, out)
+        p, c = f.p, other.cols
+        if p is not None:
+            out = _int_product(self.data, other.data, c)
+            return Matrix(f, self.rows, c, [[s % p for s in r] for r in out])
+        # integer rows: one denominator d for other, one (e) per row of self
+        flat, d = _int_row([x for r in other.data for x in r])
+        right = [flat[i * c:(i + 1) * c] for i in range(other.rows)]
+        left = [_int_row(r) for r in self.data]
+        out = _int_product([r for r, _ in left], right, c)
+        return Matrix(f, self.rows, c,
+                      [[Fraction(s, d * e) if s else _QQ_ZERO for s in acc]
+                       for acc, (_, e) in zip(out, left)])
 
     def transpose(self) -> "Matrix":
         if self.packed is not None:
@@ -280,27 +288,9 @@ class Matrix:
             return (Matrix.from_packed(f, len(red), self.cols,
                                        tuple(r for r, _ in red)),
                     tuple(p for _, p in red))
-        rows = [list(r) for r in self.data]
-        pivots: list[int] = []
-        rank = 0
-        for col in range(self.cols):
-            sel = None
-            for i in range(rank, len(rows)):
-                if rows[i][col]:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            rows[rank], rows[sel] = rows[sel], rows[rank]
-            inv = f.inv(rows[rank][col])
-            rows[rank] = [f.mul(inv, x) for x in rows[rank]]
-            for i in range(len(rows)):
-                if i != rank and rows[i][col]:
-                    c = rows[i][col]
-                    rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(rows[i], rows[rank])]
-            pivots.append(col)
-            rank += 1
-        return Matrix(f, rank, self.cols, rows[:rank]), tuple(pivots)
+        rows, pivots = (_rref_qq(self.data, self.cols) if f.p is None
+                        else _rref_mod(self.data, self.cols, f.p))
+        return Matrix(f, len(rows), self.cols, rows), pivots
 
     def rank(self) -> int:
         return self.rref()[0].rows
@@ -512,6 +502,82 @@ def span_elements(mats, zero: Matrix):
             return
 
 
+# -- GF(p) and QQ integer-row kernels --------------------------------------
+
+
+def _int_row(r):
+    """A row of rationals as integers over a common denominator: (ints, d)."""
+    nd = [x.as_integer_ratio() for x in r]
+    d = lcm(*[q for _, q in nd])
+    return [n * (d // q) for n, q in nd], d
+
+
+def _int_product(a, b, cols: int) -> list[list[int]]:
+    """The product of integer rows, unreduced: row i is the combination of
+    the rows of b by the nonzero entries of row i of a."""
+    out = []
+    for r in a:
+        acc = [0] * cols
+        for x, br in zip(r, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, br)]
+        out.append(acc)
+    return out
+
+
+def _rref_mod(data, cols: int, p: int):
+    """Gauss-Jordan over GF(p) on int rows: the nonzero reduced rows and
+    their pivot columns.  The pivot row is zero left of the pivot column,
+    so an update touches only the columns from there on."""
+    rows = [list(r) for r in data]
+    pivots = []
+    for col in range(cols):
+        rank = len(pivots)
+        sel = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if sel is None:
+            continue
+        inv = pow(rows[sel][col], p - 2, p)
+        pr = rows[sel]
+        tail = pr[col:] = [x * inv % p for x in pr[col:]]
+        rows[sel] = rows[rank]
+        rows[rank] = pr
+        for r in rows:
+            c = r[col]
+            if c and r is not pr:
+                r[col:] = [(x - c * y) % p for x, y in zip(r[col:], tail)]
+        pivots.append(col)
+    return rows[:len(pivots)], tuple(pivots)
+
+
+def _rref_qq(data, cols: int):
+    """Fraction-free Gauss-Jordan over QQ on integer rows with the same
+    spans: a row is cleared at a pivot column by (a/g) row - (c/g) pivot
+    row, where a and c are the two entries and g = gcd(a, c), and is then
+    divided by the gcd of its entries, which keeps them small.  Fractions
+    are built only for the reduced rows, each divided by its pivot entry."""
+    rows = [_int_row(r)[0] for r in data]
+    pivots = []
+    for col in range(cols):
+        rank = len(pivots)
+        sel = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        pr = rows[rank]
+        a = pr[col]
+        for i, r in enumerate(rows):
+            c = r[col]
+            if c and i != rank:
+                g = gcd(a, c)
+                s, t = a // g, c // g
+                r = [s * x - t * y for x, y in zip(r, pr)]
+                g = gcd(*r)
+                rows[i] = [x // g for x in r] if g > 1 else r
+        pivots.append(col)
+    return ([[Fraction(x, r[col]) if x else _QQ_ZERO for x in r]
+             for r, col in zip(rows, pivots)], tuple(pivots))
+
+
 # -- GF(2) packed rows ---------------------------------------------------
 
 
@@ -560,9 +626,10 @@ def projected_kernel(a: Matrix, k: int) -> Matrix:
                         for i, r in enumerate(a.packed)])
         tags = tuple(r >> c for r, p in red if p >= c)
         return Matrix.from_packed(a.field, len(tags), k, tags)
-    # Over GF(p) and QQ every entry of the wider tagged system costs a field
-    # operation (with it the QQ example scenario ran 1.4x slower), so the
-    # solutions are read off the reduced transpose instead.
+    # Over GF(p) and QQ the wider tagged system costs more than it saves
+    # (on the integer-row kernels it made the `fields` benchmark 1.06-1.13 s
+    # against 0.99-1.03 s, three alternated pairs), so the solutions are
+    # read off the reduced transpose instead.
     return _cut_right_kernel(a.transpose(), k)
 
 

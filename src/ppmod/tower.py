@@ -87,6 +87,9 @@ class TowerRing:
         self.field = field
         self.algebras: list[FDAlgebra] = [truncated_dvr(N, field)]
         self.bimodules: list[Module] = [dvr_chain_module(self.algebras[0], 1)]
+        # (level, id(m)) -> (m, F1(m), basis of Hom(L, m)); m is kept so
+        # that its id is not reused
+        self._f1_cache: dict = {}
         self.bimodules[0].label = "L0"
         for i in range(height):
             alg = one_point_extension(self.algebras[i], self.bimodules[i],
@@ -258,7 +261,11 @@ def f1(tower: TowerRing, level: int, m: Module) -> Module:
 
 
 def _f1_with_homs(tower: TowerRing, level: int, m: Module):
-    """F1(m) and the basis of Hom(L, m) it is built from."""
+    """F1(m) and the basis of Hom(L, m) it is built from, computed once per
+    (level, module) of the tower."""
+    hit = tower._f1_cache.get((level, id(m)))
+    if hit is not None:
+        return hit[1:]
     if not (1 <= level <= tower.height):
         raise ValueError("level out of range")
     if m.algebra is not tower.algebras[level - 1]:
@@ -266,6 +273,7 @@ def _f1_with_homs(tower: TowerRing, level: int, m: Module):
     homs = [h.mat for h in hom_space(tower.bimodules[level - 1], m)]
     out = Triple(tower, level, len(homs), m, homs).flatten()
     out.label = f"F1({m.label})" if m.label else ""
+    tower._f1_cache[(level, id(m))] = (m, out, homs)
     return out, homs
 
 

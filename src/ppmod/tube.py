@@ -205,7 +205,10 @@ def parse_tube_descriptor(text: str) -> TranslationQuiver:
 def mesh_rule_failures(q: TranslationQuiver) -> tuple[int, list[Arrow]]:
     """Critical-pair certificate for the compiled rules: the number of
     rules, and the mu arrows whose rule does not rewrite the path mu;lam
-    to ZERO or to a composable lam';mu' with the same source and target.
+    to a composable lam';mu' with the same source and target.  Only a mu
+    whose source has no outgoing lam (the stage-1 rim mu(i,n_i,1)) has no
+    such lam' and must rewrite to ZERO; any other rule rewriting to ZERO
+    fails.
 
     With no failures rewriting is confluent on words of every length: the
     left side mu;lam cannot overlap itself, so there are no critical pairs
@@ -214,7 +217,8 @@ def mesh_rule_failures(q: TranslationQuiver) -> tuple[int, list[Arrow]]:
     bad = []
     for mu, rhs in q._rhs.items():
         lam = q.out_lam(q.target(mu))
-        if lam is None:
+        must_vanish = q.out_lam(q.source(mu)) is None
+        if lam is None or (rhs is ZERO) != must_vanish:
             bad.append(mu)
         elif rhs is not ZERO:
             lam2, mu2 = rhs

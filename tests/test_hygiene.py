@@ -79,6 +79,39 @@ def unused_private(tree: ast.Module, used: set[str]) -> list[str]:
             if name not in used]
 
 
+STORAGE_NAMES = {"packed", "_stored", "_of_stored", "from_packed"}
+# linalg owns matrix storage; the GF(2) oracles read packed rows on purpose
+STORAGE_OWNERS = {"linalg.py", "oracles.py"}
+
+
+def storage_reads(tree: ast.AST):
+    """'line: name' for each read of a matrix's stored rows: the attribute
+    or name packed, _stored, _of_stored or from_packed."""
+    for node in ast.walk(tree):
+        name = node.attr if isinstance(node, ast.Attribute) else \
+            node.id if isinstance(node, ast.Name) else None
+        if name in STORAGE_NAMES:
+            yield f"{node.lineno}: {name}"
+
+
+def test_storage_reads_are_found():
+    src = ("def f(m, Matrix):\n"
+           "    a = m.packed\n"
+           "    b = m._stored()\n"
+           "    c = Matrix.from_packed(m.field, 0, 0, ())\n"
+           "    d = Matrix._of_stored(m.field, 0, 0, ())\n"
+           "    return m.data, a, b, c, d\n")
+    assert list(storage_reads(ast.parse(src))) == [
+        "2: packed", "3: _stored", "4: from_packed", "5: _of_stored"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name not in STORAGE_OWNERS),
+                         ids=lambda p: p.name)
+def test_matrix_storage_stays_in_linalg(path):
+    assert list(storage_reads(ast.parse(path.read_text()))) == []
+
+
 def test_unread_locals_are_found():
     src = "def f(a):\n    b, _ = a\n    c = 1\n    return b\n"
     assert list(unread_locals(ast.parse(src))) == ["f:3: c"]

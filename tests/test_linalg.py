@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -252,11 +253,10 @@ def oracle_row_space(f, cols, rows):
         to_domain_matrix(Matrix(f, len(rows), cols, rows)), f)[0]
 
 
-def field_matrix(f, rows, cols):
-    if f.p is None:
-        entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-    else:
-        entry = st.integers(0, f.p - 1)
+def field_matrix(f, rows, cols, entry=None):
+    if entry is None:
+        entry = st.integers(0, f.p - 1) if f.p else \
+            st.fractions(min_value=-3, max_value=3, max_denominator=3)
     return st.lists(st.lists(entry, min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows).map(
         lambda d: Matrix(f, rows, cols, [[f.of(0) + x for x in r]
@@ -322,6 +322,96 @@ def test_linalg_matches_sympy_domain_matrix(inp):
         oracle_kernel_rows(to_domain_matrix(b), f)
     assert [list(r) for r in meet.basis.data] == oracle_kernel_rows(
         to_domain_matrix(Matrix(f, len(perps), a.cols, perps)), f)
+
+
+def canonical(mat: Matrix) -> bool:
+    """Entries are ints in range(p) over GF(p) and Fractions over QQ."""
+    p = mat.field.p
+    if p is None:
+        return all(type(x) is Fraction for r in mat.data for x in r)
+    return all(type(x) is int and 0 <= x < p for r in mat.data for x in r)
+
+
+def check_kernels_against_domain_matrix(a: Matrix, c: Matrix, rhs: Matrix):
+    """rref, both kernels, a * c and a.solve_right(rhs) agree with sympy's
+    DomainMatrix, and every result has canonical entries."""
+    f = a.field
+    da = to_domain_matrix(a)
+    red, pivots = a.rref()
+    assert ([list(r) for r in red.data], pivots) == oracle_rref_rows(da, f)
+    right, left = a.right_kernel(), a.left_kernel()
+    assert [list(r) for r in right.data] == oracle_kernel_rows(da, f)
+    assert [list(r) for r in left.data] == \
+        oracle_kernel_rows(da.transpose(), f)
+    prod = a * c
+    assert [list(r) for r in prod.data] == \
+        from_domain_rows(da.matmul(to_domain_matrix(c)).to_list(), f)
+    x = a.solve_right(rhs)
+    assert (x is not None) == \
+        (da.rank() == da.hstack(to_domain_matrix(rhs)).rank())
+    if x is not None:
+        assert [list(r) for r in rhs.data] == from_domain_rows(
+            da.matmul(to_domain_matrix(x)).to_list(), f)
+    assert all(canonical(m) for m in (red, right, left, prod, x)
+               if m is not None)
+
+
+@st.composite
+def kernel_input(draw):
+    """A field, an a x b matrix A (a, b in 0..12), often built as a product
+    through k <= min(a, b) columns so that it is rank-deficient, C of shape
+    b x c and a right-hand side of shape a x c, often A times C.  QQ entries
+    have numerators up to 50 in size and denominators up to 7."""
+    f = draw(st.sampled_from([F3, GF(7), QQ]))
+    entry = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 7)) \
+        if f.p is None else None
+    rows, cols, width = (draw(st.integers(0, 12)) for _ in range(3))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(rows, cols)))
+        a = draw(field_matrix(f, rows, k, entry)) * \
+            draw(field_matrix(f, k, cols, entry))
+    else:
+        a = draw(field_matrix(f, rows, cols, entry))
+    c = draw(field_matrix(f, cols, width, entry))
+    rhs = a * c if draw(st.booleans()) \
+        else draw(field_matrix(f, rows, width, entry))
+    return a, c, rhs
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_input())
+def test_kernels_match_sympy_domain_matrix_up_to_12(inp):
+    check_kernels_against_domain_matrix(*inp)
+
+
+@pytest.mark.parametrize("f", [F3, QQ], ids=["gf3", "qq"])
+def test_kernels_match_sympy_domain_matrix_at_64(f):
+    rng = random.Random(64)
+    pool = [f.of(v) for v in (-2, -1, 0, 1, 2)]
+
+    def rand(rows, cols):
+        return Matrix(f, rows, cols, [[rng.choice(pool) for _ in range(cols)]
+                                      for _ in range(rows)])
+
+    a = rand(64, 48) * rand(48, 64)  # rank 48 or a little less
+    c = rand(64, 64)
+    check_kernels_against_domain_matrix(a, c, a * rand(64, 8))
+
+
+def test_rref_and_mul_call_no_field_arithmetic(monkeypatch):
+    from ppmod.fields import PrimeField, RationalField
+    mats = [Matrix.from_int_rows(f, [[1, 2, 0], [2, 4, 1], [0, 1, 2]])
+            for f in (F3, QQ)]
+
+    def refuse(*args):
+        raise AssertionError("field arithmetic inside a kernel")
+
+    for cls in (PrimeField, RationalField):
+        for name in ("add", "sub", "mul", "neg"):
+            monkeypatch.setattr(cls, name, refuse)
+    for m in mats:
+        assert m.rref()[1] == (0, 1, 2)
+        assert canonical(m * m)
 
 
 # -- storage-agnostic assembly: reshape, vectorized, block, intertwiners ----

@@ -140,3 +140,18 @@ def test_corrupted_ladder_names_the_failing_square():
     with pytest.raises(SquareFailed) as err:
         _verify_squares(rt)
     assert err.value.square_id == "ladder[1,1]"
+
+
+def test_realize_computes_each_hom_space_once(monkeypatch):
+    import ppmod.tower
+    calls = []
+    inner = ppmod.tower.hom_space
+
+    def counted(m, n):
+        calls.append((m, n))
+        return inner(m, n)
+
+    monkeypatch.setattr(ppmod.tower, "hom_space", counted)
+    realize_in_tower(build_tower(5, 2, F2), 3)
+    pairs = {(id(m), id(n)) for m, n in calls}
+    assert calls and len(calls) == len(pairs)

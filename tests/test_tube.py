@@ -342,6 +342,22 @@ def test_mesh_rule_certificate_flags_a_broken_rule():
     assert mesh_rule_failures(q) == (count, [mu])
 
 
+def test_mesh_rule_certificate_flags_a_misplaced_zero():
+    from ppmod.tube import mesh_rule_failures
+    q = build_ray_tube(2, (1, 0), 6)
+    count, _ = mesh_rule_failures(q)
+    rim = q.out_mu((0, 1, 1))           # stage-1 rim: the only ZERO rules
+    assert q._rhs[rim] is ZERO and q.out_lam((0, 1, 1)) is None
+    mu = q.out_mu((0, 1, 3))            # a rim rule with a lam' to use
+    q._rhs[mu] = ZERO
+    assert mesh_rule_failures(q) == (count, [mu])
+    _, _, bad = mesh_tube_failures(q, random.Random(0))
+    assert ("rule", 2, (1, 0), mu) in bad
+    q = build_ray_tube(2, (1, 0), 6)
+    q._rhs[rim] = q._rhs[q.out_mu((0, 1, 2))]  # nonzero on the rim
+    assert mesh_rule_failures(q) == (count, [rim])
+
+
 @pytest.mark.parametrize("m, lengths", [
     (1, (0,)), (1, (2,)), (2, (1, 0)), (2, (2, 2)), (3, (0, 1, 2)),
     (3, (2, 2, 2))])
