@@ -2,7 +2,9 @@
 
 An algebra element is a coordinate vector (tuple) over the basis.
 Associativity and the unit law are verified on all basis triples at
-construction, so downstream code can rely on them.
+construction, so downstream code can rely on them: the right regular
+representation rho is built once, and rho(b_i) rho(b_j) = rho(b_i b_j)
+holds in row k exactly when (b_k b_i) b_j = b_k (b_i b_j).
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .fields import Field
-from .linalg import Matrix
+from .linalg import Matrix, Subspace, combination, quotient_projection
 
 
 class FDAlgebra:
@@ -31,6 +33,9 @@ class FDAlgebra:
             raise ValueError("structure constant table has wrong shape")
         if any(len(v) != self.dim for r in self.table for v in r):
             raise ValueError("structure constant vectors have wrong length")
+        self._rho = tuple(
+            Matrix.from_rows(field, [self.table[i][j] for i in range(self.dim)])
+            for j in range(self.dim))
         if check:
             self._check_axioms()
 
@@ -44,37 +49,24 @@ class FDAlgebra:
         return tuple(self.field.one() if k == i else z for k in range(self.dim))
 
     def scalar_el(self, c):
-        return tuple(self.field.mul(c, u) for u in self.unit)
+        return self.smul_el(c, self.unit)
 
     def add_el(self, u, v):
-        f = self.field
-        return tuple(f.add(a, b) for a, b in zip(u, v))
+        of = self.field.of
+        return tuple(of(a + b) for a, b in zip(u, v))
 
     def neg_el(self, u):
-        f = self.field
-        return tuple(f.neg(a) for a in u)
+        of = self.field.of
+        return tuple(of(-a) for a in u)
 
     def smul_el(self, c, u):
-        f = self.field
-        return tuple(f.mul(c, a) for a in u)
+        of = self.field.of
+        return tuple(of(c * a) for a in u)
 
     def mul_el(self, u, v):
-        f = self.field
-        z = f.zero()
-        out = [z] * self.dim
-        for i, a in enumerate(u):
-            if a == z:
-                continue
-            row = self.table[i]
-            for j, b in enumerate(v):
-                if b == z:
-                    continue
-                ab = f.mul(a, b)
-                cv = row[j]
-                for k, c in enumerate(cv):
-                    if c != z:
-                        out[k] = f.add(out[k], f.mul(ab, c))
-        return tuple(out)
+        """u v = u rho(v)."""
+        prod = Matrix.from_rows(self.field, [u]) * combination(v, self._rho)
+        return prod.data[0]
 
     def el_from_label(self, label: str):
         if label in ("1", "one", "unit"):
@@ -87,23 +79,41 @@ class FDAlgebra:
 
     # -- structure ------------------------------------------------------
 
+    def law_failure(self, action):
+        """Where one matrix per basis element fails the laws of a right
+        module, or None if it satisfies them: (None, k) when row k of
+        action(1) differs from the identity's, else ((i, j), k) for the
+        first i, j with action[i] action[j] != action(b_i b_j), first
+        differing in row k."""
+        k = _first_differing_row(combination(self.unit, action),
+                                 Matrix.identity(self.field, action[0].rows))
+        if k is not None:
+            return None, k
+        for i in range(self.dim):
+            for j in range(self.dim):
+                k = _first_differing_row(action[i] * action[j],
+                                         combination(self.table[i][j], action))
+                if k is not None:
+                    return (i, j), k
+        return None
+
     def _check_axioms(self):
-        n = self.dim
-        for i in range(n):
-            bi = self.basis_el(i)
-            if self.mul_el(self.unit, bi) != bi or self.mul_el(bi, self.unit) != bi:
-                raise ValueError(f"unit law fails on basis element {self.labels[i]}")
-        for i in range(n):
-            bi = self.basis_el(i)
-            for j in range(n):
-                bj = self.basis_el(j)
-                ij = self.mul_el(bi, bj)
-                for k in range(n):
-                    bk = self.basis_el(k)
-                    if self.mul_el(ij, bk) != self.mul_el(bi, self.mul_el(bj, bk)):
-                        raise ValueError(
-                            f"associativity fails on ({self.labels[i]},"
-                            f"{self.labels[j]},{self.labels[k]})")
+        """The left unit law row by row, then the laws of rho: the right
+        unit law, and associativity on every triple (b_k, b_i, b_j)."""
+        one = Matrix.from_rows(self.field, [self.unit])
+        for j, r in enumerate(self._rho):
+            if (one * r).data[0] != self.basis_el(j):
+                raise ValueError(
+                    f"unit law fails on basis element {self.labels[j]}")
+        fail = self.law_failure(self._rho)
+        if fail is None:
+            return
+        pair, k = fail
+        if pair is None:
+            raise ValueError(f"unit law fails on basis element {self.labels[k]}")
+        i, j = pair
+        raise ValueError(f"associativity fails on ({self.labels[k]},"
+                         f"{self.labels[i]},{self.labels[j]})")
 
     @property
     def op(self) -> "FDAlgebra":
@@ -117,16 +127,19 @@ class FDAlgebra:
             self._op = o
         return self._op
 
-    def right_regular_action(self) -> list[Matrix]:
-        """rho(b_j) with (u * rho(b_j))_k = sum_i u_i c[i][j][k] (row convention)."""
-        out = []
-        for j in range(self.dim):
-            out.append(Matrix.from_rows(
-                self.field, [list(self.table[i][j]) for i in range(self.dim)]))
-        return out
+    def right_regular_action(self) -> tuple[Matrix, ...]:
+        """rho(b_j) with (u * rho(b_j))_k = sum_i u_i c[i][j][k] (row
+        convention), built once with the algebra."""
+        return self._rho
 
     def __repr__(self):
         return f"FDAlgebra({self.name}, dim={self.dim})"
+
+
+def _first_differing_row(a: Matrix, b: Matrix) -> int | None:
+    if a == b:
+        return None
+    return next(k for k, (x, y) in enumerate(zip(a.data, b.data)) if x != y)
 
 
 def truncated_dvr(N: int, field: Field) -> FDAlgebra:
@@ -212,10 +225,6 @@ def algebra_from_quiver(q: QuiverPresentation, field: Field) -> FDAlgebra:
     index = {(p[0], p[2]): i for i, p in enumerate(paths)}
     npaths = len(paths)
 
-    def concat(p1, p2):
-        # p1 then p2; valid when target(p1) == source(p2)
-        return (p1[0], p2[1], p1[2] + p2[2])
-
     # span of { u * rel * v } inside the path space, total length <= work
     ideal_rows = []
     all_paths = paths
@@ -234,8 +243,7 @@ def algebra_from_quiver(q: QuiverPresentation, field: Field) -> FDAlgebra:
                 for c, p in rel:
                     w = u[2] + tuple(p) + v[2]
                     i = index[(u[0], w)]
-                    cc = field.of(c) if isinstance(c, int) else c
-                    row[i] = field.add(row[i], cc)
+                    row[i] = field.of(row[i] + c)
                 ideal_rows.append(row)
     ideal = (Matrix.from_rows(field, ideal_rows) if ideal_rows
              else Matrix(field, 0, npaths, []))
@@ -246,46 +254,16 @@ def algebra_from_quiver(q: QuiverPresentation, field: Field) -> FDAlgebra:
     if any(len(p[2]) >= cap for p in basis_paths):
         raise ValueError("quotient not finite-dimensional at path_length_cap")
 
-    piv_of = {p: i for i, p in enumerate(pivots)}
+    # b_i b_j is the residue of the path b_i then b_j (zero when they do
+    # not compose): its row of the quotient projection
+    residue = quotient_projection(Subspace(npaths, red)).data
+    zero_vec = (field.zero(),) * len(basis_paths)
+    table = [[residue[index[(s, w + w2)]] if t == s2 else zero_vec
+              for s2, _, w2 in basis_paths]
+             for s, t, w in basis_paths]
 
-    def reduce_vec(vec):
-        vec = list(vec)
-        for p, i in piv_of.items():
-            if vec[p] != field.zero():
-                c = vec[p]
-                row = red.data[i]
-                vec = [field.sub(x, field.mul(c, y)) for x, y in zip(vec, row)]
-        return vec
-
-    basis_index = {(p[0], p[2]): i for i, p in enumerate(basis_paths)}
-    nb = len(basis_paths)
-
-    def to_basis_coords(vec):
-        out = [field.zero()] * nb
-        for i, c in enumerate(vec):
-            if c != field.zero():
-                key = (paths[i][0], paths[i][2])
-                out[basis_index[key]] = c
-        return tuple(out)
-
-    zero_vec = (field.zero(),) * nb
-    table = []
-    for pi in basis_paths:
-        row = []
-        for pj in basis_paths:
-            if pi[1] != pj[0]:
-                row.append(zero_vec)
-                continue
-            w = concat(pi, pj)
-            vec = [field.zero()] * npaths
-            vec[index[(w[0], w[2])]] = field.one()
-            row.append(to_basis_coords(reduce_vec(vec)))
-        table.append(tuple(row))
-
-    unit = [field.zero()] * nb
-    for i, (s, t, w) in enumerate(basis_paths):
-        if w == ():
-            unit[i] = field.one()
+    unit = [field.one() if w == () else field.zero()
+            for _, _, w in basis_paths]
 
     def plabel(sp, tp, w):
         if w == ():

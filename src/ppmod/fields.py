@@ -1,9 +1,11 @@
 """Exact coefficient fields: prime fields GF(p) and the rationals.
 
 Field elements are plain Python values (ints reduced mod p, or
-fractions.Fraction); a Field object bundles the element arithmetic that
-algebra and module code use.  How a matrix stores its entries, and how it
-eliminates and multiplies them, is decided in ppmod.linalg alone.
+fractions.Fraction), combined with Python's operators.  A Field object
+names the field and gives its zero, its one, its elements and `of`, the
+one reduction: `of(n)` brings an int, or an integer combination of field
+elements, back into the field.  How a matrix stores its entries, and how
+it eliminates and multiplies them, is decided in ppmod.linalg alone.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ class Field:
     def one(self):
         raise NotImplementedError
 
-    def of(self, n: int):
-        """Image of the integer n in the field."""
+    def of(self, n):
+        """The field element n stands for: an int, or an integer
+        combination of field elements, reduced mod p over GF(p)."""
         raise NotImplementedError
 
     def elements(self):
@@ -54,20 +57,8 @@ class PrimeField(Field):
     def one(self):
         return 1
 
-    def of(self, n: int):
+    def of(self, n):
         return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def elements(self):
         return range(self.p)
@@ -91,20 +82,8 @@ class RationalField(Field):
     def one(self):
         return Fraction(1)
 
-    def of(self, n: int):
+    def of(self, n):
         return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def elements(self):
         raise TypeError("rationals are not enumerable")

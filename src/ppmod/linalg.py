@@ -11,10 +11,12 @@ field elements (ints in range(p), or Fractions).  `Matrix.data`, the rows
 as tuples of field elements, is available for every field; over GF(2) it
 is unpacked on first use and cached.
 
-Over GF(p) and QQ, `rref` and `*` run on plain integer rows and call no
-Field method per entry: over GF(p) with one `% p` per entry computed, over
-QQ on rows scaled to integers by the lcm of their denominators, eliminated
-without fractions (`_rref_qq`); Fractions are built only for the results.
+Over GF(p) and QQ, entries are combined with Python's operators; a GF(p)
+row is then brought back into range(p) with one `% p` per entry
+(`_reduced`), which over QQ is not needed.  `rref` and `*` run on plain
+integer rows: over GF(p) reduced as above, over QQ scaled to integers by
+the lcm of their denominators and eliminated without fractions
+(`_rref_qq`); Fractions are built only for the results.
 
 Kernels, hom spaces, pp values, preimages and meets come from
 `projected_kernel`: the first k coordinates of {v : v a = 0}, in RREF.
@@ -158,9 +160,9 @@ class Matrix:
         if self.packed is not None:
             return Matrix.from_packed(f, self.rows, self.cols, tuple(
                 a ^ b for a, b in zip(self.packed, other.packed)))
-        return Matrix(f, self.rows, self.cols,
-                      [[f.add(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.data, other.data)])
+        return Matrix(f, self.rows, self.cols, _reduced(f, [
+            [a + b for a, b in zip(ra, rb)]
+            for ra, rb in zip(self.data, other.data)]))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
@@ -170,14 +172,14 @@ class Matrix:
             return self
         f = self.field
         return Matrix(f, self.rows, self.cols,
-                      [[f.neg(a) for a in r] for r in self.data])
+                      _reduced(f, [[-a for a in r] for r in self.data]))
 
     def scale(self, c) -> "Matrix":
         f = self.field
         if self.packed is not None:
             return self if c & 1 else Matrix.zero(f, self.rows, self.cols)
         return Matrix(f, self.rows, self.cols,
-                      [[f.mul(c, a) for a in r] for r in self.data])
+                      _reduced(f, [[c * a for a in r] for r in self.data]))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         f = self.field
@@ -198,8 +200,8 @@ class Matrix:
             return Matrix.from_packed(f, self.rows, other.cols, tuple(out))
         p, c = f.p, other.cols
         if p is not None:
-            out = _int_product(self.data, other.data, c)
-            return Matrix(f, self.rows, c, [[s % p for s in r] for r in out])
+            return Matrix(f, self.rows, c, _reduced(
+                f, _int_product(self.data, other.data, c)))
         # integer rows: one denominator d for other, one (e) per row of self
         flat, d = _int_row([x for r in other.data for x in r])
         right = [flat[i * c:(i + 1) * c] for i in range(other.rows)]
@@ -406,18 +408,24 @@ def intertwiners(lefts, rights, dm: int, dn: int) -> list[Matrix]:
         ker = right_kernel_packed_f2(_intertwining_rows_f2(lefts, rights,
                                                            dm, dn), nunk, f)
         return [ker.take_rows((i,)).reshape(dm, dn) for i in range(ker.rows)]
-    z = f.zero()
+    p, z = f.p, f.zero()
     data = []
     for am, an in zip(lefts, rights):
-        for r in range(dm):
-            for c in range(dn):
+        # row (r, c): A[r][s] at F[s][c] and -B[t][c] at F[r][t]; the two
+        # meet only at F[r][c], the one entry that can leave range(p)
+        neg_cols = list(zip(*(-an).data))
+        for r, arow in enumerate(am.data):
+            off = r * dn
+            for c, ncol in enumerate(neg_cols):
                 row = [z] * nunk
-                for s in range(dm):
-                    if am.data[r][s]:
-                        row[s * dn + c] = f.add(row[s * dn + c], am.data[r][s])
-                for t in range(dn):
-                    if an.data[t][c]:
-                        row[r * dn + t] = f.sub(row[r * dn + t], an.data[t][c])
+                for s, x in enumerate(arow):
+                    if x:
+                        row[s * dn + c] = x
+                for t, y in enumerate(ncol):
+                    if y:
+                        row[off + t] += y
+                if p is not None:
+                    row[off + c] %= p
                 data.append(row)
     ker = Matrix(f, len(data), nunk, data).right_kernel()
     return [ker.take_rows((i,)).reshape(dm, dn) for i in range(ker.rows)]
@@ -469,9 +477,7 @@ def combination(coeffs, mats) -> Matrix:
         if c:
             acc = [[x + c * y for x, y in zip(ra, rm)]
                    for ra, rm in zip(acc, m.data)]
-    if f.p is not None:
-        acc = [[x % f.p for x in r] for r in acc]
-    return Matrix(f, first.rows, first.cols, acc)
+    return Matrix(f, first.rows, first.cols, _reduced(f, acc))
 
 
 def span_elements(mats, zero: Matrix):
@@ -503,6 +509,13 @@ def span_elements(mats, zero: Matrix):
 
 
 # -- GF(p) and QQ integer-row kernels --------------------------------------
+
+
+def _reduced(field: Field, rows):
+    """Rows of sums and products of field elements, brought back into the
+    field: one `% p` per entry over GF(p); over QQ they already are."""
+    p = field.p
+    return rows if p is None else [[x % p for x in r] for r in rows]
 
 
 def _int_row(r):
@@ -643,9 +656,9 @@ def _cut_right_kernel(a: Matrix, k: int) -> Matrix:
         v = [f.one() if t == j else f.zero() for t in range(k)]
         for row, p in zip(red.data, pivots):
             if p < k:
-                v[p] = f.neg(row[j])
+                v[p] = -row[j]
         sols.append(v)
-    return Matrix(f, len(sols), k, sols).row_space()
+    return Matrix(f, len(sols), k, _reduced(f, sols)).row_space()
 
 
 # -- subspaces -----------------------------------------------------------
@@ -706,13 +719,15 @@ class Subspace:
                 if v & r & -r:
                     v ^= r
             return not v
-        f = self.field
+        # each basis row is 1 at its pivot and 0 at the others, so v keeps
+        # its given entries at the pivots and is reduced once, at the end
         v = list(v)
         for p, row in zip(self.pivots, self.basis.data):
-            if v[p]:
-                c = v[p]
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        return not any(v)
+            c = v[p]
+            if c:
+                v = [x - c * y for x, y in zip(v, row)]
+        p = self.field.p
+        return not any(v if p is None else (x % p for x in v))
 
     def key(self):
         """Deterministic sort key (echelon-lexicographic)."""
@@ -744,3 +759,15 @@ def kernel(a: Matrix) -> Subspace:
     """{v : A v = 0} as a canonical subspace of k^cols."""
     return Subspace(a.cols, a.right_kernel())
 
+
+def quotient_projection(s: Subspace) -> Matrix:
+    """k^d -> k^d / s as a d x (d - dim s) matrix, in the coordinates of
+    the non-pivot columns of s: e_t stays e_t for a non-pivot t and
+    becomes e_t - (the basis row with pivot t) for a pivot t, which is
+    zero at every pivot."""
+    pivots = s.pivots
+    piv = set(pivots)
+    nonpivots = [j for j in range(s.ambient) if j not in piv]
+    ident = Matrix.identity(s.field, s.ambient)
+    return (ident.take_cols(nonpivots)
+            - ident.take_cols(pivots) * s.basis.take_cols(nonpivots))

@@ -18,7 +18,8 @@ import itertools
 
 from .algebra import FDAlgebra
 from .linalg import (Matrix, Subspace, block, block_diagonal, combination,
-                     intertwiners, span_elements, subspace_leq)
+                     intertwiners, quotient_projection, span_elements,
+                     subspace_leq)
 
 _module_serial = itertools.count()
 
@@ -46,15 +47,15 @@ class Module:
 
     def _check_laws(self):
         alg = self.algebra
-        if self.act(alg.unit) != Matrix.identity(alg.field, self.dim):
+        fail = alg.law_failure(self.action)
+        if fail is None:
+            return
+        pair, _ = fail
+        if pair is None:
             raise ValueError("unit does not act as identity")
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                lhs = self.action[i] * self.action[j]
-                if lhs != self.act(alg.table[i][j]):
-                    raise ValueError(
-                        f"action violates structure constants at "
-                        f"({alg.labels[i]}, {alg.labels[j]})")
+        i, j = pair
+        raise ValueError(f"action violates structure constants at "
+                         f"({alg.labels[i]}, {alg.labels[j]})")
 
     def act(self, el) -> Matrix:
         """Action matrix of an algebra element (coordinate vector)."""
@@ -244,17 +245,11 @@ def quotient_module(m: Module, s: Subspace, label: str = "",
     """The quotient by an invariant subspace, with its projection."""
     if check and not is_invariant(m, s):
         raise ValueError("subspace is not invariant under the action")
-    f = m.algebra.field
-    d = m.dim
-    pivots = s.pivots
-    nonpivots = [j for j in range(d) if j not in pivots]
-    # reduction mod s, then the non-pivot coordinates: e_t stays e_t for a
-    # non-pivot t and becomes e_t - (basis row with pivot t) for a pivot t
-    ident = Matrix.identity(f, d)
-    proj = ident.take_cols(nonpivots) - \
-        ident.take_cols(pivots) * s.basis.take_cols(nonpivots)
-    sect = ident.take_rows(nonpivots)
-    action = [sect * a * proj for a in m.action]
+    pivots = set(s.pivots)
+    # the non-pivot coordinates are those of the quotient
+    nonpivots = [j for j in range(m.dim) if j not in pivots]
+    proj = quotient_projection(s)
+    action = [a.take_rows(nonpivots) * proj for a in m.action]
     q = Module(m.algebra, len(nonpivots), action, label=label, check=False)
     return q, ModuleMap(m, q, proj, check=False)
 

@@ -1,8 +1,15 @@
+import itertools
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppmod.fields import GF, QQ
 from ppmod.algebra import (FDAlgebra, QuiverPresentation, algebra_from_quiver,
                            kronecker_algebra, truncated_dvr)
+from ppmod.linalg import Matrix
+from ppmod.modules import Module
 
 F2 = GF(2)
 
@@ -108,3 +115,224 @@ def test_non_associative_table_rejected():
 def test_unit_law_failure_rejected(table):
     with pytest.raises(ValueError, match="unit law"):
         FDAlgebra(F2, ["1", "a"], table, (1, 0))
+
+
+def test_commutative_square_identifies_parallel_paths():
+    # 1 -a-> 2 -b-> 4 and 1 -c-> 3 -d-> 4 with ab = cd: the residue of the
+    # pivot path ab is the surviving path cd, so a b = c d is not zero
+    q = QuiverPresentation(4, [(0, 1, "a"), (1, 3, "b"), (0, 2, "c"),
+                               (2, 3, "d")],
+                           relations=[[(1, (0, 1)), (-1, (2, 3))]],
+                           path_length_cap=3)
+    for f in (F2, GF(3), QQ):
+        alg = algebra_from_quiver(q, f)
+        assert alg.dim == 9
+        el = alg.el_from_label
+        ab = alg.mul_el(el("a"), el("b"))
+        assert ab == alg.mul_el(el("c"), el("d")) != alg.zero_el()
+
+
+def test_kronecker_table():
+    # every nonzero structure constant of e1, e2, a, b is 1
+    products = {("e1", "e1"): "e1", ("e1", "a"): "a", ("e1", "b"): "b",
+                ("e2", "e2"): "e2", ("a", "e2"): "a", ("b", "e2"): "b"}
+    for f in (F2, GF(3), QQ):
+        alg = kronecker_algebra(f)
+        labels = alg.labels
+        assert labels == ("e1", "e2", "a", "b")
+        assert alg.unit == (f.one(), f.one(), f.zero(), f.zero())
+        want = tuple(tuple(
+            tuple(f.one() if products.get((x, y)) == z else f.zero()
+                  for z in labels) for y in labels) for x in labels)
+        assert alg.table == want
+        kind = int if f.p else type(f.one())
+        assert all(type(c) is kind for r in alg.table for v in r for c in v)
+
+
+# -- the law check against brute force ---------------------------------------
+
+LAW_FIELDS = [F2, GF(3), QQ]
+
+# associative unital algebras of dimension <= 3 as {(i, j): {k: c}} and
+# the unit: k, k[x]/(x^2), k x k, k[x]/(x^3), upper triangular 2 x 2
+# (e1, a, e2), k x k x k
+BASE_ALGEBRAS = [
+    ({(0, 0): {0: 1}}, (1,)),
+    ({(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, (1, 0)),
+    ({(0, 0): {0: 1}, (1, 1): {1: 1}}, (1, 1)),
+    ({(i, j): {i + j: 1} for i in range(3) for j in range(3) if i + j < 3},
+     (1, 0, 0)),
+    ({(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 2): {1: 1}, (2, 2): {2: 1}},
+     (1, 0, 1)),
+    ({(i, i): {i: 1} for i in range(3)}, (1, 1, 1)),
+]
+
+
+def brute_mul(f, table, u, v):
+    """u v by the structure-constant sum."""
+    n = len(u)
+    out = [f.zero()] * n
+    for i, j, k in itertools.product(range(n), repeat=3):
+        out[k] = f.of(out[k] + u[i] * v[j] * table[i][j][k])
+    return tuple(out)
+
+
+def brute_failures(f, table, unit):
+    """The basis elements failing a unit law, and the triples (i, j, k)
+    with (b_i b_j) b_k != b_i (b_j b_k)."""
+    n = len(unit)
+    basis = [tuple(f.of(int(t == i)) for t in range(n)) for i in range(n)]
+    units = {i for i, b in enumerate(basis)
+             if brute_mul(f, table, unit, b) != b
+             or brute_mul(f, table, b, unit) != b}
+    triples = {(i, j, k) for i, j, k in itertools.product(range(n), repeat=3)
+               if brute_mul(f, table, brute_mul(f, table, basis[i], basis[j]),
+                            basis[k])
+               != brute_mul(f, table, basis[i],
+                            brute_mul(f, table, basis[j], basis[k]))}
+    return units, triples
+
+
+def nonzero(f):
+    return (st.integers(1, f.p - 1) if f.p
+            else st.fractions(min_value=-3, max_value=3,
+                              max_denominator=3).filter(bool))
+
+
+def field_els(f, n):
+    return st.lists(st.integers(-2, 2) | nonzero(f), min_size=n,
+                    max_size=n).map(lambda xs: tuple(f.of(x) for x in xs))
+
+
+@st.composite
+def structure_table(draw):
+    """(field, table, unit): a base algebra in a random basis, or random
+    constants; one constant (or the unit) sometimes planted wrong.  A
+    constant c[i][j][k] planted with b_0 = 1 and i, j > 0 keeps the unit
+    laws, so associativity alone can fail."""
+    f = draw(st.sampled_from(LAW_FIELDS))
+    plant = draw(st.integers(0, 3))
+    if draw(st.integers(0, 4)) == 0:
+        n = draw(st.integers(1, 3))
+        table = [[list(draw(field_els(f, n))) for _ in range(n)]
+                 for _ in range(n)]
+        unit = draw(field_els(f, n))
+    else:
+        prods, base_unit = draw(st.sampled_from(BASE_ALGEBRAS))
+        n = len(base_unit)
+        old = [[[f.of(prods.get((i, j), {}).get(k, 0)) for k in range(n)]
+                for j in range(n)] for i in range(n)]
+        first = [tuple(f.of(x) for x in base_unit)] if plant == 3 else []
+        g = draw(st.lists(field_els(f, n), min_size=n - len(first),
+                          max_size=n - len(first)).map(
+            lambda rows: first + rows).filter(
+            lambda rows: Matrix.from_rows(f, rows).rank() == n))
+        ginv = Matrix.from_rows(f, g).inverse()
+
+        def new_coords(v):
+            return list((Matrix.from_rows(f, [v]) * ginv).data[0])
+
+        # b'_i = g_i: b'_i b'_j in the basis g
+        table = [[new_coords(brute_mul(f, old, g[i], g[j]))
+                  for j in range(n)] for i in range(n)]
+        unit = tuple(new_coords([f.of(x) for x in base_unit]))
+    if plant == 1 or plant == 3 and n > 1:
+        low = 1 if plant == 3 else 0
+        i, j = (draw(st.integers(low, n - 1)) for _ in range(2))
+        k = draw(st.integers(0, n - 1))
+        table[i][j][k] = f.of(table[i][j][k] + draw(nonzero(f)))
+    elif plant == 2:
+        k = draw(st.integers(0, n - 1))
+        unit = unit[:k] + (f.of(unit[k] + draw(nonzero(f))),) + unit[k + 1:]
+    return f, table, unit
+
+
+@settings(max_examples=200, deadline=None)
+@given(structure_table(), st.data())
+def test_algebra_law_check_matches_brute_force(inp, data):
+    f, table, unit = inp
+    n = len(unit)
+    labels = [f"b{i}" for i in range(n)]
+    units, triples = brute_failures(f, table, unit)
+    try:
+        FDAlgebra(f, labels, table, unit)
+    except ValueError as exc:
+        msg = str(exc)
+        assert units or triples, msg
+        if units:
+            m = re.fullmatch(r"unit law fails on basis element b(\d)", msg)
+            assert m and int(m.group(1)) in units, msg
+        else:
+            m = re.fullmatch(r"associativity fails on \(b(\d),b(\d),b(\d)\)",
+                             msg)
+            assert m and tuple(int(x) for x in m.groups()) in triples, msg
+    else:
+        assert not units and not triples
+    alg = FDAlgebra(f, labels, table, unit, check=False)
+    u, v = data.draw(field_els(f, n)), data.draw(field_els(f, n))
+    assert alg.mul_el(u, v) == brute_mul(f, table, u, v)
+
+
+def brute_module_failures(f, table, unit, mats):
+    """Whether action(1) != I, and the pairs (i, j) with
+    action[i] action[j] != action(b_i b_j), by entrywise sums."""
+    n, d = len(unit), mats[0].rows
+
+    def act(el):
+        return [[f.of(sum(el[k] * mats[k].data[r][c] for k in range(n)))
+                 for c in range(d)] for r in range(d)]
+
+    def prod(a, b):
+        return [[f.of(sum(a.data[r][s] * b.data[s][c] for s in range(d)))
+                 for c in range(d)] for r in range(d)]
+
+    ident = [[f.of(int(r == c)) for c in range(d)] for r in range(d)]
+    pairs = {(i, j) for i in range(n) for j in range(n)
+             if prod(mats[i], mats[j]) != act(table[i][j])}
+    return act(unit) != ident, pairs
+
+
+@st.composite
+def module_input(draw):
+    """An algebra (any table, unchecked) and one action matrix per basis
+    element: its regular representation in a random basis, or random
+    matrices; one entry sometimes planted wrong."""
+    f, table, unit = draw(structure_table())
+    n = len(unit)
+    alg = FDAlgebra(f, [f"b{i}" for i in range(n)], table, unit, check=False)
+    if draw(st.booleans()):
+        d = n
+        g = draw(st.lists(field_els(f, d), min_size=d, max_size=d).filter(
+            lambda rows: Matrix.from_rows(f, rows).rank() == d))
+        g = Matrix.from_rows(f, g)
+        mats = [g * r * g.inverse() for r in alg.right_regular_action()]
+    else:
+        d = draw(st.integers(0, 3))
+        mats = [Matrix.from_rows(f, [draw(field_els(f, d)) for _ in range(d)])
+                if d else Matrix(f, 0, 0, []) for _ in range(n)]
+    if d and draw(st.booleans()):
+        t, r, c = (draw(st.integers(0, m - 1)) for m in (n, d, d))
+        rows = [list(x) for x in mats[t].data]
+        rows[r][c] = f.of(rows[r][c] + draw(nonzero(f)))
+        mats[t] = Matrix.from_rows(f, rows)
+    return alg, d, mats
+
+
+@settings(max_examples=200, deadline=None)
+@given(module_input())
+def test_module_law_check_matches_brute_force(inp):
+    alg, d, mats = inp
+    unit_bad, pairs = brute_module_failures(alg.field, alg.table, alg.unit,
+                                            mats)
+    try:
+        Module(alg, d, mats, check=True)
+    except ValueError as exc:
+        msg = str(exc)
+        if unit_bad:
+            assert msg == "unit does not act as identity"
+        else:
+            m = re.fullmatch(r"action violates structure constants at "
+                             r"\(b(\d), b(\d)\)", msg)
+            assert m and tuple(int(x) for x in m.groups()) in pairs, msg
+    else:
+        assert not unit_bad and not pairs

@@ -226,6 +226,15 @@ def test_probe_without_pp1_exits_2(max_dim):
     assert "Traceback" not in proc.stderr + proc.stdout
 
 
+def test_classify_negative_dim_cap_exits_2():
+    proc = subprocess.run(
+        [sys.executable, "-m", "ppmod.cli", "classify", "--N", "3", "--n",
+         "1", "--dim-cap", "-3"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --dim-cap must be at least 0, not -3\n"
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("algebra, module, message", [
     ("kronecker", "V/m^3", "kronecker is not"),
     ("tower:2:1", "V/m^4", "k[x]/(x^2)[L0] is not"),

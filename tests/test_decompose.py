@@ -308,7 +308,7 @@ def _companion_regular(field, coeffs):
     k = len(coeffs)
     comp = Matrix.from_rows(field, [
         [field.one() if c == r + 1 else field.zero() for c in range(k)]
-        if r < k - 1 else [field.neg(field.of(a)) for a in coeffs]
+        if r < k - 1 else [field.of(-a) for a in coeffs]
         for r in range(k)])
     return kronecker_rep(kronecker_algebra(field), k, k,
                          Matrix.identity(field, k), comp)

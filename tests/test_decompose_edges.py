@@ -18,8 +18,8 @@ def quadratic_regular(alg, c0, c1):
     as the second arrow; indecomposable iff the polynomial is irreducible."""
     f = alg.field
     ident = Matrix.identity(f, 2)
-    comp = Matrix.from_rows(f, [[f.zero(), f.neg(f.of(c0))],
-                                [f.one(), f.neg(f.of(c1))]])
+    comp = Matrix.from_rows(f, [[f.zero(), f.of(-c0)],
+                                [f.one(), f.of(-c1)]])
     return kronecker_rep(alg, 2, 2, ident, comp, label=f"R[t^2+{c1}t+{c0}]")
 
 

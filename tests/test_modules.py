@@ -3,12 +3,12 @@ import itertools
 import pytest
 
 from ppmod.fields import GF, QQ
-from ppmod.linalg import Matrix, Subspace, span_elements
-from ppmod.modules import (Module, ModuleMap, direct_sum, hom_dim, hom_space,
-                           identity_map, iso_test, k_dual, kernel_subspace,
-                           module_generators, presentation_of,
-                           quotient_module, regular_module, submodule,
-                           zero_module)
+from ppmod.linalg import Matrix, Subspace, block_diagonal, span_elements
+from ppmod.modules import (Module, ModuleMap, direct_sum, free_module,
+                           hom_dim, hom_space, identity_map, iso_test, k_dual,
+                           kernel_subspace, module_generators,
+                           presentation_of, quotient_module, regular_module,
+                           submodule, zero_module)
 from ppmod.catalog import (dvr_chain_module, dvr_universe,
                            kronecker_preinjective, kronecker_preprojective,
                            kronecker_regular, kronecker_universe)
@@ -122,8 +122,16 @@ def test_presentation_expresses_elements(dvr2):
     for i, r in enumerate(coeffs):
         gi = pres.generator(i)
         img = v2.apply(gi, r)
-        acc = tuple(F2.add(a, b) for a, b in zip(acc, img))
+        acc = tuple(F2.of(a + b) for a, b in zip(acc, img))
     assert acc == g
+
+
+def test_free_module_uses_the_algebras_one_regular_representation():
+    alg = truncated_dvr(4, GF(3))
+    rho = alg.right_regular_action()
+    assert rho is alg.right_regular_action()
+    free = free_module(alg, 2)
+    assert free.action == tuple(block_diagonal(alg.field, [r, r]) for r in rho)
 
 
 def test_zero_module_edges(dvr2):
