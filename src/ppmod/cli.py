@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shlex
 import sys
 
@@ -324,12 +325,17 @@ def main(argv=None) -> int:
         else:
             code, lines = execute(args)
     except (HorizonExceeded, Undecided) as exc:
-        print(str(exc))
-        return 2
+        code, lines = 2, [str(exc)]
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print("\n".join(lines))
+    try:
+        print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so the flush at
+        # interpreter shutdown does not fail again with a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

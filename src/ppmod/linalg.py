@@ -608,18 +608,24 @@ def _unpack(r: int, cols: int) -> tuple[int, ...]:
 
 def _rref_f2(rows) -> list[tuple[int, int]]:
     """Incremental RREF over GF(2); returns [(row_bits, pivot_col)] sorted
-    by pivot, the pivot of a row being its lowest set bit."""
+    by pivot, the pivot of a row being its lowest set bit.  Invariant: a
+    pivot row holds no pivot bit but its own, so a new row is reduced by
+    XORing in the rows of just the pivot bits it has set, r & mask."""
     pivots: dict[int, int] = {}  # pivot bit -> its fully reduced row
+    mask = 0  # the OR of the pivot bits
     for r in rows:
-        for pbit, pr in pivots.items():
-            if r & pbit:
-                r ^= pr
+        hit = r & mask
+        while hit:
+            low = hit & -hit
+            r ^= pivots[low]
+            hit ^= low
         if r:
             low = r & -r
             for pbit, pr in pivots.items():
                 if pr & low:
                     pivots[pbit] = pr ^ r
             pivots[low] = r
+            mask |= low
     return [(pivots[b], b.bit_length() - 1) for b in sorted(pivots)]
 
 

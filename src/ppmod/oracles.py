@@ -3,8 +3,10 @@
 These deliberately avoid the kernel-and-project route of
 PpFormula.evaluate: membership is decided by enumerating witness tuples,
 over any finite field with `brute_eval` and over GF(2) with
-`brute_eval_f2`, which walks the witness space in Gray-code order so each
-step is a single packed XOR.  Locality of an endomorphism ring is
+`brute_eval_f2`, which walks the whole witness space once to collect the
+set of witness images and then the whole x-space, testing each x's image
+against that set; both walks are in Gray-code order, one packed XOR per
+step, and nothing in them eliminates.  Locality of an endomorphism ring is
 decided by enumerating all p^dim of its elements, the reference for the
 structural certificate in decompose.
 """
@@ -36,8 +38,13 @@ def brute_eval(phi: PpFormula, module: Module) -> set[tuple]:
 
 
 def brute_eval_f2(phi: PpFormula, module: Module) -> set[int]:
-    """All x-tuples (packed bit vectors) satisfying the formula, found by
-    enumerating every witness tuple y."""
+    """All x-tuples (packed bit vectors) satisfying the formula.  Writing
+    X(x) and Y(y) for the packed images of x and y in all equations, x
+    satisfies it iff X(x) ^ Y(y) = 0 for some y, that is iff X(x) is one of
+    the witness images Y(y).  So every one of the 2^(l*d) witness tuples is
+    enumerated once to collect those images, then every one of the 2^(n*d)
+    x-tuples once to test its image: 2^(n*d) + 2^(l*d) XORs in all, with no
+    elimination."""
     if module.algebra.field.p != 2:
         raise ValueError("packed oracle is GF(2) only")
     if module.algebra is not phi.effective_algebra:
@@ -58,27 +65,20 @@ def brute_eval_f2(phi: PpFormula, module: Module) -> set[int]:
                 acc |= acts[e].packed[r] << (e * d)
             deltas.append(acc)
     xdim, ydim = n * d, l * d
-    found = set()
-    for x in range(1 << xdim):
-        base = 0
-        xb = x
-        while xb:
-            low = xb & -xb
-            base ^= deltas[low.bit_length() - 1]
-            xb ^= low
-        if base == 0:
-            found.add(x)
-            continue
-        cur = base
-        hit = False
-        for i in range(1, 1 << ydim):
-            t = (i & -i).bit_length() - 1
-            cur ^= deltas[xdim + t]
-            if cur == 0:
-                hit = True
-                break
-        if hit:
-            found.add(x)
+    ydeltas = deltas[xdim:]
+    # step i of a Gray-code walk toggles coordinate t, the lowest set bit of i
+    images = {0}
+    cur = 0
+    for i in range(1, 1 << ydim):
+        cur ^= ydeltas[(i & -i).bit_length() - 1]
+        images.add(cur)
+    # after step i the x-walk stands at the Gray code i ^ (i >> 1)
+    found = {0}
+    cur = 0
+    for i in range(1, 1 << xdim):
+        cur ^= deltas[(i & -i).bit_length() - 1]
+        if cur in images:
+            found.add(i ^ (i >> 1))
     return found
 
 

@@ -185,9 +185,12 @@ def _longest_chain(vecs: list[_Vec]) -> tuple[list[_Vec], int]:
 
 
 def probe_embedding(fmap, universe: list[Module], budget: int,
-                    max_rounds: int = 3) -> list[ProbeReport]:
+                    max_rounds: int = 3,
+                    pool: list[tuple[str, PpFormula]] | None = None
+                    ) -> list[ProbeReport]:
     """Shortness probes for an embedding f: one report per module generator
-    g of the source, comparing the pp-type of g with that of f(g)."""
+    g of the source, comparing the pp-type of g with that of f(g).  The
+    pool is passed to interval_probe as is."""
     if not fmap.is_injective():
         raise ValueError("probe_embedding expects an embedding")
     src, tgt = fmap.source, fmap.target
@@ -196,5 +199,5 @@ def probe_embedding(fmap, universe: list[Module], budget: int,
         upper = pp_type_generator_of_element(src, g)
         lower = pp_type_generator_of_element(tgt, fmap(g))
         out.append(interval_probe(PpPair(upper=upper, lower=lower),
-                                  universe, budget, max_rounds))
+                                  universe, budget, max_rounds, pool))
     return out

@@ -24,7 +24,7 @@ from .ppformula import (LEFT, PpFormula, PpPair, annihilator, bottom,
                         divisibility, dual, pp_meet, pp_sum,
                         pp_type_generator_of_element, tautology)
 from .probes import (NOT_SHORT_WITNESS, SHORT_WITHIN_BOUND, interval_probe,
-                     probe_embedding)
+                     probe_embedding, theta_pool)
 from .realize import realize_in_tower, verify_bimodule_idempotents
 from .tower import (all_labels, build_tower, classify, construct_label, f0,
                     f1, label_module)
@@ -443,12 +443,15 @@ def suite_short_probes(seed: int = 0) -> SuiteResult:
     tower = build_tower(5, 1, F2)
     rt = realize_in_tower(tower, 3)
     universe = [rt.P[(l, j)] for l in (0, 1) for j in range(1, 5)]
+    # one pool for every stage probe: evaluations are cached per formula
+    # object, so a rebuilt pool would evaluate afresh on every module
+    pool = theta_pool(universe)
     short_checked = 0
     # the honest interval of the stage-j embedding has about 2j strict
     # steps, so the bound must sit above it for the closure verdict
     for j in (1, 2, 3):
         for emb2 in (rt.psibar[(0, j)], rt.psibar[(1, j)]):
-            for r in probe_embedding(emb2, universe, budget=10):
+            for r in probe_embedding(emb2, universe, budget=10, pool=pool):
                 short_checked += 1
                 if r.verdict != SHORT_WITHIN_BOUND:
                     bad.append(f"stage embedding at {j}: {r.verdict}")

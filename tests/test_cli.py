@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -258,3 +259,21 @@ def test_module_literal_over_its_algebra_is_evaluated():
                            "--module", "R(1)[1]", "--formula", "x1*a = 0"])
     assert code == 0
     assert "value_dim\t1\tambient 2" in lines
+
+
+@pytest.mark.parametrize("argv", [
+    ["ziegler", "points", "--n", "0"],
+    ["realize", "--N", "3", "--height", "1", "--stages", "5"],
+])
+def test_closed_stdout_exits_without_traceback(argv):
+    # as in `ppmod ... | head -0`: the reader has gone before the output
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ppmod.cli"] + argv,
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode in (0, 1, 2)

@@ -324,3 +324,28 @@ def test_evaluate_matches_witness_enumeration_over_gf3():
                 assert vectors(phi.evaluate(m)) == brute_eval(phi, m)
                 dphi, md = dual(phi), k_dual(m)
                 assert vectors(dphi.evaluate(md)) == brute_eval(dphi, md)
+
+
+def test_packed_oracle_matches_generic_oracle(d3, kron):
+    # two independently written witness enumerations, and the evaluator:
+    # every module of dim <= 3 over k[x]/(x^3) and the Kronecker algebra
+    # against a seeded corpus with l <= 3 witnesses and m <= 3 equations
+    import random
+    from ppmod.catalog import kronecker_universe
+    from ppmod.oracles import brute_eval
+    from ppmod.suites import formula_corpus
+
+    def packed(xs):
+        return {sum(c << i for i, c in enumerate(x)) for x in xs}
+
+    for alg, mods in ((d3, dvr_universe(d3, 3)),
+                      (kron, kronecker_universe(kron, 3))):
+        corpus = formula_corpus(alg, 24, random.Random(0))
+        assert max(phi.l for phi in corpus) == 3
+        assert max(phi.m for phi in corpus) == 3
+        for m in mods:
+            assert m.dim <= 3
+            for phi in corpus:
+                fast = brute_eval_f2(phi, m)
+                assert fast == packed(brute_eval(phi, m))
+                assert fast == subspace_int_set(phi.evaluate(m))

@@ -1,14 +1,19 @@
 import pytest
 
+import ppmod.probes
+import ppmod.suites
 from ppmod.fields import GF
 from ppmod.algebra import truncated_dvr
 from ppmod.catalog import (dvr_chain_module, kronecker_preprojective,
                            kronecker_step_formula)
-from ppmod.modules import ModuleMap, hom_space
+from ppmod.modules import ModuleMap, hom_space, module_generators
 from ppmod.linalg import Matrix
 from ppmod.ppformula import PpPair, divisibility, pp_type_generator_of_element
 from ppmod.probes import (INCONCLUSIVE, NOT_SHORT_WITNESS, SHORT_WITHIN_BOUND,
                           interval_probe, probe_embedding, theta_pool)
+from ppmod.realize import realize_in_tower
+from ppmod.suites import suite_short_probes
+from ppmod.tower import build_tower
 
 F2 = GF(2)
 
@@ -82,3 +87,32 @@ def test_theta_pool_sorted_and_nonempty(dvr3):
     assert pool
     names = [n for n, _ in pool]
     assert names == sorted(names, key=lambda n: names.index(n))  # stable order
+
+
+def test_probe_embedding_with_a_given_pool_reports_the_same():
+    # the stage embeddings of the short-probes suite; (1, 2) and (1, 3)
+    # have two generators, so one pool serves two interval probes
+    rt = realize_in_tower(build_tower(5, 1, F2), 3)
+    universe = [rt.P[(l, j)] for l in (0, 1) for j in range(1, 5)]
+    pool = theta_pool(universe)
+    for key in ((0, 1), (1, 2), (1, 3)):
+        emb = rt.psibar[key]
+        fresh = probe_embedding(emb, universe, budget=10)
+        shared = probe_embedding(emb, universe, budget=10, pool=pool)
+        assert len(fresh) == len(shared) == len(module_generators(emb.source))
+        for a, b in zip(fresh, shared):
+            assert vars(a) == vars(b)
+
+
+def test_short_probes_suite_builds_theta_pool_twice(monkeypatch):
+    # once for the Kronecker interval probe, once shared by the stage probes
+    calls = []
+
+    def counting(universe):
+        calls.append(len(universe))
+        return theta_pool(universe)
+
+    monkeypatch.setattr(ppmod.probes, "theta_pool", counting)
+    monkeypatch.setattr(ppmod.suites, "theta_pool", counting)
+    assert suite_short_probes(0).passed
+    assert calls == [5, 8]
