@@ -85,8 +85,8 @@ def kronecker_rep(alg: FDAlgebra, d1: int, d2: int, amat, bmat,
     z = Matrix.zero(f, d, d)
     bands = [d1, d2]
 
-    amat = amat if isinstance(amat, Matrix) else Matrix.from_int_rows(f, amat)
-    bmat = bmat if isinstance(bmat, Matrix) else Matrix.from_int_rows(f, bmat)
+    amat = amat if isinstance(amat, Matrix) else Matrix.from_rows(f, amat)
+    bmat = bmat if isinstance(bmat, Matrix) else Matrix.from_rows(f, bmat)
     if amat.rows != d1 or amat.cols != d2 or bmat.rows != d1 or bmat.cols != d2:
         raise ValueError("arrow matrices must be d1 x d2")
     action = [z] * alg.dim

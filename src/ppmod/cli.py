@@ -36,10 +36,17 @@ from .ziegler import (CLOSURE_ASSUMPTION, closure, is_closed, parse_point_set,
 
 # The largest algebra dimension --algebra accepts: dvr:N has dimension N,
 # tower:N:n has N + n(n+3)/2.  The suites, tests and scripts use at most 10
-# (the tower 5:2).  At 24, `pp dual` takes 0.02 s in-process (0.12 s as a
-# subprocess) over GF(2) and 0.9 s (1.0 s) over QQ on a 2-CPU Xeon, and the
-# QQ cost grows about as the cube of the dimension.
+# (the tower 5:2).  At 24, `pp dual` takes 0.03 s in-process (0.21 s as a
+# subprocess) over GF(2) and 0.15 s (0.37 s) over QQ on a 2-CPU Xeon, of
+# which building the algebra is 0.05 s; the QQ cost grows about as the
+# cube of the dimension (0.53 s at 36, 1.3 s at 48 in-process).
 MAX_ALGEBRA_DIM = 24
+
+# The largest --max-dim `probe kronecker` accepts.  The suites, scripts and
+# the default use 9 (PP(0)..PP(4)).  The probe takes 0.4 s at 9, 1.9 s at
+# 13, 4.2 s at 15 and 10 s at 17 over QQ as a subprocess on the same host
+# (0.5 s, 1.1 s and 2.6 s at 13, 15 and 17 over GF(2)).
+MAX_PROBE_DIM = 13
 
 
 def _algebra_from_spec(spec: str, field):
@@ -252,6 +259,9 @@ def execute(args) -> tuple[int, list[str]]:
         if args.max_dim < 3:
             raise ValueError("probe kronecker compares PP(0) with PP(1), "
                              "so --max-dim must be at least dim PP(1) = 3")
+        if args.max_dim > MAX_PROBE_DIM:
+            raise ValueError(f"--max-dim {args.max_dim} is more than the "
+                             f"limit of {MAX_PROBE_DIM}")
         alg = kronecker_algebra(field)
         pres = []
         i = 0

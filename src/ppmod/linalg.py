@@ -4,19 +4,26 @@ Everything is dense and exact; instances in scope stay well below 200x200.
 Subspaces of k^d are kept in reduced row-echelon form, so set equality is
 structural equality and subspaces are hashable.
 
-Storage depends on the field.  Over GF(2) a matrix holds its rows only as
-packed ints (bit j = column j): products XOR rows, sums XOR rows, and
-elimination runs on the ints.  Over GF(p) and QQ the rows are tuples of
-field elements (ints in range(p), or Fractions).  `Matrix.data`, the rows
-as tuples of field elements, is available for every field; over GF(2) it
-is unpacked on first use and cached.
+A matrix stores its rows as ints, `Matrix.ints`, in a canonical form per
+field, so that equal matrices store equal rows:
+- over GF(2) each row is one packed int, bit j = column j (`packed` reads
+  them); products and sums XOR rows, and elimination runs on the ints;
+- over GF(p) each row is a tuple of ints in range(p);
+- over QQ each row is a tuple of integers over one positive denominator,
+  `Matrix.den`, with gcd(den, every entry) = 1.
+GF(p) is the den = 1 case of the QQ form.  Every GF(p) and QQ operation
+computes integer rows over a denominator in one piece of code, and only
+the normaliser differs: one `% p` per entry (`Matrix._of_ints`), or the
+gcd of den and the entries divided out (`Matrix._of_stored`).  Over QQ a
+product is over the product of the denominators, a combination over
+their lcm, and `rref` is fraction-free (`_rref_qq`); no operation calls
+a `Field` method or does Fraction arithmetic.
 
-Over GF(p) and QQ, entries are combined with Python's operators; a GF(p)
-row is then brought back into range(p) with one `% p` per entry
-(`_reduced`), which over QQ is not needed.  `rref` and `*` run on plain
-integer rows: over GF(p) reduced as above, over QQ scaled to integers by
-the lcm of their denominators and eliminated without fractions
-(`_rref_qq`); Fractions are built only for the results.
+`Matrix.data`, the rows as tuples of field elements, is available for
+every field: over GF(p) it is `ints` itself; over GF(2) and QQ it is
+built on first use (bits unpacked, or Fractions made) and cached.
+Fractions come in only through the constructor, the coefficients of
+`combination` and `Subspace.contains_vector`, and go out only as `data`.
 
 Kernels, hom spaces, pp values, preimages and meets come from
 `projected_kernel`: the first k coordinates of {v : v a = 0}, in RREF.
@@ -46,83 +53,121 @@ _QQ_ZERO = Fraction(0)
 class Matrix:
     """Immutable rows x cols matrix over an exact field (row-major).
 
-    `packed` holds the rows as ints over GF(2) and is None otherwise;
-    `data` holds them as tuples of field elements."""
+    `ints` holds the rows as packed ints over GF(2) and as tuples of
+    integers over `den` otherwise (see the module docstring); `data`
+    holds them as tuples of field elements."""
 
-    __slots__ = ("field", "rows", "cols", "packed", "data")
+    __slots__ = ("field", "rows", "cols", "ints", "den", "data")
 
     def __init__(self, field: Field, rows: int, cols: int, data):
-        self.field = field
-        self.rows = rows
-        self.cols = cols
         d = tuple(tuple(r) for r in data)
         if len(d) != rows or any(len(r) != cols for r in d):
             raise ValueError("matrix data does not match shape")
-        if field.p == 2:
-            self.packed = tuple(_pack(r) for r in d)
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        self.den = 1
+        p = field.p
+        if p == 2:
+            self.ints = tuple(_pack(r) for r in d)
+        elif p is None:
+            # entries in lowest terms over the lcm of their denominators:
+            # already canonical
+            flat, self.den = _int_row([x for r in d for x in r])
+            self.ints = tuple(tuple(flat[i * cols:(i + 1) * cols])
+                              for i in range(rows))
         else:
-            self.packed = None
-            self.data = d
+            self.ints = self.data = tuple(tuple([x % p for x in r]) for r in d)
 
     def __getattr__(self, name):
-        # reached only for an unset slot: `data` of a GF(2) matrix before
-        # its first use
-        if name != "data" or self.packed is None:
+        # reached only for an unset slot: `data` of a GF(2) or QQ matrix
+        # before its first use
+        if name != "data":
             raise AttributeError(name)
-        cols = self.cols
-        self.data = tuple(_unpack(r, cols) for r in self.packed)
+        if self.field.p == 2:
+            cols = self.cols
+            self.data = tuple(_unpack(r, cols) for r in self.ints)
+        else:
+            den = self.den
+            self.data = tuple(tuple([Fraction(x, den) if x else _QQ_ZERO
+                                     for x in r]) for r in self.ints)
         return self.data
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_rows(field: Field, data) -> "Matrix":
+        """A matrix from rows of field elements or ints (an int stands
+        for its field element)."""
         data = [list(r) for r in data]
         rows = len(data)
         cols = len(data[0]) if rows else 0
         return Matrix(field, rows, cols, data)
 
     @staticmethod
-    def from_int_rows(field: Field, data) -> "Matrix":
-        return Matrix.from_rows(field, [[field.of(x) for x in r] for r in data])
-
-    @staticmethod
     def from_packed(field: Field, rows: int, cols: int, packed) -> "Matrix":
         """A GF(2) matrix from its packed rows (a tuple of ints < 2^cols)."""
-        m = object.__new__(Matrix)
-        m.field = field
-        m.rows = rows
-        m.cols = cols
-        m.packed = packed
-        return m
+        return Matrix._of_stored(field, rows, cols, packed)
+
+    @property
+    def packed(self):
+        """The packed rows of a GF(2) matrix; None over other fields."""
+        return self.ints if self.field.p == 2 else None
 
     @staticmethod
     def zero(field: Field, rows: int, cols: int) -> "Matrix":
-        if field.p == 2:
-            return Matrix.from_packed(field, rows, cols, (0,) * rows)
-        z = field.zero()
-        return Matrix(field, rows, cols, [[z] * cols for _ in range(rows)])
+        row = 0 if field.p == 2 else (0,) * cols
+        return Matrix._of_stored(field, rows, cols, (row,) * rows)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
         if field.p == 2:
-            return Matrix.from_packed(field, n, n,
-                                      tuple(1 << i for i in range(n)))
-        z, o = field.zero(), field.one()
-        return Matrix(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
+            stored = tuple(1 << i for i in range(n))
+        else:
+            stored = tuple(tuple([int(i == j) for j in range(n)])
+                           for i in range(n))
+        return Matrix._of_stored(field, n, n, stored)
 
     @staticmethod
-    def _of_stored(field: Field, rows: int, cols: int, stored) -> "Matrix":
-        """A matrix from rows in the field's storage (see _stored)."""
-        if field.p == 2:
-            return Matrix.from_packed(field, rows, cols, stored)
-        return Matrix(field, rows, cols, stored)
+    def _of_stored(field: Field, rows: int, cols: int, stored,
+                   den: int = 1) -> "Matrix":
+        """A matrix from rows in the field's storage: packed ints over
+        GF(2), tuples of ints in range(p) over GF(p), tuples of integers
+        over den > 0 over QQ, whose common factor with den is divided out
+        here (den is 1 over GF(2) and GF(p))."""
+        if den != 1:
+            g = den
+            for r in stored:
+                g = gcd(g, *r)
+                if g == 1:
+                    break
+            else:  # g > 1 divides den and every entry
+                stored = tuple(tuple([x // g for x in r]) for r in stored)
+                den //= g
+        m = object.__new__(Matrix)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m.den = den
+        m.ints = stored
+        if field.p != 2 and field.p is not None:
+            m.data = stored
+        return m
+
+    @staticmethod
+    def _of_ints(field: Field, rows: int, cols: int, ints,
+                 den: int = 1) -> "Matrix":
+        """A GF(p) or QQ matrix from integer rows over den > 0 (1 over
+        GF(p)) that may leave the field's storage: one `% p` per entry
+        over GF(p); over QQ `_of_stored` divides out the common factor."""
+        p = field.p
+        if p is None:
+            stored = tuple(map(tuple, ints))
+        else:
+            stored = tuple(tuple([x % p for x in r]) for r in ints)
+        return Matrix._of_stored(field, rows, cols, stored, den)
 
     # -- basics -------------------------------------------------------
-
-    def _stored(self):
-        """The rows as stored: packed ints over GF(2), tuples otherwise."""
-        return self.data if self.packed is None else self.packed
 
     def __eq__(self, other):
         return (
@@ -130,11 +175,12 @@ class Matrix:
             and self.field == other.field
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._stored() == other._stored()
+            and self.den == other.den
+            and self.ints == other.ints
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._stored()))
+        return hash((self.rows, self.cols, self.ints))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.data})"
@@ -147,121 +193,116 @@ class Matrix:
         return self.data[i]
 
     def is_zero(self) -> bool:
-        if self.packed is not None:
-            return not any(self.packed)
-        return not any(any(r) for r in self.data)
+        if self.field.p == 2:
+            return not any(self.ints)
+        return not any(map(any, self.ints))
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        f = self.field
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add")
-        if self.packed is not None:
-            return Matrix.from_packed(f, self.rows, self.cols, tuple(
-                a ^ b for a, b in zip(self.packed, other.packed)))
-        return Matrix(f, self.rows, self.cols, _reduced(f, [
+        if self.field.p == 2:
+            return Matrix._of_stored(self.field, self.rows, self.cols, tuple(
+                a ^ b for a, b in zip(self.ints, other.ints)))
+        den = lcm(self.den, other.den)
+        return Matrix._of_ints(self.field, self.rows, self.cols, [
             [a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.data, other.data)]))
+            for ra, rb in zip(_scaled(self, den), _scaled(other, den))], den)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        return combination((1, -1), (self, other))
 
     def __neg__(self) -> "Matrix":
-        if self.packed is not None:
-            return self
-        f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      _reduced(f, [[-a for a in r] for r in self.data]))
+        return combination((-1,), (self,))
 
     def scale(self, c) -> "Matrix":
-        f = self.field
-        if self.packed is not None:
-            return self if c & 1 else Matrix.zero(f, self.rows, self.cols)
-        return Matrix(f, self.rows, self.cols,
-                      _reduced(f, [[c * a for a in r] for r in self.data]))
+        return combination((c,), (self,))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         f = self.field
         if self.cols != other.rows:
             raise ValueError("shape mismatch in mul")
-        if self.packed is not None:
+        if f.p == 2:
             # row i of the product: XOR of the rows of other picked by the
             # set bits of row i of self
-            rows_b = other.packed
+            rows_b = other.ints
             out = []
-            for r in self.packed:
+            for r in self.ints:
                 acc = 0
                 while r:
                     low = r & -r
                     acc ^= rows_b[low.bit_length() - 1]
                     r ^= low
                 out.append(acc)
-            return Matrix.from_packed(f, self.rows, other.cols, tuple(out))
-        p, c = f.p, other.cols
-        if p is not None:
-            return Matrix(f, self.rows, c, _reduced(
-                f, _int_product(self.data, other.data, c)))
-        # integer rows: one denominator d for other, one (e) per row of self
-        flat, d = _int_row([x for r in other.data for x in r])
-        right = [flat[i * c:(i + 1) * c] for i in range(other.rows)]
-        left = [_int_row(r) for r in self.data]
-        out = _int_product([r for r, _ in left], right, c)
-        return Matrix(f, self.rows, c,
-                      [[Fraction(s, d * e) if s else _QQ_ZERO for s in acc]
-                       for acc, (_, e) in zip(out, left)])
+            return Matrix._of_stored(f, self.rows, other.cols, tuple(out))
+        c = other.cols
+        return Matrix._of_ints(f, self.rows, c,
+                               _int_product(self.ints, other.ints, c),
+                               self.den * other.den)
 
     def transpose(self) -> "Matrix":
-        if self.packed is not None:
+        if self.field.p == 2:
             out = [0] * self.cols
-            for i, r in enumerate(self.packed):
+            for i, r in enumerate(self.ints):
                 bit = 1 << i
                 while r:
                     low = r & -r
                     out[low.bit_length() - 1] |= bit
                     r ^= low
-            return Matrix.from_packed(self.field, self.cols, self.rows,
-                                      tuple(out))
-        return Matrix(self.field, self.cols, self.rows, list(zip(*self.data)) if self.data else [[] for _ in range(self.cols)])
+            return Matrix._of_stored(self.field, self.cols, self.rows,
+                                     tuple(out))
+        stored = tuple(zip(*self.ints)) if self.rows else ((),) * self.cols
+        return Matrix._of_stored(self.field, self.cols, self.rows, stored,
+                                 self.den)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        if self.packed is not None:
+        if self.field.p == 2:
             shift = self.cols
-            return Matrix.from_packed(
+            return Matrix._of_stored(
                 self.field, self.rows, self.cols + other.cols,
-                tuple(a | (b << shift) for a, b in zip(self.packed, other.packed)))
-        return Matrix(self.field, self.rows, self.cols + other.cols,
-                      [list(a) + list(b) for a, b in zip(self.data, other.data)])
+                tuple(a | (b << shift) for a, b in zip(self.ints, other.ints)))
+        den = lcm(self.den, other.den)
+        return Matrix._of_stored(
+            self.field, self.rows, self.cols + other.cols,
+            tuple(a + b for a, b in zip(_scaled(self, den),
+                                        _scaled(other, den))), den)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("col mismatch in vstack")
-        return Matrix._of_stored(self.field, self.rows + other.rows,
-                                 self.cols, self._stored() + other._stored())
+        a, b, den = self.ints, other.ints, self.den
+        if other.den != den:
+            den = lcm(den, other.den)
+            a, b = _scaled(self, den), _scaled(other, den)
+        return Matrix._of_stored(self.field, self.rows + other.rows, self.cols,
+                                 a + b, den)
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
         return self.take_rows(row_idx).take_cols(col_idx)
 
     def take_rows(self, row_idx) -> "Matrix":
-        stored = self._stored()
-        rows = tuple(stored[i] for i in row_idx)
-        return Matrix._of_stored(self.field, len(rows), self.cols, rows)
+        stored = self.ints
+        rows = tuple([stored[i] for i in row_idx])
+        return Matrix._of_stored(self.field, len(rows), self.cols, rows,
+                                 self.den)
 
     def take_cols(self, col_idx) -> "Matrix":
         col_idx = list(col_idx)
-        if self.packed is not None:
+        if self.field.p == 2:
             out = []
-            for r in self.packed:
+            for r in self.ints:
                 acc = 0
                 for k, j in enumerate(col_idx):
                     acc |= ((r >> j) & 1) << k
                 out.append(acc)
-            return Matrix.from_packed(self.field, self.rows, len(col_idx),
-                                      tuple(out))
-        return Matrix(self.field, self.rows, len(col_idx),
-                      [[r[j] for j in col_idx] for r in self.data])
+            return Matrix._of_stored(self.field, self.rows, len(col_idx),
+                                     tuple(out))
+        rows = tuple(tuple([r[j] for j in col_idx]) for r in self.ints)
+        return Matrix._of_stored(self.field, self.rows, len(col_idx), rows,
+                                 self.den)
 
     def reshape(self, rows: int, cols: int) -> "Matrix":
         """The same entries, read in row-major order, as a rows x cols
@@ -269,37 +310,41 @@ class Matrix:
         if rows * cols != self.rows * self.cols:
             raise ValueError("reshape changes the number of entries")
         f = self.field
-        if self.packed is not None:
+        if f.p == 2:
             flat = 0
-            for i, r in enumerate(self.packed):
+            for i, r in enumerate(self.ints):
                 flat |= r << (i * self.cols)
             mask = (1 << cols) - 1
-            return Matrix.from_packed(f, rows, cols, tuple(
+            return Matrix._of_stored(f, rows, cols, tuple(
                 (flat >> (i * cols)) & mask for i in range(rows)))
-        flat = [x for r in self.data for x in r]
-        return Matrix(f, rows, cols,
-                      [flat[i * cols:(i + 1) * cols] for i in range(rows)])
+        flat = [x for r in self.ints for x in r]
+        return Matrix._of_stored(f, rows, cols, tuple(
+            tuple(flat[i * cols:(i + 1) * cols]) for i in range(rows)),
+            self.den)
 
     # -- elimination ----------------------------------------------------
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form (zero rows dropped) and pivot columns."""
         f = self.field
-        if self.packed is not None:
-            red = _rref_f2(self.packed)
-            return (Matrix.from_packed(f, len(red), self.cols,
-                                       tuple(r for r, _ in red)),
+        if f.p == 2:
+            red = _rref_f2(self.ints)
+            return (Matrix._of_stored(f, len(red), self.cols,
+                                      tuple(r for r, _ in red)),
                     tuple(p for _, p in red))
-        rows, pivots = (_rref_qq(self.data, self.cols) if f.p is None
-                        else _rref_mod(self.data, self.cols, f.p))
-        return Matrix(f, len(rows), self.cols, rows), pivots
+        if f.p is None:
+            rows, den, pivots = _rref_qq(self.ints, self.cols)
+        else:
+            (rows, pivots), den = _rref_mod(self.ints, self.cols, f.p), 1
+        return Matrix._of_stored(f, len(rows), self.cols,
+                                 tuple(map(tuple, rows)), den), pivots
 
     def rank(self) -> int:
         return self.rref()[0].rows
 
     def right_kernel(self) -> "Matrix":
         """Canonical basis (RREF) of {v : A v^T = 0}, one row per basis vector."""
-        if self.packed is None:
+        if self.field.p != 2:
             return _cut_right_kernel(self, self.cols)
         return projected_kernel(self.transpose(), self.cols)
 
@@ -324,18 +369,16 @@ class Matrix:
         r, pivots = aug.rref()
         if any(p >= self.cols for p in pivots):
             return None
-        if r.packed is not None:
-            # row p of X is the right-hand part of the row with pivot p
+        # row p of X is the right-hand part of the row with pivot p
+        if f.p == 2:
             out = [0] * self.cols
-            for row, p in zip(r.packed, pivots):
+            for row, p in zip(r.ints, pivots):
                 out[p] = row >> self.cols
-            return Matrix.from_packed(f, self.cols, b.cols, tuple(out))
-        z = f.zero()
-        out = [[z] * b.cols for _ in range(self.cols)]
-        for i, p in enumerate(pivots):
-            for j in range(b.cols):
-                out[p][j] = r.data[i][self.cols + j]
-        return Matrix(f, self.cols, b.cols, out)
+            return Matrix._of_stored(f, self.cols, b.cols, tuple(out))
+        out = [(0,) * b.cols] * self.cols
+        for row, p in zip(r.ints, pivots):
+            out[p] = row[self.cols:]
+        return Matrix._of_stored(f, self.cols, b.cols, tuple(out), r.den)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -363,22 +406,22 @@ def block(field: Field, heights, widths, blocks) -> Matrix:
             for j, off in enumerate(offs):
                 m = blocks.get((i, j))
                 if m is not None:
-                    band = [a | (b << off) for a, b in zip(band, m.packed)]
+                    band = [a | (b << off) for a, b in zip(band, m.ints)]
             out.extend(band)
-        return Matrix.from_packed(field, rows, cols, tuple(out))
-    z = field.zero()
+        return Matrix._of_stored(field, rows, cols, tuple(out))
+    den = lcm(*[m.den for m in blocks.values()])
     for i, h in enumerate(heights):
         band = [[] for _ in range(h)]
         for j, w in enumerate(widths):
             m = blocks.get((i, j))
             if m is None:
                 for r in band:
-                    r.extend([z] * w)
+                    r.extend([0] * w)
             else:
-                for r, src in zip(band, m.data):
+                for r, src in zip(band, _scaled(m, den)):
                     r.extend(src)
         out.extend(band)
-    return Matrix(field, rows, cols, out)
+    return Matrix._of_stored(field, rows, cols, tuple(map(tuple, out)), den)
 
 
 def block_diagonal(field: Field, mats) -> Matrix:
@@ -390,8 +433,9 @@ def block_diagonal(field: Field, mats) -> Matrix:
 def vectorized(field: Field, mats, width: int) -> Matrix:
     """One row per matrix, its entries in row-major order; every matrix
     has width entries (a 0 x width matrix for an empty list)."""
+    den = lcm(*[m.den for m in mats])
     return Matrix._of_stored(field, len(mats), width, tuple(
-        m.reshape(1, width)._stored()[0] for m in mats))
+        _scaled(m.reshape(1, width), den)[0] for m in mats), den)
 
 
 def intertwiners(lefts, rights, dm: int, dn: int) -> list[Matrix]:
@@ -408,16 +452,18 @@ def intertwiners(lefts, rights, dm: int, dn: int) -> list[Matrix]:
         ker = right_kernel_packed_f2(_intertwining_rows_f2(lefts, rights,
                                                            dm, dn), nunk, f)
         return [ker.take_rows((i,)).reshape(dm, dn) for i in range(ker.rows)]
-    p, z = f.p, f.zero()
+    p = f.p
     data = []
     for am, an in zip(lefts, rights):
+        # cleared of denominators: A's rows scaled by B's den, -B's by A's
+        den = am.den * an.den
         # row (r, c): A[r][s] at F[s][c] and -B[t][c] at F[r][t]; the two
         # meet only at F[r][c], the one entry that can leave range(p)
-        neg_cols = list(zip(*(-an).data))
-        for r, arow in enumerate(am.data):
+        neg_cols = list(zip(*_scaled(-an, den)))
+        for r, arow in enumerate(_scaled(am, den)):
             off = r * dn
             for c, ncol in enumerate(neg_cols):
-                row = [z] * nunk
+                row = [0] * nunk
                 for s, x in enumerate(arow):
                     if x:
                         row[s * dn + c] = x
@@ -426,8 +472,8 @@ def intertwiners(lefts, rights, dm: int, dn: int) -> list[Matrix]:
                         row[off + t] += y
                 if p is not None:
                     row[off + c] %= p
-                data.append(row)
-    ker = Matrix(f, len(data), nunk, data).right_kernel()
+                data.append(tuple(row))
+    ker = Matrix._of_stored(f, len(data), nunk, tuple(data)).right_kernel()
     return [ker.take_rows((i,)).reshape(dm, dn) for i in range(ker.rows)]
 
 
@@ -439,14 +485,14 @@ def _intertwining_rows_f2(lefts, rights, dm: int, dn: int) -> tuple[int, ...]:
     for am, an in zip(lefts, rights):
         # spread[r]: bit s * dn for every s with am[r][s] = 1
         spread = []
-        for r in am.packed:
+        for r in am.ints:
             acc = 0
             while r:
                 low = r & -r
                 acc |= 1 << ((low.bit_length() - 1) * dn)
                 r ^= low
             spread.append(acc)
-        colmask = an.transpose().packed  # colmask[c]: bits t, an[t][c] = 1
+        colmask = an.transpose().ints  # colmask[c]: bits t, an[t][c] = 1
         for r in range(dm):
             base = spread[r]
             shift = r * dn
@@ -460,24 +506,32 @@ def _intertwining_rows_f2(lefts, rights, dm: int, dn: int) -> tuple[int, ...]:
 
 def combination(coeffs, mats) -> Matrix:
     """sum_i coeffs[i] * mats[i] for a non-empty list of same-shape
-    matrices (zero coefficients are skipped)."""
+    matrices; a coefficient is a field element or an int, and zero
+    coefficients are skipped."""
     first = mats[0]
-    f = first.field
-    if any((m.rows, m.cols) != (first.rows, first.cols) for m in mats):
+    f, rows, cols = first.field, first.rows, first.cols
+    if any((m.rows, m.cols) != (rows, cols) for m in mats):
         raise ValueError("shape mismatch in combination")
-    if first.packed is not None:
-        acc = (0,) * first.rows
+    if f.p == 2:
+        acc = (0,) * rows
         for c, m in zip(coeffs, mats):
             if c & 1:
-                acc = tuple(x ^ y for x, y in zip(acc, m.packed))
-        return Matrix.from_packed(f, first.rows, first.cols, acc)
-    z = f.zero()
-    acc = [[z] * first.cols for _ in range(first.rows)]
-    for c, m in zip(coeffs, mats):
-        if c:
-            acc = [[x + c * y for x, y in zip(ra, rm)]
-                   for ra, rm in zip(acc, m.data)]
-    return Matrix(f, first.rows, first.cols, _reduced(f, acc))
+                acc = tuple(x ^ y for x, y in zip(acc, m.ints))
+        return Matrix._of_stored(f, rows, cols, acc)
+    # c = n/q times ints/d, over the lcm of the q * d (all 1 over GF(p))
+    terms = [(*c.as_integer_ratio(), m) for c, m in zip(coeffs, mats) if c]
+    den = lcm(*[q * m.den for _, q, m in terms])
+    acc = None
+    for n, q, m in terms:
+        s = n * (den // (q * m.den))
+        if acc is None:
+            acc = m.ints if s == 1 else [[s * y for y in r] for r in m.ints]
+        else:
+            acc = [[x + s * y for x, y in zip(ra, rm)]
+                   for ra, rm in zip(acc, m.ints)]
+    if acc is None:
+        return Matrix.zero(f, rows, cols)
+    return Matrix._of_ints(f, rows, cols, acc, den)
 
 
 def span_elements(mats, zero: Matrix):
@@ -508,21 +562,23 @@ def span_elements(mats, zero: Matrix):
             return
 
 
-# -- GF(p) and QQ integer-row kernels --------------------------------------
-
-
-def _reduced(field: Field, rows):
-    """Rows of sums and products of field elements, brought back into the
-    field: one `% p` per entry over GF(p); over QQ they already are."""
-    p = field.p
-    return rows if p is None else [[x % p for x in r] for r in rows]
+# -- GF(p) and QQ integer rows ---------------------------------------------
 
 
 def _int_row(r):
-    """A row of rationals as integers over a common denominator: (ints, d)."""
+    """A row of rationals (or ints) as integers over a common denominator:
+    (ints, d), d the lcm of the entries' denominators."""
     nd = [x.as_integer_ratio() for x in r]
     d = lcm(*[q for _, q in nd])
     return [n * (d // q) for n, q in nd], d
+
+
+def _scaled(m: Matrix, den: int):
+    """The stored rows of m over den, a multiple of m.den."""
+    s = den // m.den
+    if s == 1:
+        return m.ints
+    return tuple(tuple([s * x for x in r]) for r in m.ints)
 
 
 def _int_product(a, b, cols: int) -> list[list[int]]:
@@ -566,9 +622,10 @@ def _rref_qq(data, cols: int):
     """Fraction-free Gauss-Jordan over QQ on integer rows with the same
     spans: a row is cleared at a pivot column by (a/g) row - (c/g) pivot
     row, where a and c are the two entries and g = gcd(a, c), and is then
-    divided by the gcd of its entries, which keeps them small.  Fractions
-    are built only for the reduced rows, each divided by its pivot entry."""
-    rows = [_int_row(r)[0] for r in data]
+    divided by the gcd of its entries, which keeps them small.  Returns
+    the reduced rows over one denominator, that denominator and the pivot
+    columns."""
+    rows = list(data)
     pivots = []
     for col in range(cols):
         rank = len(pivots)
@@ -587,8 +644,10 @@ def _rref_qq(data, cols: int):
                 g = gcd(*r)
                 rows[i] = [x // g for x in r] if g > 1 else r
         pivots.append(col)
-    return ([[Fraction(x, r[col]) if x else _QQ_ZERO for x in r]
-             for r, col in zip(rows, pivots)], tuple(pivots))
+    # row i reads r / r[col]: over the lcm of the pivot entries
+    den = lcm(*[r[col] for r, col in zip(rows, pivots)])
+    return ([[x * (den // r[col]) for x in r] for r, col in zip(rows, pivots)],
+            den, tuple(pivots))
 
 
 # -- GF(2) packed rows ---------------------------------------------------
@@ -631,20 +690,20 @@ def _rref_f2(rows) -> list[tuple[int, int]]:
 
 def right_kernel_packed_f2(rows, cols: int, field: Field) -> Matrix:
     """Canonical kernel basis of a GF(2) system given as packed rows."""
-    return Matrix.from_packed(field, len(rows), cols, rows).right_kernel()
+    return Matrix._of_stored(field, len(rows), cols, rows).right_kernel()
 
 
 def projected_kernel(a: Matrix, k: int) -> Matrix:
     """Canonical (RREF) basis of the first k coordinates of {v : v a = 0}."""
-    if a.packed is not None:
+    if a.field.p == 2:
         # row i < k tagged with bit a.cols + i: the reduced rows with a tag
         # pivot have no bit below a.cols, so their tags are the projected
         # solutions, already reduced; one elimination in all
         c = a.cols
         red = _rref_f2([r | (1 << (c + i)) if i < k else r
-                        for i, r in enumerate(a.packed)])
+                        for i, r in enumerate(a.ints)])
         tags = tuple(r >> c for r, p in red if p >= c)
-        return Matrix.from_packed(a.field, len(tags), k, tags)
+        return Matrix._of_stored(a.field, len(tags), k, tags)
     # Over GF(p) and QQ the wider tagged system costs more than it saves
     # (on the integer-row kernels it made the `fields` benchmark 1.06-1.13 s
     # against 0.99-1.03 s, three alternated pairs), so the solutions are
@@ -654,17 +713,21 @@ def projected_kernel(a: Matrix, k: int) -> Matrix:
 
 def _cut_right_kernel(a: Matrix, k: int) -> Matrix:
     """The first k coordinates of {v : a v^T = 0} over GF(p) or QQ: one
-    solution per free column of the reduced a, cut, then reduced once."""
-    f = a.field
+    solution per free column of the reduced a, cut, then reduced once.
+    With the reduced rows over d, the solution of free column j is
+    d e_j - (row[j] at each pivot), in integers."""
     red, pivots = a.rref()
+    d = red.den
     sols = []
     for j in (j for j in range(a.cols) if j not in pivots):
-        v = [f.one() if t == j else f.zero() for t in range(k)]
-        for row, p in zip(red.data, pivots):
+        v = [0] * k
+        if j < k:
+            v[j] = d
+        for row, p in zip(red.ints, pivots):
             if p < k:
                 v[p] = -row[j]
         sols.append(v)
-    return Matrix(f, len(sols), k, _reduced(f, sols)).row_space()
+    return Matrix._of_ints(a.field, len(sols), k, sols).row_space()
 
 
 # -- subspaces -----------------------------------------------------------
@@ -705,35 +768,40 @@ class Subspace:
     def pivots(self) -> tuple[int, ...]:
         """The pivot column of each basis row."""
         b = self.basis
-        if b.packed is not None:
-            return tuple((r & -r).bit_length() - 1 for r in b.packed)
+        if b.field.p == 2:
+            return tuple((r & -r).bit_length() - 1 for r in b.ints)
         return tuple(next(j for j, x in enumerate(row) if x)
-                     for row in b.data)
+                     for row in b.ints)
 
     def contains_vector(self, v) -> bool:
         v = tuple(v)
         if len(v) != self.ambient:
             raise ValueError("vector has wrong length")
-        return self._contains_row(v if self.basis.packed is None
-                                  else _pack(v))
+        if self.field.p == 2:
+            return self._contains_row(_pack(v))
+        return self._contains_row(_int_row(v)[0] if self.field.p is None
+                                  else v)
 
     def _contains_row(self, v) -> bool:
-        """Membership of v, given the way the basis stores its rows."""
-        if self.basis.packed is not None:
+        """Membership of v, given as the basis stores its rows (over QQ
+        integers: membership does not see a scalar)."""
+        b = self.basis
+        if b.field.p == 2:
             # clear each basis row's pivot bit (its lowest set bit) in turn
-            for r in self.basis.packed:
+            for r in b.ints:
                 if v & r & -r:
                     v ^= r
             return not v
-        # each basis row is 1 at its pivot and 0 at the others, so v keeps
-        # its given entries at the pivots and is reduced once, at the end
-        v = list(v)
-        for p, row in zip(self.pivots, self.basis.data):
+        # each basis row is den at its pivot and 0 at the others, so v is
+        # in the span exactly when den v = the sum of v[pivot] times the
+        # row, reduced once at the end over GF(p)
+        acc = list(v) if b.den == 1 else [b.den * x for x in v]
+        for p, row in zip(self.pivots, b.ints):
             c = v[p]
             if c:
-                v = [x - c * y for x, y in zip(v, row)]
+                acc = [x - c * y for x, y in zip(acc, row)]
         p = self.field.p
-        return not any(v if p is None else (x % p for x in v))
+        return not any(acc if p is None else (x % p for x in acc))
 
     def key(self):
         """Deterministic sort key (echelon-lexicographic)."""
@@ -758,7 +826,7 @@ def subspace_meet(u: Subspace, w: Subspace) -> Subspace:
 def subspace_leq(u: Subspace, w: Subspace) -> bool:
     if u.ambient != w.ambient:
         raise ValueError("ambient dimension mismatch")
-    return all(w._contains_row(r) for r in u.basis._stored())
+    return all(w._contains_row(r) for r in u.basis.ints)
 
 
 def kernel(a: Matrix) -> Subspace:

@@ -227,6 +227,17 @@ def test_probe_without_pp1_exits_2(max_dim):
     assert "Traceback" not in proc.stderr + proc.stdout
 
 
+def test_probe_max_dim_above_the_cap_exits_2():
+    from ppmod.cli import MAX_PROBE_DIM
+    proc = subprocess.run(
+        [sys.executable, "-m", "ppmod.cli", "probe", "kronecker",
+         "--max-dim", str(MAX_PROBE_DIM + 1)], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: --max-dim {MAX_PROBE_DIM + 1} is more "
+                           f"than the limit of {MAX_PROBE_DIM}\n")
+    assert proc.stdout == ""
+
+
 def test_classify_negative_dim_cap_exits_2():
     proc = subprocess.run(
         [sys.executable, "-m", "ppmod.cli", "classify", "--N", "3", "--n",

@@ -346,7 +346,7 @@ def test_non_local_end_that_no_basis_element_splits(field, basis):
     # End(S + S) of a simple S is given by a basis of units and nilpotents
     s1 = dvr_chain_module(truncated_dvr(3, field), 1)
     m, _, _ = direct_sum([s1, s1])
-    mats = [Matrix.from_int_rows(field, rows) for rows in basis]
+    mats = [Matrix.from_rows(field, rows) for rows in basis]
     assert all(_fitting_split(m, x) is None for x in mats)
     rad, structural = _certify(mats)
     assert rad is None
@@ -359,9 +359,9 @@ def test_quaternion_end_is_undecided():
     # a noncommutative division ring over QQ: every nonzero element is a
     # unit, so nothing splits, and a field certificate cannot exist
     f = QQ
-    i = Matrix.from_int_rows(f, [[0, 1, 0, 0], [-1, 0, 0, 0],
+    i = Matrix.from_rows(f, [[0, 1, 0, 0], [-1, 0, 0, 0],
                                  [0, 0, 0, -1], [0, 0, 1, 0]])
-    j = Matrix.from_int_rows(f, [[0, 0, 1, 0], [0, 0, 0, 1],
+    j = Matrix.from_rows(f, [[0, 0, 1, 0], [0, 0, 0, 1],
                                  [-1, 0, 0, 0], [0, -1, 0, 0]])
     mats = [Matrix.identity(f, 4), i, j, i * j]
     s1 = dvr_chain_module(truncated_dvr(3, f), 1)
@@ -373,7 +373,7 @@ def test_quaternion_end_is_undecided():
 def test_commutator_ideal_is_closed_under_multiplication():
     # a 13-dimensional local algebra of 6 x 6 upper triangular matrices
     # whose commutators span 8 dimensions and generate a 9-dimensional ideal
-    gens = [Matrix.from_int_rows(F2, rows) for rows in (
+    gens = [Matrix.from_rows(F2, rows) for rows in (
         [[0, 0, 0, 0, 0, 0], [0, 0, 1, 1, 1, 1], [0, 0, 0, 0, 0, 1],
          [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0]],
         [[0, 1, 1, 0, 1, 0], [0, 0, 1, 0, 1, 0], [0, 0, 0, 1, 1, 0],

@@ -79,14 +79,15 @@ def unused_private(tree: ast.Module, used: set[str]) -> list[str]:
             if name not in used]
 
 
-STORAGE_NAMES = {"packed", "_stored", "_of_stored", "from_packed"}
+STORAGE_NAMES = {"packed", "ints", "den", "_of_stored", "_of_ints",
+                 "from_packed"}
 # linalg owns matrix storage; the GF(2) oracles read packed rows on purpose
 STORAGE_OWNERS = {"linalg.py", "oracles.py"}
 
 
 def storage_reads(tree: ast.AST):
     """'line: name' for each read of a matrix's stored rows: the attribute
-    or name packed, _stored, _of_stored or from_packed."""
+    or name packed, ints, den, _of_stored, _of_ints or from_packed."""
     for node in ast.walk(tree):
         name = node.attr if isinstance(node, ast.Attribute) else \
             node.id if isinstance(node, ast.Name) else None
@@ -97,12 +98,15 @@ def storage_reads(tree: ast.AST):
 def test_storage_reads_are_found():
     src = ("def f(m, Matrix):\n"
            "    a = m.packed\n"
-           "    b = m._stored()\n"
+           "    b = m.ints, m.den\n"
            "    c = Matrix.from_packed(m.field, 0, 0, ())\n"
            "    d = Matrix._of_stored(m.field, 0, 0, ())\n"
-           "    return m.data, a, b, c, d\n")
-    assert list(storage_reads(ast.parse(src))) == [
-        "2: packed", "3: _stored", "4: from_packed", "5: _of_stored"]
+           "    e = Matrix._of_ints(m.field, 0, 0, (), 1)\n"
+           "    return m.data, a, b, c, d, e\n")
+    # sorted: ast.walk gives no order between two reads on one line
+    assert sorted(storage_reads(ast.parse(src))) == [
+        "2: packed", "3: den", "3: ints", "4: from_packed", "5: _of_stored",
+        "6: _of_ints"]
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")

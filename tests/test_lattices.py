@@ -35,7 +35,7 @@ def all_pp_subgroups_brute(module):
             if not vecs:
                 s = Subspace.zero(f, d)
             else:
-                s = Subspace.from_matrix(d, Matrix.from_int_rows(f, vecs))
+                s = Subspace.from_matrix(d, Matrix.from_rows(f, vecs))
             if s.dim != rows:
                 continue
             inv = all(subspace_leq(
@@ -75,8 +75,8 @@ def test_diamond_from_two_generic_lines():
     # two distinct lines in k^2 plus their sum and meet: the diamond
     lat = FiniteLattice.from_subspaces([
         Subspace.zero(F2, 2),
-        Subspace.from_matrix(2, Matrix.from_int_rows(F2, [[1, 0]])),
-        Subspace.from_matrix(2, Matrix.from_int_rows(F2, [[0, 1]])),
+        Subspace.from_matrix(2, Matrix.from_rows(F2, [[1, 0]])),
+        Subspace.from_matrix(2, Matrix.from_rows(F2, [[0, 1]])),
         Subspace.full(F2, 2)])
     assert len(lat) == 4
     q = collapse_simple_intervals(lat)
@@ -86,7 +86,7 @@ def test_diamond_from_two_generic_lines():
 def test_collapse_idempotent_on_image():
     lat = FiniteLattice.from_subspaces([
         Subspace.zero(F2, 2),
-        Subspace.from_matrix(2, Matrix.from_int_rows(F2, [[1, 0]])),
+        Subspace.from_matrix(2, Matrix.from_rows(F2, [[1, 0]])),
         Subspace.full(F2, 2)])
     q = collapse_simple_intervals(lat)
     assert len(q) == 1
@@ -134,6 +134,6 @@ def test_descriptor_validation():
 def test_longest_chain_steps():
     lat = FiniteLattice.from_subspaces([
         Subspace.zero(F2, 2),
-        Subspace.from_matrix(2, Matrix.from_int_rows(F2, [[1, 0]])),
+        Subspace.from_matrix(2, Matrix.from_rows(F2, [[1, 0]])),
         Subspace.full(F2, 2)])
     assert lat.longest_chain_steps() == 2

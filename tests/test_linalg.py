@@ -1,11 +1,14 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppmod.algebra import truncated_dvr
 from ppmod.fields import GF, QQ
 from ppmod.linalg import (Matrix, Subspace, block, combination,
                           intertwiners, kernel, projected_kernel,
@@ -59,7 +62,7 @@ def test_kernel_zero_map_full_plane():
 
 def test_kernel_rank_one_derived():
     # oracle: enumerate all 4 vectors of F_2^2
-    a = Matrix.from_int_rows(F2, [[1, 1], [1, 1]])
+    a = Matrix.from_rows(F2, [[1, 1], [1, 1]])
     expected = brute_kernel_vectors(a)
     assert expected == {(0, 0), (1, 1)}  # frozen oracle output
     k = kernel(a)
@@ -68,7 +71,7 @@ def test_kernel_rank_one_derived():
 
 
 def test_lattice_identities_trivial():
-    e1 = Subspace.from_matrix(3, Matrix.from_int_rows(F2, [[1, 0, 0]]))
+    e1 = Subspace.from_matrix(3, Matrix.from_rows(F2, [[1, 0, 0]]))
     zero = Subspace.zero(F2, 3)
     full = Subspace.full(F2, 3)
     assert subspace_sum(e1, zero) == e1
@@ -76,8 +79,8 @@ def test_lattice_identities_trivial():
 
 
 def test_sum_of_axes():
-    e1 = Subspace.from_matrix(3, Matrix.from_int_rows(F2, [[1, 0, 0]]))
-    e2 = Subspace.from_matrix(3, Matrix.from_int_rows(F2, [[0, 1, 0]]))
+    e1 = Subspace.from_matrix(3, Matrix.from_rows(F2, [[1, 0, 0]]))
+    e2 = Subspace.from_matrix(3, Matrix.from_rows(F2, [[0, 1, 0]]))
     s = subspace_sum(e1, e2)
     assert s.dim == 2
     assert subspace_leq(e1, s) and subspace_leq(e2, s)
@@ -85,12 +88,12 @@ def test_sum_of_axes():
 
 def test_meet_of_planes_derived():
     # oracle: enumerate vectors of both planes in F_2^3 and intersect
-    u = Subspace.from_matrix(3, Matrix.from_int_rows(F2, [[1, 0, 0], [0, 1, 0]]))
-    w = Subspace.from_matrix(3, Matrix.from_int_rows(F2, [[0, 1, 0], [0, 0, 1]]))
+    u = Subspace.from_matrix(3, Matrix.from_rows(F2, [[1, 0, 0], [0, 1, 0]]))
+    w = Subspace.from_matrix(3, Matrix.from_rows(F2, [[0, 1, 0], [0, 0, 1]]))
     expected = enum_subspace_vectors(u) & enum_subspace_vectors(w)
     got = subspace_meet(u, w)
     assert enum_subspace_vectors(got) == expected
-    assert got == Subspace.from_matrix(3, Matrix.from_int_rows(F2, [[0, 1, 0]]))
+    assert got == Subspace.from_matrix(3, Matrix.from_rows(F2, [[0, 1, 0]]))
 
 
 def rand_subspace(field, ambient, rows, draw):
@@ -104,7 +107,7 @@ def f2_subspace(draw, ambient=4):
     if nrows == 0:
         return Subspace.zero(F2, ambient)
     data = [[draw(st.integers(0, 1)) for _ in range(ambient)] for _ in range(nrows)]
-    return Subspace.from_matrix(ambient, Matrix.from_int_rows(F2, data))
+    return Subspace.from_matrix(ambient, Matrix.from_rows(F2, data))
 
 
 @settings(max_examples=120, deadline=None)
@@ -135,26 +138,26 @@ def test_lattice_ops_commutative_idempotent(u, w):
 
 
 def test_canonicality_equality_is_structural():
-    a = Subspace.from_matrix(2, Matrix.from_int_rows(F2, [[1, 1], [0, 1]]))
-    b = Subspace.from_matrix(2, Matrix.from_int_rows(F2, [[1, 0], [1, 1]]))
+    a = Subspace.from_matrix(2, Matrix.from_rows(F2, [[1, 1], [0, 1]]))
+    b = Subspace.from_matrix(2, Matrix.from_rows(F2, [[1, 0], [1, 1]]))
     assert a == b
     assert a.basis.data == b.basis.data
     assert hash(a) == hash(b)
 
 
 def test_f3_and_rationals_basic():
-    a = Matrix.from_int_rows(F3, [[1, 2], [2, 4]])
+    a = Matrix.from_rows(F3, [[1, 2], [2, 4]])
     assert a.rank() == 1
     k = kernel(a)
     assert k.dim == 1
-    b = Matrix.from_int_rows(QQ, [[1, 2], [3, 4]])
+    b = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
     assert b.rank() == 2
     assert (b * b.inverse()) == Matrix.identity(QQ, 2)
 
 
 def test_solve_right_consistency():
-    a = Matrix.from_int_rows(F2, [[1, 1, 0], [0, 1, 1]])
-    b = Matrix.from_int_rows(F2, [[1], [1]])
+    a = Matrix.from_rows(F2, [[1, 1, 0], [0, 1, 1]])
+    b = Matrix.from_rows(F2, [[1], [1]])
     x = a.solve_right(b)
     assert x is not None and (a * x) == b
 
@@ -167,7 +170,7 @@ def test_f2_packed_rows_and_element_rows_agree():
     assert a == b and hash(a) == hash(b)
     assert b.data == ((1, 0, 1), (0, 1, 1))
     assert a != Matrix.from_packed(F2, 2, 3, (0b101, 0b111))
-    assert Matrix.from_int_rows(F3, [[1, 0, 1], [0, 1, 1]]).packed is None
+    assert Matrix.from_rows(F3, [[1, 0, 1], [0, 1, 1]]).packed is None
 
 
 def test_zero_dim_edge_cases():
@@ -398,16 +401,182 @@ def test_kernels_match_sympy_domain_matrix_at_64(f):
     check_kernels_against_domain_matrix(a, c, a * rand(64, 8))
 
 
-def test_fields_define_no_entry_arithmetic():
-    # entries are combined with Python operators and reduced by Field.of
+def count_fraction_ops(monkeypatch) -> Counter:
+    """Count every call of Fraction.__add__, __mul__ and __eq__ from now
+    to the end of the test."""
+    counts = Counter()
+    for name in ("__add__", "__mul__", "__eq__"):
+        def counted(*args, _fn=getattr(Fraction, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(Fraction, name, counted)
+    return counts
+
+
+def test_fields_define_no_entry_arithmetic(monkeypatch):
+    # entries are combined with Python operators and reduced by Field.of;
+    # over QQ they are integers over one denominator, so no Fraction
+    # arithmetic either
     from ppmod.fields import PrimeField, RationalField
     for cls in (PrimeField, RationalField):
         for name in ("add", "sub", "mul", "neg"):
             assert not hasattr(cls, name), (cls.__name__, name)
+    counts = count_fraction_ops(monkeypatch)
     for f in (F3, QQ):
-        m = Matrix.from_int_rows(f, [[1, 2, 0], [2, 4, 1], [0, 1, 2]])
+        m = Matrix.from_rows(f, [[1, 2, 0], [2, 4, 1], [0, 1, 2]])
         assert m.rref()[1] == (0, 1, 2)
-        assert canonical(m * m)
+        square = m * m
+        assert sum(counts.values()) == 0, (f, counts)
+        assert canonical(square)
+
+
+def test_native_qq_kernels_do_no_fraction_arithmetic(monkeypatch):
+    """rref, *, combination, intertwiners and FDAlgebra.law_failure on QQ
+    matrices with non-integer entries make no Fraction.__add__, __mul__
+    or __eq__ call: they work on the integer rows."""
+    rng = random.Random(7)
+    pool = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)]
+    a, b = (Matrix(QQ, 6, 6, [[rng.choice(pool) for _ in range(6)]
+                              for _ in range(6)]) for _ in range(2))
+    alg = truncated_dvr(4, QQ)
+    # the regular representation conjugated by a non-integer change of
+    # basis: still a right module, with denominators in every action
+    p = Matrix.from_rows(QQ, [[1, Fraction(1, 2), 0, 0],
+                              [0, 1, Fraction(-2, 3), 0],
+                              [0, 0, 1, Fraction(3, 5)],
+                              [Fraction(1, 7), 0, 0, 1]])
+    p_inv = p.inverse()
+    action = [p_inv * r * p for r in alg.right_regular_action()]
+    coeffs = [Fraction(1, 2), Fraction(0), Fraction(-3, 4), Fraction(5)]
+    assert max(m.den for m in action) > 1
+
+    counts = count_fraction_ops(monkeypatch)
+    _ = Fraction(1, 2) + Fraction(1, 3)  # the counter sees Fraction arithmetic
+    assert counts == Counter({"__add__": 1})
+    counts.clear()
+    a.vstack(b).rref()
+    prod = a * b
+    comb = combination(coeffs, action)
+    ends = intertwiners(action, action, 4, 4)
+    assert alg.law_failure(action) is None
+    assert sum(counts.values()) == 0, counts
+
+    monkeypatch.undo()
+    assert len(ends) == 4  # End of the regular module is the algebra
+    assert prod.data == tuple(tuple(sum((x * y for x, y in zip(r, c)),
+                                        Fraction(0)) for c in zip(*b.data))
+                              for r in a.data)
+    assert comb.data == tuple(
+        tuple(sum((k * m.data[i][j] for k, m in zip(coeffs, action)),
+                  Fraction(0)) for j in range(4)) for i in range(4))
+
+
+def assert_canonical_qq(m: Matrix):
+    """m's QQ storage is canonical: a positive denominator coprime to the
+    entries, so the matrix built again from its Fractions compares and
+    hashes equal."""
+    assert m.den > 0
+    assert gcd(m.den, *[x for r in m.ints for x in r]) == 1
+    again = Matrix(QQ, m.rows, m.cols, m.data)
+    assert again == m and hash(again) == hash(m)
+
+
+def fraction_rref(rows, cols):
+    """Gauss-Jordan in Fractions: the nonzero reduced rows."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(cols):
+        sel = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        rows[rank] = [x / rows[rank][col] for x in rows[rank]]
+        for i, r in enumerate(rows):
+            if i != rank and r[col]:
+                rows[i] = [x - r[col] * y for x, y in zip(r, rows[rank])]
+        rank += 1
+    return rows[:rank]
+
+
+@st.composite
+def qq_storage_input(draw):
+    """A and B of shape r x c, E of shape c x k (r, c, k in 0..4), all
+    with non-integer entries, a scalar (zero included) and row and column
+    selections, repeats allowed."""
+    r, c, k = (draw(st.integers(0, 4)) for _ in range(3))
+    a, b = draw(field_matrix(QQ, r, c)), draw(field_matrix(QQ, r, c))
+    e = draw(field_matrix(QQ, c, k))
+    scalar = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    rows = draw(st.lists(st.integers(0, r - 1), max_size=5)) if r else []
+    cols = draw(st.lists(st.integers(0, c - 1), max_size=5)) if c else []
+    return a, b, e, scalar, rows, cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(qq_storage_input())
+def test_qq_storage_is_canonical_and_matches_fractions(inp):
+    a, b, e, c, rows, cols = inp
+    fa, fb, fe = ([list(r) for r in m.data] for m in (a, b, e))
+    r, n, k = a.rows, a.cols, e.cols
+    zero = Fraction(0)
+    fprod = [[sum((fa[i][t] * fe[t][j] for t in range(n)), zero)
+              for j in range(k)] for i in range(r)]
+    et = e.transpose()
+    results = {
+        "add": (a + b, [[x + y for x, y in zip(p, q)] for p, q in zip(fa, fb)]),
+        "sub": (a - b, [[x - y for x, y in zip(p, q)] for p, q in zip(fa, fb)]),
+        "neg": (-a, [[-x for x in p] for p in fa]),
+        "scale": (a.scale(c), [[c * x for x in p] for p in fa]),
+        "mul": (a * e, fprod),
+        "transpose": (et, [[fe[i][j] for i in range(n)] for j in range(k)]),
+        "take_rows": (a.take_rows(rows), [fa[i] for i in rows]),
+        "take_cols": (a.take_cols(cols), [[p[j] for j in cols] for p in fa]),
+        "reshape": (a.reshape(1, r * n), [[x for p in fa for x in p]]),
+        "hstack": (a.hstack(b), [p + q for p, q in zip(fa, fb)]),
+        "vstack": (a.vstack(b), fa + fb),
+        "block": (block(QQ, [r, k], [n, n], {(0, 1): a, (1, 0): et}),
+                  [[zero] * n + p for p in fa] +
+                  [[fe[i][j] for i in range(n)] + [zero] * n
+                   for j in range(k)]),
+        "vectorized": (vectorized(QQ, [a, b], r * n),
+                       [[x for p in fa for x in p], [x for p in fb for x in p]]),
+        "combination": (combination((c, -1, Fraction(1, 3)), [a, b, a]),
+                        [[c * x - y + x / 3 for x, y in zip(p, q)]
+                         for p, q in zip(fa, fb)]),
+        "rref": (a.rref()[0], fraction_rref(fa, n)),
+    }
+    for name, (m, expected) in results.items():
+        assert [list(p) for p in m.data] == expected, name
+        assert_canonical_qq(m)
+    # kernels: canonical, and every row solves the system in Fractions
+    for ker, sys_rows in ((a.right_kernel(), fa), (a.left_kernel(),
+                                                    [list(p) for p in zip(*fa)])):
+        assert_canonical_qq(ker)
+        assert all(sum((x * y for x, y in zip(p, v)), zero) == 0
+                   for v in ker.data for p in sys_rows)
+    sq = a.transpose() * a.scale(c) + e * e.transpose()
+    ends = intertwiners([sq], [sq], n, n)
+    assert len(ends) >= (1 if n else 0)
+    for m in ends:
+        assert_canonical_qq(m)
+        assert sq * m == m * sq
+    # the same matrix built by two routes is one stored matrix
+    cut = (a * e).take_cols(range(k // 2))
+    direct = Matrix(QQ, r, k // 2, [p[:k // 2] for p in fprod])
+    assert cut == direct and hash(cut) == hash(direct)
+    back = (a + b) - b
+    assert back == a and hash(back) == hash(a)
+    assert a.hstack(b).take_cols(range(n)) == a
+    # subspaces on the stored rows: pivots, membership and containment
+    span = Subspace.from_matrix(n, a)
+    assert span.pivots == tuple(next(j for j, x in enumerate(p) if x)
+                                for p in fraction_rref(fa, n))
+    assert all(span.contains_vector(p) for p in fa)
+    if r:
+        assert span.contains_vector([c * x + y for x, y in zip(fa[0], fa[-1])])
+    assert subspace_leq(span, Subspace.from_matrix(n, a.vstack(b)))
+    assert subspace_leq(Subspace.from_matrix(n, b), span) == \
+        (Subspace.from_matrix(n, a.vstack(b)) == span)
 
 
 # -- storage-agnostic assembly: reshape, vectorized, block, intertwiners ----

@@ -23,7 +23,7 @@ def brute_force_hom(m: Module, n: Module):
     f = m.algebra.field
     out = []
     for bits in itertools.product([0, 1], repeat=m.dim * n.dim):
-        mat = Matrix.from_int_rows(
+        mat = Matrix.from_rows(
             f, [list(bits[i * n.dim:(i + 1) * n.dim]) for i in range(m.dim)])
         if all(am * mat == mat * an for am, an in zip(m.action, n.action)):
             out.append(mat)
@@ -93,7 +93,7 @@ def test_dual_module_satisfies_left_law(kron):
 def test_submodule_quotient_roundtrip(dvr3):
     v3 = dvr_chain_module(dvr3, 3)
     # the socle x^2 V/m^3 is invariant
-    s = Subspace.from_matrix(3, Matrix.from_int_rows(F2, [[0, 0, 1]]))
+    s = Subspace.from_matrix(3, Matrix.from_rows(F2, [[0, 0, 1]]))
     sub, inj = submodule(v3, s)
     assert sub.dim == 1
     assert inj.is_injective()
