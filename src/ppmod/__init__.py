@@ -8,29 +8,26 @@ indecomposable pure-injectives."""
 __version__ = "0.1.0"
 
 from .fields import GF, QQ, field_from_spec
-from .linalg import (Matrix, Subspace, kernel, projected_kernel,
-                     subspace_leq, subspace_meet, subspace_sum)
+from .linalg import (Matrix, Subspace, projected_kernel, subspace_leq,
+                     subspace_meet, subspace_sum)
 from .algebra import (FDAlgebra, QuiverPresentation, algebra_from_quiver,
                       kronecker_algebra, truncated_dvr)
 from .modules import (Module, ModuleMap, Presentation, cokernel, direct_sum,
                       free_module, hom_space, identity_map, iso_test, k_dual,
                       module_generators, presentation_of, quotient_module,
-                      regular_module, submodule, zero_map, zero_module)
+                      regular_module, submodule, zero_map)
 from .decompose import (Decomposition, RadicalCalculus, decompose,
-                        hom_subspace, is_indecomposable, radical_subspace)
+                        radical_subspace)
 from .ppformula import (FreeRealization, PpFormula, PpPair, annihilator,
                         bottom, divisibility, dual, pp_meet, pp_sum,
                         pp_type_generator, pp_type_generator_of_element,
                         tautology)
 from .ppsyntax import format_formula, parse_formula
-from .lattices import (ChainDescriptor, FiniteLattice,
-                       collapse_simple_intervals, finite_chain,
-                       generated_sublattice, mdim, omega_plus)
 from .probes import (INCONCLUSIVE, NOT_SHORT_WITNESS, SHORT_WITHIN_BOUND,
                      ProbeReport, interval_probe, probe_embedding, theta_pool)
 from .tower import (FpLabel, TowerRing, Triple, all_labels, build_tower,
                     canonical_label, classify, construct_label, f0, f0_map,
-                    f1, f1_map, forget, identify_indecomposable,
+                    f1, f1_map, identify_indecomposable,
                     label_module, left_projectives, lift, natural_embedding,
                     redundancy_table, t_module, verify_hom_bounds)
 from .tube import (Arrow, FormalPath, NormalPath, SymbolicTube,

@@ -72,9 +72,6 @@ class Decomposition:
     def idempotents(self) -> list[ModuleMap]:
         return [s.idempotent for s in self.summands]
 
-    def multiplicities(self) -> list[tuple[Module, int]]:
-        return [(rep.module, mult) for rep, mult, _ in self.classes]
-
 
 def _frobenius(x: Matrix, p: int, times: int = 1) -> Matrix:
     """x^(p^times)."""
@@ -267,20 +264,7 @@ def decompose(m: Module, seed: int = 0) -> Decomposition:
     return decomp
 
 
-def is_indecomposable(m: Module) -> bool:
-    if m.dim == 0:
-        return False
-    return len(decompose(m).summands) == 1
-
-
 # -- the radical of the category -------------------------------------------
-
-
-def hom_subspace(m: Module, n: Module) -> Subspace:
-    """Hom(M, N) as a subspace of the vectorized map space k^{dM.dN}."""
-    amb = m.dim * n.dim
-    return Subspace.from_matrix(amb, vectorized(
-        m.algebra.field, [h.mat for h in hom_space(m, n)], amb))
 
 
 def radical_subspace(m: Module, n: Module) -> Subspace:

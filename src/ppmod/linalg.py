@@ -104,11 +104,6 @@ class Matrix:
         cols = len(data[0]) if rows else 0
         return Matrix(field, rows, cols, data)
 
-    @staticmethod
-    def from_packed(field: Field, rows: int, cols: int, packed) -> "Matrix":
-        """A GF(2) matrix from its packed rows (a tuple of ints < 2^cols)."""
-        return Matrix._of_stored(field, rows, cols, packed)
-
     @property
     def packed(self):
         """The packed rows of a GF(2) matrix; None over other fields."""
@@ -752,10 +747,6 @@ class Subspace:
     def zero(field: Field, ambient: int) -> "Subspace":
         return Subspace(ambient, Matrix.zero(field, 0, ambient))
 
-    @staticmethod
-    def full(field: Field, ambient: int) -> "Subspace":
-        return Subspace(ambient, Matrix.identity(field, ambient))
-
     @property
     def field(self) -> Field:
         return self.basis.field
@@ -803,10 +794,6 @@ class Subspace:
         p = self.field.p
         return not any(acc if p is None else (x % p for x in acc))
 
-    def key(self):
-        """Deterministic sort key (echelon-lexicographic)."""
-        return (self.dim, tuple(tuple(str(x) for x in r) for r in self.basis.data))
-
 
 def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
     if u.ambient != w.ambient:
@@ -827,11 +814,6 @@ def subspace_leq(u: Subspace, w: Subspace) -> bool:
     if u.ambient != w.ambient:
         raise ValueError("ambient dimension mismatch")
     return all(w._contains_row(r) for r in u.basis.ints)
-
-
-def kernel(a: Matrix) -> Subspace:
-    """{v : A v = 0} as a canonical subspace of k^cols."""
-    return Subspace(a.cols, a.right_kernel())
 
 
 def quotient_projection(s: Subspace) -> Matrix:

@@ -67,11 +67,6 @@ class Module:
         self._act_cache[el] = out
         return out
 
-    def apply(self, vec, el):
-        """vec . el for a row vector vec."""
-        m = Matrix.from_rows(self.algebra.field, [list(vec)]) * self.act(el)
-        return tuple(m.data[0])
-
     def elements(self):
         """All module elements as row vectors (finite fields only)."""
         f = self.algebra.field
@@ -153,11 +148,6 @@ def zero_map(m: Module, n: Module) -> ModuleMap:
     return ModuleMap(m, n, Matrix.zero(m.algebra.field, m.dim, n.dim), check=False)
 
 
-def zero_module(algebra: FDAlgebra) -> Module:
-    z = Matrix(algebra.field, 0, 0, [])
-    return Module(algebra, 0, [z] * algebra.dim, label="0", check=False)
-
-
 def free_module(algebra: FDAlgebra, rank: int, label: str = "") -> Module:
     """R^rank with basis e_i (x) b_t, coordinates blocked by generator."""
     f = algebra.field
@@ -202,7 +192,7 @@ def k_dual(m: Module) -> Module:
 def direct_sum(mods: list[Module], label: str = "") -> tuple[Module, list[ModuleMap], list[ModuleMap]]:
     """Block sum with injections and projections."""
     if not mods:
-        raise ValueError("empty direct sum needs an algebra; use zero_module")
+        raise ValueError("empty direct sum needs an algebra")
     alg = mods[0].algebra
     f = alg.field
     if any(m.algebra is not alg for m in mods):
@@ -341,9 +331,6 @@ class Presentation:
         for t, c in enumerate(unit):
             v[i * alg.dim + t] = c
         return self.proj(v)
-
-    def generators(self):
-        return [self.generator(i) for i in range(self.ngens)]
 
     def express(self, vec):
         """Algebra coefficients r_1..r_s with sum g_i . r_i = vec, or None."""

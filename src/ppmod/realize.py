@@ -76,8 +76,6 @@ def verify_pushout_pullback(top: ModuleMap, left: ModuleMap,
         "left_exact": inj,
         "right_exact": surj,
         "middle_exact": middle,
-        "is_pullback": commutes and composite_zero and inj and middle and surj,
-        "is_pushout": commutes and composite_zero and surj and middle and inj,
         "bicartesian": commutes and composite_zero and inj and surj and middle,
     }
 

@@ -55,10 +55,7 @@ def one_point_extension(base: FDAlgebra, bimodule: Module,
             if i < r and j < r:
                 row.append(vec("r", base.table[i][j]))
             elif r <= i < r + s and j < r:
-                li = [z] * s
-                li[i - r] = f.one()
-                img = bimodule.apply(li, base.basis_el(j))
-                row.append(vec("l", img))
+                row.append(vec("l", bimodule.action[j].data[i - r]))
             elif i == r + s and r <= j < r + s:
                 lj = [z] * s
                 lj[j - r] = f.one()
@@ -87,8 +84,7 @@ class TowerRing:
         self.field = field
         self.algebras: list[FDAlgebra] = [truncated_dvr(N, field)]
         self.bimodules: list[Module] = [dvr_chain_module(self.algebras[0], 1)]
-        # (level, id(m)) -> (m, F1(m), basis of Hom(L, m)); m is kept so
-        # that its id is not reused
+        # (level, m.serial) -> (F1(m), basis of Hom(L, m))
         self._f1_cache: dict = {}
         self.bimodules[0].label = "L0"
         for i in range(height):
@@ -210,19 +206,18 @@ class Triple:
         if x.algebra is not alg:
             raise ValueError("module is not over the expected tower level")
         f = tower.field
-        e_mat = x.act(alg.basis_el(alg.dim - 1))
+        e_mat = x.action[alg.dim - 1]
         s0 = Subspace.from_matrix(x.dim, e_mat)
         s1 = Subspace.from_matrix(x.dim, x.act(alg.unit) - e_mat)
         b1, pivots = s1.basis, s1.pivots
         m1_action = [
-            (b1 * x.act(tower.embed_el(base.basis_el(bidx), level - 1,
-                                       level))).take_cols(pivots)
+            (b1 * x.action[bidx]).take_cols(pivots)
             for bidx in range(base.dim)]
         m1 = Module(base, s1.dim, m1_action, check=False)
         # row r of imgs is s0 row r pushed through each bimodule basis
         # element, side by side: gamma[r] vectorized
         acts = block(f, [x.dim], [x.dim] * l_dim,
-                     {(0, j): x.act(alg.basis_el(base.dim + j))
+                     {(0, j): x.action[base.dim + j]
                       for j in range(l_dim)})
         imgs = (s0.basis * acts).take_cols(
             [j * x.dim + p for j in range(l_dim) for p in pivots])
@@ -263,9 +258,10 @@ def f1(tower: TowerRing, level: int, m: Module) -> Module:
 def _f1_with_homs(tower: TowerRing, level: int, m: Module):
     """F1(m) and the basis of Hom(L, m) it is built from, computed once per
     (level, module) of the tower."""
-    hit = tower._f1_cache.get((level, id(m)))
+    key = (level, m.serial)
+    hit = tower._f1_cache.get(key)
     if hit is not None:
-        return hit[1:]
+        return hit
     if not (1 <= level <= tower.height):
         raise ValueError("level out of range")
     if m.algebra is not tower.algebras[level - 1]:
@@ -273,7 +269,7 @@ def _f1_with_homs(tower: TowerRing, level: int, m: Module):
     homs = [h.mat for h in hom_space(tower.bimodules[level - 1], m)]
     out = Triple(tower, level, len(homs), m, homs).flatten()
     out.label = f"F1({m.label})" if m.label else ""
-    tower._f1_cache[(level, id(m))] = (m, out, homs)
+    tower._f1_cache[key] = (out, homs)
     return out, homs
 
 
@@ -296,11 +292,6 @@ def f1_map(tower: TowerRing, level: int, fmap: ModuleMap) -> ModuleMap:
     mat = block(f, [len(hx), fmap.source.dim], [len(hy), fmap.target.dim],
                 {(0, 0): coeffs, (1, 1): fmap.mat})
     return ModuleMap(sx, sy, mat, check=False)
-
-
-def forget(tower: TowerRing, level: int, x: Module) -> Module:
-    """The underlying module one level down."""
-    return Triple.from_module(tower, level, x).m1
 
 
 def lift(tower: TowerRing, x, level: int, b: int, a: int):

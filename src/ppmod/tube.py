@@ -161,9 +161,6 @@ class TranslationQuiver:
     def out_lam(self, v: Vertex) -> Arrow | None:
         return self._outgoing(v)[1]
 
-    def out_mu(self, v: Vertex) -> Arrow | None:
-        return self._outgoing(v)[0]
-
     def dot(self) -> str:
         """Graphviz export; mesh relations annotate the mu-arrows."""
         lines = ["digraph raytube {", '  rankdir="BT";']
@@ -263,25 +260,6 @@ class NormalPath:
     def __str__(self):
         return (f"{self.coeff}.lam^{self.lam_steps}"
                 f".mu^{self.mu_steps}@S{self.start}")
-
-
-def path_of(q: TranslationQuiver, arrows, coeff: int = 1) -> FormalPath:
-    arrows = tuple(arrows)
-    if not arrows:
-        raise ValueError("use identity_path for empty words")
-    for a in arrows:
-        if not q.valid_arrow(a):
-            raise ValueError(f"invalid arrow {a}")
-    for a, b in zip(arrows, arrows[1:]):
-        if q.target(a) != q.source(b):
-            raise ValueError(f"non-composable at {a} ; {b}")
-    return FormalPath(coeff, q.source(arrows[0]), arrows)
-
-
-def identity_path(q: TranslationQuiver, v: Vertex, coeff: int = 1) -> FormalPath:
-    if not q.is_vertex(v):
-        raise ValueError("not a vertex")
-    return FormalPath(coeff, v, ())
 
 
 def normalize_path(q: TranslationQuiver, p: FormalPath,
@@ -560,16 +538,6 @@ class SymbolicTube:
         q = self.quiver
         return self._matrix(j, j + 1, {(i, i): NormalPath(1, (i, l, j), 0, 1)
                                        for i in range(q.m) if l <= q.n_of(i)})
-
-    def rim_matrix(self, j: int):
-        """The completed rim maps from the deepest objects at stage j+1
-        back to the stage-j objects: a single boundary descent on every ray
-        of maximal depth."""
-        q = self.quiver
-        n = max(q.ray_lengths)
-        return self._matrix(j, j + 1, {
-            (i, (i + 1) % q.m): NormalPath(1, (i, n, j + 1), 1, 0)
-            for i in range(q.m) if q.n_of(i) == n})
 
     def compose(self, first, second):
         """Matrix composition (first then second) with path normalization;

@@ -43,10 +43,6 @@ class ZieglerPoint:
             return f"{prefix}T({self.idx})"
         return f"{prefix}{self.kind}"
 
-    @property
-    def finite_length(self) -> bool:
-        return self.kind in (FINLEN, TPOINT)
-
 
 def canonical_word(word) -> tuple[int, int]:
     """Canonical (p, l) of an {F0, F1}-word: rewriting the identification
@@ -175,10 +171,6 @@ class PointSet:
             (k, m, frozenset(d)) for k, (m, d) in fams.items()
             if not (m == "finite" and not d))))
 
-    @staticmethod
-    def empty(height: int) -> "PointSet":
-        return PointSet.make(height)
-
     def family(self, pref) -> tuple:
         for k, m, d in self.families:
             if k == pref:
@@ -190,9 +182,6 @@ class PointSet:
             return pt in self.others
         mode, data = self.family((pt.p, pt.l))
         return pt.idx in data if mode == "finite" else pt.idx not in data
-
-    def has_infinite_family(self, pref) -> bool:
-        return self.family(pref)[0] == "cofinite"
 
     def _merge(self, other: "PointSet", others: frozenset,
                family_op) -> "PointSet":
@@ -219,15 +208,6 @@ class PointSet:
     def with_points(self, pts) -> "PointSet":
         extra = PointSet.make(self.height, pts)
         return self.union(extra)
-
-    def iter_known_points(self):
-        """Explicit points (cofinite families are reported separately)."""
-        for pt in sorted(self.others):
-            yield pt
-        for (p, l), mode, data in self.families:
-            if mode == "finite":
-                for j in sorted(data):
-                    yield fin_len(self.height, p, l, j)
 
     def __str__(self):
         parts = []
@@ -265,18 +245,6 @@ def points(height: int) -> PointSet:
         for p in range(height - m + 1):
             pts.append(tpoint(height, p, height - m - p, m))
     return PointSet.make(height, pts, cofinite_prefixes=prefixes)
-
-
-def family_iii_raw_count(height: int) -> int:
-    """Number of (p, l, m) triples with p + l + m = height, before the
-    redundancy canonicalization."""
-    return (height + 1) * (height + 2) // 2
-
-
-def infinite_point_count(height: int) -> int:
-    """Injective-hull points per prefix plus the two canonical ones."""
-    full = points(height)
-    return len([pt for pt in full.others if not pt.finite_length])
 
 
 def closure(s: PointSet) -> PointSet:

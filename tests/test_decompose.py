@@ -7,15 +7,14 @@ import pytest
 from ppmod.fields import GF, QQ
 from ppmod.algebra import kronecker_algebra, truncated_dvr
 from ppmod.errors import Undecided
-from ppmod.linalg import Matrix, combination, subspace_leq
+from ppmod.linalg import (Matrix, Subspace, combination, subspace_leq,
+                          vectorized)
 from ppmod.modules import (direct_sum, hom_space, identity_map, iso_test,
-                           zero_module)
+                           submodule)
 from ppmod.decompose import (RadicalCalculus, _certify, _commutator_ideal,
                              _echelon, _fitting_split, _split_or_radical,
-                             decompose, hom_subspace, is_indecomposable,
-                             radical_subspace)
+                             decompose, radical_subspace)
 from ppmod.oracles import end_local_by_enumeration
-from ppmod.linalg import Subspace
 from ppmod.suites import radical_universes
 from ppmod.catalog import (dvr_chain_module, dvr_universe, kronecker_rep,
                            kronecker_preprojective, kronecker_regular,
@@ -80,7 +79,7 @@ def test_dvr_indecomposables_exhaustive_derived(dvr3):
     for m in dvr_universe(dvr3, 3):
         d = decompose(m)
         for rep, mult, _ in d.classes:
-            assert is_indecomposable(rep.module)
+            assert len(decompose(rep.module).summands) == 1
             seen.setdefault(rep.module.dim, rep.module)
     assert sorted(seen) == [1, 2, 3]
     for j, m in seen.items():
@@ -117,7 +116,9 @@ def test_merge_property_random(dvr3, kron):
 
 
 def test_decompose_zero_module(dvr3):
-    assert decompose(zero_module(dvr3)).summands == []
+    v1 = dvr_chain_module(dvr3, 1)
+    zero = submodule(v1, Subspace.zero(F2, v1.dim))[0]
+    assert decompose(zero).summands == []
 
 
 def test_decompose_kronecker_regulars(kron):
@@ -170,7 +171,9 @@ def test_radical_between_nonisomorphic_is_full_hom_derived(dvr3):
         return True
 
     rad = radical_subspace(v1, v2)
-    full = hom_subspace(v1, v2)
+    amb = v1.dim * v2.dim
+    full = Subspace.from_matrix(amb, vectorized(F2, [h.mat for h in hom],
+                                                amb))
     assert rad == full  # non-isomorphic indecomposables
     for fbits in range(1 << len(hom)):
         f = Matrix.zero(F2, v1.dim, v2.dim)

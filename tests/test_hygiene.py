@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).parent.parent / "src" / "ppmod"
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "ppmod"
 
 
 def unread_locals(tree: ast.AST):
@@ -45,22 +46,26 @@ def unread_imports(tree: ast.Module):
                     yield f"{stmt.lineno}: {name}"
 
 
-def private_definitions(tree: ast.Module):
-    """(line, name) of each private ('_name', not dunder) module-level
-    function or class and of each private method of a module-level
-    class."""
+def definitions(tree: ast.Module):
+    """(line, name) of each module-level function or class and
+    (line, 'Class.name') of each method of a module-level class."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-
-    def private(name):
-        return name.startswith("_") and not name.endswith("__")
-
     for stmt in tree.body:
-        if isinstance(stmt, defs) and private(stmt.name):
+        if isinstance(stmt, defs):
             yield stmt.lineno, stmt.name
         if isinstance(stmt, ast.ClassDef):
             for item in stmt.body:
-                if isinstance(item, defs[:2]) and private(item.name):
-                    yield item.lineno, item.name
+                if isinstance(item, defs[:2]):
+                    yield item.lineno, f"{stmt.name}.{item.name}"
+
+
+def private_definitions(tree: ast.Module):
+    """(line, name) of each private ('_name', not dunder) definition (see
+    definitions), a method by its own name."""
+    for line, name in definitions(tree):
+        name = name.rsplit(".", 1)[-1]
+        if name.startswith("_") and not name.endswith("__"):
+            yield line, name
 
 
 def referenced_names(trees) -> set[str]:
@@ -77,6 +82,34 @@ def unused_private(tree: ast.Module, used: set[str]) -> list[str]:
     in used (see referenced_names)."""
     return [f"{line}: {name}" for line, name in private_definitions(tree)
             if name not in used]
+
+
+def uncalled_public(module: str, tree: ast.Module, used: set[str],
+                    traced: set[str], kept) -> list[str]:
+    """'line: name' for each public definition of tree (see definitions)
+    whose own name is not in used (see referenced_names), whose name is
+    not in traced and whose 'module.name' is not in kept."""
+    out = []
+    for line, name in definitions(tree):
+        own = name.rsplit(".", 1)[-1]
+        if not (own.startswith("_") or own in used or name in traced
+                or f"{module}.{name}" in kept):
+            out.append(f"{line}: {name}")
+    return out
+
+
+# public names with no caller outside tests/, each with why it stays
+KEPT = {
+    "oracles.brute_eval": "the reference oracle for pp evaluation",
+    "oracles.end_local_by_enumeration":
+        "the reference oracle for the local-End certificate",
+    "realize.RealizedTube.realize_normal_path":
+        "the mesh-realization check the coray inverse limit builds on",
+    "tube.SymbolicTube.alpha_matrix":
+        "the symbolic ladder squares at depth >= 1",
+    "tower.redundancy_table":
+        "certifies that canonical labels are pairwise non-isomorphic",
+}
 
 
 STORAGE_NAMES = {"packed", "ints", "den", "_of_stored", "_of_ints",
@@ -165,3 +198,49 @@ def test_unused_private_code_is_found():
                          ids=lambda p: p.name)
 def test_no_private_code_is_unused(path, src_names):
     assert unused_private(ast.parse(path.read_text()), src_names) == []
+
+
+@pytest.fixture(scope="module")
+def public_callers():
+    """(names read outside tests/, the attributes perfbench traces)."""
+    readers = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    readers += [*(ROOT / "scripts").glob("*.py"),
+                *(ROOT / "perfbench").glob("*.py")]
+    tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    targets = next(ast.literal_eval(stmt.value) for stmt in tracing.body
+                   if isinstance(stmt, ast.Assign) and
+                   [t.id for t in stmt.targets] == ["TARGETS"])
+    return (referenced_names(ast.parse(p.read_text()) for p in readers),
+            {attr for _, attr, _ in targets})
+
+
+def test_uncalled_public_code_is_found():
+    src = ("def gone():\n    pass\n"
+           "def traced():\n    pass\n"
+           "def kept():\n    pass\n"
+           "class C:\n"
+           "    def used(self):\n        return _helper()\n"
+           "    def orphan(self):\n        pass\n"
+           "def _helper():\n    return C().used()\n")
+    tree = ast.parse(src)
+    assert uncalled_public("m", tree, referenced_names([tree]), {"traced"},
+                           {"m.kept"}) == ["1: gone", "10: C.orphan"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_public_name_has_a_caller(path, public_callers):
+    used, traced = public_callers
+    assert uncalled_public(path.stem, ast.parse(path.read_text()), used,
+                           traced, KEPT) == []
+
+
+def test_kept_names_exist_and_have_no_other_caller(public_callers):
+    used, traced = public_callers
+    for name in KEPT:
+        module, qual = name.split(".", 1)
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        assert qual in {q for _, q in definitions(tree)}, name
+        # a kept name that gains a caller leaves KEPT
+        assert qual.rsplit(".", 1)[-1] not in used and qual not in traced, \
+            name

@@ -7,10 +7,10 @@ from ppmod.fields import GF, QQ
 from ppmod.catalog import dvr_chain_module, random_quotient_of_free
 from ppmod.decompose import decompose
 from ppmod.errors import UnclassifiedSummand
-from ppmod.modules import (direct_sum, hom_space, iso_test, zero_module)
+from ppmod.modules import direct_sum, hom_space, iso_test
 from ppmod.tower import (FpLabel, Triple, all_labels, build_tower,
                          canonical_label, classify, construct_label, f0, f1,
-                         f0_map, f1_map, forget, identify_indecomposable,
+                         f0_map, f1_map, identify_indecomposable,
                          label_module, left_projectives, natural_embedding,
                          redundancy_table, t_module, verify_hom_bounds)
 
@@ -74,8 +74,9 @@ def test_forget_retracts_f0_f1(tw31):
     a0 = tw31.algebras[0]
     for j in (1, 2, 3):
         m = dvr_chain_module(a0, j)
-        assert iso_test(forget(tw31, 1, f0(tw31, 1, m)), m) is not None
-        assert iso_test(forget(tw31, 1, f1(tw31, 1, m)), m) is not None
+        for up in (f0, f1):
+            down = Triple.from_module(tw31, 1, up(tw31, 1, m)).m1
+            assert iso_test(down, m) is not None
 
 
 def test_adjunction_dimension_identities(tw31):
@@ -83,7 +84,7 @@ def test_adjunction_dimension_identities(tw31):
     below = [dvr_chain_module(a0, j) for j in (1, 2)]
     ups = [f0(tw31, 1, below[0]), f1(tw31, 1, below[1]), t_module(tw31, 1)]
     for x, y in itertools.product(below, ups):
-        ry = forget(tw31, 1, y)
+        ry = Triple.from_module(tw31, 1, y).m1
         assert len(hom_space(f0(tw31, 1, x), y)) == len(hom_space(x, ry))
         assert len(hom_space(ry, x)) == len(hom_space(y, f1(tw31, 1, x)))
 

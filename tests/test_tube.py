@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from ppmod.suites import mesh_tube_failures
 from ppmod.tube import (Arrow, FormalPath, NormalPath, SymbolicTube, ZERO,
                         all_paths_from, build_ray_tube, hom_dimension,
-                        identity_path, mesh_sweep, normal_path_arrows,
-                        normal_path_target, normalize_path,
-                        parse_tube_descriptor, path_of)
+                        mesh_sweep, normal_path_arrows, normal_path_target,
+                        normalize_path, parse_tube_descriptor)
 
 
 def test_homogeneous_tube_shape():
@@ -45,13 +44,13 @@ def test_rim_arrow_targets_next_ray():
 def test_mesh_zero_rule():
     q = build_ray_tube(2, (1, 0), 6)
     # lam(i, n_i)[2] o mu(i, n_i)[1] dies
-    p = path_of(q, [Arrow("mu", 1, 0, 1), Arrow("lam", 1, 0, 2)])
+    p = FormalPath(1, (1, 0, 1), (Arrow("mu", 1, 0, 1), Arrow("lam", 1, 0, 2)))
     assert normalize_path(q, p) == ZERO
 
 
 def test_mesh_commuting_rule():
     q = build_ray_tube(2, (1, 0), 6)
-    p = path_of(q, [Arrow("mu", 0, 0, 2), Arrow("lam", 0, 0, 3)])
+    p = FormalPath(1, (0, 0, 2), (Arrow("mu", 0, 0, 2), Arrow("lam", 0, 0, 3)))
     np = normalize_path(q, p)
     assert np == NormalPath(1, (0, 0, 2), 1, 1)
     # identical endpoints to the rewritten word lam;mu
@@ -60,7 +59,7 @@ def test_mesh_commuting_rule():
 
 def test_identity_path_normalizes_to_itself():
     q = build_ray_tube(1, (0,), 4)
-    p = identity_path(q, (0, 0, 2))
+    p = FormalPath(1, (0, 0, 2), ())
     np = normalize_path(q, p)
     assert np == NormalPath(1, (0, 0, 2), 0, 0)
 
@@ -182,17 +181,6 @@ def test_symbolic_ladder_squares_commute():
                 assert lhs == rhs
 
 
-def test_symbolic_rim_matrix_targets():
-    q = build_ray_tube(2, (1, 1), 6)
-    tube = SymbolicTube(q)
-    rim = tube.rim_matrix(2)
-    from ppmod.tube import normal_path_target
-    for i in range(2):
-        ent = rim[i][(i + 1) % 2]
-        assert ent is not None
-        assert normal_path_target(q, ent) == ((i + 1) % 2, 0, 2)
-
-
 def test_parse_tube_descriptor():
     q = parse_tube_descriptor("tube m=2 n=[1,0] horizon=6")
     assert q.m == 2 and q.ray_lengths == (1, 0) and q.horizon == 6
@@ -210,13 +198,13 @@ def test_dot_export_contains_relations():
 def test_unknown_strategy_rejected_without_redex():
     q = build_ray_tube(1, (0,), 4)
     with pytest.raises(ValueError, match="unknown strategy"):
-        normalize_path(q, identity_path(q, (0, 0, 2)), "bogus")
+        normalize_path(q, FormalPath(1, (0, 0, 2), ()), "bogus")
 
 
 def test_random_strategy_requires_rng():
     q = build_ray_tube(1, (0,), 4)
     with pytest.raises(ValueError, match="needs an rng"):
-        normalize_path(q, identity_path(q, (0, 0, 2)), "random")
+        normalize_path(q, FormalPath(1, (0, 0, 2), ()), "random")
 
 
 def test_arrow_on_ray_outside_range_is_invalid():
@@ -225,7 +213,7 @@ def test_arrow_on_ray_outside_range_is_invalid():
     assert not q.valid_arrow(a)
     assert a not in q.arrows()
     with pytest.raises(ValueError):
-        path_of(q, [a])
+        q.target(a)
 
 
 def test_target_of_missing_rim_arrow_raises():
@@ -234,13 +222,6 @@ def test_target_of_missing_rim_arrow_raises():
     assert not q.valid_arrow(a)
     with pytest.raises(ValueError):
         q.target(a)
-
-
-def test_path_of_checks_validity_before_composability():
-    q = build_ray_tube(2, (1, 0), 6)
-    # the pair is not composable, and its second arrow is not an arrow
-    with pytest.raises(ValueError, match="invalid arrow"):
-        path_of(q, [Arrow("mu", 0, 0, 1), Arrow("mu", 5, 0, 1)])
 
 
 # -- an independent reference for the compiled tables ------------------------
@@ -310,7 +291,7 @@ def test_compiled_tables_match_reference(case):
     ref_arrows = []
     for v in ref_vertices:
         mu, lam = _ref_out(m, n, horizon, v)
-        for got, ref in ((q.out_mu(v), mu), (q.out_lam(v), lam)):
+        for got, ref in zip(q._outgoing(v), (mu, lam)):
             if ref is None:
                 assert got is None
             else:
@@ -321,7 +302,9 @@ def test_compiled_tables_match_reference(case):
 
     path = FormalPath(1, start, tuple(Arrow(*a) for a in word))
     if word:
-        assert path_of(q, path.arrows) == path
+        assert q.source(path.arrows[0]) == start
+        assert all(q.target(a) == q.source(b)
+                   for a, b in zip(path.arrows, path.arrows[1:]))
     expected = _ref_normalize(m, n, word)
     if expected != ZERO:
         expected = NormalPath(1, start, *expected)
@@ -336,9 +319,9 @@ def test_mesh_rule_certificate_flags_a_broken_rule():
     count, failed = mesh_rule_failures(q)
     assert count == sum(1 for a in q.arrows() if a.kind == "mu")
     assert failed == []
-    mu = q.out_mu((0, 0, 2))
+    mu = Arrow("mu", 0, 0, 2)
     lam, _ = q._rhs[mu]
-    q._rhs[mu] = (lam, q.out_mu((0, 0, 2)))   # wrong climb after lam
+    q._rhs[mu] = (lam, Arrow("mu", 0, 0, 2))   # wrong climb after lam
     assert mesh_rule_failures(q) == (count, [mu])
 
 
@@ -346,15 +329,15 @@ def test_mesh_rule_certificate_flags_a_misplaced_zero():
     from ppmod.tube import mesh_rule_failures
     q = build_ray_tube(2, (1, 0), 6)
     count, _ = mesh_rule_failures(q)
-    rim = q.out_mu((0, 1, 1))           # stage-1 rim: the only ZERO rules
+    rim = Arrow("mu", 0, 1, 1)           # stage-1 rim: the only ZERO rules
     assert q._rhs[rim] is ZERO and q.out_lam((0, 1, 1)) is None
-    mu = q.out_mu((0, 1, 3))            # a rim rule with a lam' to use
+    mu = Arrow("mu", 0, 1, 3)            # a rim rule with a lam' to use
     q._rhs[mu] = ZERO
     assert mesh_rule_failures(q) == (count, [mu])
     _, _, bad = mesh_tube_failures(q, random.Random(0))
     assert ("rule", 2, (1, 0), mu) in bad
     q = build_ray_tube(2, (1, 0), 6)
-    q._rhs[rim] = q._rhs[q.out_mu((0, 1, 2))]  # nonzero on the rim
+    q._rhs[rim] = q._rhs[Arrow("mu", 0, 1, 2)]  # nonzero on the rim
     assert mesh_rule_failures(q) == (count, [rim])
 
 
@@ -387,9 +370,9 @@ def test_mesh_tube_check_flags_a_broken_rule():
     assert (rules, bad) == (15, [])
     assert paths == sum(1 for v in q.vertices()
                         for _ in all_paths_from(q, v, 8))
-    mu = q.out_mu((0, 0, 2))
+    mu = Arrow("mu", 0, 0, 2)
     lam, _ = q._rhs[mu]
-    q._rhs[mu] = (lam, q.out_mu((0, 0, 2)))   # wrong climb after lam
+    q._rhs[mu] = (lam, Arrow("mu", 0, 0, 2))   # wrong climb after lam
     _, _, bad = mesh_tube_failures(q, random.Random(0))
     kinds = {kind for kind, *_ in bad}
     # the sweep itself sees the wrong arrow, not only the rule certificate

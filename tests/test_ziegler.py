@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppmod.ziegler import (PointSet, ZieglerPoint, adic, canonical_word,
-                           closure, family_iii_raw_count, fin_len,
-                           infinite_point_count, is_closed, parse_point,
+                           closure, fin_len, is_closed, parse_point,
                            parse_point_set, point_closure, point_from_word,
                            points, prufer, qpoint, random_point_set, tpoint)
 
@@ -32,18 +31,15 @@ def point_sets(draw, height=None):
 
 def test_spectrum_at_height_zero():
     full = points(0)
-    assert full.has_infinite_family((0, 0))
+    assert full.family((0, 0))[0] == "cofinite"
     others = {str(p) for p in full.others}
     assert others == {"Prufer", "Adic", "Q"}
 
 
 def test_spectrum_at_height_one():
     full = points(1)
-    infinite = {str(p) for p in full.others if not p.finite_length}
-    assert infinite == {"F0 Prufer", "F1 Prufer", "F0 Adic", "F0 Q"}
-    assert infinite_point_count(1) == 4
-    # families (iii): T-points plus the canonicalized T(0) row
-    assert family_iii_raw_count(1) == 3
+    infinite = [str(p) for p in full.others if p.kind not in ("FinLen", "T")]
+    assert sorted(infinite) == ["F0 Adic", "F0 Prufer", "F0 Q", "F1 Prufer"]
     t_points = {str(p) for p in full.others if p.kind == "T"}
     assert t_points == {"T(1)"}
 
@@ -77,7 +73,7 @@ def test_closure_of_prufer():
 
 
 def test_closure_of_empty_is_empty():
-    s = PointSet.empty(2)
+    s = PointSet.make(2)
     assert closure(s) == s
 
 
@@ -85,7 +81,8 @@ def test_point_closures():
     pc = point_closure(prufer(1, 1, 0))
     assert str(pc) == "{F0 Prufer, F0 Q}"
     assert point_closure(fin_len(1, 0, 1, 2)).contains(fin_len(1, 0, 1, 2))
-    assert len(list(point_closure(fin_len(1, 0, 1, 2)).iter_known_points())) == 1
+    assert point_closure(fin_len(1, 0, 1, 2)) == PointSet.make(
+        1, [fin_len(1, 0, 1, 2)])
     assert not is_closed(PointSet.make(1, [adic(1)]))
     assert is_closed(PointSet.make(1, [adic(1), qpoint(1)]))
     assert is_closed(point_closure(tpoint(2, 0, 1, 1)))
@@ -115,7 +112,7 @@ def test_set_algebra_with_cofinite_families():
                       cofinite_prefixes=[(1, 0)], excluded={(1, 0): {3}})
     u = a.union(b)
     assert u.contains(fin_len(1, 1, 0, 3))
-    assert u.has_infinite_family((0, 1)) and u.has_infinite_family((1, 0))
+    assert u.family((0, 1))[0] == u.family((1, 0))[0] == "cofinite"
     i = a.intersection(b)
     assert i.contains(fin_len(1, 0, 1, 5))
     assert not i.contains(fin_len(1, 1, 0, 3))
@@ -137,7 +134,7 @@ def test_parse_and_print_roundtrip():
     pt = parse_point(2, "F0 F1 T(0)")  # canonicalizes to FinLen(1)
     assert str(pt) == "F0 F1 FinLen(1)"
     fam = parse_point_set(0, "FinLen(*)")
-    assert fam.has_infinite_family((0, 0))
+    assert fam.family((0, 0))[0] == "cofinite"
 
 
 def test_full_spectrum_is_closed():
@@ -154,17 +151,6 @@ def test_closure_laws_hypothesis(s, t):
     assert closure(s).issubset(closure(s.union(t)))
     assert is_closed(closure(s).union(closure(t)))
     assert is_closed(closure(s).intersection(closure(t)))
-
-
-def test_family_iii_pre_canonical_count():
-    # triples p + l + m = n, before canonicalizing the m = 0 row
-    for n in range(5):
-        triples = [(p, l, m)
-                   for m in range(n + 1)
-                   for p in range(n - m + 1)
-                   for l in [n - m - p]]
-        assert len(triples) == family_iii_raw_count(n)
-        assert family_iii_raw_count(n) == (n + 1) * (n + 2) // 2
 
 
 @settings(max_examples=120, deadline=None)
