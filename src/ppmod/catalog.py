@@ -200,8 +200,9 @@ def kronecker_step_formula(alg: FDAlgebra, t: int):
 
 
 def random_quotient_of_free(alg: FDAlgebra, rank: int, rng: random.Random,
-                            dim_cap: int, min_dim: int = 1) -> Module:
-    """Seeded random quotient of A^rank with dimension in [min_dim, dim_cap]."""
+                            dim_cap: int) -> Module:
+    """Seeded random nonzero quotient of A^rank of dimension at most
+    dim_cap."""
     f = alg.field
     free = free_module(alg, rank)
     pool = list(f.elements()) if f.p is not None else [f.of(v) for v in (-1, 0, 1)]
@@ -210,7 +211,7 @@ def random_quotient_of_free(alg: FDAlgebra, rank: int, rng: random.Random,
         vecs = [[rng.choice(pool) for _ in range(free.dim)] for _ in range(nvec)]
         sub = _module_span(free, vecs)
         d = free.dim - sub.dim
-        if min_dim <= d <= dim_cap:
+        if 1 <= d <= dim_cap:
             q, _ = quotient_module(free, sub, check=False)
             q.label = f"rand(d={d})"
             return q

@@ -3,8 +3,9 @@
 One command per invocation, or a scenario file with one command per line
 ('#' comments allowed).  Output is deterministic for a fixed seed: a
 '#'-prefixed header block followed by tab-separated rows; --json switches
-to a machine-readable dump.  Exit codes: 0 all assertions pass, 1 an
-assertion failed, 2 usage or parse error.
+`suite` and `classify` to a machine-readable dump, and every other command
+refuses it.  Exit codes: 0 all assertions pass, 1 an assertion failed,
+2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ MAX_ALGEBRA_DIM = 24
 # 13, 4.2 s at 15 and 10 s at 17 over QQ as a subprocess on the same host
 # (0.5 s, 1.1 s and 2.6 s at 13, 15 and 17 over GF(2)).
 MAX_PROBE_DIM = 13
+
+# the commands that have a machine-readable (--json) output
+JSON_COMMANDS = ("suite", "classify")
 
 
 def _algebra_from_spec(spec: str, field):
@@ -101,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", default="2",
                    help="coefficient field: a prime p or 'rational'")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true",
+                   help="machine-readable output (suite and classify only)")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("suite", help="run acceptance suites")
@@ -151,6 +156,9 @@ def execute(args) -> tuple[int, list[str]]:
     """Execute one parsed command; returns (exit code, output lines)."""
     field = field_from_spec(args.field)
     cmd = args.command
+    if args.json and cmd not in JSON_COMMANDS:
+        raise ValueError(f"--json is supported only by "
+                         f"{' and '.join(JSON_COMMANDS)}, not by {cmd}")
     if cmd == "suite":
         names = CRITERIA_ORDER if args.name == "all" else [args.name]
         lines = _header(args)

@@ -172,10 +172,6 @@ def hom_space(m: Module, n: Module) -> list[ModuleMap]:
             for mat in intertwiners(m.action, n.action, m.dim, n.dim)]
 
 
-def hom_dim(m: Module, n: Module) -> int:
-    return len(hom_space(m, n))
-
-
 # -- duals -----------------------------------------------------------------
 
 
@@ -218,20 +214,20 @@ def is_invariant(m: Module, s: Subspace) -> bool:
                for a in m.action)
 
 
-def submodule(m: Module, s: Subspace, label: str = "",
-              check: bool = True) -> tuple[Module, ModuleMap]:
+def submodule(m: Module, s: Subspace, check: bool = True
+              ) -> tuple[Module, ModuleMap]:
     """The submodule on an invariant subspace, with its inclusion."""
     if check and not is_invariant(m, s):
         raise ValueError("subspace is not invariant under the action")
     b = s.basis
     # coefficients over the RREF basis are read off at the pivot columns
     action = [(b * a).take_cols(s.pivots) for a in m.action]
-    u = Module(m.algebra, s.dim, action, label=label, check=False)
+    u = Module(m.algebra, s.dim, action, check=False)
     return u, ModuleMap(u, m, b, check=False)
 
 
-def quotient_module(m: Module, s: Subspace, label: str = "",
-                    check: bool = True) -> tuple[Module, ModuleMap]:
+def quotient_module(m: Module, s: Subspace, check: bool = True
+                    ) -> tuple[Module, ModuleMap]:
     """The quotient by an invariant subspace, with its projection."""
     if check and not is_invariant(m, s):
         raise ValueError("subspace is not invariant under the action")
@@ -240,7 +236,7 @@ def quotient_module(m: Module, s: Subspace, label: str = "",
     nonpivots = [j for j in range(m.dim) if j not in pivots]
     proj = quotient_projection(s)
     action = [a.take_rows(nonpivots) * proj for a in m.action]
-    q = Module(m.algebra, len(nonpivots), action, label=label, check=False)
+    q = Module(m.algebra, len(nonpivots), action, check=False)
     return q, ModuleMap(m, q, proj, check=False)
 
 

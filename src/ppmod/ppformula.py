@@ -105,7 +105,7 @@ class PpFormula:
             relations.append(tuple(self.hmat[v][e] for v in range(self.n + self.l)))
         pres = presentation_from_relations(alg, self.n + self.l, relations)
         tup = tuple(pres.generator(i) for i in range(self.n))
-        fr = FreeRealization(self, pres.module, tup, pres)
+        fr = FreeRealization(pres.module, tup)
         self._realization = fr
         return fr
 
@@ -122,10 +122,8 @@ class PpFormula:
 
 @dataclass(frozen=True)
 class FreeRealization:
-    formula: PpFormula
     module: Module
     tuple: tuple
-    presentation: Presentation
 
     def tuple_vector(self):
         out = []
@@ -159,16 +157,14 @@ def _check_compatible(a: PpFormula, b: PpFormula):
 # -- basic constructors -----------------------------------------------------
 
 
-def tautology(alg: FDAlgebra, n: int = 1, side: str = RIGHT) -> PpFormula:
-    return PpFormula(alg, side, n, 0, [[] for _ in range(n)])
+def tautology(alg: FDAlgebra) -> PpFormula:
+    """x1 = x1: the right formula with no condition."""
+    return PpFormula(alg, RIGHT, 1, 0, [[]])
 
 
-def bottom(alg: FDAlgebra, n: int = 1, side: str = RIGHT) -> PpFormula:
-    """x_i = 0 for all i."""
-    rows = []
-    for i in range(n):
-        rows.append([alg.unit if j == i else alg.zero_el() for j in range(n)])
-    return PpFormula(alg, side, n, 0, rows)
+def bottom(alg: FDAlgebra) -> PpFormula:
+    """x1 = 0 (right)."""
+    return PpFormula(alg, RIGHT, 1, 0, [[alg.unit]])
 
 
 def divisibility(alg: FDAlgebra, a, side: str = RIGHT) -> PpFormula:
@@ -263,15 +259,11 @@ def dual(phi: PpFormula) -> PpFormula:
 # -- pp-type generators --------------------------------------------------------
 
 
-def pp_type_generator(pres: Presentation, tup, side: str = RIGHT) -> PpFormula:
-    """The generator of the pp-type of a tuple in a presented module:
+def pp_type_generator(pres: Presentation, tup) -> PpFormula:
+    """The generator of the pp-type of a tuple in a presented right module:
     exists y (x = y A and y H = 0), where A expresses the tuple over the
-    generators and H is the relation matrix.
-
-    For a left-side generator pass a presentation over the opposite algebra
-    and side=LEFT; the stored layout is identical."""
-    alg_eff = pres.algebra
-    nominal = alg_eff if side == RIGHT else alg_eff.op
+    generators and H is the relation matrix."""
+    alg = pres.algebra
     n = len(tup)
     s = pres.ngens
     exprs = []
@@ -280,8 +272,8 @@ def pp_type_generator(pres: Presentation, tup, side: str = RIGHT) -> PpFormula:
         if coeffs is None:
             raise ValueError("tuple is not expressible over the generators")
         exprs.append(coeffs)
-    z = alg_eff.zero_el()
-    u = alg_eff.unit
+    z = alg.zero_el()
+    u = alg.unit
     mrel = len(pres.relations)
     ncols = n + mrel
     rows = [[z] * ncols for _ in range(n + s)]
@@ -289,10 +281,10 @@ def pp_type_generator(pres: Presentation, tup, side: str = RIGHT) -> PpFormula:
         rows[i][i] = u
     for g in range(s):
         for i in range(n):
-            rows[n + g][i] = alg_eff.neg_el(exprs[i][g])
+            rows[n + g][i] = alg.neg_el(exprs[i][g])
         for e, rel in enumerate(pres.relations):
             rows[n + g][n + e] = rel[g]
-    return PpFormula(nominal, side, n, s, rows)
+    return PpFormula(alg, RIGHT, n, s, rows)
 
 
 @functools.lru_cache(maxsize=PRESENTATION_CACHE_SIZE)
@@ -300,9 +292,8 @@ def _cached_presentation(module: Module) -> Presentation:
     return presentation_of(module)
 
 
-def pp_type_generator_of_element(module: Module, vec, side: str = RIGHT
-                                 ) -> PpFormula:
-    """Generator of the pp-type of a single element of a module (the
+def pp_type_generator_of_element(module: Module, vec) -> PpFormula:
+    """Generator of the pp-type of a single element of a right module (the
     presentations of the last PRESENTATION_CACHE_SIZE modules are kept)."""
     pres = _cached_presentation(module)
-    return pp_type_generator(pres, (tuple(vec),), side=side)
+    return pp_type_generator(pres, (tuple(vec),))

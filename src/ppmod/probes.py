@@ -3,11 +3,13 @@
 Given a pp-pair psi <= phi, the probe searches the interval [psi, phi] for
 strictly descending chains built from phi ^ (theta + psi), where the
 generator formulas theta are pp-type generators of images of homomorphisms
-between universe modules.  All comparisons happen on evaluation vectors
-over the universe, so every strict step automatically carries a certifying
-module.  The probe is deliberately a semi-decision procedure: verdicts are
-NOT_SHORT_WITNESS (a chain longer than the budget), SHORT_WITHIN_BOUND
-(closure reached with short chains) or INCONCLUSIVE.
+between universe modules.  Those vectors are then closed under pairwise
+sums and meets for at most MAX_ROUNDS rounds.  All comparisons happen on
+evaluation vectors over the universe, so every strict step automatically
+carries a certifying module.  The probe is deliberately a semi-decision
+procedure: verdicts are NOT_SHORT_WITNESS (a chain longer than the
+budget), SHORT_WITHIN_BOUND (closure reached within MAX_ROUNDS with short
+chains) or INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ from .ppformula import PpFormula, PpPair, pp_type_generator_of_element
 SHORT_WITHIN_BOUND = "SHORT_WITHIN_BOUND"
 NOT_SHORT_WITNESS = "NOT_SHORT_WITNESS"
 INCONCLUSIVE = "INCONCLUSIVE"
+
+# rounds of pairwise sums and meets the probe closes its lattice under
+MAX_ROUNDS = 3
 
 
 @dataclass
@@ -95,7 +100,6 @@ def _label(m: Module) -> str:
 
 
 def interval_probe(pair: PpPair, universe: list[Module], budget: int,
-                   max_rounds: int = 3,
                    pool: list[tuple[str, PpFormula]] | None = None) -> ProbeReport:
     """Probe the interval [lower, upper] of a pp-pair over a universe."""
     phi, psi = pair.upper, pair.lower
@@ -124,7 +128,7 @@ def interval_probe(pair: PpPair, universe: list[Module], budget: int,
 
     complete = False
     rounds = 0
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, MAX_ROUNDS + 1):
         items = list(seen.values())
         grew = False
         for i in range(len(items)):
@@ -185,7 +189,6 @@ def _longest_chain(vecs: list[_Vec]) -> tuple[list[_Vec], int]:
 
 
 def probe_embedding(fmap, universe: list[Module], budget: int,
-                    max_rounds: int = 3,
                     pool: list[tuple[str, PpFormula]] | None = None
                     ) -> list[ProbeReport]:
     """Shortness probes for an embedding f: one report per module generator
@@ -199,5 +202,5 @@ def probe_embedding(fmap, universe: list[Module], budget: int,
         upper = pp_type_generator_of_element(src, g)
         lower = pp_type_generator_of_element(tgt, fmap(g))
         out.append(interval_probe(PpPair(upper=upper, lower=lower),
-                                  universe, budget, max_rounds, pool))
+                                  universe, budget, pool))
     return out

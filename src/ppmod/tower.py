@@ -432,14 +432,12 @@ def identify_indecomposable(tower: TowerRing, level: int,
     return canonical_label(FpLabel(0, inner.b + 1, inner.base))
 
 
-def classify(tower: TowerRing, x: Module,
-             level: int | None = None) -> list[tuple[FpLabel, int]]:
-    """Classification of any module at the tower height (or a stated level)
-    as a multiset of labels, sorted by label text."""
-    lvl = tower.height if level is None else level
+def classify(tower: TowerRing, x: Module) -> list[tuple[FpLabel, int]]:
+    """Classification of any module at the tower height as a multiset of
+    labels, sorted by label text."""
     counts: dict[str, tuple[FpLabel, int]] = {}
     for rep, mult, _ in decompose(x).classes:
-        lab = identify_indecomposable(tower, lvl, rep.module)
+        lab = identify_indecomposable(tower, tower.height, rep.module)
         key = str(lab)
         if key in counts:
             counts[key] = (lab, counts[key][1] + mult)

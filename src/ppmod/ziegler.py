@@ -70,12 +70,12 @@ def prufer(height: int, p: int, l: int) -> ZieglerPoint:
     return ZieglerPoint(height, PRUFER, p, l, 0)
 
 
-def adic(height: int, p: int | None = None, l: int = 0) -> ZieglerPoint:
+def adic(height: int) -> ZieglerPoint:
     # every prefix of the completion point canonicalizes to pure F0
     return ZieglerPoint(height, ADIC, height, 0, 0)
 
 
-def qpoint(height: int, p: int | None = None, l: int = 0) -> ZieglerPoint:
+def qpoint(height: int) -> ZieglerPoint:
     return ZieglerPoint(height, QPOINT, height, 0, 0)
 
 
@@ -276,11 +276,11 @@ def point_closure(pt: ZieglerPoint) -> PointSet:
     return closure(PointSet.make(pt.height, [pt]))
 
 
-def random_point_set(height: int, rng: random.Random,
-                     max_points: int = 6) -> PointSet:
-    """Seeded random point set for property tests."""
+def random_point_set(height: int, rng: random.Random) -> PointSet:
+    """Seeded random point set for property tests (at most six points
+    besides the finite-length ones)."""
     pool = list(points(height).others)
-    pts = rng.sample(pool, k=min(len(pool), rng.randint(0, max_points)))
+    pts = rng.sample(pool, k=min(len(pool), rng.randint(0, 6)))
     for _ in range(rng.randint(0, 3)):
         p = rng.randint(0, height)
         l = height - p
@@ -319,7 +319,6 @@ def parse_point_set(height: int, text: str) -> PointSet:
     text = text.strip().strip("{}")
     pts = []
     cof = []
-    exc = {}
     for chunk in [c.strip() for c in text.split(",") if c.strip()]:
         if chunk.endswith("FinLen(*)"):
             word = chunk[: -len("FinLen(*)")].split()
@@ -327,4 +326,4 @@ def parse_point_set(height: int, text: str) -> PointSet:
             cof.append((p, l))
         else:
             pts.append(parse_point(height, chunk))
-    return PointSet.make(height, pts, cofinite_prefixes=cof, excluded=exc)
+    return PointSet.make(height, pts, cofinite_prefixes=cof)

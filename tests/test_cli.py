@@ -62,6 +62,36 @@ def test_json_mode():
     assert payload[0]["passed"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["pp", "dual", "--algebra", "dvr:3", "--formula", "x1*x = 0"],
+    ["ziegler", "closure", "--n", "1", "--set", "F0 Prufer"],
+    ["tube", "--tube", "m=1 n=[0] horizon=3", "--dot"],
+    ["probe", "kronecker", "--budget", "3"],
+    ["realize", "--N", "3", "--height", "0", "--stages", "2"],
+])
+def test_json_without_json_output_exits_2(argv, capsys):
+    rc = main(["--json"] + argv)
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err == (f"error: --json is supported only by suite and classify, "
+                   f"not by {argv[0]}\n")
+
+
+def test_json_scenario_line_without_json_output_exits_2(tmp_path, capsys):
+    scn = tmp_path / "scenario.txt"
+    scn.write_text("classify --N 2 --n 1 --dim-cap 4\n"
+                   "ziegler points --n 0\n")
+    rc = main(["--json", "run", str(scn)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 2
+    assert json.loads("\n".join(lines[1:-2]))[0]["label"]
+    assert lines[-2:] == [
+        "## ziegler points --n 0",
+        "# line 2: --json is supported only by suite and classify, not by "
+        "ziegler"]
+
+
 def test_tube_dot_output():
     code, lines = run_cli(["tube", "--tube", "m=1 n=[0] horizon=3", "--dot"])
     assert code == 0

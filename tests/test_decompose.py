@@ -9,16 +9,15 @@ from ppmod.algebra import kronecker_algebra, truncated_dvr
 from ppmod.errors import Undecided
 from ppmod.linalg import (Matrix, Subspace, combination, subspace_leq,
                           vectorized)
-from ppmod.modules import (direct_sum, hom_space, identity_map, iso_test,
-                           submodule)
+from ppmod.modules import direct_sum, hom_space, iso_test, submodule
 from ppmod.decompose import (RadicalCalculus, _certify, _commutator_ideal,
                              _echelon, _fitting_split, _split_or_radical,
                              decompose, radical_subspace)
 from ppmod.oracles import end_local_by_enumeration
 from ppmod.suites import radical_universes
 from ppmod.catalog import (dvr_chain_module, dvr_universe, kronecker_rep,
-                           kronecker_preprojective, kronecker_regular,
-                           kronecker_universe, random_quotient_of_free)
+                           kronecker_regular, kronecker_universe,
+                           random_quotient_of_free)
 
 F2 = GF(2)
 

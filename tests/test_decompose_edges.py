@@ -1,8 +1,6 @@
 """Edge cases for the decomposition engine: endomorphism tops that are
 proper division rings, and the rational certification paths."""
 
-import pytest
-
 from ppmod.fields import GF, QQ
 from ppmod.algebra import kronecker_algebra
 from ppmod.catalog import kronecker_rep, kronecker_regular

@@ -2,11 +2,13 @@
 
 import ast
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "ppmod"
+TESTS = ROOT / "tests"
 
 
 def unread_locals(tree: ast.AST):
@@ -68,32 +70,131 @@ def private_definitions(tree: ast.Module):
             yield line, name
 
 
-def referenced_names(trees) -> set[str]:
-    """Every name read, and every attribute taken, in the given trees."""
-    return {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) or
-            (isinstance(node, ast.Name) and not isinstance(node.ctx,
-                                                           ast.Store))}
+def references(trees) -> tuple[set[str], set[str]]:
+    """(every name read or imported by 'from ... import', every attribute
+    taken) in the given trees."""
+    names: set[str] = set()
+    attrs: set[str] = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.Name) and \
+                    not isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names, attrs
 
 
 def unused_private(tree: ast.Module, used: set[str]) -> list[str]:
     """'line: name' for each private definition of tree whose name is not
-    in used (see referenced_names)."""
+    in used (a name or attribute, see references)."""
     return [f"{line}: {name}" for line, name in private_definitions(tree)
             if name not in used]
 
 
-def uncalled_public(module: str, tree: ast.Module, used: set[str],
-                    traced: set[str], kept) -> list[str]:
+def uncalled_public(module: str, tree: ast.Module, names: set[str],
+                    attrs: set[str], traced: set[str], kept) -> list[str]:
     """'line: name' for each public definition of tree (see definitions)
-    whose own name is not in used (see referenced_names), whose name is
-    not in traced and whose 'module.name' is not in kept."""
+    that is not read, whose name is not in traced and whose 'module.name'
+    is not in kept.  A method is read when its own name is in attrs, a
+    module-level function or class when its name is in names (see
+    references): a local or an unrelated attribute of the same name does
+    not count."""
     out = []
     for line, name in definitions(tree):
         own = name.rsplit(".", 1)[-1]
-        if not (own.startswith("_") or own in used or name in traced
+        read = attrs if "." in name else names
+        if not (own.startswith("_") or own in read or name in traced
                 or f"{module}.{name}" in kept):
+            out.append(f"{line}: {name}")
+    return out
+
+
+def public_options(tree: ast.Module):
+    """(line, name, callee, position) for each defaulted parameter of a
+    public function, method or constructor of tree.  name is
+    'function.param', 'Class.method.param' or, for a parameter of a
+    class's __init__, 'Class.param'; callee is the name a call uses (the
+    class's for __init__); position is the parameter's index among a
+    call's positional arguments (self and cls not counted), None for a
+    keyword-only one.  Dataclass fields are not parameters here."""
+    fdefs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    fns = []  # (definition, name, callee, leading self or cls: 0 or 1)
+    for stmt in tree.body:
+        if isinstance(stmt, fdefs) and not stmt.name.startswith("_"):
+            fns.append((stmt, stmt.name, stmt.name, 0))
+        if isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+            for fn in stmt.body:
+                if not isinstance(fn, fdefs):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in fn.decorator_list)
+                if fn.name == "__init__":
+                    fns.append((fn, stmt.name, stmt.name, 1))
+                elif not fn.name.startswith("_"):
+                    fns.append((fn, f"{stmt.name}.{fn.name}", fn.name,
+                                0 if static else 1))
+    for fn, name, callee, bound in fns:
+        a = fn.args
+        pos = a.posonlyargs + a.args
+        for i in range(len(pos) - len(a.defaults), len(pos)):
+            yield fn.lineno, f"{name}.{pos[i].arg}", callee, i - bound
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield fn.lineno, f"{name}.{arg.arg}", callee, None
+
+
+def option_setters(trees) -> tuple[dict[str, tuple], set[str]]:
+    """(setters, listed) over the calls in the given trees.  setters maps
+    each called name or attribute to (the most positional arguments one
+    call passes, the keywords the calls pass); a '*' argument passes every
+    position and a '**' argument every keyword (keyword '**').  listed
+    holds every name or attribute placed in a dict, list or tuple display:
+    a function in a table is called through the table."""
+    npos: dict[str, float] = {}
+    keywords: dict[str, set[str]] = {}
+    listed: set[str] = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                callee = f.id if isinstance(f, ast.Name) else \
+                    f.attr if isinstance(f, ast.Attribute) else None
+                if callee is None:
+                    continue
+                star = any(isinstance(a, ast.Starred) for a in node.args)
+                npos[callee] = max(npos.get(callee, 0),
+                                   float("inf") if star else len(node.args))
+                keywords.setdefault(callee, set()).update(
+                    k.arg or "**" for k in node.keywords)
+            elif isinstance(node, (ast.Dict, ast.List, ast.Tuple)):
+                items = node.values if isinstance(node, ast.Dict) else \
+                    node.elts
+                listed.update(e.id if isinstance(e, ast.Name) else e.attr
+                              for e in items
+                              if isinstance(e, (ast.Name, ast.Attribute)))
+    return {c: (npos[c], keywords[c]) for c in npos}, listed
+
+
+def unset_options(module: str, tree: ast.Module, setters, listed: set[str],
+                  kept, kept_options) -> list[str]:
+    """'line: name' for each defaulted public parameter of tree (see
+    public_options) that no call passes (see option_setters), by keyword,
+    by position or through '*' or '**'.  Functions in listed, names whose
+    'module.name' is in kept and parameters whose 'module.name' is in
+    kept_options are exempt."""
+    out = []
+    for line, name, callee, position in public_options(tree):
+        owner = name.rsplit(".", 1)[0]
+        if callee in listed or f"{module}.{owner}" in kept or \
+                f"{module}.{name}" in kept_options:
+            continue
+        most, keywords = setters.get(callee, (0, set()))
+        param = name.rsplit(".", 1)[-1]
+        if not (param in keywords or "**" in keywords or
+                (position is not None and most > position)):
             out.append(f"{line}: {name}")
     return out
 
@@ -109,6 +210,17 @@ KEPT = {
         "the symbolic ladder squares at depth >= 1",
     "tower.redundancy_table":
         "certifies that canonical labels are pairwise non-isomorphic",
+}
+
+# defaulted public parameters no caller outside tests/ sets, each with why
+# it stays
+KEPT_OPTIONS = {
+    "algebra.QuiverPresentation.relations":
+        "bound quiver algebras: the relation ideal algebra_from_quiver "
+        "eliminates, certified in test_algebra",
+    "suites.radical_universes.field":
+        "the radical suite's universes rebuilt over GF(3), where the "
+        "radical is cross-checked off the GF(2) fast path",
 }
 
 
@@ -168,9 +280,10 @@ def test_unread_imports_are_found():
     assert list(unread_imports(ast.parse(src))) == ["3: regex", "4: dumps"]
 
 
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
-                                        if p.name != "__init__.py"),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_module_import_is_unread(path):
     # __init__.py is exempt: its imports are the package's exports
     assert list(unread_imports(ast.parse(path.read_text()))) == []
@@ -178,7 +291,9 @@ def test_no_module_import_is_unread(path):
 
 @pytest.fixture(scope="module")
 def src_names():
-    return referenced_names(ast.parse(p.read_text()) for p in SRC.glob("*.py"))
+    names, attrs = references(ast.parse(p.read_text())
+                              for p in SRC.glob("*.py"))
+    return names | attrs
 
 
 def test_unused_private_code_is_found():
@@ -190,8 +305,9 @@ def test_unused_private_code_is_found():
            "    def _used(self):\n        return _kept()\n"
            "    def _orphan(self):\n        pass\n")
     tree = ast.parse(src)
-    assert unused_private(tree, referenced_names([tree])) == ["1: _gone", "5: _Dead",
-                                            "12: _orphan"]
+    names, attrs = references([tree])
+    assert unused_private(tree, names | attrs) == ["1: _gone", "5: _Dead",
+                                                   "12: _orphan"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
@@ -200,18 +316,27 @@ def test_no_private_code_is_unused(path, src_names):
     assert unused_private(ast.parse(path.read_text()), src_names) == []
 
 
+class Callers(NamedTuple):
+    """What the code outside tests/ reads and calls."""
+    names: set[str]      # names read or imported (see references)
+    attrs: set[str]      # attributes taken
+    traced: set[str]     # the attributes perfbench traces
+    setters: dict        # see option_setters
+    listed: set[str]
+
+
 @pytest.fixture(scope="module")
-def public_callers():
-    """(names read outside tests/, the attributes perfbench traces)."""
+def public_callers() -> Callers:
     readers = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
     readers += [*(ROOT / "scripts").glob("*.py"),
                 *(ROOT / "perfbench").glob("*.py")]
+    trees = [ast.parse(p.read_text()) for p in readers]
     tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
     targets = next(ast.literal_eval(stmt.value) for stmt in tracing.body
                    if isinstance(stmt, ast.Assign) and
                    [t.id for t in stmt.targets] == ["TARGETS"])
-    return (referenced_names(ast.parse(p.read_text()) for p in readers),
-            {attr for _, attr, _ in targets})
+    return Callers(*references(trees), {attr for _, attr, _ in targets},
+                   *option_setters(trees))
 
 
 def test_uncalled_public_code_is_found():
@@ -221,26 +346,84 @@ def test_uncalled_public_code_is_found():
            "class C:\n"
            "    def used(self):\n        return _helper()\n"
            "    def orphan(self):\n        pass\n"
-           "def _helper():\n    return C().used()\n")
+           "    def key(self):\n        pass\n"
+           "def _helper():\n    return C().used()\n"
+           "def full():\n    pass\n"
+           "def elsewhere(d, key=None):\n"
+           "    key = len(d)\n    return key, d.full\n")
     tree = ast.parse(src)
-    assert uncalled_public("m", tree, referenced_names([tree]), {"traced"},
-                           {"m.kept"}) == ["1: gone", "10: C.orphan"]
+    # C.key is only a local elsewhere, full only an unrelated attribute
+    assert uncalled_public("m", tree, *references([tree]), {"traced"},
+                           {"m.kept"}) == ["1: gone", "10: C.orphan",
+                                           "12: C.key", "16: full",
+                                           "18: elsewhere"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_every_public_name_has_a_caller(path, public_callers):
-    used, traced = public_callers
-    assert uncalled_public(path.stem, ast.parse(path.read_text()), used,
-                           traced, KEPT) == []
+    c = public_callers
+    assert uncalled_public(path.stem, ast.parse(path.read_text()), c.names,
+                           c.attrs, c.traced, KEPT) == []
 
 
 def test_kept_names_exist_and_have_no_other_caller(public_callers):
-    used, traced = public_callers
+    c = public_callers
     for name in KEPT:
         module, qual = name.split(".", 1)
         tree = ast.parse((SRC / f"{module}.py").read_text())
         assert qual in {q for _, q in definitions(tree)}, name
         # a kept name that gains a caller leaves KEPT
-        assert qual.rsplit(".", 1)[-1] not in used and qual not in traced, \
-            name
+        own = qual.rsplit(".", 1)[-1]
+        assert own not in (c.attrs if "." in qual else c.names) and \
+            qual not in c.traced, name
+
+
+def test_unset_options_are_found():
+    src = ("def by_keyword(a, kw=1):\n    pass\n"
+           "def by_position(a, pos=1):\n    pass\n"
+           "def by_star(a, st=1):\n    pass\n"
+           "def by_starstar(a, *, ss=1):\n    pass\n"
+           "def unset(a, never=1, *, nor=2):\n    pass\n"
+           "def only_tested(a, tested=1):\n    pass\n"
+           "def kept(a, why=1):\n    pass\n"
+           "def tabled(seed=0):\n    pass\n"
+           "class C:\n"
+           "    def __init__(self, x=0):\n        pass\n"
+           "    def m(self, y=0, z=0):\n        pass\n"
+           "    @staticmethod\n"
+           "    def s(w=0):\n        pass\n"
+           "def _private(p=0):\n    pass\n")
+    tree = ast.parse(src)
+    callers = ast.parse(
+        "TABLE = {'t': tabled}\n"
+        "by_keyword(0, kw=2)\nby_position(0, 2)\nby_star(*args)\n"
+        "by_starstar(0, **opts)\nunset(0)\nC(1).m(2)\nC.s(1)\n")
+    tests = ast.parse("only_tested(0, tested=2)\nC().m(z=1)\n")
+    kept_options = {"m.kept.why"}
+    assert unset_options("m", tree, *option_setters([tree, callers]), {},
+                         kept_options) == [
+        "9: unset.never", "9: unset.nor", "11: only_tested.tested",
+        "20: C.m.z"]
+    # counted as callers, the test calls would set the last two
+    assert unset_options("m", tree, *option_setters([tree, callers, tests]),
+                         {}, kept_options) == [
+        "9: unset.never", "9: unset.nor"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_option_has_a_caller(path, public_callers):
+    c = public_callers
+    assert unset_options(path.stem, ast.parse(path.read_text()), c.setters,
+                         c.listed, KEPT, KEPT_OPTIONS) == []
+
+
+def test_kept_options_exist_and_have_no_other_caller(public_callers):
+    c = public_callers
+    for name in KEPT_OPTIONS:
+        module, qual = name.split(".", 1)
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        unset = unset_options(module, tree, c.setters, c.listed, KEPT, {})
+        # a kept option that is gone or gains a caller leaves KEPT_OPTIONS
+        assert qual in {entry.split(": ", 1)[1] for entry in unset}, name

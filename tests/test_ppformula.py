@@ -185,10 +185,11 @@ def test_dual_swaps_div_and_ann(d3):
 
 
 def test_dual_of_tautology_is_bottom(d2):
+    # the left bottom is "d2.unit x1 = 0", the left tautology has no condition
     d_t = dual(tautology(d2))
-    assert d_t.equivalent(bottom(d2, side=LEFT))
+    assert d_t.equivalent(annihilator(d2, d2.unit, side=LEFT))
     d_b = dual(bottom(d2))
-    assert d_b.equivalent(tautology(d2, side=LEFT))
+    assert d_b.equivalent(PpFormula(d2, LEFT, 1, 0, [[]]))
 
 
 def test_double_dual_is_identity_up_to_equivalence(d3):

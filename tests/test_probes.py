@@ -3,13 +3,11 @@ import pytest
 import ppmod.probes
 import ppmod.suites
 from ppmod.fields import GF
-from ppmod.algebra import truncated_dvr
 from ppmod.catalog import (dvr_chain_module, kronecker_preprojective,
                            kronecker_step_formula)
-from ppmod.modules import ModuleMap, hom_space, module_generators
-from ppmod.linalg import Matrix
-from ppmod.ppformula import PpPair, divisibility, pp_type_generator_of_element
-from ppmod.probes import (INCONCLUSIVE, NOT_SHORT_WITNESS, SHORT_WITHIN_BOUND,
+from ppmod.modules import hom_space, module_generators
+from ppmod.ppformula import PpPair, pp_type_generator_of_element
+from ppmod.probes import (NOT_SHORT_WITNESS, SHORT_WITHIN_BOUND,
                           interval_probe, probe_embedding, theta_pool)
 from ppmod.realize import realize_in_tower
 from ppmod.suites import suite_short_probes

@@ -8,7 +8,7 @@ from ppmod.catalog import dvr_chain_module
 from ppmod.tower import build_tower
 from ppmod.tube import (FormalPath, ZERO, all_paths_from, build_ray_tube,
                         normalize_path)
-from ppmod.realize import (RealizedTube, _verify_squares, chain_inclusion,
+from ppmod.realize import (_verify_squares, chain_inclusion,
                            chain_quotient, realize_in_tower, stage_bimodule,
                            verify_bimodule_idempotents,
                            verify_pushout_pullback)

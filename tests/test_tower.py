@@ -6,12 +6,10 @@ import pytest
 from ppmod.fields import GF, QQ
 from ppmod.catalog import dvr_chain_module, random_quotient_of_free
 from ppmod.decompose import decompose
-from ppmod.errors import UnclassifiedSummand
 from ppmod.modules import direct_sum, hom_space, iso_test
 from ppmod.tower import (FpLabel, Triple, all_labels, build_tower,
                          canonical_label, classify, construct_label, f0, f1,
-                         f0_map, f1_map, identify_indecomposable,
-                         label_module, left_projectives, natural_embedding,
+                         f0_map, f1_map, label_module, left_projectives, natural_embedding,
                          redundancy_table, t_module, verify_hom_bounds)
 
 F2 = GF(2)

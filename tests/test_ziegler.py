@@ -1,10 +1,9 @@
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppmod.ziegler import (PointSet, ZieglerPoint, adic, canonical_word,
+from ppmod.ziegler import (PointSet, adic, canonical_word,
                            closure, fin_len, is_closed, parse_point,
                            parse_point_set, point_closure, point_from_word,
                            points, prufer, qpoint, random_point_set, tpoint)
