@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 from .fields import GF, QQ, field_from_spec
 from .linalg import (Matrix, Subspace, projected_kernel, subspace_leq,
                      subspace_meet, subspace_sum)
-from .algebra import (FDAlgebra, QuiverPresentation, algebra_from_quiver,
-                      kronecker_algebra, truncated_dvr)
+from .algebra import FDAlgebra, kronecker_algebra, truncated_dvr
 from .modules import (Module, ModuleMap, Presentation, cokernel, direct_sum,
                       free_module, hom_space, identity_map, iso_test, k_dual,
                       module_generators, presentation_of, quotient_module,

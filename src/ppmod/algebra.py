@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .fields import Field
-from .linalg import Matrix, Subspace, combination, quotient_projection
+from .linalg import Matrix, combination
 
 
 class FDAlgebra:
@@ -165,118 +165,15 @@ def truncated_dvr(N: int, field: Field) -> FDAlgebra:
     return FDAlgebra(field, labels, table, unit, name=f"k[x]/(x^{N})")
 
 
-# -- path algebras with relations ----------------------------------------
-
-
-class QuiverPresentation:
-    """A quiver plus k-linear relations between parallel paths.
-
-    Arrows are (source, target, label) with vertices 0..nv-1.  A relation is
-    a list of (coefficient, path) where a path is a tuple of arrow indices,
-    composable left to right, and all paths in one relation are parallel.
-    The quotient must be finite-dimensional at path_length_cap.
-    """
-
-    def __init__(self, nv: int, arrows, relations=(), path_length_cap: int = 6):
-        self.nv = nv
-        self.arrows = [tuple(a) for a in arrows]
-        self.relations = [list(r) for r in relations]
-        self.cap = path_length_cap
-        for s, t, _ in self.arrows:
-            if not (0 <= s < nv and 0 <= t < nv):
-                raise ValueError("arrow endpoint out of range")
-        for rel in self.relations:
-            ends = {self.path_ends(p) for _, p in rel}
-            if len(ends) != 1:
-                raise ValueError("malformed relation: paths are not parallel")
-
-    def path_ends(self, path):
-        if not path:
-            raise ValueError("relations must involve paths of length >= 1")
-        s = self.arrows[path[0]][0]
-        t = self.arrows[path[-1]][1]
-        for a, b in zip(path, path[1:]):
-            if self.arrows[a][1] != self.arrows[b][0]:
-                raise ValueError("non-composable path in relation")
-        return (s, t)
-
-
-def algebra_from_quiver(q: QuiverPresentation, field: Field) -> FDAlgebra:
-    """Quotient path algebra with basis the surviving path residues.
-
-    Paths (keyed by source vertex and arrow word) are ordered by length then
-    lexicographically; the span of all u.rel.v products is eliminated and
-    the non-pivot paths become the basis.  Raises if any path of length
-    >= path_length_cap survives (not finite-dimensional at the cap).
-    """
-    cap = q.cap
-    work = 2 * cap
-
-    # enumerate paths as (source, target, word) up to the working length
-    by_len = [[(v, v, ()) for v in range(q.nv)]]
-    for ln in range(1, work + 1):
-        cur = []
-        for s, t, w in by_len[ln - 1]:
-            for ai, (a, b, _) in enumerate(q.arrows):
-                if a == t:
-                    cur.append((s, b, w + (ai,)))
-        by_len.append(cur)
-    paths = [p for group in by_len for p in group]
-    index = {(p[0], p[2]): i for i, p in enumerate(paths)}
-    npaths = len(paths)
-
-    # span of { u * rel * v } inside the path space, total length <= work
-    ideal_rows = []
-    all_paths = paths
-    for rel in q.relations:
-        rel_src, rel_tgt = q.path_ends(rel[0][1])
-        rel_len = max(len(p) for _, p in rel)
-        for u in all_paths:
-            if u[1] != rel_src:
-                continue
-            for v in all_paths:
-                if v[0] != rel_tgt:
-                    continue
-                if len(u[2]) + rel_len + len(v[2]) > work:
-                    continue
-                row = [field.zero()] * npaths
-                for c, p in rel:
-                    w = u[2] + tuple(p) + v[2]
-                    i = index[(u[0], w)]
-                    row[i] = field.of(row[i] + c)
-                ideal_rows.append(row)
-    ideal = (Matrix.from_rows(field, ideal_rows) if ideal_rows
-             else Matrix(field, 0, npaths, []))
-    red, pivots = ideal.rref()
-    pivset = set(pivots)
-    basis_paths = [paths[i] for i in range(npaths) if i not in pivset]
-
-    if any(len(p[2]) >= cap for p in basis_paths):
-        raise ValueError("quotient not finite-dimensional at path_length_cap")
-
-    # b_i b_j is the residue of the path b_i then b_j (zero when they do
-    # not compose): its row of the quotient projection
-    residue = quotient_projection(Subspace(npaths, red)).data
-    zero_vec = (field.zero(),) * len(basis_paths)
-    table = [[residue[index[(s, w + w2)]] if t == s2 else zero_vec
-              for s2, _, w2 in basis_paths]
-             for s, t, w in basis_paths]
-
-    unit = [field.one() if w == () else field.zero()
-            for _, _, w in basis_paths]
-
-    def plabel(sp, tp, w):
-        if w == ():
-            return f"e{sp + 1}"
-        return "*".join(q.arrows[a][2] for a in w)
-
-    labels = [plabel(*bp) for bp in basis_paths]
-    return FDAlgebra(field, labels, table, unit, name=f"path_algebra({q.nv}v)")
-
-
 def kronecker_algebra(field: Field) -> FDAlgebra:
-    """Path algebra of the double-arrow quiver 1 => 2 (basis e1, e2, a, b)."""
-    q = QuiverPresentation(2, [(0, 1, "a"), (0, 1, "b")], path_length_cap=3)
-    alg = algebra_from_quiver(q, field)
-    alg.name = "kronecker"
-    return alg
+    """Path algebra of the double-arrow quiver 1 => 2: basis e1, e2, a, b,
+    where e1 a = a e2 = a, e1 b = b e2 = b, e1 and e2 are orthogonal
+    idempotents and every other product of basis elements is zero."""
+    # (i, j): k for each product b_i b_j = b_k of (e1, e2, a, b)
+    products = {(0, 0): 0, (1, 1): 1, (0, 2): 2, (2, 1): 2, (0, 3): 3,
+                (3, 1): 3}
+    z, one = field.zero(), field.one()
+    table = [[tuple(one if products.get((i, j)) == k else z
+                    for k in range(4)) for j in range(4)] for i in range(4)]
+    return FDAlgebra(field, ["e1", "e2", "a", "b"], table, (one, one, z, z),
+                     name="kronecker")

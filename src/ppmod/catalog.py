@@ -152,25 +152,11 @@ def kronecker_universe(alg: FDAlgebra, dim_cap: int) -> list[Module]:
     indecs = kronecker_indecomposables(alg, dim_cap)
     out = []
     for size in range(1, dim_cap + 1):
-        seen = set()
-        for combo in itertools.combinations_with_replacement(range(len(indecs)), size):
-            mods = [indecs[i] for i in combo]
+        for mods in itertools.combinations_with_replacement(indecs, size):
             if sum(m.dim for m in mods) > dim_cap:
                 continue
-            key = tuple(sorted(combo))
-            if key in seen:
-                continue
-            seen.add(key)
-            if len(mods) == 1:
-                out.append(mods[0])
-            else:
-                s, _, _ = direct_sum(mods, label="+".join(m.label for m in mods))
-                out.append(s)
-    # dedupe by construction key only; multiset enumeration is already unique
-    uniq = {}
-    for m in out:
-        uniq.setdefault(m.label, m)
-    return list(uniq.values())
+            out.append(mods[0] if size == 1 else direct_sum(list(mods))[0])
+    return out
 
 
 # -- random modules ----------------------------------------------------------
@@ -212,7 +198,7 @@ def random_quotient_of_free(alg: FDAlgebra, rank: int, rng: random.Random,
         sub = _module_span(free, vecs)
         d = free.dim - sub.dim
         if 1 <= d <= dim_cap:
-            q, _ = quotient_module(free, sub, check=False)
+            q, _ = quotient_module(free, sub)
             q.label = f"rand(d={d})"
             return q
     raise RuntimeError("could not sample a quotient within the dimension bounds")

@@ -20,7 +20,7 @@ from . import __version__
 from .algebra import kronecker_algebra, truncated_dvr
 from .catalog import (dvr_chain_module, kronecker_preinjective,
                       kronecker_preprojective, kronecker_regular)
-from .errors import HorizonExceeded, Undecided
+from .errors import HorizonExceeded, SquareFailed, Undecided
 from .fields import field_from_spec
 from .modules import hom_space, regular_module
 from .ppformula import LEFT, RIGHT, PpPair, annihilator, divisibility, dual, \
@@ -291,8 +291,7 @@ def execute(args) -> tuple[int, list[str]]:
         rt = realize_in_tower(tower, args.stages)
         res = verify_bimodule_idempotents(rt)
         lines = _header(args, horizon=args.N)
-        for name, ok in rt.checked_squares:
-            lines.append(f"square\t{name}\t{'ok' if ok else 'FAILED'}")
+        lines.extend(f"square\t{name}\tok" for name in rt.checked_squares)
         lines.append(f"bimodule_multiplicities\t{res['expected']}\t"
                      f"{'ok' if res['ok'] else 'MISMATCH'}")
         return (0 if res["ok"] else 1), lines
@@ -318,6 +317,8 @@ def run_scenario(path: str, parser, base_args) -> tuple[int, list[str]]:
             return execute(sub_args)
         except (HorizonExceeded, Undecided) as exc:
             return 2, [str(exc)]
+        except SquareFailed as exc:
+            return 1, [str(exc)]
         except ValueError as exc:
             return 2, [f"# line {lineno}: {exc}"]
 
@@ -344,6 +345,8 @@ def main(argv=None) -> int:
             code, lines = execute(args)
     except (HorizonExceeded, Undecided) as exc:
         code, lines = 2, [str(exc)]
+    except SquareFailed as exc:
+        code, lines = 1, [str(exc)]
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

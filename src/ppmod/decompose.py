@@ -240,7 +240,7 @@ def _split_indecomposable(m: Module):
     inv = ker.basis.vstack(img.basis).inverse()
     out = []
     for part, cols in ((ker, range(ker.dim)), (img, range(ker.dim, m.dim))):
-        sub, inj = submodule(m, part, check=False)
+        sub, inj = submodule(m, part)
         proj = ModuleMap(m, sub, inv.take_cols(cols), check=False)
         for (u, inj2, proj2, ed, rad) in _split_indecomposable(sub):
             out.append((u, inj2.then(inj), proj.then(proj2), ed, rad))
@@ -305,6 +305,10 @@ def compose_subspaces(m: Module, c: Module, n: Module,
         amb, vectorized(m.algebra.field, [a * b for a in fs for b in gs], amb))
 
 
+# the highest power rad^t that stabilization_exponent computes
+MAX_RADICAL_POWER = 10
+
+
 class RadicalCalculus:
     """rad^t over a declared finite universe of intermediate objects."""
 
@@ -357,11 +361,11 @@ class RadicalCalculus:
         self._pow_cache[key] = total
         return total
 
-    def stabilization_exponent(self, m: Module, n: Module,
-                               t_max: int = 12) -> int | None:
-        """Least t with rad^t = rad^{t+1} on the universe, or None."""
+    def stabilization_exponent(self, m: Module, n: Module) -> int | None:
+        """Least t with rad^t = rad^{t+1} on the universe, or None when
+        the chain has not stabilized by rad^MAX_RADICAL_POWER."""
         prev = self.rad_power(m, n, 1)
-        for t in range(1, t_max):
+        for t in range(1, MAX_RADICAL_POWER):
             cur = self.rad_power(m, n, t + 1)
             if cur == prev:
                 return t

@@ -180,10 +180,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.data})"
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
     def row(self, i):
         return self.data[i]
 

@@ -18,8 +18,7 @@ import itertools
 
 from .algebra import FDAlgebra
 from .linalg import (Matrix, Subspace, block, block_diagonal, combination,
-                     intertwiners, quotient_projection, span_elements,
-                     subspace_leq)
+                     intertwiners, quotient_projection, span_elements)
 
 _module_serial = itertools.count()
 
@@ -112,12 +111,6 @@ class ModuleMap:
         return ModuleMap(self.source, other.target, self.mat * other.mat,
                          check=False)
 
-    def __add__(self, other: "ModuleMap") -> "ModuleMap":
-        return ModuleMap(self.source, self.target, self.mat + other.mat, check=False)
-
-    def __sub__(self, other: "ModuleMap") -> "ModuleMap":
-        return ModuleMap(self.source, self.target, self.mat - other.mat, check=False)
-
     def scale(self, c) -> "ModuleMap":
         return ModuleMap(self.source, self.target, self.mat.scale(c), check=False)
 
@@ -132,9 +125,6 @@ class ModuleMap:
 
     def is_iso(self) -> bool:
         return self.source.dim == self.target.dim and self.rank() == self.source.dim
-
-    def is_zero(self) -> bool:
-        return self.mat.is_zero()
 
     def __repr__(self):
         return f"ModuleMap({self.source.dim}->{self.target.dim})"
@@ -209,16 +199,9 @@ def direct_sum(mods: list[Module], label: str = "") -> tuple[Module, list[Module
     return s, injs, projs
 
 
-def is_invariant(m: Module, s: Subspace) -> bool:
-    return all(subspace_leq(Subspace.from_matrix(m.dim, s.basis * a), s)
-               for a in m.action)
-
-
-def submodule(m: Module, s: Subspace, check: bool = True
-              ) -> tuple[Module, ModuleMap]:
-    """The submodule on an invariant subspace, with its inclusion."""
-    if check and not is_invariant(m, s):
-        raise ValueError("subspace is not invariant under the action")
+def submodule(m: Module, s: Subspace) -> tuple[Module, ModuleMap]:
+    """The submodule on an invariant subspace, with its inclusion; the
+    caller guarantees invariance."""
     b = s.basis
     # coefficients over the RREF basis are read off at the pivot columns
     action = [(b * a).take_cols(s.pivots) for a in m.action]
@@ -226,11 +209,9 @@ def submodule(m: Module, s: Subspace, check: bool = True
     return u, ModuleMap(u, m, b, check=False)
 
 
-def quotient_module(m: Module, s: Subspace, check: bool = True
-                    ) -> tuple[Module, ModuleMap]:
-    """The quotient by an invariant subspace, with its projection."""
-    if check and not is_invariant(m, s):
-        raise ValueError("subspace is not invariant under the action")
+def quotient_module(m: Module, s: Subspace) -> tuple[Module, ModuleMap]:
+    """The quotient by an invariant subspace, with its projection; the
+    caller guarantees invariance."""
     pivots = set(s.pivots)
     # the non-pivot coordinates are those of the quotient
     nonpivots = [j for j in range(m.dim) if j not in pivots]
@@ -249,7 +230,7 @@ def kernel_subspace(f: ModuleMap) -> Subspace:
 
 
 def cokernel(f: ModuleMap) -> tuple[Module, ModuleMap]:
-    return quotient_module(f.target, image_subspace(f), check=False)
+    return quotient_module(f.target, image_subspace(f))
 
 
 # -- isomorphism testing -----------------------------------------------------
@@ -396,7 +377,7 @@ def presentation_from_relations(algebra: FDAlgebra, ngens: int,
             v.extend(comp)
         flat.append(v)
     sub = _module_span(free, flat) if flat else Subspace.zero(f, free.dim)
-    mod, proj = quotient_module(free, sub, check=False)
+    mod, proj = quotient_module(free, sub)
     return Presentation(algebra, ngens, [tuple(r) for r in relation_vectors],
                         mod, proj, free)
 

@@ -92,7 +92,7 @@ class RealizedTube:
     psibar: dict = field(default_factory=dict)   # (l, j) -> P^l_j -> P^l_{j+1}
     alpha: dict = field(default_factory=dict)    # (l, j) -> P^{l-1}_j -> P^l_j
     fmaps: dict = field(default_factory=dict)    # j -> P^n_{j+1} -> M_j
-    checked_squares: list = field(default_factory=list)
+    checked_squares: list = field(default_factory=list)  # names, in order
 
     def realize_arrow(self, q: TranslationQuiver, a: Arrow) -> ModuleMap:
         """Arrows of the single-ray quiver Q(1; n) as ladder maps."""
@@ -175,9 +175,9 @@ def _verify_squares(rt: RealizedTube):
 
     def check(name, top, left, right, bottom):
         res = verify_pushout_pullback(top, left, right, bottom)
-        rt.checked_squares.append((name, res["bicartesian"]))
         if not res["bicartesian"]:
             raise SquareFailed(name, str(res))
+        rt.checked_squares.append(name)
 
     psi1, phi1 = rt.psibar[(0, 1)], rt.phi[1]
     # the degenerate base square (zero corner): 0 -> M_1 -> M_2 -> M_1 -> 0
@@ -187,7 +187,7 @@ def _verify_squares(rt: RealizedTube):
     if not phi1.is_surjective() or not (psi1.mat * phi1.mat).is_zero() or \
             rt.P[(0, 2)].dim != 2 * rt.P[(0, 1)].dim:
         raise SquareFailed("tube[1]", "base sequence not exact")
-    rt.checked_squares.append(("tube[1]", True))
+    rt.checked_squares.append("tube[1]")
     for j in range(1, J):
         check(f"tube[{j + 1}]", rt.phi[j], rt.psibar[(0, j + 1)],
               rt.psibar[(0, j)], rt.phi[j + 1])
@@ -204,7 +204,7 @@ def _verify_squares(rt: RealizedTube):
     for j in range(2, J + 1):
         check(f"rim[{j}]", rt.psibar[(n, j)],
               rt.fmaps[j - 1], rt.fmaps[j], rt.psibar[(0, j - 1)])
-    rt.checked_squares.append(("coker[psi_1]", True))
+    rt.checked_squares.append("coker[psi_1]")
 
 
 # -- the stage bimodule and its projectivity ----------------------------------

@@ -16,6 +16,7 @@ from .catalog import (dvr_chain_module, dvr_universe, kronecker_preprojective,
                       kronecker_regular, kronecker_step_formula,
                       kronecker_universe, random_quotient_of_free)
 from .decompose import RadicalCalculus, decompose
+from .errors import SquareFailed
 from .fields import GF
 from .linalg import Matrix, span_elements, subspace_leq
 from .modules import (ModuleMap, direct_sum, hom_space, iso_test, k_dual)
@@ -304,10 +305,13 @@ def suite_ray_tube(seed: int = 0) -> SuiteResult:
     from ppmod.modules import cokernel
     for height in (0, 1, 2):
         tower = build_tower(5, height, F2)
-        rt = realize_in_tower(tower, 3)
+        try:
+            rt = realize_in_tower(tower, 3)
+        except SquareFailed as exc:
+            bad.append((height, str(exc)))
+            lines.append(f"realized\theight {height}: {exc}")
+            continue
         squares = len(rt.checked_squares)
-        if not all(ok for _, ok in rt.checked_squares):
-            bad.append((height, "square verification"))
         cok, _ = cokernel(rt.psibar[(0, 1)])
         if iso_test(cok, rt.P[(0, 1)]) is None:
             bad.append((height, "coker(psi_1) != M_1"))
@@ -527,7 +531,7 @@ def suite_radical(seed: int = 0) -> SuiteResult:
                         break
                 if structural != criterion:
                     bad.append((name, a.label, b.label, coeffs))
-            exp = calc.stabilization_exponent(a, b, t_max=10)
+            exp = calc.stabilization_exponent(a, b)
             if exp is None:
                 bad.append((name, a.label, b.label, "no stabilization"))
     lines = [f"maps\t{maps_checked} homomorphisms, full enumeration over "

@@ -498,7 +498,7 @@ def left_projectives(tower: TowerRing) -> list[tuple[str, Module]]:
          for i in range(1, tower.height + 1)]
     for name, idem in names:
         span = _module_span(op_reg, [list(idem)])
-        sub, _ = submodule(op_reg, span, check=False)
+        sub, _ = submodule(op_reg, span)
         sub.label = f"P[{name}]"
         out.append((name, sub))
     return out

@@ -19,3 +19,19 @@ def dvr3():
 @pytest.fixture(scope="session")
 def kron():
     return kronecker_algebra(F2)
+
+
+@pytest.fixture
+def failed_square(monkeypatch):
+    """verify_pushout_pullback reports the first square it checks as not
+    bicartesian."""
+    from ppmod import realize
+    inner = realize.verify_pushout_pullback
+    calls = []
+
+    def failing(*maps):
+        res = inner(*maps)
+        calls.append(res)
+        return dict(res, bicartesian=False) if len(calls) == 1 else res
+
+    monkeypatch.setattr(realize, "verify_pushout_pullback", failing)

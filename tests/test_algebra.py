@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppmod.fields import GF, QQ
-from ppmod.algebra import (FDAlgebra, QuiverPresentation, algebra_from_quiver,
-                           kronecker_algebra, truncated_dvr)
+from ppmod.algebra import FDAlgebra, kronecker_algebra, truncated_dvr
 from ppmod.linalg import Matrix
 from ppmod.modules import Module
 
@@ -48,39 +47,6 @@ def test_kronecker_dimension_and_products():
     assert a.add_el(e1, e2) == a.unit
 
 
-def test_one_vertex_no_arrows_is_ground_field():
-    q = QuiverPresentation(1, [], path_length_cap=2)
-    a = algebra_from_quiver(q, F2)
-    assert a.dim == 1
-
-
-def test_loop_with_cube_relation_derived():
-    # oracle: surviving paths are exactly those of length < 3
-    q = QuiverPresentation(1, [(0, 0, "x")], relations=[[(1, (0, 0, 0))]],
-                           path_length_cap=4)
-    a = algebra_from_quiver(q, F2)
-    assert a.dim == 3
-    x = a.basis_el(a.labels.index("x"))
-    x2 = a.mul_el(x, x)
-    assert a.mul_el(x2, x) == a.zero_el()
-    # same algebra as the horizon-3 valuation model
-    b = truncated_dvr(3, F2)
-    assert sorted(m.count(F2.one()) for r in a.table for m in r) == \
-        sorted(m.count(F2.one()) for r in b.table for m in r)
-
-
-def test_infinite_dimensional_at_cap_rejected():
-    q = QuiverPresentation(1, [(0, 0, "x")], path_length_cap=3)
-    with pytest.raises(ValueError):
-        algebra_from_quiver(q, F2)
-
-
-def test_malformed_relation_rejected():
-    with pytest.raises(ValueError):
-        QuiverPresentation(2, [(0, 1, "a"), (1, 0, "b")],
-                           relations=[[(1, (0,)), (1, (1,))]])
-
-
 def test_opposite_is_involution_and_valid():
     a = kronecker_algebra(F2)
     o = a.op
@@ -115,21 +81,6 @@ def test_non_associative_table_rejected():
 def test_unit_law_failure_rejected(table):
     with pytest.raises(ValueError, match="unit law"):
         FDAlgebra(F2, ["1", "a"], table, (1, 0))
-
-
-def test_commutative_square_identifies_parallel_paths():
-    # 1 -a-> 2 -b-> 4 and 1 -c-> 3 -d-> 4 with ab = cd: the residue of the
-    # pivot path ab is the surviving path cd, so a b = c d is not zero
-    q = QuiverPresentation(4, [(0, 1, "a"), (1, 3, "b"), (0, 2, "c"),
-                               (2, 3, "d")],
-                           relations=[[(1, (0, 1)), (-1, (2, 3))]],
-                           path_length_cap=3)
-    for f in (F2, GF(3), QQ):
-        alg = algebra_from_quiver(q, f)
-        assert alg.dim == 9
-        el = alg.el_from_label
-        ab = alg.mul_el(el("a"), el("b"))
-        assert ab == alg.mul_el(el("c"), el("d")) != alg.zero_el()
 
 
 def test_kronecker_table():

@@ -247,6 +247,29 @@ def test_undecided_exits_2(monkeypatch, capsys):
     assert "UNDECIDED: End neither" in capsys.readouterr().out
 
 
+def test_failed_square_exits_1_with_one_line(failed_square, capsys):
+    rc = main(["realize", "--N", "5", "--height", "1", "--stages", "2"])
+    out = capsys.readouterr()
+    assert rc == 1
+    assert out.err == ""
+    [line] = out.out.splitlines()
+    assert line.startswith("SQUARE_FAILED(tube[2]): ")
+
+
+def test_failed_square_scenario_line_exits_1(failed_square, tmp_path,
+                                             capsys):
+    scn = tmp_path / "scenario.txt"
+    scn.write_text("realize --N 5 --height 1 --stages 2\n"
+                   "pp dual --algebra dvr:3 --formula 'x1*x = 0'\n")
+    rc = main(["run", str(scn)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert lines[0] == "## realize --N 5 --height 1 --stages 2"
+    assert lines[1].startswith("SQUARE_FAILED(tube[2]): ")
+    # the next line still runs
+    assert lines[2] == "## pp dual --algebra dvr:3 --formula 'x1*x = 0'"
+
+
 @pytest.mark.parametrize("max_dim", ["2", "1", "0"])
 def test_probe_without_pp1_exits_2(max_dim):
     proc = subprocess.run(

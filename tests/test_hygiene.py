@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import itertools
 from pathlib import Path
 from typing import NamedTuple
 
@@ -146,15 +147,14 @@ def public_options(tree: ast.Module):
                 yield fn.lineno, f"{name}.{arg.arg}", callee, None
 
 
-def option_setters(trees) -> tuple[dict[str, tuple], set[str]]:
+def option_setters(trees) -> tuple[dict[str, list], set[str]]:
     """(setters, listed) over the calls in the given trees.  setters maps
-    each called name or attribute to (the most positional arguments one
-    call passes, the keywords the calls pass); a '*' argument passes every
-    position and a '**' argument every keyword (keyword '**').  listed
-    holds every name or attribute placed in a dict, list or tuple display:
-    a function in a table is called through the table."""
-    npos: dict[str, float] = {}
-    keywords: dict[str, set[str]] = {}
+    each called name or attribute to its calls, each as (the positional
+    arguments, a dict from each keyword to its argument, with the key '**'
+    for a '**' argument).  listed holds every name or attribute placed in
+    a dict, list or tuple display: a function in a table is called through
+    the table."""
+    calls: dict[str, list] = {}
     listed: set[str] = set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -162,27 +162,48 @@ def option_setters(trees) -> tuple[dict[str, tuple], set[str]]:
                 f = node.func
                 callee = f.id if isinstance(f, ast.Name) else \
                     f.attr if isinstance(f, ast.Attribute) else None
-                if callee is None:
-                    continue
-                star = any(isinstance(a, ast.Starred) for a in node.args)
-                npos[callee] = max(npos.get(callee, 0),
-                                   float("inf") if star else len(node.args))
-                keywords.setdefault(callee, set()).update(
-                    k.arg or "**" for k in node.keywords)
+                if callee is not None:
+                    calls.setdefault(callee, []).append((node.args, {
+                        k.arg or "**": k.value for k in node.keywords}))
             elif isinstance(node, (ast.Dict, ast.List, ast.Tuple)):
                 items = node.values if isinstance(node, ast.Dict) else \
                     node.elts
                 listed.update(e.id if isinstance(e, ast.Name) else e.attr
                               for e in items
                               if isinstance(e, (ast.Name, ast.Attribute)))
-    return {c: (npos[c], keywords[c]) for c in npos}, listed
+    return calls, listed
+
+
+def passed_values(calls, param: str, position):
+    """What each call passes for a parameter at the given position (None
+    for a keyword-only one): the repr of a literal argument, '?' for any
+    other argument or for a '*' or '**' argument that may pass it, None
+    where the call leaves the default."""
+    for args, keywords in calls:
+        plain = list(itertools.takewhile(
+            lambda a: not isinstance(a, ast.Starred), args))
+        if param in keywords:
+            arg = keywords[param]
+        elif position is not None and position < len(plain):
+            arg = plain[position]
+        else:
+            spread = "**" in keywords or \
+                (position is not None and len(plain) < len(args))
+            yield "?" if spread else None
+            continue
+        try:
+            yield repr(ast.literal_eval(arg))
+        except (ValueError, TypeError):
+            yield "?"
 
 
 def unset_options(module: str, tree: ast.Module, setters, listed: set[str],
                   kept, kept_options) -> list[str]:
     """'line: name' for each defaulted public parameter of tree (see
     public_options) that no call passes (see option_setters), by keyword,
-    by position or through '*' or '**'.  Functions in listed, names whose
+    by position or through '*' or '**', and 'line: name = value' for one
+    that every call passes as the same literal value: an option with one
+    value in use is a constant.  Functions in listed, names whose
     'module.name' is in kept and parameters whose 'module.name' is in
     kept_options are exempt."""
     out = []
@@ -191,11 +212,12 @@ def unset_options(module: str, tree: ast.Module, setters, listed: set[str],
         if callee in listed or f"{module}.{owner}" in kept or \
                 f"{module}.{name}" in kept_options:
             continue
-        most, keywords = setters.get(callee, (0, set()))
         param = name.rsplit(".", 1)[-1]
-        if not (param in keywords or "**" in keywords or
-                (position is not None and most > position)):
+        values = set(passed_values(setters.get(callee, []), param, position))
+        if values <= {None}:
             out.append(f"{line}: {name}")
+        elif len(values) == 1 and values != {"?"}:
+            out.append(f"{line}: {name} = {values.pop()}")
     return out
 
 
@@ -212,15 +234,15 @@ KEPT = {
         "certifies that canonical labels are pairwise non-isomorphic",
 }
 
-# defaulted public parameters no caller outside tests/ sets, each with why
-# it stays
+# defaulted public parameters that no caller outside tests/ sets, or that
+# every caller sets to one literal value, each with why it stays
 KEPT_OPTIONS = {
-    "algebra.QuiverPresentation.relations":
-        "bound quiver algebras: the relation ideal algebra_from_quiver "
-        "eliminates, certified in test_algebra",
     "suites.radical_universes.field":
         "the radical suite's universes rebuilt over GF(3), where the "
         "radical is cross-checked off the GF(2) fast path",
+    "suites.SuiteResult.summary.with_time":
+        "perfbench/workloads.py passes with_time=False, and perfbench/ "
+        "changes only with the benchmark (ROADMAP item 6)",
 }
 
 
@@ -397,9 +419,9 @@ def test_unset_options_are_found():
     tree = ast.parse(src)
     callers = ast.parse(
         "TABLE = {'t': tabled}\n"
-        "by_keyword(0, kw=2)\nby_position(0, 2)\nby_star(*args)\n"
-        "by_starstar(0, **opts)\nunset(0)\nC(1).m(2)\nC.s(1)\n")
-    tests = ast.parse("only_tested(0, tested=2)\nC().m(z=1)\n")
+        "by_keyword(0, kw=k)\nby_position(0, p)\nby_star(*args)\n"
+        "by_starstar(0, **opts)\nunset(0)\nC(x).m(y)\nC.s(w)\n")
+    tests = ast.parse("only_tested(0, tested=t)\nC().m(z=1)\n")
     kept_options = {"m.kept.why"}
     assert unset_options("m", tree, *option_setters([tree, callers]), {},
                          kept_options) == [
@@ -409,6 +431,29 @@ def test_unset_options_are_found():
     assert unset_options("m", tree, *option_setters([tree, callers, tests]),
                          {}, kept_options) == [
         "9: unset.never", "9: unset.nor"]
+
+
+def test_one_value_options_are_found():
+    src = ("def fixed(a, flag=True):\n    pass\n"
+           "def negative(a, k=0):\n    pass\n"
+           "def varied(a, n=1):\n    pass\n"
+           "def defaulted(a, t=10):\n    pass\n"
+           "def computed(a, size=0):\n    pass\n"
+           "class C:\n"
+           "    def m(self, *, on=False):\n        pass\n")
+    tree = ast.parse(src)
+    callers = ast.parse(
+        "fixed(0, flag=False)\nfixed(1, False)\n"
+        "negative(0, k=-1)\nnegative(1, -1)\n"
+        "varied(0, 2)\nvaried(0, n=3)\n"
+        "defaulted(0, t=10)\ndefaulted(0)\n"
+        "computed(0, size=len(a))\ncomputed(0, size=len(a))\n"
+        "C().m(on=True)\n")
+    # one literal everywhere is a constant; two literals, a literal and
+    # the default, or an expression each make a real option
+    assert unset_options("m", tree, *option_setters([tree, callers]), {},
+                         {}) == ["1: fixed.flag = False",
+                                 "3: negative.k = -1", "12: C.m.on = True"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
@@ -426,4 +471,5 @@ def test_kept_options_exist_and_have_no_other_caller(public_callers):
         tree = ast.parse((SRC / f"{module}.py").read_text())
         unset = unset_options(module, tree, c.setters, c.listed, KEPT, {})
         # a kept option that is gone or gains a caller leaves KEPT_OPTIONS
-        assert qual in {entry.split(": ", 1)[1] for entry in unset}, name
+        assert qual in {entry.split(": ", 1)[1].split(" = ")[0]
+                        for entry in unset}, name

@@ -59,7 +59,7 @@ def test_kronecker_projective_homs(kron):
     p2 = kronecker_preprojective(kron, 0)  # projective at vertex 2
     p1 = kronecker_preprojective(kron, 1)  # projective at vertex 1
     assert len(hom_space(p2, p1)) == 2
-    assert all(h.is_injective() or h.is_zero() for h in hom_space(p2, p1))
+    assert all(h.is_injective() or h.mat.is_zero() for h in hom_space(p2, p1))
 
 
 def test_hom_additive_in_sums(dvr3):

@@ -48,8 +48,7 @@ def test_deliberately_broken_square_fails(tw_n1):
 
 
 def test_realized_ladder_n1(rt_n1):
-    names = [n for n, ok in rt_n1.checked_squares]
-    assert all(ok for _, ok in rt_n1.checked_squares)
+    names = rt_n1.checked_squares
     assert "tube[1]" in names and "coker[psi_1]" in names
     assert any(n.startswith("ladder[1,") for n in names)
     assert any(n.startswith("rim[") for n in names)
@@ -88,7 +87,7 @@ def test_realization_functoriality_n1(tw_n1, rt_n1):
                 direct = direct.then(rt_n1.realize_arrow(q, a))
             np = normalize_path(q, p)
             if np == ZERO:
-                assert direct.is_zero()
+                assert direct.mat.is_zero()
             else:
                 realized = rt_n1.realize_normal_path(q, np)
                 assert realized.mat == direct.mat
@@ -140,6 +139,14 @@ def test_corrupted_ladder_names_the_failing_square():
     with pytest.raises(SquareFailed) as err:
         _verify_squares(rt)
     assert err.value.square_id == "ladder[1,1]"
+
+
+def test_failed_square_fails_the_ray_tube_suite(failed_square):
+    from ppmod.suites import SUITES
+    res = SUITES["ray-tube"](0)
+    assert not res.passed
+    assert "realized\theight 0: SQUARE_FAILED(tube[2])" in \
+        "\n".join(res.lines)
 
 
 def test_realize_computes_each_hom_space_once(monkeypatch):

@@ -192,11 +192,11 @@ def test_f1_map_with_vanishing_target_homs(tw32):
     homs = hom_space(x, y)
     assert homs  # the socle-killing quotient lifts to the extension
     assert len(hom_space(tw32.bimodules[1], y)) == 0
-    nz = next(h for h in homs if not h.is_zero())
+    nz = next(h for h in homs if not h.mat.is_zero())
     lifted = f1_map(tw32, 2, nz)
     assert lifted.source.dim == x.dim + 1  # one hom coordinate added
     assert lifted.target.dim == y.dim      # none on the F0 side
-    assert not lifted.is_zero()
+    assert not lifted.mat.is_zero()
 
 
 def test_f1_map_natural_embedding(tw31):
