@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .fields import Field
-from .linalg import Matrix, combination
+from .linalg import Matrix, block_diagonal, combination
 
 
 class FDAlgebra:
@@ -36,6 +36,7 @@ class FDAlgebra:
         self._rho = tuple(
             Matrix.from_rows(field, [self.table[i][j] for i in range(self.dim)])
             for j in range(self.dim))
+        self._free_actions: dict[int, tuple[Matrix, ...]] = {1: self._rho}
         if check:
             self._check_axioms()
 
@@ -127,10 +128,16 @@ class FDAlgebra:
             self._op = o
         return self._op
 
-    def right_regular_action(self) -> tuple[Matrix, ...]:
-        """rho(b_j) with (u * rho(b_j))_k = sum_i u_i c[i][j][k] (row
-        convention), built once with the algebra."""
-        return self._rho
+    def free_action(self, rank: int) -> tuple[Matrix, ...]:
+        """The right action on A^rank: rho(b_j) on each of rank diagonal
+        blocks, built once per rank and kept with the algebra.  Rank 1 is
+        the right regular representation rho itself, with
+        (u * rho(b_j))_k = sum_i u_i c[i][j][k] (row convention)."""
+        action = self._free_actions.get(rank)
+        if action is None:
+            action = self._free_actions[rank] = tuple(
+                block_diagonal(self.field, [reg] * rank) for reg in self._rho)
+        return action
 
     def __repr__(self):
         return f"FDAlgebra({self.name}, dim={self.dim})"

@@ -145,8 +145,6 @@ def _rational_certificate(mats: list[Matrix], coords):
     local, else (None, candidates): a CRT idempotent when E/rad is
     commutative.  The trace form's Gram matrix is one product:
     tr(B_i B_j) is the dot product of vec(B_i) with vec(B_j^T)."""
-    from fractions import Fraction
-    from sympy import Poly, Rational, Symbol, div, invert
     f, n = mats[0].field, mats[0].rows
     gram = vectorized(f, mats, n * n) * \
         vectorized(f, [b.transpose() for b in mats], n * n).transpose()
@@ -159,6 +157,10 @@ def _rational_certificate(mats: list[Matrix], coords):
     comms = [a * b - b * a for a, b in itertools.combinations(top, 2)]
     if not all(radical.contains_vector(r) for r in coords(comms).data):
         return None, ()
+    # sympy is imported only here, where a commutative top of dimension
+    # > 1 is factored: its import costs more than most QQ decompositions
+    from fractions import Fraction
+    from sympy import Poly, Rational, Symbol, div, invert
     t = Symbol("t")
     for c in itertools.count():
         x = combination([f.of(c ** i) for i in range(top_dim)], top)

@@ -814,12 +814,28 @@ def subspace_leq(u: Subspace, w: Subspace) -> bool:
 
 def quotient_projection(s: Subspace) -> Matrix:
     """k^d -> k^d / s as a d x (d - dim s) matrix, in the coordinates of
-    the non-pivot columns of s: e_t stays e_t for a non-pivot t and
-    becomes e_t - (the basis row with pivot t) for a pivot t, which is
-    zero at every pivot."""
-    pivots = s.pivots
-    piv = set(pivots)
+    the non-pivot columns of s: row t is e_t for a non-pivot t, and minus
+    the basis row with pivot t, cut to the non-pivot columns, for a pivot
+    t (e_t less that row is zero at every pivot)."""
+    piv = set(s.pivots)
     nonpivots = [j for j in range(s.ambient) if j not in piv]
-    ident = Matrix.identity(s.field, s.ambient)
-    return (ident.take_cols(nonpivots)
-            - ident.take_cols(pivots) * s.basis.take_cols(nonpivots))
+    w = len(nonpivots)
+    cut = s.basis.take_cols(nonpivots)
+    f = s.field
+    out = [None] * s.ambient
+    if f.p == 2:
+        for k, t in enumerate(nonpivots):
+            out[t] = 1 << k
+        for t, r in zip(s.pivots, cut.ints):
+            out[t] = r
+        return Matrix._of_stored(f, s.ambient, w, tuple(out))
+    # over GF(p) and QQ: integer rows over the cut's den, e_t being den
+    # at its own column
+    den = cut.den
+    for k, t in enumerate(nonpivots):
+        row = [0] * w
+        row[k] = den
+        out[t] = row
+    for t, r in zip(s.pivots, cut.ints):
+        out[t] = [-x for x in r]
+    return Matrix._of_ints(f, s.ambient, w, out, den)

@@ -140,10 +140,7 @@ def zero_map(m: Module, n: Module) -> ModuleMap:
 
 def free_module(algebra: FDAlgebra, rank: int, label: str = "") -> Module:
     """R^rank with basis e_i (x) b_t, coordinates blocked by generator."""
-    f = algebra.field
-    action = [block_diagonal(f, [reg] * rank)
-              for reg in algebra.right_regular_action()]
-    return Module(algebra, algebra.dim * rank, action,
+    return Module(algebra, algebra.dim * rank, algebra.free_action(rank),
                   label=label or f"{algebra.name}^{rank}", check=False)
 
 
@@ -326,24 +323,17 @@ def _module_span(m: Module, vectors, start: Subspace | None = None) -> Subspace:
     """Smallest action-invariant subspace containing the vectors and the
     invariant subspace start (zero if omitted).
 
-    A worklist: each round adds the pending vectors to the span, and the
-    basis rows at the new pivot columns (a basis of what the round added)
-    are pushed through every action matrix to give the next pending
-    vectors.  So every action is applied to every new basis vector
-    exactly once."""
+    It is start + span{v.b : v a vector, b a basis element of A}, so one
+    elimination of the stacked products finds it.  That space contains
+    each v, because the unit is a combination of the basis and acts as
+    the identity; and it is invariant, because (v.b).a = v.(ba) and ba is
+    a combination of the basis."""
     f = m.algebra.field
-    span = Subspace.zero(f, m.dim) if start is None else start
-    pending = Matrix(f, len(vectors), m.dim, vectors)
-    while pending.rows:
-        grown = Subspace.from_matrix(m.dim, span.basis.vstack(pending))
-        old = set(span.pivots)
-        fresh = grown.basis.take_rows(
-            i for i, p in enumerate(grown.pivots) if p not in old)
-        span = grown
-        pending = Matrix.zero(f, 0, m.dim)
-        for a in m.action:
-            pending = pending.vstack(fresh * a)
-    return span
+    vecs = Matrix(f, len(vectors), m.dim, vectors)
+    stacked = Matrix.zero(f, 0, m.dim) if start is None else start.basis
+    for a in m.action:
+        stacked = stacked.vstack(vecs * a)
+    return Subspace.from_matrix(m.dim, stacked)
 
 
 def _greedy_generators(m: Module, candidates) -> list[tuple]:
@@ -369,14 +359,13 @@ def presentation_from_relations(algebra: FDAlgebra, ngens: int,
     """Quotient of A^ngens by the submodule generated by the given vectors
     of A^ngens (each a tuple of algebra elements)."""
     free = free_module(algebra, ngens)
-    f = algebra.field
     flat = []
     for rel in relation_vectors:
         v = []
         for comp in rel:
             v.extend(comp)
         flat.append(v)
-    sub = _module_span(free, flat) if flat else Subspace.zero(f, free.dim)
+    sub = _module_span(free, flat)
     mod, proj = quotient_module(free, sub)
     return Presentation(algebra, ngens, [tuple(r) for r in relation_vectors],
                         mod, proj, free)

@@ -10,9 +10,11 @@ algebra).  With this storage a single code path serves both sides: block
 assembly for sum/meet/duality never multiplies two algebra entries, so the
 opposite multiplication never enters.
 
-Equivalence of formulas is always decided semantically, by implication in
-both directions through free realizations; nothing is ever compared
-syntactically.
+Implication phi -> psi is decided on the free realization (C, c) of phi:
+psi(C) is not computed, one membership test asks whether some bound
+tuple completes c to a solution of psi's system on C.  Equivalence of
+formulas is always decided semantically, by implication in both
+directions; nothing is ever compared syntactically.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import FDAlgebra
-from .linalg import Subspace, block, projected_kernel
+from .linalg import Matrix, Subspace, block, projected_kernel
 from .modules import (Module, Presentation, presentation_from_relations,
                       presentation_of)
 
@@ -82,14 +84,18 @@ class PpFormula:
         hit = self._eval_cache.get(module.serial)
         if hit is not None:
             return hit
-        d, nvars = module.dim, self.n + self.l
-        # band (v, e) of the system is the action of hmat[v][e]
-        system = block(self.algebra.field, [d] * nvars, [d] * self.m,
-                       {(v, e): module.act(self.hmat[v][e])
-                        for v in range(nvars) for e in range(self.m)})
-        result = Subspace(self.n * d, projected_kernel(system, self.n * d))
+        k = self.n * module.dim
+        result = Subspace(k, projected_kernel(self._system(module), k))
         self._eval_cache[module.serial] = result
         return result
+
+    def _system(self, module: Module) -> Matrix:
+        """The matrix S with phi(M) the x-part of {(x, y) : (x, y) S = 0}:
+        band (v, e) is the action of hmat[v][e] on M."""
+        d, nvars = module.dim, self.n + self.l
+        return block(self.algebra.field, [d] * nvars, [d] * self.m,
+                     {(v, e): module.act(self.hmat[v][e])
+                      for v in range(nvars) for e in range(self.m)})
 
     # -- free realization and implication ------------------------------
 
@@ -110,11 +116,22 @@ class PpFormula:
         return fr
 
     def implies(self, other: "PpFormula") -> bool:
-        """phi <= psi in the pp lattice, decided on the free realization."""
+        """phi <= psi in the pp lattice: whether the tuple x of the free
+        realization C of phi lies in psi(C).  With S_x and S_y the x- and
+        y-bands of psi's system on C, that is whether some y has
+        x S_x = -y S_y, one membership test in the row space of S_y (with
+        no bound variable, whether x S_x is zero)."""
         _check_compatible(self, other)
+        if other.m == 0:
+            return True
         fr = self.free_realization()
-        target = other.evaluate(fr.module)
-        return target.contains_vector(fr.tuple_vector())
+        system = other._system(fr.module)
+        k = other.n * fr.module.dim
+        x = Matrix.from_rows(system.field, [fr.tuple_vector()])
+        xs = x * system.take_rows(range(k))
+        ys = Subspace.from_matrix(system.cols,
+                                  system.take_rows(range(k, system.rows)))
+        return ys.contains_vector(xs.row(0))
 
     def equivalent(self, other: "PpFormula") -> bool:
         return self.implies(other) and other.implies(self)

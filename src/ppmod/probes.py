@@ -79,18 +79,22 @@ def _vec_meet(a: _Vec, b: _Vec, expr: str) -> _Vec:
 def theta_pool(universe: list[Module]) -> list[tuple[str, PpFormula]]:
     """Generator formulas: pp-type generators of f(g) for every hom basis
     element f between universe modules and every module generator g of the
-    source.  Sorted by target dimension, then construction order."""
+    source.  Sorted by target dimension, then construction order.  Equal
+    images in one target share one formula object, and so its cached
+    values."""
     out = []
+    made: dict = {}  # (target index, image) -> its pp-type generator
     for ai, a in enumerate(universe):
         gens = module_generators(a)
         for bi, b in enumerate(universe):
             homs = hom_space(a, b)
             for hi, h in enumerate(homs):
                 for gi, g in enumerate(gens):
-                    img = h(g)
+                    key = (bi, h(g))
+                    if key not in made:
+                        made[key] = pp_type_generator_of_element(b, key[1])
                     name = f"gen[{_label(b)}<-{_label(a)}:h{hi}g{gi}]"
-                    out.append((b.dim, ai, bi, hi, gi, name,
-                                pp_type_generator_of_element(b, img)))
+                    out.append((b.dim, ai, bi, hi, gi, name, made[key]))
     out.sort(key=lambda t: t[:5])
     return [(name, f) for *_, name, f in out]
 

@@ -283,25 +283,29 @@ def suite_ray_tube(seed: int = 0) -> SuiteResult:
     for m, lengths in [(1, (0,)), (2, (1, 0))]:
         q = build_ray_tube(m, lengths, 7)
         tube = SymbolicTube(q)
+        failed = []
         psi2 = tube.psibar_matrix(0, 2)
         if any(psi2[i][i] is None or psi2[i][i].mu_steps != 1
                for i in range(m)):
-            bad.append((m, "stage matrix shape"))
+            failed.append("stage matrix shape")
         phi2 = tube.phi_matrix(2)
-        for i in range(m):
-            ent = phi2[i][(i + 1) % m]
-            if ent is None or ent.lam_steps != q.n_of(i) + 1 or ent.mu_steps:
-                bad.append((m, "rim matrix shape"))
+        rim = [phi2[i][(i + 1) % m] for i in range(m)]
+        if any(ent is None or ent.lam_steps != q.n_of(i) + 1 or ent.mu_steps
+               for i, ent in enumerate(rim)):
+            failed.append("rim matrix shape")
         for j in range(2, 5):
             psi, prev = tube.psibar_matrix(0, j), tube.psibar_matrix(0, j - 1)
             if tube.compose(psi, tube.phi_matrix(j)) != \
                     tube.compose(tube.phi_matrix(j - 1), prev):
-                bad.append((m, f"square at stage {j}"))
+                failed.append(f"square at stage {j}")
         base = tube.compose(tube.psibar_matrix(0, 1), tube.phi_matrix(1))
         if any(x is not None for row in base for x in row):
-            bad.append((m, "base square not zero"))
-        lines.append(f"symbolic\tQ({m}; {','.join(map(str, lengths))}) ladder "
-                     "squares commute, base composes to zero")
+            failed.append("base square not zero")
+        bad.extend((m, what) for what in failed)
+        verdict = (f"FAILED: {', '.join(failed)}" if failed
+                   else "squares commute, base composes to zero")
+        lines.append(f"symbolic\tQ({m}; {','.join(map(str, lengths))}) "
+                     f"ladder {verdict}")
     from ppmod.modules import cokernel
     for height in (0, 1, 2):
         tower = build_tower(5, height, F2)
@@ -311,15 +315,18 @@ def suite_ray_tube(seed: int = 0) -> SuiteResult:
             bad.append((height, str(exc)))
             lines.append(f"realized\theight {height}: {exc}")
             continue
-        squares = len(rt.checked_squares)
+        failed = []
         cok, _ = cokernel(rt.psibar[(0, 1)])
         if iso_test(cok, rt.P[(0, 1)]) is None:
-            bad.append((height, "coker(psi_1) != M_1"))
+            failed.append("COKERNEL_FAILED: coker(psi_1) != M_1")
         res = verify_bimodule_idempotents(rt)
         if not res["ok"]:
-            bad.append((height, f"bimodule multiplicities {res}"))
-        lines.append(f"realized\theight {height}: {squares} squares verified "
-                     f"pushout+pullback, multiplicities {res['expected']}")
+            failed.append(f"MULTIPLICITIES_FAILED: {res}")
+        bad.extend((height, what) for what in failed)
+        verdict = "; ".join(failed) or (
+            f"{len(rt.checked_squares)} squares verified pushout+pullback, "
+            f"multiplicities {res['expected']}")
+        lines.append(f"realized\theight {height}: {verdict}")
     return SuiteResult("ray-tube", not bad, lines)
 
 
@@ -603,18 +610,15 @@ def suite_k_dual(seed: int = 0) -> SuiteResult:
     triples = 0
     for alg, universe in ((dvr3, dvr_universe(dvr3, 3)),
                           (kron, kronecker_universe(kron, 3))):
-        corpus = formula_corpus(alg, 15, rng)
-        duals = {id(m): k_dual(m) for m in universe}
+        corpus = [(phi, dual(phi)) for phi in formula_corpus(alg, 15, rng)]
         for m in universe:
-            md = duals[id(m)]
-            dd = k_dual(md)
-            if iso_test(dd, m) is None:
+            md = k_dual(m)
+            if iso_test(k_dual(md), m) is None:
                 bad.append(("double dual", m.label))
-            for phi, psi in itertools.combinations(corpus, 2):
+            for (phi, dphi), (psi, dpsi) in itertools.combinations(corpus, 2):
                 triples += 1
                 if subspace_leq(phi.evaluate(m), psi.evaluate(m)):
-                    if not subspace_leq(dual(psi).evaluate(md),
-                                        dual(phi).evaluate(md)):
+                    if not subspace_leq(dpsi.evaluate(md), dphi.evaluate(md)):
                         bad.append(("inclusion reversal", m.label))
     lines = [f"triples\t{triples} (phi, psi, M) samples over both algebras",
              "reversal\tphi(M) <= psi(M) forces D(psi)(M*) <= D(phi)(M*)",

@@ -256,7 +256,7 @@ def module_input(draw):
         g = draw(st.lists(field_els(f, d), min_size=d, max_size=d).filter(
             lambda rows: Matrix.from_rows(f, rows).rank() == d))
         g = Matrix.from_rows(f, g)
-        mats = [g * r * g.inverse() for r in alg.right_regular_action()]
+        mats = [g * r * g.inverse() for r in alg.free_action(1)]
     else:
         d = draw(st.integers(0, 3))
         mats = [Matrix.from_rows(f, [draw(field_els(f, d)) for _ in range(d)])

@@ -197,6 +197,18 @@ GOLDEN = Path(__file__).parent / "golden"
 SCENARIO = Path(__file__).parent.parent / "scripts" / "example_scenario.txt"
 
 
+def test_rational_scenario_does_not_import_sympy():
+    # its one QQ local-End certificate has a one-dimensional top, which
+    # needs no factoring
+    code = ("import sys\n"
+            "from ppmod import cli\n"
+            f"code = cli.main(['--field', 'rational', 'run', {str(SCENARIO)!r}])\n"
+            "print(code, 'sympy' in sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.stderr.split() == ["0", "False"]
+
+
 @pytest.mark.parametrize("golden, argv", [
     ("scenario_field_2.txt", ["--field", "2", "run", str(SCENARIO)]),
     ("scenario_field_3.txt", ["--field", "3", "run", str(SCENARIO)]),

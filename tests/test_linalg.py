@@ -12,8 +12,8 @@ from ppmod.algebra import truncated_dvr
 from ppmod.fields import GF, QQ
 from ppmod.linalg import (Matrix, Subspace, block, combination,
                           intertwiners, projected_kernel,
-                          span_elements, subspace_leq, subspace_meet,
-                          subspace_sum, vectorized)
+                          quotient_projection, span_elements, subspace_leq,
+                          subspace_meet, subspace_sum, vectorized)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -446,7 +446,7 @@ def test_native_qq_kernels_do_no_fraction_arithmetic(monkeypatch):
                               [0, 0, 1, Fraction(3, 5)],
                               [Fraction(1, 7), 0, 0, 1]])
     p_inv = p.inverse()
-    action = [p_inv * r * p for r in alg.right_regular_action()]
+    action = [p_inv * r * p for r in alg.free_action(1)]
     coeffs = [Fraction(1, 2), Fraction(0), Fraction(-3, 4), Fraction(5)]
     assert max(m.den for m in action) > 1
 
@@ -709,3 +709,21 @@ def test_intertwiners_match_sympy_kronecker_nullspace(inp):
     vec = vectorized(f, basis, dm * dn)
     assert vec.rref()[0] == vec
     assert [list(r) for r in vec.data] == oracle
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_input())
+def test_quotient_projection_matches_the_identity_columns(inp):
+    # the reference: I[:, nonpivots] - I[:, pivots] B[:, nonpivots]
+    f, a, b = inp[:3]
+    for s in (Subspace.from_matrix(a.cols, a),
+              Subspace.from_matrix(a.cols, a.vstack(b))):
+        piv = s.pivots
+        nonpiv = [j for j in range(s.ambient) if j not in piv]
+        ident = Matrix.identity(f, s.ambient)
+        ref = ident.take_cols(nonpiv) - \
+            ident.take_cols(piv) * s.basis.take_cols(nonpiv)
+        proj = quotient_projection(s)
+        assert (proj.rows, proj.cols, proj.den, proj.ints) == \
+            (ref.rows, ref.cols, ref.den, ref.ints)
+        assert Subspace(s.ambient, proj.left_kernel()) == s

@@ -129,8 +129,8 @@ def test_presentation_expresses_elements(dvr2):
 
 def test_free_module_uses_the_algebras_one_regular_representation():
     alg = truncated_dvr(4, GF(3))
-    rho = alg.right_regular_action()
-    assert rho is alg.right_regular_action()
+    rho = alg.free_action(1)
+    assert rho is alg.free_action(1)
     free = free_module(alg, 2)
     assert free.action == tuple(block_diagonal(alg.field, [r, r]) for r in rho)
 
@@ -218,3 +218,67 @@ def test_iso_test_matches_summands_over_qq():
 def test_module_laws_are_checked(action, message):
     with pytest.raises(ValueError, match=message):
         Module(truncated_dvr(2, F2), 1, action)
+
+
+def worklist_span(m: Module, vectors, start=None) -> Subspace:
+    """The reference closure: each round adds the pending vectors to the
+    span and pushes the basis rows it added through every action."""
+    f = m.algebra.field
+    span = Subspace.zero(f, m.dim) if start is None else start
+    pending = Matrix(f, len(vectors), m.dim, vectors)
+    while pending.rows:
+        grown = Subspace.from_matrix(m.dim, span.basis.vstack(pending))
+        old = set(span.pivots)
+        fresh = grown.basis.take_rows(
+            i for i, p in enumerate(grown.pivots) if p not in old)
+        span = grown
+        pending = Matrix.zero(f, 0, m.dim)
+        for a in m.action:
+            pending = pending.vstack(fresh * a)
+    return span
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+def test_module_span_matches_the_worklist_closure(field):
+    import random
+    from fractions import Fraction
+    from ppmod.modules import _module_span
+    from ppmod.tower import all_labels, build_tower, construct_label
+    tw = build_tower(3, 1, field)
+    mods = (dvr_universe(truncated_dvr(3, field), 4)
+            + kronecker_universe(kronecker_algebra(field), 3)
+            + [construct_label(tw, lab) for lab in all_labels(tw, 6)]
+            + [regular_module(tw.top)])
+    rng = random.Random(0)
+    values = [0, 1, -1, 2] if field.p else [0, 1, -1, Fraction(1, 2)]
+    for m in mods:
+        vecs = [[field.of(rng.choice(values)) for _ in range(m.dim)]
+                for _ in range(3)] + list(Matrix.identity(field, m.dim).data)
+        for v, w in zip(vecs, vecs[1:]):
+            ref = worklist_span(m, [v])
+            assert _module_span(m, [v]) == ref
+            assert _module_span(m, [w], ref) == worklist_span(m, [w], ref)
+        assert _module_span(m, vecs[:2]) == worklist_span(m, vecs[:2])
+        assert _module_span(m, []) == Subspace.zero(field, m.dim)
+
+
+def test_free_module_builds_its_action_once_per_rank(monkeypatch):
+    import ppmod.algebra
+    calls = []
+    inner = ppmod.algebra.block_diagonal
+
+    def counted(f, mats):
+        calls.append(len(mats))
+        return inner(f, mats)
+
+    monkeypatch.setattr(ppmod.algebra, "block_diagonal", counted)
+    alg = truncated_dvr(3, GF(3))
+    rho = alg.free_action(1)
+    for _ in range(3):
+        for rank in (1, 2, 3):
+            free = free_module(alg, rank)
+            assert free.action == tuple(inner(alg.field, [reg] * rank)
+                                        for reg in rho)
+    assert sorted(calls) == [2] * 3 + [3] * 3  # rank 1 is rho itself
+    free_module(truncated_dvr(3, GF(3)), 2)  # another algebra: its own
+    assert len(calls) == 9

@@ -350,3 +350,93 @@ def test_packed_oracle_matches_generic_oracle(d3, kron):
                 fast = brute_eval_f2(phi, m)
                 assert fast == packed(brute_eval(phi, m))
                 assert fast == subspace_int_set(phi.evaluate(m))
+
+
+def implies_by_evaluation(phi, psi):
+    """The reference implication: evaluate psi on the free realization of
+    phi and test its tuple."""
+    fr = phi.free_realization()
+    return psi.evaluate(fr.module).contains_vector(fr.tuple_vector())
+
+
+def edge_formulas(alg):
+    """Formulas with no condition, or with no bound variable."""
+    x = x_el(alg) if "x" in alg.labels else alg.basis_el(alg.dim - 1)
+    return [tautology(alg),
+            PpFormula(alg, RIGHT, 1, 2, [[], [], []]),          # m = 0, l > 0
+            bottom(alg),
+            PpFormula(alg, RIGHT, 1, 0, [[x, alg.unit]]),       # l = 0, m = 2
+            annihilator(alg, alg.unit)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_implies_matches_membership_in_the_evaluated_value(p):
+    # every ordered pair of a seeded corpus over k[x]/(x^3) and the
+    # Kronecker algebra, with the m = 0 and l = 0 shapes among them
+    import random
+    from ppmod.algebra import kronecker_algebra
+    from ppmod.suites import formula_corpus
+    f = GF(p)
+    for alg in (truncated_dvr(3, f), kronecker_algebra(f)):
+        corpus = formula_corpus(alg, 15, random.Random(0)) + \
+            edge_formulas(alg)
+        verdicts = set()
+        for phi, psi in itertools.product(corpus, repeat=2):
+            got = phi.implies(psi)
+            assert got == implies_by_evaluation(phi, psi)
+            verdicts.add((got, psi.m == 0, psi.l == 0))
+        assert {(True, False, False), (False, False, False),
+                (True, False, True), (False, False, True),
+                (True, True, False)} <= verdicts
+
+
+def test_implies_matches_membership_over_the_rationals():
+    from fractions import Fraction
+    from ppmod.fields import QQ
+    alg = truncated_dvr(3, QQ)
+    x, x2 = alg.basis_el(1), alg.basis_el(2)
+    half = alg.smul_el(Fraction(1, 2), x)
+    mixed = alg.add_el(alg.scalar_el(Fraction(-2, 3)), x2)
+    base = edge_formulas(alg) + [
+        divisibility(alg, x), divisibility(alg, x2), annihilator(alg, x2),
+        annihilator(alg, half), divisibility(alg, mixed),
+        PpFormula(alg, RIGHT, 1, 1, [[half, x2], [x, mixed]])]
+    corpus = base + [pp_sum(base[6], base[8]), pp_meet(base[5], base[9])]
+    verdicts = set()
+    for phi, psi in itertools.product(corpus, repeat=2):
+        got = phi.implies(psi)
+        assert got == implies_by_evaluation(phi, psi)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_implies_evaluates_nothing(monkeypatch):
+    import random
+    from ppmod.suites import formula_corpus
+    alg = truncated_dvr(3, F2)
+    corpus = formula_corpus(alg, 15, random.Random(0)) + edge_formulas(alg)
+    expected = [implies_by_evaluation(phi, psi)
+                for phi, psi in itertools.product(corpus, repeat=2)]
+
+    def refused(self, module):
+        raise AssertionError("implies evaluated a formula")
+
+    monkeypatch.setattr(PpFormula, "evaluate", refused)
+    assert [phi.implies(psi)
+            for phi, psi in itertools.product(corpus, repeat=2)] == expected
+
+
+def test_k_dual_suite_builds_each_dual_once(monkeypatch):
+    # 15 corpus formulas over each of the two algebras
+    import ppmod.suites
+    calls = []
+
+    def counted(phi):
+        calls.append(phi)
+        return dual(phi)
+
+    monkeypatch.setattr(ppmod.suites, "dual", counted)
+    res = ppmod.suites.suite_k_dual(0)
+    assert res.passed
+    assert len(calls) == len({id(phi) for phi in calls}) == 30
+    assert res.lines[0].startswith("triples\t2730 ")

@@ -114,3 +114,32 @@ def test_short_probes_suite_builds_theta_pool_twice(monkeypatch):
     monkeypatch.setattr(ppmod.suites, "theta_pool", counting)
     assert suite_short_probes(0).passed
     assert calls == [5, 8]
+
+
+def pool_one_formula_per_entry(universe):
+    """The reference pool: a new pp-type generator for every entry."""
+    out = []
+    for ai, a in enumerate(universe):
+        gens = module_generators(a)
+        for bi, b in enumerate(universe):
+            for hi, h in enumerate(hom_space(a, b)):
+                for gi, g in enumerate(gens):
+                    name = f"gen[{b.label}<-{a.label}:h{hi}g{gi}]"
+                    out.append((b.dim, ai, bi, hi, gi, name,
+                                pp_type_generator_of_element(b, h(g))))
+    out.sort(key=lambda t: t[:5])
+    return [(name, f) for *_, name, f in out]
+
+
+def test_theta_pool_matches_one_formula_per_entry(preprojectives):
+    # the two universes of the short-probes suite
+    rt = realize_in_tower(build_tower(5, 1, F2), 3)
+    stages = [rt.P[(l, j)] for l in (0, 1) for j in range(1, 5)]
+    for universe in (preprojectives, stages):
+        pool = theta_pool(universe)
+        ref = pool_one_formula_per_entry(universe)
+        assert [name for name, _ in pool] == [name for name, _ in ref]
+        assert len({id(f) for _, f in pool}) < len(pool)
+        for (_, got), (_, want) in zip(pool, ref):
+            for m in universe:
+                assert got.evaluate(m) == want.evaluate(m)

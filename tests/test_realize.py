@@ -149,6 +149,42 @@ def test_failed_square_fails_the_ray_tube_suite(failed_square):
         "\n".join(res.lines)
 
 
+def test_failed_multiplicities_are_named_on_their_line(monkeypatch):
+    import ppmod.suites
+    inner = ppmod.suites.verify_bimodule_idempotents
+    monkeypatch.setattr(ppmod.suites, "verify_bimodule_idempotents",
+                        lambda rt: dict(inner(rt), ok=False))
+    res = ppmod.suites.SUITES["ray-tube"](0)
+    assert not res.passed
+    text = "\n".join(res.lines)
+    assert "realized\theight 0: MULTIPLICITIES_FAILED" in text
+    assert "squares verified" not in text
+
+
+def test_failed_cokernel_check_is_named_on_its_line(monkeypatch):
+    import ppmod.suites
+    monkeypatch.setattr(ppmod.suites, "iso_test", lambda m, n: None)
+    res = ppmod.suites.SUITES["ray-tube"](0)
+    assert not res.passed
+    assert "realized\theight 1: COKERNEL_FAILED: coker(psi_1) != M_1" in \
+        "\n".join(res.lines)
+
+
+def test_failed_symbolic_ladder_is_named_on_its_line(monkeypatch):
+    import ppmod.suites
+
+    class NonzeroBase(ppmod.suites.SymbolicTube):
+        def compose(self, a, b):
+            return [[0]]
+
+    monkeypatch.setattr(ppmod.suites, "SymbolicTube", NonzeroBase)
+    res = ppmod.suites.SUITES["ray-tube"](0)
+    assert not res.passed
+    assert "symbolic\tQ(2; 1,0) ladder FAILED: base square not zero" in \
+        res.lines
+    assert not any("squares commute" in line for line in res.lines)
+
+
 def test_realize_computes_each_hom_space_once(monkeypatch):
     import ppmod.tower
     calls = []
