@@ -49,6 +49,17 @@ MAX_ALGEBRA_DIM = 24
 # (0.5 s, 1.1 s and 2.6 s at 13, 15 and 17 over GF(2)).
 MAX_PROBE_DIM = 13
 
+# The largest tower `classify` and `realize` build: horizon --N <= 15 and
+# height (--n, --height) <= 3, so its top ring has dimension at most
+# 15 + 3*6/2 = MAX_ALGEBRA_DIM; realize needs --stages < --N.  The suites,
+# tests, scripts and benchmark use at most N = 10, height 2 and 9 stages.
+# At the caps `realize --N 15 --height 3 --stages 14` takes 0.5 s over
+# GF(2), 2.8 s over GF(3) and 3.0 s over QQ as a subprocess on a 2-CPU
+# Xeon, and `classify --N 15 --n 3` 0.3-0.7 s.
+MAX_TOWER_N = 15
+MAX_TOWER_HEIGHT = 3
+MAX_STAGES = MAX_TOWER_N - 1
+
 # the commands that have a machine-readable (--json) output
 JSON_COMMANDS = ("suite", "classify")
 
@@ -89,6 +100,11 @@ def _module_from_literal(alg, text: str):
         lam = lam if lam == "inf" else alg.field.of(int(lam))
         return kronecker_regular(alg, lam, n)
     raise ValueError(f"unknown module literal {text!r}")
+
+
+def _check_cap(option: str, value: int, cap: int):
+    if value > cap:
+        raise ValueError(f"{option} {value} is more than the limit of {cap}")
 
 
 def _header(args, horizon=None) -> list[str]:
@@ -180,6 +196,8 @@ def execute(args) -> tuple[int, list[str]]:
     if cmd == "classify":
         if args.dim_cap < 0:
             raise ValueError(f"--dim-cap must be at least 0, not {args.dim_cap}")
+        _check_cap("--N", args.N, MAX_TOWER_N)
+        _check_cap("--n", args.n, MAX_TOWER_HEIGHT)
         tower = build_tower(args.N, args.n, field)
         ok, rows = verify_hom_bounds(tower, args.dim_cap)
         lines = _header(args, horizon=args.N)
@@ -267,9 +285,7 @@ def execute(args) -> tuple[int, list[str]]:
         if args.max_dim < 3:
             raise ValueError("probe kronecker compares PP(0) with PP(1), "
                              "so --max-dim must be at least dim PP(1) = 3")
-        if args.max_dim > MAX_PROBE_DIM:
-            raise ValueError(f"--max-dim {args.max_dim} is more than the "
-                             f"limit of {MAX_PROBE_DIM}")
+        _check_cap("--max-dim", args.max_dim, MAX_PROBE_DIM)
         alg = kronecker_algebra(field)
         pres = []
         i = 0
@@ -287,6 +303,9 @@ def execute(args) -> tuple[int, list[str]]:
         return 0, lines
 
     if cmd == "realize":
+        _check_cap("--N", args.N, MAX_TOWER_N)
+        _check_cap("--height", args.height, MAX_TOWER_HEIGHT)
+        _check_cap("--stages", args.stages, MAX_STAGES)
         tower = build_tower(args.N, args.height, field)
         rt = realize_in_tower(tower, args.stages)
         res = verify_bimodule_idempotents(rt)

@@ -31,7 +31,7 @@ from .tower import (all_labels, build_tower, classify, construct_label, f0,
                     f1, label_module)
 from .tube import SymbolicTube, FormalPath, ZERO, build_ray_tube, \
     hom_dimension, mesh_rule_failures, mesh_sweep, normal_path_arrows, \
-    normalize_path
+    normalize_path, word_of_code
 from .ziegler import (PointSet, adic, closure, fin_len, is_closed,
                       point_closure, prufer, qpoint, random_point_set)
 
@@ -134,8 +134,9 @@ def suite_duality(seed: int = 0) -> SuiteResult:
     checked = 0
     for alg in (dvr3, kron):
         corpus = corpora[id(alg)]
+        duals = {id(phi): dual(phi) for phi in corpus}
         for phi in corpus:
-            if not dual(dual(phi)).equivalent(phi):
+            if not dual(duals[id(phi)]).equivalent(phi):
                 bad.append(("involution", phi))
         for i in range(alg.dim):
             a = alg.basis_el(i)
@@ -145,17 +146,21 @@ def suite_duality(seed: int = 0) -> SuiteResult:
             if not dual(annihilator(alg, a)).equivalent(
                     divisibility(alg, a, side=LEFT)):
                 bad.append(("ann->div", alg.labels[i]))
+        laws = {}   # (id(phi), id(psi)) -> the laws that fail on the pair
         for _ in range(100):
             phi, psi = rng.choice(corpus), rng.choice(corpus)
             checked += 1
-            if not dual(pp_sum(phi, psi)).equivalent(
-                    pp_meet(dual(phi), dual(psi))):
-                bad.append(("sum", phi, psi))
-            if not dual(pp_meet(phi, psi)).equivalent(
-                    pp_sum(dual(phi), dual(psi))):
-                bad.append(("meet", phi, psi))
-            if phi.implies(psi) != dual(psi).implies(dual(phi)):
-                bad.append(("antitone", phi, psi))
+            key = (id(phi), id(psi))
+            if key not in laws:
+                dphi, dpsi = duals[id(phi)], duals[id(psi)]
+                laws[key] = [law for law, holds in (
+                    ("sum", dual(pp_sum(phi, psi)).equivalent(
+                        pp_meet(dphi, dpsi))),
+                    ("meet", dual(pp_meet(phi, psi)).equivalent(
+                        pp_sum(dphi, dpsi))),
+                    ("antitone", phi.implies(psi) == dpsi.implies(dphi)))
+                    if not holds]
+            bad.extend((law, phi, psi) for law in laws[key])
     lines = [f"pairs\t{checked} sampled pairs, anti-isomorphism laws exact",
              "involution\tD(D(phi)) equivalent to phi on the whole corpus",
              "basis\tD swaps divisibility and annihilation for every basis "
@@ -344,28 +349,34 @@ def mesh_tube_failures(q, rng: random.Random, paths: int = 0):
     m, lengths = q.m, q.ray_lengths
     n_rules, failed = mesh_rule_failures(q)
     bad = [("rule", m, lengths, mu) for mu in failed]
-    shapes_of = None  # the start vertex of the normal forms in shapes
-    for v, word, left_word, left, right in mesh_sweep(q, 8):
-        paths += 1
-        if right != left:
-            bad.append(("confluence", m, lengths, v))
-            continue
-        if paths % 7 == 0 and \
-                normalize_path(q, FormalPath(1, v, word), "random", rng) != left:
-            bad.append(("confluence-random", m, lengths, v))
-        if left is ZERO:
-            continue
-        if v is not shapes_of:
-            # normal form -> (its canonical walk, ray form holds)
-            shapes, shapes_of = {}, v
-        shape = shapes.get(left)
-        if shape is None:
-            shape = shapes[left] = _normal_form_shape(q, left)
-        walk, ray_form = shape
-        if left_word != walk:
-            bad.append(("shape", m, lengths, v))
-        if not ray_form:
-            bad.append(("ray-form", m, lengths, v))
+    for v, nodes, codes, word_nodes, rights in mesh_sweep(q, 8):
+        # each node's shape and ray-form failures, judged once
+        shapes = {}     # normal form state -> (canonical walk, ray form holds)
+        judged = [[]]   # node 0 is the empty word's, which is not swept
+        for left_word, left, state in nodes[1:]:
+            fails = []
+            if left is not ZERO:
+                shape = shapes.get(state)
+                if shape is None:
+                    shape = shapes[state] = _normal_form_shape(q, left)
+                walk, ray_form = shape
+                if left_word != walk:
+                    fails.append(("shape", m, lengths, v))
+                if not ray_form:
+                    fails.append(("ray-form", m, lengths, v))
+            judged.append(fails)
+        states = [state for *_, state in nodes]
+        for code, nd, right in zip(codes, word_nodes, rights):
+            paths += 1
+            if right != states[nd]:
+                bad.append(("confluence", m, lengths, v))
+                continue
+            if paths % 7 == 0 and normalize_path(
+                    q, FormalPath(1, v, word_of_code(q, v, code)), "random",
+                    rng) != nodes[nd][1]:
+                bad.append(("confluence-random", m, lengths, v))
+            if judged[nd]:
+                bad.extend(judged[nd])
     # the ray-direction dimension count
     for (i, k, j) in q.vertices():
         for l in range(j, q.horizon + 1):
@@ -507,12 +518,21 @@ def suite_radical(seed: int = 0) -> SuiteResult:
     bad = []
     maps_checked = 0
     gen_cache: dict = {}
+    # (id(phi), id(psi)) -> phi implies psi; gen_cache keeps every
+    # generator alive, so their ids are never reused
+    implied: dict = {}
 
     def ppgen(mod, vec):
         key = (mod.serial, tuple(vec))
         if key not in gen_cache:
             gen_cache[key] = pp_type_generator_of_element(mod, vec)
         return gen_cache[key]
+
+    def implies(phi, psi):
+        key = (id(phi), id(psi))
+        if key not in implied:
+            implied[key] = phi.implies(psi)
+        return implied[key]
 
     for name, universe in universes.items():
         calc = RadicalCalculus(universe)
@@ -533,7 +553,7 @@ def suite_radical(seed: int = 0) -> SuiteResult:
                         continue
                     gen_a = ppgen(a, el)
                     gen_b = ppgen(b, fmap(el))
-                    if not gen_b.implies(gen_a) or gen_a.implies(gen_b):
+                    if not implies(gen_b, gen_a) or implies(gen_a, gen_b):
                         criterion = False
                         break
                 if structural != criterion:

@@ -31,12 +31,20 @@ lookup tables: the outgoing arrows of each vertex, the target of each
 arrow and the right-hand side of the rule for each mu arrow.  Everything
 else reads the tables, and input that is not in them raises ValueError.
 
+normalize_path finds the redexes of a word in one table of redex
+positions keyed by its kinds string ("m" or "l" per arrow): "leftmost"
+contracts the first, "rightmost" the last, and "random" draws one with
+rng.choice.
+
 mesh_sweep normalizes every short word of a tube without starting over
 for each word, from two facts about the strategies of normalize_path:
 
   - leftmost(w;a) first performs exactly the rewrites of leftmost(w),
     because every redex inside w lies left of the boundary; what is left
-    is to bubble a lam a left through the mu-climb of leftmost(w);
+    is to bubble a lam a left through the mu-climb of leftmost(w).  That
+    reads only the node of w, the pair (leftmost word, end vertex), and
+    the kind of a, so the sweep continues each node once and the words
+    of a node share the result;
   - rightmost(a;w) first performs exactly the rewrites of rightmost(w);
     what is left is to bubble a mu a right through its lambda-walk, which
     reads only the mu arrows met and the lambda count of rightmost(w).
@@ -51,6 +59,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 Vertex = tuple  # (i, k, j)
@@ -262,6 +272,17 @@ class NormalPath:
                 f".mu^{self.mu_steps}@S{self.start}")
 
 
+@lru_cache(maxsize=4096)
+def _redexes(kinds: str) -> tuple[int, ...]:
+    """The positions of the redexes "ml" in a kinds string, in order."""
+    found = []
+    t = kinds.find("ml")
+    while t >= 0:
+        found.append(t)
+        t = kinds.find("ml", t + 1)
+    return tuple(found)
+
+
 def normalize_path(q: TranslationQuiver, p: FormalPath,
                    strategy: str = "leftmost",
                    rng: random.Random | None = None):
@@ -272,26 +293,17 @@ def normalize_path(q: TranslationQuiver, p: FormalPath,
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "random" and rng is None:
         raise ValueError('strategy "random" needs an rng')
+    pick = rng.choice if strategy == "random" else \
+        itemgetter(0 if strategy == "leftmost" else -1)
     rhs_of = q._rhs
     word = list(p.arrows)
     # "m" or "l" per arrow; a redex is an occurrence of "ml"
     kinds = "".join([a.kind[0] for a in word])
     while True:
-        if strategy == "leftmost":
-            t = kinds.find("ml")
-        elif strategy == "rightmost":
-            t = kinds.rfind("ml")
-        else:
-            redexes = []
-            t = kinds.find("ml")
-            while t >= 0:
-                redexes.append(t)
-                t = kinds.find("ml", t + 1)
-            if not redexes:
-                break
-            t = rng.choice(redexes)
-        if t < 0:
+        redexes = _redexes(kinds)
+        if not redexes:
             break
+        t = pick(redexes)
         try:
             rhs = rhs_of[word[t]]
         except KeyError:
@@ -407,71 +419,112 @@ def _rightmost_table(q: TranslationQuiver, max_len: int) -> bytearray:
     return table
 
 
-def mesh_sweep(q: TranslationQuiver, max_len: int):
-    """Every word of length 1..max_len from every vertex, in vertex order
-    and all_paths_from order, as (start, word, leftmost word, leftmost
-    normal form, rightmost normal form): the word after the leftmost
-    rewriting of normalize_path, and the normal forms that its "leftmost"
-    and "rightmost" strategies return (ZERO for a zero path; equal normal
-    forms are one object).
+def word_of_code(q: TranslationQuiver, v: Vertex, code: int) -> tuple:
+    """The word from v whose table code (see _rightmost_table) is code."""
+    out, target = q._out, q._target
+    start, word = v, []
+    try:
+        for bit in bin(code)[:2:-1]:
+            a = out[v][bit == "1"]
+            word.append(a)
+            v = target[a]
+    except KeyError:
+        raise ValueError(f"no word from {start} has code {code}") from None
+    return tuple(word)
 
-    Both continue the results of shorter words with the same rewrite
-    sequence as normalize_path: leftmost(w;a) first rewrites w exactly as
-    leftmost(w) does, since every redex of w lies left of the boundary,
-    and then bubbles a lam a left through the mu-climb, one rule per step;
-    rightmost normal forms come from _rightmost_table."""
+
+def mesh_sweep(q: TranslationQuiver, max_len: int):
+    """Every word of length 1..max_len from every vertex, swept by node.
+
+    A word's node is the pair (leftmost word, end vertex): the word that
+    the "leftmost" strategy of normalize_path rewrites it to (ZERO for a
+    zero path), and the vertex where the word ends.  For each start vertex
+    v in vertex order, yields (v, nodes, codes, word_nodes, rights):
+
+      - nodes[i] is (leftmost word, leftmost normal form, its state) of
+        node i, the state a byte as in _rightmost_table; node 0 is the
+        empty word's;
+      - codes, word_nodes and rights list every word from v in
+        all_paths_from order: its table code (word_of_code rebuilds the
+        word), its node index, and the state of the normal form that the
+        "rightmost" strategy returns.
+
+    leftmost(w;a) first rewrites w exactly as leftmost(w) does, since
+    every redex of w lies left of the boundary, and then bubbles a lam a
+    left through the mu-climb, one rule per step.  That reads only the
+    leftmost word of w and a, and the end vertex of w fixes a by its kind,
+    so each node is continued once and its words share the result.  The
+    node memo lives for one start vertex.  Rightmost states come from
+    _rightmost_table."""
     table = _rightmost_table(q, max_len)
     out, target, rhs = q._out, q._target, q._rhs
     for vi, v in enumerate(out):
-        forms = [None] * 256
-        forms[_ZERO_STATE] = ZERO
-        for state in range(1, 16 * max_len + 2):
-            p, r = divmod(state - 1, 16)
-            if p + r <= max_len:
-                forms[state] = NormalPath(1, v, p, r)
-        # word, end vertex, leftmost word, its state, table index of word
-        frontier = [((), v, (), 1, vi << _CODE_BITS | 1)]
-        step = 1    # 1 << len(word)
-        for depth in range(max_len):
-            extend = depth < max_len - 1
-            nxt = []
-            for word, end, left, state, idx in frontier:
-                mu, lam = out[end]
-                if mu is not None:
-                    word_a, idx_a = word + (mu,), idx + step
-                    if state == _ZERO_STATE:
-                        left_a, state_a = ZERO, state
+        base = vi << _CODE_BITS
+        nodes = [((), NormalPath(1, v, 0, 0), 1)]
+        ends = [v]
+        kids = [None]   # node index -> (mu child, lam child), once continued
+        ids = {}        # (leftmost word, end vertex) -> node index
+
+        def node(left, state, end):
+            nd = ids.get((left, end))
+            if nd is None:
+                nd = ids[left, end] = len(nodes)
+                form = ZERO if state == _ZERO_STATE else \
+                    NormalPath(1, v, (state - 1) >> 4, (state - 1) & 15)
+                nodes.append((left, form, state))
+                ends.append(end)
+                kids.append(None)
+            return nd
+
+        def continue_node(nd):
+            left, _, state = nodes[nd]
+            mu, lam = out[ends[nd]]
+            mu_child = lam_child = None
+            if mu is not None:
+                if state == _ZERO_STATE:
+                    mu_child = node(ZERO, state, target[mu])
+                else:
+                    mu_child = node(left + (mu,), state + 1, target[mu])
+            if lam is not None:
+                left_a, state_a = ZERO, _ZERO_STATE
+                if state != _ZERO_STATE:
+                    nlam = (state - 1) >> 4
+                    climb = []
+                    first = lam
+                    for a in reversed(left[nlam:]):
+                        new = rhs[a]
+                        if new is ZERO:
+                            break
+                        first, a_new = new
+                        climb.append(a_new)
                     else:
-                        left_a, state_a = left + (mu,), state + 1
-                    yield (v, word_a, left_a, forms[state_a],
-                           forms[table[idx_a]])
-                    if extend:
-                        nxt.append((word_a, target[mu], left_a, state_a,
-                                    idx_a))
-                if lam is not None:
-                    word_a, idx_a = word + (lam,), idx + 2 * step
-                    left_a, state_a = ZERO, _ZERO_STATE
-                    if state != _ZERO_STATE:
-                        nlam = (state - 1) >> 4
-                        climb = []
-                        first = lam
-                        for a in reversed(left[nlam:]):
-                            new = rhs[a]
-                            if new is ZERO:
-                                break
-                            first, a_new = new
-                            climb.append(a_new)
-                        else:
-                            left_a = left[:nlam] + (first,) + \
-                                tuple(reversed(climb))
-                            state_a = state + 16
-                    yield (v, word_a, left_a, forms[state_a],
-                           forms[table[idx_a]])
-                    if extend:
-                        nxt.append((word_a, target[lam], left_a, state_a,
-                                    idx_a))
-            frontier = nxt
+                        left_a = left[:nlam] + (first,) + \
+                            tuple(reversed(climb))
+                        state_a = state + 16
+                lam_child = node(left_a, state_a, target[lam])
+            kids[nd] = mu_child, lam_child
+            return kids[nd]
+
+        codes, word_nodes = [1], [0]    # the empty word
+        all_codes, all_nodes = [], []
+        step = 1    # 1 << len(word)
+        for _ in range(max_len):
+            next_codes, next_nodes = [], []
+            for code, nd in zip(codes, word_nodes):
+                mu_child, lam_child = kids[nd] or continue_node(nd)
+                if mu_child is not None:
+                    next_codes.append(code + step)
+                    next_nodes.append(mu_child)
+                if lam_child is not None:
+                    next_codes.append(code + 2 * step)
+                    next_nodes.append(lam_child)
+            codes, word_nodes = next_codes, next_nodes
+            all_codes += codes
+            all_nodes += word_nodes
             step <<= 1
+        rights = bytes(map(table[base:base + (1 << _CODE_BITS)].__getitem__,
+                           all_codes))
+        yield v, nodes, all_codes, all_nodes, rights
 
 
 def hom_dimension(q: TranslationQuiver, source: Vertex, target: Vertex) -> int:

@@ -330,6 +330,55 @@ def test_module_literal_over_the_wrong_algebra_exits_2(algebra, module,
     assert "Traceback" not in proc.stderr
 
 
+TOWER_CAPS = [
+    (["classify", "--n", "1", "--N"], "MAX_TOWER_N"),
+    (["classify", "--N", "3", "--n"], "MAX_TOWER_HEIGHT"),
+    (["realize", "--height", "0", "--stages", "2", "--N"], "MAX_TOWER_N"),
+    (["realize", "--N", "5", "--stages", "2", "--height"], "MAX_TOWER_HEIGHT"),
+    (["realize", "--N", "5", "--height", "0", "--stages"], "MAX_STAGES"),
+]
+
+
+@pytest.mark.parametrize("argv, cap", TOWER_CAPS)
+def test_tower_size_above_its_cap_exits_2_before_building(argv, cap,
+                                                          monkeypatch, capsys):
+    import ppmod.cli
+
+    def refused(*args):
+        raise AssertionError("a tower was built")
+
+    monkeypatch.setattr(ppmod.cli, "build_tower", refused)
+    limit = getattr(ppmod.cli, cap)
+    assert main(argv + [str(limit + 1)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: {argv[-1]} {limit + 1} is more than the "
+                       f"limit of {limit}\n")
+
+
+@pytest.mark.parametrize("argv, cap", TOWER_CAPS)
+def test_tower_size_at_its_cap_is_built(argv, cap, monkeypatch, capsys):
+    import ppmod.cli
+
+    def reached(*args):
+        raise ValueError("reached build_tower")
+
+    monkeypatch.setattr(ppmod.cli, "build_tower", reached)
+    assert main(argv + [str(getattr(ppmod.cli, cap))]) == 2
+    assert capsys.readouterr().err == "error: reached build_tower\n"
+
+
+def test_tower_caps_cover_every_size_in_use():
+    # realize --N 10 --height 0 --stages 9 (above) and the height-2
+    # ladders of the ray-tube suite and the golden realize outputs
+    from ppmod.cli import (MAX_ALGEBRA_DIM, MAX_STAGES, MAX_TOWER_HEIGHT,
+                           MAX_TOWER_N)
+    from ppmod.tower import tower_dimension
+    assert MAX_TOWER_N >= 10 and MAX_TOWER_HEIGHT >= 2 and MAX_STAGES >= 9
+    assert MAX_STAGES < MAX_TOWER_N
+    assert tower_dimension(MAX_TOWER_N, MAX_TOWER_HEIGHT) <= MAX_ALGEBRA_DIM
+
+
 def test_module_literal_over_its_algebra_is_evaluated():
     code, lines = run_cli(["pp", "eval", "--algebra", "kronecker",
                            "--module", "R(1)[1]", "--formula", "x1*a = 0"])

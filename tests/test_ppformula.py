@@ -440,3 +440,38 @@ def test_k_dual_suite_builds_each_dual_once(monkeypatch):
     assert res.passed
     assert len(calls) == len({id(phi) for phi in calls}) == 30
     assert res.lines[0].startswith("triples\t2730 ")
+
+
+def test_duality_suite_builds_each_formula_once(monkeypatch):
+    # a dual per formula object, a sum and a meet per pair of them; the
+    # calls list keeps every argument alive, so no id is reused
+    import ppmod.suites
+    calls = {"dual": [], "pp_sum": [], "pp_meet": []}
+    for name, fn in (("dual", dual), ("pp_sum", pp_sum), ("pp_meet", pp_meet)):
+        def counted(*args, _calls=calls[name], _fn=fn):
+            _calls.append(args)
+            return _fn(*args)
+        monkeypatch.setattr(ppmod.suites, name, counted)
+    res = ppmod.suites.suite_duality(0)
+    assert res.passed
+    assert res.lines[0].startswith("pairs\t200 sampled pairs")
+    for name, args in calls.items():
+        keys = [tuple(map(id, a)) for a in args]
+        assert len(keys) == len(set(keys)), name
+    # 25 corpus formulas and their double duals over each algebra
+    assert len(calls["dual"]) > 100
+
+
+def test_radical_suite_decides_each_implication_once(monkeypatch):
+    import ppmod.suites
+    calls = []
+    implies = PpFormula.implies
+
+    def counted(phi, psi):
+        calls.append((phi, psi))
+        return implies(phi, psi)
+
+    monkeypatch.setattr(PpFormula, "implies", counted)
+    res = ppmod.suites.suite_radical(0)
+    assert res.passed
+    assert len(calls) == len({(id(a), id(b)) for a, b in calls}) == 717

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppmod.suites import mesh_tube_failures
+from ppmod.suites import _normal_form_shape, mesh_tube_failures
 from ppmod.tube import (Arrow, FormalPath, NormalPath, SymbolicTube, ZERO,
                         all_paths_from, build_ray_tube, hom_dimension,
-                        mesh_sweep, normal_path_arrows, normal_path_target,
-                        normalize_path, parse_tube_descriptor)
+                        mesh_rule_failures, mesh_sweep, normal_path_arrows, normal_path_target,
+                        normalize_path, parse_tube_descriptor, word_of_code)
 
 
 def test_homogeneous_tube_shape():
@@ -313,7 +313,6 @@ def test_compiled_tables_match_reference(case):
 
 
 def test_mesh_rule_certificate_flags_a_broken_rule():
-    from ppmod.tube import mesh_rule_failures
     q = build_ray_tube(2, (1, 0), 6)
     count, failed = mesh_rule_failures(q)
     assert count == sum(1 for a in q.arrows() if a.kind == "mu")
@@ -325,7 +324,6 @@ def test_mesh_rule_certificate_flags_a_broken_rule():
 
 
 def test_mesh_rule_certificate_flags_a_misplaced_zero():
-    from ppmod.tube import mesh_rule_failures
     q = build_ray_tube(2, (1, 0), 6)
     count, _ = mesh_rule_failures(q)
     rim = Arrow("mu", 0, 1, 1)           # stage-1 rim: the only ZERO rules
@@ -340,22 +338,57 @@ def test_mesh_rule_certificate_flags_a_misplaced_zero():
     assert mesh_rule_failures(q) == (count, [rim])
 
 
-@pytest.mark.parametrize("m, lengths", [
-    (1, (0,)), (1, (2,)), (2, (1, 0)), (2, (2, 2)), (3, (0, 1, 2)),
-    (3, (2, 2, 2))])
+SWEPT_TUBES = [(1, (0,)), (1, (2,)), (2, (1, 0)), (2, (2, 2)),
+               (3, (0, 1, 2)), (3, (2, 2, 2))]
+
+
+def _state_form(v, state):
+    """The normal form from v that a rightmost-table state byte encodes."""
+    if state == 255:
+        return ZERO
+    return NormalPath(1, v, (state - 1) >> 4, (state - 1) & 15)
+
+
+@pytest.mark.parametrize("m, lengths", SWEPT_TUBES)
 def test_mesh_sweep_matches_normalize_path(m, lengths):
     q = build_ray_tube(m, lengths, 6)
     swept = list(mesh_sweep(q, 6))
-    assert [(v, word) for v, word, *_ in swept] == [
-        (v, word) for v in q.vertices() for word in all_paths_from(q, v, 6)]
-    for v, word, left_word, left, right in swept:
-        p = FormalPath(1, v, word)
-        assert left == normalize_path(q, p, "leftmost")
-        assert right == normalize_path(q, p, "rightmost")
-        if left is ZERO:
-            assert left_word is ZERO
-        else:
-            assert list(left_word) == normal_path_arrows(q, left)
+    assert [v for v, *_ in swept] == q.vertices()
+    for v, nodes, codes, word_nodes, rights in swept:
+        assert [word_of_code(q, v, code) for code in codes] == \
+            list(all_paths_from(q, v, 6))
+        assert len(codes) == len(word_nodes) == len(rights)
+        for code, nd, right in zip(codes, word_nodes, rights):
+            p = FormalPath(1, v, word_of_code(q, v, code))
+            left_word, left, state = nodes[nd]
+            assert left == normalize_path(q, p, "leftmost")
+            assert _state_form(v, state) == left
+            assert _state_form(v, right) == normalize_path(q, p, "rightmost")
+            if left is ZERO:
+                assert left_word is ZERO
+            else:
+                assert list(left_word) == normal_path_arrows(q, left)
+
+
+def test_mesh_sweep_continues_each_node_once():
+    q = build_ray_tube(3, (2, 2, 2), 6)
+    for v, nodes, codes, word_nodes, _ in mesh_sweep(q, 8):
+        ends = {}
+        for code, nd in zip(codes, word_nodes):
+            word = word_of_code(q, v, code)
+            ends.setdefault(nd, set()).add(q.target(word[-1]))
+        # one end vertex per node, and no two nodes share their key
+        assert all(len(e) == 1 for e in ends.values())
+        keys = [(nodes[nd][0], *e) for nd, e in ends.items()]
+        assert len(set(keys)) == len(keys) == len(nodes) - 1
+        assert len(codes) > len(nodes)
+
+
+def test_word_of_code_rejects_a_code_with_no_word():
+    q = build_ray_tube(1, (0,), 6)
+    # no lam leaves a stage-1 vertex of the homogeneous tube
+    with pytest.raises(ValueError, match="no word"):
+        word_of_code(q, (0, 0, 1), 0b11)
 
 
 def test_mesh_sweep_rejects_words_without_a_table_code():
@@ -404,3 +437,134 @@ def test_random_strategy_draws_the_same_rng_stream():
             normalize_path(q, p, "random", got)
             _random_redexes_by_index(q, p, ref)
     assert got.getstate() == ref.getstate()
+
+
+def _find_strategy(q, p, strategy):
+    """normalize_path "leftmost" or "rightmost" with each redex found by
+    str.find or str.rfind, as a reference for the redex table."""
+    find = str.find if strategy == "leftmost" else str.rfind
+    word, kinds = list(p.arrows), "".join(a.kind[0] for a in p.arrows)
+    while (t := find(kinds, "ml")) >= 0:
+        rhs = q._rhs[word[t]]
+        if rhs is ZERO:
+            return ZERO
+        word[t], word[t + 1] = rhs
+        kinds = f"{kinds[:t]}lm{kinds[t + 2:]}"
+    nlam = kinds.count("l")
+    return NormalPath(p.coeff, p.start, nlam, len(kinds) - nlam)
+
+
+class _RecordingRules(dict):
+    """A rule table that logs the mu arrow of every rule looked up."""
+
+    def __getitem__(self, mu):
+        self.log.append(mu)
+        return super().__getitem__(mu)
+
+
+def test_redex_table_matches_find_on_every_short_word():
+    q = build_ray_tube(2, (1, 1), 6)
+    q._rhs = rules = _RecordingRules(q._rhs)
+    orders_differ = 0
+    for v in q.vertices():
+        for word in all_paths_from(q, v, 7):
+            p = FormalPath(1, v, word)
+            logs = {}
+            for strategy in ("leftmost", "rightmost"):
+                rules.log = []
+                got = normalize_path(q, p, strategy)
+                got_log, rules.log = rules.log, []
+                assert got == _find_strategy(q, p, strategy)
+                # the same rewrites, in the same order
+                assert got_log == rules.log
+                logs[strategy] = got_log
+            orders_differ += logs["leftmost"] != logs["rightmost"]
+    assert orders_differ > 0
+
+
+# -- the per-word mesh check, as an oracle for the sweep by node -------------
+
+
+def _leftmost_word(q, word):
+    """The word that leftmost rewriting leaves, or ZERO."""
+    word, kinds = list(word), "".join(a.kind[0] for a in word)
+    while (t := kinds.find("ml")) >= 0:
+        rhs = q._rhs[word[t]]
+        if rhs is ZERO:
+            return ZERO
+        word[t], word[t + 1] = rhs
+        kinds = f"{kinds[:t]}lm{kinds[t + 2:]}"
+    return tuple(word)
+
+
+def _per_word_mesh_failures(q, rng, paths=0):
+    """The mesh checks of mesh_tube_failures one word at a time, each word
+    normalized from scratch."""
+    m, lengths = q.m, q.ray_lengths
+    n_rules, failed = mesh_rule_failures(q)
+    bad = [("rule", m, lengths, mu) for mu in failed]
+    for v in q.vertices():
+        shapes = {}
+        for word in all_paths_from(q, v, 8):
+            paths += 1
+            p = FormalPath(1, v, word)
+            left = normalize_path(q, p, "leftmost")
+            right = normalize_path(q, p, "rightmost")
+            left_word = _leftmost_word(q, word)
+            if right != left:
+                bad.append(("confluence", m, lengths, v))
+                continue
+            if paths % 7 == 0 and \
+                    normalize_path(q, p, "random", rng) != left:
+                bad.append(("confluence-random", m, lengths, v))
+            if left is ZERO:
+                continue
+            shape = shapes.get(left)
+            if shape is None:
+                shape = shapes[left] = _normal_form_shape(q, left)
+            walk, ray_form = shape
+            if left_word != walk:
+                bad.append(("shape", m, lengths, v))
+            if not ray_form:
+                bad.append(("ray-form", m, lengths, v))
+    for (i, k, j) in q.vertices():
+        for l in range(j, q.horizon + 1):
+            got = hom_dimension(q, (i, k, j), (i, k, l))
+            if got != (j - 1) // m + 1:
+                bad.append(("hom-dim", m, lengths, (i, k, j, l)))
+    return n_rules, paths, bad
+
+
+def _wrong_climb(q):
+    mu = Arrow("mu", 0, 0, 2)
+    q._rhs[mu] = (q._rhs[mu][0], mu)
+
+
+def _misplaced_zero(q):
+    q._rhs[Arrow("mu", 0, 1, 3)] = ZERO
+
+
+def _nonzero_rim(q):
+    q._rhs[Arrow("mu", 0, 1, 1)] = q._rhs[Arrow("mu", 0, 1, 2)]
+
+
+def _rim_to_own_ray(q):
+    # the rim lam of ray 0 at stage 3 lands on ray 0, one stage down
+    q._target[Arrow("lam", 0, 1, 3)] = (0, 0, 2)
+
+
+@pytest.mark.parametrize("m, lengths, plant", [
+    *((m, lengths, None) for m, lengths in SWEPT_TUBES),
+    (2, (1, 0), _wrong_climb), (2, (1, 0), _misplaced_zero),
+    (2, (1, 0), _nonzero_rim), (2, (1, 0), _rim_to_own_ray)])
+def test_mesh_check_by_node_matches_the_per_word_check(m, lengths, plant):
+    results = []
+    for check in (mesh_tube_failures, _per_word_mesh_failures):
+        q = build_ray_tube(m, lengths, 6)
+        if plant is not None:
+            plant(q)
+        rng = random.Random(11)
+        results.append((check(q, rng, paths=3), rng.getstate()))
+    assert results[0] == results[1]
+    (_, _, bad), _ = results[0]
+    assert bool(bad) == (plant is not None)
