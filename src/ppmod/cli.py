@@ -60,6 +60,13 @@ MAX_TOWER_N = 15
 MAX_TOWER_HEIGHT = 3
 MAX_STAGES = MAX_TOWER_N - 1
 
+# The largest height `ziegler points` lists.  The suites and tests use at
+# most 3, the example scenario 2.  Its output grows as the cube of the
+# height: 0.2 s and 1.1 MB at 100, 0.4 s and 8.4 MB at 200, 11 s and
+# 518 MB at 800 as a subprocess on a 2-CPU Xeon.  closure and is-closed
+# are bounded by the size of --set and stay uncapped (0.13-0.16 s at 800).
+MAX_ZIEGLER_HEIGHT = 100
+
 # the commands that have a machine-readable (--json) output
 JSON_COMMANDS = ("suite", "classify")
 
@@ -255,6 +262,7 @@ def execute(args) -> tuple[int, list[str]]:
         lines = _header(args)
         lines.append(CLOSURE_ASSUMPTION)
         if args.op == "points":
+            _check_cap("--n", args.n, MAX_ZIEGLER_HEIGHT)
             full = points(args.n)
             lines.append(f"points\t{full}")
             return 0, lines
@@ -366,7 +374,7 @@ def main(argv=None) -> int:
         code, lines = 2, [str(exc)]
     except SquareFailed as exc:
         code, lines = 1, [str(exc)]
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

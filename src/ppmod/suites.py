@@ -29,9 +29,8 @@ from .probes import (NOT_SHORT_WITNESS, SHORT_WITHIN_BOUND, interval_probe,
 from .realize import realize_in_tower, verify_bimodule_idempotents
 from .tower import (all_labels, build_tower, classify, construct_label, f0,
                     f1, label_module)
-from .tube import SymbolicTube, FormalPath, ZERO, build_ray_tube, \
-    hom_dimension, mesh_rule_failures, mesh_sweep, normal_path_arrows, \
-    normalize_path, word_of_code
+from .tube import SymbolicTube, ZERO, build_ray_tube, \
+    hom_dimension, mesh_rule_failures, mesh_sweep, normal_path_arrows
 from .ziegler import (PointSet, adic, closure, fin_len, is_closed,
                       point_closure, prufer, qpoint, random_point_set)
 
@@ -338,43 +337,35 @@ def suite_ray_tube(seed: int = 0) -> SuiteResult:
 # -- criterion 6 ---------------------------------------------------------------
 
 
-def mesh_tube_failures(q, rng: random.Random, paths: int = 0):
+def mesh_tube_failures(q):
     """The mesh checks of one tube: its rule certificate, every path of
-    length <= 8 (leftmost and rightmost normal forms agree, the
-    "random" strategy agrees on every 7th path counting from paths, the
-    leftmost rewritten word is the canonical walk of its normal form, and
-    same-ray normal forms descend whole rim loops) and the same-ray hom
-    dimensions.  Returns the rule count, the new path count and the
-    failures."""
+    length <= 8 (the leftmost rewritten word is the canonical walk of its
+    normal form, and same-ray normal forms descend whole rim loops) and
+    the same-ray hom dimensions.  The rule certificate proves that every
+    rewrite order reaches the same normal form.  Returns the rule count,
+    the path count and the failures."""
     m, lengths = q.m, q.ray_lengths
     n_rules, failed = mesh_rule_failures(q)
     bad = [("rule", m, lengths, mu) for mu in failed]
-    for v, nodes, codes, word_nodes, rights in mesh_sweep(q, 8):
+    paths = 0
+    for v, nodes, word_nodes in mesh_sweep(q, 8):
         # each node's shape and ray-form failures, judged once
-        shapes = {}     # normal form state -> (canonical walk, ray form holds)
+        shapes = {}     # normal form -> (canonical walk, ray form holds)
         judged = [[]]   # node 0 is the empty word's, which is not swept
-        for left_word, left, state in nodes[1:]:
+        for left_word, left in nodes[1:]:
             fails = []
             if left is not ZERO:
-                shape = shapes.get(state)
+                shape = shapes.get(left)
                 if shape is None:
-                    shape = shapes[state] = _normal_form_shape(q, left)
+                    shape = shapes[left] = _normal_form_shape(q, left)
                 walk, ray_form = shape
                 if left_word != walk:
                     fails.append(("shape", m, lengths, v))
                 if not ray_form:
                     fails.append(("ray-form", m, lengths, v))
             judged.append(fails)
-        states = [state for *_, state in nodes]
-        for code, nd, right in zip(codes, word_nodes, rights):
-            paths += 1
-            if right != states[nd]:
-                bad.append(("confluence", m, lengths, v))
-                continue
-            if paths % 7 == 0 and normalize_path(
-                    q, FormalPath(1, v, word_of_code(q, v, code)), "random",
-                    rng) != nodes[nd][1]:
-                bad.append(("confluence-random", m, lengths, v))
+        paths += len(word_nodes)
+        for nd in word_nodes:
             if judged[nd]:
                 bad.extend(judged[nd])
     # the ray-direction dimension count
@@ -404,8 +395,8 @@ def _normal_form_shape(q, nf):
 
 @_timed
 def suite_mesh(seed: int = 0) -> SuiteResult:
-    """Exhaustive confluence of mesh rewriting and normal-form shapes."""
-    rng = random.Random(seed)
+    """The mesh rule certificate (confluence at every length) and the
+    normal-form shapes of every path of length <= 8."""
     bad = []
     paths = 0
     tubes = 0
@@ -413,9 +404,10 @@ def suite_mesh(seed: int = 0) -> SuiteResult:
     for m in (1, 2, 3):
         for lengths in itertools.product((0, 1, 2), repeat=m):
             tubes += 1
-            n_rules, paths, failed = mesh_tube_failures(
-                build_ray_tube(m, lengths, 6), rng, paths)
+            n_rules, n_paths, failed = mesh_tube_failures(
+                build_ray_tube(m, lengths, 6))
             rules += n_rules
+            paths += n_paths
             bad.extend(failed)
     lines = [f"tubes\t{tubes} translation quivers (m <= 3, depths <= 2, "
              "horizon 6)",

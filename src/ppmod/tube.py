@@ -22,45 +22,31 @@ The rim relation is implemented in its type-correct form
     lam(i,n_i,j+1) o mu(i,n_i,j)  =  mu(i+1,0,j-1) o lam(i,n_i,j)   (j >= 2)
 
 derived from the almost split sequence at the rim (the printed index
-pattern of the source text is not composable as stated; normalization
-would flag any path on which another orientation disagrees, and the
-confluence suite checks order independence exhaustively).
+pattern of the source text is not composable as stated).  Rewriting in
+any order reaches the same normal form: mesh_rule_failures certifies
+each compiled rule, mu;lam has no self-overlap and each rewrite removes
+one mu-before-lam inversion (see its docstring).
 
 A TranslationQuiver compiles these formulas once, at construction, into
 lookup tables: the outgoing arrows of each vertex, the target of each
 arrow and the right-hand side of the rule for each mu arrow.  Everything
 else reads the tables, and input that is not in them raises ValueError.
 
-normalize_path finds the redexes of a word in one table of redex
-positions keyed by its kinds string ("m" or "l" per arrow): "leftmost"
-contracts the first, "rightmost" the last, and "random" draws one with
-rng.choice.
+normalize_path rewrites leftmost, one arrow at a time: the word read so
+far is already a lambda-walk followed by a mu-climb, a mu joins the
+climb, and a lam bubbles left through the climb one rule at a time.
+Every redex of the word read so far lies left of the new arrow, so this
+is exactly the leftmost rewrite sequence of the whole word.
 
-mesh_sweep normalizes every short word of a tube without starting over
-for each word, from two facts about the strategies of normalize_path:
-
-  - leftmost(w;a) first performs exactly the rewrites of leftmost(w),
-    because every redex inside w lies left of the boundary; what is left
-    is to bubble a lam a left through the mu-climb of leftmost(w).  That
-    reads only the node of w, the pair (leftmost word, end vertex), and
-    the kind of a, so the sweep continues each node once and the words
-    of a node share the result;
-  - rightmost(a;w) first performs exactly the rewrites of rightmost(w);
-    what is left is to bubble a mu a right through its lambda-walk, which
-    reads only the mu arrows met and the lambda count of rightmost(w).
-
-Each continuation is the same rewrite sequence that normalize_path
-performs on the whole word, not merely a word with the same result, so
-the sweep computes both strategies independently and comparing them still
-tests confluence rather than assuming it.
+mesh_sweep takes the same step for every short word of a tube without
+starting over for each word: the step reads only the word's node, the
+pair (leftmost word, end vertex), and the kind of the next arrow, so the
+sweep continues each node once and the words of a node share the result.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import itemgetter
 from typing import NamedTuple
 
 Vertex = tuple  # (i, k, j)
@@ -68,8 +54,6 @@ Vertex = tuple  # (i, k, j)
 # The largest vertex count sum(n_i + 1) * horizon a quiver may have; its
 # tables are built eagerly, a few hundred bytes per vertex.
 MAX_VERTICES = 100_000
-
-STRATEGIES = ("leftmost", "rightmost", "random")
 
 
 class Arrow(NamedTuple):
@@ -272,49 +256,37 @@ class NormalPath:
                 f".mu^{self.mu_steps}@S{self.start}")
 
 
-@lru_cache(maxsize=4096)
-def _redexes(kinds: str) -> tuple[int, ...]:
-    """The positions of the redexes "ml" in a kinds string, in order."""
-    found = []
-    t = kinds.find("ml")
-    while t >= 0:
-        found.append(t)
-        t = kinds.find("ml", t + 1)
-    return tuple(found)
-
-
-def normalize_path(q: TranslationQuiver, p: FormalPath,
-                   strategy: str = "leftmost",
-                   rng: random.Random | None = None):
-    """Rewrite to the canonical NormalPath (or ZERO) using the mesh rules;
-    the strategy picks which redex to contract so confluence is testable.
-    "random" draws its redexes from rng, which it requires."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "random" and rng is None:
-        raise ValueError('strategy "random" needs an rng')
-    pick = rng.choice if strategy == "random" else \
-        itemgetter(0 if strategy == "leftmost" else -1)
-    rhs_of = q._rhs
-    word = list(p.arrows)
-    # "m" or "l" per arrow; a redex is an occurrence of "ml"
-    kinds = "".join([a.kind[0] for a in word])
-    while True:
-        redexes = _redexes(kinds)
-        if not redexes:
-            break
-        t = pick(redexes)
+def _append(rhs, left: tuple, nlam: int, a: Arrow):
+    """The leftmost rewriting of left;a, where left is a lambda-walk of
+    nlam arrows followed by a mu-climb: a mu joins the climb, and a lam
+    bubbles left through it one rule at a time.  Returns the rewritten
+    word, or ZERO."""
+    if a.kind == "mu":
+        return left + (a,)
+    climb = []
+    for mu in reversed(left[nlam:]):
         try:
-            rhs = rhs_of[word[t]]
+            new = rhs[mu]
         except KeyError:
-            raise ValueError(f"{word[t]} is not an arrow of the "
-                             "quiver") from None
-        if rhs is ZERO:
+            raise ValueError(f"{mu} is not an arrow of the quiver") from None
+        if new is ZERO:
             return ZERO
-        word[t], word[t + 1] = rhs
-        kinds = f"{kinds[:t]}lm{kinds[t + 2:]}"
-    nlam = kinds.count("l")
-    return NormalPath(p.coeff, p.start, nlam, len(kinds) - nlam)
+        a, mu_new = new
+        climb.append(mu_new)
+    return left[:nlam] + (a,) + tuple(reversed(climb))
+
+
+def normalize_path(q: TranslationQuiver, p: FormalPath):
+    """Rewrite to the canonical NormalPath (or ZERO) using the mesh rules,
+    leftmost first."""
+    rhs = q._rhs
+    left, nlam = (), 0
+    for a in p.arrows:
+        left = _append(rhs, left, nlam, a)
+        if left is ZERO:
+            return ZERO
+        nlam += a.kind == "lam"
+    return NormalPath(p.coeff, p.start, nlam, len(left) - nlam)
 
 
 def normal_path_arrows(q: TranslationQuiver, np: NormalPath) -> list[Arrow]:
@@ -357,174 +329,68 @@ def all_paths_from(q: TranslationQuiver, v: Vertex, max_len: int):
         frontier = nxt
 
 
-# A rightmost state is a byte: p * 16 + q + 1 for the normal form
-# lam^p ; mu^q, _ZERO_STATE for ZERO, 0 where there is no word.
-_ZERO_STATE = 255
-_CODE_BITS = 9   # a word of length <= 8: its kinds and a leading 1 bit
-
-
-def _rightmost_table(q: TranslationQuiver, max_len: int) -> bytearray:
-    """The rightmost state of every word of length <= max_len, at
-    vertex_index << _CODE_BITS | code.  A word's code has bit t set when
-    its arrow t is a lam, and bit len(word) set as a length marker.
-
-    Built by length: rightmost(a;w) continues rightmost(w), and rewriting
-    reads only the redex's mu arrow and the kinds, so the state of a;w
-    follows from a and the state lam^p ; mu^q of w alone.  A lam a gives
-    lam^(p+1) ; mu^q.  A mu a bubbles right through the p lams along the
-    chain of rule right-hand sides from a, giving lam^p ; mu^(q+1), or
-    ZERO if the chain hits ZERO within p steps.  The words a;w of one
-    length from one vertex form a stride-2 slice of the table, and their
-    states are the slice of w's states at target(a) under a's byte map."""
-    if max_len >= _CODE_BITS:
-        raise ValueError(f"words longer than {_CODE_BITS - 1} arrows have "
-                         "no table code")
-    out, target, rhs = q._out, q._target, q._rhs
-    index = {v: vi << _CODE_BITS for vi, v in enumerate(out)}
-    table = bytearray(len(out) << _CODE_BITS)
-    for base in index.values():
-        table[base + 1] = 1     # the empty word, lam^0 ; mu^0
-    states = [(p, r) for p in range(max_len) for r in range(max_len - p)]
-    maps = {}   # (state shift, bubbling steps before ZERO) -> byte map
-    arrow_map = {}
-    for a in target:
-        # a lam adds one lam and never meets ZERO; a mu adds one mu after
-        # the steps its chain of right-hand sides takes before ZERO
-        shift, steps, mu = 16, max_len, a
-        if a.kind == "mu":
-            shift = 1
-            for step in range(max_len - 1):
-                nxt = rhs[mu]
-                if nxt is ZERO:
-                    steps = step
-                    break
-                mu = nxt[1]
-        key = (shift, steps)
-        if key not in maps:
-            byte_map = bytearray(range(256))
-            for p, r in states:
-                state = p * 16 + r + 1
-                byte_map[state] = state + shift if p <= steps else _ZERO_STATE
-            maps[key] = bytes(byte_map)
-        arrow_map[a] = maps[key]
-    for n in range(max_len):
-        for v, (mu, lam) in out.items():
-            for bit, a in ((0, mu), (1, lam)):
-                if a is None:
-                    continue
-                src = index[target[a]] + (1 << n)
-                dst = index[v] + (2 << n) + bit
-                table[dst:dst + (2 << n):2] = \
-                    table[src:src + (1 << n)].translate(arrow_map[a])
-    return table
-
-
-def word_of_code(q: TranslationQuiver, v: Vertex, code: int) -> tuple:
-    """The word from v whose table code (see _rightmost_table) is code."""
-    out, target = q._out, q._target
-    start, word = v, []
-    try:
-        for bit in bin(code)[:2:-1]:
-            a = out[v][bit == "1"]
-            word.append(a)
-            v = target[a]
-    except KeyError:
-        raise ValueError(f"no word from {start} has code {code}") from None
-    return tuple(word)
-
-
 def mesh_sweep(q: TranslationQuiver, max_len: int):
     """Every word of length 1..max_len from every vertex, swept by node.
 
     A word's node is the pair (leftmost word, end vertex): the word that
-    the "leftmost" strategy of normalize_path rewrites it to (ZERO for a
-    zero path), and the vertex where the word ends.  For each start vertex
-    v in vertex order, yields (v, nodes, codes, word_nodes, rights):
+    normalize_path rewrites it to (ZERO for a zero path), and the vertex
+    where the word ends.  For each start vertex v in vertex order, yields
+    (v, nodes, word_nodes):
 
-      - nodes[i] is (leftmost word, leftmost normal form, its state) of
-        node i, the state a byte as in _rightmost_table; node 0 is the
+      - nodes[i] is (leftmost word, normal form) of node i; node 0 is the
         empty word's;
-      - codes, word_nodes and rights list every word from v in
-        all_paths_from order: its table code (word_of_code rebuilds the
-        word), its node index, and the state of the normal form that the
-        "rightmost" strategy returns.
+      - word_nodes lists the node index of every word from v, in
+        all_paths_from order.
 
-    leftmost(w;a) first rewrites w exactly as leftmost(w) does, since
-    every redex of w lies left of the boundary, and then bubbles a lam a
-    left through the mu-climb, one rule per step.  That reads only the
-    leftmost word of w and a, and the end vertex of w fixes a by its kind,
-    so each node is continued once and its words share the result.  The
-    node memo lives for one start vertex.  Rightmost states come from
-    _rightmost_table."""
-    table = _rightmost_table(q, max_len)
+    The leftmost rewriting of w;a continues that of w by one step of
+    normalize_path, which reads only the leftmost word of w and a, and the
+    end vertex of w fixes a by its kind; so each node is continued once
+    and its words share the result.  The node memo lives for one start
+    vertex."""
     out, target, rhs = q._out, q._target, q._rhs
-    for vi, v in enumerate(out):
-        base = vi << _CODE_BITS
-        nodes = [((), NormalPath(1, v, 0, 0), 1)]
+    for v in out:
+        nodes = [((), NormalPath(1, v, 0, 0))]
         ends = [v]
-        kids = [None]   # node index -> (mu child, lam child), once continued
+        kids = [None]   # node index -> its child nodes, once continued
         ids = {}        # (leftmost word, end vertex) -> node index
 
-        def node(left, state, end):
+        def node(left, form, end):
             nd = ids.get((left, end))
             if nd is None:
                 nd = ids[left, end] = len(nodes)
-                form = ZERO if state == _ZERO_STATE else \
-                    NormalPath(1, v, (state - 1) >> 4, (state - 1) & 15)
-                nodes.append((left, form, state))
+                nodes.append((left, form))
                 ends.append(end)
                 kids.append(None)
             return nd
 
         def continue_node(nd):
-            left, _, state = nodes[nd]
-            mu, lam = out[ends[nd]]
-            mu_child = lam_child = None
-            if mu is not None:
-                if state == _ZERO_STATE:
-                    mu_child = node(ZERO, state, target[mu])
+            left, form = nodes[nd]
+            children = []
+            for a in filter(None, out[ends[nd]]):
+                left_a = ZERO if form is ZERO else \
+                    _append(rhs, left, form.lam_steps, a)
+                if left_a is ZERO:
+                    child = node(ZERO, ZERO, target[a])
                 else:
-                    mu_child = node(left + (mu,), state + 1, target[mu])
-            if lam is not None:
-                left_a, state_a = ZERO, _ZERO_STATE
-                if state != _ZERO_STATE:
-                    nlam = (state - 1) >> 4
-                    climb = []
-                    first = lam
-                    for a in reversed(left[nlam:]):
-                        new = rhs[a]
-                        if new is ZERO:
-                            break
-                        first, a_new = new
-                        climb.append(a_new)
-                    else:
-                        left_a = left[:nlam] + (first,) + \
-                            tuple(reversed(climb))
-                        state_a = state + 16
-                lam_child = node(left_a, state_a, target[lam])
-            kids[nd] = mu_child, lam_child
-            return kids[nd]
+                    nlam = form.lam_steps + (a.kind == "lam")
+                    child = node(left_a, NormalPath(1, v, nlam,
+                                                    len(left_a) - nlam),
+                                 target[a])
+                children.append(child)
+            kids[nd] = children
+            return children
 
-        codes, word_nodes = [1], [0]    # the empty word
-        all_codes, all_nodes = [], []
-        step = 1    # 1 << len(word)
+        word_nodes = [0]    # the empty word
+        all_nodes = []
         for _ in range(max_len):
-            next_codes, next_nodes = [], []
-            for code, nd in zip(codes, word_nodes):
-                mu_child, lam_child = kids[nd] or continue_node(nd)
-                if mu_child is not None:
-                    next_codes.append(code + step)
-                    next_nodes.append(mu_child)
-                if lam_child is not None:
-                    next_codes.append(code + 2 * step)
-                    next_nodes.append(lam_child)
-            codes, word_nodes = next_codes, next_nodes
-            all_codes += codes
+            next_nodes = []
+            for nd in word_nodes:
+                children = kids[nd]
+                next_nodes += continue_node(nd) if children is None \
+                    else children
+            word_nodes = next_nodes
             all_nodes += word_nodes
-            step <<= 1
-        rights = bytes(map(table[base:base + (1 << _CODE_BITS)].__getitem__,
-                           all_codes))
-        yield v, nodes, all_codes, all_nodes, rights
+        yield v, nodes, all_nodes
 
 
 def hom_dimension(q: TranslationQuiver, source: Vertex, target: Vertex) -> int:

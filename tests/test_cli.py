@@ -178,6 +178,14 @@ def test_scenario_parse_error_exit_code(tmp_path, capsys):
     assert rc == 2
 
 
+def test_scenario_path_that_cannot_be_read_exits_2(tmp_path, capsys):
+    rc = main(["run", str(tmp_path)])    # a directory, not a file
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
 def test_horizon_exceeded_surfaces_verbatim(capsys):
     rc = main(["realize", "--N", "3", "--height", "1", "--stages", "5"])
     out = capsys.readouterr().out
@@ -366,6 +374,36 @@ def test_tower_size_at_its_cap_is_built(argv, cap, monkeypatch, capsys):
     monkeypatch.setattr(ppmod.cli, "build_tower", reached)
     assert main(argv + [str(getattr(ppmod.cli, cap))]) == 2
     assert capsys.readouterr().err == "error: reached build_tower\n"
+
+
+def test_ziegler_height_above_its_cap_exits_2_before_listing(monkeypatch,
+                                                            capsys):
+    import ppmod.cli
+
+    def refused(height):
+        raise AssertionError("points were listed")
+
+    monkeypatch.setattr(ppmod.cli, "points", refused)
+    limit = ppmod.cli.MAX_ZIEGLER_HEIGHT
+    assert main(["ziegler", "points", "--n", str(limit + 1)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: --n {limit + 1} is more than the limit of "
+                       f"{limit}\n")
+
+
+def test_ziegler_height_at_its_cap_is_listed(monkeypatch, capsys):
+    import ppmod.cli
+
+    def reached(height):
+        raise ValueError("reached points")
+
+    monkeypatch.setattr(ppmod.cli, "points", reached)
+    # the suites and tests list heights <= 3
+    assert ppmod.cli.MAX_ZIEGLER_HEIGHT >= 3
+    assert main(["ziegler", "points", "--n",
+                 str(ppmod.cli.MAX_ZIEGLER_HEIGHT)]) == 2
+    assert capsys.readouterr().err == "error: reached points\n"
 
 
 def test_tower_caps_cover_every_size_in_use():

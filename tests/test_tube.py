@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +6,7 @@ from ppmod.suites import _normal_form_shape, mesh_tube_failures
 from ppmod.tube import (Arrow, FormalPath, NormalPath, SymbolicTube, ZERO,
                         all_paths_from, build_ray_tube, hom_dimension,
                         mesh_rule_failures, mesh_sweep, normal_path_arrows, normal_path_target,
-                        normalize_path, parse_tube_descriptor, word_of_code)
+                        normalize_path, parse_tube_descriptor)
 
 
 def test_homogeneous_tube_shape():
@@ -64,15 +62,15 @@ def test_identity_path_normalizes_to_itself():
 
 
 def test_confluence_exhaustive_small():
-    rng = random.Random(5)
+    # order independence: leftmost and rightmost rewriting agree
     for m, lengths in [(1, (0,)), (1, (1,)), (2, (1, 0))]:
         q = build_ray_tube(m, lengths, 5)
         for v in q.vertices():
             for word in all_paths_from(q, v, 6):
                 p = FormalPath(1, v, word)
-                ref = normalize_path(q, p, "leftmost")
-                assert normalize_path(q, p, "rightmost") == ref
-                assert normalize_path(q, p, "random", rng) == ref
+                got = normalize_path(q, p)
+                assert got == _find_strategy(q, p, "leftmost")
+                assert got == _find_strategy(q, p, "rightmost")
 
 
 def test_normal_form_shape_is_lam_then_mu():
@@ -194,18 +192,6 @@ def test_dot_export_contains_relations():
     assert "lam o mu = 0" in dot
 
 
-def test_unknown_strategy_rejected_without_redex():
-    q = build_ray_tube(1, (0,), 4)
-    with pytest.raises(ValueError, match="unknown strategy"):
-        normalize_path(q, FormalPath(1, (0, 0, 2), ()), "bogus")
-
-
-def test_random_strategy_requires_rng():
-    q = build_ray_tube(1, (0,), 4)
-    with pytest.raises(ValueError, match="needs an rng"):
-        normalize_path(q, FormalPath(1, (0, 0, 2), ()), "random")
-
-
 def test_arrow_on_ray_outside_range_is_invalid():
     q = build_ray_tube(2, (1, 0), 6)
     a = Arrow("mu", 5, 0, 1)
@@ -213,6 +199,13 @@ def test_arrow_on_ray_outside_range_is_invalid():
     assert a not in q.arrows()
     with pytest.raises(ValueError):
         q.target(a)
+
+
+def test_normalize_path_rejects_a_rule_for_an_arrow_not_in_the_quiver():
+    q = build_ray_tube(2, (1, 0), 6)
+    word = (Arrow("mu", 5, 0, 1), Arrow("lam", 0, 0, 2))
+    with pytest.raises(ValueError, match="not an arrow of the quiver"):
+        normalize_path(q, FormalPath(1, (0, 0, 1), word))
 
 
 def test_target_of_missing_rim_arrow_raises():
@@ -242,6 +235,16 @@ def _ref_out(m, n, horizon, v):
     return mu, lam
 
 
+def _ref_rule(m, n, mu):
+    """The right-hand side of the rule for mu;lam: ZERO or (lam', mu')."""
+    _, i, k, j = mu
+    if k < n[i]:
+        return ("lam", i, k, j), ("mu", i, k + 1, j)
+    if j == 1:
+        return ZERO
+    return ("lam", i, k, j), ("mu", (i + 1) % m, 0, j - 1)
+
+
 def _ref_normalize(m, n, word):
     """Leftmost rewriting; ZERO or (lam_steps, mu_steps)."""
     word = list(word)
@@ -252,14 +255,10 @@ def _ref_normalize(m, n, word):
         if redex is None:
             lam = sum(1 for a in word if a[0] == "lam")
             return lam, len(word) - lam
-        _, i, k, j = word[redex]
-        if k < n[i]:
-            word[redex:redex + 2] = [("lam", i, k, j), ("mu", i, k + 1, j)]
-        elif j == 1:
+        rhs = _ref_rule(m, n, word[redex])
+        if rhs is ZERO:
             return ZERO
-        else:
-            word[redex:redex + 2] = [("lam", i, k, j),
-                                     ("mu", (i + 1) % m, 0, j - 1)]
+        word[redex:redex + 2] = rhs
 
 
 @st.composite
@@ -276,13 +275,13 @@ def _tube_and_word(draw):
             break
         arrow, v = draw(st.sampled_from(steps))
         word.append(arrow)
-    return m, n, horizon, start, word, draw(st.integers(0, 999))
+    return m, n, horizon, start, word
 
 
 @settings(max_examples=300, deadline=None)
 @given(_tube_and_word())
 def test_compiled_tables_match_reference(case):
-    m, n, horizon, start, word, seed = case
+    m, n, horizon, start, word = case
     q = build_ray_tube(m, n, horizon)
     ref_vertices = [(i, k, j) for i in range(m) for k in range(n[i] + 1)
                     for j in range(1, horizon + 1)]
@@ -298,6 +297,13 @@ def test_compiled_tables_match_reference(case):
                 assert q.target(got) == ref[1]
                 ref_arrows.append(ref[0])
     assert q.arrows() == [Arrow(*a) for a in ref_arrows]
+    ref_rhs = {}
+    for mu in ref_arrows:
+        if mu[0] == "mu":
+            rhs = _ref_rule(m, n, mu)
+            ref_rhs[Arrow(*mu)] = rhs if rhs is ZERO else \
+                tuple(Arrow(*a) for a in rhs)
+    assert q._rhs == ref_rhs
 
     path = FormalPath(1, start, tuple(Arrow(*a) for a in word))
     if word:
@@ -307,9 +313,7 @@ def test_compiled_tables_match_reference(case):
     expected = _ref_normalize(m, n, word)
     if expected != ZERO:
         expected = NormalPath(1, start, *expected)
-    for strategy in ("leftmost", "rightmost", "random"):
-        assert normalize_path(q, path, strategy,
-                              random.Random(seed)) == expected
+    assert normalize_path(q, path) == expected
 
 
 def test_mesh_rule_certificate_flags_a_broken_rule():
@@ -331,7 +335,7 @@ def test_mesh_rule_certificate_flags_a_misplaced_zero():
     mu = Arrow("mu", 0, 1, 3)            # a rim rule with a lam' to use
     q._rhs[mu] = ZERO
     assert mesh_rule_failures(q) == (count, [mu])
-    _, _, bad = mesh_tube_failures(q, random.Random(0))
+    _, _, bad = mesh_tube_failures(q)
     assert ("rule", 2, (1, 0), mu) in bad
     q = build_ray_tube(2, (1, 0), 6)
     q._rhs[rim] = q._rhs[Arrow("mu", 0, 1, 2)]  # nonzero on the rim
@@ -342,106 +346,53 @@ SWEPT_TUBES = [(1, (0,)), (1, (2,)), (2, (1, 0)), (2, (2, 2)),
                (3, (0, 1, 2)), (3, (2, 2, 2))]
 
 
-def _state_form(v, state):
-    """The normal form from v that a rightmost-table state byte encodes."""
-    if state == 255:
-        return ZERO
-    return NormalPath(1, v, (state - 1) >> 4, (state - 1) & 15)
-
-
 @pytest.mark.parametrize("m, lengths", SWEPT_TUBES)
 def test_mesh_sweep_matches_normalize_path(m, lengths):
     q = build_ray_tube(m, lengths, 6)
     swept = list(mesh_sweep(q, 6))
     assert [v for v, *_ in swept] == q.vertices()
-    for v, nodes, codes, word_nodes, rights in swept:
-        assert [word_of_code(q, v, code) for code in codes] == \
-            list(all_paths_from(q, v, 6))
-        assert len(codes) == len(word_nodes) == len(rights)
-        for code, nd, right in zip(codes, word_nodes, rights):
-            p = FormalPath(1, v, word_of_code(q, v, code))
-            left_word, left, state = nodes[nd]
-            assert left == normalize_path(q, p, "leftmost")
-            assert _state_form(v, state) == left
-            assert _state_form(v, right) == normalize_path(q, p, "rightmost")
-            if left is ZERO:
-                assert left_word is ZERO
-            else:
+    for v, nodes, word_nodes in swept:
+        words = list(all_paths_from(q, v, 6))
+        assert len(word_nodes) == len(words)
+        for word, nd in zip(words, word_nodes):
+            left_word, left = nodes[nd]
+            assert left == normalize_path(q, FormalPath(1, v, word))
+            assert left_word == _leftmost_word(q, word)
+            if left is not ZERO:
                 assert list(left_word) == normal_path_arrows(q, left)
 
 
 def test_mesh_sweep_continues_each_node_once():
     q = build_ray_tube(3, (2, 2, 2), 6)
-    for v, nodes, codes, word_nodes, _ in mesh_sweep(q, 8):
+    for v, nodes, word_nodes in mesh_sweep(q, 8):
         ends = {}
-        for code, nd in zip(codes, word_nodes):
-            word = word_of_code(q, v, code)
+        for word, nd in zip(all_paths_from(q, v, 8), word_nodes):
             ends.setdefault(nd, set()).add(q.target(word[-1]))
         # one end vertex per node, and no two nodes share their key
         assert all(len(e) == 1 for e in ends.values())
         keys = [(nodes[nd][0], *e) for nd, e in ends.items()]
         assert len(set(keys)) == len(keys) == len(nodes) - 1
-        assert len(codes) > len(nodes)
-
-
-def test_word_of_code_rejects_a_code_with_no_word():
-    q = build_ray_tube(1, (0,), 6)
-    # no lam leaves a stage-1 vertex of the homogeneous tube
-    with pytest.raises(ValueError, match="no word"):
-        word_of_code(q, (0, 0, 1), 0b11)
-
-
-def test_mesh_sweep_rejects_words_without_a_table_code():
-    with pytest.raises(ValueError, match="no table code"):
-        next(mesh_sweep(build_ray_tube(1, (0,), 6), 9))
+        assert len(word_nodes) > len(nodes)
 
 
 def test_mesh_tube_check_flags_a_broken_rule():
     q = build_ray_tube(2, (1, 0), 6)
-    rules, paths, bad = mesh_tube_failures(q, random.Random(0))
+    rules, paths, bad = mesh_tube_failures(q)
     assert (rules, bad) == (15, [])
     assert paths == sum(1 for v in q.vertices()
                         for _ in all_paths_from(q, v, 8))
     mu = Arrow("mu", 0, 0, 2)
     lam, _ = q._rhs[mu]
     q._rhs[mu] = (lam, Arrow("mu", 0, 0, 2))   # wrong climb after lam
-    _, _, bad = mesh_tube_failures(q, random.Random(0))
+    _, _, bad = mesh_tube_failures(q)
     kinds = {kind for kind, *_ in bad}
     # the sweep itself sees the wrong arrow, not only the rule certificate
     assert {"rule", "shape"} <= kinds
 
 
-def _random_redexes_by_index(q, p, rng):
-    """normalize_path "random" with the redexes collected by testing every
-    index, as a reference for the rng draws."""
-    word, kinds = list(p.arrows), "".join(a.kind[0] for a in p.arrows)
-    while True:
-        redexes = [t for t in range(len(kinds) - 1)
-                   if kinds.startswith("ml", t)]
-        if not redexes:
-            return
-        t = rng.choice(redexes)
-        rhs = q._rhs[word[t]]
-        if rhs is ZERO:
-            return
-        word[t], word[t + 1] = rhs
-        kinds = f"{kinds[:t]}lm{kinds[t + 2:]}"
-
-
-def test_random_strategy_draws_the_same_rng_stream():
-    q = build_ray_tube(2, (1, 1), 6)
-    got, ref = random.Random(3), random.Random(3)
-    for v in q.vertices():
-        for word in all_paths_from(q, v, 7):
-            p = FormalPath(1, v, word)
-            normalize_path(q, p, "random", got)
-            _random_redexes_by_index(q, p, ref)
-    assert got.getstate() == ref.getstate()
-
-
 def _find_strategy(q, p, strategy):
-    """normalize_path "leftmost" or "rightmost" with each redex found by
-    str.find or str.rfind, as a reference for the redex table."""
+    """Rewriting with each redex found by str.find ("leftmost") or
+    str.rfind ("rightmost"), as a reference for normalize_path."""
     find = str.find if strategy == "leftmost" else str.rfind
     word, kinds = list(p.arrows), "".join(a.kind[0] for a in p.arrows)
     while (t := find(kinds, "ml")) >= 0:
@@ -469,16 +420,15 @@ def test_redex_table_matches_find_on_every_short_word():
     for v in q.vertices():
         for word in all_paths_from(q, v, 7):
             p = FormalPath(1, v, word)
-            logs = {}
-            for strategy in ("leftmost", "rightmost"):
-                rules.log = []
-                got = normalize_path(q, p, strategy)
-                got_log, rules.log = rules.log, []
-                assert got == _find_strategy(q, p, strategy)
-                # the same rewrites, in the same order
-                assert got_log == rules.log
-                logs[strategy] = got_log
-            orders_differ += logs["leftmost"] != logs["rightmost"]
+            rules.log = []
+            got = normalize_path(q, p)
+            got_log, rules.log = rules.log, []
+            assert got == _find_strategy(q, p, "leftmost")
+            # the same rewrites, in the same order
+            assert got_log == rules.log
+            rules.log = []
+            assert got == _find_strategy(q, p, "rightmost")
+            orders_differ += got_log != rules.log
     assert orders_differ > 0
 
 
@@ -497,26 +447,19 @@ def _leftmost_word(q, word):
     return tuple(word)
 
 
-def _per_word_mesh_failures(q, rng, paths=0):
+def _per_word_mesh_failures(q):
     """The mesh checks of mesh_tube_failures one word at a time, each word
     normalized from scratch."""
     m, lengths = q.m, q.ray_lengths
     n_rules, failed = mesh_rule_failures(q)
     bad = [("rule", m, lengths, mu) for mu in failed]
+    paths = 0
     for v in q.vertices():
         shapes = {}
         for word in all_paths_from(q, v, 8):
             paths += 1
-            p = FormalPath(1, v, word)
-            left = normalize_path(q, p, "leftmost")
-            right = normalize_path(q, p, "rightmost")
+            left = normalize_path(q, FormalPath(1, v, word))
             left_word = _leftmost_word(q, word)
-            if right != left:
-                bad.append(("confluence", m, lengths, v))
-                continue
-            if paths % 7 == 0 and \
-                    normalize_path(q, p, "random", rng) != left:
-                bad.append(("confluence-random", m, lengths, v))
             if left is ZERO:
                 continue
             shape = shapes.get(left)
@@ -563,8 +506,40 @@ def test_mesh_check_by_node_matches_the_per_word_check(m, lengths, plant):
         q = build_ray_tube(m, lengths, 6)
         if plant is not None:
             plant(q)
-        rng = random.Random(11)
-        results.append((check(q, rng, paths=3), rng.getstate()))
+        results.append(check(q))
     assert results[0] == results[1]
-    (_, _, bad), _ = results[0]
+    _, _, bad = results[0]
     assert bool(bad) == (plant is not None)
+
+
+# -- planted defects for the "confluent" verdict -----------------------------
+
+
+def _single_rule_mutations(q):
+    """Every single-rule change of q's table of the three planted kinds:
+    ZERO on each mu that has a lam', nonzero on each stage-1 rim mu, and
+    each mu given every other mu's different right-hand side."""
+    rules = q._rhs
+    zeros = {(mu, ZERO) for mu, rhs in rules.items() if rhs is not ZERO}
+    nonzero_rims = {(mu, rhs) for mu in rules if rules[mu] is ZERO
+                    for rhs in rules.values() if rhs is not ZERO}
+    swaps = {(mu, rhs) for mu in rules for rhs in rules.values()
+             if rhs != rules[mu]}
+    assert zeros and nonzero_rims and zeros | nonzero_rims <= swaps
+    return sorted(swaps, key=str)
+
+
+def test_every_single_rule_mutation_fails_the_certificate():
+    q = build_ray_tube(2, (1, 0), 6)
+    count = len(q._rhs)
+    mutations = _single_rule_mutations(q)
+    assert len(mutations) == count * (len(set(q._rhs.values())) - 1)
+    for t, (mu, rhs) in enumerate(mutations):
+        q = build_ray_tube(2, (1, 0), 6)
+        q._rhs[mu] = rhs
+        assert mesh_rule_failures(q) == (count, [mu])
+        result = mesh_tube_failures(q)
+        _, _, bad = result
+        assert [b for b in bad if b[0] == "rule"] == [("rule", 2, (1, 0), mu)]
+        if t % 15 == 0:     # a spread sample: the oracle is slow
+            assert _per_word_mesh_failures(q) == result
