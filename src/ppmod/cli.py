@@ -44,10 +44,19 @@ from .ziegler import (CLOSURE_ASSUMPTION, closure, is_closed, parse_point_set,
 MAX_ALGEBRA_DIM = 24
 
 # The largest --max-dim `probe kronecker` accepts.  The suites, scripts and
-# the default use 9 (PP(0)..PP(4)).  The probe takes 0.4 s at 9, 1.9 s at
-# 13, 4.2 s at 15 and 10 s at 17 over QQ as a subprocess on the same host
-# (0.5 s, 1.1 s and 2.6 s at 13, 15 and 17 over GF(2)).
+# the default use 9 (PP(0)..PP(4)).  The probe takes 0.3 s at 9, 0.7 s at
+# 13, 1.4 s at 15 and 2.5 s at 17 over QQ as a subprocess on the same host
+# (0.3 s, 0.4 s and 0.6 s at 13, 15 and 17 over GF(2)).
 MAX_PROBE_DIM = 13
+
+# The largest --budget `probe kronecker` accepts.  The suites, tests and
+# scripts use at most 10.  Each strict step of a probe's chain lowers the
+# total dimension of its value over the universe, which is at most
+# 1 + 3 + ... + 13 = 49 at MAX_PROBE_DIM, so no chain reaches 50 steps and
+# a larger budget would change only the printed budget line.  At the caps
+# (--budget 50 --max-dim 13) the probe takes 0.34 s over GF(2), 0.59 s
+# over GF(3) and 0.75 s over QQ as a subprocess on the same host.
+MAX_PROBE_BUDGET = 50
 
 # The largest tower `classify` and `realize` build: horizon --N <= 15 and
 # height (--n, --height) <= 3, so its top ring has dimension at most
@@ -59,6 +68,13 @@ MAX_PROBE_DIM = 13
 MAX_TOWER_N = 15
 MAX_TOWER_HEIGHT = 3
 MAX_STAGES = MAX_TOWER_N - 1
+
+# The largest --dim-cap `classify` accepts.  The suites and tests use at
+# most 10.  The largest label of the largest tower (N = 15, height 3) has
+# dimension 18 = MAX_TOWER_N + MAX_TOWER_HEIGHT, so a larger cap lists the
+# same rows.  `classify --N 15 --n 3 --dim-cap 18` takes 0.3 s over GF(2)
+# and 1.0-1.1 s over GF(3) and QQ as a subprocess on a 2-CPU Xeon.
+MAX_CLASSIFY_DIM_CAP = MAX_TOWER_N + MAX_TOWER_HEIGHT
 
 # The largest height `ziegler points` lists.  The suites and tests use at
 # most 3, the example scenario 2.  Its output grows as the cube of the
@@ -203,6 +219,7 @@ def execute(args) -> tuple[int, list[str]]:
     if cmd == "classify":
         if args.dim_cap < 0:
             raise ValueError(f"--dim-cap must be at least 0, not {args.dim_cap}")
+        _check_cap("--dim-cap", args.dim_cap, MAX_CLASSIFY_DIM_CAP)
         _check_cap("--N", args.N, MAX_TOWER_N)
         _check_cap("--n", args.n, MAX_TOWER_HEIGHT)
         tower = build_tower(args.N, args.n, field)
@@ -294,6 +311,7 @@ def execute(args) -> tuple[int, list[str]]:
             raise ValueError("probe kronecker compares PP(0) with PP(1), "
                              "so --max-dim must be at least dim PP(1) = 3")
         _check_cap("--max-dim", args.max_dim, MAX_PROBE_DIM)
+        _check_cap("--budget", args.budget, MAX_PROBE_BUDGET)
         alg = kronecker_algebra(field)
         pres = []
         i = 0

@@ -3,12 +3,12 @@
 These deliberately avoid the kernel-and-project route of
 PpFormula.evaluate: membership is decided by enumerating witness tuples,
 over any finite field with `brute_eval` and over GF(2) with
-`brute_eval_f2`, which walks the whole witness space once to collect the
-set of witness images and then the whole x-space, testing each x's image
-against that set; both walks are in Gray-code order, one packed XOR per
-step, and nothing in them eliminates.  Locality of an endomorphism ring is
-decided by enumerating all p^dim of its elements, the reference for the
-structural certificate in decompose.
+`brute_eval_f2`, which lists the set of witness images by doubling (one
+XOR per image) and then walks the whole x-space in Gray-code order, one
+packed XOR per step, testing each x's image against that set; nothing in
+them eliminates.  Locality of an endomorphism ring is decided by
+enumerating all p^dim of its elements, the reference for the structural
+certificate in decompose.
 """
 
 from __future__ import annotations
@@ -41,10 +41,13 @@ def brute_eval_f2(phi: PpFormula, module: Module) -> set[int]:
     """All x-tuples (packed bit vectors) satisfying the formula.  Writing
     X(x) and Y(y) for the packed images of x and y in all equations, x
     satisfies it iff X(x) ^ Y(y) = 0 for some y, that is iff X(x) is one of
-    the witness images Y(y).  So every one of the 2^(l*d) witness tuples is
-    enumerated once to collect those images, then every one of the 2^(n*d)
-    x-tuples once to test its image: 2^(n*d) + 2^(l*d) XORs in all, with no
-    elimination."""
+    the witness images Y(y).  Those images are the XOR-sums of the witness
+    deltas, so they are listed by doubling: each delta not yet among them
+    XORs onto every image so far, and one already among them adds nothing.
+    That lists each of the at most 2^rank images once, where walking all
+    2^(l*d) witness tuples would meet each 2^(l*d - rank) times.  Then
+    every one of the 2^(n*d) x-tuples is walked once to test its image:
+    set membership and XOR only, with no elimination."""
     if module.algebra.field.p != 2:
         raise ValueError("packed oracle is GF(2) only")
     if module.algebra is not phi.effective_algebra:
@@ -64,15 +67,13 @@ def brute_eval_f2(phi: PpFormula, module: Module) -> set[int]:
             for e in range(m):
                 acc |= acts[e].packed[r] << (e * d)
             deltas.append(acc)
-    xdim, ydim = n * d, l * d
-    ydeltas = deltas[xdim:]
-    # step i of a Gray-code walk toggles coordinate t, the lowest set bit of i
+    xdim = n * d
     images = {0}
-    cur = 0
-    for i in range(1, 1 << ydim):
-        cur ^= ydeltas[(i & -i).bit_length() - 1]
-        images.add(cur)
-    # after step i the x-walk stands at the Gray code i ^ (i >> 1)
+    for t in deltas[xdim:]:
+        if t not in images:
+            images |= {v ^ t for v in images}
+    # step i of a Gray-code walk toggles coordinate t, the lowest set bit
+    # of i, and leaves the walk at the Gray code i ^ (i >> 1)
     found = {0}
     cur = 0
     for i in range(1, 1 << xdim):

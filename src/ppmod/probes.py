@@ -68,14 +68,6 @@ class _Vec:
         return sum(p.dim for p in self.parts)
 
 
-def _vec_sum(a: _Vec, b: _Vec, expr: str) -> _Vec:
-    return _Vec(tuple(subspace_sum(x, y) for x, y in zip(a.parts, b.parts)), expr)
-
-
-def _vec_meet(a: _Vec, b: _Vec, expr: str) -> _Vec:
-    return _Vec(tuple(subspace_meet(x, y) for x, y in zip(a.parts, b.parts)), expr)
-
-
 def theta_pool(universe: list[Module]) -> list[tuple[str, PpFormula]]:
     """Generator formulas: pp-type generators of f(g) for every hom basis
     element f between universe modules and every module generator g of the
@@ -111,40 +103,55 @@ def interval_probe(pair: PpPair, universe: list[Module], budget: int,
         raise ValueError("budget must be >= 1")
     if pool is None:
         pool = theta_pool(universe)
-    phi_vec = _Vec(tuple(phi.evaluate(m) for m in universe), "phi")
-    psi_vec = _Vec(tuple(psi.evaluate(m) for m in universe), "psi")
+    phi_parts = tuple(phi.evaluate(m) for m in universe)
+    psi_parts = tuple(psi.evaluate(m) for m in universe)
+    # subspace_sum and subspace_meet results of this probe, by (x, y)
+    sums: dict = {}
+    meets: dict = {}
 
-    seen: dict = {}
+    def combine(op, memo, xs, ys) -> tuple[Subspace, ...]:
+        out = []
+        for key in zip(xs, ys):
+            r = memo.get(key)
+            if r is None:
+                r = memo[key] = op(*key)
+            out.append(r)
+        return tuple(out)
 
-    def add(v: _Vec) -> bool:
-        if v.parts in seen:
-            return False
-        seen[v.parts] = v
-        return True
-
-    add(phi_vec)
-    add(psi_vec)
+    # each value once, under the expression that first reached it
+    seen = {phi_parts: _Vec(phi_parts, "phi")}
+    seen.setdefault(psi_parts, _Vec(psi_parts, "psi"))
+    # equal evaluations give equal chi, so each distinct one is met once
+    met = set()
     for name, theta in pool:
-        tv = _Vec(tuple(theta.evaluate(m) for m in universe), name)
-        chi = _vec_meet(phi_vec, _vec_sum(tv, psi_vec, f"({name} + psi)"),
-                        f"phi ^ ({name} + psi)")
-        add(chi)
+        parts = tuple(theta.evaluate(m) for m in universe)
+        if parts in met:
+            continue
+        met.add(parts)
+        chi = combine(subspace_meet, meets, phi_parts,
+                      combine(subspace_sum, sums, parts, psi_parts))
+        if chi not in seen:
+            seen[chi] = _Vec(chi, f"phi ^ ({name} + psi)")
 
     complete = False
     rounds = 0
+    # every pair of items before `old` was formed in an earlier round, and
+    # its sum and meet are already in seen
+    old = 0
     for rounds in range(1, MAX_ROUNDS + 1):
         items = list(seen.values())
         grew = False
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                s = _vec_sum(items[i], items[j],
-                             f"({items[i].expr}) + ({items[j].expr})")
-                w = _vec_meet(items[i], items[j],
-                              f"({items[i].expr}) ^ ({items[j].expr})")
-                if add(s):
+        for i, a in enumerate(items):
+            for b in items[max(i + 1, old):]:
+                s = combine(subspace_sum, sums, a.parts, b.parts)
+                if s not in seen:
+                    seen[s] = _Vec(s, f"({a.expr}) + ({b.expr})")
                     grew = True
-                if add(w):
+                w = combine(subspace_meet, meets, a.parts, b.parts)
+                if w not in seen:
+                    seen[w] = _Vec(w, f"({a.expr}) ^ ({b.expr})")
                     grew = True
+        old = len(items)
         if _longest_chain(list(seen.values()))[1] >= budget:
             break
         if not grew:

@@ -137,6 +137,8 @@ class PointSet:
     @staticmethod
     def make(height: int, points=(), cofinite_prefixes=(),
              excluded=None) -> "PointSet":
+        if height < 0:
+            raise ValueError("height must be >= 0")
         others = set()
         fams: dict = {}
         for pt in points:
@@ -251,21 +253,19 @@ def closure(s: PointSet) -> PointSet:
     """Least fixpoint of the two closure rules inside every embedded copy:
     an infinite finite-length family forces its hull point, the completion
     and the fraction field; a hull or completion point forces the fraction
-    field.  Extension points are closed."""
+    field.  Extension points are closed.
+
+    One pass of the rules reaches the fixpoint: they add no finite-length
+    point, so no family changes, and every hull or completion point they
+    add comes with the fraction field, which the second rule asks for."""
     n = s.height
-    cur = s
-    while True:
-        add = []
-        for (p, l), mode, _ in cur.families:
-            if mode == "cofinite":
-                add.extend([prufer(n, p, l), adic(n), qpoint(n)])
-        for pt in cur.others:
-            if pt.kind in (PRUFER, ADIC):
-                add.append(qpoint(n))
-        nxt = cur.with_points(add)
-        if nxt == cur:
-            return cur
-        cur = nxt
+    add = []
+    for (p, l), mode, _ in s.families:
+        if mode == "cofinite":
+            add.extend([prufer(n, p, l), adic(n), qpoint(n)])
+    if any(pt.kind in (PRUFER, ADIC) for pt in s.others):
+        add.append(qpoint(n))
+    return s.with_points(add) if add else s
 
 
 def is_closed(s: PointSet) -> bool:

@@ -344,6 +344,8 @@ TOWER_CAPS = [
     (["realize", "--height", "0", "--stages", "2", "--N"], "MAX_TOWER_N"),
     (["realize", "--N", "5", "--stages", "2", "--height"], "MAX_TOWER_HEIGHT"),
     (["realize", "--N", "5", "--height", "0", "--stages"], "MAX_STAGES"),
+    (["classify", "--N", "3", "--n", "1", "--dim-cap"],
+     "MAX_CLASSIFY_DIM_CAP"),
 ]
 
 
@@ -440,3 +442,62 @@ def test_closed_stdout_exits_without_traceback(argv):
         os.close(write_end)
     assert "Traceback" not in proc.stderr
     assert proc.returncode in (0, 1, 2)
+
+
+@pytest.mark.parametrize("op, height", [("is-closed", "-1"),
+                                        ("closure", "-3")])
+def test_ziegler_set_at_a_negative_height_exits_2(op, height, capsys):
+    # as `ziegler points`: no spectrum exists below height 0
+    assert main(["ziegler", op, "--n", height, "--set", ""]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: height must be >= 0\n"
+
+
+def test_probe_budget_above_its_cap_exits_2_before_any_work(monkeypatch,
+                                                           capsys):
+    import ppmod.cli
+
+    def refused(*args):
+        raise AssertionError("the algebra was built")
+
+    monkeypatch.setattr(ppmod.cli, "kronecker_algebra", refused)
+    limit = ppmod.cli.MAX_PROBE_BUDGET
+    assert main(["probe", "kronecker", "--budget", str(limit + 1)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: --budget {limit + 1} is more than the limit "
+                       f"of {limit}\n")
+
+
+def test_probe_budget_at_its_cap_is_accepted(monkeypatch, capsys):
+    import ppmod.cli
+
+    def reached(*args, **kwargs):
+        raise ValueError("reached interval_probe")
+
+    monkeypatch.setattr(ppmod.cli, "interval_probe", reached)
+    assert main(["probe", "kronecker", "--budget",
+                 str(ppmod.cli.MAX_PROBE_BUDGET)]) == 2
+    assert capsys.readouterr().err == "error: reached interval_probe\n"
+
+
+def test_size_caps_cover_every_size_in_use_and_no_more():
+    # the stage probes use budget 10, the classification suite dim cap 10
+    from ppmod.catalog import kronecker_preprojective
+    from ppmod.cli import (MAX_CLASSIFY_DIM_CAP, MAX_PROBE_BUDGET,
+                           MAX_PROBE_DIM, MAX_TOWER_HEIGHT, MAX_TOWER_N)
+    from ppmod.algebra import kronecker_algebra
+    from ppmod.fields import GF
+    from ppmod.tower import all_labels, build_tower, construct_label
+    assert MAX_PROBE_BUDGET >= 10 and MAX_CLASSIFY_DIM_CAP >= 10
+    # a strict step lowers the total dimension, so the longest chain over
+    # the largest universe has fewer steps than the budget cap
+    kron = kronecker_algebra(GF(2))
+    dims = [kronecker_preprojective(kron, i).dim
+            for i in range((MAX_PROBE_DIM + 1) // 2)]
+    assert max(dims) == MAX_PROBE_DIM and sum(dims) < MAX_PROBE_BUDGET
+    # every label of the largest tower is within the dim cap
+    tower = build_tower(MAX_TOWER_N, MAX_TOWER_HEIGHT, GF(2))
+    assert max(construct_label(tower, lab).dim
+               for lab in all_labels(tower)) == MAX_CLASSIFY_DIM_CAP

@@ -352,6 +352,30 @@ def test_packed_oracle_matches_generic_oracle(d3, kron):
                 assert fast == subspace_int_set(phi.evaluate(m))
 
 
+def test_packed_oracle_with_dependent_witness_deltas(d3, kron):
+    # repeated and zero witness rows give repeated and zero deltas, which
+    # the doubling of the witness images must skip without losing an image
+    from ppmod.catalog import kronecker_universe
+    from ppmod.oracles import brute_eval
+
+    def packed(xs):
+        return {sum(c << i for i, c in enumerate(x)) for x in xs}
+
+    for alg, mods in ((d3, dvr_universe(d3, 3)),
+                      (kron, kronecker_universe(kron, 3))):
+        a, b = alg.basis_el(alg.dim - 1), alg.basis_el(1)
+        zero = alg.zero_el()
+        y = [b, alg.unit]
+        # a dependent delta before an independent one in each
+        forms = [PpFormula(alg, RIGHT, 1, 3, [[a, zero], [zero, zero], y, y]),
+                 PpFormula(alg, RIGHT, 1, 3, [[alg.unit, a], y, y, [a, b]])]
+        for m in mods:
+            for phi in forms:
+                fast = brute_eval_f2(phi, m)
+                assert fast == packed(brute_eval(phi, m))
+                assert fast == subspace_int_set(phi.evaluate(m))
+
+
 def implies_by_evaluation(phi, psi):
     """The reference implication: evaluate psi on the free realization of
     phi and test its tuple."""

@@ -2,13 +2,16 @@ import pytest
 
 import ppmod.probes
 import ppmod.suites
+from ppmod.algebra import kronecker_algebra
 from ppmod.fields import GF
 from ppmod.catalog import (dvr_chain_module, kronecker_preprojective,
                            kronecker_step_formula)
 from ppmod.modules import hom_space, module_generators
 from ppmod.ppformula import PpPair, pp_type_generator_of_element
-from ppmod.probes import (NOT_SHORT_WITNESS, SHORT_WITHIN_BOUND,
-                          interval_probe, probe_embedding, theta_pool)
+from ppmod.probes import (INCONCLUSIVE, MAX_ROUNDS, NOT_SHORT_WITNESS,
+                          SHORT_WITHIN_BOUND, ProbeReport, _label,
+                          _longest_chain, _Vec, interval_probe,
+                          probe_embedding, theta_pool)
 from ppmod.realize import realize_in_tower
 from ppmod.suites import suite_short_probes
 from ppmod.tower import build_tower
@@ -143,3 +146,149 @@ def test_theta_pool_matches_one_formula_per_entry(preprojectives):
         for (_, got), (_, want) in zip(pool, ref):
             for m in universe:
                 assert got.evaluate(m) == want.evaluate(m)
+
+
+def probe_every_pair(pair, universe, budget, pool):
+    """The reference probe: every pool entry is met, every pair of items
+    is formed in every round, and nothing is memoized.  Sums and meets go
+    through the probes module, where a test can count them."""
+    def vec_sum(a, b, expr):
+        return _Vec(tuple(ppmod.probes.subspace_sum(x, y)
+                          for x, y in zip(a.parts, b.parts)), expr)
+
+    def vec_meet(a, b, expr):
+        return _Vec(tuple(ppmod.probes.subspace_meet(x, y)
+                          for x, y in zip(a.parts, b.parts)), expr)
+
+    phi_vec = _Vec(tuple(pair.upper.evaluate(m) for m in universe), "phi")
+    psi_vec = _Vec(tuple(pair.lower.evaluate(m) for m in universe), "psi")
+    seen = {}
+
+    def add(v):
+        if v.parts in seen:
+            return False
+        seen[v.parts] = v
+        return True
+
+    add(phi_vec)
+    add(psi_vec)
+    for name, theta in pool:
+        tv = _Vec(tuple(theta.evaluate(m) for m in universe), name)
+        add(vec_meet(phi_vec, vec_sum(tv, psi_vec, f"({name} + psi)"),
+                     f"phi ^ ({name} + psi)"))
+    complete = False
+    rounds = 0
+    for rounds in range(1, MAX_ROUNDS + 1):
+        items = list(seen.values())
+        grew = False
+        for i in range(len(items)):
+            for j in range(i + 1, len(items)):
+                a, b = items[i], items[j]
+                if add(vec_sum(a, b, f"({a.expr}) + ({b.expr})")):
+                    grew = True
+                if add(vec_meet(a, b, f"({a.expr}) ^ ({b.expr})")):
+                    grew = True
+        if _longest_chain(list(seen.values()))[1] >= budget:
+            break
+        if not grew:
+            complete = True
+            break
+    vecs = list(seen.values())
+    chain, steps = _longest_chain(vecs)
+    verdict = (NOT_SHORT_WITNESS if steps >= budget else
+               SHORT_WITHIN_BOUND if complete else INCONCLUSIVE)
+    certs = [_label(universe[next(i for i, (x, y)
+                                  in enumerate(zip(hi.parts, lo.parts))
+                                  if x != y)])
+             for hi, lo in zip(chain, chain[1:])]
+    return ProbeReport(verdict, budget, [v.expr for v in chain], certs,
+                       len(vecs), complete, rounds)
+
+
+def kronecker_probe_pair(universe):
+    """The pair `probe kronecker` probes: PP(0) inside PP(1)."""
+    one = universe[0].algebra.field.one()
+    emb = next(h for h in hom_space(universe[0], universe[1])
+               if h.is_injective())
+    return PpPair(upper=pp_type_generator_of_element(universe[0], (one,)),
+                  lower=pp_type_generator_of_element(universe[1],
+                                                     emb((one,))))
+
+
+def stage_probe_pairs():
+    """The universe, pool and pairs of the short-probes suite's stage
+    probes, as probe_embedding forms them."""
+    rt = realize_in_tower(build_tower(5, 1, F2), 3)
+    universe = [rt.P[(l, j)] for l in (0, 1) for j in range(1, 5)]
+    pairs = []
+    for j in (1, 2, 3):
+        for emb in (rt.psibar[(0, j)], rt.psibar[(1, j)]):
+            for g in module_generators(emb.source):
+                pairs.append(PpPair(
+                    upper=pp_type_generator_of_element(emb.source, g),
+                    lower=pp_type_generator_of_element(emb.target, emb(g))))
+    return universe, theta_pool(universe), pairs
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_kronecker_probe_matches_every_pair_reference(p):
+    # the pair of `probe kronecker` and of the short-probes suite
+    kron = kronecker_algebra(GF(p))
+    universe = [kronecker_preprojective(kron, i) for i in range(5)]
+    pool = theta_pool(universe)
+    pair = kronecker_probe_pair(universe)
+    for budget in (3, 6, 10):
+        assert interval_probe(pair, universe, budget, pool) == \
+            probe_every_pair(pair, universe, budget, pool)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_closure_rounds_match_every_pair_reference(p):
+    # pairs of corpus formulas over the Kronecker modules of dim <= 2,
+    # some of whose lattices grow until the last round
+    import random
+    from ppmod.catalog import kronecker_universe
+    from ppmod.ppformula import pp_meet
+    from ppmod.suites import formula_corpus
+    kron = kronecker_algebra(GF(p))
+    universe = kronecker_universe(kron, 2)
+    pool = theta_pool(universe)
+    corpus = [f for f in formula_corpus(kron, 12, random.Random(1))
+              if f.n == 1][1:5]
+    rounds = set()
+    for phi in corpus:
+        for psi in corpus:
+            pair = PpPair(upper=phi, lower=pp_meet(phi, psi))
+            got = interval_probe(pair, universe, 10, pool)
+            assert got == probe_every_pair(pair, universe, 10, pool)
+            rounds.add(got.rounds_used)
+    assert MAX_ROUNDS in rounds
+
+
+def test_interval_probe_memoizes_sums_and_meets(monkeypatch):
+    # the short-probes suite's stage probes, against the reference; count
+    # the sums and meets that compute, not the memo hits
+    universe, pool, pairs = stage_probe_pairs()
+    calls = []
+
+    def counting(op):
+        def run(x, y):
+            calls.append((op.__name__, x, y))
+            return op(x, y)
+        return run
+
+    for name in ("subspace_sum", "subspace_meet"):
+        monkeypatch.setattr(ppmod.probes, name,
+                            counting(getattr(ppmod.probes, name)))
+    memo = []
+    memo_calls = 0
+    for pair in pairs:
+        memo.append(interval_probe(pair, universe, 10, pool))
+        # no (x, y) is computed twice within one probe
+        assert len(set(calls)) == len(calls)
+        memo_calls += len(calls)
+        calls.clear()
+    ref = [probe_every_pair(pair, universe, 10, pool) for pair in pairs]
+    assert memo == ref
+    assert {"subspace_sum", "subspace_meet"} <= {op for op, _, _ in calls}
+    assert 5 * memo_calls <= len(calls)

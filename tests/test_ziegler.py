@@ -105,6 +105,33 @@ def test_closure_operator_properties():
         assert is_closed(ci)
 
 
+def closure_to_fixpoint(s):
+    """The reference closure: apply both rules until nothing changes."""
+    n = s.height
+    while True:
+        add = []
+        for (p, l), mode, _ in s.families:
+            if mode == "cofinite":
+                add.extend([prufer(n, p, l), adic(n), qpoint(n)])
+        add.extend(qpoint(n) for pt in s.others
+                   if pt.kind in ("Prufer", "Adic"))
+        nxt = s.with_points(add)
+        if nxt == s:
+            return s
+        s = nxt
+
+
+def test_closure_is_one_pass_of_the_rules():
+    rng = random.Random(7)
+    heights = set()
+    for _ in range(2000):
+        n = rng.randint(0, 3)
+        heights.add(n)
+        s = random_point_set(n, rng)
+        assert closure(s) == closure_to_fixpoint(s)
+    assert heights == {0, 1, 2, 3}
+
+
 def test_set_algebra_with_cofinite_families():
     a = PointSet.make(1, [fin_len(1, 1, 0, 3)], cofinite_prefixes=[(0, 1)])
     b = PointSet.make(1, [fin_len(1, 0, 1, 5)],
