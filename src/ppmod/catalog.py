@@ -13,6 +13,7 @@ import random
 from .algebra import FDAlgebra
 from .linalg import Matrix, block
 from .modules import Module, direct_sum, free_module, quotient_module, _module_span
+from .ppformula import RIGHT, PpFormula, divisibility, pp_sum
 
 CATALOG_VERSION = "1"
 
@@ -169,19 +170,15 @@ def kronecker_step_formula(alg: FDAlgebra, t: int):
         t = 0:  e2 | x
         t >= 1: (exists y1..yt: x = y1 a, y1 b = y2 a, ..., ) + (b | x)
     """
-    from .ppformula import PpFormula, divisibility, pp_sum
     if t == 0:
         return divisibility(alg, alg.el_from_label("e2"))
-    z = alg.zero_el()
-    a = alg.el_from_label("a")
+    na = alg.neg_el(alg.el_from_label("a"))
     b = alg.el_from_label("b")
-    rows = [[z] * t for _ in range(1 + t)]
-    rows[0][0] = alg.unit            # x appears in the first condition
-    rows[1][0] = alg.neg_el(a)       # x - y1 a = 0
+    # x - y1 a = 0, then y_{i-1} b - y_i a = 0 for i = 2..t
+    cells = {(0, 0): alg.unit, (1, 0): na}
     for i in range(2, t + 1):
-        rows[i - 1][i - 1] = b       # y_{i-1} b
-        rows[i][i - 1] = alg.neg_el(a)
-    theta = PpFormula(alg, "right", 1, t, rows)
+        cells.update({(i - 1, i - 1): b, (i, i - 1): na})
+    theta = PpFormula.from_cells(alg, RIGHT, 1, t, t, cells)
     return pp_sum(theta, divisibility(alg, b))
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import Undecided
 from .linalg import (Matrix, Subspace, combination, projected_kernel,
@@ -159,7 +160,6 @@ def _rational_certificate(mats: list[Matrix], coords):
         return None, ()
     # sympy is imported only here, where a commutative top of dimension
     # > 1 is factored: its import costs more than most QQ decompositions
-    from fractions import Fraction
     from sympy import Poly, Rational, Symbol, div, invert
     t = Symbol("t")
     for c in itertools.count():

@@ -15,6 +15,7 @@ Conventions (used throughout the package):
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 from .algebra import FDAlgebra
 from .linalg import (Matrix, Subspace, block, block_diagonal, combination,
@@ -26,7 +27,8 @@ _module_serial = itertools.count()
 class Module:
     """Right module: one action matrix per algebra basis element."""
 
-    __slots__ = ("algebra", "dim", "action", "label", "serial", "_act_cache")
+    __slots__ = ("algebra", "dim", "action", "label", "serial", "_act_cache",
+                 "_presentation")
 
     def __init__(self, algebra: FDAlgebra, dim: int, action, label: str = "",
                  check: bool = True):
@@ -36,6 +38,7 @@ class Module:
         self.label = label
         self.serial = next(_module_serial)
         self._act_cache: dict = {}
+        self._presentation = None  # see presentation_of
         if len(self.action) != algebra.dim:
             raise ValueError("need one action matrix per algebra basis element")
         for m in self.action:
@@ -283,28 +286,15 @@ def iso_test(m: Module, n: Module) -> ModuleMap | None:
 # -- presentations -----------------------------------------------------------
 
 
+@dataclass
 class Presentation:
-    """M = coker(R^m -> R^s): generators, relation matrix over the algebra,
-    and the flattened quotient module."""
+    """M = coker(R^m -> R^s): s generators, the relation vectors of A^s
+    and the free cover R^s -> M."""
 
-    def __init__(self, algebra: FDAlgebra, ngens: int, relations,
-                 module: Module, proj: ModuleMap, free: Module):
-        self.algebra = algebra
-        self.ngens = ngens
-        self.relations = relations  # list of relation vectors in A^ngens
-        self.module = module
-        self.proj = proj  # free -> module
-        self.free = free
-
-    def generator(self, i: int):
-        """Image in the module of the i-th free generator."""
-        alg = self.algebra
-        f = alg.field
-        v = [f.zero()] * self.free.dim
-        unit = alg.unit
-        for t, c in enumerate(unit):
-            v[i * alg.dim + t] = c
-        return self.proj(v)
+    algebra: FDAlgebra
+    ngens: int
+    relations: list  # relation vectors in A^ngens
+    proj: ModuleMap  # free cover -> module
 
     def express(self, vec):
         """Algebra coefficients r_1..r_s with sum g_i . r_i = vec, or None."""
@@ -354,26 +344,11 @@ def module_generators(m: Module) -> list[tuple]:
                                                  m.dim).data)
 
 
-def presentation_from_relations(algebra: FDAlgebra, ngens: int,
-                                relation_vectors) -> Presentation:
-    """Quotient of A^ngens by the submodule generated by the given vectors
-    of A^ngens (each a tuple of algebra elements)."""
-    free = free_module(algebra, ngens)
-    flat = []
-    for rel in relation_vectors:
-        v = []
-        for comp in rel:
-            v.extend(comp)
-        flat.append(v)
-    sub = _module_span(free, flat)
-    mod, proj = quotient_module(free, sub)
-    return Presentation(algebra, ngens, [tuple(r) for r in relation_vectors],
-                        mod, proj, free)
-
-
 def presentation_of(m: Module) -> Presentation:
     """A presentation of an arbitrary module: greedy generators, then module
-    generators of the kernel of the free cover."""
+    generators of the kernel of the free cover.  Made once per module."""
+    if m._presentation is not None:
+        return m._presentation
     alg = m.algebra
     f = alg.field
     gens = module_generators(m)
@@ -390,4 +365,5 @@ def presentation_of(m: Module) -> Presentation:
     relations = [tuple(v[i * alg.dim:(i + 1) * alg.dim] for i in range(s))
                  for v in _greedy_generators(free, ker.basis.data)]
     # the cover itself presents m: its kernel is generated by the relations
-    return Presentation(alg, s, relations, m, cover, free)
+    m._presentation = Presentation(alg, s, relations, cover)
+    return m._presentation

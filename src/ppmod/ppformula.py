@@ -19,20 +19,18 @@ directions; nothing is ever compared syntactically.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
 from .algebra import FDAlgebra
 from .linalg import Matrix, Subspace, block, projected_kernel
-from .modules import (Module, Presentation, presentation_from_relations,
-                      presentation_of)
+from .modules import (Module, Presentation, _module_span, free_module,
+                      presentation_of, quotient_module)
 
 RIGHT = "right"
 LEFT = "left"
 
 _counter = itertools.count()
-PRESENTATION_CACHE_SIZE = 256
 
 
 class PpFormula:
@@ -61,6 +59,17 @@ class PpFormula:
         self.serial = next(_counter)
         self._realization = None
         self._eval_cache: dict = {}
+
+    @staticmethod
+    def from_cells(algebra: FDAlgebra, side: str, n: int, l: int, m: int,
+                   cells) -> "PpFormula":
+        """The formula whose entry (v, e), variable v and condition e, is
+        cells[(v, e)]; every other entry is zero."""
+        if any(not (0 <= v < n + l and 0 <= e < m) for v, e in cells):
+            raise ValueError("cell outside the formula matrix")
+        z = algebra.zero_el()
+        return PpFormula(algebra, side, n, l, [
+            [cells.get((v, e), z) for e in range(m)] for v in range(n + l)])
 
     @property
     def m(self) -> int:
@@ -101,19 +110,24 @@ class PpFormula:
 
     def free_realization(self) -> "FreeRealization":
         """A finitely presented module and tuple whose pp-type this formula
-        generates: the quotient of the free module on all n+l variables by
-        the columns of the formula matrix."""
-        if self._realization is not None:
-            return self._realization
-        alg = self.effective_algebra
-        relations = []
-        for e in range(self.m):
-            relations.append(tuple(self.hmat[v][e] for v in range(self.n + self.l)))
-        pres = presentation_from_relations(alg, self.n + self.l, relations)
-        tup = tuple(pres.generator(i) for i in range(self.n))
-        fr = FreeRealization(pres.module, tup)
-        self._realization = fr
-        return fr
+        generates: the quotient C of the free module on all n+l variables
+        by the columns of the formula matrix, and the images of the first
+        n free generators."""
+        if self._realization is None:
+            alg, nvars = self.effective_algebra, self.n + self.l
+            free = free_module(alg, nvars)
+            # row e is condition e's column, a vector of A^(n+l)
+            rels = [[c for v in range(nvars) for c in self.hmat[v][e]]
+                    for e in range(self.m)]
+            module, proj = quotient_module(free, _module_span(free, rels))
+            # x_i is the image of e_i (x) 1: the unit times block i of the
+            # projection's rows
+            d, unit = alg.dim, Matrix.from_rows(alg.field, [alg.unit])
+            row = block(alg.field, [1], [module.dim] * self.n, {
+                (0, i): unit * proj.mat.take_rows(range(i * d, (i + 1) * d))
+                for i in range(self.n)})
+            self._realization = FreeRealization(module, row)
+        return self._realization
 
     def implies(self, other: "PpFormula") -> bool:
         """phi <= psi in the pp lattice: whether the tuple x of the free
@@ -127,8 +141,7 @@ class PpFormula:
         fr = self.free_realization()
         system = other._system(fr.module)
         k = other.n * fr.module.dim
-        x = Matrix.from_rows(system.field, [fr.tuple_vector()])
-        xs = x * system.take_rows(range(k))
+        xs = fr.row * system.take_rows(range(k))
         ys = Subspace.from_matrix(system.cols,
                                   system.take_rows(range(k, system.rows)))
         return ys.contains_vector(xs.row(0))
@@ -139,14 +152,11 @@ class PpFormula:
 
 @dataclass(frozen=True)
 class FreeRealization:
-    module: Module
-    tuple: tuple
+    """A module and an n-tuple of its elements, the tuple as one
+    1 x (n.dim) row (coordinates concatenated component by component)."""
 
-    def tuple_vector(self):
-        out = []
-        for comp in self.tuple:
-            out.extend(comp)
-        return tuple(out)
+    module: Module
+    row: Matrix
 
 
 @dataclass(frozen=True)
@@ -199,56 +209,36 @@ def annihilator(alg: FDAlgebra, a, side: str = RIGHT) -> PpFormula:
 # -- lattice operations ------------------------------------------------------
 
 
+def _placed(phi: PpFormula, rows, col: int) -> dict:
+    """phi's matrix as cells: variable v on row rows[v], condition e in
+    column col + e."""
+    return {(rows[v], col + e): x for v, r in enumerate(phi.hmat)
+            for e, x in enumerate(r)}
+
+
 def pp_sum(phi: PpFormula, psi: PpFormula) -> PpFormula:
     """The join: (phi + psi)(x) = exists u, v: x = u + v, phi(u), psi(v)."""
     _check_compatible(phi, psi)
-    alg, side, n = phi.algebra, phi.side, phi.n
-    z, u = alg.zero_el(), alg.unit
-    nu = alg.neg_el(u)
-    lphi, lpsi, mphi, mpsi = phi.l, psi.l, phi.m, psi.m
-    nvars = n + (2 * n + lphi + lpsi)
-    ncols = n + mphi + mpsi
-    rows = [[z] * ncols for _ in range(nvars)]
-    # variable layout: x (n) | u (n) | v (n) | y_phi | y_psi
+    alg, n = phi.algebra, phi.n
+    nu = alg.neg_el(alg.unit)
+    # variables x | u | v | y_phi | y_psi, conditions x = u + v | phi | psi
+    l = 2 * n + phi.l + psi.l
+    u_rows = [*range(n, 2 * n), *range(3 * n, 3 * n + phi.l)]
+    v_rows = [*range(2 * n, 3 * n), *range(3 * n + phi.l, n + l)]
+    cells = {**_placed(phi, u_rows, n), **_placed(psi, v_rows, n + phi.m)}
     for i in range(n):
-        rows[i][i] = u                       # x_i
-        rows[n + i][i] = nu                  # -u_i
-        rows[2 * n + i][i] = nu              # -v_i
-    for v in range(n):
-        for e in range(mphi):
-            rows[n + v][n + e] = phi.hmat[v][e]
-        for e in range(mpsi):
-            rows[2 * n + v][n + mphi + e] = psi.hmat[v][e]
-    for v in range(lphi):
-        for e in range(mphi):
-            rows[3 * n + v][n + e] = phi.hmat[n + v][e]
-    for v in range(lpsi):
-        for e in range(mpsi):
-            rows[3 * n + lphi + v][n + mphi + e] = psi.hmat[n + v][e]
-    return PpFormula(alg, side, n, 2 * n + lphi + lpsi, rows)
+        cells.update({(i, i): alg.unit, (n + i, i): nu, (2 * n + i, i): nu})
+    return PpFormula.from_cells(alg, phi.side, n, l, n + phi.m + psi.m, cells)
 
 
 def pp_meet(phi: PpFormula, psi: PpFormula) -> PpFormula:
     """The meet: phi(x) and psi(x), bound variables concatenated."""
     _check_compatible(phi, psi)
-    alg, side, n = phi.algebra, phi.side, phi.n
-    z = alg.zero_el()
-    lphi, lpsi, mphi, mpsi = phi.l, psi.l, phi.m, psi.m
-    nvars = n + lphi + lpsi
-    ncols = mphi + mpsi
-    rows = [[z] * ncols for _ in range(nvars)]
-    for v in range(n):
-        for e in range(mphi):
-            rows[v][e] = phi.hmat[v][e]
-        for e in range(mpsi):
-            rows[v][mphi + e] = psi.hmat[v][e]
-    for v in range(lphi):
-        for e in range(mphi):
-            rows[n + v][e] = phi.hmat[n + v][e]
-    for v in range(lpsi):
-        for e in range(mpsi):
-            rows[n + lphi + v][mphi + e] = psi.hmat[n + v][e]
-    return PpFormula(alg, side, n, lphi + lpsi, rows)
+    n, l = phi.n, phi.l + psi.l
+    cells = {**_placed(phi, range(n + phi.l), 0),
+             **_placed(psi, [*range(n), *range(n + phi.l, n + l)], phi.m)}
+    return PpFormula.from_cells(phi.algebra, phi.side, n, l, phi.m + psi.m,
+                                cells)
 
 
 # -- elementary duality -------------------------------------------------------
@@ -262,15 +252,12 @@ def dual(phi: PpFormula) -> PpFormula:
         D [H' over x; H'' over y]  =  [I 0 ; H'^T H''^T]
 
     with n free rows kept, m new bound rows, and n+l conditions."""
-    alg, n, l, m = phi.algebra, phi.n, phi.l, phi.m
-    z, u = alg.zero_el(), alg.unit
-    rows = [[z] * (n + l) for _ in range(n + m)]
-    for i in range(n):
-        rows[i][i] = u
-    for j in range(m):
-        for v in range(n + l):
-            rows[n + j][v] = phi.hmat[v][j]
-    return PpFormula(alg, LEFT if phi.side == RIGHT else RIGHT, n, m, rows)
+    n = phi.n
+    side = LEFT if phi.side == RIGHT else RIGHT
+    cells = {(n + e, v): x for v, r in enumerate(phi.hmat)
+             for e, x in enumerate(r)}
+    cells.update({(i, i): phi.algebra.unit for i in range(n)})
+    return PpFormula.from_cells(phi.algebra, side, n, phi.m, n + phi.l, cells)
 
 
 # -- pp-type generators --------------------------------------------------------
@@ -280,37 +267,19 @@ def pp_type_generator(pres: Presentation, tup) -> PpFormula:
     """The generator of the pp-type of a tuple in a presented right module:
     exists y (x = y A and y H = 0), where A expresses the tuple over the
     generators and H is the relation matrix."""
-    alg = pres.algebra
-    n = len(tup)
-    s = pres.ngens
-    exprs = []
-    for comp in tup:
+    alg, n = pres.algebra, len(tup)
+    cells = {(i, i): alg.unit for i in range(n)}
+    for i, comp in enumerate(tup):
         coeffs = pres.express(comp)
         if coeffs is None:
             raise ValueError("tuple is not expressible over the generators")
-        exprs.append(coeffs)
-    z = alg.zero_el()
-    u = alg.unit
-    mrel = len(pres.relations)
-    ncols = n + mrel
-    rows = [[z] * ncols for _ in range(n + s)]
-    for i in range(n):
-        rows[i][i] = u
-    for g in range(s):
-        for i in range(n):
-            rows[n + g][i] = alg.neg_el(exprs[i][g])
-        for e, rel in enumerate(pres.relations):
-            rows[n + g][n + e] = rel[g]
-    return PpFormula(alg, RIGHT, n, s, rows)
-
-
-@functools.lru_cache(maxsize=PRESENTATION_CACHE_SIZE)
-def _cached_presentation(module: Module) -> Presentation:
-    return presentation_of(module)
+        cells.update({(n + g, i): alg.neg_el(c) for g, c in enumerate(coeffs)})
+    for e, rel in enumerate(pres.relations):
+        cells.update({(n + g, n + e): r for g, r in enumerate(rel)})
+    return PpFormula.from_cells(alg, RIGHT, n, pres.ngens,
+                                n + len(pres.relations), cells)
 
 
 def pp_type_generator_of_element(module: Module, vec) -> PpFormula:
-    """Generator of the pp-type of a single element of a right module (the
-    presentations of the last PRESENTATION_CACHE_SIZE modules are kept)."""
-    pres = _cached_presentation(module)
-    return pp_type_generator(pres, (tuple(vec),))
+    """Generator of the pp-type of a single element of a right module."""
+    return pp_type_generator(presentation_of(module), (tuple(vec),))

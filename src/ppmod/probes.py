@@ -52,22 +52,6 @@ class ProbeReport:
         return "\n".join(lines) + "\n"
 
 
-class _Vec:
-    """Evaluation vector of a formula over the universe, with provenance."""
-
-    __slots__ = ("parts", "expr")
-
-    def __init__(self, parts: tuple[Subspace, ...], expr: str):
-        self.parts = parts
-        self.expr = expr
-
-    def leq(self, other: "_Vec") -> bool:
-        return all(subspace_leq(a, b) for a, b in zip(self.parts, other.parts))
-
-    def total_dim(self) -> int:
-        return sum(p.dim for p in self.parts)
-
-
 def theta_pool(universe: list[Module]) -> list[tuple[str, PpFormula]]:
     """Generator formulas: pp-type generators of f(g) for every hom basis
     element f between universe modules and every module generator g of the
@@ -118,9 +102,9 @@ def interval_probe(pair: PpPair, universe: list[Module], budget: int,
             out.append(r)
         return tuple(out)
 
-    # each value once, under the expression that first reached it
-    seen = {phi_parts: _Vec(phi_parts, "phi")}
-    seen.setdefault(psi_parts, _Vec(psi_parts, "psi"))
+    # each value once, to the expression that first reached it
+    seen = {phi_parts: "phi"}
+    seen.setdefault(psi_parts, "psi")
     # equal evaluations give equal chi, so each distinct one is met once
     met = set()
     for name, theta in pool:
@@ -131,35 +115,35 @@ def interval_probe(pair: PpPair, universe: list[Module], budget: int,
         chi = combine(subspace_meet, meets, phi_parts,
                       combine(subspace_sum, sums, parts, psi_parts))
         if chi not in seen:
-            seen[chi] = _Vec(chi, f"phi ^ ({name} + psi)")
+            seen[chi] = f"phi ^ ({name} + psi)"
 
     complete = False
-    rounds = 0
     # every pair of items before `old` was formed in an earlier round, and
     # its sum and meet are already in seen
     old = 0
     for rounds in range(1, MAX_ROUNDS + 1):
-        items = list(seen.values())
+        items = list(seen.items())
         grew = False
-        for i, a in enumerate(items):
-            for b in items[max(i + 1, old):]:
-                s = combine(subspace_sum, sums, a.parts, b.parts)
+        for i, (a, a_expr) in enumerate(items):
+            for b, b_expr in items[max(i + 1, old):]:
+                s = combine(subspace_sum, sums, a, b)
                 if s not in seen:
-                    seen[s] = _Vec(s, f"({a.expr}) + ({b.expr})")
+                    seen[s] = f"({a_expr}) + ({b_expr})"
                     grew = True
-                w = combine(subspace_meet, meets, a.parts, b.parts)
+                w = combine(subspace_meet, meets, a, b)
                 if w not in seen:
-                    seen[w] = _Vec(w, f"({a.expr}) ^ ({b.expr})")
+                    seen[w] = f"({a_expr}) ^ ({b_expr})"
                     grew = True
         old = len(items)
-        if _longest_chain(list(seen.values()))[1] >= budget:
+        # seen does not change after the last round: its chain is the report's
+        chain = _longest_chain(list(seen))
+        if len(chain) - 1 >= budget:
             break
         if not grew:
             complete = True
             break
 
-    vecs = list(seen.values())
-    chain, steps = _longest_chain(vecs)
+    steps = len(chain) - 1
     if steps >= budget:
         verdict = NOT_SHORT_WITNESS
     elif complete:
@@ -168,35 +152,34 @@ def interval_probe(pair: PpPair, universe: list[Module], budget: int,
         verdict = INCONCLUSIVE
     certs = []
     for hi, lo in zip(chain, chain[1:]):
-        sep = next(i for i, (a, b) in enumerate(zip(hi.parts, lo.parts))
-                   if a != b)
+        sep = next(i for i, (a, b) in enumerate(zip(hi, lo)) if a != b)
         certs.append(_label(universe[sep]))
     return ProbeReport(
-        verdict=verdict, budget=budget,
-        chain=[v.expr for v in chain], certificates=certs,
-        lattice_size=len(vecs), complete=complete, rounds_used=rounds)
+        verdict=verdict, budget=budget, chain=[seen[v] for v in chain],
+        certificates=certs, lattice_size=len(seen), complete=complete,
+        rounds_used=rounds)
 
 
-def _longest_chain(vecs: list[_Vec]) -> tuple[list[_Vec], int]:
-    """Longest strictly descending chain (top first) and its step count."""
-    order = sorted(range(len(vecs)), key=lambda i: vecs[i].total_dim())
-    best = [1] * len(vecs)
-    pred = [-1] * len(vecs)
+def _longest_chain(values: list[tuple[Subspace, ...]]
+                   ) -> list[tuple[Subspace, ...]]:
+    """A longest strictly descending chain of the values, top first.  A
+    value of smaller total dimension lies strictly below one it lies in."""
+    dims = [sum(p.dim for p in v) for v in values]
+    order = sorted(range(len(values)), key=dims.__getitem__)
+    best = [1] * len(values)
+    pred = [-1] * len(values)
     for pos, i in enumerate(order):
-        for jpos in range(pos):
-            j = order[jpos]
-            if vecs[j].total_dim() < vecs[i].total_dim() and \
-                    vecs[j].leq(vecs[i]) and not vecs[i].leq(vecs[j]):
-                if best[j] + 1 > best[i]:
-                    best[i] = best[j] + 1
-                    pred[i] = j
-    top = max(range(len(vecs)), key=lambda i: best[i]) if vecs else -1
+        for j in order[:pos]:
+            if dims[j] < dims[i] and best[j] >= best[i] and \
+                    all(map(subspace_leq, values[j], values[i])):
+                best[i] = best[j] + 1
+                pred[i] = j
     chain = []
-    cur = top
+    cur = max(range(len(values)), key=best.__getitem__)
     while cur != -1:
-        chain.append(vecs[cur])
+        chain.append(values[cur])
         cur = pred[cur]
-    return chain, len(chain) - 1 if chain else 0
+    return chain
 
 
 def probe_embedding(fmap, universe: list[Module], budget: int,

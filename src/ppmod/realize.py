@@ -28,7 +28,7 @@ from .linalg import Matrix, block, vectorized
 from .modules import Module, ModuleMap, direct_sum, identity_map, iso_test
 from .tower import (TowerRing, build_tower, left_projectives, lift,
                     natural_embedding)
-from .tube import Arrow, TranslationQuiver, ZERO
+from .tube import Arrow, TranslationQuiver, ZERO, normal_path_arrows
 
 
 def chain_inclusion(alg, j: int) -> ModuleMap:
@@ -106,7 +106,6 @@ class RealizedTube:
         return self.fmaps[a.j - 1]
 
     def realize_normal_path(self, q: TranslationQuiver, np) -> ModuleMap:
-        from .tube import normal_path_arrows
         if np == ZERO:
             raise ValueError("zero has no single realization; compare is_zero")
         arrows = normal_path_arrows(q, np)

@@ -19,7 +19,8 @@ from .decompose import RadicalCalculus, decompose
 from .errors import SquareFailed
 from .fields import GF
 from .linalg import Matrix, span_elements, subspace_leq
-from .modules import (ModuleMap, direct_sum, hom_space, iso_test, k_dual)
+from .modules import (ModuleMap, cokernel, direct_sum, hom_space, iso_test,
+                      k_dual)
 from .oracles import brute_eval_f2, subspace_int_set
 from .ppformula import (LEFT, PpFormula, PpPair, annihilator, bottom,
                         divisibility, dual, pp_meet, pp_sum,
@@ -28,7 +29,7 @@ from .probes import (NOT_SHORT_WITNESS, SHORT_WITHIN_BOUND, interval_probe,
                      probe_embedding, theta_pool)
 from .realize import realize_in_tower, verify_bimodule_idempotents
 from .tower import (all_labels, build_tower, classify, construct_label, f0,
-                    f1, label_module)
+                    f1, label_module, verify_hom_bounds)
 from .tube import SymbolicTube, ZERO, build_ray_tube, \
     hom_dimension, mesh_rule_failures, mesh_sweep, normal_path_arrows
 from .ziegler import (PointSet, adic, closure, fin_len, is_closed,
@@ -253,7 +254,6 @@ def suite_classification(seed: int = 0) -> SuiteResult:
                    for lab, mult in out) != m.dim:
                 bad.append((height, "dimension bookkeeping"))
         # hom bounds on every constructible label
-        from .tower import verify_hom_bounds
         ok, _ = verify_hom_bounds(tower, dim_cap=10)
         if not ok:
             bad.append((height, "hom bound"))
@@ -310,7 +310,6 @@ def suite_ray_tube(seed: int = 0) -> SuiteResult:
                    else "squares commute, base composes to zero")
         lines.append(f"symbolic\tQ({m}; {','.join(map(str, lengths))}) "
                      f"ladder {verdict}")
-    from ppmod.modules import cokernel
     for height in (0, 1, 2):
         tower = build_tower(5, height, F2)
         try:

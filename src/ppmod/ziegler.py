@@ -279,7 +279,9 @@ def point_closure(pt: ZieglerPoint) -> PointSet:
 def random_point_set(height: int, rng: random.Random) -> PointSet:
     """Seeded random point set for property tests (at most six points
     besides the finite-length ones)."""
-    pool = list(points(height).others)
+    # sorted: a frozenset's order follows string hashes, which change
+    # from one process to the next
+    pool = sorted(points(height).others)
     pts = rng.sample(pool, k=min(len(pool), rng.randint(0, 6)))
     for _ in range(rng.randint(0, 3)):
         p = rng.randint(0, height)

@@ -221,6 +221,97 @@ def unset_options(module: str, tree: ast.Module, setters, listed: set[str],
     return out
 
 
+def local_imports(node: ast.AST, scope: str = "", in_function: bool = False):
+    """'scope: module' for each module imported inside a function, scope
+    being the dotted name of the innermost function (its class included)
+    and module as written ('.decompose' for a relative import)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            name = f"{scope}.{child.name}" if scope else child.name
+            yield from local_imports(
+                child, name, in_function or not isinstance(child, ast.ClassDef))
+        elif in_function and isinstance(child, ast.Import):
+            yield from (f"{scope}: {alias.name}" for alias in child.names)
+        elif in_function and isinstance(child, ast.ImportFrom):
+            yield f"{scope}: {'.' * child.level}{child.module or ''}"
+        else:
+            yield from local_imports(child, scope, in_function)
+
+
+def unlisted_local_imports(module: str, tree: ast.Module, listed) -> list[str]:
+    """The local imports of tree (see local_imports) whose 'module.scope:
+    imported module' is not in listed."""
+    return [entry for entry in local_imports(tree)
+            if f"{module}.{entry}" not in listed]
+
+
+# imports made inside a function, each with why it is not at module level
+LOCAL_IMPORTS = {
+    "modules.iso_test: .decompose":
+        "decompose imports modules, so modules cannot import decompose at "
+        "load time",
+    "decompose._rational_certificate: sympy":
+        "sympy costs more to import than most QQ decompositions; it loads "
+        "only where a commutative top of dimension > 1 is factored "
+        "(tests/test_cli.py::test_rational_scenario_does_not_import_sympy)",
+}
+
+
+def test_local_imports_are_found():
+    src = ("import os\n"
+           "def f():\n"
+           "    from .decompose import decompose\n"
+           "    return decompose, os\n"
+           "class C:\n"
+           "    import re\n"
+           "    def m(self):\n"
+           "        import json, itertools as it\n"
+           "        def inner():\n"
+           "            if json:\n"
+           "                from fractions import Fraction\n"
+           "                return Fraction\n"
+           "        return inner, it\n")
+    assert sorted(local_imports(ast.parse(src))) == [
+        "C.m.inner: fractions", "C.m: itertools", "C.m: json",
+        "f: .decompose"]
+
+
+def test_unlisted_local_imports_are_flagged_and_listed_ones_are_not():
+    # the two listed imports planted beside unlisted ones
+    modules = ("def iso_test(m, n):\n"
+               "    from .decompose import decompose\n"
+               "    from .tube import normal_path_arrows\n"
+               "    return decompose, normal_path_arrows\n")
+    decompose = ("def _rational_certificate(mats, coords):\n"
+                 "    from fractions import Fraction\n"
+                 "    from sympy import Poly, Symbol\n"
+                 "    return Fraction, Poly, Symbol\n")
+    assert unlisted_local_imports("modules", ast.parse(modules),
+                                  LOCAL_IMPORTS) == ["iso_test: .tube"]
+    assert unlisted_local_imports("decompose", ast.parse(decompose),
+                                  LOCAL_IMPORTS) == [
+        "_rational_certificate: fractions"]
+    # the same import in another function or module is not listed
+    assert unlisted_local_imports("tower", ast.parse(modules),
+                                  LOCAL_IMPORTS) == [
+        "iso_test: .decompose", "iso_test: .tube"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_local_import_is_listed(path):
+    assert unlisted_local_imports(path.stem, ast.parse(path.read_text()),
+                                  LOCAL_IMPORTS) == []
+
+
+def test_listed_local_imports_exist():
+    # a listed import that moves to module level leaves LOCAL_IMPORTS
+    found = {f"{p.stem}.{entry}" for p in SRC.glob("*.py")
+             for entry in local_imports(ast.parse(p.read_text()))}
+    assert set(LOCAL_IMPORTS) <= found
+
+
 # public names with no caller outside tests/, each with why it stays
 KEPT = {
     "oracles.brute_eval": "the reference oracle for pp evaluation",

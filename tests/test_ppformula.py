@@ -5,7 +5,8 @@ import pytest
 from ppmod.fields import GF
 from ppmod.algebra import truncated_dvr
 from ppmod.linalg import subspace_leq, subspace_meet, subspace_sum
-from ppmod.modules import k_dual, presentation_of, hom_space
+from ppmod.modules import (k_dual, presentation_of, hom_space,
+                           module_generators)
 from ppmod.catalog import dvr_chain_module, dvr_universe, kronecker_preprojective
 from ppmod.oracles import brute_eval_f2, subspace_int_set
 from ppmod.ppformula import (LEFT, RIGHT, PpFormula, PpPair, annihilator,
@@ -124,14 +125,14 @@ def test_free_realization_of_divisibility(d2):
     fr = phi.free_realization()
     # the realization is k[x]/(x^2) with distinguished element x
     assert fr.module.dim == 2
-    gen = pp_type_generator_of_element(fr.module, fr.tuple[0])
+    gen = pp_type_generator_of_element(fr.module, fr.row.row(0))
     assert gen.equivalent(phi)
 
 
 def test_free_realization_of_bottom(d2):
     phi = bottom(d2)
     fr = phi.free_realization()
-    assert all(c == F2.zero() for c in fr.tuple_vector())
+    assert all(c == F2.zero() for c in fr.row.row(0))
     assert phi.implies(annihilator(d2, x_el(d2)))  # bottom implies everything
     assert phi.implies(divisibility(d2, x_el(d2)))
 
@@ -146,7 +147,7 @@ def test_pp_type_generator_of_regular_generator(d2):
     # generator tuple of the cyclic free module: formula equivalent to x H = 0
     m = dvr_chain_module(d2, 2)
     pres = presentation_of(m)
-    g = pres.generator(0)
+    g = module_generators(m)[0]
     gen = pp_type_generator(pres, (g,))
     assert gen.equivalent(tautology(d2))
 
@@ -380,7 +381,7 @@ def implies_by_evaluation(phi, psi):
     """The reference implication: evaluate psi on the free realization of
     phi and test its tuple."""
     fr = phi.free_realization()
-    return psi.evaluate(fr.module).contains_vector(fr.tuple_vector())
+    return psi.evaluate(fr.module).contains_vector(fr.row.row(0))
 
 
 def edge_formulas(alg):
@@ -499,3 +500,227 @@ def test_radical_suite_decides_each_implication_once(monkeypatch):
     res = ppmod.suites.suite_radical(0)
     assert res.passed
     assert len(calls) == len({(id(a), id(b)) for a, b in calls}) == 717
+
+
+# -- formulas from cells against the hand-filled grids ------------------------
+
+
+def grid_pp_sum(phi, psi):
+    """The reference join, its matrix filled in entry by entry."""
+    alg, n = phi.algebra, phi.n
+    z, u = alg.zero_el(), alg.unit
+    nu = alg.neg_el(u)
+    lphi, lpsi, mphi, mpsi = phi.l, psi.l, phi.m, psi.m
+    rows = [[z] * (n + mphi + mpsi) for _ in range(3 * n + lphi + lpsi)]
+    for i in range(n):
+        rows[i][i] = u
+        rows[n + i][i] = nu
+        rows[2 * n + i][i] = nu
+    for v in range(n):
+        for e in range(mphi):
+            rows[n + v][n + e] = phi.hmat[v][e]
+        for e in range(mpsi):
+            rows[2 * n + v][n + mphi + e] = psi.hmat[v][e]
+    for v in range(lphi):
+        for e in range(mphi):
+            rows[3 * n + v][n + e] = phi.hmat[n + v][e]
+    for v in range(lpsi):
+        for e in range(mpsi):
+            rows[3 * n + lphi + v][n + mphi + e] = psi.hmat[n + v][e]
+    return PpFormula(alg, phi.side, n, 2 * n + lphi + lpsi, rows)
+
+
+def grid_pp_meet(phi, psi):
+    """The reference meet, its matrix filled in entry by entry."""
+    n, lphi, lpsi, mphi, mpsi = phi.n, phi.l, psi.l, phi.m, psi.m
+    rows = [[phi.algebra.zero_el()] * (mphi + mpsi)
+            for _ in range(n + lphi + lpsi)]
+    for v in range(n):
+        for e in range(mphi):
+            rows[v][e] = phi.hmat[v][e]
+        for e in range(mpsi):
+            rows[v][mphi + e] = psi.hmat[v][e]
+    for v in range(lphi):
+        for e in range(mphi):
+            rows[n + v][e] = phi.hmat[n + v][e]
+    for v in range(lpsi):
+        for e in range(mpsi):
+            rows[n + lphi + v][mphi + e] = psi.hmat[n + v][e]
+    return PpFormula(phi.algebra, phi.side, n, lphi + lpsi, rows)
+
+
+def grid_dual(phi):
+    """The reference dual, its matrix filled in entry by entry."""
+    alg, n, l, m = phi.algebra, phi.n, phi.l, phi.m
+    rows = [[alg.zero_el()] * (n + l) for _ in range(n + m)]
+    for i in range(n):
+        rows[i][i] = alg.unit
+    for j in range(m):
+        for v in range(n + l):
+            rows[n + j][v] = phi.hmat[v][j]
+    return PpFormula(alg, LEFT if phi.side == RIGHT else RIGHT, n, m, rows)
+
+
+def grid_pp_type_generator(pres, tup):
+    """The reference pp-type generator, its matrix filled in entry by
+    entry."""
+    alg, n, s = pres.algebra, len(tup), pres.ngens
+    exprs = [pres.express(comp) for comp in tup]
+    rows = [[alg.zero_el()] * (n + len(pres.relations))
+            for _ in range(n + s)]
+    for i in range(n):
+        rows[i][i] = alg.unit
+    for g in range(s):
+        for i in range(n):
+            rows[n + g][i] = alg.neg_el(exprs[i][g])
+        for e, rel in enumerate(pres.relations):
+            rows[n + g][n + e] = rel[g]
+    return PpFormula(alg, RIGHT, n, s, rows)
+
+
+def grid_kronecker_step_formula(alg, t):
+    """The reference t-th Kronecker step formula for t >= 1."""
+    z, a = alg.zero_el(), alg.el_from_label("a")
+    b = alg.el_from_label("b")
+    rows = [[z] * t for _ in range(1 + t)]
+    rows[0][0] = alg.unit
+    rows[1][0] = alg.neg_el(a)
+    for i in range(2, t + 1):
+        rows[i - 1][i - 1] = b
+        rows[i][i - 1] = alg.neg_el(a)
+    return pp_sum(PpFormula(alg, RIGHT, 1, t, rows), divisibility(alg, b))
+
+
+def realization_by_presentation(phi):
+    """The reference free realization: the relations flattened into
+    A^(n+l), the quotient by the submodule they generate, and each free
+    generator's image packed and projected on its own.  Returns the
+    module and the tuple's coordinates, component by component."""
+    from ppmod.modules import _module_span, free_module, quotient_module
+    alg = phi.effective_algebra
+    f, nvars = alg.field, phi.n + phi.l
+    free = free_module(alg, nvars)
+    flat = []
+    for e in range(phi.m):
+        v = []
+        for comp in (phi.hmat[var][e] for var in range(nvars)):
+            v.extend(comp)
+        flat.append(v)
+    module, proj = quotient_module(free, _module_span(free, flat))
+    tup = []
+    for i in range(phi.n):
+        v = [f.zero()] * free.dim
+        for t, c in enumerate(alg.unit):
+            v[i * alg.dim + t] = c
+        tup.extend(proj(v))
+    return module, tuple(tup)
+
+
+def shape_corpus(alg, rng):
+    """Seeded right formulas of every shape n <= 2, l <= 2, m <= 3, the
+    m = 0 and l = 0 shapes among them, with entries from a few scalars."""
+    f = alg.field
+    scalars = list(f.elements()) if f.p is not None else \
+        [f.of(v) for v in (-1, 0, 1, 2)] + [f.one() / 2, -f.one() * 2 / 3]
+    out = []
+    for n, l, m in itertools.product((1, 2), range(3), range(4)):
+        rows = [[tuple(rng.choice(scalars) if rng.random() < 0.5 else f.zero()
+                       for _ in range(alg.dim)) for _ in range(m)]
+                for _ in range(n + l)]
+        out.append(PpFormula(alg, RIGHT, n, l, rows))
+    return out
+
+
+def cell_algebras():
+    from ppmod.algebra import kronecker_algebra
+    from ppmod.fields import QQ
+    return [alg for f in (GF(2), GF(3), QQ)
+            for alg in (truncated_dvr(3, f), kronecker_algebra(f))]
+
+
+CELL_IDS = [f"{a}-{f}" for f in ("gf2", "gf3", "qq") for a in ("dvr3", "kron")]
+
+
+@pytest.mark.parametrize("alg", cell_algebras(), ids=CELL_IDS)
+def test_cell_constructions_match_the_grids(alg):
+    # right formulas, their duals (left) and the double duals, every pair
+    # of one side through sum and meet
+    import random
+    rng = random.Random(5)
+    right = shape_corpus(alg, rng)
+    left = [dual(phi) for phi in right]
+    assert {phi.side for phi in left} == {LEFT}
+    assert {(phi.m == 0, phi.l == 0) for phi in right + left} == {
+        (True, True), (True, False), (False, True), (False, False)}
+    for phi in right + left:
+        assert dual(phi).hmat == grid_dual(phi).hmat
+        assert dual(phi).side == grid_dual(phi).side
+    for corpus in (right, left):
+        same_n = [(a, b) for a, b in itertools.product(corpus, repeat=2)
+                  if a.n == b.n]
+        for a, b in rng.sample(same_n, 60):
+            for got, want in ((pp_sum(a, b), grid_pp_sum(a, b)),
+                              (pp_meet(a, b), grid_pp_meet(a, b))):
+                assert (got.side, got.n, got.l, got.m, got.hmat) == \
+                    (want.side, want.n, want.l, want.m, want.hmat)
+
+
+@pytest.mark.parametrize("alg", cell_algebras(), ids=CELL_IDS)
+def test_free_realization_matches_the_presentation_route(alg):
+    import random
+    rng = random.Random(6)
+    right = shape_corpus(alg, rng)
+    corpus = right + [dual(phi) for phi in right] + edge_formulas(alg)
+    # sums and meets of n = 1 (the first 12) and of n = 2 formulas
+    corpus += [pp_sum(right[5], right[9]), pp_meet(right[7], right[11]),
+               pp_sum(right[13], right[22]), pp_meet(right[23], right[14])]
+    for phi in corpus:
+        fr = phi.free_realization()
+        module, tup = realization_by_presentation(phi)
+        assert fr.module.algebra is module.algebra is phi.effective_algebra
+        assert fr.module.dim == module.dim
+        assert fr.module.action == module.action
+        assert (fr.row.rows, fr.row.cols) == (1, phi.n * module.dim)
+        assert fr.row.row(0) == tup
+
+
+@pytest.mark.parametrize("alg", cell_algebras(), ids=CELL_IDS)
+def test_pp_type_generator_matches_the_grid(alg):
+    from ppmod.catalog import dvr_universe, kronecker_universe
+    mods = dvr_universe(alg, 3) if "x" in alg.labels else \
+        kronecker_universe(alg, 3)
+    for m in mods:
+        pres = presentation_of(m)
+        gens = module_generators(m)
+        tuples = [(g,) for g in gens] + [tuple(gens)] + \
+            [(tuple(m.act(alg.basis_el(i)).row(0)),) for i in range(alg.dim)]
+        for tup in tuples:
+            got = pp_type_generator(pres, tup)
+            assert got.hmat == grid_pp_type_generator(pres, tup).hmat
+            assert (got.n, got.l) == (len(tup), pres.ngens)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_kronecker_step_formula_matches_the_grid(p):
+    from ppmod.algebra import kronecker_algebra
+    from ppmod.catalog import kronecker_step_formula
+    alg = kronecker_algebra(GF(p))
+    for t in range(1, 6):
+        assert kronecker_step_formula(alg, t).hmat == \
+            grid_kronecker_step_formula(alg, t).hmat
+
+
+def test_from_cells_fills_zeros_and_refuses_cells_outside(d2):
+    x, z = x_el(d2), d2.zero_el()
+    phi = PpFormula.from_cells(d2, RIGHT, 1, 1, 2, {(0, 1): x, (1, 0): x})
+    assert phi.hmat == ((z, x), (x, z))
+    assert PpFormula.from_cells(d2, LEFT, 2, 0, 0, {}).hmat == ((), ())
+    for cell in ((2, 0), (0, 2), (-1, 0)):
+        with pytest.raises(ValueError):
+            PpFormula.from_cells(d2, RIGHT, 1, 1, 2, {cell: x})
+
+
+def test_presentation_is_made_once_per_module(d2):
+    m = dvr_chain_module(d2, 2)
+    assert presentation_of(m) is presentation_of(m)
+    assert presentation_of(dvr_chain_module(d2, 2)) is not presentation_of(m)

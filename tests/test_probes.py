@@ -8,10 +8,10 @@ from ppmod.catalog import (dvr_chain_module, kronecker_preprojective,
                            kronecker_step_formula)
 from ppmod.modules import hom_space, module_generators
 from ppmod.ppformula import PpPair, pp_type_generator_of_element
+from ppmod.linalg import subspace_leq
 from ppmod.probes import (INCONCLUSIVE, MAX_ROUNDS, NOT_SHORT_WITNESS,
                           SHORT_WITHIN_BOUND, ProbeReport, _label,
-                          _longest_chain, _Vec, interval_probe,
-                          probe_embedding, theta_pool)
+                          interval_probe, probe_embedding, theta_pool)
 from ppmod.realize import realize_in_tower
 from ppmod.suites import suite_short_probes
 from ppmod.tower import build_tower
@@ -146,6 +146,46 @@ def test_theta_pool_matches_one_formula_per_entry(preprojectives):
         for (_, got), (_, want) in zip(pool, ref):
             for m in universe:
                 assert got.evaluate(m) == want.evaluate(m)
+
+
+class _Vec:
+    """Evaluation vector of a formula over the universe, with provenance."""
+
+    __slots__ = ("parts", "expr")
+
+    def __init__(self, parts, expr: str):
+        self.parts = parts
+        self.expr = expr
+
+    def leq(self, other: "_Vec") -> bool:
+        return all(subspace_leq(a, b) for a, b in zip(self.parts, other.parts))
+
+    def total_dim(self) -> int:
+        return sum(p.dim for p in self.parts)
+
+
+def _longest_chain(vecs: list[_Vec]) -> tuple[list[_Vec], int]:
+    """The reference longest strictly descending chain (top first) and its
+    step count: total dimensions recomputed for every pair, both
+    inclusions tested."""
+    order = sorted(range(len(vecs)), key=lambda i: vecs[i].total_dim())
+    best = [1] * len(vecs)
+    pred = [-1] * len(vecs)
+    for pos, i in enumerate(order):
+        for jpos in range(pos):
+            j = order[jpos]
+            if vecs[j].total_dim() < vecs[i].total_dim() and \
+                    vecs[j].leq(vecs[i]) and not vecs[i].leq(vecs[j]):
+                if best[j] + 1 > best[i]:
+                    best[i] = best[j] + 1
+                    pred[i] = j
+    top = max(range(len(vecs)), key=lambda i: best[i]) if vecs else -1
+    chain = []
+    cur = top
+    while cur != -1:
+        chain.append(vecs[cur])
+        cur = pred[cur]
+    return chain, len(chain) - 1 if chain else 0
 
 
 def probe_every_pair(pair, universe, budget, pool):

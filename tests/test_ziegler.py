@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -193,3 +196,21 @@ def test_set_algebra_pointwise(n, seed_s, seed_t):
         assert meet.contains(pt) == (a and b)
     assert s.issubset(t) == all(t.contains(pt) for pt in probes
                                 if s.contains(pt))
+
+
+def test_random_point_sets_do_not_depend_on_the_hash_seed():
+    # string hashes, and so the iteration order of a set of points, change
+    # with PYTHONHASHSEED; the seeded draws must not
+    code = ("import random\n"
+            "from ppmod.ziegler import random_point_set\n"
+            "for height in range(4):\n"
+            "    rng = random.Random(height)\n"
+            "    for _ in range(20):\n"
+            "        print(random_point_set(height, rng))\n")
+    outs = set()
+    for seed in ("1", "2", "3"):
+        proc = subprocess.run([sys.executable, "-c", code], text=True,
+                              capture_output=True, check=True,
+                              env=dict(os.environ, PYTHONHASHSEED=seed))
+        outs.add(proc.stdout)
+    assert len(outs) == 1
