@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .fields import Field
-from .linalg import Matrix, block_diagonal, combination
+from .linalg import Matrix, Subspace, block_diagonal, combination
 
 
 class FDAlgebra:
@@ -29,6 +29,7 @@ class FDAlgebra:
         self.unit = tuple(unit)
         self.name = name or f"algebra{next(FDAlgebra._serial)}"
         self._op: FDAlgebra | None = None
+        self._generators: tuple[int, ...] | None = None
         if len(self.table) != self.dim or any(len(r) != self.dim for r in self.table):
             raise ValueError("structure constant table has wrong shape")
         if any(len(v) != self.dim for r in self.table for v in r):
@@ -127,6 +128,47 @@ class FDAlgebra:
             o._op = self
             self._op = o
         return self._op
+
+    @property
+    def generators(self) -> tuple[int, ...]:
+        """Basis indices whose elements generate A as a unital algebra,
+        chosen greedily once: b_i is kept when it lies outside the
+        subalgebra that the unit and the elements kept before it generate.
+
+        A linear map between modules that intertwines the actions of the
+        kept elements intertwines the action of every element: the
+        elements it intertwines form a unital subalgebra.  That
+        subalgebra is spanned by the unit times the words in the kept
+        elements, and the span is recomputed from the unit alone, so the
+        check that it is all of A is a certificate (it fails on a table
+        whose unit is not a left unit, for one)."""
+        if self._generators is None:
+            kept: list[int] = []
+            span = Subspace.from_matrix(
+                self.dim, Matrix.from_rows(self.field, [self.unit]))
+            for i in range(self.dim):
+                if not span.contains_vector(self.basis_el(i)):
+                    kept.append(i)
+                    span = self._words_span(span, kept)
+            if span.dim != self.dim:
+                raise ValueError(f"the generators of {self.name} span a "
+                                 f"subalgebra of dimension {span.dim}, "
+                                 f"not {self.dim}")
+            self._generators = tuple(kept)
+        return self._generators
+
+    def _words_span(self, span: Subspace, gens) -> Subspace:
+        """The smallest subspace containing span that right multiplication
+        by each of the basis elements gens maps into itself: one
+        elimination per round, until a round adds nothing."""
+        while True:
+            stacked = span.basis
+            for g in gens:
+                stacked = stacked.vstack(span.basis * self._rho[g])
+            grown = Subspace.from_matrix(self.dim, stacked)
+            if grown.dim == span.dim:
+                return span
+            span = grown
 
     def free_action(self, rank: int) -> tuple[Matrix, ...]:
         """The right action on A^rank: rho(b_j) on each of rank diagonal

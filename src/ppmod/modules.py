@@ -28,7 +28,7 @@ class Module:
     """Right module: one action matrix per algebra basis element."""
 
     __slots__ = ("algebra", "dim", "action", "label", "serial", "_act_cache",
-                 "_presentation")
+                 "_presentation", "_homs")
 
     def __init__(self, algebra: FDAlgebra, dim: int, action, label: str = "",
                  check: bool = True):
@@ -39,6 +39,7 @@ class Module:
         self.serial = next(_module_serial)
         self._act_cache: dict = {}
         self._presentation = None  # see presentation_of
+        self._homs: dict = {}  # see hom_space
         if len(self.action) != algebra.dim:
             raise ValueError("need one action matrix per algebra basis element")
         for m in self.action:
@@ -100,8 +101,11 @@ class ModuleMap:
             raise ValueError("matrix does not intertwine the actions")
 
     def intertwines(self) -> bool:
-        return all(a * self.mat == self.mat * b
-                   for a, b in zip(self.source.action, self.target.action))
+        """Whether the matrix intertwines the actions of the algebra's
+        generators, and so of every element."""
+        src, tgt = self.source.action, self.target.action
+        return all(src[g] * self.mat == self.mat * tgt[g]
+                   for g in self.source.algebra.generators)
 
     def __call__(self, vec):
         m = Matrix.from_rows(self.mat.field, [list(vec)]) * self.mat
@@ -155,11 +159,23 @@ def regular_module(algebra: FDAlgebra) -> Module:
 
 
 def hom_space(m: Module, n: Module) -> list[ModuleMap]:
-    """Canonical (echelon) basis of Hom(M, N)."""
+    """Canonical (echelon) basis of Hom(M, N).
+
+    It solves the intertwining equations of the algebra's generators only
+    (see FDAlgebra.generators); the solutions are the same, and so is
+    their echelon basis.  The basis matrices are kept in M's `_homs`,
+    keyed by N's serial: matrices, not maps, so the cache refers to
+    neither module."""
     if m.algebra is not n.algebra:
         raise ValueError("modules over different algebras")
-    return [ModuleMap(m, n, mat, check=False)
-            for mat in intertwiners(m.action, n.action, m.dim, n.dim)]
+    mats = m._homs.get(n.serial)
+    if mats is None:
+        # k itself has no generator; its one basis element acts as a scalar
+        gens = m.algebra.generators or range(m.algebra.dim)
+        mats = m._homs[n.serial] = tuple(intertwiners(
+            [m.action[g] for g in gens], [n.action[g] for g in gens],
+            m.dim, n.dim))
+    return [ModuleMap(m, n, mat, check=False) for mat in mats]
 
 
 # -- duals -----------------------------------------------------------------

@@ -23,9 +23,9 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import FDAlgebra
-from .linalg import Matrix, Subspace, block, projected_kernel
+from .linalg import Matrix, Subspace, block, projected_kernel, vectorized
 from .modules import (Module, Presentation, _module_span, free_module,
-                      presentation_of, quotient_module)
+                      hom_space, presentation_of, quotient_module)
 
 RIGHT = "right"
 LEFT = "left"
@@ -37,9 +37,10 @@ class PpFormula:
     """Immutable pp formula; entries of hmat are algebra coordinate vectors."""
 
     __slots__ = ("algebra", "side", "n", "l", "hmat", "serial",
-                 "_realization", "_eval_cache")
+                 "_realization", "_by_hom", "_eval_cache")
 
-    def __init__(self, algebra: FDAlgebra, side: str, n: int, l: int, hmat):
+    def __init__(self, algebra: FDAlgebra, side: str, n: int, l: int, hmat,
+                 realization: "FreeRealization | None" = None):
         if side not in (RIGHT, LEFT):
             raise ValueError("side must be 'right' or 'left'")
         self.algebra = algebra
@@ -57,19 +58,23 @@ class PpFormula:
                 if len(e) != algebra.dim:
                     raise ValueError("entry is not an algebra coordinate vector")
         self.serial = next(_counter)
-        self._realization = None
+        # a realization given here is evaluated through Hom (see evaluate)
+        self._realization = realization
+        self._by_hom = realization is not None
         self._eval_cache: dict = {}
 
     @staticmethod
     def from_cells(algebra: FDAlgebra, side: str, n: int, l: int, m: int,
-                   cells) -> "PpFormula":
+                   cells, realization: "FreeRealization | None" = None
+                   ) -> "PpFormula":
         """The formula whose entry (v, e), variable v and condition e, is
         cells[(v, e)]; every other entry is zero."""
         if any(not (0 <= v < n + l and 0 <= e < m) for v, e in cells):
             raise ValueError("cell outside the formula matrix")
         z = algebra.zero_el()
         return PpFormula(algebra, side, n, l, [
-            [cells.get((v, e), z) for e in range(m)] for v in range(n + l)])
+            [cells.get((v, e), z) for e in range(m)] for v in range(n + l)],
+            realization)
 
     @property
     def m(self) -> int:
@@ -87,14 +92,30 @@ class PpFormula:
 
     def evaluate(self, module: Module) -> Subspace:
         """phi(M) as a subspace of k^{n.dim(M)} (x-tuples, coordinates
-        concatenated component by component)."""
+        concatenated component by component).
+
+        A formula built with its free realization (C, c), as
+        pp_type_generator builds one, is evaluated through Hom:
+        phi(M) = {f(c) : f in Hom(C, M)} for every module M (Prest,
+        *Purity, Spectra and Localisation*, CUP 2009, section 1.2), the
+        row space of the images of c under a basis of Hom(C, M).  Every
+        other formula is evaluated by eliminating its system on M."""
         if module.algebra is not self.effective_algebra:
             raise ValueError("module is on the wrong side or algebra")
         hit = self._eval_cache.get(module.serial)
         if hit is not None:
             return hit
         k = self.n * module.dim
-        result = Subspace(k, projected_kernel(self._system(module), k))
+        if self._by_hom:
+            fr = self._realization
+            # the tuple as n rows of C; its image under f is rows * F,
+            # read row-major as one vector of length k
+            rows = fr.row.reshape(self.n, fr.module.dim)
+            images = [rows * h.mat for h in hom_space(fr.module, module)]
+            result = Subspace.from_matrix(
+                k, vectorized(self.algebra.field, images, k))
+        else:
+            result = Subspace(k, projected_kernel(self._system(module), k))
         self._eval_cache[module.serial] = result
         return result
 
@@ -110,9 +131,9 @@ class PpFormula:
 
     def free_realization(self) -> "FreeRealization":
         """A finitely presented module and tuple whose pp-type this formula
-        generates: the quotient C of the free module on all n+l variables
-        by the columns of the formula matrix, and the images of the first
-        n free generators."""
+        generates: the one it was built with, if any, else the quotient C
+        of the free module on all n+l variables by the columns of the
+        formula matrix, and the images of the first n free generators."""
         if self._realization is None:
             alg, nvars = self.effective_algebra, self.n + self.l
             free = free_module(alg, nvars)
@@ -266,7 +287,9 @@ def dual(phi: PpFormula) -> PpFormula:
 def pp_type_generator(pres: Presentation, tup) -> PpFormula:
     """The generator of the pp-type of a tuple in a presented right module:
     exists y (x = y A and y H = 0), where A expresses the tuple over the
-    generators and H is the relation matrix."""
+    generators and H is the relation matrix.  The presented module and the
+    tuple are its free realization, and it is built with them, so it is
+    evaluated through Hom (see PpFormula.evaluate)."""
     alg, n = pres.algebra, len(tup)
     cells = {(i, i): alg.unit for i in range(n)}
     for i, comp in enumerate(tup):
@@ -276,8 +299,11 @@ def pp_type_generator(pres: Presentation, tup) -> PpFormula:
         cells.update({(n + g, i): alg.neg_el(c) for g, c in enumerate(coeffs)})
     for e, rel in enumerate(pres.relations):
         cells.update({(n + g, n + e): r for g, r in enumerate(rel)})
+    module = pres.proj.target
+    row = Matrix(alg.field, 1, n * module.dim, [[c for v in tup for c in v]])
     return PpFormula.from_cells(alg, RIGHT, n, pres.ngens,
-                                n + len(pres.relations), cells)
+                                n + len(pres.relations), cells,
+                                FreeRealization(module, row))
 
 
 def pp_type_generator_of_element(module: Module, vec) -> PpFormula:

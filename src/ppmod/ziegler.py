@@ -17,6 +17,7 @@ as an if-and-only-if rule; reports carry this assumption in their header.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -276,12 +277,18 @@ def point_closure(pt: ZieglerPoint) -> PointSet:
     return closure(PointSet.make(pt.height, [pt]))
 
 
+@functools.cache
+def _sorted_others(height: int) -> tuple[ZieglerPoint, ...]:
+    """The spectrum's points besides the finite-length ones, built once
+    per height and sorted: a frozenset's order follows string hashes,
+    which change from one process to the next."""
+    return tuple(sorted(points(height).others))
+
+
 def random_point_set(height: int, rng: random.Random) -> PointSet:
     """Seeded random point set for property tests (at most six points
     besides the finite-length ones)."""
-    # sorted: a frozenset's order follows string hashes, which change
-    # from one process to the next
-    pool = sorted(points(height).others)
+    pool = _sorted_others(height)
     pts = rng.sample(pool, k=min(len(pool), rng.randint(0, 6)))
     for _ in range(rng.randint(0, 3)):
         p = rng.randint(0, height)

@@ -287,3 +287,69 @@ def test_module_law_check_matches_brute_force(inp):
             assert m and tuple(int(x) for x in m.groups()) in pairs, msg
     else:
         assert not unit_bad and not pairs
+
+
+GENERATOR_COUNTS = [("dvr24", 1), ("kronecker", 3), ("tower4:1", 3),
+                    ("tower4:2", 5), ("tower5:3", 7)]
+
+
+def generator_algebra(name, field):
+    from ppmod.tower import build_tower
+    if name == "dvr24":
+        return truncated_dvr(24, field)
+    if name == "kronecker":
+        return kronecker_algebra(field)
+    n, h = name[len("tower"):].split(":")
+    return build_tower(int(n), int(h), field).top
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+@pytest.mark.parametrize("name,count", GENERATOR_COUNTS)
+def test_generator_counts(name, count, field):
+    alg = generator_algebra(name, field)
+    for a in (alg, alg.op):
+        gens = a.generators
+        assert len(gens) == count
+        assert list(gens) == sorted(set(gens))
+        # each kept element lies outside what the earlier ones generate
+        for k, g in enumerate(gens):
+            assert not unital_span(a, gens[:k]).contains_vector(
+                a.basis_el(g))
+        assert unital_span(a, gens).dim == a.dim
+
+
+def unital_span(alg, gens):
+    """The reference subalgebra generated by the unit and the basis
+    elements gens: the span of the unit times every word of length < dim,
+    by explicit products."""
+    from ppmod.linalg import Subspace
+    words = frontier = [alg.unit]
+    for _ in range(alg.dim):
+        products = [alg.mul_el(w, alg.basis_el(g)) for w in frontier
+                    for g in gens]
+        if not products:
+            break
+        # a basis of the longer words' span keeps the frontier small
+        frontier = list(Subspace.from_matrix(
+            alg.dim, Matrix.from_rows(alg.field, products)).basis.data)
+        words = words + frontier
+    return Subspace.from_matrix(alg.dim, Matrix.from_rows(alg.field, words))
+
+
+def test_generators_raise_when_their_closure_falls_short():
+    # k[x]/(x^2) with x as its unit: unchecked, x is no left unit, so the
+    # words in the kept element 1 times x span only x
+    good = truncated_dvr(2, F2)
+    bad = FDAlgebra(F2, good.labels, good.table, good.basis_el(1),
+                    name="planted", check=False)
+    with pytest.raises(ValueError, match="dimension 1, not 2"):
+        bad.generators
+
+
+def test_the_one_dimensional_algebra_has_no_generators():
+    k = truncated_dvr(1, GF(3))
+    assert k.generators == ()
+    from ppmod.catalog import dvr_chain_module
+    from ppmod.modules import hom_space
+    m = dvr_chain_module(k, 1)
+    assert len(hom_space(m, m)) == 1

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppmod.cli import build_parser, execute, main
 
@@ -501,3 +506,110 @@ def test_size_caps_cover_every_size_in_use_and_no_more():
     tower = build_tower(MAX_TOWER_N, MAX_TOWER_HEIGHT, GF(2))
     assert max(construct_label(tower, lab).dim
                for lab in all_labels(tower)) == MAX_CLASSIFY_DIM_CAP
+
+
+# argv fragments for the contract fuzz: each option's valid values and
+# faulty ones.  Numbers stay small, or far above a cap, so every example
+# runs in well under a second.  `suite` and `run` are left out: a suite
+# takes seconds and a scenario needs a file.
+SMALL, BAD_NUMBERS = ("1", "2", "3"), ("0", "-1", "x", "", "1000")
+FUZZ_GLOBALS = {"--field": (("2", "3", "rational"), ("4", "0", "x")),
+                "--seed": (("0", "7"), ("-1", "x")),
+                "--json": (None, None)}
+# pp: (algebra, formulas, modules) over it
+FUZZ_PP = [
+    ("dvr:3", ("x1*x = 0", "E y1 . (x1 - y1*x = 0)", "x1*x^2 = 0",
+               "E y1 . (x1 - y1*x = 0 & y1*x^2 = 0)", "x1*x - x2 = 0"),
+     ("V/m^1", "V/m^2", "V/m^3", "regular")),
+    ("kronecker", ("x1*a = 0", "E y1 . (x1 - y1*b = 0)", "x1*e1 = 0",
+                   "E y1 y2 . (x1 - y1*a - y2*b = 0)"),
+     ("PP(0)", "PP(2)", "PI(1)", "R(0)[1]", "R(inf)[2]", "R(1)[1]",
+      "regular")),
+    ("tower:3:1", ("x1*eps1 = 0", "E y1 . (x1 - y1*x = 0)"),
+     ("regular",)),
+]
+BAD_PP = (("dvr:0", "dvr:x", "tower:2", "dvr:99", "ring"),
+          ("((", "", "x1*z = 0", "x1 = x2", "E y1 . (x1 = 0)", "x1 * = 0"),
+          ("V/m^0", "V/m^99", "V/m^x", "PP(-1)", "PP(x)", "R(0)[0]", "R(",
+           "R(x)[1]", "module"))
+FUZZ_COMMANDS = {
+    "classify": ((), {"--N": (SMALL, BAD_NUMBERS), "--n": (SMALL, BAD_NUMBERS),
+                      "--dim-cap": (SMALL + ("8",), BAD_NUMBERS)}),
+    "ziegler": (("points", "closure", "is-closed"), {
+        "--n": (("0",) + SMALL, BAD_NUMBERS),
+        "--set": (("F0 Prufer", "Adic", "Q", "F1 F0 Adic", "F0 FinLen(2)",
+                   "F1 Prufer, Q", ""),
+                  ("T(-1)", "FinLen(0)", "F2 Q", "point", ",,"))}),
+    "tube": ((), {
+        "--tube": (("m=2 n=[1,0] horizon=6", "m=1 n=[2] horizon=4",
+                    "m=0 n=[] horizon=3"),
+                   ("m=2 n=[1] horizon=6", "m=2 n=[1,0] horizon=-1",
+                    "m=-1 n=[] horizon=2", "m=x", "")),
+        "--dot": (None, None),
+        "--hom-dim": (("0,0,3->0,0,5", "0,0,1->0,0,1", "1,0,1->1,0,2"),
+                      ("9,9,9->0,0,0", "0,0->0,0", "-1,0,1->0,0,1", "0,0,3",
+                       "x"))}),
+    "probe": (("kronecker",), {
+        "--budget": (SMALL + ("50",), BAD_NUMBERS + ("51",)),
+        "--max-dim": (("3", "5", "9"), ("2", "14", "-1", "x"))}),
+    "realize": ((), {"--N": (SMALL + ("4",), BAD_NUMBERS),
+                     "--height": (("0", "1"), BAD_NUMBERS),
+                     "--stages": (("1", "2"), BAD_NUMBERS)}),
+}
+
+
+def fuzz_argv(rng):
+    """One argv: a few global options, a command with its positional and
+    every option (a flag half the time), and in seven argvs of ten one
+    fault: a faulty value, a missing option or a stray token."""
+    cmd = rng.choice(sorted(FUZZ_COMMANDS) + ["pp"])
+    if cmd == "pp":
+        algebra, formulas, modules = rng.choice(FUZZ_PP)
+        bad_algebras, bad_formulas, bad_modules = BAD_PP
+        positionals = ("dual", "eval", "implies", "print")
+        options = {"--algebra": ((algebra,), bad_algebras),
+                   "--side": (("right",), ("left", "up")),
+                   "--formula": (formulas, bad_formulas),
+                   "--formula2": (formulas, bad_formulas),
+                   "--module": (modules, bad_modules)}
+    else:
+        positionals, options = FUZZ_COMMANDS[cmd]
+    # (option name, or None for a bare token; valid values; faulty ones),
+    # values None for a flag
+    slots = [(name, *FUZZ_GLOBALS[name])
+             for name in rng.sample(sorted(FUZZ_GLOBALS), rng.randint(0, 2))]
+    slots.append((None, (cmd,), (cmd,)))
+    if positionals:
+        slots.append((None, positionals, ("open",)))
+    slots += [(name, *values) for name, values in options.items()]
+    fault = rng.randrange(len(slots) + 1) if rng.random() < 0.7 else None
+    argv = []
+    for i, (name, valid, faulty) in enumerate(slots):
+        if i == fault and rng.random() < 0.3 or \
+                valid is None and rng.random() < 0.5:
+            continue
+        if name is not None:
+            argv.append(name)
+        if valid is not None:
+            argv.append(rng.choice(faulty if i == fault else valid))
+    if fault == len(slots):
+        argv.insert(rng.randint(0, len(argv)), rng.choice(("--x", "-h", "y")))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_any_argv_keeps_the_exit_code_contract(seed):
+    # exit 0, 1 or 2; no exception but argparse's SystemExit leaves main,
+    # and nothing prints a traceback.  The argv comes from a plain seeded
+    # rng, which draws the commands and faults evenly (hypothesis's own
+    # draws lean to the first choices).
+    argv = fuzz_argv(random.Random(seed))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # usage errors and -h, from argparse
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

@@ -282,3 +282,80 @@ def test_free_module_builds_its_action_once_per_rank(monkeypatch):
     assert sorted(calls) == [2] * 3 + [3] * 3  # rank 1 is rho itself
     free_module(truncated_dvr(3, GF(3)), 2)  # another algebra: its own
     assert len(calls) == 9
+
+
+def all_basis_homs(m, n):
+    """The reference Hom basis: the intertwining equations of every basis
+    element of the algebra."""
+    from ppmod.linalg import intertwiners
+    return intertwiners(m.action, n.action, m.dim, n.dim)
+
+
+def assert_generator_homs_match(mods):
+    for a in mods:
+        for b in mods:
+            want = all_basis_homs(a, b)
+            assert [h.mat for h in hom_space(a, b)] == want
+            assert all(h.intertwines() for h in hom_space(a, b))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+def test_generator_homs_match_on_the_radical_universes(field):
+    from ppmod.suites import radical_universes
+    for mods in radical_universes(field).values():
+        assert_generator_homs_match(mods)
+        assert_generator_homs_match([k_dual(m) for m in mods])
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+def test_generator_homs_match_on_the_chain_modules(field):
+    alg = truncated_dvr(8, field)
+    assert_generator_homs_match([dvr_chain_module(alg, j)
+                                 for j in range(1, 9)])
+
+
+def test_generator_homs_match_on_the_krull_schmidt_pairs():
+    # the suite's seed-0 draws: two modules and their sum for each pair
+    import random
+    from ppmod.catalog import random_quotient_of_free
+    from ppmod.tower import build_tower
+    rng = random.Random(0)
+    algebras = [truncated_dvr(3, F2), build_tower(2, 1, F2).top,
+                build_tower(2, 2, F2).top, kronecker_algebra(F2)]
+    for alg in algebras:
+        for _ in range(25):
+            a = random_quotient_of_free(alg, 2, rng, dim_cap=8)
+            b = random_quotient_of_free(alg, rng.choice([1, 2]), rng,
+                                        dim_cap=8)
+            assert_generator_homs_match([a, b, direct_sum([a, b])[0]])
+
+
+def test_intertwines_agrees_with_every_basis_action():
+    # every matrix between small Kronecker modules over GF(2), where
+    # e2 = 1 - e1 is no generator: the generator check accepts exactly
+    # the matrices that intertwine all four basis actions
+    from ppmod.modules import ModuleMap
+    kron = kronecker_algebra(F2)
+    assert kron.generators == (0, 2, 3)
+    mods = [kronecker_preprojective(kron, 0), kronecker_preprojective(kron, 1),
+            kronecker_regular(kron, 0, 1)]
+    for m in mods:
+        for n in mods:
+            for bits in itertools.product([0, 1], repeat=m.dim * n.dim):
+                mat = Matrix(F2, m.dim, n.dim, [
+                    bits[i * n.dim:(i + 1) * n.dim] for i in range(m.dim)])
+                want = all(am * mat == mat * an
+                           for am, an in zip(m.action, n.action))
+                assert ModuleMap(m, n, mat, check=False).intertwines() == want
+
+
+def test_hom_bases_are_kept_on_the_source():
+    alg = kronecker_algebra(GF(3))
+    m, n = kronecker_preprojective(alg, 1), kronecker_preprojective(alg, 2)
+    first = hom_space(m, n)
+    assert [h.mat for h in hom_space(m, n)] == [h.mat for h in first]
+    assert hom_space(m, n)[0].mat is first[0].mat
+    # keyed by the target's serial, matrices only: the cache refers to
+    # neither module
+    assert list(m._homs) == [n.serial] and n._homs == {}
+    assert all(type(mat) is Matrix for mat in m._homs[n.serial])

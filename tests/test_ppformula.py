@@ -724,3 +724,88 @@ def test_presentation_is_made_once_per_module(d2):
     m = dvr_chain_module(d2, 2)
     assert presentation_of(m) is presentation_of(m)
     assert presentation_of(dvr_chain_module(d2, 2)) is not presentation_of(m)
+
+
+# -- the Hom route of generator formulas --------------------------------------
+
+
+def system_copy(phi):
+    """The same formula built from its matrix alone, so it is evaluated by
+    eliminating its system."""
+    return PpFormula(phi.algebra, phi.side, phi.n, phi.l, phi.hmat)
+
+
+def route_mismatches(forms, universe):
+    """The formulas whose value through Hom differs from the system
+    route's on some universe module, or whose implication verdicts, from
+    either side, differ from the system copy's."""
+    bad = []
+    refs = [system_copy(phi) for phi in forms]
+    for phi, ref in zip(forms, refs):
+        if any(phi.evaluate(m) != ref.evaluate(m) for m in universe):
+            bad.append(phi)
+            continue
+        if any(phi.implies(psi) != ref.implies(psi) or
+               psi.implies(phi) != psi.implies(ref) for psi in refs):
+            bad.append(phi)
+    return bad
+
+
+def theta_formulas(universe):
+    from ppmod.probes import theta_pool
+    return list({id(phi): phi for _, phi in theta_pool(universe)}.values())
+
+
+def short_probes_universe():
+    from ppmod.realize import realize_in_tower
+    from ppmod.tower import build_tower
+    rt = realize_in_tower(build_tower(5, 1, F2), 3)
+    return [rt.P[(l, j)] for l in (0, 1) for j in range(1, 5)]
+
+
+def probe_kronecker_universe(field):
+    from ppmod.algebra import kronecker_algebra
+    alg = kronecker_algebra(field)
+    return [kronecker_preprojective(alg, i) for i in range(5)]
+
+
+def test_hom_route_matches_the_system_route_on_the_short_probes_universe():
+    universe = short_probes_universe()
+    forms = theta_formulas(universe)
+    assert all(phi._by_hom for phi in forms)
+    assert route_mismatches(forms, universe) == []
+
+
+@pytest.mark.parametrize("field", ["2", "3", "rational"])
+def test_hom_route_matches_the_system_route_on_probe_kronecker(field):
+    from ppmod.fields import field_from_spec
+    universe = probe_kronecker_universe(field_from_spec(field))
+    forms = theta_formulas(universe)
+    assert all(phi._by_hom for phi in forms)
+    assert route_mismatches(forms, universe) == []
+
+
+def test_a_swapped_tuple_fails_the_route_check():
+    # each generator formula with its tuple swapped for the next distinct
+    # element of the same module among the pool's: wherever the two
+    # elements' pp-types differ on the universe, the check must flag it
+    from ppmod.ppformula import FreeRealization
+    universe = probe_kronecker_universe(GF(3))
+    forms = theta_formulas(universe)
+    flagged = 0
+    for phi in forms:
+        fr = phi.free_realization()
+        other = next((psi.free_realization().row for psi in forms
+                      if psi.free_realization().module is fr.module
+                      and psi.free_realization().row != fr.row), None)
+        if other is None:
+            continue
+        mutant = PpFormula(phi.algebra, phi.side, phi.n, phi.l, phi.hmat,
+                           FreeRealization(fr.module, other))
+        swapped = system_copy(
+            pp_type_generator_of_element(fr.module, other.row(0)))
+        differs = any(system_copy(phi).evaluate(m) != swapped.evaluate(m)
+                      for m in universe)
+        assert (route_mismatches([mutant], universe) != []) == differs
+        flagged += differs
+    assert flagged >= 10

@@ -214,3 +214,35 @@ def test_random_point_sets_do_not_depend_on_the_hash_seed():
                               env=dict(os.environ, PYTHONHASHSEED=seed))
         outs.add(proc.stdout)
     assert len(outs) == 1
+
+
+def test_a_suite_pass_builds_each_spectrum_once(monkeypatch):
+    # the sampling pool is built once per height (a pass draws at heights
+    # 0-3), and the draws and the suite's lines are those of a pool
+    # rebuilt for every draw
+    from ppmod import suites, ziegler
+
+    def draws():
+        out = []
+        for h in range(4):
+            rng = random.Random(h)
+            out += [random_point_set(h, rng) for _ in range(50)]
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(ziegler, "_sorted_others",
+                  ziegler._sorted_others.__wrapped__)
+        want_lines, want_draws = suites.suite_ziegler(0).lines, draws()
+    built = []
+
+    def counted(height):
+        built.append(height)
+        return points(height)
+
+    ziegler._sorted_others.cache_clear()
+    monkeypatch.setattr(ziegler, "points", counted)
+    got = suites.suite_ziegler(0)
+    assert got.passed and got.lines == want_lines
+    assert sorted(built) == [0, 1, 2, 3]
+    assert draws() == want_draws
+    assert len(built) == 4
