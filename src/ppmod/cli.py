@@ -11,8 +11,10 @@ refuses it.  Exit codes: 0 all assertions pass, 1 an assertion failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import re
 import shlex
 import sys
 
@@ -107,22 +109,33 @@ def _algebra_from_spec(spec: str, field):
     return tower.top, tower.N
 
 
+def _literal_number(text: str, part: str, least: int | None = None) -> int:
+    """A whole-number part of a module literal, at least `least`."""
+    if re.fullmatch(r"-?[0-9]+", part) is None or \
+            least is not None and int(part) < least:
+        bound = "" if least is None else f" of at least {least}"
+        raise ValueError(f"module literal {text!r} needs a whole "
+                         f"number{bound}, not {part!r}")
+    return int(part)
+
+
 def _module_from_literal(alg, text: str):
     text = text.strip()
     if text == "regular":
         return regular_module(alg)
-    if text.startswith("V/m^"):
-        return dvr_chain_module(alg, int(text[4:]))
-    if text.startswith("PP(") and text.endswith(")"):
-        return kronecker_preprojective(alg, int(text[3:-1]))
-    if text.startswith("PI(") and text.endswith(")"):
-        return kronecker_preinjective(alg, int(text[3:-1]))
-    if text.startswith("R(") and "[" in text:
-        lam, rest = text[2:].split(")", 1)
-        n = int(rest.strip("[]"))
-        lam = lam if lam == "inf" else alg.field.of(int(lam))
-        return kronecker_regular(alg, lam, n)
-    raise ValueError(f"unknown module literal {text!r}")
+    lit = re.fullmatch(r"V/m\^(.*)|PP\((.*)\)|PI\((.*)\)|R\((.*)\)\[(.*)\]",
+                       text)
+    if lit is None:
+        raise ValueError(f"unknown module literal {text!r}")
+    chain, pp, pi, lam, length = lit.groups()
+    if chain is not None:
+        return dvr_chain_module(alg, _literal_number(text, chain, 1))
+    if pp is not None:
+        return kronecker_preprojective(alg, _literal_number(text, pp, 0))
+    if pi is not None:
+        return kronecker_preinjective(alg, _literal_number(text, pi, 0))
+    lam = lam if lam == "inf" else alg.field.of(_literal_number(text, lam))
+    return kronecker_regular(alg, lam, _literal_number(text, length, 1))
 
 
 def _check_cap(option: str, value: int, cap: int):
@@ -139,7 +152,10 @@ def _header(args, horizon=None) -> list[str]:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every main call and scenario line shares it."""
     p = argparse.ArgumentParser(prog="ppmod", description=__doc__)
     p.add_argument("--field", default="2",
                    help="coefficient field: a prime p or 'rational'")

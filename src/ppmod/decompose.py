@@ -251,9 +251,12 @@ def _split_indecomposable(m: Module):
 
 def decompose(m: Module, seed: int = 0) -> Decomposition:
     """Indecomposable summands with inclusions, projections, splitting
-    idempotents and multiplicities.  Deterministic; seed is ignored."""
+    idempotents and multiplicities.  Deterministic; seed is ignored.
+    Computed once per module and kept on it, so callers share the result
+    and must not mutate it."""
+    if m._decomposition is not None:
+        return m._decomposition
     summands = [Summand(*part) for part in _split_indecomposable(m)]
-    decomp = Decomposition(m, summands)
     classes: list[tuple[Summand, int, list[int]]] = []
     for i, s in enumerate(summands):
         for ci, (rep, mult, idx) in enumerate(classes):
@@ -262,8 +265,8 @@ def decompose(m: Module, seed: int = 0) -> Decomposition:
                 break
         else:
             classes.append((s, 1, [i]))
-    decomp.classes = classes
-    return decomp
+    m._decomposition = Decomposition(m, summands, classes)
+    return m._decomposition
 
 
 # -- the radical of the category -------------------------------------------
@@ -275,16 +278,10 @@ def radical_subspace(m: Module, n: Module) -> Subspace:
     indecomposables, the maximal ideal of End between isomorphic ones."""
     if m.algebra is not n.algebra:
         raise ValueError("modules over different algebras")
-    return _radical_of(decompose(m), decompose(n))
-
-
-def _radical_of(dm: Decomposition, dn: Decomposition) -> Subspace:
-    """radical_subspace(dm.module, dn.module) from their decompositions."""
-    f = dm.module.algebra.field
-    amb = dm.module.dim * dn.module.dim
+    amb = m.dim * n.dim
     maps: list[Matrix] = []
-    for sm in dm.summands:
-        for sn in dn.summands:
+    for sm in decompose(m).summands:
+        for sn in decompose(n).summands:
             u, v = sm.module, sn.module
             iso = indecomposable_iso(u, v)
             if iso is None:
@@ -292,7 +289,7 @@ def _radical_of(dm: Decomposition, dn: Decomposition) -> Subspace:
             else:
                 block = [r * iso.mat for r in sm.rad]
             maps += [sm.project.mat * bm * sn.inject.mat for bm in block]
-    return Subspace.from_matrix(amb, vectorized(f, maps, amb))
+    return Subspace.from_matrix(amb, vectorized(m.algebra.field, maps, amb))
 
 
 def compose_subspaces(m: Module, c: Module, n: Module,
@@ -317,10 +314,9 @@ class RadicalCalculus:
     def __init__(self, universe: list[Module]):
         if not universe:
             raise ValueError("universe must be non-empty")
-        self._decomposition: dict[int, Decomposition] = {}
         mids: list[Module] = []
         for m in universe:
-            for rep, _, _ in self._decomposed(m).classes:
+            for rep, _, _ in decompose(m).classes:
                 if not any(indecomposable_iso(rep.module, u) is not None
                            for u in mids):
                     mids.append(rep.module)
@@ -328,20 +324,10 @@ class RadicalCalculus:
         self._rad_cache: dict = {}
         self._pow_cache: dict = {}
 
-    def _decomposed(self, m: Module) -> Decomposition:
-        """decompose(m), computed once per module."""
-        hit = self._decomposition.get(m.serial)
-        if hit is None:
-            hit = self._decomposition[m.serial] = decompose(m)
-        return hit
-
     def rad(self, m: Module, n: Module) -> Subspace:
-        if m.algebra is not n.algebra:
-            raise ValueError("modules over different algebras")
         key = (m.serial, n.serial)
         if key not in self._rad_cache:
-            self._rad_cache[key] = _radical_of(self._decomposed(m),
-                                               self._decomposed(n))
+            self._rad_cache[key] = radical_subspace(m, n)
         return self._rad_cache[key]
 
     def rad_power(self, m: Module, n: Module, t: int) -> Subspace:

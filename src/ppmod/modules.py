@@ -28,7 +28,7 @@ class Module:
     """Right module: one action matrix per algebra basis element."""
 
     __slots__ = ("algebra", "dim", "action", "label", "serial", "_act_cache",
-                 "_presentation", "_homs")
+                 "_presentation", "_homs", "_decomposition")
 
     def __init__(self, algebra: FDAlgebra, dim: int, action, label: str = "",
                  check: bool = True):
@@ -40,6 +40,7 @@ class Module:
         self._act_cache: dict = {}
         self._presentation = None  # see presentation_of
         self._homs: dict = {}  # see hom_space
+        self._decomposition = None  # see decompose.decompose
         if len(self.action) != algebra.dim:
             raise ValueError("need one action matrix per algebra basis element")
         for m in self.action:
@@ -280,12 +281,12 @@ def iso_test(m: Module, n: Module) -> ModuleMap | None:
         return None
     if m.dim == 0:
         return zero_map(m, n)
-    basis = hom_space(m, n)
-    iso = next((h for h in basis if h.is_iso()), None)
-    if iso is not None or not basis:
+    iso = indecomposable_iso(m, n)
+    if iso is not None or not hom_space(m, n):
         return iso
     from .decompose import decompose  # decompose imports this module
-    free = decompose(n).summands
+    # a copy: the summand list is the decomposition cached on n
+    free = list(decompose(n).summands)
     mat = Matrix.zero(m.algebra.field, m.dim, n.dim)
     for sm in decompose(m).summands:
         for i, sn in enumerate(free):

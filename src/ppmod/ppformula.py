@@ -11,10 +11,11 @@ assembly for sum/meet/duality never multiplies two algebra entries, so the
 opposite multiplication never enters.
 
 Implication phi -> psi is decided on the free realization (C, c) of phi:
-psi(C) is not computed, one membership test asks whether some bound
-tuple completes c to a solution of psi's system on C.  Equivalence of
-formulas is always decided semantically, by implication in both
-directions; nothing is ever compared syntactically.
+phi <= psi iff c lies in psi(C) (Prest, *Purity, Spectra and
+Localisation*, CUP 2009, section 1.2), a membership test in the value
+that evaluation computes and caches.  Equivalence of formulas is always
+decided semantically, by implication in both directions; nothing is ever
+compared syntactically.
 """
 
 from __future__ import annotations
@@ -115,17 +116,15 @@ class PpFormula:
             result = Subspace.from_matrix(
                 k, vectorized(self.algebra.field, images, k))
         else:
-            result = Subspace(k, projected_kernel(self._system(module), k))
+            # phi(M) is the x-part of {(x, y) : (x, y) S = 0}, where band
+            # (v, e) of S is the action of hmat[v][e] on M
+            d, nvars = module.dim, self.n + self.l
+            system = block(self.algebra.field, [d] * nvars, [d] * self.m,
+                           {(v, e): module.act(self.hmat[v][e])
+                            for v in range(nvars) for e in range(self.m)})
+            result = Subspace(k, projected_kernel(system, k))
         self._eval_cache[module.serial] = result
         return result
-
-    def _system(self, module: Module) -> Matrix:
-        """The matrix S with phi(M) the x-part of {(x, y) : (x, y) S = 0}:
-        band (v, e) is the action of hmat[v][e] on M."""
-        d, nvars = module.dim, self.n + self.l
-        return block(self.algebra.field, [d] * nvars, [d] * self.m,
-                     {(v, e): module.act(self.hmat[v][e])
-                      for v in range(nvars) for e in range(self.m)})
 
     # -- free realization and implication ------------------------------
 
@@ -151,21 +150,12 @@ class PpFormula:
         return self._realization
 
     def implies(self, other: "PpFormula") -> bool:
-        """phi <= psi in the pp lattice: whether the tuple x of the free
-        realization C of phi lies in psi(C).  With S_x and S_y the x- and
-        y-bands of psi's system on C, that is whether some y has
-        x S_x = -y S_y, one membership test in the row space of S_y (with
-        no bound variable, whether x S_x is zero)."""
+        """phi <= psi in the pp lattice: whether the tuple of the free
+        realization C of phi lies in psi(C), the value psi.evaluate
+        computes and keeps."""
         _check_compatible(self, other)
-        if other.m == 0:
-            return True
         fr = self.free_realization()
-        system = other._system(fr.module)
-        k = other.n * fr.module.dim
-        xs = fr.row * system.take_rows(range(k))
-        ys = Subspace.from_matrix(system.cols,
-                                  system.take_rows(range(k, system.rows)))
-        return ys.contains_vector(xs.row(0))
+        return other.evaluate(fr.module).contains_vector(fr.row.row(0))
 
     def equivalent(self, other: "PpFormula") -> bool:
         return self.implies(other) and other.implies(self)

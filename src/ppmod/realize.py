@@ -129,12 +129,14 @@ def realize_in_tower(tower: TowerRing, stages: int) -> RealizedTube:
     rt = RealizedTube(tower, stages)
 
     for j in range(1, stages + 2):
-        base = dvr_chain_module(alg0, j)
+        core = dvr_chain_module(alg0, j)  # F1^l (V/m^j), over R_l
         for l in range(n + 1):
-            p = rt.P[(l, j)] = lift(tower, base, 0, l, n - l)
+            if l:
+                eta = natural_embedding(tower, l, core)
+                core = eta.target
+            p = rt.P[(l, j)] = lift(tower, core, l, 0, n - l)
             p.label = f"P^{l}_{j}" if l else f"M{j}"
             if l:
-                eta = natural_embedding(tower, l, lift(tower, base, 0, l - 1, 0))
                 rt.alpha[(l, j)] = ModuleMap(rt.P[(l - 1, j)], p, lift(
                     tower, eta, l, 0, n - l).mat, check=True)
 

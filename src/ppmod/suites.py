@@ -509,21 +509,12 @@ def suite_radical(seed: int = 0) -> SuiteResult:
     bad = []
     maps_checked = 0
     gen_cache: dict = {}
-    # (id(phi), id(psi)) -> phi implies psi; gen_cache keeps every
-    # generator alive, so their ids are never reused
-    implied: dict = {}
 
     def ppgen(mod, vec):
         key = (mod.serial, tuple(vec))
         if key not in gen_cache:
             gen_cache[key] = pp_type_generator_of_element(mod, vec)
         return gen_cache[key]
-
-    def implies(phi, psi):
-        key = (id(phi), id(psi))
-        if key not in implied:
-            implied[key] = phi.implies(psi)
-        return implied[key]
 
     for name, universe in universes.items():
         calc = RadicalCalculus(universe)
@@ -544,7 +535,7 @@ def suite_radical(seed: int = 0) -> SuiteResult:
                         continue
                     gen_a = ppgen(a, el)
                     gen_b = ppgen(b, fmap(el))
-                    if not implies(gen_b, gen_a) or implies(gen_a, gen_b):
+                    if not gen_b.implies(gen_a) or gen_a.implies(gen_b):
                         criterion = False
                         break
                 if structural != criterion:

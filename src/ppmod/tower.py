@@ -84,8 +84,6 @@ class TowerRing:
         self.field = field
         self.algebras: list[FDAlgebra] = [truncated_dvr(N, field)]
         self.bimodules: list[Module] = [dvr_chain_module(self.algebras[0], 1)]
-        # (level, m.serial) -> (F1(m), basis of Hom(L, m))
-        self._f1_cache: dict = {}
         self.bimodules[0].label = "L0"
         for i in range(height):
             alg = one_point_extension(self.algebras[i], self.bimodules[i],
@@ -251,17 +249,8 @@ def f0(tower: TowerRing, level: int, m: Module) -> Module:
 
 
 def f1(tower: TowerRing, level: int, m: Module) -> Module:
-    """(Hom(L, M), M, id): the second full and faithful embedding."""
-    return _f1_with_homs(tower, level, m)[0]
-
-
-def _f1_with_homs(tower: TowerRing, level: int, m: Module):
-    """F1(m) and the basis of Hom(L, m) it is built from, computed once per
-    (level, module) of the tower."""
-    key = (level, m.serial)
-    hit = tower._f1_cache.get(key)
-    if hit is not None:
-        return hit
+    """(Hom(L, M), M, id): the second full and faithful embedding, built
+    from the basis of Hom(L, M) that hom_space keeps on L."""
     if not (1 <= level <= tower.height):
         raise ValueError("level out of range")
     if m.algebra is not tower.algebras[level - 1]:
@@ -269,8 +258,7 @@ def _f1_with_homs(tower: TowerRing, level: int, m: Module):
     homs = [h.mat for h in hom_space(tower.bimodules[level - 1], m)]
     out = Triple(tower, level, len(homs), m, homs).flatten()
     out.label = f"F1({m.label})" if m.label else ""
-    tower._f1_cache[key] = (out, homs)
-    return out, homs
+    return out
 
 
 def f0_map(tower: TowerRing, level: int, fmap: ModuleMap) -> ModuleMap:
@@ -280,11 +268,12 @@ def f0_map(tower: TowerRing, level: int, fmap: ModuleMap) -> ModuleMap:
 
 def f1_map(tower: TowerRing, level: int, fmap: ModuleMap) -> ModuleMap:
     """Block action on (Hom(L, X), X): post-composition on the hom part."""
-    f = tower.field
-    sx, hx = _f1_with_homs(tower, level, fmap.source)
-    sy, hy = _f1_with_homs(tower, level, fmap.target)
+    f, bimodule = tower.field, tower.bimodules[level - 1]
+    sx, sy = f1(tower, level, fmap.source), f1(tower, level, fmap.target)
+    hx = [h.mat for h in hom_space(bimodule, fmap.source)]
+    hy = [h.mat for h in hom_space(bimodule, fmap.target)]
     # h . f over the target hom basis, one row of coefficients per h
-    width = tower.bimodules[level - 1].dim * fmap.target.dim
+    width = bimodule.dim * fmap.target.dim
     coeffs = vectorized(f, hy, width).solve_left(
         vectorized(f, [h * fmap.mat for h in hx], width))
     if coeffs is None:

@@ -35,3 +35,21 @@ def failed_square(monkeypatch):
         return dict(res, bicartesian=False) if len(calls) == 1 else res
 
     monkeypatch.setattr(realize, "verify_pushout_pullback", failing)
+
+
+@pytest.fixture
+def solved_homs(monkeypatch):
+    """One entry per Hom system that hom_space solves: the source and
+    target action matrices, whose identities name the module pair.  The
+    entries keep the matrices alive, so no id is reused."""
+    import ppmod.modules
+    solved = []
+    inner = ppmod.modules.intertwiners
+
+    def counted(src, tgt, *args):
+        solved.append((tuple(src), tuple(tgt)))
+        return inner(src, tgt, *args)
+
+    monkeypatch.setattr(ppmod.modules, "intertwiners", counted)
+    return solved
+

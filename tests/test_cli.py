@@ -295,6 +295,78 @@ def test_failed_square_scenario_line_exits_1(failed_square, tmp_path,
     assert lines[2] == "## pp dual --algebra dvr:3 --formula 'x1*x = 0'"
 
 
+def test_failed_bimodule_multiplicities_exit_1(monkeypatch, capsys):
+    import ppmod.cli
+
+    def mismatched(rt):
+        return {"ok": False, "expected": [1, 2]}
+
+    monkeypatch.setattr(ppmod.cli, "verify_bimodule_idempotents", mismatched)
+    assert main(["realize", "--N", "3", "--height", "0", "--stages", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "bimodule_multiplicities\t[1, 2]\tMISMATCH"
+
+
+def test_failed_hom_bound_exits_1(monkeypatch, capsys):
+    import ppmod.cli
+
+    def exceeded(tower, dim_cap):
+        return False, [("T(1)", 1, 2)]
+
+    monkeypatch.setattr(ppmod.cli, "verify_hom_bounds", exceeded)
+    assert main(["classify", "--N", "3", "--n", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["T(1)\t1\t2", "hom_bound_ok\tFalse"]
+
+
+def test_failed_suite_exits_1(monkeypatch, capsys):
+    import ppmod.cli
+    from ppmod.suites import SuiteResult
+
+    def failing(seed):
+        return SuiteResult("ziegler", False, ["failures\tplanted"])
+
+    monkeypatch.setitem(ppmod.cli.SUITES, "ziegler", failing)
+    assert main(["suite", "ziegler"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["FAIL\tziegler", "\tfailures\tplanted"]
+
+
+@pytest.mark.parametrize("literal, part", [
+    ("R(0)[0]", "0"), ("R(inf)[0]", "0"), ("R(0)[-1]", "-1"),
+    ("PP(-1)", "-1"), ("PI(-1)", "-1"), ("PP(x)", "x"),
+])
+def test_module_literal_out_of_range_exits_2(literal, part, capsys):
+    assert main(["pp", "eval", "--algebra", "kronecker", "--module",
+                 literal, "--formula", "x1*a = 0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: module literal {literal!r} needs a "
+                              f"whole number")
+    assert out.err.endswith(f"not {part!r}\n")
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    # build_parser adds the command subparsers once per parser it builds
+    import argparse
+    import ppmod.cli
+    built = []
+    inner = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, **kwargs):
+        built.append(self)
+        return inner(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    ppmod.cli.build_parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert main(["tube", "--tube", "m=1 n=[2] horizon=4"]) == 0
+    finally:
+        ppmod.cli.build_parser.cache_clear()
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("max_dim", ["2", "1", "0"])
 def test_probe_without_pp1_exits_2(max_dim):
     proc = subprocess.run(
@@ -558,6 +630,10 @@ FUZZ_COMMANDS = {
 }
 
 
+# the rows that report a failed assertion, the only source of exit 1
+FAILED_ROWS = ("SQUARE_FAILED(", "hom_bound_ok\tFalse", "MISMATCH", "FAIL\t")
+
+
 def fuzz_argv(rng):
     """One argv: a few global options, a command with its positional and
     every option (a flag half the time), and in seven argvs of ten one
@@ -613,3 +689,6 @@ def test_any_argv_keeps_the_exit_code_contract(seed):
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+    # exit 1 only from an assertion that failed, named on its row
+    if code == 1:
+        assert any(row in out.getvalue() for row in FAILED_ROWS), argv

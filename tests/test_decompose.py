@@ -239,22 +239,34 @@ def test_summand_rad_spans_the_nilpotents(name, field):
 
 
 def test_radical_calculus_decomposes_each_module_once(monkeypatch):
-    # the package's own `decompose` name is the function, not the module
+    # decompositions are counted where they are made, so one kept on its
+    # module and handed out again is not counted twice
     dec = importlib.import_module("ppmod.decompose")
-    calls: dict[int, int] = {}
-    real = dec.decompose
+    made: dict[int, int] = {}
+    inner = dec.Decomposition
 
-    def counting(m, seed=0):
-        calls[m.serial] = calls.get(m.serial, 0) + 1
-        return real(m, seed)
+    def counted(m, *args):
+        made[m.serial] = made.get(m.serial, 0) + 1
+        return inner(m, *args)
 
-    monkeypatch.setattr(dec, "decompose", counting)
+    monkeypatch.setattr(dec, "Decomposition", counted)
     for universe in radical_universes().values():
         calc = RadicalCalculus(universe)
         for a, b in itertools.product(universe, repeat=2):
             for t in (1, 2, 3):
                 calc.rad_power(a, b, t)
-    assert calls and max(calls.values()) == 1
+    assert made and max(made.values()) == 1
+
+
+def test_iso_test_leaves_the_kept_decomposition_whole(dvr3):
+    # no element of the echelon basis of Hom(V1+V1, V1+V1) = M_2(k) is
+    # invertible, so iso_test matches the summands of both decompositions
+    v1 = dvr_chain_module(dvr3, 1)
+    m, n = direct_sum([v1, v1])[0], direct_sum([v1, v1])[0]
+    for _ in range(2):
+        iso = iso_test(m, n)
+        assert iso is not None and iso.is_iso() and iso.intertwines()
+        assert len(decompose(n).summands) == len(decompose(m).summands) == 2
 
 
 # -- the structural local-End certificate ------------------------------------

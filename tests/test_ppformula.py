@@ -4,7 +4,8 @@ import pytest
 
 from ppmod.fields import GF
 from ppmod.algebra import truncated_dvr
-from ppmod.linalg import subspace_leq, subspace_meet, subspace_sum
+from ppmod.linalg import (Subspace, block, subspace_leq, subspace_meet,
+                          subspace_sum)
 from ppmod.modules import (k_dual, presentation_of, hom_space,
                            module_generators)
 from ppmod.catalog import dvr_chain_module, dvr_universe, kronecker_preprojective
@@ -377,11 +378,23 @@ def test_packed_oracle_with_dependent_witness_deltas(d3, kron):
                 assert fast == subspace_int_set(phi.evaluate(m))
 
 
-def implies_by_evaluation(phi, psi):
-    """The reference implication: evaluate psi on the free realization of
-    phi and test its tuple."""
+def implies_by_system(phi, psi):
+    """The reference implication, which evaluates nothing: the tuple x of
+    the free realization C of phi lies in psi(C) iff some y has
+    x S_x = -y S_y, for S_x and S_y the x- and y-bands of psi's system on
+    C (with no condition, always)."""
+    if psi.m == 0:
+        return True
     fr = phi.free_realization()
-    return psi.evaluate(fr.module).contains_vector(fr.row.row(0))
+    c = fr.module
+    d, nvars, k = c.dim, psi.n + psi.l, psi.n * c.dim
+    system = block(c.algebra.field, [d] * nvars, [d] * psi.m,
+                   {(v, e): c.act(psi.hmat[v][e])
+                    for v in range(nvars) for e in range(psi.m)})
+    xs = fr.row * system.take_rows(range(k))
+    ys = Subspace.from_matrix(system.cols,
+                              system.take_rows(range(k, system.rows)))
+    return ys.contains_vector(xs.row(0))
 
 
 def edge_formulas(alg):
@@ -408,7 +421,7 @@ def test_implies_matches_membership_in_the_evaluated_value(p):
         verdicts = set()
         for phi, psi in itertools.product(corpus, repeat=2):
             got = phi.implies(psi)
-            assert got == implies_by_evaluation(phi, psi)
+            assert got == implies_by_system(phi, psi)
             verdicts.add((got, psi.m == 0, psi.l == 0))
         assert {(True, False, False), (False, False, False),
                 (True, False, True), (False, False, True),
@@ -430,25 +443,28 @@ def test_implies_matches_membership_over_the_rationals():
     verdicts = set()
     for phi, psi in itertools.product(corpus, repeat=2):
         got = phi.implies(psi)
-        assert got == implies_by_evaluation(phi, psi)
+        assert got == implies_by_system(phi, psi)
         verdicts.add(got)
     assert verdicts == {True, False}
 
 
-def test_implies_evaluates_nothing(monkeypatch):
+def test_repeated_implication_computes_no_evaluation(monkeypatch):
+    # an implication reads the value kept on the implied formula, so a
+    # second pass over the same pairs solves nothing
     import random
+    import ppmod.ppformula
     from ppmod.suites import formula_corpus
     alg = truncated_dvr(3, F2)
     corpus = formula_corpus(alg, 15, random.Random(0)) + edge_formulas(alg)
-    expected = [implies_by_evaluation(phi, psi)
-                for phi, psi in itertools.product(corpus, repeat=2)]
+    pairs = list(itertools.product(corpus, repeat=2))
+    first = [phi.implies(psi) for phi, psi in pairs]
 
-    def refused(self, module):
-        raise AssertionError("implies evaluated a formula")
+    def refused(*args):
+        raise AssertionError("a value was computed again")
 
-    monkeypatch.setattr(PpFormula, "evaluate", refused)
-    assert [phi.implies(psi)
-            for phi, psi in itertools.product(corpus, repeat=2)] == expected
+    monkeypatch.setattr(ppmod.ppformula, "projected_kernel", refused)
+    monkeypatch.setattr(ppmod.ppformula, "hom_space", refused)
+    assert [phi.implies(psi) for phi, psi in pairs] == first
 
 
 def test_k_dual_suite_builds_each_dual_once(monkeypatch):
@@ -487,19 +503,28 @@ def test_duality_suite_builds_each_formula_once(monkeypatch):
     assert len(calls["dual"]) > 100
 
 
-def test_radical_suite_decides_each_implication_once(monkeypatch):
+def test_radical_suite_evaluates_each_generator_once_per_module(monkeypatch):
+    # every formula of the suite is a pp-type generator, evaluated as the
+    # images of its tuple under one Hom basis; the lists keep every
+    # formula and module alive, so no id is reused
+    import ppmod.ppformula
     import ppmod.suites
-    calls = []
-    implies = PpFormula.implies
+    asked, computed = [], []
+    evaluate, homs = PpFormula.evaluate, ppmod.ppformula.hom_space
 
-    def counted(phi, psi):
-        calls.append((phi, psi))
-        return implies(phi, psi)
+    def requested(phi, module):
+        asked.append((phi, module))
+        return evaluate(phi, module)
 
-    monkeypatch.setattr(PpFormula, "implies", counted)
+    def computing(c, module):
+        computed.append((c, module))
+        return homs(c, module)
+
+    monkeypatch.setattr(PpFormula, "evaluate", requested)
+    monkeypatch.setattr(ppmod.ppformula, "hom_space", computing)
     res = ppmod.suites.suite_radical(0)
     assert res.passed
-    assert len(calls) == len({(id(a), id(b)) for a, b in calls}) == 717
+    assert len({(id(a), id(b)) for a, b in asked}) == len(computed) == 202
 
 
 # -- formulas from cells against the hand-filled grids ------------------------

@@ -185,16 +185,7 @@ def test_failed_symbolic_ladder_is_named_on_its_line(monkeypatch):
     assert not any("squares commute" in line for line in res.lines)
 
 
-def test_realize_computes_each_hom_space_once(monkeypatch):
-    import ppmod.tower
-    calls = []
-    inner = ppmod.tower.hom_space
-
-    def counted(m, n):
-        calls.append((m, n))
-        return inner(m, n)
-
-    monkeypatch.setattr(ppmod.tower, "hom_space", counted)
+def test_realize_computes_each_hom_space_once(solved_homs):
     realize_in_tower(build_tower(5, 2, F2), 3)
-    pairs = {(id(m), id(n)) for m, n in calls}
-    assert calls and len(calls) == len(pairs)
+    pairs = {tuple(map(id, s + t)) for s, t in solved_homs}
+    assert solved_homs and len(solved_homs) == len(pairs)

@@ -234,20 +234,45 @@ def test_t_module_outside_tower_levels_raises(tw31, m):
         construct_label(tw31, FpLabel(0, 0, ("T", m)))
 
 
-def test_f1_map_computes_each_hom_space_once(tw31, monkeypatch):
-    import ppmod.tower as tower_mod
-    calls = []
-
-    def counting(x, y):
-        calls.append((x, y))
-        return hom_space(x, y)
-
-    monkeypatch.setattr(tower_mod, "hom_space", counting)
+def test_f1_map_computes_each_hom_space_once(tw31, solved_homs):
     a0 = tw31.algebras[0]
     v1, v2 = dvr_chain_module(a0, 1), dvr_chain_module(a0, 2)
     inc = [h for h in hom_space(v1, v2) if h.is_injective()][0]
+    solved_homs.clear()
     up = f1_map(tw31, 1, inc)
-    assert len(calls) == 2   # Hom(L, source) and Hom(L, target)
+    assert len(solved_homs) == 2   # Hom(L, source) and Hom(L, target)
     for got, x in ((up.source, v1), (up.target, v2)):
         assert got.action == f1(tw31, 1, x).action
+    assert len(solved_homs) == 2   # f1 reads both from L's cache
     assert up.is_injective()
+
+
+
+def f1_ladder_lines(tower):
+    """F1 at level 1 of the chain inclusions and quotients of the ladder
+    V/m^1 <-> V/m^2 <-> V/m^3: each map's f1_map matrix and the action
+    matrices of the f1 of its source and target, rows separated by '/'."""
+    from ppmod.realize import chain_inclusion, chain_quotient
+
+    def text(mat):
+        return "/".join("".join(str(c) for c in row) for row in mat.data)
+
+    out = []
+    for make in (chain_inclusion, chain_quotient):
+        for j in (1, 2):
+            fmap = make(tower.algebras[0], j)
+            up = f1_map(tower, 1, fmap)
+            out.append(f"{make.__name__}({j})\t{text(up.mat)}")
+            for side, got, x in (("source", up.source, fmap.source),
+                                 ("target", up.target, fmap.target)):
+                actions = f1(tower, 1, x).action
+                assert got.action == actions
+                out.append(f"\t{side}\t" + " ".join(map(text, actions)))
+    return out
+
+
+def test_f1_of_the_ladder_maps_matches_the_recorded_matrices(tw31):
+    # recorded when F1 kept its own cache of Hom bases beside hom_space's
+    from pathlib import Path
+    golden = Path(__file__).parent / "golden" / "f1_tw31_ladder.txt"
+    assert "\n".join(f1_ladder_lines(tw31)) + "\n" == golden.read_text()
