@@ -30,6 +30,7 @@ class FDAlgebra:
         self.name = name or f"algebra{next(FDAlgebra._serial)}"
         self._op: FDAlgebra | None = None
         self._generators: tuple[int, ...] | None = None
+        self._inverses: dict = {}
         if len(self.table) != self.dim or any(len(r) != self.dim for r in self.table):
             raise ValueError("structure constant table has wrong shape")
         if any(len(v) != self.dim for r in self.table for v in r):
@@ -66,9 +67,30 @@ class FDAlgebra:
         return tuple(of(c * a) for a in u)
 
     def mul_el(self, u, v):
-        """u v = u rho(v)."""
-        prod = Matrix.from_rows(self.field, [u]) * combination(v, self._rho)
-        return prod.data[0]
+        """u v = sum of u_i v_j c[i][j], read from the structure constants."""
+        acc = [0] * self.dim
+        for a, row in zip(u, self.table):
+            if a:
+                for b, c in zip(v, row):
+                    if b:
+                        ab = a * b
+                        for k, x in enumerate(c):
+                            if x:
+                                acc[k] += ab * x
+        of = self.field.of
+        return tuple(of(x) for x in acc)
+
+    def inverse_el(self, u):
+        """u^-1 = unit rho(u)^-1, or None when rho(u) is singular, kept per
+        element.  In a finite-dimensional algebra a left inverse v (v u =
+        1) makes rho(v) rho(u) = rho(1) = I, so the unit lies in the row
+        space of rho(u) exactly when u is a unit."""
+        u = tuple(u)
+        if u not in self._inverses:
+            v = combination(u, self._rho).solve_left(
+                Matrix.from_rows(self.field, [self.unit]))
+            self._inverses[u] = None if v is None else v.data[0]
+        return self._inverses[u]
 
     def el_from_label(self, label: str):
         if label in ("1", "one", "unit"):

@@ -24,8 +24,6 @@ CATALOG_VERSION = "1"
 def dvr_chain_module(alg: FDAlgebra, j: int) -> Module:
     """V/m^j over k[x]/(x^N): x acts as the nilpotent shift of order j."""
     N = alg.dim
-    if not (1 <= j <= N):
-        raise ValueError(f"chain length {j} outside 1..{N}")
     # by associativity, unit b_0 and x b_i = b_{i+1} (0 past x^(N-1))
     # make b_i = x^i, so the algebra is k[x]/(x^N)
     powers = [alg.basis_el(i) for i in range(N)] + [alg.zero_el()]
@@ -33,6 +31,8 @@ def dvr_chain_module(alg: FDAlgebra, j: int) -> Module:
                                     for i in range(1, N)):
         raise ValueError(f"chain modules need k[x]/(x^N) on the basis 1, x, "
                          f"..., x^(N-1); {alg.name} is not")
+    if not (1 <= j <= N):
+        raise ValueError(f"chain length {j} outside 1..{N}")
     f = alg.field
     shift = _shift(f, j)
     action = []

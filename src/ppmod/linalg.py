@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .fields import Field
@@ -751,9 +752,11 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    @property
+    @cached_property
     def pivots(self) -> tuple[int, ...]:
-        """The pivot column of each basis row."""
+        """The pivot column of each basis row, computed once (kept outside
+        the fields, so equality and hashing still read only ambient and
+        basis)."""
         b = self.basis
         if b.field.p == 2:
             return tuple((r & -r).bit_length() - 1 for r in b.ints)

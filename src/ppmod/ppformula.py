@@ -10,12 +10,29 @@ algebra).  With this storage a single code path serves both sides: block
 assembly for sum/meet/duality never multiplies two algebra entries, so the
 opposite multiplication never enters.
 
-Implication phi -> psi is decided on the free realization (C, c) of phi:
-phi <= psi iff c lies in psi(C) (Prest, *Purity, Spectra and
-Localisation*, CUP 2009, section 1.2), a membership test in the value
-that evaluation computes and caches.  Equivalence of formulas is always
-decided semantically, by implication in both directions; nothing is ever
-compared syntactically.
+Before a system is solved, every bound variable with a unit coefficient
+is substituted away (`PpFormula.reduced`, the rule Prest uses to reduce
+pp formulas up to equivalence, op. cit. section 1.1).  If y has the unit
+u in condition e, that condition reads y = -sum_{v != y} w_v h[v][e] u^-1
+(products in the effective algebra), so y and condition e are dropped
+and every other condition e' becomes h[v][e'] - h[v][e] u^-1 h[y][e'].
+On every module the map (x, y, rest) -> (x, rest) is then a bijection
+from the solutions of the old system onto those of the new one, with
+inverse given by that formula for y, so the x-part, the value, is the
+same; free variables are never substituted.  Each sum adds n rows
+x = u + v with unit coefficients on u and v, and each dual turns them
+into bound variables with unit coefficients, so most derived formulas
+shrink.
+
+Implication phi -> psi is decided on the free realization (C, c) of the
+reduced phi: phi <= psi iff c lies in psi(C) (Prest, *Purity, Spectra
+and Localisation*, CUP 2009, section 1.2), a membership test in the value
+that evaluation computes and caches.  A formula equivalent to phi has a
+free realization of the same pp-type, so reducing first changes no
+verdict.  Equivalence of formulas is always decided semantically, by
+implication in both directions; nothing is ever compared syntactically.
+The stored matrix, the printed formula and `free_realization` are those
+of the formula as built.
 """
 
 from __future__ import annotations
@@ -38,7 +55,7 @@ class PpFormula:
     """Immutable pp formula; entries of hmat are algebra coordinate vectors."""
 
     __slots__ = ("algebra", "side", "n", "l", "hmat", "serial",
-                 "_realization", "_by_hom", "_eval_cache")
+                 "_realization", "_by_hom", "_eval_cache", "_reduced")
 
     def __init__(self, algebra: FDAlgebra, side: str, n: int, l: int, hmat,
                  realization: "FreeRealization | None" = None):
@@ -63,6 +80,8 @@ class PpFormula:
         self._realization = realization
         self._by_hom = realization is not None
         self._eval_cache: dict = {}
+        # a formula built with its realization is never reduced
+        self._reduced = self if self._by_hom else None
 
     @staticmethod
     def from_cells(algebra: FDAlgebra, side: str, n: int, l: int, m: int,
@@ -117,14 +136,28 @@ class PpFormula:
                 k, vectorized(self.algebra.field, images, k))
         else:
             # phi(M) is the x-part of {(x, y) : (x, y) S = 0}, where band
-            # (v, e) of S is the action of hmat[v][e] on M
-            d, nvars = module.dim, self.n + self.l
-            system = block(self.algebra.field, [d] * nvars, [d] * self.m,
-                           {(v, e): module.act(self.hmat[v][e])
-                            for v in range(nvars) for e in range(self.m)})
+            # (v, e) of S is the action of hmat[v][e] on M, for the
+            # matrix of the reduced formula
+            r = self.reduced()
+            d, nvars = module.dim, r.n + r.l
+            system = block(self.algebra.field, [d] * nvars, [d] * r.m,
+                           {(v, e): module.act(r.hmat[v][e])
+                            for v in range(nvars) for e in range(r.m)})
             result = Subspace(k, projected_kernel(system, k))
         self._eval_cache[module.serial] = result
         return result
+
+    def reduced(self) -> "PpFormula":
+        """The same formula with every bound variable that has a unit
+        coefficient substituted away by the rule in the module docstring:
+        the first bound variable with a unit entry, at its first unit
+        condition, until none is left; free variables are kept.  Computed
+        once; a formula built with its realization is its own reduced
+        formula."""
+        if self._reduced is None:
+            self._reduced = _unit_eliminated(self)
+            self._reduced._reduced = self._reduced
+        return self._reduced
 
     # -- free realization and implication ------------------------------
 
@@ -152,13 +185,48 @@ class PpFormula:
     def implies(self, other: "PpFormula") -> bool:
         """phi <= psi in the pp lattice: whether the tuple of the free
         realization C of phi lies in psi(C), the value psi.evaluate
-        computes and keeps."""
+        computes and keeps.  C is the free realization of the reduced
+        formula, which is equivalent to phi and so realizes the same
+        pp-type."""
         _check_compatible(self, other)
-        fr = self.free_realization()
+        fr = self.reduced().free_realization()
         return other.evaluate(fr.module).contains_vector(fr.row.row(0))
 
     def equivalent(self, other: "PpFormula") -> bool:
         return self.implies(other) and other.implies(self)
+
+
+def _unit_eliminated(phi: PpFormula) -> PpFormula:
+    """phi with its bound variables of unit coefficients substituted away
+    (see PpFormula.reduced); phi itself when there is none."""
+    alg, n = phi.effective_algebra, phi.n
+    of = alg.field.of
+    rows = [list(r) for r in phi.hmat]
+    while (pivot := _unit_pivot(alg, rows, n)) is not None:
+        y, e, inv = pivot
+        hy = rows.pop(y)
+        del hy[e]
+        for r in rows:
+            c = alg.mul_el(r.pop(e), inv)
+            if any(c):
+                for j, b in enumerate(hy):
+                    if any(b):
+                        r[j] = tuple(of(s - t) for s, t in
+                                     zip(r[j], alg.mul_el(c, b)))
+    if len(rows) == len(phi.hmat):
+        return phi
+    return PpFormula(phi.algebra, phi.side, n, len(rows) - n, rows)
+
+
+def _unit_pivot(alg: FDAlgebra, rows, n: int):
+    """(y, e, u^-1) for the first bound row y with a unit entry u, at its
+    first unit column e, or None."""
+    for y in range(n, len(rows)):
+        for e, u in enumerate(rows[y]):
+            inv = alg.inverse_el(u) if any(u) else None
+            if inv is not None:
+                return y, e, inv
+    return None
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ppmod.fields import GF, QQ
 from ppmod.algebra import FDAlgebra, kronecker_algebra, truncated_dvr
-from ppmod.linalg import Matrix
+from ppmod.linalg import Matrix, combination
 from ppmod.modules import Module
 
 F2 = GF(2)
@@ -353,3 +353,40 @@ def test_the_one_dimensional_algebra_has_no_generators():
     from ppmod.modules import hom_space
     m = dvr_chain_module(k, 1)
     assert len(hom_space(m, m)) == 1
+
+
+def regular(alg, v):
+    """rho(v), right multiplication by v, rebuilt from the table: row i
+    is b_i v."""
+    f = alg.field
+    return combination(v, [Matrix.from_rows(f, [alg.table[i][j]
+                                                for i in range(alg.dim)])
+                           for j in range(alg.dim)])
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ],
+                         ids=["gf2", "gf3", "qq"])
+def test_products_and_inverses_match_the_regular_representation(field):
+    from ppmod.tower import build_tower
+    for base in (truncated_dvr(3, field), kronecker_algebra(field),
+                 build_tower(3, 1, field).top):
+        for alg in (base, base.op):
+            one = Matrix.from_rows(field, [alg.unit])
+            basis = [alg.basis_el(i) for i in range(alg.dim)]
+            for u, v in itertools.product(basis, repeat=2):
+                want = Matrix.from_rows(field, [u]) * regular(alg, v)
+                assert alg.mul_el(u, v) == want.data[0]
+            # the basis, the unit plus each basis element, and zero
+            units = 0
+            for u in basis + [alg.add_el(alg.unit, b) for b in basis] + \
+                    [alg.zero_el()]:
+                rho = regular(alg, u)
+                inv = alg.inverse_el(u)
+                if rho.rank() < alg.dim:
+                    assert inv is None
+                    continue
+                units += 1
+                assert inv == (one * rho.inverse()).data[0]
+                assert alg.mul_el(u, inv) == alg.mul_el(inv, u) == alg.unit
+                assert alg.inverse_el(u) is inv
+            assert units >= 2

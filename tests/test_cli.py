@@ -415,6 +415,19 @@ def test_module_literal_over_the_wrong_algebra_exits_2(algebra, module,
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("literal", ["V/m^3", "V/m^9"])
+def test_chain_literal_names_the_algebra_before_the_length(literal, capsys):
+    # the Kronecker algebra has dimension 4: V/m^9 is refused for the
+    # algebra, as V/m^3 is, not for a length outside 1..4
+    assert main(["pp", "eval", "--algebra", "kronecker", "--module",
+                 literal, "--formula", "x1*a = 0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "kronecker is not" in out.err
+    assert "outside" not in out.err
+    assert "Traceback" not in out.err
+
+
 TOWER_CAPS = [
     (["classify", "--n", "1", "--N"], "MAX_TOWER_N"),
     (["classify", "--N", "3", "--n"], "MAX_TOWER_HEIGHT"),

@@ -71,15 +71,27 @@ def private_definitions(tree: ast.Module):
             yield line, name
 
 
+# the method each operator calls; no type is known here, so an operator
+# anywhere reads its method on every class (a negative literal reads none)
+OPERATOR_DUNDERS = {ast.Add: "__add__", ast.Sub: "__sub__",
+                    ast.Mult: "__mul__", ast.USub: "__neg__"}
+
+
 def references(trees) -> tuple[set[str], set[str]]:
     """(every name read or imported by 'from ... import', every attribute
-    taken) in the given trees."""
+    taken, with the method of each operator used: see OPERATOR_DUNDERS)
+    in the given trees."""
     names: set[str] = set()
     attrs: set[str] = set()
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 attrs.add(node.attr)
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) or \
+                    isinstance(node, ast.UnaryOp) and \
+                    not isinstance(node.operand, ast.Constant):
+                if type(node.op) in OPERATOR_DUNDERS:
+                    attrs.add(OPERATOR_DUNDERS[type(node.op)])
             elif isinstance(node, ast.Name) and \
                     not isinstance(node.ctx, ast.Store):
                 names.add(node.id)
@@ -99,15 +111,18 @@ def uncalled_public(module: str, tree: ast.Module, names: set[str],
                     attrs: set[str], traced: set[str], kept) -> list[str]:
     """'line: name' for each public definition of tree (see definitions)
     that is not read, whose name is not in traced and whose 'module.name'
-    is not in kept.  A method is read when its own name is in attrs, a
+    is not in kept; an operator's method (see OPERATOR_DUNDERS) counts as
+    public.  A method is read when its own name is in attrs, a
     module-level function or class when its name is in names (see
     references): a local or an unrelated attribute of the same name does
     not count."""
     out = []
+    operators = set(OPERATOR_DUNDERS.values())
     for line, name in definitions(tree):
         own = name.rsplit(".", 1)[-1]
         read = attrs if "." in name else names
-        if not (own.startswith("_") or own in read or name in traced
+        private = own.startswith("_") and own not in operators
+        if not (private or own in read or name in traced
                 or f"{module}.{name}" in kept):
             out.append(f"{line}: {name}")
     return out
@@ -470,6 +485,25 @@ def test_uncalled_public_code_is_found():
                            {"m.kept"}) == ["1: gone", "10: C.orphan",
                                            "12: C.key", "16: full",
                                            "18: elsewhere"]
+
+
+def test_operator_methods_are_read_only_where_their_operator_is_used():
+    src = ("class _V:\n"
+           "    def __add__(self, o):\n        pass\n"
+           "    def __sub__(self, o):\n        pass\n"
+           "    def __mul__(self, o):\n        pass\n"
+           "    def __neg__(self):\n        pass\n"
+           "    def __repr__(self):\n        pass\n"
+           "def _use(a, b):\n"
+           "    a += b\n"
+           "    return a * b, a.__sub__, -1\n")
+    tree = ast.parse(src)
+    # += reads __add__, an attribute __sub__; -1 is a literal, not a negation
+    assert uncalled_public("m", tree, *references([tree]), set(), {}) == [
+        "8: _V.__neg__"]
+    negated = ast.parse(src + "def _neg(a):\n    return -a\n")
+    assert uncalled_public("m", negated, *references([negated]), set(),
+                           {}) == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),

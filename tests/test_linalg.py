@@ -727,3 +727,19 @@ def test_quotient_projection_matches_the_identity_columns(inp):
         assert (proj.rows, proj.cols, proj.den, proj.ints) == \
             (ref.rows, ref.cols, ref.den, ref.ints)
         assert Subspace(s.ambient, proj.left_kernel()) == s
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["gf2", "gf3", "qq"])
+def test_pivots_are_kept_on_the_subspace_and_not_compared(field):
+    import dataclasses
+    rows = [[0, 1, 2, 0, 1], [1, 1, 0, 0, 2], [0, 0, 0, 1, 1]]
+    a = Subspace.from_matrix(5, Matrix(field, 3, 5, rows))
+    b = Subspace.from_matrix(5, Matrix(field, 3, 5, rows[::-1]))
+    first = a.pivots
+    assert first == (0, 1, 3)
+    assert a.pivots is first and vars(a)["pivots"] is first
+    # b has not read its pivots, and still equals and hashes as a does
+    assert "pivots" not in vars(b)
+    assert a == b and hash(a) == hash(b)
+    assert [f.name for f in dataclasses.fields(Subspace)] == ["ambient",
+                                                              "basis"]

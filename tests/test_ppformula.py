@@ -834,3 +834,166 @@ def test_a_swapped_tuple_fails_the_route_check():
         assert (route_mismatches([mutant], universe) != []) == differs
         flagged += differs
     assert flagged >= 10
+
+
+# -- unit-coefficient bound variables substituted away -------------------------
+
+
+def unreduced_value(phi, module):
+    """The reference value: phi's own system on the module eliminated as
+    it stands, with no variable substituted away."""
+    from ppmod.linalg import projected_kernel
+    d, nvars, k = module.dim, phi.n + phi.l, phi.n * module.dim
+    system = block(module.algebra.field, [d] * nvars, [d] * phi.m,
+                   {(v, e): module.act(phi.hmat[v][e])
+                    for v in range(nvars) for e in range(phi.m)})
+    return Subspace(k, projected_kernel(system, k))
+
+
+def reduction_corpus(alg, seed):
+    """Right formulas of every shape, their duals, the edge shapes, sums
+    and meets of each side and duals of a sum and of a dual."""
+    import random
+    rng = random.Random(seed)
+    right = shape_corpus(alg, rng)
+    left = [dual(phi) for phi in right]
+    out = right + left + edge_formulas(alg)
+    for side in (right, left):
+        ones = [phi for phi in side if phi.n == 1]
+        for a, b in rng.sample(list(itertools.product(ones, repeat=2)), 8):
+            out += [pp_sum(a, b), pp_meet(a, b)]
+    return out + [dual(pp_sum(right[5], right[9])), dual(left[7])]
+
+
+def reduction_universe(alg):
+    """Right modules of dimension <= 3 and their k-duals (left modules)."""
+    from ppmod.catalog import kronecker_universe
+    right = dvr_universe(alg, 3) if "x" in alg.labels else \
+        kronecker_universe(alg, 3)
+    return {RIGHT: right, LEFT: [k_dual(m) for m in right]}
+
+
+def bound_units(phi):
+    """The bound entries of phi that are units of its effective algebra."""
+    alg = phi.effective_algebra
+    return [u for row in phi.hmat[phi.n:] for u in row
+            if any(u) and alg.inverse_el(u) is not None]
+
+
+@pytest.mark.parametrize("alg", cell_algebras(), ids=CELL_IDS)
+def test_reduced_formulas_keep_every_value(alg):
+    universe = reduction_universe(alg)
+    shrunk = 0
+    for phi in reduction_corpus(alg, 7):
+        r = phi.reduced()
+        assert (r.algebra, r.side, r.n) == (phi.algebra, phi.side, phi.n)
+        # each step drops one bound variable and one condition, and the
+        # steps go on until no bound variable has a unit coefficient
+        assert phi.l - r.l == phi.m - r.m >= 0
+        assert bound_units(r) == []
+        shrunk += r.l < phi.l
+        for m in universe[phi.side]:
+            want = unreduced_value(phi, m)
+            assert phi.evaluate(m) == want
+            assert r.evaluate(m) == want
+    assert shrunk >= 25
+
+
+@pytest.mark.parametrize("alg", cell_algebras(), ids=CELL_IDS)
+def test_implication_on_the_reduced_realization_matches_the_system(alg):
+    # the reference builds the free realization of phi itself and solves
+    # psi's own system on it
+    import random
+    rng = random.Random(8)
+    corpus = reduction_corpus(alg, 9)
+    pairs = [(a, b) for a, b in itertools.product(corpus, repeat=2)
+             if (a.side, a.n) == (b.side, b.n)]
+    verdicts = set()
+    for phi, psi in rng.sample(pairs, 150):
+        got = phi.implies(psi)
+        assert got == implies_by_system(phi, psi)
+        verdicts.add((got, phi.reduced() is phi))
+    assert verdicts == {(True, True), (True, False), (False, True),
+                        (False, False)}
+
+
+def test_a_unit_pivot_substitutes_with_the_right_sign():
+    # (x | y) + ann(x): u = x - v, then v = x - y x, leaving
+    # x x - y x^2 = 0, i.e. the row of x is x and the row of y is -x^2
+    alg = truncated_dvr(3, GF(3))
+    x, x2 = alg.basis_el(1), alg.basis_el(2)
+    phi = pp_sum(divisibility(alg, x), annihilator(alg, x))
+    assert (phi.l, phi.m) == (3, 3)
+    assert phi.reduced().hmat == ((x,), (alg.neg_el(x2),))
+
+
+def test_left_formulas_multiply_in_the_opposite_algebra():
+    # y (1 + a) + x b = 0 gives y = -x b (1 - a) = -x b, so y e2 = 0
+    # becomes -x b e2 = -x b = 0 on the right; on the left the product
+    # e2 (1 - a) b is 0
+    from ppmod.algebra import kronecker_algebra
+    alg = kronecker_algebra(GF(3))
+    e2, a, b = (alg.el_from_label(s) for s in ("e2", "a", "b"))
+    z = alg.zero_el()
+    rows = [[b, z], [alg.add_el(alg.unit, a), e2]]
+    assert PpFormula(alg, RIGHT, 1, 1, rows).reduced().hmat == \
+        ((alg.neg_el(b),),)
+    assert PpFormula(alg, LEFT, 1, 1, rows).reduced().hmat == ((z,),)
+
+
+def test_free_variables_and_non_units_are_never_pivots():
+    from ppmod.algebra import kronecker_algebra
+    for alg in (truncated_dvr(3, GF(3)), kronecker_algebra(GF(3))):
+        z, u = alg.zero_el(), alg.unit
+        nonunit = alg.basis_el(1)
+        assert alg.inverse_el(nonunit) is None
+        # only x1 has a unit coefficient, or y1 has only a non-unit one
+        for phi in (bottom(alg), tautology(alg), annihilator(alg, u),
+                    PpFormula(alg, RIGHT, 1, 1, [[u], [nonunit]]),
+                    PpFormula(alg, RIGHT, 2, 1, [[u, z], [z, u],
+                                                 [nonunit, nonunit]])):
+            assert phi.reduced() is phi
+        # y1 is taken at its unit in the second condition, not at the
+        # non-unit in the first: y1 = 0, and x1 = 0 is left
+        phi = PpFormula(alg, RIGHT, 1, 1, [[u, z], [nonunit, u]])
+        assert phi.reduced().hmat == ((u,),)
+
+
+def test_pp_type_generators_are_never_reduced():
+    from ppmod.algebra import kronecker_algebra
+    with_units = 0
+    for alg in (truncated_dvr(3, GF(3)), kronecker_algebra(GF(3))):
+        for m in reduction_universe(alg)[RIGHT]:
+            for vec in module_generators(m):
+                phi = pp_type_generator_of_element(m, vec)
+                fr = phi.free_realization()
+                assert phi.reduced() is phi and phi._by_hom
+                assert phi.reduced().free_realization() is fr
+                with_units += bound_units(phi) != []
+    # over k[x]/(x^3) each has a bound unit, so its system copy would be
+    # reduced
+    assert with_units >= 10
+
+
+def test_each_formula_is_reduced_once(monkeypatch):
+    import ppmod.ppformula
+    alg = truncated_dvr(3, GF(3))
+    reduce, reduced = ppmod.ppformula._unit_eliminated, []
+
+    def counted(phi):
+        reduced.append(phi)
+        return reduce(phi)
+
+    monkeypatch.setattr(ppmod.ppformula, "_unit_eliminated", counted)
+    corpus = reduction_corpus(alg, 7)
+    universe = reduction_universe(alg)
+    for _ in range(2):
+        for phi in corpus:
+            for m in universe[phi.side]:
+                phi.evaluate(m)
+            for psi in corpus[:10]:
+                if (psi.side, psi.n) == (phi.side, phi.n):
+                    phi.implies(psi)
+            assert phi.reduced() is phi.reduced()
+            assert phi.reduced().reduced() is phi.reduced()
+    assert sorted(map(id, reduced)) == sorted(map(id, corpus))
