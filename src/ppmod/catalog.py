@@ -1,8 +1,7 @@
-"""Versioned catalog of concrete modules used as test universes.
+"""Catalog of concrete modules used as test universes.
 
 Universal claims in this package are always checked against an explicit,
-reproducible list of modules; this module is that list.  Bump
-CATALOG_VERSION when the universes change.
+reproducible list of modules; this module is that list.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ from .algebra import FDAlgebra
 from .linalg import Matrix, block
 from .modules import Module, direct_sum, free_module, quotient_module, _module_span
 from .ppformula import RIGHT, PpFormula, divisibility, pp_sum
-
-CATALOG_VERSION = "1"
 
 
 # -- modules over k[x]/(x^N) -------------------------------------------
@@ -130,26 +127,25 @@ def kronecker_regular(alg: FDAlgebra, lam, n: int) -> Module:
 
 
 def kronecker_indecomposables(alg: FDAlgebra, dim_cap: int) -> list[Module]:
+    """Preprojectives, preinjectives and the regular modules of the tubes
+    at lam in k and at inf, of dimension <= dim_cap.  Over a finite field
+    that is every indecomposable only up to dimension 3: from dimension 4
+    on, the tubes at closed points of degree >= 2 are missing.  Over QQ the
+    tubes are a sample, at lam in {0, 1, inf}."""
     f = alg.field
     out = []
-    i = 0
-    while 2 * i + 1 <= dim_cap:
-        out.append(kronecker_preprojective(alg, i))
-        out.append(kronecker_preinjective(alg, i))
-        i += 1
+    for i in range((dim_cap + 1) // 2):  # dimension 2i + 1
+        out += [kronecker_preprojective(alg, i), kronecker_preinjective(alg, i)]
     lams = list(f.elements()) if f.p is not None else [f.of(0), f.of(1)]
-    n = 1
-    while 2 * n <= dim_cap:
-        for lam in lams:
-            out.append(kronecker_regular(alg, lam, n))
-        out.append(kronecker_regular(alg, "inf", n))
-        n += 1
+    for n in range(1, dim_cap // 2 + 1):  # dimension 2n
+        out += [kronecker_regular(alg, lam, n) for lam in [*lams, "inf"]]
     return out
 
 
 def kronecker_universe(alg: FDAlgebra, dim_cap: int) -> list[Module]:
-    """All Kronecker modules of dimension <= dim_cap up to iso (multisets of
-    indecomposables)."""
+    """Kronecker modules of dimension <= dim_cap up to iso: the direct sums
+    of the modules of kronecker_indecomposables, so every module only up to
+    dimension 3 over a finite field, and a sample over QQ."""
     indecs = kronecker_indecomposables(alg, dim_cap)
     out = []
     for size in range(1, dim_cap + 1):

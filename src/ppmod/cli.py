@@ -22,13 +22,12 @@ from . import __version__
 from .algebra import kronecker_algebra, truncated_dvr
 from .catalog import (dvr_chain_module, kronecker_preinjective,
                       kronecker_preprojective, kronecker_regular)
-from .errors import HorizonExceeded, SquareFailed, Undecided
+from .errors import NoVerdict, SquareFailed
 from .fields import field_from_spec
-from .modules import hom_space, regular_module
-from .ppformula import LEFT, RIGHT, PpPair, annihilator, divisibility, dual, \
-    pp_type_generator_of_element
+from .modules import regular_module
+from .ppformula import LEFT, RIGHT, annihilator, divisibility, dual
 from .ppsyntax import format_formula, parse_formula
-from .probes import interval_probe
+from .probes import kronecker_probe
 from .realize import realize_in_tower, verify_bimodule_idempotents
 from .suites import CRITERIA_ORDER, SUITES
 from .tower import build_tower, tower_dimension, verify_hom_bounds
@@ -329,17 +328,9 @@ def execute(args) -> tuple[int, list[str]]:
         _check_cap("--max-dim", args.max_dim, MAX_PROBE_DIM)
         _check_cap("--budget", args.budget, MAX_PROBE_BUDGET)
         alg = kronecker_algebra(field)
-        pres = []
-        i = 0
-        while 2 * i + 1 <= args.max_dim:
-            pres.append(kronecker_preprojective(alg, i))
-            i += 1
-        one = field.one()
-        emb = next(h for h in hom_space(pres[0], pres[1]) if h.is_injective())
-        phi = pp_type_generator_of_element(pres[0], (one,))
-        psi = pp_type_generator_of_element(pres[1], emb((one,)))
-        rep = interval_probe(PpPair(upper=phi, lower=psi), pres,
-                             budget=args.budget)
+        pres = [kronecker_preprojective(alg, i)  # of dimension 2i + 1
+                for i in range((args.max_dim + 1) // 2)]
+        rep = kronecker_probe(pres, args.budget)
         lines = _header(args)
         lines.extend(rep.to_text().rstrip("\n").split("\n"))
         return 0, lines
@@ -360,6 +351,17 @@ def execute(args) -> tuple[int, list[str]]:
     raise ValueError(f"unhandled command {cmd!r}")
 
 
+def _reported(args) -> tuple[int, list[str]]:
+    """execute(args), with a computation that stopped without a verdict as
+    exit code 2 and a failed square as exit code 1, each with its message."""
+    try:
+        return execute(args)
+    except NoVerdict as exc:
+        return 2, [str(exc)]
+    except SquareFailed as exc:
+        return 1, [str(exc)]
+
+
 def run_scenario(path: str, parser, base_args) -> tuple[int, list[str]]:
     with open(path) as fh:
         raw = fh.readlines()
@@ -375,11 +377,7 @@ def run_scenario(path: str, parser, base_args) -> tuple[int, list[str]]:
         if sub_args.command == "run":
             return 2, [f"# line {lineno}: nested scenarios are not allowed"]
         try:
-            return execute(sub_args)
-        except (HorizonExceeded, Undecided) as exc:
-            return 2, [str(exc)]
-        except SquareFailed as exc:
-            return 1, [str(exc)]
+            return _reported(sub_args)
         except ValueError as exc:
             return 2, [f"# line {lineno}: {exc}"]
 
@@ -403,11 +401,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             code, lines = run_scenario(args.file, parser, args)
         else:
-            code, lines = execute(args)
-    except (HorizonExceeded, Undecided) as exc:
-        code, lines = 2, [str(exc)]
-    except SquareFailed as exc:
-        code, lines = 1, [str(exc)]
+            code, lines = _reported(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

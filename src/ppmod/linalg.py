@@ -181,9 +181,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.data})"
 
-    def row(self, i):
-        return self.data[i]
-
     def is_zero(self) -> bool:
         if self.field.p == 2:
             return not any(self.ints)

@@ -119,9 +119,6 @@ class ModuleMap:
         return ModuleMap(self.source, other.target, self.mat * other.mat,
                          check=False)
 
-    def scale(self, c) -> "ModuleMap":
-        return ModuleMap(self.source, self.target, self.mat.scale(c), check=False)
-
     def rank(self) -> int:
         return self.mat.rank()
 

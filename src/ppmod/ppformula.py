@@ -190,7 +190,7 @@ class PpFormula:
         pp-type."""
         _check_compatible(self, other)
         fr = self.reduced().free_realization()
-        return other.evaluate(fr.module).contains_vector(fr.row.row(0))
+        return other.evaluate(fr.module).contains_vector(fr.row.data[0])
 
     def equivalent(self, other: "PpFormula") -> bool:
         return self.implies(other) and other.implies(self)

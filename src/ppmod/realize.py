@@ -108,11 +108,10 @@ class RealizedTube:
     def realize_normal_path(self, q: TranslationQuiver, np) -> ModuleMap:
         if np == ZERO:
             raise ValueError("zero has no single realization; compare is_zero")
-        arrows = normal_path_arrows(q, np)
         out = identity_map(self.P[(np.start[1], np.start[2])])
-        for a in arrows:
+        for a in normal_path_arrows(q, np):
             out = out.then(self.realize_arrow(q, a))
-        return out.scale(self.tower.field.of(np.coeff))
+        return out
 
 
 def realize_in_tower(tower: TowerRing, stages: int) -> RealizedTube:

@@ -22,10 +22,10 @@ from .linalg import Matrix, span_elements, subspace_leq
 from .modules import (ModuleMap, cokernel, direct_sum, hom_space, iso_test,
                       k_dual)
 from .oracles import brute_eval_f2, subspace_int_set
-from .ppformula import (LEFT, PpFormula, PpPair, annihilator, bottom,
-                        divisibility, dual, pp_meet, pp_sum,
-                        pp_type_generator_of_element, tautology)
-from .probes import (NOT_SHORT_WITNESS, SHORT_WITHIN_BOUND, interval_probe,
+from .ppformula import (LEFT, PpFormula, annihilator, bottom, divisibility,
+                        dual, pp_meet, pp_sum, pp_type_generator_of_element,
+                        tautology)
+from .probes import (NOT_SHORT_WITNESS, SHORT_WITHIN_BOUND, kronecker_probe,
                      probe_embedding, theta_pool)
 from .realize import realize_in_tower, verify_bimodule_idempotents
 from .tower import (all_labels, build_tower, classify, construct_label, f0,
@@ -446,10 +446,7 @@ def suite_short_probes(seed: int = 0) -> SuiteResult:
             bad.append("no small separating preprojective")
         else:
             separators.append(sep.label)
-    emb = next(h for h in hom_space(pres[0], pres[1]) if h.is_injective())
-    phi = pp_type_generator_of_element(pres[0], (F2.one(),))
-    psi = pp_type_generator_of_element(pres[1], emb((F2.one(),)))
-    rep = interval_probe(PpPair(upper=phi, lower=psi), pres, budget=3)
+    rep = kronecker_probe(pres, 3)
     if rep.verdict != NOT_SHORT_WITNESS or len(rep.chain) - 1 < 3:
         bad.append(f"probe verdict {rep.verdict} with "
                    f"{len(rep.chain) - 1} steps")
@@ -528,7 +525,7 @@ def suite_radical(seed: int = 0) -> SuiteResult:
                 fmap = ModuleMap(a, b, mat, check=False)
                 maps_checked += 1
                 structural = rad.contains_vector(
-                    mat.reshape(1, a.dim * b.dim).row(0))
+                    mat.reshape(1, a.dim * b.dim).data[0])
                 criterion = True
                 for el in a.elements():
                     if all(c == F2.zero() for c in el):

@@ -8,10 +8,10 @@ mod m), 0 <= k <= n_i, and stages j >= 1 capped by a horizon.  Arrows are
     lam(i,n_i,j): S(i,n_i,j) -> S(i+1,0,j-1)    for j >= 2  (rim descent)
 
 Mesh rewriting orients the relations so that lambda segments precede mu
-segments (diagram order); every nonzero path normalizes to a coefficient
-with a lambda-walk followed by a mu-climb, and both walks are uniquely
-determined by their lengths, so the normal form is canonical.  In diagram
-order the rules are
+segments (diagram order); every nonzero path normalizes to a lambda-walk
+followed by a mu-climb, with no coefficient (each rule rewrites to one
+path or to zero), and both walks are uniquely determined by their
+lengths, so the normal form is canonical.  In diagram order the rules are
 
     mu(i,k,j) ; lam(i,k,j+1)     ->  lam(i,k,j) ; mu(i,k+1,j)       k < n_i
     mu(i,n_i,j) ; lam(i,n_i,j+1) ->  lam(i,n_i,j) ; mu(i+1,0,j-1)   j >= 2
@@ -222,23 +222,7 @@ def mesh_rule_failures(q: TranslationQuiver) -> tuple[int, list[Arrow]]:
     return len(q._rhs), bad
 
 
-# -- formal paths and normalization -----------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class FormalPath:
-    """A scalar coefficient and a composable arrow word in diagram order
-    (first applied first)."""
-
-    coeff: int
-    start: Vertex
-    arrows: tuple[Arrow, ...]
-
-    def __str__(self):
-        if not self.arrows:
-            return f"{self.coeff}.id@S{self.start}"
-        word = ";".join(str(a) for a in self.arrows)
-        return f"{self.coeff}.[{word}]"
+# -- paths and normalization ------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,14 +230,12 @@ class NormalPath:
     """Canonical form: a lambda-walk of lam_steps followed by a mu-climb of
     mu_steps (both walks are uniquely determined by the source)."""
 
-    coeff: int
     start: Vertex
     lam_steps: int
     mu_steps: int
 
     def __str__(self):
-        return (f"{self.coeff}.lam^{self.lam_steps}"
-                f".mu^{self.mu_steps}@S{self.start}")
+        return f"lam^{self.lam_steps}.mu^{self.mu_steps}@S{self.start}"
 
 
 def _append(rhs, left: tuple, nlam: int, a: Arrow):
@@ -276,17 +258,18 @@ def _append(rhs, left: tuple, nlam: int, a: Arrow):
     return left[:nlam] + (a,) + tuple(reversed(climb))
 
 
-def normalize_path(q: TranslationQuiver, p: FormalPath):
-    """Rewrite to the canonical NormalPath (or ZERO) using the mesh rules,
+def normalize_path(q: TranslationQuiver, start: Vertex, arrows):
+    """Rewrite the arrow word from start, in diagram order (first applied
+    first), to the canonical NormalPath (or ZERO) using the mesh rules,
     leftmost first."""
     rhs = q._rhs
     left, nlam = (), 0
-    for a in p.arrows:
+    for a in arrows:
         left = _append(rhs, left, nlam, a)
         if left is ZERO:
             return ZERO
         nlam += a.kind == "lam"
-    return NormalPath(p.coeff, p.start, nlam, len(left) - nlam)
+    return NormalPath(start, nlam, len(left) - nlam)
 
 
 def normal_path_arrows(q: TranslationQuiver, np: NormalPath) -> list[Arrow]:
@@ -305,11 +288,6 @@ def normal_path_arrows(q: TranslationQuiver, np: NormalPath) -> list[Arrow]:
             arrows.append(a)
             v = target[a]
     return arrows
-
-
-def normal_path_target(q: TranslationQuiver, np: NormalPath) -> Vertex:
-    arrows = normal_path_arrows(q, np)
-    return q.target(arrows[-1]) if arrows else np.start
 
 
 def all_paths_from(q: TranslationQuiver, v: Vertex, max_len: int):
@@ -349,7 +327,7 @@ def mesh_sweep(q: TranslationQuiver, max_len: int):
     vertex."""
     out, target, rhs = q._out, q._target, q._rhs
     for v in out:
-        nodes = [((), NormalPath(1, v, 0, 0))]
+        nodes = [((), NormalPath(v, 0, 0))]
         ends = [v]
         kids = [None]   # node index -> its child nodes, once continued
         ids = {}        # (leftmost word, end vertex) -> node index
@@ -373,8 +351,8 @@ def mesh_sweep(q: TranslationQuiver, max_len: int):
                     child = node(ZERO, ZERO, target[a])
                 else:
                     nlam = form.lam_steps + (a.kind == "lam")
-                    child = node(left_a, NormalPath(1, v, nlam,
-                                                    len(left_a) - nlam),
+                    child = node(left_a,
+                                 NormalPath(v, nlam, len(left_a) - nlam),
                                  target[a])
                 children.append(child)
             kids[nd] = children
@@ -423,8 +401,7 @@ def hom_dimension(q: TranslationQuiver, source: Vertex, target: Vertex) -> int:
 class SymbolicTube:
     """Objects and maps of the pushout ladder attached to a ray tube:
     direct sums of vertices with matrices of normal paths (None = zero
-    entry).  Blocks on rays with exhausted depth are zero; the support
-    flags record which blocks exist."""
+    entry).  Blocks on rays with exhausted depth are zero."""
 
     quiver: TranslationQuiver
 
@@ -441,28 +418,28 @@ class SymbolicTube:
         ray i sits in row i, column (i+1) mod m."""
         q = self.quiver
         return self._matrix(j, j + 1, {
-            (i, (i + 1) % q.m): NormalPath(1, (i, 0, j + 1), q.n_of(i) + 1, 0)
+            (i, (i + 1) % q.m): NormalPath((i, 0, j + 1), q.n_of(i) + 1, 0)
             for i in range(q.m)})
 
     def alpha_matrix(self, l: int, j: int = 1):
         """Diagonal block embedding into the depth-l objects; zero on rays
         with n_i < l."""
         q = self.quiver
-        return self._matrix(j, j, {(i, i): NormalPath(1, (i, l - 1, j), 1, 0)
+        return self._matrix(j, j, {(i, i): NormalPath((i, l - 1, j), 1, 0)
                                    for i in range(q.m) if l <= q.n_of(i)})
 
     def psibar_matrix(self, l: int, j: int):
         """Diagonal stage embedding at depth l (zero on exhausted rays); at
         depth 0 the stage embeddings mu(i,0)[j]."""
         q = self.quiver
-        return self._matrix(j, j + 1, {(i, i): NormalPath(1, (i, l, j), 0, 1)
+        return self._matrix(j, j + 1, {(i, i): NormalPath((i, l, j), 0, 1)
                                        for i in range(q.m) if l <= q.n_of(i)})
 
     def compose(self, first, second):
         """Matrix composition (first then second) with path normalization;
         entries must stay single paths (true for the ladder shapes)."""
         q = self.quiver
-        m = self.quiver.m
+        m = q.m
         out = [[None] * m for _ in range(m)]
         for s in range(m):
             for t in range(m):
@@ -471,15 +448,11 @@ class SymbolicTube:
                     a, b = first[s][mid], second[mid][t]
                     if a is None or b is None:
                         continue
-                    if normal_path_target(q, a) != b.start:
+                    left = normal_path_arrows(q, a)
+                    if (q.target(left[-1]) if left else a.start) != b.start:
                         raise ValueError("non-composable ladder entries")
-                    word = normal_path_arrows(q, a) + normal_path_arrows(q, b)
-                    if not word:
-                        comp = NormalPath(a.coeff * b.coeff, a.start, 0, 0)
-                    else:
-                        comp = normalize_path(
-                            q, FormalPath(a.coeff * b.coeff, a.start,
-                                          tuple(word)))
+                    comp = normalize_path(
+                        q, a.start, left + normal_path_arrows(q, b))
                     if comp == ZERO:
                         continue
                     if acc is not None:

@@ -564,12 +564,12 @@ def test_probe_budget_at_its_cap_is_accepted(monkeypatch, capsys):
     import ppmod.cli
 
     def reached(*args, **kwargs):
-        raise ValueError("reached interval_probe")
+        raise ValueError("reached kronecker_probe")
 
-    monkeypatch.setattr(ppmod.cli, "interval_probe", reached)
+    monkeypatch.setattr(ppmod.cli, "kronecker_probe", reached)
     assert main(["probe", "kronecker", "--budget",
                  str(ppmod.cli.MAX_PROBE_BUDGET)]) == 2
-    assert capsys.readouterr().err == "error: reached interval_probe\n"
+    assert capsys.readouterr().err == "error: reached kronecker_probe\n"
 
 
 def test_size_caps_cover_every_size_in_use_and_no_more():

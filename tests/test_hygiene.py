@@ -129,13 +129,14 @@ def uncalled_public(module: str, tree: ast.Module, names: set[str],
 
 
 def public_options(tree: ast.Module):
-    """(line, name, callee, position) for each defaulted parameter of a
-    public function, method or constructor of tree.  name is
+    """(line, name, callee, position, defaulted) for each named parameter
+    of a public function, method or constructor of tree.  name is
     'function.param', 'Class.method.param' or, for a parameter of a
     class's __init__, 'Class.param'; callee is the name a call uses (the
     class's for __init__); position is the parameter's index among a
     call's positional arguments (self and cls not counted), None for a
-    keyword-only one.  Dataclass fields are not parameters here."""
+    keyword-only one; defaulted says whether it has a default.  Dataclass
+    fields are not parameters here."""
     fdefs = (ast.FunctionDef, ast.AsyncFunctionDef)
     fns = []  # (definition, name, callee, leading self or cls: 0 or 1)
     for stmt in tree.body:
@@ -155,11 +156,13 @@ def public_options(tree: ast.Module):
     for fn, name, callee, bound in fns:
         a = fn.args
         pos = a.posonlyargs + a.args
-        for i in range(len(pos) - len(a.defaults), len(pos)):
-            yield fn.lineno, f"{name}.{pos[i].arg}", callee, i - bound
+        first_default = len(pos) - len(a.defaults)
+        for i in range(bound, len(pos)):
+            yield (fn.lineno, f"{name}.{pos[i].arg}", callee, i - bound,
+                   i >= first_default)
         for arg, default in zip(a.kwonlyargs, a.kw_defaults):
-            if default is not None:
-                yield fn.lineno, f"{name}.{arg.arg}", callee, None
+            yield fn.lineno, f"{name}.{arg.arg}", callee, None, \
+                default is not None
 
 
 def option_setters(trees) -> tuple[dict[str, list], set[str]]:
@@ -216,13 +219,13 @@ def unset_options(module: str, tree: ast.Module, setters, listed: set[str],
                   kept, kept_options) -> list[str]:
     """'line: name' for each defaulted public parameter of tree (see
     public_options) that no call passes (see option_setters), by keyword,
-    by position or through '*' or '**', and 'line: name = value' for one
-    that every call passes as the same literal value: an option with one
-    value in use is a constant.  Functions in listed, names whose
-    'module.name' is in kept and parameters whose 'module.name' is in
-    kept_options are exempt."""
+    by position or through '*' or '**', and 'line: name = value' for a
+    public parameter, defaulted or not, that every call passes as the same
+    literal value: a parameter with one value in use is a constant.
+    Functions in listed, names whose 'module.name' is in kept and
+    parameters whose 'module.name' is in kept_options are exempt."""
     out = []
-    for line, name, callee, position in public_options(tree):
+    for line, name, callee, position, defaulted in public_options(tree):
         owner = name.rsplit(".", 1)[0]
         if callee in listed or f"{module}.{owner}" in kept or \
                 f"{module}.{name}" in kept_options:
@@ -230,7 +233,8 @@ def unset_options(module: str, tree: ast.Module, setters, listed: set[str],
         param = name.rsplit(".", 1)[-1]
         values = set(passed_values(setters.get(callee, []), param, position))
         if values <= {None}:
-            out.append(f"{line}: {name}")
+            if defaulted:
+                out.append(f"{line}: {name}")
         elif len(values) == 1 and values != {"?"}:
             out.append(f"{line}: {name} = {values.pop()}")
     return out
@@ -340,8 +344,9 @@ KEPT = {
         "certifies that canonical labels are pairwise non-isomorphic",
 }
 
-# defaulted public parameters that no caller outside tests/ sets, or that
-# every caller sets to one literal value, each with why it stays
+# defaulted public parameters that no caller outside tests/ sets, and
+# public parameters that every caller sets to one literal value, each with
+# why it stays
 KEPT_OPTIONS = {
     "suites.radical_universes.field":
         "the radical suite's universes rebuilt over GF(3), where the "
@@ -349,6 +354,17 @@ KEPT_OPTIONS = {
     "suites.SuiteResult.summary.with_time":
         "perfbench/workloads.py passes with_time=False, and perfbench/ "
         "changes only with the benchmark (ROADMAP item 6)",
+    "probes.probe_embedding.budget":
+        "the verdict depends on the budget: tests/test_probes.py finds a "
+        "non-short witness at budget 3, the short-probes suite certifies "
+        "its stage embeddings short at 10",
+    "tube.mesh_sweep.max_len":
+        "tests/test_tube.py checks the sweep word by word at length 6; the "
+        "mesh suite sweeps at 8",
+    "tube.SymbolicTube.psibar_matrix.l":
+        "depth l >= 1 is the ladder the coray inverse limit is checked on "
+        "(ROADMAP item 1 (ii)); tests/test_tube.py composes it at every "
+        "depth",
 }
 
 
@@ -544,9 +560,9 @@ def test_unset_options_are_found():
     tree = ast.parse(src)
     callers = ast.parse(
         "TABLE = {'t': tabled}\n"
-        "by_keyword(0, kw=k)\nby_position(0, p)\nby_star(*args)\n"
-        "by_starstar(0, **opts)\nunset(0)\nC(x).m(y)\nC.s(w)\n")
-    tests = ast.parse("only_tested(0, tested=t)\nC().m(z=1)\n")
+        "by_keyword(a, kw=k)\nby_position(a, p)\nby_star(*args)\n"
+        "by_starstar(a, **opts)\nunset(a)\nC(x).m(y)\nC.s(w)\n")
+    tests = ast.parse("only_tested(a, tested=t)\nC().m(z=1)\n")
     kept_options = {"m.kept.why"}
     assert unset_options("m", tree, *option_setters([tree, callers]), {},
                          kept_options) == [
@@ -570,15 +586,38 @@ def test_one_value_options_are_found():
     callers = ast.parse(
         "fixed(0, flag=False)\nfixed(1, False)\n"
         "negative(0, k=-1)\nnegative(1, -1)\n"
-        "varied(0, 2)\nvaried(0, n=3)\n"
-        "defaulted(0, t=10)\ndefaulted(0)\n"
-        "computed(0, size=len(a))\ncomputed(0, size=len(a))\n"
+        "varied(a, 2)\nvaried(a, n=3)\n"
+        "defaulted(a, t=10)\ndefaulted(a)\n"
+        "computed(a, size=len(a))\ncomputed(a, size=len(a))\n"
         "C().m(on=True)\n")
     # one literal everywhere is a constant; two literals, a literal and
     # the default, or an expression each make a real option
     assert unset_options("m", tree, *option_setters([tree, callers]), {},
                          {}) == ["1: fixed.flag = False",
                                  "3: negative.k = -1", "12: C.m.on = True"]
+
+
+def test_one_value_parameters_without_default_are_found():
+    src = ("def fixed(a, b):\n    pass\n"
+           "def varied(a, b):\n    pass\n"
+           "def keyword(a, *, k):\n    pass\n"
+           "def unread(a):\n    pass\n"
+           "class C:\n"
+           "    def __init__(self, x):\n        pass\n"
+           "    def m(self, i):\n        pass\n"
+           "    @staticmethod\n"
+           "    def s(w):\n        pass\n")
+    tree = ast.parse(src)
+    callers = ast.parse(
+        "fixed(a, 0)\nfixed(b, b=0)\n"
+        "varied(0, 1)\nvaried(1, b)\n"
+        "keyword(a, k='x')\n"
+        "C(2).m(0)\nC(3).m(0)\nC.s(w)\n")
+    # a parameter with no default is never unset, but one literal in
+    # every call makes it as much a constant as a default would
+    assert unset_options("m", tree, *option_setters([tree, callers]), {},
+                         {}) == ["1: fixed.b = 0", "5: keyword.k = 'x'",
+                                 "12: C.m.i = 0"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),

@@ -10,8 +10,10 @@ from ppmod.modules import (Module, direct_sum, free_module, hom_space,
                            submodule)
 from ppmod.catalog import (dvr_chain_module, dvr_universe,
                            kronecker_preinjective, kronecker_preprojective,
-                           kronecker_regular, kronecker_universe)
+                           kronecker_regular, kronecker_rep,
+                           kronecker_universe)
 from ppmod.algebra import kronecker_algebra, truncated_dvr
+from ppmod.decompose import decompose
 
 F2 = GF(2)
 
@@ -147,6 +149,23 @@ def test_iso_test_distinguishes_regulars(kron):
     r1 = kronecker_regular(kron, 1, 1)
     assert iso_test(r0, r1) is None
     assert iso_test(r0, kronecker_regular(kron, 0, 1)) is not None
+
+
+@pytest.mark.parametrize("p, b, size", [(2, [[0, 1], [1, 1]], 47),
+                                        (3, [[0, 1], [2, 0]], 58)])
+def test_kronecker_universe_misses_the_degree_two_tubes(p, b, size):
+    # a = 1 and b without an eigenvalue in GF(p): the quasi-simple of the
+    # tube at the closed point of b's irreducible characteristic polynomial,
+    # of degree 2, which kronecker_universe does not list (ROADMAP item 11)
+    alg = kronecker_algebra(GF(p))
+    m = kronecker_rep(alg, 2, 2, [[1, 0], [0, 1]], b)
+    summands = decompose(m).summands
+    assert len(summands) == 1
+    # End(M) is the field of p^2 elements
+    assert (summands[0].end_dim, summands[0].end_rad_dim) == (2, 0)
+    universe = kronecker_universe(alg, 4)
+    assert len(universe) == size
+    assert all(iso_test(m, u) is None for u in universe)
 
 
 def test_iso_test_finds_isomorphism_between_large_kronecker_sums(kron):

@@ -126,14 +126,14 @@ def test_free_realization_of_divisibility(d2):
     fr = phi.free_realization()
     # the realization is k[x]/(x^2) with distinguished element x
     assert fr.module.dim == 2
-    gen = pp_type_generator_of_element(fr.module, fr.row.row(0))
+    gen = pp_type_generator_of_element(fr.module, fr.row.data[0])
     assert gen.equivalent(phi)
 
 
 def test_free_realization_of_bottom(d2):
     phi = bottom(d2)
     fr = phi.free_realization()
-    assert all(c == F2.zero() for c in fr.row.row(0))
+    assert all(c == F2.zero() for c in fr.row.data[0])
     assert phi.implies(annihilator(d2, x_el(d2)))  # bottom implies everything
     assert phi.implies(divisibility(d2, x_el(d2)))
 
@@ -394,7 +394,7 @@ def implies_by_system(phi, psi):
     xs = fr.row * system.take_rows(range(k))
     ys = Subspace.from_matrix(system.cols,
                               system.take_rows(range(k, system.rows)))
-    return ys.contains_vector(xs.row(0))
+    return ys.contains_vector(xs.data[0])
 
 
 def edge_formulas(alg):
@@ -706,7 +706,7 @@ def test_free_realization_matches_the_presentation_route(alg):
         assert fr.module.dim == module.dim
         assert fr.module.action == module.action
         assert (fr.row.rows, fr.row.cols) == (1, phi.n * module.dim)
-        assert fr.row.row(0) == tup
+        assert fr.row.data[0] == tup
 
 
 @pytest.mark.parametrize("alg", cell_algebras(), ids=CELL_IDS)
@@ -718,7 +718,7 @@ def test_pp_type_generator_matches_the_grid(alg):
         pres = presentation_of(m)
         gens = module_generators(m)
         tuples = [(g,) for g in gens] + [tuple(gens)] + \
-            [(tuple(m.act(alg.basis_el(i)).row(0)),) for i in range(alg.dim)]
+            [(tuple(m.act(alg.basis_el(i)).data[0]),) for i in range(alg.dim)]
         for tup in tuples:
             got = pp_type_generator(pres, tup)
             assert got.hmat == grid_pp_type_generator(pres, tup).hmat
@@ -828,7 +828,7 @@ def test_a_swapped_tuple_fails_the_route_check():
         mutant = PpFormula(phi.algebra, phi.side, phi.n, phi.l, phi.hmat,
                            FreeRealization(fr.module, other))
         swapped = system_copy(
-            pp_type_generator_of_element(fr.module, other.row(0)))
+            pp_type_generator_of_element(fr.module, other.data[0]))
         differs = any(system_copy(phi).evaluate(m) != swapped.evaluate(m)
                       for m in universe)
         assert (route_mismatches([mutant], universe) != []) == differs

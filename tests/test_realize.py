@@ -6,8 +6,7 @@ from ppmod.linalg import Matrix
 from ppmod.modules import ModuleMap, iso_test, zero_map
 from ppmod.catalog import dvr_chain_module
 from ppmod.tower import build_tower
-from ppmod.tube import (FormalPath, ZERO, all_paths_from, build_ray_tube,
-                        normalize_path)
+from ppmod.tube import ZERO, all_paths_from, build_ray_tube, normalize_path
 from ppmod.realize import (_verify_squares, chain_inclusion,
                            chain_quotient, realize_in_tower, stage_bimodule,
                            verify_bimodule_idempotents,
@@ -78,14 +77,13 @@ def test_realization_functoriality_n1(tw_n1, rt_n1):
             end = q.target(word[-1])
             if end[2] > rt_n1.stages + 1:
                 continue
-            p = FormalPath(1, v, word)
             direct = None
             src = rt_n1.P[(v[1], v[2])]
             direct = ModuleMap(src, src, Matrix.identity(F2, src.dim),
                                check=False)
             for a in word:
                 direct = direct.then(rt_n1.realize_arrow(q, a))
-            np = normalize_path(q, p)
+            np = normalize_path(q, v, word)
             if np == ZERO:
                 assert direct.mat.is_zero()
             else:

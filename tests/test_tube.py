@@ -3,9 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppmod.suites import _normal_form_shape, mesh_tube_failures
-from ppmod.tube import (Arrow, FormalPath, NormalPath, SymbolicTube, ZERO,
+from ppmod.tube import (Arrow, NormalPath, SymbolicTube, ZERO,
                         all_paths_from, build_ray_tube, hom_dimension,
-                        mesh_rule_failures, mesh_sweep, normal_path_arrows, normal_path_target,
+                        mesh_rule_failures, mesh_sweep, normal_path_arrows,
                         normalize_path, parse_tube_descriptor)
 
 
@@ -41,24 +41,23 @@ def test_rim_arrow_targets_next_ray():
 def test_mesh_zero_rule():
     q = build_ray_tube(2, (1, 0), 6)
     # lam(i, n_i)[2] o mu(i, n_i)[1] dies
-    p = FormalPath(1, (1, 0, 1), (Arrow("mu", 1, 0, 1), Arrow("lam", 1, 0, 2)))
-    assert normalize_path(q, p) == ZERO
+    word = (Arrow("mu", 1, 0, 1), Arrow("lam", 1, 0, 2))
+    assert normalize_path(q, (1, 0, 1), word) == ZERO
 
 
 def test_mesh_commuting_rule():
     q = build_ray_tube(2, (1, 0), 6)
-    p = FormalPath(1, (0, 0, 2), (Arrow("mu", 0, 0, 2), Arrow("lam", 0, 0, 3)))
-    np = normalize_path(q, p)
-    assert np == NormalPath(1, (0, 0, 2), 1, 1)
+    word = (Arrow("mu", 0, 0, 2), Arrow("lam", 0, 0, 3))
+    np = normalize_path(q, (0, 0, 2), word)
+    assert np == NormalPath((0, 0, 2), 1, 1)
     # identical endpoints to the rewritten word lam;mu
-    assert normal_path_target(q, np) == (0, 1, 3)
+    assert q.target(normal_path_arrows(q, np)[-1]) == (0, 1, 3)
 
 
 def test_identity_path_normalizes_to_itself():
     q = build_ray_tube(1, (0,), 4)
-    p = FormalPath(1, (0, 0, 2), ())
-    np = normalize_path(q, p)
-    assert np == NormalPath(1, (0, 0, 2), 0, 0)
+    np = normalize_path(q, (0, 0, 2), ())
+    assert np == NormalPath((0, 0, 2), 0, 0)
 
 
 def test_confluence_exhaustive_small():
@@ -67,17 +66,16 @@ def test_confluence_exhaustive_small():
         q = build_ray_tube(m, lengths, 5)
         for v in q.vertices():
             for word in all_paths_from(q, v, 6):
-                p = FormalPath(1, v, word)
-                got = normalize_path(q, p)
-                assert got == _find_strategy(q, p, "leftmost")
-                assert got == _find_strategy(q, p, "rightmost")
+                got = normalize_path(q, v, word)
+                assert got == _find_strategy(q, v, word, "leftmost")
+                assert got == _find_strategy(q, v, word, "rightmost")
 
 
 def test_normal_form_shape_is_lam_then_mu():
     q = build_ray_tube(2, (1, 1), 6)
     for v in q.vertices():
         for word in all_paths_from(q, v, 5):
-            np = normalize_path(q, FormalPath(1, v, word))
+            np = normalize_path(q, v, word)
             if np == ZERO:
                 continue
             arrows = normal_path_arrows(q, np)
@@ -91,15 +89,12 @@ def test_phi_power_law():
     v = (0, 0, 5)
     # descend two full rims (2m = 4 lam steps), climb back 4: the square of
     # the loop at stage 5
-    loop2 = NormalPath(1, v, 4, 4)
-    word = normal_path_arrows(q, loop2)
-    single = normal_path_arrows(q, NormalPath(1, v, 2, 2))
+    loop2 = NormalPath(v, 4, 4)
+    single = normal_path_arrows(q, NormalPath(v, 2, 2))
     # composing the loop with itself normalizes to the double loop
-    comp = list(single)
     tail = normal_path_arrows(
-        q, NormalPath(1, normal_path_target(q, NormalPath(1, v, 2, 2)), 2, 2))
-    comp += tail
-    got = normalize_path(q, FormalPath(1, v, tuple(comp)))
+        q, NormalPath(q.target(single[-1]), 2, 2))
+    got = normalize_path(q, v, single + tail)
     assert got == loop2
 
 
@@ -116,11 +111,10 @@ def test_hom_dimension_ray_formula_derived():
     src, tgt = (0, 0, 3), (0, 0, 5)
     seen = set()
     for word in all_paths_from(q, src, 10):
-        p = FormalPath(1, src, word)
         last = q.target(word[-1])
         if last != tgt:
             continue
-        np = normalize_path(q, p)
+        np = normalize_path(q, src, word)
         if np != ZERO:
             seen.add(np)
     assert len(seen) == hom_dimension(q, src, tgt)
@@ -178,6 +172,25 @@ def test_symbolic_ladder_squares_commute():
                 assert lhs == rhs
 
 
+def test_length_zero_entries_compose_as_identities():
+    q = build_ray_tube(2, (1, 0), 6)
+    tube = SymbolicTube(q)
+    j = 3
+
+    def diagonal(stage):
+        return [[NormalPath((s, 0, stage), 0, 0) if s == t else None
+                 for t in range(q.m)] for s in range(q.m)]
+
+    psi = tube.psibar_matrix(0, j)
+    assert tube.compose(diagonal(j), psi) == psi
+    assert tube.compose(psi, diagonal(j + 1)) == psi
+    # the empty word normalizes like any other
+    assert tube.compose(diagonal(j), diagonal(j)) == diagonal(j)
+    # a length-0 entry must sit where the next entry starts
+    with pytest.raises(ValueError, match="non-composable"):
+        tube.compose(diagonal(j + 1), psi)
+
+
 def test_parse_tube_descriptor():
     q = parse_tube_descriptor("tube m=2 n=[1,0] horizon=6")
     assert q.m == 2 and q.ray_lengths == (1, 0) and q.horizon == 6
@@ -205,7 +218,7 @@ def test_normalize_path_rejects_a_rule_for_an_arrow_not_in_the_quiver():
     q = build_ray_tube(2, (1, 0), 6)
     word = (Arrow("mu", 5, 0, 1), Arrow("lam", 0, 0, 2))
     with pytest.raises(ValueError, match="not an arrow of the quiver"):
-        normalize_path(q, FormalPath(1, (0, 0, 1), word))
+        normalize_path(q, (0, 0, 1), word)
 
 
 def test_target_of_missing_rim_arrow_raises():
@@ -305,15 +318,15 @@ def test_compiled_tables_match_reference(case):
                 tuple(Arrow(*a) for a in rhs)
     assert q._rhs == ref_rhs
 
-    path = FormalPath(1, start, tuple(Arrow(*a) for a in word))
+    arrows = tuple(Arrow(*a) for a in word)
     if word:
-        assert q.source(path.arrows[0]) == start
+        assert q.source(arrows[0]) == start
         assert all(q.target(a) == q.source(b)
-                   for a, b in zip(path.arrows, path.arrows[1:]))
+                   for a, b in zip(arrows, arrows[1:]))
     expected = _ref_normalize(m, n, word)
     if expected != ZERO:
-        expected = NormalPath(1, start, *expected)
-    assert normalize_path(q, path) == expected
+        expected = NormalPath(start, *expected)
+    assert normalize_path(q, start, arrows) == expected
 
 
 def test_mesh_rule_certificate_flags_a_broken_rule():
@@ -356,7 +369,7 @@ def test_mesh_sweep_matches_normalize_path(m, lengths):
         assert len(word_nodes) == len(words)
         for word, nd in zip(words, word_nodes):
             left_word, left = nodes[nd]
-            assert left == normalize_path(q, FormalPath(1, v, word))
+            assert left == normalize_path(q, v, word)
             assert left_word == _leftmost_word(q, word)
             if left is not ZERO:
                 assert list(left_word) == normal_path_arrows(q, left)
@@ -390,11 +403,11 @@ def test_mesh_tube_check_flags_a_broken_rule():
     assert {"rule", "shape"} <= kinds
 
 
-def _find_strategy(q, p, strategy):
+def _find_strategy(q, start, arrows, strategy):
     """Rewriting with each redex found by str.find ("leftmost") or
     str.rfind ("rightmost"), as a reference for normalize_path."""
     find = str.find if strategy == "leftmost" else str.rfind
-    word, kinds = list(p.arrows), "".join(a.kind[0] for a in p.arrows)
+    word, kinds = list(arrows), "".join(a.kind[0] for a in arrows)
     while (t := find(kinds, "ml")) >= 0:
         rhs = q._rhs[word[t]]
         if rhs is ZERO:
@@ -402,7 +415,7 @@ def _find_strategy(q, p, strategy):
         word[t], word[t + 1] = rhs
         kinds = f"{kinds[:t]}lm{kinds[t + 2:]}"
     nlam = kinds.count("l")
-    return NormalPath(p.coeff, p.start, nlam, len(kinds) - nlam)
+    return NormalPath(start, nlam, len(kinds) - nlam)
 
 
 class _RecordingRules(dict):
@@ -419,15 +432,14 @@ def test_redex_table_matches_find_on_every_short_word():
     orders_differ = 0
     for v in q.vertices():
         for word in all_paths_from(q, v, 7):
-            p = FormalPath(1, v, word)
             rules.log = []
-            got = normalize_path(q, p)
+            got = normalize_path(q, v, word)
             got_log, rules.log = rules.log, []
-            assert got == _find_strategy(q, p, "leftmost")
+            assert got == _find_strategy(q, v, word, "leftmost")
             # the same rewrites, in the same order
             assert got_log == rules.log
             rules.log = []
-            assert got == _find_strategy(q, p, "rightmost")
+            assert got == _find_strategy(q, v, word, "rightmost")
             orders_differ += got_log != rules.log
     assert orders_differ > 0
 
@@ -458,7 +470,7 @@ def _per_word_mesh_failures(q):
         shapes = {}
         for word in all_paths_from(q, v, 8):
             paths += 1
-            left = normalize_path(q, FormalPath(1, v, word))
+            left = normalize_path(q, v, word)
             left_word = _leftmost_word(q, word)
             if left is ZERO:
                 continue
