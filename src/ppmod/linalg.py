@@ -1,8 +1,8 @@
-"""Dense exact matrices and canonical subspaces.
+"""Exact matrices and canonical subspaces.
 
-Everything is dense and exact; instances in scope stay well below 200x200.
-Subspaces of k^d are kept in reduced row-echelon form, so set equality is
-structural equality and subspaces are hashable.
+Matrices are dense and exact, but for the system of a hom space (see
+`intertwiners` below).  Subspaces of k^d are kept in reduced row-echelon
+form, so set equality is structural equality and subspaces are hashable.
 
 A matrix stores its rows as ints, `Matrix.ints`, in a canonical form per
 field, so that equal matrices store equal rows:
@@ -25,12 +25,22 @@ built on first use (bits unpacked, or Fractions made) and cached.
 Fractions come in only through the constructor, the coefficients of
 `combination` and `Subspace.contains_vector`, and go out only as `data`.
 
-Kernels, hom spaces, pp values, preimages and meets come from
-`projected_kernel`: the first k coordinates of {v : v a = 0}, in RREF.
-Over GF(2) it is one elimination of the rows tagged with their index bits;
-over GF(p) and QQ the wider tagged system is slower than reading the
-solutions off the reduced transpose (`_cut_right_kernel`, which right
-kernels call directly).
+Kernels, pp values, preimages and meets come from `projected_kernel`:
+the first k coordinates of {v : v a = 0}, in RREF.  Over GF(2) it is one
+elimination of the rows tagged with their index bits; over GF(p) and QQ
+the wider tagged system is slower than reading the solutions off the
+reduced transpose (`_cut_right_kernel`, which right kernels call
+directly).
+
+Hom spaces come from `intertwiners`.  Its system A F = F B has dm * dn
+unknowns (1,681 for a 41-dimensional module against itself) but at most
+dm + dn nonzeros per row.  Over GF(p) and QQ the rows are dicts
+{column: int}, reduced once by `_sparse_rref` with the normalisers above,
+pivots taken from the last column to the first.  Each reduced row is then
+zero right of its pivot and at every other pivot, so the solution of a
+free column j is zero left of j and at every other free column: it is the
+row with pivot j of the kernel's RREF, which is unique, and no second
+elimination is needed.  Over GF(2) the system is packed like any other.
 
 No other module knows how a matrix stores its rows.  They build, flatten
 and cut matrices with `block`, `Matrix.reshape`, `vectorized`, the row and
@@ -442,28 +452,42 @@ def intertwiners(lefts, rights, dm: int, dn: int) -> list[Matrix]:
                                                            dm, dn), nunk, f)
         return [ker.take_rows((i,)).reshape(dm, dn) for i in range(ker.rows)]
     p = f.p
-    data = []
+    rows = []
     for am, an in zip(lefts, rights):
-        # cleared of denominators: A's rows scaled by B's den, -B's by A's
+        # cleared of denominators: A's rows scaled by B's den, B's by A's
         den = am.den * an.den
+        bcols = list(zip(*_scaled(an, den)))
         # row (r, c): A[r][s] at F[s][c] and -B[t][c] at F[r][t]; the two
-        # meet only at F[r][c], the one entry that can leave range(p)
-        neg_cols = list(zip(*_scaled(-an, den)))
+        # meet only at F[r][c]
         for r, arow in enumerate(_scaled(am, den)):
             off = r * dn
-            for c, ncol in enumerate(neg_cols):
-                row = [0] * nunk
-                for s, x in enumerate(arow):
-                    if x:
-                        row[s * dn + c] = x
-                for t, y in enumerate(ncol):
+            for c, bcol in enumerate(bcols):
+                row = {s * dn + c: x for s, x in enumerate(arow) if x}
+                for t, y in enumerate(bcol):
                     if y:
-                        row[off + t] += y
-                if p is not None:
-                    row[off + c] %= p
-                data.append(tuple(row))
-    ker = Matrix._of_stored(f, len(data), nunk, tuple(data)).right_kernel()
-    return [ker.take_rows((i,)).reshape(dm, dn) for i in range(ker.rows)]
+                        row[off + t] = row.get(off + t, 0) - y
+                rows.append({k: x for k, x in row.items() if x}
+                            if p is None else
+                            {k: x % p for k, x in row.items() if x % p})
+    red = _sparse_rref(rows, p)
+    # free column j: d e_j less row_m[j] d / row_m[m] e_m at each pivot m,
+    # the RREF kernel row with pivot j (see the module docstring)
+    at = {}  # free column -> [(pivot, entry of its row there)]
+    for m, row in red.items():
+        for k, x in row.items():
+            if k != m:
+                at.setdefault(k, []).append((m, x))
+    out = []
+    for j in (j for j in range(nunk) if j not in red):
+        hits = at.get(j, ())
+        d = lcm(*[red[m][m] for m, _ in hits])  # 1 over GF(p)
+        v = [0] * nunk
+        v[j] = d
+        for m, x in hits:
+            v[m] = -x * (d // red[m][m])
+        out.append(Matrix._of_ints(f, dm, dn, [v[i * dn:(i + 1) * dn]
+                                               for i in range(dm)], d))
+    return out
 
 
 def _intertwining_rows_f2(lefts, rights, dm: int, dn: int) -> tuple[int, ...]:
@@ -605,6 +629,57 @@ def _rref_mod(data, cols: int, p: int):
                 r[col:] = [(x - c * y) % p for x, y in zip(r[col:], tail)]
         pivots.append(col)
     return rows[:len(pivots)], tuple(pivots)
+
+
+def _sparse_rref(rows, p):
+    """Gauss-Jordan over GF(p) (p None: QQ) on rows {column: int} without
+    zero entries, pivots from the last column to the first: {pivot: its
+    row}, each row zero right of its pivot and at every other pivot, and
+    1 at its pivot over GF(p).  A new row is reduced until its last
+    column is no pivot yet; then, in ascending pivot order, each row is
+    cleared by the rows before it."""
+    red = {}
+    for row in rows:
+        while row:
+            m = max(row)
+            if m not in red:
+                if p is not None:
+                    inv = pow(row[m], p - 2, p)
+                    row = {k: x * inv % p for k, x in row.items()}
+                red[m] = row
+                break
+            row = _sparse_clear(row, red[m], m, p)
+    for m in sorted(red):
+        row = red[m]
+        for k in [k for k in row if k != m and k in red]:
+            row = _sparse_clear(row, red[k], k, p)
+        red[m] = row
+    return red
+
+
+def _sparse_clear(row, prow, col: int, p):
+    """row less the multiple of the pivot row prow that clears column col:
+    c prow, with c = row[col], over GF(p), where prow[col] = 1; over QQ
+    fraction-free, (a/g) row - (c/g) prow with a = prow[col] and
+    g = gcd(a, c), its content then divided out."""
+    s, c = 1, row[col]
+    if p is None:
+        g = gcd(prow[col], c)
+        s, c = prow[col] // g, c // g
+    row = {k: s * x for k, x in row.items()}
+    for k, y in prow.items():
+        x = row.get(k, 0) - c * y
+        if p is not None:
+            x %= p
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+    if p is None:
+        g = gcd(*row.values())
+        if g > 1:
+            row = {k: x // g for k, x in row.items()}
+    return row
 
 
 def _rref_qq(data, cols: int):

@@ -261,7 +261,17 @@ def _append(rhs, left: tuple, nlam: int, a: Arrow):
 def normalize_path(q: TranslationQuiver, start: Vertex, arrows):
     """Rewrite the arrow word from start, in diagram order (first applied
     first), to the canonical NormalPath (or ZERO) using the mesh rules,
-    leftmost first."""
+    leftmost first.  ValueError names the first arrow that does not start
+    where the word stands (at start, or where the arrow before it ends)."""
+    if not q.is_vertex(start):
+        raise ValueError(f"{start} is not a vertex of the quiver")
+    arrows = tuple(arrows)
+    v = start
+    for n, a in enumerate(arrows):
+        if q.source(a) != v:
+            raise ValueError(f"arrow {n} of the word, {a}, starts at "
+                             f"{q.source(a)}, not at {v}")
+        v = q.target(a)
     rhs = q._rhs
     left, nlam = (), 0
     for a in arrows:

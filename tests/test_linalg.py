@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from ppmod.algebra import truncated_dvr
 from ppmod.fields import GF, QQ
-from ppmod.linalg import (Matrix, Subspace, block, combination,
-                          intertwiners, projected_kernel,
+from ppmod.linalg import (Matrix, Subspace, block, block_diagonal,
+                          combination, intertwiners, projected_kernel,
                           quotient_projection, span_elements, subspace_leq,
                           subspace_meet, subspace_sum, vectorized)
 
@@ -660,23 +660,33 @@ def test_block_matches_elementwise_assembly(inp):
 
 def kronecker_system(pairs, dm, dn):
     """The rows of A F - F B = 0 in the row-major unknowns of F, built
-    entry by entry: A kron I - I kron B^T for each pair."""
+    entry by entry: A kron I - I kron B^T for each pair.  Row (r, c) has
+    A[r][s] at F[s][c] and -B[t][c] at F[r][t], and is zero elsewhere."""
     f = pairs[0][0].field
     rows = []
     for a, b in pairs:
+        ad, bd = a.data, b.data
         for r in range(dm):
             for c in range(dn):
                 row = [f.zero()] * (dm * dn)
                 for s in range(dm):
-                    for t in range(dn):
-                        x = f.zero()
-                        if t == c:
-                            x = f.of(x + a.data[r][s])
-                        if s == r:
-                            x = f.of(x - b.data[t][c])
-                        row[s * dn + t] = x
+                    row[s * dn + c] = f.of(row[s * dn + c] + ad[r][s])
+                for t in range(dn):
+                    row[r * dn + t] = f.of(row[r * dn + t] - bd[t][c])
                 rows.append(row)
     return Matrix(f, len(rows), dm * dn, rows)
+
+
+def dense_intertwiners(pairs, dm, dn):
+    """The reference basis: the dense canonical kernel of the system,
+    Matrix.right_kernel(), one row per basis element, reshaped."""
+    ker = kronecker_system(pairs, dm, dn).right_kernel()
+    return [ker.take_rows((i,)).reshape(dm, dn) for i in range(ker.rows)]
+
+
+def assert_same_basis(got, want):
+    assert [(m.rows, m.cols, m.den, m.ints) for m in got] == \
+        [(m.rows, m.cols, m.den, m.ints) for m in want]
 
 
 @st.composite
@@ -709,6 +719,69 @@ def test_intertwiners_match_sympy_kronecker_nullspace(inp):
     vec = vectorized(f, basis, dm * dn)
     assert vec.rref()[0] == vec
     assert [list(r) for r in vec.data] == oracle
+
+
+SPARSE_FIELDS = [F3, GF(5), GF(7), QQ]
+
+
+@st.composite
+def fill_in_input(draw):
+    """1..2 pairs (A, B), A dm x dm and B dn x dn with dm, dn in 0..6,
+    over GF(3), GF(5), GF(7) or QQ: B = A, B = A + C block-diagonal (A a
+    direct summand of B) or B random.  Entries are drawn zero more often
+    than not, so the systems are sparse, as those of modules are."""
+    f = draw(st.sampled_from(SPARSE_FIELDS))
+    nonzero = st.integers(1, f.p - 1) if f.p else \
+        st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    entry = st.one_of(st.just(0), st.just(0), nonzero)
+    kind = draw(st.sampled_from(["same", "summand", "random"]))
+    dm = draw(st.integers(0, 6))
+    if kind == "same":
+        dn = dm
+    else:
+        dn = draw(st.integers(dm if kind == "summand" else 0, 6))
+    pairs = []
+    for _ in range(draw(st.integers(1, 2))):
+        a = draw(field_matrix(f, dm, dm, entry))
+        if kind == "same":
+            b = a
+        elif kind == "summand":
+            b = block_diagonal(f, [a, draw(field_matrix(f, dn - dm, dn - dm,
+                                                        entry))])
+        else:
+            b = draw(field_matrix(f, dn, dn, entry))
+        pairs.append((a, b))
+    return pairs, dm, dn
+
+
+@settings(max_examples=200, deadline=None)
+@given(fill_in_input())
+def test_intertwiners_equal_the_dense_kernel_element_for_element(inp):
+    pairs, dm, dn = inp
+    basis = intertwiners([a for a, _ in pairs], [b for _, b in pairs],
+                         dm, dn)
+    assert_same_basis(basis, dense_intertwiners(pairs, dm, dn))
+    assert all(a * m == m * b for m in basis for a, b in pairs)
+
+
+@pytest.mark.parametrize("field, chains, end_dim", [
+    (F3, (24,), 24), (QQ, (24,), 24), (F3, (24, 12, 5), 85),
+], ids=["gf3-24", "qq-24", "gf3-24-12-5"])
+def test_large_end_rings_equal_the_dense_kernel(field, chains, end_dim):
+    """End(V/m^24) and End(V/m^24 + V/m^12 + V/m^5), dimensions 24 and 41:
+    the intertwining system of the algebra's generators, 576 and 1,681
+    unknowns, gives the dense kernel's basis element for element, and
+    every element commutes with the whole action."""
+    from ppmod.catalog import dvr_chain_module
+    from ppmod.modules import direct_sum
+    alg = truncated_dvr(24, field)
+    m = direct_sum([dvr_chain_module(alg, j) for j in chains])[0]
+    pairs = [(m.action[g], m.action[g]) for g in alg.generators]
+    basis = intertwiners([a for a, _ in pairs], [b for _, b in pairs],
+                         m.dim, m.dim)
+    assert len(basis) == end_dim
+    assert_same_basis(basis, dense_intertwiners(pairs, m.dim, m.dim))
+    assert all(a * e == e * a for e in basis for a in m.action)
 
 
 @settings(max_examples=200, deadline=None)

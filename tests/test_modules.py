@@ -378,3 +378,26 @@ def test_hom_bases_are_kept_on_the_source():
     # neither module
     assert list(m._homs) == [n.serial] and n._homs == {}
     assert all(type(mat) is Matrix for mat in m._homs[n.serial])
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
+def test_hom_space_runs_no_dense_elimination(field, monkeypatch):
+    """Over GF(p) and QQ the intertwining system is reduced once,
+    sparsely: neither the dense rref nor the kernel read off it runs."""
+    import ppmod.linalg
+    dvr, kron = truncated_dvr(6, field), kronecker_algebra(field)
+    pairs = [(direct_sum([dvr_chain_module(dvr, 6),
+                          dvr_chain_module(dvr, 3)])[0],
+              dvr_chain_module(dvr, 4), 7),
+             (kronecker_preprojective(kron, 1),
+              kronecker_regular(kron, 1, 2), 2)]
+    for alg in (dvr, kron):
+        alg.generators  # found once per algebra, by dense eliminations
+
+    def refuse(*args):
+        raise AssertionError("dense elimination in hom_space")
+    monkeypatch.setattr(Matrix, "rref", refuse)
+    monkeypatch.setattr(ppmod.linalg, "_cut_right_kernel", refuse)
+    dims = [len(hom_space(m, n)) for m, n, _ in pairs]
+    monkeypatch.undo()
+    assert dims == [d for _, _, d in pairs]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -219,6 +221,26 @@ def test_normalize_path_rejects_a_rule_for_an_arrow_not_in_the_quiver():
     word = (Arrow("mu", 5, 0, 1), Arrow("lam", 0, 0, 2))
     with pytest.raises(ValueError, match="not an arrow of the quiver"):
         normalize_path(q, (0, 0, 1), word)
+
+
+@pytest.mark.parametrize("word, message", [
+    ((Arrow("lam", 1, 0, 4),),
+     "arrow 0 of the word, lam(1,0)[4], starts at (1, 0, 4), not at "
+     "(0, 0, 1)"),
+    ((Arrow("mu", 0, 0, 1), Arrow("mu", 0, 0, 1)),
+     "arrow 1 of the word, mu(0,0)[1], starts at (0, 0, 1), not at "
+     "(0, 0, 2)"),
+], ids=["not-at-start", "not-composable"])
+def test_normalize_path_refuses_a_word_that_does_not_compose(word, message):
+    q = build_ray_tube(2, (1, 0), 6)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        normalize_path(q, (0, 0, 1), word)
+
+
+def test_normalize_path_refuses_a_start_off_the_quiver():
+    q = build_ray_tube(2, (1, 0), 6)
+    with pytest.raises(ValueError, match="not a vertex"):
+        normalize_path(q, (5, 0, 1), ())
 
 
 def test_target_of_missing_rim_arrow_raises():
