@@ -42,7 +42,8 @@ def dvr_chain_module(alg: FDAlgebra, j: int) -> Module:
 
 def _shift(f, n: int) -> Matrix:
     """The n x n nilpotent shift, e_r -> e_{r+1} on row vectors."""
-    return Matrix.identity(f, n + 1).submatrix(range(1, n + 1), range(n))
+    return Matrix.identity(f, n + 1).take_rows(range(1, n + 1)).take_cols(
+        range(n))
 
 
 def dvr_universe(alg: FDAlgebra, dim_cap: int) -> list[Module]:

@@ -1,8 +1,7 @@
 """Exact matrices and canonical subspaces.
 
-Matrices are dense and exact, but for the system of a hom space (see
-`intertwiners` below).  Subspaces of k^d are kept in reduced row-echelon
-form, so set equality is structural equality and subspaces are hashable.
+Subspaces of k^d are kept in reduced row-echelon form, so set equality is
+structural equality and subspaces are hashable.
 
 A matrix stores its rows as ints, `Matrix.ints`, in a canonical form per
 field, so that equal matrices store equal rows:
@@ -15,9 +14,9 @@ GF(p) is the den = 1 case of the QQ form.  Every GF(p) and QQ operation
 computes integer rows over a denominator in one piece of code, and only
 the normaliser differs: one `% p` per entry (`Matrix._of_ints`), or the
 gcd of den and the entries divided out (`Matrix._of_stored`).  Over QQ a
-product is over the product of the denominators, a combination over
-their lcm, and `rref` is fraction-free (`_rref_qq`); no operation calls
-a `Field` method or does Fraction arithmetic.
+product is over the product of the denominators and a combination over
+their lcm; no operation calls a `Field` method or does Fraction
+arithmetic.
 
 `Matrix.data`, the rows as tuples of field elements, is available for
 every field: over GF(p) it is `ints` itself; over GF(2) and QQ it is
@@ -25,22 +24,26 @@ built on first use (bits unpacked, or Fractions made) and cached.
 Fractions come in only through the constructor, the coefficients of
 `combination` and `Subspace.contains_vector`, and go out only as `data`.
 
-Kernels, pp values, preimages and meets come from `projected_kernel`:
-the first k coordinates of {v : v a = 0}, in RREF.  Over GF(2) it is one
-elimination of the rows tagged with their index bits; over GF(p) and QQ
-the wider tagged system is slower than reading the solutions off the
-reduced transpose (`_cut_right_kernel`, which right kernels call
-directly).
+GF(p) and QQ have one elimination, `_sparse_rref`: Gauss-Jordan on rows
+{column: int}, pivots taken from the last column to the first, with a
+Fermat inverse over GF(p) and fraction-free updates over QQ.  Each
+reduced row is zero right of its pivot and at every other pivot.
+`Matrix.rref` hands it column j as column cols - 1 - j, so the pivots
+come out leftmost first, and puts the rows over the lcm of their pivot
+entries.
 
-Hom spaces come from `intertwiners`.  Its system A F = F B has dm * dn
+Kernels, pp values, preimages, meets and hom spaces are the first k
+coordinates of the solutions of a system, in RREF (`projected_kernel`,
+`Matrix.right_kernel`, `intertwiners`).  Over GF(2) that is one
+elimination of the rows tagged with their index bits.  Over GF(p) and QQ
+it is read off `_sparse_rref` of the system (`_sparse_kernel`): the
+solution of a free column j is zero left of j and at every other free
+column, so it is the row with pivot j of the kernel's RREF, which is
+unique.  The rows with j >= k are zero on the first k coordinates, and
+the rest, cut there, are the RREF of the projection; no second
+elimination runs.  The system of a hom space, A F = F B, has dm * dn
 unknowns (1,681 for a 41-dimensional module against itself) but at most
-dm + dn nonzeros per row.  Over GF(p) and QQ the rows are dicts
-{column: int}, reduced once by `_sparse_rref` with the normalisers above,
-pivots taken from the last column to the first.  Each reduced row is then
-zero right of its pivot and at every other pivot, so the solution of a
-free column j is zero left of j and at every other free column: it is the
-row with pivot j of the kernel's RREF, which is unique, and no second
-elimination is needed.  Over GF(2) the system is packed like any other.
+dm + dn nonzeros per row; over GF(2) it is packed like any other.
 
 No other module knows how a matrix stores its rows.  They build, flatten
 and cut matrices with `block`, `Matrix.reshape`, `vectorized`, the row and
@@ -279,9 +282,6 @@ class Matrix:
         return Matrix._of_stored(self.field, self.rows + other.rows, self.cols,
                                  a + b, den)
 
-    def submatrix(self, row_idx, col_idx) -> "Matrix":
-        return self.take_rows(row_idx).take_cols(col_idx)
-
     def take_rows(self, row_idx) -> "Matrix":
         stored = self.ints
         rows = tuple([stored[i] for i in row_idx])
@@ -331,21 +331,31 @@ class Matrix:
             return (Matrix._of_stored(f, len(red), self.cols,
                                       tuple(r for r, _ in red)),
                     tuple(p for _, p in red))
-        if f.p is None:
-            rows, den, pivots = _rref_qq(self.ints, self.cols)
-        else:
-            (rows, pivots), den = _rref_mod(self.ints, self.cols, f.p), 1
-        return Matrix._of_stored(f, len(rows), self.cols,
-                                 tuple(map(tuple, rows)), den), pivots
+        # column j is key c - j, so the pivots come out leftmost first; the
+        # reduced rows are put over the lcm of their pivot entries
+        c = self.cols - 1
+        red = _sparse_rref([{c - j: x for j, x in enumerate(r) if x}
+                            for r in self.ints], f.p)
+        keys = sorted(red, reverse=True)
+        den = lcm(*[red[m][m] for m in keys])  # 1 over GF(p)
+        rows = []
+        for m in keys:
+            s = den // red[m][m]
+            v = [0] * self.cols
+            for k, x in red[m].items():
+                v[c - k] = s * x
+            rows.append(tuple(v))
+        return (Matrix._of_stored(f, len(rows), self.cols, tuple(rows), den),
+                tuple(c - m for m in keys))
 
     def rank(self) -> int:
         return self.rref()[0].rows
 
     def right_kernel(self) -> "Matrix":
         """Canonical basis (RREF) of {v : A v^T = 0}, one row per basis vector."""
-        if self.field.p != 2:
-            return _cut_right_kernel(self, self.cols)
-        return projected_kernel(self.transpose(), self.cols)
+        if self.field.p == 2:
+            return projected_kernel(self.transpose(), self.cols)
+        return _sparse_kernel(_dict_rows(self.ints), self.cols, self.field)
 
     def left_kernel(self) -> "Matrix":
         """Canonical basis of {v : v A = 0}."""
@@ -450,8 +460,16 @@ def intertwiners(lefts, rights, dm: int, dn: int) -> list[Matrix]:
     if f.p == 2:
         ker = right_kernel_packed_f2(_intertwining_rows_f2(lefts, rights,
                                                            dm, dn), nunk, f)
-        return [ker.take_rows((i,)).reshape(dm, dn) for i in range(ker.rows)]
-    p = f.p
+    else:
+        ker = _sparse_kernel(_intertwining_rows(lefts, rights, dn, f.p),
+                             nunk, f)
+    return [ker.take_rows((i,)).reshape(dm, dn) for i in range(ker.rows)]
+
+
+def _intertwining_rows(lefts, rights, dn: int, p) -> list[dict]:
+    """Rows {column: int} of the intertwining system over GF(p) (p None:
+    QQ): the unknown F[s][c] is column s * dn + c, and row (pair, r, c)
+    says (A F - F B)[r][c] = 0."""
     rows = []
     for am, an in zip(lefts, rights):
         # cleared of denominators: A's rows scaled by B's den, B's by A's
@@ -469,25 +487,7 @@ def intertwiners(lefts, rights, dm: int, dn: int) -> list[Matrix]:
                 rows.append({k: x for k, x in row.items() if x}
                             if p is None else
                             {k: x % p for k, x in row.items() if x % p})
-    red = _sparse_rref(rows, p)
-    # free column j: d e_j less row_m[j] d / row_m[m] e_m at each pivot m,
-    # the RREF kernel row with pivot j (see the module docstring)
-    at = {}  # free column -> [(pivot, entry of its row there)]
-    for m, row in red.items():
-        for k, x in row.items():
-            if k != m:
-                at.setdefault(k, []).append((m, x))
-    out = []
-    for j in (j for j in range(nunk) if j not in red):
-        hits = at.get(j, ())
-        d = lcm(*[red[m][m] for m, _ in hits])  # 1 over GF(p)
-        v = [0] * nunk
-        v[j] = d
-        for m, x in hits:
-            v[m] = -x * (d // red[m][m])
-        out.append(Matrix._of_ints(f, dm, dn, [v[i * dn:(i + 1) * dn]
-                                               for i in range(dm)], d))
-    return out
+    return rows
 
 
 def _intertwining_rows_f2(lefts, rights, dm: int, dn: int) -> tuple[int, ...]:
@@ -607,30 +607,6 @@ def _int_product(a, b, cols: int) -> list[list[int]]:
     return out
 
 
-def _rref_mod(data, cols: int, p: int):
-    """Gauss-Jordan over GF(p) on int rows: the nonzero reduced rows and
-    their pivot columns.  The pivot row is zero left of the pivot column,
-    so an update touches only the columns from there on."""
-    rows = [list(r) for r in data]
-    pivots = []
-    for col in range(cols):
-        rank = len(pivots)
-        sel = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if sel is None:
-            continue
-        inv = pow(rows[sel][col], p - 2, p)
-        pr = rows[sel]
-        tail = pr[col:] = [x * inv % p for x in pr[col:]]
-        rows[sel] = rows[rank]
-        rows[rank] = pr
-        for r in rows:
-            c = r[col]
-            if c and r is not pr:
-                r[col:] = [(x - c * y) % p for x, y in zip(r[col:], tail)]
-        pivots.append(col)
-    return rows[:len(pivots)], tuple(pivots)
-
-
 def _sparse_rref(rows, p):
     """Gauss-Jordan over GF(p) (p None: QQ) on rows {column: int} without
     zero entries, pivots from the last column to the first: {pivot: its
@@ -657,6 +633,35 @@ def _sparse_rref(rows, p):
     return red
 
 
+def _sparse_kernel(rows, k: int, field: Field) -> Matrix:
+    """Canonical (RREF) basis of the first k coordinates of the solutions
+    of a GF(p) or QQ system given as rows {column: int}, from one
+    `_sparse_rref`.  Each reduced row is zero right of its pivot and at
+    every other pivot, so the solution of a free column j (d e_j less
+    row_m[j] d / row_m[m] e_m at each pivot m) is zero left of j and at
+    every other free column: the kernel's RREF row with pivot j.  Those
+    with j >= k are zero on the first k coordinates, and the rest, cut
+    there, are already the RREF of the projection; only the rows with a
+    pivot m < k reach it."""
+    red = _sparse_rref(rows, field.p)
+    den = lcm(*[row[m] for m, row in red.items() if m < k])  # 1 over GF(p)
+    sols = {j: [0] * k for j in range(k) if j not in red}
+    for j, v in sols.items():
+        v[j] = den
+    for m, row in red.items():
+        if m < k:
+            s = den // row[m]
+            for j, x in row.items():
+                if j != m:
+                    sols[j][m] = -x * s
+    return Matrix._of_ints(field, len(sols), k, list(sols.values()), den)
+
+
+def _dict_rows(rows):
+    """Integer rows as rows {column: int} without zero entries."""
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
 def _sparse_clear(row, prow, col: int, p):
     """row less the multiple of the pivot row prow that clears column col:
     c prow, with c = row[col], over GF(p), where prow[col] = 1; over QQ
@@ -666,7 +671,7 @@ def _sparse_clear(row, prow, col: int, p):
     if p is None:
         g = gcd(prow[col], c)
         s, c = prow[col] // g, c // g
-    row = {k: s * x for k, x in row.items()}
+    row = dict(row) if s == 1 else {k: s * x for k, x in row.items()}
     for k, y in prow.items():
         x = row.get(k, 0) - c * y
         if p is not None:
@@ -680,38 +685,6 @@ def _sparse_clear(row, prow, col: int, p):
         if g > 1:
             row = {k: x // g for k, x in row.items()}
     return row
-
-
-def _rref_qq(data, cols: int):
-    """Fraction-free Gauss-Jordan over QQ on integer rows with the same
-    spans: a row is cleared at a pivot column by (a/g) row - (c/g) pivot
-    row, where a and c are the two entries and g = gcd(a, c), and is then
-    divided by the gcd of its entries, which keeps them small.  Returns
-    the reduced rows over one denominator, that denominator and the pivot
-    columns."""
-    rows = list(data)
-    pivots = []
-    for col in range(cols):
-        rank = len(pivots)
-        sel = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        pr = rows[rank]
-        a = pr[col]
-        for i, r in enumerate(rows):
-            c = r[col]
-            if c and i != rank:
-                g = gcd(a, c)
-                s, t = a // g, c // g
-                r = [s * x - t * y for x, y in zip(r, pr)]
-                g = gcd(*r)
-                rows[i] = [x // g for x in r] if g > 1 else r
-        pivots.append(col)
-    # row i reads r / r[col]: over the lcm of the pivot entries
-    den = lcm(*[r[col] for r, col in zip(rows, pivots)])
-    return ([[x * (den // r[col]) for x in r] for r, col in zip(rows, pivots)],
-            den, tuple(pivots))
 
 
 # -- GF(2) packed rows ---------------------------------------------------
@@ -771,27 +744,8 @@ def projected_kernel(a: Matrix, k: int) -> Matrix:
     # Over GF(p) and QQ the wider tagged system costs more than it saves
     # (on the integer-row kernels it made the `fields` benchmark 1.06-1.13 s
     # against 0.99-1.03 s, three alternated pairs), so the solutions are
-    # read off the reduced transpose instead.
-    return _cut_right_kernel(a.transpose(), k)
-
-
-def _cut_right_kernel(a: Matrix, k: int) -> Matrix:
-    """The first k coordinates of {v : a v^T = 0} over GF(p) or QQ: one
-    solution per free column of the reduced a, cut, then reduced once.
-    With the reduced rows over d, the solution of free column j is
-    d e_j - (row[j] at each pivot), in integers."""
-    red, pivots = a.rref()
-    d = red.den
-    sols = []
-    for j in (j for j in range(a.cols) if j not in pivots):
-        v = [0] * k
-        if j < k:
-            v[j] = d
-        for row, p in zip(red.ints, pivots):
-            if p < k:
-                v[p] = -row[j]
-        sols.append(v)
-    return Matrix._of_ints(a.field, len(sols), k, sols).row_space()
+    # read off the reduced system of the columns of a instead.
+    return _sparse_kernel(_dict_rows(zip(*a.ints)), k, a.field)
 
 
 # -- subspaces -----------------------------------------------------------

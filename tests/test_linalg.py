@@ -216,15 +216,19 @@ def test_span_elements_matches_product_rebuild(inp):
 ORACLE_FIELDS = [F2, F3, GF(5), QQ]
 
 
-def to_domain_matrix(mat: Matrix):
+def domain_of(f):
+    """sympy's domain for f and the map of a ppmod value into it."""
     from sympy import GF as SymGF, QQ as SymQQ
-    from sympy.polys.matrices import DomainMatrix
-    f = mat.field
-    dom = SymQQ if f.p is None else SymGF(f.p)
     if f.p is None:
-        rows = [[dom(x.numerator, x.denominator) for x in r] for r in mat.data]
-    else:
-        rows = [[dom(int(x)) for x in r] for r in mat.data]
+        return SymQQ, lambda x: SymQQ(x.numerator, x.denominator)
+    dom = SymGF(f.p)
+    return dom, lambda x: dom(int(x))
+
+
+def to_domain_matrix(mat: Matrix):
+    from sympy.polys.matrices import DomainMatrix
+    dom, conv = domain_of(mat.field)
+    rows = [[conv(x) for x in r] for r in mat.data]
     return DomainMatrix(rows, (mat.rows, mat.cols), dom)
 
 
@@ -335,17 +339,22 @@ def canonical(mat: Matrix) -> bool:
     return all(type(x) is int and 0 <= x < p for r in mat.data for x in r)
 
 
-def check_kernels_against_domain_matrix(a: Matrix, c: Matrix, rhs: Matrix):
-    """rref, both kernels, a * c and a.solve_right(rhs) agree with sympy's
-    DomainMatrix, and every result has canonical entries."""
+def check_kernels_against_domain_matrix(a: Matrix, c: Matrix, rhs: Matrix,
+                                        lead: int):
+    """rref, both kernels, the first `lead` coordinates of the left
+    kernel, a * c and a.solve_right(rhs) agree with sympy's DomainMatrix,
+    and every result has canonical entries."""
     f = a.field
     da = to_domain_matrix(a)
     red, pivots = a.rref()
     assert ([list(r) for r in red.data], pivots) == oracle_rref_rows(da, f)
     right, left = a.right_kernel(), a.left_kernel()
     assert [list(r) for r in right.data] == oracle_kernel_rows(da, f)
-    assert [list(r) for r in left.data] == \
-        oracle_kernel_rows(da.transpose(), f)
+    oracle_left = oracle_kernel_rows(da.transpose(), f)
+    assert [list(r) for r in left.data] == oracle_left
+    cut = projected_kernel(a, lead)
+    assert [list(r) for r in cut.data] == \
+        oracle_row_space(f, lead, [r[:lead] for r in oracle_left])
     prod = a * c
     assert [list(r) for r in prod.data] == \
         from_domain_rows(da.matmul(to_domain_matrix(c)).to_list(), f)
@@ -355,7 +364,7 @@ def check_kernels_against_domain_matrix(a: Matrix, c: Matrix, rhs: Matrix):
     if x is not None:
         assert [list(r) for r in rhs.data] == from_domain_rows(
             da.matmul(to_domain_matrix(x)).to_list(), f)
-    assert all(canonical(m) for m in (red, right, left, prod, x)
+    assert all(canonical(m) for m in (red, right, left, cut, prod, x)
                if m is not None)
 
 
@@ -363,8 +372,9 @@ def check_kernels_against_domain_matrix(a: Matrix, c: Matrix, rhs: Matrix):
 def kernel_input(draw):
     """A field, an a x b matrix A (a, b in 0..12), often built as a product
     through k <= min(a, b) columns so that it is rank-deficient, C of shape
-    b x c and a right-hand side of shape a x c, often A times C.  QQ entries
-    have numerators up to 50 in size and denominators up to 7."""
+    b x c, a right-hand side of shape a x c, often A times C, and a number
+    of leading coordinates 0..a.  QQ entries have numerators up to 50 in
+    size and denominators up to 7."""
     f = draw(st.sampled_from([F3, GF(7), QQ]))
     entry = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 7)) \
         if f.p is None else None
@@ -378,7 +388,7 @@ def kernel_input(draw):
     c = draw(field_matrix(f, cols, width, entry))
     rhs = a * c if draw(st.booleans()) \
         else draw(field_matrix(f, rows, width, entry))
-    return a, c, rhs
+    return a, c, rhs, draw(st.integers(0, rows))
 
 
 @settings(max_examples=100, deadline=None)
@@ -398,7 +408,7 @@ def test_kernels_match_sympy_domain_matrix_at_64(f):
 
     a = rand(64, 48) * rand(48, 64)  # rank 48 or a little less
     c = rand(64, 64)
-    check_kernels_against_domain_matrix(a, c, a * rand(64, 8))
+    check_kernels_against_domain_matrix(a, c, a * rand(64, 8), 40)
 
 
 def count_fraction_ops(monkeypatch) -> Counter:
@@ -658,30 +668,51 @@ def test_block_matches_elementwise_assembly(inp):
             block(f, heights, widths, {**blocks, (0, 0): wrong})
 
 
-def kronecker_system(pairs, dm, dn):
+def kronecker_entries(pairs, dm, dn):
     """The rows of A F - F B = 0 in the row-major unknowns of F, built
-    entry by entry: A kron I - I kron B^T for each pair.  Row (r, c) has
-    A[r][s] at F[s][c] and -B[t][c] at F[r][t], and is zero elsewhere."""
+    entry by entry: A kron I - I kron B^T for each pair, each row its
+    nonzero entries {column: value}.  Row (r, c) has A[r][s] at F[s][c]
+    and -B[t][c] at F[r][t], and is zero elsewhere."""
     f = pairs[0][0].field
     rows = []
     for a, b in pairs:
         ad, bd = a.data, b.data
         for r in range(dm):
             for c in range(dn):
-                row = [f.zero()] * (dm * dn)
+                row = {}
                 for s in range(dm):
-                    row[s * dn + c] = f.of(row[s * dn + c] + ad[r][s])
+                    row[s * dn + c] = f.of(row.get(s * dn + c, 0) + ad[r][s])
                 for t in range(dn):
-                    row[r * dn + t] = f.of(row[r * dn + t] - bd[t][c])
-                rows.append(row)
+                    row[r * dn + t] = f.of(row.get(r * dn + t, 0) - bd[t][c])
+                rows.append({j: x for j, x in row.items() if x})
+    return rows
+
+
+def kronecker_system(pairs, dm, dn):
+    """The Kronecker system as a dense matrix."""
+    f = pairs[0][0].field
+    rows = [[row.get(j, f.zero()) for j in range(dm * dn)]
+            for row in kronecker_entries(pairs, dm, dn)]
     return Matrix(f, len(rows), dm * dn, rows)
 
 
-def dense_intertwiners(pairs, dm, dn):
-    """The reference basis: the dense canonical kernel of the system,
-    Matrix.right_kernel(), one row per basis element, reshaped."""
-    ker = kronecker_system(pairs, dm, dn).right_kernel()
-    return [ker.take_rows((i,)).reshape(dm, dn) for i in range(ker.rows)]
+def sympy_intertwiners(pairs, dm, dn):
+    """The reference basis, independent of ppmod's eliminations: sympy's
+    nullspace of the Kronecker system in RREF (`.nullspace().rref()`),
+    one row per basis element, reshaped.  The system goes in as a dict of
+    dicts, so that sympy keeps it sparse: a dense conversion of the
+    1,681-unknown system alone takes seconds."""
+    from sympy.polys.matrices import DomainMatrix
+    f = pairs[0][0].field
+    if not dm * dn:
+        return []
+    dom, conv = domain_of(f)
+    rows = kronecker_entries(pairs, dm, dn)
+    system = DomainMatrix({i: {j: conv(x) for j, x in row.items()}
+                           for i, row in enumerate(rows) if row},
+                          (len(rows), dm * dn), dom)
+    return [Matrix(f, dm, dn, [r[i * dn:(i + 1) * dn] for i in range(dm)])
+            for r in oracle_kernel_rows(system, f)]
 
 
 def assert_same_basis(got, want):
@@ -760,7 +791,7 @@ def test_intertwiners_equal_the_dense_kernel_element_for_element(inp):
     pairs, dm, dn = inp
     basis = intertwiners([a for a, _ in pairs], [b for _, b in pairs],
                          dm, dn)
-    assert_same_basis(basis, dense_intertwiners(pairs, dm, dn))
+    assert_same_basis(basis, sympy_intertwiners(pairs, dm, dn))
     assert all(a * m == m * b for m in basis for a, b in pairs)
 
 
@@ -770,8 +801,9 @@ def test_intertwiners_equal_the_dense_kernel_element_for_element(inp):
 def test_large_end_rings_equal_the_dense_kernel(field, chains, end_dim):
     """End(V/m^24) and End(V/m^24 + V/m^12 + V/m^5), dimensions 24 and 41:
     the intertwining system of the algebra's generators, 576 and 1,681
-    unknowns, gives the dense kernel's basis element for element, and
-    every element commutes with the whole action."""
+    unknowns, gives the basis of sympy's sparse kernel of the Kronecker
+    system element for element, and every element commutes with the
+    whole action."""
     from ppmod.catalog import dvr_chain_module
     from ppmod.modules import direct_sum
     alg = truncated_dvr(24, field)
@@ -780,7 +812,7 @@ def test_large_end_rings_equal_the_dense_kernel(field, chains, end_dim):
     basis = intertwiners([a for a, _ in pairs], [b for _, b in pairs],
                          m.dim, m.dim)
     assert len(basis) == end_dim
-    assert_same_basis(basis, dense_intertwiners(pairs, m.dim, m.dim))
+    assert_same_basis(basis, sympy_intertwiners(pairs, m.dim, m.dim))
     assert all(a * e == e * a for e in basis for a in m.action)
 
 

@@ -382,8 +382,9 @@ def test_hom_bases_are_kept_on_the_source():
 
 @pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
 def test_hom_space_runs_no_dense_elimination(field, monkeypatch):
-    """Over GF(p) and QQ the intertwining system is reduced once,
-    sparsely: neither the dense rref nor the kernel read off it runs."""
+    """Over GF(p) and QQ a hom space, like a kernel, is one sparse
+    elimination: each solve makes exactly one `_sparse_rref` call and no
+    `Matrix.rref` call."""
     import ppmod.linalg
     dvr, kron = truncated_dvr(6, field), kronecker_algebra(field)
     pairs = [(direct_sum([dvr_chain_module(dvr, 6),
@@ -393,11 +394,27 @@ def test_hom_space_runs_no_dense_elimination(field, monkeypatch):
               kronecker_regular(kron, 1, 2), 2)]
     for alg in (dvr, kron):
         alg.generators  # found once per algebra, by dense eliminations
+    a = pairs[0][0].action[1]
+    calls = []
+    sparse_rref = ppmod.linalg._sparse_rref
+
+    def counted(*args):
+        calls.append(args)
+        return sparse_rref(*args)
 
     def refuse(*args):
-        raise AssertionError("dense elimination in hom_space")
+        raise AssertionError("dense elimination")
     monkeypatch.setattr(Matrix, "rref", refuse)
-    monkeypatch.setattr(ppmod.linalg, "_cut_right_kernel", refuse)
-    dims = [len(hom_space(m, n)) for m, n, _ in pairs]
+    monkeypatch.setattr(ppmod.linalg, "_sparse_rref", counted)
+    dims, counts = [], []
+    for m, n, _ in pairs:
+        calls.clear()
+        dims.append(len(hom_space(m, n)))
+        counts.append(len(calls))
+    for kernel in (a.right_kernel, a.left_kernel):
+        calls.clear()
+        kernel()
+        counts.append(len(calls))
     monkeypatch.undo()
     assert dims == [d for _, _, d in pairs]
+    assert counts == [1, 1, 1, 1]
