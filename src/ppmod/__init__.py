@@ -25,10 +25,9 @@ from .ppsyntax import format_formula, parse_formula
 from .probes import (INCONCLUSIVE, NOT_SHORT_WITNESS, SHORT_WITHIN_BOUND,
                      ProbeReport, interval_probe, probe_embedding, theta_pool)
 from .tower import (FpLabel, TowerRing, Triple, all_labels, build_tower,
-                    canonical_label, classify, construct_label, f0, f0_map,
-                    f1, f1_map, identify_indecomposable,
-                    label_module, left_projectives, lift, natural_embedding,
-                    redundancy_table, t_module, verify_hom_bounds)
+                    classify, construct_label, f0, f0_map, f1, f1_map,
+                    identify_indecomposable, label_module, left_projectives,
+                    lift, natural_embedding, t_module, verify_hom_bounds)
 from .tube import (Arrow, NormalPath, SymbolicTube, TranslationQuiver, ZERO,
                    build_ray_tube, hom_dimension, normalize_path,
                    parse_tube_descriptor)

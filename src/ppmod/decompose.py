@@ -42,7 +42,7 @@ from .errors import Undecided
 from .linalg import (Matrix, Subspace, combination, projected_kernel,
                      subspace_sum, vectorized)
 from .modules import (Module, ModuleMap, hom_space, identity_map,
-                      indecomposable_iso, submodule)
+                      indecomposable_iso, iso_classes, submodule)
 
 
 @dataclass
@@ -257,14 +257,8 @@ def decompose(m: Module, seed: int = 0) -> Decomposition:
     if m._decomposition is not None:
         return m._decomposition
     summands = [Summand(*part) for part in _split_indecomposable(m)]
-    classes: list[tuple[Summand, int, list[int]]] = []
-    for i, s in enumerate(summands):
-        for ci, (rep, mult, idx) in enumerate(classes):
-            if indecomposable_iso(s.module, rep.module) is not None:
-                classes[ci] = (rep, mult + 1, idx + [i])
-                break
-        else:
-            classes.append((s, 1, [i]))
+    classes = [(summands[idx[0]], len(idx), idx)
+               for idx in iso_classes([s.module for s in summands])]
     m._decomposition = Decomposition(m, summands, classes)
     return m._decomposition
 
@@ -314,13 +308,9 @@ class RadicalCalculus:
     def __init__(self, universe: list[Module]):
         if not universe:
             raise ValueError("universe must be non-empty")
-        mids: list[Module] = []
-        for m in universe:
-            for rep, _, _ in decompose(m).classes:
-                if not any(indecomposable_iso(rep.module, u) is not None
-                           for u in mids):
-                    mids.append(rep.module)
-        self.intermediates = mids
+        reps = [rep.module for m in universe
+                for rep, _, _ in decompose(m).classes]
+        self.intermediates = [reps[idx[0]] for idx in iso_classes(reps)]
         self._rad_cache: dict = {}
         self._pow_cache: dict = {}
 

@@ -5,8 +5,8 @@ structural equality and subspaces are hashable.
 
 A matrix stores its rows as ints, `Matrix.ints`, in a canonical form per
 field, so that equal matrices store equal rows:
-- over GF(2) each row is one packed int, bit j = column j (`packed` reads
-  them); products and sums XOR rows, and elimination runs on the ints;
+- over GF(2) each row is one packed int, bit j = column j; products and
+  sums XOR rows, and elimination runs on the ints;
 - over GF(p) each row is a tuple of ints in range(p);
 - over QQ each row is a tuple of integers over one positive denominator,
   `Matrix.den`, with gcd(den, every entry) = 1.
@@ -117,11 +117,6 @@ class Matrix:
         rows = len(data)
         cols = len(data[0]) if rows else 0
         return Matrix(field, rows, cols, data)
-
-    @property
-    def packed(self):
-        """The packed rows of a GF(2) matrix; None over other fields."""
-        return self.ints if self.field.p == 2 else None
 
     @staticmethod
     def zero(field: Field, rows: int, cols: int) -> "Matrix":

@@ -113,8 +113,11 @@ class ModuleMap:
         return tuple(m.data[0])
 
     def then(self, other: "ModuleMap") -> "ModuleMap":
-        """self followed by other."""
-        if other.source is not self.target and other.source.dim != self.target.dim:
+        """self followed by other; other's source must be self's target,
+        or a module over the same algebra with equal action matrices."""
+        mid, nxt = self.target, other.source
+        if nxt is not mid and (nxt.algebra is not mid.algebra
+                               or nxt.action != mid.action):
             raise ValueError("maps not composable")
         return ModuleMap(self.source, other.target, self.mat * other.mat,
                          check=False)
@@ -263,6 +266,22 @@ def indecomposable_iso(m: Module, n: Module) -> ModuleMap | None:
     if m.dim != n.dim:
         return None
     return next((h for h in hom_space(m, n) if h.is_iso()), None)
+
+
+def iso_classes(mods: list[Module]) -> list[list[int]]:
+    """Indices of indecomposables grouped by isomorphism, groups and
+    members in order of first occurrence.  Each module is tested once
+    against each group's first member, by indecomposable_iso (from the
+    module to that member), until one matches."""
+    groups: list[list[int]] = []
+    for i, m in enumerate(mods):
+        for g in groups:
+            if indecomposable_iso(m, mods[g[0]]) is not None:
+                g.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups
 
 
 def iso_test(m: Module, n: Module) -> ModuleMap | None:

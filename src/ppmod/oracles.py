@@ -65,7 +65,7 @@ def brute_eval_f2(phi: PpFormula, module: Module) -> set[int]:
         for r in range(d):
             acc = 0
             for e in range(m):
-                acc |= acts[e].packed[r] << (e * d)
+                acc |= acts[e].ints[r] << (e * d)
             deltas.append(acc)
     xdim = n * d
     images = {0}
@@ -85,7 +85,7 @@ def brute_eval_f2(phi: PpFormula, module: Module) -> set[int]:
 
 def subspace_int_set(s: Subspace) -> set[int]:
     """All vectors of a GF(2) subspace, packed as ints."""
-    rows = s.basis.packed
+    rows = s.basis.ints
     out = set()
     for bits in range(1 << len(rows)):
         v = 0

@@ -25,7 +25,8 @@ from .catalog import dvr_chain_module
 from .decompose import decompose
 from .errors import HorizonExceeded, SquareFailed
 from .linalg import Matrix, block, vectorized
-from .modules import Module, ModuleMap, direct_sum, identity_map, iso_test
+from .modules import (Module, ModuleMap, direct_sum, identity_map,
+                      iso_classes)
 from .tower import (TowerRing, build_tower, left_projectives, lift,
                     natural_embedding)
 from .tube import Arrow, TranslationQuiver, ZERO, normal_path_arrows
@@ -301,18 +302,19 @@ def verify_bimodule_idempotents(rt: RealizedTube) -> dict:
     dims = [rt.P[(l, 1)].dim for l in range(n + 1)]
     expected = [dims[0]] + [dims[i] - dims[i - 1] for i in range(1, n + 1)]
     projs = left_projectives(left_tower)
-    d = decompose(left_mod)
+    classes = decompose(left_mod).classes
+    k = len(projs)
+    # the projectives first: a group led by a summand matches none, and
+    # comes after every group a projective leads
+    groups = iso_classes([p for _, p in projs]
+                         + [rep.module for rep, _, _ in classes])
     found: dict[str, int] = {name: 0 for name, _ in projs}
-    for rep, mult, _ in d.classes:
-        matched = None
-        for name, p in projs:
-            if iso_test(rep.module, p) is not None:
-                matched = name
-                break
-        if matched is None:
+    for idx in groups:
+        if idx[0] >= k:
             return {"ok": False, "reason": "non-projective summand",
                     "expected": expected, "found": found}
-        found[matched] += mult
+        found[projs[idx[0]][0]] += sum(classes[i - k][1]
+                                       for i in idx if i >= k)
     names = ["c"] + [f"e{i}" for i in range(1, n + 1)]
     got = [found.get(nm, 0) for nm in names]
     return {"ok": got == expected, "expected": expected, "found": got,

@@ -9,8 +9,8 @@ presented module by a label in the grammar
 
     T(n)  |  F0^a F1^b Ind(j)  |  F0^a F1^b T(m)
 
-with exponent sums matching the tower height; the empirical redundancy
-T(0) = Ind(1) is canonicalized away.
+with exponent sums matching the tower height and m >= 1: T(0), the
+valuation simple, is Ind(1), so the labels never name it.
 """
 
 from __future__ import annotations
@@ -303,7 +303,7 @@ def natural_embedding(tower: TowerRing, level: int, m: Module) -> ModuleMap:
 
 def t_module(tower: TowerRing, m: int) -> Module:
     """The simple concentrated at the extension vertex of level m; at level
-    0 this is the valuation simple (the grammar's T(0) = Ind(1))."""
+    0 the valuation simple, Ind(1), which the labels name as such."""
     if not (0 <= m <= tower.height):
         raise ValueError(f"T({m}) outside the tower levels 0..{tower.height}")
     if m == 0:
@@ -338,13 +338,6 @@ class FpLabel:
         return f"F0^{self.a} F1^{self.b} {kind}({idx})"
 
 
-def canonical_label(lab: FpLabel) -> FpLabel:
-    """Apply the empirical redundancy table: T(0) is the valuation simple."""
-    if lab.base == ("T", 0):
-        return FpLabel(lab.a, lab.b, ("Ind", 1))
-    return lab
-
-
 def label_module(tower: TowerRing, lab: FpLabel, level: int) -> Module:
     """The module a label denotes over R_level."""
     kind, idx = lab.base
@@ -370,25 +363,20 @@ def construct_label(tower: TowerRing, lab: FpLabel) -> Module:
     return m
 
 
-def all_labels(tower: TowerRing, dim_cap: int | None = None,
-               canonical_only: bool = True) -> list[FpLabel]:
-    """Every label at the tower height, optionally canonical and capped."""
+def all_labels(tower: TowerRing, dim_cap: int | None = None) -> list[FpLabel]:
+    """Every label at the tower height, sorted by text, optionally capped
+    by dimension: F0^a F1^b Ind(j), and F0^a F1^b T(m) for m >= 1 (T(0)
+    is Ind(1))."""
     n = tower.height
     out = []
     for a in range(n + 1):
         b = n - a
         for j in range(1, tower.N + 1):
             out.append(FpLabel(a, b, ("Ind", j)))
-    for m in range(n + 1):
+    for m in range(1, n + 1):
         for a in range(n - m + 1):
             b = n - m - a
             out.append(FpLabel(a, b, ("T", m)))
-    if canonical_only:
-        seen = {}
-        for lab in out:
-            c = canonical_label(lab)
-            seen[str(c)] = c
-        out = list(seen.values())
     if dim_cap is not None:
         out = [lab for lab in out
                if construct_label(tower, lab).dim <= dim_cap]
@@ -411,14 +399,14 @@ def identify_indecomposable(tower: TowerRing, level: int,
         raise UnclassifiedSummand(u, "extension part not simple")
     if tri.m0 == 0:
         inner = identify_indecomposable(tower, level - 1, tri.m1)
-        return canonical_label(FpLabel(inner.a + 1, inner.b, inner.base))
+        return FpLabel(inner.a + 1, inner.b, inner.base)
     rebuilt = f1(tower, level, tri.m1)
     if iso_test(u, rebuilt) is None:
         raise UnclassifiedSummand(u, "not isomorphic to the F1 of its core")
     inner = identify_indecomposable(tower, level - 1, tri.m1)
     if inner.a != 0:
         raise UnclassifiedSummand(u, "F1 wraps an F0 layer; impossible shape")
-    return canonical_label(FpLabel(0, inner.b + 1, inner.base))
+    return FpLabel(0, inner.b + 1, inner.base)
 
 
 def classify(tower: TowerRing, x: Module) -> list[tuple[FpLabel, int]]:
@@ -449,31 +437,6 @@ def verify_hom_bounds(tower: TowerRing, dim_cap: int):
         if d > 1:
             ok = False
     return ok, rows
-
-
-def redundancy_table(tower: TowerRing, dim_cap: int = 12) -> dict[str, str]:
-    """Empirical identification table among raw labels: maps the text of a
-    non-canonical label to the canonical one it is isomorphic to.  Verifies
-    that canonical labels are pairwise non-isomorphic."""
-    raw = all_labels(tower, canonical_only=False)
-    mods = [(lab, construct_label(tower, canonical_label(lab))) for lab in raw
-            if construct_label(tower, canonical_label(lab)).dim <= dim_cap]
-    table: dict[str, str] = {}
-    canon: list[tuple[FpLabel, Module]] = []
-    for lab, m in mods:
-        clab = canonical_label(lab)
-        if str(clab) != str(lab):
-            table[str(lab)] = str(clab)
-        if not any(str(c[0]) == str(clab) for c in canon):
-            canon.append((clab, m))
-    for i in range(len(canon)):
-        for j in range(i + 1, len(canon)):
-            mi, mj = canon[i][1], canon[j][1]
-            if iso_test(mi, mj) is not None:
-                raise AssertionError(
-                    f"canonical labels {canon[i][0]} and {canon[j][0]} "
-                    f"are isomorphic; grammar redundancy discovered")
-    return table
 
 
 def left_projectives(tower: TowerRing) -> list[tuple[str, Module]]:

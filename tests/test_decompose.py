@@ -114,6 +114,32 @@ def test_merge_property_random(dvr3, kron):
                 assert len(match) == 1 and got[match[0]] == vm
 
 
+def test_a_lost_class_fails_the_krull_schmidt_merge(monkeypatch):
+    # decompose(A + B) drops its last class: the merge check must fail
+    import ppmod.suites
+    from ppmod.decompose import Decomposition
+    sums = set()
+    inner_sum, inner_decompose = ppmod.suites.direct_sum, ppmod.suites.decompose
+
+    def recorded(mods):
+        out = inner_sum(mods)
+        sums.add(out[0].serial)
+        return out
+
+    def lossy(m):
+        d = inner_decompose(m)
+        if m.serial not in sums:
+            return d
+        return Decomposition(m, d.summands, d.classes[:-1])
+
+    monkeypatch.setattr(ppmod.suites, "direct_sum", recorded)
+    monkeypatch.setattr(ppmod.suites, "decompose", lossy)
+    res = ppmod.suites.suite_krull_schmidt(0)
+    assert not res.passed
+    assert res.lines[-1].startswith("failures\t[('merge', ")
+    assert res.lines[-1].endswith("(100 total)")
+
+
 def test_decompose_zero_module(dvr3):
     v1 = dvr_chain_module(dvr3, 1)
     zero = submodule(v1, Subspace.zero(F2, v1.dim))[0]

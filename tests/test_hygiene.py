@@ -340,8 +340,6 @@ KEPT = {
         "the mesh-realization check the coray inverse limit builds on",
     "tube.SymbolicTube.alpha_matrix":
         "the symbolic ladder squares at depth >= 1",
-    "tower.redundancy_table":
-        "certifies that canonical labels are pairwise non-isomorphic",
 }
 
 # defaulted public parameters that no caller outside tests/ sets, and

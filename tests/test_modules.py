@@ -5,9 +5,9 @@ import pytest
 from ppmod.fields import GF, QQ
 from ppmod.linalg import Matrix, Subspace, block_diagonal, span_elements
 from ppmod.modules import (Module, direct_sum, free_module, hom_space,
-                           iso_test, k_dual, module_generators,
-                           presentation_of, quotient_module, regular_module,
-                           submodule)
+                           identity_map, iso_classes, iso_test, k_dual,
+                           module_generators, presentation_of,
+                           quotient_module, regular_module, submodule)
 from ppmod.catalog import (dvr_chain_module, dvr_universe,
                            kronecker_preinjective, kronecker_preprojective,
                            kronecker_regular, kronecker_rep,
@@ -149,6 +149,31 @@ def test_iso_test_distinguishes_regulars(kron):
     r1 = kronecker_regular(kron, 1, 1)
     assert iso_test(r0, r1) is None
     assert iso_test(r0, kronecker_regular(kron, 0, 1)) is not None
+
+
+def test_iso_classes_groups_repeats_in_order_of_first_occurrence(kron):
+    r0 = kronecker_regular(kron, 0, 2)
+    # R(0)[2] again, in the basis given by the rows of p
+    p = Matrix.from_rows(F2, [[1, 1, 0, 0], [0, 1, 0, 0],
+                              [0, 0, 1, 1], [0, 0, 1, 0]])
+    twisted = Module(kron, 4, [p * a * p.inverse() for a in r0.action])
+    assert twisted.action != r0.action
+    mods = [kronecker_preprojective(kron, 1), r0,
+            kronecker_regular(kron, 1, 2), twisted,
+            kronecker_preprojective(kron, 1), r0,
+            kronecker_regular(kron, "inf", 2)]
+    assert iso_classes(mods) == [[0, 4], [1, 3, 5], [2], [6]]
+    assert iso_classes([]) == []
+
+
+def test_then_refuses_a_different_middle_module_of_equal_dimension():
+    kron3 = kronecker_algebra(GF(3))
+    r0, r1 = kronecker_regular(kron3, 0, 1), kronecker_regular(kron3, 1, 1)
+    with pytest.raises(ValueError, match="not composable"):
+        identity_map(r0).then(identity_map(r1))
+    # an equal module built again composes
+    again = kronecker_regular(kron3, 0, 1)
+    assert identity_map(r0).then(identity_map(again)).intertwines()
 
 
 @pytest.mark.parametrize("p, b, size", [(2, [[0, 1], [1, 1]], 47),

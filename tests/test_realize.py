@@ -1,10 +1,13 @@
 import pytest
 
 from ppmod.fields import GF
+from ppmod.algebra import kronecker_algebra
+from ppmod.decompose import decompose
 from ppmod.errors import HorizonExceeded, SquareFailed
 from ppmod.linalg import Matrix
-from ppmod.modules import ModuleMap, iso_test, zero_map
-from ppmod.catalog import dvr_chain_module
+from ppmod.modules import ModuleMap, direct_sum, iso_test, zero_map
+from ppmod.catalog import (dvr_chain_module, kronecker_preprojective,
+                           kronecker_regular)
 from ppmod.tower import build_tower
 from ppmod.tube import ZERO, all_paths_from, build_ray_tube, normalize_path
 from ppmod.realize import (_verify_squares, chain_inclusion,
@@ -125,6 +128,17 @@ def test_bimodule_idempotents_n2():
     assert res["expected"] == [1, 1, 1]
 
 
+def test_a_missing_projective_is_a_non_projective_summand(monkeypatch):
+    import ppmod.realize
+    inner = ppmod.realize.left_projectives
+    monkeypatch.setattr(ppmod.realize, "left_projectives",
+                        lambda tower: inner(tower)[:-1])
+    res = verify_bimodule_idempotents(realize_in_tower(build_tower(4, 2, F2),
+                                                       3))
+    assert not res["ok"]
+    assert res["reason"] == "non-projective summand"
+
+
 def test_stage_bimodule_left_structure(rt_n1):
     left_tower, left_mod, x_mod = stage_bimodule(rt_n1)
     assert left_tower.N == rt_n1.stages
@@ -187,3 +201,17 @@ def test_realize_computes_each_hom_space_once(solved_homs):
     realize_in_tower(build_tower(5, 2, F2), 3)
     pairs = {tuple(map(id, s + t)) for s, t in solved_homs}
     assert solved_homs and len(solved_homs) == len(pairs)
+
+
+def test_iso_matching_solves_no_more_hom_systems(solved_homs):
+    # pinned counts: a change that solves more Hom systems here fails
+    kron = kronecker_algebra(F2)
+    p1, r0 = kronecker_preprojective(kron, 1), kronecker_regular(kron, 0, 1)
+    s, _, _ = direct_sum([r0, p1, r0, kronecker_regular(kron, 1, 2), p1])
+    solved_homs.clear()
+    assert sorted(mult for _, mult, _ in decompose(s).classes) == [1, 2, 2]
+    assert len(solved_homs) <= 11
+    rt = realize_in_tower(build_tower(5, 2, F2), 3)
+    solved_homs.clear()
+    assert verify_bimodule_idempotents(rt)["ok"]
+    assert len(solved_homs) <= 10

@@ -6,11 +6,11 @@ import pytest
 from ppmod.fields import GF, QQ
 from ppmod.catalog import dvr_chain_module, random_quotient_of_free
 from ppmod.decompose import decompose
-from ppmod.modules import direct_sum, hom_space, iso_test
+from ppmod.modules import direct_sum, hom_space, iso_classes, iso_test
 from ppmod.tower import (FpLabel, Triple, all_labels, build_tower,
-                         canonical_label, classify, construct_label, f0, f1,
+                         classify, construct_label, f0, f1,
                          f0_map, f1_map, label_module, left_projectives, natural_embedding,
-                         redundancy_table, t_module, verify_hom_bounds)
+                         t_module, verify_hom_bounds)
 
 F2 = GF(2)
 
@@ -133,7 +133,7 @@ def test_classify_random_sum_matches_construction(tw31):
     s, _, _ = direct_sum(mods)
     out = classify(tw31, s)
     got = sorted((str(lab), m) for lab, m in out)
-    assert got == sorted((str(canonical_label(lab)), 1) for lab in labs)
+    assert got == sorted((str(lab), 1) for lab in labs)
 
 
 def test_classification_complete_on_random_quotients(tw21):
@@ -163,11 +163,17 @@ def test_verify_hom_bounds_21(tw21):
     assert all(h <= 1 for h in by_label.values())
 
 
-def test_redundancy_table_only_t0(tw21, tw31):
+def test_labels_are_pairwise_non_isomorphic(tw21, tw31):
     for tw in (tw21, tw31):
-        table = redundancy_table(tw, dim_cap=10)
-        assert all("T(0)" in src for src in table)
-        assert all("Ind(1)" in dst for dst in table.values())
+        labs = all_labels(tw, dim_cap=10)
+        mods = [construct_label(tw, lab) for lab in labs]
+        assert iso_classes(mods) == [[i] for i in range(len(mods))]
+        # T(0) is Ind(1), so no label names it
+        assert all(lab.base != ("T", 0) for lab in labs)
+        for a in range(tw.height + 1):
+            t0 = FpLabel(a, tw.height - a, ("T", 0))
+            assert label_module(tw, t0, tw.height).action == construct_label(
+                tw, FpLabel(a, tw.height - a, ("Ind", 1))).action
 
 
 def test_left_projective_decomposition(tw32):
