@@ -15,7 +15,8 @@ is substituted away (`PpFormula.reduced`, the rule Prest uses to reduce
 pp formulas up to equivalence, op. cit. section 1.1).  If y has the unit
 u in condition e, that condition reads y = -sum_{v != y} w_v h[v][e] u^-1
 (products in the effective algebra), so y and condition e are dropped
-and every other condition e' becomes h[v][e'] - h[v][e] u^-1 h[y][e'].
+and every other condition e' becomes h[v][e'] - h[v][e] u^-1 h[y][e'],
+computed as h[v][e] (u^-1 h[y][e']) with u^-1 h[y][e'] formed once.
 On every module the map (x, y, rest) -> (x, rest) is then a bijection
 from the solutions of the old system onto those of the new one, with
 inverse given by that formula for y, so the x-part, the value, is the
@@ -33,11 +34,25 @@ verdict.  Equivalence of formulas is always decided semantically, by
 implication in both directions; nothing is ever compared syntactically.
 The stored matrix, the printed formula and `free_realization` are those
 of the formula as built.
+
+Values are shared by content.  `reduced` looks its result up by
+(algebra, side, n, matrix), the algebra by identity, so every formula
+whose reduction has that content gets one reduced object, and with it
+one free realization and one cache of values; `evaluate` on any other
+formula returns its reduced formula's value.  The table holds its
+entries weakly and a reduced formula refers to nothing that refers back
+to it, so an entry dies with the last formula that reduces to it, and
+the work done does not depend on when the garbage collector runs.
+pp-type generators, built with their realization, stay out of it.  The
+table memoizes a function of the content alone: verdicts are still
+semantic, every implication evaluates psi on a realization and tests
+membership.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
 from .algebra import FDAlgebra
@@ -50,17 +65,31 @@ LEFT = "left"
 
 _counter = itertools.count()
 
+# the reduced formula of each content (algebra, side, n, hmat), held weakly:
+# an entry lives exactly as long as some formula refers to its value
+_REDUCED: "weakref.WeakValueDictionary[tuple, PpFormula]" = \
+    weakref.WeakValueDictionary()
+# the _reduced slot of a formula that is its own reduced formula; a
+# sentinel rather than the formula itself, so that no formula is a cycle
+_OWN = object()
+
 
 class PpFormula:
     """Immutable pp formula; entries of hmat are algebra coordinate vectors."""
 
     __slots__ = ("algebra", "side", "n", "l", "hmat", "serial",
-                 "_realization", "_by_hom", "_eval_cache", "_reduced")
+                 "_realization", "_by_hom", "_eval_cache", "_reduced",
+                 "__weakref__")
 
     def __init__(self, algebra: FDAlgebra, side: str, n: int, l: int, hmat,
                  realization: "FreeRealization | None" = None):
         if side not in (RIGHT, LEFT):
             raise ValueError("side must be 'right' or 'left'")
+        if n < 1:
+            raise ValueError(f"free arity n={n}: a formula needs at least "
+                             "one free variable")
+        if l < 0:
+            raise ValueError(f"bound arity l={l} is negative")
         self.algebra = algebra
         self.side = side
         self.n = n
@@ -81,7 +110,7 @@ class PpFormula:
         self._by_hom = realization is not None
         self._eval_cache: dict = {}
         # a formula built with its realization is never reduced
-        self._reduced = self if self._by_hom else None
+        self._reduced = _OWN if self._by_hom else None
 
     @staticmethod
     def from_cells(algebra: FDAlgebra, side: str, n: int, l: int, m: int,
@@ -119,32 +148,34 @@ class PpFormula:
         phi(M) = {f(c) : f in Hom(C, M)} for every module M (Prest,
         *Purity, Spectra and Localisation*, CUP 2009, section 1.2), the
         row space of the images of c under a basis of Hom(C, M).  Every
-        other formula is evaluated by eliminating its system on M."""
+        other formula is evaluated by eliminating the system of its
+        reduced formula on M, and the value is kept on that reduced
+        formula, which every formula of the same reduced content shares
+        (see the module docstring)."""
         if module.algebra is not self.effective_algebra:
             raise ValueError("module is on the wrong side or algebra")
-        hit = self._eval_cache.get(module.serial)
+        r = self if self._reduced is _OWN else self.reduced()
+        hit = r._eval_cache.get(module.serial)
         if hit is not None:
             return hit
-        k = self.n * module.dim
-        if self._by_hom:
-            fr = self._realization
+        k = r.n * module.dim
+        if r._by_hom:
+            fr = r._realization
             # the tuple as n rows of C; its image under f is rows * F,
             # read row-major as one vector of length k
-            rows = fr.row.reshape(self.n, fr.module.dim)
+            rows = fr.row.reshape(r.n, fr.module.dim)
             images = [rows * h.mat for h in hom_space(fr.module, module)]
             result = Subspace.from_matrix(
-                k, vectorized(self.algebra.field, images, k))
+                k, vectorized(r.algebra.field, images, k))
         else:
             # phi(M) is the x-part of {(x, y) : (x, y) S = 0}, where band
-            # (v, e) of S is the action of hmat[v][e] on M, for the
-            # matrix of the reduced formula
-            r = self.reduced()
+            # (v, e) of S is the action of hmat[v][e] on M
             d, nvars = module.dim, r.n + r.l
-            system = block(self.algebra.field, [d] * nvars, [d] * r.m,
+            system = block(r.algebra.field, [d] * nvars, [d] * r.m,
                            {(v, e): module.act(r.hmat[v][e])
                             for v in range(nvars) for e in range(r.m)})
             result = Subspace(k, projected_kernel(system, k))
-        self._eval_cache[module.serial] = result
+        r._eval_cache[module.serial] = result
         return result
 
     def reduced(self) -> "PpFormula":
@@ -152,12 +183,22 @@ class PpFormula:
         coefficient substituted away by the rule in the module docstring:
         the first bound variable with a unit entry, at its first unit
         condition, until none is left; free variables are kept.  Computed
-        once; a formula built with its realization is its own reduced
-        formula."""
-        if self._reduced is None:
-            self._reduced = _unit_eliminated(self)
-            self._reduced._reduced = self._reduced
-        return self._reduced
+        once per formula, and shared by content: formulas whose
+        reductions are equal get the same object, held in a weak table
+        (see the module docstring).  A formula built with its realization
+        is its own reduced formula and stays out of the table."""
+        r = self._reduced
+        if r is _OWN:
+            return self
+        if r is None:
+            r = _unit_eliminated(self)
+            key = (self.algebra, self.side, r.n, r.hmat)
+            r = _REDUCED.setdefault(key, r)
+            if r._reduced is None:
+                r._reduced = _OWN
+            if r is not self:
+                self._reduced = r
+        return r
 
     # -- free realization and implication ------------------------------
 
@@ -206,13 +247,15 @@ def _unit_eliminated(phi: PpFormula) -> PpFormula:
         y, e, inv = pivot
         hy = rows.pop(y)
         del hy[e]
+        # (c u^-1) b = c (u^-1 b): one product per pivot-row entry, then
+        # one per entry of each row that meets the pivot column
+        w = [(j, alg.mul_el(inv, b)) for j, b in enumerate(hy) if any(b)]
         for r in rows:
-            c = alg.mul_el(r.pop(e), inv)
+            c = r.pop(e)
             if any(c):
-                for j, b in enumerate(hy):
-                    if any(b):
-                        r[j] = tuple(of(s - t) for s, t in
-                                     zip(r[j], alg.mul_el(c, b)))
+                for j, b in w:
+                    r[j] = tuple(of(s - t) for s, t in
+                                 zip(r[j], alg.mul_el(c, b)))
     if len(rows) == len(phi.hmat):
         return phi
     return PpFormula(phi.algebra, phi.side, n, len(rows) - n, rows)

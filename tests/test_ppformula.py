@@ -1,6 +1,9 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppmod.fields import GF
 from ppmod.algebra import truncated_dvr
@@ -873,6 +876,11 @@ def reduction_universe(alg):
     return {RIGHT: right, LEFT: [k_dual(m) for m in right]}
 
 
+def content(phi):
+    """What a reduction may change: the shape and the matrix."""
+    return phi.n, phi.l, phi.hmat
+
+
 def bound_units(phi):
     """The bound entries of phi that are units of its effective algebra."""
     alg = phi.effective_algebra
@@ -912,7 +920,7 @@ def test_implication_on_the_reduced_realization_matches_the_system(alg):
     for phi, psi in rng.sample(pairs, 150):
         got = phi.implies(psi)
         assert got == implies_by_system(phi, psi)
-        verdicts.add((got, phi.reduced() is phi))
+        verdicts.add((got, content(phi.reduced()) == content(phi)))
     assert verdicts == {(True, True), (True, False), (False, True),
                         (False, False)}
 
@@ -952,7 +960,7 @@ def test_free_variables_and_non_units_are_never_pivots():
                     PpFormula(alg, RIGHT, 1, 1, [[u], [nonunit]]),
                     PpFormula(alg, RIGHT, 2, 1, [[u, z], [z, u],
                                                  [nonunit, nonunit]])):
-            assert phi.reduced() is phi
+            assert content(phi.reduced()) == content(phi)
         # y1 is taken at its unit in the second condition, not at the
         # non-unit in the first: y1 = 0, and x1 = 0 is left
         phi = PpFormula(alg, RIGHT, 1, 1, [[u, z], [nonunit, u]])
@@ -997,3 +1005,162 @@ def test_each_formula_is_reduced_once(monkeypatch):
             assert phi.reduced() is phi.reduced()
             assert phi.reduced().reduced() is phi.reduced()
     assert sorted(map(id, reduced)) == sorted(map(id, corpus))
+
+
+def test_arities_below_their_range_are_refused(d2):
+    # n + l = 1 rows either way, so the matrix alone does not catch them
+    x = x_el(d2)
+    for n, l, named in ((2, -1, "l=-1"), (-1, 2, "n=-1"), (0, 1, "n=0")):
+        with pytest.raises(ValueError, match=named):
+            PpFormula(d2, RIGHT, n, l, [[x]])
+        with pytest.raises(ValueError, match=named):
+            PpFormula.from_cells(d2, RIGHT, n, l, 1, {(0, 0): x})
+
+
+# -- reduced formulas shared by content ----------------------------------------
+
+
+def test_content_equal_formulas_share_their_reduced_formula():
+    import random
+    from ppmod.suites import formula_corpus
+    alg = truncated_dvr(3, GF(3))
+    assert annihilator(alg, alg.unit).reduced() is bottom(alg).reduced()
+    corpus = formula_corpus(alg, 25, random.Random(0))
+    module = dvr_chain_module(alg, 2)
+    shared = 0
+    for phi in corpus:
+        twice = dual(dual(phi))
+        r, rr = phi.reduced(), twice.reduced()
+        assert (rr is r) == (content(rr) == content(r))
+        if rr is r:
+            # one value, computed once and kept on the shared object
+            assert twice.evaluate(module) is phi.evaluate(module)
+            shared += 1
+    assert shared == 9
+
+
+def test_reduced_formulas_are_not_shared_across_algebras_sides_or_arities():
+    alg, other = truncated_dvr(3, GF(3)), truncated_dvr(3, GF(3))
+    x = alg.basis_el(1)
+    assert bottom(alg).reduced() is not bottom(other).reduced()
+    right = PpFormula(alg, RIGHT, 1, 0, [[x]])
+    left = PpFormula(alg, LEFT, 1, 0, [[x]])
+    assert right.reduced() is not left.reduced()
+    nonunit = [[x], [x]]
+    one = PpFormula(alg, RIGHT, 1, 1, nonunit)
+    two = PpFormula(alg, RIGHT, 2, 0, nonunit)
+    assert one.reduced() is not two.reduced()
+    assert content(one.reduced()) == (1, 1, two.hmat)
+    assert content(two.reduced()) == (2, 0, two.hmat)
+
+
+def test_a_reduced_formula_dies_with_its_last_formula():
+    # a content nothing else in the suite builds: x^2 | x1 * x
+    import gc
+    import weakref
+    alg = truncated_dvr(3, GF(3))
+    x, x2 = alg.basis_el(1), alg.basis_el(2)
+    phi = pp_sum(divisibility(alg, x2), annihilator(alg, x))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        r = weakref.ref(phi.reduced())
+        phi.evaluate(dvr_chain_module(alg, 3))
+        assert r() is not None
+        del phi
+        assert r() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_duality_suite_work_does_not_depend_on_the_collector(monkeypatch):
+    # free realizations and system evaluations, counted where ppformula
+    # calls them; the parent of content sharing built 944 and solved 1,280
+    import gc
+    import ppmod.ppformula
+    from ppmod.suites import suite_duality
+    work = {}
+    for name in ("quotient_module", "projected_kernel"):
+        def counted(*args, _name=name, _fn=getattr(ppmod.ppformula, name)):
+            work[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(ppmod.ppformula, name, counted)
+
+    def run():
+        work.update(quotient_module=0, projected_kernel=0)
+        assert suite_duality(0).passed
+        return dict(work)
+
+    was_enabled = gc.isenabled()
+    collected = run()
+    gc.disable()
+    try:
+        uncollected = run()
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert collected == uncollected
+    assert collected["quotient_module"] <= 509
+    assert collected["projected_kernel"] <= 837
+
+
+# -- the row update of the reduction -------------------------------------------
+
+
+def reference_unit_eliminated(phi):
+    """The reduction with the product (c u^-1) b formed row by row, as it
+    stood before u^-1 b was formed once per pivot."""
+    from ppmod.ppformula import _unit_pivot
+    alg, n = phi.effective_algebra, phi.n
+    of = alg.field.of
+    rows = [list(r) for r in phi.hmat]
+    while (pivot := _unit_pivot(alg, rows, n)) is not None:
+        y, e, inv = pivot
+        hy = rows.pop(y)
+        del hy[e]
+        for r in rows:
+            c = alg.mul_el(r.pop(e), inv)
+            if any(c):
+                for j, b in enumerate(hy):
+                    if any(b):
+                        r[j] = tuple(of(s - t) for s, t in
+                                     zip(r[j], alg.mul_el(c, b)))
+    return n, len(rows) - n, tuple(tuple(r) for r in rows)
+
+
+@functools.cache
+def reference_algebras():
+    from ppmod.algebra import kronecker_algebra
+    from ppmod.fields import QQ
+    from ppmod.tower import build_tower
+    return [alg for f in (GF(2), GF(3), QQ)
+            for alg in (truncated_dvr(3, f), kronecker_algebra(f),
+                        build_tower(2, 1, f).top)]
+
+
+@st.composite
+def reducible_formulas(draw):
+    """Formulas with n <= 2, l <= 3, m <= 3 over the reference algebras,
+    on either side; an entry is zero, the unit or a random combination of
+    the basis, so bound units are common."""
+    alg = draw(st.sampled_from(reference_algebras()))
+    f = alg.field
+    scalars = [f.of(v) for v in (-1, 1, 2)] + \
+        ([] if f.p is not None else [f.one() / 2])
+    n, l, m = (draw(st.integers(1, 2)), draw(st.integers(0, 3)),
+               draw(st.integers(0, 3)))
+    entry = st.one_of(
+        st.just(alg.zero_el()), st.just(alg.unit),
+        st.lists(st.sampled_from([f.zero()] + scalars), min_size=alg.dim,
+                 max_size=alg.dim).map(tuple))
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                         min_size=n + l, max_size=n + l))
+    return PpFormula(alg, draw(st.sampled_from((RIGHT, LEFT))), n, l, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reducible_formulas())
+def test_reduction_matches_the_row_by_row_reference(phi):
+    from ppmod.ppformula import _unit_eliminated
+    assert content(_unit_eliminated(phi)) == reference_unit_eliminated(phi)
