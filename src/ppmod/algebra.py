@@ -5,6 +5,10 @@ Associativity and the unit law are verified on all basis triples at
 construction, so downstream code can rely on them: the right regular
 representation rho is built once, and rho(b_i) rho(b_j) = rho(b_i b_j)
 holds in row k exactly when (b_k b_i) b_j = b_k (b_i b_j).
+
+Each concrete algebra (k[x]/(x^N), the Kronecker algebra, the tower rings)
+is a path algebra modulo paths, built from its basis paths by
+monomial_algebra, the one constructor that writes a table.
 """
 
 from __future__ import annotations
@@ -213,38 +217,52 @@ def _first_differing_row(a: Matrix, b: Matrix) -> int | None:
     return next(k for k, (x, y) in enumerate(zip(a.data, b.data)) if x != y)
 
 
+def monomial_algebra(field: Field, paths, name: str) -> FDAlgebra:
+    """A path algebra modulo paths, on the basis of the listed paths, each
+    (label, source, target, arrow word); the paths with the empty word are
+    the vertex idempotents.  Two basis paths multiply to their
+    concatenation when it is listed, and to zero otherwise; the unit is
+    the sum of the idempotents.  The list must be closed under subpaths:
+    a path that is not a listed path followed by a listed arrow is refused
+    here, and a missing suffix breaks a law that FDAlgebra checks."""
+    paths = [(label, s, t, tuple(w)) for label, s, t, w in paths]
+    target = {(s, w): t for _, s, t, w in paths}
+    for label, s, t, w in paths:
+        if w and target.get((target.get((s, w[:-1])), w[-1:])) != t:
+            raise ValueError(f"a subpath of {label} is not a basis path of "
+                             f"{name}")
+    index = {(s, t, w): k for k, (_, s, t, w) in enumerate(paths)}
+    z, one = field.zero(), field.one()
+
+    def el(k):  # basis path k, or zero for None
+        return tuple(one if i == k else z for i in range(len(paths)))
+
+    table = [[el(index.get((s, t2, w + w2)) if t == s2 else None)
+              for _, s2, t2, w2 in paths] for _, s, t, w in paths]
+    unit = tuple(z if w else one for _, _, _, w in paths)
+    return FDAlgebra(field, [p[0] for p in paths], table, unit, name=name)
+
+
+def dvr_paths(N: int) -> list:
+    """The basis paths 1, x, ..., x^{N-1} of k[x]/(x^N), at vertex 0."""
+    if N < 1:
+        raise ValueError("horizon N must be >= 1")
+    return [(("1", "x")[i] if i < 2 else f"x^{i}", 0, 0, ("x",) * i)
+            for i in range(N)]
+
+
 def truncated_dvr(N: int, field: Field) -> FDAlgebra:
     """k[x]/(x^N): the valuation-ring model at finite horizon N >= 1.
 
     Basis 1, x, ..., x^{N-1}; the indecomposable modules are the quotients
     of length 1..N.
     """
-    if N < 1:
-        raise ValueError("horizon N must be >= 1")
-    labels = ["1"] + [f"x^{i}" if i > 1 else "x" for i in range(1, N)]
-    z = field.zero()
-    table = []
-    for i in range(N):
-        row = []
-        for j in range(N):
-            v = [z] * N
-            if i + j < N:
-                v[i + j] = field.one()
-            row.append(tuple(v))
-        table.append(tuple(row))
-    unit = [field.one()] + [z] * (N - 1)
-    return FDAlgebra(field, labels, table, unit, name=f"k[x]/(x^{N})")
+    return monomial_algebra(field, dvr_paths(N), f"k[x]/(x^{N})")
 
 
 def kronecker_algebra(field: Field) -> FDAlgebra:
-    """Path algebra of the double-arrow quiver 1 => 2: basis e1, e2, a, b,
-    where e1 a = a e2 = a, e1 b = b e2 = b, e1 and e2 are orthogonal
-    idempotents and every other product of basis elements is zero."""
-    # (i, j): k for each product b_i b_j = b_k of (e1, e2, a, b)
-    products = {(0, 0): 0, (1, 1): 1, (0, 2): 2, (2, 1): 2, (0, 3): 3,
-                (3, 1): 3}
-    z, one = field.zero(), field.one()
-    table = [[tuple(one if products.get((i, j)) == k else z
-                    for k in range(4)) for j in range(4)] for i in range(4)]
-    return FDAlgebra(field, ["e1", "e2", "a", "b"], table, (one, one, z, z),
-                     name="kronecker")
+    """Path algebra of the double-arrow quiver a, b: 1 => 2, on the basis
+    e1, e2, a, b."""
+    return monomial_algebra(field, [("e1", 1, 1, ()), ("e2", 2, 2, ()),
+                                    ("a", 1, 2, ("a",)), ("b", 1, 2, ("b",))],
+                            "kronecker")

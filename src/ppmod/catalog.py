@@ -6,10 +6,11 @@ reproducible list of modules; this module is that list.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
-from .algebra import FDAlgebra
+from .algebra import FDAlgebra, kronecker_algebra
 from .linalg import Matrix, block
 from .modules import Module, direct_sum, free_module, quotient_module, _module_span
 from .ppformula import RIGHT, PpFormula, divisibility, pp_sum
@@ -78,26 +79,36 @@ def _partitions(n: int, max_part: int):
 def kronecker_rep(alg: FDAlgebra, d1: int, d2: int, amat, bmat,
                   label: str = "") -> Module:
     """Right module from representation data: two d1 x d2 matrices for the
-    arrows of 1 => 2, vertex-1 coordinates first."""
+    arrows of 1 => 2, vertex-1 coordinates first.  alg must have the
+    Kronecker algebra's structure constants, not only its labels (its
+    opposite has those)."""
     f = alg.field
     d = d1 + d2
-    z = Matrix.zero(f, d, d)
     bands = [d1, d2]
 
     amat = amat if isinstance(amat, Matrix) else Matrix.from_rows(f, amat)
     bmat = bmat if isinstance(bmat, Matrix) else Matrix.from_rows(f, bmat)
     if amat.rows != d1 or amat.cols != d2 or bmat.rows != d1 or bmat.cols != d2:
         raise ValueError("arrow matrices must be d1 x d2")
-    action = [z] * alg.dim
-    lab = {name: i for i, name in enumerate(alg.labels)}
-    if not {"e1", "e2", "a", "b"} <= lab.keys():
+    if not {"e1", "e2", "a", "b"} <= set(alg.labels):
         raise ValueError(f"{alg.name} has no basis elements e1, e2, a, b "
                          f"of the Kronecker algebra")
-    action[lab["e1"]] = block(f, bands, bands, {(0, 0): Matrix.identity(f, d1)})
-    action[lab["e2"]] = block(f, bands, bands, {(1, 1): Matrix.identity(f, d2)})
-    action[lab["a"]] = block(f, bands, bands, {(0, 1): amat})
-    action[lab["b"]] = block(f, bands, bands, {(0, 1): bmat})
+    if (alg.labels, alg.table, alg.unit) != _kronecker_structure(f):
+        raise ValueError(f"{alg.name} is not the Kronecker algebra on the "
+                         f"basis e1, e2, a, b")
+    action = [block(f, bands, bands, {(0, 0): Matrix.identity(f, d1)}),
+              block(f, bands, bands, {(1, 1): Matrix.identity(f, d2)}),
+              block(f, bands, bands, {(0, 1): amat}),
+              block(f, bands, bands, {(0, 1): bmat})]
     return Module(alg, d, action, label=label, check=False)
+
+
+@functools.cache
+def _kronecker_structure(field) -> tuple:
+    """The labels, table and unit of the Kronecker algebra, built once per
+    field for kronecker_rep to compare with."""
+    kron = kronecker_algebra(field)
+    return kron.labels, kron.table, kron.unit
 
 
 def kronecker_preprojective(alg: FDAlgebra, i: int) -> Module:

@@ -83,7 +83,7 @@ class RationalField(Field):
         return Fraction(1)
 
     def of(self, n):
-        return Fraction(n)
+        return n if type(n) is Fraction else Fraction(n)
 
     def elements(self):
         raise TypeError("rationals are not enumerable")

@@ -94,7 +94,9 @@ class PpFormula:
         self.side = side
         self.n = n
         self.l = l
-        self.hmat = tuple(tuple(tuple(e) for e in row) for row in hmat)
+        of = algebra.field.of
+        self.hmat = tuple(tuple(tuple(of(x) for x in e) for e in row)
+                          for row in hmat)
         if len(self.hmat) != n + l:
             raise ValueError("formula matrix must have n+l variable rows")
         widths = {len(r) for r in self.hmat}

@@ -1,11 +1,18 @@
 """Iterated one-point extensions of the truncated valuation ring.
 
-The tower R_0 = k[x]/(x^N), R_{i+1} = triangular extension of R_i by the
-bimodule L_i (L_0 the unique simple, L_{i+1} its image under the second
-embedding functor).  Modules over R_{i+1} are equivalent to triples
-(M_0, M_1, Gamma) with Gamma: M_0 -> Hom(L_i, M_1); both forms are kept,
-with a verified round trip.  The classifier identifies every finitely
-presented module by a label in the grammar
+The tower R_0 = k[x]/(x^N), R_{i+1} = (R_i 0 / L_i k), the one-point
+extension by L_i (L_0 the unique simple, L_{i+1} its image under the
+second embedding functor).  R_h is the quiver with a loop x at vertex 0
+and arrows b_i: i -> i-1 (1 <= i <= h) modulo x^N and b_1 x: its basis
+paths are R_{h-1}'s, then L_{h-1}'s, L{h-1}~k = b_h ... b_{h-k} into
+vertex h-1-k, then the idempotent eps_h.  All of (R_i 0 / L_i k) but L_i's
+basis times R_i holds by how paths compose; that block is certified to be
+L_i's action at construction.
+
+Modules over R_{i+1} are equivalent to triples (M_0, M_1, Gamma) with
+Gamma: M_0 -> Hom(L_i, M_1); both forms are kept, with a verified round
+trip.  The classifier identifies every finitely presented module by a
+label in the grammar
 
     T(n)  |  F0^a F1^b Ind(j)  |  F0^a F1^b T(m)
 
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FDAlgebra, truncated_dvr
+from .algebra import FDAlgebra, dvr_paths, monomial_algebra, truncated_dvr
 from .catalog import dvr_chain_module
 from .decompose import decompose
 from .errors import HorizonExceeded, UnclassifiedSummand
@@ -25,52 +32,6 @@ from .fields import Field
 from .linalg import Matrix, Subspace, block, vectorized
 from .modules import (Module, ModuleMap, hom_space, iso_test,
                       regular_module, submodule, _module_span)
-
-
-def one_point_extension(base: FDAlgebra, bimodule: Module,
-                        eps_label: str) -> FDAlgebra:
-    """The triangular matrix ring (base 0 / bimodule k)."""
-    f = base.field
-    r, s = base.dim, bimodule.dim
-    dim = r + s + 1
-    z = f.zero()
-
-    def vec(part, coords):
-        v = [z] * dim
-        if part == "r":
-            for i, c in enumerate(coords):
-                v[i] = c
-        elif part == "l":
-            for i, c in enumerate(coords):
-                v[r + i] = c
-        else:
-            v[r + s] = coords
-        return tuple(v)
-
-    zero = (z,) * dim
-    table = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            if i < r and j < r:
-                row.append(vec("r", base.table[i][j]))
-            elif r <= i < r + s and j < r:
-                row.append(vec("l", bimodule.action[j].data[i - r]))
-            elif i == r + s and r <= j < r + s:
-                lj = [z] * s
-                lj[j - r] = f.one()
-                row.append(vec("l", lj))
-            elif i == r + s and j == r + s:
-                row.append(vec("e", f.one()))
-            else:
-                row.append(zero)
-        table.append(tuple(row))
-    labels = list(base.labels) + \
-        [f"{bimodule.label or 'l'}~{i}" for i in range(s)] + [eps_label]
-    unit = list(base.unit) + [z] * s
-    unit.append(f.one())
-    return FDAlgebra(f, labels, table, unit,
-                     name=f"{base.name}[{bimodule.label}]")
 
 
 class TowerRing:
@@ -85,10 +46,14 @@ class TowerRing:
         self.algebras: list[FDAlgebra] = [truncated_dvr(N, field)]
         self.bimodules: list[Module] = [dvr_chain_module(self.algebras[0], 1)]
         self.bimodules[0].label = "L0"
+        paths = dvr_paths(N)
         for i in range(height):
-            alg = one_point_extension(self.algebras[i], self.bimodules[i],
-                                      eps_label=f"eps{i + 1}")
-            self.algebras.append(alg)
+            arrows = [f"b{i + 1 - m}" for m in range(i + 1)]  # b_{i+1}..b_1
+            paths += [(f"L{i}~{k}", i + 1, i - k, arrows[:k + 1])
+                      for k in range(i + 1)]
+            paths.append((f"eps{i + 1}", i + 1, i + 1, ()))
+            self.algebras.append(monomial_algebra(
+                field, paths, f"{self.algebras[i].name}[L{i}]"))
             nxt = f1(self, i + 1, self.bimodules[i])
             nxt.label = f"L{i + 1}"
             self.bimodules.append(nxt)
@@ -96,9 +61,16 @@ class TowerRing:
         self._label_cache: dict = {}
 
     def _check_shape(self):
+        z = (self.field.zero(),)
         for i, l in enumerate(self.bimodules):
             if l.dim != i + 1:
                 raise AssertionError("bimodule dimension drifted")
+        for i, l in enumerate(self.bimodules[:self.height]):
+            # L_i's basis times R_i in R_{i+1} is L_i's action, padded
+            table, r = self.algebras[i + 1].table, self.algebras[i].dim
+            if any(table[r + k][j] != z * r + l.action[j].data[k] + z
+                   for k in range(l.dim) for j in range(r)):
+                raise AssertionError(f"L{i} does not act as in R{i + 1}")
         n = self.height
         if self.top.dim != tower_dimension(self.N, n):
             raise AssertionError("tower dimension formula violated")
@@ -122,27 +94,16 @@ class TowerRing:
     def top(self) -> FDAlgebra:
         return self.algebras[self.height]
 
-    def embed_el(self, el, from_level: int, to_level: int):
-        """Coordinate embedding R_i -> R_j along the tower inclusions."""
-        v = tuple(el)
-        for lvl in range(from_level, to_level):
-            v = v + (self.field.zero(),) * (self.algebras[lvl + 1].dim -
-                                            self.algebras[lvl].dim)
-        return v
-
     def c_idem(self, level: int):
-        """The idempotent cutting out the valuation-ring corner."""
-        return self.embed_el(self.algebras[0].unit, 0, level)
+        """The idempotent 1 of vertex 0: the valuation-ring corner."""
+        return self.algebras[level].basis_el(0)
 
     def e_idem(self, level: int, i: int):
-        """The i-th extension idempotent (1 <= i <= level)."""
+        """The i-th extension idempotent eps_i (1 <= i <= level)."""
         if not (1 <= i <= level):
             raise ValueError("extension idempotent index out of range")
-        alg_i = self.algebras[i]
-        z = self.field.zero()
-        v = [z] * alg_i.dim
-        v[alg_i.dim - 1] = self.field.one()
-        return self.embed_el(tuple(v), i, level)
+        alg = self.algebras[level]
+        return alg.basis_el(alg.labels.index(f"eps{i}"))
 
 
 def tower_dimension(N: int, height: int) -> int:

@@ -383,12 +383,14 @@ def mesh_sweep(q: TranslationQuiver, max_len: int):
 
 def hom_dimension(q: TranslationQuiver, source: Vertex, target: Vertex) -> int:
     """Number of distinct normal paths source -> target (the dimension of
-    the path space modulo the mesh relations)."""
+    the path space modulo the mesh relations).  The lambda walk from
+    source ends: each step raises the depth k or is a rim step that lowers
+    the stage j, and stage 1's rim has no lambda arrow, so it takes at
+    most (max n_i + 1) * horizon steps."""
     if not (q.is_vertex(source) and q.is_vertex(target)):
         raise ValueError("vertex outside the horizon")
     count = 0
     v = source
-    steps = 0
     while True:
         # climb with mu from v: stages ascend one at a time
         if v[:2] == target[:2] and target[2] >= v[2] and \
@@ -398,9 +400,6 @@ def hom_dimension(q: TranslationQuiver, source: Vertex, target: Vertex) -> int:
         if a is None:
             break
         v = q.target(a)
-        steps += 1
-        if steps > 4 * q.m * (max(q.ray_lengths) + 2) * q.horizon:
-            raise RuntimeError("lambda walk failed to terminate")
     return count
 
 

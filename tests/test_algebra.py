@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppmod.fields import GF, QQ
-from ppmod.algebra import FDAlgebra, kronecker_algebra, truncated_dvr
+from ppmod.algebra import (FDAlgebra, kronecker_algebra, monomial_algebra,
+                           truncated_dvr)
 from ppmod.linalg import Matrix, combination
 from ppmod.modules import Module
 
@@ -81,6 +82,65 @@ def test_non_associative_table_rejected():
 def test_unit_law_failure_rejected(table):
     with pytest.raises(ValueError, match="unit law"):
         FDAlgebra(F2, ["1", "a"], table, (1, 0))
+
+
+# the path algebra of the quiver a: 1 -> 2, b: 2 -> 3, c: 1 -> 3 (type
+# A~_{2,1}): seven basis paths, no relation
+A21_PATHS = [("e1", 1, 1, ()), ("e2", 2, 2, ()), ("e3", 3, 3, ()),
+             ("a", 1, 2, ("a",)), ("b", 2, 3, ("b",)), ("c", 1, 3, ("c",)),
+             ("ab", 1, 3, ("a", "b"))]
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), QQ], ids=str)
+def test_monomial_algebra_multiplies_paths_by_concatenation(field):
+    alg = monomial_algebra(field, A21_PATHS, "A21")
+    assert (alg.dim, alg.labels, alg.name) == (7, tuple(
+        p[0] for p in A21_PATHS), "A21")
+    el = alg.el_from_label
+    assert alg.unit == alg.add_el(alg.add_el(el("e1"), el("e2")), el("e3"))
+    for (x, y), z in {("a", "b"): "ab", ("e1", "ab"): "ab",
+                      ("ab", "e3"): "ab", ("e1", "c"): "c"}.items():
+        assert alg.mul_el(el(x), el(y)) == el(z)
+    for x, y in [("b", "a"), ("a", "c"), ("ab", "b"), ("e2", "a"),
+                 ("c", "e2"), ("e1", "e2")]:
+        assert alg.mul_el(el(x), el(y)) == alg.zero_el()
+
+
+@pytest.mark.parametrize("drop, path", [("e1", "a"), ("e2", "b"),
+                                         ("a", "ab"), ("b", "ab")])
+def test_monomial_algebra_refuses_a_list_not_closed_under_subpaths(drop,
+                                                                   path):
+    # the first listed path with the dropped one as a subpath is named
+    paths = [p for p in A21_PATHS if p[0] != drop]
+    with pytest.raises(ValueError,
+                       match=f"a subpath of {path} is not a basis path"):
+        monomial_algebra(F2, paths, "A21")
+
+
+def test_monomial_algebra_refuses_a_word_that_does_not_compose():
+    # a ends at 2 and b starts at 3, so ab is no path of the quiver
+    paths = [(f"e{v}", v, v, ()) for v in (1, 2, 3, 4)] + [
+        ("a", 1, 2, ("a",)), ("b", 3, 4, ("b",)), ("ab", 1, 4, ("a", "b"))]
+    with pytest.raises(ValueError, match="a subpath of ab is not"):
+        monomial_algebra(F2, paths, "planted")
+
+
+def test_monomial_algebra_refuses_a_missing_suffix():
+    # a, b, c: 1 -> 2 -> 3 -> 4 with abc listed but not bc: every prefix
+    # is listed, and (ab)c = abc while a(bc) = 0
+    paths = [(f"e{v}", v, v, ()) for v in (1, 2, 3, 4)] + [
+        ("a", 1, 2, ("a",)), ("b", 2, 3, ("b",)), ("c", 3, 4, ("c",)),
+        ("ab", 1, 3, ("a", "b")), ("abc", 1, 4, ("a", "b", "c"))]
+    with pytest.raises(ValueError, match="associativity fails"):
+        monomial_algebra(F2, paths, "planted")
+
+
+def test_monomial_algebra_refuses_a_power_without_its_root():
+    # 1, x^2 alone is k[y]/(y^2) with y = x^2: associative and unital, so
+    # only the subpath check refuses it
+    with pytest.raises(ValueError, match="a subpath of x\\^2"):
+        monomial_algebra(F2, [("1", 0, 0, ()), ("x^2", 0, 0, ("x", "x"))],
+                         "planted")
 
 
 def test_kronecker_table():

@@ -403,6 +403,36 @@ def test_matrix_storage_stays_in_linalg(path):
     assert list(storage_reads(ast.parse(path.read_text()))) == []
 
 
+def algebra_constructions(tree: ast.AST):
+    """'line: FDAlgebra' for each call of FDAlgebra, by name or as an
+    attribute; a mention that is not a call, such as a type, is none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else \
+                f.attr if isinstance(f, ast.Attribute) else None
+            if name == "FDAlgebra":
+                yield f"{node.lineno}: FDAlgebra"
+
+
+def test_algebra_constructions_are_found():
+    src = ("def f(field, table, algebra, a: FDAlgebra) -> FDAlgebra:\n"
+           "    b = FDAlgebra(field, ['1'], table, (1,))\n"
+           "    c = algebra.FDAlgebra(field, ['1'], table, (1,))\n"
+           "    return isinstance(a, FDAlgebra), b, c\n")
+    assert list(algebra_constructions(ast.parse(src))) == [
+        "2: FDAlgebra", "3: FDAlgebra"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name != "algebra.py"),
+                         ids=lambda p: p.name)
+def test_structure_constant_tables_stay_in_algebra(path):
+    # every algebra is built by algebra.monomial_algebra (or is an
+    # opposite), so no other module writes a structure-constant table
+    assert list(algebra_constructions(ast.parse(path.read_text()))) == []
+
+
 def test_unread_locals_are_found():
     src = "def f(a):\n    b, _ = a\n    c = 1\n    return b\n"
     assert list(unread_locals(ast.parse(src))) == ["f:3: c"]

@@ -443,3 +443,19 @@ def test_hom_space_runs_no_dense_elimination(field, monkeypatch):
     monkeypatch.undo()
     assert dims == [d for _, _, d in pairs]
     assert counts == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), QQ], ids=str)
+def test_kronecker_rep_refuses_the_opposite_algebra(field):
+    # kronecker^op has the labels e1, e2, a, b but the transposed table:
+    # there e1 a = 0, so the actions would break its laws (e1.a first)
+    kron = kronecker_algebra(field)
+    with pytest.raises(ValueError, match=r"kronecker\^op is not the "
+                                         r"Kronecker algebra"):
+        kronecker_rep(kron.op, 1, 1, [[1]], [[0]])
+    m = kronecker_rep(kron, 1, 1, [[1]], [[0]])
+    assert kron.law_failure(m.action) is None
+    # a Kronecker algebra built again is accepted: the check compares
+    # structure constants, not objects
+    assert kronecker_rep(kronecker_algebra(field), 1, 1, [[1]],
+                         [[0]]).dim == 2

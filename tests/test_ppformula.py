@@ -1164,3 +1164,15 @@ def reducible_formulas(draw):
 def test_reduction_matches_the_row_by_row_reference(phi):
     from ppmod.ppformula import _unit_eliminated
     assert content(_unit_eliminated(phi)) == reference_unit_eliminated(phi)
+
+
+def test_entries_are_normalized_in_the_field():
+    # over GF(3), 5 and -1 name the element 2
+    from ppmod.ppsyntax import format_formula
+    alg = truncated_dvr(3, GF(3))
+    phi = PpFormula(alg, RIGHT, 1, 0, [[(0, 5, 0)]])
+    assert format_formula(phi) == "(x1*(2*x) = 0)"
+    assert phi.hmat == (((0, 2, 0),),)
+    minus, two = (PpFormula(alg, RIGHT, 1, 0, [[(0, c, 0)]]) for c in (-1, 2))
+    assert content(minus) == content(two)
+    assert minus.reduced() is two.reduced()

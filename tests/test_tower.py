@@ -282,3 +282,99 @@ def test_f1_of_the_ladder_maps_matches_the_recorded_matrices(tw31):
     from pathlib import Path
     golden = Path(__file__).parent / "golden" / "f1_tw31_ladder.txt"
     assert "\n".join(f1_ladder_lines(tw31)) + "\n" == golden.read_text()
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), QQ], ids=str)
+def test_each_ring_is_the_one_point_extension_of_the_one_below(field):
+    # R_{i+1} = (R_i 0 / L_i k) block by block, for N <= 15 and h <= 3:
+    # the rings of a tower of height 3 are those of the lower towers
+    z, one = field.zero(), field.one()
+    for N in range(1, 16):
+        tower = build_tower(N, 3, field)
+        dvr = tower.algebras[0]
+        assert dvr.labels == ("1", "x", "x^2", "x^3", "x^4")[:N] + tuple(
+            f"x^{i}" for i in range(5, N))
+        assert dvr.name == f"k[x]/(x^{N})"
+        for i, l_mod in enumerate(tower.bimodules[:3]):
+            base, ext = tower.algebras[i], tower.algebras[i + 1]
+            r, s = base.dim, l_mod.dim
+            assert ext.labels == base.labels + tuple(
+                f"L{i}~{k}" for k in range(s)) + (f"eps{i + 1}",)
+            assert ext.name == f"{base.name}[L{i}]"
+            assert ext.unit == base.unit + (z,) * s + (one,)
+            want = {}
+            for a, b in itertools.product(range(r), repeat=2):
+                want[a, b] = base.table[a][b] + (z,) * (s + 1)
+            for k, b in itertools.product(range(s), range(r)):
+                # L_i's basis times R_i is L_i's action
+                want[r + k, b] = (z,) * r + l_mod.action[b].data[k] + (z,)
+            for k in range(s + 1):
+                # eps acts as the identity on L_i, and eps eps = eps
+                want[r + s, r + k] = ext.basis_el(r + k)
+            for a, b in itertools.product(range(ext.dim), repeat=2):
+                assert ext.table[a][b] == want.get((a, b), ext.zero_el()), \
+                    (N, i, ext.labels[a], ext.labels[b])
+        kind = int if field.p else type(one)
+        assert all(type(c) is kind for r in tower.top.table for v in r
+                   for c in v)
+
+
+def test_tower_labels_and_names_are_fixed(tw32):
+    assert tw32.top.labels == ("1", "x", "x^2", "L0~0", "eps1", "L1~0",
+                               "L1~1", "eps2")
+    assert [a.name for a in tw32.algebras] == [
+        "k[x]/(x^3)", "k[x]/(x^3)[L0]", "k[x]/(x^3)[L0][L1]"]
+
+
+def planted_tower(monkeypatch, edit):
+    """build_tower(3, 2) with each ring's path list passed through edit."""
+    import ppmod.tower
+    real = ppmod.tower.monomial_algebra
+    monkeypatch.setattr(ppmod.tower, "monomial_algebra",
+                        lambda field, paths, name:
+                        real(field, edit(list(paths)), name))
+    return build_tower(3, 2, F2)
+
+
+def replaced(label, *path):
+    """An edit that lists path in place of the path named label."""
+    return lambda paths: [(label, *path) if p[0] == label else p
+                          for p in paths]
+
+
+def test_a_reversed_word_is_refused(monkeypatch):
+    # b1 b2 does not compose: neither b1 from vertex 2 nor b2 into vertex
+    # 0 is a basis path
+    with pytest.raises(ValueError, match="a subpath of L1~1 is not"):
+        planted_tower(monkeypatch, replaced("L1~1", 2, 0, ("b1", "b2")))
+
+
+@pytest.mark.parametrize("edit", [
+    # a new arrow c: 2 -> 0 in place of b2 b1, so that b2 b1 = 0
+    replaced("L1~1", 2, 0, ("c",)),
+    # L1's basis listed in the other order (R2's last paths are L1~0,
+    # L1~1, eps2)
+    lambda paths: [{"L1~0": paths[-2], "L1~1": paths[-3]}.get(p[0], p)
+                   for p in paths],
+], ids=["new-arrow", "reordered"])
+def test_a_ring_whose_bimodule_rows_differ_is_refused(monkeypatch, edit):
+    # each planted R2 is a monomial algebra; only the certificate of its
+    # L1 rows refuses it
+    with pytest.raises(AssertionError, match="L1 does not act as in R2"):
+        planted_tower(monkeypatch, edit)
+
+
+def test_a_duplicated_path_is_refused(monkeypatch):
+    with pytest.raises(ValueError, match="unit law fails"):
+        planted_tower(monkeypatch, lambda paths: paths + [
+            p for p in paths if p[0] == "L0~0"])
+
+
+@pytest.mark.parametrize("label", ["1", "x", "x^2", "L0~0", "eps1", "L1~0",
+                                   "L1~1", "eps2"])
+def test_a_dropped_path_is_refused(monkeypatch, label):
+    # by the subpath check, or, for a path that is no subpath of another,
+    # by a module over the ring with one basis element too few
+    with pytest.raises(ValueError):
+        planted_tower(monkeypatch,
+                      lambda paths: [p for p in paths if p[0] != label])
