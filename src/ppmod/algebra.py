@@ -32,6 +32,7 @@ class FDAlgebra:
         self.table = tuple(tuple(tuple(v) for v in row) for row in mul_table)
         self.unit = tuple(unit)
         self.name = name or f"algebra{next(FDAlgebra._serial)}"
+        self.paths = None  # the basis paths, when monomial_algebra built it
         self._op: FDAlgebra | None = None
         self._generators: tuple[int, ...] | None = None
         self._inverses: dict = {}
@@ -145,12 +146,16 @@ class FDAlgebra:
 
     @property
     def op(self) -> "FDAlgebra":
-        """The opposite algebra; op.op is self."""
+        """The opposite algebra; op.op is self.  Its paths are the reversed
+        paths, of the opposite quiver."""
         if self._op is None:
             table = tuple(tuple(self.table[j][i] for j in range(self.dim))
                           for i in range(self.dim))
             o = FDAlgebra(self.field, self.labels, table, self.unit,
                           name=self.name + "^op", check=False)
+            if self.paths is not None:
+                o.paths = tuple((label, t, s, w[::-1])
+                                for label, s, t, w in self.paths)
             o._op = self
             self._op = o
         return self._op
@@ -224,8 +229,9 @@ def monomial_algebra(field: Field, paths, name: str) -> FDAlgebra:
     concatenation when it is listed, and to zero otherwise; the unit is
     the sum of the idempotents.  The list must be closed under subpaths:
     a path that is not a listed path followed by a listed arrow is refused
-    here, and a missing suffix breaks a law that FDAlgebra checks."""
-    paths = [(label, s, t, tuple(w)) for label, s, t, w in paths]
+    here, and a missing suffix breaks a law that FDAlgebra checks.  The
+    paths are kept on the algebra, as `paths`."""
+    paths = tuple((label, s, t, tuple(w)) for label, s, t, w in paths)
     target = {(s, w): t for _, s, t, w in paths}
     for label, s, t, w in paths:
         if w and target.get((target.get((s, w[:-1])), w[-1:])) != t:
@@ -240,15 +246,22 @@ def monomial_algebra(field: Field, paths, name: str) -> FDAlgebra:
     table = [[el(index.get((s, t2, w + w2)) if t == s2 else None)
               for _, s2, t2, w2 in paths] for _, s, t, w in paths]
     unit = tuple(z if w else one for _, _, _, w in paths)
-    return FDAlgebra(field, [p[0] for p in paths], table, unit, name=name)
+    alg = FDAlgebra(field, [p[0] for p in paths], table, unit, name=name)
+    alg.paths = paths
+    return alg
 
 
-def dvr_paths(N: int) -> list:
+def dvr_paths(N: int) -> tuple:
     """The basis paths 1, x, ..., x^{N-1} of k[x]/(x^N), at vertex 0."""
     if N < 1:
         raise ValueError("horizon N must be >= 1")
-    return [(("1", "x")[i] if i < 2 else f"x^{i}", 0, 0, ("x",) * i)
-            for i in range(N)]
+    return tuple((("1", "x")[i] if i < 2 else f"x^{i}", 0, 0, ("x",) * i)
+                 for i in range(N))
+
+
+# the double-arrow quiver a, b: 1 => 2
+KRONECKER_PATHS = (("e1", 1, 1, ()), ("e2", 2, 2, ()), ("a", 1, 2, ("a",)),
+                   ("b", 1, 2, ("b",)))
 
 
 def truncated_dvr(N: int, field: Field) -> FDAlgebra:
@@ -263,6 +276,4 @@ def truncated_dvr(N: int, field: Field) -> FDAlgebra:
 def kronecker_algebra(field: Field) -> FDAlgebra:
     """Path algebra of the double-arrow quiver a, b: 1 => 2, on the basis
     e1, e2, a, b."""
-    return monomial_algebra(field, [("e1", 1, 1, ()), ("e2", 2, 2, ()),
-                                    ("a", 1, 2, ("a",)), ("b", 1, 2, ("b",))],
-                            "kronecker")
+    return monomial_algebra(field, KRONECKER_PATHS, "kronecker")

@@ -6,13 +6,13 @@ reproducible list of modules; this module is that list.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 
-from .algebra import FDAlgebra, kronecker_algebra
-from .linalg import Matrix, block
-from .modules import Module, direct_sum, free_module, quotient_module, _module_span
+from .algebra import KRONECKER_PATHS, FDAlgebra, dvr_paths
+from .linalg import Matrix
+from .modules import (Module, direct_sum, free_module, quiver_rep,
+                      quotient_module, _module_span)
 from .ppformula import RIGHT, PpFormula, divisibility, pp_sum
 
 
@@ -22,23 +22,13 @@ from .ppformula import RIGHT, PpFormula, divisibility, pp_sum
 def dvr_chain_module(alg: FDAlgebra, j: int) -> Module:
     """V/m^j over k[x]/(x^N): x acts as the nilpotent shift of order j."""
     N = alg.dim
-    # by associativity, unit b_0 and x b_i = b_{i+1} (0 past x^(N-1))
-    # make b_i = x^i, so the algebra is k[x]/(x^N)
-    powers = [alg.basis_el(i) for i in range(N)] + [alg.zero_el()]
-    if alg.unit != powers[0] or any(alg.table[1][i] != powers[i + 1]
-                                    for i in range(1, N)):
+    if alg.paths != dvr_paths(N):
         raise ValueError(f"chain modules need k[x]/(x^N) on the basis 1, x, "
                          f"..., x^(N-1); {alg.name} is not")
     if not (1 <= j <= N):
         raise ValueError(f"chain length {j} outside 1..{N}")
-    f = alg.field
-    shift = _shift(f, j)
-    action = []
-    power = Matrix.identity(f, j)
-    for _ in range(N):
-        action.append(power)
-        power = power * shift
-    return Module(alg, j, action, label=f"V/m^{j}", check=False)
+    arrows = {"x": _shift(alg.field, j)} if N > 1 else {}  # k[x]/(x): none
+    return quiver_rep(alg, {0: j}, arrows, label=f"V/m^{j}")
 
 
 def _shift(f, n: int) -> Matrix:
@@ -80,35 +70,16 @@ def kronecker_rep(alg: FDAlgebra, d1: int, d2: int, amat, bmat,
                   label: str = "") -> Module:
     """Right module from representation data: two d1 x d2 matrices for the
     arrows of 1 => 2, vertex-1 coordinates first.  alg must have the
-    Kronecker algebra's structure constants, not only its labels (its
-    opposite has those)."""
-    f = alg.field
-    d = d1 + d2
-    bands = [d1, d2]
-
-    amat = amat if isinstance(amat, Matrix) else Matrix.from_rows(f, amat)
-    bmat = bmat if isinstance(bmat, Matrix) else Matrix.from_rows(f, bmat)
-    if amat.rows != d1 or amat.cols != d2 or bmat.rows != d1 or bmat.cols != d2:
-        raise ValueError("arrow matrices must be d1 x d2")
+    Kronecker algebra's paths, not only its labels (its opposite has
+    those, with the arrows reversed)."""
     if not {"e1", "e2", "a", "b"} <= set(alg.labels):
         raise ValueError(f"{alg.name} has no basis elements e1, e2, a, b "
                          f"of the Kronecker algebra")
-    if (alg.labels, alg.table, alg.unit) != _kronecker_structure(f):
+    if alg.paths != KRONECKER_PATHS:
         raise ValueError(f"{alg.name} is not the Kronecker algebra on the "
                          f"basis e1, e2, a, b")
-    action = [block(f, bands, bands, {(0, 0): Matrix.identity(f, d1)}),
-              block(f, bands, bands, {(1, 1): Matrix.identity(f, d2)}),
-              block(f, bands, bands, {(0, 1): amat}),
-              block(f, bands, bands, {(0, 1): bmat})]
-    return Module(alg, d, action, label=label, check=False)
-
-
-@functools.cache
-def _kronecker_structure(field) -> tuple:
-    """The labels, table and unit of the Kronecker algebra, built once per
-    field for kronecker_rep to compare with."""
-    kron = kronecker_algebra(field)
-    return kron.labels, kron.table, kron.unit
+    return quiver_rep(alg, {1: d1, 2: d2}, {"a": amat, "b": bmat},
+                      label=label)
 
 
 def kronecker_preprojective(alg: FDAlgebra, i: int) -> Module:

@@ -401,6 +401,8 @@ def block(field: Field, heights, widths, blocks) -> Matrix:
         if (m.rows, m.cols) != (heights[i], widths[j]):
             raise ValueError(f"block ({i}, {j}) is {m.rows}x{m.cols}, its "
                              f"band {heights[i]}x{widths[j]}")
+    if len(heights) == len(widths) == len(blocks) == 1:
+        return blocks[0, 0]  # one band each way, filled
     rows, cols = sum(heights), sum(widths)
     out = []
     if field.p == 2:

@@ -10,6 +10,9 @@ Conventions (used throughout the package):
   opposite algebra, and the double dual is literally the original data.
 * A ModuleMap f: M -> N is a dim(M) x dim(N) matrix with f(m) = m @ F,
   intertwining rho_M(a) F = F rho_N(a) for all a.
+* A representation of an algebra's bound quiver (a space per vertex, a
+  matrix per arrow) is a module by `quiver_rep`, on the vertex spaces in
+  ascending order, each path acting from its source's block to its target's.
 """
 
 from __future__ import annotations
@@ -154,6 +157,54 @@ def free_module(algebra: FDAlgebra, rank: int, label: str = "") -> Module:
 
 def regular_module(algebra: FDAlgebra) -> Module:
     return free_module(algebra, 1, label=algebra.name)
+
+
+def quiver_rep(alg: FDAlgebra, dims, arrows, label: str = "") -> Module:
+    """The representation of alg's bound quiver with a dims[v]-dimensional
+    space at each vertex v (0 where absent) and the dims[s] x dims[t]
+    matrix arrows[a] on each arrow a: s -> t (zero where absent).  Each
+    basis path acts as the product of its arrows' matrices, in its
+    (source, target) block.
+
+    The relations are certified rather than every law: each basis path
+    followed by an arrow that makes no basis path must act as zero.  Then
+    every path outside the basis acts as zero, since the basis is closed
+    under subpaths, and the basis paths multiply as in alg."""
+    paths = alg.paths
+    if paths is None:
+        raise ValueError(f"{alg.name} is not built from basis paths")
+    f = alg.field
+    size = {v: dims.get(v, 0) for v in sorted(s for _, s, _, w in paths
+                                              if not w)}
+    ends = {w[0]: (s, t) for _, s, t, w in paths if len(w) == 1}
+    unknown = ({*arrows} - {*ends}) | ({*dims} - {*size})
+    if unknown:
+        raise ValueError(f"{alg.name} has no arrow or vertex "
+                         f"{', '.join(sorted(map(str, unknown)))}")
+    mats = {}
+    for a, (s, t) in ends.items():
+        m = arrows[a] if a in arrows else Matrix.zero(f, size[s], size[t])
+        m = m if isinstance(m, Matrix) else Matrix.from_rows(f, m)
+        if (m.rows, m.cols) != (size[s], size[t]):
+            raise ValueError(f"arrow {a}: {s} -> {t} needs a {size[s]}x"
+                             f"{size[t]} matrix, not {m.rows}x{m.cols}")
+        mats[a] = m
+    prod = {}  # (source, word) -> the product of the word's matrices
+    for _, s, _, w in sorted(paths, key=lambda p: len(p[3])):
+        prod[s, w] = (Matrix.identity(f, size[s]) if not w else
+                      mats[w[0]] if len(w) == 1 else
+                      prod[s, w[:-1]] * mats[w[-1]])
+    for p, s, t, w in paths:
+        for a, (s2, _) in ends.items():
+            if s2 == t and (s, w + (a,)) not in prod and \
+                    not (prod[s, w] * mats[a]).is_zero():
+                raise ValueError(f"the path {p} followed by {a} is zero in "
+                                 f"{alg.name} but not in the representation")
+    band = {v: i for i, v in enumerate(size)}
+    sizes = list(size.values())
+    action = [block(f, sizes, sizes, {(band[s], band[t]): prod[s, w]})
+              for _, s, t, w in paths]
+    return Module(alg, sum(sizes), action, label=label, check=False)
 
 
 # -- hom spaces ------------------------------------------------------------

@@ -51,7 +51,6 @@ membership.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass
 
@@ -62,8 +61,6 @@ from .modules import (Module, Presentation, _module_span, free_module,
 
 RIGHT = "right"
 LEFT = "left"
-
-_counter = itertools.count()
 
 # the reduced formula of each content (algebra, side, n, hmat), held weakly:
 # an entry lives exactly as long as some formula refers to its value
@@ -77,9 +74,8 @@ _OWN = object()
 class PpFormula:
     """Immutable pp formula; entries of hmat are algebra coordinate vectors."""
 
-    __slots__ = ("algebra", "side", "n", "l", "hmat", "serial",
-                 "_realization", "_by_hom", "_eval_cache", "_reduced",
-                 "__weakref__")
+    __slots__ = ("algebra", "side", "n", "l", "hmat", "_realization",
+                 "_by_hom", "_eval_cache", "_reduced", "__weakref__")
 
     def __init__(self, algebra: FDAlgebra, side: str, n: int, l: int, hmat,
                  realization: "FreeRealization | None" = None):
@@ -106,7 +102,6 @@ class PpFormula:
             for e in row:
                 if len(e) != algebra.dim:
                     raise ValueError("entry is not an algebra coordinate vector")
-        self.serial = next(_counter)
         # a realization given here is evaluated through Hom (see evaluate)
         self._realization = realization
         self._by_hom = realization is not None

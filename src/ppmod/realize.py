@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 from .catalog import dvr_chain_module
 from .decompose import decompose
 from .errors import HorizonExceeded, SquareFailed
-from .linalg import Matrix, block, vectorized
-from .modules import (Module, ModuleMap, direct_sum, identity_map,
-                      iso_classes)
+from .linalg import Matrix, vectorized
+from .modules import (ModuleMap, direct_sum, identity_map, iso_classes,
+                      quiver_rep)
 from .tower import (TowerRing, build_tower, left_projectives, lift,
                     natural_embedding)
 from .tube import Arrow, TranslationQuiver, ZERO, normal_path_arrows
@@ -215,7 +215,13 @@ def stage_bimodule(rt: RealizedTube):
     """The stage-J surrogate of the limit bimodule: X = M_J (+) P^1_1 (+)
     ... (+) P^n_1 with its left action of the height-n tower built at
     horizon J, returned as (left tower, module over its opposite algebra,
-    underlying A-module)."""
+    underlying A-module).
+
+    The left action is the representation of the opposite tower quiver
+    with M_J at vertex 0 and P^l_1 at vertex l: x acts as on M_J, b_1 as
+    beta_1 = alpha^1 u_1 (u_1: M_J -> M_1 along the quotients) and b_l as
+    alpha^l.  It is checked to commute with X's right action, and the
+    left tower to embed into End(X)."""
     tower, n, J = rt.tower, rt.tower.height, rt.stages
     f = tower.field
     left_tower = build_tower(J, n, f)
@@ -224,72 +230,22 @@ def stage_bimodule(rt: RealizedTube):
     comps = [mj] + [rt.P[(l, 1)] for l in range(1, n + 1)]
     x_mod = direct_sum(comps, label="stage_bimodule")[0]
 
-    # x acts on the M_J component as multiplication by the uniformizer
-    # (stages < N guarantees N >= 2, so the x coordinate exists)
-    shift = dvr_chain_module(tower.algebras[0], J).action[1]
-    xmult = ModuleMap(mj, mj, shift, check=True)
-
-    # u_1: M_J -> M_1 along the quotients, then into P^1
-    u1 = identity_map(mj)
-    for j in range(J - 1, 0, -1):
-        u1 = u1.then(rt.phi[j])
-
-    # recursive left actions: lam[s] for each basis element of the left tower
-    lam: dict[int, Matrix] = {}
-    dims = [c.dim for c in comps]
-    offs = [sum(dims[:i]) for i in range(len(dims))]
-    total = sum(dims)
-
-    def place(mat: Matrix, row: int, col: int) -> Matrix:
-        """mat in a total x total zero matrix, its corner at (row, col)."""
-        return block(f, [row, mat.rows, total - row - mat.rows],
-                     [col, mat.cols, total - col - mat.cols], {(1, 1): mat})
-
-    # level 0: powers of x on the first block
-    b0 = left_tower.algebras[0]
-    power = Matrix.identity(f, mj.dim)
-    for t in range(b0.dim):
-        lam[t] = place(power, 0, 0)
-        power = power * xmult.mat
-
-    # Delta_0: the bimodule generator goes to beta_1 = alpha^1 o u_1
+    arrows = {f"b{l}": rt.alpha[(l, 1)].mat for l in range(2, n + 1)}
     if n >= 1:
-        beta1 = u1.then(rt.alpha[(1, 1)])
-        deltas: list[list[Matrix]] = [[beta1.mat]]  # level 0 basis maps X_0 -> P^1
-
-    done = b0.dim
-    for lvl in range(1, n + 1):
-        l_bim = left_tower.bimodules[lvl - 1]
-        # bimodule basis elements act through Delta_{lvl-1}
-        for t in range(l_bim.dim):
-            lam[done + t] = place(deltas[lvl - 1][t], 0, offs[lvl])
-        # the extension idempotent projects onto the new block
-        lam[done + l_bim.dim] = place(Matrix.identity(f, dims[lvl]),
-                                      offs[lvl], offs[lvl])
-        done += l_bim.dim + 1
-        if lvl < n:
-            # basis of L_lvl in flatten order: [hom slot | lower bimodule];
-            # each Delta_lvl map sends X_lvl = [X_{lvl-1} | P^lvl] to
-            # P^{lvl+1}
-            nxt = rt.alpha[(lvl + 1, 1)].mat  # P^lvl -> P^{lvl+1}
-            heights, widths = [offs[lvl], dims[lvl]], [nxt.cols]
-            deltas.append([block(f, heights, widths, {(1, 0): nxt})] +
-                          [block(f, heights, widths, {(0, 0): dm * nxt})
-                           for dm in deltas[lvl - 1]])
-
-    top = left_tower.top
-    if done != top.dim:
-        raise AssertionError("left action construction out of sync")
-    # fix the unit: lam matrices are per basis element; validity checked by
-    # the module constructor over the opposite algebra
-    action = [lam[t] for t in range(top.dim)]
-    left_mod = Module(top.op, total, action, label="stage_bimodule_left",
-                      check=True)
+        u1 = identity_map(mj)
+        for j in range(J - 1, 0, -1):
+            u1 = u1.then(rt.phi[j])
+        arrows["b1"] = u1.then(rt.alpha[(1, 1)]).mat
+    if J > 1:  # k[x]/(x) has no arrow x
+        arrows["x"] = mj.act(tower.top.el_from_label("x"))
+    left_mod = quiver_rep(left_tower.top.op, dict(enumerate(
+        c.dim for c in comps)), arrows, label="stage_bimodule_left")
     # bimodule condition: every left action matrix is a right-module map
-    for t in range(top.dim):
-        ModuleMap(x_mod, x_mod, action[t], check=True)
+    for a in left_mod.action:
+        ModuleMap(x_mod, x_mod, a, check=True)
     # ring embedding: the left action matrices are linearly independent
-    if vectorized(f, action, total * total).rank() != top.dim:
+    if vectorized(f, left_mod.action, x_mod.dim ** 2).rank() != \
+            left_tower.top.dim:
         raise AssertionError("left tower does not embed into the endomorphisms")
     return left_tower, left_mod, x_mod
 

@@ -5,9 +5,10 @@ extension by L_i (L_0 the unique simple, L_{i+1} its image under the
 second embedding functor).  R_h is the quiver with a loop x at vertex 0
 and arrows b_i: i -> i-1 (1 <= i <= h) modulo x^N and b_1 x: its basis
 paths are R_{h-1}'s, then L_{h-1}'s, L{h-1}~k = b_h ... b_{h-k} into
-vertex h-1-k, then the idempotent eps_h.  All of (R_i 0 / L_i k) but L_i's
-basis times R_i holds by how paths compose; that block is certified to be
-L_i's action at construction.
+vertex h-1-k, then the idempotent eps_h.  From R_1 on, vertex 0's
+idempotent is the path eps0, not 1, which formula text reads as the unit.
+All of (R_i 0 / L_i k) but L_i's basis times R_i holds by how paths
+compose; that block is certified to be L_i's action at construction.
 
 Modules over R_{i+1} are equivalent to triples (M_0, M_1, Gamma) with
 Gamma: M_0 -> Hom(L_i, M_1); both forms are kept, with a verified round
@@ -30,7 +31,7 @@ from .decompose import decompose
 from .errors import HorizonExceeded, UnclassifiedSummand
 from .fields import Field
 from .linalg import Matrix, Subspace, block, vectorized
-from .modules import (Module, ModuleMap, hom_space, iso_test,
+from .modules import (Module, ModuleMap, hom_space, iso_test, quiver_rep,
                       regular_module, submodule, _module_span)
 
 
@@ -46,7 +47,8 @@ class TowerRing:
         self.algebras: list[FDAlgebra] = [truncated_dvr(N, field)]
         self.bimodules: list[Module] = [dvr_chain_module(self.algebras[0], 1)]
         self.bimodules[0].label = "L0"
-        paths = dvr_paths(N)
+        # c is no unit from R_1 on, so not "1", which text reads as the unit
+        paths = [("eps0", 0, 0, ()), *dvr_paths(N)[1:]]
         for i in range(height):
             arrows = [f"b{i + 1 - m}" for m in range(i + 1)]  # b_{i+1}..b_1
             paths += [(f"L{i}~{k}", i + 1, i - k, arrows[:k + 1])
@@ -95,7 +97,8 @@ class TowerRing:
         return self.algebras[self.height]
 
     def c_idem(self, level: int):
-        """The idempotent 1 of vertex 0: the valuation-ring corner."""
+        """The idempotent of vertex 0, the valuation-ring corner: the unit
+        1 of R_0, the path eps0 from R_1 on."""
         return self.algebras[level].basis_el(0)
 
     def e_idem(self, level: int, i: int):
@@ -269,16 +272,7 @@ def t_module(tower: TowerRing, m: int) -> Module:
         raise ValueError(f"T({m}) outside the tower levels 0..{tower.height}")
     if m == 0:
         return dvr_chain_module(tower.algebras[0], 1)
-    alg = tower.algebras[m]
-    f = tower.field
-    one = Matrix.identity(f, 1)
-    z = Matrix.zero(f, 1, 1)
-    action = [z] * alg.dim
-    action[alg.dim - 1] = one
-    # the unit acts as identity because unit = unit_base + eps
-    mod = Module(alg, 1, action, check=True)
-    mod.label = f"T({m})"
-    return mod
+    return quiver_rep(tower.algebras[m], {m: 1}, {}, label=f"T({m})")
 
 
 # -- labels and classification -------------------------------------------------

@@ -433,6 +433,32 @@ def test_structure_constant_tables_stay_in_algebra(path):
     assert list(algebra_constructions(ast.parse(path.read_text()))) == []
 
 
+def table_reads(tree: ast.AST):
+    """'line: table' for each attribute named table, read or written; a
+    name or a string "table" is none."""
+    nodes = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "table"]
+    return [f"{node.lineno}: table"
+            for node in sorted(nodes, key=lambda node: node.lineno)]
+
+
+def test_table_reads_are_found():
+    src = ("def f(alg, table):\n"
+           "    t = alg.table[1][0], getattr(alg, 'table'), table\n"
+           "    alg.op.table = t\n"
+           "    return alg.paths\n")
+    assert table_reads(ast.parse(src)) == ["2: table", "3: table"]
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in SRC.glob("*.py") if p.name not in ("algebra.py", "tower.py")),
+    ids=lambda p: p.name)
+def test_structure_constants_are_read_only_in_algebra_and_tower(path):
+    # other modules identify an algebra by its paths; tower.py reads the
+    # table only to certify L_i's block of each one-point extension
+    assert table_reads(ast.parse(path.read_text())) == []
+
+
 def test_unread_locals_are_found():
     src = "def f(a):\n    b, _ = a\n    c = 1\n    return b\n"
     assert list(unread_locals(ast.parse(src))) == ["f:3: c"]

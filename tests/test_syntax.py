@@ -5,6 +5,7 @@ from ppmod.algebra import kronecker_algebra, truncated_dvr
 from ppmod.ppformula import (LEFT, RIGHT, annihilator, bottom, divisibility,
                              dual, pp_meet, pp_sum, tautology)
 from ppmod.ppsyntax import format_formula, parse_formula
+from ppmod.tower import build_tower
 
 F2 = GF(2)
 
@@ -83,3 +84,16 @@ def test_parse_errors(d3):
         parse_formula(d3, "x1*x = 1")
     with pytest.raises(ValueError):
         parse_formula(d3, "E y1 . x1")
+
+
+@pytest.mark.parametrize("field", [F2, GF(3)], ids=str)
+def test_tower_path_formulas_round_trip(field):
+    # from R_1 on, vertex 0's idempotent is a path that is not the unit: a
+    # printed label reads back as that path, never as the unit
+    tower = build_tower(2, 3, field)
+    for alg in tower.algebras[1:]:
+        for i, label in enumerate(alg.labels):
+            a = alg.basis_el(i)
+            for phi in (annihilator(alg, a), divisibility(alg, a)):
+                back = parse_formula(alg, format_formula(phi), phi.side)
+                assert back.hmat == phi.hmat, (alg.name, label)

@@ -298,7 +298,9 @@ def test_each_ring_is_the_one_point_extension_of_the_one_below(field):
         for i, l_mod in enumerate(tower.bimodules[:3]):
             base, ext = tower.algebras[i], tower.algebras[i + 1]
             r, s = base.dim, l_mod.dim
-            assert ext.labels == base.labels + tuple(
+            # R_1's labels are R_0's with 1 -> eps0: vertex 0's idempotent
+            # is not the unit there
+            assert ext.labels == ("eps0",) + base.labels[1:] + tuple(
                 f"L{i}~{k}" for k in range(s)) + (f"eps{i + 1}",)
             assert ext.name == f"{base.name}[L{i}]"
             assert ext.unit == base.unit + (z,) * s + (one,)
@@ -320,7 +322,7 @@ def test_each_ring_is_the_one_point_extension_of_the_one_below(field):
 
 
 def test_tower_labels_and_names_are_fixed(tw32):
-    assert tw32.top.labels == ("1", "x", "x^2", "L0~0", "eps1", "L1~0",
+    assert tw32.top.labels == ("eps0", "x", "x^2", "L0~0", "eps1", "L1~0",
                                "L1~1", "eps2")
     assert [a.name for a in tw32.algebras] == [
         "k[x]/(x^3)", "k[x]/(x^3)[L0]", "k[x]/(x^3)[L0][L1]"]
@@ -370,8 +372,8 @@ def test_a_duplicated_path_is_refused(monkeypatch):
             p for p in paths if p[0] == "L0~0"])
 
 
-@pytest.mark.parametrize("label", ["1", "x", "x^2", "L0~0", "eps1", "L1~0",
-                                   "L1~1", "eps2"])
+@pytest.mark.parametrize("label", ["eps0", "x", "x^2", "L0~0", "eps1",
+                                   "L1~0", "L1~1", "eps2"])
 def test_a_dropped_path_is_refused(monkeypatch, label):
     # by the subpath check, or, for a path that is no subpath of another,
     # by a module over the ring with one basis element too few
