@@ -1,51 +1,46 @@
-"""Finite-dimensional associative unital algebras by structure constants.
+"""Finite-dimensional algebras: path algebras of bound quivers modulo paths.
 
-An algebra element is a coordinate vector (tuple) over the basis.
-Associativity and the unit law are verified on all basis triples at
-construction, so downstream code can rely on them: the right regular
-representation rho is built once, and rho(b_i) rho(b_j) = rho(b_i b_j)
-holds in row k exactly when (b_k b_i) b_j = b_k (b_i b_j).
-
-Each concrete algebra (k[x]/(x^N), the Kronecker algebra, the tower rings)
-is a path algebra modulo paths, built from its basis paths by
-monomial_algebra, the one constructor that writes a table.
+An algebra is given by its basis paths, each (label, source, target,
+arrow word), the paths with the empty word being the vertex idempotents;
+two basis paths multiply to their concatenation when it is a basis path,
+and to zero otherwise (Assem, Simson and Skowronski, *Elements of the
+Representation Theory of Associative Algebras* 1, CUP 2006, ch. II).  An
+element is a coordinate vector (tuple) over the basis.  monomial_algebra,
+the one constructor, certifies the laws on the path list (see its
+docstring); the opposite algebra is the one on the reversed paths.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .fields import Field
 from .linalg import Matrix, Subspace, block_diagonal, combination
 
 
 class FDAlgebra:
-    """Algebra with basis b_0..b_{dim-1}, products b_i b_j = sum c[i][j][k] b_k."""
+    """Algebra on the basis paths b_0..b_{dim-1}: b_i b_j is b_k for
+    k = products[i][j], and 0 where that is None.  Built by
+    monomial_algebra, or as an opposite."""
 
-    _serial = itertools.count()
-
-    def __init__(self, field: Field, labels, mul_table, unit, name: str = "",
-                 check: bool = True):
+    def __init__(self, field: Field, paths, products, name: str):
         self.field = field
-        self.labels = tuple(labels)
-        self.dim = len(self.labels)
-        self.table = tuple(tuple(tuple(v) for v in row) for row in mul_table)
-        self.unit = tuple(unit)
-        self.name = name or f"algebra{next(FDAlgebra._serial)}"
-        self.paths = None  # the basis paths, when monomial_algebra built it
+        self.paths = paths
+        self.products = products
+        self.labels = tuple(p[0] for p in paths)
+        self.dim = len(paths)
+        self.name = name
+        self.unit = tuple(field.zero() if w else field.one()
+                          for _, _, _, w in paths)
         self._op: FDAlgebra | None = None
         self._generators: tuple[int, ...] | None = None
         self._inverses: dict = {}
-        if len(self.table) != self.dim or any(len(r) != self.dim for r in self.table):
-            raise ValueError("structure constant table has wrong shape")
-        if any(len(v) != self.dim for r in self.table for v in r):
-            raise ValueError("structure constant vectors have wrong length")
-        self._rho = tuple(
-            Matrix.from_rows(field, [self.table[i][j] for i in range(self.dim)])
+        self._reduced: dict = {}
+        zero = self.zero_el()
+        basis = [self.basis_el(k) for k in range(self.dim)]
+        # row i of rho(b_j) is b_i b_j
+        self._rho = tuple(Matrix.from_rows(field, [
+            zero if row[j] is None else basis[row[j]] for row in products])
             for j in range(self.dim))
         self._free_actions: dict[int, tuple[Matrix, ...]] = {1: self._rho}
-        if check:
-            self._check_axioms()
 
     # -- element arithmetic (coordinate vectors) -----------------------
 
@@ -58,6 +53,14 @@ class FDAlgebra:
 
     def scalar_el(self, c):
         return self.smul_el(c, self.unit)
+
+    def reduced_el(self, u):
+        """u with each coordinate brought into the field by Field.of,
+        reduced once per distinct u and kept."""
+        u = tuple(u)
+        if u not in self._reduced:
+            self._reduced[u] = tuple(map(self.field.of, u))
+        return self._reduced[u]
 
     def add_el(self, u, v):
         of = self.field.of
@@ -72,18 +75,14 @@ class FDAlgebra:
         return tuple(of(c * a) for a in u)
 
     def mul_el(self, u, v):
-        """u v = sum of u_i v_j c[i][j], read from the structure constants."""
+        """u v: u_i v_j added at the product of b_i and b_j."""
         acc = [0] * self.dim
-        for a, row in zip(u, self.table):
+        for a, row in zip(u, self.products):
             if a:
-                for b, c in zip(v, row):
-                    if b:
-                        ab = a * b
-                        for k, x in enumerate(c):
-                            if x:
-                                acc[k] += ab * x
-        of = self.field.of
-        return tuple(of(x) for x in acc)
+                for b, k in zip(v, row):
+                    if b and k is not None:
+                        acc[k] += a * b
+        return tuple(map(self.field.of, acc))
 
     def inverse_el(self, u):
         """u^-1 = unit rho(u)^-1, or None when rho(u) is singular, kept per
@@ -118,46 +117,25 @@ class FDAlgebra:
                                  Matrix.identity(self.field, action[0].rows))
         if k is not None:
             return None, k
-        for i in range(self.dim):
-            for j in range(self.dim):
+        zero = Matrix.zero(self.field, action[0].rows, action[0].rows)
+        for i, row in enumerate(self.products):
+            for j, p in enumerate(row):
                 k = _first_differing_row(action[i] * action[j],
-                                         combination(self.table[i][j], action))
+                                         zero if p is None else action[p])
                 if k is not None:
                     return (i, j), k
         return None
 
-    def _check_axioms(self):
-        """The left unit law row by row, then the laws of rho: the right
-        unit law, and associativity on every triple (b_k, b_i, b_j)."""
-        one = Matrix.from_rows(self.field, [self.unit])
-        for j, r in enumerate(self._rho):
-            if (one * r).data[0] != self.basis_el(j):
-                raise ValueError(
-                    f"unit law fails on basis element {self.labels[j]}")
-        fail = self.law_failure(self._rho)
-        if fail is None:
-            return
-        pair, k = fail
-        if pair is None:
-            raise ValueError(f"unit law fails on basis element {self.labels[k]}")
-        i, j = pair
-        raise ValueError(f"associativity fails on ({self.labels[k]},"
-                         f"{self.labels[i]},{self.labels[j]})")
-
     @property
     def op(self) -> "FDAlgebra":
-        """The opposite algebra; op.op is self.  Its paths are the reversed
-        paths, of the opposite quiver."""
+        """The opposite algebra, on the reversed paths of the opposite
+        quiver: b_i b_j there is b_j b_i here.  op.op is self."""
         if self._op is None:
-            table = tuple(tuple(self.table[j][i] for j in range(self.dim))
-                          for i in range(self.dim))
-            o = FDAlgebra(self.field, self.labels, table, self.unit,
-                          name=self.name + "^op", check=False)
-            if self.paths is not None:
-                o.paths = tuple((label, t, s, w[::-1])
-                                for label, s, t, w in self.paths)
-            o._op = self
-            self._op = o
+            self._op = FDAlgebra(
+                self.field, tuple((label, t, s, w[::-1])
+                                  for label, s, t, w in self.paths),
+                tuple(zip(*self.products)), self.name + "^op")
+            self._op._op = self
         return self._op
 
     @property
@@ -171,8 +149,8 @@ class FDAlgebra:
         elements it intertwines form a unital subalgebra.  That
         subalgebra is spanned by the unit times the words in the kept
         elements, and the span is recomputed from the unit alone, so the
-        check that it is all of A is a certificate (it fails on a table
-        whose unit is not a left unit, for one)."""
+        check that it is all of A is a certificate (it fails when the
+        unit is not a left unit, for one)."""
         if self._generators is None:
             kept: list[int] = []
             span = Subspace.from_matrix(
@@ -204,8 +182,8 @@ class FDAlgebra:
     def free_action(self, rank: int) -> tuple[Matrix, ...]:
         """The right action on A^rank: rho(b_j) on each of rank diagonal
         blocks, built once per rank and kept with the algebra.  Rank 1 is
-        the right regular representation rho itself, with
-        (u * rho(b_j))_k = sum_i u_i c[i][j][k] (row convention)."""
+        the right regular representation rho itself, whose row i of
+        rho(b_j) is b_i b_j (row convention)."""
         action = self._free_actions.get(rank)
         if action is None:
             action = self._free_actions[rank] = tuple(
@@ -224,31 +202,37 @@ def _first_differing_row(a: Matrix, b: Matrix) -> int | None:
 
 def monomial_algebra(field: Field, paths, name: str) -> FDAlgebra:
     """A path algebra modulo paths, on the basis of the listed paths, each
-    (label, source, target, arrow word); the paths with the empty word are
-    the vertex idempotents.  Two basis paths multiply to their
-    concatenation when it is listed, and to zero otherwise; the unit is
-    the sum of the idempotents.  The list must be closed under subpaths:
-    a path that is not a listed path followed by a listed arrow is refused
-    here, and a missing suffix breaks a law that FDAlgebra checks.  The
-    paths are kept on the algebra, as `paths`."""
+    (label, source, target, arrow word), kept on the algebra as `paths`;
+    the paths with the empty word are the vertex idempotents, whose sum is
+    the unit.  Two basis paths multiply to their concatenation when it is
+    listed, and to zero otherwise.
+
+    The list is refused unless no (source, word) is listed twice, each
+    idempotent runs from its vertex to itself, and each other path
+    w: s -> t ends at t both as w[:-1] from s followed by its last arrow
+    and as its first arrow followed by w[1:].  By induction every prefix
+    and every suffix of a listed path is then listed, the idempotents at
+    its ends included, which certifies the laws: (pq)r and p(qr) are both
+    pqr when pqr is listed and both 0 when it is not, and e_s p = p = p e_t
+    for a path p: s -> t, the other idempotents giving 0."""
     paths = tuple((label, s, t, tuple(w)) for label, s, t, w in paths)
-    target = {(s, w): t for _, s, t, w in paths}
+    index = {}
+    for k, (label, s, _, w) in enumerate(paths):
+        if index.setdefault((s, w), k) != k:
+            raise ValueError(f"the path {label} is listed twice in {name}")
+    target = {key: paths[k][2] for key, k in index.items()}
+
+    def end(s, u, v):  # where u from s followed by v ends, or None
+        return target.get((target.get((s, u)), v))
+
     for label, s, t, w in paths:
-        if w and target.get((target.get((s, w[:-1])), w[-1:])) != t:
+        if not (end(s, w[:-1], w[-1:]) == end(s, w[:1], w[1:]) == t
+                if w else s == t):
             raise ValueError(f"a subpath of {label} is not a basis path of "
                              f"{name}")
-    index = {(s, t, w): k for k, (_, s, t, w) in enumerate(paths)}
-    z, one = field.zero(), field.one()
-
-    def el(k):  # basis path k, or zero for None
-        return tuple(one if i == k else z for i in range(len(paths)))
-
-    table = [[el(index.get((s, t2, w + w2)) if t == s2 else None)
-              for _, s2, t2, w2 in paths] for _, s, t, w in paths]
-    unit = tuple(z if w else one for _, _, _, w in paths)
-    alg = FDAlgebra(field, [p[0] for p in paths], table, unit, name=name)
-    alg.paths = paths
-    return alg
+    products = tuple(tuple(index.get((s, w + w2)) if t == s2 else None
+                           for _, s2, _, w2 in paths) for _, s, t, w in paths)
+    return FDAlgebra(field, paths, products, name)
 
 
 def dvr_paths(N: int) -> tuple:

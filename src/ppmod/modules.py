@@ -162,18 +162,15 @@ def regular_module(algebra: FDAlgebra) -> Module:
 def quiver_rep(alg: FDAlgebra, dims, arrows, label: str = "") -> Module:
     """The representation of alg's bound quiver with a dims[v]-dimensional
     space at each vertex v (0 where absent) and the dims[s] x dims[t]
-    matrix arrows[a] on each arrow a: s -> t (zero where absent).  Each
-    basis path acts as the product of its arrows' matrices, in its
-    (source, target) block.
+    matrix arrows[a] over alg's field on each arrow a: s -> t (zero where
+    absent).  Each basis path acts as the product of its arrows'
+    matrices, in its (source, target) block.
 
     The relations are certified rather than every law: each basis path
     followed by an arrow that makes no basis path must act as zero.  Then
     every path outside the basis acts as zero, since the basis is closed
     under subpaths, and the basis paths multiply as in alg."""
-    paths = alg.paths
-    if paths is None:
-        raise ValueError(f"{alg.name} is not built from basis paths")
-    f = alg.field
+    paths, f = alg.paths, alg.field
     size = {v: dims.get(v, 0) for v in sorted(s for _, s, _, w in paths
                                               if not w)}
     ends = {w[0]: (s, t) for _, s, t, w in paths if len(w) == 1}
@@ -185,6 +182,9 @@ def quiver_rep(alg: FDAlgebra, dims, arrows, label: str = "") -> Module:
     for a, (s, t) in ends.items():
         m = arrows[a] if a in arrows else Matrix.zero(f, size[s], size[t])
         m = m if isinstance(m, Matrix) else Matrix.from_rows(f, m)
+        if m.field != f:
+            raise ValueError(f"arrow {a}: the matrix is over {m.field}, "
+                             f"{alg.name} over {f}")
         if (m.rows, m.cols) != (size[s], size[t]):
             raise ValueError(f"arrow {a}: {s} -> {t} needs a {size[s]}x"
                              f"{size[t]} matrix, not {m.rows}x{m.cols}")

@@ -90,9 +90,8 @@ class PpFormula:
         self.side = side
         self.n = n
         self.l = l
-        of = algebra.field.of
-        self.hmat = tuple(tuple(tuple(of(x) for x in e) for e in row)
-                          for row in hmat)
+        el = algebra.reduced_el
+        self.hmat = tuple(tuple(el(e) for e in row) for row in hmat)
         if len(self.hmat) != n + l:
             raise ValueError("formula matrix must have n+l variable rows")
         widths = {len(r) for r in self.hmat}

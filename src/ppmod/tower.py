@@ -69,8 +69,9 @@ class TowerRing:
                 raise AssertionError("bimodule dimension drifted")
         for i, l in enumerate(self.bimodules[:self.height]):
             # L_i's basis times R_i in R_{i+1} is L_i's action, padded
-            table, r = self.algebras[i + 1].table, self.algebras[i].dim
-            if any(table[r + k][j] != z * r + l.action[j].data[k] + z
+            alg, r = self.algebras[i + 1], self.algebras[i].dim
+            if any(alg.mul_el(alg.basis_el(r + k), alg.basis_el(j))
+                   != z * r + l.action[j].data[k] + z
                    for k in range(l.dim) for j in range(r)):
                 raise AssertionError(f"L{i} does not act as in R{i + 1}")
         n = self.height
@@ -134,7 +135,9 @@ class Triple:
 
     def __post_init__(self):
         if not (1 <= self.level <= self.tower.height):
-            raise ValueError("triple level out of range")
+            raise ValueError("level out of range")
+        if self.m1.algebra is not self.tower.algebras[self.level - 1]:
+            raise ValueError("module is not one level below")
         l_mod = self.tower.bimodules[self.level - 1]
         for g in self.gamma:
             ModuleMap(l_mod, self.m1, g)  # validates the intertwining
@@ -193,21 +196,7 @@ class Triple:
 
 def f0(tower: TowerRing, level: int, m: Module) -> Module:
     """(0, M, 0): the first full and faithful embedding, one level up."""
-    if not (1 <= level <= tower.height):
-        raise ValueError("level out of range")
-    if m.algebra is not tower.algebras[level - 1]:
-        raise ValueError("module is not one level below")
-    alg = tower.algebras[level]
-    base = tower.algebras[level - 1]
-    f = tower.field
-    z = Matrix.zero(f, m.dim, m.dim)
-    action = []
-    for bidx in range(alg.dim):
-        if bidx < base.dim:
-            action.append(m.action[bidx])
-        else:
-            action.append(z)
-    out = Module(alg, m.dim, action, check=False)
+    out = Triple(tower, level, 0, m, []).flatten()
     out.label = f"F0({m.label})" if m.label else ""
     return out
 

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppmod.fields import GF, QQ
-from ppmod.algebra import (FDAlgebra, kronecker_algebra, monomial_algebra,
-                           truncated_dvr)
+from ppmod.algebra import kronecker_algebra, monomial_algebra, truncated_dvr
 from ppmod.linalg import Matrix, combination
 from ppmod.modules import Module
 
@@ -56,7 +55,7 @@ def test_opposite_is_involution_and_valid():
     al = a.el_from_label("a")
     e1 = a.el_from_label("e1")
     assert o.mul_el(al, e1) == a.mul_el(e1, al)
-    FDAlgebra(o.field, o.labels, o.table, o.unit, check=True)  # axioms hold
+    assert brute_law_failures(o) == (set(), set())
 
 
 def test_rationals_dvr():
@@ -65,23 +64,6 @@ def test_rationals_dvr():
     assert a.mul_el(x, x) == a.zero_el()
 
 
-
-def test_non_associative_table_rejected():
-    # basis 1, a, b with a a = b, a b = 0, b a = a: the unit law holds,
-    # but (a a) a = a while a (a a) = 0
-    one, a, b, z = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
-    table = [[one, a, b], [a, b, z], [b, a, z]]
-    with pytest.raises(ValueError, match="associativity"):
-        FDAlgebra(F2, ["1", "a", "b"], table, one)
-
-
-@pytest.mark.parametrize("table", [
-    [[(1, 0), (0, 0)], [(0, 1), (0, 0)]],   # 1 a = 0: left unit law fails
-    [[(1, 0), (0, 1)], [(0, 0), (0, 0)]],   # a 1 = 0: right unit law fails
-], ids=["left", "right"])
-def test_unit_law_failure_rejected(table):
-    with pytest.raises(ValueError, match="unit law"):
-        FDAlgebra(F2, ["1", "a"], table, (1, 0))
 
 
 # the path algebra of the quiver a: 1 -> 2, b: 2 -> 3, c: 1 -> 3 (type
@@ -106,11 +88,12 @@ def test_monomial_algebra_multiplies_paths_by_concatenation(field):
         assert alg.mul_el(el(x), el(y)) == alg.zero_el()
 
 
-@pytest.mark.parametrize("drop, path", [("e1", "a"), ("e2", "b"),
+@pytest.mark.parametrize("drop, path", [("e1", "a"), ("e2", "a"),
                                          ("a", "ab"), ("b", "ab")])
 def test_monomial_algebra_refuses_a_list_not_closed_under_subpaths(drop,
                                                                    path):
-    # the first listed path with the dropped one as a subpath is named
+    # the first listed path with the dropped one as a subpath is named; the
+    # idempotents at its ends are subpaths of a path too
     paths = [p for p in A21_PATHS if p[0] != drop]
     with pytest.raises(ValueError,
                        match=f"a subpath of {path} is not a basis path"):
@@ -127,11 +110,12 @@ def test_monomial_algebra_refuses_a_word_that_does_not_compose():
 
 def test_monomial_algebra_refuses_a_missing_suffix():
     # a, b, c: 1 -> 2 -> 3 -> 4 with abc listed but not bc: every prefix
-    # is listed, and (ab)c = abc while a(bc) = 0
+    # is listed, and (ab)c = abc would differ from a(bc) = 0
     paths = [(f"e{v}", v, v, ()) for v in (1, 2, 3, 4)] + [
         ("a", 1, 2, ("a",)), ("b", 2, 3, ("b",)), ("c", 3, 4, ("c",)),
         ("ab", 1, 3, ("a", "b")), ("abc", 1, 4, ("a", "b", "c"))]
-    with pytest.raises(ValueError, match="associativity fails"):
+    with pytest.raises(ValueError, match="a subpath of abc is not a basis "
+                                         "path of planted"):
         monomial_algebra(F2, paths, "planted")
 
 
@@ -143,8 +127,14 @@ def test_monomial_algebra_refuses_a_power_without_its_root():
                          "planted")
 
 
+def test_monomial_algebra_refuses_an_idempotent_between_two_vertices():
+    # e: 1 -> 2 with the empty word would be no idempotent: e e = 0
+    with pytest.raises(ValueError, match="a subpath of e is not"):
+        monomial_algebra(F2, [("e", 1, 2, ()), ("e2", 2, 2, ())], "planted")
+
+
 def test_kronecker_table():
-    # every nonzero structure constant of e1, e2, a, b is 1
+    # the nonzero products of the basis e1, e2, a, b, each a basis element
     products = {("e1", "e1"): "e1", ("e1", "a"): "a", ("e1", "b"): "b",
                 ("e2", "e2"): "e2", ("a", "e2"): "a", ("b", "e2"): "b"}
     for f in (F2, GF(3), QQ):
@@ -152,56 +142,120 @@ def test_kronecker_table():
         labels = alg.labels
         assert labels == ("e1", "e2", "a", "b")
         assert alg.unit == (f.one(), f.one(), f.zero(), f.zero())
-        want = tuple(tuple(
-            tuple(f.one() if products.get((x, y)) == z else f.zero()
-                  for z in labels) for y in labels) for x in labels)
-        assert alg.table == want
         kind = int if f.p else type(f.one())
-        assert all(type(c) is kind for r in alg.table for v in r for c in v)
+        for x in labels:
+            for y in labels:
+                got = alg.mul_el(alg.el_from_label(x), alg.el_from_label(y))
+                z = products.get((x, y))
+                assert got == (alg.el_from_label(z) if z else alg.zero_el())
+                assert all(type(c) is kind for c in got)
 
 
-# -- the law check against brute force ---------------------------------------
+# -- the path certificate against brute force ------------------------------
 
 LAW_FIELDS = [F2, GF(3), QQ]
 
-# associative unital algebras of dimension <= 3 as {(i, j): {k: c}} and
-# the unit: k, k[x]/(x^2), k x k, k[x]/(x^3), upper triangular 2 x 2
-# (e1, a, e2), k x k x k
-BASE_ALGEBRAS = [
-    ({(0, 0): {0: 1}}, (1,)),
-    ({(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, (1, 0)),
-    ({(0, 0): {0: 1}, (1, 1): {1: 1}}, (1, 1)),
-    ({(i, j): {i + j: 1} for i in range(3) for j in range(3) if i + j < 3},
-     (1, 0, 0)),
-    ({(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 2): {1: 1}, (2, 2): {2: 1}},
-     (1, 0, 1)),
-    ({(i, i): {i: 1} for i in range(3)}, (1, 1, 1)),
-]
+# small quivers as (vertices, {arrow: (source, target)}): a loop x at 0
+# with b: 1 -> 0, the chain a, b, c: 1 -> 2 -> 3 -> 4, and a, b: 1 => 2
+# followed by d: 2 -> 3
+QUIVERS = [((0, 1), {"x": (0, 0), "b": (1, 0)}),
+           ((1, 2, 3, 4), {"a": (1, 2), "b": (2, 3), "c": (3, 4)}),
+           ((1, 2, 3), {"a": (1, 2), "b": (1, 2), "d": (2, 3)})]
 
 
-def brute_mul(f, table, u, v):
-    """u v by the structure-constant sum."""
-    n = len(u)
-    out = [f.zero()] * n
-    for i, j, k in itertools.product(range(n), repeat=3):
-        out[k] = f.of(out[k] + u[i] * v[j] * table[i][j][k])
-    return tuple(out)
+def quiver_paths(quiver, longest=3):
+    """Every path of the quiver of at most longest arrows, the
+    idempotents e<v> first, each (label, source, target, word)."""
+    vertices, arrows = quiver
+    paths = frontier = [(f"e{v}", v, v, ()) for v in vertices]
+    for _ in range(longest):
+        frontier = [("".join(w + (a,)), s, arrows[a][1], w + (a,))
+                    for _, s, t, w in frontier
+                    for a in sorted(arrows) if arrows[a][0] == t]
+        paths = paths + frontier
+    return paths
 
 
-def brute_failures(f, table, unit):
+def closed_under_subpaths(quiver, paths):
+    """Whether no path is listed twice and every subpath w[i:j] of each
+    listed path w, the idempotent at each of its vertices included, is
+    listed, with the ends the quiver's arrows give it."""
+    arrows = quiver[1]
+    listed = {p[1:] for p in paths}
+    if len(listed) < len(paths):
+        return False
+    for _, s, _, w in paths:
+        at = [s] + [arrows[a][1] for a in w]  # the vertex after i arrows
+        if any((at[i], at[j], w[i:j]) not in listed
+               for i in range(len(w) + 1) for j in range(i, len(w) + 1)):
+            return False
+    return True
+
+
+def concatenation(alg, i, j):
+    """The index of the basis path b_i followed by b_j, or None when the
+    ends do not meet or the concatenation is not listed."""
+    _, s, t, w = alg.paths[i]
+    _, s2, t2, w2 = alg.paths[j]
+    return next((k for k, p in enumerate(alg.paths)
+                 if t == s2 and p[1:] == (s, t2, w + w2)), None)
+
+
+def brute_law_failures(alg):
     """The basis elements failing a unit law, and the triples (i, j, k)
-    with (b_i b_j) b_k != b_i (b_j b_k)."""
-    n = len(unit)
-    basis = [tuple(f.of(int(t == i)) for t in range(n)) for i in range(n)]
+    with (b_i b_j) b_k != b_i (b_j b_k), by mul_el."""
+    mul, unit = alg.mul_el, alg.unit
+    basis = [alg.basis_el(i) for i in range(alg.dim)]
     units = {i for i, b in enumerate(basis)
-             if brute_mul(f, table, unit, b) != b
-             or brute_mul(f, table, b, unit) != b}
-    triples = {(i, j, k) for i, j, k in itertools.product(range(n), repeat=3)
-               if brute_mul(f, table, brute_mul(f, table, basis[i], basis[j]),
-                            basis[k])
-               != brute_mul(f, table, basis[i],
-                            brute_mul(f, table, basis[j], basis[k]))}
+             if mul(unit, b) != b or mul(b, unit) != b}
+    triples = {(i, j, k) for (i, x), (j, y), (k, z)
+               in itertools.product(enumerate(basis), repeat=3)
+               if mul(mul(x, y), z) != mul(x, mul(y, z))}
     return units, triples
+
+
+@st.composite
+def path_list(draw):
+    """(field, quiver, paths): a small quiver's paths up to some length
+    with up to two dropped, or a random sub-list of them; sometimes one
+    listed twice, in any order."""
+    f = draw(st.sampled_from(LAW_FIELDS))
+    quiver = draw(st.sampled_from(QUIVERS))
+    every = quiver_paths(quiver)
+    if draw(st.booleans()):
+        longest = draw(st.integers(0, 3))
+        drop = draw(st.sets(st.integers(0, len(every) - 1), max_size=2))
+        paths = [p for k, p in enumerate(every)
+                 if len(p[3]) <= longest and k not in drop]
+    else:
+        keep = draw(st.lists(st.booleans(), min_size=len(every),
+                             max_size=len(every)))
+        paths = [p for p, k in zip(every, keep) if k]
+    if paths and draw(st.integers(0, 4)) == 0:
+        paths.append(draw(st.sampled_from(paths)))
+    return f, quiver, draw(st.permutations(paths))
+
+
+@settings(max_examples=200, deadline=None)
+@given(path_list())
+def test_algebra_law_check_matches_brute_force(inp):
+    # the subpath certificate accepts exactly the lists closed under
+    # subpaths, and what it accepts is associative with a unit and
+    # multiplies basis paths by concatenation
+    f, quiver, paths = inp
+    try:
+        alg = monomial_algebra(f, paths, "A")
+    except ValueError as exc:
+        assert not closed_under_subpaths(quiver, paths), str(exc)
+        assert re.fullmatch(r"a subpath of \w+ is not a basis path of A|"
+                            r"the path \w+ is listed twice in A", str(exc))
+        return
+    assert closed_under_subpaths(quiver, paths)
+    assert brute_law_failures(alg) == (set(), set())
+    for i, j in itertools.product(range(alg.dim), repeat=2):
+        k = concatenation(alg, i, j)
+        assert alg.mul_el(alg.basis_el(i), alg.basis_el(j)) == (
+            alg.zero_el() if k is None else alg.basis_el(k))
 
 
 def nonzero(f):
@@ -215,79 +269,10 @@ def field_els(f, n):
                     max_size=n).map(lambda xs: tuple(f.of(x) for x in xs))
 
 
-@st.composite
-def structure_table(draw):
-    """(field, table, unit): a base algebra in a random basis, or random
-    constants; one constant (or the unit) sometimes planted wrong.  A
-    constant c[i][j][k] planted with b_0 = 1 and i, j > 0 keeps the unit
-    laws, so associativity alone can fail."""
-    f = draw(st.sampled_from(LAW_FIELDS))
-    plant = draw(st.integers(0, 3))
-    if draw(st.integers(0, 4)) == 0:
-        n = draw(st.integers(1, 3))
-        table = [[list(draw(field_els(f, n))) for _ in range(n)]
-                 for _ in range(n)]
-        unit = draw(field_els(f, n))
-    else:
-        prods, base_unit = draw(st.sampled_from(BASE_ALGEBRAS))
-        n = len(base_unit)
-        old = [[[f.of(prods.get((i, j), {}).get(k, 0)) for k in range(n)]
-                for j in range(n)] for i in range(n)]
-        first = [tuple(f.of(x) for x in base_unit)] if plant == 3 else []
-        g = draw(st.lists(field_els(f, n), min_size=n - len(first),
-                          max_size=n - len(first)).map(
-            lambda rows: first + rows).filter(
-            lambda rows: Matrix.from_rows(f, rows).rank() == n))
-        ginv = Matrix.from_rows(f, g).inverse()
-
-        def new_coords(v):
-            return list((Matrix.from_rows(f, [v]) * ginv).data[0])
-
-        # b'_i = g_i: b'_i b'_j in the basis g
-        table = [[new_coords(brute_mul(f, old, g[i], g[j]))
-                  for j in range(n)] for i in range(n)]
-        unit = tuple(new_coords([f.of(x) for x in base_unit]))
-    if plant == 1 or plant == 3 and n > 1:
-        low = 1 if plant == 3 else 0
-        i, j = (draw(st.integers(low, n - 1)) for _ in range(2))
-        k = draw(st.integers(0, n - 1))
-        table[i][j][k] = f.of(table[i][j][k] + draw(nonzero(f)))
-    elif plant == 2:
-        k = draw(st.integers(0, n - 1))
-        unit = unit[:k] + (f.of(unit[k] + draw(nonzero(f))),) + unit[k + 1:]
-    return f, table, unit
-
-
-@settings(max_examples=200, deadline=None)
-@given(structure_table(), st.data())
-def test_algebra_law_check_matches_brute_force(inp, data):
-    f, table, unit = inp
-    n = len(unit)
-    labels = [f"b{i}" for i in range(n)]
-    units, triples = brute_failures(f, table, unit)
-    try:
-        FDAlgebra(f, labels, table, unit)
-    except ValueError as exc:
-        msg = str(exc)
-        assert units or triples, msg
-        if units:
-            m = re.fullmatch(r"unit law fails on basis element b(\d)", msg)
-            assert m and int(m.group(1)) in units, msg
-        else:
-            m = re.fullmatch(r"associativity fails on \(b(\d),b(\d),b(\d)\)",
-                             msg)
-            assert m and tuple(int(x) for x in m.groups()) in triples, msg
-    else:
-        assert not units and not triples
-    alg = FDAlgebra(f, labels, table, unit, check=False)
-    u, v = data.draw(field_els(f, n)), data.draw(field_els(f, n))
-    assert alg.mul_el(u, v) == brute_mul(f, table, u, v)
-
-
-def brute_module_failures(f, table, unit, mats):
+def brute_module_failures(alg, mats):
     """Whether action(1) != I, and the pairs (i, j) with
     action[i] action[j] != action(b_i b_j), by entrywise sums."""
-    n, d = len(unit), mats[0].rows
+    f, n, d = alg.field, alg.dim, mats[0].rows
 
     def act(el):
         return [[f.of(sum(el[k] * mats[k].data[r][c] for k in range(n)))
@@ -299,18 +284,21 @@ def brute_module_failures(f, table, unit, mats):
 
     ident = [[f.of(int(r == c)) for c in range(d)] for r in range(d)]
     pairs = {(i, j) for i in range(n) for j in range(n)
-             if prod(mats[i], mats[j]) != act(table[i][j])}
-    return act(unit) != ident, pairs
+             if prod(mats[i], mats[j]) != act(
+                 alg.mul_el(alg.basis_el(i), alg.basis_el(j)))}
+    return act(alg.unit) != ident, pairs
 
 
 @st.composite
 def module_input(draw):
-    """An algebra (any table, unchecked) and one action matrix per basis
-    element: its regular representation in a random basis, or random
-    matrices; one entry sometimes planted wrong."""
-    f, table, unit = draw(structure_table())
-    n = len(unit)
-    alg = FDAlgebra(f, [f"b{i}" for i in range(n)], table, unit, check=False)
+    """A path algebra of a small quiver modulo the paths of more than
+    some length, and one action matrix per basis element: its regular
+    representation in a random basis, or random matrices; one entry
+    sometimes planted wrong."""
+    f = draw(st.sampled_from(LAW_FIELDS))
+    alg = monomial_algebra(f, quiver_paths(draw(st.sampled_from(QUIVERS)),
+                                           draw(st.integers(0, 2))), "A")
+    n = alg.dim
     if draw(st.booleans()):
         d = n
         g = draw(st.lists(field_els(f, d), min_size=d, max_size=d).filter(
@@ -333,8 +321,7 @@ def module_input(draw):
 @given(module_input())
 def test_module_law_check_matches_brute_force(inp):
     alg, d, mats = inp
-    unit_bad, pairs = brute_module_failures(alg.field, alg.table, alg.unit,
-                                            mats)
+    unit_bad, pairs = brute_module_failures(alg, mats)
     try:
         Module(alg, d, mats, check=True)
     except ValueError as exc:
@@ -343,8 +330,9 @@ def test_module_law_check_matches_brute_force(inp):
             assert msg == "unit does not act as identity"
         else:
             m = re.fullmatch(r"action violates structure constants at "
-                             r"\(b(\d), b(\d)\)", msg)
-            assert m and tuple(int(x) for x in m.groups()) in pairs, msg
+                             r"\((\w+), (\w+)\)", msg)
+            assert m and tuple(map(alg.labels.index, m.groups())) in pairs, \
+                msg
     else:
         assert not unit_bad and not pairs
 
@@ -397,11 +385,10 @@ def unital_span(alg, gens):
 
 
 def test_generators_raise_when_their_closure_falls_short():
-    # k[x]/(x^2) with x as its unit: unchecked, x is no left unit, so the
+    # k[x]/(x^2) with x planted as its unit: x is no left unit, so the
     # words in the kept element 1 times x span only x
-    good = truncated_dvr(2, F2)
-    bad = FDAlgebra(F2, good.labels, good.table, good.basis_el(1),
-                    name="planted", check=False)
+    bad = truncated_dvr(2, F2)
+    bad.unit = bad.basis_el(1)
     with pytest.raises(ValueError, match="dimension 1, not 2"):
         bad.generators
 
@@ -416,12 +403,13 @@ def test_the_one_dimensional_algebra_has_no_generators():
 
 
 def regular(alg, v):
-    """rho(v), right multiplication by v, rebuilt from the table: row i
-    is b_i v."""
+    """rho(v), right multiplication by v, rebuilt by concatenating the
+    basis paths: row i of rho(b_j) is b_i b_j."""
     f = alg.field
-    return combination(v, [Matrix.from_rows(f, [alg.table[i][j]
-                                                for i in range(alg.dim)])
-                           for j in range(alg.dim)])
+    return combination(v, [Matrix.from_rows(f, [
+        alg.zero_el() if k is None else alg.basis_el(k)
+        for k in (concatenation(alg, i, j) for i in range(alg.dim))])
+        for j in range(alg.dim)])
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3), QQ],

@@ -433,30 +433,34 @@ def test_structure_constant_tables_stay_in_algebra(path):
     assert list(algebra_constructions(ast.parse(path.read_text()))) == []
 
 
-def table_reads(tree: ast.AST):
-    """'line: table' for each attribute named table, read or written; a
-    name or a string "table" is none."""
-    nodes = [node for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr == "table"]
-    return [f"{node.lineno}: table"
+def product_reads(tree: ast.AST):
+    """'line: name' for each attribute named table or products, read or
+    written; a name or a string is none."""
+    nodes = [node for node in ast.walk(tree) if isinstance(
+        node, ast.Attribute) and node.attr in ("table", "products")]
+    return [f"{node.lineno}: {node.attr}"
             for node in sorted(nodes, key=lambda node: node.lineno)]
 
 
 def test_table_reads_are_found():
-    src = ("def f(alg, table):\n"
+    src = ("def f(alg, table, products):\n"
            "    t = alg.table[1][0], getattr(alg, 'table'), table\n"
            "    alg.op.table = t\n"
+           "    k = alg.products[1][0], getattr(alg, 'products'), products\n"
+           "    alg.op.products = k\n"
            "    return alg.paths\n")
-    assert table_reads(ast.parse(src)) == ["2: table", "3: table"]
+    assert product_reads(ast.parse(src)) == [
+        "2: table", "3: table", "4: products", "5: products"]
 
 
 @pytest.mark.parametrize("path", sorted(
-    p for p in SRC.glob("*.py") if p.name not in ("algebra.py", "tower.py")),
+    p for p in SRC.glob("*.py") if p.name != "algebra.py"),
     ids=lambda p: p.name)
 def test_structure_constants_are_read_only_in_algebra_and_tower(path):
-    # other modules identify an algebra by its paths; tower.py reads the
-    # table only to certify L_i's block of each one-point extension
-    assert table_reads(ast.parse(path.read_text())) == []
+    # an algebra's product index is algebra.py's: other modules multiply
+    # with mul_el and identify an algebra by its paths, and tower.py
+    # certifies L_i's block of each one-point extension through mul_el
+    assert product_reads(ast.parse(path.read_text())) == []
 
 
 def test_unread_locals_are_found():

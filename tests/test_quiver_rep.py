@@ -1,9 +1,10 @@
+import itertools
 import random
+import re
 
 import pytest
 
-from ppmod.algebra import (FDAlgebra, kronecker_algebra, monomial_algebra,
-                           truncated_dvr)
+from ppmod.algebra import kronecker_algebra, monomial_algebra, truncated_dvr
 from ppmod.fields import GF, QQ
 from ppmod.linalg import Matrix
 from ppmod.modules import quiver_rep
@@ -78,7 +79,10 @@ def test_the_opposite_algebra_has_the_reversed_paths():
                                 ("c", 3, 1, ("c",)), ("ab", 3, 1, ("b", "a")))
     assert alg.op.op.paths == alg.paths
     # the reversed paths build the opposite algebra again
-    assert monomial_algebra(F2, alg.op.paths, "A21^op").table == alg.op.table
+    again = monomial_algebra(F2, alg.op.paths, "A21^op")
+    basis = [alg.basis_el(i) for i in range(alg.dim)]
+    for u, v in itertools.product(basis, repeat=2):
+        assert again.mul_el(u, v) == alg.op.mul_el(u, v) == alg.mul_el(v, u)
 
 
 def test_the_coordinates_are_the_vertex_spaces_in_ascending_order():
@@ -124,10 +128,14 @@ def test_bad_representation_data_is_refused(dims, arrows, message):
         quiver_rep(truncated_dvr(3, F2), dims, arrows)
 
 
-def test_an_algebra_without_paths_is_refused():
-    dvr = truncated_dvr(3, F2)
-    bare = FDAlgebra(F2, dvr.labels, dvr.table, dvr.unit, name="bare")
-    assert bare.paths is None
-    with pytest.raises(ValueError, match="bare is not built from basis "
-                                         "paths"):
-        quiver_rep(bare, {0: 1}, {})
+@pytest.mark.parametrize("alg, dims, arrow", [
+    (truncated_dvr(3, F2), {0: 2}, "x"),
+    (kronecker_algebra(QQ), {1: 2, 2: 2}, "a"),
+], ids=["dvr-gf2", "kronecker-qq"])
+def test_a_matrix_over_another_field_is_refused(alg, dims, arrow):
+    # a GF(3) matrix once gave k[x]/(x^3) over GF(2) actions over both
+    # fields, and was taken as it was over QQ
+    with pytest.raises(ValueError, match=re.escape(
+            f"arrow {arrow}: the matrix is over GF(3), {alg.name} over "
+            f"{alg.field}")):
+        quiver_rep(alg, dims, {arrow: shift(GF(3), 2)})

@@ -306,7 +306,8 @@ def test_each_ring_is_the_one_point_extension_of_the_one_below(field):
             assert ext.unit == base.unit + (z,) * s + (one,)
             want = {}
             for a, b in itertools.product(range(r), repeat=2):
-                want[a, b] = base.table[a][b] + (z,) * (s + 1)
+                want[a, b] = base.mul_el(base.basis_el(a),
+                                         base.basis_el(b)) + (z,) * (s + 1)
             for k, b in itertools.product(range(s), range(r)):
                 # L_i's basis times R_i is L_i's action
                 want[r + k, b] = (z,) * r + l_mod.action[b].data[k] + (z,)
@@ -314,11 +315,10 @@ def test_each_ring_is_the_one_point_extension_of_the_one_below(field):
                 # eps acts as the identity on L_i, and eps eps = eps
                 want[r + s, r + k] = ext.basis_el(r + k)
             for a, b in itertools.product(range(ext.dim), repeat=2):
-                assert ext.table[a][b] == want.get((a, b), ext.zero_el()), \
+                got = ext.mul_el(ext.basis_el(a), ext.basis_el(b))
+                assert got == want.get((a, b), ext.zero_el()), \
                     (N, i, ext.labels[a], ext.labels[b])
-        kind = int if field.p else type(one)
-        assert all(type(c) is kind for r in tower.top.table for v in r
-                   for c in v)
+                assert all(type(c) is type(one) for c in got)
 
 
 def test_tower_labels_and_names_are_fixed(tw32):
@@ -367,7 +367,8 @@ def test_a_ring_whose_bimodule_rows_differ_is_refused(monkeypatch, edit):
 
 
 def test_a_duplicated_path_is_refused(monkeypatch):
-    with pytest.raises(ValueError, match="unit law fails"):
+    with pytest.raises(ValueError, match="the path L0~0 is listed twice in "
+                                         "k\\[x\\]/\\(x\\^3\\)\\[L0\\]"):
         planted_tower(monkeypatch, lambda paths: paths + [
             p for p in paths if p[0] == "L0~0"])
 
