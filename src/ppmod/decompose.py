@@ -41,8 +41,13 @@ from fractions import Fraction
 from .errors import Undecided
 from .linalg import (Matrix, Subspace, combination, projected_kernel,
                      subspace_sum, vectorized)
-from .modules import (Module, ModuleMap, hom_space, identity_map,
-                      indecomposable_iso, iso_classes, submodule)
+from .modules import (Module, ModuleMap, _record_of, hom_space,
+                      identity_map, indecomposable_iso, iso_classes, submodule)
+
+# the summand module of an indecomposable module, in the decomposition kept
+# in its content record: a sentinel rather than the module itself, so that
+# the record refers to no module it describes
+_OWN = object()
 
 
 @dataclass
@@ -229,7 +234,9 @@ def _split_or_radical(m: Module, mats: list[Matrix]):
 
 def _split_indecomposable(m: Module):
     """[(module, inj, proj, end_dim, rad)] of indecomposables, rad a basis
-    of rad End(module)."""
+    of rad End(module).  The two parts of a split are decomposed by
+    decompose, so a part content-equal to a live module reuses its
+    decomposition."""
     if m.dim == 0:
         return []
     ends = [h.mat for h in hom_space(m, m)]
@@ -244,23 +251,37 @@ def _split_indecomposable(m: Module):
     for part, cols in ((ker, range(ker.dim)), (img, range(ker.dim, m.dim))):
         sub, inj = submodule(m, part)
         proj = ModuleMap(m, sub, inv.take_cols(cols), check=False)
-        for (u, inj2, proj2, ed, rad) in _split_indecomposable(sub):
-            out.append((u, inj2.then(inj), proj.then(proj2), ed, rad))
+        for s in decompose(sub).summands:
+            out.append((s.module, s.inject.then(inj), proj.then(s.project),
+                        s.end_dim, s.rad))
     return out
 
 
 def decompose(m: Module, seed: int = 0) -> Decomposition:
     """Indecomposable summands with inclusions, projections, splitting
     idempotents and multiplicities.  Deterministic; seed is ignored.
-    Computed once per module and kept on it, so callers share the result
-    and must not mutate it."""
-    if m._decomposition is not None:
-        return m._decomposition
-    summands = [Summand(*part) for part in _split_indecomposable(m)]
-    classes = [(summands[idx[0]], len(idx), idx)
-               for idx in iso_classes([s.module for s in summands])]
-    m._decomposition = Decomposition(m, summands, classes)
-    return m._decomposition
+
+    Computed once per module content: the summand modules (the sentinel
+    _OWN for M itself), the inclusion and projection matrices, the End
+    dimensions and radicals and the class indices are kept in the record
+    of M's content (see modules), and each call rebinds them to M with
+    fresh maps.  Content-equal modules share the summand modules, radical
+    bases and class index lists, so a caller must not mutate them."""
+    rec = _record_of(m)
+    if rec.decomposition is None:
+        parts = _split_indecomposable(m)
+        rec.decomposition = (
+            [(_OWN if u is m else u, inj.mat, proj.mat, ed, rad)
+             for u, inj, proj, ed, rad in parts],
+            iso_classes([u for u, *_ in parts]))
+    parts, classes = rec.decomposition
+    summands = []
+    for u, inj, proj, ed, rad in parts:
+        u = m if u is _OWN else u
+        summands.append(Summand(u, ModuleMap(u, m, inj, check=False),
+                                ModuleMap(m, u, proj, check=False), ed, rad))
+    return Decomposition(m, summands, [(summands[idx[0]], len(idx), idx)
+                                       for idx in classes])
 
 
 # -- the radical of the category -------------------------------------------

@@ -401,9 +401,12 @@ def block(field: Field, heights, widths, blocks) -> Matrix:
         if (m.rows, m.cols) != (heights[i], widths[j]):
             raise ValueError(f"block ({i}, {j}) is {m.rows}x{m.cols}, its "
                              f"band {heights[i]}x{widths[j]}")
-    if len(heights) == len(widths) == len(blocks) == 1:
-        return blocks[0, 0]  # one band each way, filled
     rows, cols = sum(heights), sum(widths)
+    filled = [m for m in blocks.values() if m.rows and m.cols]
+    if not filled:
+        return Matrix.zero(field, rows, cols)
+    if len(filled) == 1 and (filled[0].rows, filled[0].cols) == (rows, cols):
+        return filled[0]  # it spans the matrix: every other band is empty
     out = []
     if field.p == 2:
         offs = [sum(widths[:j]) for j in range(len(widths))]

@@ -13,11 +13,20 @@ Conventions (used throughout the package):
 * A representation of an algebra's bound quiver (a space per vertex, a
   matrix per arrow) is a module by `quiver_rep`, on the vertex spaces in
   ascending order, each path acting from its source's block to its target's.
+* What is computed of a module from its content alone, its hom bases and
+  its decomposition, is kept in one record per content (algebra object,
+  dim, action matrices), shared by every module with that content through
+  a weak table.  A record holds matrices, and summand modules other than
+  the one it describes, so it refers to no module with its content: it
+  dies by refcount with the last such module, and the work done does not
+  depend on the garbage collector.  `presentation_of` holds a map into M,
+  so it stays on the module object.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
 from .algebra import FDAlgebra
@@ -25,13 +34,33 @@ from .linalg import (Matrix, Subspace, block, block_diagonal, combination,
                      intertwiners, quotient_projection, span_elements)
 
 _module_serial = itertools.count()
+_record_serial = itertools.count()
+
+
+class _Record:
+    """What is computed of one module content: the hom bases to each
+    target, keyed by the target record's serial (a tuple of matrices
+    each), and the decomposition as decompose.decompose keeps it."""
+
+    __slots__ = ("serial", "homs", "decomposition", "__weakref__")
+
+    def __init__(self):
+        self.serial = next(_record_serial)
+        self.homs: dict = {}
+        self.decomposition = None
+
+
+# the record of each content (algebra, dim, action), held weakly: an entry
+# lives exactly as long as some module with that content refers to it
+_RECORDS: "weakref.WeakValueDictionary[tuple, _Record]" = \
+    weakref.WeakValueDictionary()
 
 
 class Module:
     """Right module: one action matrix per algebra basis element."""
 
     __slots__ = ("algebra", "dim", "action", "label", "serial", "_act_cache",
-                 "_presentation", "_homs", "_decomposition")
+                 "_presentation", "_record")
 
     def __init__(self, algebra: FDAlgebra, dim: int, action, label: str = "",
                  check: bool = True):
@@ -42,8 +71,7 @@ class Module:
         self.serial = next(_module_serial)
         self._act_cache: dict = {}
         self._presentation = None  # see presentation_of
-        self._homs: dict = {}  # see hom_space
-        self._decomposition = None  # see decompose.decompose
+        self._record = None  # see _record_of
         if len(self.action) != algebra.dim:
             raise ValueError("need one action matrix per algebra basis element")
         for m in self.action:
@@ -210,21 +238,36 @@ def quiver_rep(alg: FDAlgebra, dims, arrows, label: str = "") -> Module:
 # -- hom spaces ------------------------------------------------------------
 
 
+def _record_of(m: Module) -> _Record:
+    """The record of M's content, found or made on first use and then kept
+    on M (see the module docstring)."""
+    rec = m._record
+    if rec is None:
+        key = (m.algebra, m.dim, m.action)
+        rec = _RECORDS.get(key)
+        if rec is None:
+            rec = _RECORDS[key] = _Record()
+        m._record = rec
+    return rec
+
+
 def hom_space(m: Module, n: Module) -> list[ModuleMap]:
     """Canonical (echelon) basis of Hom(M, N).
 
     It solves the intertwining equations of the algebra's generators only
     (see FDAlgebra.generators); the solutions are the same, and so is
-    their echelon basis.  The basis matrices are kept in M's `_homs`,
-    keyed by N's serial: matrices, not maps, so the cache refers to
-    neither module."""
+    their echelon basis.  That basis is a function of the two contents
+    alone, so its matrices are kept in the record of M's content, keyed
+    by the serial of N's: every pair of modules content-equal to M and N
+    shares them."""
     if m.algebra is not n.algebra:
         raise ValueError("modules over different algebras")
-    mats = m._homs.get(n.serial)
+    homs, key = _record_of(m).homs, _record_of(n).serial
+    mats = homs.get(key)
     if mats is None:
         # k itself has no generator; its one basis element acts as a scalar
         gens = m.algebra.generators or range(m.algebra.dim)
-        mats = m._homs[n.serial] = tuple(intertwiners(
+        mats = homs[key] = tuple(intertwiners(
             [m.action[g] for g in gens], [n.action[g] for g in gens],
             m.dim, n.dim))
     return [ModuleMap(m, n, mat, check=False) for mat in mats]
@@ -352,8 +395,7 @@ def iso_test(m: Module, n: Module) -> ModuleMap | None:
     if iso is not None or not hom_space(m, n):
         return iso
     from .decompose import decompose  # decompose imports this module
-    # a copy: the summand list is the decomposition cached on n
-    free = list(decompose(n).summands)
+    free = decompose(n).summands
     mat = Matrix.zero(m.algebra.field, m.dim, n.dim)
     for sm in decompose(m).summands:
         for i, sn in enumerate(free):

@@ -203,7 +203,7 @@ def f0(tower: TowerRing, level: int, m: Module) -> Module:
 
 def f1(tower: TowerRing, level: int, m: Module) -> Module:
     """(Hom(L, M), M, id): the second full and faithful embedding, built
-    from the basis of Hom(L, M) that hom_space keeps on L."""
+    from the basis of Hom(L, M) that hom_space keeps in L's record."""
     if not (1 <= level <= tower.height):
         raise ValueError("level out of range")
     if m.algebra is not tower.algebras[level - 1]:

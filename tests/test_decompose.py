@@ -9,7 +9,8 @@ from ppmod.algebra import kronecker_algebra, truncated_dvr
 from ppmod.errors import Undecided
 from ppmod.linalg import (Matrix, Subspace, combination, subspace_leq,
                           vectorized)
-from ppmod.modules import direct_sum, hom_space, iso_test, submodule
+from ppmod.modules import (Module, direct_sum, hom_space, iso_test,
+                           submodule)
 from ppmod.decompose import (RadicalCalculus, _certify, _commutator_ideal,
                              _echelon, _fitting_split, _split_or_radical,
                              decompose, radical_subspace)
@@ -28,6 +29,11 @@ def test_indecomposable_returns_itself(dvr3):
     assert len(d.summands) == 1
     assert d.summands[0].idempotent.mat == Matrix.identity(F2, 2)
     assert d.classes[0][1] == 1
+    # a content-equal copy shares the decomposition, and is its own summand
+    copy = Module(dvr3, v2.dim, v2.action, label="copy", check=False)
+    (s,) = decompose(copy).summands
+    assert s.module is copy and s.module.label == "copy"
+    assert d.summands[0].module is v2 and v2.label != "copy"
 
 
 def test_split_two_chains_derived(dvr3):
@@ -265,23 +271,138 @@ def test_summand_rad_spans_the_nilpotents(name, field):
 
 
 def test_radical_calculus_decomposes_each_module_once(monkeypatch):
-    # decompositions are counted where they are made, so one kept on its
-    # module and handed out again is not counted twice
+    # decompositions are counted where they are computed, so one kept in
+    # its content record and rebound to the module again is not counted
+    # twice
     dec = importlib.import_module("ppmod.decompose")
     made: dict[int, int] = {}
-    inner = dec.Decomposition
+    inner = dec._split_indecomposable
 
-    def counted(m, *args):
+    def counted(m):
         made[m.serial] = made.get(m.serial, 0) + 1
-        return inner(m, *args)
+        return inner(m)
 
-    monkeypatch.setattr(dec, "Decomposition", counted)
+    monkeypatch.setattr(dec, "_split_indecomposable", counted)
     for universe in radical_universes().values():
         calc = RadicalCalculus(universe)
         for a, b in itertools.product(universe, repeat=2):
             for t in (1, 2, 3):
                 calc.rad_power(a, b, t)
     assert made and max(made.values()) == 1
+
+
+# -- decompositions and hom bases shared by content --------------------------
+
+
+def test_a_record_dies_with_its_last_module():
+    # a content nothing else builds: an algebra of its own; the sum is
+    # decomposable, so its record holds summand modules
+    import gc
+    import weakref
+    from ppmod.modules import _record_of
+    dvr = truncated_dvr(3, GF(3))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        def build():
+            return direct_sum([dvr_chain_module(dvr, 1),
+                               dvr_chain_module(dvr, 2)])[0]
+        m, copy = build(), build()
+        summands = decompose(m).summands
+        homs = len(hom_space(m, copy))
+        rec = weakref.ref(_record_of(m))
+        leaf = weakref.ref(_record_of(summands[0].module))
+        del summands
+        assert homs and _record_of(copy) is rec()
+        del m
+        assert rec() is not None   # the copy still holds it
+        del copy
+        assert rec() is None and leaf() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _shared_universe(field):
+    """(module, probes) for the Kronecker modules of dimension <= 4 and
+    the k[x]/(x^3) modules of dimension <= 4, each list followed by the
+    sums of its neighbours; the probes are three modules over the same
+    algebra."""
+    out = []
+    for universe in (kronecker_universe(kronecker_algebra(field), 4),
+                     dvr_universe(truncated_dvr(3, field), 4)):
+        mods = universe + [direct_sum([a, b])[0]
+                           for a, b in zip(universe, universe[1:])]
+        out += [(m, (mods[0], mods[5], mods[-1])) for m in mods]
+    return out
+
+
+def _decomposition_data(d):
+    return ([(s.module.action, s.inject.mat, s.project.mat, s.end_dim, s.rad)
+             for s in d.summands], [(mult, idx) for _, mult, idx in d.classes])
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+def test_content_equal_copies_match_the_unshared_computation(field,
+                                                            monkeypatch):
+    # decompose and hom_space of a content-equal copy, read from the record
+    # its original filled, equal matrix by matrix what they compute with no
+    # record alive, and the rebound maps start or end at the copy
+    import ppmod.modules
+    from ppmod.modules import _Record
+    mods = _shared_universe(field)
+    with monkeypatch.context() as patch:
+        for where in (ppmod.modules, importlib.import_module(
+                "ppmod.decompose")):
+            patch.setattr(where, "_record_of", lambda m: _Record())
+        want = [(_decomposition_data(decompose(m)),
+                 [[h.mat for h in hom_space(m, p)] for p in probes])
+                for m, probes in mods]
+    for m, probes in mods:
+        decompose(m)
+        for p in probes:
+            hom_space(m, p)
+    for (m, probes), (dec, homs) in zip(mods, want):
+        copy = Module(m.algebra, m.dim, m.action, check=False)
+        d = decompose(copy)
+        assert _decomposition_data(d) == dec
+        assert d.module is copy
+        for s in d.summands:
+            assert s.inject.target is copy and s.project.source is copy
+        if len(d.summands) == 1:
+            assert d.summands[0].module is copy
+        for p, mats in zip(probes, homs):
+            got = hom_space(copy, p)
+            assert [h.mat for h in got] == mats
+            assert all(h.source is copy and h.target is p for h in got)
+
+
+# Hom systems that suite_krull_schmidt(0) solves: each content's bases once
+# while some module holds that content (1,320 before bases were shared)
+KRULL_SCHMIDT_SOLVES = 381
+
+
+def test_krull_schmidt_suite_work_does_not_depend_on_the_collector(
+        solved_homs):
+    # Hom systems solved, counted where hom_space solves them, are the
+    # same with the collector on and off: records die by refcount
+    import gc
+    from ppmod.suites import suite_krull_schmidt
+
+    def run():
+        solved_homs.clear()
+        assert suite_krull_schmidt(0).passed
+        return len(solved_homs)
+
+    was_enabled = gc.isenabled()
+    collected = run()
+    gc.disable()
+    try:
+        uncollected = run()
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert collected == uncollected == KRULL_SCHMIDT_SOLVES
 
 
 def test_iso_test_leaves_the_kept_decomposition_whole(dvr3):

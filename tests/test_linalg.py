@@ -647,24 +647,55 @@ def block_input(draw):
     return f, heights, widths, blocks
 
 
-@settings(max_examples=150, deadline=None)
-@given(block_input())
-def test_block_matches_elementwise_assembly(inp):
-    f, heights, widths, blocks = inp
-    rows, cols = sum(heights), sum(widths)
-    expected = [[f.zero()] * cols for _ in range(rows)]
+def elementwise_block(f, heights, widths, blocks):
+    """The rows of the block matrix, filled entry by entry."""
+    expected = [[f.zero()] * sum(widths) for _ in range(sum(heights))]
     for (i, j), m in blocks.items():
         r0, c0 = sum(heights[:i]), sum(widths[:j])
         for r in range(m.rows):
             for c in range(m.cols):
                 expected[r0 + r][c0 + c] = m.data[r][c]
+    return expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_input())
+def test_block_matches_elementwise_assembly(inp):
+    f, heights, widths, blocks = inp
     out = block(f, heights, widths, blocks)
-    assert (out.rows, out.cols) == (rows, cols)
-    assert [list(r) for r in out.data] == expected
+    assert (out.rows, out.cols) == (sum(heights), sum(widths))
+    assert [list(r) for r in out.data] == \
+        elementwise_block(f, heights, widths, blocks)
     if heights and widths:
         wrong = Matrix.zero(f, heights[0] + 1, widths[0])
         with pytest.raises(ValueError):
             block(f, heights, widths, {**blocks, (0, 0): wrong})
+
+
+@pytest.mark.parametrize("field", ASSEMBLY_FIELDS, ids=str)
+def test_block_with_empty_bands_matches_the_general_path(field):
+    # F0 builds its actions on the bands [0, d] of an empty M_0: the one
+    # filled block that spans the matrix is returned as it is, and blocks
+    # that are all empty give the zero matrix
+    a = Matrix.from_rows(field, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    b = Matrix.from_rows(field, [[1, 0, 1]])
+    bands = [0, 3]
+    cases = [({(1, 1): a}, a),
+             ({(0, 1): Matrix.zero(field, 0, 3), (1, 1): a,
+               (1, 0): Matrix.zero(field, 3, 0)}, a),
+             ({(0, 1): Matrix.zero(field, 0, 3)}, None),
+             ({}, None)]
+    for blocks, spanning in cases:
+        out = block(field, bands, bands, blocks)
+        assert [list(r) for r in out.data] == \
+            elementwise_block(field, bands, bands, blocks)
+        assert out == (spanning or Matrix.zero(field, 3, 3))
+        if spanning is not None:
+            assert out is spanning
+    # a filled block that does not span the matrix is copied into place
+    out = block(field, [1, 3], bands, {(0, 1): b, (1, 1): a})
+    assert [list(r) for r in out.data] == \
+        elementwise_block(field, [1, 3], bands, {(0, 1): b, (1, 1): a})
 
 
 def kronecker_entries(pairs, dm, dn):

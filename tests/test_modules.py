@@ -394,15 +394,30 @@ def test_intertwines_agrees_with_every_basis_action():
 
 
 def test_hom_bases_are_kept_on_the_source():
-    alg = kronecker_algebra(GF(3))
+    # in the record of the source's content, keyed by the target record's
+    # serial: content-equal copies share one basis tuple, equal matrices
+    # over a separately built algebra do not, and the record holds
+    # matrices only
+    from ppmod.modules import _record_of
+    alg, other = kronecker_algebra(GF(3)), kronecker_algebra(GF(3))
     m, n = kronecker_preprojective(alg, 1), kronecker_preprojective(alg, 2)
     first = hom_space(m, n)
-    assert [h.mat for h in hom_space(m, n)] == [h.mat for h in first]
-    assert hom_space(m, n)[0].mat is first[0].mat
-    # keyed by the target's serial, matrices only: the cache refers to
-    # neither module
-    assert list(m._homs) == [n.serial] and n._homs == {}
-    assert all(type(mat) is Matrix for mat in m._homs[n.serial])
+    m2, n2 = kronecker_preprojective(alg, 1), kronecker_preprojective(alg, 2)
+    assert m2.action is not m.action and m2.action == m.action
+    rec = _record_of(m)
+    assert _record_of(m2) is rec and _record_of(n2) is _record_of(n)
+    assert [h.mat for h in hom_space(m2, n2)] == [h.mat for h in first]
+    assert all(h.mat is g.mat for h, g in zip(hom_space(m2, n2), first))
+    assert list(rec.homs) == [_record_of(n).serial]
+    assert _record_of(n).homs == {}
+    mats = rec.homs[_record_of(n).serial]
+    assert type(mats) is tuple and all(type(mat) is Matrix for mat in mats)
+    m3, n3 = kronecker_preprojective(other, 1), kronecker_preprojective(other, 2)
+    assert m3.action == m.action and n3.action == n.action
+    third = hom_space(m3, n3)
+    assert _record_of(m3) is not rec
+    assert [h.mat for h in third] == [h.mat for h in first]
+    assert all(h.mat is not g.mat for h, g in zip(third, first))
 
 
 @pytest.mark.parametrize("field", [GF(3), QQ], ids=str)

@@ -241,15 +241,18 @@ def test_t_module_outside_tower_levels_raises(tw31, m):
 
 
 def test_f1_map_computes_each_hom_space_once(tw31, solved_homs):
+    # hom bases are shared by content, so a basis that a live module of
+    # the same content already has is not solved at all
     a0 = tw31.algebras[0]
     v1, v2 = dvr_chain_module(a0, 1), dvr_chain_module(a0, 2)
     inc = [h for h in hom_space(v1, v2) if h.is_injective()][0]
     solved_homs.clear()
     up = f1_map(tw31, 1, inc)
-    assert len(solved_homs) == 2   # Hom(L, source) and Hom(L, target)
+    solved = len(solved_homs)
+    assert solved <= 2   # Hom(L, source) and Hom(L, target)
     for got, x in ((up.source, v1), (up.target, v2)):
         assert got.action == f1(tw31, 1, x).action
-    assert len(solved_homs) == 2   # f1 reads both from L's cache
+    assert len(solved_homs) == solved   # f1 reads both from the records
     assert up.is_injective()
 
 
