@@ -24,10 +24,11 @@ from .ppformula import (FreeRealization, PpFormula, PpPair, annihilator,
 from .ppsyntax import format_formula, parse_formula
 from .probes import (INCONCLUSIVE, NOT_SHORT_WITNESS, SHORT_WITHIN_BOUND,
                      ProbeReport, interval_probe, probe_embedding, theta_pool)
-from .tower import (FpLabel, TowerRing, Triple, all_labels, build_tower,
-                    classify, construct_label, f0, f0_map, f1, f1_map,
+from .tower import (FpLabel, TowerRing, all_labels, build_tower, classify,
+                    construct_label, f0, f0_map, f1, f1_map,
                     identify_indecomposable, label_module, left_projectives,
-                    lift, natural_embedding, t_module, verify_hom_bounds)
+                    lift, natural_embedding, restrict, t_module,
+                    verify_hom_bounds)
 from .tube import (Arrow, NormalPath, SymbolicTube, TranslationQuiver, ZERO,
                    build_ray_tube, hom_dimension, normalize_path,
                    parse_tube_descriptor)

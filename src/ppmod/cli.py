@@ -315,9 +315,14 @@ def execute(args) -> tuple[int, list[str]]:
         lines.append(f"vertices\t{len(q.vertices())}")
         lines.append(f"arrows\t{len(q.arrows())}")
         if args.hom_dim:
-            src_txt, tgt_txt = args.hom_dim.split("->")
-            src = tuple(int(x) for x in src_txt.split(","))
-            tgt = tuple(int(x) for x in tgt_txt.split(","))
+            try:
+                src, tgt = [tuple(map(int, side.split(",")))
+                            for side in args.hom_dim.split("->")]
+                if len(src) != 3 or len(tgt) != 3:
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"--hom-dim needs 'i,k,j->i,k,l', not "
+                                 f"{args.hom_dim!r}") from None
             lines.append(f"hom_dim\t{hom_dimension(q, src, tgt)}")
         return 0, lines
 

@@ -10,9 +10,9 @@ idempotent is the path eps0, not 1, which formula text reads as the unit.
 All of (R_i 0 / L_i k) but L_i's basis times R_i holds by how paths
 compose; that block is certified to be L_i's action at construction.
 
-Modules over R_{i+1} are equivalent to triples (M_0, M_1, Gamma) with
-Gamma: M_0 -> Hom(L_i, M_1); both forms are kept, with a verified round
-trip.  The classifier identifies every finitely presented module by a
+F0 pads M's action with zeros for the L_i paths and eps_{i+1}; F1 is the
+block form on [Hom(L_i, M) | M]; restrict is x -> x(1 - eps_{i+1}), back
+to R_i.  The classifier identifies every finitely presented module by a
 label in the grammar
 
     T(n)  |  F0^a F1^b Ind(j)  |  F0^a F1^b T(m)
@@ -119,99 +119,59 @@ def build_tower(N: int, height: int, field: Field) -> TowerRing:
     return TowerRing(N, height, field)
 
 
-# -- triples -------------------------------------------------------------
-
-
-@dataclass
-class Triple:
-    """(M_0, M_1, Gamma) over R_level; gamma[r] is the matrix of the map
-    the r-th basis vector of M_0 is sent to in Hom(L_{level-1}, M_1)."""
-
-    tower: TowerRing
-    level: int
-    m0: int
-    m1: Module
-    gamma: list[Matrix]
-
-    def __post_init__(self):
-        if not (1 <= self.level <= self.tower.height):
-            raise ValueError("level out of range")
-        if self.m1.algebra is not self.tower.algebras[self.level - 1]:
-            raise ValueError("module is not one level below")
-        l_mod = self.tower.bimodules[self.level - 1]
-        for g in self.gamma:
-            ModuleMap(l_mod, self.m1, g)  # validates the intertwining
-        if len(self.gamma) != self.m0:
-            raise ValueError("need one hom per basis vector of M_0")
-
-    def flatten(self) -> Module:
-        """The module over R_level on coordinates [M_0 | M_1]."""
-        tower, lvl = self.tower, self.level
-        alg = tower.algebras[lvl]
-        l_dim = tower.bimodules[lvl - 1].dim
-        f = tower.field
-        d1 = self.m1.dim
-        bands = [self.m0, d1]
-        # row r of the vectorized gammas holds gamma[r]'s rows side by side
-        gam = vectorized(f, self.gamma, l_dim * d1)
-        action = [block(f, bands, bands, {(1, 1): a}) for a in self.m1.action]
-        action += [block(f, bands, bands,
-                         {(0, 1): gam.take_cols(range(j * d1, (j + 1) * d1))})
-                   for j in range(l_dim)]
-        action.append(block(f, bands, bands,
-                            {(0, 0): Matrix.identity(f, self.m0)}))
-        return Module(alg, self.m0 + d1, action, check=False)
-
-    @staticmethod
-    def from_module(tower: TowerRing, level: int, x: Module) -> "Triple":
-        """Recover the triple from any module over R_level."""
-        alg = tower.algebras[level]
-        base = tower.algebras[level - 1]
-        l_dim = tower.bimodules[level - 1].dim
-        if x.algebra is not alg:
-            raise ValueError("module is not over the expected tower level")
-        f = tower.field
-        e_mat = x.action[alg.dim - 1]
-        s0 = Subspace.from_matrix(x.dim, e_mat)
-        s1 = Subspace.from_matrix(x.dim, x.act(alg.unit) - e_mat)
-        b1, pivots = s1.basis, s1.pivots
-        m1_action = [
-            (b1 * x.action[bidx]).take_cols(pivots)
-            for bidx in range(base.dim)]
-        m1 = Module(base, s1.dim, m1_action, check=False)
-        # row r of imgs is s0 row r pushed through each bimodule basis
-        # element, side by side: gamma[r] vectorized
-        acts = block(f, [x.dim], [x.dim] * l_dim,
-                     {(0, j): x.action[base.dim + j]
-                      for j in range(l_dim)})
-        imgs = (s0.basis * acts).take_cols(
-            [j * x.dim + p for j in range(l_dim) for p in pivots])
-        gamma = [imgs.take_rows((r,)).reshape(l_dim, s1.dim)
-                 for r in range(s0.dim)]
-        return Triple(tower, level, s0.dim, m1, gamma)
-
-
 # -- the three functors ------------------------------------------------------
 
 
+def _check_level(tower: TowerRing, level: int, m: Module, ring: int):
+    """Refuse a level outside 1..height, or a module not over R_ring."""
+    if not (1 <= level <= tower.height):
+        raise ValueError("level out of range")
+    if m.algebra is not tower.algebras[ring]:
+        raise ValueError(f"module is not over the ring R{ring}")
+
+
 def f0(tower: TowerRing, level: int, m: Module) -> Module:
-    """(0, M, 0): the first full and faithful embedding, one level up."""
-    out = Triple(tower, level, 0, m, []).flatten()
-    out.label = f"F0({m.label})" if m.label else ""
-    return out
+    """(0, M, 0): the first full and faithful embedding, one level up, on
+    M's coordinates: M's action, then zero for every L path and eps."""
+    _check_level(tower, level, m, level - 1)
+    alg = tower.algebras[level]
+    pad = (Matrix.zero(tower.field, m.dim, m.dim),) * (alg.dim - len(m.action))
+    return Module(alg, m.dim, m.action + pad, check=False,
+                  label=f"F0({m.label})" if m.label else "")
 
 
 def f1(tower: TowerRing, level: int, m: Module) -> Module:
-    """(Hom(L, M), M, id): the second full and faithful embedding, built
-    from the basis of Hom(L, M) that hom_space keeps in L's record."""
-    if not (1 <= level <= tower.height):
-        raise ValueError("level out of range")
-    if m.algebra is not tower.algebras[level - 1]:
-        raise ValueError("module is not one level below")
-    homs = [h.mat for h in hom_space(tower.bimodules[level - 1], m)]
-    out = Triple(tower, level, len(homs), m, homs).flatten()
-    out.label = f"F1({m.label})" if m.label else ""
-    return out
+    """(Hom(L, M), M, id): the second full and faithful embedding, on
+    coordinates [Hom(L, M) | M] from the basis of Hom(L, M) that hom_space
+    keeps in L's record."""
+    _check_level(tower, level, m, level - 1)
+    f, l_mod, d = tower.field, tower.bimodules[level - 1], m.dim
+    homs = [h.mat for h in hom_space(l_mod, m)]
+    bands = [len(homs), d]
+    # row r of gam holds homs[r]'s rows side by side
+    gam = vectorized(f, homs, l_mod.dim * d)
+    action = [block(f, bands, bands, {(1, 1): a}) for a in m.action]
+    action += [block(f, bands, bands,
+                     {(0, 1): gam.take_cols(range(j * d, (j + 1) * d))})
+               for j in range(l_mod.dim)]
+    action.append(block(f, bands, bands,
+                        {(0, 0): Matrix.identity(f, len(homs))}))
+    return Module(tower.algebras[level], len(homs) + d, action, check=False,
+                  label=f"F1({m.label})" if m.label else "")
+
+
+def restrict(tower: TowerRing, level: int, x: Module) -> tuple[int, Module]:
+    """(dim x eps, x(1 - eps)) for x over R_level: the core x(1 - eps) as an
+    R_{level-1}-module in the RREF basis of its rows, and dim x eps with no
+    elimination, as eps and 1 - eps are complementary idempotents."""
+    _check_level(tower, level, x, level)
+    base = tower.algebras[level - 1]
+    eps = x.action[tower.algebras[level].dim - 1]
+    core = Subspace.from_matrix(
+        x.dim, Matrix.identity(tower.field, x.dim) - eps)
+    action = [(core.basis * x.action[i]).take_cols(core.pivots)
+              for i in range(base.dim)]
+    return x.dim - core.dim, Module(base, core.dim, action, check=False)
 
 
 def f0_map(tower: TowerRing, level: int, fmap: ModuleMap) -> ModuleMap:
@@ -336,18 +296,18 @@ def identify_indecomposable(tower: TowerRing, level: int,
                 iso_test(u, dvr_chain_module(tower.algebras[0], j)) is None:
             raise UnclassifiedSummand(u, "level-0 summand not a chain module")
         return FpLabel(0, 0, ("Ind", j))
-    tri = Triple.from_module(tower, level, u)
-    if tri.m1.dim == 0:
-        if tri.m0 == 1:
+    ext, core = restrict(tower, level, u)
+    if core.dim == 0:
+        if ext == 1:
             return FpLabel(0, 0, ("T", level))
         raise UnclassifiedSummand(u, "extension part not simple")
-    if tri.m0 == 0:
-        inner = identify_indecomposable(tower, level - 1, tri.m1)
+    if ext == 0:
+        inner = identify_indecomposable(tower, level - 1, core)
         return FpLabel(inner.a + 1, inner.b, inner.base)
-    rebuilt = f1(tower, level, tri.m1)
+    rebuilt = f1(tower, level, core)
     if iso_test(u, rebuilt) is None:
         raise UnclassifiedSummand(u, "not isomorphic to the F1 of its core")
-    inner = identify_indecomposable(tower, level - 1, tri.m1)
+    inner = identify_indecomposable(tower, level - 1, core)
     if inner.a != 0:
         raise UnclassifiedSummand(u, "F1 wraps an F0 layer; impossible shape")
     return FpLabel(0, inner.b + 1, inner.base)

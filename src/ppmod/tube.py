@@ -184,6 +184,8 @@ def parse_tube_descriptor(text: str) -> TranslationQuiver:
     for p in text.split():
         if "=" in p:
             key, val = p.split("=", 1)
+            if key.strip() in kv:
+                raise ValueError(f"tube descriptor repeats {key.strip()}=")
             kv[key.strip()] = val.strip()
     if "m" not in kv or "n" not in kv or "horizon" not in kv:
         raise ValueError("tube descriptor needs m=, n=[...], horizon=")

@@ -116,6 +116,27 @@ def test_tube_over_size_limit_exits_2(monkeypatch, capsys):
     assert rc == 2
     assert f"limit of {tube.MAX_VERTICES}" in err
 
+
+@pytest.mark.parametrize("value", ["a", "0,0,1->", "0,0->0,0",
+                                   "0,0,1-0,0,2", "0,0,1->0,0,2->0,0,3",
+                                   "0,x,1->0,0,1"])
+def test_malformed_hom_dim_names_the_form_and_exits_2(value, capsys):
+    rc = main(["tube", "--tube", "m=1 n=[0] horizon=3", "--hom-dim", value])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: --hom-dim needs 'i,k,j->i,k,l', not {value!r}\n"
+
+
+def test_a_repeated_tube_descriptor_key_exits_2(capsys):
+    from ppmod.tube import parse_tube_descriptor
+    for text in ("m=1 n=[0] horizon=3 m=2", "tube m=1 n=[0] n=[1] horizon=3"):
+        with pytest.raises(ValueError, match="tube descriptor repeats"):
+            parse_tube_descriptor(text)
+    rc = main(["tube", "--tube", "m=1 n=[0] horizon=3 m=2"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: tube descriptor repeats m=\n"
+
+
 @pytest.mark.parametrize("spec", ["tower:2", "dvr:", "dvr", "dvr:x",
                                   "dvr:-1", "dvr:3:4", "kronecker:1",
                                   "tower:2:1:1", "tower:a:1"])

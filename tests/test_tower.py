@@ -7,10 +7,10 @@ from ppmod.fields import GF, QQ
 from ppmod.catalog import dvr_chain_module, random_quotient_of_free
 from ppmod.decompose import decompose
 from ppmod.modules import direct_sum, hom_space, iso_classes, iso_test
-from ppmod.tower import (FpLabel, Triple, all_labels, build_tower,
+from ppmod.tower import (FpLabel, all_labels, build_tower,
                          classify, construct_label, f0, f1,
                          f0_map, f1_map, label_module, left_projectives, natural_embedding,
-                         t_module, verify_hom_bounds)
+                         restrict, t_module, verify_hom_bounds)
 
 F2 = GF(2)
 
@@ -50,13 +50,51 @@ def test_idempotent_identities_checked_at_build(tw32):
         assert alg.mul_el(u, v) == alg.zero_el()
 
 
-def test_triple_roundtrip(tw31):
+def test_restrict_then_f1_rebuilds_the_module(tw31):
     v2 = dvr_chain_module(tw31.algebras[0], 2)
     up = f1(tw31, 1, v2)
-    tri = Triple.from_module(tw31, 1, up)
-    assert tri.m0 == 1 and tri.m1.dim == 2
-    flat = tri.flatten()
-    assert iso_test(flat, up) is not None
+    ext, core = restrict(tw31, 1, up)
+    assert ext == 1 and core.dim == 2
+    assert iso_test(f1(tw31, 1, core), up) is not None
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+def test_restrict_undoes_both_embeddings_exactly(field):
+    # restrict(F0 M) = (0, M) and restrict(F1 M) = (dim Hom(L, M), M),
+    # matrix by matrix, not only up to isomorphism
+    tw = build_tower(3, 2, field)
+    rng = random.Random(5)
+    for level in (1, 2):
+        below = tw.algebras[level - 1]
+        mods = [dvr_chain_module(tw.algebras[0], j) for j in (1, 2, 3)]
+        mods = [f1(tw, 1, m) if level == 2 else m for m in mods]
+        mods.append(random_quotient_of_free(below, 1, rng, dim_cap=6))
+        for m in mods:
+            homs = len(hom_space(tw.bimodules[level - 1], m))
+            for up, ext in ((f0, 0), (f1, homs)):
+                got, core = restrict(tw, level, up(tw, level, m))
+                assert got == ext
+                assert core.algebra is below and core.dim == m.dim
+                assert core.action == m.action
+
+
+def test_embeddings_and_restrict_refuse_a_wrong_level(tw32):
+    v1 = dvr_chain_module(tw32.algebras[0], 1)
+    up = f1(tw32, 1, v1)
+    for call, x in ((f0, v1), (f1, v1), (restrict, up)):
+        for level in (0, 3):
+            with pytest.raises(ValueError, match="level out of range"):
+                call(tw32, level, x)
+    # a module over any other ring than the one the level names
+    for call, x in ((f0, up), (f1, up), (restrict, v1)):
+        with pytest.raises(ValueError, match="module is not over the ring"):
+            call(tw32, 1, x)
+    # or over an equal ring of another tower
+    twin = build_tower(3, 2, F2)
+    other = dvr_chain_module(twin.algebras[0], 1)
+    for call, x in ((f0, other), (f1, other), (restrict, f1(twin, 1, other))):
+        with pytest.raises(ValueError, match="module is not over the ring"):
+            call(tw32, 1, x)
 
 
 def test_f0_f1_full_faithful_on_homs(tw31):
@@ -73,7 +111,7 @@ def test_forget_retracts_f0_f1(tw31):
     for j in (1, 2, 3):
         m = dvr_chain_module(a0, j)
         for up in (f0, f1):
-            down = Triple.from_module(tw31, 1, up(tw31, 1, m)).m1
+            down = restrict(tw31, 1, up(tw31, 1, m))[1]
             assert iso_test(down, m) is not None
 
 
@@ -82,7 +120,7 @@ def test_adjunction_dimension_identities(tw31):
     below = [dvr_chain_module(a0, j) for j in (1, 2)]
     ups = [f0(tw31, 1, below[0]), f1(tw31, 1, below[1]), t_module(tw31, 1)]
     for x, y in itertools.product(below, ups):
-        ry = Triple.from_module(tw31, 1, y).m1
+        ry = restrict(tw31, 1, y)[1]
         assert len(hom_space(f0(tw31, 1, x), y)) == len(hom_space(x, ry))
         assert len(hom_space(ry, x)) == len(hom_space(y, f1(tw31, 1, x)))
 
