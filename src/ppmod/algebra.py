@@ -13,13 +13,18 @@ docstring); the opposite algebra is the one on the reversed paths.
 from __future__ import annotations
 
 from .fields import Field
-from .linalg import Matrix, Subspace, block_diagonal, combination
+from .linalg import Matrix, block_diagonal, combination
 
 
 class FDAlgebra:
     """Algebra on the basis paths b_0..b_{dim-1}: b_i b_j is b_k for
     k = products[i][j], and 0 where that is None.  Built by
-    monomial_algebra, or as an opposite."""
+    monomial_algebra, or as an opposite.  generators: every arrow (path
+    of length 1) and every vertex idempotent but the last listed, which
+    is the unit minus the others.  With the unit they generate A, each
+    longer path being the product of its arrows (monomial_algebra lists
+    every prefix and suffix of a path), so a map intertwining their
+    actions intertwines every element's."""
 
     def __init__(self, field: Field, paths, products, name: str):
         self.field = field
@@ -31,7 +36,9 @@ class FDAlgebra:
         self.unit = tuple(field.zero() if w else field.one()
                           for _, _, _, w in paths)
         self._op: FDAlgebra | None = None
-        self._generators: tuple[int, ...] | None = None
+        last = max((k for k, p in enumerate(paths) if not p[3]), default=None)
+        self.generators = tuple(k for k, (_, _, _, w) in enumerate(paths)
+                                if len(w) == 1 or not w and k != last)
         self._inverses: dict = {}
         self._reduced: dict = {}
         zero = self.zero_el()
@@ -137,47 +144,6 @@ class FDAlgebra:
                 tuple(zip(*self.products)), self.name + "^op")
             self._op._op = self
         return self._op
-
-    @property
-    def generators(self) -> tuple[int, ...]:
-        """Basis indices whose elements generate A as a unital algebra,
-        chosen greedily once: b_i is kept when it lies outside the
-        subalgebra that the unit and the elements kept before it generate.
-
-        A linear map between modules that intertwines the actions of the
-        kept elements intertwines the action of every element: the
-        elements it intertwines form a unital subalgebra.  That
-        subalgebra is spanned by the unit times the words in the kept
-        elements, and the span is recomputed from the unit alone, so the
-        check that it is all of A is a certificate (it fails when the
-        unit is not a left unit, for one)."""
-        if self._generators is None:
-            kept: list[int] = []
-            span = Subspace.from_matrix(
-                self.dim, Matrix.from_rows(self.field, [self.unit]))
-            for i in range(self.dim):
-                if not span.contains_vector(self.basis_el(i)):
-                    kept.append(i)
-                    span = self._words_span(span, kept)
-            if span.dim != self.dim:
-                raise ValueError(f"the generators of {self.name} span a "
-                                 f"subalgebra of dimension {span.dim}, "
-                                 f"not {self.dim}")
-            self._generators = tuple(kept)
-        return self._generators
-
-    def _words_span(self, span: Subspace, gens) -> Subspace:
-        """The smallest subspace containing span that right multiplication
-        by each of the basis elements gens maps into itself: one
-        elimination per round, until a round adds nothing."""
-        while True:
-            stacked = span.basis
-            for g in gens:
-                stacked = stacked.vstack(span.basis * self._rho[g])
-            grown = Subspace.from_matrix(self.dim, stacked)
-            if grown.dim == span.dim:
-                return span
-            span = grown
 
     def free_action(self, rank: int) -> tuple[Matrix, ...]:
         """The right action on A^rank: rho(b_j) on each of rank diagonal

@@ -57,13 +57,13 @@ _RECORDS: "weakref.WeakValueDictionary[tuple, _Record]" = \
 
 
 class Module:
-    """Right module: one action matrix per algebra basis element."""
+    """Right module: one action matrix per algebra basis element.  Its
+    laws hold by how it is built; FDAlgebra.law_failure checks them."""
 
     __slots__ = ("algebra", "dim", "action", "label", "serial", "_act_cache",
                  "_presentation", "_record")
 
-    def __init__(self, algebra: FDAlgebra, dim: int, action, label: str = "",
-                 check: bool = True):
+    def __init__(self, algebra: FDAlgebra, dim: int, action, label: str = ""):
         self.algebra = algebra
         self.dim = dim
         self.action = tuple(action)
@@ -77,20 +77,6 @@ class Module:
         for m in self.action:
             if m.rows != dim or m.cols != dim:
                 raise ValueError("action matrix has wrong shape")
-        if check:
-            self._check_laws()
-
-    def _check_laws(self):
-        alg = self.algebra
-        fail = alg.law_failure(self.action)
-        if fail is None:
-            return
-        pair, _ = fail
-        if pair is None:
-            raise ValueError("unit does not act as identity")
-        i, j = pair
-        raise ValueError(f"action violates structure constants at "
-                         f"({alg.labels[i]}, {alg.labels[j]})")
 
     def act(self, el) -> Matrix:
         """Action matrix of an algebra element (coordinate vector)."""
@@ -180,7 +166,7 @@ def zero_map(m: Module, n: Module) -> ModuleMap:
 def free_module(algebra: FDAlgebra, rank: int, label: str = "") -> Module:
     """R^rank with basis e_i (x) b_t, coordinates blocked by generator."""
     return Module(algebra, algebra.dim * rank, algebra.free_action(rank),
-                  label=label or f"{algebra.name}^{rank}", check=False)
+                  label=label or f"{algebra.name}^{rank}")
 
 
 def regular_module(algebra: FDAlgebra) -> Module:
@@ -232,7 +218,7 @@ def quiver_rep(alg: FDAlgebra, dims, arrows, label: str = "") -> Module:
     sizes = list(size.values())
     action = [block(f, sizes, sizes, {(band[s], band[t]): prod[s, w]})
               for _, s, t, w in paths]
-    return Module(alg, sum(sizes), action, label=label, check=False)
+    return Module(alg, sum(sizes), action, label=label)
 
 
 # -- hom spaces ------------------------------------------------------------
@@ -280,7 +266,7 @@ def k_dual(m: Module) -> Module:
     """Standard dual Hom(-, k): transpose the actions, flip to the opposite
     algebra (right modules over A.op are left A-modules)."""
     return Module(m.algebra.op, m.dim, [a.transpose() for a in m.action],
-                  label=(m.label + "*") if m.label else "", check=False)
+                  label=(m.label + "*") if m.label else "")
 
 
 # -- direct sums, submodules, quotients -------------------------------------
@@ -298,7 +284,7 @@ def direct_sum(mods: list[Module], label: str = "") -> tuple[Module, list[Module
     action = [block_diagonal(f, [m.action[j] for m in mods])
               for j in range(alg.dim)]
     s = Module(alg, total, action,
-               label=label or "+".join(m.label or "?" for m in mods), check=False)
+               label=label or "+".join(m.label or "?" for m in mods))
     ident = Matrix.identity(f, total)
     injs, projs = [], []
     off = 0
@@ -316,7 +302,7 @@ def submodule(m: Module, s: Subspace) -> tuple[Module, ModuleMap]:
     b = s.basis
     # coefficients over the RREF basis are read off at the pivot columns
     action = [(b * a).take_cols(s.pivots) for a in m.action]
-    u = Module(m.algebra, s.dim, action, check=False)
+    u = Module(m.algebra, s.dim, action)
     return u, ModuleMap(u, m, b, check=False)
 
 
@@ -328,7 +314,7 @@ def quotient_module(m: Module, s: Subspace) -> tuple[Module, ModuleMap]:
     nonpivots = [j for j in range(m.dim) if j not in pivots]
     proj = quotient_projection(s)
     action = [a.take_rows(nonpivots) * proj for a in m.action]
-    q = Module(m.algebra, len(nonpivots), action, check=False)
+    q = Module(m.algebra, len(nonpivots), action)
     return q, ModuleMap(m, q, proj, check=False)
 
 

@@ -66,10 +66,12 @@ class _Parser:
         if self.peek() == "E":
             self.take("E")
             while self.peek() != ".":
-                m = _VAR_RE.match(self.take())
-                if not m or m.group(1) != "y":
+                kind, idx = self._take_var()
+                if kind != "y":
                     raise ValueError("E-block must list y-variables")
-                yvars.append(int(m.group(2)))
+                if idx in yvars:
+                    raise ValueError(f"y{idx} is declared twice")
+                yvars.append(idx)
             self.take(".")
         wrapped = self.peek() == "("
         if wrapped:
@@ -150,6 +152,8 @@ class _Parser:
         m = _VAR_RE.match(tok)
         if not m:
             raise ValueError(f"expected a variable, found {tok!r}")
+        if int(m.group(2)) == 0:
+            raise ValueError(f"variables are numbered from 1, not {tok}")
         return (m.group(1), int(m.group(2)))
 
     def parse_coef(self):

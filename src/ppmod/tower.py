@@ -136,7 +136,7 @@ def f0(tower: TowerRing, level: int, m: Module) -> Module:
     _check_level(tower, level, m, level - 1)
     alg = tower.algebras[level]
     pad = (Matrix.zero(tower.field, m.dim, m.dim),) * (alg.dim - len(m.action))
-    return Module(alg, m.dim, m.action + pad, check=False,
+    return Module(alg, m.dim, m.action + pad,
                   label=f"F0({m.label})" if m.label else "")
 
 
@@ -156,7 +156,7 @@ def f1(tower: TowerRing, level: int, m: Module) -> Module:
                for j in range(l_mod.dim)]
     action.append(block(f, bands, bands,
                         {(0, 0): Matrix.identity(f, len(homs))}))
-    return Module(tower.algebras[level], len(homs) + d, action, check=False,
+    return Module(tower.algebras[level], len(homs) + d, action,
                   label=f"F1({m.label})" if m.label else "")
 
 
@@ -171,7 +171,7 @@ def restrict(tower: TowerRing, level: int, x: Module) -> tuple[int, Module]:
         x.dim, Matrix.identity(tower.field, x.dim) - eps)
     action = [(core.basis * x.action[i]).take_cols(core.pivots)
               for i in range(base.dim)]
-    return x.dim - core.dim, Module(base, core.dim, action, check=False)
+    return x.dim - core.dim, Module(base, core.dim, action)
 
 
 def f0_map(tower: TowerRing, level: int, fmap: ModuleMap) -> ModuleMap:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import random
+import re
 from dataclasses import dataclass
 
 CLOSURE_ASSUMPTION = (
@@ -327,12 +328,18 @@ def parse_point(height: int, text: str) -> ZieglerPoint:
 def parse_point_set(height: int, text: str) -> PointSet:
     text = text.strip().strip("{}")
     pts = []
-    cof = []
-    for chunk in [c.strip() for c in text.split(",") if c.strip()]:
-        if chunk.endswith("FinLen(*)"):
-            word = chunk[: -len("FinLen(*)")].split()
-            p, l = canonical_word(word)
-            cof.append((p, l))
-        else:
+    excluded: dict = {}
+    for chunk in re.split(r",(?![^{}]*\})", text):  # commas outside braces
+        chunk = chunk.strip()
+        # a cofinite family as PointSet.__str__ prints it, after its word
+        m = re.fullmatch(r"((?:F[01]\s+)*)FinLen\(\*(?:\s+minus\s+"
+                         r"\{\s*(\d+(?:\s*,\s*\d+)*)\s*\})?\)", chunk)
+        if m:
+            pref = canonical_word(m.group(1).split())
+            ex = {int(j) for j in (m.group(2) or "").split(",") if j}
+            # a union of cofinite sets excludes only what all of them exclude
+            excluded[pref] = excluded.get(pref, ex) & ex
+        elif chunk:
             pts.append(parse_point(height, chunk))
-    return PointSet.make(height, pts, cofinite_prefixes=cof)
+    return PointSet.make(height, pts, cofinite_prefixes=list(excluded),
+                         excluded=excluded)

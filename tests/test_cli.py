@@ -47,6 +47,14 @@ def test_ziegler_closure_example():
     assert any(l == "closure\t{F0 Prufer, F0 Q}" for l in lines)
 
 
+def test_ziegler_closure_reads_a_family_with_exclusions():
+    code, lines = run_cli(["ziegler", "closure", "--n", "1", "--set",
+                           "F0 FinLen(* minus {3,4})"])
+    assert code == 0
+    assert lines[-1] == ("closure\t{F0 Adic, F0 FinLen(* minus {3,4}), "
+                         "F0 Prufer, F0 Q}")
+
+
 def test_ziegler_header_carries_assumption_flag():
     code, lines = run_cli(["ziegler", "points", "--n", "1"])
     assert code == 0
@@ -182,6 +190,19 @@ def test_unknown_ring_element_is_named(capsys):
     assert rc == 2
     assert "unknown ring element 'q'" in err
     assert "valid: 1, x, x^2" in err
+
+
+@pytest.mark.parametrize("formula, err", [
+    ("x1*x + x0 = 0", "variables are numbered from 1, not x0"),
+    ("E y1 . (x1 + y1*x + x0*x^2 = 0)",
+     "variables are numbered from 1, not x0"),
+    ("E y1 y1 . (x1 - y1*x = 0)", "y1 is declared twice"),
+], ids=["x0", "x0-with-y", "y1-twice"])
+def test_variable_zero_and_a_repeated_y_exit_2(formula, err, capsys):
+    rc = main(["pp", "print", "--algebra", "dvr:3", "--formula", formula])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: {err}\n" and captured.out == ""
 
 
 def test_scenario_file_run(tmp_path):

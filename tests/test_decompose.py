@@ -30,7 +30,7 @@ def test_indecomposable_returns_itself(dvr3):
     assert d.summands[0].idempotent.mat == Matrix.identity(F2, 2)
     assert d.classes[0][1] == 1
     # a content-equal copy shares the decomposition, and is its own summand
-    copy = Module(dvr3, v2.dim, v2.action, label="copy", check=False)
+    copy = Module(dvr3, v2.dim, v2.action, label="copy")
     (s,) = decompose(copy).summands
     assert s.module is copy and s.module.label == "copy"
     assert d.summands[0].module is v2 and v2.label != "copy"
@@ -363,7 +363,7 @@ def test_content_equal_copies_match_the_unshared_computation(field,
         for p in probes:
             hom_space(m, p)
     for (m, probes), (dec, homs) in zip(mods, want):
-        copy = Module(m.algebra, m.dim, m.action, check=False)
+        copy = Module(m.algebra, m.dim, m.action)
         d = decompose(copy)
         assert _decomposition_data(d) == dec
         assert d.module is copy

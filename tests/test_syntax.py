@@ -86,6 +86,24 @@ def test_parse_errors(d3):
         parse_formula(d3, "E y1 . x1")
 
 
+@pytest.mark.parametrize("text, side, message", [
+    ("x1*x + x0 = 0", RIGHT, "numbered from 1, not x0"),
+    ("E y1 . (x1 + y1*x + x0*x^2 = 0)", RIGHT, "numbered from 1, not x0"),
+    ("x*x1 + x0 = 0", LEFT, "numbered from 1, not x0"),
+    ("E y0 . (x1 - y0*x = 0)", RIGHT, "numbered from 1, not y0"),
+    ("x00 = 0", RIGHT, "numbered from 1, not x00"),
+    ("E y1 y1 . (x1 - y1*x = 0)", RIGHT, "y1 is declared twice"),
+    ("E y2 y1 y2 . (x1 - x*y1 - y2 = 0)", LEFT, "y2 is declared twice"),
+], ids=["x0", "x0-with-y", "x0-left", "y0", "x00", "y1-twice",
+        "y2-twice-left"])
+def test_variable_zero_and_a_repeated_y_are_refused(d3, text, side,
+                                                   message):
+    # x0 would index row -1, the last variable, and a second y1 would add
+    # a bound variable no equation uses
+    with pytest.raises(ValueError, match=message):
+        parse_formula(d3, text, side)
+
+
 @pytest.mark.parametrize("field", [F2, GF(3)], ids=str)
 def test_tower_path_formulas_round_trip(field):
     # from R_1 on, vertex 0's idempotent is a path that is not the unit: a

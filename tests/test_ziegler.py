@@ -166,6 +166,19 @@ def test_parse_and_print_roundtrip():
     assert fam.family((0, 0))[0] == "cofinite"
 
 
+def test_printed_point_sets_parse_back():
+    # a cofinite family with exclusions prints as 'FinLen(* minus {3,4})',
+    # whose inner comma does not separate two points
+    rng = random.Random(1)
+    drawn = [random_point_set(n, rng) for _ in range(500) for n in range(4)]
+    assert sum(1 for s in drawn for _, mode, data in s.families
+               if mode == "cofinite" and len(data) > 1) > 100
+    for s in drawn:
+        assert parse_point_set(s.height, str(s)) == s
+    spaced = parse_point_set(1, "{F0 FinLen(* minus { 4 ,3 }), F1 FinLen(2)}")
+    assert str(spaced) == "{F0 FinLen(* minus {3,4}), F1 FinLen(2)}"
+
+
 def test_full_spectrum_is_closed():
     for n in range(3):
         assert is_closed(points(n))
