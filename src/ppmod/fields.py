@@ -117,4 +117,7 @@ def field_from_spec(spec: str | int) -> Field:
     s = spec.strip().lower()
     if s in ("q", "qq", "rational", "rationals"):
         return QQ
+    if not (s.isascii() and s.isdigit() and _is_prime(int(s))):
+        raise ValueError(f"--field needs a prime p or 'rational', "
+                         f"not {spec!r}")
     return GF(int(s))

@@ -348,9 +348,7 @@ class Matrix:
 
     def right_kernel(self) -> "Matrix":
         """Canonical basis (RREF) of {v : A v^T = 0}, one row per basis vector."""
-        if self.field.p == 2:
-            return projected_kernel(self.transpose(), self.cols)
-        return _sparse_kernel(_dict_rows(self.ints), self.cols, self.field)
+        return projected_kernel(self.transpose(), self.cols)
 
     def left_kernel(self) -> "Matrix":
         """Canonical basis of {v : v A = 0}."""

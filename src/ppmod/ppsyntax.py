@@ -29,6 +29,8 @@ _TOKEN_RE = re.compile(r"\s*([()&=+*.-]|[A-Za-z0-9_^~]+)")
 
 
 def _tokenize(text: str) -> list[str]:
+    """The tokens of text; whitespace around them is skipped."""
+    text = text.rstrip()
     out = []
     pos = 0
     while pos < len(text):

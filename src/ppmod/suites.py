@@ -330,31 +330,22 @@ def mesh_tube_failures(q):
     normal form, and same-ray normal forms descend whole rim loops) and
     the same-ray hom dimensions.  The rule certificate proves that every
     rewrite order reaches the same normal form.  Returns the rule count,
-    the path count and the failures."""
+    the path count and the failures, a sweep node's once per word of it."""
     m, lengths = q.m, q.ray_lengths
     n_rules, failed = mesh_rule_failures(q)
     bad = [("rule", m, lengths, mu) for mu in failed]
     paths = 0
-    for v, nodes, word_nodes in mesh_sweep(q, 8):
-        # each node's shape and ray-form failures, judged once
-        shapes = {}     # normal form -> (canonical walk, ray form holds)
-        judged = [[]]   # node 0 is the empty word's, which is not swept
-        for left_word, left in nodes[1:]:
-            fails = []
-            if left is not ZERO:
-                shape = shapes.get(left)
-                if shape is None:
-                    shape = shapes[left] = _normal_form_shape(q, left)
-                walk, ray_form = shape
-                if left_word != walk:
-                    fails.append(("shape", m, lengths, v))
-                if not ray_form:
-                    fails.append(("ray-form", m, lengths, v))
-            judged.append(fails)
-        paths += len(word_nodes)
-        for nd in word_nodes:
-            if judged[nd]:
-                bad.extend(judged[nd])
+    for v, nodes, counts in mesh_sweep(q, 8):
+        paths += sum(counts)
+        # each node judged once, its failures counted once per word
+        for (left_word, left), count in zip(nodes, counts):
+            if left is ZERO or not count:
+                continue
+            walk, ray_form = _normal_form_shape(q, left)
+            if left_word != walk:
+                bad += [("shape", m, lengths, v)] * count
+            if not ray_form:
+                bad += [("ray-form", m, lengths, v)] * count
     # the ray-direction dimension count
     for (i, k, j) in q.vertices():
         for l in range(j, q.horizon + 1):

@@ -40,12 +40,14 @@ is exactly the leftmost rewrite sequence of the whole word.
 
 mesh_sweep takes the same step for every short word of a tube without
 starting over for each word: the step reads only the word's node, the
-pair (leftmost word, end vertex), and the kind of the next arrow, so the
-sweep continues each node once and the words of a node share the result.
+pair (leftmost word, end vertex), and the kind of the next arrow.  So the
+sweep goes one length at a time, continues each node of that length once,
+and weighs each node by its number of words instead of listing them.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -178,21 +180,37 @@ def build_ray_tube(m: int, ray_lengths, horizon: int) -> TranslationQuiver:
     return TranslationQuiver(m, ray_lengths, horizon)
 
 
+# each key of a tube descriptor: its value in ASCII digits, and its form
+_DESCRIPTOR_VALUES = {
+    "m": (r"[0-9]+", "m=M"),
+    "n": (r"\[(?:[0-9]+(?:,[0-9]+)*)?\]", "n=[n_0,...,n_{m-1}]"),
+    "horizon": (r"[0-9]+", "horizon=J"),
+}
+
+
 def parse_tube_descriptor(text: str) -> TranslationQuiver:
-    """Parse 'tube m=2 n=[1,0] horizon=6' (the leading word is optional)."""
+    """Parse 'tube m=2 n=[1,0] horizon=6' (the leading word is optional);
+    any other word, or a value not in whole numbers, raises ValueError."""
+    words = text.split()
+    if words[:1] == ["tube"]:
+        del words[0]
     kv = {}
-    for p in text.split():
-        if "=" in p:
-            key, val = p.split("=", 1)
-            if key.strip() in kv:
-                raise ValueError(f"tube descriptor repeats {key.strip()}=")
-            kv[key.strip()] = val.strip()
-    if "m" not in kv or "n" not in kv or "horizon" not in kv:
+    for word in words:
+        key, eq, val = word.partition("=")
+        if key not in _DESCRIPTOR_VALUES or not eq:
+            raise ValueError(f"tube descriptor has {word!r}; the form is "
+                             "'[tube] m=M n=[n_0,...,n_{m-1}] horizon=J'")
+        if key in kv:
+            raise ValueError(f"tube descriptor repeats {key}=")
+        pattern, form = _DESCRIPTOR_VALUES[key]
+        if re.fullmatch(pattern, val) is None:
+            raise ValueError(f"tube descriptor needs {form} in whole "
+                             f"numbers, not {word!r}")
+        kv[key] = val
+    if len(kv) < len(_DESCRIPTOR_VALUES):
         raise ValueError("tube descriptor needs m=, n=[...], horizon=")
-    m = int(kv["m"])
-    nstr = kv["n"].strip("[]")
-    lengths = [int(x) for x in nstr.split(",") if x != ""]
-    return TranslationQuiver(m, lengths, int(kv["horizon"]))
+    lengths = [int(x) for x in kv["n"].strip("[]").split(",") if x]
+    return TranslationQuiver(int(kv["m"]), lengths, int(kv["horizon"]))
 
 
 def mesh_rule_failures(q: TranslationQuiver) -> tuple[int, list[Arrow]]:
@@ -325,62 +343,46 @@ def mesh_sweep(q: TranslationQuiver, max_len: int):
     A word's node is the pair (leftmost word, end vertex): the word that
     normalize_path rewrites it to (ZERO for a zero path), and the vertex
     where the word ends.  For each start vertex v in vertex order, yields
-    (v, nodes, word_nodes):
-
-      - nodes[i] is (leftmost word, normal form) of node i; node 0 is the
-        empty word's;
-      - word_nodes lists the node index of every word from v, in
-        all_paths_from order.
+    (v, nodes, counts): nodes[i] is (leftmost word, normal form) of node
+    i, and counts[i] is the number of words from v whose node is i; node
+    0 is the empty word's, with count 0.
 
     The leftmost rewriting of w;a continues that of w by one step of
-    normalize_path, which reads only the leftmost word of w and a, and the
-    end vertex of w fixes a by its kind; so each node is continued once
-    and its words share the result.  The node memo lives for one start
-    vertex."""
+    normalize_path, which reads only w's leftmost word and a, and w's end
+    vertex fixes a by its kind.  So the sweep goes one length at a time,
+    continues each node of that length once, and gives each child the sum
+    of its parents' counts.  A nonzero leftmost word is as long as its
+    words, so only ZERO nodes recur at another length."""
     out, target, rhs = q._out, q._target, q._rhs
     for v in out:
         nodes = [((), NormalPath(v, 0, 0))]
         ends = [v]
-        kids = [None]   # node index -> its child nodes, once continued
+        counts = [0]
         ids = {}        # (leftmost word, end vertex) -> node index
-
-        def node(left, form, end):
-            nd = ids.get((left, end))
-            if nd is None:
-                nd = ids[left, end] = len(nodes)
-                nodes.append((left, form))
-                ends.append(end)
-                kids.append(None)
-            return nd
-
-        def continue_node(nd):
-            left, form = nodes[nd]
-            children = []
-            for a in filter(None, out[ends[nd]]):
-                left_a = ZERO if form is ZERO else \
-                    _append(rhs, left, form.lam_steps, a)
-                if left_a is ZERO:
-                    child = node(ZERO, ZERO, target[a])
-                else:
-                    nlam = form.lam_steps + (a.kind == "lam")
-                    child = node(left_a,
-                                 NormalPath(v, nlam, len(left_a) - nlam),
-                                 target[a])
-                children.append(child)
-            kids[nd] = children
-            return children
-
-        word_nodes = [0]    # the empty word
-        all_nodes = []
+        level = {0: 1}  # node index -> its number of words of this length
         for _ in range(max_len):
-            next_nodes = []
-            for nd in word_nodes:
-                children = kids[nd]
-                next_nodes += continue_node(nd) if children is None \
-                    else children
-            word_nodes = next_nodes
-            all_nodes += word_nodes
-        yield v, nodes, all_nodes
+            next_level = {}
+            for nd, n in level.items():
+                left, form = nodes[nd]
+                for a in filter(None, out[ends[nd]]):
+                    left_a = ZERO if form is ZERO else \
+                        _append(rhs, left, form.lam_steps, a)
+                    key = (left_a, target[a])
+                    child = ids.get(key)
+                    if child is None:
+                        child = ids[key] = len(nodes)
+                        if left_a is ZERO:
+                            nodes.append((ZERO, ZERO))
+                        else:
+                            nlam = form.lam_steps + (a.kind == "lam")
+                            nodes.append((left_a, NormalPath(
+                                v, nlam, len(left_a) - nlam)))
+                        ends.append(target[a])
+                        counts.append(0)
+                    next_level[child] = next_level.get(child, 0) + n
+                    counts[child] += n
+            level = next_level
+        yield v, nodes, counts
 
 
 def hom_dimension(q: TranslationQuiver, source: Vertex, target: Vertex) -> int:

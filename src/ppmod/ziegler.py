@@ -316,10 +316,13 @@ def parse_point(height: int, text: str) -> ZieglerPoint:
     if len(toks) != 1:
         raise ValueError(f"cannot parse point {text!r}")
     base = toks[0]
-    if base.startswith("FinLen(") and base.endswith(")"):
-        return point_from_word(height, word, FINLEN, int(base[7:-1]))
-    if base.startswith("T(") and base.endswith(")"):
-        return point_from_word(height, word, TPOINT, int(base[2:-1]))
+    indexed = re.fullmatch(rf"({FINLEN}|{TPOINT})\((.*)\)", base)
+    if indexed:
+        kind, idx = indexed.groups()
+        if re.fullmatch(r"[0-9]+", idx) is None:
+            raise ValueError(f"point {text!r} needs {kind}(j) with j a "
+                             "whole number")
+        return point_from_word(height, word, kind, int(idx))
     if base in (PRUFER, ADIC, QPOINT):
         return point_from_word(height, word, base)
     raise ValueError(f"unknown point base {base!r}")
@@ -333,7 +336,7 @@ def parse_point_set(height: int, text: str) -> PointSet:
         chunk = chunk.strip()
         # a cofinite family as PointSet.__str__ prints it, after its word
         m = re.fullmatch(r"((?:F[01]\s+)*)FinLen\(\*(?:\s+minus\s+"
-                         r"\{\s*(\d+(?:\s*,\s*\d+)*)\s*\})?\)", chunk)
+                         r"\{\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\})?\)", chunk)
         if m:
             pref = canonical_word(m.group(1).split())
             ex = {int(j) for j in (m.group(2) or "").split(",") if j}

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +136,45 @@ def test_malformed_hom_dim_names_the_form_and_exits_2(value, capsys):
     assert err == f"error: --hom-dim needs 'i,k,j->i,k,l', not {value!r}\n"
 
 
+@pytest.mark.parametrize("argv, value, form", [
+    (["ziegler", "closure", "--n", "1", "--set", "F0 FinLen(x)"],
+     "F0 FinLen(x)", "needs FinLen(j) with j a whole number"),
+    (["ziegler", "closure", "--n", "1", "--set", "F0 T(y)"], "F0 T(y)",
+     "needs T(j) with j a whole number"),
+    (["tube", "--tube", "m=x n=[0] horizon=6"], "m=x", "needs m=M"),
+    (["tube", "--tube", "m=1 n=[a] horizon=6"], "n=[a]",
+     "needs n=[n_0,...,n_{m-1}]"),
+    (["tube", "--tube", "m=1 n=[0] horizon=x"], "horizon=x",
+     "needs horizon=J"),
+    (["tube", "--tube", "m=2 n=[1,,0] horizon=6"], "n=[1,,0]",
+     "needs n=[n_0,...,n_{m-1}]"),
+    (["tube", "--tube", "m=2 n=[1,0] horizon=6 extra"], "extra",
+     "the form is '[tube] m=M n=[n_0,...,n_{m-1}] horizon=J'"),
+    (["--field", "x", "suite", "ziegler"], "x",
+     "--field needs a prime p or 'rational'"),
+], ids=["finlen-x", "t-y", "m-x", "n-a", "horizon-x", "n-empty-entry",
+        "extra-word", "field-x"])
+def test_a_malformed_number_names_the_value_and_exits_2(argv, value, form,
+                                                        capsys):
+    # the one error line names the value and the form it should take
+    rc = main(argv)
+    out = capsys.readouterr()
+    assert rc == 2 and out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert repr(value) in out.err and form in out.err
+
+
+@pytest.mark.parametrize("spec", ["x", "", "4", "1", "0", "-3", "+3",
+                                  "3.0", "\u0663"])
+def test_field_spec_is_a_prime_in_ascii_digits_or_rational(spec):
+    from ppmod.fields import GF, QQ, field_from_spec
+    assert field_from_spec(" 3 ") is GF(3)
+    assert field_from_spec("Rational") is QQ
+    with pytest.raises(ValueError, match=re.escape(
+            f"--field needs a prime p or 'rational', not {spec!r}")):
+        field_from_spec(spec)
+
+
 def test_a_repeated_tube_descriptor_key_exits_2(capsys):
     from ppmod.tube import parse_tube_descriptor
     for text in ("m=1 n=[0] horizon=3 m=2", "tube m=1 n=[0] n=[1] horizon=3"):
@@ -203,6 +243,16 @@ def test_variable_zero_and_a_repeated_y_exit_2(formula, err, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err == f"error: {err}\n" and captured.out == ""
+
+
+def test_formula_with_trailing_whitespace_is_read(capsys):
+    rc = main(["pp", "print", "--algebra", "dvr:3", "--formula",
+               "x1*x = 0 "])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert main(["pp", "print", "--algebra", "dvr:3", "--formula",
+                 "x1*x = 0"]) == 0
+    assert capsys.readouterr().out == captured.out
 
 
 def test_scenario_file_run(tmp_path):

@@ -365,8 +365,8 @@ KEPT_OPTIONS = {
         "non-short witness at budget 3, the short-probes suite certifies "
         "its stage embeddings short at 10",
     "tube.mesh_sweep.max_len":
-        "tests/test_tube.py checks the sweep word by word at length 6; the "
-        "mesh suite sweeps at 8",
+        "tests/test_tube.py checks the sweep's node weights word by word at "
+        "length 6; the mesh suite sweeps at 8",
     "tube.SymbolicTube.psibar_matrix.l":
         "depth l >= 1 is the ladder the coray inverse limit is checked on "
         "(ROADMAP item 1 (ii)); tests/test_tube.py composes it at every "
@@ -441,13 +441,16 @@ def test_structure_constant_tables_stay_in_algebra(path):
     assert list(algebra_constructions(ast.parse(path.read_text()))) == []
 
 
-def product_reads(tree: ast.AST):
-    """'line: name' for each attribute named table or products, read or
+def attribute_reads(tree: ast.AST, names):
+    """'line: name' for each attribute with one of the names, read or
     written; a name or a string is none."""
-    nodes = [node for node in ast.walk(tree) if isinstance(
-        node, ast.Attribute) and node.attr in ("table", "products")]
+    nodes = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in names]
     return [f"{node.lineno}: {node.attr}"
             for node in sorted(nodes, key=lambda node: node.lineno)]
+
+
+PRODUCT_NAMES = ("table", "products")
 
 
 def test_table_reads_are_found():
@@ -457,7 +460,7 @@ def test_table_reads_are_found():
            "    k = alg.products[1][0], getattr(alg, 'products'), products\n"
            "    alg.op.products = k\n"
            "    return alg.paths\n")
-    assert product_reads(ast.parse(src)) == [
+    assert attribute_reads(ast.parse(src), PRODUCT_NAMES) == [
         "2: table", "3: table", "4: products", "5: products"]
 
 
@@ -468,7 +471,30 @@ def test_structure_constants_are_read_only_in_algebra_and_tower(path):
     # an algebra's product index is algebra.py's: other modules multiply
     # with mul_el and identify an algebra by its paths, and tower.py
     # certifies L_i's block of each one-point extension through mul_el
-    assert product_reads(ast.parse(path.read_text())) == []
+    assert attribute_reads(ast.parse(path.read_text()), PRODUCT_NAMES) == []
+
+
+QUIVER_TABLES = ("_out", "_target", "_rhs")
+
+
+def test_quiver_table_reads_are_found():
+    src = ("def f(q, _rhs):\n"
+           "    a = q._out[(0, 0, 1)], getattr(q, '_target'), _rhs\n"
+           "    q._rhs[a] = q._target\n"
+           "    return q.out_lam((0, 0, 1))\n")
+    # sorted: ast.walk gives no order between two reads on one line
+    assert sorted(attribute_reads(ast.parse(src), QUIVER_TABLES)) == [
+        "2: _out", "3: _rhs", "3: _target"]
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in SRC.glob("*.py") if p.name != "tube.py"),
+    ids=lambda p: p.name)
+def test_quiver_tables_are_read_only_in_tube(path):
+    # a translation quiver's compiled tables (outgoing arrows, targets,
+    # mesh rules) are tube.py's: other modules use its methods, the mesh
+    # sweep and normalize_path
+    assert attribute_reads(ast.parse(path.read_text()), QUIVER_TABLES) == []
 
 
 def test_unread_locals_are_found():

@@ -86,6 +86,14 @@ def test_parse_errors(d3):
         parse_formula(d3, "E y1 . x1")
 
 
+@pytest.mark.parametrize("text", ["x1*x = 0 ", " x1*x = 0", "\tx1*x = 0\n",
+                                  "  E y1 . (x1 - y1*x = 0)  "])
+def test_whitespace_around_a_formula_is_skipped(d3, text):
+    # whitespace is skipped at either end, as between tokens
+    assert format_formula(parse_formula(d3, text)) == \
+        format_formula(parse_formula(d3, text.strip()))
+
+
 @pytest.mark.parametrize("text, side, message", [
     ("x1*x + x0 = 0", RIGHT, "numbered from 1, not x0"),
     ("E y1 . (x1 + y1*x + x0*x^2 = 0)", RIGHT, "numbered from 1, not x0"),

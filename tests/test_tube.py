@@ -1,9 +1,12 @@
+import itertools
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ppmod.tube
 from ppmod.suites import _normal_form_shape, mesh_tube_failures
 from ppmod.tube import (Arrow, NormalPath, SymbolicTube, ZERO,
                         all_paths_from, build_ray_tube, hom_dimension,
@@ -196,8 +199,34 @@ def test_length_zero_entries_compose_as_identities():
 def test_parse_tube_descriptor():
     q = parse_tube_descriptor("tube m=2 n=[1,0] horizon=6")
     assert q.m == 2 and q.ray_lengths == (1, 0) and q.horizon == 6
+    assert parse_tube_descriptor(" horizon=6  n=[1,0] m=2 ").ray_lengths == \
+        (1, 0)
     with pytest.raises(ValueError):
         parse_tube_descriptor("m=2 horizon=6")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("m=x n=[0] horizon=6", "needs m=M in whole numbers, not 'm=x'"),
+    ("m=\u0662 n=[1,0] horizon=6", "needs m=M in whole numbers"),
+    ("m= n=[0] horizon=6", "needs m=M in whole numbers, not 'm='"),
+    ("m=-1 n=[0] horizon=6", "needs m=M in whole numbers, not 'm=-1'"),
+    ("m=1 n=[a] horizon=6", "not 'n=\\[a\\]'"),
+    ("m=2 n=[1,,0] horizon=6", "not 'n=\\[1,,0\\]'"),
+    ("m=2 n=[1,0,] horizon=6", "not 'n=\\[1,0,\\]'"),
+    ("m=1 n=0 horizon=6", "not 'n=0'"),
+    ("m=1 n=[0] horizon=x", "needs horizon=J in whole numbers"),
+    ("m=2 n=[1,0] horizon=6 extra", "has 'extra'; the form is"),
+    ("m=2 tube n=[1,0] horizon=6", "has 'tube'; the form is"),
+    ("m=2 n=[1, 0] horizon=6", "not 'n=\\[1,'"),
+    ("m=2 n=[1,0] depth=6", "has 'depth=6'"),
+], ids=["m-x", "m-arabic-indic", "m-empty", "m-negative", "n-a",
+        "n-empty-entry", "n-trailing-comma", "n-no-brackets", "horizon-x",
+        "extra-word", "inner-tube", "n-spaced", "unknown-key"])
+def test_malformed_tube_descriptor_is_refused(text, message):
+    # values are ASCII digits, and every word is a known key or the
+    # optional leading 'tube'
+    with pytest.raises(ValueError, match=message):
+        parse_tube_descriptor(text)
 
 
 def test_dot_export_contains_relations():
@@ -386,28 +415,50 @@ def test_mesh_sweep_matches_normalize_path(m, lengths):
     q = build_ray_tube(m, lengths, 6)
     swept = list(mesh_sweep(q, 6))
     assert [v for v, *_ in swept] == q.vertices()
-    for v, nodes, word_nodes in swept:
+    for v, nodes, counts in swept:
         words = list(all_paths_from(q, v, 6))
-        assert len(word_nodes) == len(words)
-        for word, nd in zip(words, word_nodes):
-            left_word, left = nodes[nd]
-            assert left == normalize_path(q, v, word)
-            assert left_word == _leftmost_word(q, word)
+        assert counts[0] == 0 and sum(counts) == len(words)
+        # each word's (leftmost word, normal form), with multiplicity; the
+        # ZERO nodes of different end vertices add up
+        weighed = Counter()
+        for node, count in zip(nodes, counts):
+            weighed[node] += count
+        assert Counter((_leftmost_word(q, w), normalize_path(q, v, w))
+                       for w in words) == weighed
+        for left_word, left in nodes:
             if left is not ZERO:
                 assert list(left_word) == normal_path_arrows(q, left)
 
 
-def test_mesh_sweep_continues_each_node_once():
+def test_mesh_sweep_weighs_each_node_by_its_words():
     q = build_ray_tube(3, (2, 2, 2), 6)
-    for v, nodes, word_nodes in mesh_sweep(q, 8):
-        ends = {}
-        for word, nd in zip(all_paths_from(q, v, 8), word_nodes):
-            ends.setdefault(nd, set()).add(q.target(word[-1]))
-        # one end vertex per node, and no two nodes share their key
-        assert all(len(e) == 1 for e in ends.values())
-        keys = [(nodes[nd][0], *e) for nd, e in ends.items()]
-        assert len(set(keys)) == len(keys) == len(nodes) - 1
-        assert len(word_nodes) > len(nodes)
+    for v, nodes, counts in mesh_sweep(q, 8):
+        words = Counter(_leftmost_word(q, w) for w in all_paths_from(q, v, 8))
+        nonzero = [(left_word, c) for (left_word, left), c
+                   in zip(nodes[1:], counts[1:]) if left is not ZERO]
+        # a nonzero leftmost word fixes its end vertex: one node each
+        assert len({left_word for left_word, _ in nonzero}) == len(nonzero)
+        assert all(c == words[left_word] for left_word, c in nonzero)
+        assert sum(counts) > len(nodes)
+
+
+SUITE_TUBES = [(m, lengths) for m in (1, 2, 3)
+               for lengths in itertools.product((0, 1, 2), repeat=m)]
+
+
+def test_mesh_sweep_work_on_the_suite_tubes(monkeypatch):
+    # each node is rewritten once; the pins are the suite's own counts
+    calls = []
+    append = ppmod.tube._append
+    monkeypatch.setattr(ppmod.tube, "_append",
+                        lambda *args: calls.append(None) or append(*args))
+    nodes = words = 0
+    for m, lengths in SUITE_TUBES:
+        for _, swept, counts in mesh_sweep(build_ray_tube(m, lengths, 6), 8):
+            nodes += len(swept) - 1     # node 0, the empty word, is not swept
+            words += sum(counts)
+    assert (len(SUITE_TUBES), nodes, len(calls), words) == \
+        (39, 30_980, 40_683, 309_816)
 
 
 def test_mesh_tube_check_flags_a_broken_rule():
@@ -512,6 +563,13 @@ def _per_word_mesh_failures(q):
     return n_rules, paths, bad
 
 
+def _as_multiset(result):
+    """A mesh check's (rules, paths, failures) with the failures as a
+    multiset: the sweep lists them node by node, the oracle word by word."""
+    rules, paths, bad = result
+    return rules, paths, Counter(bad)
+
+
 def _wrong_climb(q):
     mu = Arrow("mu", 0, 0, 2)
     q._rhs[mu] = (q._rhs[mu][0], mu)
@@ -541,7 +599,7 @@ def test_mesh_check_by_node_matches_the_per_word_check(m, lengths, plant):
         if plant is not None:
             plant(q)
         results.append(check(q))
-    assert results[0] == results[1]
+    assert _as_multiset(results[0]) == _as_multiset(results[1])
     _, _, bad = results[0]
     assert bool(bad) == (plant is not None)
 
@@ -576,4 +634,5 @@ def test_every_single_rule_mutation_fails_the_certificate():
         _, _, bad = result
         assert [b for b in bad if b[0] == "rule"] == [("rule", 2, (1, 0), mu)]
         if t % 15 == 0:     # a spread sample: the oracle is slow
-            assert _per_word_mesh_failures(q) == result
+            assert _as_multiset(_per_word_mesh_failures(q)) == \
+                _as_multiset(result)

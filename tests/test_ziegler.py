@@ -1,7 +1,10 @@
 import os
 import random
+import re
 import subprocess
 import sys
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -164,6 +167,23 @@ def test_parse_and_print_roundtrip():
     assert str(pt) == "F0 F1 FinLen(1)"
     fam = parse_point_set(0, "FinLen(*)")
     assert fam.family((0, 0))[0] == "cofinite"
+
+
+@pytest.mark.parametrize("text", ["F0 FinLen(x)", "F0 T(y)", "F0 FinLen()",
+                                  "F0 FinLen(-1)", "F0 FinLen(\u0663)",
+                                  "F0 FinLen(+2)"])
+def test_a_point_index_in_other_than_ascii_digits_is_refused(text):
+    kind = text.split()[1].split("(")[0]
+    with pytest.raises(ValueError, match=rf"point {re.escape(repr(text))} "
+                       rf"needs {kind}\(j\) with j a whole number"):
+        parse_point(1, text)
+    with pytest.raises(ValueError, match="needs"):
+        parse_point_set(1, f"{{F1 Prufer, {text}}}")
+
+
+def test_an_exclusion_in_other_than_ascii_digits_is_refused():
+    with pytest.raises(ValueError, match="cannot parse point"):
+        parse_point_set(1, "F0 FinLen(* minus {\u0663})")
 
 
 def test_printed_point_sets_parse_back():
