@@ -29,9 +29,8 @@ from .tower import (FpLabel, TowerRing, all_labels, build_tower, classify,
                     identify_indecomposable, label_module, left_projectives,
                     lift, natural_embedding, restrict, t_module,
                     verify_hom_bounds)
-from .tube import (Arrow, NormalPath, SymbolicTube, TranslationQuiver, ZERO,
-                   build_ray_tube, hom_dimension, normalize_path,
-                   parse_tube_descriptor)
+from .tube import (Arrow, NormalPath, TranslationQuiver, ZERO, build_ray_tube,
+                   hom_dimension, normalize_path, parse_tube_descriptor)
 from .realize import (RealizedTube, realize_in_tower, stage_bimodule,
                       verify_bimodule_idempotents, verify_pushout_pullback)
 from .ziegler import (PointSet, ZieglerPoint, closure, is_closed,

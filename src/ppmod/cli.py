@@ -88,13 +88,22 @@ MAX_ZIEGLER_HEIGHT = 100
 JSON_COMMANDS = ("suite", "classify")
 
 
+def _number(text: str, least: int | None = None, where: str = "") -> int:
+    """text as -?[0-9]+ in ASCII digits (int reads any Unicode digit), at
+    least `least`; else ValueError naming it after `where`."""
+    if re.fullmatch(r"-?[0-9]+", text) is None or \
+            least is not None and int(text) < least:
+        bound = "" if least is None else f" of at least {least}"
+        raise ValueError(f"{where}needs a whole number{bound}, not {text!r}")
+    return int(text)
+
+
 def _algebra_from_spec(spec: str, field):
     kind, *nums = spec.split(":")
-    arity = {"dvr": 1, "kronecker": 0, "tower": 2}.get(kind)
-    if len(nums) != arity or not all(x.isdecimal() for x in nums):
-        raise ValueError(f"unknown algebra spec {spec!r} "
-                         "(use dvr:N, kronecker, tower:N:n)")
-    nums = [int(x) for x in nums]
+    form = f"algebra spec {spec!r} (use dvr:N, kronecker, tower:N:n)"
+    if len(nums) != {"dvr": 1, "kronecker": 0, "tower": 2}.get(kind):
+        raise ValueError(f"unknown {form}")
+    nums = [_number(x, 0, f"{form} ") for x in nums]
     if kind != "kronecker":
         dim = nums[0] if kind == "dvr" else tower_dimension(*nums)
         if dim > MAX_ALGEBRA_DIM:
@@ -108,16 +117,6 @@ def _algebra_from_spec(spec: str, field):
     return tower.top, tower.N
 
 
-def _literal_number(text: str, part: str, least: int | None = None) -> int:
-    """A whole-number part of a module literal, at least `least`."""
-    if re.fullmatch(r"-?[0-9]+", part) is None or \
-            least is not None and int(part) < least:
-        bound = "" if least is None else f" of at least {least}"
-        raise ValueError(f"module literal {text!r} needs a whole "
-                         f"number{bound}, not {part!r}")
-    return int(part)
-
-
 def _module_from_literal(alg, text: str):
     text = text.strip()
     if text == "regular":
@@ -127,14 +126,15 @@ def _module_from_literal(alg, text: str):
     if lit is None:
         raise ValueError(f"unknown module literal {text!r}")
     chain, pp, pi, lam, length = lit.groups()
+    where = f"module literal {text!r} "
     if chain is not None:
-        return dvr_chain_module(alg, _literal_number(text, chain, 1))
+        return dvr_chain_module(alg, _number(chain, 1, where))
     if pp is not None:
-        return kronecker_preprojective(alg, _literal_number(text, pp, 0))
+        return kronecker_preprojective(alg, _number(pp, 0, where))
     if pi is not None:
-        return kronecker_preinjective(alg, _literal_number(text, pi, 0))
-    lam = lam if lam == "inf" else alg.field.of(_literal_number(text, lam))
-    return kronecker_regular(alg, lam, _literal_number(text, length, 1))
+        return kronecker_preinjective(alg, _number(pi, 0, where))
+    lam = lam if lam == "inf" else alg.field.of(_number(lam, None, where))
+    return kronecker_regular(alg, lam, _number(length, 1, where))
 
 
 def _check_cap(option: str, value: int, cap: int):
@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ppmod", description=__doc__)
     p.add_argument("--field", default="2",
                    help="coefficient field: a prime p or 'rational'")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_number, default=0)
     p.add_argument("--json", action="store_true",
                    help="machine-readable output (suite and classify only)")
     sub = p.add_subparsers(dest="command", required=True)
@@ -168,9 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["all"] + CRITERIA_ORDER)
 
     c = sub.add_parser("classify", help="label table of a tower")
-    c.add_argument("--N", type=int, required=True)
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--dim-cap", type=int, default=8)
+    c.add_argument("--N", type=_number, required=True)
+    c.add_argument("--n", type=_number, required=True)
+    c.add_argument("--dim-cap", type=_number, default=8)
 
     f = sub.add_parser("pp", help="pp-formula operations")
     f.add_argument("op", choices=["dual", "eval", "implies", "print"])
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     z = sub.add_parser("ziegler", help="symbolic spectra")
     z.add_argument("op", choices=["points", "closure", "is-closed"])
-    z.add_argument("--n", type=int, required=True)
+    z.add_argument("--n", type=_number, required=True)
     z.add_argument("--set", dest="point_set", default="")
 
     t = sub.add_parser("tube", help="translation quiver operations")
@@ -193,13 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("probe", help="shortness interval probes")
     pr.add_argument("target", choices=["kronecker"])
-    pr.add_argument("--budget", type=int, default=3)
-    pr.add_argument("--max-dim", type=int, default=9)
+    pr.add_argument("--budget", type=_number, default=3)
+    pr.add_argument("--max-dim", type=_number, default=9)
 
     r = sub.add_parser("realize", help="verify a realized tube ladder")
-    r.add_argument("--N", type=int, required=True)
-    r.add_argument("--height", type=int, required=True)
-    r.add_argument("--stages", type=int, required=True)
+    r.add_argument("--N", type=_number, required=True)
+    r.add_argument("--height", type=_number, required=True)
+    r.add_argument("--stages", type=_number, required=True)
 
     run = sub.add_parser("run", help="execute a scenario file")
     run.add_argument("file")
@@ -316,7 +316,7 @@ def execute(args) -> tuple[int, list[str]]:
         lines.append(f"arrows\t{len(q.arrows())}")
         if args.hom_dim:
             try:
-                src, tgt = [tuple(map(int, side.split(",")))
+                src, tgt = [tuple(map(_number, side.split(",")))
                             for side in args.hom_dim.split("->")]
                 if len(src) != 3 or len(tgt) != 3:
                     raise ValueError

@@ -80,9 +80,13 @@ class Decomposition:
 
 
 def _frobenius(x: Matrix, p: int, times: int = 1) -> Matrix:
-    """x^(p^times)."""
+    """x^(p^times); x^p by repeated squaring, at most 2 log2(p) products."""
     for _ in range(times):
-        x = functools.reduce(Matrix.__mul__, [x] * p)
+        base = x
+        for bit in bin(p)[3:]:
+            x = x * x
+            if bit == "1":
+                x = x * base
     return x
 
 
@@ -120,7 +124,7 @@ def _commutator_ideal(mats: list[Matrix], coords) -> Subspace:
 def _modular_certificate(mats: list[Matrix], coords):
     """Over GF(p): (rad, ()) with a basis of rad E when E = span(mats) is
     local, else (None, candidates): the Frobenius-fixed elements minus
-    each scalar."""
+    each of their eigenvalues in GF(p), least first."""
     f, n = mats[0].field, mats[0].rows
     ideal = _commutator_ideal(mats, coords)
     # coefficient rows c with c (x^p - x) in N: the fixed elements mod N
@@ -142,8 +146,19 @@ def _modular_certificate(mats: list[Matrix], coords):
         rad = projected_kernel(powers.vstack(ideal.basis), len(mats))
         return [combination(r, mats) for r in rad.data], ()
     one = Matrix.identity(f, n)
-    return None, (combination(r, mats) - one.scale(a)
-                  for r in fixed.data for a in f.elements())
+    return None, (x - one.scale(a) for x in
+                  (combination(r, mats) for r in fixed.data)
+                  for a in _eigenvalues(x))
+
+
+def _eigenvalues(x: Matrix) -> list[int]:
+    """x's distinct eigenvalues in GF(p), least first (x - a is a unit for
+    any other a, and GF(p) may be too large to walk)."""
+    from sympy import Matrix as SympyMatrix, Poly, Symbol
+    t, p = Symbol("t"), x.field.p
+    char = Poly(SympyMatrix(x.data).charpoly(t).as_expr(), t, modulus=p)
+    return sorted(-int(g.TC()) % p for g, _ in char.factor_list()[1]
+                  if g.degree() == 1)
 
 
 def _rational_certificate(mats: list[Matrix], coords):

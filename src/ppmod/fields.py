@@ -13,36 +13,34 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# Miller-Rabin on the prime bases up to 37 decides primality exactly for
+# every p below 2^64; a larger p is refused.
+PRIME_LIMIT = 2 ** 64
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= PRIME_LIMIT:
+        raise ValueError(f"{p} is at least 2^64, the limit of the primality "
+                         "test for a field's characteristic")
+    if p < 2 or p % 2 == 0:
+        return p == 2
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, p)  # 0 when a == p, a base that proves nothing
+        if x not in (0, 1) and all(pow(x, 2 ** r, p) != p - 1
+                                   for r in range(s)):
             return False
-        d += 1
     return True
 
 
 class Field:
-    """Common interface; use GF(p) or QQ."""
+    """What GF(p) and QQ share: zero(), one(), elements() (finite fields
+    only) and of(n), the field element n stands for: an int, or an integer
+    combination of field elements, reduced mod p over GF(p)."""
 
     p: int | None
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def of(self, n):
-        """The field element n stands for: an int, or an integer
-        combination of field elements, reduced mod p over GF(p)."""
-        raise NotImplementedError
-
-    def elements(self):
-        """Iterate all field elements (finite fields only)."""
-        raise NotImplementedError
 
 
 class PrimeField(Field):
@@ -110,10 +108,8 @@ def GF(p: int) -> PrimeField:
 QQ = RationalField()
 
 
-def field_from_spec(spec: str | int) -> Field:
+def field_from_spec(spec: str) -> Field:
     """Parse a field spec: a prime p, or 'rational'."""
-    if isinstance(spec, int):
-        return GF(spec)
     s = spec.strip().lower()
     if s in ("q", "qq", "rational", "rationals"):
         return QQ

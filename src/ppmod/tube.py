@@ -43,6 +43,10 @@ starting over for each word: the step reads only the word's node, the
 pair (leftmost word, end vertex), and the kind of the next arrow.  So the
 sweep goes one length at a time, continues each node of that length once,
 and weighs each node by its number of words instead of listing them.
+
+The pushout ladder's maps are paths of the quiver, so its squares are
+equalities of normal paths: the k < n_i mesh rules at depth >= 1, and at
+depth 0 the squares rim_square_failures normalizes both ways round.
 """
 
 from __future__ import annotations
@@ -121,9 +125,6 @@ class TranslationQuiver:
             else:
                 rhs[mu] = (lam, out[((i + 1) % m, 0, j - 1)][0])
         self._out, self._target, self._rhs = out, target, rhs
-
-    def n_of(self, i: int) -> int:
-        return self.ray_lengths[i % self.m]
 
     def vertices(self) -> list[Vertex]:
         return list(self._out)
@@ -407,70 +408,28 @@ def hom_dimension(q: TranslationQuiver, source: Vertex, target: Vertex) -> int:
     return count
 
 
-# -- the generalized ladder attached to a tube (symbolic) ---------------------
+def rim_square_failures(q: TranslationQuiver) -> list[str]:
+    """The failing squares of q's depth-0 ladder, as path equalities, at
+    stages 2..horizon - 1 (the square at stage j reaches stage j+1).  Ray
+    i's rim map from stage j is NormalPath((i,0,j), n_i + 1, 0); the square
+    at stage j holds when, on every ray i, mu(i,0,j) then the rim map from
+    stage j+1 normalizes as the rim map from stage j then mu(i+1,0,j-1)
+    does, and the base square when mu(i,0,1) then the rim map from stage 2
+    normalizes to ZERO."""
+    def rim(i, j):
+        lam_steps = q.ray_lengths[i] + 1
+        return normal_path_arrows(q, NormalPath((i, 0, j), lam_steps, 0))
 
+    def mu(i, j):
+        return [Arrow("mu", i % q.m, 0, j)]
 
-@dataclass
-class SymbolicTube:
-    """Objects and maps of the pushout ladder attached to a ray tube:
-    direct sums of vertices with matrices of normal paths (None = zero
-    entry).  Blocks on rays with exhausted depth are zero."""
-
-    quiver: TranslationQuiver
-
-    def _matrix(self, j: int, top: int, cells: dict):
-        """The m x m matrix of a map between stages j and top: the given
-        {(row, col): path} cells, None elsewhere."""
-        if not (1 <= j and top <= self.quiver.horizon):
-            raise ValueError("stage outside the quiver horizon")
-        m = self.quiver.m
-        return [[cells.get((s, t)) for t in range(m)] for s in range(m)]
-
-    def phi_matrix(self, j: int):
-        """Rim descent from stage j+1 to stage j: the full lambda-chain of
-        ray i sits in row i, column (i+1) mod m."""
-        q = self.quiver
-        return self._matrix(j, j + 1, {
-            (i, (i + 1) % q.m): NormalPath((i, 0, j + 1), q.n_of(i) + 1, 0)
-            for i in range(q.m)})
-
-    def alpha_matrix(self, l: int, j: int = 1):
-        """Diagonal block embedding into the depth-l objects; zero on rays
-        with n_i < l."""
-        q = self.quiver
-        return self._matrix(j, j, {(i, i): NormalPath((i, l - 1, j), 1, 0)
-                                   for i in range(q.m) if l <= q.n_of(i)})
-
-    def psibar_matrix(self, l: int, j: int):
-        """Diagonal stage embedding at depth l (zero on exhausted rays); at
-        depth 0 the stage embeddings mu(i,0)[j]."""
-        q = self.quiver
-        return self._matrix(j, j + 1, {(i, i): NormalPath((i, l, j), 0, 1)
-                                       for i in range(q.m) if l <= q.n_of(i)})
-
-    def compose(self, first, second):
-        """Matrix composition (first then second) with path normalization;
-        entries must stay single paths (true for the ladder shapes)."""
-        q = self.quiver
-        m = q.m
-        out = [[None] * m for _ in range(m)]
-        for s in range(m):
-            for t in range(m):
-                acc = None
-                for mid in range(m):
-                    a, b = first[s][mid], second[mid][t]
-                    if a is None or b is None:
-                        continue
-                    left = normal_path_arrows(q, a)
-                    if (q.target(left[-1]) if left else a.start) != b.start:
-                        raise ValueError("non-composable ladder entries")
-                    comp = normalize_path(
-                        q, a.start, left + normal_path_arrows(q, b))
-                    if comp == ZERO:
-                        continue
-                    if acc is not None:
-                        raise ValueError("ladder composition left the "
-                                         "single-path regime")
-                    acc = comp
-                out[s][t] = acc
-        return out
+    failed = []
+    for j in range(2, q.horizon):
+        if any(normalize_path(q, (i, 0, j), mu(i, j) + rim(i, j + 1)) !=
+               normalize_path(q, (i, 0, j), rim(i, j) + mu(i + 1, j - 1))
+               for i in range(q.m)):
+            failed.append(f"square at stage {j}")
+    if any(normalize_path(q, (i, 0, 1), mu(i, 1) + rim(i, 2)) != ZERO
+           for i in range(q.m)):
+        failed.append("base square not zero")
+    return failed

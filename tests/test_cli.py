@@ -245,6 +245,14 @@ def test_variable_zero_and_a_repeated_y_exit_2(formula, err, capsys):
     assert captured.err == f"error: {err}\n" and captured.out == ""
 
 
+def test_x_numbered_above_the_limit_exits_2(capsys):
+    # x100000000 would make a hundred million rows
+    assert main(["pp", "print", "--algebra", "dvr:3", "--formula",
+                 "x100000000 = 0"]) == 2
+    assert capsys.readouterr().err == \
+        "error: x100000000 is numbered above the limit of x8\n"
+
+
 def test_formula_with_trailing_whitespace_is_read(capsys):
     rc = main(["pp", "print", "--algebra", "dvr:3", "--formula",
                "x1*x = 0 "])
@@ -436,6 +444,59 @@ def test_module_literal_out_of_range_exits_2(literal, part, capsys):
     assert out.err.startswith(f"error: module literal {literal!r} needs a "
                               f"whole number")
     assert out.err.endswith(f"not {part!r}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "\u0663", "tube", "--tube", "m=1 n=[0] horizon=4"],
+    ["classify", "--N", "\u0663", "--n", "1"],
+    ["classify", "--N", "3", "--n", "\u0663"],
+    ["classify", "--N", "3", "--n", "1", "--dim-cap", "\u0663"],
+    ["ziegler", "points", "--n", "\u0663"],
+    ["probe", "kronecker", "--budget", "\u0663"],
+    ["probe", "kronecker", "--max-dim", "\u0663"],
+    ["realize", "--N", "\u0663", "--height", "0", "--stages", "1"],
+    ["realize", "--N", "4", "--height", "\u0663", "--stages", "1"],
+    ["realize", "--N", "4", "--height", "0", "--stages", "\u0663"],
+    ["tube", "--tube", "m=1 n=[0] horizon=4", "--hom-dim",
+     "0,0,1->0,0,\u0663"],
+    ["pp", "print", "--algebra", "dvr:\u0663", "--formula", "x1 = 0"],
+    ["pp", "eval", "--algebra", "dvr:3", "--formula", "x1 = 0", "--module",
+     "V/m^\u0663"],
+], ids=["seed", "classify-N", "classify-n", "dim-cap", "ziegler-n", "budget",
+        "max-dim", "realize-N", "height", "stages", "hom-dim", "algebra",
+        "module"])
+def test_a_number_in_other_digits_is_named_and_exits_2(argv, capsys):
+    # int would read the Arabic-Indic digit three as 3
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # a refused option, from argparse
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert "\u0663" in out.err and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("argv, last", [
+    (["realize", "--N", "5", "--height", "2", "--stages", "3"],
+     "bimodule_multiplicities\t[1, 1, 1]\tok"),
+    (["classify", "--N", "6", "--n", "3"], "hom_bound_ok\tTrue"),
+], ids=["realize", "classify"])
+def test_a_large_prime_field_ends(argv, last):
+    # x^p is formed by repeated squaring, so p ~ 10^18 costs about 120
+    # products where p - 1 would never end
+    proc = subprocess.run(
+        [sys.executable, "-m", "ppmod.cli", "--field",
+         "1000000000000000003", *argv],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == last
+
+
+def test_a_prime_field_above_the_limit_exits_2(capsys):
+    # 2^64 + 13 is the least prime above fields.PRIME_LIMIT
+    assert main(["--field", str(2 ** 64 + 13), "tube", "--tube",
+                 "m=1 n=[0] horizon=4"]) == 2
+    assert "at least 2^64" in capsys.readouterr().err
 
 
 def test_main_builds_one_parser_per_process(monkeypatch, capsys):

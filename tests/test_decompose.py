@@ -12,8 +12,8 @@ from ppmod.linalg import (Matrix, Subspace, combination, subspace_leq,
 from ppmod.modules import (Module, direct_sum, hom_space, iso_test,
                            submodule)
 from ppmod.decompose import (RadicalCalculus, _certify, _commutator_ideal,
-                             _echelon, _fitting_split, _split_or_radical,
-                             decompose, radical_subspace)
+                             _echelon, _fitting_split, _frobenius,
+                             _split_or_radical, decompose, radical_subspace)
 from ppmod.oracles import end_local_by_enumeration
 from ppmod.suites import radical_universes
 from ppmod.catalog import (dvr_chain_module, dvr_universe, kronecker_rep,
@@ -21,6 +21,19 @@ from ppmod.catalog import (dvr_chain_module, dvr_universe, kronecker_rep,
                            random_quotient_of_free)
 
 F2 = GF(2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_frobenius_is_the_p_power_times_over(p):
+    f = GF(p)
+    rng = random.Random(p)
+    x = Matrix.from_rows(f, [[rng.randrange(p) for _ in range(4)]
+                             for _ in range(4)])
+    for times in (1, 2):
+        want = Matrix.identity(f, 4)
+        for _ in range(p ** times):
+            want = want * x
+        assert _frobenius(x, p, times) == want
 
 
 def test_indecomposable_returns_itself(dvr3):
@@ -502,7 +515,10 @@ def test_degree_two_top_is_certified_a_field(field, coeffs, rad_dim):
     # M_2(GF(2)): the commutator ideal is everything, so it is not nilpotent
     (F2, [[[1, 0], [0, 1]], [[0, 1], [1, 1]], [[0, 1], [0, 0]],
           [[0, 0], [1, 0]]]),
-], ids=["gf3-diagonal", "qq-swap", "gf2-matrix-ring"])
+    # GF(p) x GF(p) for p ~ 10^18, echelon basis I and [[0, 1], [0, 1]]:
+    # the first fixed element is I, which no scalar shift splits
+    (GF(1000000000000000003), [[[1, 0], [0, 1]], [[1, 1], [0, 2]]]),
+], ids=["gf3-diagonal", "qq-swap", "gf2-matrix-ring", "large-prime"])
 def test_non_local_end_that_no_basis_element_splits(field, basis):
     # End(S + S) of a simple S is given by a basis of units and nilpotents
     s1 = dvr_chain_module(truncated_dvr(3, field), 1)
@@ -511,7 +527,10 @@ def test_non_local_end_that_no_basis_element_splits(field, basis):
     assert all(_fitting_split(m, x) is None for x in mats)
     rad, structural = _certify(mats)
     assert rad is None
-    assert any(_fitting_split(m, x) is not None for x in structural)
+    # only the eigenvalues shift a fixed element, so a split comes within
+    # the first few candidates
+    assert any(_fitting_split(m, x) is not None
+               for x in itertools.islice(structural, 4))
     split, rad = _split_or_radical(m, mats)
     assert rad is None and (split[0].dim, split[1].dim) == (1, 1)
 

@@ -279,6 +279,11 @@ LOCAL_IMPORTS = {
         "sympy costs more to import than most QQ decompositions; it loads "
         "only where a commutative top of dimension > 1 is factored "
         "(tests/test_cli.py::test_rational_scenario_does_not_import_sympy)",
+    "decompose._eigenvalues: sympy":
+        "it loads only where a Frobenius-fixed element is shifted by its "
+        "eigenvalues to split a non-local End over GF(p), which no suite "
+        "reaches (tests/test_decompose.py::"
+        "test_non_local_end_that_no_basis_element_splits)",
 }
 
 
@@ -346,8 +351,6 @@ KEPT = {
         "the reference oracle for the local-End certificate",
     "realize.RealizedTube.realize_normal_path":
         "the mesh-realization check the coray inverse limit builds on",
-    "tube.SymbolicTube.alpha_matrix":
-        "the symbolic ladder squares at depth >= 1",
 }
 
 # defaulted public parameters that no caller outside tests/ sets, and
@@ -367,10 +370,6 @@ KEPT_OPTIONS = {
     "tube.mesh_sweep.max_len":
         "tests/test_tube.py checks the sweep's node weights word by word at "
         "length 6; the mesh suite sweeps at 8",
-    "tube.SymbolicTube.psibar_matrix.l":
-        "depth l >= 1 is the ladder the coray inverse limit is checked on "
-        "(ROADMAP item 1 (ii)); tests/test_tube.py composes it at every "
-        "depth",
 }
 
 
@@ -495,6 +494,35 @@ def test_quiver_tables_are_read_only_in_tube(path):
     # mesh rules) are tube.py's: other modules use its methods, the mesh
     # sweep and normalize_path
     assert attribute_reads(ast.parse(path.read_text()), QUIVER_TABLES) == []
+
+
+def int_typed_options(tree: ast.AST):
+    """'line: option' for each add_argument call that passes type=int,
+    which reads any Unicode digit (the Arabic-Indic three as 3)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute) and \
+                node.func.attr == "add_argument" and \
+                any(k.arg == "type" and isinstance(k.value, ast.Name) and
+                    k.value.id == "int" for k in node.keywords):
+            yield f"{node.lineno}: {node.args[0].value}"
+
+
+def test_int_typed_options_are_found():
+    src = ("def build(p, _number):\n"
+           "    p.add_argument('--seed', type=int, default=0)\n"
+           "    p.add_argument('--N', type=_number)\n"
+           "    p.add_argument('--n', default=int('3'))\n"
+           "    p.add_argument('--k', required=True,\n"
+           "                   type=int)\n")
+    assert sorted(int_typed_options(ast.parse(src))) == ["2: --seed",
+                                                         "5: --k"]
+
+
+def test_no_option_is_read_by_int():
+    # cli._number reads ASCII digits only
+    assert list(int_typed_options(ast.parse((SRC / "cli.py").read_text()))) \
+        == []
 
 
 def test_unread_locals_are_found():

@@ -422,6 +422,24 @@ def count_fraction_ops(monkeypatch) -> Counter:
     return counts
 
 
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_primality_matches_trial_division_below_100000():
+    from ppmod.fields import _is_prime
+    assert [n for n in range(100_000) if _is_prime(n)] == \
+        [n for n in range(100_000) if _trial_division_is_prime(n)]
+
+
+@pytest.mark.parametrize("n", [561, 3215031751, 2 ** 64 - 1])
+def test_pseudoprimes_and_carmichael_numbers_are_composite(n):
+    # 561 is a Carmichael number, 3215031751 a strong pseudoprime to the
+    # bases 2, 3, 5 and 7
+    from ppmod.fields import _is_prime
+    assert not _is_prime(n)
+
+
 def test_fields_define_no_entry_arithmetic(monkeypatch):
     # entries are combined with Python operators and reduced by Field.of;
     # over QQ they are integers over one denominator, so no Fraction

@@ -9,7 +9,8 @@ from ppmod.modules import ModuleMap, direct_sum, iso_test, zero_map
 from ppmod.catalog import (dvr_chain_module, kronecker_preprojective,
                            kronecker_regular)
 from ppmod.tower import build_tower
-from ppmod.tube import ZERO, all_paths_from, build_ray_tube, normalize_path
+from ppmod.tube import (Arrow, ZERO, all_paths_from, build_ray_tube,
+                        normalize_path)
 from ppmod.realize import (_verify_squares, chain_inclusion,
                            chain_quotient, realize_in_tower, stage_bimodule,
                            verify_bimodule_idempotents,
@@ -184,12 +185,16 @@ def test_failed_cokernel_check_is_named_on_its_line(monkeypatch):
 
 def test_failed_symbolic_ladder_is_named_on_its_line(monkeypatch):
     import ppmod.suites
+    build = ppmod.suites.build_ray_tube
 
-    class NonzeroBase(ppmod.suites.SymbolicTube):
-        def compose(self, a, b):
-            return [[0]]
+    def nonzero_base(m, lengths, horizon):
+        # the stage-1 rim rule of ray 0 takes the stage-2 rule's right side
+        q = build(m, lengths, horizon)
+        rim = lengths[0]
+        q._rhs[Arrow("mu", 0, rim, 1)] = q._rhs[Arrow("mu", 0, rim, 2)]
+        return q
 
-    monkeypatch.setattr(ppmod.suites, "SymbolicTube", NonzeroBase)
+    monkeypatch.setattr(ppmod.suites, "build_ray_tube", nonzero_base)
     res = ppmod.suites.SUITES["ray-tube"](0)
     assert not res.passed
     assert "symbolic\tQ(2; 1,0) ladder FAILED: base square not zero" in \

@@ -112,6 +112,17 @@ def test_variable_zero_and_a_repeated_y_are_refused(d3, text, side,
         parse_formula(d3, text, side)
 
 
+def test_x_numbered_above_the_limit_is_refused(d3):
+    # the parser builds one row per x up to the largest index
+    from ppmod.ppsyntax import MAX_X_INDEX
+    assert parse_formula(d3, f"x{MAX_X_INDEX}*x = 0").n == MAX_X_INDEX
+    for text in (f"x{MAX_X_INDEX + 1} = 0", "x1 + x100000000 = 0",
+                 f"E y1 . (x1 - y1 + x{MAX_X_INDEX + 1} = 0)"):
+        with pytest.raises(ValueError, match=f"above the limit of "
+                                             f"x{MAX_X_INDEX}"):
+            parse_formula(d3, text)
+
+
 @pytest.mark.parametrize("field", [F2, GF(3)], ids=str)
 def test_tower_path_formulas_round_trip(field):
     # from R_1 on, vertex 0's idempotent is a path that is not the unit: a

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 import ppmod.tube
 from ppmod.suites import _normal_form_shape, mesh_tube_failures
-from ppmod.tube import (Arrow, NormalPath, SymbolicTube, ZERO,
-                        all_paths_from, build_ray_tube, hom_dimension,
-                        mesh_rule_failures, mesh_sweep, normal_path_arrows,
-                        normalize_path, parse_tube_descriptor)
+from ppmod.tube import (Arrow, NormalPath, ZERO, all_paths_from,
+                        build_ray_tube, hom_dimension, mesh_rule_failures,
+                        mesh_sweep, normal_path_arrows, normalize_path,
+                        parse_tube_descriptor, rim_square_failures)
 
 
 def test_homogeneous_tube_shape():
@@ -57,6 +57,19 @@ def test_mesh_commuting_rule():
     assert np == NormalPath((0, 0, 2), 1, 1)
     # identical endpoints to the rewritten word lam;mu
     assert q.target(normal_path_arrows(q, np)[-1]) == (0, 1, 3)
+
+
+def test_symbolic_ladder_squares_commute():
+    # the ladder squares at depth >= 1, word for word: every k < n_i rule
+    # rewrites mu(i,k,j);lam(i,k,j+1) to lam(i,k,j);mu(i,k+1,j)
+    for m, lengths in [(1, (1,)), (2, (1, 0)), (2, (2, 1))]:
+        q = build_ray_tube(m, lengths, 7)
+        for i, n in enumerate(lengths):
+            for k, j in itertools.product(range(n), range(1, 7)):
+                np = normalize_path(q, (i, k, j), (Arrow("mu", i, k, j),
+                                                   Arrow("lam", i, k, j + 1)))
+                assert normal_path_arrows(q, np) == [
+                    Arrow("lam", i, k, j), Arrow("mu", i, k + 1, j)]
 
 
 def test_identity_path_normalizes_to_itself():
@@ -129,71 +142,24 @@ def test_hom_dimension_ray_formula_derived():
 def test_single_rim_lambda_dimension():
     q = build_ray_tube(3, (1, 1, 2), 6)
     for i in range(3):
-        src = (i, q.n_of(i), 2)
+        src = (i, q.ray_lengths[i], 2)
         tgt = ((i + 1) % 3, 0, 1)
         assert hom_dimension(q, src, tgt) == 1
 
 
-def test_symbolic_ladder_shapes():
-    q = build_ray_tube(2, (1, 0), 6)
-    tube = SymbolicTube(q)
-    psi = tube.psibar_matrix(0, 2)
-    assert psi[0][0].mu_steps == 1 and psi[0][0].lam_steps == 0
-    assert psi[1][1].mu_steps == 1
-    assert psi[0][1] is None and psi[1][0] is None
-    phi = tube.phi_matrix(2)
-    assert phi[0][1].lam_steps == q.n_of(0) + 1 and phi[0][1].mu_steps == 0
-    assert phi[1][0].lam_steps == q.n_of(1) + 1
-    assert phi[0][0] is None and phi[1][1] is None
-    a1 = tube.alpha_matrix(1)
-    assert a1[0][0] is not None       # ray 0 has depth 1
-    assert a1[1][1] is None           # ray 1 is exhausted at depth 1
-
-
 def test_symbolic_tube_squares_commute():
+    # the rim squares at stages 2..6 commute and the base square is zero
     for m, lengths in [(1, (0,)), (2, (1, 0)), (2, (1, 1))]:
-        q = build_ray_tube(m, lengths, 7)
-        tube = SymbolicTube(q)
-        for j in range(2, 5):
-            lhs = tube.compose(tube.psibar_matrix(0, j), tube.phi_matrix(j))
-            rhs = tube.compose(tube.phi_matrix(j - 1),
-                               tube.psibar_matrix(0, j - 1))
-            assert lhs == rhs
-        # the base square composes to zero
-        base = tube.compose(tube.psibar_matrix(0, 1), tube.phi_matrix(1))
-        assert all(x is None for row in base for x in row)
+        assert rim_square_failures(build_ray_tube(m, lengths, 7)) == []
 
 
-def test_symbolic_ladder_squares_commute():
-    for m, lengths in [(1, (1,)), (2, (1, 0)), (2, (2, 1))]:
-        q = build_ray_tube(m, lengths, 7)
-        tube = SymbolicTube(q)
-        for l in range(1, max(lengths) + 1):
-            for j in range(1, 4):
-                lhs = tube.compose(tube.psibar_matrix(l - 1, j),
-                                   tube.alpha_matrix(l, j + 1))
-                rhs = tube.compose(tube.alpha_matrix(l, j),
-                                   tube.psibar_matrix(l, j))
-                assert lhs == rhs
-
-
-def test_length_zero_entries_compose_as_identities():
-    q = build_ray_tube(2, (1, 0), 6)
-    tube = SymbolicTube(q)
-    j = 3
-
-    def diagonal(stage):
-        return [[NormalPath((s, 0, stage), 0, 0) if s == t else None
-                 for t in range(q.m)] for s in range(q.m)]
-
-    psi = tube.psibar_matrix(0, j)
-    assert tube.compose(diagonal(j), psi) == psi
-    assert tube.compose(psi, diagonal(j + 1)) == psi
-    # the empty word normalizes like any other
-    assert tube.compose(diagonal(j), diagonal(j)) == diagonal(j)
-    # a length-0 entry must sit where the next entry starts
-    with pytest.raises(ValueError, match="non-composable"):
-        tube.compose(diagonal(j + 1), psi)
+def test_rim_squares_are_checked_up_to_the_top_stage():
+    # the last rim rule, at stage horizon - 1, rewritten to zero breaks
+    # the square at that stage alone
+    for horizon in (5, 7):
+        q = build_ray_tube(2, (1, 0), horizon)
+        q._rhs[Arrow("mu", 0, 1, horizon - 1)] = ZERO
+        assert rim_square_failures(q) == [f"square at stage {horizon - 1}"]
 
 
 def test_parse_tube_descriptor():
