@@ -11,7 +11,9 @@ refuses it.  Exit codes: 0 all assertions pass, 1 an assertion failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import os
 import re
@@ -372,12 +374,16 @@ def run_scenario(path: str, parser, base_args) -> tuple[int, list[str]]:
         raw = fh.readlines()
 
     def one(lineno, text):
+        # argparse's usage, error and help text stay out of the output
+        sink = io.StringIO()
         try:
             argv = shlex.split(text)
-            sub_args = parser.parse_args(
-                [f"--field={base_args.field}", f"--seed={base_args.seed}"]
-                + (["--json"] if base_args.json else []) + argv)
-        except SystemExit:
+            with contextlib.redirect_stdout(sink), \
+                    contextlib.redirect_stderr(sink):
+                sub_args = parser.parse_args(
+                    [f"--field={base_args.field}", f"--seed={base_args.seed}"]
+                    + (["--json"] if base_args.json else []) + argv)
+        except (SystemExit, ValueError):  # ValueError: an unclosed quote
             return 2, [f"# line {lineno}: parse error in {text!r}"]
         if sub_args.command == "run":
             return 2, [f"# line {lineno}: nested scenarios are not allowed"]

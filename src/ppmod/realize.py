@@ -13,8 +13,11 @@ two defining equations.
 
 The single-ray translation quiver Q(1; n) realizes onto this ladder:
 mu-arrows to the horizontal embeddings, level lambdas to the vertical
-embeddings, rim lambdas to the f-maps; normalize-then-realize equals
-compose-then-realize on every path (mesh relations hold exactly).
+embeddings, rim lambdas to the f-maps.  The ladder and rim squares are
+the quiver's mesh rules, read off the quiver and checked once each (a
+ZERO rule as a composite that vanishes), so the functor on paths
+descends to the mesh category: every word realizes to its normal form's
+map.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from .modules import (ModuleMap, direct_sum, identity_map, iso_classes,
                       quiver_rep)
 from .tower import (TowerRing, build_tower, left_projectives, lift,
                     natural_embedding)
-from .tube import Arrow, TranslationQuiver, ZERO, normal_path_arrows
+from .tube import (Arrow, NormalPath, TranslationQuiver, ZERO, build_ray_tube,
+                   normal_path_arrows, normalize_path)
 
 
 def chain_inclusion(alg, j: int) -> ModuleMap:
@@ -84,10 +88,12 @@ def verify_pushout_pullback(top: ModuleMap, left: ModuleMap,
 @dataclass
 class RealizedTube:
     """Ladder of stage modules and maps in a tower, all squares verified;
-    depth 0 is the stage row, P^0_j = M_j and psibar^0_j = psi_j."""
+    depth 0 is the stage row, P^0_j = M_j and psibar^0_j = psi_j.  quiver
+    is Q(1; n) at horizon stages + 1, whose every arrow is realized."""
 
     tower: TowerRing
     stages: int
+    quiver: TranslationQuiver
     P: dict = field(default_factory=dict)        # (l, j) -> Module
     phi: dict = field(default_factory=dict)      # j -> M_{j+1} -> M_j
     psibar: dict = field(default_factory=dict)   # (l, j) -> P^l_j -> P^l_{j+1}
@@ -95,23 +101,22 @@ class RealizedTube:
     fmaps: dict = field(default_factory=dict)    # j -> P^n_{j+1} -> M_j
     checked_squares: list = field(default_factory=list)  # names, in order
 
-    def realize_arrow(self, q: TranslationQuiver, a: Arrow) -> ModuleMap:
-        """Arrows of the single-ray quiver Q(1; n) as ladder maps."""
-        n = self.tower.height
-        if q.m != 1 or q.ray_lengths != (n,):
-            raise ValueError("the realization covers Q(1; n) for the tower height n")
+    def realize_arrow(self, a: Arrow) -> ModuleMap:
+        """An arrow of the quiver as its ladder map; ValueError for any
+        other arrow."""
+        self.quiver.target(a)
         if a.kind == "mu":
             return self.psibar[(a.k, a.j)]
-        if a.k < n:
+        if a.k < self.tower.height:
             return self.alpha[(a.k + 1, a.j)]
         return self.fmaps[a.j - 1]
 
-    def realize_normal_path(self, q: TranslationQuiver, np) -> ModuleMap:
+    def realize_normal_path(self, np) -> ModuleMap:
         if np == ZERO:
             raise ValueError("zero has no single realization; compare is_zero")
         out = identity_map(self.P[(np.start[1], np.start[2])])
-        for a in normal_path_arrows(q, np):
-            out = out.then(self.realize_arrow(q, a))
+        for a in normal_path_arrows(self.quiver, np):
+            out = out.then(self.realize_arrow(a))
         return out
 
 
@@ -126,7 +131,7 @@ def realize_in_tower(tower: TowerRing, stages: int) -> RealizedTube:
             f"stages {stages} need chain modules beyond the horizon {tower.N}")
     n = tower.height
     alg0 = tower.algebras[0]
-    rt = RealizedTube(tower, stages)
+    rt = RealizedTube(tower, stages, build_ray_tube(1, (n,), stages + 1))
 
     for j in range(1, stages + 2):
         core = dvr_chain_module(alg0, j)  # F1^l (V/m^j), over R_l
@@ -153,18 +158,26 @@ def realize_in_tower(tower: TowerRing, stages: int) -> RealizedTube:
     return rt
 
 
+def _mesh_rule(q: TranslationQuiver, mu: Arrow):
+    """The mesh rule at mu: the lam after it, and the normal form of
+    mu;lam (ZERO, or a NormalPath lam';mu')."""
+    lam = q.out_lam(q.target(mu))
+    return lam, normalize_path(q, q.source(mu), (mu, lam))
+
+
 def _complete_f_maps(rt: RealizedTube):
-    """Solve for the rim maps f_j: P^n_{j+1} -> M_j from
-    f_j o psibar^n_j = psi_{j-1} o f_{j-1}  (f_0 := 0 against M_0 = 0)
-    and  f_j o (alpha chain at stage j+1) = phi_j."""
-    n = rt.tower.height
+    """Solve for the rim maps f_j: P^n_{j+1} -> M_j from their two
+    defining equations: f_j after the lambda walk M_{j+1} -> P^n_{j+1}
+    is phi_j, and f_j after psibar^n_j is the realized right side of the
+    rim mesh rule at mu(0,n,j) (zero at j = 1, where the rule is ZERO)."""
+    q, n = rt.quiver, rt.tower.height
     for j in range(1, rt.stages + 1):
-        chain = identity_map(rt.P[(0, j + 1)])
-        for l in range(1, n + 1):
-            chain = chain.then(rt.alpha[(l, j + 1)])
-        rim = rt.fmaps[j - 1].then(rt.psibar[(0, j - 1)]).mat if j >= 2 else \
-            Matrix.zero(rt.tower.field, rt.P[(n, j)].dim, rt.P[(0, j)].dim)
-        sol = chain.mat.vstack(rt.psibar[(n, j)].mat).solve_right(
+        mu = Arrow("mu", 0, n, j)
+        _, rhs = _mesh_rule(q, mu)
+        rim = Matrix.zero(rt.tower.field, rt.P[(n, j)].dim, rt.P[(0, j)].dim) \
+            if rhs == ZERO else rt.realize_normal_path(rhs).mat
+        walk = rt.realize_normal_path(NormalPath((0, 0, j + 1), n, 0))
+        sol = walk.mat.vstack(rt.realize_arrow(mu).mat).solve_right(
             rt.phi[j].mat.vstack(rim))
         if sol is None:
             raise SquareFailed(f"f[{j}]", "rim completion system inconsistent")
@@ -172,7 +185,7 @@ def _complete_f_maps(rt: RealizedTube):
 
 
 def _verify_squares(rt: RealizedTube):
-    n, J = rt.tower.height, rt.stages
+    q, n, J = rt.quiver, rt.tower.height, rt.stages
 
     def check(name, top, left, right, bottom):
         res = verify_pushout_pullback(top, left, right, bottom)
@@ -193,18 +206,20 @@ def _verify_squares(rt: RealizedTube):
         check(f"tube[{j + 1}]", rt.phi[j], rt.psibar[(0, j + 1)],
               rt.psibar[(0, j)], rt.phi[j + 1])
 
-    # ladder squares at every depth
-    for l in range(1, n + 1):
-        for j in range(1, J + 1):
-            check(f"ladder[{l},{j}]",
-                  rt.psibar[(l - 1, j)], rt.alpha[(l, j)],
-                  rt.alpha[(l, j + 1)], rt.psibar[(l, j)])
-
-    # rim squares (pushout direction suffices per the completion, but the
-    # realization satisfies the full bicartesian property)
-    for j in range(2, J + 1):
-        check(f"rim[{j}]", rt.psibar[(n, j)],
-              rt.fmaps[j - 1], rt.fmaps[j], rt.psibar[(0, j - 1)])
+    # one square per mesh rule: the ladder squares at depth k + 1 and the
+    # rim squares (the ZERO rule at stage 1 as a composite that vanishes)
+    R = rt.realize_arrow
+    for mu in q.arrows():
+        if mu.kind != "mu":
+            continue
+        name = f"ladder[{mu.k + 1},{mu.j}]" if mu.k < n else f"rim[{mu.j}]"
+        lam, rhs = _mesh_rule(q, mu)
+        if rhs == ZERO:
+            if not (R(mu).mat * R(lam).mat).is_zero():
+                raise SquareFailed(name, "mu;lam does not vanish")
+            continue
+        lam2, mu2 = normal_path_arrows(q, rhs)
+        check(name, R(mu), R(lam2), R(lam), R(mu2))
     rt.checked_squares.append("coker[psi_1]")
 
 

@@ -276,11 +276,25 @@ def test_scenario_file_run(tmp_path):
 
 
 def test_scenario_parse_error_exit_code(tmp_path, capsys):
+    # a refused line prints its row only: argparse's usage, error and help
+    # text reach neither stream
     scn = tmp_path / "bad.txt"
-    scn.write_text("classify --N nope\n")
+    scn.write_text("classify --N ٣ --n 1\nrealize --help\n"
+                   "ziegler points --n 0\nclassify --N \"3 --n 1\n")
     rc = main(["run", str(scn)])
-    capsys.readouterr()
+    out = capsys.readouterr()
     assert rc == 2
+    assert out.err == ""
+    rows = out.out.splitlines()
+    assert rows[:4] == ["## classify --N ٣ --n 1",
+                        "# line 1: parse error in 'classify --N ٣ --n 1'",
+                        "## realize --help",
+                        "# line 2: parse error in 'realize --help'"]
+    assert rows[4] == "## ziegler points --n 0"
+    # an unclosed quote is one more refused line, not the end of the run
+    assert rows[-2:] == ['## classify --N "3 --n 1',
+                         "# line 4: parse error in 'classify --N \"3 --n 1'"]
+    assert "usage:" not in out.out
 
 
 def test_scenario_path_that_cannot_be_read_exits_2(tmp_path, capsys):

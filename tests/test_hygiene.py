@@ -349,8 +349,6 @@ KEPT = {
     "oracles.brute_eval": "the reference oracle for pp evaluation",
     "oracles.end_local_by_enumeration":
         "the reference oracle for the local-End certificate",
-    "realize.RealizedTube.realize_normal_path":
-        "the mesh-realization check the coray inverse limit builds on",
 }
 
 # defaulted public parameters that no caller outside tests/ sets, and

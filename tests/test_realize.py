@@ -1,15 +1,16 @@
 import pytest
 
-from ppmod.fields import GF
+from ppmod.fields import GF, QQ
 from ppmod.algebra import kronecker_algebra
 from ppmod.decompose import decompose
 from ppmod.errors import HorizonExceeded, SquareFailed
 from ppmod.linalg import Matrix
-from ppmod.modules import ModuleMap, direct_sum, iso_test, zero_map
+from ppmod.modules import (ModuleMap, direct_sum, hom_space, identity_map,
+                           iso_test, zero_map)
 from ppmod.catalog import (dvr_chain_module, kronecker_preprojective,
                            kronecker_regular)
 from ppmod.tower import build_tower
-from ppmod.tube import (Arrow, ZERO, all_paths_from, build_ray_tube,
+from ppmod.tube import (Arrow, ZERO, all_paths_from, hom_dimension,
                         normalize_path)
 from ppmod.realize import (_verify_squares, chain_inclusion,
                            chain_quotient, realize_in_tower, stage_bimodule,
@@ -68,31 +69,37 @@ def test_coker_psi1_is_m1(rt_n1):
     assert iso_test(cok, rt_n1.P[(0, 1)]) is not None
 
 
-def test_realization_functoriality_n1(tw_n1, rt_n1):
-    # normalize-then-realize equals realize-then-compose on all short paths
-    q = build_ray_tube(1, (1,), rt_n1.stages + 1)
+@pytest.fixture(scope="module", params=[(f, h) for f in (F2, GF(3), QQ)
+                                        for h in range(3)],
+                ids=lambda p: f"{p[0]}-{p[1]}")
+def rt_any(request):
+    f, h = request.param
+    return realize_in_tower(build_tower(5, h, f), 3)
+
+
+def test_realization_functoriality(rt_any):
+    # the every-word oracle: each word of the realized quiver realizes to
+    # its normal form's map, and a word that normalizes to ZERO to 0
+    q = rt_any.quiver
     for v in q.vertices():
-        if v[2] > rt_n1.stages:
-            continue
         for word in all_paths_from(q, v, 4):
-            if any(a.j > rt_n1.stages or (a.kind == "mu" and a.j + 1 > rt_n1.stages + 1)
-                   for a in word):
-                continue
-            end = q.target(word[-1])
-            if end[2] > rt_n1.stages + 1:
-                continue
-            direct = None
-            src = rt_n1.P[(v[1], v[2])]
-            direct = ModuleMap(src, src, Matrix.identity(F2, src.dim),
-                               check=False)
+            direct = identity_map(rt_any.P[v[1:]])
             for a in word:
-                direct = direct.then(rt_n1.realize_arrow(q, a))
+                direct = direct.then(rt_any.realize_arrow(a))
             np = normalize_path(q, v, word)
             if np == ZERO:
-                assert direct.mat.is_zero()
+                assert direct.mat.is_zero(), word
             else:
-                realized = rt_n1.realize_normal_path(q, np)
-                assert realized.mat == direct.mat
+                assert rt_any.realize_normal_path(np).mat == direct.mat, word
+
+
+def test_hom_table_is_standard(rt_any):
+    # dim Hom(P(s), P(t)) counts the normal paths s -> t
+    q = rt_any.quiver
+    for s in q.vertices():
+        for t in q.vertices():
+            homs = hom_space(rt_any.P[s[1:]], rt_any.P[t[1:]])
+            assert len(homs) == hom_dimension(q, s, t), (s, t)
 
 
 def test_horizon_discipline(tw_n1):
@@ -146,12 +153,37 @@ def test_stage_bimodule_left_structure(rt_n1):
     assert left_mod.dim == rt_n1.P[(0, 3)].dim + rt_n1.P[(1, 1)].dim
 
 
-def test_corrupted_ladder_names_the_failing_square():
+@pytest.mark.parametrize("maps, key, square", [
+    ("alpha", (1, 2), "ladder[1,1]"), ("psibar", (1, 2), "ladder[1,2]"),
+    ("fmaps", 2, "rim[2]")], ids=["alpha", "psibar", "fmaps"])
+def test_corrupted_ladder_names_the_failing_square(maps, key, square):
+    # one ladder map zeroed: the first mesh square it enters fails
     rt = realize_in_tower(build_tower(5, 1, F2), 3)
-    rt.alpha[(1, 2)] = zero_map(rt.P[(0, 2)], rt.P[(1, 2)])
+    table = getattr(rt, maps)
+    table[key] = zero_map(table[key].source, table[key].target)
     with pytest.raises(SquareFailed) as err:
         _verify_squares(rt)
-    assert err.value.square_id == "ladder[1,1]"
+    assert err.value.square_id == square
+
+
+def test_a_rim_map_off_the_zero_rule_fails_rim_1():
+    # no module map P^1_2 -> M_1 is nonzero on the image of psibar^1_1
+    # (Hom(P^1_1, M_1) = 0), so the planted f_1 is a raw matrix
+    rt = realize_in_tower(build_tower(5, 1, F2), 3)
+    psibar = rt.psibar[(1, 1)].mat
+    bad = psibar.solve_right(Matrix.from_rows(F2, [[1]] + [[0]] * (
+        psibar.rows - 1)))
+    rt.fmaps[1] = ModuleMap(rt.P[(1, 2)], rt.P[(0, 1)], bad, check=False)
+    with pytest.raises(SquareFailed) as err:
+        _verify_squares(rt)
+    assert err.value.square_id == "rim[1]"
+
+
+@pytest.mark.parametrize("arrow", [Arrow("mu", 0, 0, 4), Arrow("mu", 1, 0, 1),
+                                   Arrow("lam", 0, 1, 1)], ids=str)
+def test_an_arrow_off_the_realized_quiver_is_refused(rt_n1, arrow):
+    with pytest.raises(ValueError, match="not an arrow of the quiver"):
+        rt_n1.realize_arrow(arrow)
 
 
 def test_failed_square_fails_the_ray_tube_suite(failed_square):
