@@ -56,7 +56,7 @@ class Summand:
     inject: ModuleMap      # module -> parent
     project: ModuleMap     # parent -> module
     end_dim: int
-    rad: list[Matrix]      # basis of rad End(module)
+    rad: tuple[Matrix, ...]  # basis of rad End(module)
 
     @property
     def end_rad_dim(self) -> int:
@@ -73,7 +73,8 @@ class Decomposition:
     summands: list[Summand]
     # grouped up to isomorphism: list of (representative Summand, multiplicity,
     # indices into summands)
-    classes: list[tuple[Summand, int, list[int]]] = field(default_factory=list)
+    classes: list[tuple[Summand, int, tuple[int, ...]]] = \
+        field(default_factory=list)
 
     def idempotents(self) -> list[ModuleMap]:
         return [s.idempotent for s in self.summands]
@@ -280,15 +281,17 @@ def decompose(m: Module, seed: int = 0) -> Decomposition:
     _OWN for M itself), the inclusion and projection matrices, the End
     dimensions and radicals and the class indices are kept in the record
     of M's content (see modules), and each call rebinds them to M with
-    fresh maps.  Content-equal modules share the summand modules, radical
-    bases and class index lists, so a caller must not mutate them."""
+    fresh maps.  The record dies by refcount with its last module, or when
+    the enclosing records_held block ends.  Content-equal modules share
+    the summand modules, radical bases and class index groups, so the
+    bases and groups are tuples."""
     rec = _record_of(m)
     if rec.decomposition is None:
         parts = _split_indecomposable(m)
         rec.decomposition = (
-            [(_OWN if u is m else u, inj.mat, proj.mat, ed, rad)
-             for u, inj, proj, ed, rad in parts],
-            iso_classes([u for u, *_ in parts]))
+            tuple((_OWN if u is m else u, inj.mat, proj.mat, ed, tuple(rad))
+                  for u, inj, proj, ed, rad in parts),
+            tuple(map(tuple, iso_classes([u for u, *_ in parts]))))
     parts, classes = rec.decomposition
     summands = []
     for u, inj, proj, ed, rad in parts:

@@ -18,13 +18,17 @@ Conventions (used throughout the package):
   dim, action matrices), shared by every module with that content through
   a weak table.  A record holds matrices, and summand modules other than
   the one it describes, so it refers to no module with its content: it
-  dies by refcount with the last such module, and the work done does not
-  depend on the garbage collector.  `presentation_of` holds a map into M,
-  so it stays on the module object.
+  dies by refcount with its last module, or when the enclosing
+  `records_held` block ends, and the work done does not depend on the
+  garbage collector.  Each suite runs in such a block, so a content drawn
+  again later in the suite finds its record.  The data a record shares is
+  immutable (tuples of matrices and of indices).  `presentation_of` holds
+  a map into M, so it stays on the module object.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import weakref
 from dataclasses import dataclass
@@ -54,6 +58,25 @@ class _Record:
 # lives exactly as long as some module with that content refers to it
 _RECORDS: "weakref.WeakValueDictionary[tuple, _Record]" = \
     weakref.WeakValueDictionary()
+
+# every record made while a records_held block is open, or None outside one
+_HELD: list | None = None
+
+
+@contextlib.contextmanager
+def records_held():
+    """Keep every content record made inside the block alive until the
+    block ends, then drop them all at once (by refcount: a record is in no
+    cycle).  A nested block holds nothing beyond the outermost one."""
+    global _HELD
+    if _HELD is not None:
+        yield
+        return
+    _HELD = []
+    try:
+        yield
+    finally:
+        _HELD = None
 
 
 class Module:
@@ -233,6 +256,8 @@ def _record_of(m: Module) -> _Record:
         rec = _RECORDS.get(key)
         if rec is None:
             rec = _RECORDS[key] = _Record()
+            if _HELD is not None:
+                _HELD.append(rec)
         m._record = rec
     return rec
 

@@ -20,7 +20,7 @@ from .errors import SquareFailed
 from .fields import GF
 from .linalg import Matrix, span_elements, subspace_leq
 from .modules import (ModuleMap, cokernel, direct_sum, hom_space, iso_classes,
-                      iso_test, k_dual)
+                      iso_test, k_dual, records_held)
 from .oracles import brute_eval_f2, subspace_int_set
 from .ppformula import (LEFT, PpFormula, annihilator, bottom, divisibility,
                         dual, pp_meet, pp_sum, pp_type_generator_of_element,
@@ -53,9 +53,12 @@ class SuiteResult:
 
 
 def _timed(fn):
+    """Time the suite, and keep the content records it makes until it ends
+    (see modules.records_held)."""
     def wrapper(seed: int = 0) -> SuiteResult:
         t0 = time.perf_counter()
-        res = fn(seed)
+        with records_held():
+            res = fn(seed)
         res.seconds = time.perf_counter() - t0
         return res
     wrapper.__name__ = fn.__name__

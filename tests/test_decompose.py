@@ -1,6 +1,9 @@
+import contextlib
+import gc
 import importlib
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -9,8 +12,8 @@ from ppmod.algebra import kronecker_algebra, truncated_dvr
 from ppmod.errors import Undecided
 from ppmod.linalg import (Matrix, Subspace, combination, subspace_leq,
                           vectorized)
-from ppmod.modules import (Module, direct_sum, hom_space, iso_test,
-                           submodule)
+from ppmod.modules import (Module, _record_of, direct_sum, hom_space,
+                           iso_test, records_held, submodule)
 from ppmod.decompose import (RadicalCalculus, _certify, _commutator_ideal,
                              _echelon, _fitting_split, _frobenius,
                              _split_or_radical, decompose, radical_subspace)
@@ -336,6 +339,100 @@ def test_a_record_dies_with_its_last_module():
             gc.enable()
 
 
+@contextlib.contextmanager
+def _collector_off():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _decomposable_sum(dvr):
+    # over an algebra of its own, so no record of its content is older
+    # than the test; decomposable, so its record holds summand modules
+    return direct_sum([dvr_chain_module(dvr, 1),
+                       dvr_chain_module(dvr, 2)])[0]
+
+
+def test_a_record_made_in_a_block_lives_until_the_block_ends(solved_homs):
+    dvr = truncated_dvr(3, GF(3))
+    with _collector_off():
+        with records_held():
+            m = _decomposable_sum(dvr)
+            summands = decompose(m).summands
+            hom_space(m, m)
+            rec = weakref.ref(_record_of(m))
+            leaf = weakref.ref(_record_of(summands[0].module))
+            del m, summands
+            assert rec() is not None and leaf() is not None
+            # a later draw of the content finds the record and solves
+            # nothing again
+            solved = len(solved_homs)
+            copy = _decomposable_sum(dvr)
+            assert _record_of(copy) is rec()
+            hom_space(copy, copy)
+            assert len(solved_homs) == solved
+            del copy
+            assert rec() is not None
+        assert rec() is None and leaf() is None
+
+
+def test_a_nested_block_holds_nothing_beyond_the_outer_one():
+    dvr = truncated_dvr(3, GF(3))
+    with _collector_off():
+        with records_held():
+            with records_held():
+                m = _decomposable_sum(dvr)
+                rec = weakref.ref(_record_of(m))
+                del m
+            assert rec() is not None   # the inner block's end drops nothing
+            with records_held():
+                pass
+            assert rec() is not None
+        assert rec() is None
+
+
+def test_an_exception_in_a_block_still_releases_its_records():
+    dvr = truncated_dvr(3, GF(3))
+    with _collector_off():
+        with pytest.raises(RuntimeError):
+            with records_held():
+                m = _decomposable_sum(dvr)
+                rec = weakref.ref(_record_of(m))
+                del m
+                raise RuntimeError
+        assert rec() is None
+        # and after it a record lives only as long as its module
+        m = _decomposable_sum(dvr)
+        rec = weakref.ref(_record_of(m))
+        del m
+        assert rec() is None
+
+
+def test_the_data_a_record_shares_is_immutable(dvr3):
+    # the radical bases and class index groups of a kept decomposition are
+    # shared with every later draw of its content, so mutating one raises
+    v1, v2 = dvr_chain_module(dvr3, 1), dvr_chain_module(dvr3, 2)
+    m = direct_sum([v1, v2, v1])[0]
+    d = decompose(m)
+    with _collector_off():
+        rad = next(s.rad for s in d.summands if s.rad)
+        idx = next(idx for _, mult, idx in d.classes if mult == 2)
+        with pytest.raises(AttributeError):
+            rad.append(rad[0])
+        with pytest.raises(TypeError):
+            rad[0] = rad[0]
+        with pytest.raises(AttributeError):
+            idx.append(0)
+        with pytest.raises(TypeError):
+            idx[0] = 1
+        again = decompose(Module(m.algebra, m.dim, m.action))
+        assert _decomposition_data(again) == _decomposition_data(d)
+
+
 def _shared_universe(field):
     """(module, probes) for the Kronecker modules of dimension <= 4 and
     the k[x]/(x^3) modules of dimension <= 4, each list followed by the
@@ -391,8 +488,8 @@ def test_content_equal_copies_match_the_unshared_computation(field,
 
 
 # Hom systems that suite_krull_schmidt(0) solves: each content's bases once
-# while some module holds that content (1,320 before bases were shared)
-KRULL_SCHMIDT_SOLVES = 381
+# per suite (1,320 before bases were shared)
+KRULL_SCHMIDT_SOLVES = 216
 
 
 def test_krull_schmidt_suite_work_does_not_depend_on_the_collector(
@@ -416,6 +513,23 @@ def test_krull_schmidt_suite_work_does_not_depend_on_the_collector(
         if was_enabled:
             gc.enable()
     assert collected == uncollected == KRULL_SCHMIDT_SOLVES
+
+
+# Hom systems that suite_classification(0) solves: each content's bases once
+# per suite (692 when a record died with its last module)
+CLASSIFICATION_SOLVES = 129
+
+
+def test_classification_suite_solves_each_content_once(solved_homs):
+    # counted where hom_space solves them, with the collector on and off
+    from ppmod.suites import suite_classification
+    counts = []
+    for context in (contextlib.nullcontext, _collector_off):
+        solved_homs.clear()
+        with context():
+            assert suite_classification(0).passed
+        counts.append(len(solved_homs))
+    assert counts == [CLASSIFICATION_SOLVES] * 2
 
 
 def test_iso_test_leaves_the_kept_decomposition_whole(dvr3):
