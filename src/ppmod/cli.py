@@ -40,16 +40,16 @@ from .ziegler import (CLOSURE_ASSUMPTION, closure, is_closed, parse_point_set,
 
 # The largest algebra dimension --algebra accepts: dvr:N has dimension N,
 # tower:N:n has N + n(n+3)/2.  The suites, tests and scripts use at most 10
-# (the tower 5:2).  At 24, `pp dual` takes 0.03 s in-process (0.21 s as a
-# subprocess) over GF(2) and 0.15 s (0.37 s) over QQ on a 2-CPU Xeon, of
-# which building the algebra is 0.05 s; the QQ cost grows about as the
-# cube of the dimension (0.53 s at 36, 1.3 s at 48 in-process).
+# (the tower 5:2).  At 24, `pp dual` takes 0.02 s in-process (0.11 s as a
+# subprocess) over GF(2) and 0.04-0.06 s (0.13-0.15 s) over QQ on a 2-CPU
+# Xeon; the QQ cost grows faster than the dimension (0.13 s at 36, 0.28 s
+# at 48 in-process).
 MAX_ALGEBRA_DIM = 24
 
 # The largest --max-dim `probe kronecker` accepts.  The suites, scripts and
-# the default use 9 (PP(0)..PP(4)).  The probe takes 0.3 s at 9, 0.7 s at
-# 13, 1.4 s at 15 and 2.5 s at 17 over QQ as a subprocess on the same host
-# (0.3 s, 0.4 s and 0.6 s at 13, 15 and 17 over GF(2)).
+# the default use 9 (PP(0)..PP(4)).  The probe takes 0.14-0.21 s at 9 and
+# 0.18-0.30 s at 13 over QQ as a subprocess on the same host (0.15-0.23 s
+# at 13 over GF(2)).
 MAX_PROBE_DIM = 13
 
 # The largest --budget `probe kronecker` accepts.  The suites, tests and
@@ -57,17 +57,17 @@ MAX_PROBE_DIM = 13
 # total dimension of its value over the universe, which is at most
 # 1 + 3 + ... + 13 = 49 at MAX_PROBE_DIM, so no chain reaches 50 steps and
 # a larger budget would change only the printed budget line.  At the caps
-# (--budget 50 --max-dim 13) the probe takes 0.34 s over GF(2), 0.59 s
-# over GF(3) and 0.75 s over QQ as a subprocess on the same host.
+# (--budget 50 --max-dim 13) the probe takes 0.14 s over GF(2), 0.15 s
+# over GF(3) and 0.17 s over QQ as a subprocess on the same host.
 MAX_PROBE_BUDGET = 50
 
 # The largest tower `classify` and `realize` build: horizon --N <= 15 and
 # height (--n, --height) <= 3, so its top ring has dimension at most
 # 15 + 3*6/2 = MAX_ALGEBRA_DIM; realize needs --stages < --N.  The suites,
 # tests, scripts and benchmark use at most N = 10, height 2 and 9 stages.
-# At the caps `realize --N 15 --height 3 --stages 14` takes 0.5 s over
-# GF(2), 2.8 s over GF(3) and 3.0 s over QQ as a subprocess on a 2-CPU
-# Xeon, and `classify --N 15 --n 3` 0.3-0.7 s.
+# At the caps `realize --N 15 --height 3 --stages 14` takes 0.19 s over
+# GF(2), 0.33 s over GF(3) and 0.32 s over QQ as a subprocess on a 2-CPU
+# Xeon, and `classify --N 15 --n 3` 0.17-0.19 s.
 MAX_TOWER_N = 15
 MAX_TOWER_HEIGHT = 3
 MAX_STAGES = MAX_TOWER_N - 1
@@ -75,8 +75,8 @@ MAX_STAGES = MAX_TOWER_N - 1
 # The largest --dim-cap `classify` accepts.  The suites and tests use at
 # most 10.  The largest label of the largest tower (N = 15, height 3) has
 # dimension 18 = MAX_TOWER_N + MAX_TOWER_HEIGHT, so a larger cap lists the
-# same rows.  `classify --N 15 --n 3 --dim-cap 18` takes 0.3 s over GF(2)
-# and 1.0-1.1 s over GF(3) and QQ as a subprocess on a 2-CPU Xeon.
+# same rows.  `classify --N 15 --n 3 --dim-cap 18` takes 0.17 s over GF(2),
+# 0.19 s over GF(3) and 0.18 s over QQ as a subprocess on a 2-CPU Xeon.
 MAX_CLASSIFY_DIM_CAP = MAX_TOWER_N + MAX_TOWER_HEIGHT
 
 # The largest height `ziegler points` lists.  The suites and tests use at

@@ -168,9 +168,6 @@ class ModuleMap:
     def is_injective(self) -> bool:
         return self.rank() == self.source.dim
 
-    def is_surjective(self) -> bool:
-        return self.rank() == self.target.dim
-
     def is_iso(self) -> bool:
         return self.source.dim == self.target.dim and self.rank() == self.source.dim
 

@@ -26,8 +26,8 @@ from .ppformula import RIGHT, PpFormula
 
 # The largest x index: the parser makes a row per x up to it.  The tests,
 # scripts and README use at most x2.  `pp dual` of `x8 = 0` over dvr:24
-# takes 0.24 s over GF(2), 0.78 s over GF(3) and 0.54 s over QQ as a
-# subprocess on a 2-CPU Xeon, 5.5 s at x16 over QQ.
+# takes 0.15 s over GF(2), 0.50 s over GF(3) and 0.40 s over QQ as a
+# subprocess on a 2-CPU Xeon, 5.3 s at x16 over QQ in-process.
 MAX_X_INDEX = 8
 
 _VAR_RE = re.compile(r"^([xy])(\d+)$")

@@ -10,10 +10,13 @@ idempotent is the path eps0, not 1, which formula text reads as the unit.
 All of (R_i 0 / L_i k) but L_i's basis times R_i holds by how paths
 compose; that block is certified to be L_i's action at construction.
 
-F0 pads M's action with zeros for the L_i paths and eps_{i+1}; F1 is the
-block form on [Hom(L_i, M) | M]; restrict is x -> x(1 - eps_{i+1}), back
-to R_i.  The classifier identifies every finitely presented module by a
-label in the grammar
+F0 pads M's action with zeros for the L_i paths and eps_{i+1} and moves
+no coordinate, so F0 of a map is the same matrix and only F1 lifts maps
+(f1_map); F1 is the block form on [Hom(L_i, M) | M]; restrict is
+x -> x(1 - eps_{i+1}), back to R_i.  The realized ray-tube ladder
+(realize.py) lifts each of its maps through F1 one depth at a time, and
+checks its stage row from M_0 = 0.  The classifier identifies every
+finitely presented module by a label in the grammar
 
     T(n)  |  F0^a F1^b Ind(j)  |  F0^a F1^b T(m)
 
@@ -174,11 +177,6 @@ def restrict(tower: TowerRing, level: int, x: Module) -> tuple[int, Module]:
     return x.dim - core.dim, Module(base, core.dim, action)
 
 
-def f0_map(tower: TowerRing, level: int, fmap: ModuleMap) -> ModuleMap:
-    return ModuleMap(f0(tower, level, fmap.source),
-                     f0(tower, level, fmap.target), fmap.mat, check=False)
-
-
 def f1_map(tower: TowerRing, level: int, fmap: ModuleMap) -> ModuleMap:
     """Block action on (Hom(L, X), X): post-composition on the hom part."""
     f, bimodule = tower.field, tower.bimodules[level - 1]
@@ -196,13 +194,14 @@ def f1_map(tower: TowerRing, level: int, fmap: ModuleMap) -> ModuleMap:
     return ModuleMap(sx, sy, mat, check=False)
 
 
-def lift(tower: TowerRing, x, level: int, b: int, a: int):
-    """F0^a F1^b of a module or a map over R_level: F1 at the next b
-    levels, then F0 at the next a levels."""
-    up1, up0 = (f1_map, f0_map) if isinstance(x, ModuleMap) else (f1, f0)
+def lift(tower: TowerRing, m: Module, level: int, b: int, a: int) -> Module:
+    """F0^a F1^b of a module over R_level: F1 at the next b levels, then
+    F0 at the next a levels.  It lifts no map: F0 moves no coordinate, so
+    F0 of a map is the same matrix between the padded ends, and f1_map
+    lifts a map through F1."""
     for lvl in range(level + 1, level + b + a + 1):
-        x = (up1 if lvl <= level + b else up0)(tower, lvl, x)
-    return x
+        m = (f1 if lvl <= level + b else f0)(tower, lvl, m)
+    return m
 
 
 def natural_embedding(tower: TowerRing, level: int, m: Module) -> ModuleMap:

@@ -48,16 +48,15 @@ class ZieglerPoint:
 
 def canonical_word(word) -> tuple[int, int]:
     """Canonical (p, l) of an {F0, F1}-word: rewriting the identification
-    'F1 outside F0' to 'F0 outside F0' pushes every F0 outward."""
+    'F1 outside F0' to 'F0 outside F0' turns every letter up to the last
+    F0 into F0, so p ends at the last F0 and the l letters after it are
+    F1.  Any other letter is a ValueError."""
     w = list(word)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(w) - 1):
-            if w[i] == "F1" and w[i + 1] == "F0":
-                w[i] = "F0"
-                changed = True
-    return w.count("F0"), w.count("F1")
+    bad = set(w) - {"F0", "F1"}
+    if bad:
+        raise ValueError(f"prefix letter {min(bad)!r} is neither F0 nor F1")
+    p = len(w) - w[::-1].index("F0") if "F0" in w else 0
+    return p, len(w) - p
 
 
 def fin_len(height: int, p: int, l: int, j: int) -> ZieglerPoint:

@@ -392,7 +392,7 @@ def test_failed_square_exits_1_with_one_line(failed_square, capsys):
     assert rc == 1
     assert out.err == ""
     [line] = out.out.splitlines()
-    assert line.startswith("SQUARE_FAILED(tube[2]): ")
+    assert line.startswith("SQUARE_FAILED(tube[1]): ")
 
 
 def test_failed_square_scenario_line_exits_1(failed_square, tmp_path,
@@ -404,7 +404,7 @@ def test_failed_square_scenario_line_exits_1(failed_square, tmp_path,
     lines = capsys.readouterr().out.splitlines()
     assert rc == 1
     assert lines[0] == "## realize --N 5 --height 1 --stages 2"
-    assert lines[1].startswith("SQUARE_FAILED(tube[2]): ")
+    assert lines[1].startswith("SQUARE_FAILED(tube[1]): ")
     # the next line still runs
     assert lines[2] == "## pp dual --algebra dvr:3 --formula 'x1*x = 0'"
 

@@ -1,6 +1,5 @@
 import contextlib
 import gc
-import importlib
 import itertools
 import random
 import weakref
@@ -290,7 +289,7 @@ def test_radical_calculus_decomposes_each_module_once(monkeypatch):
     # decompositions are counted where they are computed, so one kept in
     # its content record and rebound to the module again is not counted
     # twice
-    dec = importlib.import_module("ppmod.decompose")
+    import ppmod.decompose as dec
     made: dict[int, int] = {}
     inner = dec._split_indecomposable
 
@@ -458,12 +457,12 @@ def test_content_equal_copies_match_the_unshared_computation(field,
     # decompose and hom_space of a content-equal copy, read from the record
     # its original filled, equal matrix by matrix what they compute with no
     # record alive, and the rebound maps start or end at the copy
+    import ppmod.decompose
     import ppmod.modules
     from ppmod.modules import _Record
     mods = _shared_universe(field)
     with monkeypatch.context() as patch:
-        for where in (ppmod.modules, importlib.import_module(
-                "ppmod.decompose")):
+        for where in (ppmod.modules, ppmod.decompose):
             patch.setattr(where, "_record_of", lambda m: _Record())
         want = [(_decomposition_data(decompose(m)),
                  [[h.mat for h in hom_space(m, p)] for p in probes])

@@ -1,11 +1,14 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
 import itertools
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+
+import ppmod
 
 ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "ppmod"
@@ -543,12 +546,20 @@ def test_unread_imports_are_found():
 
 
 @pytest.mark.parametrize(
-    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    + sorted(TESTS.glob("*.py")),
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
     ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_module_import_is_unread(path):
-    # __init__.py is exempt: its imports are the package's exports
     assert list(unread_imports(ast.parse(path.read_text()))) == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name)
+def test_the_package_root_binds_each_submodule_to_its_module(path):
+    # a package-level name equal to a submodule's would shadow it, and
+    # `import ppmod.<stem> as m` would bind that name, not the module
+    module = importlib.import_module(f"ppmod.{path.stem}")
+    assert getattr(ppmod, path.stem) is module
 
 
 @pytest.fixture(scope="module")
@@ -589,9 +600,8 @@ class Callers(NamedTuple):
 
 @pytest.fixture(scope="module")
 def public_callers() -> Callers:
-    readers = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
-    readers += [*(ROOT / "scripts").glob("*.py"),
-                *(ROOT / "perfbench").glob("*.py")]
+    readers = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+               *(ROOT / "perfbench").glob("*.py")]
     trees = [ast.parse(p.read_text()) for p in readers]
     tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
     targets = next(ast.literal_eval(stmt.value) for stmt in tracing.body

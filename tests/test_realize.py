@@ -155,7 +155,9 @@ def test_stage_bimodule_left_structure(rt_n1):
 
 @pytest.mark.parametrize("maps, key, square", [
     ("alpha", (1, 2), "ladder[1,1]"), ("psibar", (1, 2), "ladder[1,2]"),
-    ("fmaps", 2, "rim[2]")], ids=["alpha", "psibar", "fmaps"])
+    ("fmaps", 2, "rim[2]"), ("phi", 1, "tube[1]"), ("phi", 2, "tube[2]"),
+    ("psibar", (0, 1), "tube[1]"), ("psibar", (0, 2), "tube[2]")],
+    ids=["alpha", "psibar", "fmaps", "phi1", "phi2", "psi1", "psi2"])
 def test_corrupted_ladder_names_the_failing_square(maps, key, square):
     # one ladder map zeroed: the first mesh square it enters fails
     rt = realize_in_tower(build_tower(5, 1, F2), 3)
@@ -190,7 +192,7 @@ def test_failed_square_fails_the_ray_tube_suite(failed_square):
     from ppmod.suites import SUITES
     res = SUITES["ray-tube"](0)
     assert not res.passed
-    assert "realized\theight 0: SQUARE_FAILED(tube[2])" in \
+    assert "realized\theight 0: SQUARE_FAILED(tube[1])" in \
         "\n".join(res.lines)
 
 
@@ -232,6 +234,17 @@ def test_failed_symbolic_ladder_is_named_on_its_line(monkeypatch):
     assert "symbolic\tQ(2; 1,0) ladder FAILED: base square not zero" in \
         res.lines
     assert not any("squares commute" in line for line in res.lines)
+
+
+def test_realize_lifts_each_stage_map_through_f1_once(monkeypatch):
+    # F0 keeps a map's matrix, so only F1 lifts a map: one f1_map per
+    # stage and depth, each from the depth below it
+    import ppmod.realize
+    inner, calls = ppmod.realize.f1_map, []
+    monkeypatch.setattr(ppmod.realize, "f1_map",
+                        lambda *args: calls.append(args) or inner(*args))
+    realize_in_tower(build_tower(5, 2, F2), 3)
+    assert len(calls) == 3 * 2  # stages x height
 
 
 def test_realize_computes_each_hom_space_once(solved_homs):

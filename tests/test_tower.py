@@ -6,11 +6,12 @@ import pytest
 from ppmod.fields import GF, QQ
 from ppmod.catalog import dvr_chain_module, random_quotient_of_free
 from ppmod.decompose import decompose
-from ppmod.modules import direct_sum, hom_space, iso_classes, iso_test
-from ppmod.tower import (FpLabel, all_labels, build_tower,
-                         classify, construct_label, f0, f1,
-                         f0_map, f1_map, label_module, left_projectives, natural_embedding,
-                         restrict, t_module, verify_hom_bounds)
+from ppmod.modules import (ModuleMap, direct_sum, hom_space, iso_classes,
+                           iso_test)
+from ppmod.tower import (FpLabel, all_labels, build_tower, classify,
+                         construct_label, f0, f1, f1_map, label_module,
+                         left_projectives, natural_embedding, restrict,
+                         t_module, verify_hom_bounds)
 
 F2 = GF(2)
 
@@ -253,7 +254,7 @@ def test_f1_map_natural_embedding(tw31):
     eta1 = natural_embedding(tw31, 1, v1)
     eta2 = natural_embedding(tw31, 1, v2)
     lhs = eta1.then(up)
-    rhs = f0_map(tw31, 1, inc).then(eta2)
+    rhs = ModuleMap(f0(tw31, 1, v1), f0(tw31, 1, v2), inc.mat).then(eta2)
     assert lhs.mat == rhs.mat  # naturality square commutes
 
 

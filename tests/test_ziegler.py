@@ -1,8 +1,10 @@
+import itertools
 import os
 import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -56,6 +58,41 @@ def test_adic_prefix_canonicalizes():
     assert canonical_word(["F1", "F0", "F1"]) == (2, 1)
     # F1 F1 F0 -> F1 F0 F0 -> F0 F0 F0
     assert canonical_word(["F1", "F1", "F0"]) == (3, 0)
+
+
+def rewritten_word(word):
+    """The oracle: rewrite 'F1 outside F0' to 'F0 outside F0' until no
+    pair is left, then count the letters."""
+    w = list(word)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(w) - 1):
+            if w[i] == "F1" and w[i + 1] == "F0":
+                w[i] = "F0"
+                changed = True
+    return w.count("F0"), w.count("F1")
+
+
+def test_canonical_word_matches_the_rewrite_on_short_words():
+    words = [w for n in range(11)
+             for w in itertools.product(("F0", "F1"), repeat=n)]
+    assert len(words) == 2047
+    for w in words:
+        assert canonical_word(w) == rewritten_word(w), w
+
+
+def test_canonical_word_is_linear_in_the_word():
+    # the rewrite takes one pass per F1 before the last F0
+    word = ["F1"] * 99_999 + ["F0"]
+    start = time.perf_counter()
+    assert canonical_word(word) == (100_000, 0)
+    assert time.perf_counter() - start < 0.25
+
+
+def test_a_letter_other_than_f0_or_f1_is_refused():
+    with pytest.raises(ValueError, match="'X' is neither F0 nor F1"):
+        point_from_word(2, ["X", "Y"], "Adic")
 
 
 def test_t0_identifies_with_first_chain_point():
