@@ -46,6 +46,15 @@ from .ziegler import (CLOSURE_ASSUMPTION, closure, is_closed, parse_point_set,
 # at 48 in-process).
 MAX_ALGEBRA_DIM = 24
 
+# The largest dimension a module literal over kronecker may have: PP(i) and
+# PI(i) have dimension 2i + 1, R(lam)[n] 2n (V/m^j and regular are bounded
+# by MAX_ALGEBRA_DIM).  The tests, scripts and README use at most 5.  With
+# the formula `x8*a = 0`, `pp eval` takes 0.18-0.25 s at PP(48), PI(48)
+# (97) and R(1)[48] (96) as a subprocess over GF(2), GF(3) and QQ on a
+# 2-CPU Xeon, printing 1.1 MB; 0.43-0.59 s and 4.8 MB at R(1)[100], and
+# 80 s and 480 MB over GF(2) at R(1)[1000].
+MAX_MODULE_DIM = 97
+
 # The largest --max-dim `probe kronecker` accepts.  The suites, scripts and
 # the default use 9 (PP(0)..PP(4)).  The probe takes 0.14-0.21 s at 9 and
 # 0.18-0.30 s at 13 over QQ as a subprocess on the same host (0.15-0.23 s
@@ -90,14 +99,24 @@ MAX_ZIEGLER_HEIGHT = 100
 JSON_COMMANDS = ("suite", "classify")
 
 
-def _number(text: str, least: int | None = None, where: str = "") -> int:
+def _number(text: str, least: int | None = None, where: str = "",
+            most: int | None = None) -> int:
     """text as -?[0-9]+ in ASCII digits (int reads any Unicode digit), at
-    least `least`; else ValueError naming it after `where`."""
+    least `least` and at most `most`; else ValueError naming it after
+    `where`."""
     if re.fullmatch(r"-?[0-9]+", text) is None or \
-            least is not None and int(text) < least:
-        bound = "" if least is None else f" of at least {least}"
+            least is not None and int(text) < least or \
+            most is not None and int(text) > most:
+        bound = ("" if least is None else f" of at least {least}") + \
+            ("" if most is None else f" of at most {most}")
         raise ValueError(f"{where}needs a whole number{bound}, not {text!r}")
     return int(text)
+
+
+def _seed(text: str) -> int:
+    """A --seed: a u64, as random.Random seeds with |seed| and so would
+    repeat the draws of -s at s."""
+    return _number(text, 0, most=2 ** 64 - 1)
 
 
 def _algebra_from_spec(spec: str, field):
@@ -131,12 +150,21 @@ def _module_from_literal(alg, text: str):
     where = f"module literal {text!r} "
     if chain is not None:
         return dvr_chain_module(alg, _number(chain, 1, where))
+    if lam is None:
+        i = _number(pi if pp is None else pp, 0, where)
+        dim = 2 * i + 1
+    else:
+        lam = lam if lam == "inf" else alg.field.of(_number(lam, None, where))
+        n = _number(length, 1, where)
+        dim = 2 * n
+    if dim > MAX_MODULE_DIM:
+        raise ValueError(f"module literal {text!r} has dimension {dim}, more "
+                         f"than the limit of {MAX_MODULE_DIM}")
     if pp is not None:
-        return kronecker_preprojective(alg, _number(pp, 0, where))
+        return kronecker_preprojective(alg, i)
     if pi is not None:
-        return kronecker_preinjective(alg, _number(pi, 0, where))
-    lam = lam if lam == "inf" else alg.field.of(_number(lam, None, where))
-    return kronecker_regular(alg, lam, _number(length, 1, where))
+        return kronecker_preinjective(alg, i)
+    return kronecker_regular(alg, lam, n)
 
 
 def _check_cap(option: str, value: int, cap: int):
@@ -160,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ppmod", description=__doc__)
     p.add_argument("--field", default="2",
                    help="coefficient field: a prime p or 'rational'")
-    p.add_argument("--seed", type=_number, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--json", action="store_true",
                    help="machine-readable output (suite and classify only)")
     sub = p.add_subparsers(dest="command", required=True)

@@ -340,16 +340,8 @@ def quotient_module(m: Module, s: Subspace) -> tuple[Module, ModuleMap]:
     return q, ModuleMap(m, q, proj, check=False)
 
 
-def image_subspace(f: ModuleMap) -> Subspace:
-    return Subspace(f.target.dim, f.mat.row_space())
-
-
 def kernel_subspace(f: ModuleMap) -> Subspace:
     return Subspace(f.source.dim, f.mat.left_kernel())
-
-
-def cokernel(f: ModuleMap) -> tuple[Module, ModuleMap]:
-    return quotient_module(f.target, image_subspace(f))
 
 
 # -- isomorphism testing -----------------------------------------------------

@@ -21,6 +21,10 @@ M_1 -> 0.  The ladder and rim squares are the quiver's mesh rules, read
 off the quiver and checked once each (a ZERO rule as a composite that
 vanishes), so the functor on paths descends to the mesh category: every
 word realizes to its normal form's map.
+
+The stage bimodule X = M_J (+) P^1_1 (+) ... (+) P^n_1 is certified
+projective as a left module of the tower at horizon J by its top: the
+top's multiplicities, and a projective cover of X's dimension.
 """
 
 from __future__ import annotations
@@ -28,13 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .catalog import dvr_chain_module
-from .decompose import decompose
 from .errors import HorizonExceeded, SquareFailed
 from .linalg import Matrix, vectorized
-from .modules import (ModuleMap, direct_sum, identity_map, iso_classes,
-                      quiver_rep, zero_map)
-from .tower import (TowerRing, build_tower, f1_map, left_projectives, lift,
-                    natural_embedding)
+from .modules import (Module, ModuleMap, direct_sum, identity_map, quiver_rep,
+                      zero_map)
+from .tower import TowerRing, build_tower, f1_map, lift, natural_embedding
 from .tube import (Arrow, NormalPath, TranslationQuiver, ZERO, build_ray_tube,
                    normal_path_arrows, normalize_path)
 
@@ -229,11 +231,10 @@ def _verify_squares(rt: RealizedTube):
 # -- the stage bimodule and its projectivity ----------------------------------
 
 
-def stage_bimodule(rt: RealizedTube):
+def stage_bimodule(rt: RealizedTube) -> Module:
     """The stage-J surrogate of the limit bimodule: X = M_J (+) P^1_1 (+)
     ... (+) P^n_1 with its left action of the height-n tower built at
-    horizon J, returned as (left tower, module over its opposite algebra,
-    underlying A-module).
+    horizon J, returned as a module over that tower's opposite algebra.
 
     The left action is the representation of the opposite tower quiver
     with M_J at vertex 0 and P^l_1 at vertex l: x acts as on M_J, b_1 as
@@ -265,31 +266,36 @@ def stage_bimodule(rt: RealizedTube):
     if vectorized(f, left_mod.action, x_mod.dim ** 2).rank() != \
             left_tower.top.dim:
         raise AssertionError("left tower does not embed into the endomorphisms")
-    return left_tower, left_mod, x_mod
+    return left_mod
 
 
 def verify_bimodule_idempotents(rt: RealizedTube) -> dict:
-    """Check that the stage bimodule decomposes as projective left modules
-    with the dimension-difference multiplicities."""
+    """Certify the stage bimodule X projective as a left module, with the
+    dimension-difference multiplicities, from its top.
+
+    The paths of positive length span the radical, so the rows of R,
+    their action matrices stacked, span X rad, and the top X / X rad
+    holds m_v = rank rho(e_v) - rank(R rho(e_v)) copies of the simple at
+    vertex v.  By Nakayama's lemma X is a quotient of its projective
+    cover, the sum of m_v copies of e_v A, of dimension the sum of m_v
+    times the number of basis paths from v.  When that equals dim X the
+    cover is an isomorphism: X is projective with multiplicities m_v
+    (Assem, Simson and Skowronski, *Elements* 1, ch. I.5 and III.2).
+    found lists them in path order: c = eps0, then eps1, ..."""
     n = rt.tower.height
-    left_tower, left_mod, _ = stage_bimodule(rt)
+    x = stage_bimodule(rt)
+    paths = x.algebra.paths
     dims = [rt.P[(l, 1)].dim for l in range(n + 1)]
     expected = [dims[0]] + [dims[i] - dims[i - 1] for i in range(1, n + 1)]
-    projs = left_projectives(left_tower)
-    classes = decompose(left_mod).classes
-    k = len(projs)
-    # the projectives first: a group led by a summand matches none, and
-    # comes after every group a projective leads
-    groups = iso_classes([p for _, p in projs]
-                         + [rep.module for rep, _, _ in classes])
-    found: dict[str, int] = {name: 0 for name, _ in projs}
-    for idx in groups:
-        if idx[0] >= k:
-            return {"ok": False, "reason": "non-projective summand",
-                    "expected": expected, "found": found}
-        found[projs[idx[0]][0]] += sum(classes[i - k][1]
-                                       for i in idx if i >= k)
-    names = ["c"] + [f"e{i}" for i in range(1, n + 1)]
-    got = [found.get(nm, 0) for nm in names]
-    return {"ok": got == expected, "expected": expected, "found": got,
-            "projectives": names}
+    # no rows over k[x]/(x), which has no path of positive length
+    rad = Matrix.zero(x.algebra.field, 0, x.dim)
+    for a, (_, _, _, w) in zip(x.action, paths):
+        if w:
+            rad = rad.vstack(a)
+    found, cover = [], 0
+    for e, (_, v, _, w) in zip(x.action, paths):
+        if not w:
+            found.append(e.rank() - (rad * e).rank())
+            cover += found[-1] * sum(s == v for _, s, _, _ in paths)
+    return {"ok": found == expected and cover == x.dim,
+            "expected": expected, "found": found}

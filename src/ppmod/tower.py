@@ -34,12 +34,12 @@ from .decompose import decompose
 from .errors import HorizonExceeded, UnclassifiedSummand
 from .fields import Field
 from .linalg import Matrix, Subspace, block, vectorized
-from .modules import (Module, ModuleMap, hom_space, iso_test, quiver_rep,
-                      regular_module, submodule, _module_span)
+from .modules import Module, ModuleMap, hom_space, iso_test, quiver_rep
 
 
 class TowerRing:
-    """The chain R_0 .. R_n with bimodules, simples and idempotents."""
+    """The chain R_0 .. R_n with the bimodules L_0 .. L_n; the vertex
+    idempotents are the empty-word paths eps0 .. eps_n of each ring."""
 
     def __init__(self, N: int, height: int, field: Field):
         if N < 1 or height < 0:
@@ -77,40 +77,12 @@ class TowerRing:
                    != z * r + l.action[j].data[k] + z
                    for k in range(l.dim) for j in range(r)):
                 raise AssertionError(f"L{i} does not act as in R{i + 1}")
-        n = self.height
-        if self.top.dim != tower_dimension(self.N, n):
+        if self.top.dim != tower_dimension(self.N, self.height):
             raise AssertionError("tower dimension formula violated")
-        for lvl in range(1, n + 1):
-            alg = self.algebras[lvl]
-            ids = [self.c_idem(lvl)] + [self.e_idem(lvl, i)
-                                        for i in range(1, lvl + 1)]
-            total = alg.zero_el()
-            for v in ids:
-                total = alg.add_el(total, v)
-            if total != alg.unit:
-                raise AssertionError("idempotents do not sum to the unit")
-            for i, u in enumerate(ids):
-                for j, v in enumerate(ids):
-                    prod = alg.mul_el(u, v)
-                    want = u if i == j else alg.zero_el()
-                    if prod != want:
-                        raise AssertionError("idempotents not orthogonal")
 
     @property
     def top(self) -> FDAlgebra:
         return self.algebras[self.height]
-
-    def c_idem(self, level: int):
-        """The idempotent of vertex 0, the valuation-ring corner: the unit
-        1 of R_0, the path eps0 from R_1 on."""
-        return self.algebras[level].basis_el(0)
-
-    def e_idem(self, level: int, i: int):
-        """The i-th extension idempotent eps_i (1 <= i <= level)."""
-        if not (1 <= i <= level):
-            raise ValueError("extension idempotent index out of range")
-        alg = self.algebras[level]
-        return alg.basis_el(alg.labels.index(f"eps{i}"))
 
 
 def tower_dimension(N: int, height: int) -> int:
@@ -340,20 +312,3 @@ def verify_hom_bounds(tower: TowerRing, dim_cap: int):
         if d > 1:
             ok = False
     return ok, rows
-
-
-def left_projectives(tower: TowerRing) -> list[tuple[str, Module]]:
-    """The indecomposable projective left modules (as right modules over the
-    opposite algebra), one per tower idempotent."""
-    alg = tower.top
-    op_reg = regular_module(alg.op)
-    out = []
-    names = [("c", tower.c_idem(tower.height))] + \
-        [(f"e{i}", tower.e_idem(tower.height, i))
-         for i in range(1, tower.height + 1)]
-    for name, idem in names:
-        span = _module_span(op_reg, [list(idem)])
-        sub, _ = submodule(op_reg, span)
-        sub.label = f"P[{name}]"
-        out.append((name, sub))
-    return out

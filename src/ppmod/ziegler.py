@@ -309,12 +309,12 @@ def random_point_set(height: int, rng: random.Random) -> PointSet:
 
 def parse_point(height: int, text: str) -> ZieglerPoint:
     toks = text.replace(",", " ").split()
-    word = []
-    while toks and toks[0] in ("F0", "F1"):
-        word.append(toks.pop(0))
-    if len(toks) != 1:
+    # the base is the first token other than F0 or F1, and the last
+    cut = next((i for i, t in enumerate(toks) if t not in ("F0", "F1")),
+               len(toks))
+    if cut != len(toks) - 1:
         raise ValueError(f"cannot parse point {text!r}")
-    base = toks[0]
+    word, base = toks[:-1], toks[-1]
     indexed = re.fullmatch(rf"({FINLEN}|{TPOINT})\((.*)\)", base)
     if indexed:
         kind, idx = indexed.groups()

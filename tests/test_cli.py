@@ -374,14 +374,14 @@ def test_realize_with_large_local_ends_exits_by_verdict(argv):
 
 
 def test_undecided_exits_2(monkeypatch, capsys):
-    from ppmod import realize
+    from ppmod import suites
     from ppmod.errors import Undecided
 
     def undecided(m, seed=0):
         raise Undecided("End neither certified local nor split")
 
-    monkeypatch.setattr(realize, "decompose", undecided)
-    rc = main(["realize", "--N", "3", "--height", "0", "--stages", "2"])
+    monkeypatch.setattr(suites, "decompose", undecided)
+    rc = main(["suite", "krull-schmidt"])
     assert rc == 2
     assert "UNDECIDED: End neither" in capsys.readouterr().out
 
@@ -635,6 +635,73 @@ def test_tower_size_at_its_cap_is_built(argv, cap, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: reached build_tower\n"
 
 
+# each Kronecker literal kind: its text at an index, its dimension at an
+# index, and the function that builds it
+MODULE_CAPS = [("PP({})", lambda i: 2 * i + 1, "kronecker_preprojective"),
+               ("PI({})", lambda i: 2 * i + 1, "kronecker_preinjective"),
+               ("R(1)[{}]", lambda i: 2 * i, "kronecker_regular")]
+
+
+def largest_index(dim):
+    """The largest index of a literal within MAX_MODULE_DIM."""
+    from ppmod.cli import MAX_MODULE_DIM
+    return max(i for i in range(MAX_MODULE_DIM) if dim(i) <= MAX_MODULE_DIM)
+
+
+@pytest.mark.parametrize("literal, dim, builder", MODULE_CAPS,
+                         ids=["PP", "PI", "R"])
+def test_module_literal_above_its_cap_exits_2_before_building(
+        literal, dim, builder, monkeypatch, capsys):
+    import ppmod.cli
+
+    def refused(*args):
+        raise AssertionError("a module was built")
+
+    monkeypatch.setattr(ppmod.cli, builder, refused)
+    limit = ppmod.cli.MAX_MODULE_DIM
+    for index in (largest_index(dim) + 1, 100_000):
+        text = literal.format(index)
+        assert main(["pp", "eval", "--algebra", "kronecker", "--module", text,
+                     "--formula", "x1*a = 0"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"error: module literal {text!r} has dimension "
+                           f"{dim(index)}, more than the limit of {limit}\n")
+
+
+@pytest.mark.parametrize("literal, dim, builder", MODULE_CAPS,
+                         ids=["PP", "PI", "R"])
+def test_module_literal_at_its_cap_is_built(literal, dim, builder,
+                                            monkeypatch, capsys):
+    import ppmod.cli
+
+    def reached(*args):
+        raise ValueError(f"reached {builder}")
+
+    monkeypatch.setattr(ppmod.cli, builder, reached)
+    text = literal.format(largest_index(dim))
+    assert main(["pp", "eval", "--algebra", "kronecker", "--module", text,
+                 "--formula", "x1*a = 0"]) == 2
+    assert capsys.readouterr().err == f"error: reached {builder}\n"
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_a_seed_outside_u64_exits_2_naming_it(seed, capsys):
+    # random.Random seeds with |seed|: -s would repeat the draws of s
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", seed, "tube", "--tube", "m=1 n=[0] horizon=4"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    [line] = [ln for ln in out.err.splitlines() if repr(seed) in ln]
+    assert "argument --seed" in line
+
+
+def test_the_largest_u64_seed_is_accepted(capsys):
+    assert main(["--seed", str(2 ** 64 - 1), "tube", "--tube",
+                 "m=1 n=[0] horizon=4"]) == 0
+    assert f"# seed {2 ** 64 - 1}" in capsys.readouterr().out.splitlines()
+
+
 def test_ziegler_height_above_its_cap_exits_2_before_listing(monkeypatch,
                                                             capsys):
     import ppmod.cli
@@ -783,7 +850,7 @@ FUZZ_PP = [
 BAD_PP = (("dvr:0", "dvr:x", "tower:2", "dvr:99", "ring"),
           ("((", "", "x1*z = 0", "x1 = x2", "E y1 . (x1 = 0)", "x1 * = 0"),
           ("V/m^0", "V/m^99", "V/m^x", "PP(-1)", "PP(x)", "R(0)[0]", "R(",
-           "R(x)[1]", "module"))
+           "R(x)[1]", "module", "PP(100000)"))
 FUZZ_COMMANDS = {
     "classify": ((), {"--N": (SMALL, BAD_NUMBERS), "--n": (SMALL, BAD_NUMBERS),
                       "--dim-cap": (SMALL + ("8",), BAD_NUMBERS)}),

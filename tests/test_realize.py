@@ -4,12 +4,13 @@ from ppmod.fields import GF, QQ
 from ppmod.algebra import kronecker_algebra
 from ppmod.decompose import decompose
 from ppmod.errors import HorizonExceeded, SquareFailed
-from ppmod.linalg import Matrix
+from ppmod.linalg import Matrix, Subspace
 from ppmod.modules import (ModuleMap, direct_sum, hom_space, identity_map,
-                           iso_test, zero_map)
+                           iso_classes, iso_test, quiver_rep, quotient_module,
+                           regular_module, submodule, zero_map, _module_span)
 from ppmod.catalog import (dvr_chain_module, kronecker_preprojective,
                            kronecker_regular)
-from ppmod.tower import build_tower
+from ppmod.tower import build_tower, tower_dimension
 from ppmod.tube import (Arrow, ZERO, all_paths_from, hom_dimension,
                         normalize_path)
 from ppmod.realize import (_verify_squares, chain_inclusion,
@@ -64,8 +65,9 @@ def test_realized_object_dims(rt_n1):
 
 
 def test_coker_psi1_is_m1(rt_n1):
-    from ppmod.modules import cokernel
-    cok, _ = cokernel(rt_n1.psibar[(0, 1)])
+    psi1 = rt_n1.psibar[(0, 1)]
+    cok, _ = quotient_module(psi1.target,
+                             Subspace(psi1.target.dim, psi1.mat.row_space()))
     assert iso_test(cok, rt_n1.P[(0, 1)]) is not None
 
 
@@ -136,21 +138,72 @@ def test_bimodule_idempotents_n2():
     assert res["expected"] == [1, 1, 1]
 
 
-def test_a_missing_projective_is_a_non_projective_summand(monkeypatch):
+def _plus_simple(v):
+    return lambda x: direct_sum([x, quiver_rep(x.algebra, {v: 1}, {})])[0]
+
+
+def _top(x):
+    """X / X rad: the rows of the positive-length paths' actions span
+    X rad."""
+    rad = Matrix.zero(x.algebra.field, 0, x.dim)
+    for a, (_, _, _, w) in zip(x.action, x.algebra.paths):
+        if w:
+            rad = rad.vstack(a)
+    return quotient_module(x, Subspace.from_matrix(x.dim, rad))[0]
+
+
+@pytest.mark.parametrize("plant, found", [
+    (_plus_simple(0), [2, 1, 1]), (_plus_simple(1), [1, 2, 1]),
+    (_plus_simple(2), [1, 1, 2]), (_top, [1, 1, 1])],
+    ids=["plus-S0", "plus-S1", "plus-S2", "top-only"])
+def test_a_planted_defect_in_the_stage_bimodule_is_rejected(monkeypatch,
+                                                            plant, found):
+    # S_0 and S_1 are not projective; S_2, the simple at the top vertex,
+    # is, so only its multiplicity is off; X / X rad has X's top, so only
+    # the dimension of its projective cover gives it away
     import ppmod.realize
-    inner = ppmod.realize.left_projectives
-    monkeypatch.setattr(ppmod.realize, "left_projectives",
-                        lambda tower: inner(tower)[:-1])
+    inner = ppmod.realize.stage_bimodule
+    monkeypatch.setattr(ppmod.realize, "stage_bimodule",
+                        lambda rt: plant(inner(rt)))
     res = verify_bimodule_idempotents(realize_in_tower(build_tower(4, 2, F2),
                                                        3))
     assert not res["ok"]
-    assert res["reason"] == "non-projective summand"
+    assert res["expected"] == [1, 1, 1] and res["found"] == found
+
+
+def _projective_summands(x):
+    """Projectivity by Krull-Schmidt: decompose X and match its summands
+    by isomorphism against the indecomposable projectives e_v A; (every
+    summand projective, the multiplicities in path order)."""
+    alg = x.algebra
+    reg = regular_module(alg)
+    projs = [submodule(reg, _module_span(reg, [alg.basis_el(k)]))[0]
+             for k, (_, _, _, w) in enumerate(alg.paths) if not w]
+    classes = decompose(x).classes
+    k = len(projs)
+    found = [0] * k
+    for idx in iso_classes(projs + [rep.module for rep, _, _ in classes]):
+        if idx[0] >= k:
+            return False, None
+        found[idx[0]] += sum(classes[i - k][1] for i in idx if i >= k)
+    return True, found
+
+
+@pytest.mark.parametrize("height", range(4))
+@pytest.mark.parametrize("field", [F2, GF(3), QQ], ids=str)
+def test_the_top_certificate_agrees_with_the_projective_matching(field,
+                                                                 height):
+    rt = realize_in_tower(build_tower(5, height, field), 3)
+    res = verify_bimodule_idempotents(rt)
+    projective, found = _projective_summands(stage_bimodule(rt))
+    assert res["ok"] == (projective and found == res["expected"])
+    assert res["found"] == found
 
 
 def test_stage_bimodule_left_structure(rt_n1):
-    left_tower, left_mod, x_mod = stage_bimodule(rt_n1)
-    assert left_tower.N == rt_n1.stages
-    assert left_mod.dim == rt_n1.P[(0, 3)].dim + rt_n1.P[(1, 1)].dim
+    left = stage_bimodule(rt_n1)
+    assert left.algebra.dim == tower_dimension(rt_n1.stages, 1)
+    assert left.dim == rt_n1.P[(0, 3)].dim + rt_n1.P[(1, 1)].dim
 
 
 @pytest.mark.parametrize("maps, key, square", [
@@ -208,15 +261,6 @@ def test_failed_multiplicities_are_named_on_their_line(monkeypatch):
     assert "squares verified" not in text
 
 
-def test_failed_cokernel_check_is_named_on_its_line(monkeypatch):
-    import ppmod.suites
-    monkeypatch.setattr(ppmod.suites, "iso_test", lambda m, n: None)
-    res = ppmod.suites.SUITES["ray-tube"](0)
-    assert not res.passed
-    assert "realized\theight 1: COKERNEL_FAILED: coker(psi_1) != M_1" in \
-        "\n".join(res.lines)
-
-
 def test_failed_symbolic_ladder_is_named_on_its_line(monkeypatch):
     import ppmod.suites
     build = ppmod.suites.build_ray_tube
@@ -264,4 +308,4 @@ def test_iso_matching_solves_no_more_hom_systems(solved_homs):
     rt = realize_in_tower(build_tower(5, 2, F2), 3)
     solved_homs.clear()
     assert verify_bimodule_idempotents(rt)["ok"]
-    assert len(solved_homs) <= 10
+    assert len(solved_homs) <= 2

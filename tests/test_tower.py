@@ -10,8 +10,8 @@ from ppmod.modules import (ModuleMap, direct_sum, hom_space, iso_classes,
                            iso_test)
 from ppmod.tower import (FpLabel, all_labels, build_tower, classify,
                          construct_label, f0, f1, f1_map, label_module,
-                         left_projectives, natural_embedding, restrict,
-                         t_module, verify_hom_bounds)
+                         natural_embedding, restrict, t_module,
+                         verify_hom_bounds)
 
 F2 = GF(2)
 
@@ -40,8 +40,11 @@ def test_tower_dims(tw31, tw32):
 
 
 def test_idempotent_identities_checked_at_build(tw32):
+    # the vertex idempotents are the empty-word paths
     alg = tw32.top
-    ids = [tw32.c_idem(2), tw32.e_idem(2, 1), tw32.e_idem(2, 2)]
+    vertices = [k for k, (_, _, _, w) in enumerate(alg.paths) if not w]
+    assert [alg.labels[k] for k in vertices] == ["eps0", "eps1", "eps2"]
+    ids = [alg.basis_el(k) for k in vertices]
     total = alg.zero_el()
     for v in ids:
         assert alg.mul_el(v, v) == v
@@ -215,17 +218,17 @@ def test_labels_are_pairwise_non_isomorphic(tw21, tw31):
                 tw, FpLabel(a, tw.height - a, ("Ind", 1))).action
 
 
-def test_left_projective_decomposition(tw32):
+def test_the_left_regular_module_passes_the_top_certificate(tw32,
+                                                            monkeypatch):
+    # R_2 as a right module over R_2^op is projective, one e_v R_2 per
+    # vertex
+    import ppmod.realize
     from ppmod.modules import regular_module
-    reg = regular_module(tw32.top.op)  # the left regular module
-    d = decompose(reg)
-    projs = left_projectives(tw32)
-    assert len(projs) == tw32.height + 1  # one per idempotent
-    assert len(d.summands) == tw32.height + 1
-    for name, p in projs:
-        matches = [s for s in d.summands
-                   if s.module.dim == p.dim and iso_test(s.module, p) is not None]
-        assert matches, f"projective {name} missing from the regular module"
+    from ppmod.realize import realize_in_tower, verify_bimodule_idempotents
+    monkeypatch.setattr(ppmod.realize, "stage_bimodule",
+                        lambda rt: regular_module(tw32.top.op))
+    res = verify_bimodule_idempotents(realize_in_tower(tw32, 2))
+    assert res == {"ok": True, "expected": [1, 1, 1], "found": [1, 1, 1]}
 
 
 def test_f1_map_with_vanishing_target_homs(tw32):

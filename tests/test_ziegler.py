@@ -90,6 +90,50 @@ def test_canonical_word_is_linear_in_the_word():
     assert time.perf_counter() - start < 0.25
 
 
+def looped_parse(height, text):
+    """parse_point as it read the word, one token popped at a time; the
+    point, or the message of its ValueError."""
+    toks = text.replace(",", " ").split()
+    word = []
+    while toks and toks[0] in ("F0", "F1"):
+        word.append(toks.pop(0))
+    if len(toks) != 1:
+        return f"cannot parse point {text!r}"
+    indexed = re.fullmatch(r"(FinLen|T)\((.*)\)", toks[0])
+    try:
+        if indexed:
+            return point_from_word(height, word, indexed.group(1),
+                                   int(indexed.group(2)))
+        return point_from_word(height, word, toks[0])
+    except ValueError as exc:
+        return str(exc)
+
+
+def parsed(height, text):
+    try:
+        return parse_point(height, text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_parse_point_reads_every_short_word_as_the_loop_did():
+    bases = ("FinLen(2)", "Prufer", "Adic", "Q", "T(1)", "F0", "F1, Q",
+             "Q F0", "")
+    for n in range(9):
+        for w in itertools.product(("F0", "F1"), repeat=n):
+            for base in bases:
+                text = " ".join(w + (base,))
+                for height in (n, n + 1):
+                    assert parsed(height, text) == looped_parse(height, text)
+
+
+def test_parse_point_is_linear_in_the_prefix():
+    text = "F1 " * 199_999 + "F0 Prufer"
+    start = time.perf_counter()
+    assert parse_point(200_000, text) == prufer(200_000, 200_000, 0)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_a_letter_other_than_f0_or_f1_is_refused():
     with pytest.raises(ValueError, match="'X' is neither F0 nor F1"):
         point_from_word(2, ["X", "Y"], "Adic")
