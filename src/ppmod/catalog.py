@@ -13,7 +13,7 @@ from .algebra import KRONECKER_PATHS, FDAlgebra, dvr_paths
 from .linalg import Matrix
 from .modules import (Module, direct_sum, free_module, quiver_rep,
                       quotient_module, _module_span)
-from .ppformula import RIGHT, PpFormula, divisibility, pp_sum
+from .ppformula import PpFormula, divisibility, pp_sum
 
 
 # -- modules over k[x]/(x^N) -------------------------------------------
@@ -72,9 +72,6 @@ def kronecker_rep(alg: FDAlgebra, d1: int, d2: int, amat, bmat,
     arrows of 1 => 2, vertex-1 coordinates first.  alg must have the
     Kronecker algebra's paths, not only its labels (its opposite has
     those, with the arrows reversed)."""
-    if not {"e1", "e2", "a", "b"} <= set(alg.labels):
-        raise ValueError(f"{alg.name} has no basis elements e1, e2, a, b "
-                         f"of the Kronecker algebra")
     if alg.paths != KRONECKER_PATHS:
         raise ValueError(f"{alg.name} is not the Kronecker algebra on the "
                          f"basis e1, e2, a, b")
@@ -157,7 +154,7 @@ def kronecker_step_formula(alg: FDAlgebra, t: int):
     cells = {(0, 0): alg.unit, (1, 0): na}
     for i in range(2, t + 1):
         cells.update({(i - 1, i - 1): b, (i, i - 1): na})
-    theta = PpFormula.from_cells(alg, RIGHT, 1, t, t, cells)
+    theta = PpFormula.from_cells(alg, 1, t, t, cells)
     return pp_sum(theta, divisibility(alg, b))
 
 

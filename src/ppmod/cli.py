@@ -27,8 +27,8 @@ from .catalog import (dvr_chain_module, kronecker_preinjective,
 from .errors import NoVerdict, SquareFailed
 from .fields import field_from_spec
 from .modules import regular_module
-from .ppformula import LEFT, RIGHT, annihilator, divisibility, dual
-from .ppsyntax import format_formula, parse_formula
+from .ppformula import annihilator, divisibility, dual
+from .ppsyntax import LEFT, RIGHT, format_formula, parse_formula
 from .probes import kronecker_probe
 from .realize import realize_in_tower, verify_bimodule_idempotents
 from .suites import CRITERIA_ORDER, SUITES
@@ -99,6 +99,12 @@ MAX_ZIEGLER_HEIGHT = 100
 JSON_COMMANDS = ("suite", "classify")
 
 
+class _Refused(argparse.ArgumentTypeError, ValueError):
+    """A refused number: argparse prints its message after the option's
+    name (for a bare ValueError it would name the type function), and
+    main reports it as a ValueError."""
+
+
 def _number(text: str, least: int | None = None, where: str = "",
             most: int | None = None) -> int:
     """text as -?[0-9]+ in ASCII digits (int reads any Unicode digit), at
@@ -107,9 +113,9 @@ def _number(text: str, least: int | None = None, where: str = "",
     if re.fullmatch(r"-?[0-9]+", text) is None or \
             least is not None and int(text) < least or \
             most is not None and int(text) > most:
-        bound = ("" if least is None else f" of at least {least}") + \
-            ("" if most is None else f" of at most {most}")
-        raise ValueError(f"{where}needs a whole number{bound}, not {text!r}")
+        bound = " and".join(f" {word} {v}" for word, v in (
+            ("of at least", least), ("at most", most)) if v is not None)
+        raise _Refused(f"{where}needs a whole number{bound}, not {text!r}")
     return int(text)
 
 
@@ -205,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("pp", help="pp-formula operations")
     f.add_argument("op", choices=["dual", "eval", "implies", "print"])
     f.add_argument("--algebra", default="dvr:3")
-    f.add_argument("--side", default="right", choices=["right", "left"])
+    f.add_argument("--side", default=RIGHT, choices=[RIGHT, LEFT])
     f.add_argument("--formula", required=True)
     f.add_argument("--formula2")
     f.add_argument("--module")
@@ -282,31 +288,30 @@ def execute(args) -> tuple[int, list[str]]:
 
     if cmd == "pp":
         alg, horizon = _algebra_from_spec(args.algebra, field)
-        side = RIGHT if args.side == "right" else LEFT
-        phi = parse_formula(alg, args.formula, side)
+        phi, side = parse_formula(alg, args.formula, args.side), args.side
         lines = _header(args, horizon=horizon)
         if args.op == "print":
-            lines.append(f"formula\t{format_formula(phi)}")
+            lines.append(f"formula\t{format_formula(phi, side)}")
             return 0, lines
         if args.op == "dual":
-            d = dual(phi)
-            lines.append(f"input\t{format_formula(phi)}")
-            lines.append(f"dual\t{format_formula(d)}\t(side {d.side})")
+            d, dside = dual(phi), LEFT if side == RIGHT else RIGHT
+            lines.append(f"input\t{format_formula(phi, side)}")
+            lines.append(f"dual\t{format_formula(d, dside)}\t(side {dside})")
             lines.append(f"involution\t{dual(d).equivalent(phi)}")
             if phi.n == 1:
                 for i in range(alg.dim):
                     a = alg.basis_el(i)
-                    if d.equivalent(divisibility(alg, a, side=d.side)):
+                    if d.equivalent(divisibility(d.algebra, a)):
                         lines.append(f"equivalent_to\t{alg.labels[i]} "
                                      f"divides x1")
-                    if d.equivalent(annihilator(alg, a, side=d.side)):
+                    if d.equivalent(annihilator(d.algebra, a)):
                         lines.append(f"equivalent_to\tx1 killed by "
                                      f"{alg.labels[i]}")
             return 0, lines
         if args.op == "eval":
             if not args.module:
                 raise ValueError("pp eval needs --module")
-            m = _module_from_literal(alg, args.module)
+            m = _module_from_literal(phi.algebra, args.module)
             val = phi.evaluate(m)
             lines.append(f"module\t{m.label}\tdim {m.dim}")
             lines.append(f"value_dim\t{val.dim}\tambient {val.ambient}")

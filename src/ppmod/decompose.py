@@ -99,10 +99,10 @@ def _fitting_split(m: Module, x: Matrix):
     while d < m.dim:
         x = x * x
         d *= 2
-    img = Subspace(m.dim, x.row_space())
+    img = Subspace(x.row_space())
     if img.dim == 0 or img.dim == m.dim:
         return None
-    return Subspace(m.dim, x.left_kernel()), img
+    return Subspace(x.left_kernel()), img
 
 
 def _commutator_ideal(mats: list[Matrix], coords) -> Subspace:
@@ -114,8 +114,7 @@ def _commutator_ideal(mats: list[Matrix], coords) -> Subspace:
         y = todo.pop()
         if y.is_zero():
             continue
-        grown = subspace_sum(ideal, Subspace.from_matrix(len(mats),
-                                                         coords([y])))
+        grown = subspace_sum(ideal, Subspace.from_matrix(coords([y])))
         if grown.dim > ideal.dim:
             ideal = grown
             todo += [y * x for x in mats] + [x * y for x in mats]
@@ -170,7 +169,7 @@ def _rational_certificate(mats: list[Matrix], coords):
     f, n = mats[0].field, mats[0].rows
     gram = vectorized(f, mats, n * n) * \
         vectorized(f, [b.transpose() for b in mats], n * n).transpose()
-    radical = Subspace(len(mats), gram.right_kernel())
+    radical = Subspace(gram.right_kernel())
     rad = [combination(r, mats) for r in radical.basis.data]
     top_dim = len(mats) - radical.dim
     if top_dim == 1:
@@ -322,7 +321,7 @@ def radical_subspace(m: Module, n: Module) -> Subspace:
             else:
                 block = [r * iso.mat for r in sm.rad]
             maps += [sm.project.mat * bm * sn.inject.mat for bm in block]
-    return Subspace.from_matrix(amb, vectorized(m.algebra.field, maps, amb))
+    return Subspace.from_matrix(vectorized(m.algebra.field, maps, amb))
 
 
 def compose_subspaces(m: Module, c: Module, n: Module,
@@ -334,7 +333,7 @@ def compose_subspaces(m: Module, c: Module, n: Module,
     gs = [right.basis.take_rows((j,)).reshape(c.dim, n.dim)
           for j in range(right.dim)]
     return Subspace.from_matrix(
-        amb, vectorized(m.algebra.field, [a * b for a in fs for b in gs], amb))
+        vectorized(m.algebra.field, [a * b for a in fs for b in gs], amb))
 
 
 # the highest power rad^t that stabilization_exponent computes

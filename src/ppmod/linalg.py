@@ -751,22 +751,23 @@ def projected_kernel(a: Matrix, k: int) -> Matrix:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of k^ambient given by a canonical RREF row basis."""
+    """Subspace of k^ambient given by a canonical RREF row basis; the
+    ambient dimension is the basis's width."""
 
-    ambient: int
     basis: Matrix
 
-    def __post_init__(self):
-        if self.basis.cols != self.ambient:
-            raise ValueError("basis width does not match ambient dimension")
-
     @staticmethod
-    def from_matrix(ambient: int, mat: Matrix) -> "Subspace":
-        return Subspace(ambient, mat.row_space())
+    def from_matrix(mat: Matrix) -> "Subspace":
+        """The row space of mat, in k^(mat.cols)."""
+        return Subspace(mat.row_space())
 
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":
-        return Subspace(ambient, Matrix.zero(field, 0, ambient))
+        return Subspace(Matrix.zero(field, 0, ambient))
+
+    @property
+    def ambient(self) -> int:
+        return self.basis.cols
 
     @property
     def field(self) -> Field:
@@ -779,8 +780,7 @@ class Subspace:
     @cached_property
     def pivots(self) -> tuple[int, ...]:
         """The pivot column of each basis row, computed once (kept outside
-        the fields, so equality and hashing still read only ambient and
-        basis)."""
+        the fields, so equality and hashing still read only the basis)."""
         b = self.basis
         if b.field.p == 2:
             return tuple((r & -r).bit_length() - 1 for r in b.ints)
@@ -821,7 +821,7 @@ class Subspace:
 def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
     if u.ambient != w.ambient:
         raise ValueError("ambient dimension mismatch")
-    return Subspace(u.ambient, u.basis.vstack(w.basis).row_space())
+    return Subspace(u.basis.vstack(w.basis).row_space())
 
 
 def subspace_meet(u: Subspace, w: Subspace) -> Subspace:
@@ -830,7 +830,7 @@ def subspace_meet(u: Subspace, w: Subspace) -> Subspace:
     if u.ambient != w.ambient:
         raise ValueError("ambient dimension mismatch")
     coeffs = projected_kernel(u.basis.vstack(w.basis), u.dim)
-    return Subspace(u.ambient, coeffs * u.basis)
+    return Subspace(coeffs * u.basis)
 
 
 def subspace_leq(u: Subspace, w: Subspace) -> bool:

@@ -15,7 +15,7 @@ Conventions (used throughout the package):
   ascending order, each path acting from its source's block to its target's.
 * What is computed of a module from its content alone, its hom bases and
   its decomposition, is kept in one record per content (algebra object,
-  dim, action matrices), shared by every module with that content through
+  action matrices), shared by every module with that content through
   a weak table.  A record holds matrices, and summand modules other than
   the one it describes, so it refers to no module with its content: it
   dies by refcount with its last module, or when the enclosing
@@ -54,7 +54,7 @@ class _Record:
         self.decomposition = None
 
 
-# the record of each content (algebra, dim, action), held weakly: an entry
+# the record of each content (algebra, action), held weakly: an entry
 # lives exactly as long as some module with that content refers to it
 _RECORDS: "weakref.WeakValueDictionary[tuple, _Record]" = \
     weakref.WeakValueDictionary()
@@ -80,26 +80,26 @@ def records_held():
 
 
 class Module:
-    """Right module: one action matrix per algebra basis element.  Its
-    laws hold by how it is built; FDAlgebra.law_failure checks them."""
+    """Right module: one action matrix per algebra basis element, square
+    and all of size dim.  Its laws hold by how it is built;
+    FDAlgebra.law_failure checks them."""
 
     __slots__ = ("algebra", "dim", "action", "label", "serial", "_act_cache",
                  "_presentation", "_record")
 
-    def __init__(self, algebra: FDAlgebra, dim: int, action, label: str = ""):
+    def __init__(self, algebra: FDAlgebra, action, label: str = ""):
         self.algebra = algebra
-        self.dim = dim
         self.action = tuple(action)
+        if len(self.action) != algebra.dim:
+            raise ValueError("need one action matrix per algebra basis element")
+        self.dim = self.action[0].rows
+        if any(m.rows != self.dim or m.cols != self.dim for m in self.action):
+            raise ValueError("action matrices must be square, of one size")
         self.label = label
         self.serial = next(_module_serial)
         self._act_cache: dict = {}
         self._presentation = None  # see presentation_of
         self._record = None  # see _record_of
-        if len(self.action) != algebra.dim:
-            raise ValueError("need one action matrix per algebra basis element")
-        for m in self.action:
-            if m.rows != dim or m.cols != dim:
-                raise ValueError("action matrix has wrong shape")
 
     def act(self, el) -> Matrix:
         """Action matrix of an algebra element (coordinate vector)."""
@@ -185,7 +185,7 @@ def zero_map(m: Module, n: Module) -> ModuleMap:
 
 def free_module(algebra: FDAlgebra, rank: int, label: str = "") -> Module:
     """R^rank with basis e_i (x) b_t, coordinates blocked by generator."""
-    return Module(algebra, algebra.dim * rank, algebra.free_action(rank),
+    return Module(algebra, algebra.free_action(rank),
                   label=label or f"{algebra.name}^{rank}")
 
 
@@ -238,7 +238,7 @@ def quiver_rep(alg: FDAlgebra, dims, arrows, label: str = "") -> Module:
     sizes = list(size.values())
     action = [block(f, sizes, sizes, {(band[s], band[t]): prod[s, w]})
               for _, s, t, w in paths]
-    return Module(alg, sum(sizes), action, label=label)
+    return Module(alg, action, label=label)
 
 
 # -- hom spaces ------------------------------------------------------------
@@ -249,7 +249,7 @@ def _record_of(m: Module) -> _Record:
     on M (see the module docstring)."""
     rec = m._record
     if rec is None:
-        key = (m.algebra, m.dim, m.action)
+        key = (m.algebra, m.action)
         rec = _RECORDS.get(key)
         if rec is None:
             rec = _RECORDS[key] = _Record()
@@ -287,7 +287,7 @@ def hom_space(m: Module, n: Module) -> list[ModuleMap]:
 def k_dual(m: Module) -> Module:
     """Standard dual Hom(-, k): transpose the actions, flip to the opposite
     algebra (right modules over A.op are left A-modules)."""
-    return Module(m.algebra.op, m.dim, [a.transpose() for a in m.action],
+    return Module(m.algebra.op, [a.transpose() for a in m.action],
                   label=(m.label + "*") if m.label else "")
 
 
@@ -302,12 +302,11 @@ def direct_sum(mods: list[Module], label: str = "") -> tuple[Module, list[Module
     f = alg.field
     if any(m.algebra is not alg for m in mods):
         raise ValueError("summands over different algebras")
-    total = sum(m.dim for m in mods)
     action = [block_diagonal(f, [m.action[j] for m in mods])
               for j in range(alg.dim)]
-    s = Module(alg, total, action,
+    s = Module(alg, action,
                label=label or "+".join(m.label or "?" for m in mods))
-    ident = Matrix.identity(f, total)
+    ident = Matrix.identity(f, s.dim)
     injs, projs = [], []
     off = 0
     for m in mods:
@@ -324,7 +323,7 @@ def submodule(m: Module, s: Subspace) -> tuple[Module, ModuleMap]:
     b = s.basis
     # coefficients over the RREF basis are read off at the pivot columns
     action = [(b * a).take_cols(s.pivots) for a in m.action]
-    u = Module(m.algebra, s.dim, action)
+    u = Module(m.algebra, action)
     return u, ModuleMap(u, m, b, check=False)
 
 
@@ -336,12 +335,12 @@ def quotient_module(m: Module, s: Subspace) -> tuple[Module, ModuleMap]:
     nonpivots = [j for j in range(m.dim) if j not in pivots]
     proj = quotient_projection(s)
     action = [a.take_rows(nonpivots) * proj for a in m.action]
-    q = Module(m.algebra, len(nonpivots), action)
+    q = Module(m.algebra, action)
     return q, ModuleMap(m, q, proj, check=False)
 
 
 def kernel_subspace(f: ModuleMap) -> Subspace:
-    return Subspace(f.source.dim, f.mat.left_kernel())
+    return Subspace(f.mat.left_kernel())
 
 
 # -- isomorphism testing -----------------------------------------------------
@@ -449,7 +448,7 @@ def _module_span(m: Module, vectors, start: Subspace | None = None) -> Subspace:
     stacked = Matrix.zero(f, 0, m.dim) if start is None else start.basis
     for a in m.action:
         stacked = stacked.vstack(vecs * a)
-    return Subspace.from_matrix(m.dim, stacked)
+    return Subspace.from_matrix(stacked)
 
 
 def _greedy_generators(m: Module, candidates) -> list[tuple]:

@@ -24,10 +24,10 @@ def brute_eval(phi: PpFormula, module: Module) -> set[tuple]:
     """All x-tuples (coordinates concatenated) satisfying the formula over
     a finite field, found by enumerating every (x, y) and testing each
     equation: coordinate c of condition e is sum_v (x, y)_v . hmat[v][e]."""
-    if module.algebra is not phi.effective_algebra:
-        raise ValueError("module on the wrong side or algebra")
+    if module.algebra is not phi.algebra:
+        raise ValueError("module over another algebra than the formula")
     f = module.algebra.field
-    d, nvars = module.dim, phi.n + phi.l
+    d, nvars = module.dim, len(phi.hmat)
     equations = [[module.act(phi.hmat[v][e]).data[r][c]
                   for v in range(nvars) for r in range(d)]
                  for e in range(phi.m) for c in range(d)]
@@ -50,18 +50,18 @@ def brute_eval_f2(phi: PpFormula, module: Module) -> set[int]:
     set membership and XOR only, with no elimination."""
     if module.algebra.field.p != 2:
         raise ValueError("packed oracle is GF(2) only")
-    if module.algebra is not phi.effective_algebra:
-        raise ValueError("module on the wrong side or algebra")
+    if module.algebra is not phi.algebra:
+        raise ValueError("module over another algebra than the formula")
     d = module.dim
-    n, l, m = phi.n, phi.l, phi.m
+    n, m = phi.n, phi.m
     if d == 0:
         return {0}
     if m == 0:
         return set(range(1 << (n * d)))
     # delta[t]: packed effect on all equations of toggling variable coord t
     deltas = []
-    for v in range(n + l):
-        acts = [module.act(phi.hmat[v][e]) for e in range(m)]
+    for row in phi.hmat:
+        acts = [module.act(h) for h in row]
         for r in range(d):
             acc = 0
             for e in range(m):

@@ -1,20 +1,21 @@
 """The pp-formula calculus: evaluation, lattice operations, duality,
 free realizations, implication and pp-type generators.
 
-A right formula in n free and l bound variables with m conditions is
-"exists y: (x, y) H = 0" for an (n+l) x m matrix H over the algebra.  A
-left formula is "exists y: H (x; y) = 0" with H of shape m x (n+l); it is
-*stored* transposed, i.e. also as (n+l) x m with rows indexed by variables,
-and it evaluates on left modules (= right modules over the opposite
-algebra).  With this storage a single code path serves both sides: block
-assembly for sum/meet/duality never multiplies two algebra entries, so the
-opposite multiplication never enters.
+A formula in n free and l bound variables with m conditions is
+"exists y: (x, y) H = 0" for an (n+l) x m matrix H over its algebra (l
+read off H), evaluated on right modules over that algebra.  It has no
+side: the left formula "exists y: H' (x; y) = 0" over A is the formula
+over A.op with matrix H'^T, evaluated on left A-modules, the right
+A.op-modules (Prest, *Purity, Spectra and Localisation*, CUP 2009,
+section 1.3); the side is syntax only (see ppsyntax).  A.op has A's
+basis, so block assembly for sum, meet and the dual (over A.op for phi
+over A) moves entries and never multiplies two of them.
 
 Before a system is solved, every bound variable with a unit coefficient
 is substituted away (`PpFormula.reduced`, the rule Prest uses to reduce
 pp formulas up to equivalence, op. cit. section 1.1).  If y has the unit
 u in condition e, that condition reads y = -sum_{v != y} w_v h[v][e] u^-1
-(products in the effective algebra), so y and condition e are dropped
+(products in the formula's algebra), so y and condition e are dropped
 and every other condition e' becomes h[v][e'] - h[v][e] u^-1 h[y][e'],
 computed as h[v][e] (u^-1 h[y][e']) with u^-1 h[y][e'] formed once.
 On every module the map (x, y, rest) -> (x, rest) is then a bijection
@@ -36,7 +37,7 @@ The stored matrix, the printed formula and `free_realization` are those
 of the formula as built.
 
 Values are shared by content.  `reduced` looks its result up by
-(algebra, side, n, matrix), the algebra by identity, so every formula
+(algebra, n, matrix), the algebra by identity, so every formula
 whose reduction has that content gets one reduced object, and with it
 one free realization and one cache of values; `evaluate` on any other
 formula returns its reduced formula's value.  The table holds its
@@ -59,10 +60,7 @@ from .linalg import Matrix, Subspace, block, projected_kernel, vectorized
 from .modules import (Module, Presentation, _module_span, free_module,
                       hom_space, presentation_of, quotient_module)
 
-RIGHT = "right"
-LEFT = "left"
-
-# the reduced formula of each content (algebra, side, n, hmat), held weakly:
+# the reduced formula of each content (algebra, n, hmat), held weakly:
 # an entry lives exactly as long as some formula refers to its value
 _REDUCED: "weakref.WeakValueDictionary[tuple, PpFormula]" = \
     weakref.WeakValueDictionary()
@@ -74,33 +72,25 @@ _OWN = object()
 class PpFormula:
     """Immutable pp formula; entries of hmat are algebra coordinate vectors."""
 
-    __slots__ = ("algebra", "side", "n", "l", "hmat", "_realization",
-                 "_by_hom", "_eval_cache", "_reduced", "__weakref__")
+    __slots__ = ("algebra", "n", "hmat", "_realization", "_by_hom",
+                 "_eval_cache", "_reduced", "__weakref__")
 
-    def __init__(self, algebra: FDAlgebra, side: str, n: int, l: int, hmat,
+    def __init__(self, algebra: FDAlgebra, n: int, hmat,
                  realization: "FreeRealization | None" = None):
-        if side not in (RIGHT, LEFT):
-            raise ValueError("side must be 'right' or 'left'")
         if n < 1:
             raise ValueError(f"free arity n={n}: a formula needs at least "
                              "one free variable")
-        if l < 0:
-            raise ValueError(f"bound arity l={l} is negative")
         self.algebra = algebra
-        self.side = side
         self.n = n
-        self.l = l
         el = algebra.reduced_el
         self.hmat = tuple(tuple(el(e) for e in row) for row in hmat)
-        if len(self.hmat) != n + l:
-            raise ValueError("formula matrix must have n+l variable rows")
-        widths = {len(r) for r in self.hmat}
-        if len(widths) > 1:
+        if len(self.hmat) < n:
+            raise ValueError(f"formula matrix has {len(self.hmat)} variable "
+                             f"rows, fewer than the n={n} free variables")
+        if len({len(r) for r in self.hmat}) > 1:
             raise ValueError("ragged formula matrix")
-        for row in self.hmat:
-            for e in row:
-                if len(e) != algebra.dim:
-                    raise ValueError("entry is not an algebra coordinate vector")
+        if any(len(e) != algebra.dim for row in self.hmat for e in row):
+            raise ValueError("entry is not an algebra coordinate vector")
         # a realization given here is evaluated through Hom (see evaluate)
         self._realization = realization
         self._by_hom = realization is not None
@@ -109,29 +99,29 @@ class PpFormula:
         self._reduced = _OWN if self._by_hom else None
 
     @staticmethod
-    def from_cells(algebra: FDAlgebra, side: str, n: int, l: int, m: int,
-                   cells, realization: "FreeRealization | None" = None
+    def from_cells(algebra: FDAlgebra, n: int, l: int, m: int, cells,
+                   realization: "FreeRealization | None" = None
                    ) -> "PpFormula":
         """The formula whose entry (v, e), variable v and condition e, is
         cells[(v, e)]; every other entry is zero."""
         if any(not (0 <= v < n + l and 0 <= e < m) for v, e in cells):
             raise ValueError("cell outside the formula matrix")
         z = algebra.zero_el()
-        return PpFormula(algebra, side, n, l, [
+        return PpFormula(algebra, n, [
             [cells.get((v, e), z) for e in range(m)] for v in range(n + l)],
             realization)
 
     @property
-    def m(self) -> int:
-        return len(self.hmat[0]) if self.hmat else 0
+    def l(self) -> int:
+        return len(self.hmat) - self.n
 
     @property
-    def effective_algebra(self) -> FDAlgebra:
-        """The algebra its evaluation modules live over (A, or A.op for left)."""
-        return self.algebra if self.side == RIGHT else self.algebra.op
+    def m(self) -> int:
+        return len(self.hmat[0])
 
     def __repr__(self):
-        return f"PpFormula({self.side}, n={self.n}, l={self.l}, m={self.m})"
+        return (f"PpFormula({self.algebra.name}, n={self.n}, l={self.l}, "
+                f"m={self.m})")
 
     # -- evaluation ---------------------------------------------------
 
@@ -148,8 +138,8 @@ class PpFormula:
         reduced formula on M, and the value is kept on that reduced
         formula, which every formula of the same reduced content shares
         (see the module docstring)."""
-        if module.algebra is not self.effective_algebra:
-            raise ValueError("module is on the wrong side or algebra")
+        if module.algebra is not self.algebra:
+            raise ValueError("module over another algebra than the formula")
         r = self if self._reduced is _OWN else self.reduced()
         hit = r._eval_cache.get(module.serial)
         if hit is not None:
@@ -162,15 +152,15 @@ class PpFormula:
             rows = fr.row.reshape(r.n, fr.module.dim)
             images = [rows * h.mat for h in hom_space(fr.module, module)]
             result = Subspace.from_matrix(
-                k, vectorized(r.algebra.field, images, k))
+                vectorized(r.algebra.field, images, k))
         else:
             # phi(M) is the x-part of {(x, y) : (x, y) S = 0}, where band
             # (v, e) of S is the action of hmat[v][e] on M
-            d, nvars = module.dim, r.n + r.l
+            d, nvars = module.dim, len(r.hmat)
             system = block(r.algebra.field, [d] * nvars, [d] * r.m,
                            {(v, e): module.act(r.hmat[v][e])
                             for v in range(nvars) for e in range(r.m)})
-            result = Subspace(k, projected_kernel(system, k))
+            result = Subspace(projected_kernel(system, k))
         r._eval_cache[module.serial] = result
         return result
 
@@ -188,7 +178,7 @@ class PpFormula:
             return self
         if r is None:
             r = _unit_eliminated(self)
-            key = (self.algebra, self.side, r.n, r.hmat)
+            key = (self.algebra, r.n, r.hmat)
             r = _REDUCED.setdefault(key, r)
             if r._reduced is None:
                 r._reduced = _OWN
@@ -204,7 +194,7 @@ class PpFormula:
         of the free module on all n+l variables by the columns of the
         formula matrix, and the images of the first n free generators."""
         if self._realization is None:
-            alg, nvars = self.effective_algebra, self.n + self.l
+            alg, nvars = self.algebra, len(self.hmat)
             free = free_module(alg, nvars)
             # row e is condition e's column, a vector of A^(n+l)
             rels = [[c for v in range(nvars) for c in self.hmat[v][e]]
@@ -236,7 +226,7 @@ class PpFormula:
 def _unit_eliminated(phi: PpFormula) -> PpFormula:
     """phi with its bound variables of unit coefficients substituted away
     (see PpFormula.reduced); phi itself when there is none."""
-    alg, n = phi.effective_algebra, phi.n
+    alg, n = phi.algebra, phi.n
     of = alg.field.of
     rows = [list(r) for r in phi.hmat]
     while (pivot := _unit_pivot(alg, rows, n)) is not None:
@@ -254,7 +244,7 @@ def _unit_eliminated(phi: PpFormula) -> PpFormula:
                                  zip(r[j], alg.mul_el(c, b)))
     if len(rows) == len(phi.hmat):
         return phi
-    return PpFormula(phi.algebra, phi.side, n, len(rows) - n, rows)
+    return PpFormula(phi.algebra, n, rows)
 
 
 def _unit_pivot(alg: FDAlgebra, rows, n: int):
@@ -285,7 +275,7 @@ class PpPair:
     lower: PpFormula
 
     def __post_init__(self):
-        _check_compatible(self.upper, self.lower)
+        # implies refuses formulas over different algebras or arities
         if not self.lower.implies(self.upper):
             raise ValueError("lower formula does not imply upper formula")
 
@@ -293,8 +283,6 @@ class PpPair:
 def _check_compatible(a: PpFormula, b: PpFormula):
     if a.algebra is not b.algebra:
         raise ValueError("formulas over different algebras")
-    if a.side != b.side:
-        raise ValueError("formulas on different sides")
     if a.n != b.n:
         raise ValueError("formulas with different free arities")
 
@@ -303,25 +291,26 @@ def _check_compatible(a: PpFormula, b: PpFormula):
 
 
 def tautology(alg: FDAlgebra) -> PpFormula:
-    """x1 = x1: the right formula with no condition."""
-    return PpFormula(alg, RIGHT, 1, 0, [[]])
+    """x1 = x1: the formula with no condition."""
+    return PpFormula(alg, 1, [[]])
 
 
 def bottom(alg: FDAlgebra) -> PpFormula:
-    """x1 = 0 (right)."""
-    return PpFormula(alg, RIGHT, 1, 0, [[alg.unit]])
+    """x1 = 0."""
+    return PpFormula(alg, 1, [[alg.unit]])
 
 
-def divisibility(alg: FDAlgebra, a, side: str = RIGHT) -> PpFormula:
-    """a | x: exists y with x = y a (right) / x = a y (left)."""
+def divisibility(alg: FDAlgebra, a) -> PpFormula:
+    """a | x: exists y with x = y a; over A.op, the left A-formula
+    x = a y."""
     a = tuple(a)
-    return PpFormula(alg, side, 1, 1, [[alg.unit], [alg.neg_el(a)]])
+    return PpFormula(alg, 1, [[alg.unit], [alg.neg_el(a)]])
 
 
-def annihilator(alg: FDAlgebra, a, side: str = RIGHT) -> PpFormula:
-    """x a = 0 (right) / a x = 0 (left)."""
+def annihilator(alg: FDAlgebra, a) -> PpFormula:
+    """x a = 0; over A.op, the left A-formula a x = 0."""
     a = tuple(a)
-    return PpFormula(alg, side, 1, 0, [[a]])
+    return PpFormula(alg, 1, [[a]])
 
 
 # -- lattice operations ------------------------------------------------------
@@ -346,7 +335,7 @@ def pp_sum(phi: PpFormula, psi: PpFormula) -> PpFormula:
     cells = {**_placed(phi, u_rows, n), **_placed(psi, v_rows, n + phi.m)}
     for i in range(n):
         cells.update({(i, i): alg.unit, (n + i, i): nu, (2 * n + i, i): nu})
-    return PpFormula.from_cells(alg, phi.side, n, l, n + phi.m + psi.m, cells)
+    return PpFormula.from_cells(alg, n, l, n + phi.m + psi.m, cells)
 
 
 def pp_meet(phi: PpFormula, psi: PpFormula) -> PpFormula:
@@ -355,27 +344,26 @@ def pp_meet(phi: PpFormula, psi: PpFormula) -> PpFormula:
     n, l = phi.n, phi.l + psi.l
     cells = {**_placed(phi, range(n + phi.l), 0),
              **_placed(psi, [*range(n), *range(n + phi.l, n + l)], phi.m)}
-    return PpFormula.from_cells(phi.algebra, phi.side, n, l, phi.m + psi.m,
-                                cells)
+    return PpFormula.from_cells(phi.algebra, n, l, phi.m + psi.m, cells)
 
 
 # -- elementary duality -------------------------------------------------------
 
 
 def dual(phi: PpFormula) -> PpFormula:
-    """The matrix-level anti-isomorphism between the right and left pp
-    lattices.  In stored (variables-as-rows) coordinates the same block
-    construction serves both directions:
+    """The matrix-level anti-isomorphism from the pp lattice over A to the
+    one over A.op (Prest, op. cit., section 1.3), for phi over A.  In
+    variables-as-rows coordinates the same block construction serves both
+    directions, as A.op.op is A:
 
         D [H' over x; H'' over y]  =  [I 0 ; H'^T H''^T]
 
     with n free rows kept, m new bound rows, and n+l conditions."""
     n = phi.n
-    side = LEFT if phi.side == RIGHT else RIGHT
     cells = {(n + e, v): x for v, r in enumerate(phi.hmat)
              for e, x in enumerate(r)}
     cells.update({(i, i): phi.algebra.unit for i in range(n)})
-    return PpFormula.from_cells(phi.algebra, side, n, phi.m, n + phi.l, cells)
+    return PpFormula.from_cells(phi.algebra.op, n, phi.m, n + phi.l, cells)
 
 
 # -- pp-type generators --------------------------------------------------------
@@ -398,9 +386,8 @@ def pp_type_generator(pres: Presentation, tup) -> PpFormula:
         cells.update({(n + g, n + e): r for g, r in enumerate(rel)})
     module = pres.proj.target
     row = Matrix(alg.field, 1, n * module.dim, [[c for v in tup for c in v]])
-    return PpFormula.from_cells(alg, RIGHT, n, pres.ngens,
-                                n + len(pres.relations), cells,
-                                FreeRealization(module, row))
+    return PpFormula.from_cells(alg, n, pres.ngens, n + len(pres.relations),
+                                cells, FreeRealization(module, row))
 
 
 def pp_type_generator_of_element(module: Module, vec) -> PpFormula:

@@ -15,6 +15,10 @@ declared in the E-block); anything else is an algebra basis label, with
 '1' the unit.  The printer emits a canonical form in the same grammar:
 every x-variable appears at least once (unused ones get a
 zero-coefficient term), so the arity always round-trips.
+
+The side, RIGHT or LEFT, is syntax only: a left formula over A is read
+into and printed from the formula over A.op with the same coefficient
+vectors (A.op has A's basis and labels; see ppformula).
 """
 
 from __future__ import annotations
@@ -22,7 +26,10 @@ from __future__ import annotations
 import re
 
 from .algebra import FDAlgebra
-from .ppformula import RIGHT, PpFormula
+from .ppformula import PpFormula
+
+RIGHT = "right"
+LEFT = "left"
 
 # The largest x index: the parser makes a row per x up to it.  The tests,
 # scripts and README use at most x2.  `pp dual` of `x8 = 0` over dvr:24
@@ -101,15 +108,15 @@ class _Parser:
                     raise ValueError(f"y{idx} not declared in the E-block")
         if n == 0:
             raise ValueError("formula mentions no x-variable")
-        l = len(yvars)
         ymap = {idx: i for i, idx in enumerate(sorted(yvars))}
         z = self.alg.zero_el()
-        rows = [[z] * len(eqs) for _ in range(n + l)]
+        rows = [[z] * len(eqs) for _ in range(n + len(yvars))]
         for col, eq in enumerate(eqs):
             for (kind, idx), coef in eq:
                 row = idx - 1 if kind == "x" else n + ymap[idx]
                 rows[row][col] = self.alg.add_el(rows[row][col], coef)
-        return PpFormula(self.alg, self.side, n, l, rows)
+        return PpFormula(self.alg if self.side == RIGHT else self.alg.op, n,
+                         rows)
 
     def parse_eq(self):
         terms = self.parse_lincomb()
@@ -208,6 +215,9 @@ class _Parser:
 
 
 def parse_formula(alg: FDAlgebra, text: str, side: str = RIGHT) -> PpFormula:
+    """The formula text writes: over alg for RIGHT, over alg.op for LEFT."""
+    if side not in (RIGHT, LEFT):
+        raise ValueError("side must be 'right' or 'left'")
     return _Parser(alg, _tokenize(text), side).parse()
 
 
@@ -227,7 +237,10 @@ def _coef_str(alg: FDAlgebra, v) -> str | None:
     return "(" + " + ".join(terms) + ")"
 
 
-def format_formula(phi: PpFormula) -> str:
+def format_formula(phi: PpFormula, side: str = RIGHT) -> str:
+    """phi in canonical form, its coefficients written on the given side."""
+    if side not in (RIGHT, LEFT):
+        raise ValueError("side must be 'right' or 'left'")
     alg = phi.algebra
     n, l, m = phi.n, phi.l, phi.m
     zero = alg.zero_el()
@@ -237,7 +250,7 @@ def format_formula(phi: PpFormula) -> str:
         cs = _coef_str(alg, coef)
         if cs is None:
             return var
-        if phi.side == RIGHT:
+        if side == RIGHT:
             return f"{var}*{cs}"
         return f"{cs}*{var}"
 
@@ -259,7 +272,7 @@ def format_formula(phi: PpFormula) -> str:
     missing = [i for i in range(n) if i not in mentioned]
     if missing or not eqs:
         idxs = list(range(n)) if not eqs else missing
-        extra = " + ".join(f"x{i + 1}*(0)" if phi.side == RIGHT
+        extra = " + ".join(f"x{i + 1}*(0)" if side == RIGHT
                            else f"(0)*x{i + 1}" for i in idxs)
         eqs.append(extra + " = 0")
     body = "(" + " & ".join(eqs) + ")"

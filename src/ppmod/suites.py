@@ -22,8 +22,8 @@ from .linalg import Matrix, span_elements, subspace_leq
 from .modules import (ModuleMap, direct_sum, hom_space, iso_classes, iso_test,
                       k_dual, records_held)
 from .oracles import brute_eval_f2, subspace_int_set
-from .ppformula import (LEFT, PpFormula, annihilator, bottom, divisibility,
-                        dual, pp_meet, pp_sum, pp_type_generator_of_element,
+from .ppformula import (PpFormula, annihilator, bottom, divisibility, dual,
+                        pp_meet, pp_sum, pp_type_generator_of_element,
                         tautology)
 from .probes import (NOT_SHORT_WITNESS, SHORT_WITHIN_BOUND, kronecker_probe,
                      probe_embedding, theta_pool)
@@ -89,7 +89,7 @@ def formula_corpus(alg, count: int, rng: random.Random) -> list[PpFormula]:
         m = rng.randint(1, 3)
         rows = [[_random_element(alg, rng) for _ in range(m)]
                 for _ in range(1 + l)]
-        out.append(PpFormula(alg, "right", 1, l, rows))
+        out.append(PpFormula(alg, 1, rows))
     return out[:count]
 
 
@@ -144,10 +144,10 @@ def suite_duality(seed: int = 0) -> SuiteResult:
         for i in range(alg.dim):
             a = alg.basis_el(i)
             if not dual(divisibility(alg, a)).equivalent(
-                    annihilator(alg, a, side=LEFT)):
+                    annihilator(alg.op, a)):
                 bad.append(("div->ann", alg.labels[i]))
             if not dual(annihilator(alg, a)).equivalent(
-                    divisibility(alg, a, side=LEFT)):
+                    divisibility(alg.op, a)):
                 bad.append(("ann->div", alg.labels[i]))
         laws = {}   # (id(phi), id(psi)) -> the laws that fail on the pair
         for _ in range(100):

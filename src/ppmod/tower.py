@@ -111,7 +111,7 @@ def f0(tower: TowerRing, level: int, m: Module) -> Module:
     _check_level(tower, level, m, level - 1)
     alg = tower.algebras[level]
     pad = (Matrix.zero(tower.field, m.dim, m.dim),) * (alg.dim - len(m.action))
-    return Module(alg, m.dim, m.action + pad,
+    return Module(alg, m.action + pad,
                   label=f"F0({m.label})" if m.label else "")
 
 
@@ -131,7 +131,7 @@ def f1(tower: TowerRing, level: int, m: Module) -> Module:
                for j in range(l_mod.dim)]
     action.append(block(f, bands, bands,
                         {(0, 0): Matrix.identity(f, len(homs))}))
-    return Module(tower.algebras[level], len(homs) + d, action,
+    return Module(tower.algebras[level], action,
                   label=f"F1({m.label})" if m.label else "")
 
 
@@ -142,11 +142,10 @@ def restrict(tower: TowerRing, level: int, x: Module) -> tuple[int, Module]:
     _check_level(tower, level, x, level)
     base = tower.algebras[level - 1]
     eps = x.action[tower.algebras[level].dim - 1]
-    core = Subspace.from_matrix(
-        x.dim, Matrix.identity(tower.field, x.dim) - eps)
+    core = Subspace.from_matrix(Matrix.identity(tower.field, x.dim) - eps)
     action = [(core.basis * x.action[i]).take_cols(core.pivots)
               for i in range(base.dim)]
-    return x.dim - core.dim, Module(base, core.dim, action)
+    return x.dim - core.dim, Module(base, action)
 
 
 def f1_map(tower: TowerRing, level: int, fmap: ModuleMap) -> ModuleMap:

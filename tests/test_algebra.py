@@ -392,9 +392,9 @@ def unital_span(alg, gens):
             break
         # a basis of the longer words' span keeps the frontier small
         frontier = list(Subspace.from_matrix(
-            alg.dim, Matrix.from_rows(alg.field, products)).basis.data)
+            Matrix.from_rows(alg.field, products)).basis.data)
         words = words + frontier
-    return Subspace.from_matrix(alg.dim, Matrix.from_rows(alg.field, words))
+    return Subspace.from_matrix(Matrix.from_rows(alg.field, words))
 
 
 def test_the_one_dimensional_algebra_has_no_generators():

@@ -352,6 +352,9 @@ def test_rational_scenario_does_not_import_sympy():
     for f in ("2", "3", "rational")
 ] + [
     ("suite_mesh.txt", ["suite", "mesh"]),
+    # print, dual and implies of left formulas over dvr:3, kronecker and
+    # tower:3:1
+    ("pp_left_side.txt", ["run", str(GOLDEN / "pp_left_side_scenario.txt")]),
 ])
 def test_cli_output_matches_golden(golden, argv, capsys):
     """stdout is byte-identical to the recorded output in tests/golden/."""
@@ -567,8 +570,8 @@ def test_classify_negative_dim_cap_exits_2():
 @pytest.mark.parametrize("algebra, module, message", [
     ("kronecker", "V/m^3", "kronecker is not"),
     ("tower:2:1", "V/m^4", "k[x]/(x^2)[L0] is not"),
-    ("dvr:3", "PP(0)", "no basis elements e1, e2, a, b"),
-    ("dvr:3", "R(1)[1]", "no basis elements e1, e2, a, b"),
+    ("dvr:3", "PP(0)", "k[x]/(x^3) is not the Kronecker algebra"),
+    ("dvr:3", "R(1)[1]", "k[x]/(x^3) is not the Kronecker algebra"),
 ])
 def test_module_literal_over_the_wrong_algebra_exits_2(algebra, module,
                                                        message):
@@ -696,6 +699,26 @@ def test_a_seed_outside_u64_exits_2_naming_it(seed, capsys):
     assert "argument --seed" in line
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["--seed", "-1", "suite", "all"],
+     "argument --seed: needs a whole number of at least 0 and at most "
+     f"{2 ** 64 - 1}, not '-1'"),
+    (["--seed", str(2 ** 64), "suite", "all"],
+     "argument --seed: needs a whole number of at least 0 and at most "
+     f"{2 ** 64 - 1}, not '{2 ** 64}'"),
+    (["classify", "--N", "x", "--n", "1"],
+     "argument --N: needs a whole number, not 'x'"),
+], ids=["seed-negative", "seed-2^64", "classify-N"])
+def test_a_refused_option_value_names_its_range(argv, line, capsys):
+    # argparse prints the type's own message, not the name of the function
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err.splitlines()[-1].endswith(f"error: {line}")
+    assert "invalid" not in out.err
+
+
 def test_the_largest_u64_seed_is_accepted(capsys):
     assert main(["--seed", str(2 ** 64 - 1), "tube", "--tube",
                  "m=1 n=[0] horizon=4"]) == 0
@@ -748,6 +771,33 @@ def test_module_literal_over_its_algebra_is_evaluated():
                            "--module", "R(1)[1]", "--formula", "x1*a = 0"])
     assert code == 0
     assert "value_dim\t1\tambient 2" in lines
+
+
+def test_a_left_formula_is_evaluated_on_a_left_module(capsys):
+    # the module literal is read over the formula's algebra, the opposite
+    # one for a left formula; on the commutative dvr:3 the left and right
+    # annihilators of x agree
+    def stdout(*argv):
+        assert main(["pp", "eval", "--algebra", "dvr:3", "--module", "V/m^2",
+                     *argv]) == 0
+        return capsys.readouterr().out
+
+    right = stdout("--formula", "x1*x = 0")
+    assert stdout("--side", "left", "--formula", "x*x1 = 0") == right
+    assert "value_dim\t1\tambient 2" in right.splitlines()
+    assert main(["pp", "eval", "--algebra", "tower:3:1", "--side", "left",
+                 "--module", "regular", "--formula", "L0~0*x1 = 0"]) == 0
+    assert "value_dim\t4\tambient 5" in capsys.readouterr().out.splitlines()
+
+
+def test_a_kronecker_literal_under_a_left_formula_exits_2(capsys):
+    # the Kronecker literals are right modules; a left formula asks for a
+    # module over kronecker^op, which has no such literal
+    assert main(["pp", "eval", "--algebra", "kronecker", "--side", "left",
+                 "--module", "PP(1)", "--formula", "a*x1 = 0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err.startswith("error: ") and "kronecker^op" in out.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -45,7 +45,7 @@ def test_indecomposable_returns_itself(dvr3):
     assert d.summands[0].idempotent.mat == Matrix.identity(F2, 2)
     assert d.classes[0][1] == 1
     # a content-equal copy shares the decomposition, and is its own summand
-    copy = Module(dvr3, v2.dim, v2.action, label="copy")
+    copy = Module(dvr3, v2.action, label="copy")
     (s,) = decompose(copy).summands
     assert s.module is copy and s.module.label == "copy"
     assert d.summands[0].module is v2 and v2.label != "copy"
@@ -218,8 +218,7 @@ def test_radical_between_nonisomorphic_is_full_hom_derived(dvr3):
 
     rad = radical_subspace(v1, v2)
     amb = v1.dim * v2.dim
-    full = Subspace.from_matrix(amb, vectorized(F2, [h.mat for h in hom],
-                                                amb))
+    full = Subspace.from_matrix(vectorized(F2, [h.mat for h in hom], amb))
     assert rad == full  # non-isomorphic indecomposables
     for fbits in range(1 << len(hom)):
         f = Matrix.zero(F2, v1.dim, v2.dim)
@@ -256,7 +255,7 @@ def test_radical_power_descending_chain(dvr3):
 def _vectorized(f, amb, mats):
     if not mats:
         return Subspace.zero(f, amb)
-    return Subspace.from_matrix(amb, Matrix.from_rows(
+    return Subspace.from_matrix(Matrix.from_rows(
         f, [[x for r in mat.data for x in r] for mat in mats]))
 
 
@@ -428,7 +427,7 @@ def test_the_data_a_record_shares_is_immutable(dvr3):
             idx.append(0)
         with pytest.raises(TypeError):
             idx[0] = 1
-        again = decompose(Module(m.algebra, m.dim, m.action))
+        again = decompose(Module(m.algebra, m.action))
         assert _decomposition_data(again) == _decomposition_data(d)
 
 
@@ -472,7 +471,7 @@ def test_content_equal_copies_match_the_unshared_computation(field,
         for p in probes:
             hom_space(m, p)
     for (m, probes), (dec, homs) in zip(mods, want):
-        copy = Module(m.algebra, m.dim, m.action)
+        copy = Module(m.algebra, m.action)
         d = decompose(copy)
         assert _decomposition_data(d) == dec
         assert d.module is copy
@@ -685,11 +684,11 @@ def test_commutator_ideal_is_closed_under_multiplication():
     assert len(basis) == 13
     ideal = _commutator_ideal(basis, coords)
     commutators = [a * b - b * a for a in basis for b in basis]
-    assert Subspace.from_matrix(13, coords(commutators)).dim == 8
+    assert Subspace.from_matrix(coords(commutators)).dim == 8
     assert ideal.dim == 9
     gens = [combination(r, basis) for r in ideal.basis.data]
     products = [y * x for y in gens for x in basis] + \
         [x * y for y in gens for x in basis]
-    assert subspace_leq(Subspace.from_matrix(13, coords(products)), ideal)
+    assert subspace_leq(Subspace.from_matrix(coords(products)), ideal)
     rad, _ = _certify(mats)
     assert rad is not None and len(rad) == 12

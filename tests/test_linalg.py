@@ -65,22 +65,22 @@ def test_kernel_rank_one_derived():
     a = Matrix.from_rows(F2, [[1, 1], [1, 1]])
     expected = brute_kernel_vectors(a)
     assert expected == {(0, 0), (1, 1)}  # frozen oracle output
-    k = Subspace(2, a.right_kernel())
+    k = Subspace(a.right_kernel())
     assert k.dim == 1
     assert enum_subspace_vectors(k) == expected
 
 
 def test_lattice_identities_trivial():
-    e1 = Subspace.from_matrix(3, Matrix.from_rows(F2, [[1, 0, 0]]))
+    e1 = Subspace.from_matrix(Matrix.from_rows(F2, [[1, 0, 0]]))
     zero = Subspace.zero(F2, 3)
-    full = Subspace.from_matrix(3, Matrix.identity(F2, 3))
+    full = Subspace.from_matrix(Matrix.identity(F2, 3))
     assert subspace_sum(e1, zero) == e1
     assert subspace_meet(e1, full) == e1
 
 
 def test_sum_of_axes():
-    e1 = Subspace.from_matrix(3, Matrix.from_rows(F2, [[1, 0, 0]]))
-    e2 = Subspace.from_matrix(3, Matrix.from_rows(F2, [[0, 1, 0]]))
+    e1 = Subspace.from_matrix(Matrix.from_rows(F2, [[1, 0, 0]]))
+    e2 = Subspace.from_matrix(Matrix.from_rows(F2, [[0, 1, 0]]))
     s = subspace_sum(e1, e2)
     assert s.dim == 2
     assert subspace_leq(e1, s) and subspace_leq(e2, s)
@@ -88,17 +88,17 @@ def test_sum_of_axes():
 
 def test_meet_of_planes_derived():
     # oracle: enumerate vectors of both planes in F_2^3 and intersect
-    u = Subspace.from_matrix(3, Matrix.from_rows(F2, [[1, 0, 0], [0, 1, 0]]))
-    w = Subspace.from_matrix(3, Matrix.from_rows(F2, [[0, 1, 0], [0, 0, 1]]))
+    u = Subspace.from_matrix(Matrix.from_rows(F2, [[1, 0, 0], [0, 1, 0]]))
+    w = Subspace.from_matrix(Matrix.from_rows(F2, [[0, 1, 0], [0, 0, 1]]))
     expected = enum_subspace_vectors(u) & enum_subspace_vectors(w)
     got = subspace_meet(u, w)
     assert enum_subspace_vectors(got) == expected
-    assert got == Subspace.from_matrix(3, Matrix.from_rows(F2, [[0, 1, 0]]))
+    assert got == Subspace.from_matrix(Matrix.from_rows(F2, [[0, 1, 0]]))
 
 
 def rand_subspace(field, ambient, rows, draw):
     data = [[draw() for _ in range(ambient)] for _ in range(rows)]
-    return Subspace.from_matrix(ambient, Matrix.from_rows(field, data))
+    return Subspace.from_matrix(Matrix.from_rows(field, data))
 
 
 @st.composite
@@ -107,7 +107,7 @@ def f2_subspace(draw, ambient=4):
     if nrows == 0:
         return Subspace.zero(F2, ambient)
     data = [[draw(st.integers(0, 1)) for _ in range(ambient)] for _ in range(nrows)]
-    return Subspace.from_matrix(ambient, Matrix.from_rows(F2, data))
+    return Subspace.from_matrix(Matrix.from_rows(F2, data))
 
 
 @settings(max_examples=120, deadline=None)
@@ -137,9 +137,16 @@ def test_lattice_ops_commutative_idempotent(u, w):
     assert subspace_meet(u, u) == u
 
 
+def test_a_subspace_reads_its_ambient_dimension_off_its_basis():
+    assert Subspace.zero(F2, 3).ambient == 3
+    assert Subspace.from_matrix(Matrix.zero(F3, 0, 4)).ambient == 4
+    s = Subspace.from_matrix(Matrix.from_rows(F2, [[1, 1, 0], [1, 1, 0]]))
+    assert (s.ambient, s.dim) == (3, 1)
+
+
 def test_canonicality_equality_is_structural():
-    a = Subspace.from_matrix(2, Matrix.from_rows(F2, [[1, 1], [0, 1]]))
-    b = Subspace.from_matrix(2, Matrix.from_rows(F2, [[1, 0], [1, 1]]))
+    a = Subspace.from_matrix(Matrix.from_rows(F2, [[1, 1], [0, 1]]))
+    b = Subspace.from_matrix(Matrix.from_rows(F2, [[1, 0], [1, 1]]))
     assert a == b
     assert a.basis.data == b.basis.data
     assert hash(a) == hash(b)
@@ -314,7 +321,7 @@ def test_linalg_matches_sympy_domain_matrix(inp):
         assert (x.rows, x.cols) == (a.cols, rhs.cols)
         assert [list(r) for r in rhs.data] == from_domain_rows(
             da.matmul(to_domain_matrix(x)).to_list(), f)
-    span = Subspace(a.cols, red)
+    span = Subspace(red)
     dv = to_domain_matrix(Matrix(f, 1, a.cols, [vec]))
     assert span.contains_vector(vec) == (da.vstack(dv).rank() == da.rank())
     # the first `lead` coordinates of the left kernel, reduced
@@ -323,7 +330,7 @@ def test_linalg_matches_sympy_domain_matrix(inp):
         oracle_row_space(f, lead, [r[:lead] for r in left])
     # the meet of the row spaces of A and B is the common orthogonal
     # complement of their kernels
-    meet = subspace_meet(span, Subspace(b.cols, b.row_space()))
+    meet = subspace_meet(span, Subspace(b.row_space()))
     perps = oracle_kernel_rows(da, f) + \
         oracle_kernel_rows(to_domain_matrix(b), f)
     assert [list(r) for r in meet.basis.data] == oracle_kernel_rows(
@@ -595,15 +602,15 @@ def test_qq_storage_is_canonical_and_matches_fractions(inp):
     assert back == a and hash(back) == hash(a)
     assert a.hstack(b).take_cols(range(n)) == a
     # subspaces on the stored rows: pivots, membership and containment
-    span = Subspace.from_matrix(n, a)
+    span = Subspace.from_matrix(a)
     assert span.pivots == tuple(next(j for j, x in enumerate(p) if x)
                                 for p in fraction_rref(fa, n))
     assert all(span.contains_vector(p) for p in fa)
     if r:
         assert span.contains_vector([c * x + y for x, y in zip(fa[0], fa[-1])])
-    assert subspace_leq(span, Subspace.from_matrix(n, a.vstack(b)))
-    assert subspace_leq(Subspace.from_matrix(n, b), span) == \
-        (Subspace.from_matrix(n, a.vstack(b)) == span)
+    assert subspace_leq(span, Subspace.from_matrix(a.vstack(b)))
+    assert subspace_leq(Subspace.from_matrix(b), span) == \
+        (Subspace.from_matrix(a.vstack(b)) == span)
 
 
 # -- storage-agnostic assembly: reshape, vectorized, block, intertwiners ----
@@ -869,8 +876,7 @@ def test_large_end_rings_equal_the_dense_kernel(field, chains, end_dim):
 def test_quotient_projection_matches_the_identity_columns(inp):
     # the reference: I[:, nonpivots] - I[:, pivots] B[:, nonpivots]
     f, a, b = inp[:3]
-    for s in (Subspace.from_matrix(a.cols, a),
-              Subspace.from_matrix(a.cols, a.vstack(b))):
+    for s in (Subspace.from_matrix(a), Subspace.from_matrix(a.vstack(b))):
         piv = s.pivots
         nonpiv = [j for j in range(s.ambient) if j not in piv]
         ident = Matrix.identity(f, s.ambient)
@@ -879,20 +885,19 @@ def test_quotient_projection_matches_the_identity_columns(inp):
         proj = quotient_projection(s)
         assert (proj.rows, proj.cols, proj.den, proj.ints) == \
             (ref.rows, ref.cols, ref.den, ref.ints)
-        assert Subspace(s.ambient, proj.left_kernel()) == s
+        assert Subspace(proj.left_kernel()) == s
 
 
 @pytest.mark.parametrize("field", [F2, F3, QQ], ids=["gf2", "gf3", "qq"])
 def test_pivots_are_kept_on_the_subspace_and_not_compared(field):
     import dataclasses
     rows = [[0, 1, 2, 0, 1], [1, 1, 0, 0, 2], [0, 0, 0, 1, 1]]
-    a = Subspace.from_matrix(5, Matrix(field, 3, 5, rows))
-    b = Subspace.from_matrix(5, Matrix(field, 3, 5, rows[::-1]))
+    a = Subspace.from_matrix(Matrix(field, 3, 5, rows))
+    b = Subspace.from_matrix(Matrix(field, 3, 5, rows[::-1]))
     first = a.pivots
     assert first == (0, 1, 3)
     assert a.pivots is first and vars(a)["pivots"] is first
     # b has not read its pivots, and still equals and hashes as a does
     assert "pivots" not in vars(b)
     assert a == b and hash(a) == hash(b)
-    assert [f.name for f in dataclasses.fields(Subspace)] == ["ambient",
-                                                              "basis"]
+    assert [f.name for f in dataclasses.fields(Subspace)] == ["basis"]

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -93,10 +94,22 @@ def test_dual_module_satisfies_left_law(kron):
     assert kron.op.law_failure(d.action) is None  # a module over A^op
 
 
+def test_a_module_reads_its_dimension_off_its_action(dvr3):
+    v3 = dvr_chain_module(dvr3, 3)
+    assert Module(dvr3, v3.action).dim == 3
+    ident, shift = v3.action[0], v3.action[1]
+    for action, why in (
+            ([ident, shift], "one action matrix per algebra basis element"),
+            ([ident, shift, Matrix.zero(F2, 3, 2)], "square"),
+            ([ident, shift, Matrix.zero(F2, 2, 2)], "of one size")):
+        with pytest.raises(ValueError, match=why):
+            Module(dvr3, action)
+
+
 def test_submodule_quotient_roundtrip(dvr3):
     v3 = dvr_chain_module(dvr3, 3)
     # the socle x^2 V/m^3 is invariant
-    s = Subspace.from_matrix(3, Matrix.from_rows(F2, [[0, 0, 1]]))
+    s = Subspace.from_matrix(Matrix.from_rows(F2, [[0, 0, 1]]))
     sub, inj = submodule(v3, s)
     assert sub.dim == 1
     assert inj.is_injective()
@@ -156,7 +169,7 @@ def test_iso_classes_groups_repeats_in_order_of_first_occurrence(kron):
     # R(0)[2] again, in the basis given by the rows of p
     p = Matrix.from_rows(F2, [[1, 1, 0, 0], [0, 1, 0, 0],
                               [0, 0, 1, 1], [0, 0, 1, 0]])
-    twisted = Module(kron, 4, [p * a * p.inverse() for a in r0.action])
+    twisted = Module(kron, [p * a * p.inverse() for a in r0.action])
     assert twisted.action != r0.action
     mods = [kronecker_preprojective(kron, 1), r0,
             kronecker_regular(kron, 1, 2), twisted,
@@ -270,7 +283,7 @@ def worklist_span(m: Module, vectors, start=None) -> Subspace:
     span = Subspace.zero(f, m.dim) if start is None else start
     pending = Matrix(f, len(vectors), m.dim, vectors)
     while pending.rows:
-        grown = Subspace.from_matrix(m.dim, span.basis.vstack(pending))
+        grown = Subspace.from_matrix(span.basis.vstack(pending))
         old = set(span.pivots)
         fresh = grown.basis.take_rows(
             i for i, p in enumerate(grown.pivots) if p not in old)
@@ -460,11 +473,13 @@ def test_hom_space_runs_no_dense_elimination(field, monkeypatch):
 @pytest.mark.parametrize("field", [F2, GF(3), QQ], ids=str)
 def test_kronecker_rep_refuses_the_opposite_algebra(field):
     # kronecker^op has the labels e1, e2, a, b but the transposed table:
-    # there e1 a = 0, so the actions would break its laws (e1.a first)
+    # there e1 a = 0, so the actions would break its laws (e1.a first).
+    # An algebra without those labels is refused by the same paths check
     kron = kronecker_algebra(field)
-    with pytest.raises(ValueError, match=r"kronecker\^op is not the "
-                                         r"Kronecker algebra"):
-        kronecker_rep(kron.op, 1, 1, [[1]], [[0]])
+    for alg in (kron.op, truncated_dvr(3, field)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{alg.name} is not the Kronecker algebra")):
+            kronecker_rep(alg, 1, 1, [[1]], [[0]])
     m = kronecker_rep(kron, 1, 1, [[1]], [[0]])
     assert kron.law_failure(m.action) is None
     # a Kronecker algebra built again is accepted: the check compares

@@ -13,8 +13,8 @@ from ppmod.modules import (k_dual, presentation_of, hom_space,
                            module_generators)
 from ppmod.catalog import dvr_chain_module, dvr_universe, kronecker_preprojective
 from ppmod.oracles import brute_eval_f2, subspace_int_set
-from ppmod.ppformula import (LEFT, RIGHT, PpFormula, PpPair, annihilator,
-                             bottom, divisibility, dual, pp_meet, pp_sum,
+from ppmod.ppformula import (PpFormula, PpPair, annihilator, bottom,
+                             divisibility, dual, pp_meet, pp_sum,
                              pp_type_generator, pp_type_generator_of_element,
                              tautology)
 
@@ -120,7 +120,7 @@ def test_endomorphism_invariance(d3):
     for m in dvr_universe(d3, 4):
         val = phi.evaluate(m)
         for f in hom_space(m, m):
-            img = Subspace.from_matrix(m.dim, val.basis * f.mat)
+            img = Subspace.from_matrix(val.basis * f.mat)
             assert subspace_leq(img, val)
 
 
@@ -183,24 +183,24 @@ def test_dual_swaps_div_and_ann(d3):
     for lab in ("x", "x^2"):
         a = d3.el_from_label(lab)
         d_ann = dual(annihilator(d3, a))
-        assert d_ann.side == LEFT
-        assert d_ann.equivalent(divisibility(d3, a, side=LEFT))
+        assert d_ann.algebra is d3.op
+        assert d_ann.equivalent(divisibility(d3.op, a))
         d_div = dual(divisibility(d3, a))
-        assert d_div.equivalent(annihilator(d3, a, side=LEFT))
+        assert d_div.equivalent(annihilator(d3.op, a))
 
 
 def test_dual_of_tautology_is_bottom(d2):
     # the left bottom is "d2.unit x1 = 0", the left tautology has no condition
     d_t = dual(tautology(d2))
-    assert d_t.equivalent(annihilator(d2, d2.unit, side=LEFT))
+    assert d_t.equivalent(annihilator(d2.op, d2.unit))
     d_b = dual(bottom(d2))
-    assert d_b.equivalent(PpFormula(d2, LEFT, 1, 0, [[]]))
+    assert d_b.equivalent(PpFormula(d2.op, 1, [[]]))
 
 
 def test_double_dual_is_identity_up_to_equivalence(d3):
     phi = divisibility(d3, x_el(d3))
     dd = dual(dual(phi))
-    assert dd.side == RIGHT
+    assert dd.algebra is d3
     assert dd.equivalent(phi)
 
 
@@ -270,10 +270,9 @@ def test_pp_type_generator_generates(d3):
 def test_two_variable_formula_against_oracle(d2):
     # n = 2: x1 x = 0 and x | x2, jointly
     x = x_el(d2)
-    phi = PpFormula(d2, RIGHT, 2, 1,
-                    [[x, d2.zero_el()],
-                     [d2.zero_el(), d2.unit],
-                     [d2.zero_el(), d2.neg_el(x)]])
+    phi = PpFormula(d2, 2, [[x, d2.zero_el()],
+                            [d2.zero_el(), d2.unit],
+                            [d2.zero_el(), d2.neg_el(x)]])
     for m in dvr_universe(d2, 3):
         assert subspace_int_set(phi.evaluate(m)) == brute_eval_f2(phi, m)
 
@@ -317,12 +316,12 @@ def test_evaluate_matches_witness_enumeration_over_gf3():
         forms = [tautology(alg), bottom(alg),
                  pp_sum(divisibility(alg, els[-1]), annihilator(alg, els[1])),
                  pp_meet(divisibility(alg, els[1]), annihilator(alg, two)),
-                 PpFormula(alg, RIGHT, 2, 1, [[els[1], alg.zero_el()],
-                                              [alg.zero_el(), alg.unit],
-                                              [alg.zero_el(), two]]),
+                 PpFormula(alg, 2, [[els[1], alg.zero_el()],
+                                    [alg.zero_el(), alg.unit],
+                                    [alg.zero_el(), two]]),
                  # x1 + x2 = 0 and x1 a + x2 = 0 tie free coordinates
-                 PpFormula(alg, RIGHT, 2, 0, [[alg.unit], [alg.unit]]),
-                 PpFormula(alg, RIGHT, 2, 0, [[els[1]], [alg.unit]])]
+                 PpFormula(alg, 2, [[alg.unit], [alg.unit]]),
+                 PpFormula(alg, 2, [[els[1]], [alg.unit]])]
         forms += [g(alg, a) for a in els for g in (divisibility, annihilator)]
         for m in mods:
             assert m.dim <= 2
@@ -372,8 +371,8 @@ def test_packed_oracle_with_dependent_witness_deltas(d3, kron):
         zero = alg.zero_el()
         y = [b, alg.unit]
         # a dependent delta before an independent one in each
-        forms = [PpFormula(alg, RIGHT, 1, 3, [[a, zero], [zero, zero], y, y]),
-                 PpFormula(alg, RIGHT, 1, 3, [[alg.unit, a], y, y, [a, b]])]
+        forms = [PpFormula(alg, 1, [[a, zero], [zero, zero], y, y]),
+                 PpFormula(alg, 1, [[alg.unit, a], y, y, [a, b]])]
         for m in mods:
             for phi in forms:
                 fast = brute_eval_f2(phi, m)
@@ -395,8 +394,7 @@ def implies_by_system(phi, psi):
                    {(v, e): c.act(psi.hmat[v][e])
                     for v in range(nvars) for e in range(psi.m)})
     xs = fr.row * system.take_rows(range(k))
-    ys = Subspace.from_matrix(system.cols,
-                              system.take_rows(range(k, system.rows)))
+    ys = Subspace.from_matrix(system.take_rows(range(k, system.rows)))
     return ys.contains_vector(xs.data[0])
 
 
@@ -404,9 +402,9 @@ def edge_formulas(alg):
     """Formulas with no condition, or with no bound variable."""
     x = x_el(alg) if "x" in alg.labels else alg.basis_el(alg.dim - 1)
     return [tautology(alg),
-            PpFormula(alg, RIGHT, 1, 2, [[], [], []]),          # m = 0, l > 0
+            PpFormula(alg, 1, [[], [], []]),      # m = 0, l > 0
             bottom(alg),
-            PpFormula(alg, RIGHT, 1, 0, [[x, alg.unit]]),       # l = 0, m = 2
+            PpFormula(alg, 1, [[x, alg.unit]]),   # l = 0, m = 2
             annihilator(alg, alg.unit)]
 
 
@@ -441,7 +439,7 @@ def test_implies_matches_membership_over_the_rationals():
     base = edge_formulas(alg) + [
         divisibility(alg, x), divisibility(alg, x2), annihilator(alg, x2),
         annihilator(alg, half), divisibility(alg, mixed),
-        PpFormula(alg, RIGHT, 1, 1, [[half, x2], [x, mixed]])]
+        PpFormula(alg, 1, [[half, x2], [x, mixed]])]
     corpus = base + [pp_sum(base[6], base[8]), pp_meet(base[5], base[9])]
     verdicts = set()
     for phi, psi in itertools.product(corpus, repeat=2):
@@ -555,7 +553,7 @@ def grid_pp_sum(phi, psi):
     for v in range(lpsi):
         for e in range(mpsi):
             rows[3 * n + lphi + v][n + mphi + e] = psi.hmat[n + v][e]
-    return PpFormula(alg, phi.side, n, 2 * n + lphi + lpsi, rows)
+    return PpFormula(alg, n, rows)
 
 
 def grid_pp_meet(phi, psi):
@@ -574,7 +572,7 @@ def grid_pp_meet(phi, psi):
     for v in range(lpsi):
         for e in range(mpsi):
             rows[n + lphi + v][mphi + e] = psi.hmat[n + v][e]
-    return PpFormula(phi.algebra, phi.side, n, lphi + lpsi, rows)
+    return PpFormula(phi.algebra, n, rows)
 
 
 def grid_dual(phi):
@@ -586,7 +584,7 @@ def grid_dual(phi):
     for j in range(m):
         for v in range(n + l):
             rows[n + j][v] = phi.hmat[v][j]
-    return PpFormula(alg, LEFT if phi.side == RIGHT else RIGHT, n, m, rows)
+    return PpFormula(alg.op, n, rows)
 
 
 def grid_pp_type_generator(pres, tup):
@@ -603,7 +601,7 @@ def grid_pp_type_generator(pres, tup):
             rows[n + g][i] = alg.neg_el(exprs[i][g])
         for e, rel in enumerate(pres.relations):
             rows[n + g][n + e] = rel[g]
-    return PpFormula(alg, RIGHT, n, s, rows)
+    return PpFormula(alg, n, rows)
 
 
 def grid_kronecker_step_formula(alg, t):
@@ -616,7 +614,7 @@ def grid_kronecker_step_formula(alg, t):
     for i in range(2, t + 1):
         rows[i - 1][i - 1] = b
         rows[i][i - 1] = alg.neg_el(a)
-    return pp_sum(PpFormula(alg, RIGHT, 1, t, rows), divisibility(alg, b))
+    return pp_sum(PpFormula(alg, 1, rows), divisibility(alg, b))
 
 
 def realization_by_presentation(phi):
@@ -625,7 +623,7 @@ def realization_by_presentation(phi):
     generator's image packed and projected on its own.  Returns the
     module and the tuple's coordinates, component by component."""
     from ppmod.modules import _module_span, free_module, quotient_module
-    alg = phi.effective_algebra
+    alg = phi.algebra
     f, nvars = alg.field, phi.n + phi.l
     free = free_module(alg, nvars)
     flat = []
@@ -655,7 +653,7 @@ def shape_corpus(alg, rng):
         rows = [[tuple(rng.choice(scalars) if rng.random() < 0.5 else f.zero()
                        for _ in range(alg.dim)) for _ in range(m)]
                 for _ in range(n + l)]
-        out.append(PpFormula(alg, RIGHT, n, l, rows))
+        out.append(PpFormula(alg, n, rows))
     return out
 
 
@@ -677,20 +675,20 @@ def test_cell_constructions_match_the_grids(alg):
     rng = random.Random(5)
     right = shape_corpus(alg, rng)
     left = [dual(phi) for phi in right]
-    assert {phi.side for phi in left} == {LEFT}
+    assert {phi.algebra for phi in left} == {alg.op}
     assert {(phi.m == 0, phi.l == 0) for phi in right + left} == {
         (True, True), (True, False), (False, True), (False, False)}
     for phi in right + left:
         assert dual(phi).hmat == grid_dual(phi).hmat
-        assert dual(phi).side == grid_dual(phi).side
+        assert dual(phi).algebra is grid_dual(phi).algebra
     for corpus in (right, left):
         same_n = [(a, b) for a, b in itertools.product(corpus, repeat=2)
                   if a.n == b.n]
         for a, b in rng.sample(same_n, 60):
             for got, want in ((pp_sum(a, b), grid_pp_sum(a, b)),
                               (pp_meet(a, b), grid_pp_meet(a, b))):
-                assert (got.side, got.n, got.l, got.m, got.hmat) == \
-                    (want.side, want.n, want.l, want.m, want.hmat)
+                assert (got.algebra, got.n, got.l, got.m, got.hmat) == \
+                    (want.algebra, want.n, want.l, want.m, want.hmat)
 
 
 @pytest.mark.parametrize("alg", cell_algebras(), ids=CELL_IDS)
@@ -705,7 +703,7 @@ def test_free_realization_matches_the_presentation_route(alg):
     for phi in corpus:
         fr = phi.free_realization()
         module, tup = realization_by_presentation(phi)
-        assert fr.module.algebra is module.algebra is phi.effective_algebra
+        assert fr.module.algebra is module.algebra is phi.algebra
         assert fr.module.dim == module.dim
         assert fr.module.action == module.action
         assert (fr.row.rows, fr.row.cols) == (1, phi.n * module.dim)
@@ -740,12 +738,12 @@ def test_kronecker_step_formula_matches_the_grid(p):
 
 def test_from_cells_fills_zeros_and_refuses_cells_outside(d2):
     x, z = x_el(d2), d2.zero_el()
-    phi = PpFormula.from_cells(d2, RIGHT, 1, 1, 2, {(0, 1): x, (1, 0): x})
+    phi = PpFormula.from_cells(d2, 1, 1, 2, {(0, 1): x, (1, 0): x})
     assert phi.hmat == ((z, x), (x, z))
-    assert PpFormula.from_cells(d2, LEFT, 2, 0, 0, {}).hmat == ((), ())
+    assert PpFormula.from_cells(d2.op, 2, 0, 0, {}).hmat == ((), ())
     for cell in ((2, 0), (0, 2), (-1, 0)):
         with pytest.raises(ValueError):
-            PpFormula.from_cells(d2, RIGHT, 1, 1, 2, {cell: x})
+            PpFormula.from_cells(d2, 1, 1, 2, {cell: x})
 
 
 def test_presentation_is_made_once_per_module(d2):
@@ -760,7 +758,7 @@ def test_presentation_is_made_once_per_module(d2):
 def system_copy(phi):
     """The same formula built from its matrix alone, so it is evaluated by
     eliminating its system."""
-    return PpFormula(phi.algebra, phi.side, phi.n, phi.l, phi.hmat)
+    return PpFormula(phi.algebra, phi.n, phi.hmat)
 
 
 def route_mismatches(forms, universe):
@@ -828,7 +826,7 @@ def test_a_swapped_tuple_fails_the_route_check():
                       and psi.free_realization().row != fr.row), None)
         if other is None:
             continue
-        mutant = PpFormula(phi.algebra, phi.side, phi.n, phi.l, phi.hmat,
+        mutant = PpFormula(phi.algebra, phi.n, phi.hmat,
                            FreeRealization(fr.module, other))
         swapped = system_copy(
             pp_type_generator_of_element(fr.module, other.data[0]))
@@ -850,7 +848,7 @@ def unreduced_value(phi, module):
     system = block(module.algebra.field, [d] * nvars, [d] * phi.m,
                    {(v, e): module.act(phi.hmat[v][e])
                     for v in range(nvars) for e in range(phi.m)})
-    return Subspace(k, projected_kernel(system, k))
+    return Subspace(projected_kernel(system, k))
 
 
 def reduction_corpus(alg, seed):
@@ -869,11 +867,12 @@ def reduction_corpus(alg, seed):
 
 
 def reduction_universe(alg):
-    """Right modules of dimension <= 3 and their k-duals (left modules)."""
+    """Right modules of dimension <= 3 and their k-duals (left modules),
+    keyed by the algebra they are over."""
     from ppmod.catalog import kronecker_universe
     right = dvr_universe(alg, 3) if "x" in alg.labels else \
         kronecker_universe(alg, 3)
-    return {RIGHT: right, LEFT: [k_dual(m) for m in right]}
+    return {alg: right, alg.op: [k_dual(m) for m in right]}
 
 
 def content(phi):
@@ -882,8 +881,8 @@ def content(phi):
 
 
 def bound_units(phi):
-    """The bound entries of phi that are units of its effective algebra."""
-    alg = phi.effective_algebra
+    """The bound entries of phi that are units of its algebra."""
+    alg = phi.algebra
     return [u for row in phi.hmat[phi.n:] for u in row
             if any(u) and alg.inverse_el(u) is not None]
 
@@ -894,13 +893,13 @@ def test_reduced_formulas_keep_every_value(alg):
     shrunk = 0
     for phi in reduction_corpus(alg, 7):
         r = phi.reduced()
-        assert (r.algebra, r.side, r.n) == (phi.algebra, phi.side, phi.n)
+        assert (r.algebra, r.n) == (phi.algebra, phi.n)
         # each step drops one bound variable and one condition, and the
         # steps go on until no bound variable has a unit coefficient
         assert phi.l - r.l == phi.m - r.m >= 0
         assert bound_units(r) == []
         shrunk += r.l < phi.l
-        for m in universe[phi.side]:
+        for m in universe[phi.algebra]:
             want = unreduced_value(phi, m)
             assert phi.evaluate(m) == want
             assert r.evaluate(m) == want
@@ -915,7 +914,7 @@ def test_implication_on_the_reduced_realization_matches_the_system(alg):
     rng = random.Random(8)
     corpus = reduction_corpus(alg, 9)
     pairs = [(a, b) for a, b in itertools.product(corpus, repeat=2)
-             if (a.side, a.n) == (b.side, b.n)]
+             if (a.algebra, a.n) == (b.algebra, b.n)]
     verdicts = set()
     for phi, psi in rng.sample(pairs, 150):
         got = phi.implies(psi)
@@ -944,9 +943,9 @@ def test_left_formulas_multiply_in_the_opposite_algebra():
     e2, a, b = (alg.el_from_label(s) for s in ("e2", "a", "b"))
     z = alg.zero_el()
     rows = [[b, z], [alg.add_el(alg.unit, a), e2]]
-    assert PpFormula(alg, RIGHT, 1, 1, rows).reduced().hmat == \
+    assert PpFormula(alg, 1, rows).reduced().hmat == \
         ((alg.neg_el(b),),)
-    assert PpFormula(alg, LEFT, 1, 1, rows).reduced().hmat == ((z,),)
+    assert PpFormula(alg.op, 1, rows).reduced().hmat == ((z,),)
 
 
 def test_free_variables_and_non_units_are_never_pivots():
@@ -957,13 +956,12 @@ def test_free_variables_and_non_units_are_never_pivots():
         assert alg.inverse_el(nonunit) is None
         # only x1 has a unit coefficient, or y1 has only a non-unit one
         for phi in (bottom(alg), tautology(alg), annihilator(alg, u),
-                    PpFormula(alg, RIGHT, 1, 1, [[u], [nonunit]]),
-                    PpFormula(alg, RIGHT, 2, 1, [[u, z], [z, u],
-                                                 [nonunit, nonunit]])):
+                    PpFormula(alg, 1, [[u], [nonunit]]),
+                    PpFormula(alg, 2, [[u, z], [z, u], [nonunit, nonunit]])):
             assert content(phi.reduced()) == content(phi)
         # y1 is taken at its unit in the second condition, not at the
         # non-unit in the first: y1 = 0, and x1 = 0 is left
-        phi = PpFormula(alg, RIGHT, 1, 1, [[u, z], [nonunit, u]])
+        phi = PpFormula(alg, 1, [[u, z], [nonunit, u]])
         assert phi.reduced().hmat == ((u,),)
 
 
@@ -971,7 +969,7 @@ def test_pp_type_generators_are_never_reduced():
     from ppmod.algebra import kronecker_algebra
     with_units = 0
     for alg in (truncated_dvr(3, GF(3)), kronecker_algebra(GF(3))):
-        for m in reduction_universe(alg)[RIGHT]:
+        for m in reduction_universe(alg)[alg]:
             for vec in module_generators(m):
                 phi = pp_type_generator_of_element(m, vec)
                 fr = phi.free_realization()
@@ -997,10 +995,10 @@ def test_each_formula_is_reduced_once(monkeypatch):
     universe = reduction_universe(alg)
     for _ in range(2):
         for phi in corpus:
-            for m in universe[phi.side]:
+            for m in universe[phi.algebra]:
                 phi.evaluate(m)
             for psi in corpus[:10]:
-                if (psi.side, psi.n) == (phi.side, phi.n):
+                if (psi.algebra, psi.n) == (phi.algebra, phi.n):
                     phi.implies(psi)
             assert phi.reduced() is phi.reduced()
             assert phi.reduced().reduced() is phi.reduced()
@@ -1008,13 +1006,15 @@ def test_each_formula_is_reduced_once(monkeypatch):
 
 
 def test_arities_below_their_range_are_refused(d2):
-    # n + l = 1 rows either way, so the matrix alone does not catch them
+    # n + l = 1 rows either way: l is read off the matrix, so l = -1 is
+    # one row for n = 2 free variables
     x = x_el(d2)
-    for n, l, named in ((2, -1, "l=-1"), (-1, 2, "n=-1"), (0, 1, "n=0")):
+    for n, l, named in ((2, -1, "1 variable rows, fewer than the n=2"),
+                        (-1, 2, "n=-1"), (0, 1, "n=0")):
         with pytest.raises(ValueError, match=named):
-            PpFormula(d2, RIGHT, n, l, [[x]])
+            PpFormula(d2, n, [[x]])
         with pytest.raises(ValueError, match=named):
-            PpFormula.from_cells(d2, RIGHT, n, l, 1, {(0, 0): x})
+            PpFormula.from_cells(d2, n, l, 1, {(0, 0): x})
 
 
 # -- reduced formulas shared by content ----------------------------------------
@@ -1043,12 +1043,13 @@ def test_reduced_formulas_are_not_shared_across_algebras_sides_or_arities():
     alg, other = truncated_dvr(3, GF(3)), truncated_dvr(3, GF(3))
     x = alg.basis_el(1)
     assert bottom(alg).reduced() is not bottom(other).reduced()
-    right = PpFormula(alg, RIGHT, 1, 0, [[x]])
-    left = PpFormula(alg, LEFT, 1, 0, [[x]])
+    # x1 x = 0 and the left formula x x1 = 0, which is over alg.op
+    right = PpFormula(alg, 1, [[x]])
+    left = PpFormula(alg.op, 1, [[x]])
     assert right.reduced() is not left.reduced()
     nonunit = [[x], [x]]
-    one = PpFormula(alg, RIGHT, 1, 1, nonunit)
-    two = PpFormula(alg, RIGHT, 2, 0, nonunit)
+    one = PpFormula(alg, 1, nonunit)
+    two = PpFormula(alg, 2, nonunit)
     assert one.reduced() is not two.reduced()
     assert content(one.reduced()) == (1, 1, two.hmat)
     assert content(two.reduced()) == (2, 0, two.hmat)
@@ -1112,7 +1113,7 @@ def reference_unit_eliminated(phi):
     """The reduction with the product (c u^-1) b formed row by row, as it
     stood before u^-1 b was formed once per pivot."""
     from ppmod.ppformula import _unit_pivot
-    alg, n = phi.effective_algebra, phi.n
+    alg, n = phi.algebra, phi.n
     of = alg.field.of
     rows = [list(r) for r in phi.hmat]
     while (pivot := _unit_pivot(alg, rows, n)) is not None:
@@ -1141,8 +1142,8 @@ def reference_algebras():
 
 @st.composite
 def reducible_formulas(draw):
-    """Formulas with n <= 2, l <= 3, m <= 3 over the reference algebras,
-    on either side; an entry is zero, the unit or a random combination of
+    """Formulas with n <= 2, l <= 3, m <= 3 over the reference algebras
+    and their opposites (right and left formulas); an entry is zero, the unit or a random combination of
     the basis, so bound units are common."""
     alg = draw(st.sampled_from(reference_algebras()))
     f = alg.field
@@ -1156,7 +1157,7 @@ def reducible_formulas(draw):
                  max_size=alg.dim).map(tuple))
     rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m),
                          min_size=n + l, max_size=n + l))
-    return PpFormula(alg, draw(st.sampled_from((RIGHT, LEFT))), n, l, rows)
+    return PpFormula(draw(st.sampled_from((alg, alg.op))), n, rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1170,9 +1171,9 @@ def test_entries_are_normalized_in_the_field():
     # over GF(3), 5 and -1 name the element 2
     from ppmod.ppsyntax import format_formula
     alg = truncated_dvr(3, GF(3))
-    phi = PpFormula(alg, RIGHT, 1, 0, [[(0, 5, 0)]])
+    phi = PpFormula(alg, 1, [[(0, 5, 0)]])
     assert format_formula(phi) == "(x1*(2*x) = 0)"
     assert phi.hmat == (((0, 2, 0),),)
-    minus, two = (PpFormula(alg, RIGHT, 1, 0, [[(0, c, 0)]]) for c in (-1, 2))
+    minus, two = (PpFormula(alg, 1, [[(0, c, 0)]]) for c in (-1, 2))
     assert content(minus) == content(two)
     assert minus.reduced() is two.reduced()

@@ -67,7 +67,7 @@ def test_realized_object_dims(rt_n1):
 def test_coker_psi1_is_m1(rt_n1):
     psi1 = rt_n1.psibar[(0, 1)]
     cok, _ = quotient_module(psi1.target,
-                             Subspace(psi1.target.dim, psi1.mat.row_space()))
+                             Subspace(psi1.mat.row_space()))
     assert iso_test(cok, rt_n1.P[(0, 1)]) is not None
 
 
@@ -149,7 +149,7 @@ def _top(x):
     for a, (_, _, _, w) in zip(x.action, x.algebra.paths):
         if w:
             rad = rad.vstack(a)
-    return quotient_module(x, Subspace.from_matrix(x.dim, rad))[0]
+    return quotient_module(x, Subspace.from_matrix(rad))[0]
 
 
 @pytest.mark.parametrize("plant, found", [

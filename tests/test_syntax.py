@@ -2,9 +2,9 @@ import pytest
 
 from ppmod.fields import GF
 from ppmod.algebra import kronecker_algebra, truncated_dvr
-from ppmod.ppformula import (LEFT, RIGHT, annihilator, bottom, divisibility,
-                             dual, pp_meet, pp_sum, tautology)
-from ppmod.ppsyntax import format_formula, parse_formula
+from ppmod.ppformula import (annihilator, bottom, divisibility, dual, pp_meet,
+                             pp_sum, tautology)
+from ppmod.ppsyntax import LEFT, RIGHT, format_formula, parse_formula
 from ppmod.tower import build_tower
 
 F2 = GF(2)
@@ -48,9 +48,14 @@ def test_roundtrip_canonical_forms(d3):
         dual(annihilator(kron, kron.el_from_label("b"))),
     ]
     for phi in formulas:
-        text = format_formula(phi)
-        back = parse_formula(phi.algebra, text, phi.side)
-        assert format_formula(back) == text          # print . parse stable
+        # a dual is over the opposite algebra: written as a left formula
+        # over the algebra it came from
+        base, side = (phi.algebra, RIGHT) if phi.algebra in (d3, kron) \
+            else (phi.algebra.op, LEFT)
+        text = format_formula(phi, side)
+        back = parse_formula(base, text, side)
+        assert back.algebra is phi.algebra
+        assert format_formula(back, side) == text    # print . parse stable
         assert back.equivalent(phi)                  # and semantics kept
         assert back.n == phi.n
 
@@ -59,7 +64,7 @@ def test_unused_x_variable_round_trips(d3):
     # a two-variable formula that only constrains x2
     from ppmod.ppformula import PpFormula
     x = d3.el_from_label("x")
-    phi = PpFormula(d3, RIGHT, 2, 0, [[d3.zero_el()], [x]])
+    phi = PpFormula(d3, 2, [[d3.zero_el()], [x]])
     text = format_formula(phi)
     back = parse_formula(d3, text)
     assert back.n == 2
@@ -68,10 +73,18 @@ def test_unused_x_variable_round_trips(d3):
 
 def test_left_side_orientation(d3):
     phi = parse_formula(d3, "x*x1 = 0", side=LEFT)
-    assert phi.side == LEFT
-    assert phi.equivalent(annihilator(d3, d3.el_from_label("x"), side=LEFT))
-    text = format_formula(phi)
-    assert "x*x1" in text
+    assert phi.algebra is d3.op
+    assert phi.equivalent(annihilator(d3.op, d3.el_from_label("x")))
+    assert format_formula(phi, LEFT) == "(x*x1 = 0)"
+    assert format_formula(phi) == "(x1*x = 0)"
+
+
+@pytest.mark.parametrize("call", [
+    lambda d3: parse_formula(d3, "x1*x = 0", "up"),
+    lambda d3: format_formula(tautology(d3), "up")], ids=["parse", "format"])
+def test_a_side_other_than_right_or_left_is_refused(d3, call):
+    with pytest.raises(ValueError, match="side must be 'right' or 'left'"):
+        call(d3)
 
 
 def test_undeclared_y_rejected(d3):
@@ -132,5 +145,22 @@ def test_tower_path_formulas_round_trip(field):
         for i, label in enumerate(alg.labels):
             a = alg.basis_el(i)
             for phi in (annihilator(alg, a), divisibility(alg, a)):
-                back = parse_formula(alg, format_formula(phi), phi.side)
+                back = parse_formula(alg, format_formula(phi))
                 assert back.hmat == phi.hmat, (alg.name, label)
+
+
+@pytest.mark.parametrize("make", [
+    lambda f: kronecker_algebra(f), lambda f: build_tower(3, 1, f).top],
+    ids=["kronecker", "tower:3:1"])
+@pytest.mark.parametrize("field", [F2, GF(3)], ids=str)
+def test_a_left_formula_has_one_encoding(make, field):
+    # a | x1 written on the left over A is divisibility over A.op: the two
+    # imply each other and share one reduced formula
+    alg = make(field)
+    for label in alg.labels:
+        a = alg.el_from_label(label)
+        parsed = parse_formula(alg, f"E y1 . (x1 - {label}*y1 = 0)", LEFT)
+        built = divisibility(alg.op, a)
+        assert parsed.algebra is built.algebra is alg.op
+        assert parsed.implies(built) and built.implies(parsed)
+        assert parsed.reduced() is built.reduced()
