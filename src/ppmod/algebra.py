@@ -41,6 +41,7 @@ class FDAlgebra:
                                 if len(w) == 1 or not w and k != last)
         self._inverses: dict = {}
         self._reduced: dict = {}
+        self._products: dict = {}
         zero = self.zero_el()
         basis = [self.basis_el(k) for k in range(self.dim)]
         # row i of rho(b_j) is b_i b_j
@@ -64,7 +65,10 @@ class FDAlgebra:
     def reduced_el(self, u):
         """u with each coordinate brought into the field by Field.of,
         reduced once per distinct u and kept."""
-        u = tuple(u)
+        try:
+            return self._reduced[u]
+        except (KeyError, TypeError):  # new, or a list
+            u = tuple(u)
         if u not in self._reduced:
             self._reduced[u] = tuple(map(self.field.of, u))
         return self._reduced[u]
@@ -82,14 +86,23 @@ class FDAlgebra:
         return tuple(of(c * a) for a in u)
 
     def mul_el(self, u, v):
-        """u v: u_i v_j added at the product of b_i and b_j."""
-        acc = [0] * self.dim
-        for a, row in zip(u, self.products):
-            if a:
-                for b, k in zip(v, row):
-                    if b and k is not None:
-                        acc[k] += a * b
-        return tuple(map(self.field.of, acc))
+        """u v: u_i v_j added at the product of b_i and b_j, computed once
+        per distinct (u, v) and kept with the algebra (so A and A.op keep
+        their own)."""
+        try:
+            hit = self._products.get((u, v))
+        except TypeError:  # a list
+            u, v = tuple(u), tuple(v)
+            hit = self._products.get((u, v))
+        if hit is None:
+            acc = [0] * self.dim
+            for a, row in zip(u, self.products):
+                if a:
+                    for b, k in zip(v, row):
+                        if b and k is not None:
+                            acc[k] += a * b
+            hit = self._products[u, v] = tuple(map(self.field.of, acc))
+        return hit
 
     def inverse_el(self, u):
         """u^-1 = unit rho(u)^-1, or None when rho(u) is singular, kept per

@@ -413,13 +413,19 @@ def iso_test(m: Module, n: Module) -> ModuleMap | None:
 
 @dataclass
 class Presentation:
-    """M = coker(R^m -> R^s): s generators, the relation vectors of A^s
-    and the free cover R^s -> M."""
+    """M = coker(R^m -> R^s): the relation vectors of A^s and the free
+    cover R^s -> M, which gives the algebra and s."""
 
-    algebra: FDAlgebra
-    ngens: int
     relations: list  # relation vectors in A^ngens
     proj: ModuleMap  # free cover -> module
+
+    @property
+    def algebra(self) -> FDAlgebra:
+        return self.proj.source.algebra
+
+    @property
+    def ngens(self) -> int:
+        return self.proj.source.dim // self.algebra.dim
 
     def express(self, vec):
         """Algebra coefficients r_1..r_s with sum g_i . r_i = vec, or None."""
@@ -490,5 +496,5 @@ def presentation_of(m: Module) -> Presentation:
     relations = [tuple(v[i * alg.dim:(i + 1) * alg.dim] for i in range(s))
                  for v in _greedy_generators(free, ker.basis.data)]
     # the cover itself presents m: its kernel is generated by the relations
-    m._presentation = Presentation(alg, s, relations, cover)
+    m._presentation = Presentation(relations, cover)
     return m._presentation

@@ -31,10 +31,13 @@ reduced phi: phi <= psi iff c lies in psi(C) (Prest, *Purity, Spectra
 and Localisation*, CUP 2009, section 1.2), a membership test in the value
 that evaluation computes and caches.  A formula equivalent to phi has a
 free realization of the same pp-type, so reducing first changes no
-verdict.  Equivalence of formulas is always decided semantically, by
-implication in both directions; nothing is ever compared syntactically.
-The stored matrix, the printed formula and `free_realization` are those
-of the formula as built.
+verdict.  Formulas that share their reduced formula r (see below) are
+both equivalent to r, so phi <= psi holds by reflexivity and is returned
+without a realization; that shared object is the one syntactic
+comparison.  Every other implication is decided semantically, and
+equivalence is implication in both directions.  The stored matrix, the
+printed formula and `free_realization` are those of the formula as
+built.
 
 Values are shared by content.  `reduced` looks its result up by
 (algebra, n, matrix), the algebra by identity, so every formula
@@ -45,9 +48,9 @@ entries weakly and a reduced formula refers to nothing that refers back
 to it, so an entry dies with the last formula that reduces to it, and
 the work done does not depend on when the garbage collector runs.
 pp-type generators, built with their realization, stay out of it.  The
-table memoizes a function of the content alone: verdicts are still
-semantic, every implication evaluates psi on a realization and tests
-membership.
+table memoizes a function of the content alone: a shared reduced formula
+is reflexivity, and every other implication evaluates psi on a
+realization and tests membership.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ class PpFormula:
         self.algebra = algebra
         self.n = n
         el = algebra.reduced_el
-        self.hmat = tuple(tuple(el(e) for e in row) for row in hmat)
+        self.hmat = tuple(tuple(map(el, row)) for row in hmat)
         if len(self.hmat) < n:
             raise ValueError(f"formula matrix has {len(self.hmat)} variable "
                              f"rows, fewer than the n={n} free variables")
@@ -210,13 +213,18 @@ class PpFormula:
         return self._realization
 
     def implies(self, other: "PpFormula") -> bool:
-        """phi <= psi in the pp lattice: whether the tuple of the free
+        """phi <= psi in the pp lattice.  When phi and psi share their
+        reduced formula r, both are equivalent to r, so phi <= psi by
+        reflexivity.  Otherwise: whether the tuple of the free
         realization C of phi lies in psi(C), the value psi.evaluate
         computes and keeps.  C is the free realization of the reduced
         formula, which is equivalent to phi and so realizes the same
         pp-type."""
         _check_compatible(self, other)
-        fr = self.reduced().free_realization()
+        r = self.reduced()
+        if other.reduced() is r:
+            return True
+        fr = r.free_realization()
         return other.evaluate(fr.module).contains_vector(fr.row.data[0])
 
     def equivalent(self, other: "PpFormula") -> bool:

@@ -442,3 +442,57 @@ def test_products_and_inverses_match_the_regular_representation(field):
                 assert alg.mul_el(u, inv) == alg.mul_el(inv, u) == alg.unit
                 assert alg.inverse_el(u) is inv
             assert units >= 2
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ],
+                         ids=["gf2", "gf3", "qq"])
+def test_kept_products_match_the_regular_module(field):
+    # seeded pairs of elements, not only basis paths; each product is kept
+    # with its algebra, so asking again returns the kept tuple
+    import random
+    from fractions import Fraction
+    from ppmod.modules import regular_module
+    from ppmod.tower import build_tower
+    rng = random.Random(0)
+    scalars = [field.zero()] + [field.of(c) for c in (1, -1, 2)] + \
+        ([Fraction(1, 3)] if field.p is None else [])
+    kron = kronecker_algebra(field)
+    for alg in (truncated_dvr(3, field), kron, kron.op,
+                build_tower(3, 1, field).top):
+        reg = regular_module(alg)
+        for _ in range(40):
+            u, v = (tuple(rng.choice(scalars) for _ in range(alg.dim))
+                    for _ in range(2))
+            want = Matrix.from_rows(field, [u]) * reg.act(v)
+            got = alg.mul_el(u, v)
+            assert got == want.data[0]
+            assert alg.mul_el(u, v) is got
+
+
+def test_an_algebra_and_its_opposite_keep_their_own_products():
+    # in the Kronecker algebra e1 a = a and a e1 = 0; in its opposite the
+    # other way round, whichever table is filled first
+    for first in ("algebra", "opposite"):
+        alg = kronecker_algebra(GF(3))
+        op = alg.op
+        e1, a = alg.el_from_label("e1"), alg.el_from_label("a")
+        zero = alg.zero_el()
+        want = {alg: {(e1, a): a, (a, e1): zero},
+                op: {(e1, a): zero, (a, e1): a}}
+        order = (alg, op) if first == "algebra" else (op, alg)
+        for _ in range(2):  # before and after both tables are filled
+            for ring in order:
+                for (u, v), uv in want[ring].items():
+                    assert ring.mul_el(u, v) == uv
+
+
+def test_a_list_multiplies_and_reduces_as_its_tuple():
+    # over GF(3): x x = x^2, and 4 x names x
+    alg = truncated_dvr(3, GF(3))
+    x2 = (0, 0, 1)
+    assert alg.mul_el([0, 1, 0], [0, 1, 0]) == x2
+    assert alg.mul_el((0, 1, 0), (0, 1, 0)) == x2
+    assert alg.mul_el((0, 4, 0), (0, 1, 0)) == x2
+    assert alg.mul_el([0, 4, 0], (0, 1, 0)) == x2
+    assert alg.reduced_el([0, 5, -1]) == alg.reduced_el((0, 5, -1)) \
+        == (0, 2, 2)

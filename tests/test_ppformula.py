@@ -449,6 +449,62 @@ def test_implies_matches_membership_over_the_rationals():
     assert verdicts == {True, False}
 
 
+def rational_corpus(alg):
+    """Hand-built formulas over alg at QQ, with entries that are not
+    integers, beside the named ones."""
+    from fractions import Fraction
+    b = alg.basis_el(alg.dim - 1)
+    half = alg.smul_el(Fraction(1, 2), b)
+    mixed = alg.add_el(alg.scalar_el(Fraction(-2, 3)), b)
+    return [tautology(alg), bottom(alg), divisibility(alg, b),
+            annihilator(alg, b), annihilator(alg, half),
+            divisibility(alg, mixed),
+            PpFormula(alg, 1, [[half, b], [alg.basis_el(1), mixed]]),
+            PpFormula(alg, 1, [[b], [half], [mixed]])]
+
+
+def equivalent_pairs(alg, corpus):
+    """(phi, D(D(phi))) for each formula of the corpus, and
+    (D(phi + psi), D(phi) ^ D(psi)) for each ordered pair of it."""
+    return [(phi, dual(dual(phi))) for phi in corpus] + [
+        (dual(pp_sum(phi, psi)), pp_meet(dual(phi), dual(psi)))
+        for phi, psi in itertools.product(corpus, repeat=2)]
+
+
+@pytest.mark.parametrize("p", [2, 3, None], ids=["gf2", "gf3", "qq"])
+def test_a_shared_reduced_formula_implies_without_solving(p, monkeypatch):
+    # formulas that share their reduced formula imply each other by
+    # reflexivity, with no realization built and no system solved; the
+    # membership test this skips, made on the unreduced phi's own
+    # realization, gives the same verdict on every pair
+    import random
+    import ppmod.ppformula
+    from ppmod.algebra import kronecker_algebra
+    from ppmod.fields import QQ
+    from ppmod.suites import formula_corpus
+    f = QQ if p is None else GF(p)
+    pairs = []
+    for alg in (truncated_dvr(3, f), kronecker_algebra(f)):
+        corpus = rational_corpus(alg) if p is None else \
+            formula_corpus(alg, 10, random.Random(0))
+        pairs += equivalent_pairs(alg, corpus)
+    shared = [(phi, psi) for phi, psi in pairs
+              if phi.reduced() is psi.reduced()]
+    assert 0 < len(shared) < len(pairs)
+
+    def refused(*args):
+        raise AssertionError("a shared reduced formula was solved")
+
+    with monkeypatch.context() as patched:
+        for name in ("quotient_module", "projected_kernel", "hom_space"):
+            patched.setattr(ppmod.ppformula, name, refused)
+        for phi, psi in shared:
+            assert phi.implies(psi) and psi.implies(phi)
+    for phi, psi in pairs:
+        assert phi.implies(psi) == implies_by_system(phi, psi) is True
+        assert psi.implies(phi) == implies_by_system(psi, phi) is True
+
+
 def test_repeated_implication_computes_no_evaluation(monkeypatch):
     # an implication reads the value kept on the implied formula, so a
     # second pass over the same pairs solves nothing
@@ -1075,9 +1131,16 @@ def test_a_reduced_formula_dies_with_its_last_formula():
             gc.enable()
 
 
+# free realizations and system evaluations that suite_duality(0) makes,
+# counted where ppformula calls them: 944 and 1,280 before reduced formulas
+# were shared by content, 509 and 837 before a shared reduced formula was
+# read as reflexivity
+DUALITY_REALIZATIONS = 247
+DUALITY_SYSTEMS = 503
+
+
 def test_duality_suite_work_does_not_depend_on_the_collector(monkeypatch):
-    # free realizations and system evaluations, counted where ppformula
-    # calls them; the parent of content sharing built 944 and solved 1,280
+    # the same with the collector on and off
     import gc
     import ppmod.ppformula
     from ppmod.suites import suite_duality
@@ -1101,9 +1164,9 @@ def test_duality_suite_work_does_not_depend_on_the_collector(monkeypatch):
     finally:
         if was_enabled:
             gc.enable()
-    assert collected == uncollected
-    assert collected["quotient_module"] <= 509
-    assert collected["projected_kernel"] <= 837
+    assert collected == uncollected == {
+        "quotient_module": DUALITY_REALIZATIONS,
+        "projected_kernel": DUALITY_SYSTEMS}
 
 
 # -- the row update of the reduction -------------------------------------------
