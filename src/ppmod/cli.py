@@ -30,7 +30,7 @@ from .modules import regular_module
 from .ppformula import annihilator, divisibility, dual
 from .ppsyntax import LEFT, RIGHT, format_formula, parse_formula
 from .probes import kronecker_probe
-from .realize import realize_in_tower, verify_bimodule_idempotents
+from .realize import bimodule_failures, realize_in_tower
 from .suites import CRITERIA_ORDER, SUITES
 from .tower import build_tower, tower_dimension, verify_hom_bounds
 from .tube import hom_dimension, parse_tube_descriptor
@@ -274,17 +274,17 @@ def execute(args) -> tuple[int, list[str]]:
         _check_cap("--N", args.N, MAX_TOWER_N)
         _check_cap("--n", args.n, MAX_TOWER_HEIGHT)
         tower = build_tower(args.N, args.n, field)
-        ok, rows = verify_hom_bounds(tower, args.dim_cap)
+        rows, over = verify_hom_bounds(tower, args.dim_cap)
         lines = _header(args, horizon=args.N)
         if args.json:
-            return (0 if ok else 1), [json.dumps(
+            return (1 if over else 0), [json.dumps(
                 [{"label": lab, "dim": d, "hom_from_bimodule": h}
                  for lab, d, h in rows], indent=2)]
         lines.append("label\tdim\tdim Hom(L_n, -)")
         for lab, d, h in rows:
             lines.append(f"{lab}\t{d}\t{h}")
-        lines.append(f"hom_bound_ok\t{ok}")
-        return (0 if ok else 1), lines
+        lines.append(f"hom_bound_ok\t{not over}")
+        return (1 if over else 0), lines
 
     if cmd == "pp":
         alg, horizon = _algebra_from_spec(args.algebra, field)
@@ -381,12 +381,12 @@ def execute(args) -> tuple[int, list[str]]:
         _check_cap("--stages", args.stages, MAX_STAGES)
         tower = build_tower(args.N, args.height, field)
         rt = realize_in_tower(tower, args.stages)
-        res = verify_bimodule_idempotents(rt)
+        found, failed = bimodule_failures(rt)
         lines = _header(args, horizon=args.N)
         lines.extend(f"square\t{name}\tok" for name in rt.checked_squares)
-        lines.append(f"bimodule_multiplicities\t{res['expected']}\t"
-                     f"{'ok' if res['ok'] else 'MISMATCH'}")
-        return (0 if res["ok"] else 1), lines
+        lines.append(f"bimodule_multiplicities\t{found}\t"
+                     f"{'MISMATCH' if failed else 'ok'}")
+        return (1 if failed else 0), lines
 
     raise ValueError(f"unhandled command {cmd!r}")
 

@@ -42,8 +42,3 @@ class SquareFailed(Exception):
 class UnclassifiedSummand(Exception):
     """An indecomposable summand matched no label; a bug or a genuine
     grammar redundancy."""
-
-    def __init__(self, module, detail: str = ""):
-        super().__init__(detail or "unclassified summand")
-        self.module = module
-        self.detail = detail

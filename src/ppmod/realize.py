@@ -57,9 +57,10 @@ def chain_quotient(alg, j: int) -> ModuleMap:
     return ModuleMap(src, tgt, mat, check=True)
 
 
-def verify_pushout_pullback(top: ModuleMap, left: ModuleMap,
-                            right: ModuleMap, bottom: ModuleMap) -> dict:
-    """Exactness of 0 -> A -> B (+) C -> D -> 0 for the square
+def square_failures(top: ModuleMap, left: ModuleMap, right: ModuleMap,
+                    bottom: ModuleMap) -> list[str]:
+    """Which of commutes, left_exact, right_exact and middle_exact fail
+    for 0 -> A -> B (+) C -> D -> 0 on the square
 
             A --top--> B
             |          |
@@ -67,27 +68,23 @@ def verify_pushout_pullback(top: ModuleMap, left: ModuleMap,
             v          v
             C -bottom-> D
 
-    Returns rank diagnostics; the square is a pushout and a pullback iff
-    all three exactness conditions hold."""
+    It is a pushout and a pullback iff none fails.  ValueError when two
+    maps at one corner disagree on it."""
+    for u, v in ((top.source, left.source), (top.target, right.source),
+                 (left.target, bottom.source), (right.target, bottom.target)):
+        if u is not v and u.dim != v.dim:
+            raise ValueError("square corners disagree")
     a = top.source
-    if left.source is not a and left.source.dim != a.dim:
-        raise ValueError("square corners disagree")
     first = top.mat.hstack(left.mat)                    # A -> B (+) C
     second = right.mat.vstack(-bottom.mat)              # B (+) C -> D
     # first * second = top right - left bottom: the square commutes iff
     # the sequence's composite is zero
-    commutes = (first * second).is_zero()
-    inj = first.rank() == a.dim
-    surj = second.rank() == right.target.dim
-    middle = (top.target.dim + left.target.dim) == \
-        a.dim + right.target.dim
-    return {
-        "commutes": commutes,
-        "left_exact": inj,
-        "right_exact": surj,
-        "middle_exact": middle,
-        "bicartesian": commutes and inj and surj and middle,
-    }
+    return [name for name, holds in (
+        ("commutes", (first * second).is_zero()),
+        ("left_exact", first.rank() == a.dim),
+        ("right_exact", second.rank() == right.target.dim),
+        ("middle_exact", top.target.dim + left.target.dim ==
+         a.dim + right.target.dim)) if not holds]
 
 
 @dataclass
@@ -197,9 +194,9 @@ def _verify_squares(rt: RealizedTube):
     q, n, J = rt.quiver, rt.tower.height, rt.stages
 
     def check(name, top, left, right, bottom):
-        res = verify_pushout_pullback(top, left, right, bottom)
-        if not res["bicartesian"]:
-            raise SquareFailed(name, str(res))
+        failed = square_failures(top, left, right, bottom)
+        if failed:
+            raise SquareFailed(name, ", ".join(failed))
         rt.checked_squares.append(name)
 
     # the stage row from M_0 = 0: tube[1], with its zero corner, is the
@@ -269,9 +266,10 @@ def stage_bimodule(rt: RealizedTube) -> Module:
     return left_mod
 
 
-def verify_bimodule_idempotents(rt: RealizedTube) -> dict:
+def bimodule_failures(rt: RealizedTube) -> tuple[list[int], list[str]]:
     """Certify the stage bimodule X projective as a left module, with the
-    dimension-difference multiplicities, from its top.
+    dimension-difference multiplicities, from its top; returns the
+    multiplicities found and what failed.
 
     The paths of positive length span the radical, so the rows of R,
     their action matrices stacked, span X rad, and the top X / X rad
@@ -297,5 +295,7 @@ def verify_bimodule_idempotents(rt: RealizedTube) -> dict:
         if not w:
             found.append(e.rank() - (rad * e).rank())
             cover += found[-1] * sum(s == v for _, s, _, _ in paths)
-    return {"ok": found == expected and cover == x.dim,
-            "expected": expected, "found": found}
+    return found, [what for what, holds in (
+        (f"multiplicities {found}, not {expected}", found == expected),
+        (f"projective cover of dimension {cover}, not {x.dim}",
+         cover == x.dim)) if not holds]

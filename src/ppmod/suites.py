@@ -27,7 +27,7 @@ from .ppformula import (PpFormula, annihilator, bottom, divisibility, dual,
                         tautology)
 from .probes import (NOT_SHORT_WITNESS, SHORT_WITHIN_BOUND, kronecker_probe,
                      probe_embedding, theta_pool)
-from .realize import realize_in_tower, verify_bimodule_idempotents
+from .realize import bimodule_failures, realize_in_tower
 from .tower import (all_labels, build_tower, classify, construct_label, f0,
                     f1, label_module, verify_hom_bounds)
 from .tube import ZERO, build_ray_tube, hom_dimension, mesh_rule_failures, \
@@ -50,6 +50,14 @@ class SuiteResult:
         if with_time:
             return f"{flag}\t{self.name}\t{self.seconds:.1f}s"
         return f"{flag}\t{self.name}"
+
+
+def _result(name: str, lines: list[str], bad: list) -> SuiteResult:
+    """The suite passes iff nothing failed; a failing suite's last line
+    names its first three failures and their count."""
+    if bad:
+        lines.append(f"failures\t{bad[:3]} ({len(bad)} total)")
+    return SuiteResult(name, not bad, lines)
 
 
 def _timed(fn):
@@ -117,9 +125,9 @@ def suite_pp_oracle(seed: int = 0) -> SuiteResult:
     lines = [f"corpus\t50 formulas (n=1, l<=3, m<=3) over k[x]/(x^3) and "
              f"the double-arrow path algebra",
              f"modules\t{sum(len(v) for v in mods.values())} of dim <= 4",
-             f"pairs\t{pairs} evaluated, exact match on all"
-             if not bad else f"mismatches\t{len(bad)}"]
-    return SuiteResult("pp-oracle", not bad, lines)
+             f"pairs\t{pairs} evaluated"
+             + ("" if bad else ", exact match on all")]
+    return _result("pp-oracle", lines, bad)
 
 
 # -- criterion 2 ---------------------------------------------------------------
@@ -168,9 +176,7 @@ def suite_duality(seed: int = 0) -> SuiteResult:
              "involution\tD(D(phi)) equivalent to phi on the whole corpus",
              "basis\tD swaps divisibility and annihilation for every basis "
              "element"]
-    if bad:
-        lines.append(f"failures\t{len(bad)}")
-    return SuiteResult("duality", not bad, lines)
+    return _result("duality", lines, bad)
 
 
 # -- criterion 3 ---------------------------------------------------------------
@@ -215,9 +221,7 @@ def suite_krull_schmidt(seed: int = 0) -> SuiteResult:
              "towers and the double-arrow algebra",
              "idempotents\torthogonal, idempotent, summing to the identity",
              "summands\tcertified indecomposable (local endomorphism rings)"]
-    if bad:
-        lines.append(f"failures\t{bad[:3]} ({len(bad)} total)")
-    return SuiteResult("krull-schmidt", not bad, lines)
+    return _result("krull-schmidt", lines, bad)
 
 
 # -- criterion 4 ---------------------------------------------------------------
@@ -245,9 +249,8 @@ def suite_classification(seed: int = 0) -> SuiteResult:
                    for lab, mult in out) != m.dim:
                 bad.append((height, "dimension bookkeeping"))
         # hom bounds on every constructible label
-        ok, _ = verify_hom_bounds(tower, dim_cap=10)
-        if not ok:
-            bad.append((height, "hom bound"))
+        bad.extend((height, "hom bound", lab)
+                   for lab in verify_hom_bounds(tower, dim_cap=10)[1])
         # Hom(F1 L, F0 K) vanishes for all K in range at every level
         for lvl in range(1, height + 1):
             f1l = f1(tower, lvl, tower.bimodules[lvl - 1])
@@ -261,9 +264,7 @@ def suite_classification(seed: int = 0) -> SuiteResult:
              "verdicts\tall summands classified, dimensions audited",
              "hom bounds\tdim Hom(L_n, -) <= 1 on every label in range; "
              "Hom(F1 L, F0 K) = 0 on all pairs in range"]
-    if bad:
-        lines.append(f"failures\t{bad[:4]} ({len(bad)} total)")
-    return SuiteResult("classification", not bad, lines)
+    return _result("classification", lines, bad)
 
 
 # -- criterion 5 ---------------------------------------------------------------
@@ -291,15 +292,13 @@ def suite_ray_tube(seed: int = 0) -> SuiteResult:
             bad.append((height, str(exc)))
             lines.append(f"realized\theight {height}: {exc}")
             continue
-        res = verify_bimodule_idempotents(rt)
-        if res["ok"]:
-            verdict = (f"{len(rt.checked_squares)} squares verified "
-                       f"pushout+pullback, multiplicities {res['expected']}")
-        else:
-            verdict = f"MULTIPLICITIES_FAILED: {res}"
-            bad.append((height, verdict))
+        found, failed = bimodule_failures(rt)
+        bad.extend((height, what) for what in failed)
+        verdict = (f"MULTIPLICITIES_FAILED: {'; '.join(failed)}" if failed
+                   else f"{len(rt.checked_squares)} squares verified "
+                   f"pushout+pullback, multiplicities {found}")
         lines.append(f"realized\theight {height}: {verdict}")
-    return SuiteResult("ray-tube", not bad, lines)
+    return _result("ray-tube", lines, bad)
 
 
 # -- criterion 6 ---------------------------------------------------------------
@@ -379,9 +378,7 @@ def suite_mesh(seed: int = 0) -> SuiteResult:
              "length",
              "shapes\tnormal forms are lambda-walks then mu-climbs; "
              "same-ray dimension matches floor((j-1)/m)+1"]
-    if bad:
-        lines.append(f"failures\t{bad[:3]} ({len(bad)} total)")
-    return SuiteResult("mesh", not bad, lines)
+    return _result("mesh", lines, bad)
 
 
 # -- criterion 7 ---------------------------------------------------------------
@@ -431,9 +428,7 @@ def suite_short_probes(seed: int = 0) -> SuiteResult:
              f"{len(rep.chain) - 1} certified steps",
              f"stage embeddings\t{short_checked} probes, all "
              "SHORT_WITHIN_BOUND (height 1, horizon 5, stages <= 3)"]
-    if bad:
-        lines.append(f"failures\t{bad[:3]}")
-    return SuiteResult("short-probes", not bad, lines)
+    return _result("short-probes", lines, bad)
 
 
 # -- criterion 8 ---------------------------------------------------------------
@@ -506,9 +501,7 @@ def suite_radical(seed: int = 0) -> SuiteResult:
              "on every non-zero element",
              "powers\tradical power chains stabilize on both declared "
              "universes"]
-    if bad:
-        lines.append(f"failures\t{bad[:3]} ({len(bad)} total)")
-    return SuiteResult("radical", not bad, lines)
+    return _result("radical", lines, bad)
 
 
 # -- criterion 9 ---------------------------------------------------------------
@@ -551,9 +544,7 @@ def suite_ziegler(seed: int = 0) -> SuiteResult:
              "stable under union and intersection",
              "examples\tfamily rule, hull rule and point closures reproduce "
              "the quoted sets"]
-    if bad:
-        lines.append(f"failures\t{sorted(set(bad))}")
-    return SuiteResult("ziegler", not bad, lines)
+    return _result("ziegler", lines, bad)
 
 
 # -- criterion 10 ----------------------------------------------------------------
@@ -582,9 +573,7 @@ def suite_k_dual(seed: int = 0) -> SuiteResult:
     lines = [f"triples\t{triples} (phi, psi, M) samples over both algebras",
              "reversal\tphi(M) <= psi(M) forces D(psi)(M*) <= D(phi)(M*)",
              "double dual\tisomorphic to the original on every test module"]
-    if bad:
-        lines.append(f"failures\t{bad[:3]}")
-    return SuiteResult("k-dual", not bad, lines)
+    return _result("k-dual", lines, bad)
 
 
 SUITES = {

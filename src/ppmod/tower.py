@@ -264,22 +264,22 @@ def identify_indecomposable(tower: TowerRing, level: int,
         j = u.dim
         if not (1 <= j <= tower.N) or \
                 iso_test(u, dvr_chain_module(tower.algebras[0], j)) is None:
-            raise UnclassifiedSummand(u, "level-0 summand not a chain module")
+            raise UnclassifiedSummand("level-0 summand not a chain module")
         return FpLabel(0, 0, ("Ind", j))
     ext, core = restrict(tower, level, u)
     if core.dim == 0:
         if ext == 1:
             return FpLabel(0, 0, ("T", level))
-        raise UnclassifiedSummand(u, "extension part not simple")
+        raise UnclassifiedSummand("extension part not simple")
     if ext == 0:
         inner = identify_indecomposable(tower, level - 1, core)
         return FpLabel(inner.a + 1, inner.b, inner.base)
     rebuilt = f1(tower, level, core)
     if iso_test(u, rebuilt) is None:
-        raise UnclassifiedSummand(u, "not isomorphic to the F1 of its core")
+        raise UnclassifiedSummand("not isomorphic to the F1 of its core")
     inner = identify_indecomposable(tower, level - 1, core)
     if inner.a != 0:
-        raise UnclassifiedSummand(u, "F1 wraps an F0 layer; impossible shape")
+        raise UnclassifiedSummand("F1 wraps an F0 layer; impossible shape")
     return FpLabel(0, inner.b + 1, inner.base)
 
 
@@ -299,15 +299,10 @@ def classify(tower: TowerRing, x: Module) -> list[tuple[FpLabel, int]]:
 
 def verify_hom_bounds(tower: TowerRing, dim_cap: int):
     """Construct every label of flattened dimension <= cap and check
-    dim Hom(L_n, -) <= 1; returns (all_ok, rows)."""
-    n = tower.height
-    l_top = tower.bimodules[n]
+    dim Hom(L_n, -) <= 1; returns (rows, the labels over the bound)."""
+    l_top = tower.bimodules[tower.height]
     rows = []
-    ok = True
     for lab in all_labels(tower, dim_cap=dim_cap):
         m = construct_label(tower, lab)
-        d = len(hom_space(l_top, m))
-        rows.append((str(lab), m.dim, d))
-        if d > 1:
-            ok = False
-    return ok, rows
+        rows.append((str(lab), m.dim, len(hom_space(l_top, m))))
+    return rows, [lab for lab, _, d in rows if d > 1]

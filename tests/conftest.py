@@ -23,18 +23,18 @@ def kron():
 
 @pytest.fixture
 def failed_square(monkeypatch):
-    """verify_pushout_pullback reports the first square it checks as not
-    bicartesian."""
+    """square_failures reports the first square it checks as failing to
+    commute."""
     from ppmod import realize
-    inner = realize.verify_pushout_pullback
+    inner = realize.square_failures
     calls = []
 
     def failing(*maps):
-        res = inner(*maps)
-        calls.append(res)
-        return dict(res, bicartesian=False) if len(calls) == 1 else res
+        failed = inner(*maps)
+        calls.append(failed)
+        return failed + ["commutes"] if len(calls) == 1 else failed
 
-    monkeypatch.setattr(realize, "verify_pushout_pullback", failing)
+    monkeypatch.setattr(realize, "square_failures", failing)
 
 
 @pytest.fixture

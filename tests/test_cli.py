@@ -416,9 +416,9 @@ def test_failed_bimodule_multiplicities_exit_1(monkeypatch, capsys):
     import ppmod.cli
 
     def mismatched(rt):
-        return {"ok": False, "expected": [1, 2]}
+        return [1, 2], ["multiplicities [1, 2], not [1]"]
 
-    monkeypatch.setattr(ppmod.cli, "verify_bimodule_idempotents", mismatched)
+    monkeypatch.setattr(ppmod.cli, "bimodule_failures", mismatched)
     assert main(["realize", "--N", "3", "--height", "0", "--stages", "1"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "bimodule_multiplicities\t[1, 2]\tMISMATCH"
@@ -428,7 +428,7 @@ def test_failed_hom_bound_exits_1(monkeypatch, capsys):
     import ppmod.cli
 
     def exceeded(tower, dim_cap):
-        return False, [("T(1)", 1, 2)]
+        return [("T(1)", 1, 2)], ["T(1)"]
 
     monkeypatch.setattr(ppmod.cli, "verify_hom_bounds", exceeded)
     assert main(["classify", "--N", "3", "--n", "1"]) == 1

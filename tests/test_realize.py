@@ -1,7 +1,7 @@
 import pytest
 
 from ppmod.fields import GF, QQ
-from ppmod.algebra import kronecker_algebra
+from ppmod.algebra import kronecker_algebra, truncated_dvr
 from ppmod.decompose import decompose
 from ppmod.errors import HorizonExceeded, SquareFailed
 from ppmod.linalg import Matrix, Subspace
@@ -13,10 +13,9 @@ from ppmod.catalog import (dvr_chain_module, kronecker_preprojective,
 from ppmod.tower import build_tower, tower_dimension
 from ppmod.tube import (Arrow, ZERO, all_paths_from, hom_dimension,
                         normalize_path)
-from ppmod.realize import (_verify_squares, chain_inclusion,
-                           chain_quotient, realize_in_tower, stage_bimodule,
-                           verify_bimodule_idempotents,
-                           verify_pushout_pullback)
+from ppmod.realize import (_verify_squares, bimodule_failures,
+                           chain_inclusion, chain_quotient, realize_in_tower,
+                           square_failures, stage_bimodule)
 
 F2 = GF(2)
 
@@ -34,8 +33,8 @@ def rt_n1(tw_n1):
 def test_identity_square_is_bicartesian(tw_n1):
     m = dvr_chain_module(tw_n1.algebras[0], 2)
     ident = ModuleMap(m, m, Matrix.identity(F2, 2), check=False)
-    res = verify_pushout_pullback(ident, ident, ident, ident)
-    assert res["bicartesian"]  # 0 -> A -> A (+) A -> A -> 0 is exact
+    # 0 -> A -> A (+) A -> A -> 0 is exact
+    assert square_failures(ident, ident, ident, ident) == []
 
 
 def test_deliberately_broken_square_fails(tw_n1):
@@ -44,12 +43,25 @@ def test_deliberately_broken_square_fails(tw_n1):
     quo1 = chain_quotient(alg, 1)
     v1 = dvr_chain_module(alg, 1)
     v2 = dvr_chain_module(alg, 2)
-    # the direct-sum exact square 0 -> V/m -> V/m^2 (+) V/m... use the
-    # standard chain square which is exact:
-    ok = verify_pushout_pullback(inc1, inc1, quo1, quo1)
     # breaking one map with zero destroys exactness
-    broken = verify_pushout_pullback(inc1, zero_map(v1, v2), quo1, quo1)
-    assert not broken["bicartesian"]
+    broken = square_failures(inc1, zero_map(v1, v2), quo1, quo1)
+    assert broken
+
+
+def test_a_square_whose_maps_leave_the_wrong_corners_is_refused():
+    # A = B = k and C = D = k^2 over k[x]/(x); right leaves C instead of B
+    # and bottom leaves B instead of C.  The matrices still compose, and
+    # every exactness rank holds, so only the corners give it away
+    k = dvr_chain_module(truncated_dvr(1, F2), 1)
+    k2 = direct_sum([k, k])[0]
+
+    def hom(src, tgt, rows):
+        return ModuleMap(src, tgt, Matrix.from_rows(F2, rows), check=False)
+
+    top, left = hom(k, k, [[1]]), hom(k, k2, [[0, 1]])
+    right, bottom = hom(k2, k2, [[1, 0], [0, 1]]), hom(k, k2, [[1, 0]])
+    with pytest.raises(ValueError, match="square corners disagree"):
+        square_failures(top, left, right, bottom)
 
 
 def test_realized_ladder_n1(rt_n1):
@@ -112,30 +124,24 @@ def test_horizon_discipline(tw_n1):
 def test_bimodule_idempotents_n0():
     tw = build_tower(4, 0, F2)
     rt = realize_in_tower(tw, 3)
-    res = verify_bimodule_idempotents(rt)
-    assert res["ok"]
-    assert res["expected"] == [1]  # free of rank dim M_1
+    assert bimodule_failures(rt) == ([1], [])  # free of rank dim M_1
 
 
 def test_bimodule_idempotents_n1(rt_n1):
-    res = verify_bimodule_idempotents(rt_n1)
-    assert res["ok"]
-    assert res["expected"] == [1, 1]
+    assert bimodule_failures(rt_n1) == ([1, 1], [])
 
 
 def test_bimodule_idempotents_n1_horizon4():
     tw = build_tower(4, 1, F2)
     rt = realize_in_tower(tw, 3)
-    res = verify_bimodule_idempotents(rt)
-    assert res["ok"] and res["found"] == res["expected"]
+    found, failed = bimodule_failures(rt)
+    assert not failed and found == [1, 1]
 
 
 def test_bimodule_idempotents_n2():
     tw = build_tower(4, 2, F2)
     rt = realize_in_tower(tw, 3)
-    res = verify_bimodule_idempotents(rt)
-    assert res["ok"]
-    assert res["expected"] == [1, 1, 1]
+    assert bimodule_failures(rt) == ([1, 1, 1], [])
 
 
 def _plus_simple(v):
@@ -165,10 +171,11 @@ def test_a_planted_defect_in_the_stage_bimodule_is_rejected(monkeypatch,
     inner = ppmod.realize.stage_bimodule
     monkeypatch.setattr(ppmod.realize, "stage_bimodule",
                         lambda rt: plant(inner(rt)))
-    res = verify_bimodule_idempotents(realize_in_tower(build_tower(4, 2, F2),
-                                                       3))
-    assert not res["ok"]
-    assert res["expected"] == [1, 1, 1] and res["found"] == found
+    got, failed = bimodule_failures(realize_in_tower(build_tower(4, 2, F2),
+                                                     3))
+    assert got == found and failed
+    assert (f"multiplicities {found}, not [1, 1, 1]" in failed) == \
+        (found != [1, 1, 1])
 
 
 def _projective_summands(x):
@@ -194,10 +201,11 @@ def _projective_summands(x):
 def test_the_top_certificate_agrees_with_the_projective_matching(field,
                                                                  height):
     rt = realize_in_tower(build_tower(5, height, field), 3)
-    res = verify_bimodule_idempotents(rt)
+    got, failed = bimodule_failures(rt)
     projective, found = _projective_summands(stage_bimodule(rt))
-    assert res["ok"] == (projective and found == res["expected"])
-    assert res["found"] == found
+    # P^l_1 = F1^l (V/m) has dimension l + 1: one copy of each e_v A
+    assert (not failed) == (projective and found == [1] * (height + 1))
+    assert got == found
 
 
 def test_stage_bimodule_left_structure(rt_n1):
@@ -251,13 +259,13 @@ def test_failed_square_fails_the_ray_tube_suite(failed_square):
 
 def test_failed_multiplicities_are_named_on_their_line(monkeypatch):
     import ppmod.suites
-    inner = ppmod.suites.verify_bimodule_idempotents
-    monkeypatch.setattr(ppmod.suites, "verify_bimodule_idempotents",
-                        lambda rt: dict(inner(rt), ok=False))
+    inner = ppmod.suites.bimodule_failures
+    monkeypatch.setattr(ppmod.suites, "bimodule_failures",
+                        lambda rt: (inner(rt)[0], ["planted"]))
     res = ppmod.suites.SUITES["ray-tube"](0)
     assert not res.passed
     text = "\n".join(res.lines)
-    assert "realized\theight 0: MULTIPLICITIES_FAILED" in text
+    assert "realized\theight 0: MULTIPLICITIES_FAILED: planted" in text
     assert "squares verified" not in text
 
 
@@ -307,5 +315,5 @@ def test_iso_matching_solves_no_more_hom_systems(solved_homs):
     assert len(solved_homs) <= 11
     rt = realize_in_tower(build_tower(5, 2, F2), 3)
     solved_homs.clear()
-    assert verify_bimodule_idempotents(rt)["ok"]
+    assert bimodule_failures(rt)[1] == []
     assert len(solved_homs) <= 2

@@ -196,13 +196,29 @@ def test_labels_have_local_endos(tw21):
 
 
 def test_verify_hom_bounds_21(tw21):
-    ok, rows = verify_hom_bounds(tw21, dim_cap=6)
-    assert ok
+    rows, over = verify_hom_bounds(tw21, dim_cap=6)
+    assert over == []
     by_label = {lab: hom for lab, _, hom in rows}
     # the F0 side is annihilated by the bimodule, the F1 side sees exactly one
     assert by_label["F0^1 F1^0 Ind(1)"] == 0
     assert by_label["T(1)"] == 1
     assert all(h <= 1 for h in by_label.values())
+
+
+def test_a_hom_bound_over_one_is_named_by_its_label(monkeypatch):
+    # dim Hom(L_2, T(2)) doubled: the bound check names T(2), and so does
+    # the classification suite's failure line; T(2) is over the top ring,
+    # so no F1 construction reads the doubled basis
+    import ppmod.tower
+    from ppmod.suites import suite_classification
+    inner = ppmod.tower.hom_space
+    monkeypatch.setattr(ppmod.tower, "hom_space", lambda src, tgt: (
+        inner(src, tgt) * (2 if tgt.label == "T(2)" else 1)))
+    rows, over = verify_hom_bounds(build_tower(2, 2, F2), dim_cap=10)
+    assert over == ["T(2)"] and ("T(2)", 1, 2) in rows
+    res = suite_classification(0)
+    assert not res.passed
+    assert res.lines[-1] == "failures\t[(2, 'hom bound', 'T(2)')] (1 total)"
 
 
 def test_labels_are_pairwise_non_isomorphic(tw21, tw31):
@@ -224,11 +240,10 @@ def test_the_left_regular_module_passes_the_top_certificate(tw32,
     # vertex
     import ppmod.realize
     from ppmod.modules import regular_module
-    from ppmod.realize import realize_in_tower, verify_bimodule_idempotents
+    from ppmod.realize import bimodule_failures, realize_in_tower
     monkeypatch.setattr(ppmod.realize, "stage_bimodule",
                         lambda rt: regular_module(tw32.top.op))
-    res = verify_bimodule_idempotents(realize_in_tower(tw32, 2))
-    assert res == {"ok": True, "expected": [1, 1, 1], "found": [1, 1, 1]}
+    assert bimodule_failures(realize_in_tower(tw32, 2)) == ([1, 1, 1], [])
 
 
 def test_f1_map_with_vanishing_target_homs(tw32):

@@ -192,6 +192,18 @@ def test_closure_operator_properties():
         assert is_closed(ci)
 
 
+def test_a_failing_ziegler_suite_ends_in_its_failures_line(monkeypatch):
+    # no set closed: both stability laws fail on every draw, and so does
+    # the closed finite-length example
+    import ppmod.suites
+    monkeypatch.setattr(ppmod.suites, "is_closed", lambda s: False)
+    res = ppmod.suites.suite_ziegler(0)
+    assert not res.passed
+    assert res.lines[-1] == ("failures\t['union-stability', "
+                             "'intersection-stability', 'union-stability'] "
+                             "(1001 total)")
+
+
 def closure_to_fixpoint(s):
     """The reference closure: apply both rules until nothing changes."""
     n = s.height
