@@ -13,10 +13,13 @@ field, so that equal matrices store equal rows:
 GF(p) is the den = 1 case of the QQ form.  Every GF(p) and QQ operation
 computes integer rows over a denominator in one piece of code, and only
 the normaliser differs: one `% p` per entry (`Matrix._of_ints`), or the
-gcd of den and the entries divided out (`Matrix._of_stored`).  Over QQ a
-product is over the product of the denominators and a combination over
-their lcm; no operation calls a `Field` method or does Fraction
-arithmetic.
+gcd of den and the entries divided out (`Matrix._of_stored`).  A product
+starts each row from its first nonzero term, skips the zero entries of
+the left factor and normalises each row as it is finished, so its rows
+go to `_of_stored` without a second walk.  Over QQ a product is over the
+product of the denominators and a combination over their lcm; no
+operation calls a `Field` method or does Fraction arithmetic.  The GF(p)
+constructor takes ints only: a Fraction or a float entry is refused.
 
 `Matrix.data`, the rows as tuples of field elements, is available for
 every field: over GF(p) it is `ints` itself; over GF(2) and QQ it is
@@ -27,7 +30,9 @@ Fractions come in only through the constructor, the coefficients of
 GF(p) and QQ have one elimination, `_sparse_rref`: Gauss-Jordan on rows
 {column: int}, pivots taken from the last column to the first, with a
 Fermat inverse over GF(p) and fraction-free updates over QQ.  Each
-reduced row is zero right of its pivot and at every other pivot.
+incoming row is copied once, and the copy is cleared in place, in both
+passes, so no pivot step allocates a row.  Each reduced row is zero
+right of its pivot and at every other pivot.
 `Matrix.rref` hands it column j as column cols - 1 - j, so the pivots
 come out leftmost first, and puts the rows over the lcm of their pivot
 entries.
@@ -43,7 +48,11 @@ unique.  The rows with j >= k are zero on the first k coordinates, and
 the rest, cut there, are the RREF of the projection; no second
 elimination runs.  The system of a hom space, A F = F B, has dm * dn
 unknowns (1,681 for a 41-dimensional module against itself) but at most
-dm + dn nonzeros per row; over GF(2) it is packed like any other.
+dm + dn nonzeros per row.  `_intertwining_rows` builds it from the
+nonzeros: those of each row of A and each column of B are listed once
+per pair, row (r, c) is put together from one of each, and the one
+unknown they share, F[r][c], is summed and dropped if it cancels.  Over
+GF(2) the system is packed like any other.
 
 No other module knows how a matrix stores its rows.  They build, flatten
 and cut matrices with `block`, `Matrix.reshape`, `vectorized`, the row and
@@ -91,7 +100,11 @@ class Matrix:
             self.ints = tuple(tuple(flat[i * cols:(i + 1) * cols])
                               for i in range(rows))
         else:
-            self.ints = self.data = tuple(tuple([x % p for x in r]) for r in d)
+            # an int stands for its residue; anything else (a Fraction, a
+            # float) would leave the storage, so it is refused
+            self.ints = self.data = tuple(tuple([
+                x % p if isinstance(x, int) else _not_an_int(x, field)
+                for x in r]) for r in d)
 
     def __getattr__(self, name):
         # reached only for an unset slot: `data` of a GF(2) or QQ matrix
@@ -233,10 +246,28 @@ class Matrix:
                     r ^= low
                 out.append(acc)
             return Matrix._of_stored(f, self.rows, other.cols, tuple(out))
-        c = other.cols
-        return Matrix._of_ints(f, self.rows, c,
-                               _int_product(self.ints, other.ints, c),
-                               self.den * other.den)
+        # row i: the combination of the rows of other by the nonzero
+        # entries of row i of self, started from its first term and
+        # reduced once it is finished (a lone unit term is a stored row)
+        p, rows_b = f.p, other.ints
+        zero = (0,) * other.cols
+        out = []
+        for r in self.ints:
+            acc = None
+            for x, br in zip(r, rows_b):
+                if not x:
+                    continue
+                if acc is None:
+                    acc = br if x == 1 else [x * y for y in br]
+                else:
+                    acc = [s + x * y for s, y in zip(acc, br)]
+            if acc is None:
+                acc = zero
+            elif isinstance(acc, list):
+                acc = tuple(acc if p is None else [s % p for s in acc])
+            out.append(acc)
+        return Matrix._of_stored(f, self.rows, other.cols, tuple(out),
+                                 self.den * other.den)
 
     def transpose(self) -> "Matrix":
         if self.field.p == 2:
@@ -465,26 +496,41 @@ def intertwiners(lefts, rights, dm: int, dn: int) -> list[Matrix]:
 
 
 def _intertwining_rows(lefts, rights, dn: int, p) -> list[dict]:
-    """Rows {column: int} of the intertwining system over GF(p) (p None:
-    QQ): the unknown F[s][c] is column s * dn + c, and row (pair, r, c)
-    says (A F - F B)[r][c] = 0."""
+    """Rows {column: int} without zero entries of the intertwining system
+    over GF(p) (p None: QQ): the unknown F[s][c] is column s * dn + c, and
+    row (pair, r, c) says (A F - F B)[r][c] = 0."""
     rows = []
     for am, an in zip(lefts, rights):
-        # cleared of denominators: A's rows scaled by B's den, B's by A's
+        # cleared of denominators: A's rows scaled by B's den, B's by A's;
+        # the nonzeros of each column of -B listed once
         den = am.den * an.den
-        bcols = list(zip(*_scaled(an, den)))
+        negb = [[-y if p is None else -y % p for y in brow]
+                for brow in _scaled(an, den)]
+        bcols = [[(t, y) for t, y in enumerate(col) if y]
+                 for col in zip(*negb)]
+        bdiag = [brow[c] for c, brow in enumerate(negb)]
         # row (r, c): A[r][s] at F[s][c] and -B[t][c] at F[r][t]; the two
-        # meet only at F[r][c]
+        # meet only at F[r][c], where the terms are summed, and dropped if
+        # they cancel
         for r, arow in enumerate(_scaled(am, den)):
             off = r * dn
+            aterms = [(s * dn, x) for s, x in enumerate(arow) if x]
+            adiag = arow[r]
             for c, bcol in enumerate(bcols):
-                row = {s * dn + c: x for s, x in enumerate(arow) if x}
-                for t, y in enumerate(bcol):
-                    if y:
-                        row[off + t] = row.get(off + t, 0) - y
-                rows.append({k: x for k, x in row.items() if x}
-                            if p is None else
-                            {k: x % p for k, x in row.items() if x % p})
+                row = {}
+                for k, x in aterms:
+                    row[k + c] = x
+                for t, y in bcol:
+                    row[off + t] = y
+                if adiag and bdiag[c]:
+                    x = adiag + bdiag[c]
+                    if p is not None:
+                        x %= p
+                    if x:
+                        row[off + c] = x
+                    else:
+                        del row[off + c]
+                rows.append(row)
     return rows
 
 
@@ -592,42 +638,41 @@ def _scaled(m: Matrix, den: int):
     return tuple(tuple([s * x for x in r]) for r in m.ints)
 
 
-def _int_product(a, b, cols: int) -> list[list[int]]:
-    """The product of integer rows, unreduced: row i is the combination of
-    the rows of b by the nonzero entries of row i of a."""
-    out = []
-    for r in a:
-        acc = [0] * cols
-        for x, br in zip(r, b):
-            if x:
-                acc = [s + x * y for s, y in zip(acc, br)]
-        out.append(acc)
-    return out
+def _not_an_int(x, field: Field):
+    raise ValueError(f"{x!r} is not an int, so not an entry of a "
+                     f"{field!r} matrix")
 
 
 def _sparse_rref(rows, p):
     """Gauss-Jordan over GF(p) (p None: QQ) on rows {column: int} without
     zero entries, pivots from the last column to the first: {pivot: its
-    row}, each row zero right of its pivot and at every other pivot, and
-    1 at its pivot over GF(p).  A new row is reduced until its last
-    column is no pivot yet; then, in ascending pivot order, each row is
-    cleared by the rows before it."""
+    row}, each row without zero entries, zero right of its pivot and at
+    every other pivot, 1 at its pivot over GF(p) and, over QQ,
+    content-free once it has been cleared.  Each given row is copied once
+    and the copy reduced in place until its last column is no pivot yet;
+    then, in ascending pivot order, each row is cleared in place by the
+    rows before it.  The given rows are left unchanged."""
     red = {}
     for row in rows:
-        while row:
-            m = max(row)
-            if m not in red:
-                if p is not None:
-                    inv = pow(row[m], p - 2, p)
-                    row = {k: x * inv % p for k, x in row.items()}
-                red[m] = row
+        if not row:
+            continue
+        row = dict(row)
+        m = max(row)
+        while m in red:
+            _clear_in_place(row, red[m], m, p)
+            if not row:
                 break
-            row = _sparse_clear(row, red[m], m, p)
+            m = max(row)
+        else:
+            if p is not None and row[m] != 1:
+                inv = pow(row[m], p - 2, p)
+                for k, x in row.items():
+                    row[k] = x * inv % p
+            red[m] = row
     for m in sorted(red):
         row = red[m]
         for k in [k for k in row if k != m and k in red]:
-            row = _sparse_clear(row, red[k], k, p)
-        red[m] = row
+            _clear_in_place(row, red[k], k, p)
     return red
 
 
@@ -660,18 +705,21 @@ def _dict_rows(rows):
     return [{j: x for j, x in enumerate(r) if x} for r in rows]
 
 
-def _sparse_clear(row, prow, col: int, p):
-    """row less the multiple of the pivot row prow that clears column col:
+def _clear_in_place(row, prow, col: int, p) -> None:
+    """Clear column col of row in place by the pivot row prow: row less
     c prow, with c = row[col], over GF(p), where prow[col] = 1; over QQ
     fraction-free, (a/g) row - (c/g) prow with a = prow[col] and
     g = gcd(a, c), its content then divided out."""
-    s, c = 1, row[col]
+    c = row[col]
     if p is None:
         g = gcd(prow[col], c)
         s, c = prow[col] // g, c // g
-    row = dict(row) if s == 1 else {k: s * x for k, x in row.items()}
+        if s != 1:
+            for k, x in row.items():
+                row[k] = s * x
+    get = row.get
     for k, y in prow.items():
-        x = row.get(k, 0) - c * y
+        x = get(k, 0) - c * y
         if p is not None:
             x %= p
         if x:
@@ -681,8 +729,8 @@ def _sparse_clear(row, prow, col: int, p):
     if p is None:
         g = gcd(*row.values())
         if g > 1:
-            row = {k: x // g for k, x in row.items()}
-    return row
+            for k, x in row.items():
+                row[k] = x // g
 
 
 # -- GF(2) packed rows ---------------------------------------------------

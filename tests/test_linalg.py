@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 
 from ppmod.algebra import truncated_dvr
 from ppmod.fields import GF, QQ
-from ppmod.linalg import (Matrix, Subspace, block, block_diagonal,
-                          combination, intertwiners, projected_kernel,
-                          quotient_projection, span_elements, subspace_leq,
-                          subspace_meet, subspace_sum, vectorized)
+from ppmod.linalg import (Matrix, Subspace, _intertwining_rows, _sparse_rref,
+                          block, block_diagonal, combination, intertwiners,
+                          projected_kernel, quotient_projection,
+                          span_elements, subspace_leq, subspace_meet,
+                          subspace_sum, vectorized)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -277,21 +279,43 @@ def field_matrix(f, rows, cols, entry=None):
 
 
 @st.composite
+def sparse_field_matrix(draw, f, rows, cols):
+    """A rows x cols matrix that is mostly zero: some whole rows and
+    columns zero, the other entries zero three times in four, and over QQ
+    the nonzero entries over one common denominator 2..6."""
+    zero_rows = draw(st.sets(st.integers(0, rows - 1))) if rows else set()
+    zero_cols = draw(st.sets(st.integers(0, cols - 1))) if cols else set()
+    if f.p is None:
+        q = draw(st.integers(2, 6))
+        nonzero = st.integers(-6, 6).filter(bool).map(
+            lambda n: Fraction(n, q))
+    else:
+        nonzero = st.integers(1, f.p - 1)
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), nonzero)
+    return Matrix(f, rows, cols, [
+        [f.of(0) + (0 if i in zero_rows or j in zero_cols else draw(entry))
+         for j in range(cols)] for i in range(rows)])
+
+
+@st.composite
 def oracle_input(draw):
     """A field, an a x b matrix A (a, b in 0..5, so 0 x n, n x 0 and 0 x 0
     occur), B of the same shape, C of shape b x k, a right-hand side of
     shape a x k (often A times something, so solvable systems occur), a
-    vector of length b and a number of leading coordinates 0..a."""
+    vector of length b and a number of leading coordinates 0..a.  The
+    matrices are drawn uniformly or, as often, sparse (mostly zero, with
+    zero rows and columns, over QQ over a common denominator)."""
     f = draw(st.sampled_from(ORACLE_FIELDS))
+    matrix = draw(st.sampled_from([field_matrix, sparse_field_matrix]))
     a, b, k = (draw(st.integers(0, 5)) for _ in range(3))
-    mat_a = draw(field_matrix(f, a, b))
-    mat_b = draw(field_matrix(f, a, b))
-    mat_c = draw(field_matrix(f, b, k))
+    mat_a = draw(matrix(f, a, b))
+    mat_b = draw(matrix(f, a, b))
+    mat_c = draw(matrix(f, b, k))
     rhs = mat_a * mat_c if draw(st.booleans()) \
-        else draw(field_matrix(f, a, k))
-    vec = draw(field_matrix(f, 1, b))
+        else draw(matrix(f, a, k))
+    vec = draw(matrix(f, 1, b))
     if b and draw(st.booleans()):  # a vector of the row space
-        vec = draw(field_matrix(f, 1, a)) * mat_a if a else vec
+        vec = draw(matrix(f, 1, a)) * mat_a if a else vec
     return f, mat_a, mat_b, mat_c, rhs, vec.data[0], draw(st.integers(0, a))
 
 
@@ -869,6 +893,58 @@ def test_large_end_rings_equal_the_dense_kernel(field, chains, end_dim):
     assert len(basis) == end_dim
     assert_same_basis(basis, sympy_intertwiners(pairs, m.dim, m.dim))
     assert all(a * e == e * a for e in basis for a in m.action)
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=["gf3", "qq"])
+def test_sparse_system_rows_and_their_elimination(field):
+    """End(M) and Hom(M, N) of Kronecker representations, over every
+    element of the action: the idempotents act as 1 on both sides, so
+    F[r][c] cancels in the rows of a vertex's idempotent."""
+    from ppmod.algebra import kronecker_algebra
+    from ppmod.modules import quiver_rep
+    kron = kronecker_algebra(field)
+    half = field.of(1) / 2 if field.p is None else 2
+    m = quiver_rep(kron, {1: 2, 2: 3}, {"a": [[1, 0, half], [0, half, 0]],
+                                        "b": [[0, 1, 0], [half, 0, 1]]})
+    n = quiver_rep(kron, {1: 1, 2: 2}, {"a": [[1, half]]})
+    cancelled = 0
+    for left, right in ((m, m), (m, n)):
+        pairs = list(zip(left.action, right.action))
+        rows = _intertwining_rows(left.action, right.action, right.dim,
+                                  field.p)
+        # the rows are A F - F B assembled entry by entry, cleared of the
+        # denominators of A and B, without zero entries
+        want = []
+        for a, b in pairs:
+            den = a.den * b.den
+            for row in kronecker_entries([(a, b)], left.dim, right.dim):
+                want.append({k: x * den for k, x in row.items()})
+        assert rows == want
+        assert all(all(row.values()) for row in rows)
+        for a, b in pairs:
+            cancelled += sum(
+                1 for r in range(left.dim) for c in range(right.dim)
+                if a.data[r][r] and a.data[r][r] == b.data[c][c])
+        # the elimination clears rows (fewer pivots than nonzero rows) and
+        # leaves the rows it is given as they were
+        before = [dict(row) for row in rows]
+        red = _sparse_rref(rows, field.p)
+        assert rows == before
+        assert len(red) < sum(1 for row in rows if row)
+        for piv, row in red.items():
+            assert max(row) == piv and all(row.values())
+            assert not any(k in red for k in row if k != piv)
+            if field.p is not None:
+                assert row[piv] == 1
+    assert cancelled > 0
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), 0.5, 2.0],
+                         ids=repr)
+def test_a_gfp_matrix_refuses_an_entry_that_is_not_an_int(entry):
+    with pytest.raises(ValueError, match=re.escape(repr(entry))):
+        Matrix(F3, 1, 1, [[entry]])
+    assert Matrix(F3, 1, 2, [[5, -1]]) == Matrix(F3, 1, 2, [[2, 2]])
 
 
 @settings(max_examples=200, deadline=None)
