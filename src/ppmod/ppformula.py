@@ -26,6 +26,13 @@ x = u + v with unit coefficients on u and v, and each dual turns them
 into bound variables with unit coefficients, so most derived formulas
 shrink.
 
+Sum, meet, dual and the reduction build their results from their parts'
+entries, which are reduced already, through `PpFormula._of` and its
+cells form, without checking them again; the constructor and
+`from_cells` check every entry, since they take outside input.  Only
+nonzero cells are placed, evaluation gives a zero entry no block of its
+system, and the reduction skips a product that is zero.
+
 Implication phi -> psi is decided on the free realization (C, c) of the
 reduced phi: phi <= psi iff c lies in psi(C) (Prest, *Purity, Spectra
 and Localisation*, CUP 2009, section 1.2), a membership test in the value
@@ -114,6 +121,28 @@ class PpFormula:
             [cells.get((v, e), z) for e in range(m)] for v in range(n + l)],
             realization)
 
+    @staticmethod
+    def _of(algebra: FDAlgebra, n: int, hmat) -> "PpFormula":
+        """The formula with matrix hmat, which must already be a tuple of
+        equal-length tuples of reduced entries: nothing is checked.  For
+        formulas derived from other formulas, whose entries are reduced
+        already; outside input goes through the constructor."""
+        phi = object.__new__(PpFormula)
+        phi.algebra, phi.n, phi.hmat = algebra, n, hmat
+        phi._realization, phi._by_hom = None, False
+        phi._eval_cache, phi._reduced = {}, None
+        return phi
+
+    @staticmethod
+    def _of_cells(algebra: FDAlgebra, n: int, l: int, m: int,
+                  cells) -> "PpFormula":
+        """from_cells for reduced entries, through _of: nothing is
+        checked, and every absent cell is zero."""
+        z = algebra.zero_el()
+        return PpFormula._of(algebra, n, tuple(
+            tuple(cells.get((v, e), z) for e in range(m))
+            for v in range(n + l)))
+
     @property
     def l(self) -> int:
         return len(self.hmat) - self.n
@@ -158,11 +187,13 @@ class PpFormula:
                 vectorized(r.algebra.field, images, k))
         else:
             # phi(M) is the x-part of {(x, y) : (x, y) S = 0}, where band
-            # (v, e) of S is the action of hmat[v][e] on M
+            # (v, e) of S is the action of hmat[v][e] on M; block leaves
+            # the band of a zero entry zero
             d, nvars = module.dim, len(r.hmat)
             system = block(r.algebra.field, [d] * nvars, [d] * r.m,
-                           {(v, e): module.act(r.hmat[v][e])
-                            for v in range(nvars) for e in range(r.m)})
+                           {(v, e): module.act(x)
+                            for v, row in enumerate(r.hmat)
+                            for e, x in enumerate(row) if any(x)})
             result = Subspace(projected_kernel(system, k))
         r._eval_cache[module.serial] = result
         return result
@@ -248,11 +279,12 @@ def _unit_eliminated(phi: PpFormula) -> PpFormula:
             c = r.pop(e)
             if any(c):
                 for j, b in w:
-                    r[j] = tuple(of(s - t) for s, t in
-                                 zip(r[j], alg.mul_el(c, b)))
+                    t = alg.mul_el(c, b)
+                    if any(t):
+                        r[j] = tuple(of(s - x) for s, x in zip(r[j], t))
     if len(rows) == len(phi.hmat):
         return phi
-    return PpFormula(phi.algebra, n, rows)
+    return PpFormula._of(alg, n, tuple(map(tuple, rows)))
 
 
 def _unit_pivot(alg: FDAlgebra, rows, n: int):
@@ -325,10 +357,10 @@ def annihilator(alg: FDAlgebra, a) -> PpFormula:
 
 
 def _placed(phi: PpFormula, rows, col: int) -> dict:
-    """phi's matrix as cells: variable v on row rows[v], condition e in
-    column col + e."""
+    """phi's nonzero entries as cells: variable v on row rows[v],
+    condition e in column col + e."""
     return {(rows[v], col + e): x for v, r in enumerate(phi.hmat)
-            for e, x in enumerate(r)}
+            for e, x in enumerate(r) if any(x)}
 
 
 def pp_sum(phi: PpFormula, psi: PpFormula) -> PpFormula:
@@ -343,7 +375,7 @@ def pp_sum(phi: PpFormula, psi: PpFormula) -> PpFormula:
     cells = {**_placed(phi, u_rows, n), **_placed(psi, v_rows, n + phi.m)}
     for i in range(n):
         cells.update({(i, i): alg.unit, (n + i, i): nu, (2 * n + i, i): nu})
-    return PpFormula.from_cells(alg, n, l, n + phi.m + psi.m, cells)
+    return PpFormula._of_cells(alg, n, l, n + phi.m + psi.m, cells)
 
 
 def pp_meet(phi: PpFormula, psi: PpFormula) -> PpFormula:
@@ -352,7 +384,7 @@ def pp_meet(phi: PpFormula, psi: PpFormula) -> PpFormula:
     n, l = phi.n, phi.l + psi.l
     cells = {**_placed(phi, range(n + phi.l), 0),
              **_placed(psi, [*range(n), *range(n + phi.l, n + l)], phi.m)}
-    return PpFormula.from_cells(phi.algebra, n, l, phi.m + psi.m, cells)
+    return PpFormula._of_cells(phi.algebra, n, l, phi.m + psi.m, cells)
 
 
 # -- elementary duality -------------------------------------------------------
@@ -369,9 +401,9 @@ def dual(phi: PpFormula) -> PpFormula:
     with n free rows kept, m new bound rows, and n+l conditions."""
     n = phi.n
     cells = {(n + e, v): x for v, r in enumerate(phi.hmat)
-             for e, x in enumerate(r)}
+             for e, x in enumerate(r) if any(x)}
     cells.update({(i, i): phi.algebra.unit for i in range(n)})
-    return PpFormula.from_cells(phi.algebra.op, n, phi.m, n + phi.l, cells)
+    return PpFormula._of_cells(phi.algebra.op, n, phi.m, n + phi.l, cells)
 
 
 # -- pp-type generators --------------------------------------------------------

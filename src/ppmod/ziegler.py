@@ -123,6 +123,16 @@ def _family_union(a: tuple, b: tuple) -> tuple:
     return ("cofinite", ad - bd if am == "cofinite" else bd - ad)
 
 
+def _family_subset(a: tuple, b: tuple) -> bool:
+    """Whether family a lies in family b: a cofinite family lies in no
+    finite one, and in a cofinite one when it excludes at least what that
+    one excludes."""
+    (am, ad), (bm, bd) = a, b
+    if am == "finite":
+        return ad <= bd if bm == "finite" else ad.isdisjoint(bd)
+    return bm == "cofinite" and bd <= ad
+
+
 @dataclass(frozen=True)
 class PointSet:
     """Finite set of points plus cofinite flags per finite-length family.
@@ -160,6 +170,10 @@ class PointSet:
             if p + l != height:
                 raise ValueError("cofinite family prefix has wrong length")
             exc = frozenset(excluded.get(pref, ()))
+            if any(j < 1 for j in exc):
+                raise ValueError(f"excluded index {min(exc)} is not a "
+                                 "finite-length point: FinLen(j) needs "
+                                 "j >= 1")
             prev = fams.get(pref)
             if prev and prev[0] == "finite":
                 exc = exc - prev[1]
@@ -206,11 +220,14 @@ class PointSet:
                                                    _complement(b))))
 
     def issubset(self, other: "PointSet") -> bool:
-        return self.union(other) == other
-
-    def with_points(self, pts) -> "PointSet":
-        extra = PointSet.make(self.height, pts)
-        return self.union(extra)
+        """Whether every point of self lies in other, compared part by
+        part: the other points as sets, and each family of self inside
+        other's family of the same prefix (see _family_subset)."""
+        if self.height != other.height:
+            raise ValueError("height mismatch")
+        return self.others <= other.others and all(
+            _family_subset((m, d), other.family(k))
+            for k, m, d in self.families)
 
     def __str__(self):
         parts = []
@@ -258,15 +275,19 @@ def closure(s: PointSet) -> PointSet:
 
     One pass of the rules reaches the fixpoint: they add no finite-length
     point, so no family changes, and every hull or completion point they
-    add comes with the fraction field, which the second rule asks for."""
+    add comes with the fraction field, which the second rule asks for.
+    So the closure is s with its families as they are and the added
+    points among the others: s itself when the rules add no new point."""
     n = s.height
-    add = []
+    add = set()
     for (p, l), mode, _ in s.families:
         if mode == "cofinite":
-            add.extend([prufer(n, p, l), adic(n), qpoint(n)])
+            add.update((prufer(n, p, l), adic(n), qpoint(n)))
     if any(pt.kind in (PRUFER, ADIC) for pt in s.others):
-        add.append(qpoint(n))
-    return s.with_points(add) if add else s
+        add.add(qpoint(n))
+    if add <= s.others:
+        return s
+    return PointSet(n, s.others | add, s.families)
 
 
 def is_closed(s: PointSet) -> bool:

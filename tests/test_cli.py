@@ -56,6 +56,16 @@ def test_ziegler_closure_reads_a_family_with_exclusions():
                          "F0 Prufer, F0 Q}")
 
 
+def test_ziegler_refuses_to_exclude_a_non_point_and_exits_2(capsys):
+    # FinLen(0) is not a point, so no family can exclude it
+    rc = main(["ziegler", "closure", "--n", "0", "--set",
+               "FinLen(* minus {0})"])
+    out = capsys.readouterr()
+    assert rc == 2 and out.out == ""
+    assert out.err == ("error: excluded index 0 is not a finite-length "
+                       "point: FinLen(j) needs j >= 1\n")
+
+
 def test_ziegler_header_carries_assumption_flag():
     code, lines = run_cli(["ziegler", "points", "--n", "1"])
     assert code == 0

@@ -1240,3 +1240,78 @@ def test_entries_are_normalized_in_the_field():
     minus, two = (PpFormula(alg, 1, [[(0, c, 0)]]) for c in (-1, 2))
     assert content(minus) == content(two)
     assert minus.reduced() is two.reduced()
+
+
+def normal_entries(phi):
+    """Whether every coordinate of phi's matrix is in its field's normal
+    form: an int in range(p) over GF(p), a Fraction over QQ."""
+    from fractions import Fraction
+    p = phi.algebra.field.p
+    return all(type(c) is Fraction if p is None else
+               type(c) is int and 0 <= c < p
+               for row in phi.hmat for x in row for c in x)
+
+
+@pytest.mark.parametrize("p", [2, 3, None], ids=["gf2", "gf3", "qq"])
+def test_derived_formulas_equal_their_checked_rebuilds(p):
+    # sum, meet, dual and reduced() build from their parts' entries
+    # without checking them; the checking constructor must find nothing
+    # to change
+    import random
+    from ppmod.algebra import kronecker_algebra
+    from ppmod.fields import QQ
+    from ppmod.suites import formula_corpus
+    f = QQ if p is None else GF(p)
+    rng = random.Random(49)
+    built = 0
+    for alg in (truncated_dvr(3, f), kronecker_algebra(f)):
+        # formula_corpus enumerates the field, so QQ is hand-built
+        corpus = (rational_corpus(alg) if p is None
+                  else formula_corpus(alg, 12, rng))
+        for _ in range(30):
+            phi, psi = rng.choice(corpus), rng.choice(corpus)
+            derived = [pp_sum(phi, psi), pp_meet(phi, psi), dual(phi),
+                       dual(pp_sum(phi, psi)),
+                       pp_meet(dual(phi), dual(psi))]
+            for g in derived + [g.reduced() for g in derived]:
+                checked = PpFormula(g.algebra, g.n, g.hmat)
+                assert checked.hmat == g.hmat
+                assert normal_entries(g) and normal_entries(checked)
+                built += 1
+    assert built == 2 * 30 * 10
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_zero_cells_evaluate_as_the_witness_enumeration(p):
+    # x1*0 = 0 and formulas with an all-zero condition, their sums, meets
+    # and duals: the derived matrices leave their zero cells out, and the
+    # evaluated systems give zero entries no band
+    from ppmod.linalg import Matrix, span_elements
+    from ppmod.oracles import brute_eval
+    f = GF(p)
+    alg = truncated_dvr(2, f)
+    z, x = alg.zero_el(), alg.basis_el(1)
+    zero = PpFormula(alg, 1, [[z]])
+    zero_bound = PpFormula(alg, 1, [[z, x], [z, z]])
+    pairs = [(zero, bottom(alg)), (zero_bound, annihilator(alg, x)),
+             (zero_bound, divisibility(alg, x)), (zero, zero_bound)]
+
+    def vectors(s):
+        rows = [s.basis.take_rows((i,)) for i in range(s.dim)]
+        return {v.data[0] for _, v in
+                span_elements(rows, Matrix.zero(f, 1, s.ambient))}
+
+    for m in dvr_universe(alg, 2):
+        md = k_dual(m)
+        for a, b in pairs:
+            va, vb = brute_eval(a, m), brute_eval(b, m)
+            s, t = pp_sum(a, b), pp_meet(a, b)
+            assert brute_eval(s, m) == {tuple(f.of(c + d) for c, d in
+                                              zip(u, v))
+                                        for u in va for v in vb}
+            assert brute_eval(t, m) == va & vb
+            for phi in (a, b, s, t):
+                assert vectors(phi.evaluate(m)) == brute_eval(phi, m)
+                dphi = dual(phi)
+                assert dphi.hmat == grid_dual(phi).hmat
+                assert vectors(dphi.evaluate(md)) == brute_eval(dphi, md)

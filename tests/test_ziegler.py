@@ -214,7 +214,7 @@ def closure_to_fixpoint(s):
                 add.extend([prufer(n, p, l), adic(n), qpoint(n)])
         add.extend(qpoint(n) for pt in s.others
                    if pt.kind in ("Prufer", "Adic"))
-        nxt = s.with_points(add)
+        nxt = s.union(PointSet.make(n, add))
         if nxt == s:
             return s
         s = nxt
@@ -251,6 +251,51 @@ def test_subset_with_families():
     withheld = PointSet.make(1, [], cofinite_prefixes=[(0, 1)],
                              excluded={(0, 1): {2}})
     assert not small.issubset(withheld)
+
+
+def test_subset_agrees_with_the_union():
+    # a <= b iff a + b = b, on random pairs and on pairs (s, closure(s))
+    # and (s, s + t), where it holds
+    rng = random.Random(49)
+    for n in range(4):
+        held = 0
+        for i in range(2000):
+            a = random_point_set(n, rng)
+            b = random_point_set(n, rng)
+            if i % 3 == 1:
+                b = closure(a)
+            elif i % 3 == 2:
+                b = a.union(b)
+            for s, t in ((a, b), (b, a)):
+                assert s.issubset(t) == (s.union(t) == t)
+                held += s.issubset(t)
+        assert 1000 <= held < 4000
+
+
+def test_subset_refuses_another_height():
+    with pytest.raises(ValueError, match="height mismatch"):
+        points(1).issubset(points(2))
+
+
+def test_the_closure_of_a_closed_set_is_itself():
+    rng = random.Random(49)
+    for n in range(4):
+        full = points(n)
+        assert closure(full) is full
+        for _ in range(200):
+            c = closure(random_point_set(n, rng))
+            assert closure(c) is c
+
+
+@pytest.mark.parametrize("excluded", [{0}, {-1, 2}])
+def test_make_refuses_an_excluded_index_below_one(excluded):
+    # FinLen(j) is a point only for j >= 1, so a cofinite family cannot
+    # exclude j = 0 (it would compare unequal to the family excluding
+    # nothing)
+    with pytest.raises(ValueError, match=f"excluded index {min(excluded)} "
+                       "is not a finite-length point"):
+        PointSet.make(0, [], cofinite_prefixes=[(0, 0)],
+                      excluded={(0, 0): excluded})
 
 
 def test_parse_and_print_roundtrip():
