@@ -341,6 +341,9 @@ def execute(args) -> tuple[int, list[str]]:
         return 0, lines
 
     if cmd == "tube":
+        if args.dot and args.hom_dim is not None:
+            raise ValueError("--hom-dim is not supported with --dot, which "
+                             "prints only the graph")
         q = parse_tube_descriptor(args.tube)
         lines = _header(args, horizon=q.horizon)
         if args.dot:
@@ -349,7 +352,7 @@ def execute(args) -> tuple[int, list[str]]:
                      f"horizon={q.horizon}")
         lines.append(f"vertices\t{len(q.vertices())}")
         lines.append(f"arrows\t{len(q.arrows())}")
-        if args.hom_dim:
+        if args.hom_dim is not None:
             try:
                 src, tgt = [tuple(map(_number, side.split(",")))
                             for side in args.hom_dim.split("->")]

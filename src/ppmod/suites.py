@@ -31,7 +31,7 @@ from .realize import bimodule_failures, realize_in_tower
 from .tower import (all_labels, build_tower, classify, construct_label, f0,
                     f1, label_module, verify_hom_bounds)
 from .tube import ZERO, build_ray_tube, hom_dimension, mesh_rule_failures, \
-    mesh_sweep, normal_path_arrows, rim_square_failures
+    mesh_sweep, normal_walk, rim_square_failures
 from .ziegler import (PointSet, adic, closure, fin_len, is_closed,
                       point_closure, prufer, qpoint, random_point_set)
 
@@ -315,40 +315,36 @@ def mesh_tube_failures(q):
     n_rules, failed = mesh_rule_failures(q)
     bad = [("rule", m, lengths, mu) for mu in failed]
     paths = 0
+    vertices = q.vertices()     # the sweep's vertex ids index this list
     for v, nodes, counts in mesh_sweep(q, 8):
         paths += sum(counts)
+        start = vertices[v]
         # each node judged once, its failures counted once per word
-        for (left_word, left), count in zip(nodes, counts):
-            if left is ZERO or not count:
+        for (left_word, nlam), count in zip(nodes, counts):
+            if left_word is ZERO or not count:
                 continue
-            walk, ray_form = _normal_form_shape(q, left)
-            if left_word != walk:
-                bad += [("shape", m, lengths, v)] * count
-            if not ray_form:
-                bad += [("ray-form", m, lengths, v)] * count
+            nmu = len(left_word) - nlam
+            walk = normal_walk(q, v, nlam, nmu)
+            if walk is None:    # a broken rule can leave the quiver
+                bad += [("shape", m, lengths, start)] * count
+                continue
+            if left_word != walk[0]:
+                bad += [("shape", m, lengths, start)] * count
+            # a ray-to-ray normal form descends whole rim loops to a
+            # stage >= 1
+            end = vertices[walk[1]]
+            lam_end_stage = end[2] - nmu
+            if end[:2] == start[:2] and not (
+                    (start[2] - lam_end_stage) % m == 0
+                    and lam_end_stage >= 1):
+                bad += [("ray-form", m, lengths, start)] * count
     # the ray-direction dimension count
-    for (i, k, j) in q.vertices():
+    for (i, k, j) in vertices:
         for l in range(j, q.horizon + 1):
             got = hom_dimension(q, (i, k, j), (i, k, l))
             if got != (j - 1) // m + 1:
                 bad.append(("hom-dim", m, lengths, (i, k, j, l)))
     return n_rules, paths, bad
-
-
-def _normal_form_shape(q, nf):
-    """The arrows of a normal form's canonical walk (None if it leaves the
-    quiver), and whether a ray-to-ray normal form descends whole rim loops
-    to a stage >= 1."""
-    try:
-        arrows = tuple(normal_path_arrows(q, nf))
-    except ValueError:   # a broken rule can leave the quiver
-        return None, True
-    end = q.target(arrows[-1]) if arrows else nf.start
-    v = nf.start
-    if end[:2] != v[:2]:
-        return arrows, True
-    lam_end_stage = end[2] - nf.mu_steps
-    return arrows, (v[2] - lam_end_stage) % q.m == 0 and lam_end_stage >= 1
 
 
 @_timed

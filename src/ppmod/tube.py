@@ -28,9 +28,14 @@ each compiled rule, mu;lam has no self-overlap and each rewrite removes
 one mu-before-lam inversion (see its docstring).
 
 A TranslationQuiver compiles these formulas once, at construction, into
-lookup tables: the outgoing arrows of each vertex, the target of each
-arrow and the right-hand side of the rule for each mu arrow.  Everything
-else reads the tables, and input that is not in them raises ValueError.
+lookup tables on integer ids: vertices are numbered in vertex order and
+arrows in vertex order, mu before lam.  The tables give the outgoing
+(mu, lam) arrow ids of each vertex, the target vertex id of each arrow
+and the right-hand side of the rule of each mu arrow, with the id <->
+Arrow and id <-> vertex maps beside them.  Everything else reads the
+tables; an Arrow, a vertex tuple or a NormalPath appears only where a
+public function takes or returns one, and input that is not in the
+tables raises ValueError.
 
 normalize_path rewrites leftmost, one arrow at a time: the word read so
 far is already a lambda-walk followed by a mu-climb, a mu joins the
@@ -40,9 +45,12 @@ is exactly the leftmost rewrite sequence of the whole word.
 
 mesh_sweep takes the same step for every short word of a tube without
 starting over for each word: the step reads only the word's node, the
-pair (leftmost word, end vertex), and the kind of the next arrow.  So the
-sweep goes one length at a time, continues each node of that length once,
-and weighs each node by its number of words instead of listing them.
+pair (leftmost id word, end vertex id), and the kind of the next arrow.
+So the sweep goes one length at a time, continues each node of that
+length once, and weighs each node by its number of words instead of
+listing them.  normal_walk gives the canonical walk of a normal form as
+an id word, sliced from each vertex's lambda-walk and mu-climb, which
+are read off the outgoing-arrow and target tables once per quiver.
 
 The pushout ladder's maps are paths of the quiver, so its squares are
 equalities of normal paths: the k < n_i mesh rules at depth >= 1, and at
@@ -53,12 +61,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 Vertex = tuple  # (i, k, j)
 
 # The largest vertex count sum(n_i + 1) * horizon a quiver may have; its
-# tables are built eagerly, a few hundred bytes per vertex.
+# id tables are built eagerly, about 730 bytes per vertex, and its walks
+# on first use, about 230 more.
 MAX_VERTICES = 100_000
 
 
@@ -95,83 +105,120 @@ class TranslationQuiver:
         self._compile()
 
     def _compile(self):
-        """Build the tables from the arrow formulas and mesh rules of the
-        module docstring; nothing else evaluates them."""
+        """Build the id tables from the arrow formulas and mesh rules of
+        the module docstring; nothing else evaluates them."""
         m, horizon = self.m, self.horizon
-        out = {}     # vertex -> (outgoing mu or None, outgoing lam or None)
-        target = {}  # arrow -> its target, in vertex order, mu before lam
-        for i, n in enumerate(self.ray_lengths):
-            for k in range(n + 1):
-                for j in range(1, horizon + 1):
-                    mu = lam = None
-                    if j < horizon:
-                        mu = Arrow("mu", i, k, j)
-                        target[mu] = (i, k, j + 1)
-                    if k < n:
-                        lam = Arrow("lam", i, k, j)
-                        target[lam] = (i, k + 1, j)
-                    elif j >= 2:
-                        lam = Arrow("lam", i, k, j)
-                        target[lam] = ((i + 1) % m, 0, j - 1)
-                    out[(i, k, j)] = (mu, lam)
-        rhs = {}     # mu arrow -> (lam', mu') or ZERO
-        for (i, k, j), (mu, lam) in out.items():
+        vertices = [(i, k, j) for i, n in enumerate(self.ray_lengths)
+                    for k in range(n + 1) for j in range(1, horizon + 1)]
+        vertex_id = {v: x for x, v in enumerate(vertices)}
+        arrows = []  # arrow id -> Arrow, in vertex order, mu before lam
+        target = []  # arrow id -> its target's vertex id
+        out = []     # vertex id -> (outgoing mu id or None, lam id or None)
+        for (i, k, j) in vertices:
+            mu = lam = None
+            if j < horizon:
+                mu = len(arrows)
+                arrows.append(Arrow("mu", i, k, j))
+                target.append(vertex_id[(i, k, j + 1)])
+            if k < self.ray_lengths[i] or j >= 2:
+                lam = len(arrows)
+                arrows.append(Arrow("lam", i, k, j))
+                target.append(vertex_id[(i, k + 1, j)
+                                        if k < self.ray_lengths[i]
+                                        else ((i + 1) % m, 0, j - 1)])
+            out.append((mu, lam))
+        rhs = [None] * len(arrows)  # mu id -> (lam' id, mu' id) or ZERO
+        for (i, k, j), (mu, lam) in zip(vertices, out):
             if mu is None:
                 continue
             if k < self.ray_lengths[i]:
-                rhs[mu] = (lam, out[(i, k + 1, j)][0])
+                rhs[mu] = (lam, out[vertex_id[(i, k + 1, j)]][0])
             elif j == 1:
                 rhs[mu] = ZERO
             else:
-                rhs[mu] = (lam, out[((i + 1) % m, 0, j - 1)][0])
-        self._out, self._target, self._rhs = out, target, rhs
+                rhs[mu] = (lam, out[vertex_id[((i + 1) % m, 0, j - 1)]][0])
+        self._vertices, self._vertex_id = tuple(vertices), vertex_id
+        self._arrows = tuple(arrows)
+        self._arrow_id = {a: x for x, a in enumerate(arrows)}
+        self._out, self._target, self._rhs = tuple(out), tuple(target), \
+            tuple(rhs)
+
+    @cached_property
+    def _walks(self):
+        """Per side (0: mu, 1: lam, as in _out), each vertex id's place
+        (arrows, stops, t) on a maximal walk of that side's arrows: the
+        walk from the vertex is arrows[t:], and stops[t + s] is the vertex
+        id it reaches after s steps.  Read off _out and _target once, on
+        first use.  Each walk starts at a vertex no arrow of its side
+        enters and runs to its end, so it holds the whole walk from each
+        vertex on it; every vertex lies on one, since a lam raises k or
+        lowers the stage and a mu raises the stage, so no walk closes a
+        cycle."""
+        out, target = self._out, self._target
+        walks = []
+        for side in (0, 1):
+            entered = {target[pair[side]] for pair in out
+                       if pair[side] is not None}
+            places = [None] * len(out)
+            for v in range(len(out)):
+                if v in entered:
+                    continue
+                arrows, stops = [], [v]
+                while (a := out[stops[-1]][side]) is not None:
+                    arrows.append(a)
+                    stops.append(target[a])
+                arrows, stops = tuple(arrows), tuple(stops)
+                for t, w in enumerate(stops):
+                    places[w] = (arrows, stops, t)
+            walks.append(places)
+        return tuple(walks)
 
     def vertices(self) -> list[Vertex]:
-        return list(self._out)
+        return list(self._vertices)
 
     def is_vertex(self, v: Vertex) -> bool:
-        return v in self._out
+        return v in self._vertex_id
 
-    def _outgoing(self, v: Vertex):
+    def _vertex(self, v: Vertex) -> int:
         try:
-            return self._out[v]
+            return self._vertex_id[v]
         except KeyError:
             raise ValueError(f"{v} is not a vertex of the quiver") from None
 
-    def source(self, a: Arrow) -> Vertex:
-        if a not in self._target:
-            raise ValueError(f"{a} is not an arrow of the quiver")
-        return (a.i, a.k, a.j)
-
-    def target(self, a: Arrow) -> Vertex:
+    def _arrow(self, a: Arrow) -> int:
         try:
-            return self._target[a]
+            return self._arrow_id[a]
         except KeyError:
             raise ValueError(f"{a} is not an arrow of the quiver") from None
 
-    def valid_arrow(self, a: Arrow) -> bool:
-        return a in self._target
+    def source(self, a: Arrow) -> Vertex:
+        self._arrow(a)
+        return (a.i, a.k, a.j)
+
+    def target(self, a: Arrow) -> Vertex:
+        return self._vertices[self._target[self._arrow(a)]]
 
     def arrows(self) -> list[Arrow]:
-        return list(self._target)
+        return list(self._arrows)
 
     def out_lam(self, v: Vertex) -> Arrow | None:
-        return self._outgoing(v)[1]
+        lam = self._out[self._vertex(v)][1]
+        return None if lam is None else self._arrows[lam]
 
     def dot(self) -> str:
         """Graphviz export; mesh relations annotate the mu-arrows."""
         lines = ["digraph raytube {", '  rankdir="BT";']
-        for v in self.vertices():
+        for v in self._vertices:
             lines.append(f'  "S{v}" [shape=plaintext];')
-        for a in self.arrows():
-            s, t = self.source(a), self.target(a)
+        for x, a in enumerate(self._arrows):
+            s, t = a[1:], self._vertices[self._target[x]]
             attrs = [f'label="{a}"']
-            if a.kind == "mu":
-                rel = self._rhs[a]
-                if rel == ZERO:
-                    attrs.append('comment="lam o mu = 0"')
-                else:
-                    attrs.append(f'comment="lam o mu = {rel[1]} o {rel[0]}"')
+            rel = self._rhs[x]
+            if rel is ZERO:
+                attrs.append('comment="lam o mu = 0"')
+            elif rel is not None:
+                lam, mu = (self._arrows[y] for y in rel)
+                attrs.append(f'comment="lam o mu = {mu} o {lam}"')
             lines.append(f'  "S{s}" -> "S{t}" [{", ".join(attrs)}];')
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -220,27 +267,30 @@ def mesh_rule_failures(q: TranslationQuiver) -> tuple[int, list[Arrow]]:
     to a composable lam';mu' with the same source and target.  Only a mu
     whose source has no outgoing lam (the stage-1 rim mu(i,n_i,1)) has no
     such lam' and must rewrite to ZERO; any other rule rewriting to ZERO
-    fails.
+    fails.  A vertex has at most one outgoing arrow of each kind, so lam'
+    must be the lam out of mu's source, and mu' the mu out of lam''s
+    target.
 
     With no failures rewriting is confluent on words of every length: the
     left side mu;lam cannot overlap itself, so there are no critical pairs
     (Knuth-Bendix), and each rewrite removes one mu-before-lam inversion,
     so rewriting terminates (Newman's lemma)."""
-    bad = []
-    for mu, rhs in q._rhs.items():
-        lam = q.out_lam(q.target(mu))
-        must_vanish = q.out_lam(q.source(mu)) is None
-        if lam is None or (rhs is ZERO) != must_vanish:
-            bad.append(mu)
-        elif rhs is not ZERO:
-            lam2, mu2 = rhs
-            if not (q.valid_arrow(lam2) and q.valid_arrow(mu2)
-                    and (lam2.kind, mu2.kind) == ("lam", "mu")
-                    and q.source(lam2) == q.source(mu)
-                    and q.target(lam2) == q.source(mu2)
-                    and q.target(mu2) == q.target(lam)):
-                bad.append(mu)
-    return len(q._rhs), bad
+    arrows, out, target = q._arrows, q._out, q._target
+    count, bad = 0, []
+    for mu, rule in enumerate(q._rhs):
+        if rule is None:    # a lam arrow has no rule
+            continue
+        count += 1
+        lam = out[target[mu]][1]
+        lam2 = out[q._vertex_id[arrows[mu][1:]]][1]
+        if lam is None or (rule is ZERO) != (lam2 is None):
+            bad.append(arrows[mu])
+        elif rule is not ZERO:
+            mu2 = out[target[lam2]][0]
+            if rule != (lam2, mu2) or mu2 is None or \
+                    target[mu2] != target[lam]:
+                bad.append(arrows[mu])
+    return count, bad
 
 
 # -- paths and normalization ------------------------------------------------
@@ -259,19 +309,16 @@ class NormalPath:
         return f"lam^{self.lam_steps}.mu^{self.mu_steps}@S{self.start}"
 
 
-def _append(rhs, left: tuple, nlam: int, a: Arrow):
-    """The leftmost rewriting of left;a, where left is a lambda-walk of
-    nlam arrows followed by a mu-climb: a mu joins the climb, and a lam
-    bubbles left through it one rule at a time.  Returns the rewritten
-    word, or ZERO."""
-    if a.kind == "mu":
+def _append(rhs, left: tuple, nlam: int, a: int, lam: int):
+    """The leftmost rewriting of left;a on arrow ids, where left is a
+    lambda-walk of nlam arrows followed by a mu-climb and a is a lam if
+    lam is true, else a mu: a mu joins the climb, and a lam bubbles left
+    through it one rule at a time.  Returns the rewritten word, or ZERO."""
+    if not lam:
         return left + (a,)
     climb = []
     for mu in reversed(left[nlam:]):
-        try:
-            new = rhs[mu]
-        except KeyError:
-            raise ValueError(f"{mu} is not an arrow of the quiver") from None
+        new = rhs[mu]
         if new is ZERO:
             return ZERO
         a, mu_new = new
@@ -284,69 +331,79 @@ def normalize_path(q: TranslationQuiver, start: Vertex, arrows):
     first), to the canonical NormalPath (or ZERO) using the mesh rules,
     leftmost first.  ValueError names the first arrow that does not start
     where the word stands (at start, or where the arrow before it ends)."""
-    if not q.is_vertex(start):
-        raise ValueError(f"{start} is not a vertex of the quiver")
-    arrows = tuple(arrows)
-    v = start
+    v = q._vertex(start)
+    word = []
     for n, a in enumerate(arrows):
-        if q.source(a) != v:
+        x = q._arrow(a)
+        if a[1:] != q._vertices[v]:
             raise ValueError(f"arrow {n} of the word, {a}, starts at "
-                             f"{q.source(a)}, not at {v}")
-        v = q.target(a)
+                             f"{a[1:]}, not at {q._vertices[v]}")
+        word.append((x, a.kind == "lam"))
+        v = q._target[x]
     rhs = q._rhs
     left, nlam = (), 0
-    for a in arrows:
-        left = _append(rhs, left, nlam, a)
+    for x, lam in word:
+        left = _append(rhs, left, nlam, x, lam)
         if left is ZERO:
             return ZERO
-        nlam += a.kind == "lam"
+        nlam += lam
     return NormalPath(start, nlam, len(left) - nlam)
+
+
+def normal_walk(q: TranslationQuiver, v: int, lam_steps: int,
+                mu_steps: int):
+    """The canonical walk of the normal form lam^lam_steps.mu^mu_steps at
+    vertex id v, on ids: (arrow ids, end vertex id), or None if the walk
+    leaves the quiver.  The steps are not negative."""
+    mu_climbs, lam_walks = q._walks
+    walk, stops, t = lam_walks[v]
+    mid = t + lam_steps
+    if mid >= len(stops):
+        return None
+    climb, heights, s = mu_climbs[stops[mid]]
+    top = s + mu_steps
+    if top >= len(heights):
+        return None
+    return walk[t:mid] + climb[s:top], heights[top]
 
 
 def normal_path_arrows(q: TranslationQuiver, np: NormalPath) -> list[Arrow]:
     """The arrows of a normal path: its lambda-walk, then its mu-climb."""
-    if not q.is_vertex(np.start):
-        raise ValueError(f"{np.start} is not a vertex of the quiver")
-    out, target = q._out, q._target
-    arrows = []
-    v = np.start
-    for side, steps, walk in ((1, np.lam_steps, "lambda walk"),
-                              (0, np.mu_steps, "mu climb")):
-        for _ in range(steps):
-            a = out[v][side]
-            if a is None:
-                raise ValueError(f"normal path leaves the quiver ({walk})")
-            arrows.append(a)
-            v = target[a]
-    return arrows
+    v = q._vertex(np.start)
+    if np.lam_steps < 0 or np.mu_steps < 0:
+        raise ValueError(f"normal path {np} has a negative step count")
+    walk = normal_walk(q, v, np.lam_steps, np.mu_steps)
+    if walk is None:
+        raise ValueError(f"normal path {np} leaves the quiver")
+    return [q._arrows[x] for x in walk[0]]
 
 
 def all_paths_from(q: TranslationQuiver, v: Vertex, max_len: int):
     """All composable arrow words from v up to the given length."""
-    if not q.is_vertex(v):
-        raise ValueError(f"{v} is not a vertex of the quiver")
-    out, target = q._out, q._target
-    frontier = [((), v)]
+    arrows, out, target = q._arrows, q._out, q._target
+    frontier = [((), q._vertex(v))]
     for _ in range(max_len):
         nxt = []
         for word, end in frontier:
-            for a in out[end]:
-                if a is not None:
-                    word_a = word + (a,)
+            for x in out[end]:
+                if x is not None:
+                    word_a = word + (arrows[x],)
                     yield word_a
-                    nxt.append((word_a, target[a]))
+                    nxt.append((word_a, target[x]))
         frontier = nxt
 
 
 def mesh_sweep(q: TranslationQuiver, max_len: int):
-    """Every word of length 1..max_len from every vertex, swept by node.
+    """Every word of length 1..max_len from every vertex, swept by node,
+    on ids.
 
-    A word's node is the pair (leftmost word, end vertex): the word that
-    normalize_path rewrites it to (ZERO for a zero path), and the vertex
-    where the word ends.  For each start vertex v in vertex order, yields
-    (v, nodes, counts): nodes[i] is (leftmost word, normal form) of node
-    i, and counts[i] is the number of words from v whose node is i; node
-    0 is the empty word's, with count 0.
+    A word's node is the pair (leftmost word, end vertex): the id word
+    that normalize_path rewrites it to (ZERO for a zero path), and the id
+    of the vertex where the word ends.  For each start vertex id v in
+    order, yields (v, nodes, counts): nodes[i] is (leftmost word, lam
+    steps) of node i, with (ZERO, 0) for a zero node, and counts[i] is the
+    number of words from v whose node is i; node 0 is the empty word's,
+    with count 0.
 
     The leftmost rewriting of w;a continues that of w by one step of
     normalize_path, which reads only w's leftmost word and a, and w's end
@@ -355,8 +412,8 @@ def mesh_sweep(q: TranslationQuiver, max_len: int):
     of its parents' counts.  A nonzero leftmost word is as long as its
     words, so only ZERO nodes recur at another length."""
     out, target, rhs = q._out, q._target, q._rhs
-    for v in out:
-        nodes = [((), NormalPath(v, 0, 0))]
+    for v in range(len(out)):
+        nodes = [((), 0)]
         ends = [v]
         counts = [0]
         ids = {}        # (leftmost word, end vertex) -> node index
@@ -364,21 +421,19 @@ def mesh_sweep(q: TranslationQuiver, max_len: int):
         for _ in range(max_len):
             next_level = {}
             for nd, n in level.items():
-                left, form = nodes[nd]
-                for a in filter(None, out[ends[nd]]):
-                    left_a = ZERO if form is ZERO else \
-                        _append(rhs, left, form.lam_steps, a)
-                    key = (left_a, target[a])
-                    child = ids.get(key)
+                left, nlam = nodes[nd]
+                for lam, a in enumerate(out[ends[nd]]):
+                    if a is None:
+                        continue
+                    left_a = ZERO if left is ZERO else \
+                        _append(rhs, left, nlam, a, lam)
+                    end = target[a]
+                    child = ids.get((left_a, end))
                     if child is None:
-                        child = ids[key] = len(nodes)
-                        if left_a is ZERO:
-                            nodes.append((ZERO, ZERO))
-                        else:
-                            nlam = form.lam_steps + (a.kind == "lam")
-                            nodes.append((left_a, NormalPath(
-                                v, nlam, len(left_a) - nlam)))
-                        ends.append(target[a])
+                        child = ids[left_a, end] = len(nodes)
+                        nodes.append((ZERO, 0) if left_a is ZERO
+                                     else (left_a, nlam + lam))
+                        ends.append(end)
                         counts.append(0)
                     next_level[child] = next_level.get(child, 0) + n
                     counts[child] += n
@@ -394,18 +449,18 @@ def hom_dimension(q: TranslationQuiver, source: Vertex, target: Vertex) -> int:
     most (max n_i + 1) * horizon steps."""
     if not (q.is_vertex(source) and q.is_vertex(target)):
         raise ValueError("vertex outside the horizon")
+    vertices, out, arrow_target = q._vertices, q._out, q._target
+    i, k, l = target
     count = 0
-    v = source
+    v = q._vertex_id[source]
     while True:
         # climb with mu from v: stages ascend one at a time
-        if v[:2] == target[:2] and target[2] >= v[2] and \
-                target[2] <= q.horizon:
-            count += 1
-        a = q.out_lam(v)
-        if a is None:
-            break
-        v = q.target(a)
-    return count
+        vi, vk, vj = vertices[v]
+        count += vi == i and vk == k and vj <= l
+        lam = out[v][1]
+        if lam is None:
+            return count
+        v = arrow_target[lam]
 
 
 def rim_square_failures(q: TranslationQuiver) -> list[str]:

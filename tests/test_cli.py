@@ -138,12 +138,23 @@ def test_tube_over_size_limit_exits_2(monkeypatch, capsys):
 
 @pytest.mark.parametrize("value", ["a", "0,0,1->", "0,0->0,0",
                                    "0,0,1-0,0,2", "0,0,1->0,0,2->0,0,3",
-                                   "0,x,1->0,0,1"])
+                                   "0,x,1->0,0,1", ""])
 def test_malformed_hom_dim_names_the_form_and_exits_2(value, capsys):
     rc = main(["tube", "--tube", "m=1 n=[0] horizon=3", "--hom-dim", value])
     err = capsys.readouterr().err
     assert rc == 2
     assert err == f"error: --hom-dim needs 'i,k,j->i,k,l', not {value!r}\n"
+
+
+@pytest.mark.parametrize("value", ["x", "0,0,1->0,0,3"])
+def test_hom_dim_with_dot_exits_2(value, capsys):
+    # --dot prints only the graph, so a --hom-dim beside it would go unread
+    rc = main(["tube", "--tube", "m=2 n=[1,0] horizon=6", "--dot",
+               "--hom-dim", value])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == ("error: --hom-dim is not supported with --dot, which "
+                   "prints only the graph\n")
 
 
 @pytest.mark.parametrize("argv, value, form", [

@@ -474,7 +474,8 @@ def test_structure_constants_are_read_only_in_algebra_and_tower(path):
     assert attribute_reads(ast.parse(path.read_text()), PRODUCT_NAMES) == []
 
 
-QUIVER_TABLES = ("_out", "_target", "_rhs")
+QUIVER_TABLES = ("_out", "_target", "_rhs", "_vertices", "_vertex_id",
+                 "_arrows", "_arrow_id", "_walks")
 
 
 def test_quiver_table_reads_are_found():
@@ -491,9 +492,9 @@ def test_quiver_table_reads_are_found():
     p for p in SRC.glob("*.py") if p.name != "tube.py"),
     ids=lambda p: p.name)
 def test_quiver_tables_are_read_only_in_tube(path):
-    # a translation quiver's compiled tables (outgoing arrows, targets,
-    # mesh rules) are tube.py's: other modules use its methods, the mesh
-    # sweep and normalize_path
+    # a translation quiver's compiled tables (id maps, outgoing arrows,
+    # targets, mesh rules, walks) are tube.py's: other modules use its
+    # methods, the mesh sweep, normal_walk and normalize_path
     assert attribute_reads(ast.parse(path.read_text()), QUIVER_TABLES) == []
 
 

@@ -11,8 +11,8 @@ from ppmod.modules import (ModuleMap, direct_sum, hom_space, identity_map,
 from ppmod.catalog import (dvr_chain_module, kronecker_preprojective,
                            kronecker_regular)
 from ppmod.tower import build_tower, tower_dimension
-from ppmod.tube import (Arrow, ZERO, all_paths_from, hom_dimension,
-                        normalize_path)
+from ppmod.tube import (Arrow, NormalPath, ZERO, all_paths_from,
+                        hom_dimension, normalize_path)
 from ppmod.realize import (_verify_squares, bimodule_failures,
                            chain_inclusion, chain_quotient, realize_in_tower,
                            square_failures, stage_bimodule)
@@ -249,6 +249,14 @@ def test_an_arrow_off_the_realized_quiver_is_refused(rt_n1, arrow):
         rt_n1.realize_arrow(arrow)
 
 
+@pytest.mark.parametrize("np", [NormalPath((0, 0, 3), -2, 0),
+                                NormalPath((0, 0, 3), 1, -1)], ids=str)
+def test_a_normal_path_with_a_negative_step_count_is_refused(rt_n1, np):
+    # not an identity map: the path does not exist
+    with pytest.raises(ValueError, match="negative step count"):
+        rt_n1.realize_normal_path(np)
+
+
 def test_failed_square_fails_the_ray_tube_suite(failed_square):
     from ppmod.suites import SUITES
     res = SUITES["ray-tube"](0)
@@ -277,7 +285,10 @@ def test_failed_symbolic_ladder_is_named_on_its_line(monkeypatch):
         # the stage-1 rim rule of ray 0 takes the stage-2 rule's right side
         q = build(m, lengths, horizon)
         rim = lengths[0]
-        q._rhs[Arrow("mu", 0, rim, 1)] = q._rhs[Arrow("mu", 0, rim, 2)]
+        rules = list(q._rhs)
+        rules[q._arrow_id[Arrow("mu", 0, rim, 1)]] = \
+            rules[q._arrow_id[Arrow("mu", 0, rim, 2)]]
+        q._rhs = tuple(rules)
         return q
 
     monkeypatch.setattr(ppmod.suites, "build_ray_tube", nonzero_base)

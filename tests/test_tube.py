@@ -7,11 +7,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ppmod.tube
-from ppmod.suites import _normal_form_shape, mesh_tube_failures
+from ppmod.suites import mesh_tube_failures
 from ppmod.tube import (Arrow, NormalPath, ZERO, all_paths_from,
                         build_ray_tube, hom_dimension, mesh_rule_failures,
                         mesh_sweep, normal_path_arrows, normalize_path,
                         parse_tube_descriptor, rim_square_failures)
+
+
+# -- the quiver's id tables, read and written as the tests need them ---------
+
+
+def _plant(q, table, x, value):
+    """Write value at id x of q's id table (a tuple): a planted defect."""
+    entries = list(getattr(q, table))
+    entries[x] = value
+    setattr(q, table, tuple(entries))
+
+
+def _rule(q, mu):
+    """The id-table rule of the mu arrow: ZERO or (lam' id, mu' id)."""
+    return q._rhs[q._arrow_id[mu]]
+
+
+def _set_rule(q, mu, rule):
+    _plant(q, "_rhs", q._arrow_id[mu], rule)
+
+
+def _arrow_word(q, word):
+    """An id word as Arrows (ZERO stays ZERO)."""
+    return word if word is ZERO else tuple(q._arrows[x] for x in word)
 
 
 def test_homogeneous_tube_shape():
@@ -37,7 +61,7 @@ def test_vertex_count_per_layer_derived():
 def test_rim_arrow_targets_next_ray():
     q = build_ray_tube(2, (1, 0), 6)
     a = Arrow("lam", 0, 1, 3)   # k = n_0 = 1, stage 3
-    assert q.valid_arrow(a)
+    assert a in q.arrows()
     assert q.target(a) == (1, 0, 2)
     b = Arrow("lam", 1, 0, 4)   # ray 1 has depth 0: rim immediately
     assert q.target(b) == (0, 0, 3)
@@ -158,7 +182,7 @@ def test_rim_squares_are_checked_up_to_the_top_stage():
     # the square at that stage alone
     for horizon in (5, 7):
         q = build_ray_tube(2, (1, 0), horizon)
-        q._rhs[Arrow("mu", 0, 1, horizon - 1)] = ZERO
+        _set_rule(q, Arrow("mu", 0, 1, horizon - 1), ZERO)
         assert rim_square_failures(q) == [f"square at stage {horizon - 1}"]
 
 
@@ -205,7 +229,6 @@ def test_dot_export_contains_relations():
 def test_arrow_on_ray_outside_range_is_invalid():
     q = build_ray_tube(2, (1, 0), 6)
     a = Arrow("mu", 5, 0, 1)
-    assert not q.valid_arrow(a)
     assert a not in q.arrows()
     with pytest.raises(ValueError):
         q.target(a)
@@ -241,7 +264,7 @@ def test_normalize_path_refuses_a_start_off_the_quiver():
 def test_target_of_missing_rim_arrow_raises():
     q = build_ray_tube(2, (1, 0), 6)
     a = Arrow("lam", 0, 1, 1)   # rim descent from stage 1 does not exist
-    assert not q.valid_arrow(a)
+    assert a not in q.arrows()
     with pytest.raises(ValueError):
         q.target(a)
 
@@ -319,12 +342,13 @@ def test_compiled_tables_match_reference(case):
     ref_arrows = []
     for v in ref_vertices:
         mu, lam = _ref_out(m, n, horizon, v)
-        for got, ref in zip(q._outgoing(v), (mu, lam)):
+        for got, ref in zip(q._out[q._vertex_id[v]], (mu, lam)):
             if ref is None:
                 assert got is None
             else:
-                assert got == Arrow(*ref[0])
-                assert q.target(got) == ref[1]
+                assert q._arrows[got] == Arrow(*ref[0])
+                assert q._vertices[q._target[got]] == ref[1]
+                assert q.target(q._arrows[got]) == ref[1]
                 ref_arrows.append(ref[0])
     assert q.arrows() == [Arrow(*a) for a in ref_arrows]
     ref_rhs = {}
@@ -333,7 +357,12 @@ def test_compiled_tables_match_reference(case):
             rhs = _ref_rule(m, n, mu)
             ref_rhs[Arrow(*mu)] = rhs if rhs is ZERO else \
                 tuple(Arrow(*a) for a in rhs)
-    assert q._rhs == ref_rhs
+    # the rule table through the id map: a rule per mu, None for a lam
+    assert len(q._rhs) == len(ref_arrows)
+    assert {q._arrows[x]: _arrow_word(q, rhs) for x, rhs in enumerate(q._rhs)
+            if rhs is not None} == ref_rhs
+    assert all((rhs is None) == (a.kind == "lam")
+               for a, rhs in zip(q._arrows, q._rhs))
 
     arrows = tuple(Arrow(*a) for a in word)
     if word:
@@ -352,8 +381,8 @@ def test_mesh_rule_certificate_flags_a_broken_rule():
     assert count == sum(1 for a in q.arrows() if a.kind == "mu")
     assert failed == []
     mu = Arrow("mu", 0, 0, 2)
-    lam, _ = q._rhs[mu]
-    q._rhs[mu] = (lam, Arrow("mu", 0, 0, 2))   # wrong climb after lam
+    lam, _ = _rule(q, mu)
+    _set_rule(q, mu, (lam, q._arrow_id[mu]))   # wrong climb after lam
     assert mesh_rule_failures(q) == (count, [mu])
 
 
@@ -361,14 +390,14 @@ def test_mesh_rule_certificate_flags_a_misplaced_zero():
     q = build_ray_tube(2, (1, 0), 6)
     count, _ = mesh_rule_failures(q)
     rim = Arrow("mu", 0, 1, 1)           # stage-1 rim: the only ZERO rules
-    assert q._rhs[rim] is ZERO and q.out_lam((0, 1, 1)) is None
+    assert _rule(q, rim) is ZERO and q.out_lam((0, 1, 1)) is None
     mu = Arrow("mu", 0, 1, 3)            # a rim rule with a lam' to use
-    q._rhs[mu] = ZERO
+    _set_rule(q, mu, ZERO)
     assert mesh_rule_failures(q) == (count, [mu])
     _, _, bad = mesh_tube_failures(q)
     assert ("rule", 2, (1, 0), mu) in bad
     q = build_ray_tube(2, (1, 0), 6)
-    q._rhs[rim] = q._rhs[Arrow("mu", 0, 1, 2)]  # nonzero on the rim
+    _set_rule(q, rim, _rule(q, Arrow("mu", 0, 1, 2)))  # nonzero on the rim
     assert mesh_rule_failures(q) == (count, [rim])
 
 
@@ -376,12 +405,23 @@ SWEPT_TUBES = [(1, (0,)), (1, (2,)), (2, (1, 0)), (2, (2, 2)),
                (3, (0, 1, 2)), (3, (2, 2, 2))]
 
 
+def _arrow_nodes(q, v, nodes):
+    """The sweep's nodes from vertex id v as (leftmost Arrow word, normal
+    form), ZERO for both of a zero node."""
+    return [(ZERO, ZERO) if word is ZERO else
+            (_arrow_word(q, word), NormalPath(q._vertices[v], nlam,
+                                              len(word) - nlam))
+            for word, nlam in nodes]
+
+
 @pytest.mark.parametrize("m, lengths", SWEPT_TUBES)
 def test_mesh_sweep_matches_normalize_path(m, lengths):
     q = build_ray_tube(m, lengths, 6)
     swept = list(mesh_sweep(q, 6))
-    assert [v for v, *_ in swept] == q.vertices()
+    assert [q._vertices[v] for v, *_ in swept] == q.vertices()
     for v, nodes, counts in swept:
+        nodes = _arrow_nodes(q, v, nodes)
+        v = q._vertices[v]
         words = list(all_paths_from(q, v, 6))
         assert counts[0] == 0 and sum(counts) == len(words)
         # each word's (leftmost word, normal form), with multiplicity; the
@@ -399,7 +439,9 @@ def test_mesh_sweep_matches_normalize_path(m, lengths):
 def test_mesh_sweep_weighs_each_node_by_its_words():
     q = build_ray_tube(3, (2, 2, 2), 6)
     for v, nodes, counts in mesh_sweep(q, 8):
-        words = Counter(_leftmost_word(q, w) for w in all_paths_from(q, v, 8))
+        nodes = _arrow_nodes(q, v, nodes)
+        words = Counter(_leftmost_word(q, w)
+                        for w in all_paths_from(q, q._vertices[v], 8))
         nonzero = [(left_word, c) for (left_word, left), c
                    in zip(nodes[1:], counts[1:]) if left is not ZERO]
         # a nonzero leftmost word fixes its end vertex: one node each
@@ -410,6 +452,70 @@ def test_mesh_sweep_weighs_each_node_by_its_words():
 
 SUITE_TUBES = [(m, lengths) for m in (1, 2, 3)
                for lengths in itertools.product((0, 1, 2), repeat=m)]
+
+
+@pytest.mark.parametrize("m, lengths", SUITE_TUBES)
+def test_id_tables_agree_with_the_arrow_api(m, lengths):
+    q = build_ray_tube(m, lengths, 6)
+    vertices, arrows = q.vertices(), q.arrows()
+    assert (list(q._vertices), list(q._arrows)) == (vertices, arrows)
+    assert q._vertex_id == {v: x for x, v in enumerate(vertices)}
+    assert q._arrow_id == {a: x for x, a in enumerate(arrows)}
+    assert len(q._target) == len(q._rhs) == len(arrows)
+    for x, a in enumerate(arrows):
+        assert q.target(a) == q._vertices[q._target[x]]
+        # the arrow leaves its source on its kind's side: mu 0, lam 1
+        assert q._out[q._vertex_id[q.source(a)]][a.kind == "lam"] == x
+    assert len(q._out) == len(vertices)
+    for v, (mu, lam) in zip(vertices, q._out):
+        assert q.out_lam(v) == (None if lam is None else q._arrows[lam])
+        assert mu is None or q._arrows[mu] == Arrow("mu", *v)
+
+
+def _stepped_walk(q, v, steps, side):
+    """Up to steps arrows of one kind from v, stepped on the Arrow API."""
+    walk, arrows = [], set(q.arrows())
+    for _ in range(steps):
+        a = q.out_lam(v) if side == "lam" else Arrow("mu", *v)
+        if a is None or a not in arrows:
+            break
+        walk.append(a)
+        v = q.target(a)
+    return walk, v
+
+
+@pytest.mark.parametrize("m, lengths, plant", [
+    (1, (0,), None), (2, (1, 0), None), (3, (0, 1, 2), None),
+    (2, (1, 0), "rim-to-own-ray")])
+def test_normal_walks_match_stepping_the_arrows(m, lengths, plant):
+    # every normal form's walk, within the quiver and one step past it,
+    # against stepping out_lam and the mu arrows; the planted rim target
+    # makes two lam arrows enter one vertex
+    q = build_ray_tube(m, lengths, 6)
+    if plant:
+        _rim_to_own_ray(q)
+    reach = len(q.vertices()) + 1
+    for v in q.vertices():
+        lams, _ = _stepped_walk(q, v, reach, "lam")
+        for a in range(len(lams) + 2):
+            lam_part, end = _stepped_walk(q, v, a, "lam")
+            climb, _ = _stepped_walk(q, end, reach, "mu")
+            for b in range(len(climb) + 2):
+                np = NormalPath(v, a, b)
+                if a > len(lams) or b > len(climb):
+                    with pytest.raises(ValueError, match="leaves the quiver"):
+                        normal_path_arrows(q, np)
+                else:
+                    assert normal_path_arrows(q, np) == lam_part + climb[:b]
+
+
+@pytest.mark.parametrize("np", [NormalPath((0, 0, 3), -2, 0),
+                                NormalPath((0, 0, 3), 0, -1),
+                                NormalPath((0, 0, 3), -1, 2)], ids=str)
+def test_normal_path_arrows_refuses_a_negative_step_count(np):
+    q = build_ray_tube(1, (0,), 6)
+    with pytest.raises(ValueError, match="negative step count"):
+        normal_path_arrows(q, np)
 
 
 def test_mesh_sweep_work_on_the_suite_tubes(monkeypatch):
@@ -434,8 +540,8 @@ def test_mesh_tube_check_flags_a_broken_rule():
     assert paths == sum(1 for v in q.vertices()
                         for _ in all_paths_from(q, v, 8))
     mu = Arrow("mu", 0, 0, 2)
-    lam, _ = q._rhs[mu]
-    q._rhs[mu] = (lam, Arrow("mu", 0, 0, 2))   # wrong climb after lam
+    lam, _ = _rule(q, mu)
+    _set_rule(q, mu, (lam, q._arrow_id[mu]))   # wrong climb after lam
     _, _, bad = mesh_tube_failures(q)
     kinds = {kind for kind, *_ in bad}
     # the sweep itself sees the wrong arrow, not only the rule certificate
@@ -448,17 +554,17 @@ def _find_strategy(q, start, arrows, strategy):
     find = str.find if strategy == "leftmost" else str.rfind
     word, kinds = list(arrows), "".join(a.kind[0] for a in arrows)
     while (t := find(kinds, "ml")) >= 0:
-        rhs = q._rhs[word[t]]
+        rhs = _rule(q, word[t])
         if rhs is ZERO:
             return ZERO
-        word[t], word[t + 1] = rhs
+        word[t], word[t + 1] = _arrow_word(q, rhs)
         kinds = f"{kinds[:t]}lm{kinds[t + 2:]}"
     nlam = kinds.count("l")
     return NormalPath(start, nlam, len(kinds) - nlam)
 
 
-class _RecordingRules(dict):
-    """A rule table that logs the mu arrow of every rule looked up."""
+class _RecordingRules(tuple):
+    """A rule table that logs the mu arrow id of every rule looked up."""
 
     def __getitem__(self, mu):
         self.log.append(mu)
@@ -490,17 +596,34 @@ def _leftmost_word(q, word):
     """The word that leftmost rewriting leaves, or ZERO."""
     word, kinds = list(word), "".join(a.kind[0] for a in word)
     while (t := kinds.find("ml")) >= 0:
-        rhs = q._rhs[word[t]]
+        rhs = _rule(q, word[t])
         if rhs is ZERO:
             return ZERO
-        word[t], word[t + 1] = rhs
+        word[t], word[t + 1] = _arrow_word(q, rhs)
         kinds = f"{kinds[:t]}lm{kinds[t + 2:]}"
     return tuple(word)
 
 
+def _normal_form_shape(q, nf):
+    """The Arrows of a normal form's canonical walk (None if it leaves the
+    quiver), and whether a ray-to-ray normal form descends whole rim loops
+    to a stage >= 1."""
+    try:
+        walk = tuple(normal_path_arrows(q, nf))
+    except ValueError:
+        return None, True
+    v = nf.start
+    end = q.target(walk[-1]) if walk else v
+    if end[:2] != v[:2]:
+        return walk, True
+    lam_end_stage = end[2] - nf.mu_steps
+    return walk, (v[2] - lam_end_stage) % q.m == 0 and lam_end_stage >= 1
+
+
 def _per_word_mesh_failures(q):
     """The mesh checks of mesh_tube_failures one word at a time, each word
-    normalized from scratch."""
+    normalized from scratch and its normal form's walk built by the
+    Arrow-level normal_path_arrows."""
     m, lengths = q.m, q.ray_lengths
     n_rules, failed = mesh_rule_failures(q)
     bad = [("rule", m, lengths, mu) for mu in failed]
@@ -538,20 +661,31 @@ def _as_multiset(result):
 
 def _wrong_climb(q):
     mu = Arrow("mu", 0, 0, 2)
-    q._rhs[mu] = (q._rhs[mu][0], mu)
+    _set_rule(q, mu, (_rule(q, mu)[0], q._arrow_id[mu]))
 
 
 def _misplaced_zero(q):
-    q._rhs[Arrow("mu", 0, 1, 3)] = ZERO
+    _set_rule(q, Arrow("mu", 0, 1, 3), ZERO)
 
 
 def _nonzero_rim(q):
-    q._rhs[Arrow("mu", 0, 1, 1)] = q._rhs[Arrow("mu", 0, 1, 2)]
+    _set_rule(q, Arrow("mu", 0, 1, 1), _rule(q, Arrow("mu", 0, 1, 2)))
 
 
 def _rim_to_own_ray(q):
     # the rim lam of ray 0 at stage 3 lands on ray 0, one stage down
-    q._target[Arrow("lam", 0, 1, 3)] = (0, 0, 2)
+    _plant(q, "_target", q._arrow_id[Arrow("lam", 0, 1, 3)],
+           q._vertex_id[(0, 0, 2)])
+
+
+def test_mesh_rule_certificate_flags_rules_around_a_misrouted_rim_arrow():
+    # lam(0,1,3) planted onto ray 0: the rule at mu(0,1,2) still names the
+    # canonical lam';mu' but no longer ends where mu;lam does, and the rule
+    # at mu(0,1,3) climbs from the wrong vertex
+    q = build_ray_tube(2, (1, 0), 6)
+    _rim_to_own_ray(q)
+    assert mesh_rule_failures(q) == (15, [Arrow("mu", 0, 1, 2),
+                                          Arrow("mu", 0, 1, 3)])
 
 
 @pytest.mark.parametrize("m, lengths, plant", [
@@ -573,28 +707,34 @@ def test_mesh_check_by_node_matches_the_per_word_check(m, lengths, plant):
 # -- planted defects for the "confluent" verdict -----------------------------
 
 
+def _rules(q):
+    """q's mesh rules as {mu Arrow: id-table rule}."""
+    return {q._arrows[x]: rhs for x, rhs in enumerate(q._rhs)
+            if rhs is not None}
+
+
 def _single_rule_mutations(q):
     """Every single-rule change of q's table of the three planted kinds:
     ZERO on each mu that has a lam', nonzero on each stage-1 rim mu, and
     each mu given every other mu's different right-hand side."""
-    rules = q._rhs
+    rules = _rules(q)
     zeros = {(mu, ZERO) for mu, rhs in rules.items() if rhs is not ZERO}
     nonzero_rims = {(mu, rhs) for mu in rules if rules[mu] is ZERO
                     for rhs in rules.values() if rhs is not ZERO}
     swaps = {(mu, rhs) for mu in rules for rhs in rules.values()
              if rhs != rules[mu]}
     assert zeros and nonzero_rims and zeros | nonzero_rims <= swaps
-    return sorted(swaps, key=str)
+    return sorted(swaps, key=lambda s: str((s[0], _arrow_word(q, s[1]))))
 
 
 def test_every_single_rule_mutation_fails_the_certificate():
     q = build_ray_tube(2, (1, 0), 6)
-    count = len(q._rhs)
+    count = len(_rules(q))
     mutations = _single_rule_mutations(q)
-    assert len(mutations) == count * (len(set(q._rhs.values())) - 1)
+    assert len(mutations) == count * (len(set(_rules(q).values())) - 1)
     for t, (mu, rhs) in enumerate(mutations):
         q = build_ray_tube(2, (1, 0), 6)
-        q._rhs[mu] = rhs
+        _set_rule(q, mu, rhs)
         assert mesh_rule_failures(q) == (count, [mu])
         result = mesh_tube_failures(q)
         _, _, bad = result
