@@ -8,12 +8,18 @@ Representation Theory of Associative Algebras* 1, CUP 2006, ch. II).  An
 element is a coordinate vector (tuple) over the basis.  monomial_algebra,
 the one constructor, certifies the laws on the path list (see its
 docstring); the opposite algebra is the one on the reversed paths.
+
+The paths of positive length span a nilpotent ideal J with A/J =
+k^(vertices), so an element is a unit exactly when each of its
+idempotent coefficients is nonzero, and its inverse is a finite Neumann
+series in J, with no linear solve (the proof is in
+FDAlgebra.inverse_el).
 """
 
 from __future__ import annotations
 
 from .fields import Field
-from .linalg import Matrix, block_diagonal, combination
+from .linalg import Matrix, block_diagonal
 
 
 class FDAlgebra:
@@ -39,6 +45,7 @@ class FDAlgebra:
         last = max((k for k, p in enumerate(paths) if not p[3]), default=None)
         self.generators = tuple(k for k, (_, _, _, w) in enumerate(paths)
                                 if len(w) == 1 or not w and k != last)
+        self._idempotents = tuple(k for k, p in enumerate(paths) if not p[3])
         self._inverses: dict = {}
         self._reduced: dict = {}
         self._products: dict = {}
@@ -104,17 +111,55 @@ class FDAlgebra:
             hit = self._products[u, v] = tuple(map(self.field.of, acc))
         return hit
 
+    def is_unit_el(self, u) -> bool:
+        """Whether u is a unit: whether every idempotent coefficient of u
+        is nonzero (see inverse_el)."""
+        of = self.field.of
+        for k in self._idempotents:  # a loop: a generator costs 3-4x more
+            if not of(u[k]):
+                return False
+        return True
+
     def inverse_el(self, u):
-        """u^-1 = unit rho(u)^-1, or None when rho(u) is singular, kept per
-        element.  In a finite-dimensional algebra a left inverse v (v u =
-        1) makes rho(v) rho(u) = rho(1) = I, so the unit lies in the row
-        space of rho(u) exactly when u is a unit."""
+        """u^-1, or None when u is no unit, kept per element.
+
+        The arrow ideal J, spanned by the paths of positive length, is a
+        two-sided ideal.  It is nilpotent: a basis path of length L has
+        L + 1 listed prefixes, so L < dim, and a product of dim paths of
+        positive length is 0.  A/J is k^(vertices), with the idempotents
+        e_v as its coordinates (Assem, Simson and Skowronski, *Elements*
+        1, ch. II).  Write u = s + n with s = sum_v u_v e_v and n in J.
+        If some u_v is 0, the image of u in A/J is no unit, and so
+        neither is u.  Otherwise s^-1 = sum_v u_v^-1 e_v, x = -s^-1 n
+        lies in J, so x^k = 0 for some k <= dim, and u = s (1 - x) has
+        the two-sided inverse (1 + x + x^2 + ...) s^-1, summed up to the
+        first zero term x^k s^-1 (each term is x times the one before).
+        No linear system is solved.  Each new inverse is certified by
+        u u^-1 = 1, a right inverse in a finite-dimensional algebra being
+        two-sided."""
         u = tuple(u)
-        if u not in self._inverses:
-            v = combination(u, self._rho).solve_left(
-                Matrix.from_rows(self.field, [self.unit]))
-            self._inverses[u] = None if v is None else v.data[0]
-        return self._inverses[u]
+        if u in self._inverses:
+            return self._inverses[u]
+        inv = None
+        if self.is_unit_el(u):
+            f = self.field
+            of, p = f.of, f.p
+            s_inv, n = list(self.zero_el()), list(u)
+            for k in self._idempotents:
+                c, n[k] = of(u[k]), f.zero()
+                s_inv[k] = 1 / c if p is None else pow(c, p - 2, p)
+            inv = term = tuple(s_inv)
+            x = self.neg_el(self.mul_el(inv, tuple(n)))
+            for _ in range(self.dim):
+                term = self.mul_el(x, term)
+                if not any(term):
+                    break
+                inv = self.add_el(inv, term)
+            if self.mul_el(u, inv) != self.unit:
+                raise AssertionError(f"{inv} is no inverse of {u} in "
+                                     f"{self.name}")
+        self._inverses[u] = inv
+        return inv
 
     def el_from_label(self, label: str):
         if label in ("1", "one", "unit"):
@@ -126,25 +171,6 @@ class FDAlgebra:
         return self.basis_el(self.labels.index(label))
 
     # -- structure ------------------------------------------------------
-
-    def law_failure(self, action):
-        """Where one matrix per basis element fails the laws of a right
-        module, or None if it satisfies them: (None, k) when row k of
-        action(1) differs from the identity's, else ((i, j), k) for the
-        first i, j with action[i] action[j] != action(b_i b_j), first
-        differing in row k."""
-        k = _first_differing_row(combination(self.unit, action),
-                                 Matrix.identity(self.field, action[0].rows))
-        if k is not None:
-            return None, k
-        zero = Matrix.zero(self.field, action[0].rows, action[0].rows)
-        for i, row in enumerate(self.products):
-            for j, p in enumerate(row):
-                k = _first_differing_row(action[i] * action[j],
-                                         zero if p is None else action[p])
-                if k is not None:
-                    return (i, j), k
-        return None
 
     @property
     def op(self) -> "FDAlgebra":
@@ -171,12 +197,6 @@ class FDAlgebra:
 
     def __repr__(self):
         return f"FDAlgebra({self.name}, dim={self.dim})"
-
-
-def _first_differing_row(a: Matrix, b: Matrix) -> int | None:
-    if a == b:
-        return None
-    return next(k for k, (x, y) in enumerate(zip(a.data, b.data)) if x != y)
 
 
 def monomial_algebra(field: Field, paths, name: str) -> FDAlgebra:

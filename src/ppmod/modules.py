@@ -81,8 +81,8 @@ def records_held():
 
 class Module:
     """Right module: one action matrix per algebra basis element, square
-    and all of size dim.  Its laws hold by how it is built;
-    FDAlgebra.law_failure checks them."""
+    and all of size dim.  Its laws hold by how it is built, and the tests
+    check them by multiplying the action matrices pair by pair."""
 
     __slots__ = ("algebra", "dim", "action", "label", "serial", "_act_cache",
                  "_presentation", "_record")

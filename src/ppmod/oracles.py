@@ -1,40 +1,19 @@
 """Independent brute-force oracles used to cross-check the fast paths.
 
-These deliberately avoid the kernel-and-project route of
-PpFormula.evaluate: membership is decided by enumerating witness tuples,
-over any finite field with `brute_eval` and over GF(2) with
-`brute_eval_f2`, which lists the set of witness images by doubling (one
-XOR per image) and then walks the whole x-space in Gray-code order, one
-packed XOR per step, testing each x's image against that set; nothing in
-them eliminates.  Locality of an endomorphism ring is decided by
-enumerating all p^dim of its elements, the reference for the structural
-certificate in decompose.
+`brute_eval_f2` avoids the kernel-and-project route of
+PpFormula.evaluate: over GF(2) it lists the set of witness images by
+doubling (one XOR per image) and then walks the whole x-space in
+Gray-code order, one packed XOR per step, testing each x's image against
+that set; nothing in it eliminates.  The oracles that only the tests
+read (enumerated witnesses over any finite field, the module laws, local
+End by enumeration) live with the tests.
 """
 
 from __future__ import annotations
 
-import itertools
-
-from .linalg import Matrix, Subspace, span_elements
+from .linalg import Subspace
 from .modules import Module
 from .ppformula import PpFormula
-
-
-def brute_eval(phi: PpFormula, module: Module) -> set[tuple]:
-    """All x-tuples (coordinates concatenated) satisfying the formula over
-    a finite field, found by enumerating every (x, y) and testing each
-    equation: coordinate c of condition e is sum_v (x, y)_v . hmat[v][e]."""
-    if module.algebra is not phi.algebra:
-        raise ValueError("module over another algebra than the formula")
-    f = module.algebra.field
-    d, nvars = module.dim, len(phi.hmat)
-    equations = [[module.act(phi.hmat[v][e]).data[r][c]
-                  for v in range(nvars) for r in range(d)]
-                 for e in range(phi.m) for c in range(d)]
-    return {xy[:phi.n * d]
-            for xy in itertools.product(tuple(f.elements()), repeat=nvars * d)
-            if all(f.of(sum(x * y for x, y in zip(xy, eq))) == f.zero()
-                   for eq in equations)}
 
 
 def brute_eval_f2(phi: PpFormula, module: Module) -> set[int]:
@@ -98,28 +77,3 @@ def subspace_int_set(s: Subspace) -> set[int]:
             i += 1
         out.add(v)
     return out
-
-
-def end_local_by_enumeration(mats: list[Matrix]):
-    """Whether the algebra spanned by mats (square, over GF(p)) is local,
-    by enumerating its elements: a finite-dimensional algebra is local iff
-    every element is nilpotent or invertible.  Returns (True, nilpotents)
-    with the echelon coefficient rows spanning the nilpotents, which then
-    form the radical, or (False, None) at the first element that is
-    neither."""
-    f, n = mats[0].field, mats[0].rows
-    nilpotent = []
-    for coeffs, x in span_elements(mats, Matrix.zero(f, n, n)):
-        if x.rank() == n:
-            continue
-        power = x
-        for _ in range(n - 1):
-            power = power * x
-        if not power.is_zero():
-            return False, None
-        nilpotent.append(coeffs)
-    rad = Matrix.from_rows(f, nilpotent).row_space()
-    if f.p ** rad.rows != len(nilpotent):
-        raise AssertionError("the nilpotents of a local algebra form a "
-                             "subspace")
-    return True, rad

@@ -54,10 +54,19 @@ formula returns its reduced formula's value.  The table holds its
 entries weakly and a reduced formula refers to nothing that refers back
 to it, so an entry dies with the last formula that reduces to it, and
 the work done does not depend on when the garbage collector runs.
-pp-type generators, built with their realization, stay out of it.  The
-table memoizes a function of the content alone: a shared reduced formula
-is reflexivity, and every other implication evaluates psi on a
-realization and tests membership.
+pp-type generators stay out of it.  The table memoizes a function of
+the content alone: a shared reduced formula is reflexivity, and every
+other implication evaluates psi on a realization and tests membership.
+
+A pp-type generator (Prest, op. cit., section 1.2), the formula generated
+by a tuple of a finitely presented module, keeps that module and tuple
+as its free realization, and the tuple itself.  It is evaluated through
+Hom on the realization and is its own reduced formula, so its value, its
+implications and `reduced` read no matrix.  Its matrix, which needs a
+presentation of the module and one solve per component, is built on the
+first read of `hmat` (by printing, `l` and `m`, sum, meet and dual);
+the probes and suites, which only evaluate and compare generators, never
+read it.  The shape of the tuple is checked when the generator is built.
 """
 
 from __future__ import annotations
@@ -67,8 +76,8 @@ from dataclasses import dataclass
 
 from .algebra import FDAlgebra
 from .linalg import Matrix, Subspace, block, projected_kernel, vectorized
-from .modules import (Module, Presentation, _module_span, free_module,
-                      hom_space, presentation_of, quotient_module)
+from .modules import (Module, _module_span, free_module, hom_space,
+                      presentation_of, quotient_module)
 
 # the reduced formula of each content (algebra, n, hmat), held weakly:
 # an entry lives exactly as long as some formula refers to its value
@@ -83,13 +92,10 @@ class PpFormula:
     """Immutable pp formula; entries of hmat are algebra coordinate vectors."""
 
     __slots__ = ("algebra", "n", "hmat", "_realization", "_by_hom",
-                 "_eval_cache", "_reduced", "__weakref__")
+                 "_eval_cache", "_reduced", "_tuple", "__weakref__")
 
-    def __init__(self, algebra: FDAlgebra, n: int, hmat,
-                 realization: "FreeRealization | None" = None):
-        if n < 1:
-            raise ValueError(f"free arity n={n}: a formula needs at least "
-                             "one free variable")
+    def __init__(self, algebra: FDAlgebra, n: int, hmat):
+        _check_arity(n)
         self.algebra = algebra
         self.n = n
         el = algebra.reduced_el
@@ -101,25 +107,38 @@ class PpFormula:
             raise ValueError("ragged formula matrix")
         if any(len(e) != algebra.dim for row in self.hmat for e in row):
             raise ValueError("entry is not an algebra coordinate vector")
-        # a realization given here is evaluated through Hom (see evaluate)
-        self._realization = realization
-        self._by_hom = realization is not None
+        self._realization, self._by_hom = None, False
         self._eval_cache: dict = {}
-        # a formula built with its realization is never reduced
-        self._reduced = _OWN if self._by_hom else None
+        self._reduced = None
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: `hmat` of a pp-type generator
+        # before its first read, built as pp_type_generator says (the free
+        # cover is onto, so every component is expressible)
+        if name != "hmat":
+            raise AttributeError(name)
+        pres = presentation_of(self._realization.module)
+        alg, n = self.algebra, self.n
+        cells = {(i, i): alg.unit for i in range(n)}
+        for i, comp in enumerate(self._tuple):
+            cells.update({(n + g, i): alg.neg_el(c)
+                          for g, c in enumerate(pres.express(comp))})
+        for e, rel in enumerate(pres.relations):
+            cells.update({(n + g, n + e): r for g, r in enumerate(rel)})
+        self.hmat = PpFormula.from_cells(
+            alg, n, pres.ngens, n + len(pres.relations), cells).hmat
+        return self.hmat
 
     @staticmethod
-    def from_cells(algebra: FDAlgebra, n: int, l: int, m: int, cells,
-                   realization: "FreeRealization | None" = None
-                   ) -> "PpFormula":
+    def from_cells(algebra: FDAlgebra, n: int, l: int, m: int,
+                   cells) -> "PpFormula":
         """The formula whose entry (v, e), variable v and condition e, is
         cells[(v, e)]; every other entry is zero."""
         if any(not (0 <= v < n + l and 0 <= e < m) for v, e in cells):
             raise ValueError("cell outside the formula matrix")
         z = algebra.zero_el()
         return PpFormula(algebra, n, [
-            [cells.get((v, e), z) for e in range(m)] for v in range(n + l)],
-            realization)
+            [cells.get((v, e), z) for e in range(m)] for v in range(n + l)])
 
     @staticmethod
     def _of(algebra: FDAlgebra, n: int, hmat) -> "PpFormula":
@@ -161,8 +180,8 @@ class PpFormula:
         """phi(M) as a subspace of k^{n.dim(M)} (x-tuples, coordinates
         concatenated component by component).
 
-        A formula built with its free realization (C, c), as
-        pp_type_generator builds one, is evaluated through Hom:
+        A pp-type generator, built with its free realization (C, c), is
+        evaluated through Hom:
         phi(M) = {f(c) : f in Hom(C, M)} for every module M (Prest,
         *Purity, Spectra and Localisation*, CUP 2009, section 1.2), the
         row space of the images of c under a basis of Hom(C, M).  Every
@@ -205,8 +224,8 @@ class PpFormula:
         condition, until none is left; free variables are kept.  Computed
         once per formula, and shared by content: formulas whose
         reductions are equal get the same object, held in a weak table
-        (see the module docstring).  A formula built with its realization
-        is its own reduced formula and stays out of the table."""
+        (see the module docstring).  A pp-type generator is its own
+        reduced formula and stays out of the table."""
         r = self._reduced
         if r is _OWN:
             return self
@@ -224,7 +243,7 @@ class PpFormula:
 
     def free_realization(self) -> "FreeRealization":
         """A finitely presented module and tuple whose pp-type this formula
-        generates: the one it was built with, if any, else the quotient C
+        generates: a pp-type generator's own, else the quotient C
         of the free module on all n+l variables by the columns of the
         formula matrix, and the images of the first n free generators."""
         if self._realization is None:
@@ -292,9 +311,8 @@ def _unit_pivot(alg: FDAlgebra, rows, n: int):
     first unit column e, or None."""
     for y in range(n, len(rows)):
         for e, u in enumerate(rows[y]):
-            inv = alg.inverse_el(u) if any(u) else None
-            if inv is not None:
-                return y, e, inv
+            if alg.is_unit_el(u):
+                return y, e, alg.inverse_el(u)
     return None
 
 
@@ -318,6 +336,12 @@ class PpPair:
         # implies refuses formulas over different algebras or arities
         if not self.lower.implies(self.upper):
             raise ValueError("lower formula does not imply upper formula")
+
+
+def _check_arity(n: int):
+    if n < 1:
+        raise ValueError(f"free arity n={n}: a formula needs at least one "
+                         "free variable")
 
 
 def _check_compatible(a: PpFormula, b: PpFormula):
@@ -409,27 +433,29 @@ def dual(phi: PpFormula) -> PpFormula:
 # -- pp-type generators --------------------------------------------------------
 
 
-def pp_type_generator(pres: Presentation, tup) -> PpFormula:
-    """The generator of the pp-type of a tuple in a presented right module:
-    exists y (x = y A and y H = 0), where A expresses the tuple over the
-    generators and H is the relation matrix.  The presented module and the
-    tuple are its free realization, and it is built with them, so it is
-    evaluated through Hom (see PpFormula.evaluate)."""
-    alg, n = pres.algebra, len(tup)
-    cells = {(i, i): alg.unit for i in range(n)}
-    for i, comp in enumerate(tup):
-        coeffs = pres.express(comp)
-        if coeffs is None:
-            raise ValueError("tuple is not expressible over the generators")
-        cells.update({(n + g, i): alg.neg_el(c) for g, c in enumerate(coeffs)})
-    for e, rel in enumerate(pres.relations):
-        cells.update({(n + g, n + e): r for g, r in enumerate(rel)})
-    module = pres.proj.target
-    row = Matrix(alg.field, 1, n * module.dim, [[c for v in tup for c in v]])
-    return PpFormula.from_cells(alg, n, pres.ngens, n + len(pres.relations),
-                                cells, FreeRealization(module, row))
+def pp_type_generator(module: Module, tup) -> PpFormula:
+    """The generator of the pp-type of a tuple in a finitely presented
+    right module: exists y (x = y A and y H = 0), where H is the relation
+    matrix of presentation_of(module) and A expresses the tuple over its
+    generators.  The module and the tuple are its free realization, and it
+    is built with them, so it is evaluated through Hom (see
+    PpFormula.evaluate) and is its own reduced formula.  The shape of the
+    tuple is checked here; the matrix is built on its first read."""
+    tup = tuple(map(tuple, tup))
+    alg, n, d = module.algebra, len(tup), module.dim
+    _check_arity(n)
+    for v in tup:
+        if len(v) != d:
+            raise ValueError(f"tuple component of length {len(v)}, not the "
+                             f"module dimension {d}")
+    phi = object.__new__(PpFormula)
+    phi.algebra, phi.n, phi._by_hom = alg, n, True
+    phi._realization = FreeRealization(module, Matrix(
+        alg.field, 1, n * d, [[c for v in tup for c in v]]))
+    phi._eval_cache, phi._reduced, phi._tuple = {}, _OWN, tup
+    return phi
 
 
 def pp_type_generator_of_element(module: Module, vec) -> PpFormula:
     """Generator of the pp-type of a single element of a right module."""
-    return pp_type_generator(presentation_of(module), (tuple(vec),))
+    return pp_type_generator(module, (vec,))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ppmod.fields import GF, QQ
 from ppmod.algebra import kronecker_algebra, monomial_algebra, truncated_dvr
 from ppmod.linalg import Matrix, combination
+from reference import law_failure
 
 F2 = GF(2)
 
@@ -323,7 +324,7 @@ def test_module_law_check_matches_brute_force(inp):
     # the first row where the two sides differ
     alg, d, mats = inp
     unit_bad, pairs = brute_module_failures(alg, mats)
-    fail = alg.law_failure(mats)
+    fail = law_failure(alg, mats)
     if unit_bad:
         pair, row = fail
         assert pair is None and first_differing_row(
@@ -419,7 +420,14 @@ def regular(alg, v):
 @pytest.mark.parametrize("field", [GF(2), GF(3), QQ],
                          ids=["gf2", "gf3", "qq"])
 def test_products_and_inverses_match_the_regular_representation(field):
+    # inverse_el reads units off the idempotent coefficients; the oracle
+    # is rho(u), invertible exactly for a unit, with u^-1 = 1 rho(u)^-1
+    import random
     from ppmod.tower import build_tower
+    rng = random.Random(5)
+    scalars = [field.of(c) for c in (0, 1, -1, 2)]
+    if field.p is None:
+        scalars.append(field.one() / 3)
     for base in (truncated_dvr(3, field), kronecker_algebra(field),
                  build_tower(3, 1, field).top):
         for alg in (base, base.op):
@@ -428,20 +436,41 @@ def test_products_and_inverses_match_the_regular_representation(field):
             for u, v in itertools.product(basis, repeat=2):
                 want = Matrix.from_rows(field, [u]) * regular(alg, v)
                 assert alg.mul_el(u, v) == want.data[0]
-            # the basis, the unit plus each basis element, and zero
+            idem = [k for k, p in enumerate(alg.paths) if not p[3]]
+            nonzero = [c for c in scalars if c]
+
+            def drawn(zero_at=None):
+                # random radical part, nonzero idempotent coefficients
+                # except at zero_at
+                return tuple(
+                    field.zero() if k == zero_at else
+                    rng.choice(nonzero) if k in idem else rng.choice(scalars)
+                    for k in range(alg.dim))
+
+            # the basis, the unit plus each basis element, zero, seeded
+            # random elements, and the planted cases: a radical part plus
+            # a nonzero idempotent part (units), and one idempotent
+            # coefficient zero (non-units)
+            planted_units = [drawn() for _ in range(6)]
+            planted_non_units = [drawn(k) for k in idem for _ in range(2)]
+            elements = basis + [alg.add_el(alg.unit, b) for b in basis] + \
+                [alg.zero_el()] + \
+                [tuple(rng.choice(scalars) for _ in range(alg.dim))
+                 for _ in range(12)] + planted_units + planted_non_units
             units = 0
-            for u in basis + [alg.add_el(alg.unit, b) for b in basis] + \
-                    [alg.zero_el()]:
+            for u in elements:
                 rho = regular(alg, u)
                 inv = alg.inverse_el(u)
                 if rho.rank() < alg.dim:
                     assert inv is None
+                    assert u not in planted_units
                     continue
                 units += 1
+                assert u not in planted_non_units
                 assert inv == (one * rho.inverse()).data[0]
                 assert alg.mul_el(u, inv) == alg.mul_el(inv, u) == alg.unit
                 assert alg.inverse_el(u) is inv
-            assert units >= 2
+            assert units >= 2 + len(planted_units)
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3), QQ],

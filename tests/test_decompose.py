@@ -16,11 +16,11 @@ from ppmod.modules import (Module, _record_of, direct_sum, hom_space,
 from ppmod.decompose import (RadicalCalculus, _certify, _commutator_ideal,
                              _echelon, _fitting_split, _frobenius,
                              _split_or_radical, decompose, radical_subspace)
-from ppmod.oracles import end_local_by_enumeration
 from ppmod.suites import radical_universes
 from ppmod.catalog import (dvr_chain_module, dvr_universe, kronecker_rep,
                            kronecker_regular, kronecker_universe,
                            random_quotient_of_free)
+from reference import end_local_by_enumeration
 
 F2 = GF(2)
 

@@ -345,14 +345,7 @@ def test_listed_local_imports_exist():
 
 
 # public names with no caller outside tests/, each with why it stays
-KEPT = {
-    "algebra.FDAlgebra.law_failure":
-        "the reference module-law check that the tests hold the modules of "
-        "quiver_rep and k_dual to",
-    "oracles.brute_eval": "the reference oracle for pp evaluation",
-    "oracles.end_local_by_enumeration":
-        "the reference oracle for the local-End certificate",
-}
+KEPT: dict[str, str] = {}
 
 # defaulted public parameters that no caller outside tests/ sets, and
 # public parameters that every caller sets to one literal value, each with

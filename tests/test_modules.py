@@ -15,6 +15,7 @@ from ppmod.catalog import (dvr_chain_module, dvr_universe,
                            kronecker_universe)
 from ppmod.algebra import kronecker_algebra, truncated_dvr
 from ppmod.decompose import decompose
+from reference import law_failure
 
 F2 = GF(2)
 
@@ -37,7 +38,7 @@ def test_chain_module_actions(dvr3):
     v2 = dvr_chain_module(m, 2)
     x = v2.action[1]
     assert x * x == Matrix.zero(F2, 2, 2)
-    assert m.law_failure(v2.action) is None
+    assert law_failure(m, v2.action) is None
 
 
 def test_hom_identity_and_end_of_simple(dvr2):
@@ -91,7 +92,7 @@ def test_k_dual_preserves_dim_and_double_dual(dvr3):
 def test_dual_module_satisfies_left_law(kron):
     m = kronecker_preprojective(kron, 1)
     d = k_dual(m)
-    assert kron.op.law_failure(d.action) is None  # a module over A^op
+    assert law_failure(kron.op, d.action) is None  # a module over A^op
 
 
 def test_a_module_reads_its_dimension_off_its_action(dvr3):
@@ -273,7 +274,7 @@ def test_iso_test_matches_summands_over_qq():
     ([Matrix.identity(F2, 1)] * 2, ((1, 1), 0)),    # x x = x != 0
 ], ids=["unit", "structure-constant"])
 def test_module_laws_are_checked(action, failure):
-    assert truncated_dvr(2, F2).law_failure(action) == failure
+    assert law_failure(truncated_dvr(2, F2), action) == failure
 
 
 def worklist_span(m: Module, vectors, start=None) -> Subspace:
@@ -481,7 +482,7 @@ def test_kronecker_rep_refuses_the_opposite_algebra(field):
                 f"{alg.name} is not the Kronecker algebra")):
             kronecker_rep(alg, 1, 1, [[1]], [[0]])
     m = kronecker_rep(kron, 1, 1, [[1]], [[0]])
-    assert kron.law_failure(m.action) is None
+    assert law_failure(kron, m.action) is None
     # a Kronecker algebra built again is accepted: the check compares
     # structure constants, not objects
     assert kronecker_rep(kronecker_algebra(field), 1, 1, [[1]],

@@ -150,9 +150,8 @@ def test_free_realization_of_tautology_is_free(d2):
 def test_pp_type_generator_of_regular_generator(d2):
     # generator tuple of the cyclic free module: formula equivalent to x H = 0
     m = dvr_chain_module(d2, 2)
-    pres = presentation_of(m)
     g = module_generators(m)[0]
-    gen = pp_type_generator(pres, (g,))
+    gen = pp_type_generator(m, (g,))
     assert gen.equivalent(tautology(d2))
 
 
@@ -300,7 +299,7 @@ def test_evaluate_matches_witness_enumeration_over_gf3():
     from ppmod.algebra import kronecker_algebra
     from ppmod.catalog import kronecker_universe
     from ppmod.linalg import Matrix, span_elements
-    from ppmod.oracles import brute_eval
+    from reference import brute_eval
     f3 = GF(3)
 
     def vectors(s):
@@ -337,7 +336,7 @@ def test_packed_oracle_matches_generic_oracle(d3, kron):
     # against a seeded corpus with l <= 3 witnesses and m <= 3 equations
     import random
     from ppmod.catalog import kronecker_universe
-    from ppmod.oracles import brute_eval
+    from reference import brute_eval
     from ppmod.suites import formula_corpus
 
     def packed(xs):
@@ -360,7 +359,7 @@ def test_packed_oracle_with_dependent_witness_deltas(d3, kron):
     # repeated and zero witness rows give repeated and zero deltas, which
     # the doubling of the witness images must skip without losing an image
     from ppmod.catalog import kronecker_universe
-    from ppmod.oracles import brute_eval
+    from reference import brute_eval
 
     def packed(xs):
         return {sum(c << i for i, c in enumerate(x)) for x in xs}
@@ -777,7 +776,7 @@ def test_pp_type_generator_matches_the_grid(alg):
         tuples = [(g,) for g in gens] + [tuple(gens)] + \
             [(tuple(m.act(alg.basis_el(i)).data[0]),) for i in range(alg.dim)]
         for tup in tuples:
-            got = pp_type_generator(pres, tup)
+            got = pp_type_generator(m, tup)
             assert got.hmat == grid_pp_type_generator(pres, tup).hmat
             assert (got.n, got.l) == (len(tup), pres.ngens)
 
@@ -871,7 +870,6 @@ def test_a_swapped_tuple_fails_the_route_check():
     # each generator formula with its tuple swapped for the next distinct
     # element of the same module among the pool's: wherever the two
     # elements' pp-types differ on the universe, the check must flag it
-    from ppmod.ppformula import FreeRealization
     universe = probe_kronecker_universe(GF(3))
     forms = theta_formulas(universe)
     flagged = 0
@@ -882,8 +880,11 @@ def test_a_swapped_tuple_fails_the_route_check():
                       and psi.free_realization().row != fr.row), None)
         if other is None:
             continue
-        mutant = PpFormula(phi.algebra, phi.n, phi.hmat,
-                           FreeRealization(fr.module, other))
+        # the generator of the other element with phi's matrix: its value
+        # comes through Hom from its realization, its system copy's from
+        # the matrix
+        mutant = pp_type_generator_of_element(fr.module, other.data[0])
+        mutant.hmat = phi.hmat
         swapped = system_copy(
             pp_type_generator_of_element(fr.module, other.data[0]))
         differs = any(system_copy(phi).evaluate(m) != swapped.evaluate(m)
@@ -891,6 +892,62 @@ def test_a_swapped_tuple_fails_the_route_check():
         assert (route_mismatches([mutant], universe) != []) == differs
         flagged += differs
     assert flagged >= 10
+
+
+def matrix_built(phi):
+    """Whether the formula's matrix slot is set, read past __getattr__."""
+    try:
+        PpFormula.hmat.__get__(phi)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_probes_build_no_generator_matrix(monkeypatch):
+    # every generator kronecker_probe over GF(3) and the short-probes suite
+    # (its Kronecker probe and probe_embedding on the realized stages)
+    # build, pool and pair formulas alike, is evaluated and compared
+    # without its matrix; read afterwards, the matrix is the grid's
+    from pathlib import Path
+    import ppmod.ppformula
+    from ppmod.probes import kronecker_probe
+    from ppmod.suites import suite_short_probes
+    made = []
+    inner = ppmod.ppformula.pp_type_generator
+
+    def recorded(module, tup):
+        phi = inner(module, tup)
+        made.append((phi, module, tup))
+        return phi
+
+    monkeypatch.setattr(ppmod.ppformula, "pp_type_generator", recorded)
+    rep = kronecker_probe(probe_kronecker_universe(GF(3)), 3)
+    res = suite_short_probes()
+    monkeypatch.undo()
+    assert len(made) > 100
+    assert not any(matrix_built(phi) for phi, _, _ in made)
+    # the verdicts are the recorded ones
+    golden = Path(__file__).parent / "golden"
+    assert rep.to_text() in (golden / "scenario_field_3.txt").read_text()
+    block = "".join([res.summary(with_time=False) + "\n"]
+                    + [f"\t{line}\n" for line in res.lines])
+    assert block in (golden / "suite_all.txt").read_text()
+    for phi, module, tup in made:
+        assert phi.hmat == grid_pp_type_generator(presentation_of(module),
+                                                  tup).hmat
+        assert matrix_built(phi)
+
+
+def test_generator_tuple_shape_is_checked_when_built(d2):
+    m = dvr_chain_module(d2, 2)
+    for tup in (((1,),), ((1, 0, 0),), ((1, 0), (1,)), ()):
+        with pytest.raises(ValueError):
+            pp_type_generator(m, tup)
+    with pytest.raises(ValueError):
+        pp_type_generator_of_element(m, (1,))
+    gen = pp_type_generator(m, ((0, 1), (1, 0)))
+    assert not matrix_built(gen)
+    assert (gen.n, gen.l) == (2, presentation_of(m).ngens)
 
 
 # -- unit-coefficient bound variables substituted away -------------------------
@@ -1287,7 +1344,7 @@ def test_zero_cells_evaluate_as_the_witness_enumeration(p):
     # and duals: the derived matrices leave their zero cells out, and the
     # evaluated systems give zero entries no band
     from ppmod.linalg import Matrix, span_elements
-    from ppmod.oracles import brute_eval
+    from reference import brute_eval
     f = GF(p)
     alg = truncated_dvr(2, f)
     z, x = alg.zero_el(), alg.basis_el(1)
