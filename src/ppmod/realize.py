@@ -1,26 +1,26 @@
 """Concrete realization of the ray-tube ladder inside a tower module
 category, with every defining square verified exactly.
 
-The ladder is one family indexed by depth 0 <= l <= n and stage j: the
-objects P^l_j = F0^{n-l} F1^l (V/m^j), whose depth-0 row is the stage row
-M_j = P^0_j.  Maps are lifted through F1 only: F0 pads the action and
-keeps a map's matrix, so a map over R_l is the same matrix between the
-F0 lifts of its ends.  The epis phi_j: M_{j+1} -> M_j are the chain
-quotients' matrices, the level embeddings alpha^l_j: P^{l-1}_j -> P^l_j
-the canonical F0 -> F1 maps' matrices, and the horizontal maps psibar^l_j:
-P^l_j -> P^l_{j+1} (psi_j, the chain inclusion, at depth 0) are f1_map of
-psibar^{l-1}_j over R_{l-1}, one F1 step per depth.  The rim maps f_j:
-P^n_{j+1} -> M_j are completed from the cokernel of the first stage and
-are uniquely determined by their two defining equations.
+A RealizedTube is a translation quiver with a module per vertex and a
+module map per arrow, keyed by the quiver's own names.  realize_in_tower
+builds Q(1; n) in the height-n tower: at S(0,l,j) sits P^l_j =
+F0^{n-l} F1^l (V/m^j), for depth 0 <= l <= n and stage j, whose depth-0
+row is the stage row M_j = P^0_j.  Maps are lifted through F1 only: F0
+pads the action and keeps a map's matrix, so a map over R_l is the same
+matrix between the F0 lifts of its ends.  mu(0,l,j) is the horizontal
+map psibar^l_j: P^l_j -> P^l_{j+1} (psi_j, the chain inclusion, at depth
+0), f1_map of psibar^{l-1}_j, one F1 step per depth; lam(0,l-1,j) is the
+level embedding alpha^l_j, the canonical F0 -> F1 map's matrix; the rim
+arrow lam(0,n,j+1) is f_j: P^n_{j+1} -> M_j, uniquely determined by its
+two defining equations.  The epi phi_j: M_{j+1} -> M_j, the chain
+quotient, is not stored: it is the rim walk lam^{n+1} from S(0,0,j+1).
 
-The single-ray translation quiver Q(1; n) realizes onto this ladder:
-mu-arrows to the horizontal embeddings, level lambdas to the vertical
-embeddings, rim lambdas to the f-maps.  The stage-row squares tube[j]
-run from M_0 = 0, so tube[1] is the exact sequence 0 -> M_1 -> M_2 ->
-M_1 -> 0.  The ladder and rim squares are the quiver's mesh rules, read
-off the quiver and checked once each (a ZERO rule as a composite that
-vanishes), so the functor on paths descends to the mesh category: every
-word realizes to its normal form's map.
+The stage-row squares tube[j] run from M_0 = 0, so tube[1] is the exact
+sequence 0 -> M_1 -> M_2 -> M_1 -> 0.  The ladder and rim squares are
+the quiver's mesh rules, read off the quiver and checked once each (a
+ZERO rule as a composite that vanishes), so the functor on paths
+descends to the mesh category: every word realizes to its normal form's
+map.
 
 The stage bimodule X = M_J (+) P^1_1 (+) ... (+) P^n_1 is certified
 projective as a left module of the tower at horizon J by its top: the
@@ -37,7 +37,7 @@ from .linalg import Matrix, vectorized
 from .modules import (Module, ModuleMap, direct_sum, identity_map, quiver_rep,
                       zero_map)
 from .tower import TowerRing, build_tower, f1_map, lift, natural_embedding
-from .tube import (Arrow, NormalPath, TranslationQuiver, ZERO, build_ray_tube,
+from .tube import (Arrow, NormalPath, TranslationQuiver, ZERO,
                    normal_path_arrows, normalize_path)
 
 
@@ -89,43 +89,35 @@ def square_failures(top: ModuleMap, left: ModuleMap, right: ModuleMap,
 
 @dataclass
 class RealizedTube:
-    """Ladder of stage modules and maps in a tower, all squares verified;
-    depth 0 is the stage row, P^0_j = M_j and psibar^0_j = psi_j.  quiver
-    is Q(1; n) at horizon stages + 1, whose every arrow is realized."""
+    """A translation quiver realized in modules: a module per vertex, a
+    map per arrow, and the names of the squares verified, in order."""
 
-    tower: TowerRing
-    stages: int
     quiver: TranslationQuiver
-    P: dict = field(default_factory=dict)        # (l, j) -> Module
-    phi: dict = field(default_factory=dict)      # j -> M_{j+1} -> M_j
-    psibar: dict = field(default_factory=dict)   # (l, j) -> P^l_j -> P^l_{j+1}
-    alpha: dict = field(default_factory=dict)    # (l, j) -> P^{l-1}_j -> P^l_j
-    fmaps: dict = field(default_factory=dict)    # j -> P^n_{j+1} -> M_j
-    checked_squares: list = field(default_factory=list)  # names, in order
+    modules: dict = field(default_factory=dict)  # vertex -> Module
+    maps: dict = field(default_factory=dict)     # Arrow -> ModuleMap
+    checked_squares: list = field(default_factory=list)
 
     def realize_arrow(self, a: Arrow) -> ModuleMap:
-        """An arrow of the quiver as its ladder map; ValueError for any
-        other arrow."""
+        """An arrow of the quiver as its map; ValueError for any other
+        arrow."""
         self.quiver.target(a)
-        if a.kind == "mu":
-            return self.psibar[(a.k, a.j)]
-        if a.k < self.tower.height:
-            return self.alpha[(a.k + 1, a.j)]
-        return self.fmaps[a.j - 1]
+        return self.maps[a]
 
     def realize_normal_path(self, np) -> ModuleMap:
         if np == ZERO:
             raise ValueError("zero has no single realization; compare is_zero")
-        out = identity_map(self.P[(np.start[1], np.start[2])])
-        for a in normal_path_arrows(self.quiver, np):
-            out = out.then(self.realize_arrow(a))
+        arrows = normal_path_arrows(self.quiver, np)
+        out = identity_map(self.modules[np.start])
+        for a in arrows:
+            out = out.then(self.maps[a])
         return out
 
 
 def realize_in_tower(tower: TowerRing, stages: int) -> RealizedTube:
-    """Build the ladder up to the given stage and verify every defining
-    square as a pushout and pullback; needs stages + 1 < horizon headroom
-    (stage modules use chain length stages + 1)."""
+    """Realize Q(1; n), n the tower's height, at horizon stages + 1 and
+    verify every defining square as a pushout and pullback; needs
+    stages + 1 < horizon headroom (stage modules use chain length
+    stages + 1)."""
     if stages < 1:
         raise ValueError("need at least one stage")
     if stages >= tower.N:
@@ -133,7 +125,8 @@ def realize_in_tower(tower: TowerRing, stages: int) -> RealizedTube:
             f"stages {stages} need chain modules beyond the horizon {tower.N}")
     n = tower.height
     alg0 = tower.algebras[0]
-    rt = RealizedTube(tower, stages, build_ray_tube(1, (n,), stages + 1))
+    rt = RealizedTube(TranslationQuiver(1, (n,), stages + 1))
+    P = rt.modules
 
     # F0 keeps a map's matrix, so each map is its matrix over R_l, the
     # ring of its last F1, rewrapped between the ladder modules
@@ -143,23 +136,21 @@ def realize_in_tower(tower: TowerRing, stages: int) -> RealizedTube:
             if l:
                 eta = natural_embedding(tower, l, core)
                 core = eta.target
-            p = rt.P[(l, j)] = lift(tower, core, l, 0, n - l)
+            p = P[(0, l, j)] = lift(tower, core, l, 0, n - l)
             p.label = f"P^{l}_{j}" if l else f"M{j}"
             if l:
-                rt.alpha[(l, j)] = ModuleMap(rt.P[(l - 1, j)], p, eta.mat,
-                                             check=True)
+                rt.maps[Arrow("lam", 0, l - 1, j)] = ModuleMap(
+                    P[(0, l - 1, j)], p, eta.mat, check=True)
 
     for j in range(1, stages + 1):
-        rt.phi[j] = ModuleMap(rt.P[(0, j + 1)], rt.P[(0, j)],
-                              chain_quotient(alg0, j).mat, check=True)
         psi = chain_inclusion(alg0, j)  # F1^l of it, over R_l
         for l in range(n + 1):
             if l:
                 psi = f1_map(tower, l, psi)
-            rt.psibar[(l, j)] = ModuleMap(rt.P[(l, j)], rt.P[(l, j + 1)],
-                                          psi.mat, check=True)
+            rt.maps[Arrow("mu", 0, l, j)] = ModuleMap(
+                P[(0, l, j)], P[(0, l, j + 1)], psi.mat, check=True)
 
-    _complete_f_maps(rt)
+    _complete_f_maps(rt, alg0)
     _verify_squares(rt)
     return rt
 
@@ -171,27 +162,32 @@ def _mesh_rule(q: TranslationQuiver, mu: Arrow):
     return lam, normalize_path(q, q.source(mu), (mu, lam))
 
 
-def _complete_f_maps(rt: RealizedTube):
-    """Solve for the rim maps f_j: P^n_{j+1} -> M_j from their two
-    defining equations: f_j after the lambda walk M_{j+1} -> P^n_{j+1}
-    is phi_j, and f_j after psibar^n_j is the realized right side of the
-    rim mesh rule at mu(0,n,j) (zero at j = 1, where the rule is ZERO)."""
-    q, n = rt.quiver, rt.tower.height
-    for j in range(1, rt.stages + 1):
+def _complete_f_maps(rt: RealizedTube, alg0):
+    """Solve for the rim maps f_j = lam(0,n,j+1): P^n_{j+1} -> M_j from
+    their two defining equations: f_j after the level walk M_{j+1} ->
+    P^n_{j+1} is phi_j, the chain quotient over alg0, and f_j after
+    psibar^n_j is the realized right side of the rim mesh rule at
+    mu(0,n,j) (zero at j = 1, where the rule is ZERO).  The rim walk
+    lam^{n+1} from M_{j+1} then realizes phi_j."""
+    q, P = rt.quiver, rt.modules
+    n = q.ray_lengths[0]
+    for j in range(1, q.horizon):
         mu = Arrow("mu", 0, n, j)
         _, rhs = _mesh_rule(q, mu)
-        rim = Matrix.zero(rt.tower.field, rt.P[(n, j)].dim, rt.P[(0, j)].dim) \
+        rim = Matrix.zero(alg0.field, P[(0, n, j)].dim, P[(0, 0, j)].dim) \
             if rhs == ZERO else rt.realize_normal_path(rhs).mat
         walk = rt.realize_normal_path(NormalPath((0, 0, j + 1), n, 0))
-        sol = walk.mat.vstack(rt.realize_arrow(mu).mat).solve_right(
-            rt.phi[j].mat.vstack(rim))
+        sol = walk.mat.vstack(rt.maps[mu].mat).solve_right(
+            chain_quotient(alg0, j).mat.vstack(rim))
         if sol is None:
             raise SquareFailed(f"f[{j}]", "rim completion system inconsistent")
-        rt.fmaps[j] = ModuleMap(rt.P[(n, j + 1)], rt.P[(0, j)], sol, check=True)
+        rt.maps[Arrow("lam", 0, n, j + 1)] = ModuleMap(
+            P[(0, n, j + 1)], P[(0, 0, j)], sol, check=True)
 
 
 def _verify_squares(rt: RealizedTube):
-    q, n, J = rt.quiver, rt.tower.height, rt.stages
+    q = rt.quiver
+    n, J = q.ray_lengths[0], q.horizon - 1
 
     def check(name, top, left, right, bottom):
         failed = square_failures(top, left, right, bottom)
@@ -199,14 +195,19 @@ def _verify_squares(rt: RealizedTube):
             raise SquareFailed(name, ", ".join(failed))
         rt.checked_squares.append(name)
 
-    # the stage row from M_0 = 0: tube[1], with its zero corner, is the
-    # exact sequence 0 -> M_1 -> M_2 -> M_1 -> 0, which also certifies
-    # that the cokernel of psi_1 is M_1
-    m0, m1 = quiver_rep(rt.tower.top, {}, {}), rt.P[(0, 1)]
-    phi = {0: zero_map(m1, m0), **rt.phi}
-    psi = {(0, 0): zero_map(m0, m1), **rt.psibar}
+    # the stage row from M_0 = 0, phi_j the rim walk from M_{j+1}:
+    # tube[1], with its zero corner, is the exact sequence 0 -> M_1 ->
+    # M_2 -> M_1 -> 0, which also certifies that the cokernel of psi_1
+    # is M_1
+    m1 = rt.modules[(0, 0, 1)]
+    m0 = quiver_rep(m1.algebra, {}, {})
+    phi = [zero_map(m1, m0)] + [
+        rt.realize_normal_path(NormalPath((0, 0, j + 1), n + 1, 0))
+        for j in range(1, J + 1)]
+    psi = [zero_map(m0, m1)] + [rt.maps[Arrow("mu", 0, 0, j)]
+                                for j in range(1, J + 1)]
     for j in range(1, J + 1):
-        check(f"tube[{j}]", phi[j - 1], psi[(0, j)], psi[(0, j - 1)], phi[j])
+        check(f"tube[{j}]", phi[j - 1], psi[j], psi[j - 1], phi[j])
 
     # one square per mesh rule: the ladder squares at depth k + 1 and the
     # rim squares (the ZERO rule at stage 1 as a composite that vanishes)
@@ -234,26 +235,27 @@ def stage_bimodule(rt: RealizedTube) -> Module:
     horizon J, returned as a module over that tower's opposite algebra.
 
     The left action is the representation of the opposite tower quiver
-    with M_J at vertex 0 and P^l_1 at vertex l: x acts as on M_J, b_1 as
-    beta_1 = alpha^1 u_1 (u_1: M_J -> M_1 along the quotients) and b_l as
-    alpha^l.  It is checked to commute with X's right action, and the
-    left tower to embed into End(X)."""
-    tower, n, J = rt.tower, rt.tower.height, rt.stages
-    f = tower.field
+    with M_J at vertex 0 and P^l_1 at vertex l: x acts as on M_J, b_l as
+    alpha^l_1 = lam(0,l-1,1) and b_1 as beta_1 = alpha^1_1 u_1, where
+    u_1: M_J -> M_1 is the rim walk of (n+1)(J-1) steps, so beta_1 is
+    that walk one lam further.  It is checked to commute with X's right
+    action, and the left tower to embed into End(X)."""
+    q = rt.quiver
+    n, J = q.ray_lengths[0], q.horizon - 1
+    mj = rt.modules[(0, 0, J)]
+    f = mj.algebra.field
     left_tower = build_tower(J, n, f)
 
-    mj = rt.P[(0, J)]
-    comps = [mj] + [rt.P[(l, 1)] for l in range(1, n + 1)]
+    comps = [mj] + [rt.modules[(0, l, 1)] for l in range(1, n + 1)]
     x_mod = direct_sum(comps, label="stage_bimodule")[0]
 
-    arrows = {f"b{l}": rt.alpha[(l, 1)].mat for l in range(2, n + 1)}
+    arrows = {f"b{l}": rt.maps[Arrow("lam", 0, l - 1, 1)].mat
+              for l in range(2, n + 1)}
     if n >= 1:
-        u1 = identity_map(mj)
-        for j in range(J - 1, 0, -1):
-            u1 = u1.then(rt.phi[j])
-        arrows["b1"] = u1.then(rt.alpha[(1, 1)]).mat
+        arrows["b1"] = rt.realize_normal_path(
+            NormalPath((0, 0, J), (n + 1) * (J - 1) + 1, 0)).mat
     if J > 1:  # k[x]/(x) has no arrow x
-        arrows["x"] = mj.act(tower.top.el_from_label("x"))
+        arrows["x"] = mj.act(mj.algebra.el_from_label("x"))
     left_mod = quiver_rep(left_tower.top.op, dict(enumerate(
         c.dim for c in comps)), arrows, label="stage_bimodule_left")
     # bimodule condition: every left action matrix is a right-module map
@@ -280,10 +282,10 @@ def bimodule_failures(rt: RealizedTube) -> tuple[list[int], list[str]]:
     cover is an isomorphism: X is projective with multiplicities m_v
     (Assem, Simson and Skowronski, *Elements* 1, ch. I.5 and III.2).
     found lists them in path order: c = eps0, then eps1, ..."""
-    n = rt.tower.height
+    n = rt.quiver.ray_lengths[0]
     x = stage_bimodule(rt)
     paths = x.algebra.paths
-    dims = [rt.P[(l, 1)].dim for l in range(n + 1)]
+    dims = [rt.modules[(0, l, 1)].dim for l in range(n + 1)]
     expected = [dims[0]] + [dims[i] - dims[i - 1] for i in range(1, n + 1)]
     # no rows over k[x]/(x), which has no path of positive length
     rad = Matrix.zero(x.algebra.field, 0, x.dim)

@@ -30,8 +30,8 @@ from .probes import (NOT_SHORT_WITNESS, SHORT_WITHIN_BOUND, kronecker_probe,
 from .realize import bimodule_failures, realize_in_tower
 from .tower import (all_labels, build_tower, classify, construct_label, f0,
                     f1, label_module, verify_hom_bounds)
-from .tube import ZERO, build_ray_tube, hom_dimension, mesh_rule_failures, \
-    mesh_sweep, normal_walk, rim_square_failures
+from .tube import ZERO, Arrow, TranslationQuiver, hom_dimension, \
+    mesh_rule_failures, mesh_sweep, normal_walk, rim_square_failures
 from .ziegler import (PointSet, adic, closure, fin_len, is_closed,
                       point_closure, prufer, qpoint, random_point_set)
 
@@ -277,7 +277,7 @@ def suite_ray_tube(seed: int = 0) -> SuiteResult:
     bad = []
     lines = []
     for m, lengths in [(1, (0,)), (2, (1, 0))]:
-        q = build_ray_tube(m, lengths, 5)  # the squares at stages 2..4
+        q = TranslationQuiver(m, lengths, 5)  # the squares at stages 2..4
         failed = rim_square_failures(q)
         bad.extend((m, what) for what in failed)
         verdict = (f"FAILED: {', '.join(failed)}" if failed
@@ -359,7 +359,7 @@ def suite_mesh(seed: int = 0) -> SuiteResult:
         for lengths in itertools.product((0, 1, 2), repeat=m):
             tubes += 1
             n_rules, n_paths, failed = mesh_tube_failures(
-                build_ray_tube(m, lengths, 6))
+                TranslationQuiver(m, lengths, 6))
             rules += n_rules
             paths += n_paths
             bad.extend(failed)
@@ -405,7 +405,7 @@ def suite_short_probes(seed: int = 0) -> SuiteResult:
                    f"{len(rep.chain) - 1} steps")
     tower = build_tower(5, 1, F2)
     rt = realize_in_tower(tower, 3)
-    universe = [rt.P[(l, j)] for l in (0, 1) for j in range(1, 5)]
+    universe = [rt.modules[(0, l, j)] for l in (0, 1) for j in range(1, 5)]
     # one pool for every stage probe: evaluations are cached per formula
     # object, so a rebuilt pool would evaluate afresh on every module
     pool = theta_pool(universe)
@@ -413,7 +413,7 @@ def suite_short_probes(seed: int = 0) -> SuiteResult:
     # the honest interval of the stage-j embedding has about 2j strict
     # steps, so the bound must sit above it for the closure verdict
     for j in (1, 2, 3):
-        for emb2 in (rt.psibar[(0, j)], rt.psibar[(1, j)]):
+        for emb2 in (rt.maps[Arrow("mu", 0, l, j)] for l in (0, 1)):
             for r in probe_embedding(emb2, universe, budget=10, pool=pool):
                 short_checked += 1
                 if r.verdict != SHORT_WITHIN_BOUND:

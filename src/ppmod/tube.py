@@ -224,10 +224,6 @@ class TranslationQuiver:
         return "\n".join(lines) + "\n"
 
 
-def build_ray_tube(m: int, ray_lengths, horizon: int) -> TranslationQuiver:
-    return TranslationQuiver(m, ray_lengths, horizon)
-
-
 # each key of a tube descriptor: its value in ASCII digits, and its form
 _DESCRIPTOR_VALUES = {
     "m": (r"[0-9]+", "m=M"),

@@ -841,7 +841,7 @@ def short_probes_universe():
     from ppmod.realize import realize_in_tower
     from ppmod.tower import build_tower
     rt = realize_in_tower(build_tower(5, 1, F2), 3)
-    return [rt.P[(l, j)] for l in (0, 1) for j in range(1, 5)]
+    return [rt.modules[(0, l, j)] for l in (0, 1) for j in range(1, 5)]
 
 
 def probe_kronecker_universe(field):

@@ -15,6 +15,7 @@ from ppmod.probes import (INCONCLUSIVE, MAX_ROUNDS, NOT_SHORT_WITNESS,
 from ppmod.realize import realize_in_tower
 from ppmod.suites import suite_short_probes
 from ppmod.tower import build_tower
+from ppmod.tube import Arrow
 
 F2 = GF(2)
 
@@ -94,10 +95,10 @@ def test_probe_embedding_with_a_given_pool_reports_the_same():
     # the stage embeddings of the short-probes suite; (1, 2) and (1, 3)
     # have two generators, so one pool serves two interval probes
     rt = realize_in_tower(build_tower(5, 1, F2), 3)
-    universe = [rt.P[(l, j)] for l in (0, 1) for j in range(1, 5)]
+    universe = [rt.modules[(0, l, j)] for l in (0, 1) for j in range(1, 5)]
     pool = theta_pool(universe)
-    for key in ((0, 1), (1, 2), (1, 3)):
-        emb = rt.psibar[key]
+    for l, j in ((0, 1), (1, 2), (1, 3)):
+        emb = rt.maps[Arrow("mu", 0, l, j)]
         fresh = probe_embedding(emb, universe, budget=10)
         shared = probe_embedding(emb, universe, budget=10, pool=pool)
         assert len(fresh) == len(shared) == len(module_generators(emb.source))
@@ -137,7 +138,7 @@ def pool_one_formula_per_entry(universe):
 def test_theta_pool_matches_one_formula_per_entry(preprojectives):
     # the two universes of the short-probes suite
     rt = realize_in_tower(build_tower(5, 1, F2), 3)
-    stages = [rt.P[(l, j)] for l in (0, 1) for j in range(1, 5)]
+    stages = [rt.modules[(0, l, j)] for l in (0, 1) for j in range(1, 5)]
     for universe in (preprojectives, stages):
         pool = theta_pool(universe)
         ref = pool_one_formula_per_entry(universe)
@@ -259,10 +260,10 @@ def stage_probe_pairs():
     """The universe, pool and pairs of the short-probes suite's stage
     probes, as probe_embedding forms them."""
     rt = realize_in_tower(build_tower(5, 1, F2), 3)
-    universe = [rt.P[(l, j)] for l in (0, 1) for j in range(1, 5)]
+    universe = [rt.modules[(0, l, j)] for l in (0, 1) for j in range(1, 5)]
     pairs = []
     for j in (1, 2, 3):
-        for emb in (rt.psibar[(0, j)], rt.psibar[(1, j)]):
+        for emb in (rt.maps[Arrow("mu", 0, l, j)] for l in (0, 1)):
             for g in module_generators(emb.source):
                 pairs.append(PpPair(
                     upper=pp_type_generator_of_element(emb.source, g),

@@ -72,15 +72,16 @@ def test_realized_ladder_n1(rt_n1):
 
 
 def test_realized_object_dims(rt_n1):
-    assert [rt_n1.P[(0, j)].dim for j in (1, 2, 3, 4)] == [1, 2, 3, 4]
-    assert [rt_n1.P[(1, j)].dim for j in (1, 2, 3, 4)] == [2, 3, 4, 5]
+    p = rt_n1.modules
+    assert [p[(0, 0, j)].dim for j in (1, 2, 3, 4)] == [1, 2, 3, 4]
+    assert [p[(0, 1, j)].dim for j in (1, 2, 3, 4)] == [2, 3, 4, 5]
 
 
 def test_coker_psi1_is_m1(rt_n1):
-    psi1 = rt_n1.psibar[(0, 1)]
+    psi1 = rt_n1.maps[Arrow("mu", 0, 0, 1)]
     cok, _ = quotient_module(psi1.target,
                              Subspace(psi1.mat.row_space()))
-    assert iso_test(cok, rt_n1.P[(0, 1)]) is not None
+    assert iso_test(cok, rt_n1.modules[(0, 0, 1)]) is not None
 
 
 @pytest.fixture(scope="module", params=[(f, h) for f in (F2, GF(3), QQ)
@@ -97,7 +98,7 @@ def test_realization_functoriality(rt_any):
     q = rt_any.quiver
     for v in q.vertices():
         for word in all_paths_from(q, v, 4):
-            direct = identity_map(rt_any.P[v[1:]])
+            direct = identity_map(rt_any.modules[v])
             for a in word:
                 direct = direct.then(rt_any.realize_arrow(a))
             np = normalize_path(q, v, word)
@@ -112,8 +113,24 @@ def test_hom_table_is_standard(rt_any):
     q = rt_any.quiver
     for s in q.vertices():
         for t in q.vertices():
-            homs = hom_space(rt_any.P[s[1:]], rt_any.P[t[1:]])
+            homs = hom_space(rt_any.modules[s], rt_any.modules[t])
             assert len(homs) == hom_dimension(q, s, t), (s, t)
+
+
+def test_every_vertex_and_arrow_is_realized_once(rt_any):
+    # keyed by the quiver's own names, each map between the modules at
+    # its arrow's ends; phi_j, the chain quotient, is defined only as the
+    # rim walk from M_{j+1}
+    q, p = rt_any.quiver, rt_any.modules
+    assert set(p) == set(q.vertices())
+    assert set(rt_any.maps) == set(q.arrows())
+    for a, h in rt_any.maps.items():
+        assert h.source is p[q.source(a)] and h.target is p[q.target(a)], a
+    alg0 = truncated_dvr(5, p[(0, 0, 1)].algebra.field)  # the tower's R_0
+    n = q.ray_lengths[0]
+    for j in range(1, q.horizon):
+        walk = rt_any.realize_normal_path(NormalPath((0, 0, j + 1), n + 1, 0))
+        assert walk.mat == chain_quotient(alg0, j).mat, j
 
 
 def test_horizon_discipline(tw_n1):
@@ -210,36 +227,50 @@ def test_the_top_certificate_agrees_with_the_projective_matching(field,
 
 def test_stage_bimodule_left_structure(rt_n1):
     left = stage_bimodule(rt_n1)
-    assert left.algebra.dim == tower_dimension(rt_n1.stages, 1)
-    assert left.dim == rt_n1.P[(0, 3)].dim + rt_n1.P[(1, 1)].dim
+    assert left.algebra.dim == tower_dimension(rt_n1.quiver.horizon - 1, 1)
+    assert left.dim == rt_n1.modules[(0, 0, 3)].dim + \
+        rt_n1.modules[(0, 1, 1)].dim
 
 
-@pytest.mark.parametrize("maps, key, square", [
-    ("alpha", (1, 2), "ladder[1,1]"), ("psibar", (1, 2), "ladder[1,2]"),
-    ("fmaps", 2, "rim[2]"), ("phi", 1, "tube[1]"), ("phi", 2, "tube[2]"),
-    ("psibar", (0, 1), "tube[1]"), ("psibar", (0, 2), "tube[2]")],
+@pytest.mark.parametrize("arrow, square", [
+    (Arrow("lam", 0, 0, 1), "ladder[1,1]"),
+    (Arrow("mu", 0, 1, 2), "ladder[1,2]"), (Arrow("lam", 0, 1, 3), "tube[2]"),
+    (Arrow("lam", 0, 1, 2), "tube[1]"), (Arrow("lam", 0, 0, 3), "tube[2]"),
+    (Arrow("mu", 0, 0, 1), "tube[1]"), (Arrow("mu", 0, 0, 2), "tube[2]")],
     ids=["alpha", "psibar", "fmaps", "phi1", "phi2", "psi1", "psi2"])
-def test_corrupted_ladder_names_the_failing_square(maps, key, square):
-    # one ladder map zeroed: the first mesh square it enters fails
+def test_corrupted_ladder_names_the_failing_square(arrow, square):
+    # one ladder map zeroed: the first square it enters fails.  phi_j is
+    # the rim walk lam(0,0,j+1);f_j, so f_2 = lam(0,1,3) fails tube[2]
+    # before rim[2], and phi1 and phi2 zero a map of their walk
     rt = realize_in_tower(build_tower(5, 1, F2), 3)
-    table = getattr(rt, maps)
-    table[key] = zero_map(table[key].source, table[key].target)
+    h = rt.maps[arrow]
+    rt.maps[arrow] = zero_map(h.source, h.target)
     with pytest.raises(SquareFailed) as err:
         _verify_squares(rt)
     assert err.value.square_id == square
 
 
-def test_a_rim_map_off_the_zero_rule_fails_rim_1():
-    # no module map P^1_2 -> M_1 is nonzero on the image of psibar^1_1
-    # (Hom(P^1_1, M_1) = 0), so the planted f_1 is a raw matrix
-    rt = realize_in_tower(build_tower(5, 1, F2), 3)
-    psibar = rt.psibar[(1, 1)].mat
-    bad = psibar.solve_right(Matrix.from_rows(F2, [[1]] + [[0]] * (
-        psibar.rows - 1)))
-    rt.fmaps[1] = ModuleMap(rt.P[(1, 2)], rt.P[(0, 1)], bad, check=False)
+@pytest.mark.parametrize("j", [1, 2])
+def test_a_rim_map_off_its_mesh_rule_fails_its_rim_square(j):
+    # the planted f_j solves [walk; psibar^1_j] X = [phi_j; wrong], the
+    # rim rule's right side off in one entry: the rim walk still realizes
+    # phi_j, so the stage row holds and only rim[j] fails.  At j = 1 no
+    # module map P^1_2 -> M_1 is nonzero on the image of psibar^1_1
+    # (Hom(P^1_1, M_1) = 0), so the planted f_j is a raw matrix
+    tw = build_tower(5, 1, F2)
+    rt = realize_in_tower(tw, 3)
+    rim = Arrow("lam", 0, 1, j + 1)
+    walk = rt.maps[Arrow("lam", 0, 0, j + 1)].mat
+    psibar = rt.maps[Arrow("mu", 0, 1, j)].mat
+    f = rt.maps[rim]
+    off = Matrix.from_rows(F2, [[1] + [0] * (f.mat.cols - 1)] + [
+        [0] * f.mat.cols] * (psibar.rows - 1))
+    bad = walk.vstack(psibar).solve_right(chain_quotient(
+        tw.algebras[0], j).mat.vstack(psibar * f.mat + off))
+    rt.maps[rim] = ModuleMap(f.source, f.target, bad, check=False)
     with pytest.raises(SquareFailed) as err:
         _verify_squares(rt)
-    assert err.value.square_id == "rim[1]"
+    assert err.value.square_id == f"rim[{j}]"
 
 
 @pytest.mark.parametrize("arrow", [Arrow("mu", 0, 0, 4), Arrow("mu", 1, 0, 1),
@@ -247,6 +278,13 @@ def test_a_rim_map_off_the_zero_rule_fails_rim_1():
 def test_an_arrow_off_the_realized_quiver_is_refused(rt_n1, arrow):
     with pytest.raises(ValueError, match="not an arrow of the quiver"):
         rt_n1.realize_arrow(arrow)
+
+
+@pytest.mark.parametrize("start", [(0, 0, 9), (0, 2, 1), (1, 0, 2)], ids=str)
+def test_a_normal_path_from_off_the_quiver_is_refused(rt_n1, start):
+    # a start beyond the realized stages, depths or rays
+    with pytest.raises(ValueError, match="not a vertex of the quiver"):
+        rt_n1.realize_normal_path(NormalPath(start, 0, 0))
 
 
 @pytest.mark.parametrize("np", [NormalPath((0, 0, 3), -2, 0),
@@ -279,7 +317,7 @@ def test_failed_multiplicities_are_named_on_their_line(monkeypatch):
 
 def test_failed_symbolic_ladder_is_named_on_its_line(monkeypatch):
     import ppmod.suites
-    build = ppmod.suites.build_ray_tube
+    build = ppmod.suites.TranslationQuiver
 
     def nonzero_base(m, lengths, horizon):
         # the stage-1 rim rule of ray 0 takes the stage-2 rule's right side
@@ -291,7 +329,7 @@ def test_failed_symbolic_ladder_is_named_on_its_line(monkeypatch):
         q._rhs = tuple(rules)
         return q
 
-    monkeypatch.setattr(ppmod.suites, "build_ray_tube", nonzero_base)
+    monkeypatch.setattr(ppmod.suites, "TranslationQuiver", nonzero_base)
     res = ppmod.suites.SUITES["ray-tube"](0)
     assert not res.passed
     assert "symbolic\tQ(2; 1,0) ladder FAILED: base square not zero" in \

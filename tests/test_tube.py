@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import ppmod.tube
 from ppmod.suites import mesh_tube_failures
-from ppmod.tube import (Arrow, NormalPath, ZERO, all_paths_from,
-                        build_ray_tube, hom_dimension, mesh_rule_failures,
+from ppmod.tube import (Arrow, NormalPath, TranslationQuiver, ZERO,
+                        all_paths_from, hom_dimension, mesh_rule_failures,
                         mesh_sweep, normal_path_arrows, normalize_path,
                         parse_tube_descriptor, rim_square_failures)
 
@@ -39,7 +39,7 @@ def _arrow_word(q, word):
 
 
 def test_homogeneous_tube_shape():
-    q = build_ray_tube(1, (0,), 5)
+    q = TranslationQuiver(1, (0,), 5)
     vs = q.vertices()
     assert len(vs) == 5
     arrows = q.arrows()
@@ -51,7 +51,7 @@ def test_homogeneous_tube_shape():
 
 def test_vertex_count_per_layer_derived():
     # each stage layer has sum(n_i + 1) vertices
-    q = build_ray_tube(2, (1, 0), 6)
+    q = TranslationQuiver(2, (1, 0), 6)
     per_layer = {}
     for (i, k, j) in q.vertices():
         per_layer[j] = per_layer.get(j, 0) + 1
@@ -59,7 +59,7 @@ def test_vertex_count_per_layer_derived():
 
 
 def test_rim_arrow_targets_next_ray():
-    q = build_ray_tube(2, (1, 0), 6)
+    q = TranslationQuiver(2, (1, 0), 6)
     a = Arrow("lam", 0, 1, 3)   # k = n_0 = 1, stage 3
     assert a in q.arrows()
     assert q.target(a) == (1, 0, 2)
@@ -68,14 +68,14 @@ def test_rim_arrow_targets_next_ray():
 
 
 def test_mesh_zero_rule():
-    q = build_ray_tube(2, (1, 0), 6)
+    q = TranslationQuiver(2, (1, 0), 6)
     # lam(i, n_i)[2] o mu(i, n_i)[1] dies
     word = (Arrow("mu", 1, 0, 1), Arrow("lam", 1, 0, 2))
     assert normalize_path(q, (1, 0, 1), word) == ZERO
 
 
 def test_mesh_commuting_rule():
-    q = build_ray_tube(2, (1, 0), 6)
+    q = TranslationQuiver(2, (1, 0), 6)
     word = (Arrow("mu", 0, 0, 2), Arrow("lam", 0, 0, 3))
     np = normalize_path(q, (0, 0, 2), word)
     assert np == NormalPath((0, 0, 2), 1, 1)
@@ -87,7 +87,7 @@ def test_symbolic_ladder_squares_commute():
     # the ladder squares at depth >= 1, word for word: every k < n_i rule
     # rewrites mu(i,k,j);lam(i,k,j+1) to lam(i,k,j);mu(i,k+1,j)
     for m, lengths in [(1, (1,)), (2, (1, 0)), (2, (2, 1))]:
-        q = build_ray_tube(m, lengths, 7)
+        q = TranslationQuiver(m, lengths, 7)
         for i, n in enumerate(lengths):
             for k, j in itertools.product(range(n), range(1, 7)):
                 np = normalize_path(q, (i, k, j), (Arrow("mu", i, k, j),
@@ -97,7 +97,7 @@ def test_symbolic_ladder_squares_commute():
 
 
 def test_identity_path_normalizes_to_itself():
-    q = build_ray_tube(1, (0,), 4)
+    q = TranslationQuiver(1, (0,), 4)
     np = normalize_path(q, (0, 0, 2), ())
     assert np == NormalPath((0, 0, 2), 0, 0)
 
@@ -105,7 +105,7 @@ def test_identity_path_normalizes_to_itself():
 def test_confluence_exhaustive_small():
     # order independence: leftmost and rightmost rewriting agree
     for m, lengths in [(1, (0,)), (1, (1,)), (2, (1, 0))]:
-        q = build_ray_tube(m, lengths, 5)
+        q = TranslationQuiver(m, lengths, 5)
         for v in q.vertices():
             for word in all_paths_from(q, v, 6):
                 got = normalize_path(q, v, word)
@@ -114,7 +114,7 @@ def test_confluence_exhaustive_small():
 
 
 def test_normal_form_shape_is_lam_then_mu():
-    q = build_ray_tube(2, (1, 1), 6)
+    q = TranslationQuiver(2, (1, 1), 6)
     for v in q.vertices():
         for word in all_paths_from(q, v, 5):
             np = normalize_path(q, v, word)
@@ -127,7 +127,7 @@ def test_normal_form_shape_is_lam_then_mu():
 
 def test_phi_power_law():
     # mu[j -> j+nm] o lam[j+nm -> j] equals the n-th power of the loop
-    q = build_ray_tube(2, (0, 0), 9)
+    q = TranslationQuiver(2, (0, 0), 9)
     v = (0, 0, 5)
     # descend two full rims (2m = 4 lam steps), climb back 4: the square of
     # the loop at stage 5
@@ -141,7 +141,7 @@ def test_phi_power_law():
 
 
 def test_hom_dimension_same_vertex():
-    q = build_ray_tube(2, (1, 0), 7)
+    q = TranslationQuiver(2, (1, 0), 7)
     for (i, k, j) in q.vertices():
         if j <= q.m:
             assert hom_dimension(q, (i, k, j), (i, k, j)) == 1
@@ -149,7 +149,7 @@ def test_hom_dimension_same_vertex():
 
 def test_hom_dimension_ray_formula_derived():
     # oracle: exhaustively normalize all words and count distinct classes
-    q = build_ray_tube(2, (1, 0), 6)
+    q = TranslationQuiver(2, (1, 0), 6)
     src, tgt = (0, 0, 3), (0, 0, 5)
     seen = set()
     for word in all_paths_from(q, src, 10):
@@ -164,7 +164,7 @@ def test_hom_dimension_ray_formula_derived():
 
 
 def test_single_rim_lambda_dimension():
-    q = build_ray_tube(3, (1, 1, 2), 6)
+    q = TranslationQuiver(3, (1, 1, 2), 6)
     for i in range(3):
         src = (i, q.ray_lengths[i], 2)
         tgt = ((i + 1) % 3, 0, 1)
@@ -174,14 +174,14 @@ def test_single_rim_lambda_dimension():
 def test_symbolic_tube_squares_commute():
     # the rim squares at stages 2..6 commute and the base square is zero
     for m, lengths in [(1, (0,)), (2, (1, 0)), (2, (1, 1))]:
-        assert rim_square_failures(build_ray_tube(m, lengths, 7)) == []
+        assert rim_square_failures(TranslationQuiver(m, lengths, 7)) == []
 
 
 def test_rim_squares_are_checked_up_to_the_top_stage():
     # the last rim rule, at stage horizon - 1, rewritten to zero breaks
     # the square at that stage alone
     for horizon in (5, 7):
-        q = build_ray_tube(2, (1, 0), horizon)
+        q = TranslationQuiver(2, (1, 0), horizon)
         _set_rule(q, Arrow("mu", 0, 1, horizon - 1), ZERO)
         assert rim_square_failures(q) == [f"square at stage {horizon - 1}"]
 
@@ -220,14 +220,14 @@ def test_malformed_tube_descriptor_is_refused(text, message):
 
 
 def test_dot_export_contains_relations():
-    q = build_ray_tube(1, (0,), 3)
+    q = TranslationQuiver(1, (0,), 3)
     dot = q.dot()
     assert dot.startswith("digraph")
     assert "lam o mu = 0" in dot
 
 
 def test_arrow_on_ray_outside_range_is_invalid():
-    q = build_ray_tube(2, (1, 0), 6)
+    q = TranslationQuiver(2, (1, 0), 6)
     a = Arrow("mu", 5, 0, 1)
     assert a not in q.arrows()
     with pytest.raises(ValueError):
@@ -235,7 +235,7 @@ def test_arrow_on_ray_outside_range_is_invalid():
 
 
 def test_normalize_path_rejects_a_rule_for_an_arrow_not_in_the_quiver():
-    q = build_ray_tube(2, (1, 0), 6)
+    q = TranslationQuiver(2, (1, 0), 6)
     word = (Arrow("mu", 5, 0, 1), Arrow("lam", 0, 0, 2))
     with pytest.raises(ValueError, match="not an arrow of the quiver"):
         normalize_path(q, (0, 0, 1), word)
@@ -250,19 +250,19 @@ def test_normalize_path_rejects_a_rule_for_an_arrow_not_in_the_quiver():
      "(0, 0, 2)"),
 ], ids=["not-at-start", "not-composable"])
 def test_normalize_path_refuses_a_word_that_does_not_compose(word, message):
-    q = build_ray_tube(2, (1, 0), 6)
+    q = TranslationQuiver(2, (1, 0), 6)
     with pytest.raises(ValueError, match=re.escape(message)):
         normalize_path(q, (0, 0, 1), word)
 
 
 def test_normalize_path_refuses_a_start_off_the_quiver():
-    q = build_ray_tube(2, (1, 0), 6)
+    q = TranslationQuiver(2, (1, 0), 6)
     with pytest.raises(ValueError, match="not a vertex"):
         normalize_path(q, (5, 0, 1), ())
 
 
 def test_target_of_missing_rim_arrow_raises():
-    q = build_ray_tube(2, (1, 0), 6)
+    q = TranslationQuiver(2, (1, 0), 6)
     a = Arrow("lam", 0, 1, 1)   # rim descent from stage 1 does not exist
     assert a not in q.arrows()
     with pytest.raises(ValueError):
@@ -335,7 +335,7 @@ def _tube_and_word(draw):
 @given(_tube_and_word())
 def test_compiled_tables_match_reference(case):
     m, n, horizon, start, word = case
-    q = build_ray_tube(m, n, horizon)
+    q = TranslationQuiver(m, n, horizon)
     ref_vertices = [(i, k, j) for i in range(m) for k in range(n[i] + 1)
                     for j in range(1, horizon + 1)]
     assert q.vertices() == ref_vertices
@@ -376,7 +376,7 @@ def test_compiled_tables_match_reference(case):
 
 
 def test_mesh_rule_certificate_flags_a_broken_rule():
-    q = build_ray_tube(2, (1, 0), 6)
+    q = TranslationQuiver(2, (1, 0), 6)
     count, failed = mesh_rule_failures(q)
     assert count == sum(1 for a in q.arrows() if a.kind == "mu")
     assert failed == []
@@ -387,7 +387,7 @@ def test_mesh_rule_certificate_flags_a_broken_rule():
 
 
 def test_mesh_rule_certificate_flags_a_misplaced_zero():
-    q = build_ray_tube(2, (1, 0), 6)
+    q = TranslationQuiver(2, (1, 0), 6)
     count, _ = mesh_rule_failures(q)
     rim = Arrow("mu", 0, 1, 1)           # stage-1 rim: the only ZERO rules
     assert _rule(q, rim) is ZERO and q.out_lam((0, 1, 1)) is None
@@ -396,7 +396,7 @@ def test_mesh_rule_certificate_flags_a_misplaced_zero():
     assert mesh_rule_failures(q) == (count, [mu])
     _, _, bad = mesh_tube_failures(q)
     assert ("rule", 2, (1, 0), mu) in bad
-    q = build_ray_tube(2, (1, 0), 6)
+    q = TranslationQuiver(2, (1, 0), 6)
     _set_rule(q, rim, _rule(q, Arrow("mu", 0, 1, 2)))  # nonzero on the rim
     assert mesh_rule_failures(q) == (count, [rim])
 
@@ -416,7 +416,7 @@ def _arrow_nodes(q, v, nodes):
 
 @pytest.mark.parametrize("m, lengths", SWEPT_TUBES)
 def test_mesh_sweep_matches_normalize_path(m, lengths):
-    q = build_ray_tube(m, lengths, 6)
+    q = TranslationQuiver(m, lengths, 6)
     swept = list(mesh_sweep(q, 6))
     assert [q._vertices[v] for v, *_ in swept] == q.vertices()
     for v, nodes, counts in swept:
@@ -437,7 +437,7 @@ def test_mesh_sweep_matches_normalize_path(m, lengths):
 
 
 def test_mesh_sweep_weighs_each_node_by_its_words():
-    q = build_ray_tube(3, (2, 2, 2), 6)
+    q = TranslationQuiver(3, (2, 2, 2), 6)
     for v, nodes, counts in mesh_sweep(q, 8):
         nodes = _arrow_nodes(q, v, nodes)
         words = Counter(_leftmost_word(q, w)
@@ -456,7 +456,7 @@ SUITE_TUBES = [(m, lengths) for m in (1, 2, 3)
 
 @pytest.mark.parametrize("m, lengths", SUITE_TUBES)
 def test_id_tables_agree_with_the_arrow_api(m, lengths):
-    q = build_ray_tube(m, lengths, 6)
+    q = TranslationQuiver(m, lengths, 6)
     vertices, arrows = q.vertices(), q.arrows()
     assert (list(q._vertices), list(q._arrows)) == (vertices, arrows)
     assert q._vertex_id == {v: x for x, v in enumerate(vertices)}
@@ -491,7 +491,7 @@ def test_normal_walks_match_stepping_the_arrows(m, lengths, plant):
     # every normal form's walk, within the quiver and one step past it,
     # against stepping out_lam and the mu arrows; the planted rim target
     # makes two lam arrows enter one vertex
-    q = build_ray_tube(m, lengths, 6)
+    q = TranslationQuiver(m, lengths, 6)
     if plant:
         _rim_to_own_ray(q)
     reach = len(q.vertices()) + 1
@@ -513,7 +513,7 @@ def test_normal_walks_match_stepping_the_arrows(m, lengths, plant):
                                 NormalPath((0, 0, 3), 0, -1),
                                 NormalPath((0, 0, 3), -1, 2)], ids=str)
 def test_normal_path_arrows_refuses_a_negative_step_count(np):
-    q = build_ray_tube(1, (0,), 6)
+    q = TranslationQuiver(1, (0,), 6)
     with pytest.raises(ValueError, match="negative step count"):
         normal_path_arrows(q, np)
 
@@ -526,7 +526,8 @@ def test_mesh_sweep_work_on_the_suite_tubes(monkeypatch):
                         lambda *args: calls.append(None) or append(*args))
     nodes = words = 0
     for m, lengths in SUITE_TUBES:
-        for _, swept, counts in mesh_sweep(build_ray_tube(m, lengths, 6), 8):
+        q = TranslationQuiver(m, lengths, 6)
+        for _, swept, counts in mesh_sweep(q, 8):
             nodes += len(swept) - 1     # node 0, the empty word, is not swept
             words += sum(counts)
     assert (len(SUITE_TUBES), nodes, len(calls), words) == \
@@ -534,7 +535,7 @@ def test_mesh_sweep_work_on_the_suite_tubes(monkeypatch):
 
 
 def test_mesh_tube_check_flags_a_broken_rule():
-    q = build_ray_tube(2, (1, 0), 6)
+    q = TranslationQuiver(2, (1, 0), 6)
     rules, paths, bad = mesh_tube_failures(q)
     assert (rules, bad) == (15, [])
     assert paths == sum(1 for v in q.vertices()
@@ -572,7 +573,7 @@ class _RecordingRules(tuple):
 
 
 def test_redex_table_matches_find_on_every_short_word():
-    q = build_ray_tube(2, (1, 1), 6)
+    q = TranslationQuiver(2, (1, 1), 6)
     q._rhs = rules = _RecordingRules(q._rhs)
     orders_differ = 0
     for v in q.vertices():
@@ -682,7 +683,7 @@ def test_mesh_rule_certificate_flags_rules_around_a_misrouted_rim_arrow():
     # lam(0,1,3) planted onto ray 0: the rule at mu(0,1,2) still names the
     # canonical lam';mu' but no longer ends where mu;lam does, and the rule
     # at mu(0,1,3) climbs from the wrong vertex
-    q = build_ray_tube(2, (1, 0), 6)
+    q = TranslationQuiver(2, (1, 0), 6)
     _rim_to_own_ray(q)
     assert mesh_rule_failures(q) == (15, [Arrow("mu", 0, 1, 2),
                                           Arrow("mu", 0, 1, 3)])
@@ -695,7 +696,7 @@ def test_mesh_rule_certificate_flags_rules_around_a_misrouted_rim_arrow():
 def test_mesh_check_by_node_matches_the_per_word_check(m, lengths, plant):
     results = []
     for check in (mesh_tube_failures, _per_word_mesh_failures):
-        q = build_ray_tube(m, lengths, 6)
+        q = TranslationQuiver(m, lengths, 6)
         if plant is not None:
             plant(q)
         results.append(check(q))
@@ -728,12 +729,12 @@ def _single_rule_mutations(q):
 
 
 def test_every_single_rule_mutation_fails_the_certificate():
-    q = build_ray_tube(2, (1, 0), 6)
+    q = TranslationQuiver(2, (1, 0), 6)
     count = len(_rules(q))
     mutations = _single_rule_mutations(q)
     assert len(mutations) == count * (len(set(_rules(q).values())) - 1)
     for t, (mu, rhs) in enumerate(mutations):
-        q = build_ray_tube(2, (1, 0), 6)
+        q = TranslationQuiver(2, (1, 0), 6)
         _set_rule(q, mu, rhs)
         assert mesh_rule_failures(q) == (count, [mu])
         result = mesh_tube_failures(q)
