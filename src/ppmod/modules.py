@@ -13,6 +13,8 @@ Conventions (used throughout the package):
 * A representation of an algebra's bound quiver (a space per vertex, a
   matrix per arrow) is a module by `quiver_rep`, on the vertex spaces in
   ascending order, each path acting from its source's block to its target's.
+* A module is generated by the lifts of its top M / M rad A (`top_of`),
+  and `presentation_of`'s relations are the lifts of its kernel's top.
 * What is computed of a module from its content alone, its hom bases and
   its decomposition, is kept in one record per content (algebra object,
   action matrices), shared by every module with that content through
@@ -457,32 +459,38 @@ def _module_span(m: Module, vectors, start: Subspace | None = None) -> Subspace:
     return Subspace.from_matrix(stacked)
 
 
-def _greedy_generators(m: Module, candidates) -> list[tuple]:
-    """The candidates, in order, that lie outside the submodule generated
-    by the candidates kept before them."""
-    gens: list[tuple] = []
-    span = Subspace.zero(m.algebra.field, m.dim)
-    for v in candidates:
-        if not span.contains_vector(v):
-            gens.append(tuple(v))
-            span = _module_span(m, [v], span)
-    return gens
-
-
-def module_generators(m: Module) -> list[tuple]:
-    """A small generating set found greedily over the standard basis."""
-    return _greedy_generators(m, Matrix.identity(m.algebra.field,
-                                                 m.dim).data)
+def top_of(m: Module) -> tuple[list[int], list[tuple]]:
+    """The top M / M rad A: m_v copies of the simple at each vertex v, in
+    idempotent path order, and lifts of a basis, each in one M e_v.  A
+    lift is a vertex piece (row i of rho(e_v)) of a standard basis vector
+    outside M rad, the arrows' row space, plus the lifts before it.  By
+    Nakayama's lemma (Assem, Simson and Skowronski, *Elements* 1, I.5 and
+    III.2) the sum(m_v) lifts are the fewest generators each in one vertex
+    space; as few as max(m_v) general elements can generate M."""
+    f, paths = m.algebra.field, m.algebra.paths
+    idempotents = [a for a, p in zip(m.action, paths) if not p[3]]
+    arrows = [a for a, p in zip(m.action, paths) if len(p[3]) == 1]
+    span = Subspace.from_matrix(block(f, [m.dim] * len(arrows), [m.dim], {
+        (i, 0): a for i, a in enumerate(arrows)}))
+    mults, lifts = [0] * len(idempotents), []
+    for pieces in zip(*(e.data for e in idempotents)):
+        for v, piece in enumerate(pieces):
+            if not span.contains_vector(piece):
+                mults[v] += 1
+                lifts.append(piece)
+                span = Subspace.from_matrix(
+                    span.basis.vstack(Matrix(f, 1, m.dim, [piece])))
+    return mults, lifts
 
 
 def presentation_of(m: Module) -> Presentation:
-    """A presentation of an arbitrary module: greedy generators, then module
-    generators of the kernel of the free cover.  Made once per module."""
+    """A presentation: the free cover A^s -> M on the lifts g_i of M's top,
+    and as relations the lifts of the top of its kernel K (K holds each
+    e_i (1 - e_v) with g_i in M e_v).  Made once per module."""
     if m._presentation is not None:
         return m._presentation
-    alg = m.algebra
-    f = alg.field
-    gens = module_generators(m)
+    alg, f = m.algebra, m.algebra.field
+    gens = top_of(m)[1]
     s = len(gens)
     free = free_module(alg, s)
     # free cover matrix: e_i (x) b_t -> g_i . b_t.  Row i of
@@ -492,9 +500,9 @@ def presentation_of(m: Module) -> Presentation:
                     {(0, t): a for t, a in enumerate(m.action)})
     images = Matrix(f, s, m.dim, gens) * actions
     cover = ModuleMap(free, m, images.reshape(free.dim, m.dim), check=False)
-    ker = kernel_subspace(cover)
+    ker, inc = submodule(free, kernel_subspace(cover))
     relations = [tuple(v[i * alg.dim:(i + 1) * alg.dim] for i in range(s))
-                 for v in _greedy_generators(free, ker.basis.data)]
+                 for v in map(inc, top_of(ker)[1])]
     # the cover itself presents m: its kernel is generated by the relations
     m._presentation = Presentation(relations, cover)
     return m._presentation

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Subspace, subspace_leq, subspace_meet, subspace_sum
-from .modules import Module, hom_space, module_generators
+from .modules import Module, hom_space, top_of
 from .ppformula import PpFormula, PpPair, pp_type_generator_of_element
 
 SHORT_WITHIN_BOUND = "SHORT_WITHIN_BOUND"
@@ -54,14 +54,14 @@ class ProbeReport:
 
 def theta_pool(universe: list[Module]) -> list[tuple[str, PpFormula]]:
     """Generator formulas: pp-type generators of f(g) for every hom basis
-    element f between universe modules and every module generator g of the
-    source.  Sorted by target dimension, then construction order.  Equal
-    images in one target share one formula object, and so its cached
-    values."""
+    element f between universe modules and every lift g of the source's
+    top (see top_of).  Sorted by target dimension, then construction
+    order.  Equal images in one target share one formula object, and so
+    its cached values."""
     out = []
     made: dict = {}  # (target index, image) -> its pp-type generator
     for ai, a in enumerate(universe):
-        gens = module_generators(a)
+        gens = top_of(a)[1]
         for bi, b in enumerate(universe):
             homs = hom_space(a, b)
             for hi, h in enumerate(homs):
@@ -197,14 +197,14 @@ def _longest_chain(values: list[tuple[Subspace, ...]]
 def probe_embedding(fmap, universe: list[Module], budget: int,
                     pool: list[tuple[str, PpFormula]] | None = None
                     ) -> list[ProbeReport]:
-    """Shortness probes for an embedding f: one report per module generator
-    g of the source, comparing the pp-type of g with that of f(g).  The
+    """Shortness probes for an embedding f: one report per lift g of
+    the source's top, comparing the pp-type of g with that of f(g).  The
     pool is passed to interval_probe as is."""
     if not fmap.is_injective():
         raise ValueError("probe_embedding expects an embedding")
     src, tgt = fmap.source, fmap.target
     out = []
-    for g in module_generators(src):
+    for g in top_of(src)[1]:
         upper = pp_type_generator_of_element(src, g)
         lower = pp_type_generator_of_element(tgt, fmap(g))
         out.append(interval_probe(PpPair(upper=upper, lower=lower),

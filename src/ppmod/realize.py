@@ -15,12 +15,12 @@ arrow lam(0,n,j+1) is f_j: P^n_{j+1} -> M_j, uniquely determined by its
 two defining equations.  The epi phi_j: M_{j+1} -> M_j, the chain
 quotient, is not stored: it is the rim walk lam^{n+1} from S(0,0,j+1).
 
-The stage-row squares tube[j] run from M_0 = 0, so tube[1] is the exact
-sequence 0 -> M_1 -> M_2 -> M_1 -> 0.  The ladder and rim squares are
-the quiver's mesh rules, read off the quiver and checked once each (a
-ZERO rule as a composite that vanishes), so the functor on paths
-descends to the mesh category: every word realizes to its normal form's
-map.
+realize_in_tower checks the stage-row squares tube[j] from M_0 = 0, so
+tube[1] is the exact sequence 0 -> M_1 -> M_2 -> M_1 -> 0.  The ladder
+and rim squares are the quiver's mesh rules, checked once each by
+_verify_squares, which reads nothing of the tower (a ZERO rule as a
+composite that vanishes): the functor on paths descends to the mesh
+category, and every word realizes to its normal form's map.
 
 The stage bimodule X = M_J (+) P^1_1 (+) ... (+) P^n_1 is certified
 projective as a left module of the tower at horizon J by its top: the
@@ -35,7 +35,7 @@ from .catalog import dvr_chain_module
 from .errors import HorizonExceeded, SquareFailed
 from .linalg import Matrix, vectorized
 from .modules import (Module, ModuleMap, direct_sum, identity_map, quiver_rep,
-                      zero_map)
+                      top_of, zero_map)
 from .tower import TowerRing, build_tower, f1_map, lift, natural_embedding
 from .tube import (Arrow, NormalPath, TranslationQuiver, ZERO,
                    normal_path_arrows, normalize_path)
@@ -68,11 +68,11 @@ def square_failures(top: ModuleMap, left: ModuleMap, right: ModuleMap,
             v          v
             C -bottom-> D
 
-    It is a pushout and a pullback iff none fails.  ValueError when two
-    maps at one corner disagree on it."""
+    It is a pushout and a pullback iff none fails.  ValueError when the
+    two maps at a corner meet it in different algebras or actions."""
     for u, v in ((top.source, left.source), (top.target, right.source),
                  (left.target, bottom.source), (right.target, bottom.target)):
-        if u is not v and u.dim != v.dim:
+        if u is not v and (u.algebra, u.action) != (v.algebra, v.action):
             raise ValueError("square corners disagree")
     a = top.source
     first = top.mat.hstack(left.mat)                    # A -> B (+) C
@@ -151,7 +151,9 @@ def realize_in_tower(tower: TowerRing, stages: int) -> RealizedTube:
                 P[(0, l, j)], P[(0, l, j + 1)], psi.mat, check=True)
 
     _complete_f_maps(rt, alg0)
+    _verify_stage_row(rt)
     _verify_squares(rt)
+    rt.checked_squares.append("coker[psi_1]")
     return rt
 
 
@@ -185,20 +187,19 @@ def _complete_f_maps(rt: RealizedTube, alg0):
             P[(0, n, j + 1)], P[(0, 0, j)], sol, check=True)
 
 
-def _verify_squares(rt: RealizedTube):
-    q = rt.quiver
-    n, J = q.ray_lengths[0], q.horizon - 1
+def _check(rt: RealizedTube, name: str, top, left, right, bottom):
+    """Verify one square as a pushout and pullback, and record its name."""
+    failed = square_failures(top, left, right, bottom)
+    if failed:
+        raise SquareFailed(name, ", ".join(failed))
+    rt.checked_squares.append(name)
 
-    def check(name, top, left, right, bottom):
-        failed = square_failures(top, left, right, bottom)
-        if failed:
-            raise SquareFailed(name, ", ".join(failed))
-        rt.checked_squares.append(name)
 
-    # the stage row from M_0 = 0, phi_j the rim walk from M_{j+1}:
-    # tube[1], with its zero corner, is the exact sequence 0 -> M_1 ->
-    # M_2 -> M_1 -> 0, which also certifies that the cokernel of psi_1
-    # is M_1
+def _verify_stage_row(rt: RealizedTube):
+    """The stage-row squares tube[j] from M_0 = 0, phi_j the rim walk from
+    M_{j+1}: tube[1] is the exact sequence 0 -> M_1 -> M_2 -> M_1 -> 0, so
+    the cokernel of psi_1 is M_1."""
+    n, J = rt.quiver.ray_lengths[0], rt.quiver.horizon - 1
     m1 = rt.modules[(0, 0, 1)]
     m0 = quiver_rep(m1.algebra, {}, {})
     phi = [zero_map(m1, m0)] + [
@@ -207,11 +208,13 @@ def _verify_squares(rt: RealizedTube):
     psi = [zero_map(m0, m1)] + [rt.maps[Arrow("mu", 0, 0, j)]
                                 for j in range(1, J + 1)]
     for j in range(1, J + 1):
-        check(f"tube[{j}]", phi[j - 1], psi[j], psi[j - 1], phi[j])
+        _check(rt, f"tube[{j}]", phi[j - 1], psi[j], psi[j - 1], phi[j])
 
-    # one square per mesh rule: the ladder squares at depth k + 1 and the
-    # rim squares (the ZERO rule at stage 1 as a composite that vanishes)
-    R = rt.realize_arrow
+
+def _verify_squares(rt: RealizedTube):
+    """One square per mesh rule: the ladder squares at depth k + 1 and the
+    rim squares, a ZERO rule as a composite that vanishes."""
+    q, R, n = rt.quiver, rt.realize_arrow, rt.quiver.ray_lengths[0]
     for mu in q.arrows():
         if mu.kind != "mu":
             continue
@@ -222,8 +225,7 @@ def _verify_squares(rt: RealizedTube):
                 raise SquareFailed(name, "mu;lam does not vanish")
             continue
         lam2, mu2 = normal_path_arrows(q, rhs)
-        check(name, R(mu), R(lam2), R(lam), R(mu2))
-    rt.checked_squares.append("coker[psi_1]")
+        _check(rt, name, R(mu), R(lam2), R(lam), R(mu2))
 
 
 # -- the stage bimodule and its projectivity ----------------------------------
@@ -273,10 +275,8 @@ def bimodule_failures(rt: RealizedTube) -> tuple[list[int], list[str]]:
     dimension-difference multiplicities, from its top; returns the
     multiplicities found and what failed.
 
-    The paths of positive length span the radical, so the rows of R,
-    their action matrices stacked, span X rad, and the top X / X rad
-    holds m_v = rank rho(e_v) - rank(R rho(e_v)) copies of the simple at
-    vertex v.  By Nakayama's lemma X is a quotient of its projective
+    The top X / X rad holds m_v copies of the simple at vertex v, read
+    by top_of.  By Nakayama's lemma X is a quotient of its projective
     cover, the sum of m_v copies of e_v A, of dimension the sum of m_v
     times the number of basis paths from v.  When that equals dim X the
     cover is an isomorphism: X is projective with multiplicities m_v
@@ -284,19 +284,11 @@ def bimodule_failures(rt: RealizedTube) -> tuple[list[int], list[str]]:
     found lists them in path order: c = eps0, then eps1, ..."""
     n = rt.quiver.ray_lengths[0]
     x = stage_bimodule(rt)
-    paths = x.algebra.paths
     dims = [rt.modules[(0, l, 1)].dim for l in range(n + 1)]
     expected = [dims[0]] + [dims[i] - dims[i - 1] for i in range(1, n + 1)]
-    # no rows over k[x]/(x), which has no path of positive length
-    rad = Matrix.zero(x.algebra.field, 0, x.dim)
-    for a, (_, _, _, w) in zip(x.action, paths):
-        if w:
-            rad = rad.vstack(a)
-    found, cover = [], 0
-    for e, (_, v, _, w) in zip(x.action, paths):
-        if not w:
-            found.append(e.rank() - (rad * e).rank())
-            cover += found[-1] * sum(s == v for _, s, _, _ in paths)
+    found, paths = top_of(x)[0], x.algebra.paths
+    cover = sum(m * sum(s == v for _, s, _, _ in paths) for m, v in zip(
+        found, [v for _, v, _, w in paths if not w]))
     return found, [what for what, holds in (
         (f"multiplicities {found}, not {expected}", found == expected),
         (f"projective cover of dimension {cover}, not {x.dim}",

@@ -2,13 +2,16 @@
 
 Each decides by enumeration or by the definition, never by the route it
 checks: pp evaluation by enumerating witness tuples, the module laws by
-multiplying every pair of action matrices, and locality of an
-endomorphism ring by enumerating its elements.
+multiplying every pair of action matrices, locality of an endomorphism
+ring by enumerating its elements, and a module's top by the greedy
+generator search and by one rank per vertex.
 """
 
 import itertools
 
-from ppmod.linalg import Matrix, combination, span_elements
+from ppmod.linalg import Matrix, Subspace, combination, span_elements
+from ppmod.modules import (ModuleMap, Presentation, _module_span,
+                           free_module, kernel_subspace)
 
 
 def brute_eval(phi, module) -> set[tuple]:
@@ -77,3 +80,51 @@ def end_local_by_enumeration(mats: list[Matrix]):
         raise AssertionError("the nilpotents of a local algebra form a "
                              "subspace")
     return True, rad
+
+
+def greedy_generators(m, candidates) -> list[tuple]:
+    """The candidates, in order, that lie outside the submodule generated
+    by the candidates kept before them."""
+    gens: list[tuple] = []
+    span = Subspace.zero(m.algebra.field, m.dim)
+    for v in candidates:
+        if not span.contains_vector(v):
+            gens.append(tuple(v))
+            span = _module_span(m, [v], span)
+    return gens
+
+
+def greedy_module_generators(m) -> list[tuple]:
+    """A generating set found greedily over the standard basis."""
+    return greedy_generators(m, Matrix.identity(m.algebra.field, m.dim).data)
+
+
+def greedy_presentation(m) -> Presentation:
+    """A presentation on the greedy generators, with the greedy generators
+    of the cover's kernel, taken over the kernel's echelon basis, as its
+    relations."""
+    alg, f = m.algebra, m.algebra.field
+    gens = greedy_module_generators(m)
+    s = len(gens)
+    free = free_module(alg, s)
+    # e_i (x) b_t -> g_i . b_t, at row i * dim A + t
+    rows = [(Matrix(f, 1, m.dim, [g]) * a).data[0]
+            for g in gens for a in m.action]
+    cover = ModuleMap(free, m, Matrix(f, free.dim, m.dim, rows))
+    ker = kernel_subspace(cover)
+    relations = [tuple(v[i * alg.dim:(i + 1) * alg.dim] for i in range(s))
+                 for v in greedy_generators(free, ker.basis.data)]
+    return Presentation(relations, cover)
+
+
+def top_multiplicities_by_rank(m) -> list[int]:
+    """m_v = rank rho(e_v) - rank(R rho(e_v)) for each vertex idempotent
+    e_v in path order, R stacking the actions of every path of positive
+    length: the top M / M rad A has m_v copies of the simple at v."""
+    paths = m.algebra.paths
+    rad = Matrix.zero(m.algebra.field, 0, m.dim)
+    for a, (_, _, _, w) in zip(m.action, paths):
+        if w:
+            rad = rad.vstack(a)
+    return [e.rank() - (rad * e).rank()
+            for e, (_, _, _, w) in zip(m.action, paths) if not w]

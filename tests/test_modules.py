@@ -7,15 +7,16 @@ from ppmod.fields import GF, QQ
 from ppmod.linalg import Matrix, Subspace, block_diagonal, span_elements
 from ppmod.modules import (Module, direct_sum, free_module, hom_space,
                            identity_map, iso_classes, iso_test, k_dual,
-                           module_generators, presentation_of,
-                           quotient_module, regular_module, submodule)
+                           presentation_of, quotient_module,
+                           regular_module, submodule, top_of)
 from ppmod.catalog import (dvr_chain_module, dvr_universe,
                            kronecker_preinjective, kronecker_preprojective,
                            kronecker_regular, kronecker_rep,
                            kronecker_universe)
 from ppmod.algebra import kronecker_algebra, truncated_dvr
 from ppmod.decompose import decompose
-from reference import law_failure
+from reference import (greedy_module_generators, law_failure,
+                       top_multiplicities_by_rank)
 
 F2 = GF(2)
 
@@ -123,7 +124,7 @@ def test_submodule_quotient_roundtrip(dvr3):
 def test_regular_module_and_generators(dvr3):
     r = regular_module(dvr3)
     assert r.dim == 3
-    gens = module_generators(r)
+    gens = top_of(r)[1]
     assert len(gens) == 1  # cyclic
 
 
@@ -131,16 +132,115 @@ def test_presentation_expresses_elements(dvr2):
     v2 = dvr_chain_module(dvr2, 2)
     pres = presentation_of(v2)
     assert pres.ngens == 1
-    g = module_generators(v2)[0]
+    g = top_of(v2)[1][0]
     coeffs = pres.express(g)
     assert coeffs is not None
     # reconstruct: sum g_i . r_i == g
     acc = (F2.zero(),) * v2.dim
     for i, r in enumerate(coeffs):
-        gi = module_generators(v2)[i]
+        gi = top_of(v2)[1][i]
         img = (Matrix.from_rows(F2, [gi]) * v2.act(r)).data[0]
         acc = tuple(F2.of(a + b) for a, b in zip(acc, img))
     assert acc == g
+
+
+def top_corpus(field):
+    """Catalogue and label modules over one field: the Kronecker and
+    k[x]/(x^4) universes of dimension <= 6, and the labels of dimension
+    <= 10 of the towers of height 1 and 2 over k[x]/(x^4)."""
+    from ppmod.tower import all_labels, build_tower, construct_label
+    mods = (kronecker_universe(kronecker_algebra(field), 6)
+            + dvr_universe(truncated_dvr(4, field), 6))
+    for h in (1, 2):
+        tw = build_tower(4, h, field)
+        mods += [construct_label(tw, lab) for lab in all_labels(tw, 10)]
+    return mods
+
+
+def random_quotients(field, count=10):
+    """Quotients of R_2^2, R_2 the tower of height 2 over k[x]/(x^3), by
+    the submodules that one to three sparse random vectors generate."""
+    import random
+    from fractions import Fraction
+    from ppmod.modules import _module_span
+    from ppmod.tower import build_tower
+    free = free_module(build_tower(3, 2, field).top, 2)
+    rng = random.Random(0)
+    values = [1, -1, 2] if field.p else [1, -1, Fraction(1, 2)]
+    out = []
+    for _ in range(count):
+        vecs = [[field.of(rng.choice(values)) if rng.random() < 0.3
+                 else field.zero() for _ in range(free.dim)]
+                for _ in range(rng.randint(1, 3))]
+        out.append(quotient_module(free, _module_span(free, vecs))[0])
+    return out
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+def test_top_lifts_equal_the_greedy_generators_on_the_corpus(field):
+    for m in top_corpus(field):
+        assert top_of(m)[1] == greedy_module_generators(m)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+def test_top_is_a_basis_of_the_quotient_by_the_radical(field):
+    from ppmod.modules import _module_span
+    for m in top_corpus(field) + random_quotients(field):
+        mults, lifts = top_of(m)
+        paths = m.algebra.paths
+        idempotents = [a for a, p in zip(m.action, paths) if not p[3]]
+        # M rad, spanned by the rows of every path of positive length
+        rad = Matrix.zero(field, 0, m.dim)
+        for a, p in zip(m.action, paths):
+            if p[3]:
+                rad = rad.vstack(a)
+        rad = Subspace.from_matrix(rad)
+        assert mults == top_multiplicities_by_rank(m)
+        assert _module_span(m, lifts) == Subspace.from_matrix(
+            Matrix.identity(field, m.dim))
+        assert len(lifts) == sum(mults) == m.dim - rad.dim
+        # each lift lies in one vertex space, mults[v] of them in M e_v
+        fixed = [[v for v, e in enumerate(idempotents)
+                  if (Matrix(field, 1, m.dim, [g]) * e).data[0] == g]
+                 for g in lifts]
+        assert all(len(vs) == 1 for vs in fixed)
+        assert [sum(vs == [v] for vs in fixed)
+                for v in range(len(idempotents))] == mults
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+def test_top_never_takes_more_lifts_than_the_greedy_search(field):
+    counts = [(len(top_of(q)[1]), len(greedy_module_generators(q)))
+              for q in random_quotients(field)]
+    assert all(ours <= greedy for ours, greedy in counts)
+    assert any(ours < greedy for ours, greedy in counts)
+
+
+def test_the_zero_module_has_an_empty_top_and_presentation():
+    alg = kronecker_algebra(GF(3))
+    zero = kronecker_rep(alg, 0, 0, [], [])
+    assert top_of(zero) == ([0, 0], [])
+    pres = presentation_of(zero)
+    assert (pres.ngens, pres.relations) == (0, [])
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+def test_presentation_relations_are_the_top_of_the_cover_kernel(field):
+    from ppmod.modules import _module_span, kernel_subspace
+    for m in top_corpus(field) + random_quotients(field):
+        pres = presentation_of(m)
+        free, gens = pres.proj.source, top_of(m)[1]
+        assert pres.ngens == len(gens)
+        ker = kernel_subspace(pres.proj)
+        flat = [[c for r in rel for c in r] for rel in pres.relations]
+        assert _module_span(free, flat) == ker
+        assert len(pres.relations) == sum(top_of(submodule(free, ker)[0])[0])
+        for vec in Matrix.identity(field, m.dim).data:
+            coeffs = pres.express(vec)
+            acc = Matrix.zero(field, 1, m.dim)
+            for g, r in zip(gens, coeffs):
+                acc = acc + Matrix(field, 1, m.dim, [g]) * m.act(r)
+            assert acc.data[0] == vec
 
 
 def test_free_module_uses_the_algebras_one_regular_representation():

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppmod.fields import GF
+from ppmod.fields import GF, QQ
 from ppmod.algebra import truncated_dvr
-from ppmod.linalg import (Subspace, block, subspace_leq, subspace_meet,
-                          subspace_sum)
-from ppmod.modules import (k_dual, presentation_of, hom_space,
-                           module_generators)
+from ppmod.linalg import (Matrix, Subspace, block, subspace_leq,
+                          subspace_meet, subspace_sum)
+from ppmod.modules import k_dual, presentation_of, hom_space, top_of
 from ppmod.catalog import dvr_chain_module, dvr_universe, kronecker_preprojective
 from ppmod.oracles import brute_eval_f2, subspace_int_set
 from ppmod.ppformula import (PpFormula, PpPair, annihilator, bottom,
@@ -150,7 +149,7 @@ def test_free_realization_of_tautology_is_free(d2):
 def test_pp_type_generator_of_regular_generator(d2):
     # generator tuple of the cyclic free module: formula equivalent to x H = 0
     m = dvr_chain_module(d2, 2)
-    g = module_generators(m)[0]
+    g = top_of(m)[1][0]
     gen = pp_type_generator(m, (g,))
     assert gen.equivalent(tautology(d2))
 
@@ -772,13 +771,30 @@ def test_pp_type_generator_matches_the_grid(alg):
         kronecker_universe(alg, 3)
     for m in mods:
         pres = presentation_of(m)
-        gens = module_generators(m)
+        gens = top_of(m)[1]
         tuples = [(g,) for g in gens] + [tuple(gens)] + \
             [(tuple(m.act(alg.basis_el(i)).data[0]),) for i in range(alg.dim)]
         for tup in tuples:
             got = pp_type_generator(m, tup)
             assert got.hmat == grid_pp_type_generator(pres, tup).hmat
             assert (got.n, got.l) == (len(tup), pres.ngens)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+def test_generators_on_the_top_and_on_the_greedy_presentation_agree(field):
+    # the matrix the new presentation gives a pp-type generator, read as a
+    # plain formula, against the grid matrix of the greedy presentation
+    from reference import greedy_presentation
+    from test_modules import random_quotients, top_corpus
+    for m in top_corpus(field)[1::2] + random_quotients(field, 4):
+        old = greedy_presentation(m)
+        gens = top_of(m)[1]
+        last = Matrix.identity(field, m.dim).data[-1]
+        for tup in ((gens[0],), tuple(gens[:2]), (last,)):
+            got = pp_type_generator(m, tup)
+            plain = PpFormula(m.algebra, got.n, got.hmat)
+            assert plain.equivalent(grid_pp_type_generator(old, tup))
+            assert plain.equivalent(got)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -1083,7 +1099,7 @@ def test_pp_type_generators_are_never_reduced():
     with_units = 0
     for alg in (truncated_dvr(3, GF(3)), kronecker_algebra(GF(3))):
         for m in reduction_universe(alg)[alg]:
-            for vec in module_generators(m):
+            for vec in top_of(m)[1]:
                 phi = pp_type_generator_of_element(m, vec)
                 fr = phi.free_realization()
                 assert phi.reduced() is phi and phi._by_hom

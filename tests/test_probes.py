@@ -6,7 +6,7 @@ from ppmod.algebra import kronecker_algebra
 from ppmod.fields import GF
 from ppmod.catalog import (dvr_chain_module, kronecker_preprojective,
                            kronecker_step_formula)
-from ppmod.modules import hom_space, module_generators
+from ppmod.modules import hom_space, top_of
 from ppmod.ppformula import PpPair, pp_type_generator_of_element
 from ppmod.linalg import subspace_leq
 from ppmod.probes import (INCONCLUSIVE, MAX_ROUNDS, NOT_SHORT_WITNESS,
@@ -101,7 +101,7 @@ def test_probe_embedding_with_a_given_pool_reports_the_same():
         emb = rt.maps[Arrow("mu", 0, l, j)]
         fresh = probe_embedding(emb, universe, budget=10)
         shared = probe_embedding(emb, universe, budget=10, pool=pool)
-        assert len(fresh) == len(shared) == len(module_generators(emb.source))
+        assert len(fresh) == len(shared) == len(top_of(emb.source)[1])
         for a, b in zip(fresh, shared):
             assert vars(a) == vars(b)
 
@@ -124,7 +124,7 @@ def pool_one_formula_per_entry(universe):
     """The reference pool: a new pp-type generator for every entry."""
     out = []
     for ai, a in enumerate(universe):
-        gens = module_generators(a)
+        gens = top_of(a)[1]
         for bi, b in enumerate(universe):
             for hi, h in enumerate(hom_space(a, b)):
                 for gi, g in enumerate(gens):
@@ -264,7 +264,7 @@ def stage_probe_pairs():
     pairs = []
     for j in (1, 2, 3):
         for emb in (rt.maps[Arrow("mu", 0, l, j)] for l in (0, 1)):
-            for g in module_generators(emb.source):
+            for g in top_of(emb.source)[1]:
                 pairs.append(PpPair(
                     upper=pp_type_generator_of_element(emb.source, g),
                     lower=pp_type_generator_of_element(emb.target, emb(g))))

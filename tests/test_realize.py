@@ -13,9 +13,9 @@ from ppmod.catalog import (dvr_chain_module, kronecker_preprojective,
 from ppmod.tower import build_tower, tower_dimension
 from ppmod.tube import (Arrow, NormalPath, ZERO, all_paths_from,
                         hom_dimension, normalize_path)
-from ppmod.realize import (_verify_squares, bimodule_failures,
-                           chain_inclusion, chain_quotient, realize_in_tower,
-                           square_failures, stage_bimodule)
+from ppmod.realize import (_verify_squares, _verify_stage_row,
+                           bimodule_failures, chain_inclusion, chain_quotient,
+                           realize_in_tower, square_failures, stage_bimodule)
 
 F2 = GF(2)
 
@@ -48,7 +48,7 @@ def test_deliberately_broken_square_fails(tw_n1):
     assert broken
 
 
-def test_a_square_whose_maps_leave_the_wrong_corners_is_refused():
+def corners_of_other_dimensions():
     # A = B = k and C = D = k^2 over k[x]/(x); right leaves C instead of B
     # and bottom leaves B instead of C.  The matrices still compose, and
     # every exactness rank holds, so only the corners give it away
@@ -58,10 +58,26 @@ def test_a_square_whose_maps_leave_the_wrong_corners_is_refused():
     def hom(src, tgt, rows):
         return ModuleMap(src, tgt, Matrix.from_rows(F2, rows), check=False)
 
-    top, left = hom(k, k, [[1]]), hom(k, k2, [[0, 1]])
-    right, bottom = hom(k2, k2, [[1, 0], [0, 1]]), hom(k, k2, [[1, 0]])
+    return (hom(k, k, [[1]]), hom(k, k2, [[0, 1]]),
+            hom(k2, k2, [[1, 0], [0, 1]]), hom(k, k2, [[1, 0]]))
+
+
+def corners_of_one_dimension():
+    # the identities of R(0)[1] on top and left, of R(1)[1] on right and
+    # bottom: two Kronecker modules of dimension 2 that are not
+    # isomorphic meet at B and at C, and every rank holds
+    alg = kronecker_algebra(GF(3))
+    r0, r1 = kronecker_regular(alg, 0, 1), kronecker_regular(alg, 1, 1)
+    return (identity_map(r0), identity_map(r0), identity_map(r1),
+            identity_map(r1))
+
+
+@pytest.mark.parametrize("corners", [corners_of_other_dimensions,
+                                     corners_of_one_dimension],
+                         ids=["dimension", "content"])
+def test_a_square_whose_maps_leave_the_wrong_corners_is_refused(corners):
     with pytest.raises(ValueError, match="square corners disagree"):
-        square_failures(top, left, right, bottom)
+        square_failures(*corners())
 
 
 def test_realized_ladder_n1(rt_n1):
@@ -246,6 +262,8 @@ def test_corrupted_ladder_names_the_failing_square(arrow, square):
     h = rt.maps[arrow]
     rt.maps[arrow] = zero_map(h.source, h.target)
     with pytest.raises(SquareFailed) as err:
+        # in realize_in_tower's order: the stage row, then the mesh rules
+        _verify_stage_row(rt)
         _verify_squares(rt)
     assert err.value.square_id == square
 
@@ -268,6 +286,7 @@ def test_a_rim_map_off_its_mesh_rule_fails_its_rim_square(j):
     bad = walk.vstack(psibar).solve_right(chain_quotient(
         tw.algebras[0], j).mat.vstack(psibar * f.mat + off))
     rt.maps[rim] = ModuleMap(f.source, f.target, bad, check=False)
+    _verify_stage_row(rt)
     with pytest.raises(SquareFailed) as err:
         _verify_squares(rt)
     assert err.value.square_id == f"rim[{j}]"
