@@ -38,14 +38,10 @@ def brute_eval_f2(phi: PpFormula, module: Module) -> set[int]:
     if m == 0:
         return set(range(1 << (n * d)))
     # delta[t]: packed effect on all equations of toggling variable coord t
-    deltas = []
-    for row in phi.hmat:
-        acts = [module.act(h) for h in row]
-        for r in range(d):
-            acc = 0
-            for e in range(m):
-                acc |= acts[e].ints[r] << (e * d)
-            deltas.append(acc)
+    deltas = [0] * ((n + phi.l) * d)
+    for (v, e), h in phi.cells.items():
+        for r, bits in enumerate(module.act(h).ints):
+            deltas[v * d + r] |= bits << (e * d)
     xdim = n * d
     images = {0}
     for t in deltas[xdim:]:

@@ -2,14 +2,16 @@
 free realizations, implication and pp-type generators.
 
 A formula in n free and l bound variables with m conditions is
-"exists y: (x, y) H = 0" for an (n+l) x m matrix H over its algebra (l
-read off H), evaluated on right modules over that algebra.  It has no
-side: the left formula "exists y: H' (x; y) = 0" over A is the formula
-over A.op with matrix H'^T, evaluated on left A-modules, the right
-A.op-modules (Prest, *Purity, Spectra and Localisation*, CUP 2009,
-section 1.3); the side is syntax only (see ppsyntax).  A.op has A's
-basis, so block assembly for sum, meet and the dual (over A.op for phi
-over A) moves entries and never multiplies two of them.
+"exists y: (x, y) H = 0" for an (n+l) x m matrix H over its algebra,
+evaluated on right modules over that algebra.  It is stored as n, l, m
+and its cells, the nonzero entries of H keyed (variable, condition) in
+field normal form.  It has no side: the left formula
+"exists y: H' (x; y) = 0" over A is the formula over A.op with matrix
+H'^T, evaluated on left A-modules, the right A.op-modules (Prest,
+*Purity, Spectra and Localisation*, CUP 2009, section 1.3); the side is
+syntax only (see ppsyntax).  A.op has A's basis, so block assembly for
+sum, meet and the dual (over A.op for phi over A) moves entries and
+never multiplies two of them.
 
 Before a system is solved, every bound variable with a unit coefficient
 is substituted away (`PpFormula.reduced`, the rule Prest uses to reduce
@@ -26,12 +28,12 @@ x = u + v with unit coefficients on u and v, and each dual turns them
 into bound variables with unit coefficients, so most derived formulas
 shrink.
 
-Sum, meet, dual and the reduction build their results from their parts'
-entries, which are reduced already, through `PpFormula._of` and its
-cells form, without checking them again; the constructor and
-`from_cells` check every entry, since they take outside input.  Only
-nonzero cells are placed, evaluation gives a zero entry no block of its
-system, and the reduction skips a product that is zero.
+Sum, meet, dual and the reduction build their results' cells from their
+parts', which are canonical already, through `PpFormula._of` without
+checking them again; the rows constructor and `from_cells` check the
+sizes and every entry, reduce it and drop zeros, since they take outside
+input.  Evaluation gives an absent cell no block of its system, and the
+reduction skips a product that is zero.
 
 Implication phi -> psi is decided on the free realization (C, c) of the
 reduced phi: phi <= psi iff c lies in psi(C) (Prest, *Purity, Spectra
@@ -42,15 +44,15 @@ verdict.  Formulas that share their reduced formula r (see below) are
 both equivalent to r, so phi <= psi holds by reflexivity and is returned
 without a realization; that shared object is the one syntactic
 comparison.  Every other implication is decided semantically, and
-equivalence is implication in both directions.  The stored matrix, the
+equivalence is implication in both directions.  The stored cells, the
 printed formula and `free_realization` are those of the formula as
 built.
 
 Values are shared by content.  `reduced` looks its result up by
-(algebra, n, matrix), the algebra by identity, so every formula
-whose reduction has that content gets one reduced object, and with it
-one free realization and one cache of values; `evaluate` on any other
-formula returns its reduced formula's value.  The table holds its
+(algebra, n, l, m, set of cells), the algebra by identity, so every
+formula whose reduction has that content gets one reduced object, and
+with it one free realization and one cache of values; `evaluate` on any
+other formula returns its reduced formula's value.  The table holds its
 entries weakly and a reduced formula refers to nothing that refers back
 to it, so an entry dies with the last formula that reduces to it, and
 the work done does not depend on when the garbage collector runs.
@@ -62,25 +64,27 @@ A pp-type generator (Prest, op. cit., section 1.2), the formula generated
 by a tuple of a finitely presented module, keeps that module and tuple
 as its free realization, and the tuple itself.  It is evaluated through
 Hom on the realization and is its own reduced formula, so its value, its
-implications and `reduced` read no matrix.  Its matrix, which needs a
-presentation of the module and one solve per component, is built on the
-first read of `hmat` (by printing, `l` and `m`, sum, meet and dual);
-the probes and suites, which only evaluate and compare generators, never
-read it.  The shape of the tuple is checked when the generator is built.
+implications and `reduced` read no cells.  Its l, m and cells, which
+need a presentation of the module and one solve per component, are
+built on the first read of any of them (by printing, sum, meet and
+dual); the probes and suites, which only evaluate and compare
+generators, never read them.  The shape of the tuple is checked when
+the generator is built.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from itertools import islice
 
 from .algebra import FDAlgebra
 from .linalg import Matrix, Subspace, block, projected_kernel, vectorized
 from .modules import (Module, _module_span, free_module, hom_space,
                       presentation_of, quotient_module)
 
-# the reduced formula of each content (algebra, n, hmat), held weakly:
-# an entry lives exactly as long as some formula refers to its value
+# the reduced formula of each content (algebra, n, l, m, cells), held
+# weakly: an entry lives exactly as long as some formula refers to its value
 _REDUCED: "weakref.WeakValueDictionary[tuple, PpFormula]" = \
     weakref.WeakValueDictionary()
 # the _reduced slot of a formula that is its own reduced formula; a
@@ -89,33 +93,32 @@ _OWN = object()
 
 
 class PpFormula:
-    """Immutable pp formula; entries of hmat are algebra coordinate vectors."""
+    """Immutable pp formula: n free and l bound variables, m conditions,
+    and cells, its nonzero entries keyed (variable, condition), each an
+    algebra coordinate vector in its field's normal form."""
 
-    __slots__ = ("algebra", "n", "hmat", "_realization", "_by_hom",
-                 "_eval_cache", "_reduced", "_tuple", "__weakref__")
+    __slots__ = ("algebra", "n", "l", "m", "cells", "_realization",
+                 "_by_hom", "_eval_cache", "_reduced", "_tuple",
+                 "__weakref__")
 
-    def __init__(self, algebra: FDAlgebra, n: int, hmat):
-        _check_arity(n)
-        self.algebra = algebra
-        self.n = n
-        el = algebra.reduced_el
-        self.hmat = tuple(tuple(map(el, row)) for row in hmat)
-        if len(self.hmat) < n:
-            raise ValueError(f"formula matrix has {len(self.hmat)} variable "
+    def __init__(self, algebra: FDAlgebra, n: int, rows):
+        """The formula whose entry (v, e) is rows[v][e], free v first."""
+        rows = tuple(map(tuple, rows))
+        if len(rows) < n:
+            raise ValueError(f"formula matrix has {len(rows)} variable "
                              f"rows, fewer than the n={n} free variables")
-        if len({len(r) for r in self.hmat}) > 1:
+        if len(set(map(len, rows))) > 1:
             raise ValueError("ragged formula matrix")
-        if any(len(e) != algebra.dim for row in self.hmat for e in row):
-            raise ValueError("entry is not an algebra coordinate vector")
-        self._realization, self._by_hom = None, False
-        self._eval_cache: dict = {}
-        self._reduced = None
+        l, m = len(rows) - n, len(rows[0]) if rows else 0
+        self._set(algebra, n, l, m, _checked_cells(algebra, n, l, m, {
+            (v, e): x for v, row in enumerate(rows)
+            for e, x in enumerate(row)}))
 
     def __getattr__(self, name):
-        # reached only for an unset slot: `hmat` of a pp-type generator
-        # before its first read, built as pp_type_generator says (the free
-        # cover is onto, so every component is expressible)
-        if name != "hmat":
+        # reached only for an unset slot: the sizes and cells of a pp-type
+        # generator before their first read, built as pp_type_generator
+        # says (the free cover is onto, so every component is expressible)
+        if name not in ("cells", "l", "m"):
             raise AttributeError(name)
         pres = presentation_of(self._realization.module)
         alg, n = self.algebra, self.n
@@ -125,50 +128,33 @@ class PpFormula:
                           for g, c in enumerate(pres.express(comp))})
         for e, rel in enumerate(pres.relations):
             cells.update({(n + g, n + e): r for g, r in enumerate(rel)})
-        self.hmat = PpFormula.from_cells(
-            alg, n, pres.ngens, n + len(pres.relations), cells).hmat
-        return self.hmat
+        self.l, self.m = pres.ngens, n + len(pres.relations)
+        self.cells = _checked_cells(alg, n, self.l, self.m, cells)
+        return getattr(self, name)
 
     @staticmethod
     def from_cells(algebra: FDAlgebra, n: int, l: int, m: int,
                    cells) -> "PpFormula":
         """The formula whose entry (v, e), variable v and condition e, is
         cells[(v, e)]; every other entry is zero."""
-        if any(not (0 <= v < n + l and 0 <= e < m) for v, e in cells):
-            raise ValueError("cell outside the formula matrix")
-        z = algebra.zero_el()
-        return PpFormula(algebra, n, [
-            [cells.get((v, e), z) for e in range(m)] for v in range(n + l)])
+        return PpFormula._of(algebra, n, l, m,
+                             _checked_cells(algebra, n, l, m, cells))
 
     @staticmethod
-    def _of(algebra: FDAlgebra, n: int, hmat) -> "PpFormula":
-        """The formula with matrix hmat, which must already be a tuple of
-        equal-length tuples of reduced entries: nothing is checked.  For
-        formulas derived from other formulas, whose entries are reduced
-        already; outside input goes through the constructor."""
+    def _of(algebra: FDAlgebra, n: int, l: int, m: int,
+            cells: dict) -> "PpFormula":
+        """The formula with these sizes and cells, which must be nonzero
+        reduced entries inside them: nothing is checked, so only formulas
+        derived from others are built here."""
         phi = object.__new__(PpFormula)
-        phi.algebra, phi.n, phi.hmat = algebra, n, hmat
-        phi._realization, phi._by_hom = None, False
-        phi._eval_cache, phi._reduced = {}, None
+        phi._set(algebra, n, l, m, cells)
         return phi
 
-    @staticmethod
-    def _of_cells(algebra: FDAlgebra, n: int, l: int, m: int,
-                  cells) -> "PpFormula":
-        """from_cells for reduced entries, through _of: nothing is
-        checked, and every absent cell is zero."""
-        z = algebra.zero_el()
-        return PpFormula._of(algebra, n, tuple(
-            tuple(cells.get((v, e), z) for e in range(m))
-            for v in range(n + l)))
-
-    @property
-    def l(self) -> int:
-        return len(self.hmat) - self.n
-
-    @property
-    def m(self) -> int:
-        return len(self.hmat[0])
+    def _set(self, algebra, n, l, m, cells):
+        self.algebra, self.n, self.l, self.m = algebra, n, l, m
+        self.cells = cells
+        self._realization, self._by_hom = None, False
+        self._eval_cache, self._reduced = {}, None
 
     def __repr__(self):
         return (f"PpFormula({self.algebra.name}, n={self.n}, l={self.l}, "
@@ -206,13 +192,11 @@ class PpFormula:
                 vectorized(r.algebra.field, images, k))
         else:
             # phi(M) is the x-part of {(x, y) : (x, y) S = 0}, where band
-            # (v, e) of S is the action of hmat[v][e] on M; block leaves
-            # the band of a zero entry zero
-            d, nvars = module.dim, len(r.hmat)
-            system = block(r.algebra.field, [d] * nvars, [d] * r.m,
-                           {(v, e): module.act(x)
-                            for v, row in enumerate(r.hmat)
-                            for e, x in enumerate(row) if any(x)})
+            # (v, e) of S is the action of cell (v, e) on M; block leaves
+            # the band of an absent cell zero
+            d = module.dim
+            system = block(r.algebra.field, [d] * (r.n + r.l), [d] * r.m,
+                           {c: module.act(x) for c, x in r.cells.items()})
             result = Subspace(projected_kernel(system, k))
         r._eval_cache[module.serial] = result
         return result
@@ -231,7 +215,7 @@ class PpFormula:
             return self
         if r is None:
             r = _unit_eliminated(self)
-            key = (self.algebra, r.n, r.hmat)
+            key = (self.algebra, r.n, r.l, r.m, frozenset(r.cells.items()))
             r = _REDUCED.setdefault(key, r)
             if r._reduced is None:
                 r._reduced = _OWN
@@ -247,15 +231,16 @@ class PpFormula:
         of the free module on all n+l variables by the columns of the
         formula matrix, and the images of the first n free generators."""
         if self._realization is None:
-            alg, nvars = self.algebra, len(self.hmat)
+            alg, d, nvars = self.algebra, self.algebra.dim, self.n + self.l
             free = free_module(alg, nvars)
             # row e is condition e's column, a vector of A^(n+l)
-            rels = [[c for v in range(nvars) for c in self.hmat[v][e]]
-                    for e in range(self.m)]
+            rels = [[alg.field.zero()] * (nvars * d) for _ in range(self.m)]
+            for (v, e), x in self.cells.items():
+                rels[e][v * d:(v + 1) * d] = x
             module, proj = quotient_module(free, _module_span(free, rels))
             # x_i is the image of e_i (x) 1: the unit times block i of the
             # projection's rows
-            d, unit = alg.dim, Matrix.from_rows(alg.field, [alg.unit])
+            unit = Matrix.from_rows(alg.field, [alg.unit])
             row = block(alg.field, [1], [module.dim] * self.n, {
                 (0, i): unit * proj.mat.take_rows(range(i * d, (i + 1) * d))
                 for i in range(self.n)})
@@ -281,39 +266,65 @@ class PpFormula:
         return self.implies(other) and other.implies(self)
 
 
+def _checked_cells(algebra: FDAlgebra, n: int, l: int, m: int,
+                   cells) -> dict:
+    """cells as a formula stores them, each entry reduced and the zero
+    ones dropped, after checking the sizes, that every cell lies inside
+    them and that every entry is an algebra coordinate vector."""
+    _check_arity(n)
+    for name, size in (("bound arity l", l), ("condition count m", m)):
+        if size < 0:
+            raise ValueError(f"{name}={size} is negative")
+    el, out = algebra.reduced_el, {}
+    for (v, e), x in cells.items():
+        if not (0 <= v < n + l and 0 <= e < m):
+            raise ValueError("cell outside the formula matrix")
+        x = el(x)
+        if len(x) != algebra.dim:
+            raise ValueError("entry is not an algebra coordinate vector")
+        if any(x):
+            out[v, e] = x
+    return out
+
+
 def _unit_eliminated(phi: PpFormula) -> PpFormula:
     """phi with its bound variables of unit coefficients substituted away
-    (see PpFormula.reduced); phi itself when there is none."""
+    (see PpFormula.reduced); phi itself when there is none.  The cells
+    are kept by variable, under their conditions' indices in phi until
+    the survivors are renumbered at the end; each pivot is the least
+    bound cell (y, e) with a unit entry."""
     alg, n = phi.algebra, phi.n
-    of = alg.field.of
-    rows = [list(r) for r in phi.hmat]
-    while (pivot := _unit_pivot(alg, rows, n)) is not None:
-        y, e, inv = pivot
+    of, zero = alg.field.of, alg.zero_el()
+    rows = {v: {} for v in range(n + phi.l)}
+    for (v, e), x in phi.cells.items():
+        rows[v][e] = x
+    es = set()
+    # the free rows are the first n and stay, so the bound ones follow
+    while (pivot := next(((y, e) for y, row in islice(rows.items(), n, None)
+                          for e in sorted(row) if alg.is_unit_el(row[e])),
+                         None)) is not None:
+        y, e = pivot
         hy = rows.pop(y)
-        del hy[e]
-        # (c u^-1) b = c (u^-1 b): one product per pivot-row entry, then
-        # one per entry of each row that meets the pivot column
-        w = [(j, alg.mul_el(inv, b)) for j, b in enumerate(hy) if any(b)]
-        for r in rows:
-            c = r.pop(e)
-            if any(c):
+        inv = alg.inverse_el(hy.pop(e))
+        es.add(e)
+        # (c u^-1) b = c (u^-1 b): one product per pivot-row cell, then
+        # one per cell of each row that meets the pivot column
+        w = [(j, alg.mul_el(inv, b)) for j, b in hy.items()]
+        for r in rows.values():
+            c = r.pop(e, None)
+            if c is not None:
                 for j, b in w:
                     t = alg.mul_el(c, b)
                     if any(t):
-                        r[j] = tuple(of(s - x) for s, x in zip(r[j], t))
-    if len(rows) == len(phi.hmat):
+                        s = tuple(of(a - x) for a, x in zip(r.pop(j, zero), t))
+                        if any(s):
+                            r[j] = s
+    if not es:
         return phi
-    return PpFormula._of(alg, n, tuple(map(tuple, rows)))
-
-
-def _unit_pivot(alg: FDAlgebra, rows, n: int):
-    """(y, e, u^-1) for the first bound row y with a unit entry u, at its
-    first unit column e, or None."""
-    for y in range(n, len(rows)):
-        for e, u in enumerate(rows[y]):
-            if alg.is_unit_el(u):
-                return y, e, alg.inverse_el(u)
-    return None
+    cs = {e: i for i, e in enumerate(e for e in range(phi.m) if e not in es)}
+    return PpFormula._of(alg, n, len(rows) - n, len(cs), {
+        (v, cs[e]): x for v, row in enumerate(rows.values())
+        for e, x in row.items()})
 
 
 @dataclass(frozen=True)
@@ -381,10 +392,9 @@ def annihilator(alg: FDAlgebra, a) -> PpFormula:
 
 
 def _placed(phi: PpFormula, rows, col: int) -> dict:
-    """phi's nonzero entries as cells: variable v on row rows[v],
-    condition e in column col + e."""
-    return {(rows[v], col + e): x for v, r in enumerate(phi.hmat)
-            for e, x in enumerate(r) if any(x)}
+    """phi's cells with variable v on row rows[v] and condition e in
+    column col + e."""
+    return {(rows[v], col + e): x for (v, e), x in phi.cells.items()}
 
 
 def pp_sum(phi: PpFormula, psi: PpFormula) -> PpFormula:
@@ -399,7 +409,7 @@ def pp_sum(phi: PpFormula, psi: PpFormula) -> PpFormula:
     cells = {**_placed(phi, u_rows, n), **_placed(psi, v_rows, n + phi.m)}
     for i in range(n):
         cells.update({(i, i): alg.unit, (n + i, i): nu, (2 * n + i, i): nu})
-    return PpFormula._of_cells(alg, n, l, n + phi.m + psi.m, cells)
+    return PpFormula._of(alg, n, l, n + phi.m + psi.m, cells)
 
 
 def pp_meet(phi: PpFormula, psi: PpFormula) -> PpFormula:
@@ -408,7 +418,7 @@ def pp_meet(phi: PpFormula, psi: PpFormula) -> PpFormula:
     n, l = phi.n, phi.l + psi.l
     cells = {**_placed(phi, range(n + phi.l), 0),
              **_placed(psi, [*range(n), *range(n + phi.l, n + l)], phi.m)}
-    return PpFormula._of_cells(phi.algebra, n, l, phi.m + psi.m, cells)
+    return PpFormula._of(phi.algebra, n, l, phi.m + psi.m, cells)
 
 
 # -- elementary duality -------------------------------------------------------
@@ -424,10 +434,9 @@ def dual(phi: PpFormula) -> PpFormula:
 
     with n free rows kept, m new bound rows, and n+l conditions."""
     n = phi.n
-    cells = {(n + e, v): x for v, r in enumerate(phi.hmat)
-             for e, x in enumerate(r) if any(x)}
+    cells = {(n + e, v): x for (v, e), x in phi.cells.items()}
     cells.update({(i, i): phi.algebra.unit for i in range(n)})
-    return PpFormula._of_cells(phi.algebra.op, n, phi.m, n + phi.l, cells)
+    return PpFormula._of(phi.algebra.op, n, phi.m, n + phi.l, cells)
 
 
 # -- pp-type generators --------------------------------------------------------
@@ -440,7 +449,8 @@ def pp_type_generator(module: Module, tup) -> PpFormula:
     generators.  The module and the tuple are its free realization, and it
     is built with them, so it is evaluated through Hom (see
     PpFormula.evaluate) and is its own reduced formula.  The shape of the
-    tuple is checked here; the matrix is built on its first read."""
+    tuple is checked here; the sizes l and m and the cells are built on
+    the first read of any of them."""
     tup = tuple(map(tuple, tup))
     alg, n, d = module.algebra, len(tup), module.dim
     _check_arity(n)

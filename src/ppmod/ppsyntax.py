@@ -110,13 +110,14 @@ class _Parser:
             raise ValueError("formula mentions no x-variable")
         ymap = {idx: i for i, idx in enumerate(sorted(yvars))}
         z = self.alg.zero_el()
-        rows = [[z] * len(eqs) for _ in range(n + len(yvars))]
+        cells: dict = {}
         for col, eq in enumerate(eqs):
             for (kind, idx), coef in eq:
-                row = idx - 1 if kind == "x" else n + ymap[idx]
-                rows[row][col] = self.alg.add_el(rows[row][col], coef)
-        return PpFormula(self.alg if self.side == RIGHT else self.alg.op, n,
-                         rows)
+                cell = (idx - 1 if kind == "x" else n + ymap[idx], col)
+                cells[cell] = self.alg.add_el(cells.get(cell, z), coef)
+        return PpFormula.from_cells(
+            self.alg if self.side == RIGHT else self.alg.op, n, len(yvars),
+            len(eqs), cells)
 
     def parse_eq(self):
         terms = self.parse_lincomb()
@@ -242,11 +243,10 @@ def format_formula(phi: PpFormula, side: str = RIGHT) -> str:
     if side not in (RIGHT, LEFT):
         raise ValueError("side must be 'right' or 'left'")
     alg = phi.algebra
-    n, l, m = phi.n, phi.l, phi.m
-    zero = alg.zero_el()
+    n, l = phi.n, phi.l
 
-    def term(kind, idx, coef):
-        var = f"{kind}{idx}"
+    def term(row, coef):
+        var = f"x{row + 1}" if row < n else f"y{row - n + 1}"
         cs = _coef_str(alg, coef)
         if cs is None:
             return var
@@ -254,21 +254,13 @@ def format_formula(phi: PpFormula, side: str = RIGHT) -> str:
             return f"{var}*{cs}"
         return f"{cs}*{var}"
 
-    eqs = []
-    mentioned = set()
-    for col in range(m):
-        terms = []
-        for row in range(n + l):
-            coef = phi.hmat[row][col]
-            if coef == zero:
-                continue
-            if row < n:
-                terms.append(term("x", row + 1, coef))
-                mentioned.add(row)
-            else:
-                terms.append(term("y", row - n + 1, coef))
-        if terms:
-            eqs.append(" + ".join(terms) + " = 0")
+    # one equation per condition with a cell, its terms in variable order
+    terms: dict = {}
+    for (row, col), coef in sorted(phi.cells.items(),
+                                   key=lambda cell: cell[0][::-1]):
+        terms.setdefault(col, []).append(term(row, coef))
+    eqs = [" + ".join(ts) + " = 0" for ts in terms.values()]
+    mentioned = {row for row, _ in phi.cells if row < n}
     missing = [i for i in range(n) if i not in mentioned]
     if missing or not eqs:
         idxs = list(range(n)) if not eqs else missing

@@ -17,12 +17,13 @@ from ppmod.modules import (ModuleMap, Presentation, _module_span,
 def brute_eval(phi, module) -> set[tuple]:
     """All x-tuples (coordinates concatenated) satisfying the formula over
     a finite field, found by enumerating every (x, y) and testing each
-    equation: coordinate c of condition e is sum_v (x, y)_v . hmat[v][e]."""
+    equation: coordinate c of condition e is sum_v (x, y)_v . H[v][e],
+    H[v][e] the cell (v, e) or zero."""
     if module.algebra is not phi.algebra:
         raise ValueError("module over another algebra than the formula")
     f = module.algebra.field
-    d, nvars = module.dim, len(phi.hmat)
-    equations = [[module.act(phi.hmat[v][e]).data[r][c]
+    d, nvars, z = module.dim, phi.n + phi.l, phi.algebra.zero_el()
+    equations = [[module.act(phi.cells.get((v, e), z)).data[r][c]
                   for v in range(nvars) for r in range(d)]
                  for e in range(phi.m) for c in range(d)]
     return {xy[:phi.n * d]

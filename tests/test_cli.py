@@ -41,6 +41,24 @@ def test_pp_dual_example():
     assert "x divides x1" in text
 
 
+@pytest.mark.parametrize("formula, printed, dualized", [
+    ("E y1 y2 . (x1 + y1 = 0)", "E y1 y2 . (x1 + y1 = 0)",
+     "E y1 . (x1 + y1 = 0 & y1 = 0)"),
+    ("x1*x + x1*x = 0", "(x1*(0) = 0)", "E y1 . (x1 = 0)"),
+    ("x2 = 0", "(x2 = 0 & x1*(0) = 0)", "E y1 . (x1 = 0 & x2 + y1 = 0)"),
+], ids=["bound-row-without-cells", "condition-without-cells",
+        "free-row-without-cells"])
+def test_rows_and_conditions_without_cells_print(formula, printed,
+                                                 dualized):
+    # a bound variable, a condition or a free variable that no cell holds
+    # keeps its place in the printed formula and in its dual
+    tail = ["--algebra", "dvr:3", "--formula", formula]
+    code, lines = run_cli(["--field", "2", "pp", "print", *tail])
+    assert code == 0 and f"formula\t{printed}" in lines
+    code, lines = run_cli(["--field", "2", "pp", "dual", *tail])
+    assert code == 0 and f"dual\t{dualized}\t(side left)" in lines
+
+
 def test_ziegler_closure_example():
     code, lines = run_cli(["ziegler", "closure", "--n", "1",
                            "--set", "F0 Prufer"])

@@ -364,6 +364,10 @@ KEPT_OPTIONS = {
     "tube.mesh_sweep.max_len":
         "tests/test_tube.py checks the sweep's node weights word by word at "
         "length 6; the mesh suite sweeps at 8",
+    "ppformula.PpFormula.n":
+        "the library builds only its unary basic and corpus formulas from "
+        "rows, and the parser builds from cells; tests/test_ppformula.py "
+        "builds formulas of two free variables from rows",
 }
 
 
@@ -402,6 +406,55 @@ def test_storage_reads_are_found():
                          ids=lambda p: p.name)
 def test_matrix_storage_stays_in_linalg(path):
     assert list(storage_reads(ast.parse(path.read_text()))) == []
+
+
+FORMULA_STORAGE = ("cells", "l", "m")
+
+
+def formula_writes(tree: ast.AST):
+    """'line: name' for each use of _of, PpFormula's unchecked
+    constructor, and each assignment or deletion of an attribute cells,
+    l or m, by setattr too, of anything but self (a class's own attribute
+    of that name is no formula's)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_of":
+            yield f"{node.lineno}: _of"
+        elif isinstance(node, ast.Attribute) and \
+                node.attr in FORMULA_STORAGE and \
+                isinstance(node.ctx, (ast.Store, ast.Del)) and \
+                getattr(node.value, "id", None) != "self":
+            yield f"{node.lineno}: {node.attr}"
+        elif isinstance(node, ast.Call) and \
+                getattr(node.func, "id", None) == "setattr" and \
+                len(node.args) > 1 and \
+                getattr(node.args[1], "value", None) in FORMULA_STORAGE:
+            yield f"{node.lineno}: {node.args[1].value}"
+
+
+def test_formula_writes_are_found():
+    src = ("def f(phi, alg, PpFormula):\n"
+           "    psi = PpFormula._of(alg, 1, 0, 0, {})\n"
+           "    phi.cells = {}\n"
+           "    phi.l, psi.m = 0, 0\n"
+           "    setattr(phi, 'm', 1)\n"
+           "    del phi.cells\n"
+           "    make = PpFormula._of\n"
+           "    return phi.cells, phi.l + psi.m, PpFormula.from_cells, make\n"
+           "class C:\n"
+           "    def __init__(self, m):\n"
+           "        self.m = m\n")
+    # sorted: ast.walk gives no order between two writes on one line
+    assert sorted(formula_writes(ast.parse(src))) == [
+        "2: _of", "3: cells", "4: l", "4: m", "5: m", "6: cells", "7: _of"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name != "ppformula.py"),
+                         ids=lambda p: p.name)
+def test_formula_storage_stays_in_ppformula(path):
+    # so every formula built from outside input passes a checking
+    # constructor, PpFormula(algebra, n, rows) or PpFormula.from_cells
+    assert list(formula_writes(ast.parse(path.read_text()))) == []
 
 
 def algebra_constructions(tree: ast.AST):

@@ -34,6 +34,11 @@ def x_el(alg):
     return alg.el_from_label("x")
 
 
+def entry(phi, v, e):
+    """Entry (v, e) of phi's matrix: its cell, or zero."""
+    return phi.cells.get((v, e), phi.algebra.zero_el())
+
+
 def test_eval_tautology_is_everything(d2):
     m = dvr_chain_module(d2, 2)
     t = tautology(d2)
@@ -389,7 +394,7 @@ def implies_by_system(phi, psi):
     c = fr.module
     d, nvars, k = c.dim, psi.n + psi.l, psi.n * c.dim
     system = block(c.algebra.field, [d] * nvars, [d] * psi.m,
-                   {(v, e): c.act(psi.hmat[v][e])
+                   {(v, e): c.act(entry(psi, v, e))
                     for v in range(nvars) for e in range(psi.m)})
     xs = fr.row * system.take_rows(range(k))
     ys = Subspace.from_matrix(system.take_rows(range(k, system.rows)))
@@ -598,15 +603,15 @@ def grid_pp_sum(phi, psi):
         rows[2 * n + i][i] = nu
     for v in range(n):
         for e in range(mphi):
-            rows[n + v][n + e] = phi.hmat[v][e]
+            rows[n + v][n + e] = entry(phi, v, e)
         for e in range(mpsi):
-            rows[2 * n + v][n + mphi + e] = psi.hmat[v][e]
+            rows[2 * n + v][n + mphi + e] = entry(psi, v, e)
     for v in range(lphi):
         for e in range(mphi):
-            rows[3 * n + v][n + e] = phi.hmat[n + v][e]
+            rows[3 * n + v][n + e] = entry(phi, n + v, e)
     for v in range(lpsi):
         for e in range(mpsi):
-            rows[3 * n + lphi + v][n + mphi + e] = psi.hmat[n + v][e]
+            rows[3 * n + lphi + v][n + mphi + e] = entry(psi, n + v, e)
     return PpFormula(alg, n, rows)
 
 
@@ -617,15 +622,15 @@ def grid_pp_meet(phi, psi):
             for _ in range(n + lphi + lpsi)]
     for v in range(n):
         for e in range(mphi):
-            rows[v][e] = phi.hmat[v][e]
+            rows[v][e] = entry(phi, v, e)
         for e in range(mpsi):
-            rows[v][mphi + e] = psi.hmat[v][e]
+            rows[v][mphi + e] = entry(psi, v, e)
     for v in range(lphi):
         for e in range(mphi):
-            rows[n + v][e] = phi.hmat[n + v][e]
+            rows[n + v][e] = entry(phi, n + v, e)
     for v in range(lpsi):
         for e in range(mpsi):
-            rows[n + lphi + v][mphi + e] = psi.hmat[n + v][e]
+            rows[n + lphi + v][mphi + e] = entry(psi, n + v, e)
     return PpFormula(phi.algebra, n, rows)
 
 
@@ -637,7 +642,7 @@ def grid_dual(phi):
         rows[i][i] = alg.unit
     for j in range(m):
         for v in range(n + l):
-            rows[n + j][v] = phi.hmat[v][j]
+            rows[n + j][v] = entry(phi, v, j)
     return PpFormula(alg.op, n, rows)
 
 
@@ -683,7 +688,7 @@ def realization_by_presentation(phi):
     flat = []
     for e in range(phi.m):
         v = []
-        for comp in (phi.hmat[var][e] for var in range(nvars)):
+        for comp in (entry(phi, var, e) for var in range(nvars)):
             v.extend(comp)
         flat.append(v)
     module, proj = quotient_module(free, _module_span(free, flat))
@@ -733,7 +738,7 @@ def test_cell_constructions_match_the_grids(alg):
     assert {(phi.m == 0, phi.l == 0) for phi in right + left} == {
         (True, True), (True, False), (False, True), (False, False)}
     for phi in right + left:
-        assert dual(phi).hmat == grid_dual(phi).hmat
+        assert content(dual(phi)) == content(grid_dual(phi))
         assert dual(phi).algebra is grid_dual(phi).algebra
     for corpus in (right, left):
         same_n = [(a, b) for a, b in itertools.product(corpus, repeat=2)
@@ -741,8 +746,8 @@ def test_cell_constructions_match_the_grids(alg):
         for a, b in rng.sample(same_n, 60):
             for got, want in ((pp_sum(a, b), grid_pp_sum(a, b)),
                               (pp_meet(a, b), grid_pp_meet(a, b))):
-                assert (got.algebra, got.n, got.l, got.m, got.hmat) == \
-                    (want.algebra, want.n, want.l, want.m, want.hmat)
+                assert (got.algebra, *content(got)) == \
+                    (want.algebra, *content(want))
 
 
 @pytest.mark.parametrize("alg", cell_algebras(), ids=CELL_IDS)
@@ -776,7 +781,8 @@ def test_pp_type_generator_matches_the_grid(alg):
             [(tuple(m.act(alg.basis_el(i)).data[0]),) for i in range(alg.dim)]
         for tup in tuples:
             got = pp_type_generator(m, tup)
-            assert got.hmat == grid_pp_type_generator(pres, tup).hmat
+            assert content(got) == \
+                content(grid_pp_type_generator(pres, tup))
             assert (got.n, got.l) == (len(tup), pres.ngens)
 
 
@@ -792,7 +798,8 @@ def test_generators_on_the_top_and_on_the_greedy_presentation_agree(field):
         last = Matrix.identity(field, m.dim).data[-1]
         for tup in ((gens[0],), tuple(gens[:2]), (last,)):
             got = pp_type_generator(m, tup)
-            plain = PpFormula(m.algebra, got.n, got.hmat)
+            plain = PpFormula.from_cells(m.algebra, got.n, got.l, got.m,
+                                         got.cells)
             assert plain.equivalent(grid_pp_type_generator(old, tup))
             assert plain.equivalent(got)
 
@@ -803,15 +810,19 @@ def test_kronecker_step_formula_matches_the_grid(p):
     from ppmod.catalog import kronecker_step_formula
     alg = kronecker_algebra(GF(p))
     for t in range(1, 6):
-        assert kronecker_step_formula(alg, t).hmat == \
-            grid_kronecker_step_formula(alg, t).hmat
+        assert content(kronecker_step_formula(alg, t)) == \
+            content(grid_kronecker_step_formula(alg, t))
 
 
 def test_from_cells_fills_zeros_and_refuses_cells_outside(d2):
     x, z = x_el(d2), d2.zero_el()
-    phi = PpFormula.from_cells(d2, 1, 1, 2, {(0, 1): x, (1, 0): x})
-    assert phi.hmat == ((z, x), (x, z))
-    assert PpFormula.from_cells(d2.op, 2, 0, 0, {}).hmat == ((), ())
+    phi = PpFormula.from_cells(d2, 1, 1, 2, {(0, 1): x, (1, 0): x,
+                                             (0, 0): z})
+    assert content(phi) == (1, 1, 2, {(0, 1): x, (1, 0): x})
+    assert [[entry(phi, v, e) for e in range(2)] for v in range(2)] == \
+        [[z, x], [x, z]]
+    assert content(PpFormula.from_cells(d2.op, 2, 0, 0, {})) == \
+        (2, 0, 0, {})
     for cell in ((2, 0), (0, 2), (-1, 0)):
         with pytest.raises(ValueError):
             PpFormula.from_cells(d2, 1, 1, 2, {cell: x})
@@ -829,7 +840,7 @@ def test_presentation_is_made_once_per_module(d2):
 def system_copy(phi):
     """The same formula built from its matrix alone, so it is evaluated by
     eliminating its system."""
-    return PpFormula(phi.algebra, phi.n, phi.hmat)
+    return PpFormula.from_cells(phi.algebra, phi.n, phi.l, phi.m, phi.cells)
 
 
 def route_mismatches(forms, universe):
@@ -900,7 +911,7 @@ def test_a_swapped_tuple_fails_the_route_check():
         # comes through Hom from its realization, its system copy's from
         # the matrix
         mutant = pp_type_generator_of_element(fr.module, other.data[0])
-        mutant.hmat = phi.hmat
+        mutant.l, mutant.m, mutant.cells = phi.l, phi.m, phi.cells
         swapped = system_copy(
             pp_type_generator_of_element(fr.module, other.data[0]))
         differs = any(system_copy(phi).evaluate(m) != swapped.evaluate(m)
@@ -911,9 +922,9 @@ def test_a_swapped_tuple_fails_the_route_check():
 
 
 def matrix_built(phi):
-    """Whether the formula's matrix slot is set, read past __getattr__."""
+    """Whether the formula's cells slot is set, read past __getattr__."""
     try:
-        PpFormula.hmat.__get__(phi)
+        PpFormula.cells.__get__(phi)
     except AttributeError:
         return False
     return True
@@ -949,8 +960,8 @@ def test_probes_build_no_generator_matrix(monkeypatch):
                     + [f"\t{line}\n" for line in res.lines])
     assert block in (golden / "suite_all.txt").read_text()
     for phi, module, tup in made:
-        assert phi.hmat == grid_pp_type_generator(presentation_of(module),
-                                                  tup).hmat
+        assert content(phi) == content(
+            grid_pp_type_generator(presentation_of(module), tup))
         assert matrix_built(phi)
 
 
@@ -975,7 +986,7 @@ def unreduced_value(phi, module):
     from ppmod.linalg import projected_kernel
     d, nvars, k = module.dim, phi.n + phi.l, phi.n * module.dim
     system = block(module.algebra.field, [d] * nvars, [d] * phi.m,
-                   {(v, e): module.act(phi.hmat[v][e])
+                   {(v, e): module.act(entry(phi, v, e))
                     for v in range(nvars) for e in range(phi.m)})
     return Subspace(projected_kernel(system, k))
 
@@ -1005,15 +1016,15 @@ def reduction_universe(alg):
 
 
 def content(phi):
-    """What a reduction may change: the shape and the matrix."""
-    return phi.n, phi.l, phi.hmat
+    """What a reduction may change: the shape and the cells."""
+    return phi.n, phi.l, phi.m, phi.cells
 
 
 def bound_units(phi):
     """The bound entries of phi that are units of its algebra."""
     alg = phi.algebra
-    return [u for row in phi.hmat[phi.n:] for u in row
-            if any(u) and alg.inverse_el(u) is not None]
+    return [u for (v, _), u in phi.cells.items()
+            if v >= phi.n and alg.inverse_el(u) is not None]
 
 
 @pytest.mark.parametrize("alg", cell_algebras(), ids=CELL_IDS)
@@ -1027,6 +1038,7 @@ def test_reduced_formulas_keep_every_value(alg):
         # steps go on until no bound variable has a unit coefficient
         assert phi.l - r.l == phi.m - r.m >= 0
         assert bound_units(r) == []
+        assert content(r) == reference_unit_eliminated(phi)
         shrunk += r.l < phi.l
         for m in universe[phi.algebra]:
             want = unreduced_value(phi, m)
@@ -1060,7 +1072,8 @@ def test_a_unit_pivot_substitutes_with_the_right_sign():
     x, x2 = alg.basis_el(1), alg.basis_el(2)
     phi = pp_sum(divisibility(alg, x), annihilator(alg, x))
     assert (phi.l, phi.m) == (3, 3)
-    assert phi.reduced().hmat == ((x,), (alg.neg_el(x2),))
+    assert content(phi.reduced()) == \
+        (1, 1, 1, {(0, 0): x, (1, 0): alg.neg_el(x2)})
 
 
 def test_left_formulas_multiply_in_the_opposite_algebra():
@@ -1072,9 +1085,9 @@ def test_left_formulas_multiply_in_the_opposite_algebra():
     e2, a, b = (alg.el_from_label(s) for s in ("e2", "a", "b"))
     z = alg.zero_el()
     rows = [[b, z], [alg.add_el(alg.unit, a), e2]]
-    assert PpFormula(alg, 1, rows).reduced().hmat == \
-        ((alg.neg_el(b),),)
-    assert PpFormula(alg.op, 1, rows).reduced().hmat == ((z,),)
+    assert content(PpFormula(alg, 1, rows).reduced()) == \
+        (1, 0, 1, {(0, 0): alg.neg_el(b)})
+    assert content(PpFormula(alg.op, 1, rows).reduced()) == (1, 0, 1, {})
 
 
 def test_free_variables_and_non_units_are_never_pivots():
@@ -1091,7 +1104,7 @@ def test_free_variables_and_non_units_are_never_pivots():
         # y1 is taken at its unit in the second condition, not at the
         # non-unit in the first: y1 = 0, and x1 = 0 is left
         phi = PpFormula(alg, 1, [[u, z], [nonunit, u]])
-        assert phi.reduced().hmat == ((u,),)
+        assert content(phi.reduced()) == (1, 0, 1, {(0, 0): u})
 
 
 def test_pp_type_generators_are_never_reduced():
@@ -1135,15 +1148,26 @@ def test_each_formula_is_reduced_once(monkeypatch):
 
 
 def test_arities_below_their_range_are_refused(d2):
-    # n + l = 1 rows either way: l is read off the matrix, so l = -1 is
-    # one row for n = 2 free variables
+    # n + l = 1 rows either way: the rows give l, so l = -1 is one row for
+    # n = 2 free variables, which from_cells is given as l itself
     x = x_el(d2)
-    for n, l, named in ((2, -1, "1 variable rows, fewer than the n=2"),
-                        (-1, 2, "n=-1"), (0, 1, "n=0")):
-        with pytest.raises(ValueError, match=named):
+    for n, l, rows_named, cells_named in (
+            (2, -1, "1 variable rows, fewer than the n=2", "l=-1"),
+            (-1, 2, "n=-1", "n=-1"), (0, 1, "n=0", "n=0")):
+        with pytest.raises(ValueError, match=rows_named):
             PpFormula(d2, n, [[x]])
-        with pytest.raises(ValueError, match=named):
+        with pytest.raises(ValueError, match=cells_named):
             PpFormula.from_cells(d2, n, l, 1, {(0, 0): x})
+
+
+def test_negative_sizes_are_refused_by_name(d2):
+    # with no cell to fall outside a negative size, only the size check
+    # can refuse it
+    for l, m, named in ((0, -1, "condition count m=-1"),
+                        (-1, 0, "bound arity l=-1"),
+                        (-2, 3, "bound arity l=-2")):
+        with pytest.raises(ValueError, match=named):
+            PpFormula.from_cells(d2, 1, l, m, {})
 
 
 # -- reduced formulas shared by content ----------------------------------------
@@ -1180,8 +1204,8 @@ def test_reduced_formulas_are_not_shared_across_algebras_sides_or_arities():
     one = PpFormula(alg, 1, nonunit)
     two = PpFormula(alg, 2, nonunit)
     assert one.reduced() is not two.reduced()
-    assert content(one.reduced()) == (1, 1, two.hmat)
-    assert content(two.reduced()) == (2, 0, two.hmat)
+    assert content(one.reduced()) == (1, 1, 1, two.cells)
+    assert content(two.reduced()) == (2, 0, 1, two.cells)
 
 
 def test_a_reduced_formula_dies_with_its_last_formula():
@@ -1246,14 +1270,20 @@ def test_duality_suite_work_does_not_depend_on_the_collector(monkeypatch):
 
 
 def reference_unit_eliminated(phi):
-    """The reduction with the product (c u^-1) b formed row by row, as it
-    stood before u^-1 b was formed once per pivot."""
-    from ppmod.ppformula import _unit_pivot
+    """The reduction on the filled-in matrix, with the product (c u^-1) b
+    formed row by row, as it stood before u^-1 b was formed once per pivot
+    and before the cells were the storage: each pivot is the first bound
+    row with a unit entry, at its first unit column.  Returns the reduced
+    content (see content)."""
     alg, n = phi.algebra, phi.n
     of = alg.field.of
-    rows = [list(r) for r in phi.hmat]
-    while (pivot := _unit_pivot(alg, rows, n)) is not None:
-        y, e, inv = pivot
+    rows = [[entry(phi, v, e) for e in range(phi.m)]
+            for v in range(n + phi.l)]
+    while (pivot := next(((y, e) for y in range(n, len(rows))
+                          for e, u in enumerate(rows[y])
+                          if alg.is_unit_el(u)), None)) is not None:
+        y, e = pivot
+        inv = alg.inverse_el(rows[y][e])
         hy = rows.pop(y)
         del hy[e]
         for r in rows:
@@ -1263,7 +1293,9 @@ def reference_unit_eliminated(phi):
                     if any(b):
                         r[j] = tuple(of(s - t) for s, t in
                                      zip(r[j], alg.mul_el(c, b)))
-    return n, len(rows) - n, tuple(tuple(r) for r in rows)
+    return n, len(rows) - n, len(rows[0]), {
+        (v, e): x for v, r in enumerate(rows) for e, x in enumerate(r)
+        if any(x)}
 
 
 @functools.cache
@@ -1309,34 +1341,52 @@ def test_entries_are_normalized_in_the_field():
     alg = truncated_dvr(3, GF(3))
     phi = PpFormula(alg, 1, [[(0, 5, 0)]])
     assert format_formula(phi) == "(x1*(2*x) = 0)"
-    assert phi.hmat == (((0, 2, 0),),)
+    assert phi.cells == {(0, 0): (0, 2, 0)}
     minus, two = (PpFormula(alg, 1, [[(0, c, 0)]]) for c in (-1, 2))
     assert content(minus) == content(two)
     assert minus.reduced() is two.reduced()
 
 
 def normal_entries(phi):
-    """Whether every coordinate of phi's matrix is in its field's normal
+    """Whether phi's cells are stored canonically: each key (v, e) inside
+    its n + l variables and m conditions, each entry nonzero, of the
+    algebra's dimension and with every coordinate in its field's normal
     form: an int in range(p) over GF(p), a Fraction over QQ."""
     from fractions import Fraction
-    p = phi.algebra.field.p
-    return all(type(c) is Fraction if p is None else
-               type(c) is int and 0 <= c < p
-               for row in phi.hmat for x in row for c in x)
+    p, dim = phi.algebra.field.p, phi.algebra.dim
+    return all(0 <= v < phi.n + phi.l and 0 <= e < phi.m and
+               len(x) == dim and any(x) and
+               all(type(c) is Fraction if p is None else
+                   type(c) is int and 0 <= c < p for c in x)
+               for (v, e), x in phi.cells.items())
+
+
+def checked_rebuilds(phi):
+    """phi rebuilt through each checking constructor: from its filled-in
+    rows and from its cells."""
+    rows = [[entry(phi, v, e) for e in range(phi.m)]
+            for v in range(phi.n + phi.l)]
+    return (PpFormula(phi.algebra, phi.n, rows),
+            PpFormula.from_cells(phi.algebra, phi.n, phi.l, phi.m,
+                                 phi.cells))
 
 
 @pytest.mark.parametrize("p", [2, 3, None], ids=["gf2", "gf3", "qq"])
 def test_derived_formulas_equal_their_checked_rebuilds(p):
-    # sum, meet, dual and reduced() build from their parts' entries
-    # without checking them; the checking constructor must find nothing
-    # to change
+    # sum, meet, dual and reduced() build from their parts' cells without
+    # checking them; the checking constructors must find nothing to
+    # change.  The formulas the checking constructors, the parser and
+    # the Kronecker step formulas build, and generators' lazily built
+    # cells, are stored canonically as well.
     import random
     from ppmod.algebra import kronecker_algebra
+    from ppmod.catalog import kronecker_step_formula, kronecker_universe
     from ppmod.fields import QQ
+    from ppmod.ppsyntax import format_formula, parse_formula
     from ppmod.suites import formula_corpus
     f = QQ if p is None else GF(p)
     rng = random.Random(49)
-    built = 0
+    built = shared = 0
     for alg in (truncated_dvr(3, f), kronecker_algebra(f)):
         # formula_corpus enumerates the field, so QQ is hand-built
         corpus = (rational_corpus(alg) if p is None
@@ -1347,11 +1397,37 @@ def test_derived_formulas_equal_their_checked_rebuilds(p):
                        dual(pp_sum(phi, psi)),
                        pp_meet(dual(phi), dual(psi))]
             for g in derived + [g.reduced() for g in derived]:
-                checked = PpFormula(g.algebra, g.n, g.hmat)
-                assert checked.hmat == g.hmat
-                assert normal_entries(g) and normal_entries(checked)
+                for checked in checked_rebuilds(g):
+                    assert content(checked) == content(g)
+                    assert normal_entries(g) and normal_entries(checked)
                 built += 1
+        x = alg.basis_el(alg.dim - 1)
+        basic = [tautology(alg), bottom(alg), divisibility(alg, x),
+                 annihilator(alg, x)]
+        # the printer writes QQ's fractions, which the parser does not read
+        texts = ["E y1 y2 . (x1 + y1 = 0)", "x1 - x1 = 0", "x2 = 0"] + [
+            format_formula(phi) for phi in basic + corpus * (p is not None)]
+        outside = corpus + basic + [parse_formula(alg, t) for t in texts]
+        if "x" in alg.labels:
+            mods = dvr_universe(alg, 3)
+        else:
+            mods = kronecker_universe(alg, 3)
+            outside += [kronecker_step_formula(alg, t) for t in range(4)]
+        outside += [pp_type_generator(m, top_of(m)[1]) for m in mods]
+        for g in outside:
+            assert normal_entries(g)
+            for checked in checked_rebuilds(g):
+                assert content(checked) == content(g)
+            # the same cells in the opposite order of insertion give the
+            # same content, so they share one reduced formula
+            a, b = (PpFormula.from_cells(g.algebra, g.n, g.l, g.m,
+                                         dict(cells))
+                    for cells in (g.cells.items(),
+                                  reversed(g.cells.items())))
+            assert a.reduced() is b.reduced()
+            shared += list(a.cells) != list(b.cells)
     assert built == 2 * 30 * 10
+    assert shared >= 20
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -1386,5 +1462,5 @@ def test_zero_cells_evaluate_as_the_witness_enumeration(p):
             for phi in (a, b, s, t):
                 assert vectors(phi.evaluate(m)) == brute_eval(phi, m)
                 dphi = dual(phi)
-                assert dphi.hmat == grid_dual(phi).hmat
+                assert content(dphi) == content(grid_dual(phi))
                 assert vectors(dphi.evaluate(md)) == brute_eval(dphi, md)
