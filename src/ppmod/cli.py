@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import functools
 import io
-import json
 import os
 import re
 import shlex
@@ -246,9 +245,11 @@ def execute(args) -> tuple[int, list[str]]:
     """Execute one parsed command; returns (exit code, output lines)."""
     field = field_from_spec(args.field)
     cmd = args.command
-    if args.json and cmd not in JSON_COMMANDS:
-        raise ValueError(f"--json is supported only by "
-                         f"{' and '.join(JSON_COMMANDS)}, not by {cmd}")
+    if args.json:
+        if cmd not in JSON_COMMANDS:
+            raise ValueError(f"--json is supported only by "
+                             f"{' and '.join(JSON_COMMANDS)}, not by {cmd}")
+        import json  # only --json output reads it
     if cmd == "suite":
         names = CRITERIA_ORDER if args.name == "all" else [args.name]
         lines = _header(args)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import Undecided
@@ -50,13 +49,14 @@ from .modules import (Module, ModuleMap, _record_of, hom_space,
 _OWN = object()
 
 
-@dataclass
 class Summand:
-    module: Module
-    inject: ModuleMap      # module -> parent
-    project: ModuleMap     # parent -> module
-    end_dim: int
-    rad: tuple[Matrix, ...]  # basis of rad End(module)
+    def __init__(self, module: Module, inject: ModuleMap,
+                 project: ModuleMap, end_dim: int, rad: tuple[Matrix, ...]):
+        self.module = module
+        self.inject = inject     # module -> parent
+        self.project = project   # parent -> module
+        self.end_dim = end_dim
+        self.rad = rad           # basis of rad End(module)
 
     @property
     def end_rad_dim(self) -> int:
@@ -67,14 +67,14 @@ class Summand:
         return self.project.then(self.inject)
 
 
-@dataclass
 class Decomposition:
-    module: Module
-    summands: list[Summand]
-    # grouped up to isomorphism: list of (representative Summand, multiplicity,
-    # indices into summands)
-    classes: list[tuple[Summand, int, tuple[int, ...]]] = \
-        field(default_factory=list)
+    def __init__(self, module: Module, summands: list[Summand],
+                 classes: list[tuple[Summand, int, tuple[int, ...]]]):
+        self.module = module
+        self.summands = summands
+        # grouped up to isomorphism: (representative Summand, multiplicity,
+        # indices into summands) per class
+        self.classes = classes
 
     def idempotents(self) -> list[ModuleMap]:
         return [s.idempotent for s in self.summands]

@@ -63,7 +63,6 @@ storage is therefore confined to this file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -797,12 +796,24 @@ def projected_kernel(a: Matrix, k: int) -> Matrix:
 # -- subspaces -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Subspace:
     """Subspace of k^ambient given by a canonical RREF row basis; the
-    ambient dimension is the basis's width."""
+    ambient dimension is the basis's width.  Equality and hashing read
+    the basis alone."""
 
-    basis: Matrix
+    def __init__(self, basis: Matrix):
+        self.basis = basis
+
+    def __eq__(self, other):
+        if other.__class__ is not Subspace:
+            return NotImplemented
+        return self.basis == other.basis
+
+    def __hash__(self):
+        return hash(self.basis)
+
+    def __repr__(self):
+        return f"Subspace({self.basis!r})"
 
     @staticmethod
     def from_matrix(mat: Matrix) -> "Subspace":
@@ -827,8 +838,9 @@ class Subspace:
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
-        """The pivot column of each basis row, computed once (kept outside
-        the fields, so equality and hashing still read only the basis)."""
+        """The pivot column of each basis row, computed once and kept in
+        the instance's __dict__ (equality and hashing read only the
+        basis)."""
         b = self.basis
         if b.field.p == 2:
             return tuple((r & -r).bit_length() - 1 for r in b.ints)

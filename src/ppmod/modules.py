@@ -33,7 +33,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import weakref
-from dataclasses import dataclass
 
 from .algebra import FDAlgebra
 from .linalg import (Matrix, Subspace, block, block_diagonal, combination,
@@ -413,13 +412,13 @@ def iso_test(m: Module, n: Module) -> ModuleMap | None:
 # -- presentations -----------------------------------------------------------
 
 
-@dataclass
 class Presentation:
     """M = coker(R^m -> R^s): the relation vectors of A^s and the free
     cover R^s -> M, which gives the algebra and s."""
 
-    relations: list  # relation vectors in A^ngens
-    proj: ModuleMap  # free cover -> module
+    def __init__(self, relations: list, proj: ModuleMap):
+        self.relations = relations  # relation vectors in A^ngens
+        self.proj = proj            # free cover -> module
 
     @property
     def algebra(self) -> FDAlgebra:

@@ -75,8 +75,8 @@ the generator is built.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .algebra import FDAlgebra
 from .linalg import Matrix, Subspace, block, projected_kernel, vectorized
@@ -327,8 +327,7 @@ def _unit_eliminated(phi: PpFormula) -> PpFormula:
         for e, x in row.items()})
 
 
-@dataclass(frozen=True)
-class FreeRealization:
+class FreeRealization(NamedTuple):
     """A module and an n-tuple of its elements, the tuple as one
     1 x (n.dim) row (coordinates concatenated component by component)."""
 
@@ -336,17 +335,15 @@ class FreeRealization:
     row: Matrix
 
 
-@dataclass(frozen=True)
 class PpPair:
     """phi / psi with psi <= phi (so psi(M) <= phi(M) everywhere)."""
 
-    upper: PpFormula
-    lower: PpFormula
-
-    def __post_init__(self):
+    def __init__(self, upper: PpFormula, lower: PpFormula):
         # implies refuses formulas over different algebras or arities
-        if not self.lower.implies(self.upper):
+        if not lower.implies(upper):
             raise ValueError("lower formula does not imply upper formula")
+        self.upper = upper
+        self.lower = lower
 
 
 def _check_arity(n: int):

@@ -8,13 +8,17 @@ Grammar (one line):
     term    := var ['*' coef]          (right side)
              | [coef '*'] var          (left side)
     coef    := label | int | '(' algexpr ')'
-    algexpr := ['-'] [int '*'] label (('+'|'-') [int '*'] label)*
+    algexpr := algterm (('+'|'-') algterm)*
+    algterm := ['-'] [num '*'] label | ['-'] num
+    num     := int ['/' int]           ('/' over QQ only)
 
 Variables are x1..xn, n at most MAX_X_INDEX, and y1..yl (y's must be
 declared in the E-block); anything else is an algebra basis label, with
-'1' the unit.  The printer emits a canonical form in the same grammar:
-every x-variable appears at least once (unused ones get a
-zero-coefficient term), so the arity always round-trips.
+'1' the unit.  A fraction a/b is a rational coefficient, so over GF(p)
+'/' is refused: a coefficient there is an integer residue.  The printer
+emits a canonical form in the same grammar: every x-variable appears at
+least once (unused ones get a zero-coefficient term), so the arity always
+round-trips.
 
 The side, RIGHT or LEFT, is syntax only: a left formula over A is read
 into and printed from the formula over A.op with the same coefficient
@@ -38,7 +42,7 @@ LEFT = "left"
 MAX_X_INDEX = 8
 
 _VAR_RE = re.compile(r"^([xy])(\d+)$")
-_TOKEN_RE = re.compile(r"\s*([()&=+*.-]|[A-Za-z0-9_^~]+)")
+_TOKEN_RE = re.compile(r"\s*([()&=+*./-]|[A-Za-z0-9_^~]+)")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -190,9 +194,6 @@ class _Parser:
     def parse_algexpr(self):
         total = self.alg.zero_el()
         sign = 1
-        if self.peek() == "-":
-            self.take()
-            sign = -1
         while True:
             total = self.alg.add_el(total, self.parse_algterm(sign))
             if self.peek() in ("+", "-"):
@@ -201,18 +202,38 @@ class _Parser:
                 return total
 
     def parse_algterm(self, sign: int):
+        # a term's own sign, as the printer writes a negative rational
+        # coefficient: "1 + -1*x"
+        if self.peek() == "-":
+            self.take()
+            sign = -sign
         tok = self.take()
         scalar = self.alg.field.one()
         if tok.isdigit():
-            if self.peek() == "*":
-                self.take("*")
-                scalar = self.alg.field.of(int(tok))
-                tok = self.take()
-            else:
-                el = self.alg.scalar_el(self.alg.field.of(int(tok)))
+            scalar = self.parse_num(tok)
+            if self.peek() != "*":
+                el = self.alg.scalar_el(scalar)
                 return self.alg.neg_el(el) if sign < 0 else el
+            self.take("*")
+            tok = self.take()
         el = self.alg.smul_el(scalar, self.alg.el_from_label(tok))
         return self.alg.neg_el(el) if sign < 0 else el
+
+    def parse_num(self, tok: str):
+        """The field element of the int tok, divided by the int after a
+        '/' if one follows (over QQ only)."""
+        f = self.alg.field
+        if self.peek() != "/":
+            return f.of(int(tok))
+        self.take("/")
+        below = self.take()
+        if f.p is not None:
+            raise ValueError(f"'{tok}/{below}' is a fraction: over "
+                             f"GF({f.p}) a coefficient is an integer residue")
+        if not below.isdigit() or int(below) == 0:
+            raise ValueError(f"expected a nonzero integer after '/', "
+                             f"found {below!r}")
+        return f.of(int(tok)) / int(below)
 
 
 def parse_formula(alg: FDAlgebra, text: str, side: str = RIGHT) -> PpFormula:

@@ -14,7 +14,7 @@ chains) or INCONCLUSIVE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linalg import Subspace, subspace_leq, subspace_meet, subspace_sum
 from .modules import Module, hom_space, top_of
@@ -28,8 +28,7 @@ INCONCLUSIVE = "INCONCLUSIVE"
 MAX_ROUNDS = 3
 
 
-@dataclass
-class ProbeReport:
+class ProbeReport(NamedTuple):
     verdict: str
     budget: int
     chain: list[str]                 # expressions, descending

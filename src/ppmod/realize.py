@@ -29,8 +29,6 @@ top's multiplicities, and a projective cover of X's dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .catalog import dvr_chain_module
 from .errors import HorizonExceeded, SquareFailed
 from .linalg import Matrix, vectorized
@@ -87,15 +85,15 @@ def square_failures(top: ModuleMap, left: ModuleMap, right: ModuleMap,
          a.dim + right.target.dim)) if not holds]
 
 
-@dataclass
 class RealizedTube:
     """A translation quiver realized in modules: a module per vertex, a
     map per arrow, and the names of the squares verified, in order."""
 
-    quiver: TranslationQuiver
-    modules: dict = field(default_factory=dict)  # vertex -> Module
-    maps: dict = field(default_factory=dict)     # Arrow -> ModuleMap
-    checked_squares: list = field(default_factory=list)
+    def __init__(self, quiver: TranslationQuiver):
+        self.quiver = quiver
+        self.modules: dict = {}  # vertex -> Module
+        self.maps: dict = {}     # Arrow -> ModuleMap
+        self.checked_squares: list = []
 
     def realize_arrow(self, a: Arrow) -> ModuleMap:
         """An arrow of the quiver as its map; ValueError for any other

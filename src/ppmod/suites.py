@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
 
 from .algebra import kronecker_algebra, truncated_dvr
 from .catalog import (dvr_chain_module, dvr_universe, kronecker_preprojective,
@@ -38,12 +37,12 @@ from .ziegler import (PointSet, adic, closure, fin_len, is_closed,
 F2 = GF(2)
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    passed: bool
-    lines: list[str] = field(default_factory=list)
-    seconds: float = 0.0
+    def __init__(self, name: str, passed: bool, lines: list[str]):
+        self.name = name
+        self.passed = passed
+        self.lines = lines
+        self.seconds = 0.0  # set by _timed
 
     def summary(self, with_time: bool = True) -> str:
         flag = "PASS" if self.passed else "FAIL"

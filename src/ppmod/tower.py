@@ -26,7 +26,7 @@ valuation simple, is Ind(1), so the labels never name it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import FDAlgebra, dvr_paths, monomial_algebra, truncated_dvr
 from .catalog import dvr_chain_module
@@ -197,8 +197,7 @@ def t_module(tower: TowerRing, m: int) -> Module:
 # -- labels and classification -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FpLabel:
+class FpLabel(NamedTuple):
     """Classification label: F0^a F1^b applied to Ind(j) or T(m)."""
 
     a: int

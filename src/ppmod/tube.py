@@ -60,7 +60,6 @@ depth 0 the squares rim_square_failures normalizes both ways round.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -292,8 +291,7 @@ def mesh_rule_failures(q: TranslationQuiver) -> tuple[int, list[Arrow]]:
 # -- paths and normalization ------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class NormalPath:
+class NormalPath(NamedTuple):
     """Canonical form: a lambda-walk of lam_steps followed by a mu-climb of
     mu_steps (both walks are uniquely determined by the source)."""
 

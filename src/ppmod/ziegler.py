@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import random
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 CLOSURE_ASSUMPTION = (
     "# closure semantics: the inductive closed-set criterion is applied as "
@@ -29,8 +29,7 @@ CLOSURE_ASSUMPTION = (
 FINLEN, PRUFER, ADIC, QPOINT, TPOINT = "FinLen", "Prufer", "Adic", "Q", "T"
 
 
-@dataclass(frozen=True, order=True)
-class ZieglerPoint:
+class ZieglerPoint(NamedTuple):
     height: int
     kind: str
     p: int          # F0 exponent (outermost)
@@ -133,8 +132,7 @@ def _family_subset(a: tuple, b: tuple) -> bool:
     return bm == "cofinite" and bd <= ad
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(NamedTuple):
     """Finite set of points plus cofinite flags per finite-length family.
 
     families maps a prefix (p, l) to ("finite", js) or ("cofinite",

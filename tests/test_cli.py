@@ -375,6 +375,30 @@ def test_rational_scenario_does_not_import_sympy():
     assert proc.stderr.split() == ["0", "False"]
 
 
+def test_gf2_scenario_loads_no_dataclasses_inspect_or_json():
+    # start-up cost: a process that imports the suites and the CLI and
+    # runs the example scenario loads none of them; only a --json run
+    # loads json
+    code = ("import contextlib, io, sys\n"
+            "import ppmod.suites, ppmod.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = ppmod.cli.main(['--field', '2', 'run', "
+            f"{str(SCENARIO)!r}])\n"
+            "print(code, *(m in sys.modules for m in "
+            "('dataclasses', 'inspect', 'json')), file=sys.stderr)\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    code = ppmod.cli.main(['--json', 'suite', 'ziegler'])\n"
+            "print(code, out.getvalue(), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    scenario, suite = proc.stderr.split("\n", 1)
+    assert scenario.split() == ["0", "False", "False", "False"]
+    rc, payload = suite.split(" ", 1)
+    assert rc == "0"
+    assert json.loads(payload)[0]["suite"] == "ziegler"
+
+
 @pytest.mark.parametrize("golden, argv", [
     ("scenario_field_2.txt", ["--field", "2", "run", str(SCENARIO)]),
     ("scenario_field_3.txt", ["--field", "3", "run", str(SCENARIO)]),

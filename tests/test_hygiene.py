@@ -138,8 +138,9 @@ def public_options(tree: ast.Module):
     class's __init__, 'Class.param'; callee is the name a call uses (the
     class's for __init__); position is the parameter's index among a
     call's positional arguments (self and cls not counted), None for a
-    keyword-only one; defaulted says whether it has a default.  Dataclass
-    fields are not parameters here."""
+    keyword-only one; defaulted says whether it has a default.  Fields
+    declared in a class body, as a NamedTuple's are, are not parameters
+    here."""
     fdefs = (ast.FunctionDef, ast.AsyncFunctionDef)
     fns = []  # (definition, name, callee, leading self or cls: 0 or 1)
     for stmt in tree.body:
@@ -287,6 +288,10 @@ LOCAL_IMPORTS = {
         "eigenvalues to split a non-local End over GF(p), which no suite "
         "reaches (tests/test_decompose.py::"
         "test_non_local_end_that_no_basis_element_splits)",
+    "cli.execute: json":
+        "only --json output reads it, so a process that prints no JSON "
+        "does not load it (tests/test_cli.py::"
+        "test_gf2_scenario_loads_no_dataclasses_inspect_or_json)",
 }
 
 

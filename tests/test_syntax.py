@@ -136,6 +136,48 @@ def test_x_numbered_above_the_limit_is_refused(d3):
             parse_formula(d3, text)
 
 
+@pytest.mark.parametrize("side", [RIGHT, LEFT])
+def test_rational_coefficients_round_trip(side):
+    # the printer writes a fraction, and a negative coefficient after the
+    # first as '+ -c*label'; the parser reads both back
+    from fractions import Fraction
+    from ppmod.fields import QQ
+    d = truncated_dvr(3, QQ)
+    phi = annihilator(d, (0, 0, Fraction(1, 2)))
+    assert format_formula(phi) == "(x1*(1/2*x^2) = 0)"
+    # a left formula is read into the formula over the opposite algebra
+    alg = d if side == RIGHT else d.op
+    for v in [(0, 0, Fraction(1, 2)), (1, -1, 0), (Fraction(-3, 4), 0, 2),
+              (0, Fraction(7, 5), Fraction(-1, 3))]:
+        phi = annihilator(alg, v)
+        text = format_formula(phi, side)
+        back = parse_formula(d, text, side)
+        assert format_formula(back, side) == text
+        assert back.equivalent(phi)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x1*(1/0*x) = 0", "nonzero integer after '/', found '0'"),
+    ("x1*(1/x) = 0", "nonzero integer after '/', found 'x'"),
+    ("x1*1/2 = 0", "expected '=', found '/'"),
+])
+def test_malformed_fractions_are_refused(text, message):
+    from ppmod.fields import QQ
+    with pytest.raises(ValueError, match=message):
+        parse_formula(truncated_dvr(3, QQ), text)
+
+
+def test_a_fraction_is_refused_over_gf_p(capsys):
+    # a GF(p) coefficient is an integer residue; the CLI exits 2
+    from ppmod.cli import main
+    with pytest.raises(ValueError, match="over GF.3. a coefficient is an "
+                                         "integer residue"):
+        parse_formula(truncated_dvr(3, GF(3)), "x1*(1/2*x) = 0")
+    assert main(["--field", "3", "pp", "print", "--algebra", "dvr:3",
+                 "--formula", "x1*(1/2*x) = 0"]) == 2
+    assert "integer residue" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field", [F2, GF(3)], ids=str)
 def test_tower_path_formulas_round_trip(field):
     # from R_1 on, vertex 0's idempotent is a path that is not the unit: a
