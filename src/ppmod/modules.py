@@ -14,7 +14,9 @@ Conventions (used throughout the package):
   matrix per arrow) is a module by `quiver_rep`, on the vertex spaces in
   ascending order, each path acting from its source's block to its target's.
 * A module is generated by the lifts of its top M / M rad A (`top_of`),
-  and `presentation_of`'s relations are the lifts of its kernel's top.
+  and `presentation_of`'s relations are the lifts of its cover kernel's
+  top, read by `top_of(free, kernel)` in the free module's coordinates
+  with no kernel module built.
 * What is computed of a module from its content alone, its hom bases and
   its decomposition, is kept in one record per content (algebra object,
   action matrices), shared by every module with that content through
@@ -458,18 +460,26 @@ def _module_span(m: Module, vectors, start: Subspace | None = None) -> Subspace:
     return Subspace.from_matrix(stacked)
 
 
-def top_of(m: Module) -> tuple[list[int], list[tuple]]:
-    """The top M / M rad A: m_v copies of the simple at each vertex v, in
-    idempotent path order, and lifts of a basis, each in one M e_v.  A
-    lift is a vertex piece (row i of rho(e_v)) of a standard basis vector
-    outside M rad, the arrows' row space, plus the lifts before it.  By
-    Nakayama's lemma (Assem, Simson and Skowronski, *Elements* 1, I.5 and
-    III.2) the sum(m_v) lifts are the fewest generators each in one vertex
-    space; as few as max(m_v) general elements can generate M."""
+def top_of(m: Module, sub: Subspace | None = None
+           ) -> tuple[list[int], list[tuple]]:
+    """The top U / U rad A of the submodule U on the subspace sub of M
+    (U = M when sub is None; the caller guarantees that sub is
+    invariant, as for submodule): m_v copies of the simple at each vertex
+    v, in idempotent path order, and lifts of a basis in M's coordinates,
+    each in one U e_v.  U rad is the row space of the basis of U times the
+    arrows, because every path of positive length ends in an arrow.  A
+    lift is a vertex piece u.rho(e_v) of a basis row u of U outside U rad
+    plus the lifts before it.  By Nakayama's lemma (Assem, Simson and
+    Skowronski, *Elements* 1, I.5 and III.2) the sum(m_v) lifts are the
+    fewest generators of U each in one vertex space; as few as max(m_v)
+    general elements can generate U."""
     f, paths = m.algebra.field, m.algebra.paths
     idempotents = [a for a, p in zip(m.action, paths) if not p[3]]
     arrows = [a for a, p in zip(m.action, paths) if len(p[3]) == 1]
-    span = Subspace.from_matrix(block(f, [m.dim] * len(arrows), [m.dim], {
+    if sub is not None:
+        idempotents = [sub.basis * e for e in idempotents]
+        arrows = [sub.basis * a for a in arrows]
+    span = Subspace.from_matrix(block(f, [a.rows for a in arrows], [m.dim], {
         (i, 0): a for i, a in enumerate(arrows)}))
     mults, lifts = [0] * len(idempotents), []
     for pieces in zip(*(e.data for e in idempotents)):
@@ -485,7 +495,8 @@ def top_of(m: Module) -> tuple[list[int], list[tuple]]:
 def presentation_of(m: Module) -> Presentation:
     """A presentation: the free cover A^s -> M on the lifts g_i of M's top,
     and as relations the lifts of the top of its kernel K (K holds each
-    e_i (1 - e_v) with g_i in M e_v).  Made once per module."""
+    e_i (1 - e_v) with g_i in M e_v), read in A^s by top_of(A^s, K).
+    Made once per module."""
     if m._presentation is not None:
         return m._presentation
     alg, f = m.algebra, m.algebra.field
@@ -499,9 +510,8 @@ def presentation_of(m: Module) -> Presentation:
                     {(0, t): a for t, a in enumerate(m.action)})
     images = Matrix(f, s, m.dim, gens) * actions
     cover = ModuleMap(free, m, images.reshape(free.dim, m.dim), check=False)
-    ker, inc = submodule(free, kernel_subspace(cover))
     relations = [tuple(v[i * alg.dim:(i + 1) * alg.dim] for i in range(s))
-                 for v in map(inc, top_of(ker)[1])]
+                 for v in top_of(free, kernel_subspace(cover))[1]]
     # the cover itself presents m: its kernel is generated by the relations
     m._presentation = Presentation(relations, cover)
     return m._presentation

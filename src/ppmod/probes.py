@@ -162,13 +162,11 @@ def interval_probe(pair: PpPair, universe: list[Module], budget: int,
 def kronecker_probe(preprojectives: list[Module], budget: int) -> ProbeReport:
     """The probe of the interval between the pp-types of 1 in PP(0) = k
     and of its image under the first injective map PP(0) -> PP(1), over
-    the given Kronecker preprojectives PP(0), PP(1), ..."""
+    the given Kronecker preprojectives PP(0), PP(1), ...: the embedding
+    probe of that map, whose source has the one top lift 1."""
     pp0, pp1 = preprojectives[:2]
-    one = (pp0.algebra.field.one(),)
     emb = next(h for h in hom_space(pp0, pp1) if h.is_injective())
-    phi = pp_type_generator_of_element(pp0, one)
-    psi = pp_type_generator_of_element(pp1, emb(one))
-    return interval_probe(PpPair(upper=phi, lower=psi), preprojectives, budget)
+    return probe_embedding(emb, preprojectives, budget)[0]
 
 
 def _longest_chain(values: list[tuple[Subspace, ...]]

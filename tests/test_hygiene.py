@@ -362,10 +362,6 @@ KEPT_OPTIONS = {
     "suites.SuiteResult.summary.with_time":
         "perfbench/workloads.py passes with_time=False, and perfbench/ "
         "changes only with the benchmark (ROADMAP item 6)",
-    "probes.probe_embedding.budget":
-        "the verdict depends on the budget: tests/test_probes.py finds a "
-        "non-short witness at budget 3, the short-probes suite certifies "
-        "its stage embeddings short at 10",
     "tube.mesh_sweep.max_len":
         "tests/test_tube.py checks the sweep's node weights word by word at "
         "length 6; the mesh suite sweeps at 8",

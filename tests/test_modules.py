@@ -243,6 +243,46 @@ def test_presentation_relations_are_the_top_of_the_cover_kernel(field):
             assert acc.data[0] == vec
 
 
+def _top_through_the_submodule(m, sub):
+    """The top of the submodule on sub, built as a module and its lifts
+    mapped back into m through the inclusion."""
+    u, inc = submodule(m, sub)
+    mults, lifts = top_of(u)
+    return mults, [inc(g) for g in lifts]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+def test_top_of_a_subspace_is_the_submodules_top_in_ambient_coordinates(
+        field):
+    from ppmod.modules import _module_span, kernel_subspace
+    for m in top_corpus(field) + random_quotients(field):
+        cover = presentation_of(m).proj
+        free, ker = cover.source, kernel_subspace(cover)
+        assert top_of(free, ker) == _top_through_the_submodule(free, ker)
+        # cyclic submodules: each standard vector's, and the sum of all
+        for v in Matrix.identity(field, m.dim).data + (
+                (field.one(),) * m.dim,):
+            sub = _module_span(m, [v])
+            assert top_of(m, sub) == _top_through_the_submodule(m, sub)
+        whole = Subspace.from_matrix(Matrix.identity(field, m.dim))
+        assert top_of(m, whole) == top_of(m)
+
+
+def test_presentation_builds_no_kernel_module(monkeypatch):
+    import ppmod.modules
+
+    def refuse(*args):
+        raise AssertionError("presentation_of built a submodule")
+
+    alg = truncated_dvr(3, GF(3))
+    fresh = quotient_module(free_module(alg, 2), Subspace.from_matrix(
+        Matrix.from_rows(GF(3), [[0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1]])))[0]
+    monkeypatch.setattr(ppmod.modules, "submodule", refuse)
+    pres = presentation_of(fresh)
+    assert pres.ngens == 2
+    assert len(pres.relations) == 2
+
+
 def test_free_module_uses_the_algebras_one_regular_representation():
     alg = truncated_dvr(4, GF(3))
     rho = alg.free_action(1)

@@ -3,7 +3,7 @@ import pytest
 import ppmod.probes
 import ppmod.suites
 from ppmod.algebra import kronecker_algebra
-from ppmod.fields import GF
+from ppmod.fields import GF, QQ
 from ppmod.catalog import (dvr_chain_module, kronecker_preprojective,
                            kronecker_step_formula)
 from ppmod.modules import hom_space, top_of
@@ -11,7 +11,8 @@ from ppmod.ppformula import PpPair, pp_type_generator_of_element
 from ppmod.linalg import subspace_leq
 from ppmod.probes import (INCONCLUSIVE, MAX_ROUNDS, NOT_SHORT_WITNESS,
                           SHORT_WITHIN_BOUND, ProbeReport, _label,
-                          interval_probe, probe_embedding, theta_pool)
+                          interval_probe, kronecker_probe, probe_embedding,
+                          theta_pool)
 from ppmod.realize import realize_in_tower
 from ppmod.suites import suite_short_probes
 from ppmod.tower import build_tower
@@ -281,6 +282,18 @@ def test_kronecker_probe_matches_every_pair_reference(p):
     for budget in (3, 6, 10):
         assert interval_probe(pair, universe, budget, pool) == \
             probe_every_pair(pair, universe, budget, pool)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+def test_kronecker_probe_is_the_probe_of_its_pair(field):
+    # the embedding probe of PP(0) -> PP(1) against the pair of the
+    # pp-types of 1 and of its image, probed directly
+    kron = kronecker_algebra(field)
+    universe = [kronecker_preprojective(kron, i) for i in range(5)]
+    pair = kronecker_probe_pair(universe)
+    for budget in (1, 3, 10):
+        assert kronecker_probe(universe, budget) == \
+            interval_probe(pair, universe, budget)
 
 
 @pytest.mark.parametrize("p", [2, 3])
