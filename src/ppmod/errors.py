@@ -26,19 +26,6 @@ class Undecided(NoVerdict):
     code = "UNDECIDED"
 
 
-class SquareFailed(Exception):
-    """A defining square of a realized tube failed verification."""
-
-    def __init__(self, square_id: str, detail: str = ""):
-        super().__init__(square_id)
-        self.square_id = square_id
-        self.detail = detail
-
-    def __str__(self):
-        s = f"SQUARE_FAILED({self.square_id})"
-        return f"{s}: {self.detail}" if self.detail else s
-
-
 class UnclassifiedSummand(Exception):
     """An indecomposable summand matched no label; a bug or a genuine
     grammar redundancy."""

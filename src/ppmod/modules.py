@@ -443,18 +443,17 @@ class Presentation:
                 for i in range(self.ngens)]
 
 
-def _module_span(m: Module, vectors, start: Subspace | None = None) -> Subspace:
-    """Smallest action-invariant subspace containing the vectors and the
-    invariant subspace start (zero if omitted).
+def _module_span(m: Module, vectors) -> Subspace:
+    """Smallest action-invariant subspace containing the vectors.
 
-    It is start + span{v.b : v a vector, b a basis element of A}, so one
+    It is span{v.b : v a vector, b a basis element of A}, so one
     elimination of the stacked products finds it.  That space contains
     each v, because the unit is a combination of the basis and acts as
     the identity; and it is invariant, because (v.b).a = v.(ba) and ba is
     a combination of the basis."""
     f = m.algebra.field
     vecs = Matrix(f, len(vectors), m.dim, vectors)
-    stacked = Matrix.zero(f, 0, m.dim) if start is None else start.basis
+    stacked = Matrix.zero(f, 0, m.dim)
     for a in m.action:
         stacked = stacked.vstack(vecs * a)
     return Subspace.from_matrix(stacked)

@@ -1,5 +1,5 @@
 """Concrete realization of the ray-tube ladder inside a tower module
-category, with every defining square verified exactly.
+category, and the exact check of its defining squares.
 
 A RealizedTube is a translation quiver with a module per vertex and a
 module map per arrow, keyed by the quiver's own names.  realize_in_tower
@@ -15,12 +15,13 @@ arrow lam(0,n,j+1) is f_j: P^n_{j+1} -> M_j, uniquely determined by its
 two defining equations.  The epi phi_j: M_{j+1} -> M_j, the chain
 quotient, is not stored: it is the rim walk lam^{n+1} from S(0,0,j+1).
 
-realize_in_tower checks the stage-row squares tube[j] from M_0 = 0, so
-tube[1] is the exact sequence 0 -> M_1 -> M_2 -> M_1 -> 0.  The ladder
-and rim squares are the quiver's mesh rules, checked once each by
-_verify_squares, which reads nothing of the tower (a ZERO rule as a
-composite that vanishes): the functor on paths descends to the mesh
-category, and every word realizes to its normal form's map.
+realize_in_tower only builds the tube; functor_failures checks it.  It
+checks the stage-row squares tube[j] from M_0 = 0, so tube[1] is the
+exact sequence 0 -> M_1 -> M_2 -> M_1 -> 0, and the ladder and rim
+squares, the quiver's mesh rules, once each (a ZERO rule as a composite
+that vanishes).  The mesh squares read nothing of the tower: when they
+hold, the functor on paths descends to the mesh category, and every
+word realizes to its normal form's map.
 
 The stage bimodule X = M_J (+) P^1_1 (+) ... (+) P^n_1 is certified
 projective as a left module of the tower at horizon J by its top: the
@@ -30,7 +31,7 @@ top's multiplicities, and a projective cover of X's dimension.
 from __future__ import annotations
 
 from .catalog import dvr_chain_module
-from .errors import HorizonExceeded, SquareFailed
+from .errors import HorizonExceeded
 from .linalg import Matrix, vectorized
 from .modules import (Module, ModuleMap, direct_sum, identity_map, quiver_rep,
                       top_of, zero_map)
@@ -86,20 +87,13 @@ def square_failures(top: ModuleMap, left: ModuleMap, right: ModuleMap,
 
 
 class RealizedTube:
-    """A translation quiver realized in modules: a module per vertex, a
-    map per arrow, and the names of the squares verified, in order."""
+    """A translation quiver realized in modules: a module per vertex and a
+    map per arrow."""
 
     def __init__(self, quiver: TranslationQuiver):
         self.quiver = quiver
         self.modules: dict = {}  # vertex -> Module
         self.maps: dict = {}     # Arrow -> ModuleMap
-        self.checked_squares: list = []
-
-    def realize_arrow(self, a: Arrow) -> ModuleMap:
-        """An arrow of the quiver as its map; ValueError for any other
-        arrow."""
-        self.quiver.target(a)
-        return self.maps[a]
 
     def realize_normal_path(self, np) -> ModuleMap:
         if np == ZERO:
@@ -112,10 +106,9 @@ class RealizedTube:
 
 
 def realize_in_tower(tower: TowerRing, stages: int) -> RealizedTube:
-    """Realize Q(1; n), n the tower's height, at horizon stages + 1 and
-    verify every defining square as a pushout and pullback; needs
-    stages + 1 < horizon headroom (stage modules use chain length
-    stages + 1)."""
+    """Realize Q(1; n), n the tower's height, at horizon stages + 1, its
+    squares unchecked (see functor_failures); needs stages + 1 < horizon
+    headroom (stage modules use chain length stages + 1)."""
     if stages < 1:
         raise ValueError("need at least one stage")
     if stages >= tower.N:
@@ -149,9 +142,6 @@ def realize_in_tower(tower: TowerRing, stages: int) -> RealizedTube:
                 P[(0, l, j)], P[(0, l, j + 1)], psi.mat, check=True)
 
     _complete_f_maps(rt, alg0)
-    _verify_stage_row(rt)
-    _verify_squares(rt)
-    rt.checked_squares.append("coker[psi_1]")
     return rt
 
 
@@ -168,7 +158,9 @@ def _complete_f_maps(rt: RealizedTube, alg0):
     P^n_{j+1} is phi_j, the chain quotient over alg0, and f_j after
     psibar^n_j is the realized right side of the rim mesh rule at
     mu(0,n,j) (zero at j = 1, where the rule is ZERO).  The rim walk
-    lam^{n+1} from M_{j+1} then realizes phi_j."""
+    lam^{n+1} from M_{j+1} then realizes phi_j.  When the two equations
+    have no solution, f_j is the zero map and the squares it enters fail:
+    tube[j] always, since phi_j is then zero."""
     q, P = rt.quiver, rt.modules
     n = q.ray_lengths[0]
     for j in range(1, q.horizon):
@@ -179,51 +171,58 @@ def _complete_f_maps(rt: RealizedTube, alg0):
         walk = rt.realize_normal_path(NormalPath((0, 0, j + 1), n, 0))
         sol = walk.mat.vstack(rt.maps[mu].mat).solve_right(
             chain_quotient(alg0, j).mat.vstack(rim))
-        if sol is None:
-            raise SquareFailed(f"f[{j}]", "rim completion system inconsistent")
-        rt.maps[Arrow("lam", 0, n, j + 1)] = ModuleMap(
-            P[(0, n, j + 1)], P[(0, 0, j)], sol, check=True)
+        rt.maps[Arrow("lam", 0, n, j + 1)] = \
+            zero_map(P[(0, n, j + 1)], P[(0, 0, j)]) if sol is None else \
+            ModuleMap(P[(0, n, j + 1)], P[(0, 0, j)], sol, check=True)
 
 
-def _check(rt: RealizedTube, name: str, top, left, right, bottom):
-    """Verify one square as a pushout and pullback, and record its name."""
-    failed = square_failures(top, left, right, bottom)
-    if failed:
-        raise SquareFailed(name, ", ".join(failed))
-    rt.checked_squares.append(name)
+def functor_failures(rt: RealizedTube) -> tuple[list[str], list[str]]:
+    """Check every defining square of the realized Q(1; n) as a pushout
+    and pullback; returns the names of the squares checked, in order,
+    and one line SQUARE_FAILED(<square>): <conditions> per failing square.
 
+    First the stage-row squares tube[1..J] from M_0 = 0, with phi_j the
+    rim walk from M_{j+1}; then one square per mesh rule, ladder[k+1,j]
+    or rim[j], a ZERO rule as a composite that vanishes, which names no
+    square; last coker[psi_1], which fails with tube[1]: tube[1] is the
+    exact sequence 0 -> M_1 -> M_2 -> M_1 -> 0, so the cokernel of psi_1
+    is M_1."""
+    q, P, R = rt.quiver, rt.modules, rt.maps
+    n, J = q.ray_lengths[0], q.horizon - 1
+    squares, failures = [], []
 
-def _verify_stage_row(rt: RealizedTube):
-    """The stage-row squares tube[j] from M_0 = 0, phi_j the rim walk from
-    M_{j+1}: tube[1] is the exact sequence 0 -> M_1 -> M_2 -> M_1 -> 0, so
-    the cokernel of psi_1 is M_1."""
-    n, J = rt.quiver.ray_lengths[0], rt.quiver.horizon - 1
-    m1 = rt.modules[(0, 0, 1)]
-    m0 = quiver_rep(m1.algebra, {}, {})
-    phi = [zero_map(m1, m0)] + [
+    def check(name, *maps):
+        failed = square_failures(*maps)
+        squares.append(name)
+        if failed:
+            failures.append(f"SQUARE_FAILED({name}): {', '.join(failed)}")
+        return failed
+
+    m0 = quiver_rep(P[(0, 0, 1)].algebra, {}, {})
+    phi = [zero_map(P[(0, 0, 1)], m0)] + [
         rt.realize_normal_path(NormalPath((0, 0, j + 1), n + 1, 0))
         for j in range(1, J + 1)]
-    psi = [zero_map(m0, m1)] + [rt.maps[Arrow("mu", 0, 0, j)]
-                                for j in range(1, J + 1)]
-    for j in range(1, J + 1):
-        _check(rt, f"tube[{j}]", phi[j - 1], psi[j], psi[j - 1], phi[j])
-
-
-def _verify_squares(rt: RealizedTube):
-    """One square per mesh rule: the ladder squares at depth k + 1 and the
-    rim squares, a ZERO rule as a composite that vanishes."""
-    q, R, n = rt.quiver, rt.realize_arrow, rt.quiver.ray_lengths[0]
+    psi = [zero_map(m0, P[(0, 0, 1)])] + [R[Arrow("mu", 0, 0, j)]
+                                         for j in range(1, J + 1)]
+    stage_row = [check(f"tube[{j}]", phi[j - 1], psi[j], psi[j - 1], phi[j])
+                 for j in range(1, J + 1)]
     for mu in q.arrows():
         if mu.kind != "mu":
             continue
         name = f"ladder[{mu.k + 1},{mu.j}]" if mu.k < n else f"rim[{mu.j}]"
         lam, rhs = _mesh_rule(q, mu)
         if rhs == ZERO:
-            if not (R(mu).mat * R(lam).mat).is_zero():
-                raise SquareFailed(name, "mu;lam does not vanish")
+            if not (R[mu].mat * R[lam].mat).is_zero():
+                failures.append(f"SQUARE_FAILED({name}): mu;lam does not "
+                                "vanish")
             continue
         lam2, mu2 = normal_path_arrows(q, rhs)
-        _check(rt, name, R(mu), R(lam2), R(lam), R(mu2))
+        check(name, R[mu], R[lam2], R[lam], R[mu2])
+    squares.append("coker[psi_1]")
+    if stage_row[0]:
+        failures.append("SQUARE_FAILED(coker[psi_1]): " +
+                        ", ".join(stage_row[0]))
+    return squares, failures
 
 
 # -- the stage bimodule and its projectivity ----------------------------------

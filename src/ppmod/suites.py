@@ -15,7 +15,6 @@ from .catalog import (dvr_chain_module, dvr_universe, kronecker_preprojective,
                       kronecker_regular, kronecker_step_formula,
                       kronecker_universe, random_quotient_of_free)
 from .decompose import RadicalCalculus, decompose
-from .errors import SquareFailed
 from .fields import GF
 from .linalg import Matrix, span_elements, subspace_leq
 from .modules import (ModuleMap, direct_sum, hom_space, iso_classes, iso_test,
@@ -26,7 +25,7 @@ from .ppformula import (PpFormula, annihilator, bottom, divisibility, dual,
                         tautology)
 from .probes import (NOT_SHORT_WITNESS, SHORT_WITHIN_BOUND, kronecker_probe,
                      probe_embedding, theta_pool)
-from .realize import bimodule_failures, realize_in_tower
+from .realize import bimodule_failures, functor_failures, realize_in_tower
 from .tower import (all_labels, build_tower, classify, construct_label, f0,
                     f1, label_module, verify_hom_bounds)
 from .tube import ZERO, Arrow, TranslationQuiver, hom_dimension, \
@@ -284,17 +283,16 @@ def suite_ray_tube(seed: int = 0) -> SuiteResult:
         lines.append(f"symbolic\tQ({m}; {','.join(map(str, lengths))}) "
                      f"ladder {verdict}")
     for height in (0, 1, 2):
-        tower = build_tower(5, height, F2)
-        try:
-            rt = realize_in_tower(tower, 3)
-        except SquareFailed as exc:
-            bad.append((height, str(exc)))
-            lines.append(f"realized\theight {height}: {exc}")
+        rt = realize_in_tower(build_tower(5, height, F2), 3)
+        squares, failed = functor_failures(rt)
+        if failed:  # the first failed square, and no bimodule
+            bad.append((height, failed[0]))
+            lines.append(f"realized\theight {height}: {failed[0]}")
             continue
         found, failed = bimodule_failures(rt)
         bad.extend((height, what) for what in failed)
         verdict = (f"MULTIPLICITIES_FAILED: {'; '.join(failed)}" if failed
-                   else f"{len(rt.checked_squares)} squares verified "
+                   else f"{len(squares)} squares verified "
                    f"pushout+pullback, multiplicities {found}")
         lines.append(f"realized\theight {height}: {verdict}")
     return _result("ray-tube", lines, bad)

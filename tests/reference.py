@@ -9,7 +9,8 @@ generator search and by one rank per vertex.
 
 import itertools
 
-from ppmod.linalg import Matrix, Subspace, combination, span_elements
+from ppmod.linalg import (Matrix, Subspace, combination, span_elements,
+                          subspace_sum)
 from ppmod.modules import (ModuleMap, Presentation, _module_span,
                            free_module, kernel_subspace)
 
@@ -91,7 +92,7 @@ def greedy_generators(m, candidates) -> list[tuple]:
     for v in candidates:
         if not span.contains_vector(v):
             gens.append(tuple(v))
-            span = _module_span(m, [v], span)
+            span = subspace_sum(span, _module_span(m, [v]))
     return gens
 
 

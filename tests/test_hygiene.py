@@ -67,10 +67,10 @@ def definitions(tree: ast.Module):
 
 def private_definitions(tree: ast.Module):
     """(line, name) of each private ('_name', not dunder) definition (see
-    definitions), a method by its own name."""
+    definitions)."""
     for line, name in definitions(tree):
-        name = name.rsplit(".", 1)[-1]
-        if name.startswith("_") and not name.endswith("__"):
+        own = name.rsplit(".", 1)[-1]
+        if own.startswith("_") and not own.endswith("__"):
             yield line, name
 
 
@@ -80,16 +80,45 @@ OPERATOR_DUNDERS = {ast.Add: "__add__", ast.Sub: "__sub__",
                     ast.Mult: "__mul__", ast.USub: "__neg__"}
 
 
+def self_reads(trees) -> tuple[dict[int, str], dict[str, set[str]]]:
+    """(the innermost class of each attribute of self, by the node's id,
+    the bases of each class by name) in the given trees."""
+    owner: dict[int, str] = {}
+    bases: dict[str, set[str]] = {}
+    for tree in trees:
+        # ast.walk meets an outer class first, so an inner one overwrites
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                bases.setdefault(cls.name, set()).update(
+                    getattr(b, "id", getattr(b, "attr", ""))
+                    for b in cls.bases)
+                for node in ast.walk(cls):
+                    if isinstance(node, ast.Attribute) and \
+                            getattr(node.value, "id", None) == "self":
+                        owner[id(node)] = cls.name
+    return owner, bases
+
+
 def references(trees) -> tuple[set[str], set[str]]:
     """(every name read or imported by 'from ... import', every attribute
     taken, with the method of each operator used: see OPERATOR_DUNDERS)
-    in the given trees."""
+    in the given trees.  An attribute of self inside class D is taken as
+    'B.attr' for D and each of its bases B, by name, so it reads that
+    method on D and its bases only; any other receiver's attribute, of
+    unknown type, is taken by its bare name and reads the method of that
+    name on every class."""
+    trees = list(trees)
     names: set[str] = set()
     attrs: set[str] = set()
+    owner, bases = self_reads(trees)
+    own: set[tuple[str, str]] = set()  # (class, attribute of self)
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
-                attrs.add(node.attr)
+                if id(node) in owner:
+                    own.add((owner[id(node)], node.attr))
+                else:
+                    attrs.add(node.attr)
             elif isinstance(node, (ast.BinOp, ast.AugAssign)) or \
                     isinstance(node, ast.UnaryOp) and \
                     not isinstance(node.operand, ast.Constant):
@@ -100,14 +129,27 @@ def references(trees) -> tuple[set[str], set[str]]:
                 names.add(node.id)
             elif isinstance(node, ast.ImportFrom):
                 names.update(alias.name for alias in node.names)
+    for cls, attr in own:
+        lineage, pending = set(), [cls]
+        while pending:
+            c = pending.pop()
+            if c not in lineage:
+                lineage.add(c)
+                pending.extend(bases.get(c, ()))
+        attrs.update(f"{c}.{attr}" for c in lineage)
     return names, attrs
 
 
 def unused_private(tree: ast.Module, used: set[str]) -> list[str]:
-    """'line: name' for each private definition of tree whose name is not
-    in used (a name or attribute, see references)."""
-    return [f"{line}: {name}" for line, name in private_definitions(tree)
-            if name not in used]
+    """'line: name' for each private definition of tree, a method by its
+    own name, read neither by its own name nor, for a method, as
+    'Class.name' (see references) in used."""
+    out = []
+    for line, name in private_definitions(tree):
+        own = name.rsplit(".", 1)[-1]
+        if own not in used and name not in used:
+            out.append(f"{line}: {own}")
+    return out
 
 
 def uncalled_public(module: str, tree: ast.Module, names: set[str],
@@ -115,17 +157,17 @@ def uncalled_public(module: str, tree: ast.Module, names: set[str],
     """'line: name' for each public definition of tree (see definitions)
     that is not read, whose name is not in traced and whose 'module.name'
     is not in kept; an operator's method (see OPERATOR_DUNDERS) counts as
-    public.  A method is read when its own name is in attrs, a
-    module-level function or class when its name is in names (see
-    references): a local or an unrelated attribute of the same name does
-    not count."""
+    public.  A method is read when its own name or 'Class.name' is in
+    attrs, a module-level function or class when its name is in names
+    (see references): a local or an unrelated attribute of the same name
+    does not count, nor does a read of self in an unrelated class."""
     out = []
     operators = set(OPERATOR_DUNDERS.values())
     for line, name in definitions(tree):
         own = name.rsplit(".", 1)[-1]
         read = attrs if "." in name else names
         private = own.startswith("_") and own not in operators
-        if not (private or own in read or name in traced
+        if not (private or own in read or name in read or name in traced
                 or f"{module}.{name}" in kept):
             out.append(f"{line}: {name}")
     return out
@@ -679,6 +721,24 @@ def test_uncalled_public_code_is_found():
                                            "18: elsewhere"]
 
 
+def test_a_read_of_self_counts_only_for_its_class_and_bases():
+    src = ("class A:\n"
+           "    def f(self):\n        pass\n"
+           "    def _g(self):\n        pass\n"
+           "class B:\n"
+           "    def f(self):\n        pass\n"
+           "    def g(self):\n        return self.f(), self._g()\n"
+           "    def _g(self):\n        pass\n"
+           "class C(B):\n"
+           "    def h(self):\n        return self.g()\n"
+           "A, C().h()\n")
+    tree = ast.parse(src)
+    names, attrs = references([tree])
+    # B reads f and _g on itself, C reads g on its base B; A's are unread
+    assert uncalled_public("m", tree, names, attrs, set(), {}) == ["2: A.f"]
+    assert unused_private(tree, names | attrs) == ["4: _g"]
+
+
 def test_operator_methods_are_read_only_where_their_operator_is_used():
     src = ("class _V:\n"
            "    def __add__(self, o):\n        pass\n"
@@ -715,7 +775,7 @@ def test_kept_names_exist_and_have_no_other_caller(public_callers):
         # a kept name that gains a caller leaves KEPT
         own = qual.rsplit(".", 1)[-1]
         assert own not in (c.attrs if "." in qual else c.names) and \
-            qual not in c.traced, name
+            qual not in c.attrs | c.traced, name
 
 
 def test_unset_options_are_found():

@@ -3,7 +3,7 @@ import pytest
 from ppmod.fields import GF, QQ
 from ppmod.algebra import kronecker_algebra, truncated_dvr
 from ppmod.decompose import decompose
-from ppmod.errors import HorizonExceeded, SquareFailed
+from ppmod.errors import HorizonExceeded
 from ppmod.linalg import Matrix, Subspace
 from ppmod.modules import (ModuleMap, direct_sum, hom_space, identity_map,
                            iso_classes, iso_test, quiver_rep, quotient_module,
@@ -13,8 +13,8 @@ from ppmod.catalog import (dvr_chain_module, kronecker_preprojective,
 from ppmod.tower import build_tower, tower_dimension
 from ppmod.tube import (Arrow, NormalPath, ZERO, all_paths_from,
                         hom_dimension, normalize_path)
-from ppmod.realize import (_verify_squares, _verify_stage_row,
-                           bimodule_failures, chain_inclusion, chain_quotient,
+from ppmod.realize import (_complete_f_maps, bimodule_failures,
+                           chain_inclusion, chain_quotient, functor_failures,
                            realize_in_tower, square_failures, stage_bimodule)
 
 F2 = GF(2)
@@ -81,7 +81,8 @@ def test_a_square_whose_maps_leave_the_wrong_corners_is_refused(corners):
 
 
 def test_realized_ladder_n1(rt_n1):
-    names = rt_n1.checked_squares
+    names, failed = functor_failures(rt_n1)
+    assert failed == []
     assert "tube[1]" in names and "coker[psi_1]" in names
     assert any(n.startswith("ladder[1,") for n in names)
     assert any(n.startswith("rim[") for n in names)
@@ -116,7 +117,7 @@ def test_realization_functoriality(rt_any):
         for word in all_paths_from(q, v, 4):
             direct = identity_map(rt_any.modules[v])
             for a in word:
-                direct = direct.then(rt_any.realize_arrow(a))
+                direct = direct.then(rt_any.maps[a])
             np = normalize_path(q, v, word)
             if np == ZERO:
                 assert direct.mat.is_zero(), word
@@ -248,33 +249,42 @@ def test_stage_bimodule_left_structure(rt_n1):
         rt_n1.modules[(0, 1, 1)].dim
 
 
-@pytest.mark.parametrize("arrow, square", [
-    (Arrow("lam", 0, 0, 1), "ladder[1,1]"),
-    (Arrow("mu", 0, 1, 2), "ladder[1,2]"), (Arrow("lam", 0, 1, 3), "tube[2]"),
-    (Arrow("lam", 0, 1, 2), "tube[1]"), (Arrow("lam", 0, 0, 3), "tube[2]"),
-    (Arrow("mu", 0, 0, 1), "tube[1]"), (Arrow("mu", 0, 0, 2), "tube[2]")],
+def failing_squares(rt):
+    """The squares that functor_failures names as failing, in order."""
+    return [line[len("SQUARE_FAILED("):line.index(")")]
+            for line in functor_failures(rt)[1]]
+
+
+@pytest.mark.parametrize("arrow, squares", [
+    (Arrow("lam", 0, 0, 1), ["ladder[1,1]"]),
+    (Arrow("mu", 0, 1, 2), ["ladder[1,2]", "rim[2]"]),
+    (Arrow("lam", 0, 1, 3), ["tube[2]", "tube[3]", "rim[2]", "rim[3]"]),
+    (Arrow("lam", 0, 1, 2), ["tube[1]", "tube[2]", "rim[2]", "coker[psi_1]"]),
+    (Arrow("lam", 0, 0, 3), ["tube[2]", "tube[3]", "ladder[1,2]",
+                             "ladder[1,3]"]),
+    (Arrow("mu", 0, 0, 1), ["tube[1]", "tube[2]", "ladder[1,1]", "rim[2]",
+                            "coker[psi_1]"]),
+    (Arrow("mu", 0, 0, 2), ["tube[2]", "tube[3]", "ladder[1,2]", "rim[3]"])],
     ids=["alpha", "psibar", "fmaps", "phi1", "phi2", "psi1", "psi2"])
-def test_corrupted_ladder_names_the_failing_square(arrow, square):
-    # one ladder map zeroed: the first square it enters fails.  phi_j is
-    # the rim walk lam(0,0,j+1);f_j, so f_2 = lam(0,1,3) fails tube[2]
-    # before rim[2], and phi1 and phi2 zero a map of their walk
+def test_corrupted_ladder_names_the_failing_square(arrow, squares):
+    # one ladder map zeroed: every square it enters fails, in
+    # functor_failures' order.  phi_j is the rim walk lam(0,0,j+1);f_j,
+    # so f_2 = lam(0,1,3) fails tube[2] before rim[2], and phi1 and phi2
+    # zero a map of their walk
     rt = realize_in_tower(build_tower(5, 1, F2), 3)
     h = rt.maps[arrow]
     rt.maps[arrow] = zero_map(h.source, h.target)
-    with pytest.raises(SquareFailed) as err:
-        # in realize_in_tower's order: the stage row, then the mesh rules
-        _verify_stage_row(rt)
-        _verify_squares(rt)
-    assert err.value.square_id == square
+    assert failing_squares(rt) == squares
 
 
 @pytest.mark.parametrize("j", [1, 2])
 def test_a_rim_map_off_its_mesh_rule_fails_its_rim_square(j):
     # the planted f_j solves [walk; psibar^1_j] X = [phi_j; wrong], the
     # rim rule's right side off in one entry: the rim walk still realizes
-    # phi_j, so the stage row holds and only rim[j] fails.  At j = 1 no
-    # module map P^1_2 -> M_1 is nonzero on the image of psibar^1_1
-    # (Hom(P^1_1, M_1) = 0), so the planted f_j is a raw matrix
+    # phi_j, so the stage row holds, and rim[j] fails, as does rim[j+1],
+    # whose right side is f_j;psi_j.  At j = 1 no module map P^1_2 -> M_1
+    # is nonzero on the image of psibar^1_1 (Hom(P^1_1, M_1) = 0), so
+    # the planted f_j is a raw matrix
     tw = build_tower(5, 1, F2)
     rt = realize_in_tower(tw, 3)
     rim = Arrow("lam", 0, 1, j + 1)
@@ -286,17 +296,21 @@ def test_a_rim_map_off_its_mesh_rule_fails_its_rim_square(j):
     bad = walk.vstack(psibar).solve_right(chain_quotient(
         tw.algebras[0], j).mat.vstack(psibar * f.mat + off))
     rt.maps[rim] = ModuleMap(f.source, f.target, bad, check=False)
-    _verify_stage_row(rt)
-    with pytest.raises(SquareFailed) as err:
-        _verify_squares(rt)
-    assert err.value.square_id == f"rim[{j}]"
+    assert failing_squares(rt) == [f"rim[{j}]", f"rim[{j + 1}]"]
 
 
-@pytest.mark.parametrize("arrow", [Arrow("mu", 0, 0, 4), Arrow("mu", 1, 0, 1),
-                                   Arrow("lam", 0, 1, 1)], ids=str)
-def test_an_arrow_off_the_realized_quiver_is_refused(rt_n1, arrow):
-    with pytest.raises(ValueError, match="not an arrow of the quiver"):
-        rt_n1.realize_arrow(arrow)
+def test_an_inconsistent_rim_system_leaves_a_zero_rim_map():
+    # with phi_2's first map lam(0,0,3) zeroed, no f_2 has the walk
+    # realize phi_2: f_2 is the zero map, and the squares it enters fail
+    tw = build_tower(5, 1, F2)
+    rt = realize_in_tower(tw, 3)
+    walk = Arrow("lam", 0, 0, 3)
+    h = rt.maps[walk]
+    rt.maps[walk] = zero_map(h.source, h.target)
+    _complete_f_maps(rt, tw.algebras[0])
+    assert rt.maps[Arrow("lam", 0, 1, 3)].mat.is_zero()
+    assert failing_squares(rt) == ["tube[2]", "tube[3]", "ladder[1,2]",
+                                   "ladder[1,3]", "rim[2]", "rim[3]"]
 
 
 @pytest.mark.parametrize("start", [(0, 0, 9), (0, 2, 1), (1, 0, 2)], ids=str)
