@@ -23,9 +23,11 @@ that vanishes).  The mesh squares read nothing of the tower: when they
 hold, the functor on paths descends to the mesh category, and every
 word realizes to its normal form's map.
 
-The stage bimodule X = M_J (+) P^1_1 (+) ... (+) P^n_1 is certified
-projective as a left module of the tower at horizon J by its top: the
-top's multiplicities, and a projective cover of X's dimension.
+stage_bimodule builds the stage bimodule X = M_J (+) P^1_1 (+) ... (+)
+P^n_1, and bimodule_failures checks it: a left action by right-module
+maps, a left tower that embeds into End(X), and X projective as a left
+module of the tower at horizon J by its top, the top's multiplicities
+and a projective cover of X's dimension.
 """
 
 from __future__ import annotations
@@ -228,6 +230,13 @@ def functor_failures(rt: RealizedTube) -> tuple[list[str], list[str]]:
 # -- the stage bimodule and its projectivity ----------------------------------
 
 
+def _stage_summands(rt: RealizedTube) -> list[Module]:
+    """M_J, P^1_1, ..., P^n_1: the summands of the stage bimodule X."""
+    n, J = rt.quiver.ray_lengths[0], rt.quiver.horizon - 1
+    return [rt.modules[(0, 0, J)]] + [rt.modules[(0, l, 1)]
+                                      for l in range(1, n + 1)]
+
+
 def stage_bimodule(rt: RealizedTube) -> Module:
     """The stage-J surrogate of the limit bimodule: X = M_J (+) P^1_1 (+)
     ... (+) P^n_1 with its left action of the height-n tower built at
@@ -237,17 +246,11 @@ def stage_bimodule(rt: RealizedTube) -> Module:
     with M_J at vertex 0 and P^l_1 at vertex l: x acts as on M_J, b_l as
     alpha^l_1 = lam(0,l-1,1) and b_1 as beta_1 = alpha^1_1 u_1, where
     u_1: M_J -> M_1 is the rim walk of (n+1)(J-1) steps, so beta_1 is
-    that walk one lam further.  It is checked to commute with X's right
-    action, and the left tower to embed into End(X)."""
-    q = rt.quiver
-    n, J = q.ray_lengths[0], q.horizon - 1
-    mj = rt.modules[(0, 0, J)]
-    f = mj.algebra.field
-    left_tower = build_tower(J, n, f)
-
-    comps = [mj] + [rt.modules[(0, l, 1)] for l in range(1, n + 1)]
-    x_mod = direct_sum(comps, label="stage_bimodule")[0]
-
+    that walk one lam further.  bimodule_failures checks that it commutes
+    with X's right action, and that the left tower embeds into End(X)."""
+    n, J = rt.quiver.ray_lengths[0], rt.quiver.horizon - 1
+    comps = _stage_summands(rt)
+    mj = comps[0]
     arrows = {f"b{l}": rt.maps[Arrow("lam", 0, l - 1, 1)].mat
               for l in range(2, n + 1)}
     if n >= 1:
@@ -255,38 +258,45 @@ def stage_bimodule(rt: RealizedTube) -> Module:
             NormalPath((0, 0, J), (n + 1) * (J - 1) + 1, 0)).mat
     if J > 1:  # k[x]/(x) has no arrow x
         arrows["x"] = mj.act(mj.algebra.el_from_label("x"))
-    left_mod = quiver_rep(left_tower.top.op, dict(enumerate(
-        c.dim for c in comps)), arrows, label="stage_bimodule_left")
-    # bimodule condition: every left action matrix is a right-module map
-    for a in left_mod.action:
-        ModuleMap(x_mod, x_mod, a, check=True)
-    # ring embedding: the left action matrices are linearly independent
-    if vectorized(f, left_mod.action, x_mod.dim ** 2).rank() != \
-            left_tower.top.dim:
-        raise AssertionError("left tower does not embed into the endomorphisms")
-    return left_mod
+    return quiver_rep(build_tower(J, n, mj.algebra.field).top.op, dict(
+        enumerate(c.dim for c in comps)), arrows, label="stage_bimodule_left")
 
 
 def bimodule_failures(rt: RealizedTube) -> tuple[list[int], list[str]]:
-    """Certify the stage bimodule X projective as a left module, with the
-    dimension-difference multiplicities, from its top; returns the
+    """Certify the stage bimodule X a bimodule, projective as a left
+    module with the dimension-difference multiplicities; returns the
     multiplicities found and what failed.
 
-    The top X / X rad holds m_v copies of the simple at vertex v, read
-    by top_of.  By Nakayama's lemma X is a quotient of its projective
-    cover, the sum of m_v copies of e_v A, of dimension the sum of m_v
-    times the number of basis paths from v.  When that equals dim X the
-    cover is an isomorphism: X is projective with multiplicities m_v
-    (Assem, Simson and Skowronski, *Elements* 1, ch. I.5 and III.2).
-    found lists them in path order: c = eps0, then eps1, ..."""
+    X is a bimodule when the left action of each generator of the left
+    tower is a map of right modules, and the left tower embeds into
+    End(X) when the action matrices of its basis are linearly
+    independent.  The top X / X rad holds m_v copies of the simple at
+    vertex v, read by top_of.  By Nakayama's lemma X is a quotient of its
+    projective cover, the sum of m_v copies of e_v A, of dimension the sum
+    of m_v times the number of basis paths from v.  When that equals
+    dim X the cover is an isomorphism: X is projective with
+    multiplicities m_v (Assem, Simson and Skowronski, *Elements* 1, ch.
+    I.5 and III.2).  found lists them in path order: c = eps0, then
+    eps1, ..."""
     n = rt.quiver.ray_lengths[0]
     x = stage_bimodule(rt)
+    right = direct_sum(_stage_summands(rt), label="stage_bimodule")[0]
+    if x.dim != right.dim:
+        failed = [f"left module of dimension {x.dim}, not dim X = {right.dim}"]
+    else:
+        failed = [f"left action of {x.algebra.labels[g]} is not a "
+                  "right-module map" for g in x.algebra.generators
+                  if not ModuleMap(right, right, x.action[g],
+                                   check=False).intertwines()]
+    if vectorized(x.algebra.field, x.action, x.dim ** 2).rank() != \
+            x.algebra.dim:
+        failed.append("left tower does not embed into End(X)")
     dims = [rt.modules[(0, l, 1)].dim for l in range(n + 1)]
     expected = [dims[0]] + [dims[i] - dims[i - 1] for i in range(1, n + 1)]
     found, paths = top_of(x)[0], x.algebra.paths
     cover = sum(m * sum(s == v for _, s, _, _ in paths) for m, v in zip(
         found, [v for _, v, _, w in paths if not w]))
-    return found, [what for what, holds in (
+    return found, failed + [what for what, holds in (
         (f"multiplicities {found}, not {expected}", found == expected),
         (f"projective cover of dimension {cover}, not {x.dim}",
          cover == x.dim)) if not holds]

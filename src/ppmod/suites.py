@@ -520,7 +520,7 @@ def suite_ziegler(seed: int = 0) -> SuiteResult:
             bad.append("union-stability")
         if not is_closed(cs.intersection(ct)):
             bad.append("intersection-stability")
-    c0 = closure(PointSet.make(0, [], cofinite_prefixes=[(0, 0)]))
+    c0 = closure(PointSet.make(0, [], [((0, 0), ())]))
     for pt in (prufer(0, 0, 0), adic(0), qpoint(0)):
         if not c0.contains(pt):
             bad.append("finite-length family rule")

@@ -8,16 +8,19 @@ canonicalized eagerly: any prefix in front of Adic or Q collapses to the
 pure-F0 word, a word F1.F0 rewrites to F0.F0, and T(0) is the first
 finite-length point.
 
-Point sets carry per-prefix cofinite flags so that "infinitely many
-finite-length points" is finitely representable; the closure operator is
-the least fixpoint of the two quoted closure rules applied inside every
-embedded copy of the base spectrum.  The closed-set criterion is treated
-as an if-and-only-if rule; reports carry this assumption in their header.
+A point set holds one finite or cofinite family of finite-length points
+per prefix, so "infinitely many finite-length points" is finitely
+representable, and one rule, _combine, merges two families.  The closure
+operator is the least fixpoint of the two quoted closure rules applied
+inside every embedded copy of the base spectrum.  The closed-set criterion
+is treated as an if-and-only-if rule; reports carry this assumption in
+their header.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import random
 import re
 from typing import NamedTuple
@@ -109,137 +112,113 @@ def point_from_word(height: int, word, base: str, idx: int = 0) -> ZieglerPoint:
 # -- point sets with cofinite finite-length families -------------------------
 
 
-def _complement(family: tuple) -> tuple:
-    """Finite js <-> cofinite excluding js."""
-    mode, js = family
-    return ("cofinite" if mode == "finite" else "finite", js)
+_REST = -1  # stands for every index neither family lists (indices are >= 1)
+_EMPTY = (False, frozenset())
 
 
-def _family_union(a: tuple, b: tuple) -> tuple:
-    (am, ad), (bm, bd) = a, b
-    if am == bm:
-        return (am, ad | bd if am == "finite" else ad & bd)
-    return ("cofinite", ad - bd if am == "cofinite" else bd - ad)
-
-
-def _family_subset(a: tuple, b: tuple) -> bool:
-    """Whether family a lies in family b: a cofinite family lies in no
-    finite one, and in a cofinite one when it excludes at least what that
-    one excludes."""
-    (am, ad), (bm, bd) = a, b
-    if am == "finite":
-        return ad <= bd if bm == "finite" else ad.isdisjoint(bd)
-    return bm == "cofinite" and bd <= ad
+def _combine(op, a: tuple, b: tuple) -> tuple:
+    """op (operator.or_, and_ or sub) applied to two families, each
+    (cofinite, js) holding j iff (j in js) != cofinite.  Membership is
+    decided on the indices either family lists and on _REST, which stands
+    for all the others: the result is cofinite iff _REST survives, and
+    lists the indices whose membership differs from _REST's."""
+    (ac, ajs), (bc, bjs) = a, b
+    listed = ajs | bjs | {_REST}
+    kept = op(listed - ajs if ac else ajs, listed - bjs if bc else bjs)
+    cofinite = _REST in kept
+    return cofinite, frozenset(listed - kept if cofinite else kept)
 
 
 class PointSet(NamedTuple):
-    """Finite set of points plus cofinite flags per finite-length family.
-
-    families maps a prefix (p, l) to ("finite", js) or ("cofinite",
-    excluded); explicit FinLen points always live inside their family entry,
-    never in `others`."""
+    """Finite set of points plus a family of finite-length points per
+    prefix: FinLen(j) at (p, l) is in it iff (j in js) != cofinite for the
+    entry ((p, l), cofinite, js) of families, never in `others`."""
 
     height: int
     others: frozenset
-    families: tuple  # sorted tuple of ((p, l), mode, frozenset)
+    families: tuple  # sorted tuple of ((p, l), cofinite, js)
 
     @staticmethod
-    def make(height: int, points=(), cofinite_prefixes=(),
-             excluded=None) -> "PointSet":
+    def make(height: int, points=(), cofinite=()) -> "PointSet":
+        """The points, and every FinLen point at prefix but the excluded
+        ones for each (prefix, excluded) pair of cofinite."""
         if height < 0:
             raise ValueError("height must be >= 0")
-        others = set()
-        fams: dict = {}
+        others, finite = set(), {}
         for pt in points:
             if pt.height != height:
                 raise ValueError("point height mismatch")
             if pt.kind == FINLEN:
-                key = (pt.p, pt.l)
-                mode, data = fams.get(key, ("finite", frozenset()))
-                if mode == "finite":
-                    fams[key] = ("finite", data | {pt.idx})
-                else:
-                    fams[key] = ("cofinite", data - {pt.idx})
+                finite.setdefault((pt.p, pt.l), set()).add(pt.idx)
             else:
                 others.add(pt)
-        excluded = excluded or {}
-        for pref in cofinite_prefixes:
-            p, l = pref
-            if p + l != height:
+        fams = {pref: (False, frozenset(js)) for pref, js in finite.items()}
+        for pref, excluded in cofinite:
+            if min(pref) < 0:
+                raise ValueError("bad prefix")
+            if sum(pref) != height:
                 raise ValueError("cofinite family prefix has wrong length")
-            exc = frozenset(excluded.get(pref, ()))
+            exc = frozenset(excluded)
             if any(j < 1 for j in exc):
-                raise ValueError(f"excluded index {min(exc)} is not a "
-                                 "finite-length point: FinLen(j) needs "
-                                 "j >= 1")
-            prev = fams.get(pref)
-            if prev and prev[0] == "finite":
-                exc = exc - prev[1]
-            fams[pref] = ("cofinite", exc)
+                raise ValueError(f"excluded index {min(exc)} is not a finite-"
+                                 "length point: FinLen(j) needs j >= 1")
+            fams[pref] = _combine(operator.or_, fams.get(pref, _EMPTY),
+                                  (True, exc))
         return PointSet._clean(height, frozenset(others), fams)
 
     @staticmethod
     def _clean(height: int, others: frozenset, fams: dict) -> "PointSet":
-        """The canonical form: families sorted by prefix, empty finite
-        families dropped, so equal sets compare equal."""
+        """The canonical form: families sorted by prefix, empty ones
+        dropped, so equal sets compare equal."""
         return PointSet(height, others, tuple(sorted(
-            (k, m, frozenset(d)) for k, (m, d) in fams.items()
-            if not (m == "finite" and not d))))
+            (k, cofinite, js) for k, (cofinite, js) in fams.items()
+            if cofinite or js)))
 
     def family(self, pref) -> tuple:
-        for k, m, d in self.families:
+        for k, cofinite, js in self.families:
             if k == pref:
-                return (m, d)
-        return ("finite", frozenset())
+                return (cofinite, js)
+        return _EMPTY
 
     def contains(self, pt: ZieglerPoint) -> bool:
         if pt.kind != FINLEN:
             return pt in self.others
-        mode, data = self.family((pt.p, pt.l))
-        return pt.idx in data if mode == "finite" else pt.idx not in data
+        cofinite, js = self.family((pt.p, pt.l))
+        return (pt.idx in js) != cofinite
 
-    def _merge(self, other: "PointSet", others: frozenset,
-               family_op) -> "PointSet":
+    def _merge(self, other: "PointSet", op) -> "PointSet":
         if self.height != other.height:
             raise ValueError("height mismatch")
         prefixes = {k for k, _, _ in self.families + other.families}
-        return PointSet._clean(self.height, others, {
-            pref: family_op(self.family(pref), other.family(pref))
+        return PointSet._clean(self.height, op(self.others, other.others), {
+            pref: _combine(op, self.family(pref), other.family(pref))
             for pref in prefixes})
 
     def union(self, other: "PointSet") -> "PointSet":
-        return self._merge(other, self.others | other.others, _family_union)
+        return self._merge(other, operator.or_)
 
     def intersection(self, other: "PointSet") -> "PointSet":
-        # De Morgan inside each family
-        return self._merge(
-            other, self.others & other.others,
-            lambda a, b: _complement(_family_union(_complement(a),
-                                                   _complement(b))))
+        return self._merge(other, operator.and_)
 
     def issubset(self, other: "PointSet") -> bool:
-        """Whether every point of self lies in other, compared part by
-        part: the other points as sets, and each family of self inside
-        other's family of the same prefix (see _family_subset)."""
+        """Whether every point of self lies in other, part by part with
+        no difference built: the other points, and each family of self."""
         if self.height != other.height:
             raise ValueError("height mismatch")
         return self.others <= other.others and all(
-            _family_subset((m, d), other.family(k))
-            for k, m, d in self.families)
+            _combine(operator.sub, (cofinite, js), other.family(k)) == _EMPTY
+            for k, cofinite, js in self.families)
 
     def __str__(self):
         parts = []
-        for (p, l), mode, data in sorted(self.families):
+        for (p, l), cofinite, js in self.families:
             prefix = "F0 " * p + "F1 " * l
-            if mode == "cofinite":
-                if data:
-                    ex = ",".join(str(j) for j in sorted(data))
-                    parts.append(f"{prefix}FinLen(* minus {{{ex}}})")
-                else:
-                    parts.append(f"{prefix}FinLen(*)")
+            if cofinite:
+                ex = ",".join(str(j) for j in sorted(js))
+                parts.append(f"{prefix}FinLen(* minus {{{ex}}})" if js else
+                             f"{prefix}FinLen(*)")
             else:
-                for j in sorted(data):
-                    parts.append(f"{prefix}FinLen({j})")
+                parts.extend(f"{prefix}FinLen({j})" for j in sorted(js))
         parts.extend(str(pt) for pt in sorted(self.others))
         return "{" + ", ".join(sorted(parts)) + "}"
 
@@ -262,7 +241,7 @@ def points(height: int) -> PointSet:
     for m in range(1, height + 1):
         for p in range(height - m + 1):
             pts.append(tpoint(height, p, height - m - p, m))
-    return PointSet.make(height, pts, cofinite_prefixes=prefixes)
+    return PointSet.make(height, pts, [(pref, ()) for pref in prefixes])
 
 
 def closure(s: PointSet) -> PointSet:
@@ -278,8 +257,8 @@ def closure(s: PointSet) -> PointSet:
     points among the others: s itself when the rules add no new point."""
     n = s.height
     add = set()
-    for (p, l), mode, _ in s.families:
-        if mode == "cofinite":
+    for (p, l), cofinite, _ in s.families:
+        if cofinite:
             add.update((prufer(n, p, l), adic(n), qpoint(n)))
     if any(pt.kind in (PRUFER, ADIC) for pt in s.others):
         add.add(qpoint(n))
@@ -314,13 +293,11 @@ def random_point_set(height: int, rng: random.Random) -> PointSet:
         l = height - p
         pts.append(fin_len(height, p, l, rng.randint(1, 9)))
     cof = []
-    exc = {}
     if rng.random() < 0.4:
         p = rng.randint(0, height)
-        pref = (p, height - p)
-        cof.append(pref)
-        exc[pref] = frozenset(rng.sample(range(1, 8), k=rng.randint(0, 2)))
-    return PointSet.make(height, pts, cofinite_prefixes=cof, excluded=exc)
+        cof.append(((p, height - p),
+                    rng.sample(range(1, 8), k=rng.randint(0, 2))))
+    return PointSet.make(height, pts, cof)
 
 
 # -- textual syntax ------------------------------------------------------------
@@ -348,19 +325,15 @@ def parse_point(height: int, text: str) -> ZieglerPoint:
 
 def parse_point_set(height: int, text: str) -> PointSet:
     text = text.strip().strip("{}")
-    pts = []
-    excluded: dict = {}
+    pts, cofinite = [], []
     for chunk in re.split(r",(?![^{}]*\})", text):  # commas outside braces
         chunk = chunk.strip()
         # a cofinite family as PointSet.__str__ prints it, after its word
         m = re.fullmatch(r"((?:F[01]\s+)*)FinLen\(\*(?:\s+minus\s+"
                          r"\{\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\})?\)", chunk)
         if m:
-            pref = canonical_word(m.group(1).split())
-            ex = {int(j) for j in (m.group(2) or "").split(",") if j}
-            # a union of cofinite sets excludes only what all of them exclude
-            excluded[pref] = excluded.get(pref, ex) & ex
+            cofinite.append((canonical_word(m.group(1).split()), [
+                int(j) for j in (m.group(2) or "").split(",") if j]))
         elif chunk:
             pts.append(parse_point(height, chunk))
-    return PointSet.make(height, pts, cofinite_prefixes=list(excluded),
-                         excluded=excluded)
+    return PointSet.make(height, pts, cofinite)

@@ -74,6 +74,21 @@ def private_definitions(tree: ast.Module):
             yield line, name
 
 
+def module_names(tree: ast.Module):
+    """(line, name) of each name a module-level assignment binds, plain,
+    annotated or augmented, every name of a tuple or list target
+    included."""
+    for stmt in tree.body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+            [stmt.target] if isinstance(stmt, (ast.AnnAssign,
+                                               ast.AugAssign)) else []
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name) and \
+                        isinstance(node.ctx, ast.Store):
+                    yield node.lineno, node.id
+
+
 # the method each operator calls; no type is known here, so an operator
 # anywhere reads its method on every class (a negative literal reads none)
 OPERATOR_DUNDERS = {ast.Add: "__add__", ast.Sub: "__sub__",
@@ -764,6 +779,33 @@ def test_every_public_name_has_a_caller(path, public_callers):
     c = public_callers
     assert uncalled_public(path.stem, ast.parse(path.read_text()), c.names,
                            c.attrs, c.traced, KEPT) == []
+
+
+def test_unread_module_names_are_found():
+    src = ("A = 1\n"
+           "B, (C, [D]) = 2, (3, [4])\n"
+           "E: int = 5\n"
+           "F = {}\n"
+           "F['k'] = A\n"
+           "def f(m):\n    G = B\n    return G, m.D\n"
+           "class K:\n    H = 1\n")
+    tree = ast.parse(src)
+    names, attrs = references([tree])
+    # D is read as an attribute, as cli reads ziegler.CLOSURE_ASSUMPTION;
+    # G is a local and H a class attribute, neither bound at module level
+    assert [f"{line}: {name}" for line, name in module_names(tree)
+            if name not in names | attrs] == ["2: C", "3: E"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_module_name_is_read(path, public_callers):
+    # a constant or cache that nothing in src/, scripts/ or perfbench/
+    # reads is dead
+    read = public_callers.names | public_callers.attrs
+    assert [f"{line}: {name}"
+            for line, name in module_names(ast.parse(path.read_text()))
+            if name not in read] == []
 
 
 def test_kept_names_exist_and_have_no_other_caller(public_callers):

@@ -212,6 +212,36 @@ def test_a_planted_defect_in_the_stage_bimodule_is_rejected(monkeypatch,
         (found != [1, 1, 1])
 
 
+@pytest.mark.parametrize("arrow, found", [
+    (Arrow("lam", 0, 0, 1), [1, 2, 1]), (Arrow("lam", 0, 1, 1), [1, 1, 3])],
+    ids=["alpha1", "alpha2"])
+def test_a_zero_level_embedding_fails_the_left_embedding(arrow, found):
+    # alpha^1_1 or alpha^2_1 planted as zero: b1 or b2 acts as zero, which
+    # still commutes with the right action, but the left tower's action
+    # matrices are dependent; the check lists this with the top's failures
+    # instead of raising
+    rt = realize_in_tower(build_tower(5, 2, F2), 3)
+    m = rt.maps[arrow]
+    rt.maps[arrow] = zero_map(m.source, m.target)
+    assert bimodule_failures(rt) == (found, [
+        "left tower does not embed into End(X)",
+        f"multiplicities {found}, not [1, 1, 1]",
+        "projective cover of dimension 10, not 8"])
+
+
+def test_a_left_action_that_is_no_right_module_map_is_named():
+    # alpha^1_1 planted as a matrix unit: b1's left action is then no map
+    # of right modules, which the check names instead of raising
+    rt = realize_in_tower(build_tower(5, 2, F2), 3)
+    arrow = Arrow("lam", 0, 0, 1)
+    m = rt.maps[arrow]
+    unit = Matrix.from_rows(F2, [[F2.one(), F2.zero()]])
+    rt.maps[arrow] = ModuleMap(m.source, m.target, unit, check=False)
+    # L0~0 is the left tower's label of b1
+    assert bimodule_failures(rt) == (
+        [1, 1, 1], ["left action of L0~0 is not a right-module map"])
+
+
 def _projective_summands(x):
     """Projectivity by Krull-Schmidt: decompose X and match its summands
     by isomorphism against the indecomposable projectives e_v A; (every

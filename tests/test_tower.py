@@ -237,12 +237,15 @@ def test_labels_are_pairwise_non_isomorphic(tw21, tw31):
 def test_the_left_regular_module_passes_the_top_certificate(tw32,
                                                             monkeypatch):
     # R_2 as a right module over R_2^op is projective, one e_v R_2 per
-    # vertex
+    # vertex; its left action, of R_2 on itself, commutes with the right
+    # one, so R_2 is planted as X too
     import ppmod.realize
     from ppmod.modules import regular_module
     from ppmod.realize import bimodule_failures, realize_in_tower
     monkeypatch.setattr(ppmod.realize, "stage_bimodule",
                         lambda rt: regular_module(tw32.top.op))
+    monkeypatch.setattr(ppmod.realize, "_stage_summands",
+                        lambda rt: [regular_module(tw32.top)])
     assert bimodule_failures(realize_in_tower(tw32, 2)) == ([1, 1, 1], [])
 
 

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import os
 import random
 import re
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppmod.ziegler import (PointSet, adic, canonical_word,
+from ppmod.ziegler import (PointSet, _combine, adic, canonical_word,
                            closure, fin_len, is_closed, parse_point,
                            parse_point_set, point_closure, point_from_word,
                            points, prufer, qpoint, random_point_set, tpoint)
@@ -27,18 +28,16 @@ def point_sets(draw, height=None):
         p = draw(st.integers(0, n))
         pts.append(fin_len(n, p, n - p, draw(st.integers(1, 9))))
     cof = []
-    exc = {}
     if draw(st.booleans()):
         p = draw(st.integers(0, n))
-        cof.append((p, n - p))
-        exc[(p, n - p)] = frozenset(draw(st.sets(st.integers(1, 6),
-                                                 max_size=2)))
-    return PointSet.make(n, pts, cofinite_prefixes=cof, excluded=exc)
+        cof.append(((p, n - p), draw(st.sets(st.integers(1, 6),
+                                              max_size=2))))
+    return PointSet.make(n, pts, cof)
 
 
 def test_spectrum_at_height_zero():
     full = points(0)
-    assert full.family((0, 0))[0] == "cofinite"
+    assert full.family((0, 0)) == (True, frozenset())
     others = {str(p) for p in full.others}
     assert others == {"Prufer", "Adic", "Q"}
 
@@ -145,7 +144,7 @@ def test_t0_identifies_with_first_chain_point():
 
 
 def test_closure_of_infinite_family_at_zero():
-    s = PointSet.make(0, [], cofinite_prefixes=[(0, 0)])
+    s = PointSet.make(0, [], [((0, 0), ())])
     c = closure(s)
     for pt in (prufer(0, 0, 0), adic(0), qpoint(0)):
         assert c.contains(pt)
@@ -209,8 +208,8 @@ def closure_to_fixpoint(s):
     n = s.height
     while True:
         add = []
-        for (p, l), mode, _ in s.families:
-            if mode == "cofinite":
+        for (p, l), cofinite, _ in s.families:
+            if cofinite:
                 add.extend([prufer(n, p, l), adic(n), qpoint(n)])
         add.extend(qpoint(n) for pt in s.others
                    if pt.kind in ("Prufer", "Adic"))
@@ -232,12 +231,11 @@ def test_closure_is_one_pass_of_the_rules():
 
 
 def test_set_algebra_with_cofinite_families():
-    a = PointSet.make(1, [fin_len(1, 1, 0, 3)], cofinite_prefixes=[(0, 1)])
-    b = PointSet.make(1, [fin_len(1, 0, 1, 5)],
-                      cofinite_prefixes=[(1, 0)], excluded={(1, 0): {3}})
+    a = PointSet.make(1, [fin_len(1, 1, 0, 3)], [((0, 1), ())])
+    b = PointSet.make(1, [fin_len(1, 0, 1, 5)], [((1, 0), {3})])
     u = a.union(b)
     assert u.contains(fin_len(1, 1, 0, 3))
-    assert u.family((0, 1))[0] == u.family((1, 0))[0] == "cofinite"
+    assert u.family((0, 1)) == u.family((1, 0)) == (True, frozenset())
     i = a.intersection(b)
     assert i.contains(fin_len(1, 0, 1, 5))
     assert not i.contains(fin_len(1, 1, 0, 3))
@@ -245,11 +243,10 @@ def test_set_algebra_with_cofinite_families():
 
 def test_subset_with_families():
     small = PointSet.make(1, [fin_len(1, 0, 1, 2)])
-    big = PointSet.make(1, [], cofinite_prefixes=[(0, 1)])
+    big = PointSet.make(1, [], [((0, 1), ())])
     assert small.issubset(big)
     assert not big.issubset(small)
-    withheld = PointSet.make(1, [], cofinite_prefixes=[(0, 1)],
-                             excluded={(0, 1): {2}})
+    withheld = PointSet.make(1, [], [((0, 1), {2})])
     assert not small.issubset(withheld)
 
 
@@ -294,8 +291,55 @@ def test_make_refuses_an_excluded_index_below_one(excluded):
     # nothing)
     with pytest.raises(ValueError, match=f"excluded index {min(excluded)} "
                        "is not a finite-length point"):
-        PointSet.make(0, [], cofinite_prefixes=[(0, 0)],
-                      excluded={(0, 0): excluded})
+        PointSet.make(0, [], [((0, 0), excluded)])
+
+
+@pytest.mark.parametrize("prefix, message", [
+    ((-1, 2), "bad prefix"), ((2, -1), "bad prefix"),
+    ((0, 2), "cofinite family prefix has wrong length")])
+def test_make_refuses_a_bad_cofinite_prefix(prefix, message):
+    # a prefix with a negative part used to be kept, and printed as
+    # '{F1 F1 FinLen(*)}' at height 1, until its closure raised
+    with pytest.raises(ValueError, match=message):
+        PointSet.make(1, [], [(prefix, ())])
+
+
+def members(family, universe):
+    cofinite, js = family
+    return {j for j in universe if (j in js) != cofinite}
+
+
+def test_combine_is_the_set_rule_on_small_families():
+    # every family listing a subset of {1, 2, 3}, finite or cofinite, under
+    # each operator; j = 4 and 5 are listed by neither, so they stand for
+    # every index beyond
+    subsets = [frozenset(c) for r in range(4)
+               for c in itertools.combinations((1, 2, 3), r)]
+    families = [(cofinite, js) for cofinite in (False, True)
+                for js in subsets]
+    universe = range(1, 6)
+    for op in (operator.or_, operator.and_, operator.sub):
+        for a, b in itertools.product(families, repeat=2):
+            want = op(members(a, universe), members(b, universe))
+            cofinite = 5 in want
+            # the one form of that family: cofinite iff it holds the rest,
+            # listing the indices that differ from the rest, so an empty
+            # result is the empty finite family
+            js = frozenset(j for j in (1, 2, 3) if (j in want) != cofinite)
+            got = _combine(op, a, b)
+            assert got == (cofinite, js), (op, a, b)
+            assert isinstance(got[1], frozenset)
+            if not want:
+                assert got == (False, frozenset())
+
+
+def test_cofinite_chunks_at_one_prefix_parse_to_their_union():
+    # the union excludes only what every chunk excludes, and no explicit
+    # point of that prefix
+    s = parse_point_set(1, "F0 FinLen(* minus {1,3}), F1 FinLen(2), "
+                           "F0 FinLen(* minus {3,4,5}), F0 FinLen(4)")
+    assert s == PointSet.make(1, [fin_len(1, 0, 1, 2)], [((1, 0), {3})])
+    assert str(s) == "{F0 FinLen(* minus {3}), F1 FinLen(2)}"
 
 
 def test_parse_and_print_roundtrip():
@@ -304,7 +348,7 @@ def test_parse_and_print_roundtrip():
     pt = parse_point(2, "F0 F1 T(0)")  # canonicalizes to FinLen(1)
     assert str(pt) == "F0 F1 FinLen(1)"
     fam = parse_point_set(0, "FinLen(*)")
-    assert fam.family((0, 0))[0] == "cofinite"
+    assert fam.family((0, 0)) == (True, frozenset())
 
 
 @pytest.mark.parametrize("text", ["F0 FinLen(x)", "F0 T(y)", "F0 FinLen()",
@@ -329,8 +373,8 @@ def test_printed_point_sets_parse_back():
     # whose inner comma does not separate two points
     rng = random.Random(1)
     drawn = [random_point_set(n, rng) for _ in range(500) for n in range(4)]
-    assert sum(1 for s in drawn for _, mode, data in s.families
-               if mode == "cofinite" and len(data) > 1) > 100
+    assert sum(1 for s in drawn for _, cofinite, js in s.families
+               if cofinite and len(js) > 1) > 100
     for s in drawn:
         assert parse_point_set(s.height, str(s)) == s
     spaced = parse_point_set(1, "{F0 FinLen(* minus { 4 ,3 }), F1 FinLen(2)}")
